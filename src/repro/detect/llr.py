@@ -42,7 +42,7 @@ def axis_bit_partitions(constellation: QamConstellation) -> np.ndarray:
 
     Both axes share the same Gray labelling, so one table serves I and Q;
     the table is built once per constellation order and cached so
-    repeated soft frames never rebuild it.  The returned array is the
+    repeated soft frames never recompute it.  The returned array is the
     shared cache entry and is read-only — ``copy()`` it before mutating.
     """
     table = _PARTITION_CACHE.get(constellation.order)

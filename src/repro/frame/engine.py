@@ -21,11 +21,19 @@ different subcarriers are packed into the same kernel arrays.  When an
 easy search finishes, its lane is refilled from the frame-wide work
 queue, so the lockstep frontier stays full for the whole frame instead of
 draining to a handful of stragglers once per subcarrier — that refill is
-where the frame-level latency win over the PR 2 path comes from.  The
-straggler drain itself is inherited unchanged: once the queue is empty
-and the active set is small, survivors are handed to
-:meth:`~repro.sphere.decoder.SphereDecoder._continue_search` as
-reconstructed scalar enumerators.
+where the frame-level latency win over the PR 2 path comes from.
+
+Straggler drain
+---------------
+Once the queue is empty and the active set is down to
+``drain_threshold`` searches, a lockstep tick costs more per node than
+finishing the survivors one at a time, so they are handed to the
+numpy-free tail (:func:`repro.sphere.tail.finish_hard`): each search's
+kernel rows are exported once to plain Python state and run to the end
+there, and the outcome is written back into this engine's ``best_*`` /
+tally arrays — a drained search is finalised by the same code as one
+that finished in lockstep.  The ``hess``/``exhaustive`` baselines have
+no tail and stay in lockstep to the end.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ import numpy as np
 
 from ..sphere.batch_search import make_kernel
 from ..sphere.counters import ComplexityCounters
+from ..sphere.tail import finish_hard
 from ..sphere.tick_kernel import NO_BUDGET, resolve_tick_strategy, \
     run_hard_to_completion
 from ..utils.validation import require
@@ -53,10 +62,15 @@ DEFAULT_LANE_CAPACITY = 2048
 
 #: Ceiling for the default straggler-drain threshold.  Per-subcarrier
 #: batches scale their drain point as ``T // 6``, but the frame frontier
-#: stays efficient down to a small *absolute* active count — measured on
-#: 16-QAM 4x4 x 64 subcarriers, draining at ~32 survivors beats both
-#: draining early (``N // 6`` = 170 survivors finished at scalar speed)
-#: and ticking the array machinery for a near-empty frontier.
+#: stays efficient down to a small *absolute* active count.  Re-measured
+#: in PR 15 with the numpy-free tail (~4.5 us/node, against ~5.5 for a
+#: lockstep tick of 33-64 lanes and ~3.4 for 65-128): on hard 16-QAM
+#: 4x4 x 64-subcarrier frames 48-64 survivors would be 6-8 % faster
+#: (closed-loop frames/s) and 14 % faster for a lone ``decode_frame``,
+#: but every value above 32 lengthens the one tick that drains a *list*
+#: (soft) pool enough to move the median latency of the light frames
+#: sharing the runtime by +20-25 % on the mixed coded cell workload.
+#: The hand-off point is a latency trade-off first, so 32 stays.
 DRAIN_THRESHOLD_CAP = 32
 
 
@@ -117,63 +131,18 @@ def frame_decode_per_subcarrier(decoder, r_stack, y_hat) -> FrameDecodeResult:
     found = np.empty((num_subcarriers, num_symbols), dtype=bool)
     indices = np.empty((num_subcarriers, num_symbols, num_streams),
                        dtype=np.int64)
-    symbols = np.empty((num_subcarriers, num_symbols, num_streams),
-                       dtype=np.complex128)
     distances = np.empty((num_subcarriers, num_symbols), dtype=np.float64)
     totals = ComplexityCounters()
     for s in range(num_subcarriers):
         result = decoder.decode_batch(r_stack[s], y_hat[s])
         found[s] = result.found
         indices[s] = result.symbol_indices
-        symbols[s] = result.symbols
         distances[s] = result.distances_sq
         totals.merge(result.counters)
     return FrameDecodeResult(found=found.T,
                              symbol_indices=indices.transpose(1, 0, 2),
-                             symbols=symbols.transpose(1, 0, 2),
-                             distances_sq=distances.T,
-                             counters=totals)
-
-
-def _drain_element(decoder, kernel, element: int, lane: int, r, y_row, diag,
-                   diag_sq, level, parent_flat, radius, chosen, path_cols,
-                   path_rows, best_cols, best_rows, best_dist, tallies,
-                   node_budget: int | None = None):
-    """Finish one search's half-run tree at scalar speed.
-
-    The frame twin of the per-subcarrier engine's drain: the stack of
-    scalar enumerators is rebuilt from the element's *lane* slots while
-    the path/parent state comes from its frame-wide element slots, and
-    the continuation runs against the element's own subcarrier ``R``.
-    ``node_budget`` overrides the decoder's budget for the continuation
-    (the streaming runtime passes its per-lane — possibly
-    deadline-shrunken — budget through here).
-    """
-    ped, visited, expanded, leaves, prunes = tallies
-    counters = ComplexityCounters(
-        ped_calcs=int(ped[element]),
-        visited_nodes=int(visited[element]),
-        expanded_nodes=int(expanded[element]),
-        leaves=int(leaves[element]),
-        geometric_prunes=int(prunes[element]))
-    num_streams = r.shape[1]
-    state_base = element * num_streams
-    kernel_base = lane * num_streams
-    stack = [(lv, float(parent_flat[state_base + lv]),
-              kernel.rebuild(kernel_base + lv, counters))
-             for lv in range(num_streams - 1, int(level[element]) - 1, -1)]
-    return decoder._continue_search(
-        r, y_row, diag, diag_sq, kernel.fresh,
-        stack=stack,
-        radius_sq=float(radius[element]),
-        counters=counters,
-        chosen_symbols=chosen[element].copy(),
-        path_cols=path_cols[element].copy(),
-        path_rows=path_rows[element].copy(),
-        best_cols=best_cols[element].copy(),
-        best_rows=best_rows[element].copy(),
-        best_distance=float(best_dist[element]),
-        node_budget=node_budget)
+                             distances_sq=distances.T, counters=totals,
+                             points=decoder.constellation.points)
 
 
 def frame_decode_sphere(decoder, r_stack: np.ndarray, y_hat: np.ndarray, *,
@@ -200,7 +169,7 @@ def frame_decode_sphere(decoder, r_stack: np.ndarray, y_hat: np.ndarray, *,
         Searches beyond the capacity wait in the frame-wide queue and are
         packed into lanes as earlier searches finish.
     drain_threshold:
-        Hand the survivors to the scalar continuation once the queue is
+        Hand the survivors to the numpy-free tail once the queue is
         empty *and* the active set is this small (default: the
         per-subcarrier engine's ``// 6`` break-even capped at
         :data:`DRAIN_THRESHOLD_CAP` survivors — crossed once per frame
@@ -210,7 +179,7 @@ def frame_decode_sphere(decoder, r_stack: np.ndarray, y_hat: np.ndarray, *,
         Optional observability dict: ``"admitted"`` — one element array
         per scheduler refill, ``"leaf_events"`` — per-tick
         ``(elements, distances)`` radius tightenings, ``"drained"`` —
-        elements finished by the scalar continuation.
+        elements finished by the tail.
     tick_strategy:
         ``"compiled"`` runs each admitted wave of searches to completion
         through the compiled kernel (:mod:`repro.sphere.tick_kernel`),
@@ -233,7 +202,8 @@ def frame_decode_sphere(decoder, r_stack: np.ndarray, y_hat: np.ndarray, *,
     levels = constellation.levels
     top = num_streams - 1
     if num_problems == 0:
-        return empty_frame_result(num_symbols, num_subcarriers, num_streams)
+        return empty_frame_result(num_symbols, num_subcarriers, num_streams,
+                                  constellation)
     if capacity is None:
         capacity = DEFAULT_LANE_CAPACITY
     scheduler = SlotScheduler(num_problems, capacity)
@@ -283,7 +253,9 @@ def frame_decode_sphere(decoder, r_stack: np.ndarray, y_hat: np.ndarray, *,
     symbol_grid = levels[:, None] + 1j * levels[None, :]
 
     node_budget = decoder.node_budget
-    drained: dict[int, object] = {}
+    cap = NO_BUDGET if node_budget is None else node_budget
+    if not kernel.has_tail:
+        drain_threshold = 0
     tallies = (ped, visited, expanded, leaves, prunes)
 
     def admit(active: np.ndarray) -> np.ndarray:
@@ -311,14 +283,13 @@ def frame_decode_sphere(decoder, r_stack: np.ndarray, y_hat: np.ndarray, *,
         # completion natively — the same per-element iterations as the
         # tick loop below, so results and counters are bit-identical and
         # neither the budget pre-stop nor the drain has work left.
-        caps_value = NO_BUDGET if node_budget is None else node_budget
         while active.size:
-            caps = np.full(active.size, caps_value, dtype=np.int64)
             run_hard_to_completion(
-                kernel, active, lane_of[active], sub[active], caps, r_stack,
-                y_flat, diag_stack, diag_sq_stack, level, radius,
-                parent_flat, path_cols, path_rows, chosen, best_cols,
-                best_rows, best_dist, tallies)
+                kernel, active, lane_of[active], sub[active],
+                np.full(active.size, cap, dtype=np.int64), r_stack, y_flat,
+                diag_stack, diag_sq_stack, level, radius, parent_flat,
+                path_cols, path_rows, chosen, best_cols, best_rows,
+                best_dist, tallies)
             scheduler.release(lane_of[active])
             lane_of[active] = -1
             active = admit(np.empty(0, dtype=np.int64))
@@ -338,17 +309,14 @@ def frame_decode_sphere(decoder, r_stack: np.ndarray, y_hat: np.ndarray, *,
         if active.size == 0:
             break
         if not scheduler.pending and active.size <= drain_threshold:
-            for element in active.tolist():
-                s = int(sub[element])
-                drained[element] = _drain_element(
-                    decoder, kernel, element, int(lane_of[element]),
-                    r_stack[s], y_flat[element], diag_stack[s],
-                    diag_sq_stack[s], level, parent_flat, radius, chosen,
-                    path_cols, path_rows, best_cols, best_rows, best_dist,
-                    tallies)
+            finish_hard(
+                kernel, active, lane_of[active], sub[active],
+                np.full(active.size, cap, dtype=np.int64), r_stack, y_flat,
+                diag_stack, diag_sq_stack, level, radius, parent_flat,
+                path_cols, path_rows, chosen, best_cols, best_rows,
+                best_dist, tallies)
             if trace is not None:
-                trace.setdefault("drained", []).extend(
-                    int(e) for e in active)
+                trace.setdefault("drained", []).extend(active.tolist())
             break
 
         lv = level[active]
@@ -442,27 +410,9 @@ def frame_decode_sphere(decoder, r_stack: np.ndarray, y_hat: np.ndarray, *,
 
     found = np.isfinite(best_dist)
     indices = np.full((num_problems, num_streams), -1, dtype=np.int64)
-    symbols = np.full((num_problems, num_streams), np.nan + 0j,
-                      dtype=np.complex128)
-    distances = best_dist.copy()
-    lockstep = found.copy()
-    for element, result in drained.items():
-        lockstep[element] = False
-        found[element] = result.found
-        indices[element] = result.symbol_indices
-        symbols[element] = result.symbols
-        distances[element] = result.distance_sq
-        tally = result.counters
-        ped[element] = tally.ped_calcs
-        visited[element] = tally.visited_nodes
-        expanded[element] = tally.expanded_nodes
-        leaves[element] = tally.leaves
-        prunes[element] = tally.geometric_prunes
-    if lockstep.any():
-        best = constellation.index_of(best_cols[lockstep],
-                                      best_rows[lockstep])
-        indices[lockstep] = best
-        symbols[lockstep] = constellation.points[best]
+    if found.any():
+        indices[found] = constellation.index_of(best_cols[found],
+                                                best_rows[found])
     totals = sum_tally_counters(ped, visited, expanded, leaves, prunes,
                                 num_streams)
 
@@ -471,7 +421,5 @@ def frame_decode_sphere(decoder, r_stack: np.ndarray, y_hat: np.ndarray, *,
         found=found.reshape(frame_shape).T,
         symbol_indices=indices.reshape(frame_shape
                                        + (num_streams,)).transpose(1, 0, 2),
-        symbols=symbols.reshape(frame_shape
-                                + (num_streams,)).transpose(1, 0, 2),
-        distances_sq=distances.reshape(frame_shape).T,
-        counters=totals)
+        distances_sq=best_dist.reshape(frame_shape).T,
+        counters=totals, points=constellation.points)

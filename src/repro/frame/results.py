@@ -51,7 +51,10 @@ class FrameDecodeResult:
     """Outcome of decoding every (symbol, subcarrier) slot of one frame.
 
     The frame-level analogue of
-    :class:`~repro.sphere.batch.BatchDecodeResult`, field for field.
+    :class:`~repro.sphere.batch.BatchDecodeResult`.  Resolved frames are
+    what a streaming caller accumulates, so the decisions are held once:
+    ``symbols`` is looked up from ``symbol_indices`` on access instead of
+    being stored beside them (16 of a 16-QAM 4x4 frame's 26 KB).
 
     Attributes
     ----------
@@ -61,14 +64,14 @@ class FrameDecodeResult:
     symbol_indices:
         ``(T, S, nc)`` flattened constellation indices (``-1`` where
         ``found`` is ``False``).
-    symbols:
-        ``(T, S, nc)`` detected complex symbols (``nan`` where not found).
     distances_sq:
         ``(T, S)`` squared distances of the returned solutions (``inf``
         where not found).
     counters:
         Complexity tallies aggregated over the whole frame; equal to the
         sum of per-slot scalar counters exactly.
+    points:
+        The constellation's complex point table ``symbols`` indexes.
     decisions:
         Per-stream :class:`~repro.phy.receiver.StreamDecision` payloads
         (decoded bits + CRC verdicts), filled in by the streaming
@@ -79,10 +82,18 @@ class FrameDecodeResult:
 
     found: np.ndarray
     symbol_indices: np.ndarray
-    symbols: np.ndarray
     distances_sq: np.ndarray
     counters: ComplexityCounters
+    points: np.ndarray
     decisions: list | None = None
+
+    @property
+    def symbols(self) -> np.ndarray:
+        """``(T, S, nc)`` detected complex symbols (``nan`` where not
+        found)."""
+        symbols = self.points[self.symbol_indices]
+        symbols[~self.found] = np.nan + 0j
+        return symbols
 
     @property
     def num_symbols(self) -> int:
@@ -140,13 +151,13 @@ class SoftFrameResult:
         applied stream by stream.
     symbol_indices:
         ``(T, S, nc)`` hard decisions — each slot's best list member.
-    symbols:
-        ``(T, S, nc)`` the corresponding complex constellation points.
     list_sizes:
         ``(T, S)`` number of leaves each slot's search retained.
     counters:
         Complexity tallies aggregated over the whole frame; equal to the
         sum of per-slot scalar ``decode_soft`` counters exactly.
+    points:
+        The constellation's complex point table ``symbols`` indexes.
     decisions:
         Per-stream :class:`~repro.phy.receiver.StreamDecision` payloads
         (decoded bits + CRC verdicts), filled in by the streaming
@@ -157,10 +168,16 @@ class SoftFrameResult:
 
     llrs: np.ndarray
     symbol_indices: np.ndarray
-    symbols: np.ndarray
     list_sizes: np.ndarray
     counters: ComplexityCounters
+    points: np.ndarray
     decisions: list | None = None
+
+    @property
+    def symbols(self) -> np.ndarray:
+        """``(T, S, nc)`` the hard decisions as complex constellation
+        points, looked up on access."""
+        return self.points[self.symbol_indices]
 
     @property
     def num_symbols(self) -> int:
@@ -178,32 +195,28 @@ class SoftFrameResult:
 
 def empty_soft_frame_result(num_symbols: int, num_subcarriers: int,
                             num_streams: int,
-                            bits_per_symbol: int) -> SoftFrameResult:
+                            constellation) -> SoftFrameResult:
     """A correctly-shaped soft result for a frame with zero search
     problems — shared by every soft ``decode_frame`` path."""
     return SoftFrameResult(
         llrs=np.zeros((num_symbols, num_subcarriers,
-                       num_streams * bits_per_symbol)),
+                       num_streams * constellation.bits_per_symbol)),
         symbol_indices=np.zeros((num_symbols, num_subcarriers, num_streams),
                                 dtype=np.int64),
-        symbols=np.zeros((num_symbols, num_subcarriers, num_streams),
-                         dtype=np.complex128),
         list_sizes=np.zeros((num_symbols, num_subcarriers), dtype=np.int64),
-        counters=ComplexityCounters())
+        counters=ComplexityCounters(), points=constellation.points)
 
 
 def empty_frame_result(num_symbols: int, num_subcarriers: int,
-                       num_streams: int) -> FrameDecodeResult:
+                       num_streams: int, constellation) -> FrameDecodeResult:
     """A correctly-shaped result for a frame with zero search problems
     (no subcarriers or no symbols) — shared by every ``decode_frame``."""
     return FrameDecodeResult(
         found=np.zeros((num_symbols, num_subcarriers), dtype=bool),
         symbol_indices=np.zeros((num_symbols, num_subcarriers, num_streams),
                                 dtype=np.int64),
-        symbols=np.zeros((num_symbols, num_subcarriers, num_streams),
-                         dtype=np.complex128),
         distances_sq=np.zeros((num_symbols, num_subcarriers)),
-        counters=ComplexityCounters())
+        counters=ComplexityCounters(), points=constellation.points)
 
 
 def hard_decision_frame(constellation, symbol_indices) -> FrameDetectionResult:

@@ -10,8 +10,8 @@ slots) and a frame-wide FIFO work queue of search problems.  Searches
 from *different subcarriers* share the same kernel arrays — the engine
 carries a per-element subcarrier index and gathers each element's ``R``
 rows on demand — and whenever a search finishes (its root enumerator runs
-dry, its node budget trips, or it is drained to the scalar tail) its lane
-is released and immediately refilled from the queue, so the lockstep
+dry, its node budget trips, or it is handed to the numpy-free tail) its
+lane is released and immediately refilled from the queue, so the lockstep
 frontier stays full instead of draining to a handful of stragglers once
 per subcarrier.
 

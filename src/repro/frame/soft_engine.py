@@ -17,10 +17,19 @@ Leaves per search are plentiful in the soft setting (the search must keep
 ``list_size`` of them), which is precisely why the frame-level frontier
 pays off: the per-(subcarrier, symbol) Python overhead of the scalar loop
 multiplies with the larger soft trees, while here every tick advances all
-active searches at once and the straggler drain hands the heavy tail to
-:meth:`~repro.sphere.soft.ListSphereDecoder._continue_search_soft` — the
-very loop body the scalar path runs — with the slot's leaf heap
-reconstructed from the kernel arrays.
+active searches at once.
+
+Straggler drain
+---------------
+The heavy tail leaves the frontier exactly as in the hard engine: once
+the queue is dry and ``drain_threshold`` searches remain, they go to the
+numpy-free tail (:func:`repro.sphere.tail.finish_soft`) — the same loop
+as the hard tail under the list leaf policy.  Each slot's bounded leaf
+list becomes the scalar decoder's ``heapq`` of ``(-distance, discovery
+index, cols, rows)`` tuples again (same entries, same tuple order, hence
+the same evictions) and is written back into the slot's ``list_*`` rows,
+so the frame-wide LLR extraction below covers drained and lockstep
+slots alike.
 
 LLR extraction happens once per frame: the stacked leaf lists of every
 slot (drained ones included) go through
@@ -36,13 +45,12 @@ thresholds.
 
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
 
 from ..sphere.batch_search import make_kernel
 from ..sphere.counters import ComplexityCounters
 from ..sphere.soft import soft_outputs_from_lists
+from ..sphere.tail import finish_soft
 from ..sphere.tick_kernel import NO_BUDGET, resolve_tick_strategy, \
     run_soft_to_completion
 from .engine import DRAIN_THRESHOLD_CAP, DEFAULT_LANE_CAPACITY, \
@@ -124,8 +132,6 @@ def frame_decode_soft_scalar(decoder, r_stack, y_hat,
     llrs = np.empty((num_subcarriers, num_symbols, num_bits))
     indices = np.empty((num_subcarriers, num_symbols, num_streams),
                        dtype=np.int64)
-    symbols = np.empty((num_subcarriers, num_symbols, num_streams),
-                       dtype=np.complex128)
     sizes = np.empty((num_subcarriers, num_symbols), dtype=np.int64)
     totals = ComplexityCounters()
     factory = decoder._enumerator_factory()
@@ -138,59 +144,12 @@ def frame_decode_soft_scalar(decoder, r_stack, y_hat,
             result = decoder._finalise_soft(state, noise_variance)
             llrs[s, t] = result.llrs
             indices[s, t] = result.symbol_indices
-            symbols[s, t] = result.symbols
             sizes[s, t] = result.list_size_used
             totals.merge(result.counters)
     return SoftFrameResult(llrs=llrs.transpose(1, 0, 2),
                            symbol_indices=indices.transpose(1, 0, 2),
-                           symbols=symbols.transpose(1, 0, 2),
-                           list_sizes=sizes.T,
-                           counters=totals)
-
-
-def _drain_soft_element(decoder, kernel, element: int, lane: int, r, y_row,
-                        diag, diag_sq, level, parent_flat, radius, chosen,
-                        path_cols, path_rows, list_d, list_seq, list_cols,
-                        list_rows, list_n, leaf_seq, tallies,
-                        node_budget: int | None = None):
-    """Finish one slot's half-run list search at scalar speed.
-
-    The soft twin of the hard engine's drain: the stack of scalar
-    enumerators is rebuilt from the slot's lanes, the bounded leaf list
-    becomes a real ``heapq`` again (same entries, same tuple order), and
-    the continuation runs the scalar list-search loop against the slot's
-    own subcarrier ``R``.  ``node_budget`` overrides the decoder's budget
-    for the continuation (the streaming runtime passes its per-lane —
-    possibly deadline-shrunken — budget through here).
-    """
-    ped, visited, expanded, leaves, prunes = tallies
-    counters = ComplexityCounters(
-        ped_calcs=int(ped[element]),
-        visited_nodes=int(visited[element]),
-        expanded_nodes=int(expanded[element]),
-        leaves=int(leaves[element]),
-        geometric_prunes=int(prunes[element]))
-    num_streams = r.shape[1]
-    state_base = element * num_streams
-    kernel_base = lane * num_streams
-    stack = [(lv, float(parent_flat[state_base + lv]),
-              kernel.rebuild(kernel_base + lv, counters))
-             for lv in range(num_streams - 1, int(level[element]) - 1, -1)]
-    heap = [(-float(list_d[element, slot]), int(list_seq[element, slot]),
-             tuple(list_cols[element, slot]), tuple(list_rows[element, slot]))
-            for slot in range(int(list_n[element]))]
-    heapq.heapify(heap)
-    return decoder._continue_search_soft(
-        r, y_row, diag, diag_sq, kernel.fresh,
-        stack=stack,
-        radius_sq=float(radius[element]),
-        counters=counters,
-        chosen_symbols=chosen[element].copy(),
-        path_cols=path_cols[element].copy(),
-        path_rows=path_rows[element].copy(),
-        leaf_heap=heap,
-        leaf_counter=int(leaf_seq[element]),
-        node_budget=node_budget)
+                           list_sizes=sizes.T, counters=totals,
+                           points=decoder.constellation.points)
 
 
 def frame_decode_soft(decoder, r_stack: np.ndarray, y_hat: np.ndarray,
@@ -214,8 +173,8 @@ def frame_decode_soft(decoder, r_stack: np.ndarray, y_hat: np.ndarray,
         Post-detection noise power the LLRs are scaled by.
     capacity, drain_threshold, trace, tick_strategy:
         Exactly as in :func:`repro.frame.engine.frame_decode_sphere`:
-        lane-pool size, the survivor count below which the scalar
-        continuation takes over (once per frame), the observability
+        lane-pool size, the survivor count below which the numpy-free
+        tail takes over (once per frame), the observability
         dict (``"admitted"``, ``"leaf_events"``, ``"drained"``), and
         the compiled-vs-numpy tick knob (``None`` defers to the
         decoder, then the session default; bit-identical either way).
@@ -236,8 +195,7 @@ def frame_decode_soft(decoder, r_stack: np.ndarray, y_hat: np.ndarray,
     top = num_streams - 1
     if num_problems == 0:
         return empty_soft_frame_result(num_symbols, num_subcarriers,
-                                       num_streams,
-                                       constellation.bits_per_symbol)
+                                       num_streams, constellation)
     if capacity is None:
         capacity = DEFAULT_LANE_CAPACITY
     scheduler = SlotScheduler(num_problems, capacity)
@@ -288,6 +246,9 @@ def frame_decode_soft(decoder, r_stack: np.ndarray, y_hat: np.ndarray,
     symbol_grid = levels[:, None] + 1j * levels[None, :]
 
     node_budget = decoder.node_budget
+    cap = NO_BUDGET if node_budget is None else node_budget
+    if not kernel.has_tail:
+        drain_threshold = 0
     tallies = (ped, visited, expanded, leaves, prunes)
 
     def admit(active: np.ndarray) -> np.ndarray:
@@ -316,14 +277,13 @@ def frame_decode_soft(decoder, r_stack: np.ndarray, y_hat: np.ndarray,
         # the tick loop below, so lists, LLR inputs and counters are
         # bit-identical and neither the budget pre-stop nor the drain
         # has work left.
-        caps_value = NO_BUDGET if node_budget is None else node_budget
         while active.size:
-            caps = np.full(active.size, caps_value, dtype=np.int64)
             run_soft_to_completion(
-                kernel, active, lane_of[active], sub[active], caps, r_stack,
-                y_flat, diag_stack, diag_sq_stack, level, radius,
-                parent_flat, path_cols, path_rows, chosen, list_d, list_seq,
-                list_cols, list_rows, list_n, leaf_seq, list_size, tallies)
+                kernel, active, lane_of[active], sub[active],
+                np.full(active.size, cap, dtype=np.int64), r_stack, y_flat,
+                diag_stack, diag_sq_stack, level, radius, parent_flat,
+                path_cols, path_rows, chosen, list_d, list_seq, list_cols,
+                list_rows, list_n, leaf_seq, list_size, tallies)
             scheduler.release(lane_of[active])
             lane_of[active] = -1
             active = admit(np.empty(0, dtype=np.int64))
@@ -344,32 +304,14 @@ def frame_decode_soft(decoder, r_stack: np.ndarray, y_hat: np.ndarray,
         if active.size == 0:
             break
         if not scheduler.pending and active.size <= drain_threshold:
-            for element in active.tolist():
-                s = int(sub[element])
-                outcome = _drain_soft_element(
-                    decoder, kernel, element, int(lane_of[element]),
-                    r_stack[s], y_flat[element], diag_stack[s],
-                    diag_sq_stack[s], level, parent_flat, radius, chosen,
-                    path_cols, path_rows, list_d, list_seq, list_cols,
-                    list_rows, list_n, leaf_seq, tallies)
-                # Write the continued search's list back into the slot
-                # arrays so the frame-wide LLR extraction covers it too.
-                list_n[element] = len(outcome.heap)
-                for slot, (neg_distance, seq, cols, rows) in \
-                        enumerate(outcome.heap):
-                    list_d[element, slot] = -neg_distance
-                    list_seq[element, slot] = seq
-                    list_cols[element, slot] = cols
-                    list_rows[element, slot] = rows
-                tally = outcome.counters
-                ped[element] = tally.ped_calcs
-                visited[element] = tally.visited_nodes
-                expanded[element] = tally.expanded_nodes
-                leaves[element] = tally.leaves
-                prunes[element] = tally.geometric_prunes
+            finish_soft(
+                kernel, active, lane_of[active], sub[active],
+                np.full(active.size, cap, dtype=np.int64), r_stack, y_flat,
+                diag_stack, diag_sq_stack, level, radius, parent_flat,
+                path_cols, path_rows, chosen, list_d, list_seq, list_cols,
+                list_rows, list_n, leaf_seq, list_size, tallies)
             if trace is not None:
-                trace.setdefault("drained", []).extend(
-                    int(e) for e in active)
+                trace.setdefault("drained", []).extend(active.tolist())
             break
 
         lv = level[active]
@@ -454,7 +396,7 @@ def frame_decode_soft(decoder, r_stack: np.ndarray, y_hat: np.ndarray,
 
     # One frame-wide vectorised LLR extraction over the stacked lists —
     # drained and lockstep-finished slots alike.
-    llrs, best_indices, best_symbols = soft_outputs_from_lists(
+    llrs, best_indices, _ = soft_outputs_from_lists(
         constellation, list_d, list_seq, list_cols, list_rows, list_n,
         noise_variance, decoder.clamp)
     totals = sum_tally_counters(ped, visited, expanded, leaves, prunes,
@@ -465,7 +407,5 @@ def frame_decode_soft(decoder, r_stack: np.ndarray, y_hat: np.ndarray,
         llrs=llrs.reshape(frame_shape + (-1,)).transpose(1, 0, 2),
         symbol_indices=best_indices.reshape(
             frame_shape + (num_streams,)).transpose(1, 0, 2),
-        symbols=best_symbols.reshape(
-            frame_shape + (num_streams,)).transpose(1, 0, 2),
         list_sizes=list_n.reshape(frame_shape).T,
-        counters=totals)
+        counters=totals, points=constellation.points)

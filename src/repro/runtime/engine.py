@@ -11,6 +11,20 @@ admission queue (:mod:`repro.runtime.queue`) regardless of which frame
 the next search belongs to, and the straggler drain happens when the
 queue runs dry — typically once per *workload*, not once per frame.
 
+Straggler drain
+---------------
+When a pool's queue is dry and its active set is down to
+``drain_threshold`` lanes, the survivors leave lockstep for the
+numpy-free tail (:mod:`repro.sphere.tail`) — one tick that finishes
+them all, each under its own per-lane node budget (so a
+deadline-degraded frame stops at its shrunk cap there too).  The tail
+writes outcomes back into the lane arrays and the lanes then retire
+through ``_finish_lockstep`` like any other finish: the pools carry no
+drain-specific result plumbing.  Tail time is *not* counted as kernel
+time in the tick telemetry (``last_tick_kernel_s`` covers the numpy
+step and the compiled cores, as before), so ``kernel_time_fraction``
+keeps meaning "share of tick time in the vectorised kernel".
+
 Bit-exactness argument, unchanged from the frame engines: kernel state is
 fully re-initialised at admission and every per-tick quantity that
 depends on the channel is gathered from per-lane copies of the element's
@@ -51,12 +65,12 @@ import numpy as np
 from ..frame.engine import (
     DRAIN_THRESHOLD_CAP,
     DEFAULT_LANE_CAPACITY,
-    _drain_element,
     accumulate_interference,
 )
 from ..frame.scheduler import LanePool
-from ..frame.soft_engine import _drain_soft_element, insert_soft_leaves
+from ..frame.soft_engine import insert_soft_leaves
 from ..sphere.batch_search import _grown, make_kernel
+from ..sphere.tail import finish_hard, finish_soft
 from ..sphere.tick_kernel import (
     TICK_STRATEGIES,
     resolve_tick_strategy,
@@ -144,6 +158,8 @@ class _PoolBase:
                         self.prunes)
         self.kernel = make_kernel(decoder, capacity * num_streams, levels,
                                   self.ped, self.prunes)
+        if not self.kernel.has_tail:
+            self.drain_threshold = 0
         # Which (frame, element) each lane is running.  Frames are
         # interned to dense integer ids so the per-tick grouping and the
         # QoS lane scans are array compares instead of per-lane Python
@@ -375,28 +391,13 @@ class _PoolBase:
             self._retire(job, job_lanes.size, completed)
         self._release(lanes)
 
-    def _drain_budget(self, lane: int) -> int | None:
-        """The node budget a drained lane's scalar continuation runs
-        under: the per-lane budget — which a degraded frame has shrunk —
-        or ``None`` for an unbudgeted, undegraded lane.  For undegraded
-        lanes of a budgeted decoder this equals the decoder's own budget,
-        so threading it through changes nothing; for degraded lanes it
-        closes the corner where a frame handed to the drain used to
-        finish at the decoder's full budget."""
-        budget = int(self.lane_budget[lane])
-        return None if budget == _NO_BUDGET else budget
-
     def _drain_tail(self, completed: list) -> None:
-        """Finish the straggler tail at scalar speed (once the queue is
-        dry), exactly the frame engines' per-frame drain — here crossed
-        once per workload lull instead of once per frame."""
-        for lane in self.active.tolist():
-            job = self._jobs_by_idx[int(self.jobidx_of[lane])]
-            element = int(self.elem_of[lane])
-            self._drain_one(job, lane, element)
-            self._retire(job, 1, completed)
-        self._release(self.active)
+        """Finish every remaining search through the numpy-free tail
+        (see the module docstring), each under its own lane budget."""
+        active = self.active
         self.active = _EMPTY
+        self._run_out(self._tail, active)
+        self._finish_lockstep(active, completed)
 
     # -- one breadth-synchronised step ----------------------------------
     def tick(self, completed: list) -> None:
@@ -446,7 +447,7 @@ class _PoolBase:
         active = self.active
         self.active = _EMPTY
         started = time.perf_counter()
-        self._run_compiled(active)
+        self._run_out(self._compiled, active)
         self.engine.last_tick_kernel_s += time.perf_counter() - started
         self._finish_lockstep(active, completed)
 
@@ -567,11 +568,14 @@ class _HardPool(_PoolBase):
         self.best_cols[at_leaf] = self.path_cols[at_leaf]
         self.best_rows[at_leaf] = self.path_rows[at_leaf]
 
-    def _run_compiled(self, active: np.ndarray) -> None:
+    _compiled = staticmethod(run_hard_to_completion)
+    _tail = staticmethod(finish_hard)
+
+    def _run_out(self, finish, active: np.ndarray) -> None:
         # Lane-indexed everywhere: state row, kernel lane and channel
         # copy all live at the lane index, and each lane's absolute
         # budget sits in lane_budget (visited starts at zero).
-        run_hard_to_completion(
+        finish(
             self.kernel, active, active, active, self.lane_budget[active],
             self.lane_r, self.lane_y, self.lane_diag, self.lane_diag_sq,
             self.level, self.radius, self.parent_flat, self.path_cols,
@@ -584,30 +588,8 @@ class _HardPool(_PoolBase):
         job.distances[elements] = self.best_dist[lanes]
         if found.any():
             hit_lanes = lanes[found]
-            best = self.constellation.index_of(self.best_cols[hit_lanes],
-                                               self.best_rows[hit_lanes])
-            job.indices[elements[found]] = best
-            job.symbols[elements[found]] = self.constellation.points[best]
-
-    def _drain_one(self, job, lane, element) -> None:
-        subcarrier = job.subcarrier_of(element)
-        result = _drain_element(
-            job.decoder, self.kernel, lane, lane, job.r_stack[subcarrier],
-            job.y_flat[element], job.diag_stack[subcarrier],
-            job.diag_sq_stack[subcarrier], self.level, self.parent_flat,
-            self.radius, self.chosen, self.path_cols, self.path_rows,
-            self.best_cols, self.best_rows, self.best_dist, self.tallies,
-            node_budget=self._drain_budget(lane))
-        job.found[element] = result.found
-        job.indices[element] = result.symbol_indices
-        job.symbols[element] = result.symbols
-        job.distances[element] = result.distance_sq
-        tally = result.counters
-        job.ped[element] = tally.ped_calcs
-        job.visited[element] = tally.visited_nodes
-        job.expanded[element] = tally.expanded_nodes
-        job.leaves[element] = tally.leaves
-        job.prunes[element] = tally.geometric_prunes
+            job.indices[elements[found]] = self.constellation.index_of(
+                self.best_cols[hit_lanes], self.best_rows[hit_lanes])
 
 
 class _SoftPool(_PoolBase):
@@ -658,8 +640,11 @@ class _SoftPool(_PoolBase):
                            self.list_seq, self.list_cols, self.list_rows,
                            self.list_n, self.radius, self.list_size)
 
-    def _run_compiled(self, active: np.ndarray) -> None:
-        run_soft_to_completion(
+    _compiled = staticmethod(run_soft_to_completion)
+    _tail = staticmethod(finish_soft)
+
+    def _run_out(self, finish, active: np.ndarray) -> None:
+        finish(
             self.kernel, active, active, active, self.lane_budget[active],
             self.lane_r, self.lane_y, self.lane_diag, self.lane_diag_sq,
             self.level, self.radius, self.parent_flat, self.path_cols,
@@ -674,31 +659,6 @@ class _SoftPool(_PoolBase):
         job.list_rows[elements] = self.list_rows[lanes]
         job.list_n[elements] = self.list_n[lanes]
 
-    def _drain_one(self, job, lane, element) -> None:
-        subcarrier = job.subcarrier_of(element)
-        outcome = _drain_soft_element(
-            job.decoder, self.kernel, lane, lane, job.r_stack[subcarrier],
-            job.y_flat[element], job.diag_stack[subcarrier],
-            job.diag_sq_stack[subcarrier], self.level, self.parent_flat,
-            self.radius, self.chosen, self.path_cols, self.path_rows,
-            self.list_d, self.list_seq, self.list_cols, self.list_rows,
-            self.list_n, self.leaf_seq, self.tallies,
-            node_budget=self._drain_budget(lane))
-        # Write the continued search's list into the frame's slot arrays
-        # so its frame-wide LLR extraction covers it too.
-        job.list_n[element] = len(outcome.heap)
-        for slot, (neg_distance, seq, cols, rows) in enumerate(outcome.heap):
-            job.list_d[element, slot] = -neg_distance
-            job.list_seq[element, slot] = seq
-            job.list_cols[element, slot] = cols
-            job.list_rows[element, slot] = rows
-        tally = outcome.counters
-        job.ped[element] = tally.ped_calcs
-        job.visited[element] = tally.visited_nodes
-        job.expanded[element] = tally.expanded_nodes
-        job.leaves[element] = tally.leaves
-        job.prunes[element] = tally.geometric_prunes
-
 
 class StreamingFrontier:
     """The resident multi-frame engine behind
@@ -712,7 +672,7 @@ class StreamingFrontier:
         searches, across all in-flight frames, advance in lockstep at
         once.
     drain_threshold:
-        Hand survivors to the scalar continuation once a pool's queue is
+        Hand survivors to the numpy-free tail once a pool's queue is
         empty *and* its active set is this small.  Default: the frame
         engine's rule — ``capacity // 6`` capped at
         :data:`~repro.frame.engine.DRAIN_THRESHOLD_CAP` (32) survivors;

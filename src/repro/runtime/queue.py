@@ -49,10 +49,24 @@ from ..frame.results import (
 )
 from ..phy.config import PhyConfig
 from ..sphere.counters import ComplexityCounters
-from ..sphere.soft import soft_outputs_from_lists
+from ..sphere.decoder import SphereDecoder
+from ..sphere.soft import ListSphereDecoder, soft_outputs_from_lists
 from ..utils.validation import require
 
-__all__ = ["AdmissionQueue", "FrameJob", "FrameRequest"]
+__all__ = ["AdmissionQueue", "FrameJob", "FrameRequest", "decoder_kind",
+           "validate_request"]
+
+
+def decoder_kind(decoder) -> str:
+    """``"hard"`` for a :class:`SphereDecoder`, ``"soft"`` for a
+    :class:`ListSphereDecoder` — the two searches the streaming engine's
+    kernel pools run; anything else is rejected."""
+    if isinstance(decoder, ListSphereDecoder):
+        return "soft"
+    require(isinstance(decoder, SphereDecoder),
+            f"runtime cannot stream {type(decoder).__name__}: use "
+            "SphereDecoder (hard) or ListSphereDecoder (soft)")
+    return "hard"
 
 
 @dataclass
@@ -67,9 +81,7 @@ class FrameRequest:
         ``(T, S, na)`` frequency-domain observations.
     decoder:
         A :class:`~repro.sphere.decoder.SphereDecoder` (hard decisions)
-        or :class:`~repro.sphere.soft.ListSphereDecoder` (soft output) —
-        anything with the resumable scalar continuation the straggler
-        drain needs.
+        or :class:`~repro.sphere.soft.ListSphereDecoder` (soft output).
     noise_variance:
         Post-detection noise power; required for soft decoders (the LLR
         scale), ignored for hard ones.
@@ -116,6 +128,66 @@ class FrameRequest:
     metadata: dict = field(default_factory=dict)
 
 
+def validate_request(request: "FrameRequest"):
+    """Front-door validation of one submitted frame; raises
+    ``ValueError`` on the first problem.
+
+    Everything that can be wrong with a frame is checked here, before
+    any preprocessing and before the frame goes anywhere near the
+    shared frontier (``UplinkRuntime.submit``) or a worker pipe
+    (``DetectorFarm.submit``): one bad frame then costs exactly itself
+    — a NaN admitted past this point would surface mid-tick inside the
+    resident frontier and take every co-resident frame down with it.
+    Returns ``(kind, channels, received)`` with the arrays as validated
+    ``complex128`` tensors.
+    """
+    decoder = request.decoder
+    kind = decoder_kind(decoder)
+    noise_variance = request.noise_variance
+    require(noise_variance is None or np.isfinite(noise_variance),
+            "noise_variance must be finite when given")
+    if kind == "soft":
+        require(noise_variance is not None and noise_variance > 0.0,
+                "soft frames need a positive noise_variance")
+    channels = np.asarray(request.channels, dtype=np.complex128)
+    received = np.asarray(request.received, dtype=np.complex128)
+    require(channels.ndim == 3, "channels must be (S, na, nc)")
+    require(received.ndim == 3, "received must be (T, S, na)")
+    require(received.shape[1] == channels.shape[0],
+            f"received has {received.shape[1]} subcarriers, channels "
+            f"have {channels.shape[0]}")
+    require(received.shape[2] == channels.shape[1],
+            f"received has {received.shape[2]} antennas, channels have "
+            f"{channels.shape[1]}")
+    require(bool(np.isfinite(channels).all()),
+            "channels must be finite (found NaN or inf)")
+    require(bool(np.isfinite(received).all()),
+            "received must be finite (found NaN or inf)")
+    require(request.deadline_s is None or request.deadline_s > 0.0,
+            "deadline_s must be positive when given")
+    require(int(request.priority) >= 0,
+            "priority class must be non-negative")
+    config = request.config
+    if config is not None:
+        require(config.constellation is decoder.constellation,
+                "coded decoding needs the decoder and the PhyConfig to "
+                "share the constellation")
+        if kind == "soft":
+            require(config.code is not None,
+                    "soft frames with a config need a convolutional code "
+                    "(soft recovery has no uncoded mode)")
+        num_problems = received.shape[0] * received.shape[1]
+        if num_problems:
+            stream_bits = num_problems * config.bits_per_symbol
+            require(stream_bits % config.coded_bits_per_ofdm_symbol == 0,
+                    f"frame carries {stream_bits} coded bits per stream "
+                    "— not a whole number of OFDM symbols for the config")
+            require(0 <= request.num_pad_bits < stream_bits,
+                    f"num_pad_bits must be in [0, {stream_bits}), got "
+                    f"{request.num_pad_bits}")
+    return kind, channels, received
+
+
 class FrameJob:
     """Runtime-side state of one admitted frame.
 
@@ -128,34 +200,8 @@ class FrameJob:
     """
 
     def __init__(self, frame_id: int, request: FrameRequest) -> None:
+        kind, channels, received = validate_request(request)
         decoder = request.decoder
-        if hasattr(decoder, "_continue_search_soft"):
-            kind = "soft"
-            require(request.noise_variance is not None
-                    and request.noise_variance > 0.0,
-                    "soft frames need a positive noise_variance")
-        elif hasattr(decoder, "_continue_search"):
-            kind = "hard"
-        else:
-            require(False,
-                    f"runtime cannot stream {type(decoder).__name__}: the "
-                    "decoder exposes neither the hard nor the soft "
-                    "resumable search (use SphereDecoder or "
-                    "ListSphereDecoder)")
-        channels = np.asarray(request.channels, dtype=np.complex128)
-        received = np.asarray(request.received, dtype=np.complex128)
-        require(channels.ndim == 3, "channels must be (S, na, nc)")
-        require(received.ndim == 3, "received must be (T, S, na)")
-        require(received.shape[1] == channels.shape[0],
-                f"received has {received.shape[1]} subcarriers, channels "
-                f"have {channels.shape[0]}")
-        require(received.shape[2] == channels.shape[1],
-                f"received has {received.shape[2]} antennas, channels have "
-                f"{channels.shape[1]}")
-        require(request.deadline_s is None or request.deadline_s > 0.0,
-                "deadline_s must be positive when given")
-        priority = int(request.priority)
-        require(priority >= 0, "priority class must be non-negative")
         self.frame_id = frame_id
         self.kind = kind
         self.decoder = decoder
@@ -166,7 +212,7 @@ class FrameJob:
         self.config = request.config
         self.num_pad_bits = request.num_pad_bits
         self.deadline_s = request.deadline_s
-        self.priority = priority
+        self.priority = int(request.priority)
         # QoS state owned by the session's deadline machinery: the pool
         # the engine routed the frame to, whether its budgets were
         # shrunk, and the per-search node budget degradation applies.
@@ -199,24 +245,6 @@ class FrameJob:
         self.num_problems = num_subcarriers * num_symbols
         self.remaining = self.num_problems
 
-        if self.config is not None:
-            config = self.config
-            require(config.constellation is decoder.constellation,
-                    "coded decoding needs the decoder and the PhyConfig to "
-                    "share the constellation")
-            if kind == "soft":
-                require(config.code is not None,
-                        "soft frames with a config need a convolutional code "
-                        "(soft recovery has no uncoded mode)")
-            if self.num_problems:
-                stream_bits = self.num_problems * config.bits_per_symbol
-                require(stream_bits % config.coded_bits_per_ofdm_symbol == 0,
-                        f"frame carries {stream_bits} coded bits per stream "
-                        "— not a whole number of OFDM symbols for the config")
-                require(0 <= self.num_pad_bits < stream_bits,
-                        f"num_pad_bits must be in [0, {stream_bits}), got "
-                        f"{self.num_pad_bits}")
-
         # Element e = subcarrier * T + symbol, the frame engine's layout.
         count = self.num_problems
         self.ped = np.zeros(count, dtype=np.int64)
@@ -227,8 +255,6 @@ class FrameJob:
         if kind == "hard":
             self.found = np.zeros(count, dtype=bool)
             self.indices = np.full((count, num_streams), -1, dtype=np.int64)
-            self.symbols = np.full((count, num_streams), np.nan + 0j,
-                                   dtype=np.complex128)
             self.distances = np.full(count, np.inf)
         else:
             list_size = decoder.list_size
@@ -239,9 +265,6 @@ class FrameJob:
             self.list_rows = np.zeros((count, list_size, num_streams),
                                       dtype=np.int64)
             self.list_n = np.zeros(count, dtype=np.int64)
-
-    def subcarrier_of(self, element: int) -> int:
-        return element // self.num_symbols
 
     def _totals(self) -> ComplexityCounters:
         return sum_tally_counters(self.ped, self.visited, self.expanded,
@@ -261,34 +284,29 @@ class FrameJob:
                 "unfinished searches")
         frame_shape = (self.num_subcarriers, self.num_symbols)
         num_streams = self.num_streams
+        constellation = self.decoder.constellation
         if self.num_problems == 0:
-            if self.kind == "hard":
-                return empty_frame_result(self.num_symbols,
-                                          self.num_subcarriers, num_streams)
-            return empty_soft_frame_result(
-                self.num_symbols, self.num_subcarriers, num_streams,
-                self.decoder.constellation.bits_per_symbol)
+            empty = (empty_frame_result if self.kind == "hard"
+                     else empty_soft_frame_result)
+            return empty(self.num_symbols, self.num_subcarriers, num_streams,
+                         constellation)
         if self.kind == "hard":
             return FrameDecodeResult(
                 found=self.found.reshape(frame_shape).T,
                 symbol_indices=self.indices.reshape(
                     frame_shape + (num_streams,)).transpose(1, 0, 2),
-                symbols=self.symbols.reshape(
-                    frame_shape + (num_streams,)).transpose(1, 0, 2),
                 distances_sq=self.distances.reshape(frame_shape).T,
-                counters=self._totals())
-        llrs, best_indices, best_symbols = soft_outputs_from_lists(
-            self.decoder.constellation, self.list_d, self.list_seq,
+                counters=self._totals(), points=constellation.points)
+        llrs, best_indices, _ = soft_outputs_from_lists(
+            constellation, self.list_d, self.list_seq,
             self.list_cols, self.list_rows, self.list_n,
             self.noise_variance, self.decoder.clamp)
         return SoftFrameResult(
             llrs=llrs.reshape(frame_shape + (-1,)).transpose(1, 0, 2),
             symbol_indices=best_indices.reshape(
                 frame_shape + (num_streams,)).transpose(1, 0, 2),
-            symbols=best_symbols.reshape(
-                frame_shape + (num_streams,)).transpose(1, 0, 2),
             list_sizes=self.list_n.reshape(frame_shape).T,
-            counters=self._totals())
+            counters=self._totals(), points=constellation.points)
 
 
 class AdmissionQueue:

@@ -44,14 +44,15 @@ __all__ = ["RuntimeStats", "STAGES", "aggregate_summaries"]
 DEFAULT_LATENCY_WINDOW = 4096
 
 #: Busy-interval segmentation: a silence longer than this many recent
-#: tick periods (but never shorter than ``MIN_IDLE_GAP_S``) closes the
+#: tick durations (but never shorter than ``MIN_IDLE_GAP_S``) closes the
 #: current busy interval, so the gap between two traffic bursts does not
 #: deflate ``frames_per_second()`` / ``goodput_bps()``.
 IDLE_GAP_TICKS = 25.0
 MIN_IDLE_GAP_S = 1e-3
 
-#: Smoothing factor of the exponential moving average over tick periods
-#: that adapts the idle-gap threshold to however fast this machine ticks.
+#: Smoothing factor of the exponential moving average over tick
+#: durations (reported as ``tick_duration_ema_s``, and what adapts the
+#: idle-gap threshold to however fast this machine ticks).
 _TICK_EMA_ALPHA = 0.1
 
 #: Per-frame latency decomposition stages, in pipeline order: time
@@ -77,10 +78,10 @@ class RuntimeStats:
         Completions retained per percentile window.
     idle_gap_s:
         Silence that closes a busy interval.  ``None`` (default) adapts
-        to the observed tick cadence: a gap longer than
-        ``IDLE_GAP_TICKS`` recent tick periods (floored at
-        ``MIN_IDLE_GAP_S``) ends the interval, so bursty workloads
-        report rates over time the runtime actually had work.
+        to the observed tick cost: a gap longer than ``IDLE_GAP_TICKS``
+        recent tick durations (floored at ``MIN_IDLE_GAP_S``) ends the
+        interval, so bursty workloads report rates over time the
+        runtime actually had work.
     """
 
     def __init__(self, latency_window: int = DEFAULT_LATENCY_WINDOW,
@@ -121,8 +122,6 @@ class RuntimeStats:
         self._busy_s = 0.0
         self._interval_start: float | None = None
         self._last_event: float | None = None
-        self._tick_ema_s: float | None = None
-        self._last_tick: float | None = None
         # Tick-time observability: how long ticks take, and how much of
         # that is kernel work (the numpy step / compiled cores) versus
         # Python orchestration around it.
@@ -135,20 +134,29 @@ class RuntimeStats:
     def _gap_threshold(self) -> float:
         if self._idle_gap_s is not None:
             return self._idle_gap_s
-        if self._tick_ema_s is None:
+        if self._tick_duration_ema_s is None:
             return MIN_IDLE_GAP_S
-        return max(MIN_IDLE_GAP_S, IDLE_GAP_TICKS * self._tick_ema_s)
+        return max(MIN_IDLE_GAP_S,
+                   IDLE_GAP_TICKS * self._tick_duration_ema_s)
 
-    def _touch(self, now: float) -> None:
-        """Note one submit/tick/complete event at ``now``: extend the
-        open busy interval, or close it and start a new one if the
-        runtime sat silent for longer than the idle-gap threshold."""
+    def _touch(self, now: float, busy_s: float = 0.0) -> None:
+        """Note one submit/tick/complete event that ended at ``now``
+        after keeping the runtime busy for ``busy_s``: extend the open
+        busy interval, or close it and start a new one if the runtime
+        sat silent for longer than the idle-gap threshold *before the
+        event began*.  The event's own span is busy time by definition
+        — however long a tick runs, it never reads as an idle gap."""
+        began = now - busy_s
         if self._interval_start is None:
-            self._interval_start = now
-        elif now - self._last_event > self._gap_threshold():
+            self._interval_start = began
+            self._last_event = now
+            return
+        if began - self._last_event > self._gap_threshold():
             self._busy_s += self._last_event - self._interval_start
-            self._interval_start = now
-        self._last_event = now
+            self._interval_start = began
+        # max(): a submit is stamped on arrival but recorded after its
+        # backpressure ticks, so events can arrive out of order.
+        self._last_event = max(self._last_event, now)
 
     # -- recording hooks (called by the session) ------------------------
     def record_submit(self, now: float) -> None:
@@ -174,18 +182,7 @@ class RuntimeStats:
                     duration_s - self._tick_duration_ema_s)
         if kernel_s is not None:
             self.tick_kernel_s += kernel_s
-        self._touch(now)
-        if self._last_tick is not None:
-            gap = now - self._last_tick
-            # Only in-burst gaps feed the cadence estimate — a burst
-            # boundary is exactly what the threshold must not chase.
-            if gap <= self._gap_threshold():
-                if self._tick_ema_s is None:
-                    self._tick_ema_s = gap
-                else:
-                    self._tick_ema_s += _TICK_EMA_ALPHA * (
-                        gap - self._tick_ema_s)
-        self._last_tick = now
+        self._touch(now, duration_s or 0.0)
 
     def record_complete(self, now: float, latency_s: float, detections: int,
                         counters: ComplexityCounters, *, priority: int = 0,
@@ -263,7 +260,10 @@ class RuntimeStats:
         """Accumulated busy time: the sum of intervals during which the
         runtime saw events (submits, ticks, completions), with silences
         longer than the idle-gap threshold excluded — so a quiet hour
-        between two bursts does not deflate the rates."""
+        between two bursts does not deflate the rates.  Every timed
+        tick lies wholly inside a busy interval, so (on one time base —
+        the session's default clock is the tick timer's)
+        ``elapsed_s >= tick_duration_s`` always."""
         if self._interval_start is None:
             return 0.0
         return self._busy_s + (self._last_event - self._interval_start)

@@ -26,6 +26,7 @@ import hashlib
 import pickle
 import struct
 
+from ..runtime.queue import decoder_kind
 from ..utils.validation import require
 
 __all__ = ["VERBS", "recv_obj", "request_signature", "send_obj",
@@ -49,12 +50,7 @@ def request_signature(request) -> tuple:
     runtime.
     """
     decoder = request.decoder
-    if hasattr(decoder, "_continue_search_soft"):
-        kind = "soft"
-    else:
-        require(hasattr(decoder, "_continue_search"),
-                f"decoder {type(decoder).__name__} is not a sphere decoder")
-        kind = "hard"
+    kind = decoder_kind(decoder)
     num_streams = int(request.channels.shape[2])
     key = (kind, num_streams, decoder.constellation.levels.tobytes(),
            decoder.enumerator, decoder.geometric_pruning,

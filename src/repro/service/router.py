@@ -34,6 +34,7 @@ import time
 
 from ..obs.metrics import prometheus_text
 from ..obs.trace import FrameTracer, merge_traces
+from ..runtime.queue import validate_request
 from ..runtime.session import FrameExpired
 from ..runtime.stats import aggregate_summaries
 from ..sphere.tick_kernel import TICK_STRATEGIES
@@ -211,9 +212,13 @@ class DetectorFarm:
 
         Applies farm-wide backpressure: while ``max_outstanding`` frames
         are unresolved, services the farm until one resolves — the same
-        submit-blocks contract as ``UplinkRuntime``.
+        submit-blocks contract as ``UplinkRuntime``.  A frame that fails
+        validation raises ``ValueError`` and leaves the farm untouched.
         """
         require(not self._closed, "farm is closed")
+        # The farm's front door: a malformed frame is rejected here, in
+        # the caller's process, before it can reach (and poison) a shard.
+        validate_request(request)
         while len(self._handles) >= self.max_outstanding:
             if not self.pump():
                 self._breathe()

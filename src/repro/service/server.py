@@ -107,7 +107,13 @@ class CellSiteServer:
         op = message[0]
         with self._lock:
             if op == "submit":
-                handle = self.farm.submit(message[1])
+                try:
+                    handle = self.farm.submit(message[1])
+                except ValueError as error:
+                    # A frame that fails front-door validation costs
+                    # exactly itself: the client gets the reason, the
+                    # connection and its in-flight frames carry on.
+                    return ("error", str(error))
                 owned[handle.frame_id] = handle
                 return ("ok", handle.frame_id)
             if op == "poll":

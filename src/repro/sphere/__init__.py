@@ -13,7 +13,9 @@ Public surface:
 * :class:`GeometricPruner` — the table-driven branch lower bound;
 * :func:`frontier_decode_batch` — the breadth-synchronised batched
   engine behind ``SphereDecoder.decode_batch`` (strategy ``"frontier"``),
-  with the scalar row loop kept as the ``"loop"`` fallback.
+  with the scalar row loop kept as the ``"loop"`` fallback;
+* :mod:`repro.sphere.tail` — the numpy-free continuation every frontier
+  engine hands its last few (straggler) searches to.
 """
 
 from .batch import BatchDecodeResult, batched_axis_orders, zigzag_order_table

@@ -47,12 +47,17 @@ Straggler drain
 Sphere-search complexity is heavy-tailed: a few ill-placed observations
 can need many more steps than the rest, and ticking the whole machinery
 for a near-empty frontier wastes the vectorisation win.  When the active
-set shrinks to ``drain_threshold`` elements, the engine *reconstructs*
-each survivor's scalar enumerator objects from the kernel arrays and
-hands the half-finished search to
-:meth:`SphereDecoder._continue_search` — the very loop body the scalar
-path runs — so the tail finishes at scalar speed with bit-identical
-results and counters.
+set shrinks to ``drain_threshold`` elements, the engine hands the
+survivors to the numpy-free tail (:mod:`repro.sphere.tail`): each
+search's kernel rows — axis orders, residuals, pruning offsets, heap
+entries, last-dequeued pair, Shabany seen grid — are exported once with
+``.tolist()`` and the rest of the search runs on Python floats, lists
+and ``heapq`` at a few microseconds per node, bit-identical to the
+scalar decoder.  The outcome is written back into the engine's
+``best_*`` and tally arrays, so drained and lockstep-finished elements
+share one finalisation.  Only the frontier kernels (``zigzag``,
+``shabany``) have a tail (``kernel.has_tail``); ``hess`` and
+``exhaustive`` are comparison baselines and finish in lockstep.
 
 The scalar row-by-row driver remains available as
 ``SphereDecoder(..., batch_strategy="loop")`` and is the differential
@@ -61,19 +66,13 @@ baseline for the equivalence tests and the latency benchmarks.
 
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
 
 from .batch import BatchDecodeResult, as_batch_matrix, batched_axis_orders
 from .counters import ComplexityCounters
-from .enumerator import AxisOrder, Candidate
-from .exhaustive import ExhaustiveEnumerator
-from .hess import HessEnumerator
-from .shabany import ShabanyEnumerator
+from .tail import finish_hard
 from .tick_kernel import NO_BUDGET, resolve_tick_strategy, \
     run_hard_to_completion
-from .zigzag import GeosphereEnumerator
 
 __all__ = ["frontier_decode_batch", "make_kernel", "FRONTIER_MIN_BATCH"]
 
@@ -95,23 +94,6 @@ def _grown(array: np.ndarray, rows: int, fill=0) -> np.ndarray:
     return out
 
 
-def _rebuild_axis(indices: np.ndarray, residual_sq: np.ndarray,
-                  size: int) -> AxisOrder:
-    """Materialise an :class:`AxisOrder` from kernel state arrays.
-
-    The rows stay views — once an element leaves the lockstep frontier
-    nothing writes its slots again.  ``indices[0]`` is the sliced start
-    level (the zigzag begins there), so the pruning offsets are
-    recomputed exactly as the scalar constructor does.
-    """
-    axis = AxisOrder.__new__(AxisOrder)
-    axis.indices = indices
-    axis.residual_sq = residual_sq
-    axis.offsets = np.abs(indices - indices[0])
-    axis.size = size
-    return axis
-
-
 class _KernelBase:
     """Axis-order state shared by every enumerator kernel.
 
@@ -120,6 +102,11 @@ class _KernelBase:
     tree level) pair, matching the one-enumerator-per-stack-entry shape
     of the scalar search.
     """
+
+    #: Whether :mod:`repro.sphere.tail` can finish this kernel's searches
+    #: outside the lockstep frontier; kernels without a tail stay in
+    #: lockstep to the end whatever the drain threshold says.
+    has_tail = False
 
     def __init__(self, num_slots: int, side: int, levels: np.ndarray,
                  ped: np.ndarray, prunes: np.ndarray) -> None:
@@ -162,22 +149,6 @@ class _KernelBase:
         self.ord_q[slots] = order[count:]
         self.res_q[slots] = residual[count:]
 
-    def _axes(self, slot: int) -> tuple[AxisOrder, AxisOrder]:
-        return (_rebuild_axis(self.ord_i[slot], self.res_i[slot], self.side),
-                _rebuild_axis(self.ord_q[slot], self.res_q[slot], self.side))
-
-    def _fresh_axes(self, received: complex) -> tuple[AxisOrder, AxisOrder]:
-        """Axes for a *new* scalar enumerator during the straggler drain.
-
-        One fused ``batched_axis_orders`` call replaces the scalar
-        ``build_axes`` (generator-driven) construction — same values,
-        a fraction of the cost, so the drained tail stays cheap.
-        """
-        coordinates = np.array([received.real, received.imag])
-        order, residual = batched_axis_orders(coordinates, self.levels)
-        return (_rebuild_axis(order[0], residual[0], self.side),
-                _rebuild_axis(order[1], residual[1], self.side))
-
 
 class _ZigzagKernel(_KernelBase):
     """Vectorised :class:`GeosphereEnumerator` (lazy 2-D zigzag).
@@ -191,6 +162,7 @@ class _ZigzagKernel(_KernelBase):
 
     #: extra queue slots beyond ``side`` (transient headroom).
     capacity_slack = 2
+    has_tail = True
 
     def __init__(self, num_slots: int, side: int, levels: np.ndarray,
                  ped: np.ndarray, prunes: np.ndarray,
@@ -348,41 +320,6 @@ class _ZigzagKernel(_KernelBase):
         return (got, min_distance[got], self.ord_i[slots_g, i_g],
                 self.ord_q[slots_g, j_g])
 
-    # -- scalar reconstruction for the straggler drain ------------------
-    def _heap_entries(self, slot: int) -> list[tuple[float, int, int]]:
-        entries = [(float(self.heap_d[slot, k]), int(self.heap_i[slot, k]),
-                    int(self.heap_j[slot, k]))
-                   for k in range(int(self.heap_n[slot]))]
-        heapq.heapify(entries)
-        return entries
-
-    def _last_pair(self, slot: int) -> tuple[int, int] | None:
-        if not self.has_last[slot]:
-            return None
-        return (int(self.last_i[slot]), int(self.last_j[slot]))
-
-    def rebuild(self, slot: int, counters: ComplexityCounters):
-        enum = GeosphereEnumerator.__new__(GeosphereEnumerator)
-        enum._axis_i, enum._axis_q = self._axes(slot)
-        enum._heap = self._heap_entries(slot)
-        enum._counters = counters
-        enum._table = self.table
-        enum._last = self._last_pair(slot)
-        return enum
-
-    def fresh(self, received: complex, counters: ComplexityCounters):
-        """Drain-path replacement for the scalar constructor: enqueue the
-        sliced point ``(0, 0)``, count its one PED calculation."""
-        enum = GeosphereEnumerator.__new__(GeosphereEnumerator)
-        enum._axis_i, enum._axis_q = self._fresh_axes(received)
-        counters.ped_calcs += 1
-        enum._heap = [(float(enum._axis_i.residual_sq[0]
-                             + enum._axis_q.residual_sq[0]), 0, 0)]
-        enum._counters = counters
-        enum._table = self.table
-        enum._last = None
-        return enum
-
 
 class _ShabanyKernel(_ZigzagKernel):
     """Vectorised :class:`ShabanyEnumerator`: both successors proposed,
@@ -441,29 +378,6 @@ class _ShabanyKernel(_ZigzagKernel):
         self._propose(slots, elements, i, j + 1, budget)
         self._propose(slots, elements, i + 1, j, budget)
 
-    def rebuild(self, slot: int, counters: ComplexityCounters):
-        enum = ShabanyEnumerator.__new__(ShabanyEnumerator)
-        enum._axis_i, enum._axis_q = self._axes(slot)
-        enum._heap = self._heap_entries(slot)
-        enum._seen = {(int(p) // self.side, int(p) % self.side)
-                      for p in np.flatnonzero(self.seen[slot])}
-        enum._counters = counters
-        enum._table = self.table
-        enum._last = self._last_pair(slot)
-        return enum
-
-    def fresh(self, received: complex, counters: ComplexityCounters):
-        enum = ShabanyEnumerator.__new__(ShabanyEnumerator)
-        enum._axis_i, enum._axis_q = self._fresh_axes(received)
-        counters.ped_calcs += 1
-        enum._heap = [(float(enum._axis_i.residual_sq[0]
-                             + enum._axis_q.residual_sq[0]), 0, 0)]
-        enum._seen = {(0, 0)}
-        enum._counters = counters
-        enum._table = self.table
-        enum._last = None
-        return enum
-
 
 class _HessKernel(_KernelBase):
     """Vectorised :class:`HessEnumerator` (ETH-SD row-parallel zigzag)."""
@@ -518,27 +432,6 @@ class _HessKernel(_KernelBase):
         return (got, distance[got], self.ord_i[slots_g, position_g],
                 self.ord_q[slots_g, row_g])
 
-    def rebuild(self, slot: int, counters: ComplexityCounters):
-        enum = HessEnumerator.__new__(HessEnumerator)
-        enum._axis_i, enum._axis_q = self._axes(slot)
-        enum._row_position = self.row_position[slot].copy()
-        enum._row_distance = self.row_distance[slot].copy()
-        pending = int(self.pending[slot])
-        enum._pending_refill = pending if pending >= 0 else None
-        enum._counters = counters
-        return enum
-
-    def fresh(self, received: complex, counters: ComplexityCounters):
-        enum = HessEnumerator.__new__(HessEnumerator)
-        enum._axis_i, enum._axis_q = self._fresh_axes(received)
-        enum._counters = counters
-        enum._row_position = np.zeros(self.side, dtype=np.int64)
-        enum._row_distance = (enum._axis_i.residual_sq[0]
-                              + enum._axis_q.residual_sq)
-        counters.ped_calcs += self.side
-        enum._pending_refill = None
-        return enum
-
 
 class _ExhaustiveKernel(_KernelBase):
     """Vectorised :class:`ExhaustiveEnumerator` (sort on node entry)."""
@@ -586,31 +479,6 @@ class _ExhaustiveKernel(_KernelBase):
         return (got, distance[got], self.cand_col[slots_g, position_g],
                 self.cand_row[slots_g, position_g])
 
-    def rebuild(self, slot: int, counters: ComplexityCounters):
-        enum = ExhaustiveEnumerator.__new__(ExhaustiveEnumerator)
-        enum._candidates = [
-            Candidate(col=int(col), row=int(row), dist_sq=float(dist))
-            for dist, col, row in zip(self.cand_d[slot], self.cand_col[slot],
-                                      self.cand_row[slot])]
-        enum._cursor = int(self.cursor[slot])
-        return enum
-
-    def fresh(self, received: complex, counters: ComplexityCounters):
-        axis_i, axis_q = self._fresh_axes(received)
-        distances = axis_i.residual_sq[:, None] + axis_q.residual_sq[None, :]
-        counters.ped_calcs += distances.size
-        flat = distances.reshape(-1)
-        positions = np.argsort(flat, kind="stable")
-        side = self.side
-        enum = ExhaustiveEnumerator.__new__(ExhaustiveEnumerator)
-        enum._candidates = [
-            Candidate(col=int(axis_i.indices[p // side]),
-                      row=int(axis_q.indices[p % side]),
-                      dist_sq=float(flat[p]))
-            for p in positions]
-        enum._cursor = 0
-        return enum
-
 
 def make_kernel(decoder, num_slots: int, levels: np.ndarray,
                 ped: np.ndarray, prunes: np.ndarray):
@@ -635,40 +503,6 @@ def make_kernel(decoder, num_slots: int, levels: np.ndarray,
     return _ExhaustiveKernel(num_slots, side, levels, ped, prunes)
 
 
-def _drain_element(decoder, kernel, element: int, r, y_row, diag, diag_sq,
-                   level, parent, radius, chosen, path_cols, path_rows,
-                   best_cols, best_rows, best_dist, tallies):
-    """Finish one observation's half-run search at scalar speed.
-
-    Rebuilds the stack of scalar enumerators from the kernel arrays and
-    resumes :meth:`SphereDecoder._continue_search` with the element's
-    radius, path and counter state, so the continuation is bit-identical
-    to having run the scalar search from the start.
-    """
-    ped, visited, expanded, leaves, prunes = tallies
-    counters = ComplexityCounters(
-        ped_calcs=int(ped[element]),
-        visited_nodes=int(visited[element]),
-        expanded_nodes=int(expanded[element]),
-        leaves=int(leaves[element]),
-        geometric_prunes=int(prunes[element]))
-    num_streams = r.shape[1]
-    base = element * num_streams
-    stack = [(lv, float(parent[base + lv]), kernel.rebuild(base + lv, counters))
-             for lv in range(num_streams - 1, int(level[element]) - 1, -1)]
-    return decoder._continue_search(
-        r, y_row, diag, diag_sq, kernel.fresh,
-        stack=stack,
-        radius_sq=float(radius[element]),
-        counters=counters,
-        chosen_symbols=chosen[element].copy(),
-        path_cols=path_cols[element].copy(),
-        path_rows=path_rows[element].copy(),
-        best_cols=best_cols[element].copy(),
-        best_rows=best_rows[element].copy(),
-        best_distance=float(best_dist[element]))
-
-
 def frontier_decode_batch(decoder, r: np.ndarray, y_hat_batch: np.ndarray,
                           *, drain_threshold: int | None = None,
                           trace: dict | None = None,
@@ -685,15 +519,13 @@ def frontier_decode_batch(decoder, r: np.ndarray, y_hat_batch: np.ndarray,
     r, y_hat_batch:
         Triangular channel and the ``(T, nc)`` rotated observations.
     drain_threshold:
-        Hand the remaining searches to the scalar continuation once the
-        active set is this small (default ``max(1, T // 6)``, the
-        empirical break-even between a near-empty lockstep tick and the
-        scalar tail); ``0`` keeps every element in lockstep to the end.
+        Hand the remaining searches to the numpy-free tail once the
+        active set is this small (default ``max(1, T // 6)``); ``0``
+        keeps every element in lockstep to the end.
     trace:
         Optional dict the engine appends observability records to:
         ``"leaf_events"`` — per-tick ``(elements, distances)`` radius
-        tightenings, ``"drained"`` — elements finished by the scalar
-        continuation.  Used by the property tests to check the
+        tightenings, ``"drained"`` — elements finished by the tail.  Used by the property tests to check the
         monotone-radius invariant.
     tick_strategy:
         ``"compiled"`` runs every search to completion through the
@@ -756,7 +588,9 @@ def frontier_decode_batch(decoder, r: np.ndarray, y_hat_batch: np.ndarray,
     kernel.init(active * num_streams + top, active, batch[:, top] / diag[top])
 
     node_budget = decoder.node_budget
-    drained: dict[int, object] = {}
+    cap = NO_BUDGET if node_budget is None else node_budget
+    if not kernel.has_tail:
+        drain_threshold = 0
     tallies = (ped, visited, expanded, leaves, prunes)
 
     requested = (tick_strategy if tick_strategy is not None
@@ -766,14 +600,11 @@ def frontier_decode_batch(decoder, r: np.ndarray, y_hat_batch: np.ndarray,
         # Run every element's search to completion in one native pass —
         # same per-element iterations as the tick loop below, so results
         # and counters are bit-identical and no drain is needed.
-        caps = np.full(num_vectors,
-                       NO_BUDGET if node_budget is None else node_budget,
-                       dtype=np.int64)
         run_hard_to_completion(
             kernel, active, active, np.zeros(num_vectors, dtype=np.int64),
-            caps, r[None], batch, diag[None], diag_sq[None], level, radius,
-            parent, path_cols, path_rows, chosen, best_cols, best_rows,
-            best_dist, tallies)
+            np.full(num_vectors, cap, dtype=np.int64), r[None], batch,
+            diag[None], diag_sq[None], level, radius, parent, path_cols,
+            path_rows, chosen, best_cols, best_rows, best_dist, tallies)
         active = np.empty(0, dtype=np.int64)
 
     while active.size:
@@ -786,14 +617,13 @@ def frontier_decode_batch(decoder, r: np.ndarray, y_hat_batch: np.ndarray,
                 if active.size == 0:
                     break
         if active.size <= drain_threshold:
-            for element in active.tolist():
-                drained[element] = _drain_element(
-                    decoder, kernel, element, r, batch[element], diag,
-                    diag_sq, level, parent, radius, chosen, path_cols,
-                    path_rows, best_cols, best_rows, best_dist, tallies)
+            finish_hard(
+                kernel, active, active, np.zeros(active.size, dtype=np.int64),
+                np.full(active.size, cap, dtype=np.int64), r[None], batch,
+                diag[None], diag_sq[None], level, radius, parent, path_cols,
+                path_rows, chosen, best_cols, best_rows, best_dist, tallies)
             if trace is not None:
-                trace.setdefault("drained", []).extend(
-                    int(e) for e in active)
+                trace.setdefault("drained", []).extend(active.tolist())
             break
 
         lv = level[active]
@@ -892,25 +722,10 @@ def frontier_decode_batch(decoder, r: np.ndarray, y_hat_batch: np.ndarray,
     indices = np.full((num_vectors, num_streams), -1, dtype=np.int64)
     symbols = np.full((num_vectors, num_streams), np.nan + 0j,
                       dtype=np.complex128)
-    distances = best_dist.copy()
-    lockstep = found.copy()
-    for element, result in drained.items():
-        lockstep[element] = False
-        found[element] = result.found
-        indices[element] = result.symbol_indices
-        symbols[element] = result.symbols
-        distances[element] = result.distance_sq
-        tally = result.counters
-        ped[element] = tally.ped_calcs
-        visited[element] = tally.visited_nodes
-        expanded[element] = tally.expanded_nodes
-        leaves[element] = tally.leaves
-        prunes[element] = tally.geometric_prunes
-    if lockstep.any():
-        best = constellation.index_of(best_cols[lockstep],
-                                      best_rows[lockstep])
-        indices[lockstep] = best
-        symbols[lockstep] = constellation.points[best]
+    if found.any():
+        best = constellation.index_of(best_cols[found], best_rows[found])
+        indices[found] = best
+        symbols[found] = constellation.points[best]
     totals = ComplexityCounters(
         ped_calcs=int(ped.sum()),
         visited_nodes=int(visited.sum()),
@@ -919,5 +734,5 @@ def frontier_decode_batch(decoder, r: np.ndarray, y_hat_batch: np.ndarray,
         geometric_prunes=int(prunes.sum()))
     totals.complex_mults = totals.ped_calcs * (num_streams + 1)
     return BatchDecodeResult(found=found, symbol_indices=indices,
-                             symbols=symbols, distances_sq=distances,
+                             symbols=symbols, distances_sq=best_dist,
                              counters=totals)

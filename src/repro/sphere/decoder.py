@@ -318,7 +318,7 @@ class SphereDecoder:
         straggler drain happens once per frame instead of once per
         subcarrier.  ``capacity`` bounds the lane pool (how many searches
         tick in lockstep) and ``drain_threshold`` sets the survivor count
-        at which the scalar continuation takes over — defaulting to
+        at which the numpy-free tail takes over — defaulting to
         ``min(capacity, S*T) // 6`` capped at
         :data:`~repro.frame.engine.DRAIN_THRESHOLD_CAP` (32) survivors,
         the cap measured best at frame scale.  Results and aggregated
@@ -381,24 +381,19 @@ class SphereDecoder:
                          diag: np.ndarray, diag_sq: np.ndarray,
                          make_enumerator, *, stack, radius_sq, counters,
                          chosen_symbols, path_cols, path_rows, best_cols,
-                         best_rows, best_distance,
-                         node_budget: int | None = None) -> SphereDecoderResult:
-        """Run the depth-first loop from an explicit mid-search state.
+                         best_rows, best_distance) -> SphereDecoderResult:
+        """The depth-first loop, from the explicit search state
+        :meth:`_search` seeds with a fresh root.
 
-        :meth:`_search` seeds it with a fresh root; the frontier engine
-        (:mod:`repro.sphere.batch_search`) seeds it with a reconstructed
-        stack when it drains straggler observations out of the lockstep
-        batch, so both callers execute the *same* loop body and stay
-        bit-identical.  ``node_budget`` overrides the decoder's own budget
-        for this continuation — the streaming runtime passes the (possibly
-        deadline-shrunken) per-lane budget so a degraded frame drained
-        through the scalar path stops at the same cap the lockstep lanes
-        enforce.
+        This is the reference program: the lockstep kernels, the
+        compiled cores and the numpy-free tail
+        (:mod:`repro.sphere.tail`) each replay it operation for
+        operation and are pinned to it bit-for-bit by the differential
+        sweeps.
         """
         num_streams = r.shape[1]
         levels = self.constellation.levels
-        if node_budget is None:
-            node_budget = self.node_budget
+        node_budget = self.node_budget
         while stack:
             if node_budget is not None and counters.visited_nodes >= node_budget:
                 break

@@ -309,7 +309,7 @@ class KBestDecoder:
         num_problems = num_subcarriers * num_symbols
         if num_problems == 0:
             return empty_frame_result(num_symbols, num_subcarriers,
-                                      num_streams)
+                                      num_streams, self.constellation)
         sub = np.repeat(np.arange(num_subcarriers, dtype=np.int64),
                         num_symbols)
         indices, distances, counters = self._expand_survivors(
@@ -319,6 +319,5 @@ class KBestDecoder:
         return FrameDecodeResult(
             found=np.ones((num_symbols, num_subcarriers), dtype=bool),
             symbol_indices=indices.transpose(1, 0, 2),
-            symbols=self.constellation.points[indices].transpose(1, 0, 2),
             distances_sq=distances.reshape(frame_shape).T,
-            counters=counters)
+            counters=counters, points=self.constellation.points)

@@ -254,7 +254,7 @@ class ListSphereDecoder:
         Exposed separately because OFDM receivers factorise each
         subcarrier's channel once per frame and then soft-decode many
         symbol vectors against the same ``R`` — the entry point the
-        differential baselines and the straggler drain build on.
+        differential baselines build on.
         """
         require(noise_variance > 0.0, "noise variance must be positive")
         diag = np.real(np.diag(r)).copy()
@@ -329,7 +329,7 @@ class ListSphereDecoder:
         (:func:`repro.frame.soft_engine.frame_decode_soft`), with one
         straggler drain and one frame-wide LLR extraction.  ``capacity``
         bounds the lane pool and ``drain_threshold`` sets the survivor
-        count for the scalar handoff — defaulting to
+        count for the hand-off to the numpy-free tail — defaulting to
         ``min(capacity, S*T) // 6`` capped at
         :data:`~repro.frame.engine.DRAIN_THRESHOLD_CAP` (32) survivors.
         LLRs, list membership, hard decisions and aggregated counters are
@@ -386,30 +386,25 @@ class ListSphereDecoder:
     def _continue_search_soft(self, r: np.ndarray, y_hat, diag: np.ndarray,
                               diag_sq: np.ndarray, make_enumerator, *, stack,
                               radius_sq, counters, chosen_symbols, path_cols,
-                              path_rows, leaf_heap, leaf_counter,
-                              node_budget: int | None = None
+                              path_rows, leaf_heap, leaf_counter
                               ) -> _ListSearchState:
-        """Run the list-search loop from an explicit mid-search state.
+        """The list-search loop, from the explicit search state
+        :meth:`_search_soft` seeds with a fresh root.
 
-        :meth:`_search_soft` seeds it with a fresh root; the frame engine
-        (:mod:`repro.frame.soft_engine`) seeds it with a reconstructed
-        stack and leaf heap when it drains straggler searches out of the
-        lockstep frontier, so both callers execute the *same* loop body
-        and stay bit-identical.  The loop is
+        The loop is
         :meth:`~repro.sphere.decoder.SphereDecoder._continue_search`
         under a different radius policy: leaves land in a bounded
         max-heap, and once the heap is full the sphere shrinks to its
-        worst member instead of the single best leaf.  ``node_budget``
-        overrides the decoder's own budget for this continuation — the
-        streaming runtime passes the (possibly deadline-shrunken)
-        per-lane budget so a degraded frame drained through the scalar
-        path stops at the same cap the lockstep lanes enforce.
+        worst member instead of the single best leaf.  It is the
+        reference program the soft frame engine, the compiled soft core
+        and the numpy-free tail's list policy
+        (:func:`repro.sphere.tail.finish_soft`) are pinned to
+        bit-for-bit.
         """
         num_streams = r.shape[1]
         levels = self.constellation.levels
         list_size = self.list_size
-        if node_budget is None:
-            node_budget = self.node_budget
+        node_budget = self.node_budget
         while stack:
             if node_budget is not None and counters.visited_nodes >= node_budget:
                 break

@@ -26,6 +26,10 @@ kept operation-for-operation equal to the numpy path (see below).
 Results, LLRs and ``ComplexityCounters`` are therefore bit-identical,
 and the straggler drain becomes unnecessary — a drained continuation is
 itself bit-identical, so finishing in the kernel changes nothing.
+(Without Numba the numpy tick hands its stragglers to
+:mod:`repro.sphere.tail`, which takes the same arguments as the cores
+below and relies on the same equivalences, plus a few of its own
+listed there.)
 
 Float-op equivalences the kernel preserves (each one checked by the
 differential sweeps in ``tests/test_tick_kernel.py``):

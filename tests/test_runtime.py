@@ -319,6 +319,47 @@ def test_handle_errors_and_empty_frame():
         UplinkRuntime(max_in_flight=0)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("received", np.nan), ("received", np.inf), ("channels", np.nan),
+    ("channels", -np.inf), ("noise_variance", np.nan),
+    ("noise_variance", np.inf)])
+def test_non_finite_frame_is_rejected_at_submit_and_costs_only_itself(
+        field, value):
+    """One bad frame costs exactly itself: a NaN/inf anywhere in a frame
+    raises ``ValueError`` at ``submit`` — it used to pass admission and
+    blow up mid-tick inside the shared frontier — while frames already
+    in flight on the same runtime complete bit-exactly and the runtime
+    keeps accepting work."""
+    rng = np.random.default_rng(77)
+    hard = SphereDecoder(qam(16))
+    soft = ListSphereDecoder(qam(16), list_size=4)
+    good = [_make_frame(hard, 6, 3, 14.0, rng),
+            _make_frame(soft, 4, 2, 14.0, rng, soft=True)]
+    runtime = UplinkRuntime(capacity=16)
+    handles = [runtime.submit(frame) for frame in good]
+    runtime.poll(max_ticks=3)                  # searches mid-flight
+
+    template = good[1]
+    bad = FrameRequest(channels=np.array(template.channels),
+                       received=np.array(template.received),
+                       decoder=soft, noise_variance=template.noise_variance)
+    if field == "noise_variance":
+        bad.noise_variance = value
+    else:
+        getattr(bad, field)[0, 1, 2] = value
+    with pytest.raises(ValueError, match="finite|positive"):
+        runtime.submit(bad)
+    assert runtime.in_flight == len(good)
+    assert runtime.stats.frames_submitted == len(good)
+
+    late = runtime.submit(good[0])             # still accepting
+    runtime.drain()
+    for handle, frame in zip(handles + [late], good + [good[0]]):
+        assert handle.resolution == "completed"
+        _assert_identical(handle.result(), _reference(frame),
+                          frame.noise_variance is not None)
+
+
 def test_admission_queue_tags_and_fifo():
     rng = np.random.default_rng(7)
     decoder = SphereDecoder(qam(4))

@@ -345,6 +345,50 @@ def test_busy_time_accumulates_across_bursts():
         single.frames_per_second())
 
 
+def test_tick_duration_always_counts_as_busy_time():
+    """ISSUE-15 invariant: ``elapsed_s >= tick_duration_s`` after every
+    tick.  Two shapes that used to break it: a straggler-drain tick far
+    longer than the tick cadence (it read as an idle gap and its own
+    duration was dropped), and a machine whose ticks all take >= 1 ms
+    (the cadence estimate never seeded, so every tick closed a
+    zero-width interval)."""
+    for durations in ([0.0004] * 20 + [0.035] + [0.0004] * 5,
+                      [0.002] * 10 + [0.050] + [0.003] * 10):
+        stats = RuntimeStats()
+        now = 10.0
+        stats.record_submit(now)
+        for duration in durations:
+            now += 1e-5 + duration            # back to back
+            stats.record_tick(0.5, now, duration_s=duration)
+            assert stats.elapsed_s >= stats.tick_duration_s
+        # Back-to-back ticks: busy time is the whole span, not less.
+        assert stats.elapsed_s == pytest.approx(now - 10.0)
+
+
+def test_frames_per_second_agrees_with_an_external_wall_clock():
+    """Closed loop, back to back, real clock: the runtime's own rate
+    must be within 5 % of frames over externally measured wall time —
+    and its busy time can never undercut its measured tick time."""
+    import time
+    rng = np.random.default_rng(23)
+    decoder = SphereDecoder(qam(16))
+    frames = [_make_frame(decoder, 16, 4, 17.0, rng) for _ in range(8)]
+    runtime = UplinkRuntime()
+    total, submitted, done = 48, 0, 0
+    started = time.perf_counter()
+    while done < total:
+        while runtime.in_flight < 4 and submitted < total:
+            runtime.submit(frames[submitted % len(frames)])
+            submitted += 1
+        done += len(runtime.poll(max_ticks=10))
+        assert runtime.stats.elapsed_s >= runtime.stats.tick_duration_s
+    wall = time.perf_counter() - started
+    stats = runtime.stats
+    assert stats.frames_completed == total
+    assert stats.elapsed_s <= wall
+    assert stats.frames_per_second() == pytest.approx(total / wall, rel=0.05)
+
+
 def test_busy_time_adaptive_gap_through_runtime():
     """End-to-end two-burst run on a stepping fake clock: the adaptive
     idle-gap threshold closes the inter-burst interval."""
@@ -440,7 +484,7 @@ def test_cell_workload_qos_mix_tags_arrivals():
 
 
 # ----------------------------------------------------------------------
-# Degraded budgets through the scalar drain (ISSUE-8 satellite)
+# Degraded budgets through the straggler drain (ISSUE-8 satellite)
 # ----------------------------------------------------------------------
 
 def test_degraded_budget_enforced_through_scalar_drain():
@@ -448,7 +492,7 @@ def test_degraded_budget_enforced_through_scalar_drain():
     shrunken per-lane budget.  Degrading an *unbudgeted* frame to B
     before the first tick makes the whole run equivalent to a decoder
     built with ``node_budget=B`` — so with ``drain_threshold=capacity``
-    (every lane finishes through the scalar drain) the results must be
+    (every lane finishes through the tail) the results must be
     bit-identical to that budgeted ``decode_frame``.  Before the fix the
     drain ran at the decoder's own (unlimited) budget and searched past
     the cap."""
@@ -483,7 +527,7 @@ def test_degraded_budget_enforced_through_scalar_drain():
 
 def test_degraded_drain_frame_feeds_degraded_crc_ledger():
     """Session-level corner: a coded frame degraded *and* finished via
-    the scalar drain still lands in the degraded-CRC ledger with its
+    the straggler drain still lands in the degraded-CRC ledger with its
     budget capped."""
     rng = np.random.default_rng(18)
     clock = _Clock()

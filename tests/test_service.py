@@ -14,6 +14,8 @@ backend, which forks real workers and therefore stays small and
 targeted.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -271,6 +273,67 @@ def test_client_cancel_over_the_wire():
             payloads = cell.drain()
             assert [p["frame_id"] for p in payloads] == [keeper]
             assert payloads[0]["resolution"] == "completed"
+
+
+def _poisoned(frame, field):
+    """A copy of ``frame`` with one non-finite entry in ``field``."""
+    bad = copy.copy(frame)
+    if field == "noise_variance":
+        bad.noise_variance = float("nan")
+    else:
+        array = np.array(getattr(frame, field))
+        array.flat[array.size // 2] = np.nan if field == "received" \
+            else np.inf
+        setattr(bad, field, array)
+    return bad
+
+
+@pytest.mark.parametrize("backend", ["inline", "process"])
+def test_bad_frame_is_rejected_at_the_farm_front_door(backend):
+    """A non-finite frame raises at ``DetectorFarm.submit`` — before it
+    can cross a pipe and poison a worker — and costs exactly itself:
+    no restart, no expiry, in-flight frames bit-exact."""
+    rng = np.random.default_rng(21)
+    frames = _mixed_frames(rng, repeats=1)
+    with DetectorFarm(1, backend=backend) as farm:
+        handles = [farm.submit(frame) for frame in frames]
+        for frame, field in ((frames[0], "received"),
+                             (frames[1], "channels"),
+                             (frames[2], "noise_variance")):
+            with pytest.raises(ValueError, match="finite"):
+                farm.submit(_poisoned(frame, field))
+        assert farm.outstanding == len(frames)
+        farm.drain()
+        _check_all(handles, frames)
+        stats = farm.stats()
+        assert stats["frames_submitted"] == len(frames)
+        assert stats["frames_expired"] == 0
+        assert sum(stats.get("restarts", [0])) == 0
+
+
+def test_server_answers_a_bad_submit_with_an_error_not_a_dead_socket():
+    """Validation failures come back as ``("error", message)``: the
+    client raises ``service error: …`` and the *same connection* keeps
+    serving — frames already in flight on it complete bit-exactly and
+    later submits are accepted."""
+    rng = np.random.default_rng(22)
+    frames = _mixed_frames(rng, repeats=1)
+    with CellSiteServer(DetectorFarm(1, backend="inline")) as server:
+        with CellSiteClient(server.address) as cell:
+            first = cell.submit(frames[0])
+            with pytest.raises(ValueError, match="service error.*finite"):
+                cell.submit(_poisoned(frames[0], "received"))
+            with pytest.raises(ValueError, match="service error"):
+                cell.submit(_bad_decoder_frame(rng))
+            assert cell.outstanding == 1          # the bad ones never landed
+            second = cell.submit(frames[1])
+            by_id = {p["frame_id"]: p for p in cell.drain()}
+            assert set(by_id) == {first, second}
+            for frame_id, frame in ((first, frames[0]), (second, frames[1])):
+                assert by_id[frame_id]["resolution"] == "completed"
+                _assert_identical(by_id[frame_id]["result"],
+                                  _reference(frame), False)
+            assert cell.stats()["frames_submitted"] == 2
 
 
 # ----------------------------------------------------------------------

@@ -1,0 +1,280 @@
+"""The numpy-free straggler tail against the scalar oracle.
+
+:mod:`repro.sphere.tail` finishes searches the lockstep frontier hands
+over, in plain Python.  The scalar decoders
+(:meth:`SphereDecoder.decode_triangular`,
+:meth:`ListSphereDecoder.decode_soft_triangular`) are the oracle; the
+contract is bit-identity — decisions, distances, LLRs and all five
+``ComplexityCounters`` — and these tests pin it two ways:
+
+* **from the root** — a hand-off right after the root expansion, so the
+  tail runs the whole search (a hypothesis property over enumerator
+  rule, pruning, initial radius, node budget, list size, constellation
+  and geometry; list size 1 is the hard best-leaf policy);
+* **from every depth** — ``k`` lockstep ticks, then the hand-off, for
+  every ``k`` from 0 to the search's length, so a wrong export of
+  ``has_last``, the heap order or the Shabany seen grid cannot hide
+  behind a lucky threshold.
+
+Float programs: the tail keeps one ``np.multiply`` per expansion so the
+installed numpy's complex-multiply program (FMA-contracted or not — see
+``tick_kernel.NUMPY_FMA``) is matched by construction.  Nothing here
+branches on that flag: the suite must pass whichever it reports.
+"""
+
+from functools import partial
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.channel import awgn, noise_variance_for_snr, rayleigh_channel
+from repro.constellation import qam
+from repro.frame import frame_decode_soft
+from repro.runtime import FrameJob, FrameRequest
+from repro.runtime.engine import StreamingFrontier
+from repro.sphere import (
+    ListSphereDecoder,
+    SphereDecoder,
+    frontier_decode_batch,
+    triangularize,
+)
+from repro.sphere.tick_kernel import NUMPY_FMA
+
+#: Operating points low enough that searches backtrack (deep stacks,
+#: deferred proposals pending, several leaves) instead of diving once.
+SNR_DB = {4: 8.0, 16: 14.0, 64: 20.0}
+
+
+def _observation(order, num_tx, num_rx, rng):
+    """One triangularised system ``(r, y_hat, noise_variance)``."""
+    constellation = qam(order)
+    channel = rayleigh_channel(num_rx, num_tx, rng)
+    sent = rng.integers(0, order, size=num_tx)
+    noise_variance = noise_variance_for_snr(channel, SNR_DB[order])
+    received = (channel @ constellation.points[sent]
+                + awgn(num_rx, noise_variance, rng))
+    q, r = triangularize(channel)
+    return r, q.conj().T @ received, noise_variance
+
+
+def _assert_hard_equal(batch, scalar):
+    assert bool(batch.found[0]) == scalar.found
+    assert np.array_equal(batch.symbol_indices[0], scalar.symbol_indices)
+    assert np.array_equal(batch.symbols[0], scalar.symbols, equal_nan=True)
+    assert batch.distances_sq[0] == scalar.distance_sq
+    assert batch.counters == scalar.counters
+
+
+# ----------------------------------------------------------------------
+# (i) The whole search in the tail: hand-off right after the root
+# ----------------------------------------------------------------------
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_tail_from_root_equals_the_scalar_oracle(data):
+    order = data.draw(st.sampled_from([4, 16, 64]), label="order")
+    num_tx = data.draw(st.integers(2, 4), label="num_tx")
+    num_rx = data.draw(st.integers(num_tx, 4), label="num_rx")
+    enumerator = data.draw(st.sampled_from(["zigzag", "shabany"]))
+    pruning = data.draw(st.booleans(), label="pruning")
+    list_size = data.draw(st.sampled_from([1, 4, 16]), label="list_size")
+    node_budget = data.draw(st.sampled_from([None, 4, 11, 40]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    r, y_hat, noise_variance = _observation(order, num_tx, num_rx, rng)
+    constellation = qam(order)
+    trace = {}
+
+    if list_size == 1:                       # the hard, best-leaf policy
+        plain = SphereDecoder(constellation, enumerator=enumerator,
+                              geometric_pruning=pruning)
+        ml_distance = plain.decode_triangular(r, y_hat).distance_sq
+        # inf, a radius that keeps the ML leaf, one that excludes it.
+        radius = data.draw(st.sampled_from(
+            [float("inf"), 4.0 * ml_distance, 0.5 * ml_distance]))
+        decoder = SphereDecoder(constellation, enumerator=enumerator,
+                                geometric_pruning=pruning,
+                                initial_radius_sq=radius,
+                                node_budget=node_budget)
+        got = frontier_decode_batch(decoder, r, y_hat[None],
+                                    drain_threshold=1, trace=trace)
+        _assert_hard_equal(got, decoder.decode_triangular(r, y_hat))
+    else:
+        decoder = ListSphereDecoder(constellation, list_size=list_size,
+                                    enumerator=enumerator,
+                                    geometric_pruning=pruning,
+                                    node_budget=node_budget)
+        got = frame_decode_soft(decoder, r[None], y_hat[None, None],
+                                noise_variance, drain_threshold=1,
+                                trace=trace)
+        want = decoder.decode_soft_triangular(r, y_hat, noise_variance)
+        assert np.array_equal(got.llrs[0, 0], want.llrs)
+        assert np.array_equal(got.symbol_indices[0, 0], want.symbol_indices)
+        assert np.array_equal(got.symbols[0, 0], want.symbols)
+        assert got.list_sizes[0, 0] == want.list_size_used
+        assert got.counters == want.counters
+    assert trace["drained"] == [0]           # the tail did run it
+
+
+@pytest.mark.parametrize("enumerator", ["hess", "exhaustive"])
+def test_baseline_enumerators_have_no_tail(enumerator):
+    """``hess``/``exhaustive`` kernels finish in lockstep whatever the
+    drain threshold says — same results, nothing drained."""
+    rng = np.random.default_rng(5)
+    decoder = SphereDecoder(qam(16), enumerator=enumerator,
+                            geometric_pruning=False)
+    r, y_hat, _ = _observation(16, 4, 4, rng)
+    trace = {}
+    got = frontier_decode_batch(decoder, r, y_hat[None],
+                                drain_threshold=1000, trace=trace)
+    _assert_hard_equal(got, decoder.decode_triangular(r, y_hat))
+    assert "drained" not in trace
+
+
+# ----------------------------------------------------------------------
+# (ii) Hand-off at every depth of a search
+# ----------------------------------------------------------------------
+
+def _decoders(kind, order, enumerator, pruning, **knobs):
+    """``(engine decoder, scalar-loop oracle)`` of one configuration."""
+    if kind == "soft":
+        knobs["list_size"] = 4
+    make = partial(SphereDecoder if kind == "hard" else ListSphereDecoder,
+                   qam(order), enumerator=enumerator,
+                   geometric_pruning=pruning, **knobs)
+    return make(), make(batch_strategy="loop")
+
+
+def _frame(decoder, order, num_subcarriers, num_symbols, rng):
+    constellation = qam(order)
+    channels = np.stack([rayleigh_channel(4, 4, rng)
+                         for _ in range(num_subcarriers)])
+    sent = rng.integers(0, order, size=(num_symbols, num_subcarriers, 4))
+    clean = np.einsum("tsc,sac->tsa", constellation.points[sent], channels)
+    noise_variance = float(np.mean(
+        [noise_variance_for_snr(channels[s], SNR_DB[order])
+         for s in range(num_subcarriers)]))
+    received = clean + awgn(clean.shape, noise_variance, rng)
+    return FrameRequest(channels=channels, received=received,
+                        decoder=decoder, noise_variance=noise_variance)
+
+
+def _decode_with_handoff(request, lockstep_ticks, degrade_to=None):
+    """Run ``lockstep_ticks`` numpy ticks, then hand every survivor to
+    the tail (``None``: never — pure lockstep).  Returns the frame
+    result and the number of ticks the run took."""
+    job = FrameJob(0, request)
+    engine = StreamingFrontier(capacity=job.num_problems, drain_threshold=0)
+    engine.submit(job)
+    ticks = 0
+    while not engine.idle:
+        if ticks == lockstep_ticks:
+            if degrade_to is not None:
+                job.degraded_budget = degrade_to
+                job.pool.degrade(job, degrade_to)
+            job.pool.drain_threshold = job.num_problems
+            engine.tick()
+            assert engine.idle               # one tick drains them all
+            return job.finalise(), ticks + 1
+        engine.tick()
+        ticks += 1
+    return job.finalise(), ticks
+
+
+def _assert_frames_equal(got, want, soft):
+    if soft:
+        assert np.array_equal(got.llrs, want.llrs)
+        assert np.array_equal(got.list_sizes, want.list_sizes)
+    else:
+        assert np.array_equal(got.found, want.found)
+        assert np.array_equal(got.distances_sq, want.distances_sq)
+    assert np.array_equal(got.symbol_indices, want.symbol_indices)
+    assert got.counters == want.counters
+
+
+def _oracle(oracle_decoder, request, soft):
+    if soft:
+        return oracle_decoder.decode_frame(request.channels,
+                                           request.received,
+                                           request.noise_variance)
+    return oracle_decoder.decode_frame(request.channels, request.received)
+
+
+@pytest.mark.parametrize("kind", ["hard", "soft"])
+@pytest.mark.parametrize("pruning", [True, False])
+@pytest.mark.parametrize("enumerator", ["zigzag", "shabany"])
+def test_handoff_at_every_depth_equals_the_scalar_oracle(enumerator,
+                                                         pruning, kind):
+    """A lone search handed over after k ticks, for every k of its life,
+    then a small frame whose searches sit at different depths."""
+    soft = kind == "soft"
+    decoder, oracle_decoder = _decoders(kind, 16, enumerator, pruning)
+    rng = np.random.default_rng([len(enumerator), pruning, soft])
+    for num_subcarriers, num_symbols in [(1, 1), (1, 1), (2, 3)]:
+        for _ in range(50):              # a search worth dissecting
+            request = _frame(decoder, 16, num_subcarriers, num_symbols, rng)
+            lockstep, length = _decode_with_handoff(request, None)
+            if 20 <= length <= 90:
+                break
+        want = _oracle(oracle_decoder, request, soft)
+        _assert_frames_equal(lockstep, want, soft)
+        for k in range(length):
+            got, _ = _decode_with_handoff(request, k)
+            _assert_frames_equal(got, want, soft)
+
+
+def test_handoff_sweep_on_a_dense_constellation():
+    """64-QAM: eight-level axes, long deferred-proposal chains."""
+    decoder, oracle_decoder = _decoders("hard", 64, "zigzag", True)
+    rng = np.random.default_rng(64)
+    request = _frame(decoder, 64, 1, 2, rng)
+    want = _oracle(oracle_decoder, request, False)
+    _, length = _decode_with_handoff(request, None)
+    for k in range(0, length, 3):
+        got, _ = _decode_with_handoff(request, k)
+        _assert_frames_equal(got, want, False)
+
+
+# ----------------------------------------------------------------------
+# (iii) Degraded budgets bind in the tail
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind", ["hard", "soft"])
+@pytest.mark.parametrize("lockstep_ticks", [0, 2])
+def test_degraded_lane_stops_at_the_shrunk_cap_in_the_tail(kind,
+                                                           lockstep_ticks):
+    """A budget is a cap on visited nodes, so degrading an unbudgeted
+    frame to B before any search has visited B nodes must equal a
+    decoder built with ``node_budget=B`` — through the tail."""
+    soft = kind == "soft"
+    budget = 6
+    decoder, _ = _decoders(kind, 16, "zigzag", True)
+    _, capped = _decoders(kind, 16, "zigzag", True, node_budget=budget)
+    request = _frame(decoder, 16, 3, 2, np.random.default_rng(31))
+    got, _ = _decode_with_handoff(request, lockstep_ticks,
+                                  degrade_to=budget)
+    _assert_frames_equal(got, _oracle(capped, request, soft), soft)
+    uncapped = _oracle(_decoders(kind, 16, "zigzag", True)[1], request, soft)
+    assert got.counters.visited_nodes < uncapped.counters.visited_nodes
+
+
+# ----------------------------------------------------------------------
+# (iv) The one numpy call per expansion, with or without FMA
+# ----------------------------------------------------------------------
+
+def test_row_multiply_is_the_scalar_multiply_program():
+    """The tail multiplies a level's ``R`` row by the decided symbols in
+    one ``np.multiply``; the oracle multiplies entry by entry.  Both must
+    be the same float program on this numpy build, FMA-contracted
+    (``NUMPY_FMA`` true) or not."""
+    rng = np.random.default_rng(9)
+    points = qam(64).points
+    for width in (1, 2, 3, 7):
+        for _ in range(200):
+            row = rng.standard_normal(width) + 1j * rng.standard_normal(width)
+            chosen = points[rng.integers(0, 64, size=width)]
+            fused = np.multiply(row, chosen)
+            for k in range(width):
+                assert fused[k] == np.multiply(row[k], chosen[k]), (
+                    f"row multiply diverges (NUMPY_FMA={NUMPY_FMA})")
