@@ -12,18 +12,14 @@ import pytest
 
 from repro.channel import awgn, noise_variance_for_snr, rayleigh_channel
 from repro.constellation import qam
-from repro.frame import (
-    frame_decode_soft,
-    frame_decode_soft_scalar,
-    rotate_frame,
-    triangularize_frame,
-)
+from repro.frame import rotate_frame, triangularize_frame
+from repro.runtime import FrameJob
+from repro.runtime.engine import StreamingFrontier
 from repro.sphere import (
     KBestDecoder,
     ListSphereDecoder,
     SphereDecoder,
     eth_sd_decoder,
-    frontier_decode_batch,
     geosphere_decoder,
     geosphere_zigzag_only,
     triangularize,
@@ -59,7 +55,7 @@ def _fixed_block(order, num_tx, num_rx, num_vectors, snr_db, seed=42):
 def _fixed_frame(order, num_tx, num_rx, num_subcarriers, num_symbols,
                  snr_db, seed=42):
     """One whole uplink frame: per-subcarrier channels and ``(T, S, na)``
-    observations, the workload the frame engine schedules as a unit."""
+    observations, the workload ``decode_frame`` runs on one frontier."""
     rng = np.random.default_rng(seed)
     constellation = qam(order)
     channels = np.stack([rayleigh_channel(num_rx, num_tx, rng)
@@ -140,8 +136,8 @@ def test_kbest_batch_speedup(benchmark, best_of, speedup_floor):
 
 @pytest.mark.parametrize("decoder_kind", sorted(FACTORIES))
 def test_sphere_batch_vs_scalar(benchmark, best_of, decoder_kind):
-    """Depth-first decoders run the breadth-synchronised frontier engine
-    through ``decode_batch``; report its speedup over the scalar loop."""
+    """Depth-first decoders run the lockstep engine through
+    ``decode_batch``; report its speedup over the scalar loop."""
     r, y_hat = _fixed_block(16, 4, 4, SUBCARRIERS, snr_db=20.0)
     decoder = FACTORIES[decoder_kind](qam(16))
 
@@ -158,8 +154,9 @@ def test_sphere_batch_vs_scalar(benchmark, best_of, decoder_kind):
 
 def test_sphere_frontier_vs_loop_speedup(benchmark, best_of,
                                          speedup_floor):
-    """The ISSUE-2 acceptance numbers: breadth-synchronised frontier vs
-    the ``strategy="loop"`` fallback on 16-QAM 4x4 x 64 subcarriers.
+    """The ISSUE-2 acceptance numbers: the breadth-synchronised engine
+    behind ``decode_batch`` vs the scalar row loop
+    (``_decode_batch_loop``) on 16-QAM 4x4 x 64 subcarriers.
 
     Both paths are bit-identical (asserted below); the frontier's win is
     pure scheduling — batched axis orders, vectorised pruning/PED work,
@@ -170,18 +167,17 @@ def test_sphere_frontier_vs_loop_speedup(benchmark, best_of,
     the recorded ``speedup`` in extra_info carries the real number.
     """
     r, y_hat = _fixed_block(16, 4, 4, SUBCARRIERS, snr_db=22.0)
-    loop = SphereDecoder(qam(16), batch_strategy="loop")
-    frontier = SphereDecoder(qam(16), batch_strategy="frontier")
+    decoder = SphereDecoder(qam(16))
 
-    loop_result = loop.decode_batch(r, y_hat)
-    result = benchmark(frontier.decode_batch, r, y_hat)
+    loop_result = decoder._decode_batch_loop(r, y_hat)
+    result = benchmark(decoder.decode_batch, r, y_hat)
     assert np.array_equal(result.symbol_indices, loop_result.symbol_indices)
     assert np.array_equal(result.distances_sq, loop_result.distances_sq)
     assert result.counters.ped_calcs == loop_result.counters.ped_calcs
     assert result.counters.visited_nodes == loop_result.counters.visited_nodes
 
-    loop_s = best_of(lambda: loop.decode_batch(r, y_hat))
-    frontier_s = best_of(lambda: frontier.decode_batch(r, y_hat))
+    loop_s = best_of(lambda: decoder._decode_batch_loop(r, y_hat))
+    frontier_s = best_of(lambda: decoder.decode_batch(r, y_hat))
     speedup_floor(loop_s, frontier_s, 3.0,
                   baseline="loop", candidate="frontier")
 
@@ -198,15 +194,15 @@ def test_tail_vs_oracle_per_node(benchmark, best_of, speedup_floor):
     heavy ones (>= 40 visited nodes) of a 16-QAM 4x4 block over an
     ill-conditioned channel (seed 3: ~300 of 512 searches qualify).
 
-    ``drain_threshold=T`` hands every search to the tail right after
-    its root expansion, so the frontier call below is the tail plus its
-    one-off export per search.  Both sides walk the same rows and are
+    ``StreamingFrontier(drain_threshold=T)`` hands every search to the
+    tail right after its root expansion, so the frontier run below is
+    the tail plus its one-off export per search.  Both sides walk the same rows and are
     bit-identical (asserted, counters included), so the time ratio is
     the per-node ratio.  Measured ~8x (4.6 vs 39 us/node); the floor is
     a conservative 3x.
     """
     r, y_hat = _fixed_block(16, 4, 4, 512, snr_db=14.0, seed=3)
-    decoder = SphereDecoder(qam(16), batch_strategy="loop")
+    decoder = SphereDecoder(qam(16))
     visited = np.array([decoder.decode_triangular(r, row)
                         .counters.visited_nodes for row in y_hat])
     heavy = y_hat[visited >= 40]
@@ -214,17 +210,21 @@ def test_tail_vs_oracle_per_node(benchmark, best_of, speedup_floor):
     assert heavy.shape[0] >= 100
 
     def tail():
-        return frontier_decode_batch(decoder, r, heavy,
+        job = FrameJob.from_triangular(decoder, r, heavy)
+        frontier = StreamingFrontier(capacity=heavy.shape[0],
                                      drain_threshold=heavy.shape[0])
+        frontier.submit(job)
+        frontier.tick()
+        return job.finalise()
 
-    oracle = decoder.decode_batch(r, heavy)          # the scalar loop
+    oracle = decoder._decode_batch_loop(r, heavy)
     result = benchmark(tail)
-    assert np.array_equal(result.symbol_indices, oracle.symbol_indices)
-    assert np.array_equal(result.distances_sq, oracle.distances_sq)
+    assert np.array_equal(result.symbol_indices[:, 0], oracle.symbol_indices)
+    assert np.array_equal(result.distances_sq[:, 0], oracle.distances_sq)
     assert result.counters == oracle.counters
     assert result.counters.visited_nodes == nodes
 
-    oracle_s = best_of(lambda: decoder.decode_batch(r, heavy))
+    oracle_s = best_of(lambda: decoder._decode_batch_loop(r, heavy))
     tail_s = best_of(tail)
     benchmark.extra_info["searches"] = int(heavy.shape[0])
     benchmark.extra_info["oracle_us_per_node"] = oracle_s / nodes * 1e6
@@ -233,7 +233,7 @@ def test_tail_vs_oracle_per_node(benchmark, best_of, speedup_floor):
 
 
 # ----------------------------------------------------------------------
-# Frame engine vs per-subcarrier frontier (the ISSUE-3 acceptance numbers)
+# One frontier per frame vs one per subcarrier (the ISSUE-3 numbers)
 # ----------------------------------------------------------------------
 
 OFDM_SYMBOLS = 16
@@ -241,20 +241,21 @@ OFDM_SYMBOLS = 16
 
 def test_frame_vs_per_subcarrier_speedup(benchmark, best_of,
                                          speedup_floor):
-    """The ISSUE-3 acceptance numbers: one frame-engine instance over all
-    64 subcarriers vs the PR 2 path (a frontier ``decode_block`` per
-    subcarrier) on 16-QAM 4x4 x 64 subcarriers x 16 OFDM symbols.
+    """The ISSUE-3 acceptance numbers: one frontier over all 64
+    subcarriers (``decode_frame``) vs one private frontier per
+    subcarrier (a ``decode_block`` each) on 16-QAM 4x4 x 64 subcarriers
+    x 16 OFDM symbols — the same engine, fed a frame or fed in 64
+    pieces.
 
-    Both paths are bit-identical (asserted below, counters included); the
-    frame engine's win is pure scheduling — one stacked QR sweep, one
-    frontier whose freed slots are refilled from the frame-wide work
-    queue, one straggler drain per frame instead of 64.  Measured on the
-    reference machine: ~11x at the defaults (PR 15: both sides finish
-    their stragglers in the numpy-free tail; 210 -> 192 ms
-    per-subcarrier, 23.7 -> 17.7 ms frame).  The assertion floor is a
-    conservative 2x (raised from 1.5x in PR 15) so noisy CI runners
-    cannot flake the suite; ``speedup`` in extra_info carries the real
-    number.
+    Both are bit-identical (asserted below, counters included); the
+    frame's win is pure scheduling — one stacked QR sweep, one lane
+    pool, one straggler drain per frame instead of 64.  Measured on the
+    reference machine: ~11x before ISSUE 16; since then the
+    per-subcarrier side runs on the same pools (16-row batches sit at
+    the hand-off point, so most of each goes to the numpy-free tail) and
+    the ratio is ~3x.  The assertion floor stays the conservative 2x so
+    noisy CI runners cannot flake the suite; ``speedup`` in extra_info
+    carries the real number.
     """
     channels, received = _fixed_frame(16, 4, 4, SUBCARRIERS, OFDM_SYMBOLS,
                                       snr_db=21.0)
@@ -300,20 +301,17 @@ def test_compiled_tick_vs_numpy_speedup(benchmark, best_of, speedup_floor):
     """
     channels, received = _fixed_frame(16, 4, 4, SUBCARRIERS, OFDM_SYMBOLS,
                                       snr_db=21.0)
-    decoder = SphereDecoder(qam(16))
+    numpy_tick = SphereDecoder(qam(16), tick_strategy="numpy")
+    compiled = SphereDecoder(qam(16), tick_strategy="compiled")
 
-    reference = decoder.decode_frame(channels, received,
-                                     tick_strategy="numpy")
-    result = benchmark(decoder.decode_frame, channels, received,
-                       tick_strategy="compiled")
+    reference = numpy_tick.decode_frame(channels, received)
+    result = benchmark(compiled.decode_frame, channels, received)
     assert np.array_equal(result.symbol_indices, reference.symbol_indices)
     assert np.array_equal(result.distances_sq, reference.distances_sq)
     assert result.counters == reference.counters
 
-    numpy_s = best_of(lambda: decoder.decode_frame(
-        channels, received, tick_strategy="numpy"))
-    compiled_s = best_of(lambda: decoder.decode_frame(
-        channels, received, tick_strategy="compiled"))
+    numpy_s = best_of(lambda: numpy_tick.decode_frame(channels, received))
+    compiled_s = best_of(lambda: compiled.decode_frame(channels, received))
     benchmark.extra_info["numba_available"] = NUMBA_AVAILABLE
     if NUMBA_AVAILABLE:
         speedup_floor(numpy_s, compiled_s, 2.0,
@@ -325,7 +323,7 @@ def test_compiled_tick_vs_numpy_speedup(benchmark, best_of, speedup_floor):
 
 
 # ----------------------------------------------------------------------
-# Soft frame engine vs the scalar list search (the ISSUE-4 numbers)
+# Soft decode_frame vs the scalar list search (the ISSUE-4 numbers)
 # ----------------------------------------------------------------------
 
 
@@ -336,7 +334,7 @@ def test_soft_frame_vs_scalar_speedup(benchmark, best_of,
     OFDM symbols (list size 16).
 
     Both paths are bit-identical (asserted below — LLRs, list sizes,
-    hard decisions and counters); the frame engine's win is the same
+    hard decisions and counters); the frame frontier's win is the same
     scheduling story as the hard path, amplified by the soft search's
     larger trees (the list radius stays loose until ``list_size`` leaves
     are banked).  Measured on the reference machine: ~18x.  The
@@ -353,18 +351,29 @@ def test_soft_frame_vs_scalar_speedup(benchmark, best_of,
     q_stack, r_stack = triangularize_frame(channels)
     y_hat = rotate_frame(q_stack, received)
 
-    scalar = frame_decode_soft_scalar(decoder, r_stack, y_hat,
-                                      noise_variance)
-    result = benchmark(frame_decode_soft, decoder, r_stack, y_hat,
-                       noise_variance)
-    assert np.array_equal(result.llrs, scalar.llrs)
-    assert np.array_equal(result.symbol_indices, scalar.symbol_indices)
-    assert np.array_equal(result.list_sizes, scalar.list_sizes)
-    assert result.counters == scalar.counters
+    def scalar_slots():
+        """One scalar list search per slot, QR already hoisted."""
+        return [[decoder.decode_soft_triangular(r_stack[s], y_hat[s, t],
+                                                noise_variance)
+                 for s in range(SUBCARRIERS)] for t in range(OFDM_SYMBOLS)]
 
-    scalar_s = best_of(lambda: frame_decode_soft_scalar(
-        decoder, r_stack, y_hat, noise_variance), repeats=3)
-    frame_s = best_of(lambda: frame_decode_soft(
-        decoder, r_stack, y_hat, noise_variance), repeats=3)
+    scalar = scalar_slots()
+    result = benchmark(decoder.decode_frame, channels, received,
+                       noise_variance)
+    for field, attribute in [("llrs", "llrs"),
+                             ("symbol_indices", "symbol_indices"),
+                             ("list_sizes", "list_size_used")]:
+        assert np.array_equal(
+            getattr(result, field),
+            np.array([[getattr(slot, attribute) for slot in row]
+                      for row in scalar]))
+    assert result.counters.visited_nodes == sum(
+        slot.counters.visited_nodes for row in scalar for slot in row)
+    assert result.counters.ped_calcs == sum(
+        slot.counters.ped_calcs for row in scalar for slot in row)
+
+    scalar_s = best_of(scalar_slots, repeats=3)
+    frame_s = best_of(lambda: decoder.decode_frame(
+        channels, received, noise_variance), repeats=3)
     speedup_floor(scalar_s, frame_s, 2.0,
                   baseline="scalar", candidate="frame")

@@ -8,8 +8,8 @@ against the hard-decision pipeline at the same SNRs.  Soft decisions buy
 roughly 2 dB — the classic coding-theory result, reproduced end to end.
 
 The second half moves to MIMO and the list sphere decoder: one whole
-OFDM frame soft-decoded through the breadth-synchronised frame engine
-(frame_strategy="frame") against the scalar per-slot list search, with
+OFDM frame soft-decoded through the breadth-synchronised lockstep engine
+(``decode_frame``) against the scalar per-slot list search, with
 bit-identical LLRs and the wall-clock ratio printed.
 
 Run:  python examples/soft_decoding.py
@@ -21,15 +21,10 @@ import numpy as np
 
 from repro.channel import awgn
 from repro.detect import max_log_llrs
-from repro.frame import (
-    frame_decode_soft,
-    frame_decode_soft_scalar,
-    rotate_frame,
-    triangularize_frame,
-)
+from repro.frame import rotate_frame, triangularize_frame
 from repro.phy import default_config, encode_stream, recover_stream
 from repro.phy.receiver import recover_stream_soft
-from repro.sphere import ListSphereDecoder
+from repro.sphere import ComplexityCounters, ListSphereDecoder
 
 NUM_FRAMES = 10
 
@@ -76,15 +71,24 @@ def frame_engine_demo() -> None:
     y_hat = rotate_frame(q_stack, received)
 
     start = time.perf_counter()
-    scalar = frame_decode_soft_scalar(decoder, r_stack, y_hat,
-                                      noise_variance)
+    scalar_llrs = np.empty((num_symbols, num_subcarriers,
+                            num_streams * constellation.bits_per_symbol))
+    scalar_counters = ComplexityCounters()
+    for s in range(num_subcarriers):
+        for t in range(num_symbols):
+            one = decoder.decode_soft_triangular(r_stack[s], y_hat[s, t],
+                                                 noise_variance)
+            scalar_llrs[t, s] = one.llrs
+            scalar_counters.merge(one.counters)
     scalar_s = time.perf_counter() - start
     start = time.perf_counter()
-    frame = frame_decode_soft(decoder, r_stack, y_hat, noise_variance)
+    frame = decoder.decode_frame(channels, received, noise_variance)
     frame_s = time.perf_counter() - start
 
-    identical = (np.array_equal(frame.llrs, scalar.llrs)
-                 and frame.counters == scalar.counters)
+    scalar_counters.complex_mults = (scalar_counters.ped_calcs
+                                     * (num_streams + 1))
+    identical = (np.array_equal(frame.llrs, scalar_llrs)
+                 and frame.counters == scalar_counters)
     searches = num_subcarriers * num_symbols
     print(f"\n16-QAM {num_streams}x{num_rx}, {num_subcarriers} subcarriers "
           f"x {num_symbols} OFDM symbols = {searches} list searches")

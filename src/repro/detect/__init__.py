@@ -27,7 +27,7 @@ Every detector implements two entry points, and most a third:
     the receive chain (:func:`repro.phy.receiver.detect_uplink`) uses
     by default: preprocessing is one stacked ``numpy.linalg`` sweep
     across all subcarriers, and per-slot work runs cross-subcarrier —
-    the frame engine of :mod:`repro.frame.engine` for tree searches,
+    the lockstep engine of :mod:`repro.runtime.engine` for tree searches,
     stacked filter banks for the linear detectors.  Results and
     counters are bit-identical to per-subcarrier ``detect_batch``
     calls; detectors without this entry point (exhaustive ML, hybrid)

@@ -7,12 +7,9 @@ adapter wraps anything with the sphere-decoder calling convention —
 :class:`~repro.sphere.kbest.KBestDecoder` both qualify — and routes block
 detection through the decoder's ``decode_block`` batch entry point, so
 the QR factorisation happens once per (channel, frame), the K-best path
-runs fully vectorised, and the depth-first path runs the
-breadth-synchronised frontier engine
-(:mod:`repro.sphere.batch_search`) — or the scalar row loop when the
-decoder was built with ``batch_strategy="loop"``.  Receivers upstream
-(``detect_uplink``, ``simulate_frame``) need no call-site changes to
-pick either engine up.
+runs fully vectorised, and the depth-first path runs the lockstep engine
+(:mod:`repro.runtime.engine`).  Receivers upstream (``detect_uplink``,
+``simulate_frame``) need no call-site changes to pick either up.
 """
 
 from __future__ import annotations
@@ -21,7 +18,6 @@ import numpy as np
 
 from ..frame.results import FrameDetectionResult
 from ..sphere.counters import ComplexityCounters
-from ..utils.validation import require
 from .base import BatchDetectionResult, DetectionResult
 
 __all__ = ["SphereDetector"]
@@ -71,53 +67,22 @@ class SphereDetector:
                                     counters=result.counters)
 
     def detect_frame(self, channels, received,
-                     noise_variance: float = 0.0, *,
-                     capacity: int | None = None,
-                     drain_threshold: int | None = None,
-                     tick_strategy: str | None = None
-                     ) -> FrameDetectionResult:
+                     noise_variance: float = 0.0) -> FrameDetectionResult:
         """Detect a whole uplink frame — ``(S, na, nc)`` channels,
         ``(T, S, na)`` observations — in one decoder call.
 
         Decoders with a ``decode_frame`` entry point (the depth-first
-        sphere decoder's frame frontier engine, the cross-subcarrier
-        K-best expansion) receive every (symbol, subcarrier) search at
-        once; anything else falls back to one ``decode_block`` per
-        subcarrier, so the adapter's frame surface is uniform across the
-        decoder zoo.  Either way the aggregated counters land on the
-        result (frame-level totals, no per-subcarrier merge for frame
-        decoders) and are mirrored into :attr:`last_block_counters`.
-
-        ``capacity`` / ``drain_threshold`` tune the depth-first frame
-        frontier (lane-pool size; straggler handoff, default capped at
-        ``DRAIN_THRESHOLD_CAP = 32`` survivors) and are rejected for
-        decoders that never run one — K-best keeps every search in
-        lockstep by construction, and ``batch_strategy="loop"`` decoders
-        take the reference driver — rather than silently dropped.  (Tiny
-        frames below ``FRONTIER_MIN_BATCH`` searches still auto-fall
-        back to the reference driver, where the knobs are moot: results
-        are bit-identical for every setting.)  ``tick_strategy`` is the
-        same kind of knob: ``"compiled"`` runs each frontier search to
-        completion through the Numba per-tick kernel, ``"numpy"`` the
-        lockstep ticks — bit-identical either way.
+        sphere decoder's lockstep engine, the cross-subcarrier K-best
+        expansion) receive every (symbol, subcarrier) search at once;
+        anything else falls back to one ``decode_block`` per subcarrier,
+        so the adapter's frame surface is uniform across the decoder
+        zoo.  Either way the aggregated counters land on the result
+        (frame-level totals, no per-subcarrier merge for frame decoders)
+        and are mirrored into :attr:`last_block_counters`.
         """
-        engine_kwargs = {}
-        if capacity is not None:
-            engine_kwargs["capacity"] = capacity
-        if drain_threshold is not None:
-            engine_kwargs["drain_threshold"] = drain_threshold
-        if tick_strategy is not None:
-            engine_kwargs["tick_strategy"] = tick_strategy
         decode_frame = getattr(self.decoder, "decode_frame", None)
-        if engine_kwargs:
-            require(decode_frame is not None
-                    and getattr(self.decoder, "batch_strategy",
-                                None) == "frontier",
-                    "capacity/drain_threshold/tick_strategy tune the "
-                    f"depth-first frame frontier; {self.name} does not "
-                    "run one")
         if decode_frame is not None:
-            result = decode_frame(channels, received, **engine_kwargs)
+            result = decode_frame(channels, received)
             counters = result.counters
             indices = result.symbol_indices
             symbols = result.symbols

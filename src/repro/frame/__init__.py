@@ -1,23 +1,17 @@
-"""Frame-level detection engine: one scheduler, every (subcarrier, symbol).
+"""Frame-level detection plumbing: stacked preprocessing and results.
 
 Geosphere's throughput argument needs sphere detection on *every*
-subcarrier of *every* OFDM symbol; this package makes the whole frame one
-detection problem.  :mod:`~repro.frame.preprocess` triangularises all
-subcarrier channels in one stacked LAPACK sweep,
-:mod:`~repro.frame.scheduler` packs the S×T searches into a bounded lane
-pool (refilled from a frame-wide queue as easy searches finish), and
-:mod:`~repro.frame.engine` advances every packed search — heterogeneous
-per-slot ``R`` matrices included — through one breadth-synchronised
-frontier, bit-identical to the per-subcarrier path.
+subcarrier of *every* OFDM symbol, so the receive chain treats the whole
+frame as one detection problem.  :mod:`~repro.frame.preprocess`
+triangularises all subcarrier channels in one stacked LAPACK sweep (and
+builds the linear detectors' stacked filter banks), and
 :mod:`~repro.frame.results` carries the ``(T, S)``-shaped results and the
-frame-aggregated complexity counters back to the receive chain.
+frame-aggregated complexity counters back to the receive chain.  The
+S×T searches themselves run on the lockstep engine
+(:mod:`repro.runtime.engine`) — ``decode_frame`` on a private frontier,
+:class:`~repro.runtime.session.UplinkRuntime` on a resident one.
 """
 
-from .engine import (
-    DEFAULT_LANE_CAPACITY,
-    frame_decode_per_subcarrier,
-    frame_decode_sphere,
-)
 from .preprocess import (
     apply_frame_filters,
     mmse_frame_filters,
@@ -33,22 +27,14 @@ from .results import (
     empty_soft_frame_result,
     hard_decision_frame,
 )
-from .scheduler import SlotScheduler
-from .soft_engine import frame_decode_soft, frame_decode_soft_scalar
 
 __all__ = [
-    "DEFAULT_LANE_CAPACITY",
     "FrameDecodeResult",
     "FrameDetectionResult",
-    "SlotScheduler",
     "SoftFrameResult",
     "apply_frame_filters",
     "empty_frame_result",
     "empty_soft_frame_result",
-    "frame_decode_per_subcarrier",
-    "frame_decode_soft",
-    "frame_decode_soft_scalar",
-    "frame_decode_sphere",
     "hard_decision_frame",
     "mmse_frame_filters",
     "rotate_frame",

@@ -5,8 +5,10 @@ the tree-search decoders, pseudo-inverse / MMSE filter banks for the
 linear ones — once per (subcarrier, frame).  The per-subcarrier receive
 path repeats that work S times through S separate ``numpy.linalg`` calls;
 this module performs it for *all* subcarriers in one stacked call, which
-is both the frame engine's front end and the shared preprocessing for the
-cross-subcarrier K-best and linear ``detect_frame`` paths.
+is both the lockstep engine's front end (every
+:class:`~repro.runtime.queue.FrameJob` starts here) and the shared
+preprocessing for the cross-subcarrier K-best and linear
+``detect_frame`` paths.
 
 Bit-exactness contract
 ----------------------
@@ -17,7 +19,7 @@ the same elementwise ufunc operations as the per-subcarrier
 every output of this module is **bit-identical** to running the
 per-subcarrier preprocessing in a Python loop (asserted by
 ``tests/test_frame_engine.py``).  Any change here must preserve that
-operation-for-operation correspondence — the frame engine's equivalence
+operation-for-operation correspondence — the engine's equivalence
 contract starts at preprocessing.
 """
 
@@ -65,10 +67,11 @@ def triangularize_frame(channels) -> tuple[np.ndarray, np.ndarray]:
     magnitudes = np.abs(diagonal)
     floors = RANK_TOLERANCE * np.maximum(magnitudes.max(axis=1), 1.0)
     deficient = magnitudes.min(axis=1) <= floors
-    require(not bool(deficient.any()),
-            f"channel matrix of subcarrier "
-            f"{int(np.argmax(deficient))} is numerically rank deficient; "
-            "the depth-first sphere decoder requires full column rank")
+    if deficient.any():      # checked first: an empty stack has no argmax
+        raise ValueError(
+            f"channel matrix of subcarrier {int(np.argmax(deficient))} is "
+            "numerically rank deficient; the depth-first sphere decoder "
+            "requires full column rank")
     phases = diagonal / magnitudes
     q = q * phases[:, None, :]
     r = np.triu(r * np.conj(phases)[:, :, None])

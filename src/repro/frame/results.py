@@ -5,7 +5,7 @@ subcarrier) pair — so the result tensors carry a leading ``(T, S)`` pair
 of axes, matching the layout of
 :attr:`repro.phy.transmitter.UplinkFrame.symbol_tensor` and what
 :func:`repro.phy.receiver.recover_uplink` consumes.  Complexity counters
-are aggregated over the *whole frame* in one object: the frame engine
+are aggregated over the *whole frame* in one object: the engine
 tallies per-element counts in flat arrays and sums them once, so the
 receive chain no longer pays S Python-level
 :meth:`~repro.sphere.counters.ComplexityCounters.merge` calls per frame.
@@ -30,8 +30,8 @@ def sum_tally_counters(ped, visited, expanded, leaves, prunes,
                        num_streams: int) -> ComplexityCounters:
     """Aggregate per-element tally arrays into one frame counter object.
 
-    The shared epilogue of every frame-scale engine (hard frame, soft
-    frame, streaming runtime): integer sums are order-independent, so the
+    The epilogue of every frame the engine finishes, hard or soft:
+    integer sums are order-independent, so the
     aggregate equals the sum of per-element scalar counters exactly, and
     ``complex_mults`` applies the paper's ``nc + 1`` multiplications-per-
     PED model (footnote 5) to the total.

@@ -113,8 +113,7 @@ def _noise_variance(channels: np.ndarray, snr_db: float) -> float:
 
 
 def simulate_frame(channels, detector, config: PhyConfig, snr_db: float,
-                   rng=None, payloads=None,
-                   frame_strategy: str = "frame") -> FrameOutcome:
+                   rng=None, payloads=None) -> FrameOutcome:
     """Simulate one uplink frame through ``detector``.
 
     ``channels``: flat ``(na, nc)`` or per-subcarrier ``(S, na, nc)``.
@@ -124,10 +123,8 @@ def simulate_frame(channels, detector, config: PhyConfig, snr_db: float,
     The receive side is frame-first end to end: the whole frame's channel
     application and noise are vectorised, and the full channel/observation
     tensors are handed to the detector's ``detect_frame`` in one call —
-    the sphere decoders' frame engine, the linear detectors' stacked
-    filter banks.  ``frame_strategy="per_subcarrier"`` falls back to one
-    ``detect_batch`` call per subcarrier (bit-identical results; see
-    :func:`repro.phy.receiver.detect_uplink`).
+    the sphere decoders' lockstep engine, the linear detectors' stacked
+    filter banks (see :func:`repro.phy.receiver.detect_uplink`).
     """
     generator = as_generator(rng)
     num_subcarriers = config.ofdm.num_data_subcarriers
@@ -147,8 +144,7 @@ def simulate_frame(channels, detector, config: PhyConfig, snr_db: float,
     # y[t, s] = H[s] @ x[t, s] for the whole frame in one contraction.
     clean = np.einsum("tsc,sac->tsa", tensor, matrices)
     received = clean + awgn(clean.shape, noise_variance, generator)
-    detection = detect_uplink(matrices, received, detector, noise_variance,
-                              frame_strategy=frame_strategy)
+    detection = detect_uplink(matrices, received, detector, noise_variance)
 
     decisions = recover_uplink(detection.symbol_indices,
                                frame.streams[0].num_pad_bits, config)
@@ -206,13 +202,11 @@ class LinkSimulator:
     """Repeat :func:`simulate_frame` over a channel source and aggregate."""
 
     def __init__(self, detector, config: PhyConfig, snr_db: float,
-                 overhead_symbols: int = 0,
-                 frame_strategy: str = "frame") -> None:
+                 overhead_symbols: int = 0) -> None:
         self.detector = detector
         self.config = config
         self.snr_db = snr_db
         self.overhead_symbols = overhead_symbols
-        self.frame_strategy = frame_strategy
 
     def run(self, channel_source, num_frames: int, rng=None) -> LinkStats:
         require(num_frames >= 1, "need at least one frame")
@@ -220,8 +214,7 @@ class LinkSimulator:
         stats = LinkStats()
         for _ in range(num_frames):
             outcome = simulate_frame(channel_source(), self.detector,
-                                     self.config, self.snr_db, generator,
-                                     frame_strategy=self.frame_strategy)
+                                     self.config, self.snr_db, generator)
             num_clients = outcome.stream_success.size
             stats.frames += 1
             stats.stream_frames += num_clients

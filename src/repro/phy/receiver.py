@@ -4,15 +4,13 @@ transmit chain.
 The front half (:func:`detect_uplink`) is frame-first: when the detector
 exposes a ``detect_frame`` entry point, the *whole* ``(S, na, nc)``
 channel tensor and ``(T, S, na)`` observation tensor go to the detector
-in one call — for sphere decoders that is the frame engine
-(:mod:`repro.frame.engine`), which preprocesses every subcarrier in one
-stacked QR sweep and advances all S×T searches through a single
+in one call — for sphere decoders that is the lockstep engine
+(:mod:`repro.runtime.engine`), which preprocesses every subcarrier in
+one stacked QR sweep and advances all S×T searches through a single
 breadth-synchronised frontier, returning frame-level counter totals (no
-per-subcarrier Python merge).  ``frame_strategy="per_subcarrier"`` keeps
-the previous behaviour — one ``detect_batch`` call per subcarrier — as
-the differential baseline; both strategies are bit-identical in results
-and aggregated counters, and detectors without a frame entry point fall
-back to the per-subcarrier loop automatically.  The back half turns the
+per-subcarrier Python merge).  Detectors without a frame entry point
+take one ``detect_batch`` call per subcarrier instead — bit-identical
+results and aggregated counters either way.  The back half turns the
 resulting hard symbol indices per (OFDM symbol, subcarrier, stream) into
 per-stream payloads and CRC verdicts.  Frame success is judged exactly
 the way real link layers judge it — by the frame check sequence — never
@@ -21,7 +19,6 @@ by comparing against the transmitted bits.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +31,7 @@ from ..sphere.counters import ComplexityCounters
 from ..utils.validation import require
 from .config import PhyConfig
 
-__all__ = ["FRAME_STRATEGIES", "StreamDecision", "UplinkDetection",
+__all__ = ["StreamDecision", "UplinkDetection",
            "detect_uplink", "recover_stream", "recover_stream_soft",
            "recover_uplink", "recover_uplink_soft", "finish_stream",
            "stream_coded_bits", "stream_coded_reliabilities"]
@@ -62,55 +59,26 @@ class UplinkDetection:
     detections: int
 
 
-FRAME_STRATEGIES = ("frame", "per_subcarrier")
-
-
-def detect_uplink(channels, received, detector, noise_variance: float,
-                  frame_strategy: str = "frame", *,
-                  capacity: int | None = None,
-                  drain_threshold: int | None = None,
-                  tick_strategy: str | None = None) -> UplinkDetection:
+def detect_uplink(channels, received, detector,
+                  noise_variance: float) -> UplinkDetection:
     """Detect a whole uplink frame.
 
     ``channels`` is ``(S, na, nc)`` — one matrix per data subcarrier;
     ``received`` is ``(T, S, na)`` — the frequency-domain observations for
     ``T`` OFDM symbols.
 
-    ``frame_strategy`` selects the dispatch:
-
-    ``"frame"`` (default)
-        Hand the whole frame to ``detector.detect_frame`` in one call.
-        The sphere/K-best path then runs the frame engine — one stacked
-        QR sweep, one frontier over all S×T searches, frame-level
-        counter totals (so this path never pays S Python-level
-        ``ComplexityCounters.merge`` calls) — and the linear/SIC paths
-        apply stacked per-subcarrier filter banks.  Detectors without a
-        ``detect_frame`` entry point silently take the loop below.
-    ``"per_subcarrier"``
-        The differential baseline: each subcarrier's block of ``T``
-        vectors goes to ``detector.detect_batch`` separately, counters
-        merged across subcarriers.
-
-    ``capacity`` and ``drain_threshold`` are the frame-frontier knobs
-    (lane-pool size and the straggler handoff point — by default
-    ``min(capacity, S*T) // 6`` capped at ``DRAIN_THRESHOLD_CAP = 32``
-    survivors, the cap measured best at frame scale); they only apply to
-    the ``"frame"`` dispatch of detectors that run the depth-first frame
-    frontier, so passing either with a detector that cannot honour it is
-    an error rather than a silent no-op.  ``tick_strategy`` rides the
-    same dispatch: ``"compiled"`` runs each frame-frontier search to
-    completion through the Numba per-tick kernel
-    (:mod:`repro.sphere.tick_kernel`), ``"numpy"`` keeps the lockstep
-    array ticks.  Results are bit-identical for every knob setting —
-    the knobs trade wall-clock only.
-
-    Both strategies return bit-identical symbol decisions and aggregated
-    counters (``tests/test_frame_engine.py`` and the
-    ``tests/test_link_golden.py`` goldens enforce this).
+    A detector with a ``detect_frame`` entry point gets the whole frame
+    in one call: the sphere/K-best path then runs one stacked QR sweep
+    and one frontier over all S×T searches with frame-level counter
+    totals (never paying S Python-level ``ComplexityCounters.merge``
+    calls), and the linear/SIC paths apply stacked per-subcarrier
+    filter banks.  Any other detector takes the loop below: each
+    subcarrier's block of ``T`` vectors goes to ``detector.detect_batch``
+    separately, counters merged across subcarriers.  Both dispatches
+    return bit-identical symbol decisions and aggregated counters
+    (``tests/test_frame_engine.py`` and the ``tests/test_link_golden.py``
+    goldens enforce this).
     """
-    require(frame_strategy in FRAME_STRATEGIES,
-            f"unknown frame strategy {frame_strategy!r}; choose from "
-            f"{FRAME_STRATEGIES}")
     matrices = np.asarray(channels, dtype=np.complex128)
     observations = np.asarray(received, dtype=np.complex128)
     require(matrices.ndim == 3, "channels must be (S, na, nc)")
@@ -124,31 +92,12 @@ def detect_uplink(channels, received, detector, noise_variance: float,
     num_symbols, num_subcarriers = observations.shape[:2]
     num_streams = matrices.shape[2]
 
-    engine_kwargs = {}
-    if capacity is not None:
-        engine_kwargs["capacity"] = capacity
-    if drain_threshold is not None:
-        engine_kwargs["drain_threshold"] = drain_threshold
-    if tick_strategy is not None:
-        engine_kwargs["tick_strategy"] = tick_strategy
     detect_frame = getattr(detector, "detect_frame", None)
-    if frame_strategy == "frame" and detect_frame is not None:
-        if engine_kwargs:
-            parameters = inspect.signature(detect_frame).parameters
-            require(all(name in parameters for name in engine_kwargs),
-                    "capacity/drain_threshold/tick_strategy tune the "
-                    "depth-first frame frontier; "
-                    f"{type(detector).__name__}.detect_frame "
-                    "does not run one")
-        result = detect_frame(matrices, observations, noise_variance,
-                              **engine_kwargs)
+    if detect_frame is not None:
+        result = detect_frame(matrices, observations, noise_variance)
         return UplinkDetection(symbol_indices=result.symbol_indices,
                                counters=result.counters,
                                detections=num_symbols * num_subcarriers)
-    require(not engine_kwargs,
-            "capacity/drain_threshold/tick_strategy are frame-frontier "
-            "knobs; they need frame_strategy='frame' and a detector with "
-            "a frame entry point")
 
     indices = np.empty((num_symbols, num_subcarriers, num_streams),
                        dtype=np.int64)

@@ -7,16 +7,13 @@ per stream.  This is the non-iterative soft receiver the paper names as
 the promising next step beyond hard-output Geosphere; the soft-vs-hard
 ablation quantifies what it buys.
 
-Like the hard receive chain, the soft front half is frame-first:
-``frame_strategy="frame"`` (default) hands the whole frame to
+Like the hard receive chain, the soft front half is frame-first: the
+whole frame goes to
 :meth:`~repro.sphere.soft.ListSphereDecoder.decode_frame` — one stacked
 QR sweep, one breadth-synchronised list frontier over all S×T searches,
-one frame-wide LLR extraction.  ``frame_strategy="per_subcarrier"`` keeps
-the scalar list search per slot as the differential baseline, with the
-per-subcarrier QR hoisted out of the OFDM-symbol loop so the baseline
-pays only the search cost.  Both strategies are bit-identical — LLRs,
-list membership, counters — which the frame-engine tests and the soft
-link goldens enforce.
+one frame-wide LLR extraction — bit-identical (LLRs, list membership,
+counters) to the scalar list search per slot, which the engine sweep and
+the soft link goldens enforce.
 """
 
 from __future__ import annotations
@@ -26,15 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..channel.noise import awgn
-from ..frame.preprocess import rotate_frame, triangularize_frame
-from ..frame.soft_engine import frame_decode_soft_scalar
 from ..sphere.counters import ComplexityCounters
 from ..sphere.soft import ListSphereDecoder
 from ..utils.rng import as_generator
 from ..utils.validation import require
 from .config import PhyConfig
 from .link import _noise_variance, _normalise_channels
-from .receiver import FRAME_STRATEGIES, recover_uplink_soft
+from .receiver import recover_uplink_soft
 from .transmitter import build_uplink_frame, random_payloads
 
 __all__ = ["SoftFrameOutcome", "simulate_frame_soft"]
@@ -52,35 +47,15 @@ class SoftFrameOutcome:
 
 def simulate_frame_soft(channels, decoder: ListSphereDecoder,
                         config: PhyConfig, snr_db: float, rng=None,
-                        payloads=None, frame_strategy: str = "frame", *,
-                        capacity: int | None = None,
-                        drain_threshold: int | None = None) -> SoftFrameOutcome:
+                        payloads=None) -> SoftFrameOutcome:
     """Simulate one uplink frame through the soft receive chain.
 
     Mirrors :func:`repro.phy.link.simulate_frame` but every detection
     yields LLRs; per-stream reliability sequences then run through
-    :func:`repro.phy.receiver.recover_stream_soft`.  ``frame_strategy``
-    selects the soft detection dispatch exactly like
-    :func:`repro.phy.receiver.detect_uplink` does for the hard chain,
-    and ``capacity`` / ``drain_threshold`` are the same frame-frontier
-    knobs (lane-pool size; straggler handoff point, default
-    ``min(capacity, S*T) // 6`` capped at ``DRAIN_THRESHOLD_CAP = 32``
-    survivors) — they require the ``"frame"`` dispatch and never change
-    results, only wall-clock.
+    :func:`repro.phy.receiver.recover_stream_soft`.
     """
     require(config.code is not None,
             "the soft receiver requires a coded configuration")
-    require(frame_strategy in FRAME_STRATEGIES,
-            f"unknown frame strategy {frame_strategy!r}; choose from "
-            f"{FRAME_STRATEGIES}")
-    require(frame_strategy == "frame"
-            or (capacity is None and drain_threshold is None),
-            "capacity/drain_threshold tune the frame frontier; they need "
-            "frame_strategy='frame'")
-    require((capacity is None and drain_threshold is None)
-            or decoder.batch_strategy == "frontier",
-            "capacity/drain_threshold tune the frame frontier; a "
-            "batch_strategy='loop' decoder never runs one")
     generator = as_generator(rng)
     num_subcarriers = config.ofdm.num_data_subcarriers
     matrices = _normalise_channels(channels, num_subcarriers)
@@ -102,17 +77,7 @@ def simulate_frame_soft(channels, decoder: ListSphereDecoder,
         received[:, s, :] = clean + awgn(clean.shape, noise_variance,
                                          generator)
 
-    if frame_strategy == "frame":
-        detection = decoder.decode_frame(matrices, received, noise_variance,
-                                         capacity=capacity,
-                                         drain_threshold=drain_threshold)
-    else:
-        # The differential baseline: scalar list searches per slot, with
-        # the per-subcarrier QR hoisted out of the OFDM-symbol loop.
-        q_stack, r_stack = triangularize_frame(matrices)
-        y_hat = rotate_frame(q_stack, received)
-        detection = frame_decode_soft_scalar(decoder, r_stack, y_hat,
-                                             noise_variance)
+    detection = decoder.decode_frame(matrices, received, noise_variance)
     # llrs[t, s, c*Q:(c+1)*Q] = stream c's bit reliabilities at (t, s).
     totals = detection.counters
     detections = detection.detections

@@ -1,13 +1,18 @@
-"""Cell-scale streaming runtime: many frames through one resident engine.
+"""The lockstep engine and the cell-scale streaming runtime around it.
 
-The layer above :mod:`repro.frame`: an access point decodes a *stream* of
-uplink frames, not one, and the frame engines' lane pools sat idle during
-every frame's straggler tail.  This package keeps one breadth-synchronised
-frontier resident (:mod:`~repro.runtime.engine`), tags every (subcarrier,
-OFDM symbol) search with its frame id (:mod:`~repro.runtime.queue`), and
-refills freed lanes from *any* admitted frame, so consecutive frames
-pipeline through the shared lane pool with per-frame results bit-identical
-to standalone ``decode_frame``.  :mod:`~repro.runtime.session` is the
+:mod:`~repro.runtime.engine` is the library's one breadth-synchronised
+search engine: lane-indexed kernel pools behind a
+:class:`StreamingFrontier`, with three entry points that differ only in
+who owns the frontier — ``decode_batch`` (a one-subcarrier job on a
+private frontier), ``decode_frame`` (one frame on a private frontier,
+ticked until idle) and :class:`UplinkRuntime` (a *resident* frontier).
+An access point decodes a stream of uplink frames, not one, and a
+private frontier idles during every frame's straggler tail; the resident
+one tags every (subcarrier, OFDM symbol) search with its frame id
+(:mod:`~repro.runtime.queue`) and refills freed lanes from *any*
+admitted frame, so consecutive frames pipeline through the shared lane
+pool.  Every entry point is bit-identical to the scalar decoder, hence
+to the others.  :mod:`~repro.runtime.session` is the
 submit/poll/drain API with bounded-in-flight backpressure,
 :mod:`~repro.runtime.decode` extends the pipeline past detection —
 frames submitted with a :class:`~repro.phy.config.PhyConfig` run the

@@ -1,18 +1,35 @@
-"""Resident streaming frontier: one engine, many frames in flight.
+"""The lockstep engine: lane-indexed kernel pools behind one frontier.
 
-The frame engines (:mod:`repro.frame.engine`, :mod:`repro.frame.soft_engine`)
-already advance every (subcarrier, OFDM symbol) search of *one* frame
-through a lockstep frontier — but they build their kernel arrays, run the
-frame, pay one straggler-drain tail, and tear everything down per call.
-At an access point frames arrive continuously, so this module keeps the
-frontier **resident**: kernel arrays and the lane pool are allocated once
-and survive across frames, freed lanes are refilled from the frame-tagged
-admission queue (:mod:`repro.runtime.queue`) regardless of which frame
-the next search belongs to, and the straggler drain happens when the
-queue runs dry — typically once per *workload*, not once per frame.
+Every depth-first sphere search the library runs in bulk goes through
+this module.  A :class:`StreamingFrontier` owns **pools** of lanes — one
+pool per kernel signature — and advances every search in a pool one
+tree-node step per tick, with each per-step computation
+(Schnorr–Euchner child ordering, partial distances, geometric-pruning
+lookups, radius pruning, interference cancellation) expressed as numpy
+array ops over the active lanes.  Hard (maximum-likelihood) and soft
+(list) searches differ only in the pool's leaf policy; ``zigzag`` /
+``shabany`` / ``hess`` / ``exhaustive`` differ only in the enumerator
+kernel (:mod:`repro.sphere.batch_search`).
+
+Three entry points feed it, and they differ only in who owns the
+frontier and how long it lives:
+
+* ``decode_batch(r, y_hat)`` — a one-subcarrier job built from an
+  already-triangular system, on a private frontier (:func:`run_frame`);
+* ``decode_frame(channels, received)`` — one frame's S×T searches on a
+  private frontier, ticked until idle (:func:`run_frame`);
+* :class:`~repro.runtime.session.UplinkRuntime` — a **resident**
+  frontier: kernel arrays and lanes are allocated once and survive
+  across frames, freed lanes are refilled from the frame-tagged
+  admission queue (:mod:`repro.runtime.queue`) regardless of which frame
+  the next search belongs to, so consecutive frames pipeline and the
+  straggler hand-off happens when the queue runs dry — typically once
+  per *workload*, not once per frame.
 
 Straggler drain
 ---------------
+Sphere-search cost is heavy-tailed, and a lockstep tick costs a fixed
+few hundred microseconds of numpy dispatch however few lanes are live.
 When a pool's queue is dry and its active set is down to
 ``drain_threshold`` lanes, the survivors leave lockstep for the
 numpy-free tail (:mod:`repro.sphere.tail`) — one tick that finishes
@@ -20,28 +37,37 @@ them all, each under its own per-lane node budget (so a
 deadline-degraded frame stops at its shrunk cap there too).  The tail
 writes outcomes back into the lane arrays and the lanes then retire
 through ``_finish_lockstep`` like any other finish: the pools carry no
-drain-specific result plumbing.  Tail time is *not* counted as kernel
-time in the tick telemetry (``last_tick_kernel_s`` covers the numpy
-step and the compiled cores, as before), so ``kernel_time_fraction``
-keeps meaning "share of tick time in the vectorised kernel".
+drain-specific result plumbing.  Only the frontier kernels (``zigzag``,
+``shabany``) have a tail (``kernel.has_tail``); the ``hess`` /
+``exhaustive`` baselines finish in lockstep.  Tail time is *not* counted
+as kernel time in the tick telemetry (``last_tick_kernel_s`` covers the
+numpy step and the compiled cores), so ``kernel_time_fraction`` keeps
+meaning "share of tick time in the vectorised kernel".
 
-Bit-exactness argument, unchanged from the frame engines: kernel state is
-fully re-initialised at admission and every per-tick quantity that
-depends on the channel is gathered from per-lane copies of the element's
-own ``R`` row, observation and diagonal scalings — the same float values
-the standalone engine gathers from its stacked factors.  Each search
-therefore executes exactly the scalar state machine regardless of which
-frames share a tick with it, so per-frame results and counters are
-bit-identical to standalone ``decode_frame`` for *every* admission order
-and in-flight interleaving (``tests/test_runtime.py`` enforces this, with
-a hypothesis sweep over submission permutations and budgets).
+Bit-exactness argument: kernel state is fully re-initialised at
+admission and every per-tick quantity that depends on the channel is
+gathered from per-lane copies of the element's own ``R`` row,
+observation and diagonal scalings.  The floating-point program is kept
+operation-for-operation equal to the scalar search: residuals come from
+``batched_axis_orders``, candidate and path distances are plain
+elementwise real arithmetic, and interference accumulates
+column-by-column through the complex-multiply ufunc
+(:func:`accumulate_interference`).  Each search therefore executes
+exactly the scalar state machine regardless of which searches — of
+which frames — share a tick with it, so results and counters are
+bit-identical to per-slot ``decode_triangular`` /
+``decode_soft_triangular`` for *every* capacity, drain threshold,
+admission order and in-flight interleaving (``tests/test_engine.py``
+pins all three entry points to the scalar oracle; ``tests/test_runtime.py``
+adds a hypothesis sweep over submission permutations and budgets).
 
 Searches are grouped into **pools** by kernel signature (hard/soft,
 constellation, stream count, enumerator, pruning, node budget, list
-size): searches in one pool share kernel arrays and tick together, and
-the pools share the runtime's global lane budget, so a mixed-constellation
-cell workload still keeps every lane busy.  A homogeneous workload — the
-benchmark's 16-QAM 4x4 stream — is exactly one pool.
+size, resolved tick mode): searches in one pool share kernel arrays and
+tick together, and the pools share the frontier's global lane budget, so
+a mixed-constellation cell workload still keeps every lane busy.  A
+homogeneous workload — the benchmark's 16-QAM 4x4 stream — is exactly
+one pool.
 
 Each pool allocates its kernel and lane arrays **on demand**: a pool
 starts at :data:`DEFAULT_INITIAL_LANES` lanes (or the global capacity if
@@ -62,13 +88,6 @@ import time
 
 import numpy as np
 
-from ..frame.engine import (
-    DRAIN_THRESHOLD_CAP,
-    DEFAULT_LANE_CAPACITY,
-    accumulate_interference,
-)
-from ..frame.scheduler import LanePool
-from ..frame.soft_engine import insert_soft_leaves
 from ..sphere.batch_search import _grown, make_kernel
 from ..sphere.tail import finish_hard, finish_soft
 from ..sphere.tick_kernel import (
@@ -81,7 +100,30 @@ from ..obs.trace import FrameTracer
 from ..utils.validation import require
 from .queue import AdmissionQueue, FrameJob
 
-__all__ = ["DEFAULT_INITIAL_LANES", "LANE_POLICIES", "StreamingFrontier"]
+__all__ = ["DEFAULT_INITIAL_LANES", "DEFAULT_LANE_CAPACITY",
+           "DRAIN_THRESHOLD_CAP", "LANE_POLICIES", "LanePool",
+           "StreamingFrontier", "accumulate_interference",
+           "insert_soft_leaves", "run_frame"]
+
+#: Default global lane budget.  Large enough that typical frames (64
+#: subcarriers x tens of OFDM symbols) keep the whole frame in lockstep,
+#: small enough that the per-slot kernel arrays stay cache- and
+#: memory-friendly for dense constellations; workloads with more
+#: searches stream through the admission queue's refill.
+DEFAULT_LANE_CAPACITY = 2048
+
+#: Ceiling for the default straggler-drain threshold (``capacity // 6``
+#: below it): the frontier stays efficient down to a small *absolute*
+#: active count.  Re-measured in PR 15 with the numpy-free tail
+#: (~4.5 us/node, against ~5.5 for a lockstep tick of 33-64 lanes and
+#: ~3.4 for 65-128): on hard 16-QAM 4x4 x 64-subcarrier frames 48-64
+#: survivors would be 6-8 % faster (closed-loop frames/s) and 14 %
+#: faster for a lone ``decode_frame``, but every value above 32
+#: lengthens the one tick that drains a *list* (soft) pool enough to
+#: move the median latency of the light frames sharing the runtime by
+#: +20-25 % on the mixed coded cell workload.  The hand-off point is a
+#: latency trade-off first, so 32 stays.
+DRAIN_THRESHOLD_CAP = 32
 
 #: Lanes a kernel pool allocates up front; pools grow geometrically on
 #: demand from here, capped by the engine's global lane budget.
@@ -102,18 +144,149 @@ _NO_BUDGET = np.iinfo(np.int64).max
 LANE_POLICIES = ("deadline", "fifo")
 
 
+def accumulate_interference(rows, chosen, next_level,
+                            num_streams: int) -> np.ndarray:
+    """Interference of the decided upper levels for a batch of descents.
+
+    ``rows`` carries each descending lane's own ``R`` row at its next
+    level, ``chosen`` the lane's decided symbols, ``next_level`` the
+    level being entered.  The accumulation runs column-by-column
+    (ascending) through the multiply ufunc — the scalar search's exact
+    float program — so lockstep partial distances are bit-identical to
+    the scalar ones.  The homogeneous-level fast path skips the
+    ``np.where`` masking when every lane descends to the same level;
+    both branches apply the identical per-lane operation sequence.
+    """
+    products = rows * chosen
+    interference = np.zeros(rows.shape[0], dtype=np.complex128)
+    first = int(next_level[0])
+    if (next_level == first).all():
+        for column in range(first + 1, num_streams):
+            interference = interference + products[:, column]
+    else:
+        for column in range(1, num_streams):
+            interference = np.where(
+                next_level < column,
+                interference + products[:, column], interference)
+    return interference
+
+
+def insert_soft_leaves(at_leaf, leaf_distance, seq, path_cols, path_rows,
+                       list_d, list_seq, list_cols, list_rows, list_n,
+                       radius, list_size: int) -> None:
+    """Insert a tick's batch of leaves into their lanes' bounded lists.
+
+    The vectorised twin of the scalar list decoder's ``heapq``
+    bookkeeping — append while a list has room, then ``heappushpop``
+    semantics (the new leaf replaces the worst member, ties broken
+    towards the earliest-found) — with each lane's sphere radius
+    tightened to its worst member once the list is full.  All arrays
+    are indexed by the lane ids in ``at_leaf``.
+    """
+    count = list_n[at_leaf]
+    not_full = count < list_size
+    inserting = at_leaf[not_full]
+    if inserting.size:
+        # Room left: append to the lane's next free entry.
+        slot = count[not_full]
+        list_d[inserting, slot] = leaf_distance[not_full]
+        list_seq[inserting, slot] = seq[not_full]
+        list_cols[inserting, slot] = path_cols[inserting]
+        list_rows[inserting, slot] = path_rows[inserting]
+        list_n[inserting] = slot + 1
+        newly_full = list_n[inserting] == list_size
+        if newly_full.any():
+            filled = inserting[newly_full]
+            radius[filled] = list_d[filled].max(axis=1)
+    replacing = at_leaf[~not_full]
+    if replacing.size:
+        # Full list: ``heappushpop`` semantics — the new leaf replaces
+        # the worst member (largest distance, ties towards the
+        # earliest-found) unless it is strictly worse than all of them.
+        new_distance = leaf_distance[~not_full]
+        new_seq = seq[~not_full]
+        worst = list_d[replacing].max(axis=1)
+        evict = new_distance <= worst
+        replacing = replacing[evict]
+        if replacing.size:
+            new_distance = new_distance[evict]
+            new_seq = new_seq[evict]
+            row_d = list_d[replacing]
+            worst_tie = np.where(
+                row_d == row_d.max(axis=1)[:, None],
+                list_seq[replacing], np.iinfo(np.int64).max)
+            slot = worst_tie.argmin(axis=1)
+            list_d[replacing, slot] = new_distance
+            list_seq[replacing, slot] = new_seq
+            list_cols[replacing, slot] = path_cols[replacing]
+            list_rows[replacing, slot] = path_rows[replacing]
+            radius[replacing] = list_d[replacing].max(axis=1)
+
+
+class LanePool:
+    """Pool of kernel lanes: take on admission, release on finish.
+
+    Each lane is ``num_streams`` contiguous kernel slots.  Lane identity
+    never affects a search's float program — kernel slots are fully
+    re-initialised at admission — so which lane a search lands in only
+    changes how densely the kernel arrays are used.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        require(capacity >= 1, "lane pool needs at least one lane")
+        self.capacity = capacity
+        # Stack of free lanes; popping from the end hands out lane 0 first.
+        self._free = list(range(capacity - 1, -1, -1))
+
+    @property
+    def free_lanes(self) -> int:
+        return len(self._free)
+
+    @property
+    def in_use(self) -> int:
+        return self.capacity - len(self._free)
+
+    def grow(self, capacity: int) -> None:
+        """Add lanes ``[old capacity, capacity)`` to the pool (demand-grown
+        pools).  The new lanes join the *bottom* of the free stack, so
+        previously existing free lanes still hand out first — a pool
+        that never needed to grow hands out the same lane sequence as
+        one built at full size, and lane identity never affects a
+        search's float program either way."""
+        require(capacity >= self.capacity,
+                f"cannot shrink lane pool from {self.capacity} to {capacity}")
+        if capacity == self.capacity:
+            return
+        self._free[:0] = list(range(capacity - 1, self.capacity - 1, -1))
+        self.capacity = capacity
+
+    def take(self, count: int) -> np.ndarray:
+        """Pop ``count`` free lanes (callers bound ``count`` by
+        :attr:`free_lanes`)."""
+        require(count <= len(self._free),
+                f"cannot take {count} lanes with {len(self._free)} free")
+        keep = len(self._free) - count
+        taken = self._free[keep:]
+        del self._free[keep:]
+        taken.reverse()                  # the order successive pops give
+        return np.array(taken, dtype=np.int64)
+
+    def release(self, lanes) -> None:
+        """Return finished searches' lanes to the free pool."""
+        self._free.extend(np.asarray(lanes).reshape(-1).tolist())
+
+
 class _PoolBase:
     """Kernel arrays + lane state for one search signature.
 
-    All per-search state is *lane*-indexed (the streaming twin of the
-    frame engines' element-indexed arrays): a search owns its lane from
+    All per-search state is *lane*-indexed: a search owns its lane from
     admission to finish, results are copied out to its frame's arrays the
     moment it finishes, and the lane is recycled for the next queued
     search of any frame.
     """
 
-    def __init__(self, engine: "StreamingFrontier",
-                 template: FrameJob) -> None:
+    def __init__(self, engine: "StreamingFrontier", template: FrameJob,
+                 tick_mode: str) -> None:
         decoder = template.decoder
         capacity = min(engine.capacity, engine.initial_lanes)
         num_streams = template.num_streams
@@ -132,12 +305,9 @@ class _PoolBase:
         else:
             self.drain_threshold = engine.drain_threshold
         self.queue = AdmissionQueue(fifo=engine.lane_policy == "fifo")
-        # Effective tick strategy: the engine-level knob, else the
-        # submitting decoder's own, resolved once per pool (compiled
-        # requests degrade to numpy when unavailable, with one warning).
-        requested = (engine.tick_strategy if engine.tick_strategy is not None
-                     else getattr(decoder, "tick_strategy", None))
-        self.tick_mode = resolve_tick_strategy(requested, decoder.enumerator)
+        #: ``"numpy"`` or ``"compiled"``, as resolved at submission —
+        #: part of the pool's signature, so it never changes.
+        self.tick_mode = tick_mode
         self.allocated = capacity
         self.lanes = LanePool(capacity)
         self.active = _EMPTY
@@ -170,8 +340,7 @@ class _PoolBase:
         self._next_jobidx = 0
         self.elem_of = np.zeros(capacity, dtype=np.int64)
         # Per-lane copies of the element's channel: its subcarrier's R,
-        # rotated observation and diagonal scalings.  Same float values
-        # the frame engine gathers from the stacked factors.
+        # rotated observation and diagonal scalings.
         self.lane_r = np.zeros((capacity, num_streams, num_streams),
                                dtype=np.complex128)
         self.lane_y = np.zeros((capacity, num_streams), dtype=np.complex128)
@@ -402,9 +571,8 @@ class _PoolBase:
     # -- one breadth-synchronised step ----------------------------------
     def tick(self, completed: list) -> None:
         """Advance every active search one level, frame boundaries
-        ignored: budget stops, refill, drain check, then the kernel step
-        — the frame engines' loop body, verbatim, over lane-indexed
-        state.  Under ``tick_strategy="compiled"`` one tick instead
+        ignored: budget stops, refill, drain check, then the kernel
+        step.  Under ``tick_strategy="compiled"`` one tick instead
         admits a batch and runs every admitted search to completion
         through the compiled kernel (bit-identical results; the budget
         pre-stop and the straggler drain have nothing left to do)."""
@@ -534,8 +702,8 @@ class _PoolBase:
 class _HardPool(_PoolBase):
     """Maximum-likelihood searches under the Schnorr–Euchner radius."""
 
-    def __init__(self, engine, template) -> None:
-        super().__init__(engine, template)
+    def __init__(self, engine, template, tick_mode) -> None:
+        super().__init__(engine, template, tick_mode)
         capacity = self.allocated
         self.best_cols = np.full((capacity, self.num_streams), -1,
                                  dtype=np.int64)
@@ -595,8 +763,8 @@ class _HardPool(_PoolBase):
 class _SoftPool(_PoolBase):
     """List searches under the bounded-best-leaf radius policy."""
 
-    def __init__(self, engine, template) -> None:
-        super().__init__(engine, template)
+    def __init__(self, engine, template, tick_mode) -> None:
+        super().__init__(engine, template, tick_mode)
         capacity = self.allocated
         list_size = template.decoder.list_size
         self.list_size = list_size
@@ -661,22 +829,21 @@ class _SoftPool(_PoolBase):
 
 
 class StreamingFrontier:
-    """The resident multi-frame engine behind
-    :class:`~repro.runtime.session.UplinkRuntime`.
+    """The one lockstep engine: resident behind
+    :class:`~repro.runtime.session.UplinkRuntime`, private to a call
+    behind ``decode_frame`` / ``decode_batch`` (:func:`run_frame`).
 
     Parameters
     ----------
     capacity:
         Global lane budget shared by every kernel pool (default
-        :data:`~repro.frame.engine.DEFAULT_LANE_CAPACITY`) — how many
-        searches, across all in-flight frames, advance in lockstep at
-        once.
+        :data:`DEFAULT_LANE_CAPACITY`) — how many searches, across all
+        in-flight frames, advance in lockstep at once.
     drain_threshold:
         Hand survivors to the numpy-free tail once a pool's queue is
-        empty *and* its active set is this small.  Default: the frame
-        engine's rule — ``capacity // 6`` capped at
-        :data:`~repro.frame.engine.DRAIN_THRESHOLD_CAP` (32) survivors;
-        ``0`` keeps every search in lockstep to the end.
+        empty *and* its active set is this small.  Default:
+        ``capacity // 6`` capped at :data:`DRAIN_THRESHOLD_CAP` (32)
+        survivors; ``0`` keeps every search in lockstep to the end.
     lane_policy:
         Lane-refill policy, one of :data:`LANE_POLICIES`.
         ``"deadline"`` (default) serves admission queues class-aware and
@@ -767,16 +934,22 @@ class StreamingFrontier:
         """Fraction of the lane budget currently advancing searches."""
         return self.active_lanes / self.capacity
 
-    @staticmethod
-    def _pool_key(job: FrameJob) -> tuple:
+    def _pool_key(self, job: FrameJob) -> tuple:
+        """The job's kernel signature.  It ends with the *resolved* tick
+        mode (the frontier's knob, else the submitting decoder's own;
+        compiled requests degrade to numpy when unavailable, with one
+        warning), so a ``"numpy"`` decoder never lands in a pool a
+        same-signature ``"compiled"`` decoder created."""
         decoder = job.decoder
+        requested = (self.tick_strategy if self.tick_strategy is not None
+                     else decoder.tick_strategy)
         key = (job.kind, job.num_streams,
                decoder.constellation.levels.tobytes(), decoder.enumerator,
                decoder.geometric_pruning, decoder.node_budget,
                decoder.initial_radius_sq)
         if job.kind == "soft":
             key += (decoder.list_size,)
-        return key
+        return key + (resolve_tick_strategy(requested, decoder.enumerator),)
 
     def submit(self, job: FrameJob) -> None:
         """Queue every search of an admitted frame, tagged with its id."""
@@ -784,7 +957,7 @@ class StreamingFrontier:
         pool = self._pools.get(key)
         if pool is None:
             pool = (_SoftPool if job.kind == "soft" else _HardPool)(
-                self, job)
+                self, job, key[-1])
             self._pools[key] = pool
         job.pool = pool
         pool.queue.push(job)
@@ -844,3 +1017,23 @@ class StreamingFrontier:
         for pool in self._tick_order():
             pool.tick(completed)
         return completed
+
+
+def run_frame(job: FrameJob):
+    """One frame on a private frontier: the whole engine run behind
+    ``decode_frame`` and ``decode_batch``.
+
+    The job is built exactly as ``UplinkRuntime.submit`` builds it (or,
+    for ``decode_batch``, by :meth:`FrameJob.from_triangular`); it is
+    submitted to a fresh :class:`StreamingFrontier` sized to the frame,
+    ticked until idle and finalised.
+    """
+    frontier = StreamingFrontier(initial_lanes=max(1, job.num_problems))
+    frontier.submit(job)
+    while not frontier.idle:
+        frontier.tick()
+    # A pool and its frontier reference each other; dropping the pools
+    # frees the kernel arrays on return instead of leaving every call's
+    # worth to the cycle collector.
+    frontier._pools.clear()
+    return job.finalise()

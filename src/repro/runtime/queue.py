@@ -1,10 +1,9 @@
 """Frame admission queue: frame-id-tagged searches for the runtime.
 
-The streaming runtime (:mod:`repro.runtime.engine`) keeps one frontier
-engine resident and pipelines many frames through its lane pool.  Its
-unit of work is still a single (subcarrier, OFDM symbol) search — exactly
-the frame engine's — but the searches now come from *different frames*,
-so every queued search carries a frame id and a frame-local element
+The lockstep engine (:mod:`repro.runtime.engine`) pipelines many frames
+through its lane pools.  Its unit of work is a single (subcarrier, OFDM
+symbol) search, and the searches may come from *different frames*, so
+every queued search carries a frame id and a frame-local element
 index.  This module owns that tagging: a :class:`FrameRequest` describes
 one frame as submitted by the caller, a :class:`FrameJob` is the
 runtime's per-frame state (preprocessed factors, per-element result
@@ -25,11 +24,12 @@ baseline the SLO benchmark compares against.
 
 Admission order cannot change any per-frame result: each search executes
 exactly the scalar state machine regardless of what shares a tick with
-it, so results and counters stay bit-identical to standalone
-``decode_frame`` for every interleaving and every priority mix (the
-property ``tests/test_runtime.py`` enforces).  QoS only decides *when*
-a search runs; the one exception, the session explicitly shrinking a
-degrading frame's budgets, is a marked, counted mode — never silent.
+it, so results and counters stay bit-identical to the scalar decoder
+for every interleaving and every priority mix (the property
+``tests/test_engine.py`` and ``tests/test_runtime.py`` enforce).  QoS
+only decides *when* a search runs; the one exception, the session
+explicitly shrinking a degrading frame's budgets, is a marked, counted
+mode — never silent.
 """
 
 from __future__ import annotations
@@ -143,6 +143,12 @@ def validate_request(request: "FrameRequest"):
     """
     decoder = request.decoder
     kind = decoder_kind(decoder)
+    # Sorted QR is honoured by the scalar ``decode`` only; the engine
+    # triangularises in natural order, so admitting such a decoder would
+    # silently search different trees than the configuration names.
+    require(getattr(decoder, "column_ordering", "none") == "none",
+            "column_ordering='norm' is honoured by the scalar decode() "
+            "only; the lockstep engine detects streams in natural order")
     noise_variance = request.noise_variance
     require(noise_variance is None or np.isfinite(noise_variance),
             "noise_variance must be finite when given")
@@ -189,18 +195,40 @@ def validate_request(request: "FrameRequest"):
 
 
 class FrameJob:
-    """Runtime-side state of one admitted frame.
+    """Engine-side state of one admitted frame.
 
-    Preprocessing happens once at construction — the same stacked QR
-    sweep and rotation ``decode_frame`` performs — and the per-element
-    result and counter arrays fill in as the streaming engine finishes
-    searches (in whatever order lanes free up).  ``finalise`` assembles
-    exactly the result object the standalone frame engines build, so a
-    pipelined frame is bit-identical to a frame-at-a-time one.
+    Preprocessing happens once at construction — one stacked QR sweep
+    and rotation — and the per-element result and counter arrays fill in
+    as the engine finishes searches (in whatever order lanes free up);
+    ``finalise`` assembles the frame result.
     """
 
     def __init__(self, frame_id: int, request: FrameRequest) -> None:
         kind, channels, received = validate_request(request)
+        q_stack, r_stack = triangularize_frame(channels)
+        self._init_state(frame_id, request, kind, r_stack,
+                         rotate_frame(q_stack, received))
+
+    @classmethod
+    def from_triangular(cls, decoder, r, y_hat_batch,
+                        noise_variance=None) -> "FrameJob":
+        """``decode_batch``'s constructor: a one-subcarrier job from an
+        already-triangular system — ``r`` is ``(nc, nc)``,
+        ``y_hat_batch`` the rotated ``(T, nc)`` observations —
+        validated like any submitted frame, QR sweep skipped."""
+        request = FrameRequest(np.asarray(r)[None],
+                               np.asarray(y_hat_batch)[:, None, :], decoder,
+                               noise_variance)
+        kind, r_stack, rotated = validate_request(request)
+        job = cls.__new__(cls)
+        job._init_state(0, request, kind, r_stack,
+                        rotated.transpose(1, 0, 2))
+        return job
+
+    def _init_state(self, frame_id: int, request: FrameRequest, kind: str,
+                    r_stack: np.ndarray, y_hat: np.ndarray) -> None:
+        """Per-frame state from the triangular factors and the
+        ``(S, T, nc)`` rotated observations."""
         decoder = request.decoder
         self.frame_id = frame_id
         self.kind = kind
@@ -230,13 +258,12 @@ class FrameJob:
         self.detect_done_at: float | None = None
         self.decode_done_at: float | None = None
 
-        q_stack, r_stack = triangularize_frame(channels)
-        y_hat = rotate_frame(q_stack, received)          # (S, T, nc)
         num_subcarriers, num_symbols, num_streams = y_hat.shape
         self.r_stack = r_stack
         self.y_flat = y_hat.reshape(num_subcarriers * num_symbols,
                                     num_streams)
-        # Shared per-subcarrier scalings: same ops as the frame engine.
+        # Shared per-subcarrier scalings: the scalar decoder's
+        # ``np.real(np.diag(r))`` / ``diag * diag``, stacked.
         self.diag_stack = np.real(np.einsum("sii->si", r_stack)).copy()
         self.diag_sq_stack = self.diag_stack * self.diag_stack
         self.num_subcarriers = num_subcarriers
@@ -245,7 +272,7 @@ class FrameJob:
         self.num_problems = num_subcarriers * num_symbols
         self.remaining = self.num_problems
 
-        # Element e = subcarrier * T + symbol, the frame engine's layout.
+        # Element e = subcarrier * T + symbol.
         count = self.num_problems
         self.ped = np.zeros(count, dtype=np.int64)
         self.visited = np.zeros(count, dtype=np.int64)
@@ -272,12 +299,11 @@ class FrameJob:
                                   self.num_streams)
 
     def finalise(self) -> FrameDecodeResult | SoftFrameResult:
-        """Assemble the frame result once every element has finished.
-
-        The exact assembly the standalone engines perform: ``(S, T)``
-        element order transposed to ``(T, S)``-leading tensors, counters
-        summed once over the per-element tallies, and — for soft frames —
-        one frame-wide vectorised LLR extraction over the stacked lists.
+        """Assemble the frame result once every element has finished:
+        ``(S, T)`` element order transposed to ``(T, S)``-leading
+        tensors, counters summed once over the per-element tallies, and
+        — for soft frames — one frame-wide vectorised LLR extraction
+        over the stacked lists.
         """
         require(self.remaining == 0,
                 f"frame {self.frame_id} still has {self.remaining} "

@@ -1,7 +1,7 @@
 """Session API of the streaming uplink runtime: submit / poll / drain.
 
-:class:`UplinkRuntime` is the cell-scale entry point above the frame
-engines: callers hand it whole frames (hard or soft) as they arrive and
+:class:`UplinkRuntime` is the cell-scale entry point of the lockstep
+engine: callers hand it whole frames (hard or soft) as they arrive and
 get :class:`PendingFrame` handles back; one resident
 :class:`~repro.runtime.engine.StreamingFrontier` advances every in-flight
 frame's searches together, so frame N+1 fills the lanes frame N's
@@ -160,10 +160,10 @@ class UplinkRuntime:
     Parameters
     ----------
     capacity, drain_threshold:
-        Engine knobs, exactly as in
-        :func:`repro.frame.engine.frame_decode_sphere`: the shared lane
-        budget, and the straggler handoff point (default ``capacity //
-        6`` capped at ``DRAIN_THRESHOLD_CAP = 32`` survivors).
+        The :class:`~repro.runtime.engine.StreamingFrontier` knobs: the
+        shared lane budget, and the straggler handoff point (default
+        ``capacity // 6`` capped at ``DRAIN_THRESHOLD_CAP = 32``
+        survivors).
     initial_lanes:
         Lanes each kernel pool allocates up front (default
         :data:`~repro.runtime.engine.DEFAULT_INITIAL_LANES`); pools grow

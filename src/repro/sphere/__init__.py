@@ -11,15 +11,17 @@ Public surface:
 * :class:`ComplexityCounters` — the PED-calculation / visited-node
   accounting behind Figs. 14-15;
 * :class:`GeometricPruner` — the table-driven branch lower bound;
-* :func:`frontier_decode_batch` — the breadth-synchronised batched
-  engine behind ``SphereDecoder.decode_batch`` (strategy ``"frontier"``),
-  with the scalar row loop kept as the ``"loop"`` fallback;
-* :mod:`repro.sphere.tail` — the numpy-free continuation every frontier
-  engine hands its last few (straggler) searches to.
+* :mod:`repro.sphere.batch_search` — the vectorised enumerator kernels
+  the lockstep engine (:mod:`repro.runtime.engine`) steps; the engine is
+  what ``decode_batch`` / ``decode_block`` / ``decode_frame`` run on,
+  and the scalar :meth:`SphereDecoder.decode_triangular` /
+  :meth:`ListSphereDecoder.decode_soft_triangular` are the oracle it is
+  pinned to;
+* :mod:`repro.sphere.tail` — the numpy-free continuation the engine
+  hands its last few (straggler) searches to.
 """
 
 from .batch import BatchDecodeResult, batched_axis_orders, zigzag_order_table
-from .batch_search import FRONTIER_MIN_BATCH, frontier_decode_batch
 from .counters import ComplexityCounters
 from .decoder import (
     SphereDecoder,
@@ -58,7 +60,6 @@ __all__ = [
     "Candidate",
     "ComplexityCounters",
     "ExhaustiveEnumerator",
-    "FRONTIER_MIN_BATCH",
     "FixedComplexityDecoder",
     "GeometricPruner",
     "GeosphereEnumerator",
@@ -72,7 +73,6 @@ __all__ = [
     "SphereDecoderResult",
     "batched_axis_orders",
     "build_axes",
-    "frontier_decode_batch",
     "eth_sd_decoder",
     "exhaustive_distance_count",
     "exhaustive_se_decoder",

@@ -144,7 +144,7 @@ def batched_axis_orders(coordinates: np.ndarray, levels: np.ndarray
 
     Matches the scalar :class:`~repro.sphere.enumerator.AxisOrder`
     bit-for-bit (same slice, same preferred direction, same arithmetic).
-    This sits on the frontier engine's per-tick hot path, so the slicing
+    This sits on the lockstep engine's per-tick hot path, so the slicing
     arithmetic of :func:`~repro.constellation.pam.slice_to_index` is
     inlined in its cheapest operation-equivalent form (``rint`` is
     ``round`` at zero decimals, ``minimum``/``maximum`` are ``clip``) and

@@ -1,36 +1,10 @@
-"""Breadth-synchronised batched depth-first sphere search.
+"""Vectorised enumerator kernels for the lockstep engine.
 
-The scalar engine in :mod:`repro.sphere.decoder` walks one tree at a
-time; its batch driver (``strategy="loop"``) therefore pays the full
-Python interpreter cost per tree node *per observation*.  This module
-replaces that loop with a **frontier engine**: all ``T`` observations of
-a subcarrier block advance through their depth-first searches in
-lockstep, one tree-node step per engine tick, with every per-step
-computation — Schnorr–Euchner child ordering (via
-:func:`repro.sphere.batch.batched_axis_orders`), partial-distance
-evaluation, geometric-pruning table lookups, radius pruning and
-interference cancellation — expressed as numpy array ops over the batch
-of *active* searches.
-
-Because each observation's search is independent, running them in
-lockstep changes nothing about any individual search: every element
-executes exactly the scalar state machine, so symbol decisions,
-distances, ``found`` flags and per-element
-:class:`~repro.sphere.counters.ComplexityCounters` are bit-identical to
-per-vector :meth:`~repro.sphere.decoder.SphereDecoder.decode_triangular`
-calls (the contract ``tests/test_batch_search.py`` enforces).  The
-floating-point program is kept operation-for-operation equal to the
-scalar path: residuals come from ``batched_axis_orders`` (already
-bit-exact), candidate and path distances are plain elementwise real
-arithmetic, and interference accumulates column-by-column through the
-complex-multiply ufunc — the same convention the scalar search and the
-K-best batch path use, because BLAS dots and numpy's scalar fast path
-differ from the ufunc loop in the last ulp.
-
-Enumerator kernels
-------------------
-Each scalar child enumerator has a vectorised *kernel* holding its state
-for every (observation, tree level) slot as flat arrays:
+The scalar search in :mod:`repro.sphere.decoder` instantiates one child
+enumerator per expanded tree node.  The lockstep engine
+(:mod:`repro.runtime.engine`) advances many searches one tree-node step
+per tick, so each scalar enumerator has a vectorised *kernel* here
+holding its state for every (lane, tree level) slot as flat arrays:
 
 * ``zigzag`` — Geosphere's lazy 2-D zigzag: a bounded per-slot frontier
   array replaces the heap (pop = lexicographic ``(distance, i, j)``
@@ -42,46 +16,25 @@ for every (observation, tree level) slot as flat arrays:
   distance arrays, refill-on-demand;
 * ``exhaustive`` — compute-all-then-stable-argsort, cursor per slot.
 
-Straggler drain
----------------
-Sphere-search complexity is heavy-tailed: a few ill-placed observations
-can need many more steps than the rest, and ticking the whole machinery
-for a near-empty frontier wastes the vectorisation win.  When the active
-set shrinks to ``drain_threshold`` elements, the engine hands the
-survivors to the numpy-free tail (:mod:`repro.sphere.tail`): each
-search's kernel rows — axis orders, residuals, pruning offsets, heap
-entries, last-dequeued pair, Shabany seen grid — are exported once with
-``.tolist()`` and the rest of the search runs on Python floats, lists
-and ``heapq`` at a few microseconds per node, bit-identical to the
-scalar decoder.  The outcome is written back into the engine's
-``best_*`` and tally arrays, so drained and lockstep-finished elements
-share one finalisation.  Only the frontier kernels (``zigzag``,
-``shabany``) have a tail (``kernel.has_tail``); ``hess`` and
+Every kernel reproduces its scalar enumerator candidate for candidate:
+axis orders and residuals come from
+:func:`repro.sphere.batch.batched_axis_orders` (bit-exact with the
+scalar :class:`~repro.sphere.enumerator.AxisOrder`), candidate distances
+are plain elementwise real arithmetic, and the PED / geometric-prune
+tallies are incremented at exactly the points the scalar enumerators
+increment theirs.  Only the frontier kernels (``zigzag``, ``shabany``)
+can hand a half-run search to the numpy-free tail
+(:mod:`repro.sphere.tail`, ``kernel.has_tail``); ``hess`` and
 ``exhaustive`` are comparison baselines and finish in lockstep.
-
-The scalar row-by-row driver remains available as
-``SphereDecoder(..., batch_strategy="loop")`` and is the differential
-baseline for the equivalence tests and the latency benchmarks.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .batch import BatchDecodeResult, as_batch_matrix, batched_axis_orders
-from .counters import ComplexityCounters
-from .tail import finish_hard
-from .tick_kernel import NO_BUDGET, resolve_tick_strategy, \
-    run_hard_to_completion
+from .batch import batched_axis_orders
 
-__all__ = ["frontier_decode_batch", "make_kernel", "FRONTIER_MIN_BATCH"]
-
-#: Below this batch size the array-op machinery costs more than the plain
-#: scalar loop (measured on 16-QAM 4x4: parity at 4 observations, a clear
-#: frontier win by 8), so ``SphereDecoder.decode_batch`` falls back to the
-#: loop driver — both paths are bit-identical, this is purely a latency
-#: heuristic.
-FRONTIER_MIN_BATCH = 5
+__all__ = ["make_kernel"]
 
 
 def _grown(array: np.ndarray, rows: int, fill=0) -> np.ndarray:
@@ -98,8 +51,8 @@ class _KernelBase:
     """Axis-order state shared by every enumerator kernel.
 
     State lives in flat ``(num_slots, ...)`` arrays indexed by
-    ``slot = element * num_streams + level`` — one slot per (observation,
-    tree level) pair, matching the one-enumerator-per-stack-entry shape
+    ``slot = lane * num_streams + level`` — one slot per (lane, tree
+    level) pair, matching the one-enumerator-per-stack-entry shape
     of the scalar search.
     """
 
@@ -484,11 +437,9 @@ def make_kernel(decoder, num_slots: int, levels: np.ndarray,
                 ped: np.ndarray, prunes: np.ndarray):
     """Instantiate the vectorised enumerator kernel for ``decoder``.
 
-    ``num_slots`` rows of per-(search, tree level) state; ``ped`` and
-    ``prunes`` are the per-*element* tally arrays the kernel increments
-    (element ids are whatever the caller passes to ``init``/``step`` —
-    the frame engine passes frame-wide problem ids while indexing slots
-    by scheduler lane).
+    ``num_slots`` rows of per-(lane, tree level) state; ``ped`` and
+    ``prunes`` are the per-lane tally arrays the kernel increments
+    (indexed by the ``elements`` ids passed to ``init``/``step``).
     """
     side = int(levels.shape[0])
     pruner = decoder._pruner
@@ -501,238 +452,3 @@ def make_kernel(decoder, num_slots: int, levels: np.ndarray,
     if name == "hess":
         return _HessKernel(num_slots, side, levels, ped, prunes)
     return _ExhaustiveKernel(num_slots, side, levels, ped, prunes)
-
-
-def frontier_decode_batch(decoder, r: np.ndarray, y_hat_batch: np.ndarray,
-                          *, drain_threshold: int | None = None,
-                          trace: dict | None = None,
-                          tick_strategy: str | None = None
-                          ) -> BatchDecodeResult:
-    """Decode a ``(T, nc)`` batch against one ``R`` in breadth-synchronised
-    lockstep.
-
-    Parameters
-    ----------
-    decoder:
-        The configured :class:`~repro.sphere.decoder.SphereDecoder`
-        (constellation, enumerator, pruning, initial radius, node budget).
-    r, y_hat_batch:
-        Triangular channel and the ``(T, nc)`` rotated observations.
-    drain_threshold:
-        Hand the remaining searches to the numpy-free tail once the
-        active set is this small (default ``max(1, T // 6)``); ``0``
-        keeps every element in lockstep to the end.
-    trace:
-        Optional dict the engine appends observability records to:
-        ``"leaf_events"`` — per-tick ``(elements, distances)`` radius
-        tightenings, ``"drained"`` — elements finished by the tail.  Used by the property tests to check the
-        monotone-radius invariant.
-    tick_strategy:
-        ``"compiled"`` runs every search to completion through the
-        compiled per-tick kernel (:mod:`repro.sphere.tick_kernel`),
-        ``"numpy"`` the lockstep array ticks; ``None`` defers to the
-        decoder's ``tick_strategy`` and then the session default.  Both
-        are bit-identical; tracing and non-compiled enumerators resolve
-        to ``"numpy"``.
-    """
-    num_streams = r.shape[1]
-    batch = as_batch_matrix(y_hat_batch, num_streams, "y_hat_batch")
-    num_vectors = batch.shape[0]
-    constellation = decoder.constellation
-    if num_vectors == 0:
-        return BatchDecodeResult(
-            found=np.empty(0, dtype=bool),
-            symbol_indices=np.empty((0, num_streams), dtype=np.int64),
-            symbols=np.empty((0, num_streams), dtype=np.complex128),
-            distances_sq=np.empty(0, dtype=np.float64),
-            counters=ComplexityCounters())
-    levels = constellation.levels
-    diag = np.real(np.diag(r)).copy()
-    diag_sq = diag * diag
-    top = num_streams - 1
-    if drain_threshold is None:
-        drain_threshold = max(1, num_vectors // 6)
-
-    # Per-element complexity tallies (summed into the result counters).
-    ped = np.zeros(num_vectors, dtype=np.int64)
-    visited = np.zeros(num_vectors, dtype=np.int64)
-    expanded = np.zeros(num_vectors, dtype=np.int64)
-    leaves = np.zeros(num_vectors, dtype=np.int64)
-    prunes = np.zeros(num_vectors, dtype=np.int64)
-
-    num_slots = num_vectors * num_streams
-    kernel = make_kernel(decoder, num_slots, levels, ped, prunes)
-
-    # Per-element search state; flat views share memory with the 2-D ones.
-    level = np.full(num_vectors, top, dtype=np.int64)
-    radius = np.full(num_vectors, decoder.initial_radius_sq, dtype=np.float64)
-    parent = np.zeros(num_slots, dtype=np.float64)
-    path_cols = np.zeros((num_vectors, num_streams), dtype=np.int64)
-    path_rows = np.zeros((num_vectors, num_streams), dtype=np.int64)
-    chosen = np.zeros((num_vectors, num_streams), dtype=np.complex128)
-    path_cols_flat = path_cols.reshape(-1)
-    path_rows_flat = path_rows.reshape(-1)
-    chosen_flat = chosen.reshape(-1)
-    best_cols = np.full((num_vectors, num_streams), -1, dtype=np.int64)
-    best_rows = np.full((num_vectors, num_streams), -1, dtype=np.int64)
-    best_dist = np.full(num_vectors, np.inf)
-
-    # The detected-symbol lookup grid: entry (col, row) is exactly the
-    # scalar ``levels[col] + 1j * levels[row]`` (both products are exact,
-    # so every code path agrees bitwise).
-    symbol_grid = levels[:, None] + 1j * levels[None, :]
-
-    # Expand every root: one shared division, one batched axis ordering.
-    active = np.arange(num_vectors, dtype=np.int64)
-    expanded += 1
-    kernel.init(active * num_streams + top, active, batch[:, top] / diag[top])
-
-    node_budget = decoder.node_budget
-    cap = NO_BUDGET if node_budget is None else node_budget
-    if not kernel.has_tail:
-        drain_threshold = 0
-    tallies = (ped, visited, expanded, leaves, prunes)
-
-    requested = (tick_strategy if tick_strategy is not None
-                 else getattr(decoder, "tick_strategy", None))
-    if resolve_tick_strategy(requested, decoder.enumerator,
-                             trace) == "compiled":
-        # Run every element's search to completion in one native pass —
-        # same per-element iterations as the tick loop below, so results
-        # and counters are bit-identical and no drain is needed.
-        run_hard_to_completion(
-            kernel, active, active, np.zeros(num_vectors, dtype=np.int64),
-            np.full(num_vectors, cap, dtype=np.int64), r[None], batch,
-            diag[None], diag_sq[None], level, radius, parent, path_cols,
-            path_rows, chosen, best_cols, best_rows, best_dist, tallies)
-        active = np.empty(0, dtype=np.int64)
-
-    while active.size:
-        if node_budget is not None:
-            over = visited[active] >= node_budget
-            if over.any():
-                # Engineering guard, per element: stop and keep the best
-                # leaf found so far — exactly the scalar early break.
-                active = active[~over]
-                if active.size == 0:
-                    break
-        if active.size <= drain_threshold:
-            finish_hard(
-                kernel, active, active, np.zeros(active.size, dtype=np.int64),
-                np.full(active.size, cap, dtype=np.int64), r[None], batch,
-                diag[None], diag_sq[None], level, radius, parent, path_cols,
-                path_rows, chosen, best_cols, best_rows, best_dist, tallies)
-            if trace is not None:
-                trace.setdefault("drained", []).extend(active.tolist())
-            break
-
-        lv = level[active]
-        slots = active * num_streams + lv
-        parent_distance = parent[slots]
-        scale = diag_sq[lv]
-        sphere = radius[active]
-        budget = (sphere - parent_distance) / scale
-        got, dist_sq, col, row = kernel.step(slots, active, budget)
-
-        if got.all():
-            accepted, lv_a, slots_a = active, lv, slots
-            parent_a, scale_a, sphere_a = parent_distance, scale, sphere
-        else:
-            accepted = active[got]
-            lv_a = lv[got]
-            slots_a = slots[got]
-            parent_a = parent_distance[got]
-            scale_a = scale[got]
-            sphere_a = sphere[got]
-            # Enumerator ran dry: pop the stack (climb one level).
-            exhausted = active[~got]
-            new_level = level[exhausted] + 1
-            level[exhausted] = new_level
-            alive = new_level <= top
-            survivors = exhausted[alive] if not alive.all() else exhausted
-            # ``active`` keeps every stepping element (even ones whose
-            # candidate the defensive guard below rejects) plus the pops
-            # that still have stack; root pops leave the frontier.
-            active = np.concatenate([accepted, survivors])
-
-        if accepted.size:
-            distance = parent_a + scale_a * dist_sq
-            # Defensive guard mirroring the scalar loop; enumerators
-            # respect the budget, so this should never trigger.
-            keep = distance < sphere_a
-            if not keep.all():
-                accepted = accepted[keep]
-                lv_a = lv_a[keep]
-                slots_a = slots_a[keep]
-                distance = distance[keep]
-                col = col[keep]
-                row = row[keep]
-            visited[accepted] += 1
-            path_cols_flat[slots_a] = col
-            path_rows_flat[slots_a] = row
-            chosen_flat[slots_a] = symbol_grid[col, row]
-            leaf = lv_a == 0
-            if leaf.any():
-                at_leaf = accepted[leaf]
-                leaf_distance = distance[leaf]
-                leaves[at_leaf] += 1
-                # Schnorr–Euchner radius update, per element.
-                radius[at_leaf] = leaf_distance
-                best_dist[at_leaf] = leaf_distance
-                best_cols[at_leaf] = path_cols[at_leaf]
-                best_rows[at_leaf] = path_rows[at_leaf]
-                if trace is not None:
-                    trace.setdefault("leaf_events", []).append(
-                        (at_leaf.copy(), leaf_distance.copy()))
-                push = ~leaf
-            else:
-                push = None
-            if push is None or push.any():
-                if push is None:
-                    descending = accepted
-                    next_level = lv_a - 1
-                    parent_push = distance
-                else:
-                    descending = accepted[push]
-                    next_level = lv_a[push] - 1
-                    parent_push = distance[push]
-                # Interference of the decided upper levels, accumulated
-                # column-by-column (ascending) through the multiply
-                # ufunc — the scalar search's exact float program.
-                products = r[next_level] * chosen[descending]
-                interference = np.zeros(descending.size, dtype=np.complex128)
-                first = int(next_level[0])
-                if (next_level == first).all():
-                    for column in range(first + 1, num_streams):
-                        interference = interference + products[:, column]
-                else:
-                    for column in range(1, num_streams):
-                        interference = np.where(
-                            next_level < column,
-                            interference + products[:, column], interference)
-                points = ((batch[descending, next_level] - interference)
-                          / diag[next_level])
-                expanded[descending] += 1
-                new_slots = descending * num_streams + next_level
-                kernel.init(new_slots, descending, points)
-                parent[new_slots] = parent_push
-                level[descending] = next_level
-
-    found = np.isfinite(best_dist)
-    indices = np.full((num_vectors, num_streams), -1, dtype=np.int64)
-    symbols = np.full((num_vectors, num_streams), np.nan + 0j,
-                      dtype=np.complex128)
-    if found.any():
-        best = constellation.index_of(best_cols[found], best_rows[found])
-        indices[found] = best
-        symbols[found] = constellation.points[best]
-    totals = ComplexityCounters(
-        ped_calcs=int(ped.sum()),
-        visited_nodes=int(visited.sum()),
-        expanded_nodes=int(expanded.sum()),
-        leaves=int(leaves.sum()),
-        geometric_prunes=int(prunes.sum()))
-    totals.complex_mults = totals.ped_calcs * (num_streams + 1)
-    return BatchDecodeResult(found=found, symbol_indices=indices,
-                             symbols=symbols, distances_sq=best_dist,
-                             counters=totals)

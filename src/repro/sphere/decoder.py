@@ -29,7 +29,6 @@ import numpy as np
 from ..constellation.qam import QamConstellation
 from ..utils.validation import as_complex_vector, require
 from .batch import BatchDecodeResult, as_batch_matrix, qr_decode_block
-from .batch_search import FRONTIER_MIN_BATCH, frontier_decode_batch
 from .counters import ComplexityCounters
 from .enumerator import NodeEnumerator
 from .exhaustive import ExhaustiveEnumerator
@@ -131,19 +130,18 @@ class SphereDecoder:
         setting used for every paper comparison, so that all decoders
         traverse identical trees.  ``"norm"`` applies sorted QR (strongest
         column detected first), a standard detection-order heuristic that
-        reduces average complexity without affecting the ML result.
-    batch_strategy:
-        How :meth:`decode_batch` drives a block of observations:
-        ``"frontier"`` (default) uses the breadth-synchronised vectorised
-        engine (:mod:`repro.sphere.batch_search`); ``"loop"`` runs the
-        scalar search row by row.  Both are bit-identical; the loop is
-        kept for differential testing and as a debugging fallback.
+        reduces average complexity without affecting the ML result.  It
+        is a scalar-:meth:`decode` setting: the lockstep engine behind
+        :meth:`decode_batch` / :meth:`decode_block` /
+        :meth:`decode_frame` and the streaming runtime detects in
+        natural order and rejects such a decoder with ``ValueError``
+        rather than silently ignoring the ordering.
     tick_strategy:
-        How the frontier engines advance their ticks: ``"compiled"``
-        runs each search to completion through the Numba kernel of
-        :mod:`repro.sphere.tick_kernel` (bit-identical; falls back to
-        numpy with a one-time warning when Numba is missing, and for
-        the ``hess``/``exhaustive`` enumerators or tracing runs);
+        How the lockstep engine advances this decoder's searches:
+        ``"compiled"`` runs each search to completion through the Numba
+        kernel of :mod:`repro.sphere.tick_kernel` (bit-identical; falls
+        back to numpy with a one-time warning when Numba is missing,
+        and for the ``hess``/``exhaustive`` enumerators);
         ``"numpy"`` keeps the lockstep array ticks.  ``None`` (default)
         defers to the ``REPRO_TICK_STRATEGY`` environment variable and
         then ``"numpy"``.
@@ -155,7 +153,6 @@ class SphereDecoder:
                  initial_radius_sq: float = float("inf"),
                  node_budget: int | None = None,
                  column_ordering: str = "none",
-                 batch_strategy: str = "frontier",
                  tick_strategy: str | None = None) -> None:
         require(enumerator in ENUMERATORS,
                 f"unknown enumerator {enumerator!r}; choose from {ENUMERATORS}")
@@ -169,13 +166,9 @@ class SphereDecoder:
         require(column_ordering in ("none", "norm"),
                 f"unknown column ordering {column_ordering!r}; "
                 "choose 'none' or 'norm'")
-        require(batch_strategy in ("frontier", "loop"),
-                f"unknown batch strategy {batch_strategy!r}; "
-                "choose 'frontier' or 'loop'")
         require(tick_strategy is None or tick_strategy in TICK_STRATEGIES,
                 f"unknown tick strategy {tick_strategy!r}; "
                 "choose 'compiled' or 'numpy'")
-        self.batch_strategy = batch_strategy
         self.tick_strategy = tick_strategy
         self.constellation = constellation
         self.enumerator = enumerator
@@ -234,39 +227,35 @@ class SphereDecoder:
                      y_hat_batch: np.ndarray) -> BatchDecodeResult:
         """Decode a ``(T, nc)`` batch of observations against one ``R``.
 
-        Dispatches on the decoder's ``batch_strategy``:
-
-        ``"frontier"`` (default)
-            The breadth-synchronised engine of
-            :mod:`repro.sphere.batch_search`: every observation's
-            depth-first search advances in lockstep through numpy array
-            ops over the batch of active tree nodes.
-        ``"loop"``
-            The reference driver below: the *identical* scalar search per
-            row, with everything observation-independent (diagonal
-            scalings, enumerator dispatch, the geometric-pruning table)
-            shared across the batch.
-
-        Both strategies are bit-identical to per-vector
-        :meth:`decode_triangular` calls — symbol decisions, distances,
-        ``found`` flags — and the aggregated counters equal the sum of
-        the per-vector counters exactly.  Tiny batches (fewer than
-        ``FRONTIER_MIN_BATCH`` rows) always take the loop: below the
-        measured crossover the array machinery costs more than it saves.
+        The batch is a one-subcarrier frame for the lockstep engine
+        (:func:`repro.runtime.engine.run_frame`): every observation's
+        depth-first search advances in lockstep through numpy array ops
+        over the active tree nodes, and batches too small to be worth a
+        tick go straight to the engine's numpy-free tail.  Results are
+        bit-identical to per-vector :meth:`decode_triangular` calls —
+        symbol decisions, distances, ``found`` flags — and the
+        aggregated counters equal the sum of the per-vector counters
+        exactly.
         """
-        if self.batch_strategy == "frontier":
-            batch = as_batch_matrix(y_hat_batch, r.shape[1], "y_hat_batch")
-            if batch.shape[0] >= FRONTIER_MIN_BATCH:
-                return frontier_decode_batch(self, r, batch)
-            return self._decode_batch_loop(r, batch)
-        return self._decode_batch_loop(r, y_hat_batch)
+        # Imported lazily: repro.runtime builds on repro.sphere, so the
+        # module-level dependency must point that way only.
+        from ..runtime.engine import run_frame
+        from ..runtime.queue import FrameJob
+
+        batch = as_batch_matrix(y_hat_batch, r.shape[1], "y_hat_batch")
+        frame = run_frame(FrameJob.from_triangular(self, r, batch))
+        return BatchDecodeResult(found=frame.found[:, 0],
+                                 symbol_indices=frame.symbol_indices[:, 0],
+                                 symbols=frame.symbols[:, 0],
+                                 distances_sq=frame.distances_sq[:, 0],
+                                 counters=frame.counters)
 
     def _decode_batch_loop(self, r: np.ndarray,
                            y_hat_batch: np.ndarray) -> BatchDecodeResult:
-        """Reference batch driver: one scalar search per row.
-
-        Kept as the ``strategy="loop"`` fallback so the frontier engine
-        always has an in-tree differential baseline.
+        """Reference batch driver: one scalar search per row, with
+        everything observation-independent (diagonal scalings,
+        enumerator dispatch, the pruning table) shared across the batch
+        — the baseline the latency benchmarks time the engine against.
         """
         num_streams = r.shape[1]
         batch = as_batch_matrix(y_hat_batch, num_streams, "y_hat_batch")
@@ -302,56 +291,26 @@ class SphereDecoder:
         """
         return qr_decode_block(self, channel, received_block)
 
-    def decode_frame(self, channels, received, *, capacity: int | None = None,
-                     drain_threshold: int | None = None,
-                     trace: dict | None = None,
-                     tick_strategy: str | None = None):
+    def decode_frame(self, channels, received):
         """Decode a whole OFDM frame — every (symbol, subcarrier) slot —
         through one breadth-synchronised frontier.
 
         ``channels`` is ``(S, na, nc)``; ``received`` is ``(T, S, na)``.
         All S channels are triangularised in one stacked QR sweep and the
-        S×T search problems run through a single frame engine instance
-        (:func:`repro.frame.engine.frame_decode_sphere`): searches from
-        different subcarriers share kernel arrays via the slot scheduler,
-        freed slots are refilled from the frame-wide work queue, and the
-        straggler drain happens once per frame instead of once per
-        subcarrier.  ``capacity`` bounds the lane pool (how many searches
-        tick in lockstep) and ``drain_threshold`` sets the survivor count
-        at which the numpy-free tail takes over — defaulting to
-        ``min(capacity, S*T) // 6`` capped at
-        :data:`~repro.frame.engine.DRAIN_THRESHOLD_CAP` (32) survivors,
-        the cap measured best at frame scale.  Results and aggregated
-        counters are bit-identical to
-        per-subcarrier :meth:`decode_block` calls — for every knob
-        setting.  Decoders built with
-        ``batch_strategy="loop"`` (and tiny frames below
-        ``FRONTIER_MIN_BATCH`` searches) take the per-subcarrier
-        reference driver instead — same results, no frame frontier.
-        ``tick_strategy`` overrides the decoder's tick strategy for this
-        frame (``"compiled"`` runs each search to completion through the
-        Numba kernel, ``"numpy"`` the lockstep ticks — bit-identical
-        either way).
+        S×T search problems run on a private instance of the lockstep
+        engine (:func:`repro.runtime.engine.run_frame`): searches from
+        different subcarriers share kernel arrays, and the straggler
+        hand-off to the numpy-free tail happens once per frame instead of
+        once per subcarrier.  Results and aggregated counters are
+        bit-identical to per-slot :meth:`decode_triangular` calls.
 
         Returns a :class:`~repro.frame.results.FrameDecodeResult` with
         ``(T, S)``-leading result tensors.
         """
-        # Imported lazily: repro.frame builds on repro.sphere, so the
-        # module-level dependency must point that way only.
-        from ..frame.engine import (
-            frame_decode_per_subcarrier,
-            frame_decode_sphere,
-        )
-        from ..frame.preprocess import rotate_frame, triangularize_frame
+        from ..runtime.engine import run_frame
+        from ..runtime.queue import FrameJob, FrameRequest
 
-        q_stack, r_stack = triangularize_frame(channels)
-        y_hat = rotate_frame(q_stack, received)
-        if (self.batch_strategy == "loop"
-                or y_hat.shape[0] * y_hat.shape[1] < FRONTIER_MIN_BATCH):
-            return frame_decode_per_subcarrier(self, r_stack, y_hat)
-        return frame_decode_sphere(self, r_stack, y_hat, capacity=capacity,
-                                   drain_threshold=drain_threshold,
-                                   trace=trace, tick_strategy=tick_strategy)
+        return run_frame(FrameJob(0, FrameRequest(channels, received, self)))
 
     def _search(self, r: np.ndarray, y_hat: np.ndarray, diag: np.ndarray,
                 diag_sq: np.ndarray, make_enumerator) -> SphereDecoderResult:
@@ -385,7 +344,7 @@ class SphereDecoder:
         """The depth-first loop, from the explicit search state
         :meth:`_search` seeds with a fresh root.
 
-        This is the reference program: the lockstep kernels, the
+        This is the reference program: the lockstep engine, the
         compiled cores and the numpy-free tail
         (:mod:`repro.sphere.tail`) each replay it operation for
         operation and are pinned to it bit-for-bit by the differential
@@ -421,7 +380,7 @@ class SphereDecoder:
             # Accumulate column-by-column (ascending), multiplying via the
             # ufunc: BLAS dot products and numpy's scalar-fast-path complex
             # multiply both differ from the array loop in the last ulp, and
-            # the frontier engine's vectorised accumulation must match this
+            # the lockstep engine's vectorised accumulation must match this
             # exactly (the same convention the K-best batch path uses).
             interference = 0.0 + 0.0j
             for column in range(next_level + 1, num_streams):

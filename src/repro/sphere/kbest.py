@@ -293,7 +293,7 @@ class KBestDecoder:
         (:mod:`repro.frame.preprocess`), then all S×T observations expand
         through a *single* breadth-first tensor pass — K-best keeps every
         search in lockstep by construction, so unlike the depth-first
-        frame engine no scheduler is needed: the survivor tensors simply
+        engine no lane scheduling is needed: the survivor tensors simply
         carry ``S*T`` rows, each gathering its own subcarrier's ``R``
         entries.  Bit-identical, counters included, to per-subcarrier
         :meth:`decode_block` calls.  Returns a

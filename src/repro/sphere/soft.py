@@ -13,14 +13,14 @@ so the complexity benefits carry over to the soft setting, which is
 exactly the extension the paper proposes.  That includes the *frame*
 benefits: :meth:`ListSphereDecoder.decode_batch` and
 :meth:`~ListSphereDecoder.decode_frame` run the list search through the
-breadth-synchronised frontier engine (:mod:`repro.frame.soft_engine`),
-with the scalar loop below kept as the bit-exact differential baseline.
+lockstep engine (:mod:`repro.runtime.engine`) under its list leaf
+policy, with the scalar search below as the bit-exact oracle.
 
 Bit-exactness contract
 ----------------------
-The scalar search here is the reference program for the frame engine:
+The scalar search here is the reference program for the engine:
 interference accumulates column-by-column through the complex-multiply
-ufunc (the convention the vectorised engines match bit-for-bit), leaf
+ufunc (the convention the vectorised engine matches bit-for-bit), leaf
 lists follow ``heapq`` tuple order exactly — worst member = largest
 distance, ties broken towards the earliest-found leaf — and LLR
 extraction goes through the same vectorised
@@ -39,7 +39,6 @@ from ..constellation.gray import gray_encode, int_to_bits
 from ..constellation.qam import QamConstellation
 from ..utils.validation import as_complex_vector, require
 from .batch import as_batch_matrix
-from .batch_search import FRONTIER_MIN_BATCH
 from .counters import ComplexityCounters
 from .decoder import ENUMERATORS, resolve_enumerator_factory
 from .pruning import GeometricPruner
@@ -114,12 +113,12 @@ def soft_outputs_from_lists(constellation: QamConstellation, distances,
                             noise_variance: float, clamp: float):
     """Vectorised max-log LLR extraction from stacked leaf lists.
 
-    One call covers any number of searches at once — the frame engine
-    passes every (subcarrier, OFDM symbol) slot of a frame, the scalar
-    decoder a single row — so all paths share the identical float
-    program.  ``distances`` and ``sequence`` are ``(E, L)`` (leaf
-    distance and discovery order), ``cols``/``rows`` ``(E, L, nc)``
-    lattice positions, ``counts`` the number of valid entries per list.
+    One call covers any number of searches at once — the engine passes
+    every (subcarrier, OFDM symbol) slot of a frame, the scalar decoder
+    a single row — so all paths share the identical float program.
+    ``distances`` and ``sequence`` are ``(E, L)`` (leaf distance and
+    discovery order), ``cols``/``rows`` ``(E, L, nc)`` lattice
+    positions, ``counts`` the number of valid entries per list.
 
     Returns ``(llrs, best_indices, best_symbols)``: per-bit max-log LLRs
     ``(E, nc * bits_per_symbol)`` clipped to ``[-clamp, clamp]`` (bits
@@ -181,13 +180,8 @@ class ListSphereDecoder:
         and extract LLRs from the list collected so far (no longer the
         exact best-``list_size`` set).  ``None`` keeps the exact
         behaviour.
-    batch_strategy:
-        ``"frontier"`` (default) runs :meth:`decode_batch` /
-        :meth:`decode_frame` through the breadth-synchronised frame
-        engine; ``"loop"`` keeps the scalar search per row as the
-        differential baseline.  Both are bit-identical.
     tick_strategy:
-        ``"compiled"`` runs each frame-engine search to completion
+        ``"compiled"`` runs each lockstep-engine search to completion
         through the Numba per-tick kernel
         (:mod:`repro.sphere.tick_kernel`); ``"numpy"`` keeps the
         lockstep array ticks.  ``None`` (default) defers to
@@ -198,7 +192,6 @@ class ListSphereDecoder:
     def __init__(self, constellation: QamConstellation, list_size: int = 16,
                  geometric_pruning: bool = True, clamp: float = 24.0,
                  enumerator: str = "zigzag", node_budget: int | None = None,
-                 batch_strategy: str = "frontier",
                  tick_strategy: str | None = None) -> None:
         require(list_size >= 2, f"list size must be >= 2, got {list_size}")
         require(clamp > 0.0, "clamp must be positive")
@@ -210,9 +203,6 @@ class ListSphereDecoder:
                     "enumerator (it has no deferred proposals to prune)")
         require(node_budget is None or node_budget >= 1,
                 "node budget must be positive when given")
-        require(batch_strategy in ("frontier", "loop"),
-                f"unknown batch strategy {batch_strategy!r}; "
-                "choose 'frontier' or 'loop'")
         require(tick_strategy is None or tick_strategy in TICK_STRATEGIES,
                 f"unknown tick strategy {tick_strategy!r}; "
                 "choose 'compiled' or 'numpy'")
@@ -222,11 +212,10 @@ class ListSphereDecoder:
         self.enumerator = enumerator
         self.geometric_pruning = geometric_pruning
         self.node_budget = node_budget
-        self.batch_strategy = batch_strategy
         self.tick_strategy = tick_strategy
         #: The list search always opens with an infinite sphere — the
-        #: radius only becomes finite once the list fills.  The frame
-        #: engine reads this exactly like the hard decoder's attribute.
+        #: radius only becomes finite once the list fills.  The engine
+        #: reads this exactly like the hard decoder's attribute.
         self.initial_radius_sq = float("inf")
         self._pruner = (GeometricPruner(constellation)
                         if geometric_pruning else None)
@@ -253,8 +242,8 @@ class ListSphereDecoder:
 
         Exposed separately because OFDM receivers factorise each
         subcarrier's channel once per frame and then soft-decode many
-        symbol vectors against the same ``R`` — the entry point the
-        differential baselines build on.
+        symbol vectors against the same ``R`` — the oracle the
+        differential sweeps pin the engine to.
         """
         require(noise_variance > 0.0, "noise variance must be positive")
         diag = np.real(np.diag(r)).copy()
@@ -265,102 +254,47 @@ class ListSphereDecoder:
     def decode_batch(self, r: np.ndarray, y_hat_batch,
                      noise_variance: float) -> SoftBatchResult:
         """Soft-decode a ``(T, nc)`` batch of observations against one
-        ``R``.
-
-        ``batch_strategy="frontier"`` (default) treats the batch as a
-        one-subcarrier frame and runs the breadth-synchronised list
-        engine; ``"loop"`` (and tiny batches below
-        ``FRONTIER_MIN_BATCH`` rows) run the scalar search per row.
-        Both are bit-identical — LLRs, list membership, counters.
+        ``R``: a one-subcarrier frame for the lockstep engine
+        (:func:`repro.runtime.engine.run_frame`).  Bit-identical —
+        LLRs, list membership, counters — to per-vector
+        :meth:`decode_soft_triangular` calls.
         """
-        batch = as_batch_matrix(y_hat_batch, r.shape[1], "y_hat_batch")
-        if (self.batch_strategy == "loop"
-                or batch.shape[0] < FRONTIER_MIN_BATCH):
-            return self._decode_batch_loop(r, batch, noise_variance)
-        # Imported lazily: repro.frame builds on repro.sphere, so the
+        # Imported lazily: repro.runtime builds on repro.sphere, so the
         # module-level dependency must point that way only.
-        from ..frame.soft_engine import frame_decode_soft
+        from ..runtime.engine import run_frame
+        from ..runtime.queue import FrameJob
 
-        r_stack = np.asarray(r, dtype=np.complex128)[None]
-        frame = frame_decode_soft(self, r_stack, batch[None], noise_variance)
+        batch = as_batch_matrix(y_hat_batch, r.shape[1], "y_hat_batch")
+        frame = run_frame(FrameJob.from_triangular(self, r, batch,
+                                                   noise_variance))
         return SoftBatchResult(symbol_indices=frame.symbol_indices[:, 0],
                                symbols=frame.symbols[:, 0],
                                llrs=frame.llrs[:, 0],
                                list_sizes=frame.list_sizes[:, 0],
                                counters=frame.counters)
 
-    def _decode_batch_loop(self, r: np.ndarray, batch: np.ndarray,
-                           noise_variance: float) -> SoftBatchResult:
-        """Reference batch driver: one scalar list search per row."""
-        num_streams = r.shape[1]
-        diag = np.real(np.diag(r)).copy()
-        diag_sq = diag * diag
-        factory = self._enumerator_factory()
-        num_vectors = batch.shape[0]
-        num_bits = num_streams * self.constellation.bits_per_symbol
-        indices = np.empty((num_vectors, num_streams), dtype=np.int64)
-        symbols = np.empty((num_vectors, num_streams), dtype=np.complex128)
-        llrs = np.empty((num_vectors, num_bits))
-        sizes = np.empty(num_vectors, dtype=np.int64)
-        totals = ComplexityCounters()
-        for t in range(num_vectors):
-            state = self._search_soft(r, batch[t], diag, diag_sq, factory)
-            result = self._finalise_soft(state, noise_variance)
-            indices[t] = result.symbol_indices
-            symbols[t] = result.symbols
-            llrs[t] = result.llrs
-            sizes[t] = result.list_size_used
-            totals.merge(result.counters)
-        return SoftBatchResult(symbol_indices=indices, symbols=symbols,
-                               llrs=llrs, list_sizes=sizes, counters=totals)
-
-    def decode_frame(self, channels, received, noise_variance: float, *,
-                     capacity: int | None = None,
-                     drain_threshold: int | None = None,
-                     trace: dict | None = None,
-                     tick_strategy: str | None = None):
+    def decode_frame(self, channels, received, noise_variance: float):
         """Soft-decode a whole OFDM frame through one breadth-synchronised
         frontier.
 
         ``channels`` is ``(S, na, nc)``; ``received`` is ``(T, S, na)``.
         All S channels are triangularised in one stacked QR sweep
-        (:mod:`repro.frame.preprocess`) and the S×T list searches run
-        through a single frame engine instance
-        (:func:`repro.frame.soft_engine.frame_decode_soft`), with one
-        straggler drain and one frame-wide LLR extraction.  ``capacity``
-        bounds the lane pool and ``drain_threshold`` sets the survivor
-        count for the hand-off to the numpy-free tail — defaulting to
-        ``min(capacity, S*T) // 6`` capped at
-        :data:`~repro.frame.engine.DRAIN_THRESHOLD_CAP` (32) survivors.
-        LLRs, list membership, hard decisions and aggregated counters are
+        (:mod:`repro.frame.preprocess`) and the S×T list searches run on
+        a private instance of the lockstep engine
+        (:func:`repro.runtime.engine.run_frame`), with one straggler
+        hand-off and one frame-wide LLR extraction.  LLRs, list
+        membership, hard decisions and aggregated counters are
         bit-identical to scalar :meth:`decode_soft_triangular` calls per
-        slot — for every knob setting.  Decoders built with
-        ``batch_strategy="loop"`` (and tiny frames) take the scalar
-        reference driver instead.  ``tick_strategy`` overrides the
-        decoder's tick strategy for this frame (``"compiled"`` runs
-        each search to completion through the Numba kernel, ``"numpy"``
-        the lockstep ticks — bit-identical either way).
+        slot.
 
         Returns a :class:`~repro.frame.results.SoftFrameResult` with
         ``(T, S)``-leading result tensors.
         """
-        from ..frame.preprocess import rotate_frame, triangularize_frame
-        from ..frame.soft_engine import (
-            frame_decode_soft,
-            frame_decode_soft_scalar,
-        )
+        from ..runtime.engine import run_frame
+        from ..runtime.queue import FrameJob, FrameRequest
 
-        q_stack, r_stack = triangularize_frame(channels)
-        y_hat = rotate_frame(q_stack, received)
-        if (self.batch_strategy == "loop"
-                or y_hat.shape[0] * y_hat.shape[1] < FRONTIER_MIN_BATCH):
-            return frame_decode_soft_scalar(self, r_stack, y_hat,
-                                            noise_variance)
-        return frame_decode_soft(self, r_stack, y_hat, noise_variance,
-                                 capacity=capacity,
-                                 drain_threshold=drain_threshold,
-                                 trace=trace,
-                                 tick_strategy=tick_strategy)
+        return run_frame(FrameJob(0, FrameRequest(
+            channels, received, self, noise_variance)))
 
     # ------------------------------------------------------------------
     def _search_soft(self, r: np.ndarray, y_hat, diag: np.ndarray,
@@ -396,7 +330,7 @@ class ListSphereDecoder:
         under a different radius policy: leaves land in a bounded
         max-heap, and once the heap is full the sphere shrinks to its
         worst member instead of the single best leaf.  It is the
-        reference program the soft frame engine, the compiled soft core
+        reference program the engine's list policy, the compiled soft core
         and the numpy-free tail's list policy
         (:func:`repro.sphere.tail.finish_soft`) are pinned to
         bit-for-bit.
@@ -437,7 +371,7 @@ class ListSphereDecoder:
             next_level = level - 1
             # Accumulate column-by-column (ascending), multiplying via the
             # ufunc — the hard scalar search's convention, which the
-            # vectorised frame engine matches bit-for-bit.
+            # vectorised engine matches bit-for-bit.
             interference = 0.0 + 0.0j
             for column in range(next_level + 1, num_streams):
                 interference = interference + np.multiply(

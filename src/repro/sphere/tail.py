@@ -1,8 +1,8 @@
 """Numpy-free straggler tail: finish half-run searches in plain Python.
 
-Sphere-search cost is heavy-tailed, and a lockstep tick of the frontier
-engines costs a fixed few hundred microseconds of numpy dispatch however
-few searches are still active.  Once the active set is small the
+Sphere-search cost is heavy-tailed, and a lockstep tick of the engine
+(:mod:`repro.runtime.engine`) costs a fixed few hundred microseconds of
+numpy dispatch however few searches are still active.  Once the active set is small the
 survivors are cheaper to finish one at a time — provided a node then
 costs microseconds, not the tens a numpy scalar costs.  This module is
 that finish: each survivor's state is exported from the kernel arrays
@@ -19,7 +19,7 @@ and drive one loop, :func:`_finish_one`, whose policies are arguments:
   only from a column's entry point) or ``shabany`` (both successors,
   seen-grid deduplication) — read off the kernel;
 * the **pruning table** (``None`` disables geometric pruning);
-* the **node budget** (the per-search cap the engines already carry —
+* the **node budget** (the per-lane cap the engine already carries —
   a deadline-degraded lane passes its shrunk one);
 * the **leaf policy** — Schnorr–Euchner best leaf (hard), or a bounded
   worst-out list kept as the scalar decoder's very ``heapq`` of
@@ -29,7 +29,7 @@ Results are written back into the caller's arrays (best leaf or leaf
 list, and the five tallies), so a drained search is finalised by the
 same code as one that finished in lockstep.  The ``hess`` and
 ``exhaustive`` baselines have no tail; their kernels report
-``has_tail = False`` and the engines keep them in lockstep to the end.
+``has_tail = False`` and the engine keeps them in lockstep to the end.
 
 Float-program equivalences
 --------------------------
@@ -54,7 +54,7 @@ these (each pinned by ``tests/test_tail.py`` and the drain sweeps):
 * ``heapq`` over ``(distance, i, j)`` tuples pops the lexicographic
   minimum — the order the kernel's unordered slot array reproduces — so
   a heapified export continues the same enumeration;
-* ``complex(levels[col], levels[row])`` is the engines' ``symbol_grid``
+* ``complex(levels[col], levels[row])`` is the engine's ``symbol_grid``
   entry exactly.
 """
 

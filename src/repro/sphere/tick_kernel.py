@@ -1,9 +1,8 @@
 """Compiled per-tick kernel for the breadth-synchronised frontier.
 
-The frontier engines (:mod:`repro.sphere.batch_search`,
-:mod:`repro.frame.engine`, :mod:`repro.frame.soft_engine`,
-:mod:`repro.runtime.engine`) advance every active search one tree-node
-step per *tick*, with each per-tick quantity a numpy array op.  That
+The lockstep engine (:mod:`repro.runtime.engine`, stepping the kernels
+of :mod:`repro.sphere.batch_search`) advances every active search one
+tree-node step per *tick*, with each per-tick quantity a numpy array op.  That
 keeps the float program bit-identical to the scalar search, but pays
 Python-level orchestration — tens of numpy calls, boolean masks,
 concatenations — per tick.  This module compiles the whole per-element
@@ -102,7 +101,7 @@ except ImportError:  # pragma: no cover - exercised via the fallback tests
             return fn
         return wrap
 
-#: The strategy knob's legal values, mirroring ``batch_strategy``.
+#: The strategy knob's legal values.
 TICK_STRATEGIES = ("compiled", "numpy")
 
 #: Enumerators with a compiled state machine; the rest use the numpy

@@ -233,12 +233,12 @@ class TestConditionedChannelEquivalence:
                     + awgn((size, channel.shape[0]), noise_variance, rng))
         q, r = triangularize(channel)
         y_hat = received @ np.conj(q)
-        loop = SphereDecoder(constellation, batch_strategy="loop")
-        frontier = SphereDecoder(constellation)
-        scalars, totals = _sum_scalar(loop, r, y_hat)
-        _assert_batch_matches(frontier.decode_batch(r, y_hat), scalars,
+        decoder = SphereDecoder(constellation)
+        scalars, totals = _sum_scalar(decoder, r, y_hat)
+        _assert_batch_matches(decoder.decode_batch(r, y_hat), scalars,
                               totals)
-        _assert_batch_matches(loop.decode_batch(r, y_hat), scalars, totals)
+        _assert_batch_matches(decoder._decode_batch_loop(r, y_hat), scalars,
+                              totals)
 
     def test_correlated_rayleigh_moderate(self):
         rng = np.random.default_rng(606)
@@ -295,10 +295,9 @@ class TestConditionedChannelEquivalence:
                         + awgn((8, 4), noise_variance, rng))
             q, r = triangularize(channel)
             y_hat = received @ np.conj(q)
-            loop = SphereDecoder(constellation, batch_strategy="loop")
-            frontier = SphereDecoder(constellation)
-            reference = loop.decode_batch(r, y_hat)
-            batch = frontier.decode_batch(r, y_hat)
+            decoder = SphereDecoder(constellation)
+            reference = decoder._decode_batch_loop(r, y_hat)
+            batch = decoder.decode_batch(r, y_hat)
             assert batch.counters.ped_calcs == reference.counters.ped_calcs
             costs[label] = batch.counters.ped_calcs
         assert costs["ill"] > costs["well"]

@@ -1,13 +1,15 @@
-"""Differential tests for the breadth-synchronised frontier engine.
+"""``decode_batch`` against the scalar search, batch by batch.
 
-The frontier engine (:mod:`repro.sphere.batch_search`) must be
-*bit-identical* to both the scalar search and the row-by-row loop driver:
-same symbol decisions, same distances, same ``found`` flags, same
-aggregated complexity counters — equality, not ``allclose``.  These
-tests sweep randomized channels over every enumerator variant,
-constellation order, antenna geometry and radius/budget configuration,
-plus the engine-specific knobs (drain threshold, small-batch fallback)
-the equivalence suite cannot see through ``decode_batch`` alone.
+``SphereDecoder.decode_batch`` runs the lockstep engine
+(:mod:`repro.runtime.engine`, stepping the enumerator kernels of
+:mod:`repro.sphere.batch_search`) on a one-subcarrier job.  It must be
+*bit-identical* to the scalar search — here the row-by-row
+``_decode_batch_loop`` and per-vector ``decode_triangular``: same symbol
+decisions, same distances, same ``found`` flags, same aggregated
+complexity counters — equality, not ``allclose``.  ``tests/test_engine.py``
+sweeps the engine's knobs on one instance; these tests sweep randomized
+channels over every enumerator variant, constellation order, antenna
+geometry and radius/budget configuration.
 """
 
 import numpy as np
@@ -15,12 +17,9 @@ import pytest
 
 from repro.channel import awgn, noise_variance_for_snr, rayleigh_channel
 from repro.constellation import qam
-from repro.sphere import (
-    FRONTIER_MIN_BATCH,
-    SphereDecoder,
-    frontier_decode_batch,
-    triangularize,
-)
+from repro.runtime import FrameJob
+from repro.runtime.engine import StreamingFrontier
+from repro.sphere import SphereDecoder, triangularize
 from repro.sphere.counters import ComplexityCounters
 from repro.sphere.decoder import ENUMERATORS
 
@@ -50,16 +49,21 @@ def _triangular_batch(order, num_tx, num_rx, snr_db, rng, size=8):
     return constellation, r, received @ np.conj(q)
 
 
+class _ScalarLoop:
+    """``decode_batch`` as the scalar row loop, for the reference side."""
+
+    def __init__(self, decoder):
+        self.decode_batch = decoder._decode_batch_loop
+        self.decode_triangular = decoder.decode_triangular
+
+
 def _pair(order, enumerator, **kwargs):
-    """A loop-strategy reference decoder and a frontier decoder with the
-    same configuration."""
-    pruning = enumerator in ("zigzag", "shabany")
-    loop = SphereDecoder(qam(order), enumerator=enumerator,
-                         geometric_pruning=pruning, batch_strategy="loop",
-                         **kwargs)
+    """The scalar-loop reference and the engine view of one decoder."""
     frontier = SphereDecoder(qam(order), enumerator=enumerator,
-                             geometric_pruning=pruning, **kwargs)
-    return loop, frontier
+                             geometric_pruning=enumerator in ("zigzag",
+                                                              "shabany"),
+                             **kwargs)
+    return _ScalarLoop(frontier), frontier
 
 
 def _assert_identical(reference, engine, label=""):
@@ -116,10 +120,19 @@ def test_frontier_drain_settings_are_bit_identical(enumerator,
             _, r, y_hat = _triangular_batch(order, num_tx, num_rx, snr_db,
                                             rng)
             reference = loop.decode_batch(r, y_hat)
-            engine = frontier_decode_batch(frontier, r, y_hat,
-                                           drain_threshold=drain_threshold)
-            _assert_identical(reference, engine,
-                              (enumerator, drain_threshold))
+            job = FrameJob.from_triangular(frontier, r, y_hat)
+            engine = StreamingFrontier(drain_threshold=drain_threshold)
+            engine.submit(job)
+            while not engine.idle:
+                engine.tick()
+            got = job.finalise()
+            label = (enumerator, drain_threshold)
+            assert np.array_equal(reference.found, got.found[:, 0]), label
+            assert np.array_equal(reference.symbol_indices,
+                                  got.symbol_indices[:, 0]), label
+            assert np.array_equal(reference.distances_sq,
+                                  got.distances_sq[:, 0]), label
+            assert reference.counters == got.counters, label
 
 
 @pytest.mark.parametrize("enumerator", ENUMERATORS)
@@ -164,25 +177,11 @@ def test_node_budget_early_stop_matches(node_budget):
                           node_budget)
 
 
-def test_small_batches_fall_back_to_the_loop():
-    """Below FRONTIER_MIN_BATCH the dispatcher uses the loop driver; at
-    or above it the frontier — and both agree either way."""
-    rng = np.random.default_rng(11)
-    loop, frontier = _pair(16, "zigzag")
-    _, r, y_hat = _triangular_batch(16, 4, 4, 20.0, rng,
-                                    size=FRONTIER_MIN_BATCH + 3)
-    for size in (1, FRONTIER_MIN_BATCH - 1, FRONTIER_MIN_BATCH,
-                 FRONTIER_MIN_BATCH + 3):
-        _assert_identical(loop.decode_batch(r, y_hat[:size]),
-                          frontier.decode_batch(r, y_hat[:size]), size)
-
-
 def test_empty_batch_is_a_no_op():
     frontier = SphereDecoder(qam(16))
     rng = np.random.default_rng(40)
     _, r, _ = _triangular_batch(16, 4, 4, 20.0, rng)
-    result = frontier_decode_batch(frontier, r,
-                                   np.zeros((0, 4), dtype=np.complex128))
+    result = frontier.decode_batch(r, np.zeros((0, 4), dtype=np.complex128))
     assert result.found.shape == (0,)
     assert result.symbol_indices.shape == (0, 4)
     assert result.counters.ped_calcs == 0
@@ -204,26 +203,10 @@ def test_single_stream_channel():
                       frontier.decode_batch(r, y_hat))
 
 
-def test_trace_records_drained_elements():
-    """The observability trace names the elements the straggler drain
-    finished; with drain_threshold=0 nothing is drained."""
-    rng = np.random.default_rng(29)
-    frontier = SphereDecoder(qam(16))
-    _, r, y_hat = _triangular_batch(16, 4, 4, 18.0, rng, size=12)
-    trace = {}
-    frontier_decode_batch(frontier, r, y_hat, drain_threshold=4,
-                          trace=trace)
-    assert 1 <= len(trace["drained"]) <= 4
-    trace = {}
-    frontier_decode_batch(frontier, r, y_hat, drain_threshold=0,
-                          trace=trace)
-    assert "drained" not in trace
-
-
 @pytest.mark.slow
 def test_frontier_beats_loop_on_fixed_workload():
-    """Latency regression smoke test: the frontier engine must beat the
-    loop fallback on 16-QAM 4x4 x 64 subcarriers.  The measured margin is
+    """Latency regression smoke test: the lockstep engine must beat the
+    scalar row loop on a 64-observation 16-QAM 4x4 batch.  The measured margin is
     ~5x (see benchmarks/bench_decode_latency.py); the 2x assertion floor
     keeps CI stable on noisy runners."""
     import time

@@ -1,0 +1,482 @@
+"""The lockstep engine, pinned straight to the scalar oracle.
+
+One engine (:mod:`repro.runtime.engine`) runs every bulk sphere search;
+``decode_batch``, ``decode_frame`` and :class:`UplinkRuntime` are its
+three entry points.  The scalar decoders
+(:meth:`SphereDecoder.decode_triangular`,
+:meth:`ListSphereDecoder.decode_soft_triangular`) are the oracle, and
+the contract is bit-identity — decisions, distances / LLRs, list sizes
+and every :class:`ComplexityCounters` field, equality not ``allclose``.
+
+The sweep below computes the scalar reference once per (instance,
+decoder) and compares every entry point to it directly, across hard /
+soft, every enumerator, pruning, node budgets and the frontier's
+capacity / drain knobs — no transitive chain of intermediate paths.  The
+scheduling properties the engine promises (monotone radius, list-radius
+policy, FIFO refill, "drained <= threshold") are observed by ticking a
+:class:`StreamingFrontier` and reading pool state — here and, with the
+helpers this module shares (:func:`_frame_instance`,
+:func:`scalar_oracle`, :func:`assert_frames_identical`,
+:func:`ticking`, ...), in ``tests/test_frame_engine.py``.
+"""
+
+from functools import lru_cache, partial
+
+import numpy as np
+import pytest
+
+import repro.runtime.engine as engine
+import repro.sphere.tick_kernel as tick_kernel
+from repro.constellation import qam
+from repro.frame import (
+    FrameDecodeResult,
+    SoftFrameResult,
+    rotate_frame,
+    triangularize_frame,
+)
+from repro.runtime import FrameJob, FrameRequest, UplinkRuntime
+from repro.runtime.engine import DRAIN_THRESHOLD_CAP, StreamingFrontier
+from repro.service import DetectorFarm
+from repro.sphere import ListSphereDecoder, SphereDecoder
+from repro.sphere.counters import ComplexityCounters
+
+NOISE_VARIANCE = 0.045
+
+
+def _frame_instance(order, num_tx, num_rx, num_subcarriers, num_symbols,
+                    noise_scale=0.15, seed=0, channel_fn=None,
+                    noise_per_subcarrier=None):
+    """Random frame: per-subcarrier channels + (T, S, na) observations."""
+    rng = np.random.default_rng(seed)
+    constellation = qam(order)
+    if channel_fn is None:
+        channels = (rng.standard_normal((num_subcarriers, num_rx, num_tx))
+                    + 1j * rng.standard_normal(
+                        (num_subcarriers, num_rx, num_tx))) / np.sqrt(2.0)
+    else:
+        channels = np.stack([channel_fn(s, rng)
+                             for s in range(num_subcarriers)])
+    sent = rng.integers(0, order, size=(num_symbols, num_subcarriers, num_tx))
+    clean = np.einsum("tsc,sac->tsa", constellation.points[sent], channels)
+    noise = (rng.standard_normal(clean.shape)
+             + 1j * rng.standard_normal(clean.shape))
+    if noise_per_subcarrier is not None:
+        noise = noise * np.asarray(noise_per_subcarrier)[None, :, None]
+    received = clean + noise_scale * noise
+    return constellation, channels, received
+
+
+# ----------------------------------------------------------------------
+# The oracle and the comparators
+# ----------------------------------------------------------------------
+
+def scalar_oracle(decoder, channels, received, noise_variance=None):
+    """The frame decoded slot by slot through the scalar search.
+
+    Returns ``(frame, per_subcarrier)``: the library's own frame result
+    type holding the stacked scalar outcomes (counters summed), and each
+    subcarrier's summed counters for the ``decode_batch`` comparison.
+    """
+    soft = isinstance(decoder, ListSphereDecoder)
+    q_stack, r_stack = triangularize_frame(channels)
+    y_hat = rotate_frame(q_stack, received)              # (S, T, nc)
+    num_subcarriers, num_symbols, num_streams = y_hat.shape
+    constellation = decoder.constellation
+    indices = np.empty((num_symbols, num_subcarriers, num_streams),
+                       dtype=np.int64)
+    found = np.empty((num_symbols, num_subcarriers), dtype=bool)
+    distances = np.empty((num_symbols, num_subcarriers))
+    llrs = np.empty((num_symbols, num_subcarriers,
+                     num_streams * constellation.bits_per_symbol))
+    sizes = np.empty((num_symbols, num_subcarriers), dtype=np.int64)
+    per_subcarrier = [ComplexityCounters() for _ in range(num_subcarriers)]
+    totals = ComplexityCounters()
+    for s in range(num_subcarriers):
+        for t in range(num_symbols):
+            if soft:
+                one = decoder.decode_soft_triangular(r_stack[s], y_hat[s, t],
+                                                     noise_variance)
+                llrs[t, s] = one.llrs
+                sizes[t, s] = one.list_size_used
+            else:
+                one = decoder.decode_triangular(r_stack[s], y_hat[s, t])
+                found[t, s] = one.found
+                distances[t, s] = one.distance_sq
+            indices[t, s] = one.symbol_indices
+            per_subcarrier[s].merge(one.counters)
+        totals.merge(per_subcarrier[s])
+    totals.complex_mults = totals.ped_calcs * (num_streams + 1)
+    if soft:
+        frame = SoftFrameResult(llrs=llrs, symbol_indices=indices,
+                                list_sizes=sizes, counters=totals,
+                                points=constellation.points)
+    else:
+        frame = FrameDecodeResult(found=found, symbol_indices=indices,
+                                  distances_sq=distances, counters=totals,
+                                  points=constellation.points)
+    return frame, per_subcarrier
+
+
+def assert_frames_identical(got, want):
+    """Bit-equality of two frame results of the same kind."""
+    assert type(got) is type(want)
+    if isinstance(want, SoftFrameResult):
+        assert np.array_equal(got.llrs, want.llrs)
+        assert np.array_equal(got.list_sizes, want.list_sizes)
+    else:
+        assert np.array_equal(got.found, want.found)
+        assert np.array_equal(got.distances_sq, want.distances_sq)
+    assert np.array_equal(got.symbol_indices, want.symbol_indices)
+    assert np.array_equal(got.symbols, want.symbols, equal_nan=True)
+    assert got.counters == want.counters
+
+
+def assert_batch_identical(batch, want, subcarrier, counters):
+    """A ``decode_batch`` result against one subcarrier of the oracle."""
+    if isinstance(want, SoftFrameResult):
+        assert np.array_equal(batch.llrs, want.llrs[:, subcarrier])
+        assert np.array_equal(batch.list_sizes,
+                              want.list_sizes[:, subcarrier])
+    else:
+        assert np.array_equal(batch.found, want.found[:, subcarrier])
+        assert np.array_equal(batch.distances_sq,
+                              want.distances_sq[:, subcarrier])
+    assert np.array_equal(batch.symbol_indices,
+                          want.symbol_indices[:, subcarrier])
+    assert np.array_equal(batch.symbols, want.symbols[:, subcarrier],
+                          equal_nan=True)
+    assert batch.counters == counters
+
+
+# ----------------------------------------------------------------------
+# Driving the engine
+# ----------------------------------------------------------------------
+
+def _submitted(decoder, channels, received, noise_variance, knobs):
+    """``(job, frontier)``: the frame submitted to a frontier built with
+    ``knobs``."""
+    job = FrameJob(0, FrameRequest(channels, received, decoder,
+                                   noise_variance))
+    frontier = StreamingFrontier(**knobs)
+    frontier.submit(job)
+    return job, frontier
+
+
+def ticking(decoder, channels, received, noise_variance=None, **knobs):
+    """Tick one frame on a hand-built frontier.  Yields ``(job, pool)``
+    after every tick; ``job.finalise()`` is valid once exhausted.
+    Observers read lockstep state, so the ticks default to ``"numpy"``
+    even where ``REPRO_TICK_STRATEGY=compiled`` flips the session
+    default (the CI ``kernel`` job)."""
+    knobs.setdefault("tick_strategy", "numpy")
+    job, frontier = _submitted(decoder, channels, received, noise_variance,
+                               knobs)
+    while not frontier.idle:
+        frontier.tick()
+        yield job, job.pool
+
+
+def decode_on_frontier(decoder, channels, received, noise_variance=None,
+                       **knobs):
+    """The frame decoded on a frontier built with ``knobs``."""
+    job, frontier = _submitted(decoder, channels, received, noise_variance,
+                               knobs)
+    while not frontier.idle:
+        frontier.tick()
+    return job.finalise()
+
+
+def _decode(entry, decoder, channels, received, noise_variance, want,
+            per_subcarrier, **knobs):
+    """Run one entry point and compare it to the oracle."""
+    extra = () if noise_variance is None else (noise_variance,)
+    if entry == "decode_frame":
+        assert_frames_identical(
+            decoder.decode_frame(channels, received, *extra), want)
+    elif entry == "decode_batch":
+        q_stack, r_stack = triangularize_frame(channels)
+        y_hat = rotate_frame(q_stack, received)
+        for s in range(channels.shape[0]):
+            assert_batch_identical(
+                decoder.decode_batch(r_stack[s], y_hat[s], *extra), want, s,
+                per_subcarrier[s])
+    else:
+        runtime = UplinkRuntime(**knobs)
+        handle = runtime.submit(FrameRequest(channels, received, decoder,
+                                             noise_variance))
+        runtime.drain()
+        assert_frames_identical(handle.result(), want)
+
+
+# ----------------------------------------------------------------------
+# The sweep
+# ----------------------------------------------------------------------
+
+#: (kind, enumerator, pruning, node budget)
+CASES = [(kind, enumerator, pruning, budget)
+         for kind in ("hard", "soft")
+         for enumerator, pruning in [("zigzag", True), ("zigzag", False),
+                                     ("shabany", True), ("shabany", False),
+                                     ("hess", False), ("exhaustive", False)]
+         for budget in (None, 12)]
+
+
+def _case_id(case):
+    kind, enumerator, pruning, budget = case
+    return (f"{kind}-{enumerator}{'+prune' if pruning else ''}"
+            f"-{'nobudget' if budget is None else f'budget{budget}'}")
+
+
+@lru_cache(maxsize=None)
+def _case(case):
+    """``(decoder, channels, received, noise_variance, oracle...)`` of one
+    sweep case — the scalar reference is computed once."""
+    kind, enumerator, pruning, budget = case
+    constellation, channels, received = _frame_instance(
+        16, 4, 4, num_subcarriers=3, num_symbols=3, noise_scale=0.2, seed=71)
+    if kind == "soft":
+        decoder = ListSphereDecoder(constellation, list_size=4,
+                                    enumerator=enumerator,
+                                    geometric_pruning=pruning,
+                                    node_budget=budget)
+        noise_variance = NOISE_VARIANCE
+    else:
+        decoder = SphereDecoder(constellation, enumerator=enumerator,
+                                geometric_pruning=pruning, node_budget=budget)
+        noise_variance = None
+    want, per_subcarrier = scalar_oracle(decoder, channels, received,
+                                         noise_variance)
+    return decoder, channels, received, noise_variance, want, per_subcarrier
+
+
+@pytest.mark.parametrize("entry",
+                         ["decode_batch", "decode_frame", "runtime"])
+@pytest.mark.parametrize("drain_threshold", [0, 3, None])
+@pytest.mark.parametrize("capacity", [1, 3, 8, None])
+@pytest.mark.parametrize("case", CASES, ids=_case_id)
+def test_engine_matches_scalar_oracle(monkeypatch, case, capacity,
+                                      drain_threshold, entry):
+    """Every entry point, under every frontier knob setting, equals the
+    scalar search slot for slot: results, distances / LLRs, list sizes
+    and all counters.  ``decode_batch`` / ``decode_frame`` build their
+    private frontier without arguments, so the knobs reach it by
+    pre-binding them on the class ``run_frame`` instantiates."""
+    decoder, channels, received, noise_variance, want, per_subcarrier = \
+        _case(case)
+    knobs = dict(capacity=capacity, drain_threshold=drain_threshold)
+    monkeypatch.setattr(engine, "StreamingFrontier",
+                        partial(StreamingFrontier, **knobs))
+    _decode(entry, decoder, channels, received, noise_variance, want,
+            per_subcarrier, **knobs)
+
+
+@pytest.mark.parametrize("shape", [(1, 0), (0, 3), (1, 1), (1, 2), (2, 1),
+                                   (1, 4), (2, 2), (4, 1)],
+                         ids=lambda shape: f"S{shape[0]}xT{shape[1]}")
+@pytest.mark.parametrize("enumerator", ["zigzag", "hess"])
+@pytest.mark.parametrize("kind", ["hard", "soft"])
+def test_tiny_and_empty_frames_match_scalar_oracle(kind, enumerator, shape):
+    """T and S*T in {0, 1, 2, 4}: the sizes a batch-size cut-over used
+    to route around the engine now run on it (straight into the tail
+    for ``zigzag``; in lockstep for the tail-less ``hess``)."""
+    num_subcarriers, num_symbols = shape
+    constellation, channels, received = _frame_instance(
+        16, 4, 4, num_subcarriers, num_symbols, noise_scale=0.2, seed=5)
+    pruning = enumerator == "zigzag"
+    if kind == "soft":
+        decoder = ListSphereDecoder(constellation, list_size=4,
+                                    enumerator=enumerator,
+                                    geometric_pruning=pruning)
+        noise_variance = NOISE_VARIANCE
+    else:
+        decoder = SphereDecoder(constellation, enumerator=enumerator,
+                                geometric_pruning=pruning)
+        noise_variance = None
+    want, per_subcarrier = scalar_oracle(decoder, channels, received,
+                                         noise_variance)
+    for entry in ("decode_batch", "decode_frame", "runtime"):
+        _decode(entry, decoder, channels, received, noise_variance, want,
+                per_subcarrier)
+
+
+# ----------------------------------------------------------------------
+# Scheduling properties, read off a ticking frontier
+# ----------------------------------------------------------------------
+# (The radius policies and the refill order are observed the same way in
+# tests/test_frame_engine.py and tests/test_sphere_properties.py.)
+
+def _drain_sizes(pool):
+    """Record how many searches each tail hand-off of ``pool`` takes."""
+    sizes = []
+    tail = pool._tail
+
+    def recording(kernel, idx, *rest):
+        sizes.append(len(idx))
+        tail(kernel, idx, *rest)
+
+    pool._tail = recording
+    return sizes
+
+
+def _fifo_refills(frames):
+    """Consume a :func:`ticking` run, checking every refill takes the
+    next contiguous run of frame elements; returns ``(job, refills)``."""
+    admitted = refills = 0
+    job = None
+    for job, pool in frames:
+        in_lane = pool.elem_of[pool.active]
+        fresh = np.sort(in_lane[in_lane >= admitted])
+        if fresh.size:
+            assert fresh.tolist() == list(range(admitted,
+                                                admitted + fresh.size))
+            admitted += fresh.size
+            refills += 1
+    return job, refills
+
+
+@pytest.mark.parametrize("drain_threshold", [0, 4])
+def test_tail_takes_at_most_the_drain_threshold(drain_threshold):
+    """The hand-off fires once, with 1..threshold survivors; at 0 every
+    search finishes in lockstep and the tail never runs."""
+    constellation, channels, received = _frame_instance(16, 4, 4, 1, 12,
+                                                        seed=29)
+    frames = ticking(SphereDecoder(constellation), channels, received,
+                     drain_threshold=drain_threshold)
+    _, pool = next(frames)
+    drains = _drain_sizes(pool)
+    for _ in frames:
+        pass
+    if drain_threshold:
+        assert len(drains) == 1 and 1 <= drains[0] <= drain_threshold
+    else:
+        assert drains == []
+
+
+def test_default_drain_threshold_is_capped():
+    """The hand-off point is ``capacity // 6`` up to the absolute cap,
+    whatever the frame size; tail-less kernels never hand off."""
+    constellation, channels, received = _frame_instance(16, 4, 4, 2, 2)
+    request = FrameRequest(channels, received, SphereDecoder(constellation))
+    for knobs, expected in [({}, DRAIN_THRESHOLD_CAP),
+                            ({"capacity": 60}, 10), ({"capacity": 3}, 1),
+                            ({"drain_threshold": 7}, 7)]:
+        frontier = StreamingFrontier(**knobs)
+        job = FrameJob(0, request)
+        frontier.submit(job)
+        assert job.pool.drain_threshold == expected
+    hess = SphereDecoder(constellation, enumerator="hess",
+                         geometric_pruning=False)
+    job = FrameJob(0, FrameRequest(channels, received, hess))
+    StreamingFrontier().submit(job)
+    assert job.pool.drain_threshold == 0
+
+
+def test_private_frontier_is_sized_to_the_frame(monkeypatch):
+    """``decode_frame`` allocates lanes for the frame it is handed, not
+    the default pool size."""
+    allocated = []
+
+    class Recording(StreamingFrontier):
+        def submit(self, job):
+            super().submit(job)
+            allocated.append(job.pool.allocated)
+
+    monkeypatch.setattr(engine, "StreamingFrontier", Recording)
+    constellation, channels, received = _frame_instance(16, 4, 4, 3, 2)
+    SphereDecoder(constellation).decode_frame(channels, received)
+    assert allocated == [6]
+
+
+@pytest.mark.parametrize("kind", ["hard", "soft"])
+def test_qos_hooks_cost_only_the_frame_they_touch(kind):
+    """Two frames share a small, demand-grown frontier; one is degraded
+    mid-flight and then removed.  Its lanes come back, and the other
+    frame — reprioritised on the way — still equals the scalar oracle."""
+    constellation, channels, received = _frame_instance(
+        16, 4, 4, num_subcarriers=5, num_symbols=4, noise_scale=0.25, seed=19)
+    if kind == "soft":
+        decoder = ListSphereDecoder(constellation, list_size=4)
+        noise_variance = NOISE_VARIANCE
+    else:
+        decoder, noise_variance = SphereDecoder(constellation), None
+    request = FrameRequest(channels, received, decoder, noise_variance)
+    frontier = StreamingFrontier(capacity=12, initial_lanes=2,
+                                 drain_threshold=0, tick_strategy="numpy")
+    victim, survivor = FrameJob(0, request), FrameJob(1, request)
+    frontier.submit(victim)
+    frontier.submit(survivor)
+    for _ in range(3):
+        frontier.tick()
+    assert frontier.in_use == 12 and victim.pool.allocated == 12
+    frontier.reprioritise(survivor, 3)
+    victim.degraded_budget = 2
+    frontier.degrade(victim, 2)
+    frontier.tick()                      # over-budget lanes stop here
+    assert victim.remaining < victim.num_problems
+    dropped = frontier.remove(victim)
+    assert 0 < dropped <= victim.remaining
+    assert frontier.remove(victim) == 0
+    completed = []
+    while not frontier.idle:
+        completed += frontier.tick()
+    assert completed == [survivor] and frontier.in_use == 0
+    want, _ = scalar_oracle(decoder, channels, received, noise_variance)
+    assert_frames_identical(survivor.finalise(), want)
+
+
+# ----------------------------------------------------------------------
+# Configurations cannot silently lie
+# ----------------------------------------------------------------------
+
+def test_column_ordering_norm_is_rejected_off_the_scalar_path():
+    """Sorted QR is a scalar-``decode`` setting.  The engine
+    triangularises in natural order, so every engine entry point must
+    refuse a ``column_ordering="norm"`` decoder instead of searching
+    different trees than the configuration names."""
+    constellation, channels, received = _frame_instance(16, 4, 8, 3, 2,
+                                                        seed=3)
+    natural = SphereDecoder(constellation)
+    ordered = SphereDecoder(constellation, column_ordering="norm")
+    # The scalar path honours it: same ML decision, different tree.
+    one = ordered.decode(channels[0], received[0, 0])
+    assert np.array_equal(
+        one.symbol_indices,
+        natural.decode(channels[0], received[0, 0]).symbol_indices)
+
+    q_stack, r_stack = triangularize_frame(channels)
+    y_hat = rotate_frame(q_stack, received)
+    request = FrameRequest(channels, received, ordered)
+    for call in (
+            lambda: ordered.decode_batch(r_stack[0], y_hat[0]),
+            lambda: ordered.decode_block(channels[0], received[:, 0]),
+            lambda: ordered.decode_frame(channels, received),
+            lambda: UplinkRuntime().submit(request)):
+        with pytest.raises(ValueError, match="column_ordering"):
+            call()
+    with DetectorFarm(1, backend="inline") as farm:
+        with pytest.raises(ValueError, match="column_ordering"):
+            farm.submit(request)
+
+
+def test_pool_tick_mode_is_part_of_the_signature(monkeypatch):
+    """A ``tick_strategy="numpy"`` decoder submitted after a
+    same-signature ``"compiled"`` one gets its own pool: the tick mode a
+    frame runs under is the one its decoder asked for, not whichever
+    created the pool first."""
+    monkeypatch.setattr(tick_kernel, "FORCE_PYTHON", True)
+    constellation, channels, received = _frame_instance(16, 4, 4, 3, 2,
+                                                        seed=9)
+    frontier = StreamingFrontier()
+    jobs = {}
+    for frame_id, strategy in enumerate(["compiled", "numpy", "compiled"]):
+        decoder = SphereDecoder(constellation, tick_strategy=strategy)
+        job = FrameJob(frame_id, FrameRequest(channels, received, decoder))
+        frontier.submit(job)
+        assert job.pool.tick_mode == strategy
+        jobs[frame_id] = job
+    assert jobs[0].pool is jobs[2].pool is not jobs[1].pool
+    while not frontier.idle:
+        frontier.tick()
+    want, _ = scalar_oracle(SphereDecoder(constellation), channels, received)
+    for job in jobs.values():
+        assert_frames_identical(job.finalise(), want)

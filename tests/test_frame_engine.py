@@ -1,16 +1,19 @@
-"""Frame-level detection engine: bit-exactness and scheduling behaviour.
+"""Frame-level detection: preprocessing, ``decode_frame`` and the receive
+chain's frame dispatch.
 
-The frame engine's contract is the strongest in the repository: for every
-detector, decoding a whole frame through one scheduler — stacked QR,
-cross-subcarrier frontier, slot refill, straggler drain — must return
-*bit-identical* symbol decisions, distances and aggregated complexity
-counters to the per-subcarrier path (which is itself bit-identical to the
-scalar per-vector decoders).  These tests enforce that contract from the
-preprocessing up: stacked LAPACK sweeps against per-matrix calls, the
-engine against both per-subcarrier and scalar baselines across
-enumerators / radii / node budgets, correlated-channel and
-heterogeneous-SNR frames that exercise the slot-refill scheduler, and
-the receive chain's ``frame_strategy`` switch end to end.
+The frame contract is the strongest in the repository: for every
+detector, decoding a whole frame in one call — stacked QR,
+cross-subcarrier frontier, lane refill, straggler drain — must return
+*bit-identical* symbol decisions, distances / LLRs and aggregated
+complexity counters to the scalar per-vector decoders.  These tests
+enforce that contract from the preprocessing up: stacked LAPACK sweeps
+against per-matrix calls, ``decode_frame`` (hard and soft) against the
+scalar oracle across enumerators / radii / node budgets / list sizes,
+correlated-channel and heterogeneous-SNR frames that exercise the lane
+refill, and ``detect_uplink``'s frame-vs-per-subcarrier dispatch across
+the detector zoo.  The engine's knob matrix itself is swept in
+``tests/test_engine.py``, whose oracle, comparators and frontier drivers
+are reused here.
 """
 
 import numpy as np
@@ -24,19 +27,18 @@ from repro.detect import (
     ZeroForcingDetector,
 )
 from repro.frame import (
-    SlotScheduler,
-    frame_decode_per_subcarrier,
-    frame_decode_soft,
-    frame_decode_soft_scalar,
-    frame_decode_sphere,
     mmse_frame_filters,
     rotate_frame,
     triangularize_frame,
     zf_frame_filters,
 )
-from repro.frame.engine import DRAIN_THRESHOLD_CAP
 from repro.ofdm import estimate_and_triangularize, training_grid
 from repro.phy.receiver import detect_uplink
+from repro.runtime.engine import (
+    DRAIN_THRESHOLD_CAP,
+    LanePool,
+    StreamingFrontier,
+)
 from repro.sphere import (
     KBestDecoder,
     ListSphereDecoder,
@@ -45,35 +47,16 @@ from repro.sphere import (
 )
 from repro.sphere.counters import ComplexityCounters
 
-
-def _frame_instance(order, num_tx, num_rx, num_subcarriers, num_symbols,
-                    noise_scale=0.15, seed=0, channel_fn=None,
-                    noise_per_subcarrier=None):
-    """Random frame: per-subcarrier channels + (T, S, na) observations."""
-    rng = np.random.default_rng(seed)
-    constellation = qam(order)
-    if channel_fn is None:
-        channels = (rng.standard_normal((num_subcarriers, num_rx, num_tx))
-                    + 1j * rng.standard_normal(
-                        (num_subcarriers, num_rx, num_tx))) / np.sqrt(2.0)
-    else:
-        channels = np.stack([channel_fn(s, rng)
-                             for s in range(num_subcarriers)])
-    sent = rng.integers(0, order, size=(num_symbols, num_subcarriers, num_tx))
-    clean = np.einsum("tsc,sac->tsa", constellation.points[sent], channels)
-    noise = (rng.standard_normal(clean.shape)
-             + 1j * rng.standard_normal(clean.shape))
-    if noise_per_subcarrier is not None:
-        noise = noise * np.asarray(noise_per_subcarrier)[None, :, None]
-    received = clean + noise_scale * noise
-    return constellation, channels, received
-
-
-def _assert_frames_equal(got, ref):
-    assert np.array_equal(got.found, ref.found)
-    assert np.array_equal(got.symbol_indices, ref.symbol_indices)
-    assert np.array_equal(got.distances_sq, ref.distances_sq)
-    assert got.counters == ref.counters
+from test_engine import (
+    _drain_sizes,
+    _fifo_refills,
+    _frame_instance,
+    assert_batch_identical,
+    assert_frames_identical,
+    decode_on_frontier,
+    scalar_oracle,
+    ticking,
+)
 
 
 # ----------------------------------------------------------------------
@@ -142,45 +125,48 @@ class TestFramePreprocess:
 
 
 # ----------------------------------------------------------------------
-# Slot scheduler
+# Lane scheduling
 # ----------------------------------------------------------------------
 
 class TestSlotScheduler:
+    """Which kernel lanes a frame's searches get: the engine's
+    :class:`LanePool` plus the frame-ordered admission queue."""
+
     def test_admit_release_refill(self):
-        scheduler = SlotScheduler(num_problems=7, capacity=3)
-        lanes, elements = scheduler.admit()
-        assert lanes.tolist() == [0, 1, 2]
-        assert elements.tolist() == [0, 1, 2]
-        assert scheduler.pending == 4
-        assert scheduler.free_lanes == 0
-        # Nothing free: admit is a no-op.
-        lanes, elements = scheduler.admit()
-        assert lanes.size == 0 and elements.size == 0
-        scheduler.release(np.array([1]))
-        lanes, elements = scheduler.admit()
-        assert lanes.tolist() == [1]
-        assert elements.tolist() == [3]
-        scheduler.release(np.array([0, 2, 1]))
-        lanes, elements = scheduler.admit()
-        assert sorted(lanes.tolist()) == [0, 1, 2]
-        assert elements.tolist() == [4, 5, 6]
-        assert scheduler.pending == 0
-        lanes, elements = scheduler.admit()
-        assert elements.size == 0
+        lanes = LanePool(3)
+        assert lanes.take(3).tolist() == [0, 1, 2]
+        assert lanes.free_lanes == 0
+        # A freed lane is the next one handed out.
+        lanes.release(np.array([1]))
+        assert lanes.take(1).tolist() == [1]
+        lanes.release(np.array([0, 2, 1]))
+        assert sorted(lanes.take(3).tolist()) == [0, 1, 2]
+        # Through the engine: 7 searches over 3 lanes run in frame order.
+        constellation, channels, received = _frame_instance(16, 4, 4, 7, 1)
+        job, refills = _fifo_refills(ticking(
+            SphereDecoder(constellation), channels, received, capacity=3,
+            drain_threshold=0))
+        assert refills > 1 and job.remaining == 0
 
     def test_capacity_clamped_to_problem_count(self):
-        scheduler = SlotScheduler(num_problems=2, capacity=100)
-        assert scheduler.capacity == 2
+        """A pool allocates what admission asks for, never the whole
+        lane budget up front."""
+        constellation, channels, received = _frame_instance(16, 4, 4, 2, 1)
+        for _, pool in ticking(SphereDecoder(constellation), channels,
+                               received, capacity=100, initial_lanes=1):
+            assert pool.allocated == 2
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            SlotScheduler(num_problems=4, capacity=0)
+            LanePool(0)
         with pytest.raises(ValueError):
-            SlotScheduler(num_problems=-1, capacity=4)
+            StreamingFrontier(capacity=0)
+        with pytest.raises(ValueError):
+            LanePool(4).take(5)
 
 
 # ----------------------------------------------------------------------
-# The frame engine vs per-subcarrier vs scalar
+# decode_frame vs per-subcarrier decode_batch vs the scalar oracle
 # ----------------------------------------------------------------------
 
 ENGINE_CONFIGS = [
@@ -205,24 +191,13 @@ class TestFrameEngineEquivalence:
         decoder = SphereDecoder(constellation, enumerator=enumerator,
                                 geometric_pruning=pruning,
                                 initial_radius_sq=radius, node_budget=budget)
-        q_stack, r_stack = triangularize_frame(channels)
-        y_hat = rotate_frame(q_stack, received)
-        frame = frame_decode_sphere(decoder, r_stack, y_hat)
-        _assert_frames_equal(frame,
-                             frame_decode_per_subcarrier(decoder, r_stack,
-                                                         y_hat))
-        # Scalar ground truth, slot by slot, counters summed.
-        totals = ComplexityCounters()
+        want, per_subcarrier = scalar_oracle(decoder, channels, received)
+        assert_frames_identical(decoder.decode_frame(channels, received),
+                                want)
         for s in range(channels.shape[0]):
-            for t in range(received.shape[0]):
-                scalar = decoder.decode_triangular(r_stack[s], y_hat[s, t])
-                assert scalar.found == frame.found[t, s]
-                if scalar.found:
-                    assert np.array_equal(frame.symbol_indices[t, s],
-                                          scalar.symbol_indices)
-                assert frame.distances_sq[t, s] == scalar.distance_sq
-                totals.merge(scalar.counters)
-        assert frame.counters == totals
+            assert_batch_identical(
+                decoder.decode_block(channels[s], received[:, s, :]), want,
+                s, per_subcarrier[s])
 
     @pytest.mark.parametrize("capacity,drain_threshold", [
         (1, None),     # fully serialised lanes — maximal refill traffic
@@ -235,39 +210,35 @@ class TestFrameEngineEquivalence:
         constellation, channels, received = _frame_instance(
             16, 4, 4, num_subcarriers=9, num_symbols=6, seed=3)
         decoder = SphereDecoder(constellation)
-        q_stack, r_stack = triangularize_frame(channels)
-        y_hat = rotate_frame(q_stack, received)
-        reference = frame_decode_per_subcarrier(decoder, r_stack, y_hat)
-        got = frame_decode_sphere(decoder, r_stack, y_hat, capacity=capacity,
-                                  drain_threshold=drain_threshold)
-        _assert_frames_equal(got, reference)
+        want, _ = scalar_oracle(decoder, channels, received)
+        got = decode_on_frontier(decoder, channels, received,
+                                 capacity=capacity,
+                                 drain_threshold=drain_threshold)
+        assert_frames_identical(got, want)
 
     def test_node_budget_with_lane_refill(self):
         """Budget-stopped searches release their lanes mid-frame; the
-        scheduler hands those lanes to queued searches.  The reused
-        kernel slots must be fully re-initialised — any stale state would
-        show up against the per-subcarrier baseline."""
+        queue hands those lanes to waiting searches.  The reused kernel
+        slots must be fully re-initialised — any stale state would show
+        up against the scalar oracle."""
         constellation, channels, received = _frame_instance(
             16, 4, 4, num_subcarriers=10, num_symbols=6, seed=61,
             noise_scale=0.35)        # low SNR: budgets actually trip
         decoder = SphereDecoder(constellation, node_budget=20)
-        q_stack, r_stack = triangularize_frame(channels)
-        y_hat = rotate_frame(q_stack, received)
-        reference = frame_decode_per_subcarrier(decoder, r_stack, y_hat)
+        want, _ = scalar_oracle(decoder, channels, received)
         for capacity in (4, 11):
-            trace = {}
-            got = frame_decode_sphere(decoder, r_stack, y_hat,
-                                      capacity=capacity, trace=trace)
-            _assert_frames_equal(got, reference)
-            assert len(trace["admitted"]) > 1, \
+            job, refills = _fifo_refills(ticking(
+                decoder, channels, received, capacity=capacity))
+            assert_frames_identical(job.finalise(), want)
+            assert refills > 1, \
                 "capacity below the problem count must trigger refills"
 
     def test_correlated_channel_packing(self):
         """Similar per-subcarrier R matrices (the correlated-channel
-        scenario of the frame engine's motivation): all subcarriers are
-        small perturbations of one base channel, so searches finish at
-        similar depths and the scheduler packs tightly — results must
-        still be exactly the per-subcarrier ones."""
+        scenario of the frame frontier's motivation): all subcarriers
+        are small perturbations of one base channel, so searches finish
+        at similar depths and the lanes pack tightly — results must
+        still be exactly the scalar ones."""
         rng = np.random.default_rng(17)
         base = (rng.standard_normal((4, 4))
                 + 1j * rng.standard_normal((4, 4))) / np.sqrt(2.0)
@@ -281,17 +252,15 @@ class TestFrameEngineEquivalence:
             16, 4, 4, num_subcarriers=16, num_symbols=8, seed=29,
             channel_fn=channel_fn)
         decoder = SphereDecoder(constellation)
-        q_stack, r_stack = triangularize_frame(channels)
-        y_hat = rotate_frame(q_stack, received)
-        got = frame_decode_sphere(decoder, r_stack, y_hat, capacity=32)
-        _assert_frames_equal(got, frame_decode_per_subcarrier(
-            decoder, r_stack, y_hat))
+        got = decode_on_frontier(decoder, channels, received, capacity=32)
+        assert_frames_identical(got, scalar_oracle(decoder, channels,
+                                                   received)[0])
 
     def test_heterogeneous_snr_straggler_refill(self):
         """A few noisy subcarriers produce heavy-tailed searches; with a
-        small lane pool the scheduler must keep refilling freed slots
-        (many admit batches) and the drain must fire exactly once, at the
-        frame tail — all without changing a single bit of the result."""
+        small lane budget freed lanes keep refilling (many admit
+        batches) and the drain fires exactly once, at the frame tail —
+        all without changing a single bit of the result."""
         num_subcarriers, num_symbols = 12, 6
         noise_per_subcarrier = np.ones(num_subcarriers)
         noise_per_subcarrier[::4] = 4.0     # every 4th subcarrier is bad
@@ -299,65 +268,45 @@ class TestFrameEngineEquivalence:
             16, 4, 4, num_subcarriers, num_symbols, seed=41,
             noise_per_subcarrier=noise_per_subcarrier)
         decoder = SphereDecoder(constellation)
-        q_stack, r_stack = triangularize_frame(channels)
-        y_hat = rotate_frame(q_stack, received)
-
-        trace = {}
-        got = frame_decode_sphere(decoder, r_stack, y_hat, capacity=8,
-                                  drain_threshold=3, trace=trace)
-        _assert_frames_equal(got, frame_decode_per_subcarrier(
-            decoder, r_stack, y_hat))
-        admitted = trace["admitted"]
-        assert len(admitted) > 1, "small lane pool must trigger refills"
-        all_admitted = np.concatenate(admitted)
-        assert sorted(all_admitted.tolist()) == list(
-            range(num_subcarriers * num_symbols))
-        assert 0 < len(trace["drained"]) <= 3
+        _check_refill_and_single_drain(decoder, channels, received, None)
 
     def test_leaf_events_tighten_radius_monotonically(self):
-        """Schnorr–Euchner invariant, now across packed subcarriers: every
-        element's successive leaf distances strictly decrease."""
+        """Schnorr–Euchner invariant, across packed subcarriers and lane
+        reuse: every search's radius only ever shrinks."""
         constellation, channels, received = _frame_instance(
             16, 4, 4, num_subcarriers=8, num_symbols=6, seed=13)
         decoder = SphereDecoder(constellation)
-        q_stack, r_stack = triangularize_frame(channels)
-        y_hat = rotate_frame(q_stack, received)
-        trace = {}
-        frame_decode_sphere(decoder, r_stack, y_hat, drain_threshold=0,
-                            trace=trace)
         last: dict[int, float] = {}
-        for elements, distances in trace["leaf_events"]:
-            for element, distance in zip(elements.tolist(),
-                                         distances.tolist()):
-                if element in last:
-                    assert distance < last[element]
-                last[element] = distance
-        assert last, "the engine should have recorded leaf events"
+        tightenings = 0
+        for _, pool in ticking(decoder, channels, received, capacity=16,
+                               drain_threshold=0):
+            lanes = pool.active
+            for element, radius in zip(pool.elem_of[lanes].tolist(),
+                                       pool.radius[lanes].tolist()):
+                previous = last.get(element, float("inf"))
+                assert radius <= previous
+                tightenings += radius < previous
+                last[element] = radius
+        assert len(last) == 48 and tightenings > 48
 
     def test_empty_frame(self):
         constellation = qam(16)
         decoder = SphereDecoder(constellation)
-        r_stack = np.zeros((0, 4, 4), dtype=np.complex128)
-        y_hat = np.zeros((0, 5, 4), dtype=np.complex128)
-        result = frame_decode_sphere(decoder, r_stack, y_hat)
+        result = decoder.decode_frame(
+            np.zeros((0, 4, 4), dtype=np.complex128),
+            np.zeros((5, 0, 4), dtype=np.complex128))
         assert result.symbol_indices.shape == (5, 0, 4)
         assert result.counters == ComplexityCounters()
 
-    def test_decode_frame_honours_loop_strategy(self):
-        """``batch_strategy="loop"`` decoders take the per-subcarrier
-        reference driver — same results, no frontier."""
-        constellation, channels, received = _frame_instance(
-            16, 4, 4, num_subcarriers=6, num_symbols=5, seed=7)
-        loop = SphereDecoder(constellation, batch_strategy="loop")
-        frontier = SphereDecoder(constellation)
-        _assert_frames_equal(loop.decode_frame(channels, received),
-                             frontier.decode_frame(channels, received))
-
     def test_decode_frame_tiny_frame_fallback(self):
+        """Two searches: nothing to keep in lockstep, so the private
+        frontier hands the frame straight to the tail."""
         constellation, channels, received = _frame_instance(
             16, 4, 4, num_subcarriers=2, num_symbols=1, seed=7)
         decoder = SphereDecoder(constellation)
         result = decoder.decode_frame(channels, received)
+        assert_frames_identical(result, scalar_oracle(decoder, channels,
+                                                      received)[0])
         for s in range(2):
             block = decoder.decode_block(channels[s], received[:, s, :])
             assert np.array_equal(result.symbol_indices[:, s, :],
@@ -372,15 +321,30 @@ class TestFrameEngineEquivalence:
         for enumerator, pruning in [("zigzag", True), ("hess", False)]:
             decoder = SphereDecoder(constellation, enumerator=enumerator,
                                     geometric_pruning=pruning)
-            q_stack, r_stack = triangularize_frame(channels)
-            y_hat = rotate_frame(q_stack, received)
-            got = frame_decode_sphere(decoder, r_stack, y_hat, capacity=16)
-            _assert_frames_equal(got, frame_decode_per_subcarrier(
-                decoder, r_stack, y_hat))
+            got = decode_on_frontier(decoder, channels, received,
+                                     capacity=16)
+            assert_frames_identical(got, scalar_oracle(decoder, channels,
+                                                       received)[0])
+
+
+def _check_refill_and_single_drain(decoder, channels, received,
+                                   noise_variance):
+    """capacity 8 / drain 3 over a heavy-tailed frame: FIFO refills, one
+    tail hand-off of at most three survivors, scalar-exact results."""
+    frames = ticking(decoder, channels, received, noise_variance,
+                     capacity=8, drain_threshold=3)
+    job, pool = next(frames)
+    drains = _drain_sizes(pool)
+    _, refills = _fifo_refills(frames)
+    assert refills >= 1, "small lane budget must trigger refills"
+    assert len(drains) == 1 and 0 < drains[0] <= 3
+    assert_frames_identical(
+        job.finalise(),
+        scalar_oracle(decoder, channels, received, noise_variance)[0])
 
 
 # ----------------------------------------------------------------------
-# The soft (list) frame engine vs the scalar list search
+# Soft (list) decode_frame vs the scalar list search
 # ----------------------------------------------------------------------
 
 SOFT_NOISE_VARIANCE = 0.045
@@ -399,21 +363,13 @@ SOFT_CONFIGS = [
 ]
 
 
-def _assert_soft_frames_equal(got, ref):
-    assert np.array_equal(got.llrs, ref.llrs)
-    assert np.array_equal(got.symbol_indices, ref.symbol_indices)
-    assert np.array_equal(got.symbols, ref.symbols)
-    assert np.array_equal(got.list_sizes, ref.list_sizes)
-    assert got.counters == ref.counters
-
-
 class TestSoftFrameEquivalence:
     @pytest.mark.parametrize("enumerator,pruning,list_size,clamp,budget",
                              SOFT_CONFIGS)
     def test_frame_matches_scalar_decode_soft(self, enumerator, pruning,
                                               list_size, clamp, budget):
         """The strongest soft contract: the whole-frame list frontier —
-        bounded per-slot leaf lists, worst-member pruning, one drain, one
+        bounded per-lane leaf lists, worst-member pruning, one drain, one
         frame-wide LLR extraction — returns bit-identical LLRs, list
         membership, hard decisions and counter totals to running the
         scalar list search slot by slot."""
@@ -422,25 +378,11 @@ class TestSoftFrameEquivalence:
         decoder = ListSphereDecoder(constellation, list_size=list_size,
                                     geometric_pruning=pruning, clamp=clamp,
                                     enumerator=enumerator, node_budget=budget)
-        q_stack, r_stack = triangularize_frame(channels)
-        y_hat = rotate_frame(q_stack, received)
-        frame = frame_decode_soft(decoder, r_stack, y_hat,
-                                  SOFT_NOISE_VARIANCE)
-        _assert_soft_frames_equal(
-            frame, frame_decode_soft_scalar(decoder, r_stack, y_hat,
-                                            SOFT_NOISE_VARIANCE))
-        # Scalar ground truth, slot by slot, counters summed.
-        totals = ComplexityCounters()
-        for s in range(channels.shape[0]):
-            for t in range(received.shape[0]):
-                scalar = decoder.decode_soft_triangular(
-                    r_stack[s], y_hat[s, t], SOFT_NOISE_VARIANCE)
-                assert np.array_equal(frame.llrs[t, s], scalar.llrs)
-                assert np.array_equal(frame.symbol_indices[t, s],
-                                      scalar.symbol_indices)
-                assert frame.list_sizes[t, s] == scalar.list_size_used
-                totals.merge(scalar.counters)
-        assert frame.counters == totals
+        want, _ = scalar_oracle(decoder, channels, received,
+                                SOFT_NOISE_VARIANCE)
+        assert_frames_identical(
+            decoder.decode_frame(channels, received, SOFT_NOISE_VARIANCE),
+            want)
 
     @pytest.mark.parametrize("capacity,drain_threshold", [
         (1, None),     # fully serialised lanes — maximal refill traffic
@@ -453,14 +395,12 @@ class TestSoftFrameEquivalence:
         constellation, channels, received = _frame_instance(
             16, 4, 4, num_subcarriers=9, num_symbols=6, seed=73)
         decoder = ListSphereDecoder(constellation, list_size=8)
-        q_stack, r_stack = triangularize_frame(channels)
-        y_hat = rotate_frame(q_stack, received)
-        reference = frame_decode_soft_scalar(decoder, r_stack, y_hat,
-                                             SOFT_NOISE_VARIANCE)
-        got = frame_decode_soft(decoder, r_stack, y_hat, SOFT_NOISE_VARIANCE,
-                                capacity=capacity,
-                                drain_threshold=drain_threshold)
-        _assert_soft_frames_equal(got, reference)
+        want, _ = scalar_oracle(decoder, channels, received,
+                                SOFT_NOISE_VARIANCE)
+        got = decode_on_frontier(decoder, channels, received,
+                                 SOFT_NOISE_VARIANCE, capacity=capacity,
+                                 drain_threshold=drain_threshold)
+        assert_frames_identical(got, want)
 
     def test_heterogeneous_snr_straggler_refill(self):
         """Noisy subcarriers make heavy-tailed list searches; the lane
@@ -473,78 +413,47 @@ class TestSoftFrameEquivalence:
             16, 4, 4, num_subcarriers, num_symbols, seed=79,
             noise_per_subcarrier=noise_per_subcarrier)
         decoder = ListSphereDecoder(constellation, list_size=8)
-        q_stack, r_stack = triangularize_frame(channels)
-        y_hat = rotate_frame(q_stack, received)
-        trace = {}
-        got = frame_decode_soft(decoder, r_stack, y_hat, SOFT_NOISE_VARIANCE,
-                                capacity=8, drain_threshold=3, trace=trace)
-        _assert_soft_frames_equal(got, frame_decode_soft_scalar(
-            decoder, r_stack, y_hat, SOFT_NOISE_VARIANCE))
-        admitted = trace["admitted"]
-        assert len(admitted) > 1, "small lane pool must trigger refills"
-        all_admitted = np.concatenate(admitted)
-        assert sorted(all_admitted.tolist()) == list(
-            range(num_subcarriers * num_symbols))
-        assert 0 < len(trace["drained"]) <= 3
+        _check_refill_and_single_drain(decoder, channels, received,
+                                       SOFT_NOISE_VARIANCE)
 
     def test_radius_tightens_to_worst_list_member(self):
-        """The list radius policy, observed through the leaf trace: a
-        slot's sphere stays infinite until its list fills, then every
-        accepted leaf is at least as good as the current worst member."""
+        """The list radius policy, read off the ticking pool: a lane's
+        sphere stays infinite until its list fills, then equals the
+        worst retained leaf — so only leaves at least that good enter."""
         constellation, channels, received = _frame_instance(
             16, 4, 4, num_subcarriers=6, num_symbols=4, seed=83)
         list_size = 4
         decoder = ListSphereDecoder(constellation, list_size=list_size)
-        q_stack, r_stack = triangularize_frame(channels)
-        y_hat = rotate_frame(q_stack, received)
-        trace = {}
-        frame_decode_soft(decoder, r_stack, y_hat, SOFT_NOISE_VARIANCE,
-                          drain_threshold=0, trace=trace)
-        lists: dict[int, list[float]] = {}
-        for elements, distances in trace["leaf_events"]:
-            for element, distance in zip(elements.tolist(),
-                                         distances.tolist()):
-                seen = lists.setdefault(element, [])
-                if len(seen) >= list_size:
-                    assert distance <= max(seen), \
-                        "a full list only admits leaves at least as good " \
-                        "as its worst member"
-                    seen.remove(max(seen))
-                seen.append(distance)
-        assert lists, "the engine should have recorded leaf events"
-
-    def test_decode_frame_honours_loop_strategy(self):
-        constellation, channels, received = _frame_instance(
-            16, 4, 4, num_subcarriers=6, num_symbols=5, seed=7)
-        loop = ListSphereDecoder(constellation, list_size=8,
-                                 batch_strategy="loop")
-        frontier = ListSphereDecoder(constellation, list_size=8)
-        _assert_soft_frames_equal(
-            loop.decode_frame(channels, received, SOFT_NOISE_VARIANCE),
-            frontier.decode_frame(channels, received, SOFT_NOISE_VARIANCE))
+        saw_full = False
+        for _, pool in ticking(decoder, channels, received,
+                               SOFT_NOISE_VARIANCE, drain_threshold=0):
+            lanes = pool.active
+            full = pool.list_n[lanes] == list_size
+            assert np.isinf(pool.radius[lanes[~full]]).all()
+            assert np.array_equal(pool.radius[lanes[full]],
+                                  pool.list_d[lanes[full]].max(axis=1))
+            saw_full |= bool(full.any())
+        assert saw_full, "lists should fill during the frame"
 
     def test_decode_batch_matches_loop(self):
+        """``decode_batch`` against the scalar list search, row by row."""
         constellation, channels, received = _frame_instance(
             16, 4, 4, num_subcarriers=1, num_symbols=12, seed=89)
-        frontier = ListSphereDecoder(constellation, list_size=8)
-        loop = ListSphereDecoder(constellation, list_size=8,
-                                 batch_strategy="loop")
+        decoder = ListSphereDecoder(constellation, list_size=8)
+        want, per_subcarrier = scalar_oracle(decoder, channels, received,
+                                             SOFT_NOISE_VARIANCE)
         q, r = triangularize(channels[0])
         y_hat = received[:, 0, :] @ np.conj(q)
-        a = frontier.decode_batch(r, y_hat, SOFT_NOISE_VARIANCE)
-        b = loop.decode_batch(r, y_hat, SOFT_NOISE_VARIANCE)
-        assert np.array_equal(a.llrs, b.llrs)
-        assert np.array_equal(a.symbol_indices, b.symbol_indices)
-        assert np.array_equal(a.list_sizes, b.list_sizes)
-        assert a.counters == b.counters
+        assert_batch_identical(
+            decoder.decode_batch(r, y_hat, SOFT_NOISE_VARIANCE), want, 0,
+            per_subcarrier[0])
 
     def test_empty_frame(self):
         constellation = qam(16)
         decoder = ListSphereDecoder(constellation, list_size=8)
-        r_stack = np.zeros((0, 4, 4), dtype=np.complex128)
-        y_hat = np.zeros((0, 5, 4), dtype=np.complex128)
-        result = frame_decode_soft(decoder, r_stack, y_hat,
-                                   SOFT_NOISE_VARIANCE)
+        result = decoder.decode_frame(
+            np.zeros((0, 4, 4), dtype=np.complex128),
+            np.zeros((5, 0, 4), dtype=np.complex128), SOFT_NOISE_VARIANCE)
         assert result.llrs.shape == (5, 0, 16)
         assert result.counters == ComplexityCounters()
 
@@ -559,69 +468,39 @@ class TestSoftFrameEquivalence:
             decoder = ListSphereDecoder(constellation, list_size=16,
                                         enumerator=enumerator,
                                         geometric_pruning=pruning)
-            q_stack, r_stack = triangularize_frame(channels)
-            y_hat = rotate_frame(q_stack, received)
-            got = frame_decode_soft(decoder, r_stack, y_hat, 0.02,
-                                    capacity=16)
-            _assert_soft_frames_equal(got, frame_decode_soft_scalar(
-                decoder, r_stack, y_hat, 0.02))
+            got = decode_on_frontier(decoder, channels, received, 0.02,
+                                     capacity=16)
+            assert_frames_identical(got, scalar_oracle(
+                decoder, channels, received, 0.02)[0])
+
+
+class _ScalarListDecoder(ListSphereDecoder):
+    """The scalar list search per slot behind the ``decode_frame``
+    surface — the differential baseline for the soft receive chain."""
+
+    def decode_frame(self, channels, received, noise_variance):
+        return scalar_oracle(self, channels, received, noise_variance)[0]
 
 
 class TestSimulateFrameSoftStrategies:
     def test_strategies_agree_end_to_end(self):
+        """The soft receive chain on the engine equals the same chain on
+        per-slot scalar list searches: CRC verdicts and counters."""
         from repro.phy import default_config, rayleigh_source
         from repro.phy.soft_link import simulate_frame_soft
 
         config = default_config(order=16, payload_bits=184)
-        decoder = ListSphereDecoder(config.constellation, list_size=8)
-        outcomes = {}
-        for strategy in ("frame", "per_subcarrier"):
-            source = rayleigh_source(4, 2, rng=31)
-            outcomes[strategy] = simulate_frame_soft(
-                source(), decoder, config, 12.0,
-                rng=np.random.default_rng(5), frame_strategy=strategy)
-        frame, per_subcarrier = (outcomes["frame"],
-                                 outcomes["per_subcarrier"])
-        assert np.array_equal(frame.stream_success,
-                              per_subcarrier.stream_success)
-        assert frame.detections == per_subcarrier.detections
-        assert frame.counters == per_subcarrier.counters
-
-    def test_unknown_strategy_rejected(self):
-        from repro.phy import default_config
-        from repro.phy.soft_link import simulate_frame_soft
-
-        config = default_config(order=16, payload_bits=184)
-        decoder = ListSphereDecoder(config.constellation, list_size=8)
-        with pytest.raises(ValueError, match="frame strategy"):
-            simulate_frame_soft(np.eye(4), decoder, config, 12.0,
-                                frame_strategy="bogus")
-
-    def test_engine_knobs_plumbed_and_validated(self):
-        from repro.phy import default_config, rayleigh_source
-        from repro.phy.soft_link import simulate_frame_soft
-
-        config = default_config(order=16, payload_bits=184)
-        decoder = ListSphereDecoder(config.constellation, list_size=8)
         outcomes = []
-        for knobs in ({}, {"capacity": 5, "drain_threshold": 2}):
+        for decoder_type in (ListSphereDecoder, _ScalarListDecoder):
+            decoder = decoder_type(config.constellation, list_size=8)
             source = rayleigh_source(4, 2, rng=31)
             outcomes.append(simulate_frame_soft(
                 source(), decoder, config, 12.0,
-                rng=np.random.default_rng(5), **knobs))
-        # The knobs trade wall-clock only: results are bit-identical.
-        assert np.array_equal(outcomes[0].stream_success,
-                              outcomes[1].stream_success)
-        assert outcomes[0].counters == outcomes[1].counters
-
-        with pytest.raises(ValueError, match="frame frontier"):
-            simulate_frame_soft(np.eye(4), decoder, config, 12.0,
-                                frame_strategy="per_subcarrier", capacity=4)
-        loop_decoder = ListSphereDecoder(config.constellation, list_size=8,
-                                         batch_strategy="loop")
-        with pytest.raises(ValueError, match="frame frontier"):
-            simulate_frame_soft(np.eye(4), loop_decoder, config, 12.0,
-                                capacity=4)
+                rng=np.random.default_rng(5)))
+        frame, scalar = outcomes
+        assert np.array_equal(frame.stream_success, scalar.stream_success)
+        assert frame.detections == scalar.detections
+        assert frame.counters == scalar.counters
 
 
 # ----------------------------------------------------------------------
@@ -666,6 +545,15 @@ def _zoo(constellation):
     ]
 
 
+class _BatchOnly:
+    """A detector stripped to its ``detect_batch`` surface, so
+    ``detect_uplink`` takes the per-subcarrier loop."""
+
+    def __init__(self, detector):
+        self.name = detector.name
+        self.detect_batch = detector.detect_batch
+
+
 class TestDetectUplinkStrategies:
     def test_all_detectors_agree_across_strategies(self):
         constellation, channels, received = _frame_instance(
@@ -673,10 +561,10 @@ class TestDetectUplinkStrategies:
         noise_variance = 0.05
         for detector in _zoo(constellation):
             frame = detect_uplink(channels, received, detector,
-                                  noise_variance, frame_strategy="frame")
-            per_subcarrier = detect_uplink(channels, received, detector,
-                                           noise_variance,
-                                           frame_strategy="per_subcarrier")
+                                  noise_variance)
+            per_subcarrier = detect_uplink(channels, received,
+                                           _BatchOnly(detector),
+                                           noise_variance)
             assert np.array_equal(frame.symbol_indices,
                                   per_subcarrier.symbol_indices), \
                 f"{detector.name} differs across frame strategies"
@@ -695,23 +583,17 @@ class TestDetectUplinkStrategies:
         assert detection.counters is detector.last_block_counters
         assert detector.last_block_detections == 30
 
-    def test_unknown_strategy_rejected(self):
-        constellation, channels, received = _frame_instance(
-            16, 4, 4, num_subcarriers=3, num_symbols=2, seed=55)
-        with pytest.raises(ValueError, match="frame strategy"):
-            detect_uplink(channels, received,
-                          ZeroForcingDetector(constellation), 0.05,
-                          frame_strategy="bogus")
-
     def test_default_drain_threshold_is_capped(self):
         """Large frames drain at the absolute cap, not at N // 6."""
         constellation, channels, received = _frame_instance(
             16, 4, 4, num_subcarriers=36, num_symbols=8, seed=57)
         decoder = SphereDecoder(constellation)
-        q_stack, r_stack = triangularize_frame(channels)
-        y_hat = rotate_frame(q_stack, received)
-        trace = {}
-        got = frame_decode_sphere(decoder, r_stack, y_hat, trace=trace)
-        assert len(trace.get("drained", [])) <= DRAIN_THRESHOLD_CAP
-        _assert_frames_equal(got, frame_decode_per_subcarrier(
-            decoder, r_stack, y_hat))
+        frames = ticking(decoder, channels, received)
+        job, pool = next(frames)
+        assert pool.drain_threshold == DRAIN_THRESHOLD_CAP
+        drains = _drain_sizes(pool)
+        for _ in frames:
+            pass
+        assert len(drains) == 1 and drains[0] <= DRAIN_THRESHOLD_CAP
+        assert_frames_identical(job.finalise(), scalar_oracle(
+            decoder, channels, received)[0])

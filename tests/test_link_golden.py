@@ -22,12 +22,13 @@ from repro.phy.soft_link import simulate_frame_soft
 from repro.sphere import ListSphereDecoder, geosphere_decoder
 from repro.sphere.counters import ComplexityCounters
 
+from test_frame_engine import _BatchOnly, _ScalarListDecoder
 
-def _run(detector_factory, snr_db, frame_strategy="frame"):
+
+def _run(detector_factory, snr_db):
     config = default_config(order=16, payload_bits=256)
     detector = detector_factory(config.constellation)
-    simulator = LinkSimulator(detector, config, snr_db=snr_db,
-                              frame_strategy=frame_strategy)
+    simulator = LinkSimulator(detector, config, snr_db=snr_db)
     return simulator.run(rayleigh_source(4, 4, rng=2024), num_frames=4, rng=7)
 
 
@@ -65,13 +66,18 @@ class TestGeosphereGolden:
 
     @pytest.mark.parametrize("frame_strategy", ["frame", "per_subcarrier"])
     def test_goldens_invariant_under_frame_strategy(self, frame_strategy):
-        """The frame engine's bit-exactness contract, pinned at link
-        level: switching :func:`repro.phy.receiver.detect_uplink` between
-        the whole-frame scheduler and the per-subcarrier loop must leave
-        every golden — error rate, throughput and the exact counter
-        integers — untouched."""
-        stats = _run(lambda c: SphereDetector(geosphere_decoder(c)), 11.0,
-                     frame_strategy=frame_strategy)
+        """The engine's bit-exactness contract, pinned at link level:
+        whether :func:`repro.phy.receiver.detect_uplink` hands the
+        detector the whole frame or (for a detector stripped to
+        ``detect_batch``) loops per subcarrier, every golden — error
+        rate, throughput and the exact counter integers — is
+        untouched."""
+        def factory(constellation):
+            detector = SphereDetector(geosphere_decoder(constellation))
+            return (detector if frame_strategy == "frame"
+                    else _BatchOnly(detector))
+
+        stats = _run(factory, 11.0)
         assert stats.stream_successes == 3
         assert stats.frame_error_rate == 0.8125
         counters = stats.counters
@@ -88,7 +94,7 @@ class TestSoftChainGolden:
     4 frames, seeds (2024, 7), list size 8.
 
     Pins the list-sphere chain under *both* frame strategies: the
-    whole-frame list frontier and the per-subcarrier scalar loop must
+    whole-frame list frontier and the per-slot scalar list search must
     deliver the same stream verdicts and the exact same counter
     integers.  Re-derive with this loop (and say so in the commit) only
     for an intentional change to the soft chain's arithmetic.
@@ -96,14 +102,16 @@ class TestSoftChainGolden:
 
     def _run(self, frame_strategy):
         config = default_config(order=16, payload_bits=256)
-        decoder = ListSphereDecoder(config.constellation, list_size=8)
+        decoder_type = (ListSphereDecoder if frame_strategy == "frame"
+                        else _ScalarListDecoder)
+        decoder = decoder_type(config.constellation, list_size=8)
         source = rayleigh_source(4, 2, rng=2024)
         rng = np.random.default_rng(7)
         totals = ComplexityCounters()
         successes = stream_frames = detections = 0
         for _ in range(4):
             outcome = simulate_frame_soft(source(), decoder, config, 10.0,
-                                          rng, frame_strategy=frame_strategy)
+                                          rng)
             successes += int(outcome.stream_success.sum())
             stream_frames += outcome.stream_success.size
             detections += outcome.detections

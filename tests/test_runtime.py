@@ -24,8 +24,6 @@ from repro.phy import (
     recover_uplink,
     recover_uplink_soft,
 )
-from repro.phy.receiver import detect_uplink
-from repro.detect import SphereDetector, ZeroForcingDetector
 from repro.runtime import (
     AdmissionQueue,
     CellWorkload,
@@ -644,42 +642,6 @@ def test_stats_zero_width_interval_reports_inf_not_zero():
     summary = stats.summary()
     assert summary["frames_per_second"] == float("inf")
     assert summary["latency_percentiles_s"][99] == 0.0
-
-
-# ----------------------------------------------------------------------
-# Knob plumbing through the public entry points (ISSUE-5 satellite)
-# ----------------------------------------------------------------------
-
-def test_detect_uplink_forwards_engine_knobs():
-    rng = np.random.default_rng(11)
-    decoder = SphereDecoder(qam(16))
-    frame = _make_frame(decoder, 4, 3, 20.0, rng)
-    detector = SphereDetector(decoder)
-    default = detect_uplink(frame.channels, frame.received, detector, 0.1)
-    tuned = detect_uplink(frame.channels, frame.received, detector, 0.1,
-                          capacity=3, drain_threshold=1)
-    assert np.array_equal(default.symbol_indices, tuned.symbol_indices)
-    assert default.counters == tuned.counters
-
-    with pytest.raises(ValueError):
-        detect_uplink(frame.channels, frame.received, detector, 0.1,
-                      frame_strategy="per_subcarrier", capacity=3)
-    with pytest.raises(ValueError):
-        detect_uplink(frame.channels, frame.received,
-                      SphereDetector(KBestDecoder(qam(16), k=4)), 0.1,
-                      capacity=3)
-    with pytest.raises(ValueError):
-        # Linear detectors run no frontier: clean rejection, not a
-        # TypeError from an unexpected keyword.
-        detect_uplink(frame.channels, frame.received,
-                      ZeroForcingDetector(qam(16)), 0.1, capacity=3)
-    with pytest.raises(ValueError):
-        # Loop-strategy decoders never see the knobs either — reject
-        # instead of silently dropping them.
-        detect_uplink(frame.channels, frame.received,
-                      SphereDetector(SphereDecoder(qam(16),
-                                                   batch_strategy="loop")),
-                      0.1, capacity=3)
 
 
 # ----------------------------------------------------------------------

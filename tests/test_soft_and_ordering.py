@@ -150,8 +150,6 @@ class TestListSphereDecoder:
             ListSphereDecoder(qam(4), enumerator="hess")
         with pytest.raises(ValueError):
             ListSphereDecoder(qam(4), node_budget=0)
-        with pytest.raises(ValueError):
-            ListSphereDecoder(qam(4), batch_strategy="bogus")
         soft = ListSphereDecoder(qam(4))
         _, channel, y, _, _ = instance(4, 2, 2, 10.0, seed=6)
         with pytest.raises(ValueError):

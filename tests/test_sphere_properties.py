@@ -8,7 +8,7 @@ differential draws:
 * the returned solution is maximum-likelihood — no brute-force candidate
   is closer (checked exhaustively on small instances);
 * the sphere radius is monotone (strictly) decreasing over the search,
-  observed through the frontier engine's leaf-event trace.
+  observed by ticking the lockstep engine and reading each lane's radius.
 
 Channels are drawn through :mod:`hypothesis` when it is installed (the
 CI environment has it) and through seeded fuzz loops otherwise, so the
@@ -22,12 +22,9 @@ import pytest
 
 from repro.channel import awgn, noise_variance_for_snr, rayleigh_channel
 from repro.constellation import qam
-from repro.sphere import (
-    ListSphereDecoder,
-    SphereDecoder,
-    frontier_decode_batch,
-    triangularize,
-)
+from repro.runtime import FrameJob
+from repro.runtime.engine import StreamingFrontier
+from repro.sphere import ListSphereDecoder, SphereDecoder, triangularize
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -93,22 +90,33 @@ def check_ml_optimality(order, num_tx, seed):
 
 
 def check_radius_monotone(order, num_tx, seed):
-    """Leaf events tighten the radius strictly monotonically, ending at
-    the returned distance."""
+    """Leaves tighten the radius strictly monotonically, ending at the
+    returned distance.  One lockstep tick visits at most one node per
+    search, so the radius a lane shows after each tick changes exactly
+    at its leaf events."""
     constellation, r, y_hat = _instance(order, num_tx, seed)
     decoder = SphereDecoder(constellation)
-    trace = {}
-    result = frontier_decode_batch(decoder, r, y_hat, drain_threshold=0,
-                                   trace=trace)
+    job = FrameJob.from_triangular(decoder, r, y_hat)
+    frontier = StreamingFrontier(drain_threshold=0, tick_strategy="numpy")
+    frontier.submit(job)
+    pool = job.pool
     sequences = {t: [] for t in range(y_hat.shape[0])}
-    for elements, distances in trace["leaf_events"]:
-        for element, distance in zip(elements, distances):
-            sequences[int(element)].append(float(distance))
+    while not frontier.idle:
+        frontier.tick()
+        # Lanes are not reused here (capacity exceeds the batch), so a
+        # finished lane still shows its final radius.
+        for lane in range(y_hat.shape[0]):
+            radius = float(pool.radius[lane])
+            sequence = sequences[int(pool.elem_of[lane])]
+            if np.isfinite(radius) and (not sequence
+                                        or radius != sequence[-1]):
+                sequence.append(radius)
+    result = job.finalise()
     for t, sequence in sequences.items():
         assert sequence, "every search must reach at least one leaf"
         assert all(late < early for early, late in
                    zip(sequence, sequence[1:])), sequence
-        assert sequence[-1] == result.distances_sq[t]
+        assert sequence[-1] == result.distances_sq[t, 0]
 
 
 def check_llr_invariants(order, num_tx, seed):

@@ -22,8 +22,6 @@ installed numpy's complex-multiply program (FMA-contracted or not — see
 branches on that flag: the suite must pass whichever it reports.
 """
 
-from functools import partial
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,16 +29,12 @@ from hypothesis import strategies as st
 
 from repro.channel import awgn, noise_variance_for_snr, rayleigh_channel
 from repro.constellation import qam
-from repro.frame import frame_decode_soft
 from repro.runtime import FrameJob, FrameRequest
 from repro.runtime.engine import StreamingFrontier
-from repro.sphere import (
-    ListSphereDecoder,
-    SphereDecoder,
-    frontier_decode_batch,
-    triangularize,
-)
+from repro.sphere import ListSphereDecoder, SphereDecoder, triangularize
 from repro.sphere.tick_kernel import NUMPY_FMA
+
+from test_engine import _drain_sizes, assert_frames_identical, scalar_oracle
 
 #: Operating points low enough that searches backtrack (deep stacks,
 #: deferred proposals pending, several leaves) instead of diving once.
@@ -59,12 +53,26 @@ def _observation(order, num_tx, num_rx, rng):
     return r, q.conj().T @ received, noise_variance
 
 
-def _assert_hard_equal(batch, scalar):
-    assert bool(batch.found[0]) == scalar.found
-    assert np.array_equal(batch.symbol_indices[0], scalar.symbol_indices)
-    assert np.array_equal(batch.symbols[0], scalar.symbols, equal_nan=True)
-    assert batch.distances_sq[0] == scalar.distance_sq
-    assert batch.counters == scalar.counters
+def _assert_hard_equal(frame, scalar):
+    assert bool(frame.found[0, 0]) == scalar.found
+    assert np.array_equal(frame.symbol_indices[0, 0], scalar.symbol_indices)
+    assert np.array_equal(frame.symbols[0, 0], scalar.symbols,
+                          equal_nan=True)
+    assert frame.distances_sq[0, 0] == scalar.distance_sq
+    assert frame.counters == scalar.counters
+
+
+def _decode_one(decoder, r, y_hat, noise_variance=None, *, drain_threshold):
+    """One triangular search on a frontier with the given hand-off
+    point.  Returns the frame result and the tail hand-off sizes."""
+    job = FrameJob.from_triangular(decoder, r, y_hat[None], noise_variance)
+    engine = StreamingFrontier(drain_threshold=drain_threshold,
+                               tick_strategy="numpy")
+    engine.submit(job)
+    drained = _drain_sizes(job.pool)
+    while not engine.idle:
+        engine.tick()
+    return job.finalise(), drained
 
 
 # ----------------------------------------------------------------------
@@ -84,7 +92,6 @@ def test_tail_from_root_equals_the_scalar_oracle(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     r, y_hat, noise_variance = _observation(order, num_tx, num_rx, rng)
     constellation = qam(order)
-    trace = {}
 
     if list_size == 1:                       # the hard, best-leaf policy
         plain = SphereDecoder(constellation, enumerator=enumerator,
@@ -97,24 +104,22 @@ def test_tail_from_root_equals_the_scalar_oracle(data):
                                 geometric_pruning=pruning,
                                 initial_radius_sq=radius,
                                 node_budget=node_budget)
-        got = frontier_decode_batch(decoder, r, y_hat[None],
-                                    drain_threshold=1, trace=trace)
+        got, drained = _decode_one(decoder, r, y_hat, drain_threshold=1)
         _assert_hard_equal(got, decoder.decode_triangular(r, y_hat))
     else:
         decoder = ListSphereDecoder(constellation, list_size=list_size,
                                     enumerator=enumerator,
                                     geometric_pruning=pruning,
                                     node_budget=node_budget)
-        got = frame_decode_soft(decoder, r[None], y_hat[None, None],
-                                noise_variance, drain_threshold=1,
-                                trace=trace)
+        got, drained = _decode_one(decoder, r, y_hat, noise_variance,
+                                   drain_threshold=1)
         want = decoder.decode_soft_triangular(r, y_hat, noise_variance)
         assert np.array_equal(got.llrs[0, 0], want.llrs)
         assert np.array_equal(got.symbol_indices[0, 0], want.symbol_indices)
         assert np.array_equal(got.symbols[0, 0], want.symbols)
         assert got.list_sizes[0, 0] == want.list_size_used
         assert got.counters == want.counters
-    assert trace["drained"] == [0]           # the tail did run it
+    assert drained == [1]                    # the tail did run it
 
 
 @pytest.mark.parametrize("enumerator", ["hess", "exhaustive"])
@@ -125,25 +130,21 @@ def test_baseline_enumerators_have_no_tail(enumerator):
     decoder = SphereDecoder(qam(16), enumerator=enumerator,
                             geometric_pruning=False)
     r, y_hat, _ = _observation(16, 4, 4, rng)
-    trace = {}
-    got = frontier_decode_batch(decoder, r, y_hat[None],
-                                drain_threshold=1000, trace=trace)
+    got, drained = _decode_one(decoder, r, y_hat, drain_threshold=1000)
     _assert_hard_equal(got, decoder.decode_triangular(r, y_hat))
-    assert "drained" not in trace
+    assert drained == []
 
 
 # ----------------------------------------------------------------------
 # (ii) Hand-off at every depth of a search
 # ----------------------------------------------------------------------
 
-def _decoders(kind, order, enumerator, pruning, **knobs):
-    """``(engine decoder, scalar-loop oracle)`` of one configuration."""
+def _decoder(kind, order, enumerator, pruning, **knobs):
     if kind == "soft":
         knobs["list_size"] = 4
-    make = partial(SphereDecoder if kind == "hard" else ListSphereDecoder,
-                   qam(order), enumerator=enumerator,
-                   geometric_pruning=pruning, **knobs)
-    return make(), make(batch_strategy="loop")
+    make = SphereDecoder if kind == "hard" else ListSphereDecoder
+    return make(qam(order), enumerator=enumerator,
+                geometric_pruning=pruning, **knobs)
 
 
 def _frame(decoder, order, num_subcarriers, num_symbols, rng):
@@ -165,7 +166,8 @@ def _decode_with_handoff(request, lockstep_ticks, degrade_to=None):
     the tail (``None``: never — pure lockstep).  Returns the frame
     result and the number of ticks the run took."""
     job = FrameJob(0, request)
-    engine = StreamingFrontier(capacity=job.num_problems, drain_threshold=0)
+    engine = StreamingFrontier(capacity=job.num_problems, drain_threshold=0,
+                               tick_strategy="numpy")
     engine.submit(job)
     ticks = 0
     while not engine.idle:
@@ -182,23 +184,12 @@ def _decode_with_handoff(request, lockstep_ticks, degrade_to=None):
     return job.finalise(), ticks
 
 
-def _assert_frames_equal(got, want, soft):
-    if soft:
-        assert np.array_equal(got.llrs, want.llrs)
-        assert np.array_equal(got.list_sizes, want.list_sizes)
-    else:
-        assert np.array_equal(got.found, want.found)
-        assert np.array_equal(got.distances_sq, want.distances_sq)
-    assert np.array_equal(got.symbol_indices, want.symbol_indices)
-    assert got.counters == want.counters
-
-
-def _oracle(oracle_decoder, request, soft):
-    if soft:
-        return oracle_decoder.decode_frame(request.channels,
-                                           request.received,
-                                           request.noise_variance)
-    return oracle_decoder.decode_frame(request.channels, request.received)
+def _oracle(decoder, request):
+    """The request's frame through ``decoder``'s scalar search."""
+    noise_variance = (request.noise_variance
+                      if isinstance(decoder, ListSphereDecoder) else None)
+    return scalar_oracle(decoder, request.channels, request.received,
+                         noise_variance)[0]
 
 
 @pytest.mark.parametrize("kind", ["hard", "soft"])
@@ -208,32 +199,31 @@ def test_handoff_at_every_depth_equals_the_scalar_oracle(enumerator,
                                                          pruning, kind):
     """A lone search handed over after k ticks, for every k of its life,
     then a small frame whose searches sit at different depths."""
-    soft = kind == "soft"
-    decoder, oracle_decoder = _decoders(kind, 16, enumerator, pruning)
-    rng = np.random.default_rng([len(enumerator), pruning, soft])
+    decoder = _decoder(kind, 16, enumerator, pruning)
+    rng = np.random.default_rng([len(enumerator), pruning, kind == "soft"])
     for num_subcarriers, num_symbols in [(1, 1), (1, 1), (2, 3)]:
         for _ in range(50):              # a search worth dissecting
             request = _frame(decoder, 16, num_subcarriers, num_symbols, rng)
             lockstep, length = _decode_with_handoff(request, None)
             if 20 <= length <= 90:
                 break
-        want = _oracle(oracle_decoder, request, soft)
-        _assert_frames_equal(lockstep, want, soft)
+        want = _oracle(decoder, request)
+        assert_frames_identical(lockstep, want)
         for k in range(length):
             got, _ = _decode_with_handoff(request, k)
-            _assert_frames_equal(got, want, soft)
+            assert_frames_identical(got, want)
 
 
 def test_handoff_sweep_on_a_dense_constellation():
     """64-QAM: eight-level axes, long deferred-proposal chains."""
-    decoder, oracle_decoder = _decoders("hard", 64, "zigzag", True)
+    decoder = _decoder("hard", 64, "zigzag", True)
     rng = np.random.default_rng(64)
     request = _frame(decoder, 64, 1, 2, rng)
-    want = _oracle(oracle_decoder, request, False)
+    want = _oracle(decoder, request)
     _, length = _decode_with_handoff(request, None)
     for k in range(0, length, 3):
         got, _ = _decode_with_handoff(request, k)
-        _assert_frames_equal(got, want, False)
+        assert_frames_identical(got, want)
 
 
 # ----------------------------------------------------------------------
@@ -247,15 +237,14 @@ def test_degraded_lane_stops_at_the_shrunk_cap_in_the_tail(kind,
     """A budget is a cap on visited nodes, so degrading an unbudgeted
     frame to B before any search has visited B nodes must equal a
     decoder built with ``node_budget=B`` — through the tail."""
-    soft = kind == "soft"
     budget = 6
-    decoder, _ = _decoders(kind, 16, "zigzag", True)
-    _, capped = _decoders(kind, 16, "zigzag", True, node_budget=budget)
+    decoder = _decoder(kind, 16, "zigzag", True)
+    capped = _decoder(kind, 16, "zigzag", True, node_budget=budget)
     request = _frame(decoder, 16, 3, 2, np.random.default_rng(31))
     got, _ = _decode_with_handoff(request, lockstep_ticks,
                                   degrade_to=budget)
-    _assert_frames_equal(got, _oracle(capped, request, soft), soft)
-    uncapped = _oracle(_decoders(kind, 16, "zigzag", True)[1], request, soft)
+    assert_frames_identical(got, _oracle(capped, request))
+    uncapped = _oracle(decoder, request)
     assert got.counters.visited_nodes < uncapped.counters.visited_nodes
 
 

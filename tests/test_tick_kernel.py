@@ -5,9 +5,10 @@ The kernel's contract is run-to-completion with *bit-identical* results:
 program per element (reciprocal-multiply complex division, FMA-matched
 interference accumulation, ``rint`` slicing, uncontracted distance
 update), so symbol decisions, distances, LLRs and complexity counters
-must equal the ``"numpy"`` tick everywhere the knob is wired: the batch
-frontier, the hard and soft frame engines, the streaming runtime pools,
-``detect_uplink``/``SphereDetector`` and the detector farm.
+must equal the ``"numpy"`` tick everywhere the knob is wired: the
+decoder constructors (``decode_batch`` / ``decode_frame``, hard and
+soft, and ``detect_uplink``/``SphereDetector`` above them), the
+streaming runtime and the detector farm.
 
 Numba is optional, so the sweeps run the same kernel functions
 *interpreted* via :data:`repro.sphere.tick_kernel.FORCE_PYTHON` — the
@@ -24,7 +25,8 @@ import repro.sphere.tick_kernel as tick_kernel
 from repro.constellation import qam
 from repro.detect import SphereDetector
 from repro.phy.receiver import detect_uplink
-from repro.runtime import UplinkRuntime
+from repro.runtime import FrameJob, FrameRequest, UplinkRuntime
+from repro.runtime.engine import StreamingFrontier
 from repro.service import DetectorFarm
 from repro.sphere import ListSphereDecoder, SphereDecoder, triangularize
 from repro.sphere.tick_kernel import (
@@ -34,7 +36,7 @@ from repro.sphere.tick_kernel import (
     resolve_tick_strategy,
 )
 
-from test_frame_engine import _frame_instance
+from test_engine import _frame_instance, decode_on_frontier
 from test_runtime import _assert_identical, _make_frame, _reference
 
 
@@ -140,11 +142,10 @@ def test_missing_numba_keeps_results_identical(monkeypatch):
     if NUMBA_AVAILABLE:  # pragma: no cover - CI kernel job only
         monkeypatch.setattr(tick_kernel, "NUMBA_AVAILABLE", False)
     constellation, channels, received = _frame_instance(16, 4, 4, 6, 3)
-    decoder = SphereDecoder(constellation)
-    reference = decoder.decode_frame(channels, received,
-                                     tick_strategy="numpy")
-    degraded = decoder.decode_frame(channels, received,
-                                    tick_strategy="compiled")
+    reference = SphereDecoder(constellation, tick_strategy="numpy"
+                              ).decode_frame(channels, received)
+    degraded = SphereDecoder(constellation, tick_strategy="compiled"
+                             ).decode_frame(channels, received)
     _assert_identical(degraded, reference, soft=False)
 
 
@@ -186,12 +187,11 @@ def test_batch_compiled_matches_numpy(force_python, enumerator, pruning,
 
 
 def test_batch_compiled_matches_scalar_loop(force_python):
-    """Three-way agreement: kernel == numpy frontier == scalar loop."""
+    """The kernel against the scalar search itself, row by row."""
     r, y_hat = _block_instance(4, 4, 16, seed=5)
     compiled = SphereDecoder(qam(4), tick_strategy="compiled")
-    loop = SphereDecoder(qam(4), batch_strategy="loop")
     _assert_batches_equal(compiled.decode_batch(r, y_hat),
-                          loop.decode_batch(r, y_hat))
+                          compiled._decode_batch_loop(r, y_hat))
 
 
 # ----------------------------------------------------------------------
@@ -205,13 +205,12 @@ def test_hard_frame_compiled_matches_numpy(force_python, enumerator,
                                            pruning, node_budget):
     constellation, channels, received = _frame_instance(16, 4, 4, 6, 4,
                                                         seed=7)
-    decoder = SphereDecoder(constellation, enumerator=enumerator,
-                            geometric_pruning=pruning,
-                            node_budget=node_budget)
-    reference = decoder.decode_frame(channels, received,
-                                     tick_strategy="numpy")
-    compiled = decoder.decode_frame(channels, received,
-                                    tick_strategy="compiled")
+    kwargs = dict(enumerator=enumerator, geometric_pruning=pruning,
+                  node_budget=node_budget)
+    reference = SphereDecoder(constellation, tick_strategy="numpy",
+                              **kwargs).decode_frame(channels, received)
+    compiled = SphereDecoder(constellation, tick_strategy="compiled",
+                             **kwargs).decode_frame(channels, received)
     _assert_identical(compiled, reference, soft=False)
 
 
@@ -224,12 +223,12 @@ def test_hard_frame_compiled_across_drain_settings(force_python,
     constellation, channels, received = _frame_instance(16, 4, 4, 8, 3,
                                                         seed=11)
     decoder = SphereDecoder(constellation)
-    reference = decoder.decode_frame(channels, received,
-                                     drain_threshold=drain_threshold,
-                                     tick_strategy="numpy")
-    compiled = decoder.decode_frame(channels, received,
-                                    drain_threshold=drain_threshold,
-                                    tick_strategy="compiled")
+    reference = decode_on_frontier(decoder, channels, received,
+                                   drain_threshold=drain_threshold,
+                                   tick_strategy="numpy")
+    compiled = decode_on_frontier(decoder, channels, received,
+                                  drain_threshold=drain_threshold,
+                                  tick_strategy="compiled")
     _assert_identical(compiled, reference, soft=False)
 
 
@@ -240,13 +239,14 @@ def test_soft_frame_compiled_matches_numpy(force_python, enumerator,
                                            list_size, node_budget):
     constellation, channels, received = _frame_instance(16, 4, 4, 5, 3,
                                                         seed=13)
-    decoder = ListSphereDecoder(constellation, list_size=list_size,
-                                enumerator=enumerator,
-                                node_budget=node_budget)
-    reference = decoder.decode_frame(channels, received, 0.05,
-                                     tick_strategy="numpy")
-    compiled = decoder.decode_frame(channels, received, 0.05,
-                                    tick_strategy="compiled")
+    kwargs = dict(list_size=list_size, enumerator=enumerator,
+                  node_budget=node_budget)
+    reference = ListSphereDecoder(constellation, tick_strategy="numpy",
+                                  **kwargs).decode_frame(channels, received,
+                                                         0.05)
+    compiled = ListSphereDecoder(constellation, tick_strategy="compiled",
+                                 **kwargs).decode_frame(channels, received,
+                                                        0.05)
     _assert_identical(compiled, reference, soft=True)
 
 
@@ -255,20 +255,19 @@ def test_uncompiled_enumerator_frame_request_degrades(force_python):
     same results, no warning (the degradation is by design)."""
     constellation, channels, received = _frame_instance(16, 4, 4, 5, 3,
                                                         seed=17)
-    decoder = SphereDecoder(constellation, enumerator="hess",
-                            geometric_pruning=False)
+    kwargs = dict(enumerator="hess", geometric_pruning=False)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        compiled = decoder.decode_frame(channels, received,
-                                        tick_strategy="compiled")
-    reference = decoder.decode_frame(channels, received,
-                                     tick_strategy="numpy")
+        compiled = SphereDecoder(constellation, tick_strategy="compiled",
+                                 **kwargs).decode_frame(channels, received)
+    reference = SphereDecoder(constellation, tick_strategy="numpy",
+                              **kwargs).decode_frame(channels, received)
     _assert_identical(compiled, reference, soft=False)
 
 
 def test_decoder_attribute_strategy_threads_through(force_python):
-    """``tick_strategy`` set at construction governs ``decode_frame``
-    with no per-call override, and the per-call knob wins over it."""
+    """``tick_strategy`` set at construction governs the pool the
+    decoder's frames run in, and a frontier-level knob wins over it."""
     constellation, channels, received = _frame_instance(16, 4, 4, 5, 3,
                                                         seed=19)
     compiled = SphereDecoder(constellation, tick_strategy="compiled")
@@ -276,9 +275,14 @@ def test_decoder_attribute_strategy_threads_through(force_python):
     reference = baseline.decode_frame(channels, received)
     _assert_identical(compiled.decode_frame(channels, received),
                       reference, soft=False)
-    _assert_identical(compiled.decode_frame(channels, received,
-                                            tick_strategy="numpy"),
-                      reference, soft=False)
+    for frontier_knob, expected in [(None, "compiled"), ("numpy", "numpy")]:
+        frontier = StreamingFrontier(tick_strategy=frontier_knob)
+        job = FrameJob(0, FrameRequest(channels, received, compiled))
+        frontier.submit(job)
+        assert job.pool.tick_mode == expected
+        while not frontier.idle:
+            frontier.tick()
+        _assert_identical(job.finalise(), reference, soft=False)
 
 
 # ----------------------------------------------------------------------
@@ -334,11 +338,10 @@ def test_runtime_rejects_unknown_strategy():
 def test_detect_uplink_compiled_matches_numpy(force_python):
     constellation, channels, received = _frame_instance(16, 4, 4, 6, 3,
                                                         seed=31)
-    detector = SphereDetector(SphereDecoder(constellation))
-    reference = detect_uplink(channels, received, detector, 0.05,
-                              tick_strategy="numpy")
-    compiled = detect_uplink(channels, received, detector, 0.05,
-                             tick_strategy="compiled")
+    reference, compiled = (
+        detect_uplink(channels, received, SphereDetector(SphereDecoder(
+            constellation, tick_strategy=strategy)), 0.05)
+        for strategy in ("numpy", "compiled"))
     assert np.array_equal(compiled.symbol_indices,
                           reference.symbol_indices)
     assert compiled.counters == reference.counters
