@@ -29,7 +29,8 @@ frontier and how long it lives:
 Straggler drain
 ---------------
 Sphere-search cost is heavy-tailed, and a lockstep tick costs a fixed
-few hundred microseconds of numpy dispatch however few lanes are live.
+~150 microseconds of numpy dispatch however few lanes are live (the
+table at :data:`DRAIN_THRESHOLD_CAP` has the per-lane figures).
 When a pool's queue is dry and its active set is down to
 ``drain_threshold`` lanes, the survivors leave lockstep for the
 numpy-free tail (:mod:`repro.sphere.tail`) — one tick that finishes
@@ -114,15 +115,28 @@ DEFAULT_LANE_CAPACITY = 2048
 
 #: Ceiling for the default straggler-drain threshold (``capacity // 6``
 #: below it): the frontier stays efficient down to a small *absolute*
-#: active count.  Re-measured in PR 15 with the numpy-free tail
-#: (~4.5 us/node, against ~5.5 for a lockstep tick of 33-64 lanes and
-#: ~3.4 for 65-128): on hard 16-QAM 4x4 x 64-subcarrier frames 48-64
-#: survivors would be 6-8 % faster (closed-loop frames/s) and 14 %
-#: faster for a lone ``decode_frame``, but every value above 32
-#: lengthens the one tick that drains a *list* (soft) pool enough to
-#: move the median latency of the light frames sharing the runtime by
-#: +20-25 % on the mixed coded cell workload.  The hand-off point is a
-#: latency trade-off first, so 32 stays.
+#: active count.  Re-measured in PR 18 with the column-form ``zigzag``
+#: kernel, on the ladder's hard 16-QAM 4x4 x 64-subcarrier corpus
+#: (coded hard+soft cell mix in brackets), lockstep microseconds per
+#: lane per tick by live lanes, heap-form kernel -> column form:
+#:
+#:     33-64 lanes    5.1 -> 3.4    (6.8 -> 4.1)
+#:     65-128         3.1 -> 1.9    (3.1 -> 2.3)
+#:     129-256        2.0 -> 1.3    (1.6 -> 1.2)
+#:     257-512        1.4 -> 0.8    (1.3 -> 0.9)
+#:     > 512          0.64 -> 0.40  (0.96 -> 0.61)
+#:     tail           4.7 us/node   (7.1: soft leaves cost more)
+#:
+#: i.e. a tick is ~0.14 ms + ~0.3 us x lanes (was ~0.21 ms + ~0.5).
+#: The sweep over {16, 24, 32, 48} on the ladder (seeds 1 and 2,
+#: ``hard_stream`` frames/s | ``coded_soft_cell`` latency p50 ms):
+#: 16: 120-125 | 132-139, 24: 188 | 108-123, 32: 189-201 | 102-104,
+#: 48: 193-204 | 141-171.  Below 32 the last few dozen searches pay the
+#: per-tick floor for too many ticks; above it hard throughput is flat
+#: and — as in PR 15 — the one tick that drains a *list* (soft) pool
+#: gets long enough to move the median latency of the light frames
+#: sharing the runtime by +40-60 %.  The hand-off point is a latency
+#: trade-off first, so 32 stays.
 DRAIN_THRESHOLD_CAP = 32
 
 #: Lanes a kernel pool allocates up front; pools grow geometrically on
@@ -130,6 +144,10 @@ DRAIN_THRESHOLD_CAP = 32
 DEFAULT_INITIAL_LANES = 64
 
 _EMPTY = np.empty(0, dtype=np.int64)
+
+#: A freshly admitted lane's (ped, visited, expanded, leaves, prunes):
+#: nothing yet but the root expansion.
+_ROOT_TALLY = np.array([0, 0, 1, 0, 0], dtype=np.int64)
 
 #: Per-lane node-budget value meaning "no cap": larger than any count a
 #: search can accumulate, so the always-on budget check is a no-op for
@@ -171,6 +189,12 @@ def accumulate_interference(rows, chosen, next_level,
     return interference
 
 
+def _row_max(rows: np.ndarray) -> np.ndarray:
+    """``rows.max(axis=1)`` as an argmax and a gather: on rows this
+    short numpy's pairwise reduction costs ~4x the argmax."""
+    return rows[np.arange(rows.shape[0]), rows.argmax(axis=1)]
+
+
 def insert_soft_leaves(at_leaf, leaf_distance, seq, path_cols, path_rows,
                        list_d, list_seq, list_cols, list_rows, list_n,
                        radius, list_size: int) -> None:
@@ -184,43 +208,112 @@ def insert_soft_leaves(at_leaf, leaf_distance, seq, path_cols, path_rows,
     are indexed by the lane ids in ``at_leaf``.
     """
     count = list_n[at_leaf]
-    not_full = count < list_size
-    inserting = at_leaf[not_full]
-    if inserting.size:
+    full = count == list_size
+    if full.all():
+        replacing, new_distance, new_seq = at_leaf, leaf_distance, seq
+    else:
         # Room left: append to the lane's next free entry.
-        slot = count[not_full]
-        list_d[inserting, slot] = leaf_distance[not_full]
-        list_seq[inserting, slot] = seq[not_full]
+        room = ~full
+        inserting = at_leaf[room]
+        slot = count[room]
+        list_d[inserting, slot] = leaf_distance[room]
+        list_seq[inserting, slot] = seq[room]
         list_cols[inserting, slot] = path_cols[inserting]
         list_rows[inserting, slot] = path_rows[inserting]
         list_n[inserting] = slot + 1
-        newly_full = list_n[inserting] == list_size
+        newly_full = slot == list_size - 1
         if newly_full.any():
             filled = inserting[newly_full]
-            radius[filled] = list_d[filled].max(axis=1)
-    replacing = at_leaf[~not_full]
-    if replacing.size:
-        # Full list: ``heappushpop`` semantics — the new leaf replaces
-        # the worst member (largest distance, ties towards the
-        # earliest-found) unless it is strictly worse than all of them.
-        new_distance = leaf_distance[~not_full]
-        new_seq = seq[~not_full]
-        worst = list_d[replacing].max(axis=1)
-        evict = new_distance <= worst
+            radius[filled] = _row_max(list_d[filled])
+        if not full.any():
+            return
+        replacing = at_leaf[full]
+        new_distance = leaf_distance[full]
+        new_seq = seq[full]
+    # Full list: ``heappushpop`` semantics — the new leaf replaces the
+    # worst member (largest distance, ties towards the earliest-found)
+    # unless it is strictly worse than all of them.  A full list's
+    # radius *is* its worst member's distance.
+    worst = radius[replacing]
+    evict = new_distance <= worst
+    if not evict.all():
         replacing = replacing[evict]
-        if replacing.size:
-            new_distance = new_distance[evict]
-            new_seq = new_seq[evict]
-            row_d = list_d[replacing]
-            worst_tie = np.where(
-                row_d == row_d.max(axis=1)[:, None],
-                list_seq[replacing], np.iinfo(np.int64).max)
-            slot = worst_tie.argmin(axis=1)
-            list_d[replacing, slot] = new_distance
-            list_seq[replacing, slot] = new_seq
-            list_cols[replacing, slot] = path_cols[replacing]
-            list_rows[replacing, slot] = path_rows[replacing]
-            radius[replacing] = list_d[replacing].max(axis=1)
+        new_distance = new_distance[evict]
+        new_seq = new_seq[evict]
+        worst = worst[evict]
+    row_d = list_d[replacing]
+    slot = np.where(row_d == worst[:, None], list_seq[replacing],
+                    _NO_BUDGET).argmin(axis=1)
+    list_d[replacing, slot] = new_distance
+    list_seq[replacing, slot] = new_seq
+    list_cols[replacing, slot] = path_cols[replacing]
+    list_rows[replacing, slot] = path_rows[replacing]
+    row_d[np.arange(replacing.size), slot] = new_distance
+    radius[replacing] = _row_max(row_d)
+
+
+class _ResultArena:
+    """Result rows of a pool's in-flight frames.
+
+    A frame's searches finish a few per tick, interleaved with other
+    frames'.  Each frame owns a contiguous run of rows here from its
+    first lane to its completion and every lane knows its destination
+    row, so one tick's retirements cost one gather and one scatter per
+    result array however many frames they belong to; the frame takes a
+    copy of its rows when its last search retires.  The rows stand in
+    for per-frame result arrays a frame would otherwise hold while in
+    flight (and are recycled between equal-sized frames), so the arena
+    costs no resident memory.
+    """
+
+    def __init__(self, lane_arrays) -> None:
+        # One array per lane-indexed result array, same dtype and
+        # trailing shape.
+        self._arrays = tuple(np.empty((0,) + array.shape[1:], array.dtype)
+                             for array in lane_arrays)
+        self._top = 0
+        self._claims = 0
+        self._spare: dict[int, list[int]] = {}
+
+    def claim(self, rows: int) -> int:
+        """First row of a fresh ``rows``-row run."""
+        self._claims += 1
+        spare = self._spare.get(rows)
+        if spare:
+            return spare.pop()
+        base = self._top
+        self._top = base + rows
+        size = self._arrays[0].shape[0]
+        if self._top > size:
+            # Untouched rows of an ``empty`` array are not resident, so
+            # doubling is free until frames actually use the rows.
+            grown = []
+            for array in self._arrays:
+                bigger = np.empty((max(2 * size, self._top),)
+                                  + array.shape[1:], array.dtype)
+                bigger[:base] = array[:base]
+                grown.append(bigger)
+            self._arrays = tuple(grown)
+        return base
+
+    def release(self, base: int, rows: int) -> None:
+        self._claims -= 1
+        if self._claims:
+            self._spare.setdefault(rows, []).append(base)
+        else:
+            # Nothing in flight: start over, so a drifting frame size
+            # cannot strand rows for the life of the pool.
+            self._top = 0
+            self._spare.clear()
+
+    def retire(self, dest: np.ndarray, lanes: np.ndarray,
+               lane_arrays) -> None:
+        for array, lane_array in zip(self._arrays, lane_arrays):
+            array[dest] = lane_array[lanes]
+
+    def take(self, base: int, rows: int) -> tuple:
+        return tuple(array[base:base + rows].copy()
+                     for array in self._arrays)
 
 
 class LanePool:
@@ -280,9 +373,9 @@ class _PoolBase:
     """Kernel arrays + lane state for one search signature.
 
     All per-search state is *lane*-indexed: a search owns its lane from
-    admission to finish, results are copied out to its frame's arrays the
-    moment it finishes, and the lane is recycled for the next queued
-    search of any frame.
+    admission to finish, its outcome moves to its frame's rows of the
+    pool's result arena the moment it finishes, and the lane is recycled
+    for the next queued search of any frame.
     """
 
     def __init__(self, engine: "StreamingFrontier", template: FrameJob,
@@ -318,14 +411,11 @@ class _PoolBase:
 
         levels = self.constellation.levels
         self.symbol_grid = levels[:, None] + 1j * levels[None, :]
-        # Per-lane complexity tallies, copied to the frame at finish.
-        self.ped = np.zeros(capacity, dtype=np.int64)
-        self.visited = np.zeros(capacity, dtype=np.int64)
-        self.expanded = np.zeros(capacity, dtype=np.int64)
-        self.leaves = np.zeros(capacity, dtype=np.int64)
-        self.prunes = np.zeros(capacity, dtype=np.int64)
-        self.tallies = (self.ped, self.visited, self.expanded, self.leaves,
-                        self.prunes)
+        # Per-lane complexity tallies, packed one row per lane so a
+        # reset or a retirement moves all five at once; the named
+        # columns are views.
+        self.tally = np.zeros((capacity, 5), dtype=np.int64)
+        self._bind_tallies()
         self.kernel = make_kernel(decoder, capacity * num_streams, levels,
                                   self.ped, self.prunes)
         if not self.kernel.has_tail:
@@ -336,9 +426,12 @@ class _PoolBase:
         # identity walks rebuilt every tick.
         self.jobidx_of = np.zeros(capacity, dtype=np.int64)
         self._jobidx: dict[int, int] = {}
-        self._jobs_by_idx: dict[int, FrameJob] = {}
+        #: frame id -> (frame, first arena row of its results).
+        self._jobs_by_idx: dict[int, tuple[FrameJob, int]] = {}
         self._next_jobidx = 0
         self.elem_of = np.zeros(capacity, dtype=np.int64)
+        # The arena row each lane's outcome retires to (see _ResultArena).
+        self.dest_of = np.zeros(capacity, dtype=np.int64)
         # Per-lane copies of the element's channel: its subcarrier's R,
         # rotated observation and diagonal scalings.
         self.lane_r = np.zeros((capacity, num_streams, num_streams),
@@ -358,6 +451,11 @@ class _PoolBase:
         self.path_rows_flat = self.path_rows.reshape(-1)
         self.chosen_flat = self.chosen.reshape(-1)
 
+    def _bind_tallies(self) -> None:
+        self.tallies = tuple(self.tally.T)
+        (self.ped, self.visited, self.expanded, self.leaves,
+         self.prunes) = self.tallies
+
     @property
     def has_work(self) -> bool:
         return bool(self.active.size or self.queue.pending)
@@ -374,16 +472,12 @@ class _PoolBase:
         """
         self.lanes.grow(capacity)
         self.lane_budget = _grown(self.lane_budget, capacity, _NO_BUDGET)
-        self.ped = _grown(self.ped, capacity)
-        self.visited = _grown(self.visited, capacity)
-        self.expanded = _grown(self.expanded, capacity)
-        self.leaves = _grown(self.leaves, capacity)
-        self.prunes = _grown(self.prunes, capacity)
-        self.tallies = (self.ped, self.visited, self.expanded, self.leaves,
-                        self.prunes)
+        self.tally = _grown(self.tally, capacity)
+        self._bind_tallies()
         self.kernel.grow(capacity * self.num_streams, self.ped, self.prunes)
         self.jobidx_of = _grown(self.jobidx_of, capacity)
         self.elem_of = _grown(self.elem_of, capacity)
+        self.dest_of = _grown(self.dest_of, capacity)
         self.lane_r = _grown(self.lane_r, capacity)
         self.lane_y = _grown(self.lane_y, capacity)
         self.lane_diag = _grown(self.lane_diag, capacity, 1.0)
@@ -411,11 +505,7 @@ class _PoolBase:
         self.path_cols[lanes] = 0
         self.path_rows[lanes] = 0
         self.chosen[lanes] = 0.0
-        self.ped[lanes] = 0
-        self.visited[lanes] = 0
-        self.leaves[lanes] = 0
-        self.prunes[lanes] = 0
-        self.expanded[lanes] = 1          # the root expansion
+        self.tally[lanes] = _ROOT_TALLY
 
     def _admit(self) -> None:
         """Refill free lanes from the frame-tagged queue."""
@@ -434,8 +524,10 @@ class _PoolBase:
         admitted = []
         for job, elements in self.queue.take(room):
             lanes = self.lanes.take(elements.size)
-            self.jobidx_of[lanes] = self._jobidx_for(job)
+            index, base = self._intern(job)
+            self.jobidx_of[lanes] = index
             self.elem_of[lanes] = elements
+            self.dest_of[lanes] = base + elements
             subcarriers = elements // job.num_symbols
             self.lane_r[lanes] = job.r_stack[subcarriers]
             self.lane_y[lanes] = job.y_flat[elements]
@@ -467,30 +559,36 @@ class _PoolBase:
             self.active = np.concatenate([self.active, lanes])
 
     # -- retirement -----------------------------------------------------
-    def _jobidx_for(self, job: FrameJob) -> int:
+    def _intern(self, job: FrameJob) -> tuple[int, int]:
+        """``(dense id, arena base)`` of a frame with searches in lanes,
+        claimed when its first search is admitted."""
         index = self._jobidx.get(id(job))
         if index is None:
             index = self._next_jobidx
             self._next_jobidx = index + 1
             self._jobidx[id(job)] = index
-            self._jobs_by_idx[index] = job
-        return index
+            self._jobs_by_idx[index] = (job, self.arena.claim(
+                job.num_problems))
+        return index, self._jobs_by_idx[index][1]
 
     def _forget(self, job: FrameJob) -> None:
-        """Drop a finished/abandoned frame's id mapping (stale
-        ``jobidx_of`` rows belong to free lanes, which admission rewrites
-        before any tick reads them)."""
+        """Drop a finished/abandoned frame's id mapping and arena rows
+        (stale ``jobidx_of`` rows belong to free lanes, which admission
+        rewrites before any tick reads them)."""
         index = self._jobidx.pop(id(job), None)
         if index is not None:
-            del self._jobs_by_idx[index]
+            _, base = self._jobs_by_idx.pop(index)
+            self.arena.release(base, job.num_problems)
 
     def _release(self, lanes: np.ndarray) -> None:
         self.lanes.release(lanes)
         self.engine.in_use -= lanes.size
 
-    def _retire(self, job: FrameJob, count: int, completed: list) -> None:
+    def _retire(self, index: int, count: int, completed: list) -> None:
+        job, base = self._jobs_by_idx[index]
         job.remaining -= count
         if job.remaining == 0:
+            job.collect(*self.arena.take(base, job.num_problems))
             completed.append(job)
             self._forget(job)
 
@@ -531,33 +629,21 @@ class _PoolBase:
         self._release(victims)
         return int(victims.size)
 
-    def _by_job(self, lanes: np.ndarray):
-        if not lanes.size:
-            return
-        keys = self.jobidx_of[lanes]
-        first_key = keys[0]
-        if bool((keys == first_key).all()):
-            # The common streaming case — every finishing lane belongs to
-            # one frame — groups without any index allocation.
-            yield self._jobs_by_idx[int(first_key)], lanes
-            return
-        unique, first_seen = np.unique(keys, return_index=True)
-        # First-occurrence order, matching the insertion-ordered dict the
-        # per-lane walk used to build.
-        for key in unique[np.argsort(first_seen)]:
-            yield self._jobs_by_idx[int(key)], lanes[keys == key]
-
     def _finish_lockstep(self, lanes: np.ndarray, completed: list) -> None:
-        """Copy finished lockstep searches' results to their frames."""
-        for job, job_lanes in self._by_job(lanes):
-            elements = self.elem_of[job_lanes]
-            self._store(job, job_lanes, elements)
-            job.ped[elements] = self.ped[job_lanes]
-            job.visited[elements] = self.visited[job_lanes]
-            job.expanded[elements] = self.expanded[job_lanes]
-            job.leaves[elements] = self.leaves[job_lanes]
-            job.prunes[elements] = self.prunes[job_lanes]
-            self._retire(job, job_lanes.size, completed)
+        """Retire finished searches (``lanes`` is non-empty): one gather
+        and scatter per result array moves every outcome to its frame's
+        arena rows, whatever mix of frames finishes this tick; frames
+        whose last search this was complete in first-lane order."""
+        self.arena.retire(self.dest_of[lanes], lanes, self._results())
+        keys = self.jobidx_of[lanes]
+        oldest = int(keys.min())
+        if oldest == int(keys.max()):
+            # The common streaming case: one frame's lanes.
+            self._retire(oldest, lanes.size, completed)
+        else:
+            counts = np.bincount(keys - oldest)
+            for offset in np.flatnonzero(counts).tolist():
+                self._retire(oldest + offset, int(counts[offset]), completed)
         self._release(lanes)
 
     def _drain_tail(self, completed: list) -> None:
@@ -692,10 +778,9 @@ class _PoolBase:
                            - interference)
                           / self.lane_diag[descending, next_level])
                 self.expanded[descending] += 1
-                self.kernel.init(descending * num_streams + next_level,
-                                 descending, points)
-                self.parent_flat[descending * num_streams + next_level] = (
-                    parent_push)
+                child = descending * num_streams + next_level
+                self.kernel.init(child, descending, points)
+                self.parent_flat[child] = parent_push
                 self.level[descending] = next_level
 
 
@@ -710,6 +795,11 @@ class _HardPool(_PoolBase):
         self.best_rows = np.full((capacity, self.num_streams), -1,
                                  dtype=np.int64)
         self.best_dist = np.full(capacity, np.inf)
+        self.arena = _ResultArena(self._results())
+
+    def _results(self):
+        # What FrameJob.collect takes for a hard frame.
+        return self.tally, self.best_dist, self.best_cols, self.best_rows
 
     def _grow(self, capacity: int) -> None:
         super()._grow(capacity)
@@ -750,15 +840,6 @@ class _HardPool(_PoolBase):
             self.path_rows, self.chosen, self.best_cols, self.best_rows,
             self.best_dist, self.tallies)
 
-    def _store(self, job, lanes, elements) -> None:
-        found = np.isfinite(self.best_dist[lanes])
-        job.found[elements] = found
-        job.distances[elements] = self.best_dist[lanes]
-        if found.any():
-            hit_lanes = lanes[found]
-            job.indices[elements[found]] = self.constellation.index_of(
-                self.best_cols[hit_lanes], self.best_rows[hit_lanes])
-
 
 class _SoftPool(_PoolBase):
     """List searches under the bounded-best-leaf radius policy."""
@@ -776,6 +857,12 @@ class _SoftPool(_PoolBase):
                                   dtype=np.int64)
         self.list_n = np.zeros(capacity, dtype=np.int64)
         self.leaf_seq = np.zeros(capacity, dtype=np.int64)
+        self.arena = _ResultArena(self._results())
+
+    def _results(self):
+        # What FrameJob.collect takes for a soft frame.
+        return (self.tally, self.list_d, self.list_seq, self.list_cols,
+                self.list_rows, self.list_n)
 
     def _grow(self, capacity: int) -> None:
         super()._grow(capacity)
@@ -819,13 +906,6 @@ class _SoftPool(_PoolBase):
             self.path_rows, self.chosen, self.list_d, self.list_seq,
             self.list_cols, self.list_rows, self.list_n, self.leaf_seq,
             self.list_size, self.tallies)
-
-    def _store(self, job, lanes, elements) -> None:
-        job.list_d[elements] = self.list_d[lanes]
-        job.list_seq[elements] = self.list_seq[lanes]
-        job.list_cols[elements] = self.list_cols[lanes]
-        job.list_rows[elements] = self.list_rows[lanes]
-        job.list_n[elements] = self.list_n[lanes]
 
 
 class StreamingFrontier:
@@ -931,8 +1011,13 @@ class StreamingFrontier:
         return not any(pool.has_work for pool in self._pools.values())
 
     def occupancy(self) -> float:
-        """Fraction of the lane budget currently advancing searches."""
-        return self.active_lanes / self.capacity
+        """Fraction of the *allocated* lanes currently advancing
+        searches (0 before any pool exists).  Pools allocate on demand,
+        so this reads how full the kernel arrays a tick actually sweeps
+        are, not how much of the global budget a workload happens to
+        need."""
+        allocated = sum(pool.allocated for pool in self._pools.values())
+        return self.active_lanes / allocated if allocated else 0.0
 
     def _pool_key(self, job: FrameJob) -> tuple:
         """The job's kernel signature.  It ends with the *resolved* tick

@@ -6,9 +6,10 @@ symbol) search, and the searches may come from *different frames*, so
 every queued search carries a frame id and a frame-local element
 index.  This module owns that tagging: a :class:`FrameRequest` describes
 one frame as submitted by the caller, a :class:`FrameJob` is the
-runtime's per-frame state (preprocessed factors, per-element result
-arrays, completion accounting), and the :class:`AdmissionQueue` is a
-class-aware queue of (frame, element) tags that refills freed lanes from
+runtime's per-frame state (preprocessed factors, completion accounting,
+the per-element results once collected), and the
+:class:`AdmissionQueue` is a class-aware queue of (frame, element) tags
+that refills freed lanes from
 *any* admitted frame — frame N+1's searches enter lanes while frame N's
 stragglers drain, which is where the pipelining throughput comes from.
 
@@ -198,8 +199,9 @@ class FrameJob:
     """Engine-side state of one admitted frame.
 
     Preprocessing happens once at construction — one stacked QR sweep
-    and rotation — and the per-element result and counter arrays fill in
-    as the engine finishes searches (in whatever order lanes free up);
+    and rotation.  The engine gathers the per-element outcomes and
+    tallies as searches finish (in whatever order lanes free up) and
+    hands them over when the last one has (:meth:`collect`);
     ``finalise`` assembles the frame result.
     """
 
@@ -272,26 +274,16 @@ class FrameJob:
         self.num_problems = num_subcarriers * num_symbols
         self.remaining = self.num_problems
 
-        # Element e = subcarrier * T + symbol.
-        count = self.num_problems
-        self.ped = np.zeros(count, dtype=np.int64)
-        self.visited = np.zeros(count, dtype=np.int64)
-        self.expanded = np.zeros(count, dtype=np.int64)
-        self.leaves = np.zeros(count, dtype=np.int64)
-        self.prunes = np.zeros(count, dtype=np.int64)
-        if kind == "hard":
-            self.found = np.zeros(count, dtype=bool)
-            self.indices = np.full((count, num_streams), -1, dtype=np.int64)
-            self.distances = np.full(count, np.inf)
-        else:
-            list_size = decoder.list_size
-            self.list_d = np.full((count, list_size), np.inf)
-            self.list_seq = np.zeros((count, list_size), dtype=np.int64)
-            self.list_cols = np.zeros((count, list_size, num_streams),
-                                      dtype=np.int64)
-            self.list_rows = np.zeros((count, list_size, num_streams),
-                                      dtype=np.int64)
-            self.list_n = np.zeros(count, dtype=np.int64)
+    def collect(self, tally: np.ndarray, *outcome: np.ndarray) -> None:
+        """Take the frame's per-element rows (element ``e = subcarrier *
+        T + symbol``) from the engine once its last search has retired:
+        the packed ``(count, 5)`` complexity tallies, then ``(distances,
+        cols, rows)`` of the best leaves for a hard frame — ``inf``
+        where none was found — or the ``(list_d, list_seq, list_cols,
+        list_rows, list_n)`` leaf lists for a soft one."""
+        (self.ped, self.visited, self.expanded, self.leaves,
+         self.prunes) = tally.T
+        self.outcome = outcome
 
     def _totals(self) -> ComplexityCounters:
         return sum_tally_counters(self.ped, self.visited, self.expanded,
@@ -317,21 +309,25 @@ class FrameJob:
             return empty(self.num_symbols, self.num_subcarriers, num_streams,
                          constellation)
         if self.kind == "hard":
+            distances, cols, rows = self.outcome
+            found = np.isfinite(distances)
+            indices = np.where(found[:, None],
+                               constellation.index_of(cols, rows), -1)
             return FrameDecodeResult(
-                found=self.found.reshape(frame_shape).T,
-                symbol_indices=self.indices.reshape(
+                found=found.reshape(frame_shape).T,
+                symbol_indices=indices.reshape(
                     frame_shape + (num_streams,)).transpose(1, 0, 2),
-                distances_sq=self.distances.reshape(frame_shape).T,
+                distances_sq=distances.reshape(frame_shape).T,
                 counters=self._totals(), points=constellation.points)
+        list_n = self.outcome[-1]
         llrs, best_indices, _ = soft_outputs_from_lists(
-            constellation, self.list_d, self.list_seq,
-            self.list_cols, self.list_rows, self.list_n,
-            self.noise_variance, self.decoder.clamp)
+            constellation, *self.outcome, self.noise_variance,
+            self.decoder.clamp)
         return SoftFrameResult(
             llrs=llrs.reshape(frame_shape + (-1,)).transpose(1, 0, 2),
             symbol_indices=best_indices.reshape(
                 frame_shape + (num_streams,)).transpose(1, 0, 2),
-            list_sizes=self.list_n.reshape(frame_shape).T,
+            list_sizes=list_n.reshape(frame_shape).T,
             counters=self._totals(), points=constellation.points)
 
 

@@ -7,7 +7,7 @@ between traffic bursts are excluded, so the rate describes what the
 engine sustains while it actually has work), per-frame latency
 percentiles overall and per priority class (tail latency is where
 straggler searches and queueing delay show up), lane occupancy (how full
-the lockstep frontier actually runs), and the visited-node/PED totals
+the lanes the pools have allocated actually run), and the visited-node/PED totals
 that tie wall-clock back to the paper's complexity metrics.  Frames that
 run the coded chain additionally feed goodput accounting: payload bits
 over CRC-passing streams per second and the CRC failure rate — the
@@ -362,7 +362,11 @@ class RuntimeStats:
         return report
 
     def mean_lane_occupancy(self) -> float:
-        """Average fraction of the lane budget busy per tick."""
+        """Average fraction of the allocated lanes busy per tick
+        (:meth:`StreamingFrontier.occupancy
+        <repro.runtime.engine.StreamingFrontier.occupancy>`: against
+        what the pools have actually allocated, not the global lane
+        budget)."""
         return self._occupancy_sum / self.ticks if self.ticks else 0.0
 
     def tick_orchestration_s(self) -> float:

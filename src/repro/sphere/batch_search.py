@@ -6,12 +6,17 @@ enumerator per expanded tree node.  The lockstep engine
 per tick, so each scalar enumerator has a vectorised *kernel* here
 holding its state for every (lane, tree level) slot as flat arrays:
 
-* ``zigzag`` — Geosphere's lazy 2-D zigzag: a bounded per-slot frontier
-  array replaces the heap (pop = lexicographic ``(distance, i, j)``
-  minimum, matching ``heapq`` tuple order), with deferred successor
-  proposals and optional geometric-pruning table lookups;
-* ``shabany`` — the same frontier plus the seen-set and the second
-  (horizontal) successor proposal;
+* ``zigzag`` — Geosphere's lazy 2-D zigzag in **column form**.  The
+  paper's invariant (section 3.1.1: at most one queued candidate per
+  entered PAM column, hence its sqrt(|O|) queue bound) is used as the
+  *layout*, not just as a capacity: a slot's priority queue is a row of
+  ``side`` distances, a pop is ``argmin`` over the row (ties to the
+  lowest column, which is ``heapq``'s ``(distance, i, j)`` order
+  because queued columns are distinct), and the two deferred successor
+  proposals share one bounds → pruning-table → tally → write pass;
+* ``shabany`` — both successors every time behind a seen-set, so a
+  column can hold several candidates: a bounded unordered heap per slot
+  whose pop takes the lexicographic ``(distance, i, j)`` minimum;
 * ``hess`` — ETH-SD's row-parallel 1-D zigzag: per-row position and
   distance arrays, refill-on-demand;
 * ``exhaustive`` — compute-all-then-stable-argsort, cursor per slot.
@@ -24,17 +29,27 @@ are plain elementwise real arithmetic, and the PED / geometric-prune
 tallies are incremented at exactly the points the scalar enumerators
 increment theirs.  Only the frontier kernels (``zigzag``, ``shabany``)
 can hand a half-run search to the numpy-free tail
-(:mod:`repro.sphere.tail`, ``kernel.has_tail``); ``hess`` and
-``exhaustive`` are comparison baselines and finish in lockstep.
+(:mod:`repro.sphere.tail`, ``kernel.has_tail``), which reads their
+queue through ``export_frontier`` — neither it nor the compiled cores
+(:mod:`repro.sphere.tick_kernel`, which keep their own frontier scratch)
+depend on a kernel's queue layout; ``hess`` and ``exhaustive`` are
+comparison baselines and finish in lockstep.
 """
 
 from __future__ import annotations
+
+from heapq import heapify
 
 import numpy as np
 
 from .batch import batched_axis_orders
 
 __all__ = ["make_kernel"]
+
+#: What a frontier kernel's ``step`` returns when no stepped slot
+#: yielded a candidate.
+_NO_DISTANCES = np.zeros(0)
+_NO_INDICES = np.zeros(0, dtype=np.int64)
 
 
 def _grown(array: np.ndarray, rows: int, fill=0) -> np.ndarray:
@@ -54,6 +69,13 @@ class _KernelBase:
     ``slot = lane * num_streams + level`` — one slot per (lane, tree
     level) pair, matching the one-enumerator-per-stack-entry shape
     of the scalar search.
+
+    The per-axis tables are stacked slot-major — ``axis_int[slot]`` is
+    ``[ord_i, ord_q]`` (``[ord_i, off_i, ord_q, off_q]`` with a pruning
+    table), ``axis_res[slot]`` is ``[res_i, res_q]`` — so a node's tables
+    are one contiguous row and :meth:`init_axes` writes each stack with a
+    single scatter; ``ord_i`` ... ``res_q`` are ``(num_slots, side)``
+    views into them.
     """
 
     #: Whether :mod:`repro.sphere.tail` can finish this kernel's searches
@@ -62,16 +84,28 @@ class _KernelBase:
     has_tail = False
 
     def __init__(self, num_slots: int, side: int, levels: np.ndarray,
-                 ped: np.ndarray, prunes: np.ndarray) -> None:
+                 ped: np.ndarray, prunes: np.ndarray,
+                 table: np.ndarray | None = None) -> None:
         self.side = side
         self.levels = levels
         self.ped = ped
         self.prunes = prunes
-        self.ord_i = np.zeros((num_slots, side), dtype=np.int64)
-        self.res_i = np.zeros((num_slots, side), dtype=np.float64)
-        self.ord_q = np.zeros((num_slots, side), dtype=np.int64)
-        self.res_q = np.zeros((num_slots, side), dtype=np.float64)
+        self.table = table
+        self.axis_int = np.zeros(
+            (num_slots, 2 if table is None else 4, side), dtype=np.int64)
+        self.axis_res = np.zeros((num_slots, 2, side), dtype=np.float64)
+        self._bind_axes()
         self._iota = np.arange(num_slots, dtype=np.int64)
+
+    def _bind_axes(self) -> None:
+        per_axis = self.axis_int.shape[1] // 2
+        self.ord_i = self.axis_int[:, 0]
+        self.ord_q = self.axis_int[:, per_axis]
+        if per_axis == 2:
+            self.off_i = self.axis_int[:, 1]
+            self.off_q = self.axis_int[:, 3]
+        self.res_i = self.axis_res[:, 0]
+        self.res_q = self.axis_res[:, 1]
 
     def grow(self, num_slots: int, ped: np.ndarray,
              prunes: np.ndarray) -> None:
@@ -81,51 +115,180 @@ class _KernelBase:
         caller reallocated alongside the kernel."""
         self.ped = ped
         self.prunes = prunes
-        self.ord_i = _grown(self.ord_i, num_slots)
-        self.res_i = _grown(self.res_i, num_slots)
-        self.ord_q = _grown(self.ord_q, num_slots)
-        self.res_q = _grown(self.res_q, num_slots)
+        self.axis_int = _grown(self.axis_int, num_slots)
+        self.axis_res = _grown(self.axis_res, num_slots)
+        self._bind_axes()
         self._iota = np.arange(num_slots, dtype=np.int64)
 
-    def init_axes(self, slots: np.ndarray, points: np.ndarray) -> None:
-        """Zigzag-order both PAM axes for freshly expanded nodes.
+    def init_axes(self, slots: np.ndarray, points: np.ndarray) -> np.ndarray:
+        """Zigzag-order both PAM axes for freshly expanded nodes; returns
+        the ``(count, 2, side)`` squared residuals just written.
 
         The I and Q coordinates go through one fused
-        ``batched_axis_orders`` call (rows are independent, so stacking
-        them is exact) to halve the per-tick call overhead.
+        ``batched_axis_orders`` call (rows are independent, so fusing
+        them is exact), interleaved: that is a free view of the complex
+        points, and it leaves each node's tables adjacent, ready for the
+        slot-major stacks.
         """
         count = points.shape[0]
-        coordinates = np.concatenate([points.real, points.imag])
-        order, residual = batched_axis_orders(coordinates, self.levels)
-        self.ord_i[slots] = order[:count]
-        self.res_i[slots] = residual[:count]
-        self.ord_q[slots] = order[count:]
-        self.res_q[slots] = residual[count:]
+        coordinates = np.ascontiguousarray(
+            points, dtype=np.complex128).view(np.float64)
+        tables, residual = batched_axis_orders(
+            coordinates, self.levels, offsets=self.table is not None)
+        residual = residual.reshape(count, 2, self.side)
+        self.axis_int[slots] = tables.reshape(count, -1, self.side)
+        self.axis_res[slots] = residual
+        return residual
 
 
 class _ZigzagKernel(_KernelBase):
-    """Vectorised :class:`GeosphereEnumerator` (lazy 2-D zigzag).
+    """Vectorised :class:`GeosphereEnumerator` (lazy 2-D zigzag), in the
+    paper's own queue layout.
 
-    The scalar heap becomes a bounded unordered slot array; a pop takes
-    the lexicographic ``(distance, i, j)`` minimum, which is exactly the
-    order ``heapq`` yields for the scalar tuples.  Geosphere's invariant
-    (at most one queued candidate per entered column) bounds occupancy by
-    ``side``; the Shabany subclass widens the bound.
+    Geosphere's 2-D zigzag enters each PAM column at its sliced row and
+    keeps at most one queued candidate per entered column (paper section
+    3.1.1, the sqrt(|O|) queue bound), so the priority queue of a slot
+    *is* a row of ``side`` distances: ``col_d[slot, i]`` is the queued
+    distance of column ``i`` (``inf`` = none queued) and ``col_j[slot,
+    i]`` that candidate's row pointer.  A pop is ``argmin`` over the row
+    — first occurrence = smallest ``i``, which is ``heapq``'s ``(distance,
+    i, j)`` order because queued columns are distinct — and consuming it
+    is one ``inf`` write.  ``last_i[slot]`` is the column of the
+    candidate handed out last (``-1`` = none pending); its row is still
+    in ``col_j``, and its deferred successors — vertical ``(i, j + 1)``
+    always, horizontal ``(i + 1, 0)`` from the column's entry point —
+    are proposed when the *next* candidate is requested, exactly like
+    the scalar enumerator.
     """
 
-    #: extra queue slots beyond ``side`` (transient headroom).
-    capacity_slack = 2
     has_tail = True
 
     def __init__(self, num_slots: int, side: int, levels: np.ndarray,
                  ped: np.ndarray, prunes: np.ndarray,
                  table: np.ndarray | None) -> None:
-        super().__init__(num_slots, side, levels, ped, prunes)
-        self.table = table
-        if table is not None:
-            self.off_i = np.zeros((num_slots, side), dtype=np.int64)
-            self.off_q = np.zeros((num_slots, side), dtype=np.int64)
-        capacity = self._capacity(side)
+        super().__init__(num_slots, side, levels, ped, prunes, table)
+        self.col_d = np.full((num_slots, side), np.inf)
+        self.col_j = np.zeros((num_slots, side), dtype=np.int64)
+        self.last_i = np.full(num_slots, -1, dtype=np.int64)
+
+    def grow(self, num_slots: int, ped, prunes) -> None:
+        super().grow(num_slots, ped, prunes)
+        self.col_d = _grown(self.col_d, num_slots, np.inf)
+        self.col_j = _grown(self.col_j, num_slots)
+        self.last_i = _grown(self.last_i, num_slots, -1)
+
+    def init(self, slots: np.ndarray, elements: np.ndarray,
+             points: np.ndarray) -> None:
+        residual = self.init_axes(slots, points)
+        # Step 2 of the paper's algorithm: enqueue the sliced point; its
+        # lower bound is zero, so it bypasses the pruning check.
+        self.col_d[slots] = np.inf
+        self.col_d[slots, 0] = residual[:, 0, 0] + residual[:, 1, 0]
+        self.col_j[slots, 0] = 0
+        self.last_i[slots] = -1
+        self.ped[elements] += 1
+
+    def _successors(self, slots, elements, i, budget) -> None:
+        """Deferred step 3 of the paper's algorithm for each slot's
+        previously dequeued ``(i, j)``: the vertical successor
+        ``(i, j + 1)`` always, the horizontal ``(i + 1, 0)`` only from
+        the column's entry point ``j == 0`` — both through one bounds →
+        pruning table → tally → write pass.  A slot can contribute two
+        proposals, hence the unbuffered ``np.add.at`` tallies; the
+        written ``(slot, column)`` cells are distinct (columns ``i`` and
+        ``i + 1``)."""
+        inner = self.side - 1
+        j = self.col_j[slots, i]
+        vertical = np.flatnonzero(j < inner)
+        horizontal = np.flatnonzero((j == 0) & (i < inner))
+        pick = np.concatenate([vertical, horizontal])
+        slots = slots[pick]
+        elements = elements[pick]
+        i = i[pick]
+        j = j[pick] + 1
+        i[vertical.size:] += 1
+        j[vertical.size:] = 0
+        if self.table is not None:
+            pruned = (self.table[self.off_i[slots, i], self.off_q[slots, j]]
+                      >= budget[pick])
+            if pruned.any():
+                np.add.at(self.prunes, elements[pruned], 1)
+                keep = ~pruned
+                slots = slots[keep]
+                elements = elements[keep]
+                i = i[keep]
+                j = j[keep]
+        np.add.at(self.ped, elements, 1)
+        self.col_d[slots, i] = self.res_i[slots, i] + self.res_q[slots, j]
+        self.col_j[slots, i] = j
+
+    # -- one next_candidate() per active slot ---------------------------
+    def step(self, slots, elements, budget):
+        pending = self.last_i[slots]
+        deferred = pending >= 0
+        if deferred.all():
+            self._successors(slots, elements, pending, budget)
+        elif deferred.any():
+            self._successors(slots[deferred], elements[deferred],
+                             pending[deferred], budget[deferred])
+        queued = self.col_d[slots]
+        column = queued.argmin(axis=1)
+        # (A gather: a second row reduction costs ~8 % of the whole tick.)
+        distance = queued[self._iota[:slots.size], column]
+        got = distance < budget
+        if got.all():
+            self.last_i[slots] = column
+        else:
+            self.last_i[slots] = np.where(got, column, -1)
+            slots = slots[got]
+            if slots.size == 0:
+                return got, _NO_DISTANCES, _NO_INDICES, _NO_INDICES
+            column = column[got]
+            distance = distance[got]
+        row = self.col_j[slots, column]
+        self.col_d[slots, column] = np.inf
+        return got, distance, self.ord_i[slots, column], self.ord_q[slots, row]
+
+    def export_frontier(self, rows: slice):
+        """``(heaps, last)`` of the slots in ``rows`` as plain Python: per
+        slot the queued ``(distance, i, j)`` tuples as a ``heapq`` list
+        and the pending ``(i, j)`` (``None`` if no successors are
+        deferred) — the scalar enumerator's ``_heap`` and ``_last``."""
+        heaps = []
+        last = []
+        for queued, pointer, pending in zip(self.col_d[rows].tolist(),
+                                            self.col_j[rows].tolist(),
+                                            self.last_i[rows].tolist()):
+            # Column order is not distance order: heapify.
+            heap = [(d, i, j) for i, (d, j) in enumerate(zip(queued, pointer))
+                    if d != np.inf]
+            heapify(heap)
+            heaps.append(heap)
+            last.append((pending, pointer[pending]) if pending >= 0 else None)
+        return heaps, last
+
+
+class _ShabanyKernel(_KernelBase):
+    """Vectorised :class:`ShabanyEnumerator`: both successors proposed
+    every time, deduplicated with a per-slot seen grid.
+
+    Without Geosphere's entry-point rule a column can hold several
+    queued candidates, so this kernel keeps a general frontier: a
+    bounded unordered array per slot (``heap_d`` / ``heap_i`` /
+    ``heap_j``, ``heap_n`` occupied) whose pop takes the lexicographic
+    ``(distance, i, j)`` minimum — ``heapq`` tuple order.  The queued
+    cells form (near-)antichains of the position grid, so the frontier
+    stays O(side); the capacity plus the overflow guard in ``_propose``
+    keeps the bound honest.
+    """
+
+    has_tail = True
+
+    def __init__(self, num_slots: int, side: int, levels: np.ndarray,
+                 ped: np.ndarray, prunes: np.ndarray,
+                 table: np.ndarray | None) -> None:
+        super().__init__(num_slots, side, levels, ped, prunes, table)
+        capacity = 2 * side + 4
         self.heap_d = np.full((num_slots, capacity), np.inf)
         self.heap_i = np.zeros((num_slots, capacity), dtype=np.int64)
         self.heap_j = np.zeros((num_slots, capacity), dtype=np.int64)
@@ -134,15 +297,10 @@ class _ZigzagKernel(_KernelBase):
         self.last_i = np.zeros(num_slots, dtype=np.int64)
         self.last_j = np.zeros(num_slots, dtype=np.int64)
         self.has_last = np.zeros(num_slots, dtype=bool)
-
-    def _capacity(self, side: int) -> int:
-        return side + self.capacity_slack
+        self.seen = np.zeros((num_slots, side * side), dtype=bool)
 
     def grow(self, num_slots: int, ped, prunes) -> None:
         super().grow(num_slots, ped, prunes)
-        if self.table is not None:
-            self.off_i = _grown(self.off_i, num_slots)
-            self.off_q = _grown(self.off_q, num_slots)
         self.heap_d = _grown(self.heap_d, num_slots, np.inf)
         self.heap_i = _grown(self.heap_i, num_slots)
         self.heap_j = _grown(self.heap_j, num_slots)
@@ -150,44 +308,48 @@ class _ZigzagKernel(_KernelBase):
         self.last_i = _grown(self.last_i, num_slots)
         self.last_j = _grown(self.last_j, num_slots)
         self.has_last = _grown(self.has_last, num_slots)
-
-    def init_axes(self, slots: np.ndarray, points: np.ndarray) -> None:
-        count = points.shape[0]
-        coordinates = np.concatenate([points.real, points.imag])
-        order, residual = batched_axis_orders(coordinates, self.levels)
-        self.ord_i[slots] = order[:count]
-        self.res_i[slots] = residual[:count]
-        self.ord_q[slots] = order[count:]
-        self.res_q[slots] = residual[count:]
-        if self.table is not None:
-            # order[:, 0] is the sliced start, so the pruning offsets of
-            # both axes come from one fused |order - start| pass.
-            offsets = np.abs(order - order[:, :1])
-            self.off_i[slots] = offsets[:count]
-            self.off_q[slots] = offsets[count:]
+        self.seen = _grown(self.seen, num_slots)
 
     def init(self, slots: np.ndarray, elements: np.ndarray,
              points: np.ndarray) -> None:
-        self.init_axes(slots, points)
-        # Step 2 of the paper's algorithm: enqueue the sliced point; its
-        # lower bound is zero, so it bypasses the pruning check.
-        self.heap_d[slots, 0] = self.res_i[slots, 0] + self.res_q[slots, 0]
+        residual = self.init_axes(slots, points)
+        # Enqueue the sliced point; its lower bound is zero, so it
+        # bypasses the pruning check.
+        self.heap_d[slots, 0] = residual[:, 0, 0] + residual[:, 1, 0]
         self.heap_i[slots, 0] = 0
         self.heap_j[slots, 0] = 0
         self.heap_n[slots] = 1
         self.has_last[slots] = False
+        self.seen[slots] = False
+        self.seen[slots, 0] = True  # position (0, 0)
         self.ped[elements] += 1
 
-    # -- proposal chain -------------------------------------------------
-    def _admit(self, slots, elements, i, j, budget) -> None:
-        """Prune-check then enqueue in-bounds, unseen proposals.
-
-        Shared tail of both frontier kernels' proposal chains — the
-        geometric-prunes accounting, capacity guard and heap write must
-        stay identical between them, so they live in exactly one place.
-        ``slots`` are unique within one call (each stepping slot proposes
-        a given successor at most once), so plain fancy writes suffice.
-        """
+    def _propose(self, slots, elements, i, j, budget) -> None:
+        """Bounds-check, dedupe, prune-check, then enqueue one successor
+        per listed slot (``slots`` are unique within a call, so plain
+        fancy writes suffice)."""
+        in_bounds = (i < self.side) & (j < self.side)
+        if not in_bounds.all():
+            slots = slots[in_bounds]
+            elements = elements[in_bounds]
+            i = i[in_bounds]
+            j = j[in_bounds]
+            budget = budget[in_bounds]
+            if slots.size == 0:
+                return
+        code = i * self.side + j
+        fresh = ~self.seen[slots, code]
+        if not fresh.all():
+            slots = slots[fresh]
+            elements = elements[fresh]
+            i = i[fresh]
+            j = j[fresh]
+            code = code[fresh]
+            budget = budget[fresh]
+            if slots.size == 0:
+                return
+        # Mark before the pruning check, exactly like the scalar seen-set.
+        self.seen[slots, code] = True
         if self.table is not None:
             bound = self.table[self.off_i[slots, i], self.off_q[slots, j]]
             pruned = bound >= budget
@@ -211,40 +373,20 @@ class _ZigzagKernel(_KernelBase):
         self.heap_j[slots, position] = j
         self.heap_n[slots] = position + 1
 
-    def _propose(self, slots, elements, i, j, budget) -> None:
-        in_bounds = (i < self.side) & (j < self.side)
-        if not in_bounds.all():
-            slots = slots[in_bounds]
-            elements = elements[in_bounds]
-            i = i[in_bounds]
-            j = j[in_bounds]
-            budget = budget[in_bounds]
-            if slots.size == 0:
-                return
-        self._admit(slots, elements, i, j, budget)
-
-    def _deferred(self, slots, elements, i, j, budget) -> None:
-        """Successors of the previously dequeued point (paper step 3):
-        vertical zigzag always, horizontal only from the column's entry
-        point ``(i, 0)``."""
-        self._propose(slots, elements, i, j + 1, budget)
-        horizontal = j == 0
-        if horizontal.any():
-            self._propose(slots[horizontal], elements[horizontal],
-                          i[horizontal] + 1, j[horizontal], budget[horizontal])
-
     # -- one next_candidate() per active slot ---------------------------
     def step(self, slots, elements, budget):
         deferred = self.has_last[slots]
-        if deferred.all():
-            self.has_last[slots] = False
-            self._deferred(slots, elements, self.last_i[slots],
-                           self.last_j[slots], budget)
-        elif deferred.any():
+        if deferred.any():
+            # No PAM-sub-constellation rule: both successors of the
+            # previously dequeued point, every time.
             slots_d = slots[deferred]
+            elements_d = elements[deferred]
+            budget_d = budget[deferred]
+            i = self.last_i[slots_d]
+            j = self.last_j[slots_d]
             self.has_last[slots_d] = False
-            self._deferred(slots_d, elements[deferred], self.last_i[slots_d],
-                           self.last_j[slots_d], budget[deferred])
+            self._propose(slots_d, elements_d, i, j + 1, budget_d)
+            self._propose(slots_d, elements_d, i + 1, j, budget_d)
         occupancy = self.heap_n[slots]
         valid = self._positions < occupancy[:, None]
         distance = np.where(valid, self.heap_d[slots], np.inf)
@@ -252,8 +394,7 @@ class _ZigzagKernel(_KernelBase):
         got = min_distance < budget
         slots_g = slots[got]
         if slots_g.size == 0:
-            empty = np.zeros(0, dtype=np.int64)
-            return got, np.zeros(0), empty, empty
+            return got, _NO_DISTANCES, _NO_INDICES, _NO_INDICES
         # Lexicographic (distance, i, j) minimum == heapq tuple order.
         tie_code = self.heap_i[slots_g] * self.side + self.heap_j[slots_g]
         tie_code = np.where(distance[got] == min_distance[got][:, None],
@@ -273,63 +414,21 @@ class _ZigzagKernel(_KernelBase):
         return (got, min_distance[got], self.ord_i[slots_g, i_g],
                 self.ord_q[slots_g, j_g])
 
-
-class _ShabanyKernel(_ZigzagKernel):
-    """Vectorised :class:`ShabanyEnumerator`: both successors proposed,
-    deduplicated with a per-slot seen grid.
-
-    The queued cells form (near-)antichains of the position grid, so the
-    frontier stays O(side); the widened capacity plus the overflow guard
-    in ``_admit`` keeps the bound honest.
-    """
-
-    capacity_slack = 4
-
-    def __init__(self, num_slots, side, levels, ped, prunes, table) -> None:
-        super().__init__(num_slots, side, levels, ped, prunes, table)
-        self.seen = np.zeros((num_slots, side * side), dtype=bool)
-
-    def _capacity(self, side: int) -> int:
-        return 2 * side + self.capacity_slack
-
-    def grow(self, num_slots: int, ped, prunes) -> None:
-        super().grow(num_slots, ped, prunes)
-        self.seen = _grown(self.seen, num_slots)
-
-    def init(self, slots, elements, points) -> None:
-        super().init(slots, elements, points)
-        self.seen[slots] = False
-        self.seen[slots, 0] = True  # position (0, 0)
-
-    def _propose(self, slots, elements, i, j, budget) -> None:
-        in_bounds = (i < self.side) & (j < self.side)
-        if not in_bounds.all():
-            slots = slots[in_bounds]
-            elements = elements[in_bounds]
-            i = i[in_bounds]
-            j = j[in_bounds]
-            budget = budget[in_bounds]
-            if slots.size == 0:
-                return
-        code = i * self.side + j
-        fresh = ~self.seen[slots, code]
-        if not fresh.all():
-            slots = slots[fresh]
-            elements = elements[fresh]
-            i = i[fresh]
-            j = j[fresh]
-            code = code[fresh]
-            budget = budget[fresh]
-            if slots.size == 0:
-                return
-        # Mark before the pruning check, exactly like the scalar seen-set.
-        self.seen[slots, code] = True
-        self._admit(slots, elements, i, j, budget)
-
-    def _deferred(self, slots, elements, i, j, budget) -> None:
-        # No PAM-sub-constellation rule: both successors, every time.
-        self._propose(slots, elements, i, j + 1, budget)
-        self._propose(slots, elements, i + 1, j, budget)
+    def export_frontier(self, rows: slice):
+        """``(heaps, last)`` of the slots in ``rows`` — see
+        :meth:`_ZigzagKernel.export_frontier`."""
+        heaps = []
+        for d, i, j, n in zip(self.heap_d[rows].tolist(),
+                              self.heap_i[rows].tolist(),
+                              self.heap_j[rows].tolist(),
+                              self.heap_n[rows].tolist()):
+            heap = list(zip(d[:n], i[:n], j[:n]))
+            heapify(heap)
+            heaps.append(heap)
+        last = [pair if pending else None for pending, pair in zip(
+            self.has_last[rows].tolist(),
+            zip(self.last_i[rows].tolist(), self.last_j[rows].tolist()))]
+        return heaps, last
 
 
 class _HessKernel(_KernelBase):
@@ -348,10 +447,10 @@ class _HessKernel(_KernelBase):
         self.pending = _grown(self.pending, num_slots, -1)
 
     def init(self, slots, elements, points) -> None:
-        self.init_axes(slots, points)
+        residual = self.init_axes(slots, points)
         self.row_position[slots] = 0
         # Every row's best point up front: sqrt(|O|) PED calcs per node.
-        self.row_distance[slots] = self.res_i[slots, :1] + self.res_q[slots]
+        self.row_distance[slots] = residual[:, 0, :1] + residual[:, 1]
         self.pending[slots] = -1
         self.ped[elements] += self.side
 
@@ -405,10 +504,10 @@ class _ExhaustiveKernel(_KernelBase):
         self.cursor = _grown(self.cursor, num_slots)
 
     def init(self, slots, elements, points) -> None:
-        self.init_axes(slots, points)
+        residual = self.init_axes(slots, points)
         side = self.side
-        grid = (self.res_i[slots][:, :, None]
-                + self.res_q[slots][:, None, :]).reshape(slots.size, -1)
+        grid = (residual[:, 0, :, None]
+                + residual[:, 1, None, :]).reshape(slots.size, -1)
         self.ped[elements] += side * side
         # Stable argsort in (i * side + j) flat order — the scalar
         # enumerator's tie-breaking, row for row.

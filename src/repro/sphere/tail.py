@@ -1,13 +1,14 @@
 """Numpy-free straggler tail: finish half-run searches in plain Python.
 
 Sphere-search cost is heavy-tailed, and a lockstep tick of the engine
-(:mod:`repro.runtime.engine`) costs a fixed few hundred microseconds of
-numpy dispatch however few searches are still active.  Once the active set is small the
-survivors are cheaper to finish one at a time — provided a node then
-costs microseconds, not the tens a numpy scalar costs.  This module is
-that finish: each survivor's state is exported from the kernel arrays
-once (``.tolist()`` on its own rows) and the rest of its search runs on
-Python floats, lists and ``heapq`` only.
+(:mod:`repro.runtime.engine`) costs a fixed ~150 microseconds of numpy
+dispatch however few searches are still active.  Once the active set is
+small the survivors are cheaper to finish one at a time — provided a
+node then costs microseconds, not the tens a numpy scalar costs.  This
+module is that finish: each survivor's state is exported from the kernel
+arrays once (``.tolist()`` on its own rows; the queued frontier through
+``kernel.export_frontier``, whatever layout the kernel keeps it in) and
+the rest of its search runs on Python floats, lists and ``heapq`` only.
 
 One loop, policies as parameters
 --------------------------------
@@ -52,8 +53,10 @@ these (each pinned by ``tests/test_tail.py`` and the drain sweeps):
 * ``round()`` on a float is round-half-even, i.e. ``np.rint``; residuals
   are squared as ``x * x``, never ``x ** 2``;
 * ``heapq`` over ``(distance, i, j)`` tuples pops the lexicographic
-  minimum — the order the kernel's unordered slot array reproduces — so
-  a heapified export continues the same enumeration;
+  minimum — the order both frontier kernels' pops reproduce (the
+  column-form ``zigzag`` kernel by ``argmin`` over distinct columns, the
+  ``shabany`` kernel by an explicit tie code) — so the heap
+  ``export_frontier`` returns continues the same enumeration;
 * ``complex(levels[col], levels[row])`` is the engine's ``symbol_grid``
   entry exactly.
 """
@@ -114,17 +117,9 @@ def _finish_one(kernel, lane, lv, radius, parent, path_cols, path_rows,
         off_q = blank + kernel.off_q[rows].tolist()
     else:
         off_i = off_q = [None] * num_streams
-    heaps = list(blank)
-    for d, i, j, n in zip(kernel.heap_d[rows].tolist(),
-                          kernel.heap_i[rows].tolist(),
-                          kernel.heap_j[rows].tolist(),
-                          kernel.heap_n[rows].tolist()):
-        heap = list(zip(d[:n], i[:n], j[:n]))
-        heapify(heap)
-        heaps.append(heap)
-    last = blank + [pair if pending else None for pending, pair in zip(
-        kernel.has_last[rows].tolist(),
-        zip(kernel.last_i[rows].tolist(), kernel.last_j[rows].tolist()))]
+    heaps, last = kernel.export_frontier(rows)
+    heaps = blank + heaps
+    last = blank + last
     shabany = hasattr(kernel, "seen")
     if shabany:
         seen = blank + kernel.seen[rows].tolist()

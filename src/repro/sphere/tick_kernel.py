@@ -68,6 +68,7 @@ from __future__ import annotations
 
 import os
 import warnings
+import weakref
 
 import numpy as np
 
@@ -605,16 +606,59 @@ _DUMMY_I64 = np.zeros((1, 1), dtype=np.int64)
 _DUMMY_BOOL = np.zeros((1, 1), dtype=bool)
 
 
-def _kernel_args(kernel):
-    """Unpack a zigzag/Shabany kernel's state arrays for the cores."""
+#: Each kernel's frontier scratch (see :func:`_frontier_scratch`), dropped
+#: with the kernel.
+_SCRATCH: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def _frontier_scratch(kernel, roots, is_shabany):
+    """The cores' own frontier arrays for ``kernel``, seeded at ``roots``.
+
+    The cores keep every slot's queue as a bounded unordered ``heap_d`` /
+    ``heap_i`` / ``heap_j`` triple whatever layout the numpy kernel
+    uses, and they only ever start from freshly initialised root slots —
+    so they borrow nothing but the axis tables: the scratch is allocated
+    per kernel (re-allocated when a demand-grown pool outgrows it; no
+    search survives a compiled tick, so nothing carries over) and each
+    listed root is seeded with its sliced point, whose queued distance
+    ``res_i[root, 0] + res_q[root, 0]`` is the very add ``kernel.init``
+    performed.
+    """
+    num_slots, side = kernel.ord_i.shape
+    scratch = _SCRATCH.get(kernel)
+    if scratch is None or scratch[0].shape[0] != num_slots:
+        capacity = 2 * side + 4 if is_shabany else side + 2
+        scratch = (
+            np.empty((num_slots, capacity)),
+            np.empty((num_slots, capacity), dtype=np.int64),
+            np.empty((num_slots, capacity), dtype=np.int64),
+            np.empty(num_slots, dtype=np.int64),
+            np.empty(num_slots, dtype=np.int64),
+            np.empty(num_slots, dtype=np.int64),
+            np.empty(num_slots, dtype=bool),
+            (np.empty((num_slots, side * side), dtype=bool) if is_shabany
+             else _DUMMY_BOOL))
+        _SCRATCH[kernel] = scratch
+    heap_d, heap_i, heap_j, heap_n, _, _, has_last, seen = scratch
+    heap_d[roots, 0] = kernel.res_i[roots, 0] + kernel.res_q[roots, 0]
+    heap_i[roots, 0] = 0
+    heap_j[roots, 0] = 0
+    heap_n[roots] = 1
+    has_last[roots] = False
+    if is_shabany:
+        seen[roots] = False
+        seen[roots, 0] = True  # position (0, 0)
+    return scratch
+
+
+def _kernel_args(kernel, kidx, num_streams):
+    """Unpack a zigzag/Shabany kernel's axis tables for the cores and
+    attach the cores' own frontier, seeded at the listed lanes' roots."""
     side = kernel.side
     levels = kernel.levels
     axis_scale = float(levels[1] - levels[0]) / 2.0 if side > 1 else 1.0
     ztable = zigzag_order_table(side)
-    seen = getattr(kernel, "seen", None)
-    is_shabany = seen is not None
-    if seen is None:
-        seen = _DUMMY_BOOL
+    is_shabany = hasattr(kernel, "seen")
     use_table = kernel.table is not None
     if use_table:
         table = kernel.table
@@ -624,11 +668,10 @@ def _kernel_args(kernel):
         table = _DUMMY_F64
         off_i = _DUMMY_I64
         off_q = _DUMMY_I64
+    roots = kidx * num_streams + (num_streams - 1)
     return (levels, axis_scale, ztable, side, is_shabany, use_table, table,
             kernel.ord_i, kernel.res_i, kernel.ord_q, kernel.res_q,
-            off_i, off_q, kernel.heap_d, kernel.heap_i, kernel.heap_j,
-            kernel.heap_n, kernel.last_i, kernel.last_j, kernel.has_last,
-            seen)
+            off_i, off_q) + _frontier_scratch(kernel, roots, is_shabany)
 
 
 def run_hard_to_completion(kernel, idx, kidx, chan, caps, r, y, diag,
@@ -639,20 +682,17 @@ def run_hard_to_completion(kernel, idx, kidx, chan, caps, r, y, diag,
 
     ``kernel`` is an initialised zigzag/Shabany kernel whose root slots
     for the listed elements have been expanded (``kernel.init``) by the
-    caller's numpy admission path.  ``idx``/``kidx``/``chan`` map each
+    caller's numpy admission path; only its axis tables are read — the
+    frontier lives in the cores' own scratch (:func:`_frontier_scratch`),
+    seeded from those roots.  ``idx``/``kidx``/``chan`` map each
     element to its state row, kernel lane and channel-stack row (the
     batch engine passes identical arrays; the frame and streaming
     engines pass their lane/subcarrier mappings).  On return every
     listed element has either exhausted its tree or hit its cap.
     """
     ped, visited, expanded, leaves, prunes = tallies
-    (levels, axis_scale, ztable, side, is_shabany, use_table, table,
-     ord_i, res_i, ord_q, res_q, off_i, off_q, heap_d, heap_i, heap_j,
-     heap_n, last_i, last_j, has_last, seen) = _kernel_args(kernel)
-    _hard_core(idx, kidx, chan, caps, r, y, diag, diag_sq, levels,
-               axis_scale, ztable, side, is_shabany, use_table, table,
-               ord_i, res_i, ord_q, res_q, off_i, off_q, heap_d, heap_i,
-               heap_j, heap_n, last_i, last_j, has_last, seen, level,
+    _hard_core(idx, kidx, chan, caps, r, y, diag, diag_sq,
+               *_kernel_args(kernel, kidx, path_cols.shape[1]), level,
                radius, parent_flat, path_cols, path_rows, chosen, best_cols,
                best_rows, best_dist, ped, visited, expanded, leaves, prunes,
                NUMPY_FMA)
@@ -670,13 +710,8 @@ def run_soft_to_completion(kernel, idx, kidx, chan, caps, r, y, diag,
     single-best path state.
     """
     ped, visited, expanded, leaves, prunes = tallies
-    (levels, axis_scale, ztable, side, is_shabany, use_table, table,
-     ord_i, res_i, ord_q, res_q, off_i, off_q, heap_d, heap_i, heap_j,
-     heap_n, last_i, last_j, has_last, seen) = _kernel_args(kernel)
-    _soft_core(idx, kidx, chan, caps, r, y, diag, diag_sq, levels,
-               axis_scale, ztable, side, is_shabany, use_table, table,
-               ord_i, res_i, ord_q, res_q, off_i, off_q, heap_d, heap_i,
-               heap_j, heap_n, last_i, last_j, has_last, seen, level,
+    _soft_core(idx, kidx, chan, caps, r, y, diag, diag_sq,
+               *_kernel_args(kernel, kidx, path_cols.shape[1]), level,
                radius, parent_flat, path_cols, path_rows, chosen, list_d,
                list_seq, list_cols, list_rows, list_n, leaf_seq, list_size,
                ped, visited, expanded, leaves, prunes, NUMPY_FMA)

@@ -387,18 +387,23 @@ def test_private_frontier_is_sized_to_the_frame(monkeypatch):
     assert allocated == [6]
 
 
-@pytest.mark.parametrize("kind", ["hard", "soft"])
+@pytest.mark.parametrize("kind", ["hard", "soft", "hard-shabany"])
 def test_qos_hooks_cost_only_the_frame_they_touch(kind):
-    """Two frames share a small, demand-grown frontier; one is degraded
-    mid-flight and then removed.  Its lanes come back, and the other
-    frame — reprioritised on the way — still equals the scalar oracle."""
+    """Two frames share a small, demand-grown frontier (kernel state —
+    of either frontier kernel — must survive the regrowth mid-search);
+    one is degraded mid-flight and then removed.  Its lanes come back,
+    and the other frame — reprioritised on the way — still equals the
+    scalar oracle."""
     constellation, channels, received = _frame_instance(
         16, 4, 4, num_subcarriers=5, num_symbols=4, noise_scale=0.25, seed=19)
     if kind == "soft":
         decoder = ListSphereDecoder(constellation, list_size=4)
         noise_variance = NOISE_VARIANCE
     else:
-        decoder, noise_variance = SphereDecoder(constellation), None
+        decoder = SphereDecoder(
+            constellation,
+            enumerator="shabany" if kind == "hard-shabany" else "zigzag")
+        noise_variance = None
     request = FrameRequest(channels, received, decoder, noise_variance)
     frontier = StreamingFrontier(capacity=12, initial_lanes=2,
                                  drain_threshold=0, tick_strategy="numpy")
@@ -475,6 +480,11 @@ def test_pool_tick_mode_is_part_of_the_signature(monkeypatch):
         assert job.pool.tick_mode == strategy
         jobs[frame_id] = job
     assert jobs[0].pool is jobs[2].pool is not jobs[1].pool
+    # Neither executor leans on a heap layout of the numpy kernel: the
+    # zigzag kernel is column-form and the compiled cores bring their own.
+    for job in jobs.values():
+        assert not any(hasattr(job.pool.kernel, name) for name in
+                       ("heap_d", "heap_i", "heap_j", "heap_n", "has_last"))
     while not frontier.idle:
         frontier.tick()
     want, _ = scalar_oracle(SphereDecoder(constellation), channels, received)

@@ -398,6 +398,13 @@ def test_stats_report_consistency():
     assert percentiles[50] <= percentiles[90] <= percentiles[99]
     assert summary["visited_nodes"] == sum(
         handle.result().counters.visited_nodes for handle in handles)
+    # Occupancy is read against the lanes the pools allocated, not the
+    # global budget: one 64-search frame on a default runtime (2048
+    # lanes of budget, 64 allocated) keeps its lanes mostly busy.
+    lone = UplinkRuntime()
+    lone.submit(_make_frame(decoder, 16, 4, 20.0, rng))
+    lone.drain()
+    assert 0.5 < lone.stats.summary()["mean_lane_occupancy"] <= 1.0
     # ISSUE-7 regression: an empty window returns an empty dict — a
     # fresh runtime (or an unseen priority class) must be probeable
     # without raising.

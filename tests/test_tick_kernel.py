@@ -250,6 +250,42 @@ def test_soft_frame_compiled_matches_numpy(force_python, enumerator,
     _assert_identical(compiled, reference, soft=True)
 
 
+@pytest.mark.parametrize("soft", [False, True])
+def test_compiled_cores_bring_their_own_frontier(force_python, soft):
+    """The cores borrow the numpy kernel's axis tables only.  A zigzag
+    pool's kernel is column-form — it has no ``heap_*`` / ``has_last``
+    for them to lean on — and a pool that grows on demand between two
+    compiled ticks (the cores' scratch must follow the kernel) still
+    equals the numpy tick bit for bit."""
+    constellation, channels, received = _frame_instance(16, 4, 4, 6, 4,
+                                                        seed=41)
+    if soft:
+        decoder, extra = ListSphereDecoder(constellation, list_size=4), (0.05,)
+    else:
+        decoder, extra = SphereDecoder(constellation), ()
+    reference = decode_on_frontier(decoder, channels, received, *extra,
+                                   tick_strategy="numpy")
+    frontier = StreamingFrontier(capacity=16, initial_lanes=2,
+                                 tick_strategy="compiled")
+    # A two-search frame first, so the cores run once at two lanes ...
+    small = FrameJob(0, FrameRequest(channels[:1], received[:2, :1],
+                                     decoder, *extra))
+    frontier.submit(small)
+    frontier.tick()
+    pool = small.pool
+    assert (frontier.idle and pool.tick_mode == "compiled"
+            and pool.allocated == 2)
+    # ... then 24 searches into the same pool: a demand-driven _grow.
+    job = FrameJob(1, FrameRequest(channels, received, decoder, *extra))
+    frontier.submit(job)
+    while not frontier.idle:
+        frontier.tick()
+    assert job.pool is pool and pool.allocated == 16
+    assert not any(hasattr(pool.kernel, name) for name in
+                   ("heap_d", "heap_i", "heap_j", "heap_n", "has_last"))
+    _assert_identical(job.finalise(), reference, soft=soft)
+
+
 def test_uncompiled_enumerator_frame_request_degrades(force_python):
     """A compiled request with ``hess`` silently takes the numpy tick —
     same results, no warning (the degradation is by design)."""
