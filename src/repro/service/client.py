@@ -4,6 +4,11 @@ One :class:`CellSiteClient` per cell (or per
 :class:`~repro.runtime.cell.CellWorkload` generator): ``submit`` streams
 frames in — blocking while the farm exerts backpressure — and ``poll``
 / ``drain`` bring back payload dicts for *this client's* frames only.
+``poll`` is a long poll: while this client has frames outstanding the
+server holds the request until one resolves or its few-millisecond
+protocol bound (:data:`~repro.service.server.POLL_HOLD_S`) passes, and
+answers at once when nothing is outstanding — so the client never
+sleeps, and a result reaches it as soon as the worker reports it.
 Results arrive as the same objects a local
 :class:`~repro.runtime.session.UplinkRuntime` resolves
 (:class:`FrameDecodeResult` / :class:`SoftFrameResult`, CRC decisions
@@ -14,9 +19,7 @@ runtime's results runs unchanged against the service.
 from __future__ import annotations
 
 import socket
-import time
 
-from ..utils.validation import require
 from .protocol import recv_obj, send_obj
 
 __all__ = ["CellSiteClient"]
@@ -44,7 +47,11 @@ class CellSiteClient:
     def _call(self, *message) -> object:
         send_obj(self._sock, message)
         status, value = recv_obj(self._sock)
-        require(status == "ok", f"service error: {value}")
+        # Build the error text only on the error path: an "ok" value is
+        # a batch of decode results, and rendering those into a message
+        # nobody reads cost more than the round trip itself.
+        if status != "ok":
+            raise ValueError(f"service error: {value}")
         return value
 
     # -- the service verbs -----------------------------------------------
@@ -63,7 +70,9 @@ class CellSiteClient:
 
     def poll(self) -> list[dict]:
         """Resolved payloads for this client's frames (may be empty).
-        Each dict carries ``frame_id``, ``resolution``, QoS flags,
+        Waits server-side, up to the protocol bound, while frames are
+        outstanding and none has resolved; returns at once when none
+        are.  Each dict carries ``frame_id``, ``resolution``, QoS flags,
         ``latency_s`` and — for completed frames — the decode
         ``result``."""
         payloads = self._call("poll")
@@ -71,15 +80,13 @@ class CellSiteClient:
             self._outstanding.discard(payload["frame_id"])
         return payloads
 
-    def drain(self, *, poll_interval_s: float = 0.002) -> list[dict]:
-        """Poll until every submitted frame resolves.  Worker crashes
+    def drain(self) -> list[dict]:
+        """Poll until every submitted frame resolves.  Each ``poll``
+        waits server-side, so the loop needs no sleep; worker crashes
         surface as ``"expired"`` payloads, so a drain never hangs."""
         payloads = []
         while self._outstanding:
-            got = self.poll()
-            payloads.extend(got)
-            if not got:
-                time.sleep(poll_interval_s)
+            payloads.extend(self.poll())
         return payloads
 
     def cancel(self, frame_id: int) -> bool:

@@ -17,7 +17,10 @@ and the farm's bit-exactness contract testable.
 over a local stream socket (:func:`send_obj` / :func:`recv_obj`).  This
 is a trusted single-host IPC link between the AP front and its own
 compute farm — the same trust boundary as ``multiprocessing``'s own
-pickle-based pipes — not an internet-facing protocol.
+pickle-based pipes — not an internet-facing protocol.  Trusted does not
+mean unbounded: a declared length above :data:`MAX_MESSAGE_BYTES` is
+refused before a byte of it is allocated, so a corrupt or hostile
+header costs its own connection and nothing else.
 """
 
 from __future__ import annotations
@@ -39,6 +42,12 @@ VERBS = ("submit", "poll", "cancel", "stats", "metrics")
 
 #: Length-prefix layout: one unsigned 32-bit big-endian byte count.
 _HEADER = struct.Struct("!I")
+
+#: Largest message either side accepts, in bytes.  A 4x4 x 64-subcarrier
+#: request pickles to ~34 KB and a frame result to ~11 KB, so 64 MiB is
+#: three orders of magnitude of headroom — and sixty-four times less
+#: than what the 32-bit prefix could otherwise make a receiver allocate.
+MAX_MESSAGE_BYTES = 64 << 20
 
 
 def request_signature(request) -> tuple:
@@ -93,11 +102,18 @@ def _recv_exact(sock, count: int) -> bytes:
 
 def recv_obj(sock):
     """Receive one length-prefixed pickled object; raises
-    :class:`ConnectionError` on a half-read (peer died mid-message) and
-    :class:`EOFError` on a clean close between messages."""
+    :class:`ConnectionError` on a half-read (peer died mid-message) or
+    a declared length above :data:`MAX_MESSAGE_BYTES` (nothing is
+    allocated for it; the stream is unusable from there, so the caller
+    drops the connection), and :class:`EOFError` on a clean close
+    between messages."""
     try:
         header = _recv_exact(sock, _HEADER.size)
     except ConnectionError:
         raise EOFError("connection closed") from None
     (length,) = _HEADER.unpack(header)
+    if length > MAX_MESSAGE_BYTES:
+        raise ConnectionError(
+            f"peer declared a {length}-byte message; the protocol cap is "
+            f"{MAX_MESSAGE_BYTES}")
     return pickle.loads(_recv_exact(sock, length))

@@ -30,8 +30,6 @@ gates drive.
 
 from __future__ import annotations
 
-import time
-
 from ..obs.metrics import prometheus_text
 from ..obs.trace import FrameTracer, merge_traces
 from ..runtime.queue import validate_request
@@ -221,7 +219,7 @@ class DetectorFarm:
         validate_request(request)
         while len(self._handles) >= self.max_outstanding:
             if not self.pump():
-                self._breathe()
+                self.wait()
         shard = self.route(request)
         frame_id = self._next_frame_id
         self._next_frame_id += 1
@@ -260,7 +258,9 @@ class DetectorFarm:
         """One non-blocking service round: advance inline shards one
         tick / drain worker pipes, apply resolved payloads, and return
         the handles that resolved.  The building block ``poll``/``drain``
-        and the socket server loop over."""
+        and the socket server loop over, with :meth:`wait` in between."""
+        if self._closed:
+            return []          # a waiter outliving close(): nothing to service
         if self._supervisor is not None:
             payloads = self._supervisor.pump()
         else:
@@ -290,10 +290,12 @@ class DetectorFarm:
 
     def poll(self) -> list[FarmHandle]:
         """Service the farm until at least one frame resolves (or the
-        farm goes idle); returns the resolved handles."""
+        farm goes idle); returns the resolved handles.  Between rounds
+        it blocks in :meth:`wait` — woken by the worker's next message,
+        not by a timer."""
         resolved = self.pump()
         while not resolved and self._handles:
-            self._breathe()
+            self.wait()
             resolved = self.pump()
         return resolved
 
@@ -306,11 +308,17 @@ class DetectorFarm:
             resolved.extend(self.poll())
         return resolved
 
-    def _breathe(self) -> None:
-        # Only the process backend waits on external progress; inline
-        # shards advance synchronously in pump().
+    def wait(self, timeout_s: float | None = None) -> None:
+        """Block until the next :meth:`pump` has something to do:
+        woken by a worker's result or heartbeat, by a dead worker's
+        pipe, or after ``timeout_s`` (default one heartbeat) — see
+        :meth:`ShardSupervisor.wait`.  Only the process backend waits
+        on external progress; inline shards advance synchronously in
+        ``pump()``, so there this returns at once.  Unlike every other
+        method it may be called while another thread uses the farm —
+        the socket server waits here with its lock released."""
         if self._supervisor is not None:
-            time.sleep(0.001)
+            self._supervisor.wait(timeout_s)
 
     # -- stats -----------------------------------------------------------
     def stats(self) -> dict:

@@ -13,7 +13,17 @@ connection, the farm itself guarded by a lock.
 Frame **ownership is per connection**: ``poll`` returns only frames the
 polling client submitted, and a connection that drops takes its
 unresolved frames with it (cancelled server-side) — one departed cell
-cannot strand work or leak another cell's results.  Backpressure is
+cannot strand work or leak another cell's results.
+
+``poll`` is a **long poll**, so results are pushed rather than found:
+while the connection owns unresolved frames and has nothing to report,
+the server holds the request — blocked on the worker pipes
+(:meth:`DetectorFarm.wait`) with the farm lock *released*, re-collecting
+on every wake — until one of this connection's frames resolves or
+:data:`POLL_HOLD_S` passes; a connection that owns nothing is answered
+at once.  A result pumped on behalf of another connection is found by
+its owner's next re-collect, so it too arrives within the bound.
+Nothing in ``repro.service`` sleeps.  Backpressure is
 end-to-end: ``submit`` replies only after the farm accepted the frame,
 and the farm's ``max_outstanding`` bound makes that reply wait when the
 shards are saturated, so a fast cell slows down instead of ballooning
@@ -24,11 +34,20 @@ from __future__ import annotations
 
 import socket
 import threading
+import time
 
 from .protocol import recv_obj, send_obj
 from .router import DetectorFarm
 
 __all__ = ["CellSiteServer"]
+
+#: Longest the ``poll`` verb holds a request that has nothing to report
+#: (seconds).  A protocol constant, not a tuning knob: it bounds how
+#: stale an empty reply can be and how long a result collected on
+#: another connection's behalf waits for its owner, and it sits below
+#: the period at which a polling client wants control back for its own
+#: housekeeping (the ladder driver probes every 15 ms).
+POLL_HOLD_S = 0.005
 
 
 class CellSiteServer:
@@ -48,7 +67,6 @@ class CellSiteServer:
         self._listener = socket.create_server((host, port))
         self.address = self._listener.getsockname()
         self._running = True
-        self._threads: list[threading.Thread] = []
         self._accept_thread = threading.Thread(
             target=self._accept_loop, name="cell-site-accept", daemon=True)
         self._accept_thread.start()
@@ -67,11 +85,11 @@ class CellSiteServer:
                 conn, _ = self._listener.accept()
             except OSError:
                 return                        # listener closed
-            thread = threading.Thread(
+            # Fire and forget: a connection thread ends with its
+            # connection and nothing joins it, so none is kept.
+            threading.Thread(
                 target=self._serve_connection, args=(conn,),
-                name="cell-site-conn", daemon=True)
-            thread.start()
-            self._threads.append(thread)
+                name="cell-site-conn", daemon=True).start()
 
     def _serve_connection(self, conn: socket.socket) -> None:
         # This connection's frames: farm frame_id -> handle, plus the
@@ -96,15 +114,44 @@ class CellSiteServer:
         """Service the farm once; stash this connection's resolutions.
 
         Resolutions for *other* connections are applied to their handles
-        by the farm either way — their ``poll`` finds them done on the
-        next ``_collect``."""
+        by the farm either way — their ``poll`` finds them done on its
+        next ``_collect``, at most one :data:`POLL_HOLD_S` away."""
         self.farm.pump()
         for frame_id in [frame_id for frame_id, handle in owned.items()
                          if handle.done]:
             ready.append(owned.pop(frame_id))
 
+    def _poll(self, owned: dict, ready: list) -> list[dict]:
+        """The ``poll`` verb: this connection's resolutions, held back
+        up to :data:`POLL_HOLD_S` while it owns unresolved frames and
+        has none to report.  The lock is taken only to collect; the
+        wait in between runs with it released, so other connections
+        submit, poll and cancel meanwhile."""
+        deadline = time.monotonic() + POLL_HOLD_S
+        while True:
+            with self._lock:
+                self._collect(owned, ready)
+            remaining = deadline - time.monotonic()
+            if ready or not owned or remaining <= 0:
+                break
+            self.farm.wait(remaining)
+        payloads = [{
+            "frame_id": handle.frame_id,
+            "resolution": handle.resolution,
+            "degraded": handle.degraded,
+            "missed_deadline": handle.missed_deadline,
+            "latency_s": handle.latency_s,
+            "trace": handle.trace,
+            "result": (handle.result() if handle.resolution
+                       == "completed" else None),
+        } for handle in ready]
+        ready.clear()
+        return payloads
+
     def _dispatch(self, message: tuple, owned: dict, ready: list) -> tuple:
         op = message[0]
+        if op == "poll":
+            return ("ok", self._poll(owned, ready))
         with self._lock:
             if op == "submit":
                 try:
@@ -116,20 +163,6 @@ class CellSiteServer:
                     return ("error", str(error))
                 owned[handle.frame_id] = handle
                 return ("ok", handle.frame_id)
-            if op == "poll":
-                self._collect(owned, ready)
-                payloads = [{
-                    "frame_id": handle.frame_id,
-                    "resolution": handle.resolution,
-                    "degraded": handle.degraded,
-                    "missed_deadline": handle.missed_deadline,
-                    "latency_s": handle.latency_s,
-                    "trace": handle.trace,
-                    "result": (handle.result() if handle.resolution
-                               == "completed" else None),
-                } for handle in ready]
-                ready.clear()
-                return ("ok", payloads)
             if op == "cancel":
                 handle = owned.pop(message[1], None)
                 return ("ok", handle is not None
@@ -148,4 +181,8 @@ class CellSiteServer:
             self._listener.close()
         except OSError:
             pass
-        self.farm.close()
+        # Under the lock: no connection thread is mid-pump while the
+        # worker pipes close (a long poll in its wait holds no lock and
+        # simply wakes to find its frames expired).
+        with self._lock:
+            self.farm.close()

@@ -28,6 +28,12 @@ A shard that keeps dying burns through ``max_restarts``; after that its
 ledger frames expire instead of being replayed — a liveness backstop so
 a poisonous workload degrades into explicit ``FrameExpired`` resolutions
 rather than a restart loop.
+
+Nothing here sleeps.  Whoever needs a worker's next word blocks in
+:meth:`ShardSupervisor.wait` — ``multiprocessing.connection.wait`` over
+the worker pipes — and is woken by the message itself (a result, a
+heartbeat) or by the EOF a dead worker's pipe reads, so results are
+pushed up to the waiter rather than found by the next timed poll.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from __future__ import annotations
 import dataclasses
 import multiprocessing
 import time
+from multiprocessing.connection import wait as wait_for_pipes
 
 from ..obs.trace import FrameTracer
 from ..utils.validation import require
@@ -83,8 +90,9 @@ class ShardSupervisor:
 
     The router talks to shards only through this class: ``submit`` and
     ``cancel`` write the command pipes (and maintain the ledgers),
-    ``pump`` drains results and runs failure detection, ``stats``
-    gathers per-shard summaries.  Expired-by-the-supervisor frames come
+    ``pump`` drains results and runs failure detection, ``wait`` blocks
+    until ``pump`` has something to do, ``stats`` gathers per-shard
+    summaries.  Expired-by-the-supervisor frames come
     back from ``pump`` as ordinary payload dicts with
     ``resolution="expired"``, indistinguishable to the router from a
     worker-side deadline expiry.
@@ -162,6 +170,29 @@ class ShardSupervisor:
                     shard, "crashed" if crashed else "hung"))
         return payloads
 
+    def wait(self, timeout_s: float | None = None) -> None:
+        """Block until :meth:`pump` has something to do, ``timeout_s``
+        at most (default: one heartbeat, the longest a healthy worker
+        stays silent — waiting longer would only delay hang detection).
+
+        Returns at once when a stashed message is waiting, and as soon
+        as any worker pipe turns readable: a result, a heartbeat, or
+        the EOF of a dead worker, which is how a crash reaches
+        ``pump``'s failure detection without anybody polling for it.
+        Safe to call without the lock that guards the other methods:
+        it reads the pipes' readiness, never their contents, and a pipe
+        closed under it (recovery, shutdown) just ends the wait.
+        """
+        if self._stashed:
+            return
+        if timeout_s is None:
+            timeout_s = self.heartbeat_s
+        try:
+            wait_for_pipes([worker.conn for worker in self._workers],
+                           timeout_s)
+        except OSError:
+            pass          # a pipe was closed under us; pump() sorts it out
+
     def _drain_shard(self, shard: int, worker: _Worker) -> list[dict]:
         payloads = []
         try:
@@ -229,24 +260,33 @@ class ShardSupervisor:
         for shard in range(self.num_shards):
             self._send(shard, ("stats",))
         replies: list[dict | None] = [None] * self.num_shards
+        # Pipes still owed a reply.  A pipe that hits EOF leaves the set
+        # (its shard stays None; the next pump() recovers it), so a dead
+        # worker cannot keep the wait below returning at once.
+        owed = {worker.conn: shard
+                for shard, worker in enumerate(self._workers)}
         deadline = time.monotonic() + timeout_s
-        while (any(reply is None for reply in replies)
-               and time.monotonic() < deadline):
-            progressed = False
-            for shard, worker in enumerate(self._workers):
+        while owed:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                break
+            try:
+                readable = wait_for_pipes(list(owed), remaining)
+            except OSError:
+                break     # supervisor closed: nobody is left to answer
+            for conn in readable:
+                shard = owed[conn]
                 try:
-                    while worker.conn.poll(0):
-                        message = worker.conn.recv()
-                        worker.last_seen = time.monotonic()
-                        if message[0] == "stats":
-                            replies[shard] = message[2]
-                        elif message[0] == "done":
-                            self._stashed.append(message)
-                        progressed = True
+                    message = conn.recv()
                 except (EOFError, OSError):
-                    break
-            if not progressed:
-                time.sleep(self.heartbeat_s / 4)
+                    del owed[conn]
+                    continue
+                self._workers[shard].last_seen = time.monotonic()
+                if message[0] == "stats":
+                    replies[shard] = message[2]
+                    del owed[conn]
+                elif message[0] == "done":
+                    self._stashed.append(message)
         return replies
 
     # -- lifecycle ------------------------------------------------------

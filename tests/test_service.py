@@ -15,6 +15,10 @@ targeted.
 """
 
 import copy
+import socket
+import struct
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -30,6 +34,9 @@ from repro.service import (
     request_signature,
     shard_for,
 )
+from repro.service.protocol import MAX_MESSAGE_BYTES, recv_obj, send_obj
+from repro.service.server import POLL_HOLD_S
+from repro.service.supervisor import ShardSupervisor
 from repro.sphere import ListSphereDecoder, SphereDecoder
 
 from test_runtime import _assert_identical, _make_frame, _reference
@@ -337,6 +344,234 @@ def test_server_answers_a_bad_submit_with_an_error_not_a_dead_socket():
 
 
 # ----------------------------------------------------------------------
+# Results pushed, not polled (ISSUE-19): nothing on the result path
+# renders a result, sleeps, or waits longer than the protocol bound
+# ----------------------------------------------------------------------
+
+class _Unprintable:
+    """Stands in for a batch of decode results: picklable, but any
+    attempt to render it into text is a test failure."""
+
+    def __repr__(self):
+        raise AssertionError("an ok reply was rendered into text")
+
+    __str__ = __repr__
+
+    def __format__(self, spec):
+        raise AssertionError("an ok reply was formatted into text")
+
+
+def test_client_renders_a_reply_only_on_the_error_path():
+    """``_call`` hands an ``"ok"`` value through untouched — building
+    the error message eagerly meant ``repr``-ing every batch of results
+    (numpy arrays and all) once per poll, on the frame's critical path —
+    and still raises ``ValueError`` with the server's text otherwise."""
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        with CellSiteClient(listener.getsockname()) as cell:
+            peer, _ = listener.accept()
+            with peer:
+                send_obj(peer, ("ok", _Unprintable()))
+                assert isinstance(cell.stats(), _Unprintable)
+                assert recv_obj(peer) == ("stats",)
+                send_obj(peer, ("error", "shard 3 is on fire"))
+                with pytest.raises(
+                        ValueError,
+                        match="service error: shard 3 is on fire"):
+                    cell.stats()
+
+
+def _in_thread(target, timeout_s=60.0):
+    """Run ``target`` in a thread and insist it finishes: a hang fails
+    the test instead of wedging the suite."""
+    box = {}
+    thread = threading.Thread(target=lambda: box.update(value=target()),
+                              daemon=True)
+    thread.start()
+    thread.join(timeout_s)
+    assert not thread.is_alive(), "call did not return"
+    return box["value"]
+
+
+def test_result_pumped_for_another_connection_reaches_its_owner():
+    """One shard, two cells.  B's frame is admitted first, so by the
+    time A's drain returns, A's polls have pumped B's result off the
+    worker pipe too — nothing is left there to wake B.  B's next poll
+    must still hand the frame over at once (it collects before it
+    waits), not hold out for a pipe event that already happened."""
+    rng = np.random.default_rng(30)
+    decoder = SphereDecoder(qam(16))
+    frames = [_make_frame(decoder, 5, 2, 18.0, rng) for _ in range(2)]
+    with CellSiteServer(DetectorFarm(1, backend="process")) as server:
+        with CellSiteClient(server.address) as cell_a, \
+                CellSiteClient(server.address) as cell_b:
+            id_b = cell_b.submit(frames[0])
+            id_a = cell_a.submit(frames[1])
+            assert [p["frame_id"] for p in _in_thread(cell_a.drain)] \
+                == [id_a]
+            assert server.farm.outstanding == 0, (
+                "A's polls should have pumped B's earlier frame as well")
+            started = time.perf_counter()
+            payloads = cell_b.poll()
+            elapsed = time.perf_counter() - started
+            assert [p["frame_id"] for p in payloads] == [id_b]
+            _assert_identical(payloads[0]["result"], _reference(frames[0]),
+                              False)
+            # A loopback round trip; the slack is for a loaded box, and
+            # still far below a wait that only a heartbeat would end.
+            assert elapsed < 8 * POLL_HOLD_S
+
+
+def test_poll_never_waits_on_a_connection_that_owns_nothing():
+    """The hold applies to outstanding frames only: a cell with nothing
+    in flight gets its empty answer at once, even while another cell's
+    frames keep the farm busy."""
+    rng = np.random.default_rng(31)
+    decoder = SphereDecoder(qam(16))
+    polls = 50
+    with CellSiteServer(DetectorFarm(1, backend="process")) as server:
+        with CellSiteClient(server.address) as busy, \
+                CellSiteClient(server.address) as idle:
+            for _ in range(4):
+                busy.submit(_make_frame(decoder, 16, 4, 18.0, rng))
+            started = time.perf_counter()
+            for _ in range(polls):
+                assert idle.poll() == []
+            elapsed = time.perf_counter() - started
+            # Held polls would take polls x POLL_HOLD_S (250 ms);
+            # immediate ones take a round trip each (~0.1 ms).
+            assert elapsed < polls * POLL_HOLD_S / 2
+            assert len(_in_thread(busy.drain)) == 4
+
+
+@pytest.mark.parametrize("max_restarts, expected",
+                         [(5, "completed"), (0, "expired")])
+def test_client_drain_survives_a_killed_worker(max_restarts, expected):
+    """A SIGKILLed worker's pipe reads EOF, which wakes the long poll
+    like any message would: the sleepless drain resolves every frame —
+    replayed bit-exactly, or explicitly expired once the restart budget
+    is spent — and never hangs."""
+    rng = np.random.default_rng(32)
+    frames = _mixed_frames(rng, repeats=1)
+    farm = DetectorFarm(1, backend="process", max_restarts=max_restarts)
+    with CellSiteServer(farm) as server:
+        with CellSiteClient(server.address) as cell:
+            # Killed before the frames go out, so which of them the
+            # worker finished first is not left to a race: all of them
+            # sit in the ledger of a dead shard when the drain starts.
+            farm.kill_shard(0)
+            ids = [cell.submit(frame) for frame in frames]
+            by_id = {p["frame_id"]: p for p in _in_thread(cell.drain)}
+            assert set(by_id) == set(ids) and cell.outstanding == 0
+            for frame_id, frame in zip(ids, frames):
+                assert by_id[frame_id]["resolution"] == expected
+                if expected == "completed":
+                    _assert_identical(by_id[frame_id]["result"],
+                                      _reference(frame),
+                                      frame.noise_variance is not None)
+                else:
+                    assert by_id[frame_id]["result"] is None
+            assert cell.stats()["restarts"] == [1]
+
+
+def test_supervisor_wait_wakes_on_stash_and_on_a_dead_worker():
+    """``wait`` is what replaced the sleeps, so it must return promptly
+    on everything ``pump`` acts on — a stashed result, a dead worker's
+    EOF — and actually block when there is nothing."""
+    rng = np.random.default_rng(33)
+    frame = _make_frame(SphereDecoder(qam(4)), 3, 2, 15.0, rng)
+    # Heartbeats far apart: nothing but the events under test can end
+    # a wait early.
+    supervisor = ShardSupervisor(1, heartbeat_s=30.0, hang_timeout_s=60.0)
+    try:
+        started = time.perf_counter()
+        supervisor.wait(0.05)
+        assert time.perf_counter() - started >= 0.04, "idle wait must block"
+
+        supervisor.submit(0, 7, frame)
+        supervisor.wait(30.0)               # the result is on the pipe
+        # stats() reads the pipe in order: the result first (stashed
+        # for the next pump), then its own reply.
+        assert supervisor.stats()[0]["frames_completed"] == 1
+        started = time.perf_counter()
+        supervisor.wait(30.0)
+        assert time.perf_counter() - started < 5.0, "stash must end a wait"
+        payloads = supervisor.pump()
+        assert [p["frame_id"] for p in payloads] == [7]
+        _assert_identical(payloads[0]["result"], _reference(frame), False)
+
+        supervisor.kill_shard(0)
+        started = time.perf_counter()
+        supervisor.wait(30.0)
+        assert time.perf_counter() - started < 5.0, "EOF must end a wait"
+        assert supervisor.pump() == [] and supervisor.restarts == [1]
+        # stats() on a freshly replaced worker still answers.
+        assert supervisor.stats()[0]["frames_completed"] == 0
+    finally:
+        supervisor.close()
+
+
+# ----------------------------------------------------------------------
+# The front door: bounded messages, bounded bookkeeping
+# ----------------------------------------------------------------------
+
+def test_oversize_length_prefix_costs_only_its_own_connection():
+    """A forged 4 GiB length prefix is refused before anything is
+    allocated for it: that connection is dropped and its frame
+    cancelled, while a second cell's frames complete bit-exactly."""
+    left, right = socket.socketpair()
+    with left, right:
+        left.sendall(struct.pack("!I", MAX_MESSAGE_BYTES + 1))
+        with pytest.raises(ConnectionError, match="protocol cap"):
+            recv_obj(right)
+
+    rng = np.random.default_rng(34)
+    frames = _mixed_frames(rng, repeats=1)
+    with CellSiteServer(DetectorFarm(1, backend="inline")) as server:
+        with socket.create_connection(server.address) as rogue, \
+                CellSiteClient(server.address) as cell:
+            rogue.settimeout(10.0)
+            send_obj(rogue, ("submit", frames[0]))
+            status, rogue_id = recv_obj(rogue)
+            assert status == "ok"
+            ids = [cell.submit(frame) for frame in frames]
+            rogue.sendall(struct.pack("!I", 0xFFFFFFFF))
+            assert rogue.recv(1) == b"", "server must hang up on the forger"
+            by_id = {p["frame_id"]: p for p in cell.drain()}
+            assert set(by_id) == set(ids) and rogue_id not in by_id
+            for frame_id, frame in zip(ids, frames):
+                assert by_id[frame_id]["resolution"] == "completed"
+                _assert_identical(by_id[frame_id]["result"],
+                                  _reference(frame),
+                                  frame.noise_variance is not None)
+            assert server.farm.outstanding == 0     # the rogue's was cancelled
+
+
+def test_server_keeps_no_state_for_departed_connections():
+    """Fifty cells connect, submit and leave without polling: every
+    abandoned frame is cancelled and the server is left tracking
+    nothing per departed connection — no thread list growing by one
+    entry per accept."""
+    rng = np.random.default_rng(35)
+    frame = _make_frame(SphereDecoder(qam(4)), 3, 2, 15.0, rng)
+    with CellSiteServer(DetectorFarm(1, backend="inline")) as server:
+        for _ in range(50):
+            with CellSiteClient(server.address) as cell:
+                cell.submit(frame)
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline and (
+                server.farm.outstanding or any(
+                    thread.name == "cell-site-conn"
+                    for thread in threading.enumerate())):
+            time.sleep(0.01)
+        assert server.farm.outstanding == 0
+        assert not any(thread.name == "cell-site-conn"
+                       for thread in threading.enumerate())
+        tracked = sum(len(value) for value in vars(server).values()
+                      if isinstance(value, (list, dict, set)))
+        assert tracked < 5
+
+
+# ----------------------------------------------------------------------
 # Stats aggregation
 # ----------------------------------------------------------------------
 
@@ -425,7 +660,6 @@ def test_hung_worker_detected_and_frames_replayed():
     with shrunken budgets and still complete exactly."""
     import os
     import signal
-    import time
 
     rng = np.random.default_rng(13)
     frames = [_make_frame(SphereDecoder(qam(16)), 5, 3, 12.0, rng)
