@@ -8,6 +8,8 @@ Two complementary answers to "where did the time go":
 * :mod:`repro.obs.metrics` — a counter/gauge/summary registry that
   renders :class:`~repro.runtime.stats.RuntimeStats` summaries as
   Prometheus text exposition, served by the cell-site ``metrics`` verb.
+* :mod:`repro.obs.ledger` — the one table declaring every scalar
+  runtime metric, read by the stats layer and the export plane alike.
 """
 
 from .metrics import (COUNTER_KEYS, GAUGE_KEYS, MetricsRegistry,

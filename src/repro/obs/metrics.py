@@ -10,13 +10,16 @@ the examples can serve a scrape body with no new dependency.
 
 :func:`registry_from_summary` maps a ``RuntimeStats.summary()`` (or a
 farm aggregate from :func:`~repro.runtime.stats.aggregate_summaries`)
-onto metrics mechanically: the :data:`COUNTER_KEYS` / :data:`GAUGE_KEYS`
-tables are module-level data precisely so tests can iterate them and
-assert every exported sample equals its summary source — the export
-plane must never *re-derive* a number differently from the stats layer.
+onto metrics mechanically.  :data:`COUNTER_KEYS` / :data:`GAUGE_KEYS`
+(``summary()`` key -> Prometheus name) are views of the one table in
+:mod:`repro.obs.ledger` that the stats layer builds ``summary()`` and
+the farm aggregate from; tests iterate them to assert every exported
+sample equals its summary source — the export plane never re-derives.
 """
 
 from __future__ import annotations
+
+from .ledger import COUNTER, COUNTER_KEYS, GAUGE_KEYS, METRICS
 
 __all__ = [
     "COUNTER_KEYS",
@@ -25,52 +28,6 @@ __all__ = [
     "prometheus_text",
     "registry_from_summary",
 ]
-
-#: Monotonically-increasing ``summary()`` keys → Prometheus counter
-#: names.  Counters follow the convention of a ``_total`` suffix;
-#: accumulated-seconds keys get ``_seconds_total``.
-COUNTER_KEYS = {
-    "frames_submitted": "repro_frames_submitted_total",
-    "frames_completed": "repro_frames_completed_total",
-    "frames_expired": "repro_frames_expired_total",
-    "frames_cancelled": "repro_frames_cancelled_total",
-    "frames_degraded": "repro_frames_degraded_total",
-    "searches_completed": "repro_searches_completed_total",
-    "ticks": "repro_ticks_total",
-    "visited_nodes": "repro_visited_nodes_total",
-    "ped_calcs": "repro_ped_calcs_total",
-    "streams_decoded": "repro_streams_decoded_total",
-    "streams_crc_ok": "repro_streams_crc_ok_total",
-    "payload_bits_ok": "repro_payload_bits_ok_total",
-    "degraded_streams_decoded": "repro_degraded_streams_decoded_total",
-    "degraded_streams_crc_ok": "repro_degraded_streams_crc_ok_total",
-    "deadline_frames_resolved": "repro_deadline_frames_resolved_total",
-    "deadline_frames_met": "repro_deadline_frames_met_total",
-    "deadline_near_misses": "repro_deadline_near_misses_total",
-    "tick_duration_s": "repro_tick_duration_seconds_total",
-    "tick_kernel_s": "repro_tick_kernel_seconds_total",
-    "stage_queue_wait_s": "repro_stage_queue_wait_seconds_total",
-    "stage_detect_s": "repro_stage_detect_seconds_total",
-    "stage_decode_s": "repro_stage_decode_seconds_total",
-    "stage_resolve_s": "repro_stage_resolve_seconds_total",
-}
-
-#: Point-in-time / derived ``summary()`` keys → Prometheus gauge names.
-GAUGE_KEYS = {
-    "elapsed_s": "repro_busy_seconds",
-    "frames_per_second": "repro_frames_per_second",
-    "goodput_bits_per_second": "repro_goodput_bits_per_second",
-    "mean_lane_occupancy": "repro_mean_lane_occupancy",
-    "tick_orchestration_s": "repro_tick_orchestration_seconds",
-    "kernel_time_fraction": "repro_kernel_time_fraction",
-    "crc_failure_rate": "repro_crc_failure_rate",
-    "degraded_crc_failure_rate": "repro_degraded_crc_failure_rate",
-    "deadline_miss_rate": "repro_deadline_miss_rate",
-    "tick_duration_ema_s": "repro_tick_duration_ema_seconds",
-    "shards": "repro_shards",
-    "shards_reporting": "repro_shards_reporting",
-    "outstanding": "repro_outstanding_frames",
-}
 
 #: Percentile sub-reports → Prometheus summary metrics (quantile
 #: samples).  ``latency_percentiles_by_class_s`` and the per-stage
@@ -155,22 +112,19 @@ def registry_from_summary(summary: dict, *,
     """Map one ``RuntimeStats.summary()`` / farm-aggregate dict onto a
     registry.
 
-    Flat keys follow the :data:`COUNTER_KEYS` / :data:`GAUGE_KEYS`
-    tables; percentile sub-reports become summary quantile samples; the
+    Flat keys follow the ledger's :data:`~repro.obs.ledger.METRICS`
+    rows; percentile sub-reports become summary quantile samples; the
     farm's per-shard list keys (``frames_routed``, ``restarts``,
     ``per_shard``) become shard-labelled samples.  Keys absent from the
     summary are simply not exported — the same registry code serves a
     lone runtime and a farm aggregate.
     """
     registry = MetricsRegistry()
-    for key, name in COUNTER_KEYS.items():
+    for key, kind, _, name in METRICS:
         if key in summary:
-            registry.counter(name, summary[key],
-                             f"RuntimeStats '{key}' running total.", labels)
-    for key, name in GAUGE_KEYS.items():
-        if key in summary:
-            registry.gauge(name, summary[key],
-                           f"RuntimeStats '{key}'.", labels)
+            total = " running total" if kind == COUNTER else ""
+            registry._sample(kind, name, summary[key],
+                             f"RuntimeStats '{key}'{total}.", labels)
     for key, name in _QUANTILE_KEYS.items():
         if key in summary:
             _quantiles(registry, name, summary[key], labels)

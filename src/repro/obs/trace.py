@@ -16,8 +16,9 @@ Design constraints, in order:
 * **Near-free when off.**  Tracing is disabled by default;
   :meth:`FrameTracer.start` then returns ``None`` and every
   :meth:`FrameTracer.emit` call is a single ``is None`` test — the
-  benchmark ``benchmarks/bench_obs_overhead.py`` gates the *enabled*
-  overhead at <5% of runtime throughput, so disabled overhead is noise.
+  ladder's ``obs.tracer_overhead_fraction`` (``benchmarks/ladder/``)
+  reads the *enabled* overhead at ~1% of runtime throughput, inside its
+  own run-to-run spread, so disabled overhead is noise.
 * **Bounded.**  A resident runtime must stay O(1) in memory: finished
   traces live in a ring of ``retain_frames`` entries, each trace caps
   its event list at ``max_events_per_frame`` (overflow is *counted*,

@@ -99,7 +99,7 @@ from ..sphere.tick_kernel import (
 )
 from ..obs.trace import FrameTracer
 from ..utils.validation import require
-from .queue import AdmissionQueue, FrameJob
+from .queue import AdmissionQueue, FrameJob, search_signature
 
 __all__ = ["DEFAULT_INITIAL_LANES", "DEFAULT_LANE_CAPACITY",
            "DRAIN_THRESHOLD_CAP", "LANE_POLICIES", "LanePool",
@@ -1020,21 +1020,17 @@ class StreamingFrontier:
         return self.active_lanes / allocated if allocated else 0.0
 
     def _pool_key(self, job: FrameJob) -> tuple:
-        """The job's kernel signature.  It ends with the *resolved* tick
-        mode (the frontier's knob, else the submitting decoder's own;
-        compiled requests degrade to numpy when unavailable, with one
-        warning), so a ``"numpy"`` decoder never lands in a pool a
-        same-signature ``"compiled"`` decoder created."""
+        """The job's kernel signature: its :func:`search_signature`
+        plus the *resolved* tick mode (the frontier's knob, else the
+        submitting decoder's own; compiled requests degrade to numpy
+        when unavailable, with one warning), so a ``"numpy"`` decoder
+        never lands in a pool a same-signature ``"compiled"`` decoder
+        created."""
         decoder = job.decoder
         requested = (self.tick_strategy if self.tick_strategy is not None
                      else decoder.tick_strategy)
-        key = (job.kind, job.num_streams,
-               decoder.constellation.levels.tobytes(), decoder.enumerator,
-               decoder.geometric_pruning, decoder.node_budget,
-               decoder.initial_radius_sq)
-        if job.kind == "soft":
-            key += (decoder.list_size,)
-        return key + (resolve_tick_strategy(requested, decoder.enumerator),)
+        return search_signature(decoder, job.num_streams) + (
+            resolve_tick_strategy(requested, decoder.enumerator),)
 
     def submit(self, job: FrameJob) -> None:
         """Queue every search of an admitted frame, tagged with its id."""

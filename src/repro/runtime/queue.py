@@ -55,7 +55,7 @@ from ..sphere.soft import ListSphereDecoder, soft_outputs_from_lists
 from ..utils.validation import require
 
 __all__ = ["AdmissionQueue", "FrameJob", "FrameRequest", "decoder_kind",
-           "validate_request"]
+           "search_signature", "validate_request"]
 
 
 def decoder_kind(decoder) -> str:
@@ -68,6 +68,20 @@ def decoder_kind(decoder) -> str:
             f"runtime cannot stream {type(decoder).__name__}: use "
             "SphereDecoder (hard) or ListSphereDecoder (soft)")
     return "hard"
+
+
+def search_signature(decoder, num_streams: int) -> tuple:
+    """What makes two searches the same kernel program: hard or soft,
+    stream count, constellation, enumerator, pruning, budgets and (soft)
+    list size.  The engine partitions kernel pools by it and the farm
+    routes frames by it — one function, so the two cannot drift."""
+    kind = decoder_kind(decoder)
+    key = (kind, num_streams, decoder.constellation.levels.tobytes(),
+           decoder.enumerator, decoder.geometric_pruning,
+           decoder.node_budget, decoder.initial_radius_sq)
+    if kind == "soft":
+        key += (decoder.list_size,)
+    return key
 
 
 @dataclass

@@ -2,9 +2,9 @@
 
 The Geosphere pitch is *consistent* throughput under sustained load, so
 the runtime's observability is framed the way queueing evaluations frame
-it: frames per second over the accumulated **busy time** (idle gaps
-between traffic bursts are excluded, so the rate describes what the
-engine sustains while it actually has work), per-frame latency
+it: frames per second over the accumulated **busy time** — wall time
+with at least one frame in flight, counted exactly, so the rate
+describes what the engine sustains while it has work — per-frame latency
 percentiles overall and per priority class (tail latency is where
 straggler searches and queueing delay show up), lane occupancy (how full
 the lanes the pools have allocated actually run), and the visited-node/PED totals
@@ -22,6 +22,9 @@ unfinished, or were degraded (node budgets shrunk to make the deadline)
 failure rate over degraded frames only.  Degraded and expired frames are
 always *counted*, never silent.
 
+Every scalar metric is declared once, in :mod:`repro.obs.ledger`: each
+counter is a :class:`RuntimeStats` attribute named by its key, and
+``summary()`` / :func:`aggregate_summaries` are loops over that table.
 The session layer feeds one sample per tick and one record per frame;
 everything here is cheap enough to leave on permanently.
 """
@@ -32,10 +35,12 @@ from collections import deque
 
 import numpy as np
 
+from ..obs import ledger
+from ..obs.ledger import COUNTER_KEYS, DERIVED, GAUGE, MAX, METRICS, SUM
 from ..sphere.counters import ComplexityCounters
 from ..utils.validation import require
 
-__all__ = ["RuntimeStats", "STAGES", "aggregate_summaries"]
+__all__ = ["RuntimeStats", "STAGES", "aggregate_summaries", "fold_counters"]
 
 #: Per-frame latency samples retained for the percentile reports.  A
 #: bounded sliding window keeps a permanently-resident runtime's
@@ -43,16 +48,8 @@ __all__ = ["RuntimeStats", "STAGES", "aggregate_summaries"]
 #: report should describe.
 DEFAULT_LATENCY_WINDOW = 4096
 
-#: Busy-interval segmentation: a silence longer than this many recent
-#: tick durations (but never shorter than ``MIN_IDLE_GAP_S``) closes the
-#: current busy interval, so the gap between two traffic bursts does not
-#: deflate ``frames_per_second()`` / ``goodput_bps()``.
-IDLE_GAP_TICKS = 25.0
-MIN_IDLE_GAP_S = 1e-3
-
 #: Smoothing factor of the exponential moving average over tick
-#: durations (reported as ``tick_duration_ema_s``, and what adapts the
-#: idle-gap threshold to however fast this machine ticks).
+#: durations (reported as ``tick_duration_ema_s``).
 _TICK_EMA_ALPHA = 0.1
 
 #: Per-frame latency decomposition stages, in pipeline order: time
@@ -63,105 +60,77 @@ _TICK_EMA_ALPHA = 0.1
 STAGES = ("queue_wait", "detect", "decode", "resolve")
 
 
+def _percentile_report(window, percentiles) -> dict[int, float]:
+    """``{percentile: value}`` over a window of samples — an **empty
+    dict** for an empty window rather than raising, so callers can probe
+    a runtime at any point in its life."""
+    if not len(window):
+        return {}
+    values = np.percentile(np.asarray(window), percentiles)
+    return {int(p): float(v) for p, v in zip(percentiles, values)}
+
+
 class RuntimeStats:
     """Aggregated telemetry for one :class:`~repro.runtime.session.UplinkRuntime`.
 
-    Counts, rates and occupancy are running aggregates; latency
-    percentiles are computed over a sliding window of the most recent
-    ``latency_window`` completions (overall and per priority class), so
-    a resident runtime's footprint stays bounded no matter how long it
-    serves.
-
-    Parameters
-    ----------
-    latency_window:
-        Completions retained per percentile window.
-    idle_gap_s:
-        Silence that closes a busy interval.  ``None`` (default) adapts
-        to the observed tick cost: a gap longer than ``IDLE_GAP_TICKS``
-        recent tick durations (floored at ``MIN_IDLE_GAP_S``) ends the
-        interval, so bursty workloads report rates over time the
-        runtime actually had work.
+    Counts, rates and occupancy are running aggregates — each counter of
+    the ledger (:data:`~repro.obs.ledger.COUNTER_KEYS`) is an attribute
+    named by its ``summary()`` key; latency percentiles are computed
+    over a sliding window of the most recent ``latency_window``
+    completions (overall and per priority class), so a resident
+    runtime's footprint stays bounded no matter how long it serves.
     """
 
-    def __init__(self, latency_window: int = DEFAULT_LATENCY_WINDOW,
-                 idle_gap_s: float | None = None) -> None:
+    def __init__(self, latency_window: int = DEFAULT_LATENCY_WINDOW) -> None:
         require(latency_window >= 1, "latency window must be positive")
-        require(idle_gap_s is None or idle_gap_s > 0.0,
-                "idle gap must be positive when given")
         self._latency_window = latency_window
-        self._idle_gap_s = idle_gap_s
-        self.frames_submitted = 0
-        self.frames_completed = 0
-        self.frames_expired = 0
-        self.frames_cancelled = 0
-        self.frames_degraded = 0
-        self.searches_completed = 0
-        self.streams_decoded = 0
-        self.streams_crc_ok = 0
-        self.payload_bits_ok = 0
-        self.degraded_streams_decoded = 0
-        self.degraded_streams_crc_ok = 0
-        self.deadline_frames_resolved = 0
-        self.deadline_frames_met = 0
-        self.deadline_near_misses = 0
-        self.ticks = 0
+        for key in COUNTER_KEYS:      # frames_submitted, ticks, stage_detect_s...
+            setattr(self, key, 0.0 if key.endswith("_s") else 0)
+        #: Per-tick lane occupancies added up (``mean_lane_occupancy``).
+        self.lane_occupancy_sum = 0.0
         self.counters = ComplexityCounters()
         self._latencies: deque[float] = deque(maxlen=latency_window)
         self._class_latencies: dict[int, deque[float]] = {}
-        # Stage-latency decomposition: running totals (additive across
-        # shards) plus bounded percentile windows, overall and per
-        # priority class.
-        self.stage_totals_s = {stage: 0.0 for stage in STAGES}
+        # Stage-latency percentile windows, overall and per priority
+        # class (the running totals are the stage_<name>_s counters).
         self._stage_windows: dict[str, deque[float]] = {
             stage: deque(maxlen=latency_window) for stage in STAGES}
         self._class_stage_windows: dict[int, dict[str, deque[float]]] = {}
-        self._occupancy_sum = 0.0
-        # Busy-time accumulation: closed intervals summed into _busy_s,
-        # plus one open interval [_interval_start, _last_event].
+        # Busy time: closed in-flight intervals summed into _busy_s,
+        # plus the open one [_busy_since, _last_event] while any frame
+        # is in flight.
         self._busy_s = 0.0
-        self._interval_start: float | None = None
-        self._last_event: float | None = None
-        # Tick-time observability: how long ticks take, and how much of
-        # that is kernel work (the numpy step / compiled cores) versus
-        # Python orchestration around it.
-        self.tick_duration_s = 0.0
-        self.tick_kernel_s = 0.0
+        self._busy_since: float | None = None
+        self._last_event = float("-inf")
         self._tick_duration_ema_s: float | None = None
         self._tick_durations: deque[float] = deque(maxlen=latency_window)
 
-    # -- busy-interval bookkeeping --------------------------------------
-    def _gap_threshold(self) -> float:
-        if self._idle_gap_s is not None:
-            return self._idle_gap_s
-        if self._tick_duration_ema_s is None:
-            return MIN_IDLE_GAP_S
-        return max(MIN_IDLE_GAP_S,
-                   IDLE_GAP_TICKS * self._tick_duration_ema_s)
+    # -- busy-time bookkeeping ------------------------------------------
+    @property
+    def in_flight(self) -> int:
+        """Frames submitted and not yet completed, expired or cancelled."""
+        return (self.frames_submitted - self.frames_completed
+                - self.frames_expired - self.frames_cancelled)
 
-    def _touch(self, now: float, busy_s: float = 0.0) -> None:
-        """Note one submit/tick/complete event that ended at ``now``
-        after keeping the runtime busy for ``busy_s``: extend the open
-        busy interval, or close it and start a new one if the runtime
-        sat silent for longer than the idle-gap threshold *before the
-        event began*.  The event's own span is busy time by definition
-        — however long a tick runs, it never reads as an idle gap."""
-        began = now - busy_s
-        if self._interval_start is None:
-            self._interval_start = began
-            self._last_event = now
-            return
-        if began - self._last_event > self._gap_threshold():
-            self._busy_s += self._last_event - self._interval_start
-            self._interval_start = began
-        # max(): a submit is stamped on arrival but recorded after its
-        # backpressure ticks, so events can arrive out of order.
+    def _stamp(self, now: float) -> None:
+        """Note one event at ``now`` (after its counters moved); the
+        event that leaves nothing in flight closes the busy interval.
+        ``max()``: stamps can arrive out of order — a tick's expiries
+        carry the tick's clock reading, its completions later ones."""
         self._last_event = max(self._last_event, now)
+        if self._busy_since is not None and self.in_flight <= 0:
+            self._busy_s += self._last_event - self._busy_since
+            self._busy_since = None
 
     # -- recording hooks (called by the session) ------------------------
     def record_submit(self, now: float) -> None:
         self.frames_submitted += 1
-        self._touch(now)
+        if self._busy_since is None:
+            # In-flight 0 -> 1 opens an interval — never before the last
+            # close: a backpressured submit, stamped on arrival ahead of
+            # the ticks it then waited through, extends that interval.
+            self._busy_since = max(now, self._last_event)
+        self._stamp(now)
 
     def record_tick(self, occupancy: float, now: float,
                     duration_s: float | None = None,
@@ -171,7 +140,7 @@ class RuntimeStats:
         spent inside kernel work — the numpy step or the compiled
         cores — as opposed to Python orchestration."""
         self.ticks += 1
-        self._occupancy_sum += occupancy
+        self.lane_occupancy_sum += occupancy
         if duration_s is not None:
             self.tick_duration_s += duration_s
             self._tick_durations.append(duration_s)
@@ -182,7 +151,7 @@ class RuntimeStats:
                     duration_s - self._tick_duration_ema_s)
         if kernel_s is not None:
             self.tick_kernel_s += kernel_s
-        self._touch(now, duration_s or 0.0)
+        self._stamp(now)
 
     def record_complete(self, now: float, latency_s: float, detections: int,
                         counters: ComplexityCounters, *, priority: int = 0,
@@ -203,38 +172,41 @@ class RuntimeStats:
                 class_windows = {stage: deque(maxlen=self._latency_window)
                                  for stage in STAGES}
                 self._class_stage_windows[priority] = class_windows
+            fields = vars(self)
             for stage in STAGES:
                 seconds = stages.get(stage, 0.0)
-                self.stage_totals_s[stage] += seconds
+                fields[f"stage_{stage}_s"] += seconds
                 self._stage_windows[stage].append(seconds)
                 class_windows[stage].append(seconds)
-        self._touch(now)
         self.counters.merge(counters)
+        self.visited_nodes += counters.visited_nodes
+        self.ped_calcs += counters.ped_calcs
         if had_deadline:
             self.deadline_frames_resolved += 1
             if missed_deadline:
                 self.deadline_near_misses += 1
             else:
                 self.deadline_frames_met += 1
+        self._stamp(now)
 
     def record_degraded(self, now: float) -> None:
         """One frame's budgets shrunk to chase its deadline.  Counted
         at degradation time, so frames that degrade and *still* expire
         are counted once in each ledger."""
         self.frames_degraded += 1
-        self._touch(now)
+        self._stamp(now)
 
     def record_expired(self, now: float) -> None:
         """One frame dropped unfinished at its deadline — a full miss."""
         self.frames_expired += 1
         self.deadline_frames_resolved += 1
-        self._touch(now)
+        self._stamp(now)
 
     def record_cancelled(self, now: float) -> None:
         """One frame explicitly removed by the caller (not a deadline
         event, so it never enters the miss-rate denominator)."""
         self.frames_cancelled += 1
-        self._touch(now)
+        self._stamp(now)
 
     def record_decisions(self, decisions, *, degraded: bool = False) -> None:
         """Tally one decoded frame's per-stream CRC verdicts.
@@ -257,16 +229,16 @@ class RuntimeStats:
     # -- derived metrics ------------------------------------------------
     @property
     def elapsed_s(self) -> float:
-        """Accumulated busy time: the sum of intervals during which the
-        runtime saw events (submits, ticks, completions), with silences
-        longer than the idle-gap threshold excluded — so a quiet hour
-        between two bursts does not deflate the rates.  Every timed
-        tick lies wholly inside a busy interval, so (on one time base —
-        the session's default clock is the tick timer's)
-        ``elapsed_s >= tick_duration_s`` always."""
-        if self._interval_start is None:
-            return 0.0
-        return self._busy_s + (self._last_event - self._interval_start)
+        """Accumulated busy time: wall time with at least one frame in
+        flight — an interval opens at the submit that takes in-flight
+        from 0 to 1 and closes at the resolution that takes it back (an
+        open one reads up to the latest event), so neither a quiet hour
+        nor a 10 ms lull deflates the rates.  The engine ticks only with
+        frames in flight, so (on one time base — the session's default
+        clock is the tick timer's) ``elapsed_s >= tick_duration_s``."""
+        if self._busy_since is None:
+            return self._busy_s
+        return self._busy_s + (self._last_event - self._busy_since)
 
     def _rate(self, count: int) -> float:
         """``count`` events over the busy time, with well-defined
@@ -288,47 +260,56 @@ class RuntimeStats:
         reports (degenerate cases as in :meth:`frames_per_second`)."""
         return self._rate(self.payload_bits_ok)
 
+    # The ledger's formulas (shared with the farm aggregate), applied here.
     def crc_failure_rate(self) -> float:
         """Fraction of decoded streams whose frame check sequence
         failed; 0.0 before any stream has been decoded."""
-        if self.streams_decoded == 0:
-            return 0.0
-        return 1.0 - self.streams_crc_ok / self.streams_decoded
+        return ledger.crc_failure_rate(vars(self))
 
     def degraded_crc_failure_rate(self) -> float:
         """CRC failure rate over *degraded* frames' streams only — the
         error-rate price of shrinking search budgets to make deadlines;
         0.0 before any degraded stream has been decoded."""
-        if self.degraded_streams_decoded == 0:
-            return 0.0
-        return 1.0 - (self.degraded_streams_crc_ok
-                      / self.degraded_streams_decoded)
+        return ledger.degraded_crc_failure_rate(vars(self))
 
     def deadline_miss_rate(self) -> float:
         """Fraction of deadline-tagged frames that missed: expired
         unfinished, or completed past their deadline (near misses).
         0.0 before any deadline-tagged frame has resolved."""
-        if self.deadline_frames_resolved == 0:
-            return 0.0
-        return ((self.frames_expired + self.deadline_near_misses)
-                / self.deadline_frames_resolved)
+        return ledger.deadline_miss_rate(vars(self))
+
+    def mean_lane_occupancy(self) -> float:
+        """Average fraction of the allocated lanes busy per tick
+        (:meth:`StreamingFrontier.occupancy
+        <repro.runtime.engine.StreamingFrontier.occupancy>`: against
+        what the pools have actually allocated, not the global lane
+        budget)."""
+        return ledger.mean_lane_occupancy(vars(self))
+
+    def tick_orchestration_s(self) -> float:
+        """Measured tick time spent *outside* kernel work."""
+        return ledger.tick_orchestration_s(vars(self))
+
+    def kernel_time_fraction(self) -> float:
+        """Share of measured tick time spent inside kernel work; 0.0
+        before any timed tick."""
+        return ledger.kernel_time_fraction(vars(self))
+
+    @property
+    def stage_totals_s(self) -> dict[str, float]:
+        """Running per-stage latency totals, keyed by stage name."""
+        return {stage: getattr(self, f"stage_{stage}_s") for stage in STAGES}
 
     def latency_percentiles(self, percentiles=(50, 90, 99), *,
                             priority: int | None = None) -> dict[int, float]:
         """Per-frame submit-to-completion latency percentiles (seconds)
-        over the most recent window of completions.
-
-        ``priority`` narrows the window to one priority class.  An empty
-        window — a fresh runtime, or a class that has completed nothing —
-        returns an **empty dict** rather than raising, so direct callers
-        can probe a runtime at any point in its life.
-        """
+        over the most recent window of completions; ``priority`` narrows
+        the window to one priority class.  Empty dict for an empty
+        window — a fresh runtime, or a class that has completed
+        nothing."""
         window = (self._latencies if priority is None
                   else self._class_latencies.get(priority, ()))
-        if not len(window):
-            return {}
-        values = np.percentile(np.asarray(window), percentiles)
-        return {int(p): float(v) for p, v in zip(percentiles, values)}
+        return _percentile_report(window, percentiles)
 
     def class_latency_percentiles(self, percentiles=(50, 90, 99)
                                   ) -> dict[int, dict[int, float]]:
@@ -343,90 +324,34 @@ class RuntimeStats:
                                   ) -> dict[str, dict[int, float]]:
         """Per-stage latency percentiles (seconds) over the most recent
         window of stage-decomposed completions, keyed by stage name
-        (see :data:`STAGES`).
-
-        ``priority`` narrows the windows to one priority class.  Stages
-        with an empty window are omitted; a runtime that has completed
-        nothing returns an empty dict.
-        """
+        (see :data:`STAGES`); ``priority`` narrows the windows to one
+        priority class.  Stages with an empty window are omitted; a
+        runtime that has completed nothing returns an empty dict."""
         windows = (self._stage_windows if priority is None
                    else self._class_stage_windows.get(priority, {}))
-        report = {}
-        for stage in STAGES:
-            window = windows.get(stage, ())
-            if not len(window):
-                continue
-            values = np.percentile(np.asarray(window), percentiles)
-            report[stage] = {int(p): float(v)
-                             for p, v in zip(percentiles, values)}
-        return report
-
-    def mean_lane_occupancy(self) -> float:
-        """Average fraction of the allocated lanes busy per tick
-        (:meth:`StreamingFrontier.occupancy
-        <repro.runtime.engine.StreamingFrontier.occupancy>`: against
-        what the pools have actually allocated, not the global lane
-        budget)."""
-        return self._occupancy_sum / self.ticks if self.ticks else 0.0
-
-    def tick_orchestration_s(self) -> float:
-        """Measured tick time spent *outside* kernel work (clamped at
-        zero: the two clocks bracket slightly different spans, so tiny
-        negative residues are measurement noise, not credit)."""
-        return max(0.0, self.tick_duration_s - self.tick_kernel_s)
-
-    def kernel_time_fraction(self) -> float:
-        """Share of measured tick time spent inside kernel work; 0.0
-        before any timed tick."""
-        if self.tick_duration_s <= 0.0:
-            return 0.0
-        return min(1.0, self.tick_kernel_s / self.tick_duration_s)
+        reports = ((stage, _percentile_report(windows.get(stage, ()),
+                                              percentiles))
+                   for stage in STAGES)
+        return {stage: report for stage, report in reports if report}
 
     def tick_duration_percentiles(self, percentiles=(50, 90, 99)
                                   ) -> dict[int, float]:
         """Per-tick wall-duration percentiles (seconds) over the most
         recent window of timed ticks; empty dict before any timed
         tick."""
-        if not len(self._tick_durations):
-            return {}
-        values = np.percentile(np.asarray(self._tick_durations), percentiles)
-        return {int(p): float(v) for p, v in zip(percentiles, values)}
+        return _percentile_report(self._tick_durations, percentiles)
 
     def summary(self) -> dict:
         """One dict with the headline numbers (benchmark ``extra_info``
-        friendly)."""
-        report = {
-            "frames_submitted": self.frames_submitted,
-            "frames_completed": self.frames_completed,
-            "frames_expired": self.frames_expired,
-            "frames_cancelled": self.frames_cancelled,
-            "frames_degraded": self.frames_degraded,
-            "searches_completed": self.searches_completed,
-            "ticks": self.ticks,
-            "elapsed_s": self.elapsed_s,
-            "frames_per_second": self.frames_per_second(),
-            "mean_lane_occupancy": self.mean_lane_occupancy(),
-            "tick_duration_s": self.tick_duration_s,
-            "tick_kernel_s": self.tick_kernel_s,
-            "tick_orchestration_s": self.tick_orchestration_s(),
-            "kernel_time_fraction": self.kernel_time_fraction(),
-            "visited_nodes": self.counters.visited_nodes,
-            "ped_calcs": self.counters.ped_calcs,
-            "streams_decoded": self.streams_decoded,
-            "streams_crc_ok": self.streams_crc_ok,
-            "payload_bits_ok": self.payload_bits_ok,
-            "degraded_streams_decoded": self.degraded_streams_decoded,
-            "degraded_streams_crc_ok": self.degraded_streams_crc_ok,
-            "deadline_frames_resolved": self.deadline_frames_resolved,
-            "deadline_frames_met": self.deadline_frames_met,
-            "deadline_near_misses": self.deadline_near_misses,
-            "crc_failure_rate": self.crc_failure_rate(),
-            "goodput_bits_per_second": self.goodput_bps(),
-            "deadline_miss_rate": self.deadline_miss_rate(),
-            "degraded_crc_failure_rate": self.degraded_crc_failure_rate(),
-        }
-        for stage in STAGES:
-            report[f"stage_{stage}_s"] = self.stage_totals_s[stage]
+        friendly): every ledger counter and derived metric, the
+        busy-time gauges, and the percentile sub-reports with samples."""
+        fields = vars(self)
+        report = {key: fields[key] for key in COUNTER_KEYS}
+        for key, formula in DERIVED.items():
+            report[key] = formula(fields)
+        report["elapsed_s"] = self.elapsed_s
+        report["frames_per_second"] = self.frames_per_second()
+        report["goodput_bits_per_second"] = self.goodput_bps()
         stage_percentiles = self.stage_latency_percentiles()
         if stage_percentiles:
             report["stage_latency_percentiles_s"] = stage_percentiles
@@ -443,43 +368,33 @@ class RuntimeStats:
         return report
 
 
-#: ``summary()`` keys that sum exactly across concurrently running
-#: runtimes (the sharded farm's per-shard ledgers).  Deliberately
-#: absent: ``tick_orchestration_s`` is per-shard *clamped* at zero, so
-#: summing it would let clamp residue inflate the farm total — the
-#: aggregate recomputes it from the summed duration and kernel time.
-_ADDITIVE_KEYS = (
-    "frames_submitted", "frames_completed", "frames_expired",
-    "frames_cancelled", "frames_degraded", "searches_completed", "ticks",
-    "visited_nodes", "ped_calcs", "streams_decoded", "streams_crc_ok",
-    "payload_bits_ok", "degraded_streams_decoded", "degraded_streams_crc_ok",
-    "deadline_frames_resolved", "deadline_frames_met",
-    "deadline_near_misses", "tick_duration_s", "tick_kernel_s",
-    "stage_queue_wait_s", "stage_detect_s", "stage_decode_s",
-    "stage_resolve_s",
-)
+def fold_counters(summaries: list[dict]) -> dict:
+    """The counters of several summaries summed, and every derived
+    metric recomputed from the sums (never averaged, so a busy shard
+    weighs as much as its traffic; lane occupancy is tick-weighted).
+    The result folds again like a summary, which is how the farm
+    supervisor carries the ledgers of workers it has replaced."""
+    report = {key: sum(summary.get(key, 0) for summary in summaries)
+              for key in COUNTER_KEYS}
+    totals = dict(report, lane_occupancy_sum=sum(
+        summary.get("mean_lane_occupancy", 0.0) * summary.get("ticks", 0)
+        for summary in summaries))
+    for key, formula in DERIVED.items():
+        report[key] = formula(totals)
+    return report
 
 
-def _ratio(numerator: float, denominator: float) -> float:
-    if denominator == 0:
-        return 0.0
-    return numerator / denominator
-
-
-def aggregate_summaries(summaries: list[dict]) -> dict:
+def aggregate_summaries(summaries: list[dict], retired=()) -> dict:
     """Fold per-shard :meth:`RuntimeStats.summary` dicts into one
-    farm-level view.
+    farm-level view, each metric by the fold its ledger row declares.
 
-    Counts sum exactly; rates (frames/sec, goodput) sum because the
-    shards run *concurrently* — each shard's rate is over its own busy
-    time; ratio metrics (CRC failure, deadline misses) are recomputed
-    from the summed numerators and denominators rather than averaged, so
-    a busy shard weighs as much as its traffic; ``elapsed_s`` is the
-    busiest shard's busy time (wall clock, not CPU-seconds) and lane
-    occupancy is tick-weighted.  ``tick_orchestration_s`` is recomputed
-    from the summed duration/kernel totals — per-shard values are
-    clamped at zero, so summing them would let clamp residue inflate
-    the farm's orchestration time.
+    Counters sum exactly and derived metrics are recomputed from the
+    sums (:func:`fold_counters`) — ``tick_orchestration_s`` included:
+    per-shard values are clamped at zero, so summing them would let
+    clamp residue inflate the farm total.  ``retired`` mappings
+    (:func:`fold_counters` results for shard incarnations that no longer
+    run) add to the counters and nothing else.  Rates sum and
+    ``elapsed_s`` is the busiest shard's (the table rows say why).
 
     Latency/tick percentiles and the tick-duration EMA cannot be merged
     from per-shard reports, so instead of silently dropping them the
@@ -491,32 +406,11 @@ def aggregate_summaries(summaries: list[dict]) -> dict:
     present = [summary for summary in summaries if summary is not None]
     report: dict = {"shards": len(summaries),
                     "shards_reporting": len(present)}
-    for key in _ADDITIVE_KEYS:
-        report[key] = sum(summary.get(key, 0) for summary in present)
-    report["tick_orchestration_s"] = max(
-        0.0, report["tick_duration_s"] - report["tick_kernel_s"])
-    report["elapsed_s"] = max(
-        (summary.get("elapsed_s", 0.0) for summary in present),
-        default=0.0)
-    report["frames_per_second"] = sum(
-        summary.get("frames_per_second", 0.0) for summary in present)
-    report["goodput_bits_per_second"] = sum(
-        summary.get("goodput_bits_per_second", 0.0)
-        for summary in present)
-    report["mean_lane_occupancy"] = _ratio(
-        sum(summary.get("mean_lane_occupancy", 0.0) * summary.get("ticks", 0)
-            for summary in present), report["ticks"])
-    report["crc_failure_rate"] = 1.0 - _ratio(
-        report["streams_crc_ok"], report["streams_decoded"]) if (
-        report["streams_decoded"]) else 0.0
-    report["degraded_crc_failure_rate"] = 1.0 - _ratio(
-        report["degraded_streams_crc_ok"],
-        report["degraded_streams_decoded"]) if (
-        report["degraded_streams_decoded"]) else 0.0
-    report["deadline_miss_rate"] = _ratio(
-        report["frames_expired"] + report["deadline_near_misses"],
-        report["deadline_frames_resolved"])
-    report["kernel_time_fraction"] = min(1.0, _ratio(
-        report["tick_kernel_s"], report["tick_duration_s"]))
+    report.update(fold_counters(present + list(retired)))
+    for metric in METRICS:
+        if metric.kind == GAUGE and metric.fold in (SUM, MAX):
+            values = [summary.get(metric.key, 0.0) for summary in present]
+            report[metric.key] = (sum(values) if metric.fold == SUM
+                                  else max(values, default=0.0))
     report["per_shard"] = list(summaries)
     return report

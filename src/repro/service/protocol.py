@@ -2,9 +2,9 @@
 
 Two small, load-bearing pieces live here:
 
-**Routing.**  The farm partitions work by *search signature* — the same
-key :meth:`repro.runtime.engine.StreamingFrontier._pool_key` groups
-kernel pools by (hard/soft, stream count, constellation, enumerator,
+**Routing.**  The farm partitions work by *search signature*
+(:func:`repro.runtime.queue.search_signature`, the key the engine groups
+kernel pools by: hard/soft, stream count, constellation, enumerator,
 pruning, budgets, list size) — so every frame of one signature always
 lands on the same shard and its per-signature kernel pool lives in
 exactly one worker process.  The shard index comes from a *keyed* stable
@@ -29,11 +29,11 @@ import hashlib
 import pickle
 import struct
 
-from ..runtime.queue import decoder_kind
+from ..runtime.queue import search_signature
 from ..utils.validation import require
 
-__all__ = ["VERBS", "recv_obj", "request_signature", "send_obj",
-           "shard_for"]
+__all__ = ["VERBS", "recv_obj", "request_signature", "resolution_payload",
+           "send_obj", "shard_for"]
 
 #: The service verbs the cell-site wire protocol speaks — the farm's
 #: surface plus ``metrics`` (Prometheus text exposition of the farm's
@@ -51,22 +51,31 @@ MAX_MESSAGE_BYTES = 64 << 20
 
 
 def request_signature(request) -> tuple:
-    """The kernel-pool signature of a :class:`FrameRequest`.
+    """The :func:`~repro.runtime.queue.search_signature` a
+    :class:`FrameRequest`'s admitted :class:`FrameJob` will pool under,
+    taken without paying the job's QR preprocessing — routing happens
+    *before* the frame reaches any runtime."""
+    return search_signature(request.decoder,
+                            int(request.channels.shape[2]))
 
-    Field-for-field the key ``StreamingFrontier._pool_key`` builds from
-    an admitted :class:`FrameJob`, derived here without paying the job's
-    QR preprocessing — routing happens *before* the frame reaches any
-    runtime.
-    """
-    decoder = request.decoder
-    kind = decoder_kind(decoder)
-    num_streams = int(request.channels.shape[2])
-    key = (kind, num_streams, decoder.constellation.levels.tobytes(),
-           decoder.enumerator, decoder.geometric_pruning,
-           decoder.node_budget, decoder.initial_radius_sq)
-    if kind == "soft":
-        key += (decoder.list_size,)
-    return key
+
+def resolution_payload(frame_id: int, handle) -> dict:
+    """The one shape a resolved frame travels in — worker to router
+    (:meth:`FarmHandle.resolve` applies it) and server to client —
+    read off any resolved ``PendingFrame`` / ``FarmHandle``-shaped
+    ``handle``; every hop speaks the *farm's* frame id, hence apart."""
+    return {
+        "frame_id": frame_id,
+        "resolution": handle.resolution,
+        "degraded": handle.degraded,
+        "missed_deadline": handle.missed_deadline,
+        "latency_s": handle.latency_s,
+        # The runtime's lifecycle trace (None unless it traces): it
+        # rides along so the farm can merge it with its routing trace.
+        "trace": handle.trace,
+        "result": (handle.result() if handle.resolution == "completed"
+                   else None),
+    }
 
 
 def shard_for(signature: tuple, num_shards: int) -> int:

@@ -83,6 +83,17 @@ class FarmHandle:
     def expired(self) -> bool:
         return self.resolution == "expired"
 
+    def resolve(self, payload: dict) -> None:
+        """Apply one :func:`~repro.service.protocol.resolution_payload`;
+        the worker's runtime trace it carried folds into the farm-side
+        routing/supervision trace."""
+        self.resolution = payload["resolution"]
+        self.degraded = payload["degraded"]
+        self.missed_deadline = payload["missed_deadline"]
+        self.latency_s = payload["latency_s"]
+        self.trace = merge_traces(self.trace, payload["trace"])
+        self._result = payload["result"]
+
     def result(self):
         """The frame's decode result.  Raises :class:`FrameExpired` for
         an expired or cancelled frame — never a fabricated result."""
@@ -272,19 +283,9 @@ class DetectorFarm:
             handle = self._handles.pop(payload["frame_id"], None)
             if handle is None:
                 continue       # cancelled on the farm side; result lost the race
-            handle.resolution = payload["resolution"]
-            handle.degraded = payload["degraded"]
-            handle.missed_deadline = payload["missed_deadline"]
-            handle.latency_s = payload["latency_s"]
-            handle._result = payload["result"]
-            # Fold the worker-side runtime trace (crossed the pipe in
-            # the payload) into the farm-side routing/supervision trace;
-            # the merged record lands on the handle and in the farm
-            # tracer's bounded ring.
-            trace = merge_traces(handle.trace, payload.get("trace"))
-            if trace is not None:
-                handle.trace = trace
-                self.tracer.finish(trace)
+            handle.resolve(payload)
+            # The merged trace also lands in the farm tracer's ring.
+            self.tracer.finish(handle.trace)
             resolved.append(handle)
         return resolved
 
@@ -327,12 +328,15 @@ class DetectorFarm:
         summary verbatim under ``per_shard`` (``None`` for a shard that
         failed to answer in time — ``shards_reporting`` counts the rest),
         so shard skew in the EMA / percentile sub-reports stays visible
-        from this one call."""
+        from this one call.  Counters include what replaced workers
+        last reported and the supervisor's own expiries
+        (:attr:`ShardSupervisor.retired`): none runs backwards."""
         if self._supervisor is not None:
-            shards = self._supervisor.stats()
+            report = aggregate_summaries(self._supervisor.stats(),
+                                         self._supervisor.retired)
         else:
-            shards = [shard.summary() for shard in self._shards]
-        report = aggregate_summaries(shards)
+            report = aggregate_summaries(
+                [shard.summary() for shard in self._shards])
         report["frames_routed"] = list(self.frames_routed)
         report["outstanding"] = self.outstanding
         report["restarts"] = (list(self._supervisor.restarts)

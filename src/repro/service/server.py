@@ -36,7 +36,7 @@ import socket
 import threading
 import time
 
-from .protocol import recv_obj, send_obj
+from .protocol import recv_obj, resolution_payload, send_obj
 from .router import DetectorFarm
 
 __all__ = ["CellSiteServer"]
@@ -135,16 +135,8 @@ class CellSiteServer:
             if ready or not owned or remaining <= 0:
                 break
             self.farm.wait(remaining)
-        payloads = [{
-            "frame_id": handle.frame_id,
-            "resolution": handle.resolution,
-            "degraded": handle.degraded,
-            "missed_deadline": handle.missed_deadline,
-            "latency_s": handle.latency_s,
-            "trace": handle.trace,
-            "result": (handle.result() if handle.resolution
-                       == "completed" else None),
-        } for handle in ready]
+        payloads = [resolution_payload(handle.frame_id, handle)
+                    for handle in ready]
         ready.clear()
         return payloads
 

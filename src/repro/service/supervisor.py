@@ -29,6 +29,14 @@ ledger frames expire instead of being replayed — a liveness backstop so
 a poisonous workload degrades into explicit ``FrameExpired`` resolutions
 rather than a restart loop.
 
+**Counters outlive workers.**  A replacement worker starts a fresh
+``RuntimeStats``, so :attr:`ShardSupervisor.retired` keeps, per shard,
+the last summary each replaced worker reported (folded) plus a tally of
+the frames the supervisor expired itself, for the farm's ``stats()`` to
+add: no ``*_total`` runs backwards across a restart and a
+supervisor-side expiry is a counted deadline miss.  Work a worker did
+between its last stats reply and its death is lost with the process.
+
 Nothing here sleeps.  Whoever needs a worker's next word blocks in
 :meth:`ShardSupervisor.wait` — ``multiprocessing.connection.wait`` over
 the worker pipes — and is woken by the message itself (a result, a
@@ -42,9 +50,12 @@ import dataclasses
 import multiprocessing
 import time
 from multiprocessing.connection import wait as wait_for_pipes
+from types import SimpleNamespace
 
 from ..obs.trace import FrameTracer
+from ..runtime.stats import fold_counters
 from ..utils.validation import require
+from .protocol import resolution_payload
 from .worker import DEFAULT_HEARTBEAT_S, worker_main
 
 __all__ = ["ShardSupervisor"]
@@ -56,6 +67,11 @@ DEFAULT_MAX_RESTARTS = 5
 #: declared hung.  Generous relative to the heartbeat period: a healthy
 #: worker beats every DEFAULT_HEARTBEAT_S even mid-burst.
 DEFAULT_HANG_TIMEOUT_S = 5.0
+
+#: How a frame the supervisor expires itself resolved: handle-shaped,
+#: for :func:`~repro.service.protocol.resolution_payload`.
+_EXPIRED = SimpleNamespace(resolution="expired", degraded=False,
+                           missed_deadline=True, latency_s=None, trace=None)
 
 
 class _Worker:
@@ -125,6 +141,11 @@ class ShardSupervisor:
         self._workers = [_Worker(shard, runtime_kwargs, heartbeat_s)
                          for shard in range(num_shards)]
         self._stashed: list[tuple] = []
+        #: Per shard: replaced workers' folded counters plus supervisor
+        #: expiries (module docstring), for ``aggregate_summaries``.
+        self.retired = [fold_counters([]) for _ in range(num_shards)]
+        # Per shard, the last summary its running worker reported.
+        self._last_summary: list[dict] = [{} for _ in range(num_shards)]
 
     # -- dispatch -------------------------------------------------------
     def outstanding(self, shard: int) -> int:
@@ -152,15 +173,19 @@ class ShardSupervisor:
         Returns resolved payload dicts (worker results, worker-side
         expiries and supervisor-side expiries alike).  Never blocks.
         """
-        payloads = []
-        for kind, shard, payload in self._stashed:
-            if kind == "done" and self._ledger[shard].pop(
-                    payload["frame_id"], None) is not None:
-                payloads.append(payload)
+        for shard, worker in enumerate(self._workers):
+            try:
+                while worker.conn.poll(0):
+                    self._receive(shard, worker.conn.recv())
+            except (EOFError, OSError):
+                pass      # crash detection below restarts the shard
+        # Results for frames the ledger no longer owns (cancelled, or
+        # already expired by recovery) are dropped.
+        payloads = [payload for _, shard, payload in self._stashed
+                    if self._ledger[shard].pop(payload["frame_id"],
+                                               None) is not None]
         self._stashed.clear()
         now = time.monotonic()
-        for shard, worker in enumerate(self._workers):
-            payloads.extend(self._drain_shard(shard, worker))
         for shard, worker in enumerate(self._workers):
             crashed = not worker.process.is_alive()
             hung = (self._ledger[shard]
@@ -193,24 +218,17 @@ class ShardSupervisor:
         except OSError:
             pass          # a pipe was closed under us; pump() sorts it out
 
-    def _drain_shard(self, shard: int, worker: _Worker) -> list[dict]:
-        payloads = []
-        try:
-            while worker.conn.poll(0):
-                message = worker.conn.recv()
-                worker.last_seen = time.monotonic()
-                if message[0] == "done":
-                    payload = message[2]
-                    # Drop results for frames the ledger no longer owns
-                    # (cancelled, or already expired by recovery).
-                    if self._ledger[shard].pop(payload["frame_id"],
-                                               None) is not None:
-                        payloads.append(payload)
-                elif message[0] == "stats":
-                    self._stashed.append(message)
-        except (EOFError, OSError):
-            pass          # crash detection below restarts the shard
-        return payloads
+    def _receive(self, shard: int, message: tuple) -> str:
+        """File one worker message, whoever read it (``pump`` or a
+        ``stats`` gather), and return its kind: a result waits in the
+        stash for ``pump``, a stats reply becomes the shard's last
+        summary, and any message — a heartbeat too — proves it alive."""
+        self._workers[shard].last_seen = time.monotonic()
+        if message[0] == "done":
+            self._stashed.append(message)
+        elif message[0] == "stats":
+            self._last_summary[shard] = message[2]
+        return message[0]
 
     def _recover(self, shard: int, reason: str) -> list[dict]:
         """Replace a failed worker; replay or expire its ledger."""
@@ -220,6 +238,9 @@ class ShardSupervisor:
             worker.process.join(timeout=1.0)
         worker.conn.close()
         self.restarts[shard] += 1
+        self.retired[shard] = fold_counters(
+            [self.retired[shard], self._last_summary[shard]])
+        self._last_summary[shard] = {}
         ledger = self._ledger[shard]
         self._ledger[shard] = {}
         self._workers[shard] = _Worker(shard, self.runtime_kwargs,
@@ -235,11 +256,10 @@ class ShardSupervisor:
                        and elapsed >= request.deadline_s)
             if exhausted or overdue:
                 self._tracer.emit(trace, "expire", reason="supervisor")
-                payloads.append({
-                    "frame_id": frame_id, "resolution": "expired",
-                    "degraded": False, "missed_deadline": True,
-                    "latency_s": None, "trace": None, "result": None,
-                })
+                payloads.append(resolution_payload(frame_id, _EXPIRED))
+                # What a worker-side expiry counts (record_expired).
+                self.retired[shard]["frames_expired"] += 1
+                self.retired[shard]["deadline_frames_resolved"] += 1
                 continue
             if request.deadline_s is not None:
                 # The replayed frame keeps its original wall-clock
@@ -277,16 +297,13 @@ class ShardSupervisor:
             for conn in readable:
                 shard = owed[conn]
                 try:
-                    message = conn.recv()
+                    kind = self._receive(shard, conn.recv())
                 except (EOFError, OSError):
                     del owed[conn]
                     continue
-                self._workers[shard].last_seen = time.monotonic()
-                if message[0] == "stats":
-                    replies[shard] = message[2]
+                if kind == "stats":
+                    replies[shard] = self._last_summary[shard]
                     del owed[conn]
-                elif message[0] == "done":
-                    self._stashed.append(message)
         return replies
 
     # -- lifecycle ------------------------------------------------------

@@ -27,6 +27,7 @@ import time
 from collections import deque
 
 from ..runtime.session import UplinkRuntime
+from .protocol import resolution_payload
 
 __all__ = ["ShardRuntime", "worker_main"]
 
@@ -107,7 +108,7 @@ class ShardRuntime:
             farm_id = self._id_of.pop(handle.frame_id, None)
             if farm_id is not None:
                 del self._handle_of[farm_id]
-                payloads.append(self._payload(farm_id, handle))
+                payloads.append(resolution_payload(farm_id, handle))
         self._pump()
         return payloads
 
@@ -120,22 +121,6 @@ class ShardRuntime:
 
     def summary(self) -> dict:
         return self.runtime.stats.summary()
-
-    @staticmethod
-    def _payload(farm_id: int, handle) -> dict:
-        return {
-            "frame_id": farm_id,
-            "resolution": handle.resolution,
-            "degraded": handle.degraded,
-            "missed_deadline": handle.missed_deadline,
-            "latency_s": handle.latency_s,
-            # The frame's lifecycle trace when the shard runtime traces
-            # (None otherwise); it crosses the worker pipe with the
-            # result so the farm can merge it with its routing trace.
-            "trace": handle.trace,
-            "result": (handle.result()
-                       if handle.resolution == "completed" else None),
-        }
 
 
 def worker_main(shard_id: int, conn, runtime_kwargs: dict | None,

@@ -20,6 +20,7 @@ summary unchanged.
 
 import json
 import pickle
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from repro.obs import (
     merge_traces,
     prometheus_text,
 )
+from repro.obs.ledger import COUNTER, DERIVED, METRICS, SUM
 from repro.runtime import STAGES, RuntimeStats, UplinkRuntime
 from repro.runtime.stats import aggregate_summaries
 from repro.service import CellSiteClient, CellSiteServer, DetectorFarm
@@ -541,3 +543,169 @@ def test_single_shard_summary_round_trips_through_aggregation():
     assert report["per_shard"][0]["latency_percentiles_s"] == (
         summary["latency_percentiles_s"])
     assert "tick_duration_ema_s" in report["per_shard"][0]
+
+
+# ----------------------------------------------------------------------
+# The ledger: one table, a frozen public contract
+# ----------------------------------------------------------------------
+
+# Copied from the commit before the ledger existed (PR 19): the public
+# key sets and metric names the table must keep producing.
+_SUMMARY_KEYS = {
+    "crc_failure_rate", "deadline_frames_met", "deadline_frames_resolved",
+    "deadline_miss_rate", "deadline_near_misses",
+    "degraded_crc_failure_rate", "degraded_streams_crc_ok",
+    "degraded_streams_decoded", "elapsed_s", "frames_cancelled",
+    "frames_completed", "frames_degraded", "frames_expired",
+    "frames_per_second", "frames_submitted", "goodput_bits_per_second",
+    "kernel_time_fraction", "latency_percentiles_by_class_s",
+    "latency_percentiles_s", "mean_lane_occupancy", "payload_bits_ok",
+    "ped_calcs", "searches_completed", "stage_decode_s", "stage_detect_s",
+    "stage_latency_percentiles_s", "stage_queue_wait_s", "stage_resolve_s",
+    "streams_crc_ok", "streams_decoded", "tick_duration_ema_s",
+    "tick_duration_percentiles_s", "tick_duration_s", "tick_kernel_s",
+    "tick_orchestration_s", "ticks", "visited_nodes"}
+_UNMERGEABLE_KEYS = {
+    "latency_percentiles_by_class_s", "latency_percentiles_s",
+    "stage_latency_percentiles_s", "tick_duration_ema_s",
+    "tick_duration_percentiles_s"}
+_AGGREGATE_KEYS = (_SUMMARY_KEYS - _UNMERGEABLE_KEYS) | {
+    "per_shard", "shards", "shards_reporting"}
+_FARM_KEYS = _AGGREGATE_KEYS | {"frames_routed", "outstanding", "restarts"}
+_SUMMARY_METRICS = {
+    "repro_busy_seconds", "repro_crc_failure_rate",
+    "repro_deadline_frames_met_total",
+    "repro_deadline_frames_resolved_total", "repro_deadline_miss_rate",
+    "repro_deadline_near_misses_total", "repro_degraded_crc_failure_rate",
+    "repro_degraded_streams_crc_ok_total",
+    "repro_degraded_streams_decoded_total", "repro_frame_latency_seconds",
+    "repro_frames_cancelled_total", "repro_frames_completed_total",
+    "repro_frames_degraded_total", "repro_frames_expired_total",
+    "repro_frames_per_second", "repro_frames_submitted_total",
+    "repro_goodput_bits_per_second", "repro_kernel_time_fraction",
+    "repro_mean_lane_occupancy", "repro_payload_bits_ok_total",
+    "repro_ped_calcs_total", "repro_searches_completed_total",
+    "repro_stage_decode_seconds_total", "repro_stage_detect_seconds_total",
+    "repro_stage_latency_seconds", "repro_stage_queue_wait_seconds_total",
+    "repro_stage_resolve_seconds_total", "repro_streams_crc_ok_total",
+    "repro_streams_decoded_total", "repro_tick_duration_ema_seconds",
+    "repro_tick_duration_seconds", "repro_tick_duration_seconds_total",
+    "repro_tick_kernel_seconds_total", "repro_tick_orchestration_seconds",
+    "repro_ticks_total", "repro_visited_nodes_total"}
+_FARM_METRICS = (_SUMMARY_METRICS - {
+    "repro_frame_latency_seconds", "repro_stage_latency_seconds",
+    "repro_tick_duration_ema_seconds", "repro_tick_duration_seconds"}) | {
+    "repro_outstanding_frames", "repro_shard_frames_completed_total",
+    "repro_shard_frames_routed_total", "repro_shard_restarts_total",
+    "repro_shard_up", "repro_shards", "repro_shards_reporting"}
+
+
+def _contract_frames():
+    """One hard frame, one coded soft frame in another priority class,
+    one deadline-tagged frame."""
+    rng = np.random.default_rng(20)
+    hard = _make_frame(SphereDecoder(qam(16)), 4, 2, 18.0, rng)
+    soft = _make_coded_frame(_coded_config(4, payload_bits=40),
+                             ListSphereDecoder(qam(4), list_size=4), 25.0,
+                             rng, soft=True)
+    soft.priority = 1
+    urgent = _make_frame(SphereDecoder(qam(4)), 3, 2, 15.0, rng)
+    urgent.deadline_s = 3600.0
+    return [hard, soft, urgent]
+
+
+def _metric_names(text):
+    return {line.split()[2] for line in text.splitlines()
+            if line.startswith("# TYPE")}
+
+
+def test_public_stats_contract_is_frozen():
+    runtime = UplinkRuntime(lane_policy="deadline")
+    for frame in _contract_frames():
+        runtime.submit(frame)
+    runtime.drain()
+    summary = runtime.stats.summary()
+    with DetectorFarm(2, backend="inline",
+                      runtime_kwargs={"lane_policy": "deadline"}) as farm:
+        for frame in _contract_frames():
+            farm.submit(frame)
+        farm.drain()
+        farm_stats = farm.stats()
+    assert set(summary) == _SUMMARY_KEYS
+    assert set(aggregate_summaries([summary, None])) == _AGGREGATE_KEYS
+    assert set(farm_stats) == _FARM_KEYS
+    assert _metric_names(prometheus_text(summary)) == _SUMMARY_METRICS
+    assert _metric_names(prometheus_text(farm_stats)) == _FARM_METRICS
+
+
+def _play(script, *ledgers):
+    """Feed one scripted shard's events to every given ledger."""
+    for hook, args, kwargs in script:
+        for stats in ledgers:
+            getattr(stats, hook)(*args, **kwargs)
+
+
+def _shard_script(start, occupancy, crc_ok):
+    verdict = [SimpleNamespace(crc_ok=ok, payload_bits=np.zeros(40))
+               for ok in crc_ok]
+    stages = {"queue_wait": 0.001, "detect": 0.004 + occupancy / 100,
+              "decode": 0.002, "resolve": 0.0005}
+    return [
+        ("record_submit", (start,), {}),
+        ("record_submit", (start + 0.001,), {}),
+        ("record_submit", (start + 0.002,), {}),
+        ("record_submit", (start + 0.003,), {}),
+        ("record_tick", (occupancy, start + 0.004),
+         {"duration_s": 0.003, "kernel_s": 0.002}),
+        ("record_degraded", (start + 0.004,), {}),
+        ("record_tick", (occupancy / 2, start + 0.008),
+         {"duration_s": 0.004, "kernel_s": 0.0045}),
+        ("record_complete",
+         (start + 0.008, 0.008, 6,
+          ComplexityCounters(ped_calcs=90, visited_nodes=40)),
+         {"had_deadline": True, "stages": stages}),
+        ("record_decisions", (verdict,), {"degraded": True}),
+        ("record_complete",
+         (start + 0.009, 0.008, 4,
+          ComplexityCounters(ped_calcs=int(50 * occupancy) + 7,
+                             visited_nodes=11)),
+         {"priority": 2, "had_deadline": True, "missed_deadline": True,
+          "stages": stages}),
+        ("record_decisions", (verdict[:1],), {}),
+        ("record_expired", (start + 0.010,), {}),
+        ("record_cancelled", (start + 0.011,), {}),
+    ]
+
+
+def test_ledger_table_is_consistent_with_the_live_stats():
+    """Every counter folds by ``sum``; every derived formula *is* the
+    live method; and two shards aggregated equal one ledger fed both
+    shards' events, on every counter and every derived metric — so the
+    farm view can only differ from a single runtime's in the metrics
+    that are genuinely per-clock (busy time, rates)."""
+    for metric in METRICS:
+        if metric.kind == COUNTER:
+            assert metric.fold == SUM, metric.key
+
+    shard_a, shard_b, both = RuntimeStats(), RuntimeStats(), RuntimeStats()
+    _play(_shard_script(10.0, 0.5, [True, False, True]), shard_a, both)
+    _play(_shard_script(50.0, 0.2, [False, True]), shard_b, both)
+    assert both.frames_completed == 4 and both.in_flight == 0
+
+    for stats in (shard_a, shard_b, both):
+        summary = stats.summary()
+        alone = aggregate_summaries([summary])
+        for key, formula in DERIVED.items():
+            live = getattr(stats, key)()
+            assert formula(vars(stats)) == live == summary[key], key
+            assert alone[key] == pytest.approx(live), key
+    assert 0.0 < both.crc_failure_rate() < 1.0
+    assert both.deadline_miss_rate() == pytest.approx(4 / 6)
+
+    farm_view = aggregate_summaries([shard_a.summary(), shard_b.summary()])
+    one_ledger = both.summary()
+    for metric in METRICS:
+        if metric.kind == COUNTER or metric.key in DERIVED:
+            assert farm_view[metric.key] == pytest.approx(
+                one_ledger[metric.key]), metric.key
+

@@ -29,7 +29,7 @@ from repro.runtime import (
     UplinkRuntime,
     synthetic_cell_trace,
 )
-from repro.sphere import ListSphereDecoder, SphereDecoder
+from repro.sphere import ComplexityCounters, ListSphereDecoder, SphereDecoder
 
 from test_runtime import (
     _assert_identical,
@@ -324,8 +324,9 @@ def test_metadata_copied_at_admission():
 
 def test_busy_time_accumulates_across_bursts():
     """ISSUE-7 regression: a long idle gap between two traffic bursts
-    must not deflate the rates — elapsed_s is busy time, not span."""
-    stats = RuntimeStats(idle_gap_s=1.0)
+    must not deflate the rates — elapsed_s is busy time (time with a
+    frame in flight), not span."""
+    stats = RuntimeStats()
     for start in (0.0, 1000.0):                  # two bursts, huge gap
         stats.record_submit(start)
         stats.record_tick(0.5, start + 0.1)
@@ -337,12 +338,49 @@ def test_busy_time_accumulates_across_bursts():
 
     # Span-based accounting would report ~0.002 fps; busy-time keeps the
     # two-burst rate equal to the single-burst rate.
-    single = RuntimeStats(idle_gap_s=1.0)
+    single = RuntimeStats()
     single.record_submit(0.0)
     single.record_tick(0.5, 0.1)
     single.record_complete(0.2, 0.2, 4, RuntimeStats().counters)
     assert stats.frames_per_second() == pytest.approx(
         single.frames_per_second())
+
+
+def test_busy_time_is_exactly_the_time_with_a_frame_in_flight():
+    """Open loop on a fake clock: each frame in flight 10 ms of 1 ms
+    ticks, then 15 ms of silence — *shorter* than the 25 recent tick
+    durations the retired idle-gap heuristic needed before it would
+    close an interval, so it counted every silence as busy.  Busy time
+    is the in-flight intervals, summed, whatever the silences are."""
+    stats = RuntimeStats()
+    now, in_flight_s = 100.0, 0.0
+    for _ in range(20):
+        submitted = now
+        stats.record_submit(submitted)
+        for _ in range(10):
+            now += 1e-3
+            stats.record_tick(0.5, now, duration_s=1e-3)
+        stats.record_complete(now, now - submitted, 4, ComplexityCounters())
+        in_flight_s += now - submitted
+        now += 15e-3
+    assert stats.elapsed_s == in_flight_s
+    assert stats.elapsed_s == pytest.approx(20 * 10e-3)
+    assert stats.frames_per_second() == pytest.approx(100.0)
+
+    # Overlapping frames share one interval, and intervals never
+    # overlap: frame B arrived at 4 ms but was recorded only after the
+    # backpressure ticks that resolved A (and closed its interval) at
+    # 10 ms, so it extends that interval from 10 ms, not from 4.
+    stats = RuntimeStats()
+    stats.record_submit(0.0)
+    stats.record_submit(0.002)
+    stats.record_expired(0.006)
+    assert stats.in_flight == 1 and stats.elapsed_s == 0.006
+    stats.record_complete(0.010, 0.010, 4, ComplexityCounters())
+    assert stats.in_flight == 0 and stats.elapsed_s == 0.010
+    stats.record_submit(0.004)
+    stats.record_cancelled(0.020)
+    assert stats.elapsed_s == 0.020
 
 
 def test_tick_duration_always_counts_as_busy_time():
@@ -389,20 +427,25 @@ def test_frames_per_second_agrees_with_an_external_wall_clock():
     assert stats.frames_per_second() == pytest.approx(total / wall, rel=0.05)
 
 
-def test_busy_time_adaptive_gap_through_runtime():
-    """End-to-end two-burst run on a stepping fake clock: the adaptive
-    idle-gap threshold closes the inter-burst interval."""
+def test_busy_time_excludes_the_gap_between_bursts_through_runtime():
+    """End-to-end two-burst run on a stepping fake clock: the last
+    resolution of a burst closes the busy interval, so busy time is
+    each burst's first submit to its last completion."""
     rng = np.random.default_rng(10)
     decoder = SphereDecoder(qam(4))
     clock = _Clock(step=1e-5)
     runtime = UplinkRuntime(capacity=8, clock=clock)
+    in_flight_s = 0.0
     for burst_start in (0.0, 500.0):
         clock.now = burst_start
-        for _ in range(2):
-            runtime.submit(_make_frame(decoder, 2, 2, 15.0, rng))
+        handles = [runtime.submit(_make_frame(decoder, 2, 2, 15.0, rng))
+                   for _ in range(2)]
         runtime.drain()
+        in_flight_s += (max(handle.completed_at for handle in handles)
+                        - handles[0].submitted_at)
     stats = runtime.stats
     assert stats.frames_completed == 4
+    assert stats.elapsed_s == pytest.approx(in_flight_s)
     assert stats.elapsed_s < 1.0                 # not ~500
     assert stats.frames_per_second() > 4.0
 

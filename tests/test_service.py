@@ -25,6 +25,7 @@ import pytest
 
 from repro.constellation import qam
 from repro.runtime import FrameExpired
+from repro.obs import COUNTER_KEYS
 from repro.runtime.stats import aggregate_summaries
 from repro.service import (
     CellSiteClient,
@@ -134,6 +135,38 @@ def test_killed_worker_frames_are_replayed_not_lost():
         farm.drain()
         _check_all(handles, frames)
         assert sum(farm.stats()["restarts"]) >= 1
+
+
+def test_farm_counters_survive_a_restart_and_count_supervisor_expiries():
+    """A replacement worker starts a fresh ledger, and a frame the
+    supervisor expires itself never reaches any worker's: the farm
+    carries what the retired worker last reported plus its own expiry
+    tally, so no counter runs backwards across the restart and the miss
+    rate agrees with the handles."""
+    rng = np.random.default_rng(34)
+    decoder = SphereDecoder(qam(4))
+    with DetectorFarm(1, backend="process", max_restarts=0) as farm:
+        for _ in range(5):
+            farm.submit(_make_frame(decoder, 3, 2, 15.0, rng))
+        farm.drain()
+        before = farm.stats()
+        assert before["frames_completed"] == 5
+        farm.kill_shard(0)
+        doomed = _make_frame(decoder, 3, 2, 15.0, rng)
+        doomed.deadline_s = 10.0
+        handle = farm.submit(doomed)
+        farm.drain()                        # restart budget spent: expires
+        assert handle.expired and handle.missed_deadline
+        after = farm.stats()
+    assert after["restarts"] == [1]
+    for key in COUNTER_KEYS:
+        assert after[key] >= before[key], key
+    assert after["frames_completed"] == 5
+    assert after["frames_expired"] == before["frames_expired"] + 1
+    assert after["deadline_frames_resolved"] == 1
+    assert after["deadline_miss_rate"] == 1.0
+    # The running worker's own report stays verbatim under per_shard.
+    assert after["per_shard"][0]["frames_completed"] == 0
 
 
 def test_killed_worker_overdue_frames_expire_explicitly():
