@@ -7,8 +7,9 @@ present) works without it.  There is no ``pyproject.toml``, so everything
 an install needs is declared here: ``src/repro`` has no ``__init__.py``
 (an implicit namespace package), hence ``find_namespace_packages`` —
 plain ``find_packages`` finds nothing under ``src``.  SciPy is imported by
-:mod:`repro.analysis` only; Numba is optional
-(:mod:`repro.sphere.tick_kernel` falls back to the numpy tick).
+:mod:`repro.analysis` only; the compiled search core is shipped as C
+source and built at first use (:mod:`repro.sphere.tick_kernel` falls
+back to the numpy tick where there is no compiler).
 """
 
 from setuptools import find_namespace_packages, setup
@@ -18,5 +19,6 @@ setup(
     version="0.1.0",
     package_dir={"": "src"},
     packages=find_namespace_packages("src"),
+    package_data={"repro.sphere": ["search_core.c"]},
     install_requires=["numpy", "scipy"],
 )

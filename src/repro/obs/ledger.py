@@ -120,6 +120,8 @@ METRICS = (
            "repro_deadline_miss_rate"),
     Metric("tick_duration_ema_s", GAUGE, None,
            "repro_tick_duration_ema_seconds"),
+    Metric("tick_duration_max_s", GAUGE, MAX,
+           "repro_tick_duration_max_seconds"),
     Metric("shards", GAUGE, None, "repro_shards"),
     Metric("shards_reporting", GAUGE, None, "repro_shards_reporting"),
     Metric("outstanding", GAUGE, None, "repro_outstanding_frames"),

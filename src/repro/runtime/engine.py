@@ -33,17 +33,19 @@ Sphere-search cost is heavy-tailed, and a lockstep tick costs a fixed
 table at :data:`DRAIN_THRESHOLD_CAP` has the per-lane figures).
 When a pool's queue is dry and its active set is down to
 ``drain_threshold`` lanes, the survivors leave lockstep for the
-numpy-free tail (:mod:`repro.sphere.tail`) — one tick that finishes
-them all, each under its own per-lane node budget (so a
-deadline-degraded frame stops at its shrunk cap there too).  The tail
-writes outcomes back into the lane arrays and the lanes then retire
+compiled search core (:mod:`repro.sphere.tick_kernel`) — one tick that
+runs them all to completion in place on the pool's own kernel and lane
+arrays, each under its own per-lane node budget (so a deadline-degraded
+frame stops at its shrunk cap there too).  The lanes then retire
 through ``_finish_lockstep`` like any other finish: the pools carry no
-drain-specific result plumbing.  Only the frontier kernels (``zigzag``,
-``shabany``) have a tail (``kernel.has_tail``); the ``hess`` /
-``exhaustive`` baselines finish in lockstep.  Tail time is *not* counted
-as kernel time in the tick telemetry (``last_tick_kernel_s`` covers the
-numpy step and the compiled cores), so ``kernel_time_fraction`` keeps
-meaning "share of tick time in the vectorised kernel".
+drain-specific result plumbing.  A ``tick_strategy="compiled"`` pool is
+the same hand-off taken at once: every tick it admits a batch and runs
+it to completion.  Only the frontier kernels (``zigzag``, ``shabany``)
+have a core (``kernel.has_tail``); the ``hess`` / ``exhaustive``
+baselines finish in lockstep, and so does everything where the core
+could not be built (no compiler: one warning, ``drain_threshold`` 0).
+Time in the core counts as kernel time in the tick telemetry
+(``last_tick_kernel_s``), like the numpy step.
 
 Bit-exactness argument: kernel state is fully re-initialised at
 admission and every per-tick quantity that depends on the channel is
@@ -90,9 +92,9 @@ import time
 import numpy as np
 
 from ..sphere.batch_search import _grown, make_kernel
-from ..sphere.tail import finish_hard, finish_soft
 from ..sphere.tick_kernel import (
     TICK_STRATEGIES,
+    core,
     resolve_tick_strategy,
     run_hard_to_completion,
     run_soft_to_completion,
@@ -125,7 +127,8 @@ DEFAULT_LANE_CAPACITY = 2048
 #:     129-256        2.0 -> 1.3    (1.6 -> 1.2)
 #:     257-512        1.4 -> 0.8    (1.3 -> 0.9)
 #:     > 512          0.64 -> 0.40  (0.96 -> 0.61)
-#:     tail           4.7 us/node   (7.1: soft leaves cost more)
+#:     tail           0.1 us/node   (hard and soft alike: the compiled
+#:                                  core; interpreted it was 4.7 / 7.1)
 #:
 #: i.e. a tick is ~0.14 ms + ~0.3 us x lanes (was ~0.21 ms + ~0.5).
 #: The sweep over {16, 24, 32, 48} on the ladder (seeds 1 and 2,
@@ -136,7 +139,10 @@ DEFAULT_LANE_CAPACITY = 2048
 #: and — as in PR 15 — the one tick that drains a *list* (soft) pool
 #: gets long enough to move the median latency of the light frames
 #: sharing the runtime by +40-60 %.  The hand-off point is a latency
-#: trade-off first, so 32 stays.
+#: trade-off first, so 32 stays.  (Both sweeps predate the compiled tail:
+#: PR 21 moved it from the interpreter to C and left the cap alone on
+#: purpose, so that its gain is one mechanism's; at 0.1 us/node the cap
+#: wants re-sweeping, upwards.)
 DRAIN_THRESHOLD_CAP = 32
 
 #: Lanes a kernel pool allocates up front; pools grow geometrically on
@@ -418,7 +424,8 @@ class _PoolBase:
         self._bind_tallies()
         self.kernel = make_kernel(decoder, capacity * num_streams, levels,
                                   self.ped, self.prunes)
-        if not self.kernel.has_tail:
+        if not (self.kernel.has_tail and core() is not None):
+            # Nothing to hand stragglers to: lockstep to the end.
             self.drain_threshold = 0
         # Which (frame, element) each lane is running.  Frames are
         # interned to dense integer ids so the per-tick grouping and the
@@ -646,25 +653,27 @@ class _PoolBase:
                 self._retire(oldest + offset, int(counts[offset]), completed)
         self._release(lanes)
 
-    def _drain_tail(self, completed: list) -> None:
-        """Finish every remaining search through the numpy-free tail
+    def _run_to_completion(self, completed: list) -> None:
+        """Run every active search to completion in the compiled core
         (see the module docstring), each under its own lane budget."""
         active = self.active
         self.active = _EMPTY
-        self._run_out(self._tail, active)
+        self.engine.last_tick_lanes += active.size
+        started = time.perf_counter()
+        self._run_out(active)
+        self.engine.last_tick_kernel_s += time.perf_counter() - started
         self._finish_lockstep(active, completed)
 
     # -- one breadth-synchronised step ----------------------------------
     def tick(self, completed: list) -> None:
         """Advance every active search one level, frame boundaries
         ignored: budget stops, refill, drain check, then the kernel
-        step.  Under ``tick_strategy="compiled"`` one tick instead
-        admits a batch and runs every admitted search to completion
-        through the compiled kernel (bit-identical results; the budget
-        pre-stop and the straggler drain have nothing left to do)."""
-        if self.tick_mode == "compiled":
-            self._tick_compiled(completed)
-            return
+        step.  Under ``tick_strategy="compiled"`` the drain check always
+        fires: one tick admits a batch and runs it to completion in the
+        core (bit-identical results).  Lanes never survive such a tick,
+        so admission alone decides budgets (degraded frames are capped
+        through ``lane_budget`` exactly as in lockstep mode) and
+        mid-flight QoS hooks find no active lanes."""
         if self.active.size:
             # Per-lane budgets: the decoder's own node budget for every
             # undegraded search (bit-exact with the scalar early break),
@@ -679,31 +688,15 @@ class _PoolBase:
             self._admit()
         if self.active.size == 0:
             return
-        if (not self.queue.pending
+        if self.tick_mode == "compiled" or (
+                not self.queue.pending
                 and self.active.size <= self.drain_threshold):
-            self._drain_tail(completed)
+            self._run_to_completion(completed)
             return
+        self.engine.last_tick_lanes += self.active.size
         started = time.perf_counter()
         self._step(completed)
         self.engine.last_tick_kernel_s += time.perf_counter() - started
-
-    def _tick_compiled(self, completed: list) -> None:
-        """Admit a batch, then finish it inside the compiled kernel.
-
-        Lanes never survive a tick, so admission alone decides budgets
-        (degraded frames are capped through ``lane_budget`` exactly as
-        in lockstep mode) and mid-flight QoS hooks find no active lanes.
-        """
-        if self.queue.pending and self.lanes.free_lanes:
-            self._admit()
-        if self.active.size == 0:
-            return
-        active = self.active
-        self.active = _EMPTY
-        started = time.perf_counter()
-        self._run_out(self._compiled, active)
-        self.engine.last_tick_kernel_s += time.perf_counter() - started
-        self._finish_lockstep(active, completed)
 
     def _step(self, completed: list) -> None:
         num_streams = self.num_streams
@@ -826,14 +819,11 @@ class _HardPool(_PoolBase):
         self.best_cols[at_leaf] = self.path_cols[at_leaf]
         self.best_rows[at_leaf] = self.path_rows[at_leaf]
 
-    _compiled = staticmethod(run_hard_to_completion)
-    _tail = staticmethod(finish_hard)
-
-    def _run_out(self, finish, active: np.ndarray) -> None:
+    def _run_out(self, active: np.ndarray) -> None:
         # Lane-indexed everywhere: state row, kernel lane and channel
         # copy all live at the lane index, and each lane's absolute
         # budget sits in lane_budget (visited starts at zero).
-        finish(
+        run_hard_to_completion(
             self.kernel, active, active, active, self.lane_budget[active],
             self.lane_r, self.lane_y, self.lane_diag, self.lane_diag_sq,
             self.level, self.radius, self.parent_flat, self.path_cols,
@@ -895,11 +885,8 @@ class _SoftPool(_PoolBase):
                            self.list_seq, self.list_cols, self.list_rows,
                            self.list_n, self.radius, self.list_size)
 
-    _compiled = staticmethod(run_soft_to_completion)
-    _tail = staticmethod(finish_soft)
-
-    def _run_out(self, finish, active: np.ndarray) -> None:
-        finish(
+    def _run_out(self, active: np.ndarray) -> None:
+        run_soft_to_completion(
             self.kernel, active, active, active, self.lane_budget[active],
             self.lane_r, self.lane_y, self.lane_diag, self.lane_diag_sq,
             self.level, self.radius, self.parent_flat, self.path_cols,
@@ -920,10 +907,11 @@ class StreamingFrontier:
         :data:`DEFAULT_LANE_CAPACITY`) — how many searches, across all
         in-flight frames, advance in lockstep at once.
     drain_threshold:
-        Hand survivors to the numpy-free tail once a pool's queue is
-        empty *and* its active set is this small.  Default:
+        Hand survivors to the compiled search core once a pool's queue
+        is empty *and* its active set is this small.  Default:
         ``capacity // 6`` capped at :data:`DRAIN_THRESHOLD_CAP` (32)
-        survivors; ``0`` keeps every search in lockstep to the end.
+        survivors; ``0`` keeps every search in lockstep to the end (as
+        does a box where the core cannot be built).
     lane_policy:
         Lane-refill policy, one of :data:`LANE_POLICIES`.
         ``"deadline"`` (default) serves admission queues class-aware and
@@ -938,7 +926,7 @@ class StreamingFrontier:
         allocation knob — growth is invisible to results.
     tick_strategy:
         ``"compiled"`` makes every pool admit a batch per tick and run
-        it to completion through the Numba per-tick kernel
+        it to completion through the compiled search core
         (:mod:`repro.sphere.tick_kernel`) — bit-identical results at
         native speed; ``"numpy"`` keeps the lockstep array ticks.
         ``None`` (default) defers to the submitting decoder's own
@@ -986,9 +974,10 @@ class StreamingFrontier:
         #: also stamps ``first_lane_at`` for the stage decomposition.
         self.tracer = tracer if tracer is not None else FrameTracer()
         #: Seconds the last tick() spent inside kernel work (the numpy
-        #: step or the compiled cores), for the runtime's
-        #: kernel-vs-orchestration split.
+        #: step or the compiled core), for the runtime's
+        #: kernel-vs-orchestration split, and the lanes it ran there.
         self.last_tick_kernel_s = 0.0
+        self.last_tick_lanes = 0
         self.in_use = 0
         self._pools: dict[tuple, _PoolBase] = {}
 
@@ -1003,21 +992,27 @@ class StreamingFrontier:
         return sum(pool.queue.pending for pool in self._pools.values())
 
     @property
-    def active_lanes(self) -> int:
-        return sum(pool.active.size for pool in self._pools.values())
-
-    @property
     def idle(self) -> bool:
         return not any(pool.has_work for pool in self._pools.values())
 
+    @property
+    def runs_to_completion(self) -> bool:
+        """Whether the next tick will finish searches inside the tick
+        that admits them (a compiled pool has some queued) — the
+        session's cue to apply deadline pressure *before* admission."""
+        return any(pool.tick_mode == "compiled" and pool.queue.pending
+                   for pool in self._pools.values())
+
     def occupancy(self) -> float:
-        """Fraction of the *allocated* lanes currently advancing
-        searches (0 before any pool exists).  Pools allocate on demand,
-        so this reads how full the kernel arrays a tick actually sweeps
-        are, not how much of the global budget a workload happens to
-        need."""
+        """Lanes the last tick advanced, as a fraction of the lanes
+        *allocated* (0 before any pool exists) — counted when the tick
+        ran them, so a run-to-completion tick that has retired every
+        lane by the time it returns still reads as full as it was.
+        Pools allocate on demand, so this is how full the kernel arrays
+        a tick actually sweeps are, not how much of the global budget a
+        workload happens to need."""
         allocated = sum(pool.allocated for pool in self._pools.values())
-        return self.active_lanes / allocated if allocated else 0.0
+        return self.last_tick_lanes / allocated if allocated else 0.0
 
     def _pool_key(self, job: FrameJob) -> tuple:
         """The job's kernel signature: its :func:`search_signature`
@@ -1094,6 +1089,7 @@ class StreamingFrontier:
         Returns the frames that finished their last search this tick.
         """
         self.last_tick_kernel_s = 0.0
+        self.last_tick_lanes = 0
         completed: list[FrameJob] = []
         for pool in self._tick_order():
             pool.tick(completed)

@@ -103,6 +103,9 @@ class RuntimeStats:
         self._busy_since: float | None = None
         self._last_event = float("-inf")
         self._tick_duration_ema_s: float | None = None
+        #: The longest timed tick: the one that drains a pool's
+        #: stragglers, or a compiled pool's biggest batch.
+        self.tick_duration_max_s = 0.0
         self._tick_durations: deque[float] = deque(maxlen=latency_window)
 
     # -- busy-time bookkeeping ------------------------------------------
@@ -143,6 +146,8 @@ class RuntimeStats:
         self.lane_occupancy_sum += occupancy
         if duration_s is not None:
             self.tick_duration_s += duration_s
+            self.tick_duration_max_s = max(self.tick_duration_max_s,
+                                           duration_s)
             self._tick_durations.append(duration_s)
             if self._tick_duration_ema_s is None:
                 self._tick_duration_ema_s = duration_s
@@ -358,6 +363,7 @@ class RuntimeStats:
         if self._tick_duration_ema_s is not None:
             report["tick_duration_ema_s"] = self._tick_duration_ema_s
         if self._tick_durations:
+            report["tick_duration_max_s"] = self.tick_duration_max_s
             report["tick_duration_percentiles_s"] = (
                 self.tick_duration_percentiles())
         if self._latencies:

@@ -121,7 +121,7 @@ class DetectorFarm:
         lane_policy, initial_lanes, ...).
     tick_strategy:
         Every shard engine's tick strategy (``"compiled"`` runs each
-        search to completion through the Numba per-tick kernel,
+        search to completion through the compiled search core,
         ``"numpy"`` the lockstep array ticks; bit-identical results).
         ``None`` defers to the submitted decoders, then
         ``REPRO_TICK_STRATEGY``.  A convenience for the common knob —

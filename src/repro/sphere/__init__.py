@@ -17,8 +17,11 @@ Public surface:
   and the scalar :meth:`SphereDecoder.decode_triangular` /
   :meth:`ListSphereDecoder.decode_soft_triangular` are the oracle it is
   pinned to;
-* :mod:`repro.sphere.tail` — the numpy-free continuation the engine
-  hands its last few (straggler) searches to.
+* :mod:`repro.sphere.tick_kernel` — the compiled search core
+  (``search_core.c``, built with the system ``cc`` at first use): the
+  same state machine in C, which the engine hands its last few
+  (straggler) searches to — or, under ``tick_strategy="compiled"``,
+  every search.
 """
 
 from .batch import BatchDecodeResult, batched_axis_orders, zigzag_order_table

@@ -28,17 +28,17 @@ scalar :class:`~repro.sphere.enumerator.AxisOrder`), candidate distances
 are plain elementwise real arithmetic, and the PED / geometric-prune
 tallies are incremented at exactly the points the scalar enumerators
 increment theirs.  Only the frontier kernels (``zigzag``, ``shabany``)
-can hand a half-run search to the numpy-free tail
-(:mod:`repro.sphere.tail`, ``kernel.has_tail``), which reads their
-queue through ``export_frontier`` — neither it nor the compiled cores
-(:mod:`repro.sphere.tick_kernel`, which keep their own frontier scratch)
-depend on a kernel's queue layout; ``hess`` and ``exhaustive`` are
-comparison baselines and finish in lockstep.
+can hand a search — half run, or fresh from admission — to the compiled
+search core (:mod:`repro.sphere.tick_kernel`, ``kernel.has_tail``),
+which resumes it **in place on these very arrays**: ``search_core.c``
+reads and writes ``axis_int`` / ``axis_res`` and each kernel's queue
+(``col_d`` / ``col_j`` / ``last_i``; ``heap_*`` / ``has_last`` /
+``seen``) in the layout declared here, so a layout change is a change
+to both files.  ``hess`` and ``exhaustive`` are comparison baselines
+and finish in lockstep.
 """
 
 from __future__ import annotations
-
-from heapq import heapify
 
 import numpy as np
 
@@ -78,9 +78,10 @@ class _KernelBase:
     views into them.
     """
 
-    #: Whether :mod:`repro.sphere.tail` can finish this kernel's searches
-    #: outside the lockstep frontier; kernels without a tail stay in
-    #: lockstep to the end whatever the drain threshold says.
+    #: Whether the compiled core (:mod:`repro.sphere.tick_kernel`) can
+    #: finish this kernel's searches outside the lockstep frontier;
+    #: kernels without one stay in lockstep to the end whatever the
+    #: drain threshold says.
     has_tail = False
 
     def __init__(self, num_slots: int, side: int, levels: np.ndarray,
@@ -249,23 +250,11 @@ class _ZigzagKernel(_KernelBase):
         self.col_d[slots, column] = np.inf
         return got, distance, self.ord_i[slots, column], self.ord_q[slots, row]
 
-    def export_frontier(self, rows: slice):
-        """``(heaps, last)`` of the slots in ``rows`` as plain Python: per
-        slot the queued ``(distance, i, j)`` tuples as a ``heapq`` list
-        and the pending ``(i, j)`` (``None`` if no successors are
-        deferred) — the scalar enumerator's ``_heap`` and ``_last``."""
-        heaps = []
-        last = []
-        for queued, pointer, pending in zip(self.col_d[rows].tolist(),
-                                            self.col_j[rows].tolist(),
-                                            self.last_i[rows].tolist()):
-            # Column order is not distance order: heapify.
-            heap = [(d, i, j) for i, (d, j) in enumerate(zip(queued, pointer))
-                    if d != np.inf]
-            heapify(heap)
-            heaps.append(heap)
-            last.append((pending, pointer[pending]) if pending >= 0 else None)
-        return heaps, last
+    def frontier_arrays(self) -> dict:
+        """The queue as ``search_core.c`` names it: no ``seen`` grid
+        selects its column-form frontier."""
+        return dict(queue_d=self.col_d, queue_j=self.col_j,
+                    last_i=self.last_i)
 
 
 class _ShabanyKernel(_KernelBase):
@@ -414,21 +403,13 @@ class _ShabanyKernel(_KernelBase):
         return (got, min_distance[got], self.ord_i[slots_g, i_g],
                 self.ord_q[slots_g, j_g])
 
-    def export_frontier(self, rows: slice):
-        """``(heaps, last)`` of the slots in ``rows`` — see
-        :meth:`_ZigzagKernel.export_frontier`."""
-        heaps = []
-        for d, i, j, n in zip(self.heap_d[rows].tolist(),
-                              self.heap_i[rows].tolist(),
-                              self.heap_j[rows].tolist(),
-                              self.heap_n[rows].tolist()):
-            heap = list(zip(d[:n], i[:n], j[:n]))
-            heapify(heap)
-            heaps.append(heap)
-        last = [pair if pending else None for pending, pair in zip(
-            self.has_last[rows].tolist(),
-            zip(self.last_i[rows].tolist(), self.last_j[rows].tolist()))]
-        return heaps, last
+    def frontier_arrays(self) -> dict:
+        """The queue as ``search_core.c`` names it: the ``seen`` grid
+        selects its bounded-heap frontier."""
+        return dict(queue_d=self.heap_d, queue_i=self.heap_i,
+                    queue_j=self.heap_j, queue_n=self.heap_n,
+                    last_i=self.last_i, last_j=self.last_j,
+                    has_last=self.has_last, seen=self.seen)
 
 
 class _HessKernel(_KernelBase):

@@ -138,10 +138,10 @@ class SphereDecoder:
         rather than silently ignoring the ordering.
     tick_strategy:
         How the lockstep engine advances this decoder's searches:
-        ``"compiled"`` runs each search to completion through the Numba
-        kernel of :mod:`repro.sphere.tick_kernel` (bit-identical; falls
-        back to numpy with a one-time warning when Numba is missing,
-        and for the ``hess``/``exhaustive`` enumerators);
+        ``"compiled"`` runs each search to completion through the C
+        core of :mod:`repro.sphere.tick_kernel` (bit-identical; falls
+        back to numpy with a one-time warning when no C compiler is
+        found, and for the ``hess``/``exhaustive`` enumerators);
         ``"numpy"`` keeps the lockstep array ticks.  ``None`` (default)
         defers to the ``REPRO_TICK_STRATEGY`` environment variable and
         then ``"numpy"``.
@@ -231,7 +231,7 @@ class SphereDecoder:
         (:func:`repro.runtime.engine.run_frame`): every observation's
         depth-first search advances in lockstep through numpy array ops
         over the active tree nodes, and batches too small to be worth a
-        tick go straight to the engine's numpy-free tail.  Results are
+        tick go straight to the compiled search core.  Results are
         bit-identical to per-vector :meth:`decode_triangular` calls —
         symbol decisions, distances, ``found`` flags — and the
         aggregated counters equal the sum of the per-vector counters
@@ -300,9 +300,9 @@ class SphereDecoder:
         S×T search problems run on a private instance of the lockstep
         engine (:func:`repro.runtime.engine.run_frame`): searches from
         different subcarriers share kernel arrays, and the straggler
-        hand-off to the numpy-free tail happens once per frame instead of
-        once per subcarrier.  Results and aggregated counters are
-        bit-identical to per-slot :meth:`decode_triangular` calls.
+        hand-off to the compiled search core happens once per frame
+        instead of once per subcarrier.  Results and aggregated counters
+        are bit-identical to per-slot :meth:`decode_triangular` calls.
 
         Returns a :class:`~repro.frame.results.FrameDecodeResult` with
         ``(T, S)``-leading result tensors.
@@ -344,11 +344,11 @@ class SphereDecoder:
         """The depth-first loop, from the explicit search state
         :meth:`_search` seeds with a fresh root.
 
-        This is the reference program: the lockstep engine, the
-        compiled cores and the numpy-free tail
-        (:mod:`repro.sphere.tail`) each replay it operation for
-        operation and are pinned to it bit-for-bit by the differential
-        sweeps.
+        This is the reference program: the lockstep engine and the
+        compiled search core (:mod:`repro.sphere.tick_kernel`, which
+        also finishes the engine's stragglers) each replay it operation
+        for operation and are pinned to it bit-for-bit by the
+        differential sweeps.
         """
         num_streams = r.shape[1]
         levels = self.constellation.levels

@@ -182,7 +182,7 @@ class ListSphereDecoder:
         behaviour.
     tick_strategy:
         ``"compiled"`` runs each lockstep-engine search to completion
-        through the Numba per-tick kernel
+        through the compiled search core
         (:mod:`repro.sphere.tick_kernel`); ``"numpy"`` keeps the
         lockstep array ticks.  ``None`` (default) defers to
         ``REPRO_TICK_STRATEGY``.  Both are bit-identical — LLRs, list
@@ -330,9 +330,9 @@ class ListSphereDecoder:
         under a different radius policy: leaves land in a bounded
         max-heap, and once the heap is full the sphere shrinks to its
         worst member instead of the single best leaf.  It is the
-        reference program the engine's list policy, the compiled soft core
-        and the numpy-free tail's list policy
-        (:func:`repro.sphere.tail.finish_soft`) are pinned to
+        reference program the engine's list policy and the compiled
+        core's (:func:`repro.sphere.tick_kernel.run_soft_to_completion`,
+        which also finishes the engine's stragglers) are pinned to
         bit-for-bit.
         """
         num_streams = r.shape[1]

@@ -1,74 +1,67 @@
-"""Compiled per-tick kernel for the breadth-synchronised frontier.
+"""The compiled search core: strategy resolution, build, load, run.
 
 The lockstep engine (:mod:`repro.runtime.engine`, stepping the kernels
 of :mod:`repro.sphere.batch_search`) advances every active search one
-tree-node step per *tick*, with each per-tick quantity a numpy array op.  That
-keeps the float program bit-identical to the scalar search, but pays
-Python-level orchestration — tens of numpy calls, boolean masks,
-concatenations — per tick.  This module compiles the whole per-element
-state machine with Numba and runs each element's search **to
-completion** in one native call.
+tree-node step per *tick*, with each per-tick quantity a numpy array op.
+That keeps the float program bit-identical to the scalar search, but
+pays Python-level orchestration — tens of numpy calls — per tick, however
+few searches are still active.  ``search_core.c`` next to this module is
+the same per-search state machine in C, and
+:func:`run_hard_to_completion` / :func:`run_soft_to_completion` run it:
+each listed search goes **to completion** (or its node budget) in one
+native call, *in place* on the numpy kernel's own frontier arrays and
+the pool's lane arrays, from whatever lockstep state it is in.  Two
+callers: a numpy pool hands over its last few stragglers (the drain of
+:mod:`repro.runtime.engine`), and a ``tick_strategy="compiled"`` pool
+hands over every search right after admission.
 
 Why run-to-completion is the same program
 -----------------------------------------
-Each element's search is an independent state machine; the lockstep
-tick is only an interleaving.  One numpy tick gives every active
-element exactly one candidate attempt (a ``next_candidate`` step — got
-or stack pop), so per element the numpy engine executes the scalar
-loop's iterations in order, just interleaved with other elements.  The
-compiled core executes the *same* iterations back to back: the node
-budget is re-checked at the top of every per-element iteration (the
-scalar loop's check, which the numpy engines hoist to the tick
-boundary — same boundary, since one tick is one iteration), the radius
-and enumerator state are private to the element, and every float op is
-kept operation-for-operation equal to the numpy path (see below).
-Results, LLRs and ``ComplexityCounters`` are therefore bit-identical,
-and the straggler drain becomes unnecessary — a drained continuation is
-itself bit-identical, so finishing in the kernel changes nothing.
-(Without Numba the numpy tick hands its stragglers to
-:mod:`repro.sphere.tail`, which takes the same arguments as the cores
-below and relies on the same equivalences, plus a few of its own
-listed there.)
+Each search is an independent state machine; the lockstep tick is only
+an interleaving.  One numpy tick gives every active search exactly one
+candidate attempt (a ``next_candidate`` step — got or stack pop), so per
+search the numpy engine executes the scalar loop's iterations in order,
+just interleaved with other searches'.  The core executes the *same*
+iterations back to back: the node budget is re-checked before every
+attempt (the scalar loop's check, which the numpy engine hoists to the
+tick boundary — same boundary, since one tick is one iteration), radius
+and enumerator state are private to the search, and every float op is
+the one numpy performs (the list heads ``search_core.c``: reciprocal
+multiply for complex-by-real division, the FMA-contracted or plain
+complex product as the :data:`NUMPY_FMA` probe selects, uncontracted
+``parent + scale * dist_sq``, ``rint`` slicing).  Results, LLRs and
+``ComplexityCounters`` are therefore bit-identical from any hand-off
+point — ``tests/test_tail.py`` hands over at every depth of a search,
+``tests/test_tick_kernel.py`` from the root.
 
-Float-op equivalences the kernel preserves (each one checked by the
-differential sweeps in ``tests/test_tick_kernel.py``):
-
-* complex-by-real division ``(y - interference) / diag`` — numpy's
-  complex division with a zero imaginary denominator reduces to a
-  reciprocal multiply ``scl = 1/d; (re*scl, im*scl)``, which is what
-  the kernel emits (a plain ``re/d`` differs in the last ulp);
-* real divisions (``budget``, the slicing coordinate) stay plain ``/``;
-* interference accumulates column-by-column (ascending) through the
-  componentwise complex multiply — emitting the FMA-contracted program
-  numpy's SIMD loop uses, ``re = fma(ar, br, -(ai*bi))``,
-  ``im = fma(ar, bi, ai*br)`` (the plain mul-sub form differs in the
-  last ulp on FMA hardware); an import-time probe (:data:`NUMPY_FMA`)
-  checks which program the installed numpy actually emits and selects
-  the matching variant;
-* ``distance = parent + scale * dist_sq`` as separate multiply and add
-  (Numba's default ``fastmath=False`` forbids FMA contraction, matching
-  numpy);
-* ``np.rint`` (round-half-even) for constellation slicing, clamp by
-  compare, ``complex(levels[col], levels[row])`` for chosen symbols —
-  exactly the ``symbol_grid`` construction.
-
-Scope and fallback
-------------------
-Only the ``zigzag`` and ``shabany`` enumerators are compiled (they are
-Geosphere's and the hot ones); ``hess``/``exhaustive`` requests resolve
-to the numpy tick.  Tracing (``trace=`` observability) is a numpy-tick
-contract — per-tick event ordering — so a trace also resolves to numpy.
-When Numba is not installed, ``tick_strategy="compiled"`` warns once
-and falls back to the numpy tick; ``FORCE_PYTHON`` lets the test suite
-run these same kernel functions interpreted, so the differential sweeps
-exercise the exact code CI compiles.
+Build, cache and fallback
+-------------------------
+Nothing is compiled at import.  The first pool that wants the core
+(:func:`core`) builds it with the system ``cc`` (``-O2 -shared -fPIC
+-ffp-contract=off``; never ``-ffast-math`` or ``-march=native``) into
+``$XDG_CACHE_HOME/repro-sphere`` (default ``~/.cache``) — created 0700,
+refused unless owned by the caller and closed to group and world — under
+a name keyed by the sha256 of source, ``cc --version`` and flags, written
+to a temporary name and ``os.replace``d, so later processes just load
+it.  Only the ``zigzag`` and ``shabany`` enumerators have a core (they
+are Geosphere's and the hot ones); ``hess`` / ``exhaustive`` requests
+resolve to the numpy tick.  Without a compiler (or after a failed build)
+there is one ``RuntimeWarning``: ``"compiled"`` resolves to ``"numpy"``
+and numpy pools keep every search in lockstep to the end — only speed
+changes, never results.
 """
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
 import os
+import shutil
+import subprocess
+import tempfile
 import warnings
-import weakref
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -77,79 +70,32 @@ from .batch import zigzag_order_table
 
 __all__ = [
     "COMPILED_ENUMERATORS",
-    "NO_BUDGET",
     "NUMBA_AVAILABLE",
     "NUMPY_FMA",
     "TICK_STRATEGIES",
+    "core",
     "default_tick_strategy",
     "resolve_tick_strategy",
     "run_hard_to_completion",
     "run_soft_to_completion",
 ]
 
-try:
-    from numba import njit
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised via the fallback tests
-    NUMBA_AVAILABLE = False
-
-    def njit(*args, **kwargs):
-        """No-op decorator standing in for :func:`numba.njit`."""
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(fn):
-            return fn
-        return wrap
+#: The compiled executor is the C core, never Numba; the name stays
+#: because the benchmark ladder records it.
+NUMBA_AVAILABLE = False
 
 #: The strategy knob's legal values.
 TICK_STRATEGIES = ("compiled", "numpy")
 
-#: Enumerators with a compiled state machine; the rest use the numpy
-#: tick regardless of the requested strategy.
+#: Enumerators the core implements; the rest use the numpy tick
+#: regardless of the requested strategy.
 COMPILED_ENUMERATORS = ("zigzag", "shabany")
 
-#: Per-element node-budget sentinel: "no budget" as an int64 cap the
-#: compiled loop can compare against without a None branch.
-NO_BUDGET = int(np.iinfo(np.int64).max)
 
-#: Test hook: when Numba is absent, run the kernel functions interpreted
-#: instead of falling back to the numpy tick, so the differential sweeps
-#: genuinely execute the compiled code path's program.
-FORCE_PYTHON = False
-
-_warned = False
-
-
-def _plain_fma(a: float, b: float, c: float) -> float:
-    """Unfused fallback when no correctly rounded fma is reachable."""
-    return a * b + c
-
-
-def _python_fma():
-    """Best correctly rounded ``fma(a, b, c)`` for interpreted runs.
-
-    ``math.fma`` exists only on Python >= 3.13; older interpreters reach
-    libm's through ctypes.  The unfused fallback only matters on exotic
-    platforms with neither, where the :data:`NUMPY_FMA` probe below
-    keeps the kernel on whichever program actually matches numpy.
-    """
-    import math
-    if hasattr(math, "fma"):
-        return math.fma
-    try:
-        import ctypes
-        import ctypes.util
-        libm = ctypes.CDLL(ctypes.util.find_library("m") or "libm.so.6")
-        fma = libm.fma
-        fma.restype = ctypes.c_double
-        fma.argtypes = [ctypes.c_double] * 3
-        return fma
-    except (OSError, AttributeError):  # pragma: no cover - platform gap
-        return _plain_fma
-
-
-_fma = _python_fma()
+def _fma(a: float, b: float, c: float) -> float:
+    """Correctly rounded ``a * b + c``, by exact rational arithmetic
+    (the probe's reference; the core calls libm's ``fma``)."""
+    return float(Fraction(a) * Fraction(b) + Fraction(c))
 
 
 def _numpy_multiply_uses_fma() -> bool:
@@ -157,14 +103,14 @@ def _numpy_multiply_uses_fma() -> bool:
 
     numpy's SIMD loop contracts each component's first product into an
     FMA on hardware that has one; builds or machines without it emit
-    the plain mul-sub program.  The kernel must mirror whichever the
-    baseline engines actually run, so probe once at import.
+    the plain mul-sub program.  The core must mirror whichever the
+    numpy engine actually runs, so probe once at import.
     """
     rng = np.random.default_rng(0)
-    a = rng.standard_normal(256) + 1j * rng.standard_normal(256)
-    b = rng.standard_normal(256) + 1j * rng.standard_normal(256)
+    a = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    b = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     prod = a * b
-    for k in range(256):
+    for k in range(64):
         ar, ai = a[k].real, a[k].imag
         br, bi = b[k].real, b[k].imag
         if (prod[k].real != _fma(ar, br, -(ai * bi))
@@ -174,7 +120,7 @@ def _numpy_multiply_uses_fma() -> bool:
 
 
 #: True when numpy's complex multiply matches the FMA-contracted
-#: program; the cores' interference accumulation follows this flag.
+#: program; the core's interference accumulation follows this flag.
 NUMPY_FMA = _numpy_multiply_uses_fma()
 
 
@@ -187,515 +133,239 @@ def default_tick_strategy() -> str:
     return strategy
 
 
-def resolve_tick_strategy(requested: str | None, enumerator: str,
-                          trace: dict | None = None) -> str:
+def resolve_tick_strategy(requested: str | None, enumerator: str) -> str:
     """Resolve the effective tick strategy for one engine run.
 
     ``requested`` is the explicit knob (``None`` defers to
     :func:`default_tick_strategy`).  A ``compiled`` request degrades to
-    ``numpy`` — never silently changing results, only speed — when the
-    enumerator has no compiled state machine, when a trace dict needs
-    per-tick event ordering, or (with a one-time warning) when Numba is
-    not installed.
+    ``numpy`` — never changing results, only speed — when the
+    enumerator has no compiled state machine or (with a one-time
+    warning) when the core cannot be built or loaded.
     """
     if requested is None:
         requested = default_tick_strategy()
     require(requested in TICK_STRATEGIES,
             f"unknown tick strategy {requested!r}; "
             "choose 'compiled' or 'numpy'")
-    if requested == "numpy":
-        return "numpy"
-    if trace is not None:
-        return "numpy"
-    if enumerator not in COMPILED_ENUMERATORS:
-        return "numpy"
-    if NUMBA_AVAILABLE or FORCE_PYTHON:
+    if (requested == "compiled" and enumerator in COMPILED_ENUMERATORS
+            and core() is not None):
         return "compiled"
-    global _warned
-    if not _warned:
-        _warned = True
-        warnings.warn(
-            "numba is not installed; tick_strategy='compiled' falls back "
-            "to the numpy tick (pip install numba to compile the per-tick "
-            "kernel)", RuntimeWarning, stacklevel=2)
     return "numpy"
 
 
 # ---------------------------------------------------------------------------
-# The kernel functions.  Plain Python below; rebound through njit at module
-# bottom when Numba is available (Numba resolves the inter-function calls
-# lazily at first compilation, so rebinding the module globals suffices).
+# Build and load
 # ---------------------------------------------------------------------------
 
+_SOURCE = Path(__file__).with_name("search_core.c")
+_CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
-def _axis_fill(levels, axis_scale, ztable, side, use_table,
-               ord_x, res_x, off_x, slot, coord):
-    """One PAM axis of ``batched_axis_orders``, for one slot.
-
-    Slice (``rint`` + clamp), pick the preferred direction, gather the
-    zigzag order row and square the residuals — the exact arithmetic of
-    :func:`repro.sphere.batch.batched_axis_orders`, one row at a time.
-    """
-    sliced = np.rint((coord / axis_scale + (side - 1)) / 2.0)
-    if sliced > side - 1:
-        start = side - 1
-    elif sliced < 0.0:
-        start = 0
-    else:
-        start = int(sliced)
-    if coord >= levels[start]:
-        prefer = 1
-    else:
-        prefer = 0
-    base = ztable[start, prefer, 0]
-    for p in range(side):
-        index = ztable[start, prefer, p]
-        ord_x[slot, p] = index
-        residual = levels[index] - coord
-        res_x[slot, p] = residual * residual
-        if use_table:
-            offset = index - base
-            if offset < 0:
-                offset = -offset
-            off_x[slot, p] = offset
-
-
-def _slot_init(slot, element, point_re, point_im, levels, axis_scale, ztable,
-               side, is_shabany, use_table, ord_i, res_i, ord_q, res_q,
-               off_i, off_q, heap_d, heap_i, heap_j, heap_n, has_last, seen,
-               ped):
-    """Expand a node into ``slot``: order both axes, enqueue the sliced
-    point (its lower bound is zero, so it bypasses the pruning check)."""
-    _axis_fill(levels, axis_scale, ztable, side, use_table,
-               ord_i, res_i, off_i, slot, point_re)
-    _axis_fill(levels, axis_scale, ztable, side, use_table,
-               ord_q, res_q, off_q, slot, point_im)
-    if is_shabany:
-        for code in range(side * side):
-            seen[slot, code] = False
-        seen[slot, 0] = True  # position (0, 0)
-    heap_d[slot, 0] = res_i[slot, 0] + res_q[slot, 0]
-    heap_i[slot, 0] = 0
-    heap_j[slot, 0] = 0
-    heap_n[slot] = 1
-    has_last[slot] = False
-    ped[element] += 1
+#: ``search_t`` of ``search_core.c``, field for field: every array the
+#: core touches, the dtype it must have and what its leading dimension
+#: counts — search states, kernel slots, channel-stack rows, or nothing
+#: (the constellation tables).  All C-contiguous, except the tallies,
+#: which share ``tally_stride`` ...
+_F, _I, _B, _C = np.float64, np.int64, np.bool_, np.complex128
+_ARRAYS = {
+    "levels": (_F, None), "zigzag": (_I, None), "prune": (_F, None),
+    "axis_int": (_I, "slot"), "axis_res": (_F, "slot"),
+    "queue_d": (_F, "slot"), "queue_i": (_I, "slot"),
+    "queue_j": (_I, "slot"), "queue_n": (_I, "slot"),
+    "last_i": (_I, "slot"), "last_j": (_I, "slot"),
+    "has_last": (_B, "slot"), "seen": (_B, "slot"),
+    "r": (_C, "channel"), "y": (_C, "state"), "diag": (_F, "channel"),
+    "diag_sq": (_F, "channel"),
+    "level": (_I, "state"), "radius": (_F, "state"), "parent": (_F, "state"),
+    "path_cols": (_I, "state"), "path_rows": (_I, "state"),
+    "chosen": (_C, "state"),
+    "best_cols": (_I, "state"), "best_rows": (_I, "state"),
+    "best_dist": (_F, "state"),
+    "list_d": (_F, "state"), "list_seq": (_I, "state"),
+    "list_cols": (_I, "state"), "list_rows": (_I, "state"),
+    "list_n": (_I, "state"), "leaf_seq": (_I, "state"),
+    "ped": (_I, "state"), "visited": (_I, "state"),
+    "expanded": (_I, "state"), "leaves": (_I, "state"),
+    "prunes": (_I, "state"),
+}
+_TALLIES = ("ped", "visited", "expanded", "leaves", "prunes")
+#: ... then its dimensions and policy switches.
+_INTEGERS = ("tally_stride", "num_streams", "side", "queue_capacity",
+             "list_size", "use_fma")
 
 
-def _slot_propose(slot, element, i, j, budget, side, is_shabany, use_table,
-                  table, res_i, res_q, off_i, off_q, heap_d, heap_i, heap_j,
-                  heap_n, seen, ped, prunes):
-    """Bounds-check, dedupe (Shabany), prune-check, then enqueue."""
-    if i >= side or j >= side:
-        return
-    if is_shabany:
-        code = i * side + j
-        if seen[slot, code]:
-            return
-        # Mark before the pruning check, exactly like the scalar seen-set.
-        seen[slot, code] = True
-    if use_table:
-        bound = table[off_i[slot, i], off_q[slot, j]]
-        if bound >= budget:
-            prunes[element] += 1
-            return
-    ped[element] += 1
-    position = heap_n[slot]
-    if position >= heap_d.shape[1]:
-        raise RuntimeError("frontier queue capacity exceeded; "
-                           "the enumeration invariant was violated")
-    heap_d[slot, position] = res_i[slot, i] + res_q[slot, j]
-    heap_i[slot, position] = i
-    heap_j[slot, position] = j
-    heap_n[slot] = position + 1
+class _Search(ctypes.Structure):
+    _fields_ = ([(name, ctypes.c_void_p) for name in _ARRAYS]
+                + [(name, ctypes.c_int64) for name in _INTEGERS]
+                + [("axis_scale", ctypes.c_double)])
 
 
-def _slot_step(slot, element, budget, side, is_shabany, use_table, table,
-               ord_i, res_i, ord_q, res_q, off_i, off_q, heap_d, heap_i,
-               heap_j, heap_n, last_i, last_j, has_last, seen, ped, prunes):
-    """One ``next_candidate()`` for one slot.
-
-    Deferred successor proposals of the previously dequeued point, then
-    pop the lexicographic ``(distance, i, j)`` minimum — ``heapq`` tuple
-    order — if it beats the budget.  Returns ``(got, dist_sq, col, row)``.
-    """
-    if has_last[slot]:
-        has_last[slot] = False
-        li = last_i[slot]
-        lj = last_j[slot]
-        # Vertical zigzag always; horizontal from the column entry point
-        # only for Geosphere's rule, unconditionally for Shabany's.
-        _slot_propose(slot, element, li, lj + 1, budget, side, is_shabany,
-                      use_table, table, res_i, res_q, off_i, off_q, heap_d,
-                      heap_i, heap_j, heap_n, seen, ped, prunes)
-        if is_shabany or lj == 0:
-            _slot_propose(slot, element, li + 1, lj, budget, side,
-                          is_shabany, use_table, table, res_i, res_q, off_i,
-                          off_q, heap_d, heap_i, heap_j, heap_n, seen, ped,
-                          prunes)
-    occupancy = heap_n[slot]
-    best_d = np.inf
-    best_code = side * side
-    best_k = -1
-    for k in range(occupancy):
-        d = heap_d[slot, k]
-        code = heap_i[slot, k] * side + heap_j[slot, k]
-        if d < best_d or (d == best_d and code < best_code):
-            best_d = d
-            best_code = code
-            best_k = k
-    if not (best_d < budget):
-        return False, 0.0, np.int64(0), np.int64(0)
-    bi = heap_i[slot, best_k]
-    bj = heap_j[slot, best_k]
-    # Remove the popped entry: swap in the last occupied slot.
-    tail = occupancy - 1
-    heap_d[slot, best_k] = heap_d[slot, tail]
-    heap_i[slot, best_k] = heap_i[slot, tail]
-    heap_j[slot, best_k] = heap_j[slot, tail]
-    heap_n[slot] = tail
-    last_i[slot] = bi
-    last_j[slot] = bj
-    has_last[slot] = True
-    return True, best_d, ord_i[slot, bi], ord_q[slot, bj]
+def _compiler() -> str:
+    path = shutil.which("cc")
+    if path is None:
+        raise OSError("no C compiler ('cc') on PATH")
+    return path
 
 
-def _hard_core(idx, kidx, chan, caps, r, y, diag, diag_sq, levels,
-               axis_scale, ztable, side, is_shabany, use_table, table,
-               ord_i, res_i, ord_q, res_q, off_i, off_q, heap_d, heap_i,
-               heap_j, heap_n, last_i, last_j, has_last, seen, level, radius,
-               parent_flat, path_cols, path_rows, chosen, best_cols,
-               best_rows, best_dist, ped, visited, expanded, leaves, prunes,
-               use_fma):
-    """Run every listed hard search to completion (or its node budget).
-
-    ``idx`` are state/element ids, ``kidx`` kernel-lane ids, ``chan``
-    channel-stack rows, ``caps`` per-element node budgets
-    (:data:`NO_BUDGET` when unbounded).  Each iteration of the inner
-    ``while`` is exactly one numpy tick's worth of work for one element.
-    """
-    num_streams = r.shape[2]
-    top = num_streams - 1
-    for e in range(idx.shape[0]):
-        si = idx[e]
-        ki = kidx[e]
-        ci = chan[e]
-        cap = caps[e]
-        while True:
-            if visited[si] >= cap:
-                break
-            lv = level[si]
-            slot = ki * num_streams + lv
-            parent_d = parent_flat[si * num_streams + lv]
-            scale = diag_sq[ci, lv]
-            sphere = radius[si]
-            budget = (sphere - parent_d) / scale
-            got, dist_sq, col, row = _slot_step(
-                slot, si, budget, side, is_shabany, use_table, table,
-                ord_i, res_i, ord_q, res_q, off_i, off_q, heap_d, heap_i,
-                heap_j, heap_n, last_i, last_j, has_last, seen, ped, prunes)
-            if not got:
-                # Enumerator ran dry: pop the stack (climb one level);
-                # a root pop finishes the search.
-                next_level = lv + 1
-                level[si] = next_level
-                if next_level > top:
-                    break
-                continue
-            distance = parent_d + scale * dist_sq
-            # Defensive guard mirroring the scalar loop; enumerators
-            # respect the budget, so this should never trigger.
-            if not (distance < sphere):
-                continue
-            visited[si] += 1
-            path_cols[si, lv] = col
-            path_rows[si, lv] = row
-            chosen[si, lv] = complex(levels[col], levels[row])
-            if lv == 0:
-                leaves[si] += 1
-                # Schnorr–Euchner radius update.
-                radius[si] = distance
-                best_dist[si] = distance
-                for p in range(num_streams):
-                    best_cols[si, p] = path_cols[si, p]
-                    best_rows[si, p] = path_rows[si, p]
-                continue
-            # Descend: interference of the decided upper levels,
-            # accumulated column-by-column (ascending), componentwise —
-            # the complex-multiply ufunc's exact program, FMA-contracted
-            # when the installed numpy's loop is (NUMPY_FMA probe).
-            next_level = lv - 1
-            acc_re = 0.0
-            acc_im = 0.0
-            for column in range(next_level + 1, num_streams):
-                a = r[ci, next_level, column]
-                b = chosen[si, column]
-                if use_fma:
-                    acc_re += _fma(a.real, b.real, -(a.imag * b.imag))
-                    acc_im += _fma(a.real, b.imag, a.imag * b.real)
-                else:
-                    acc_re += a.real * b.real - a.imag * b.imag
-                    acc_im += a.real * b.imag + a.imag * b.real
-            # Complex-by-real division as numpy performs it: one
-            # reciprocal, two multiplies.
-            scl = 1.0 / diag[ci, next_level]
-            point = y[si, next_level]
-            point_re = (point.real - acc_re) * scl
-            point_im = (point.imag - acc_im) * scl
-            expanded[si] += 1
-            _slot_init(ki * num_streams + next_level, si, point_re, point_im,
-                       levels, axis_scale, ztable, side, is_shabany,
-                       use_table, ord_i, res_i, ord_q, res_q, off_i, off_q,
-                       heap_d, heap_i, heap_j, heap_n, has_last, seen, ped)
-            parent_flat[si * num_streams + next_level] = distance
-            level[si] = next_level
+def _cache_dir() -> Path:
+    """The per-user build cache, private to the caller: a directory
+    someone else could write to is a way to plant code, so it is
+    refused rather than trusted."""
+    root = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
+    path = Path(root, "repro-sphere")
+    path.mkdir(mode=0o700, parents=True, exist_ok=True)
+    status = path.stat()
+    if status.st_uid != os.getuid() or status.st_mode & 0o022:
+        raise OSError(f"build cache {path} is not owned by the caller or "
+                      "is group/world-writable")
+    return path
 
 
-def _soft_core(idx, kidx, chan, caps, r, y, diag, diag_sq, levels,
-               axis_scale, ztable, side, is_shabany, use_table, table,
-               ord_i, res_i, ord_q, res_q, off_i, off_q, heap_d, heap_i,
-               heap_j, heap_n, last_i, last_j, has_last, seen, level, radius,
-               parent_flat, path_cols, path_rows, chosen, list_d, list_seq,
-               list_cols, list_rows, list_n, leaf_seq, list_size, ped,
-               visited, expanded, leaves, prunes, use_fma):
-    """Run every listed *list* (soft) search to completion.
-
-    Same walk as :func:`_hard_core` but under the list radius policy: no
-    defensive re-check (the scalar list search visits every candidate
-    its enumerator yields), and a leaf inserts into the slot's bounded
-    best-leaf list with ``heappushpop`` semantics — worst member out,
-    ties towards the earliest-found — shrinking the radius to the worst
-    member once the list is full.
-    """
-    num_streams = r.shape[2]
-    top = num_streams - 1
-    for e in range(idx.shape[0]):
-        si = idx[e]
-        ki = kidx[e]
-        ci = chan[e]
-        cap = caps[e]
-        while True:
-            if visited[si] >= cap:
-                break
-            lv = level[si]
-            slot = ki * num_streams + lv
-            parent_d = parent_flat[si * num_streams + lv]
-            scale = diag_sq[ci, lv]
-            budget = (radius[si] - parent_d) / scale
-            got, dist_sq, col, row = _slot_step(
-                slot, si, budget, side, is_shabany, use_table, table,
-                ord_i, res_i, ord_q, res_q, off_i, off_q, heap_d, heap_i,
-                heap_j, heap_n, last_i, last_j, has_last, seen, ped, prunes)
-            if not got:
-                next_level = lv + 1
-                level[si] = next_level
-                if next_level > top:
-                    break
-                continue
-            distance = parent_d + scale * dist_sq
-            visited[si] += 1
-            path_cols[si, lv] = col
-            path_rows[si, lv] = row
-            chosen[si, lv] = complex(levels[col], levels[row])
-            if lv == 0:
-                leaves[si] += 1
-                leaf_seq[si] += 1
-                seq = leaf_seq[si]
-                count = list_n[si]
-                if count < list_size:
-                    # Room left: append to the next free entry.
-                    list_d[si, count] = distance
-                    list_seq[si, count] = seq
-                    for p in range(num_streams):
-                        list_cols[si, count, p] = path_cols[si, p]
-                        list_rows[si, count, p] = path_rows[si, p]
-                    list_n[si] = count + 1
-                    if count + 1 == list_size:
-                        worst = list_d[si, 0]
-                        for k in range(1, list_size):
-                            if list_d[si, k] > worst:
-                                worst = list_d[si, k]
-                        radius[si] = worst
-                else:
-                    # heappushpop semantics: replace the worst member
-                    # (ties towards the earliest-found) unless strictly
-                    # worse than all of them.
-                    worst = list_d[si, 0]
-                    for k in range(1, list_size):
-                        if list_d[si, k] > worst:
-                            worst = list_d[si, k]
-                    if distance <= worst:
-                        victim = 0
-                        victim_seq = NO_BUDGET
-                        for k in range(list_size):
-                            if (list_d[si, k] == worst
-                                    and list_seq[si, k] < victim_seq):
-                                victim_seq = list_seq[si, k]
-                                victim = k
-                        list_d[si, victim] = distance
-                        list_seq[si, victim] = seq
-                        for p in range(num_streams):
-                            list_cols[si, victim, p] = path_cols[si, p]
-                            list_rows[si, victim, p] = path_rows[si, p]
-                        worst = list_d[si, 0]
-                        for k in range(1, list_size):
-                            if list_d[si, k] > worst:
-                                worst = list_d[si, k]
-                        radius[si] = worst
-                continue
-            next_level = lv - 1
-            acc_re = 0.0
-            acc_im = 0.0
-            for column in range(next_level + 1, num_streams):
-                a = r[ci, next_level, column]
-                b = chosen[si, column]
-                if use_fma:
-                    acc_re += _fma(a.real, b.real, -(a.imag * b.imag))
-                    acc_im += _fma(a.real, b.imag, a.imag * b.real)
-                else:
-                    acc_re += a.real * b.real - a.imag * b.imag
-                    acc_im += a.real * b.imag + a.imag * b.real
-            scl = 1.0 / diag[ci, next_level]
-            point = y[si, next_level]
-            point_re = (point.real - acc_re) * scl
-            point_im = (point.imag - acc_im) * scl
-            expanded[si] += 1
-            _slot_init(ki * num_streams + next_level, si, point_re, point_im,
-                       levels, axis_scale, ztable, side, is_shabany,
-                       use_table, ord_i, res_i, ord_q, res_q, off_i, off_q,
-                       heap_d, heap_i, heap_j, heap_n, has_last, seen, ped)
-            parent_flat[si * num_streams + next_level] = distance
-            level[si] = next_level
+def _build():
+    """Compile ``search_core.c`` into the cache unless this exact
+    source / compiler / flags combination is already there, and load
+    its entry point."""
+    cc = _compiler()
+    version = subprocess.run([cc, "--version"], capture_output=True,
+                             check=True).stdout
+    key = hashlib.sha256(b"\0".join(
+        [_SOURCE.read_bytes(), version, " ".join(_CFLAGS).encode()]))
+    library = _cache_dir() / f"search_core-{key.hexdigest()[:32]}.so"
+    if not library.exists():
+        handle, scratch = tempfile.mkstemp(dir=library.parent, suffix=".so")
+        os.close(handle)
+        try:
+            subprocess.run([cc, *_CFLAGS, "-o", scratch, str(_SOURCE), "-lm"],
+                           capture_output=True, check=True)
+            os.replace(scratch, library)
+        finally:
+            if os.path.exists(scratch):
+                os.unlink(scratch)
+    loaded = ctypes.CDLL(str(library))
+    loaded.repro_search_size.argtypes = []
+    loaded.repro_search_size.restype = ctypes.c_int64
+    if loaded.repro_search_size() != ctypes.sizeof(_Search):
+        raise OSError("search_t and its ctypes mirror differ in size")
+    run = loaded.repro_search_run
+    run.argtypes = [ctypes.POINTER(_Search), ctypes.c_int64] + [
+        ctypes.c_void_p] * 4
+    run.restype = ctypes.c_int
+    return run
 
 
-if NUMBA_AVAILABLE:
-    # Rebind _fma to the LLVM fma intrinsic so the compiled cores get a
-    # single fused instruction instead of a libm call through ctypes.
-    # The cores resolve the global lazily at first compilation, so
-    # rebinding before njit-ing them below is enough.
-    import llvmlite.ir as _llvm_ir
-    from numba.core import types as _nb_types
-    from numba.extending import intrinsic as _nb_intrinsic
-
-    @_nb_intrinsic
-    def _fma(typingctx, a, b, c):  # noqa: F811 - intentional rebind
-        sig = _nb_types.float64(_nb_types.float64, _nb_types.float64,
-                                _nb_types.float64)
-
-        def codegen(context, builder, signature, args):
-            fn = builder.module.declare_intrinsic(
-                "llvm.fma", [_llvm_ir.DoubleType()])
-            return builder.call(fn, args)
-
-        return sig, codegen
-
-    _axis_fill = njit(cache=True)(_axis_fill)
-    _slot_init = njit(cache=True)(_slot_init)
-    _slot_propose = njit(cache=True)(_slot_propose)
-    _slot_step = njit(cache=True)(_slot_step)
-    _hard_core = njit(cache=True)(_hard_core)
-    _soft_core = njit(cache=True)(_soft_core)
+#: The loaded entry point; ``False`` once a build or load has failed.
+_core = None
 
 
-# Placeholder arrays standing in for optional kernel state (pruning
-# tables, Shabany seen grids) so the compiled cores keep concrete
-# argument types; the matching ``use_table``/``is_shabany`` flags keep
-# them unread.
-_DUMMY_F64 = np.zeros((1, 1))
-_DUMMY_I64 = np.zeros((1, 1), dtype=np.int64)
-_DUMMY_BOOL = np.zeros((1, 1), dtype=bool)
+def core():
+    """The core's entry point, built and loaded at first use — or
+    ``None`` (after one ``RuntimeWarning``) where that is impossible:
+    no compiler, a failed build, an untrustworthy cache directory."""
+    global _core
+    if _core is None:
+        try:
+            _core = _build()
+        except (OSError, subprocess.SubprocessError) as error:
+            _core = False
+            warnings.warn(
+                f"the compiled search core is unavailable ({error}); "
+                "tick_strategy='compiled' falls back to the numpy tick and "
+                "numpy pools keep their stragglers in lockstep",
+                RuntimeWarning, stacklevel=2)
+    return _core or None
 
 
-#: Each kernel's frontier scratch (see :func:`_frontier_scratch`), dropped
-#: with the kernel.
-_SCRATCH: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+# ---------------------------------------------------------------------------
+# Run
+# ---------------------------------------------------------------------------
 
-
-def _frontier_scratch(kernel, roots, is_shabany):
-    """The cores' own frontier arrays for ``kernel``, seeded at ``roots``.
-
-    The cores keep every slot's queue as a bounded unordered ``heap_d`` /
-    ``heap_i`` / ``heap_j`` triple whatever layout the numpy kernel
-    uses, and they only ever start from freshly initialised root slots —
-    so they borrow nothing but the axis tables: the scratch is allocated
-    per kernel (re-allocated when a demand-grown pool outgrows it; no
-    search survives a compiled tick, so nothing carries over) and each
-    listed root is seeded with its sliced point, whose queued distance
-    ``res_i[root, 0] + res_q[root, 0]`` is the very add ``kernel.init``
-    performed.
-    """
-    num_slots, side = kernel.ord_i.shape
-    scratch = _SCRATCH.get(kernel)
-    if scratch is None or scratch[0].shape[0] != num_slots:
-        capacity = 2 * side + 4 if is_shabany else side + 2
-        scratch = (
-            np.empty((num_slots, capacity)),
-            np.empty((num_slots, capacity), dtype=np.int64),
-            np.empty((num_slots, capacity), dtype=np.int64),
-            np.empty(num_slots, dtype=np.int64),
-            np.empty(num_slots, dtype=np.int64),
-            np.empty(num_slots, dtype=np.int64),
-            np.empty(num_slots, dtype=bool),
-            (np.empty((num_slots, side * side), dtype=bool) if is_shabany
-             else _DUMMY_BOOL))
-        _SCRATCH[kernel] = scratch
-    heap_d, heap_i, heap_j, heap_n, _, _, has_last, seen = scratch
-    heap_d[roots, 0] = kernel.res_i[roots, 0] + kernel.res_q[roots, 0]
-    heap_i[roots, 0] = 0
-    heap_j[roots, 0] = 0
-    heap_n[roots] = 1
-    has_last[roots] = False
-    if is_shabany:
-        seen[roots] = False
-        seen[roots, 0] = True  # position (0, 0)
-    return scratch
-
-
-def _kernel_args(kernel, kidx, num_streams):
-    """Unpack a zigzag/Shabany kernel's axis tables for the cores and
-    attach the cores' own frontier, seeded at the listed lanes' roots."""
+def _marshal(kernel, arrays: dict, list_size: int):
+    """``arrays`` as a ``search_t``, plus the exclusive bounds of the
+    state / kernel-lane / channel-row ids it may be run with.  Checked
+    here, once per set of arrays: past this point a wrong dtype, a
+    strided view or a short array is memory corruption, not an
+    exception."""
+    num_streams = arrays["path_cols"].shape[1]
+    extent = {"state": arrays["level"].shape[0],
+              "slot": arrays["axis_int"].shape[0],
+              "channel": arrays["r"].shape[0]}
+    fields = {}
+    for name, array in arrays.items():
+        dtype, kind = _ARRAYS[name]
+        require(array.dtype == dtype
+                and (array.flags.c_contiguous or name in _TALLIES)
+                and (kind is None or array.shape[0] == extent[kind]
+                     or array.size == extent[kind] * num_streams),
+                f"search core needs {name} as C-contiguous "
+                f"{dtype.__name__}, one row per {kind}")
+        fields[name] = array.ctypes.data
+    strides = {arrays[name].strides[0] for name in _TALLIES}
+    require(len(strides) == 1, "search core needs equally strided tallies")
     side = kernel.side
     levels = kernel.levels
-    axis_scale = float(levels[1] - levels[0]) / 2.0 if side > 1 else 1.0
-    ztable = zigzag_order_table(side)
-    is_shabany = hasattr(kernel, "seen")
-    use_table = kernel.table is not None
-    if use_table:
-        table = kernel.table
-        off_i = kernel.off_i
-        off_q = kernel.off_q
-    else:
-        table = _DUMMY_F64
-        off_i = _DUMMY_I64
-        off_q = _DUMMY_I64
-    roots = kidx * num_streams + (num_streams - 1)
-    return (levels, axis_scale, ztable, side, is_shabany, use_table, table,
-            kernel.ord_i, kernel.res_i, kernel.ord_q, kernel.res_q,
-            off_i, off_q) + _frontier_scratch(kernel, roots, is_shabany)
+    search = _Search(
+        tally_stride=strides.pop() // 8, num_streams=num_streams, side=side,
+        queue_capacity=arrays["queue_d"].shape[1], list_size=list_size,
+        use_fma=NUMPY_FMA,
+        axis_scale=float(levels[1] - levels[0]) / 2.0 if side > 1 else 1.0,
+        **fields)
+    return search, np.array([[extent["state"]],
+                             [extent["slot"] // num_streams],
+                             [extent["channel"]]])
+
+
+def _run(kernel, idx, kidx, chan, caps, tallies, list_size, **arrays) -> None:
+    """Run the listed searches on ``kernel``'s tables and frontier plus
+    the caller's state ``arrays``.
+
+    Taking ~40 array addresses costs more than a small hand-off's
+    searches, and a pool passes the same arrays tick after tick (until
+    it grows), so the marshalled ``search_t`` is kept on the kernel
+    together with the arrays it points into and reused while every
+    operand is still the same object.
+    """
+    run = core()
+    require(run is not None, "the compiled search core is unavailable")
+    arrays.update(kernel.frontier_arrays())
+    arrays.update(zip(_TALLIES, tallies), levels=kernel.levels,
+                  zigzag=zigzag_order_table(kernel.side),
+                  axis_int=kernel.axis_int, axis_res=kernel.axis_res)
+    if kernel.table is not None:
+        arrays["prune"] = kernel.table
+    operands = tuple(arrays.values())
+    held, search, limits = getattr(kernel, "_marshalled", ((), None, None))
+    if len(held) != len(operands) or any(
+            was is not now for was, now in zip(held, operands)):
+        search, limits = _marshal(kernel, arrays, list_size)
+        kernel._marshalled = operands, search, limits
+    ids = np.stack([idx, kidx, chan, caps]).astype(np.int64, copy=False)
+    count = ids.shape[1]
+    require(count == 0 or (ids.min() >= 0 and (ids[:3] < limits).all()),
+            "search ids outside the arrays handed to the search core")
+    rows = [ids.ctypes.data + row * ids.strides[0] for row in range(4)]
+    if run(search, count, *rows):
+        raise RuntimeError("frontier queue capacity exceeded; "
+                           "the enumeration invariant was violated")
 
 
 def run_hard_to_completion(kernel, idx, kidx, chan, caps, r, y, diag,
                            diag_sq, level, radius, parent_flat, path_cols,
                            path_rows, chosen, best_cols, best_rows,
                            best_dist, tallies) -> None:
-    """Finish the listed hard searches in one compiled pass.
+    """Finish the listed hard searches in one native call.
 
-    ``kernel`` is an initialised zigzag/Shabany kernel whose root slots
-    for the listed elements have been expanded (``kernel.init``) by the
-    caller's numpy admission path; only its axis tables are read — the
-    frontier lives in the cores' own scratch (:func:`_frontier_scratch`),
-    seeded from those roots.  ``idx``/``kidx``/``chan`` map each
-    element to its state row, kernel lane and channel-stack row (the
-    batch engine passes identical arrays; the frame and streaming
-    engines pass their lane/subcarrier mappings).  On return every
-    listed element has either exhausted its tree or hit its cap.
+    ``kernel`` is a zigzag/Shabany kernel holding the listed searches'
+    frontier in whatever lockstep state the numpy tick (or admission)
+    left it; ``idx`` / ``kidx`` / ``chan`` map each search to its state
+    row, kernel lane and channel-stack row (the pools pass their lane
+    ids for all three), ``caps`` are absolute node budgets.  On return
+    every listed search has exhausted its tree or hit its cap, and its
+    best leaf, tallies, path state and kernel rows are what the numpy
+    tick would have left.
     """
-    ped, visited, expanded, leaves, prunes = tallies
-    _hard_core(idx, kidx, chan, caps, r, y, diag, diag_sq,
-               *_kernel_args(kernel, kidx, path_cols.shape[1]), level,
-               radius, parent_flat, path_cols, path_rows, chosen, best_cols,
-               best_rows, best_dist, ped, visited, expanded, leaves, prunes,
-               NUMPY_FMA)
+    _run(kernel, idx, kidx, chan, caps, tallies, 0, r=r, y=y, diag=diag,
+         diag_sq=diag_sq, level=level, radius=radius, parent=parent_flat,
+         path_cols=path_cols, path_rows=path_rows, chosen=chosen,
+         best_cols=best_cols, best_rows=best_rows, best_dist=best_dist)
 
 
 def run_soft_to_completion(kernel, idx, kidx, chan, caps, r, y, diag,
@@ -703,15 +373,12 @@ def run_soft_to_completion(kernel, idx, kidx, chan, caps, r, y, diag,
                            path_rows, chosen, list_d, list_seq, list_cols,
                            list_rows, list_n, leaf_seq, list_size,
                            tallies) -> None:
-    """Finish the listed list (soft) searches in one compiled pass.
-
-    The soft twin of :func:`run_hard_to_completion`: same mapping
-    arrays, with the bounded best-leaf list arrays in place of the
-    single-best path state.
-    """
-    ped, visited, expanded, leaves, prunes = tallies
-    _soft_core(idx, kidx, chan, caps, r, y, diag, diag_sq,
-               *_kernel_args(kernel, kidx, path_cols.shape[1]), level,
-               radius, parent_flat, path_cols, path_rows, chosen, list_d,
-               list_seq, list_cols, list_rows, list_n, leaf_seq, list_size,
-               ped, visited, expanded, leaves, prunes, NUMPY_FMA)
+    """Finish the listed list (soft) searches in one native call: the
+    twin of :func:`run_hard_to_completion` with the bounded best-leaf
+    list arrays in place of the single best leaf."""
+    _run(kernel, idx, kidx, chan, caps, tallies, list_size, r=r, y=y,
+         diag=diag, diag_sq=diag_sq, level=level, radius=radius,
+         parent=parent_flat, path_cols=path_cols, path_rows=path_rows,
+         chosen=chosen, list_d=list_d, list_seq=list_seq,
+         list_cols=list_cols, list_rows=list_rows, list_n=list_n,
+         leaf_seq=leaf_seq)

@@ -247,7 +247,7 @@ def test_column_kernel_tracks_the_scalar_geosphere_enumerator(data):
     slots at once, each with its own received point and its own
     shrinking budget, a random subset stepped per call — hand out the
     same candidate every time and hold the same state after every
-    ``next_candidate``: the exported frontier is the scalar ``_heap``,
+    ``next_candidate``: the column queue is the scalar ``_heap``,
     the pending pointer is ``_last``, the tallies are the counters, and
     the queue never exceeds the paper's sqrt(|O|) bound."""
     from repro.sphere import SphereDecoder
@@ -278,10 +278,17 @@ def test_column_kernel_tracks_the_scalar_geosphere_enumerator(data):
                         for _ in range(num_slots)])
 
     def assert_same_state():
-        heaps, last = kernel.export_frontier(slice(0, num_slots))
+        # The kernel's column form read back as the scalar enumerator's
+        # state: queued (distance, i, j) tuples and the pending (i, j).
         for slot, scalar in enumerate(scalars):
-            assert sorted(heaps[slot]) == sorted(scalar._heap)
-            assert last[slot] == scalar._last
+            queued = kernel.col_d[slot].tolist()
+            pointer = kernel.col_j[slot].tolist()
+            pending = int(kernel.last_i[slot])
+            heap = [(d, i, j) for i, (d, j) in enumerate(zip(queued, pointer))
+                    if d != np.inf]
+            assert sorted(heap) == sorted(scalar._heap)
+            assert scalar._last == ((pending, pointer[pending])
+                                    if pending >= 0 else None)
             assert scalar.queue_length <= side
             assert ped[slot] == counters[slot].ped_calcs
             assert prunes[slot] == counters[slot].geometric_prunes

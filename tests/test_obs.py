@@ -563,8 +563,8 @@ _SUMMARY_KEYS = {
     "ped_calcs", "searches_completed", "stage_decode_s", "stage_detect_s",
     "stage_latency_percentiles_s", "stage_queue_wait_s", "stage_resolve_s",
     "streams_crc_ok", "streams_decoded", "tick_duration_ema_s",
-    "tick_duration_percentiles_s", "tick_duration_s", "tick_kernel_s",
-    "tick_orchestration_s", "ticks", "visited_nodes"}
+    "tick_duration_max_s", "tick_duration_percentiles_s", "tick_duration_s",
+    "tick_kernel_s", "tick_orchestration_s", "ticks", "visited_nodes"}
 _UNMERGEABLE_KEYS = {
     "latency_percentiles_by_class_s", "latency_percentiles_s",
     "stage_latency_percentiles_s", "tick_duration_ema_s",
@@ -589,7 +589,8 @@ _SUMMARY_METRICS = {
     "repro_stage_latency_seconds", "repro_stage_queue_wait_seconds_total",
     "repro_stage_resolve_seconds_total", "repro_streams_crc_ok_total",
     "repro_streams_decoded_total", "repro_tick_duration_ema_seconds",
-    "repro_tick_duration_seconds", "repro_tick_duration_seconds_total",
+    "repro_tick_duration_max_seconds", "repro_tick_duration_seconds",
+    "repro_tick_duration_seconds_total",
     "repro_tick_kernel_seconds_total", "repro_tick_orchestration_seconds",
     "repro_ticks_total", "repro_visited_nodes_total"}
 _FARM_METRICS = (_SUMMARY_METRICS - {

@@ -1,25 +1,28 @@
-"""The numpy-free straggler tail against the scalar oracle.
+"""The straggler tail — the compiled search core resuming half-run
+searches — against the scalar oracle.
 
-:mod:`repro.sphere.tail` finishes searches the lockstep frontier hands
-over, in plain Python.  The scalar decoders
-(:meth:`SphereDecoder.decode_triangular`,
+The lockstep frontier hands its last few searches to the compiled core
+(``repro/sphere/search_core.c`` behind :mod:`repro.sphere.tick_kernel`),
+which resumes each in place from the numpy kernel's own arrays.  The
+scalar decoders (:meth:`SphereDecoder.decode_triangular`,
 :meth:`ListSphereDecoder.decode_soft_triangular`) are the oracle; the
 contract is bit-identity — decisions, distances, LLRs and all five
 ``ComplexityCounters`` — and these tests pin it two ways:
 
 * **from the root** — a hand-off right after the root expansion, so the
-  tail runs the whole search (a hypothesis property over enumerator
+  core runs the whole search (a hypothesis property over enumerator
   rule, pruning, initial radius, node budget, list size, constellation
   and geometry; list size 1 is the hard best-leaf policy);
 * **from every depth** — ``k`` lockstep ticks, then the hand-off, for
-  every ``k`` from 0 to the search's length, so a wrong export of
-  ``has_last``, the heap order or the Shabany seen grid cannot hide
-  behind a lucky threshold.
+  every ``k`` from 0 to the search's length, so a wrong reading of the
+  pending successors, the column queue or the Shabany seen grid cannot
+  hide behind a lucky threshold.
 
-Float programs: the tail keeps one ``np.multiply`` per expansion so the
-installed numpy's complex-multiply program (FMA-contracted or not — see
-``tick_kernel.NUMPY_FMA``) is matched by construction.  Nothing here
-branches on that flag: the suite must pass whichever it reports.
+Float programs: the core spells the installed numpy's complex-multiply
+program out (FMA-contracted or not — ``tick_kernel.NUMPY_FMA`` picks);
+nothing here branches on that flag: the suite must pass whichever it
+reports.  Without a C compiler there is no hand-off (pools stay in
+lockstep), so the tests that assert one happened skip.
 """
 
 import numpy as np
@@ -34,7 +37,14 @@ from repro.runtime.engine import StreamingFrontier
 from repro.sphere import ListSphereDecoder, SphereDecoder, triangularize
 from repro.sphere.tick_kernel import NUMPY_FMA
 
-from test_engine import _drain_sizes, assert_frames_identical, scalar_oracle
+from test_engine import (
+    _drain_sizes,
+    assert_frames_identical,
+    needs_core,
+    scalar_oracle,
+)
+
+pytestmark = needs_core                  # no compiler: nothing to hand off to
 
 #: Operating points low enough that searches backtrack (deep stacks,
 #: deferred proposals pending, several leaves) instead of diving once.
@@ -119,7 +129,7 @@ def test_tail_from_root_equals_the_scalar_oracle(data):
         assert np.array_equal(got.symbols[0, 0], want.symbols)
         assert got.list_sizes[0, 0] == want.list_size_used
         assert got.counters == want.counters
-    assert drained == [1]                    # the tail did run it
+    assert drained == [1]                    # the core did run it
 
 
 @pytest.mark.parametrize("enumerator", ["hess", "exhaustive"])
@@ -163,7 +173,7 @@ def _frame(decoder, order, num_subcarriers, num_symbols, rng):
 
 def _decode_with_handoff(request, lockstep_ticks, degrade_to=None):
     """Run ``lockstep_ticks`` numpy ticks, then hand every survivor to
-    the tail (``None``: never — pure lockstep).  Returns the frame
+    the core (``None``: never — pure lockstep).  Returns the frame
     result and the number of ticks the run took."""
     job = FrameJob(0, request)
     engine = StreamingFrontier(capacity=job.num_problems, drain_threshold=0,
@@ -249,14 +259,14 @@ def test_degraded_lane_stops_at_the_shrunk_cap_in_the_tail(kind,
 
 
 # ----------------------------------------------------------------------
-# (iv) The one numpy call per expansion, with or without FMA
+# (iv) One complex-multiply program, with or without FMA
 # ----------------------------------------------------------------------
 
 def test_row_multiply_is_the_scalar_multiply_program():
-    """The tail multiplies a level's ``R`` row by the decided symbols in
-    one ``np.multiply``; the oracle multiplies entry by entry.  Both must
-    be the same float program on this numpy build, FMA-contracted
-    (``NUMPY_FMA`` true) or not."""
+    """The lockstep tick multiplies ``R`` rows by the decided symbols as
+    arrays; the oracle multiplies entry by entry.  Both must be the one
+    float program the ``NUMPY_FMA`` probe classifies — the one the core
+    spells out — on this numpy build, FMA-contracted or not."""
     rng = np.random.default_rng(9)
     points = qam(64).points
     for width in (1, 2, 3, 7):
