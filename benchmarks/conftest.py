@@ -21,9 +21,12 @@ import os
 import platform
 import re
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
+
+import repro.sphere.tick_kernel as tick_kernel
 
 #: Where the per-benchmark JSON reports land (gitignored; one
 #: ``BENCH_<name>.json`` per benchmark that recorded ``extra_info``).
@@ -128,3 +131,20 @@ def speedup_floor(benchmark):
         return speedup
 
     return check
+
+
+@pytest.fixture
+def core_hidden(monkeypatch):
+    """``with core_hidden():`` — inside it the compiled search core looks
+    unbuildable (as on a box without ``cc``, minus the warning), so pools
+    built there step through the numpy kernels.  That is the "numpy"
+    side of the compiled-vs-numpy floors: by default the lockstep
+    schedule itself runs in the core wherever it loaded."""
+
+    @contextmanager
+    def hidden():
+        with monkeypatch.context() as patch:
+            patch.setattr(tick_kernel, "_core", False)
+            yield
+
+    return hidden

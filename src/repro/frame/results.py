@@ -23,7 +23,19 @@ from ..sphere.counters import ComplexityCounters
 
 __all__ = ["FrameDecodeResult", "FrameDetectionResult", "SoftFrameResult",
            "empty_frame_result", "empty_soft_frame_result",
-           "hard_decision_frame", "sum_tally_counters"]
+           "hard_decision_frame", "narrowest_int", "sum_tally_counters"]
+
+
+def narrowest_int(largest: int) -> np.dtype:
+    """The narrowest signed integer dtype holding ``-1 .. largest``.
+
+    Resolved frames are what a streaming caller accumulates, so their
+    integer tensors leave the engine's int64 for this: constellation
+    indices (``largest = order - 1``, with ``-1`` the not-found mark)
+    are int8 through 64-QAM and int16 for 256-QAM — an eighth and a
+    quarter of the bytes.
+    """
+    return np.min_scalar_type(-(largest + 1))
 
 
 def sum_tally_counters(ped, visited, expanded, leaves, prunes,
@@ -54,7 +66,9 @@ class FrameDecodeResult:
     :class:`~repro.sphere.batch.BatchDecodeResult`.  Resolved frames are
     what a streaming caller accumulates, so the decisions are held once:
     ``symbols`` is looked up from ``symbol_indices`` on access instead of
-    being stored beside them (16 of a 16-QAM 4x4 frame's 26 KB).
+    being stored beside them, and the indices are held in the narrowest
+    integer dtype (:func:`narrowest_int`): 1 KB of the ~3.5 KB of a
+    16-QAM 4x4 x 64-subcarrier x 4-symbol frame.
 
     Attributes
     ----------
@@ -63,7 +77,7 @@ class FrameDecodeResult:
         ``initial_radius_sq`` excluded every leaf of that slot's tree.
     symbol_indices:
         ``(T, S, nc)`` flattened constellation indices (``-1`` where
-        ``found`` is ``False``).
+        ``found`` is ``False``), as ``narrowest_int(order - 1)``.
     distances_sq:
         ``(T, S)`` squared distances of the returned solutions (``inf``
         where not found).
@@ -150,9 +164,11 @@ class SoftFrameResult:
         :meth:`~repro.constellation.qam.QamConstellation.indices_to_bits`
         applied stream by stream.
     symbol_indices:
-        ``(T, S, nc)`` hard decisions — each slot's best list member.
+        ``(T, S, nc)`` hard decisions — each slot's best list member —
+        as ``narrowest_int(order - 1)``.
     list_sizes:
-        ``(T, S)`` number of leaves each slot's search retained.
+        ``(T, S)`` number of leaves each slot's search retained, as
+        ``narrowest_int(list_size)``.
     counters:
         Complexity tallies aggregated over the whole frame; equal to the
         sum of per-slot scalar ``decode_soft`` counters exactly.
@@ -194,16 +210,17 @@ class SoftFrameResult:
 
 
 def empty_soft_frame_result(num_symbols: int, num_subcarriers: int,
-                            num_streams: int,
-                            constellation) -> SoftFrameResult:
+                            num_streams: int, constellation,
+                            list_size: int) -> SoftFrameResult:
     """A correctly-shaped soft result for a frame with zero search
     problems — shared by every soft ``decode_frame`` path."""
     return SoftFrameResult(
         llrs=np.zeros((num_symbols, num_subcarriers,
                        num_streams * constellation.bits_per_symbol)),
         symbol_indices=np.zeros((num_symbols, num_subcarriers, num_streams),
-                                dtype=np.int64),
-        list_sizes=np.zeros((num_symbols, num_subcarriers), dtype=np.int64),
+                                dtype=narrowest_int(constellation.order - 1)),
+        list_sizes=np.zeros((num_symbols, num_subcarriers),
+                            dtype=narrowest_int(list_size)),
         counters=ComplexityCounters(), points=constellation.points)
 
 
@@ -214,7 +231,7 @@ def empty_frame_result(num_symbols: int, num_subcarriers: int,
     return FrameDecodeResult(
         found=np.zeros((num_symbols, num_subcarriers), dtype=bool),
         symbol_indices=np.zeros((num_symbols, num_subcarriers, num_streams),
-                                dtype=np.int64),
+                                dtype=narrowest_int(constellation.order - 1)),
         distances_sq=np.zeros((num_symbols, num_subcarriers)),
         counters=ComplexityCounters(), points=constellation.points)
 

@@ -6,7 +6,8 @@ pool per kernel signature — and advances every search in a pool one
 tree-node step per tick, with each per-step computation
 (Schnorr–Euchner child ordering, partial distances, geometric-pruning
 lookups, radius pruning, interference cancellation) expressed as numpy
-array ops over the active lanes.  Hard (maximum-likelihood) and soft
+array ops over the active lanes — or, on the same arrays, run lane by
+lane by the compiled search core (below).  Hard (maximum-likelihood) and soft
 (list) searches differ only in the pool's leaf policy; ``zigzag`` /
 ``shabany`` / ``hess`` / ``exhaustive`` differ only in the enumerator
 kernel (:mod:`repro.sphere.batch_search`).
@@ -26,26 +27,33 @@ frontier and how long it lives:
   straggler hand-off happens when the queue runs dry — typically once
   per *workload*, not once per frame.
 
-Straggler drain
----------------
-Sphere-search cost is heavy-tailed, and a lockstep tick costs a fixed
-~150 microseconds of numpy dispatch however few lanes are live (the
-table at :data:`DRAIN_THRESHOLD_CAP` has the per-lane figures).
-When a pool's queue is dry and its active set is down to
-``drain_threshold`` lanes, the survivors leave lockstep for the
-compiled search core (:mod:`repro.sphere.tick_kernel`) — one tick that
-runs them all to completion in place on the pool's own kernel and lane
-arrays, each under its own per-lane node budget (so a deadline-degraded
-frame stops at its shrunk cap there too).  The lanes then retire
-through ``_finish_lockstep`` like any other finish: the pools carry no
-drain-specific result plumbing.  A ``tick_strategy="compiled"`` pool is
-the same hand-off taken at once: every tick it admits a batch and runs
-it to completion.  Only the frontier kernels (``zigzag``, ``shabany``)
-have a core (``kernel.has_tail``); the ``hess`` / ``exhaustive``
-baselines finish in lockstep, and so does everything where the core
-could not be built (no compiler: one warning, ``drain_threshold`` 0).
-Time in the core counts as kernel time in the tick telemetry
-(``last_tick_kernel_s``), like the numpy step.
+Who executes a tick, and the straggler drain
+-------------------------------------------
+The tick is the engine's *schedule* — admission, budget stops and the
+QoS hooks (``degrade`` / ``evict``) all act between ticks — and a pool
+whose kernel has a compiled core (``pool.has_core``: ``zigzag`` /
+``shabany``, wherever :mod:`repro.sphere.tick_kernel` could build it)
+executes its step **in the core**: one native call gives every active
+lane one candidate attempt, in place on the pool's own kernel and lane
+arrays, and flags the lanes that finished (tree exhausted or per-lane
+node budget reached); they retire through ``_finish_lockstep``.  What
+that leaves in every array is what the numpy ``_step`` would have left
+(``tests/test_tail.py`` compares them after every tick), so the schedule
+is unchanged and only the executor differs: a tick costs ~0.05 ms +
+~0.1 microseconds per lane instead of ~0.14 ms + ~0.3.  The numpy
+``_step`` and the numpy kernels remain what runs the ``hess`` /
+``exhaustive`` baselines and everything on a box without a C compiler
+(one warning, ``drain_threshold`` 0: lockstep to the end).
+
+Sphere-search cost is heavy-tailed, and that fixed ~0.05 ms is paid
+however few lanes are live.  When a pool's queue is dry and its active
+set is down to ``drain_threshold`` lanes, the same call is made with an
+unlimited allowance: one tick runs the survivors to completion, each
+under its own lane budget (so a deadline-degraded frame stops at its
+shrunk cap there too).  A ``tick_strategy="compiled"`` pool is that
+hand-off taken at once: every tick it admits a batch and runs it to
+completion.  Time in the core counts as kernel time in the tick
+telemetry (``last_tick_kernel_s``), like the numpy step.
 
 Bit-exactness argument: kernel state is fully re-initialised at
 admission and every per-tick quantity that depends on the channel is
@@ -96,8 +104,8 @@ from ..sphere.tick_kernel import (
     TICK_STRATEGIES,
     core,
     resolve_tick_strategy,
-    run_hard_to_completion,
-    run_soft_to_completion,
+    run_hard,
+    run_soft,
 )
 from ..obs.trace import FrameTracer
 from ..utils.validation import require
@@ -117,32 +125,34 @@ DEFAULT_LANE_CAPACITY = 2048
 
 #: Ceiling for the default straggler-drain threshold (``capacity // 6``
 #: below it): the frontier stays efficient down to a small *absolute*
-#: active count.  Re-measured in PR 18 with the column-form ``zigzag``
-#: kernel, on the ladder's hard 16-QAM 4x4 x 64-subcarrier corpus
-#: (coded hard+soft cell mix in brackets), lockstep microseconds per
-#: lane per tick by live lanes, heap-form kernel -> column form:
+#: active count.  Measured on the ladder's hard 16-QAM 4x4 x
+#: 64-subcarrier corpus (coded hard+soft cell mix in brackets), closed
+#: loop, ticks without admission.  With the step in the compiled core a
+#: tick is ~0.05 ms + ~0.1 us x lanes (~0.10 ms + ~0.13), of which the
+#: core call is ~0.02 ms + ~0.08 us x lanes — 40 us at 33-64 lanes, 59
+#: at 129-256, 146 above 512 — and a drain of <= 32 survivors ~0.27 ms
+#: at 0.1 us/node.  The numpy step — the *fallback's* figures now —
+#: costs ~0.14 ms + ~0.3 us x lanes, per lane per tick by live lanes:
 #:
-#:     33-64 lanes    5.1 -> 3.4    (6.8 -> 4.1)
-#:     65-128         3.1 -> 1.9    (3.1 -> 2.3)
-#:     129-256        2.0 -> 1.3    (1.6 -> 1.2)
-#:     257-512        1.4 -> 0.8    (1.3 -> 0.9)
-#:     > 512          0.64 -> 0.40  (0.96 -> 0.61)
-#:     tail           0.1 us/node   (hard and soft alike: the compiled
-#:                                  core; interpreted it was 4.7 / 7.1)
+#:     33-64 lanes    3.4 us   (4.1)
+#:     65-128         1.9      (2.3)
+#:     129-256        1.3      (1.2)
+#:     257-512        0.8      (0.9)
+#:     > 512          0.40     (0.61)
 #:
-#: i.e. a tick is ~0.14 ms + ~0.3 us x lanes (was ~0.21 ms + ~0.5).
-#: The sweep over {16, 24, 32, 48} on the ladder (seeds 1 and 2,
-#: ``hard_stream`` frames/s | ``coded_soft_cell`` latency p50 ms):
-#: 16: 120-125 | 132-139, 24: 188 | 108-123, 32: 189-201 | 102-104,
-#: 48: 193-204 | 141-171.  Below 32 the last few dozen searches pay the
-#: per-tick floor for too many ticks; above it hard throughput is flat
-#: and — as in PR 15 — the one tick that drains a *list* (soft) pool
-#: gets long enough to move the median latency of the light frames
-#: sharing the runtime by +40-60 %.  The hand-off point is a latency
-#: trade-off first, so 32 stays.  (Both sweeps predate the compiled tail:
-#: PR 21 moved it from the interpreter to C and left the cap alone on
-#: purpose, so that its gain is one mechanism's; at 0.1 us/node the cap
-#: wants re-sweeping, upwards.)
+#: The sweep over {16, 24, 32, 48} on the ladder that set the cap
+#: (numpy step, ``hard_stream`` frames/s | ``coded_soft_cell`` latency
+#: p50 ms): 16: 120-125 | 132-139, 24: 188 | 108-123, 32: 189-201 |
+#: 102-104, 48: 193-204 | 141-171.  Below 32 the last few dozen searches
+#: pay the per-tick floor for too many ticks; above it hard throughput
+#: is flat and the one tick that drains a *list* (soft) pool gets long
+#: enough to move the median latency of the light frames sharing the
+#: runtime.  With the core stepping, 32 stays for the first reason
+#: alone: the last searches of a workload outlive the rest by tens of
+#: ticks, a tick's fixed ~0.05 ms buys <= 3 us of search at <= 32 lanes,
+#: and one drain tick saves all of them; raising the cap, or the
+#: lockstep allowance above one attempt, moves QoS points and waits for
+#: ROADMAP item 2's re-sweep.
 DRAIN_THRESHOLD_CAP = 32
 
 #: Lanes a kernel pool allocates up front; pools grow geometrically on
@@ -424,8 +434,13 @@ class _PoolBase:
         self._bind_tallies()
         self.kernel = make_kernel(decoder, capacity * num_streams, levels,
                                   self.ped, self.prunes)
-        if not (self.kernel.has_tail and core() is not None):
-            # Nothing to hand stragglers to: lockstep to the end.
+        #: Whether the compiled core executes this pool's searches —
+        #: the lockstep step and the drain alike.  Where it cannot (a
+        #: ``hess`` / ``exhaustive`` kernel, no compiler) the numpy step
+        #: does, and with nothing to hand stragglers to: lockstep to the
+        #: end.
+        self.has_core = self.kernel.has_tail and core() is not None
+        if not self.has_core:
             self.drain_threshold = 0
         # Which (frame, element) each lane is running.  Frames are
         # interned to dense integer ids so the per-tick grouping and the
@@ -653,25 +668,29 @@ class _PoolBase:
                 self._retire(oldest + offset, int(counts[offset]), completed)
         self._release(lanes)
 
-    def _run_to_completion(self, completed: list) -> None:
-        """Run every active search to completion in the compiled core
-        (see the module docstring), each under its own lane budget."""
+    def _run_in_core(self, completed: list, attempts: int | None) -> None:
+        """Give every active search ``attempts`` candidate attempts in
+        the compiled core (1: a lockstep step; ``None``: to completion),
+        each under its own lane budget, and retire the finished ones."""
         active = self.active
-        self.active = _EMPTY
         self.engine.last_tick_lanes += active.size
         started = time.perf_counter()
-        self._run_out(active)
+        done = self._run(active, attempts)
         self.engine.last_tick_kernel_s += time.perf_counter() - started
-        self._finish_lockstep(active, completed)
+        if done.any():
+            self.active = active[~done]
+            self._finish_lockstep(active[done], completed)
 
     # -- one breadth-synchronised step ----------------------------------
     def tick(self, completed: list) -> None:
         """Advance every active search one level, frame boundaries
-        ignored: budget stops, refill, drain check, then the kernel
-        step.  Under ``tick_strategy="compiled"`` the drain check always
-        fires: one tick admits a batch and runs it to completion in the
-        core (bit-identical results).  Lanes never survive such a tick,
-        so admission alone decides budgets (degraded frames are capped
+        ignored: budget stops, refill, drain check, then the step — one
+        candidate attempt per lane, in the compiled core where the pool
+        has one, else through the numpy kernels.  Under
+        ``tick_strategy="compiled"`` the drain check always fires: one
+        tick admits a batch and runs it to completion in the core
+        (bit-identical results).  Lanes never survive such a tick, so
+        admission alone decides budgets (degraded frames are capped
         through ``lane_budget`` exactly as in lockstep mode) and
         mid-flight QoS hooks find no active lanes."""
         if self.active.size:
@@ -688,10 +707,11 @@ class _PoolBase:
             self._admit()
         if self.active.size == 0:
             return
-        if self.tick_mode == "compiled" or (
+        if self.has_core:
+            run_out = self.tick_mode == "compiled" or (
                 not self.queue.pending
-                and self.active.size <= self.drain_threshold):
-            self._run_to_completion(completed)
+                and self.active.size <= self.drain_threshold)
+            self._run_in_core(completed, None if run_out else 1)
             return
         self.engine.last_tick_lanes += self.active.size
         started = time.perf_counter()
@@ -819,16 +839,16 @@ class _HardPool(_PoolBase):
         self.best_cols[at_leaf] = self.path_cols[at_leaf]
         self.best_rows[at_leaf] = self.path_rows[at_leaf]
 
-    def _run_out(self, active: np.ndarray) -> None:
+    def _run(self, active: np.ndarray, attempts: int | None) -> np.ndarray:
         # Lane-indexed everywhere: state row, kernel lane and channel
         # copy all live at the lane index, and each lane's absolute
         # budget sits in lane_budget (visited starts at zero).
-        run_hard_to_completion(
+        return run_hard(
             self.kernel, active, active, active, self.lane_budget[active],
             self.lane_r, self.lane_y, self.lane_diag, self.lane_diag_sq,
             self.level, self.radius, self.parent_flat, self.path_cols,
             self.path_rows, self.chosen, self.best_cols, self.best_rows,
-            self.best_dist, self.tallies)
+            self.best_dist, self.tallies, attempts)
 
 
 class _SoftPool(_PoolBase):
@@ -885,14 +905,14 @@ class _SoftPool(_PoolBase):
                            self.list_seq, self.list_cols, self.list_rows,
                            self.list_n, self.radius, self.list_size)
 
-    def _run_out(self, active: np.ndarray) -> None:
-        run_soft_to_completion(
+    def _run(self, active: np.ndarray, attempts: int | None) -> np.ndarray:
+        return run_soft(
             self.kernel, active, active, active, self.lane_budget[active],
             self.lane_r, self.lane_y, self.lane_diag, self.lane_diag_sq,
             self.level, self.radius, self.parent_flat, self.path_cols,
             self.path_rows, self.chosen, self.list_d, self.list_seq,
             self.list_cols, self.list_rows, self.list_n, self.leaf_seq,
-            self.list_size, self.tallies)
+            self.list_size, self.tallies, attempts)
 
 
 class StreamingFrontier:
@@ -928,7 +948,9 @@ class StreamingFrontier:
         ``"compiled"`` makes every pool admit a batch per tick and run
         it to completion through the compiled search core
         (:mod:`repro.sphere.tick_kernel`) — bit-identical results at
-        native speed; ``"numpy"`` keeps the lockstep array ticks.
+        native speed; ``"numpy"`` keeps the lockstep schedule, one
+        candidate attempt per lane per tick (executed by the same core
+        where it built, by the numpy kernels otherwise).
         ``None`` (default) defers to the submitting decoder's own
         ``tick_strategy``, then ``REPRO_TICK_STRATEGY``.  Compiled mode
         trades mid-flight QoS granularity for speed: a search finishes
@@ -973,8 +995,8 @@ class StreamingFrontier:
         #: a standalone frontier pays only `is None` tests.  Its clock
         #: also stamps ``first_lane_at`` for the stage decomposition.
         self.tracer = tracer if tracer is not None else FrameTracer()
-        #: Seconds the last tick() spent inside kernel work (the numpy
-        #: step or the compiled core), for the runtime's
+        #: Seconds the last tick() spent inside kernel work (the compiled
+        #: core or the numpy step), for the runtime's
         #: kernel-vs-orchestration split, and the lanes it ran there.
         self.last_tick_kernel_s = 0.0
         self.last_tick_lanes = 0

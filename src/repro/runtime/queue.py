@@ -46,6 +46,7 @@ from ..frame.results import (
     SoftFrameResult,
     empty_frame_result,
     empty_soft_frame_result,
+    narrowest_int,
     sum_tally_counters,
 )
 from ..phy.config import PhyConfig
@@ -309,7 +310,9 @@ class FrameJob:
         ``(S, T)`` element order transposed to ``(T, S)``-leading
         tensors, counters summed once over the per-element tallies, and
         — for soft frames — one frame-wide vectorised LLR extraction
-        over the stacked lists.
+        over the stacked lists.  The integer tensors leave as
+        :func:`~repro.frame.results.narrowest_int` copies: a caller that
+        keeps results keeps 1 byte per 16-QAM decision, not 8.
         """
         require(self.remaining == 0,
                 f"frame {self.frame_id} still has {self.remaining} "
@@ -318,28 +321,32 @@ class FrameJob:
         num_streams = self.num_streams
         constellation = self.decoder.constellation
         if self.num_problems == 0:
-            empty = (empty_frame_result if self.kind == "hard"
-                     else empty_soft_frame_result)
-            return empty(self.num_symbols, self.num_subcarriers, num_streams,
-                         constellation)
+            empty = (self.num_symbols, self.num_subcarriers, num_streams,
+                     constellation)
+            if self.kind == "hard":
+                return empty_frame_result(*empty)
+            return empty_soft_frame_result(*empty, self.decoder.list_size)
+        compact = narrowest_int(constellation.order - 1)
         if self.kind == "hard":
             distances, cols, rows = self.outcome
             found = np.isfinite(distances)
             indices = np.where(found[:, None],
-                               constellation.index_of(cols, rows), -1)
+                               constellation.index_of(cols, rows),
+                               -1).astype(compact)
             return FrameDecodeResult(
                 found=found.reshape(frame_shape).T,
                 symbol_indices=indices.reshape(
                     frame_shape + (num_streams,)).transpose(1, 0, 2),
                 distances_sq=distances.reshape(frame_shape).T,
                 counters=self._totals(), points=constellation.points)
-        list_n = self.outcome[-1]
+        list_n = self.outcome[-1].astype(
+            narrowest_int(self.decoder.list_size))
         llrs, best_indices, _ = soft_outputs_from_lists(
             constellation, *self.outcome, self.noise_variance,
             self.decoder.clamp)
         return SoftFrameResult(
             llrs=llrs.reshape(frame_shape + (-1,)).transpose(1, 0, 2),
-            symbol_indices=best_indices.reshape(
+            symbol_indices=best_indices.astype(compact).reshape(
                 frame_shape + (num_streams,)).transpose(1, 0, 2),
             list_sizes=list_n.reshape(frame_shape).T,
             counters=self._totals(), points=constellation.points)

@@ -27,15 +27,18 @@ axis orders and residuals come from
 scalar :class:`~repro.sphere.enumerator.AxisOrder`), candidate distances
 are plain elementwise real arithmetic, and the PED / geometric-prune
 tallies are incremented at exactly the points the scalar enumerators
-increment theirs.  Only the frontier kernels (``zigzag``, ``shabany``)
-can hand a search — half run, or fresh from admission — to the compiled
-search core (:mod:`repro.sphere.tick_kernel`, ``kernel.has_tail``),
-which resumes it **in place on these very arrays**: ``search_core.c``
-reads and writes ``axis_int`` / ``axis_res`` and each kernel's queue
-(``col_d`` / ``col_j`` / ``last_i``; ``heap_*`` / ``has_last`` /
-``seen``) in the layout declared here, so a layout change is a change
-to both files.  ``hess`` and ``exhaustive`` are comparison baselines
-and finish in lockstep.
+increment theirs.  The frontier kernels (``zigzag``, ``shabany``) have
+a second executor (``kernel.has_tail``): the compiled search core
+(:mod:`repro.sphere.tick_kernel`) takes a search — half run, or fresh
+from admission — **in place on these very arrays**, one candidate
+attempt per tick or to completion: ``search_core.c`` reads and writes
+``axis_int`` / ``axis_res`` and each kernel's queue (``col_d`` /
+``col_j`` / ``last_i``; ``heap_*`` / ``has_last`` / ``seen``) in the
+layout declared here, so a layout change is a change to both files.
+Where the core built, the engine steps these two kernels through it and
+their ``step`` methods are the compiler-less fallback (still what
+``init`` / ``grow`` and admission run on); ``hess`` and ``exhaustive``
+are comparison baselines and always step here.
 """
 
 from __future__ import annotations
@@ -79,9 +82,9 @@ class _KernelBase:
     """
 
     #: Whether the compiled core (:mod:`repro.sphere.tick_kernel`) can
-    #: finish this kernel's searches outside the lockstep frontier;
-    #: kernels without one stay in lockstep to the end whatever the
-    #: drain threshold says.
+    #: run this kernel's searches — step them or finish them; kernels
+    #: without one step here, in lockstep to the end whatever the drain
+    #: threshold says.
     has_tail = False
 
     def __init__(self, num_slots: int, side: int, levels: np.ndarray,

@@ -301,7 +301,8 @@ class KBestDecoder:
         """
         # Lazy import: repro.frame builds on repro.sphere.
         from ..frame.preprocess import rotate_frame, triangularize_frame
-        from ..frame.results import FrameDecodeResult, empty_frame_result
+        from ..frame.results import (FrameDecodeResult, empty_frame_result,
+                                     narrowest_int)
 
         q_stack, r_stack = triangularize_frame(channels)
         y_hat = rotate_frame(q_stack, received)       # (S, T, nc)
@@ -315,7 +316,9 @@ class KBestDecoder:
         indices, distances, counters = self._expand_survivors(
             r_stack, y_hat.reshape(num_problems, num_streams), sub)
         frame_shape = (num_subcarriers, num_symbols)
-        indices = indices.reshape(frame_shape + (num_streams,))
+        indices = indices.astype(
+            narrowest_int(self.constellation.order - 1)).reshape(
+                frame_shape + (num_streams,))
         return FrameDecodeResult(
             found=np.ones((num_symbols, num_subcarriers), dtype=bool),
             symbol_indices=indices.transpose(1, 0, 2),

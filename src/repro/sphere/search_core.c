@@ -5,10 +5,12 @@
  * -shared -fPIC -ffp-contract=off -- never -ffast-math or -march=native)
  * and loaded through ctypes.  One entry point, repro_search_run, takes
  * searches in *any* lockstep state -- fresh from admission or half run --
- * and runs each to exhaustion or its node budget, in place on the numpy
- * kernel's own frontier arrays (repro/sphere/batch_search.py) and the
- * pool's lane arrays (repro/runtime/engine.py): what it leaves behind is
- * what the numpy tick would have left after the same iterations.
+ * and gives each an allowance of candidate attempts, in place on the
+ * numpy kernel's own frontier arrays (repro/sphere/batch_search.py) and
+ * the pool's lane arrays (repro/runtime/engine.py): what it leaves behind
+ * is what the numpy tick would have left after the same iterations.  One
+ * loop, three uses: an allowance of 1 is the lockstep step itself, an
+ * unlimited one the straggler drain and the run-to-completion mode.
  *
  * Policies are fields of search_t, not copies of the loop:
  *   - frontier: `zigzag` (Geosphere; column form, at most one queued
@@ -321,18 +323,22 @@ static void bank_list_leaf(const search_t *s, int64_t si, double distance)
         s->radius[si] = worst_of(list_d, size);
 }
 
-/* Run search `si` (kernel lane `ki`, channel row `ci`) from whatever
- * state it is in to exhaustion or `cap` visited nodes.  Each iteration
- * is one numpy tick's worth of work for the search: one candidate
- * attempt.  -1 if the Shabany queue bound was violated. */
+/* Run search `si` (kernel lane `ki`, channel row `ci`) on from whatever
+ * state it is in, for at most `attempts` iterations.  Each iteration is
+ * one numpy tick's worth of work for the search: one candidate attempt.
+ * 1 once the search is finished -- its tree exhausted (a root pop) or
+ * `cap` nodes visited -- 0 if the allowance ran out first, -1 if the
+ * Shabany queue bound was violated. */
 static int run_one(const search_t *s, int64_t si, int64_t ki, int64_t ci,
-                   int64_t cap)
+                   int64_t cap, int64_t attempts)
 {
     const int64_t n = s->num_streams;
     int64_t *ped = s->ped + si * s->tally_stride;
     int64_t *visited = s->visited + si * s->tally_stride;
     int64_t *prunes = s->prunes + si * s->tally_stride;
     while (*visited < cap) {
+        if (attempts-- == 0)
+            return 0;
         const int64_t lv = s->level[si];
         const double parent_d = s->parent[si * n + lv];
         const double scale = s->diag_sq[ci * n + lv];
@@ -401,7 +407,7 @@ static int run_one(const search_t *s, int64_t si, int64_t ki, int64_t ci,
         s->parent[si * n + next] = distance;
         s->level[si] = next;
     }
-    return 0;
+    return 1;
 }
 
 /* What the ctypes mirror's size is checked against at load. */
@@ -410,15 +416,21 @@ int64_t repro_search_size(void)
     return (int64_t)sizeof(search_t);
 }
 
-/* Run the `count` listed searches (state rows idx, kernel lanes kidx,
- * channel rows chan, absolute node budgets caps) to completion.
+/* Give each of the `count` listed searches (state rows idx, kernel
+ * lanes kidx, channel rows chan, absolute node budgets caps) up to
+ * `attempts` candidate attempts -- 1 is one lockstep tick, INT64_MAX
+ * runs them to completion -- and flag the finished ones in `done`.
  * Returns 0, or -1 if a frontier queue overflowed. */
 int repro_search_run(const search_t *s, int64_t count, const int64_t *idx,
                      const int64_t *kidx, const int64_t *chan,
-                     const int64_t *caps)
+                     const int64_t *caps, int64_t attempts, uint8_t *done)
 {
-    for (int64_t e = 0; e < count; e++)
-        if (run_one(s, idx[e], kidx[e], chan[e], caps[e]))
+    for (int64_t e = 0; e < count; e++) {
+        const int finished = run_one(s, idx[e], kidx[e], chan[e], caps[e],
+                                     attempts);
+        if (finished < 0)
             return -1;
+        done[e] = (uint8_t)finished;
+    }
     return 0;
 }

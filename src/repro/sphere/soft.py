@@ -331,7 +331,7 @@ class ListSphereDecoder:
         max-heap, and once the heap is full the sphere shrinks to its
         worst member instead of the single best leaf.  It is the
         reference program the engine's list policy and the compiled
-        core's (:func:`repro.sphere.tick_kernel.run_soft_to_completion`,
+        core's (:func:`repro.sphere.tick_kernel.run_soft`,
         which also finishes the engine's stragglers) are pinned to
         bit-for-bit.
         """

@@ -1,38 +1,43 @@
 """The compiled search core: strategy resolution, build, load, run.
 
-The lockstep engine (:mod:`repro.runtime.engine`, stepping the kernels
-of :mod:`repro.sphere.batch_search`) advances every active search one
-tree-node step per *tick*, with each per-tick quantity a numpy array op.
-That keeps the float program bit-identical to the scalar search, but
-pays Python-level orchestration — tens of numpy calls — per tick, however
-few searches are still active.  ``search_core.c`` next to this module is
-the same per-search state machine in C, and
-:func:`run_hard_to_completion` / :func:`run_soft_to_completion` run it:
-each listed search goes **to completion** (or its node budget) in one
-native call, *in place* on the numpy kernel's own frontier arrays and
-the pool's lane arrays, from whatever lockstep state it is in.  Two
-callers: a numpy pool hands over its last few stragglers (the drain of
-:mod:`repro.runtime.engine`), and a ``tick_strategy="compiled"`` pool
-hands over every search right after admission.
+The lockstep engine (:mod:`repro.runtime.engine`, on the kernels of
+:mod:`repro.sphere.batch_search`) advances every active search one
+tree-node step per *tick*.  Written as numpy array ops that keeps the
+float program bit-identical to the scalar search, but pays Python-level
+orchestration — tens of numpy calls — per tick, however few searches
+are still active.  ``search_core.c`` next to this module is the same
+per-search state machine in C, and :func:`run_hard` / :func:`run_soft`
+run it: each listed search gets an allowance of candidate attempts in
+one native call, *in place* on the numpy kernel's own frontier arrays
+and the pool's lane arrays, from whatever lockstep state it is in, and
+comes back flagged if it finished.  Three uses of that one loop, all in
+:mod:`repro.runtime.engine`: an allowance of one is a pool's **lockstep
+step** (the default wherever the core built — same ticks, same
+admission and QoS points, a different executor); an unlimited one
+finishes a pool's last few stragglers (the drain); and a
+``tick_strategy="compiled"`` pool takes the unlimited one every tick,
+right after admission.
 
-Why run-to-completion is the same program
------------------------------------------
+Why any allowance is the same program
+-------------------------------------
 Each search is an independent state machine; the lockstep tick is only
 an interleaving.  One numpy tick gives every active search exactly one
 candidate attempt (a ``next_candidate`` step — got or stack pop), so per
 search the numpy engine executes the scalar loop's iterations in order,
 just interleaved with other searches'.  The core executes the *same*
-iterations back to back: the node budget is re-checked before every
-attempt (the scalar loop's check, which the numpy engine hoists to the
-tick boundary — same boundary, since one tick is one iteration), radius
-and enumerator state are private to the search, and every float op is
-the one numpy performs (the list heads ``search_core.c``: reciprocal
-multiply for complex-by-real division, the FMA-contracted or plain
-complex product as the :data:`NUMPY_FMA` probe selects, uncontracted
-``parent + scale * dist_sq``, ``rint`` slicing).  Results, LLRs and
-``ComplexityCounters`` are therefore bit-identical from any hand-off
-point — ``tests/test_tail.py`` hands over at every depth of a search,
-``tests/test_tick_kernel.py`` from the root.
+iterations, one per call or back to back: the node budget is re-checked
+before every attempt (the scalar loop's check, which the numpy engine
+hoists to the tick boundary — same boundary, since one tick is one
+iteration), radius and enumerator state are private to the search, and
+every float op is the one numpy performs (the list heads
+``search_core.c``: reciprocal multiply for complex-by-real division, the
+FMA-contracted or plain complex product as the :data:`NUMPY_FMA` probe
+selects, uncontracted ``parent + scale * dist_sq``, ``rint`` slicing).
+Results, LLRs and ``ComplexityCounters`` are therefore bit-identical
+from any hand-off point, and so is every array in between —
+``tests/test_tail.py`` switches executors at every depth of a search and
+compares their arrays after every tick, ``tests/test_tick_kernel.py``
+runs from the root.
 
 Build, cache and fallback
 -------------------------
@@ -47,8 +52,8 @@ it.  Only the ``zigzag`` and ``shabany`` enumerators have a core (they
 are Geosphere's and the hot ones); ``hess`` / ``exhaustive`` requests
 resolve to the numpy tick.  Without a compiler (or after a failed build)
 there is one ``RuntimeWarning``: ``"compiled"`` resolves to ``"numpy"``
-and numpy pools keep every search in lockstep to the end — only speed
-changes, never results.
+and every pool steps through the numpy kernels, in lockstep to the end —
+only speed changes, never results.
 """
 
 from __future__ import annotations
@@ -61,6 +66,7 @@ import subprocess
 import tempfile
 import warnings
 from fractions import Fraction
+from operator import is_
 from pathlib import Path
 
 import numpy as np
@@ -76,8 +82,8 @@ __all__ = [
     "core",
     "default_tick_strategy",
     "resolve_tick_strategy",
-    "run_hard_to_completion",
-    "run_soft_to_completion",
+    "run_hard",
+    "run_soft",
 ]
 
 #: The compiled executor is the C core, never Numba; the name stays
@@ -246,8 +252,8 @@ def _build():
     if loaded.repro_search_size() != ctypes.sizeof(_Search):
         raise OSError("search_t and its ctypes mirror differ in size")
     run = loaded.repro_search_run
-    run.argtypes = [ctypes.POINTER(_Search), ctypes.c_int64] + [
-        ctypes.c_void_p] * 4
+    run.argtypes = [ctypes.POINTER(_Search), ctypes.c_int64,
+                    *[ctypes.c_void_p] * 4, ctypes.c_int64, ctypes.c_void_p]
     run.restype = ctypes.c_int
     return run
 
@@ -268,8 +274,8 @@ def core():
             _core = False
             warnings.warn(
                 f"the compiled search core is unavailable ({error}); "
-                "tick_strategy='compiled' falls back to the numpy tick and "
-                "numpy pools keep their stragglers in lockstep",
+                "tick_strategy='compiled' falls back to 'numpy' and every "
+                "pool runs the numpy step, in lockstep to the end",
                 RuntimeWarning, stacklevel=2)
     return _core or None
 
@@ -308,77 +314,102 @@ def _marshal(kernel, arrays: dict, list_size: int):
         use_fma=NUMPY_FMA,
         axis_scale=float(levels[1] - levels[0]) / 2.0 if side > 1 else 1.0,
         **fields)
-    return search, np.array([[extent["state"]],
-                             [extent["slot"] // num_streams],
-                             [extent["channel"]]])
+    return search, (extent["state"], extent["slot"] // num_streams,
+                    extent["channel"])
 
 
-def _run(kernel, idx, kidx, chan, caps, tallies, list_size, **arrays) -> None:
+#: An attempt allowance no search outlasts: run to completion.
+_TO_COMPLETION = np.iinfo(np.int64).max
+
+
+def _address(vector, count: int, limit: int | None = None) -> int:
+    """Address of a per-search vector, checked for all the core assumes
+    of it: ``count`` contiguous int64 entries — ids in ``[0, limit)``."""
+    require(vector.dtype == np.int64 and vector.flags.c_contiguous
+            and vector.shape == (count,),
+            "search core needs ids and budgets as C-contiguous int64 "
+            "vectors of one length")
+    require(limit is None or count == 0
+            or (vector.min() >= 0 and vector.max() < limit),
+            "search ids outside the arrays handed to the search core")
+    return vector.ctypes.data
+
+
+def _run(kernel, idx, kidx, chan, caps, attempts, tallies, list_size,
+         **arrays) -> np.ndarray:
     """Run the listed searches on ``kernel``'s tables and frontier plus
-    the caller's state ``arrays``.
+    the caller's state ``arrays``; returns the finished-search mask.
 
-    Taking ~40 array addresses costs more than a small hand-off's
-    searches, and a pool passes the same arrays tick after tick (until
-    it grows), so the marshalled ``search_t`` is kept on the kernel
-    together with the arrays it points into and reused while every
-    operand is still the same object.
+    One call per pool per tick, so whatever can be checked once is:
+    taking ~40 array addresses costs more than a tick's searches and a
+    pool passes the same arrays tick after tick (until it grows), so the
+    marshalled ``search_t`` is kept on the kernel together with the
+    arrays it points into and reused while every operand is still the
+    same object; and an id vector passed in all three roles (the pools
+    pass their lane ids) is bounds-checked once, against the tightest.
     """
     run = core()
     require(run is not None, "the compiled search core is unavailable")
-    arrays.update(kernel.frontier_arrays())
-    arrays.update(zip(_TALLIES, tallies), levels=kernel.levels,
-                  zigzag=zigzag_order_table(kernel.side),
-                  axis_int=kernel.axis_int, axis_res=kernel.axis_res)
-    if kernel.table is not None:
-        arrays["prune"] = kernel.table
-    operands = tuple(arrays.values())
+    frontier = kernel.frontier_arrays()
+    operands = (kernel.axis_int, kernel.axis_res, kernel.table,
+                *frontier.values(), *tallies, *arrays.values())
     held, search, limits = getattr(kernel, "_marshalled", ((), None, None))
-    if len(held) != len(operands) or any(
-            was is not now for was, now in zip(held, operands)):
+    if len(held) != len(operands) or not all(map(is_, held, operands)):
+        arrays.update(frontier, levels=kernel.levels,
+                      zigzag=zigzag_order_table(kernel.side),
+                      axis_int=kernel.axis_int, axis_res=kernel.axis_res)
+        arrays.update(zip(_TALLIES, tallies))
+        if kernel.table is not None:
+            arrays["prune"] = kernel.table
         search, limits = _marshal(kernel, arrays, list_size)
         kernel._marshalled = operands, search, limits
-    ids = np.stack([idx, kidx, chan, caps]).astype(np.int64, copy=False)
-    count = ids.shape[1]
-    require(count == 0 or (ids.min() >= 0 and (ids[:3] < limits).all()),
-            "search ids outside the arrays handed to the search core")
-    rows = [ids.ctypes.data + row * ids.strides[0] for row in range(4)]
-    if run(search, count, *rows):
+    count = idx.size
+    if kidx is idx and chan is idx:
+        ids = (_address(idx, count, min(limits)),) * 3
+    else:
+        ids = map(_address, (idx, kidx, chan), (count,) * 3, limits)
+    done = np.empty(count, dtype=np.bool_)
+    if run(search, count, *ids, _address(caps, count),
+           _TO_COMPLETION if attempts is None else attempts,
+           done.ctypes.data):
         raise RuntimeError("frontier queue capacity exceeded; "
                            "the enumeration invariant was violated")
+    return done
 
 
-def run_hard_to_completion(kernel, idx, kidx, chan, caps, r, y, diag,
-                           diag_sq, level, radius, parent_flat, path_cols,
-                           path_rows, chosen, best_cols, best_rows,
-                           best_dist, tallies) -> None:
-    """Finish the listed hard searches in one native call.
+def run_hard(kernel, idx, kidx, chan, caps, r, y, diag, diag_sq, level,
+             radius, parent_flat, path_cols, path_rows, chosen, best_cols,
+             best_rows, best_dist, tallies, attempts=None) -> np.ndarray:
+    """Advance the listed hard searches in one native call.
 
     ``kernel`` is a zigzag/Shabany kernel holding the listed searches'
-    frontier in whatever lockstep state the numpy tick (or admission)
+    frontier in whatever lockstep state the last tick (or admission)
     left it; ``idx`` / ``kidx`` / ``chan`` map each search to its state
     row, kernel lane and channel-stack row (the pools pass their lane
-    ids for all three), ``caps`` are absolute node budgets.  On return
-    every listed search has exhausted its tree or hit its cap, and its
-    best leaf, tallies, path state and kernel rows are what the numpy
-    tick would have left.
+    ids for all three), ``caps`` are absolute node budgets.  Each search
+    gets ``attempts`` candidate attempts — 1 is its share of a lockstep
+    tick, ``None`` runs it to completion.  On return its best leaf,
+    tallies, path state and kernel rows are what that many numpy ticks
+    would have left, and the returned mask flags the searches that
+    finished: tree exhausted or cap reached.
     """
-    _run(kernel, idx, kidx, chan, caps, tallies, 0, r=r, y=y, diag=diag,
-         diag_sq=diag_sq, level=level, radius=radius, parent=parent_flat,
-         path_cols=path_cols, path_rows=path_rows, chosen=chosen,
-         best_cols=best_cols, best_rows=best_rows, best_dist=best_dist)
+    return _run(kernel, idx, kidx, chan, caps, attempts, tallies, 0, r=r,
+                y=y, diag=diag, diag_sq=diag_sq, level=level, radius=radius,
+                parent=parent_flat, path_cols=path_cols,
+                path_rows=path_rows, chosen=chosen, best_cols=best_cols,
+                best_rows=best_rows, best_dist=best_dist)
 
 
-def run_soft_to_completion(kernel, idx, kidx, chan, caps, r, y, diag,
-                           diag_sq, level, radius, parent_flat, path_cols,
-                           path_rows, chosen, list_d, list_seq, list_cols,
-                           list_rows, list_n, leaf_seq, list_size,
-                           tallies) -> None:
-    """Finish the listed list (soft) searches in one native call: the
-    twin of :func:`run_hard_to_completion` with the bounded best-leaf
-    list arrays in place of the single best leaf."""
-    _run(kernel, idx, kidx, chan, caps, tallies, list_size, r=r, y=y,
-         diag=diag, diag_sq=diag_sq, level=level, radius=radius,
-         parent=parent_flat, path_cols=path_cols, path_rows=path_rows,
-         chosen=chosen, list_d=list_d, list_seq=list_seq,
-         list_cols=list_cols, list_rows=list_rows, list_n=list_n,
-         leaf_seq=leaf_seq)
+def run_soft(kernel, idx, kidx, chan, caps, r, y, diag, diag_sq, level,
+             radius, parent_flat, path_cols, path_rows, chosen, list_d,
+             list_seq, list_cols, list_rows, list_n, leaf_seq, list_size,
+             tallies, attempts=None) -> np.ndarray:
+    """Advance the listed list (soft) searches in one native call: the
+    twin of :func:`run_hard` with the bounded best-leaf list arrays in
+    place of the single best leaf."""
+    return _run(kernel, idx, kidx, chan, caps, attempts, tallies, list_size,
+                r=r, y=y, diag=diag, diag_sq=diag_sq, level=level,
+                radius=radius, parent=parent_flat, path_cols=path_cols,
+                path_rows=path_rows, chosen=chosen, list_d=list_d,
+                list_seq=list_seq, list_cols=list_cols, list_rows=list_rows,
+                list_n=list_n, leaf_seq=leaf_seq)

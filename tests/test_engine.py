@@ -275,6 +275,23 @@ def test_engine_matches_scalar_oracle(monkeypatch, case, capacity,
             per_subcarrier, **knobs)
 
 
+@pytest.mark.filterwarnings("ignore:the compiled search core")
+@pytest.mark.parametrize("entry",
+                         ["decode_batch", "decode_frame", "runtime"])
+@pytest.mark.parametrize("drain_threshold", [0, 3, None])
+@pytest.mark.parametrize("capacity", [1, 3, 8, None])
+@pytest.mark.parametrize("case", CASES, ids=_case_id)
+def test_numpy_step_matches_scalar_oracle(no_compiler, monkeypatch, case,
+                                          capacity, drain_threshold, entry):
+    """The same sweep with the core hidden.  Where a compiler exists the
+    sweep above executes every ``zigzag`` / ``shabany`` step in the core,
+    so this is what keeps the numpy ``_step`` and the numpy kernels — the
+    compiler-less fallback — pinned to the oracle."""
+    test_engine_matches_scalar_oracle(monkeypatch, case, capacity,
+                                      drain_threshold, entry)
+    assert tick_kernel.core() is None
+
+
 @pytest.mark.parametrize("shape", [(1, 0), (0, 3), (1, 1), (1, 2), (2, 1),
                                    (1, 4), (2, 2), (4, 1)],
                          ids=lambda shape: f"S{shape[0]}xT{shape[1]}")
@@ -304,6 +321,41 @@ def test_tiny_and_empty_frames_match_scalar_oracle(kind, enumerator, shape):
                 per_subcarrier)
 
 
+@pytest.mark.parametrize("order, dtype", [(4, np.int8), (16, np.int8),
+                                          (64, np.int8), (256, np.int16)])
+def test_frame_results_hold_integers_in_the_narrowest_dtype(order, dtype):
+    """Resolved frames are what a streaming caller stacks up, so indices
+    and list sizes leave the engine as the narrowest signed integers
+    that hold them (and the ``-1`` not-found mark) — same values as the
+    scalar oracle's, whatever the width; empty frames agree."""
+    constellation, channels, received = _frame_instance(order, 2, 2, 2, 2,
+                                                        seed=order)
+    hard = SphereDecoder(constellation)
+    got = hard.decode_frame(channels, received)
+    assert got.symbol_indices.dtype == dtype
+    assert_frames_identical(got, scalar_oracle(hard, channels, received)[0])
+    # A radius that excludes every leaf: the not-found mark survives.
+    shut = SphereDecoder(constellation, initial_radius_sq=1e-12)
+    got = shut.decode_frame(channels, received)
+    assert got.symbol_indices.dtype == dtype and not got.found.any()
+    assert (got.symbol_indices == -1).all()
+    assert_frames_identical(got, scalar_oracle(shut, channels, received)[0])
+    for list_size, sizes_dtype in [(4, np.int8), (130, np.int16)]:
+        soft = ListSphereDecoder(constellation, list_size=list_size,
+                                 node_budget=400)
+        got = soft.decode_frame(channels, received, NOISE_VARIANCE)
+        assert got.symbol_indices.dtype == dtype
+        assert got.list_sizes.dtype == sizes_dtype
+        assert_frames_identical(got, scalar_oracle(
+            soft, channels, received, NOISE_VARIANCE)[0])
+        empty = soft.decode_frame(channels[:0], received[:, :0],
+                                  NOISE_VARIANCE)
+        assert empty.symbol_indices.dtype == dtype
+        assert empty.list_sizes.dtype == sizes_dtype
+    assert hard.decode_frame(channels[:0],
+                             received[:, :0]).symbol_indices.dtype == dtype
+
+
 # ----------------------------------------------------------------------
 # Scheduling properties, read off a ticking frontier
 # ----------------------------------------------------------------------
@@ -314,13 +366,14 @@ def _drain_sizes(pool):
     """Record how many searches each hand-off of ``pool`` to the
     compiled core takes."""
     sizes = []
-    drain = pool._run_to_completion
+    run = pool._run_in_core
 
-    def recording(completed):
-        sizes.append(pool.active.size)
-        drain(completed)
+    def recording(completed, attempts):
+        if attempts is None:                 # a run-out, not a step
+            sizes.append(pool.active.size)
+        run(completed, attempts)
 
-    pool._run_to_completion = recording
+    pool._run_in_core = recording
     return sizes
 
 
@@ -340,6 +393,7 @@ def _fifo_refills(frames):
     return job, refills
 
 
+@needs_core
 @pytest.mark.parametrize("drain_threshold", [0, 4])
 def test_tail_takes_at_most_the_drain_threshold(drain_threshold):
     """The hand-off fires once, with 1..threshold survivors; at 0 every
@@ -358,6 +412,7 @@ def test_tail_takes_at_most_the_drain_threshold(drain_threshold):
         assert drains == []
 
 
+@needs_core
 def test_default_drain_threshold_is_capped():
     """The hand-off point is ``capacity // 6`` up to the absolute cap,
     whatever the frame size; tail-less kernels never hand off."""

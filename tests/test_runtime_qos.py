@@ -31,6 +31,7 @@ from repro.runtime import (
 )
 from repro.sphere import ComplexityCounters, ListSphereDecoder, SphereDecoder
 
+from test_engine import needs_core
 from test_runtime import (
     _assert_identical,
     _coded_config,
@@ -286,6 +287,64 @@ def test_deadline_policy_under_the_compiled_tick(check):
     deadline still gets the racing tick and then expires with its
     queued searches — the same outcomes the lockstep tick gives."""
     check(tick_strategy="compiled")
+
+
+@needs_core
+@pytest.mark.parametrize("soft", [False, True])
+def test_mid_flight_degrade_and_evict_under_the_core_step(soft):
+    """The lockstep tick is the QoS quantum whichever executor steps it.
+    A frame degraded fifteen ticks into its searches stops at the shrunk
+    cap — a search already past it keeps what it has banked, one short
+    of it runs on to it — with the result and the tallies the numpy
+    step gives, and a frame evicted mid-search frees its lanes at once."""
+    from repro.runtime.engine import StreamingFrontier
+
+    rng = np.random.default_rng(41)
+    decoder = (ListSphereDecoder(qam(16), list_size=4) if soft
+               else SphereDecoder(qam(16)))
+    frames = [_make_frame(decoder, 4, 3, 8.0, rng, soft=soft)
+              for _ in range(2)]
+    ticks = 15
+
+    def run(executor):
+        engine = StreamingFrontier(capacity=24, drain_threshold=0,
+                                   tick_strategy="numpy")
+        degraded, evicted = (FrameJob(frame_id, frame)
+                             for frame_id, frame in enumerate(frames))
+        engine.submit(degraded)
+        engine.submit(evicted)
+        pool = degraded.pool
+        pool.has_core = executor == "core"
+        for _ in range(ticks):
+            assert engine.tick() == []               # both mid-search
+        in_use = engine.in_use
+        dropped = engine.remove(evicted)
+        assert dropped > 0 and engine.in_use == in_use - dropped
+        # Visited nodes per search of the surviving frame, right now (a
+        # search that already finished has at most one per tick).
+        seen = np.full(degraded.num_problems, ticks)
+        seen[pool.elem_of[pool.active]] = pool.visited[pool.active]
+        budget = int(np.median(seen))
+        degraded.degraded_budget = budget
+        engine.degrade(degraded, budget)
+        completed = []
+        while not engine.idle:
+            completed += engine.tick()
+        assert completed == [degraded] and engine.in_use == 0
+        return degraded, seen, budget
+
+    (by_core, seen, budget), (by_numpy, seen_numpy, _) = (run("core"),
+                                                          run("numpy"))
+    assert np.array_equal(seen, seen_numpy)
+    assert (seen < budget).any() and (seen > budget).any()
+    assert (by_core.visited <= np.maximum(seen, budget)).all()
+    assert (by_core.visited == budget).any()
+    for tally in ("ped", "visited", "expanded", "leaves", "prunes"):
+        assert np.array_equal(getattr(by_core, tally),
+                              getattr(by_numpy, tally))
+    _assert_identical(by_core.finalise(), by_numpy.finalise(), soft)
+    assert (by_core.finalise().counters.visited_nodes
+            < _reference(frames[0]).counters.visited_nodes)
 
 
 def test_cancel_and_reprioritise_lifecycle():

@@ -1,10 +1,12 @@
-"""The straggler tail — the compiled search core resuming half-run
-searches — against the scalar oracle.
+"""The compiled search core resuming half-run searches — as the
+straggler tail and as the lockstep step — against the scalar oracle.
 
-The lockstep frontier hands its last few searches to the compiled core
-(``repro/sphere/search_core.c`` behind :mod:`repro.sphere.tick_kernel`),
-which resumes each in place from the numpy kernel's own arrays.  The
-scalar decoders (:meth:`SphereDecoder.decode_triangular`,
+The compiled core (``repro/sphere/search_core.c`` behind
+:mod:`repro.sphere.tick_kernel`) works in place on the numpy kernel's own
+arrays, from whatever lockstep state a search is in: one candidate
+attempt per lane per tick is the lockstep step, an unlimited allowance
+the drain of the frontier's last few searches.  The scalar decoders
+(:meth:`SphereDecoder.decode_triangular`,
 :meth:`ListSphereDecoder.decode_soft_triangular`) are the oracle; the
 contract is bit-identity — decisions, distances, LLRs and all five
 ``ComplexityCounters`` — and these tests pin it two ways:
@@ -13,17 +15,21 @@ contract is bit-identity — decisions, distances, LLRs and all five
   core runs the whole search (a hypothesis property over enumerator
   rule, pruning, initial radius, node budget, list size, constellation
   and geometry; list size 1 is the hard best-leaf policy);
-* **from every depth** — ``k`` lockstep ticks, then the hand-off, for
-  every ``k`` from 0 to the search's length, so a wrong reading of the
+* **from every depth** — ``k`` lockstep ticks, then the rest, for every
+  ``k`` from 0 to the search's length, prefix and remainder each run by
+  the core or by the numpy ``_step`` (four cells), and the two executors
+  compared array for array after every tick — so a wrong reading of the
   pending successors, the column queue or the Shabany seen grid cannot
-  hide behind a lucky threshold.
+  hide behind a lucky threshold or cancel out by completion.
 
 Float programs: the core spells the installed numpy's complex-multiply
 program out (FMA-contracted or not — ``tick_kernel.NUMPY_FMA`` picks);
 nothing here branches on that flag: the suite must pass whichever it
-reports.  Without a C compiler there is no hand-off (pools stay in
-lockstep), so the tests that assert one happened skip.
+reports.  Without a C compiler there is no core (pools run the numpy
+step to the end), so the whole module skips.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -171,27 +177,74 @@ def _frame(decoder, order, num_subcarriers, num_symbols, rng):
                         decoder=decoder, noise_variance=noise_variance)
 
 
-def _decode_with_handoff(request, lockstep_ticks, degrade_to=None):
-    """Run ``lockstep_ticks`` numpy ticks, then hand every survivor to
-    the core (``None``: never — pure lockstep).  Returns the frame
-    result and the number of ticks the run took."""
+def _submitted(request, executor):
+    """The request's job on a frontier as wide as the frame, its pool
+    stepping in lockstep to the end through ``executor``: ``"core"`` (one
+    candidate attempt per lane per tick in the compiled core) or
+    ``"numpy"`` (the array ``_step``, the compiler-less fallback)."""
     job = FrameJob(0, request)
     engine = StreamingFrontier(capacity=job.num_problems, drain_threshold=0,
                                tick_strategy="numpy")
     engine.submit(job)
+    job.pool.has_core = executor == "core"
+    return job, engine
+
+
+def _decode_with_handoff(request, lockstep_ticks, degrade_to=None, *,
+                         prefix="numpy", remainder="core"):
+    """Run ``lockstep_ticks`` ticks through the ``prefix`` executor, then
+    the ``remainder``: ``"core"`` hands every survivor to the core's
+    run-out (one tick), ``"numpy"`` keeps stepping the arrays to the end;
+    ``lockstep_ticks=None`` never switches.  Returns the frame result
+    and the number of ticks the run took."""
+    job, engine = _submitted(request, prefix)
     ticks = 0
     while not engine.idle:
         if ticks == lockstep_ticks:
             if degrade_to is not None:
                 job.degraded_budget = degrade_to
                 job.pool.degrade(job, degrade_to)
-            job.pool.drain_threshold = job.num_problems
-            engine.tick()
-            assert engine.idle               # one tick drains them all
-            return job.finalise(), ticks + 1
+            job.pool.has_core = remainder == "core"
+            if remainder == "core":
+                job.pool.drain_threshold = job.num_problems
+                engine.tick()
+                assert engine.idle           # one tick drains them all
+                return job.finalise(), ticks + 1
         engine.tick()
         ticks += 1
     return job.finalise(), ticks
+
+
+def _lockstep_state(pool):
+    """Every array a tick leaves behind: the search path, the tallies,
+    the leaf bank and the kernel's axis tables and frontier."""
+    kernel = pool.kernel
+    return dict(level=pool.level, radius=pool.radius, parent=pool.parent,
+                path_cols=pool.path_cols, path_rows=pool.path_rows,
+                chosen=pool.chosen, tally=pool.tally,
+                bank=np.concatenate([leaf.reshape(leaf.shape[0], -1)
+                                     for leaf in pool._results()[1:]], axis=1),
+                axis_int=kernel.axis_int, axis_res=kernel.axis_res,
+                **kernel.frontier_arrays())
+
+
+def _assert_executors_leave_the_same_arrays(request):
+    """Tick the frame side by side through both executors: after every
+    tick the core must have left exactly what the numpy tick left.  (A
+    search that reaches its node cap retires at the end of that tick in
+    the core and at the top of the next under numpy, so the numpy side
+    may take one tick more — over state that no longer changes.)"""
+    (_, by_numpy), (_, by_core) = (_submitted(request, executor)
+                                   for executor in ("numpy", "core"))
+    while not by_numpy.idle:
+        by_numpy.tick()
+        by_core.tick()
+        left, = by_numpy._pools.values()
+        got, = by_core._pools.values()
+        want = _lockstep_state(left)
+        for name, array in _lockstep_state(got).items():
+            assert np.array_equal(array, want[name]), name
+    assert by_core.idle
 
 
 def _oracle(decoder, request):
@@ -207,21 +260,34 @@ def _oracle(decoder, request):
 @pytest.mark.parametrize("enumerator", ["zigzag", "shabany"])
 def test_handoff_at_every_depth_equals_the_scalar_oracle(enumerator,
                                                          pruning, kind):
-    """A lone search handed over after k ticks, for every k of its life,
-    then a small frame whose searches sit at different depths."""
+    """A lone search cut after k ticks, for every k of its life — with
+    and without a node budget — then a small frame whose searches sit at
+    different depths.  Either executor may run the prefix and either the
+    remainder: all four equal the oracle, and at every cut the two
+    executors have left the same arrays."""
     decoder = _decoder(kind, 16, enumerator, pruning)
+    capped = _decoder(kind, 16, enumerator, pruning, node_budget=11)
     rng = np.random.default_rng([len(enumerator), pruning, kind == "soft"])
-    for num_subcarriers, num_symbols in [(1, 1), (1, 1), (2, 3)]:
+    for num_subcarriers, num_symbols, budgeted in [(1, 1, False),
+                                                   (1, 1, True),
+                                                   (2, 3, False)]:
         for _ in range(50):              # a search worth dissecting
             request = _frame(decoder, 16, num_subcarriers, num_symbols, rng)
             lockstep, length = _decode_with_handoff(request, None)
             if 20 <= length <= 90:
                 break
-        want = _oracle(decoder, request)
+        if budgeted:
+            request = replace(request, decoder=capped)
+            lockstep, length = _decode_with_handoff(request, None)
+        want = _oracle(request.decoder, request)
         assert_frames_identical(lockstep, want)
+        _assert_executors_leave_the_same_arrays(request)
         for k in range(length):
-            got, _ = _decode_with_handoff(request, k)
-            assert_frames_identical(got, want)
+            for prefix in ("numpy", "core"):
+                for remainder in ("core", "numpy"):
+                    got, _ = _decode_with_handoff(request, k, prefix=prefix,
+                                                  remainder=remainder)
+                    assert_frames_identical(got, want)
 
 
 def test_handoff_sweep_on_a_dense_constellation():
@@ -230,10 +296,12 @@ def test_handoff_sweep_on_a_dense_constellation():
     rng = np.random.default_rng(64)
     request = _frame(decoder, 64, 1, 2, rng)
     want = _oracle(decoder, request)
+    _assert_executors_leave_the_same_arrays(request)
     _, length = _decode_with_handoff(request, None)
     for k in range(0, length, 3):
-        got, _ = _decode_with_handoff(request, k)
-        assert_frames_identical(got, want)
+        for prefix in ("numpy", "core"):
+            got, _ = _decode_with_handoff(request, k, prefix=prefix)
+            assert_frames_identical(got, want)
 
 
 # ----------------------------------------------------------------------

@@ -202,7 +202,7 @@ def test_core_refuses_what_it_cannot_address():
                      best_rows=pool.best_rows, best_dist=pool.best_dist,
                      tallies=pool.tallies)
         state.update(swap)
-        tick_kernel.run_hard_to_completion(
+        tick_kernel.run_hard(
             pool.kernel, ids, ids, ids, np.zeros_like(ids), **state)
 
     run(pool.active)                       # zero budgets: a no-op
@@ -213,15 +213,6 @@ def test_core_refuses_what_it_cannot_address():
         run(pool.active, radius=pool.radius.astype(np.float32))
     with pytest.raises(ValueError, match="chosen .* one row per state"):
         run(pool.active, chosen=pool.chosen[:-1].copy())
-
-
-@pytest.fixture
-def no_compiler(monkeypatch):
-    def missing():
-        raise OSError("no C compiler ('cc') on PATH")
-
-    monkeypatch.setattr(tick_kernel, "_core", None)
-    monkeypatch.setattr(tick_kernel, "_compiler", missing)
 
 
 def test_missing_compiler_warns_once_and_falls_back(no_compiler):
