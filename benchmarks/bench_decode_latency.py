@@ -252,21 +252,20 @@ def test_frame_vs_per_subcarrier_speedup(benchmark, best_of,
 
     Both are bit-identical (asserted below, counters included); the
     frame's win is pure scheduling — one stacked QR sweep, one lane
-    pool, one hand-off per frame instead of 64.  Both sides run
-    ``tick_strategy="compiled"`` so that they run the same executor:
-    a 16-row batch sits under the straggler hand-off point, so under the
-    default strategy the per-subcarrier side is all compiled core
-    (74 -> 28 ms when ISSUE 21 put the tail in C) while the frame side
-    is numpy lockstep until its last 32 searches (14.5 -> 12.8 ms), and
-    the ratio (5.0x -> 2.1x) would compare executors, not schedules.
-    Like for like it reads ~12x (28 vs 2.2 ms); without a C compiler
-    both sides fall back to numpy lockstep.  The assertion floor stays
-    the conservative 2x so noisy CI runners cannot flake the suite;
-    ``speedup`` in extra_info carries the real number.
+    pool, one hand-off per frame instead of 64.  Both sides run the one
+    schedule on the same executor: the lockstep step in the compiled
+    core, and the core's drain once at most 32 searches remain — which
+    a 16-row batch is from its first tick, so each per-subcarrier call
+    is one admission and one drain, while the frame steps 1 024
+    searches in lockstep before its drain.  Measured ~6x (24-25 vs
+    3.9-4.0 ms); without a C compiler both sides step through the numpy
+    kernels to the end.  The assertion floor stays the conservative 2x
+    so noisy CI runners cannot flake the suite; ``speedup`` in
+    extra_info carries the real number.
     """
     channels, received = _fixed_frame(16, 4, 4, SUBCARRIERS, OFDM_SYMBOLS,
                                       snr_db=21.0)
-    decoder = SphereDecoder(qam(16), tick_strategy="compiled")
+    decoder = SphereDecoder(qam(16))
 
     def per_subcarrier():
         return [decoder.decode_block(channels[s], received[:, s, :])
@@ -296,37 +295,33 @@ def test_frame_vs_per_subcarrier_speedup(benchmark, best_of,
 
 def test_compiled_tick_vs_numpy_speedup(benchmark, best_of, speedup_floor,
                                         core_hidden):
-    """The run-to-completion compiled core
-    (``tick_strategy="compiled"``) vs the lockstep numpy ticks on a
-    whole 16-QAM 4x4 x 64-subcarrier x 16-symbol frame.
+    """The lockstep schedule stepped in the compiled core (with the
+    core's drain for the last stragglers — the default wherever it
+    built) vs the same schedule stepped by the numpy kernels to the
+    end, on a whole 16-QAM 4x4 x 64-subcarrier x 16-symbol frame.
 
     Both paths are bit-identical (asserted below, counters included —
     the core replays numpy's exact float programs, FMA contraction in
     the interference accumulation included).  The numpy side is taken
-    with the core hidden: since ISSUE 22 the default executes the
-    lockstep *schedule* in the core too (one candidate attempt per lane
-    per tick), which would make this a comparison of two schedules of
-    one core; that third time is recorded as ``lockstep_in_core_s``.
-    The 2x floor is gated wherever the core loaded (any box with a C
-    compiler); without one every side is the numpy ticks, so the floor
-    is skipped and only the (then ~1x) numbers are recorded.
+    with the core hidden, as on a box without a C compiler.  Measured
+    ~4.6x (17.0 vs 3.7 ms).  The 2x floor is gated wherever the core
+    loaded (any box with a C compiler); without one both sides are the
+    numpy step, so the floor is skipped and only the (then ~1x) numbers
+    are recorded.
     """
     channels, received = _fixed_frame(16, 4, 4, SUBCARRIERS, OFDM_SYMBOLS,
                                       snr_db=21.0)
-    lockstep = SphereDecoder(qam(16), tick_strategy="numpy")
-    compiled = SphereDecoder(qam(16), tick_strategy="compiled")
+    decoder = SphereDecoder(qam(16))
 
     with core_hidden():
-        reference = lockstep.decode_frame(channels, received)
-        numpy_s = best_of(lambda: lockstep.decode_frame(channels, received))
-    result = benchmark(compiled.decode_frame, channels, received)
+        reference = decoder.decode_frame(channels, received)
+        numpy_s = best_of(lambda: decoder.decode_frame(channels, received))
+    result = benchmark(decoder.decode_frame, channels, received)
     assert np.array_equal(result.symbol_indices, reference.symbol_indices)
     assert np.array_equal(result.distances_sq, reference.distances_sq)
     assert result.counters == reference.counters
 
-    compiled_s = best_of(lambda: compiled.decode_frame(channels, received))
-    benchmark.extra_info["lockstep_in_core_s"] = best_of(
-        lambda: lockstep.decode_frame(channels, received))
+    compiled_s = best_of(lambda: decoder.decode_frame(channels, received))
     benchmark.extra_info["core_loaded"] = core() is not None
     if core() is not None:
         speedup_floor(numpy_s, compiled_s, 2.0,

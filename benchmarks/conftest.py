@@ -138,8 +138,8 @@ def core_hidden(monkeypatch):
     """``with core_hidden():`` — inside it the compiled search core looks
     unbuildable (as on a box without ``cc``, minus the warning), so pools
     built there step through the numpy kernels.  That is the "numpy"
-    side of the compiled-vs-numpy floors: by default the lockstep
-    schedule itself runs in the core wherever it loaded."""
+    side of the compiled-vs-numpy floors: everywhere else the lockstep
+    schedule runs in the core wherever it loaded."""
 
     @contextmanager
     def hidden():

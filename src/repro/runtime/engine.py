@@ -50,10 +50,11 @@ however few lanes are live.  When a pool's queue is dry and its active
 set is down to ``drain_threshold`` lanes, the same call is made with an
 unlimited allowance: one tick runs the survivors to completion, each
 under its own lane budget (so a deadline-degraded frame stops at its
-shrunk cap there too).  A ``tick_strategy="compiled"`` pool is that
-hand-off taken at once: every tick it admits a batch and runs it to
-completion.  Time in the core counts as kernel time in the tick
-telemetry (``last_tick_kernel_s``), like the numpy step.
+shrunk cap there too).  That drain is the only place the engine runs
+searches to completion; everywhere else the tick, and with it every QoS
+point, stays one candidate attempt long.  Time in the core counts as
+kernel time in the tick telemetry (``last_tick_kernel_s``), like the
+numpy step.
 
 Bit-exactness argument: kernel state is fully re-initialised at
 admission and every per-tick quantity that depends on the channel is
@@ -72,13 +73,14 @@ admission order and in-flight interleaving (``tests/test_engine.py``
 pins all three entry points to the scalar oracle; ``tests/test_runtime.py``
 adds a hypothesis sweep over submission permutations and budgets).
 
-Searches are grouped into **pools** by kernel signature (hard/soft,
-constellation, stream count, enumerator, pruning, node budget, list
-size, resolved tick mode): searches in one pool share kernel arrays and
-tick together, and the pools share the frontier's global lane budget, so
-a mixed-constellation cell workload still keeps every lane busy.  A
-homogeneous workload — the benchmark's 16-QAM 4x4 stream — is exactly
-one pool.
+Searches are grouped into **pools** by kernel signature
+(:func:`~repro.runtime.queue.search_signature`, which the detector farm
+routes by too: hard/soft, constellation, stream count, enumerator,
+pruning, node budget, list size): searches in one pool share kernel
+arrays and tick together, and the pools share the frontier's global
+lane budget, so a mixed-constellation cell workload still keeps every
+lane busy.  A homogeneous workload — the benchmark's 16-QAM 4x4 stream
+— is exactly one pool.
 
 Each pool allocates its kernel and lane arrays **on demand**: a pool
 starts at :data:`DEFAULT_INITIAL_LANES` lanes (or the global capacity if
@@ -100,13 +102,7 @@ import time
 import numpy as np
 
 from ..sphere.batch_search import _grown, make_kernel
-from ..sphere.tick_kernel import (
-    TICK_STRATEGIES,
-    core,
-    resolve_tick_strategy,
-    run_hard,
-    run_soft,
-)
+from ..sphere.tick_kernel import core, run_hard, run_soft
 from ..obs.trace import FrameTracer
 from ..utils.validation import require
 from .queue import AdmissionQueue, FrameJob, search_signature
@@ -394,8 +390,8 @@ class _PoolBase:
     for the next queued search of any frame.
     """
 
-    def __init__(self, engine: "StreamingFrontier", template: FrameJob,
-                 tick_mode: str) -> None:
+    def __init__(self, engine: "StreamingFrontier",
+                 template: FrameJob) -> None:
         decoder = template.decoder
         capacity = min(engine.capacity, engine.initial_lanes)
         num_streams = template.num_streams
@@ -414,9 +410,6 @@ class _PoolBase:
         else:
             self.drain_threshold = engine.drain_threshold
         self.queue = AdmissionQueue(fifo=engine.lane_policy == "fifo")
-        #: ``"numpy"`` or ``"compiled"``, as resolved at submission —
-        #: part of the pool's signature, so it never changes.
-        self.tick_mode = tick_mode
         self.allocated = capacity
         self.lanes = LanePool(capacity)
         self.active = _EMPTY
@@ -686,13 +679,9 @@ class _PoolBase:
         """Advance every active search one level, frame boundaries
         ignored: budget stops, refill, drain check, then the step — one
         candidate attempt per lane, in the compiled core where the pool
-        has one, else through the numpy kernels.  Under
-        ``tick_strategy="compiled"`` the drain check always fires: one
-        tick admits a batch and runs it to completion in the core
-        (bit-identical results).  Lanes never survive such a tick, so
-        admission alone decides budgets (degraded frames are capped
-        through ``lane_budget`` exactly as in lockstep mode) and
-        mid-flight QoS hooks find no active lanes."""
+        has one, else through the numpy kernels.  Once the queue is dry
+        and at most ``drain_threshold`` searches remain, the core runs
+        them to completion instead, each under its own lane budget."""
         if self.active.size:
             # Per-lane budgets: the decoder's own node budget for every
             # undegraded search (bit-exact with the scalar early break),
@@ -708,10 +697,9 @@ class _PoolBase:
         if self.active.size == 0:
             return
         if self.has_core:
-            run_out = self.tick_mode == "compiled" or (
-                not self.queue.pending
-                and self.active.size <= self.drain_threshold)
-            self._run_in_core(completed, None if run_out else 1)
+            drain = (not self.queue.pending
+                     and self.active.size <= self.drain_threshold)
+            self._run_in_core(completed, None if drain else 1)
             return
         self.engine.last_tick_lanes += self.active.size
         started = time.perf_counter()
@@ -800,8 +788,8 @@ class _PoolBase:
 class _HardPool(_PoolBase):
     """Maximum-likelihood searches under the Schnorr–Euchner radius."""
 
-    def __init__(self, engine, template, tick_mode) -> None:
-        super().__init__(engine, template, tick_mode)
+    def __init__(self, engine, template) -> None:
+        super().__init__(engine, template)
         capacity = self.allocated
         self.best_cols = np.full((capacity, self.num_streams), -1,
                                  dtype=np.int64)
@@ -854,8 +842,8 @@ class _HardPool(_PoolBase):
 class _SoftPool(_PoolBase):
     """List searches under the bounded-best-leaf radius policy."""
 
-    def __init__(self, engine, template, tick_mode) -> None:
-        super().__init__(engine, template, tick_mode)
+    def __init__(self, engine, template) -> None:
+        super().__init__(engine, template)
         capacity = self.allocated
         list_size = template.decoder.list_size
         self.list_size = list_size
@@ -944,19 +932,6 @@ class StreamingFrontier:
         :data:`DEFAULT_INITIAL_LANES`, clamped to ``capacity``); pools
         grow geometrically on demand up to the global budget.  Purely an
         allocation knob — growth is invisible to results.
-    tick_strategy:
-        ``"compiled"`` makes every pool admit a batch per tick and run
-        it to completion through the compiled search core
-        (:mod:`repro.sphere.tick_kernel`) — bit-identical results at
-        native speed; ``"numpy"`` keeps the lockstep schedule, one
-        candidate attempt per lane per tick (executed by the same core
-        where it built, by the numpy kernels otherwise).
-        ``None`` (default) defers to the submitting decoder's own
-        ``tick_strategy``, then ``REPRO_TICK_STRATEGY``.  Compiled mode
-        trades mid-flight QoS granularity for speed: a search finishes
-        within its admission tick, so ``degrade``/``evict`` only affect
-        still-queued searches (degraded budgets are still honoured at
-        admission through the per-lane budget).
     tracer:
         :class:`~repro.obs.trace.FrameTracer` shared with the owning
         session, for engine-side lifecycle events (first-lane, evict,
@@ -967,7 +942,6 @@ class StreamingFrontier:
                  drain_threshold: int | None = None,
                  lane_policy: str = "deadline",
                  initial_lanes: int | None = None,
-                 tick_strategy: str | None = None,
                  tracer: FrameTracer | None = None) -> None:
         if capacity is None:
             capacity = DEFAULT_LANE_CAPACITY
@@ -981,14 +955,10 @@ class StreamingFrontier:
         require(lane_policy in LANE_POLICIES,
                 f"unknown lane policy {lane_policy!r}; choose from "
                 f"{LANE_POLICIES}")
-        require(tick_strategy is None or tick_strategy in TICK_STRATEGIES,
-                f"unknown tick strategy {tick_strategy!r}; "
-                "choose 'compiled' or 'numpy'")
         self.capacity = capacity
         self.drain_threshold = drain_threshold
         self.lane_policy = lane_policy
         self.initial_lanes = initial_lanes
-        self.tick_strategy = tick_strategy
         #: Lifecycle tracer shared with the owning session.  A frame's
         #: engine-side events (first-lane, evict, expedite) stamp onto
         #: ``job.trace`` through it; the default is a disabled tracer so
@@ -1017,45 +987,24 @@ class StreamingFrontier:
     def idle(self) -> bool:
         return not any(pool.has_work for pool in self._pools.values())
 
-    @property
-    def runs_to_completion(self) -> bool:
-        """Whether the next tick will finish searches inside the tick
-        that admits them (a compiled pool has some queued) — the
-        session's cue to apply deadline pressure *before* admission."""
-        return any(pool.tick_mode == "compiled" and pool.queue.pending
-                   for pool in self._pools.values())
-
     def occupancy(self) -> float:
         """Lanes the last tick advanced, as a fraction of the lanes
         *allocated* (0 before any pool exists) — counted when the tick
-        ran them, so a run-to-completion tick that has retired every
-        lane by the time it returns still reads as full as it was.
+        ran them, so a drain tick that has retired every lane by the
+        time it returns still reads as full as it was.
         Pools allocate on demand, so this is how full the kernel arrays
         a tick actually sweeps are, not how much of the global budget a
         workload happens to need."""
         allocated = sum(pool.allocated for pool in self._pools.values())
         return self.last_tick_lanes / allocated if allocated else 0.0
 
-    def _pool_key(self, job: FrameJob) -> tuple:
-        """The job's kernel signature: its :func:`search_signature`
-        plus the *resolved* tick mode (the frontier's knob, else the
-        submitting decoder's own; compiled requests degrade to numpy
-        when unavailable, with one warning), so a ``"numpy"`` decoder
-        never lands in a pool a same-signature ``"compiled"`` decoder
-        created."""
-        decoder = job.decoder
-        requested = (self.tick_strategy if self.tick_strategy is not None
-                     else decoder.tick_strategy)
-        return search_signature(decoder, job.num_streams) + (
-            resolve_tick_strategy(requested, decoder.enumerator),)
-
     def submit(self, job: FrameJob) -> None:
-        """Queue every search of an admitted frame, tagged with its id."""
-        key = self._pool_key(job)
+        """Queue every search of an admitted frame, tagged with its id,
+        in the pool of its :func:`search_signature`."""
+        key = search_signature(job.decoder, job.num_streams)
         pool = self._pools.get(key)
         if pool is None:
-            pool = (_SoftPool if job.kind == "soft" else _HardPool)(
-                self, job, key[-1])
+            pool = (_SoftPool if job.kind == "soft" else _HardPool)(self, job)
             self._pools[key] = pool
         job.pool = pool
         pool.queue.push(job)

@@ -193,17 +193,6 @@ class UplinkRuntime:
         Per-search node budget applied when a frame degrades.  ``None``
         (default) uses the frame's stream count — one greedy descent,
         which always banks the Babai leaf a K=1 K-best pass would keep.
-    tick_strategy:
-        Engine tick strategy (see
-        :class:`~repro.runtime.engine.StreamingFrontier`):
-        ``"compiled"`` runs each admitted search to completion through
-        the compiled search core, ``"numpy"`` keeps the lockstep array
-        ticks; results are bit-identical either way.  ``None`` (default)
-        defers to the submitted decoders, then ``REPRO_TICK_STRATEGY``.
-        A compiled pool finishes a search inside the tick that admits
-        it, so deadlines act at admission only: a frame inside its
-        degrade margin is capped before its searches are admitted, and
-        nothing is evicted mid-flight.
     trace, tracer:
         Frame-lifecycle tracing (:mod:`repro.obs.trace`).  Off by
         default: every stamping site then costs one ``is None`` test.
@@ -224,7 +213,6 @@ class UplinkRuntime:
                  degrade_margin_s: float | None = None,
                  degraded_node_budget: int | None = None,
                  initial_lanes: int | None = None,
-                 tick_strategy: str | None = None,
                  clock=time.perf_counter,
                  trace: bool = False,
                  tracer: FrameTracer | None = None) -> None:
@@ -240,7 +228,6 @@ class UplinkRuntime:
                                          drain_threshold=drain_threshold,
                                          lane_policy=lane_policy,
                                          initial_lanes=initial_lanes,
-                                         tick_strategy=tick_strategy,
                                          tracer=tracer)
         self._decode = DecodeStage(viterbi_strategy, tracer=tracer)
         self.max_in_flight = max_in_flight
@@ -270,12 +257,6 @@ class UplinkRuntime:
 
     # -- the tick loop --------------------------------------------------
     def _tick(self) -> list[PendingFrame]:
-        if self.lane_policy == "deadline" and self._engine.runs_to_completion:
-            # A run-to-completion pool finishes what it admits inside
-            # this tick: a frame already in its degrade margin must be
-            # capped before admission — afterwards there is nothing left
-            # to cap.  (Lockstep pools see the cap at their next tick.)
-            self._enforce_deadlines(self._clock(), expire=False)
         started = time.perf_counter()
         finished = self._engine.tick()
         duration_s = time.perf_counter() - started
@@ -365,12 +346,10 @@ class UplinkRuntime:
             return self.degrade_margin_s
         return DEGRADE_MARGIN_FRACTION * handle.deadline_s
 
-    def _enforce_deadlines(self, now: float, *,
-                           expire: bool = True) -> list[PendingFrame]:
+    def _enforce_deadlines(self, now: float) -> list[PendingFrame]:
         """Expire past-deadline frames; degrade frames inside their
         margin.  Runs after the tick's completions, so it only ever
-        sees genuinely unfinished frames — and, degrading only
-        (``expire=False``), before a run-to-completion tick admits."""
+        sees genuinely unfinished frames."""
         expired: list[PendingFrame] = []
         for frame_id in list(self._jobs):
             handle = self._handles[frame_id]
@@ -378,8 +357,6 @@ class UplinkRuntime:
                 continue
             job = self._jobs[frame_id]
             if now > handle.deadline_at:
-                if not expire:
-                    continue
                 evicted = self._engine.remove(job)
                 del self._handles[frame_id]
                 del self._jobs[frame_id]

@@ -104,7 +104,7 @@ class RuntimeStats:
         self._last_event = float("-inf")
         self._tick_duration_ema_s: float | None = None
         #: The longest timed tick: the one that drains a pool's
-        #: stragglers, or a compiled pool's biggest batch.
+        #: stragglers, or a large admission into a full frontier.
         self.tick_duration_max_s = 0.0
         self._tick_durations: deque[float] = deque(maxlen=latency_window)
 

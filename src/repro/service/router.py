@@ -35,7 +35,6 @@ from ..obs.trace import FrameTracer, merge_traces
 from ..runtime.queue import validate_request
 from ..runtime.session import FrameExpired
 from ..runtime.stats import aggregate_summaries
-from ..sphere.tick_kernel import TICK_STRATEGIES
 from ..utils.validation import require
 from .protocol import request_signature, shard_for
 from .supervisor import (
@@ -119,14 +118,6 @@ class DetectorFarm:
     runtime_kwargs:
         Passed to every shard's :class:`UplinkRuntime` (capacity,
         lane_policy, initial_lanes, ...).
-    tick_strategy:
-        Every shard engine's tick strategy (``"compiled"`` runs each
-        search to completion through the compiled search core,
-        ``"numpy"`` the lockstep array ticks; bit-identical results).
-        ``None`` defers to the submitted decoders, then
-        ``REPRO_TICK_STRATEGY``.  A convenience for the common knob —
-        equivalent to putting it in ``runtime_kwargs``, with which it
-        must not conflict.
     max_outstanding:
         Farm-wide backpressure bound: ``submit`` services the farm until
         outstanding frames drop below this (default
@@ -149,7 +140,6 @@ class DetectorFarm:
 
     def __init__(self, num_shards: int = 2, *, backend: str = "process",
                  runtime_kwargs: dict | None = None,
-                 tick_strategy: str | None = None,
                  max_outstanding: int | None = None,
                  heartbeat_s: float = DEFAULT_HEARTBEAT_S,
                  hang_timeout_s: float = DEFAULT_HANG_TIMEOUT_S,
@@ -158,16 +148,6 @@ class DetectorFarm:
         require(num_shards >= 1, "farm needs at least one shard")
         require(backend in BACKENDS,
                 f"unknown backend {backend!r}; choose from {BACKENDS}")
-        if tick_strategy is not None:
-            require(tick_strategy in TICK_STRATEGIES,
-                    f"unknown tick strategy {tick_strategy!r}; "
-                    "choose 'compiled' or 'numpy'")
-            require(runtime_kwargs is None
-                    or "tick_strategy" not in runtime_kwargs,
-                    "tick_strategy given twice: drop it from "
-                    "runtime_kwargs or the keyword")
-            runtime_kwargs = dict(runtime_kwargs or {},
-                                  tick_strategy=tick_strategy)
         self.tracer = FrameTracer(enabled=trace)
         if trace:
             runtime_kwargs = dict(runtime_kwargs or {})

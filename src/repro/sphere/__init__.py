@@ -19,9 +19,9 @@ Public surface:
   pinned to;
 * :mod:`repro.sphere.tick_kernel` — the compiled search core
   (``search_core.c``, built with the system ``cc`` at first use): the
-  same state machine in C, which the engine hands its last few
-  (straggler) searches to — or, under ``tick_strategy="compiled"``,
-  every search.
+  same state machine in C, one loop with two uses in the engine — one
+  candidate attempt per search is the lockstep step, an unlimited
+  allowance drains a pool's last few (straggler) searches.
 """
 
 from .batch import BatchDecodeResult, batched_axis_orders, zigzag_order_table

@@ -36,7 +36,6 @@ from .hess import HessEnumerator
 from .pruning import GeometricPruner
 from .qr import sorted_triangularize, triangularize
 from .shabany import ShabanyEnumerator
-from .tick_kernel import TICK_STRATEGIES
 from .zigzag import GeosphereEnumerator
 
 __all__ = [
@@ -136,15 +135,6 @@ class SphereDecoder:
         :meth:`decode_frame` and the streaming runtime detects in
         natural order and rejects such a decoder with ``ValueError``
         rather than silently ignoring the ordering.
-    tick_strategy:
-        How the lockstep engine advances this decoder's searches:
-        ``"compiled"`` runs each search to completion through the C
-        core of :mod:`repro.sphere.tick_kernel` (bit-identical; falls
-        back to numpy with a one-time warning when no C compiler is
-        found, and for the ``hess``/``exhaustive`` enumerators);
-        ``"numpy"`` keeps the lockstep array ticks.  ``None`` (default)
-        defers to the ``REPRO_TICK_STRATEGY`` environment variable and
-        then ``"numpy"``.
     """
 
     def __init__(self, constellation: QamConstellation,
@@ -152,8 +142,7 @@ class SphereDecoder:
                  geometric_pruning: bool = True,
                  initial_radius_sq: float = float("inf"),
                  node_budget: int | None = None,
-                 column_ordering: str = "none",
-                 tick_strategy: str | None = None) -> None:
+                 column_ordering: str = "none") -> None:
         require(enumerator in ENUMERATORS,
                 f"unknown enumerator {enumerator!r}; choose from {ENUMERATORS}")
         if enumerator in ("hess", "exhaustive"):
@@ -166,10 +155,6 @@ class SphereDecoder:
         require(column_ordering in ("none", "norm"),
                 f"unknown column ordering {column_ordering!r}; "
                 "choose 'none' or 'norm'")
-        require(tick_strategy is None or tick_strategy in TICK_STRATEGIES,
-                f"unknown tick strategy {tick_strategy!r}; "
-                "choose 'compiled' or 'numpy'")
-        self.tick_strategy = tick_strategy
         self.constellation = constellation
         self.enumerator = enumerator
         self.geometric_pruning = geometric_pruning

@@ -43,7 +43,6 @@ from .counters import ComplexityCounters
 from .decoder import ENUMERATORS, resolve_enumerator_factory
 from .pruning import GeometricPruner
 from .qr import triangularize
-from .tick_kernel import TICK_STRATEGIES
 
 __all__ = ["ListSphereDecoder", "SoftDecodeResult", "SoftBatchResult",
            "soft_outputs_from_lists", "stacked_list_bits"]
@@ -180,19 +179,12 @@ class ListSphereDecoder:
         and extract LLRs from the list collected so far (no longer the
         exact best-``list_size`` set).  ``None`` keeps the exact
         behaviour.
-    tick_strategy:
-        ``"compiled"`` runs each lockstep-engine search to completion
-        through the compiled search core
-        (:mod:`repro.sphere.tick_kernel`); ``"numpy"`` keeps the
-        lockstep array ticks.  ``None`` (default) defers to
-        ``REPRO_TICK_STRATEGY``.  Both are bit-identical — LLRs, list
-        membership and counters.
     """
 
     def __init__(self, constellation: QamConstellation, list_size: int = 16,
                  geometric_pruning: bool = True, clamp: float = 24.0,
-                 enumerator: str = "zigzag", node_budget: int | None = None,
-                 tick_strategy: str | None = None) -> None:
+                 enumerator: str = "zigzag",
+                 node_budget: int | None = None) -> None:
         require(list_size >= 2, f"list size must be >= 2, got {list_size}")
         require(clamp > 0.0, "clamp must be positive")
         require(enumerator in ENUMERATORS,
@@ -203,16 +195,12 @@ class ListSphereDecoder:
                     "enumerator (it has no deferred proposals to prune)")
         require(node_budget is None or node_budget >= 1,
                 "node budget must be positive when given")
-        require(tick_strategy is None or tick_strategy in TICK_STRATEGIES,
-                f"unknown tick strategy {tick_strategy!r}; "
-                "choose 'compiled' or 'numpy'")
         self.constellation = constellation
         self.list_size = list_size
         self.clamp = clamp
         self.enumerator = enumerator
         self.geometric_pruning = geometric_pruning
         self.node_budget = node_budget
-        self.tick_strategy = tick_strategy
         #: The list search always opens with an infinite sphere — the
         #: radius only becomes finite once the list fills.  The engine
         #: reads this exactly like the hard decoder's attribute.

@@ -1,4 +1,4 @@
-"""The compiled search core: strategy resolution, build, load, run.
+"""The compiled search core: build, load, run.
 
 The lockstep engine (:mod:`repro.runtime.engine`, on the kernels of
 :mod:`repro.sphere.batch_search`) advances every active search one
@@ -10,13 +10,11 @@ per-search state machine in C, and :func:`run_hard` / :func:`run_soft`
 run it: each listed search gets an allowance of candidate attempts in
 one native call, *in place* on the numpy kernel's own frontier arrays
 and the pool's lane arrays, from whatever lockstep state it is in, and
-comes back flagged if it finished.  Three uses of that one loop, all in
+comes back flagged if it finished.  Two uses of that one loop, both in
 :mod:`repro.runtime.engine`: an allowance of one is a pool's **lockstep
-step** (the default wherever the core built — same ticks, same
-admission and QoS points, a different executor); an unlimited one
-finishes a pool's last few stragglers (the drain); and a
-``tick_strategy="compiled"`` pool takes the unlimited one every tick,
-right after admission.
+step** (wherever the core built — same ticks, same admission and QoS
+points as the numpy step, a different executor); an unlimited one
+finishes a pool's last few stragglers (the drain).
 
 Why any allowance is the same program
 -------------------------------------
@@ -48,11 +46,11 @@ Nothing is compiled at import.  The first pool that wants the core
 refused unless owned by the caller and closed to group and world — under
 a name keyed by the sha256 of source, ``cc --version`` and flags, written
 to a temporary name and ``os.replace``d, so later processes just load
-it.  Only the ``zigzag`` and ``shabany`` enumerators have a core (they
-are Geosphere's and the hot ones); ``hess`` / ``exhaustive`` requests
-resolve to the numpy tick.  Without a compiler (or after a failed build)
-there is one ``RuntimeWarning``: ``"compiled"`` resolves to ``"numpy"``
-and every pool steps through the numpy kernels, in lockstep to the end —
+it.  Only the ``zigzag`` and ``shabany`` kernels have a core
+(``kernel.has_tail``: they are Geosphere's and the hot ones);
+``hess`` / ``exhaustive`` pools always take the numpy step.  Without a
+compiler (or after a failed build) there is one ``RuntimeWarning`` and
+every pool steps through the numpy kernels, in lockstep to the end —
 only speed changes, never results.
 """
 
@@ -75,13 +73,9 @@ from ..utils.validation import require
 from .batch import zigzag_order_table
 
 __all__ = [
-    "COMPILED_ENUMERATORS",
     "NUMBA_AVAILABLE",
     "NUMPY_FMA",
-    "TICK_STRATEGIES",
     "core",
-    "default_tick_strategy",
-    "resolve_tick_strategy",
     "run_hard",
     "run_soft",
 ]
@@ -89,13 +83,6 @@ __all__ = [
 #: The compiled executor is the C core, never Numba; the name stays
 #: because the benchmark ladder records it.
 NUMBA_AVAILABLE = False
-
-#: The strategy knob's legal values.
-TICK_STRATEGIES = ("compiled", "numpy")
-
-#: Enumerators the core implements; the rest use the numpy tick
-#: regardless of the requested strategy.
-COMPILED_ENUMERATORS = ("zigzag", "shabany")
 
 
 def _fma(a: float, b: float, c: float) -> float:
@@ -128,35 +115,6 @@ def _numpy_multiply_uses_fma() -> bool:
 #: True when numpy's complex multiply matches the FMA-contracted
 #: program; the core's interference accumulation follows this flag.
 NUMPY_FMA = _numpy_multiply_uses_fma()
-
-
-def default_tick_strategy() -> str:
-    """Session default: ``REPRO_TICK_STRATEGY`` env var, else ``numpy``."""
-    strategy = os.environ.get("REPRO_TICK_STRATEGY", "numpy")
-    require(strategy in TICK_STRATEGIES,
-            f"unknown tick strategy {strategy!r} in REPRO_TICK_STRATEGY; "
-            "choose 'compiled' or 'numpy'")
-    return strategy
-
-
-def resolve_tick_strategy(requested: str | None, enumerator: str) -> str:
-    """Resolve the effective tick strategy for one engine run.
-
-    ``requested`` is the explicit knob (``None`` defers to
-    :func:`default_tick_strategy`).  A ``compiled`` request degrades to
-    ``numpy`` — never changing results, only speed — when the
-    enumerator has no compiled state machine or (with a one-time
-    warning) when the core cannot be built or loaded.
-    """
-    if requested is None:
-        requested = default_tick_strategy()
-    require(requested in TICK_STRATEGIES,
-            f"unknown tick strategy {requested!r}; "
-            "choose 'compiled' or 'numpy'")
-    if (requested == "compiled" and enumerator in COMPILED_ENUMERATORS
-            and core() is not None):
-        return "compiled"
-    return "numpy"
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +232,8 @@ def core():
             _core = False
             warnings.warn(
                 f"the compiled search core is unavailable ({error}); "
-                "tick_strategy='compiled' falls back to 'numpy' and every "
-                "pool runs the numpy step, in lockstep to the end",
+                "every pool runs the numpy step, in lockstep to the end, "
+                "with the same results",
                 RuntimeWarning, stacklevel=2)
     return _core or None
 

@@ -169,11 +169,7 @@ def _submitted(decoder, channels, received, noise_variance, knobs):
 
 def ticking(decoder, channels, received, noise_variance=None, **knobs):
     """Tick one frame on a hand-built frontier.  Yields ``(job, pool)``
-    after every tick; ``job.finalise()`` is valid once exhausted.
-    Observers read lockstep state, so the ticks default to ``"numpy"``
-    even where ``REPRO_TICK_STRATEGY=compiled`` flips the session
-    default (the CI ``kernel`` job)."""
-    knobs.setdefault("tick_strategy", "numpy")
+    after every tick; ``job.finalise()`` is valid once exhausted."""
     job, frontier = _submitted(decoder, channels, received, noise_variance,
                                knobs)
     while not frontier.idle:
@@ -467,7 +463,7 @@ def test_qos_hooks_cost_only_the_frame_they_touch(kind):
         noise_variance = None
     request = FrameRequest(channels, received, decoder, noise_variance)
     frontier = StreamingFrontier(capacity=12, initial_lanes=2,
-                                 drain_threshold=0, tick_strategy="numpy")
+                                 drain_threshold=0)
     victim, survivor = FrameJob(0, request), FrameJob(1, request)
     frontier.submit(victim)
     frontier.submit(survivor)
@@ -522,27 +518,3 @@ def test_column_ordering_norm_is_rejected_off_the_scalar_path():
     with DetectorFarm(1, backend="inline") as farm:
         with pytest.raises(ValueError, match="column_ordering"):
             farm.submit(request)
-
-
-@needs_core
-def test_pool_tick_mode_is_part_of_the_signature():
-    """A ``tick_strategy="numpy"`` decoder submitted after a
-    same-signature ``"compiled"`` one gets its own pool: the tick mode a
-    frame runs under is the one its decoder asked for, not whichever
-    created the pool first."""
-    constellation, channels, received = _frame_instance(16, 4, 4, 3, 2,
-                                                        seed=9)
-    frontier = StreamingFrontier()
-    jobs = {}
-    for frame_id, strategy in enumerate(["compiled", "numpy", "compiled"]):
-        decoder = SphereDecoder(constellation, tick_strategy=strategy)
-        job = FrameJob(frame_id, FrameRequest(channels, received, decoder))
-        frontier.submit(job)
-        assert job.pool.tick_mode == strategy
-        jobs[frame_id] = job
-    assert jobs[0].pool is jobs[2].pool is not jobs[1].pool
-    while not frontier.idle:
-        frontier.tick()
-    want, _ = scalar_oracle(SphereDecoder(constellation), channels, received)
-    for job in jobs.values():
-        assert_frames_identical(job.finalise(), want)

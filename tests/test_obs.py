@@ -7,7 +7,7 @@ detect-done → viterbi → crc → decode-done → resolve/expire/cancel —
 across the single runtime *and* the farm (route/restart/replay ride the
 same trace through worker pipes and supervisor replays).  **Tracing is
 free of side effects**: every decode path is bit-identical with tracing
-on or off, for every admission order, tick strategy and shard count.
+on or off, for every admission order and shard count.
 **The export plane never re-derives**: every Prometheus sample equals
 its ``summary()`` source, iterated straight off the COUNTER_KEYS /
 GAUGE_KEYS tables, including over the service socket.
@@ -287,19 +287,17 @@ def test_tracing_bit_identical_across_orders_and_tick_strategies():
     rng = np.random.default_rng(7)
     frames = _mixed_frames(rng, repeats=1)
     references = [_reference(frame) for frame in frames]
-    for tick_strategy in ("numpy", "compiled"):
-        for order in (list(range(len(frames))),
-                      list(reversed(range(len(frames))))):
-            for trace in (False, True):
-                runtime = UplinkRuntime(trace=trace,
-                                        tick_strategy=tick_strategy)
-                handles = {index: runtime.submit(frames[index])
-                           for index in order}
-                runtime.drain()
-                for index, handle in handles.items():
-                    _assert_identical(
-                        handle.result(), references[index],
-                        frames[index].noise_variance is not None)
+    for order in (list(range(len(frames))),
+                  list(reversed(range(len(frames))))):
+        for trace in (False, True):
+            runtime = UplinkRuntime(trace=trace)
+            handles = {index: runtime.submit(frames[index])
+                       for index in order}
+            runtime.drain()
+            for index, handle in handles.items():
+                _assert_identical(
+                    handle.result(), references[index],
+                    frames[index].noise_variance is not None)
 
 
 @pytest.mark.parametrize("num_shards", [1, 2, 4])

@@ -336,8 +336,7 @@ def test_non_finite_frame_is_rejected_at_submit_and_costs_only_itself(
             _make_frame(soft, 4, 2, 14.0, rng, soft=True)]
     runtime = UplinkRuntime(capacity=16)
     handles = [runtime.submit(frame) for frame in good]
-    # Searches mid-flight (a run-to-completion pool may have resolved
-    # a frame already).
+    # Searches mid-flight (a drain may have resolved a frame already).
     resolved = runtime.poll(max_ticks=3)
 
     template = good[1]
@@ -384,12 +383,11 @@ def test_admission_queue_tags_and_fifo():
 # Telemetry
 # ----------------------------------------------------------------------
 
-def test_stats_report_consistency(tick_strategy="numpy"):
+def test_stats_report_consistency():
     rng = np.random.default_rng(8)
     decoder = SphereDecoder(qam(16))
     frames = [_make_frame(decoder, 4, 3, 20.0, rng) for _ in range(4)]
-    runtime = UplinkRuntime(capacity=16, max_in_flight=2,
-                            tick_strategy=tick_strategy)
+    runtime = UplinkRuntime(capacity=16, max_in_flight=2)
     handles = [runtime.submit(frame) for frame in frames]
     runtime.drain()
     stats = runtime.stats
@@ -406,8 +404,9 @@ def test_stats_report_consistency(tick_strategy="numpy"):
     # global budget: one 64-search frame on a default runtime (2048
     # lanes of budget, 64 allocated) keeps its lanes mostly busy —
     # given a core to drain into: without one the last few searches keep
-    # the tick alive at a handful of lanes and the mean reads ~0.2.
-    lone = UplinkRuntime(tick_strategy=tick_strategy)
+    # the tick alive at a handful of lanes and the mean reads ~0.2.  The
+    # drain tick counts the lanes it ran, though it retires them all.
+    lone = UplinkRuntime()
     lone.submit(_make_frame(decoder, 16, 4, 20.0, rng))
     lone.drain()
     assert ((0.5 if core() is not None else 0.1)
@@ -417,15 +416,6 @@ def test_stats_report_consistency(tick_strategy="numpy"):
     # without raising.
     assert UplinkRuntime().stats.latency_percentiles() == {}
     assert stats.latency_percentiles(priority=7) == {}
-
-
-def test_stats_report_consistency_under_the_compiled_tick():
-    """Occupancy counts the lanes a tick *ran*: a run-to-completion
-    tick has retired every lane by the time it returns, and sampling
-    afterwards read 0.0.  (The twin above keeps its pre-compiled-core
-    test id; it takes the strategy as a defaulted argument instead of a
-    parametrisation.)"""
-    test_stats_report_consistency("compiled")
 
 
 # ----------------------------------------------------------------------

@@ -131,16 +131,10 @@ def test_queue_remove_reprioritise_expedite():
 # Deadline expiry and degradation (tentpole)
 # ----------------------------------------------------------------------
 
-# The degrade / expire tests take the tick strategy as a defaulted
-# argument (pytest leaves those alone, so their ids stay what they were)
-# and ``test_deadline_policy_under_the_compiled_tick`` below re-runs each
-# of them against a run-to-completion pool.
-
-def test_expired_frame_resolves_explicitly_never_hangs(tick_strategy="numpy"):
+def test_expired_frame_resolves_explicitly_never_hangs():
     rng = np.random.default_rng(2)
     clock = _Clock()
-    runtime = UplinkRuntime(capacity=4, clock=clock,
-                            tick_strategy=tick_strategy)
+    runtime = UplinkRuntime(capacity=4, clock=clock)
     decoder = SphereDecoder(qam(16))
     doomed = runtime.submit(_tagged_frame(decoder, rng, deadline_s=1.0,
                                           priority=0, num_subcarriers=4,
@@ -162,14 +156,12 @@ def test_expired_frame_resolves_explicitly_never_hangs(tick_strategy="numpy"):
     assert stats.summary()["frames_expired"] == 1
 
 
-def test_degraded_frame_is_marked_counted_and_budget_capped(
-        tick_strategy="numpy"):
+def test_degraded_frame_is_marked_counted_and_budget_capped():
     rng = np.random.default_rng(3)
     clock = _Clock()
     # drain_threshold=0 keeps every search in lockstep, where the
     # per-lane shrunk budgets are enforced.
-    runtime = UplinkRuntime(capacity=8, drain_threshold=0, clock=clock,
-                            tick_strategy=tick_strategy)
+    runtime = UplinkRuntime(capacity=8, drain_threshold=0, clock=clock)
     decoder = SphereDecoder(qam(16))
     frame = _tagged_frame(decoder, rng, deadline_s=10.0, priority=0,
                           num_subcarriers=4, num_symbols=3, snr_db=8.0)
@@ -193,13 +185,11 @@ def test_degraded_frame_is_marked_counted_and_budget_capped(
     assert stats.summary()["frames_degraded"] == 1
 
 
-def test_degraded_coded_frame_feeds_degraded_crc_ledger(
-        tick_strategy="numpy"):
+def test_degraded_coded_frame_feeds_degraded_crc_ledger():
     rng = np.random.default_rng(4)
     clock = _Clock()
     runtime = UplinkRuntime(capacity=8, drain_threshold=0, clock=clock,
-                            degraded_node_budget=2,
-                            tick_strategy=tick_strategy)
+                            degraded_node_budget=2)
     config = _coded_config(4, payload_bits=40)
     frame = _make_coded_frame(config, SphereDecoder(qam(4)), 25.0, rng)
     frame.deadline_s = 10.0
@@ -216,8 +206,7 @@ def test_degraded_coded_frame_feeds_degraded_crc_ledger(
             == 2 - round(2 * stats.degraded_crc_failure_rate()))
 
 
-def test_completion_racing_expiry_resolves_with_real_result(
-        tick_strategy="numpy"):
+def test_completion_racing_expiry_resolves_with_real_result():
     """A frame finishing in the very tick its deadline trips is a near
     miss — it resolves with its real (bit-identical) result, not a drop."""
     decoder = SphereDecoder(qam(16))
@@ -225,8 +214,7 @@ def test_completion_racing_expiry_resolves_with_real_result(
     # Twin run: learn exactly how many ticks this frame needs.
     rng = np.random.default_rng(5)
     frame = _make_frame(decoder, 4, 3, 18.0, rng)
-    pilot = UplinkRuntime(capacity=8, drain_threshold=0, clock=_Clock(),
-                          tick_strategy=tick_strategy)
+    pilot = UplinkRuntime(capacity=8, drain_threshold=0, clock=_Clock())
     pilot.submit(frame)
     pilot.drain()
     ticks_needed = pilot.stats.ticks
@@ -237,8 +225,7 @@ def test_completion_racing_expiry_resolves_with_real_result(
     frame.deadline_s = 5.0
     clock = _Clock()
     runtime = UplinkRuntime(capacity=8, drain_threshold=0, clock=clock,
-                            degrade_margin_s=0.0,
-                            tick_strategy=tick_strategy)
+                            degrade_margin_s=0.0)
     handle = runtime.submit(frame)
     for _ in range(ticks_needed - 1):
         assert runtime.poll(max_ticks=1) == []
@@ -254,12 +241,10 @@ def test_completion_racing_expiry_resolves_with_real_result(
     assert stats.deadline_miss_rate() == 1.0
 
 
-def test_fifo_policy_measures_deadlines_but_never_intervenes(
-        tick_strategy="numpy"):
+def test_fifo_policy_measures_deadlines_but_never_intervenes():
     rng = np.random.default_rng(6)
     clock = _Clock()
-    runtime = UplinkRuntime(capacity=8, lane_policy="fifo", clock=clock,
-                            tick_strategy=tick_strategy)
+    runtime = UplinkRuntime(capacity=8, lane_policy="fifo", clock=clock)
     decoder = SphereDecoder(qam(4))
     frame = _tagged_frame(decoder, rng, deadline_s=1.0)
     handle = runtime.submit(frame)
@@ -271,22 +256,6 @@ def test_fifo_policy_measures_deadlines_but_never_intervenes(
     _assert_identical(handle.result(), _reference(frame), False)
     assert runtime.stats.deadline_miss_rate() == 1.0
     assert runtime.stats.frames_expired == 0
-
-
-@pytest.mark.parametrize("check", [
-    test_expired_frame_resolves_explicitly_never_hangs,
-    test_degraded_frame_is_marked_counted_and_budget_capped,
-    test_degraded_coded_frame_feeds_degraded_crc_ledger,
-    test_completion_racing_expiry_resolves_with_real_result,
-    test_fifo_policy_measures_deadlines_but_never_intervenes])
-def test_deadline_policy_under_the_compiled_tick(check):
-    """A compiled pool finishes a search inside the tick that admits
-    it, so deadline pressure has to act *before* admission: a frame
-    already inside its degrade margin is capped first (it used to be
-    admitted at full budget and merely flagged), a frame past its
-    deadline still gets the racing tick and then expires with its
-    queued searches — the same outcomes the lockstep tick gives."""
-    check(tick_strategy="compiled")
 
 
 @needs_core
@@ -307,8 +276,7 @@ def test_mid_flight_degrade_and_evict_under_the_core_step(soft):
     ticks = 15
 
     def run(executor):
-        engine = StreamingFrontier(capacity=24, drain_threshold=0,
-                                   tick_strategy="numpy")
+        engine = StreamingFrontier(capacity=24, drain_threshold=0)
         degraded, evicted = (FrameJob(frame_id, frame)
                              for frame_id, frame in enumerate(frames))
         engine.submit(degraded)

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from repro.constellation import qam
-from repro.runtime import FrameExpired
+from repro.runtime import FrameExpired, UplinkRuntime
 from repro.obs import COUNTER_KEYS
 from repro.runtime.stats import aggregate_summaries
 from repro.service import (
@@ -83,6 +83,13 @@ def test_routing_is_deterministic_and_signature_stable():
     with DetectorFarm(4, backend="inline") as farm:
         assert [farm.route(frame) for frame in frames] == [
             shard_for(sig, 4) for sig in signatures]
+    # The routing key is exactly the key the engine pools by, so all of
+    # one pool's searches land on one shard.
+    runtime = UplinkRuntime()
+    for frame in frames + again:
+        runtime.submit(frame)
+    assert list(runtime._engine._pools) == signatures
+    runtime.drain()
 
     with pytest.raises(ValueError):
         shard_for(signatures[0], 0)

@@ -97,7 +97,7 @@ def check_radius_monotone(order, num_tx, seed):
     constellation, r, y_hat = _instance(order, num_tx, seed)
     decoder = SphereDecoder(constellation)
     job = FrameJob.from_triangular(decoder, r, y_hat)
-    frontier = StreamingFrontier(drain_threshold=0, tick_strategy="numpy")
+    frontier = StreamingFrontier(drain_threshold=0)
     frontier.submit(job)
     pool = job.pool
     sequences = {t: [] for t in range(y_hat.shape[0])}

@@ -82,8 +82,7 @@ def _decode_one(decoder, r, y_hat, noise_variance=None, *, drain_threshold):
     """One triangular search on a frontier with the given hand-off
     point.  Returns the frame result and the tail hand-off sizes."""
     job = FrameJob.from_triangular(decoder, r, y_hat[None], noise_variance)
-    engine = StreamingFrontier(drain_threshold=drain_threshold,
-                               tick_strategy="numpy")
+    engine = StreamingFrontier(drain_threshold=drain_threshold)
     engine.submit(job)
     drained = _drain_sizes(job.pool)
     while not engine.idle:
@@ -183,8 +182,7 @@ def _submitted(request, executor):
     candidate attempt per lane per tick in the compiled core) or
     ``"numpy"`` (the array ``_step``, the compiler-less fallback)."""
     job = FrameJob(0, request)
-    engine = StreamingFrontier(capacity=job.num_problems, drain_threshold=0,
-                               tick_strategy="numpy")
+    engine = StreamingFrontier(capacity=job.num_problems, drain_threshold=0)
     engine.submit(job)
     job.pool.has_core = executor == "core"
     return job, engine

@@ -1,14 +1,16 @@
 """Differential sweeps for the compiled search core, and its loader.
 
-The core's contract is run-to-completion with *bit-identical* results:
-``tick_strategy="compiled"`` replays the numpy frontier's exact float
-program per search (reciprocal-multiply complex division, FMA-matched
+Wherever the core built, every ``zigzag`` / ``shabany`` pool steps
+through it — one candidate attempt per lane per tick, an unlimited
+allowance for the straggler drain — and its contract is *bit-identity*
+with the numpy step it replaces: it replays numpy's exact float program
+per search (reciprocal-multiply complex division, FMA-matched
 interference accumulation, ``rint`` slicing, uncontracted distance
 update), so symbol decisions, distances, LLRs and complexity counters
-must equal the ``"numpy"`` tick everywhere the knob is wired: the
-decoder constructors (``decode_batch`` / ``decode_frame``, hard and
-soft, and ``detect_uplink``/``SphereDetector`` above them), the
-streaming runtime and the detector farm.
+must equal a run with the core hidden (:func:`_numpy_step`) at every
+entry point: ``decode_batch`` / ``decode_frame``, hard and soft,
+``detect_uplink`` / ``SphereDetector`` above them, the streaming runtime
+and the detector farm.
 
 The sweeps run against the real binary — ``search_core.c`` built by the
 system ``cc`` at first use — and the loader tests pin how it gets
@@ -31,11 +33,6 @@ from repro.runtime import FrameJob, FrameRequest, UplinkRuntime
 from repro.runtime.engine import StreamingFrontier
 from repro.service import DetectorFarm
 from repro.sphere import ListSphereDecoder, SphereDecoder, triangularize
-from repro.sphere.tick_kernel import (
-    COMPILED_ENUMERATORS,
-    default_tick_strategy,
-    resolve_tick_strategy,
-)
 
 from test_engine import (
     _frame_instance,
@@ -46,9 +43,18 @@ from test_engine import (
 )
 from test_runtime import _assert_identical, _make_frame, _reference
 
-# Tests that assert a request *stays* compiled are marked needs_core; the
-# differential sweeps run either way (without the binary they compare
-# the fallback with the numpy tick, which must also hold).
+# Tests that assert a search really went through the compiled core are
+# marked needs_core; the differential sweeps run either way (without the
+# binary they compare the numpy step with itself, which must also hold).
+
+
+def _numpy_step(run):
+    """``run()`` with the core hidden (as on a box without ``cc``, minus
+    the warning): every pool it builds steps through the numpy kernels,
+    in lockstep to the end."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tick_kernel, "_core", False)
+        return run()
 
 
 def _block_instance(order, num_tx, num_vectors, seed=0):
@@ -71,50 +77,6 @@ def _assert_batches_equal(got, ref):
     assert np.array_equal(got.symbols, ref.symbols)
     assert np.array_equal(got.distances_sq, ref.distances_sq)
     assert got.counters == ref.counters
-
-
-# ----------------------------------------------------------------------
-# Strategy resolution
-# ----------------------------------------------------------------------
-
-def test_resolve_explicit_numpy_stays_numpy():
-    assert resolve_tick_strategy("numpy", "zigzag") == "numpy"
-
-
-@needs_core
-def test_resolve_compiled_for_compiled_enumerators():
-    for enumerator in COMPILED_ENUMERATORS:
-        assert resolve_tick_strategy("compiled", enumerator) == "compiled"
-
-
-@pytest.mark.parametrize("enumerator", ["hess", "exhaustive"])
-def test_resolve_uncompiled_enumerator_degrades(enumerator):
-    assert resolve_tick_strategy("compiled", enumerator) == "numpy"
-
-
-@needs_core
-def test_resolve_none_defers_to_env(monkeypatch):
-    monkeypatch.delenv("REPRO_TICK_STRATEGY", raising=False)
-    assert default_tick_strategy() == "numpy"
-    assert resolve_tick_strategy(None, "zigzag") == "numpy"
-    monkeypatch.setenv("REPRO_TICK_STRATEGY", "compiled")
-    assert default_tick_strategy() == "compiled"
-    assert resolve_tick_strategy(None, "zigzag") == "compiled"
-
-
-def test_resolve_rejects_unknown_strategy():
-    with pytest.raises(ValueError, match="unknown tick strategy"):
-        resolve_tick_strategy("jit", "zigzag")
-    with pytest.raises(ValueError, match="unknown tick strategy"):
-        SphereDecoder(qam(16), tick_strategy="jit")
-    with pytest.raises(ValueError, match="unknown tick strategy"):
-        ListSphereDecoder(qam(16), list_size=4, tick_strategy="jit")
-
-
-def test_resolve_rejects_unknown_env_value(monkeypatch):
-    monkeypatch.setenv("REPRO_TICK_STRATEGY", "turbo")
-    with pytest.raises(ValueError, match="REPRO_TICK_STRATEGY"):
-        default_tick_strategy()
 
 
 # ----------------------------------------------------------------------
@@ -178,7 +140,7 @@ def test_untrusted_cache_directory_is_refused(fresh_loader, monkeypatch,
     with pytest.warns(RuntimeWarning, match="search core is unavailable"):
         assert tick_kernel.core() is None
     assert _compiles(fresh_loader) == [] and os.listdir(cache) == []
-    assert resolve_tick_strategy("compiled", "zigzag") == "numpy"
+    assert tick_kernel.core() is None
 
 
 @needs_core
@@ -216,32 +178,33 @@ def test_core_refuses_what_it_cannot_address():
 
 
 def test_missing_compiler_warns_once_and_falls_back(no_compiler):
-    """Without a compiler a compiled request degrades to numpy with
-    exactly one RuntimeWarning per process, and numpy pools have nothing
-    to hand stragglers to: lockstep to the end."""
-    with pytest.warns(RuntimeWarning, match="no C compiler") as caught:
-        assert resolve_tick_strategy("compiled", "zigzag") == "numpy"
-    assert len(caught) == 1
+    """Without a compiler the first pool gets exactly one RuntimeWarning
+    per process, saying what happens instead — and numpy pools have
+    nothing to hand stragglers to: lockstep to the end."""
     constellation, channels, received = _frame_instance(16, 4, 4, 6, 3)
+    request = FrameRequest(channels, received, SphereDecoder(constellation))
+    with pytest.warns(RuntimeWarning,
+                      match="no C compiler.*every pool runs the numpy step, "
+                            "in lockstep to the end, with the same "
+                            "results") as caught:
+        StreamingFrontier().submit(FrameJob(0, request))
+    assert len(caught) == 1
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert resolve_tick_strategy("compiled", "zigzag") == "numpy"
         frontier = StreamingFrontier()
-        job = FrameJob(0, FrameRequest(channels, received,
-                                       SphereDecoder(constellation)))
+        job = FrameJob(1, request)
         frontier.submit(job)
-    assert job.pool.drain_threshold == 0 and job.pool.tick_mode == "numpy"
+    assert job.pool.drain_threshold == 0 and not job.pool.has_core
 
 
 @pytest.mark.filterwarnings("ignore:the compiled search core")
 def test_missing_compiler_keeps_results_identical(no_compiler):
-    """The fallback is only a speed change: a decode under the degraded
-    compiled request equals the scalar oracle bit for bit."""
+    """The fallback is only a speed change: a decode without the core
+    equals the scalar oracle bit for bit."""
     constellation, channels, received = _frame_instance(16, 4, 4, 6, 3)
     for decoder, extra in [
-            (SphereDecoder(constellation, tick_strategy="compiled"), ()),
-            (ListSphereDecoder(constellation, list_size=4,
-                               tick_strategy="compiled"), (0.05,))]:
+            (SphereDecoder(constellation), ()),
+            (ListSphereDecoder(constellation, list_size=4), (0.05,))]:
         want, _ = scalar_oracle(decoder, channels, received, *extra)
         assert_frames_identical(
             decoder.decode_frame(channels, received, *extra), want)
@@ -276,20 +239,19 @@ def test_numpy_fma_probe_matches_fresh_samples():
 def test_batch_compiled_matches_numpy(enumerator, pruning,
                                       node_budget):
     r, y_hat = _block_instance(16, 4, 24, seed=3)
-    kwargs = dict(enumerator=enumerator, geometric_pruning=pruning,
-                  node_budget=node_budget)
-    compiled = SphereDecoder(qam(16), tick_strategy="compiled", **kwargs)
-    baseline = SphereDecoder(qam(16), tick_strategy="numpy", **kwargs)
-    _assert_batches_equal(compiled.decode_batch(r, y_hat),
-                          baseline.decode_batch(r, y_hat))
+    decoder = SphereDecoder(qam(16), enumerator=enumerator,
+                            geometric_pruning=pruning,
+                            node_budget=node_budget)
+    _assert_batches_equal(decoder.decode_batch(r, y_hat),
+                          _numpy_step(lambda: decoder.decode_batch(r, y_hat)))
 
 
 def test_batch_compiled_matches_scalar_loop():
     """The kernel against the scalar search itself, row by row."""
     r, y_hat = _block_instance(4, 4, 16, seed=5)
-    compiled = SphereDecoder(qam(4), tick_strategy="compiled")
-    _assert_batches_equal(compiled.decode_batch(r, y_hat),
-                          compiled._decode_batch_loop(r, y_hat))
+    decoder = SphereDecoder(qam(4))
+    _assert_batches_equal(decoder.decode_batch(r, y_hat),
+                          decoder._decode_batch_loop(r, y_hat))
 
 
 # ----------------------------------------------------------------------
@@ -303,30 +265,28 @@ def test_hard_frame_compiled_matches_numpy(enumerator, pruning,
                                            node_budget):
     constellation, channels, received = _frame_instance(16, 4, 4, 6, 4,
                                                         seed=7)
-    kwargs = dict(enumerator=enumerator, geometric_pruning=pruning,
-                  node_budget=node_budget)
-    reference = SphereDecoder(constellation, tick_strategy="numpy",
-                              **kwargs).decode_frame(channels, received)
-    compiled = SphereDecoder(constellation, tick_strategy="compiled",
-                             **kwargs).decode_frame(channels, received)
-    _assert_identical(compiled, reference, soft=False)
+    decoder = SphereDecoder(constellation, enumerator=enumerator,
+                            geometric_pruning=pruning,
+                            node_budget=node_budget)
+    reference = _numpy_step(lambda: decoder.decode_frame(channels, received))
+    _assert_identical(decoder.decode_frame(channels, received), reference,
+                      soft=False)
 
 
 @pytest.mark.parametrize("drain_threshold", [0, None])
 def test_hard_frame_compiled_across_drain_settings(drain_threshold):
-    """A compiled pool hands everything over at admission, so its
-    results cannot depend on the drain knob — and must still equal
-    every numpy drain variant."""
+    """The core steps every tick and, unless the threshold is 0, drains
+    the stragglers too: either way each search runs the numpy step's
+    program, so the results equal the numpy step's."""
     constellation, channels, received = _frame_instance(16, 4, 4, 8, 3,
                                                         seed=11)
     decoder = SphereDecoder(constellation)
-    reference = decode_on_frontier(decoder, channels, received,
-                                   drain_threshold=drain_threshold,
-                                   tick_strategy="numpy")
-    compiled = decode_on_frontier(decoder, channels, received,
-                                  drain_threshold=drain_threshold,
-                                  tick_strategy="compiled")
-    _assert_identical(compiled, reference, soft=False)
+
+    def decode():
+        return decode_on_frontier(decoder, channels, received,
+                                  drain_threshold=drain_threshold)
+
+    _assert_identical(decode(), _numpy_step(decode), soft=False)
 
 
 @pytest.mark.parametrize("enumerator", ["zigzag", "shabany"])
@@ -336,85 +296,47 @@ def test_soft_frame_compiled_matches_numpy(enumerator,
                                            list_size, node_budget):
     constellation, channels, received = _frame_instance(16, 4, 4, 5, 3,
                                                         seed=13)
-    kwargs = dict(list_size=list_size, enumerator=enumerator,
-                  node_budget=node_budget)
-    reference = ListSphereDecoder(constellation, tick_strategy="numpy",
-                                  **kwargs).decode_frame(channels, received,
-                                                         0.05)
-    compiled = ListSphereDecoder(constellation, tick_strategy="compiled",
-                                 **kwargs).decode_frame(channels, received,
-                                                        0.05)
-    _assert_identical(compiled, reference, soft=True)
+    decoder = ListSphereDecoder(constellation, list_size=list_size,
+                                enumerator=enumerator,
+                                node_budget=node_budget)
+
+    def decode():
+        return decoder.decode_frame(channels, received, 0.05)
+
+    _assert_identical(decode(), _numpy_step(decode), soft=True)
 
 
 @needs_core
 @pytest.mark.parametrize("soft", [False, True])
 def test_compiled_core_follows_a_grown_pool(soft):
     """The core works in place on the pool's kernel and lane arrays, and
-    a pool that grows on demand between two compiled ticks reallocates
-    every one of them: the second tick must run on the new arrays and
-    still equal the numpy tick bit for bit."""
+    a pool that grows on demand between two core calls reallocates every
+    one of them: the later calls must run on the new arrays and still
+    equal the scalar oracle bit for bit."""
     constellation, channels, received = _frame_instance(16, 4, 4, 6, 4,
                                                         seed=41)
     if soft:
         decoder, extra = ListSphereDecoder(constellation, list_size=4), (0.05,)
     else:
         decoder, extra = SphereDecoder(constellation), ()
-    reference = decode_on_frontier(decoder, channels, received, *extra,
-                                   tick_strategy="numpy")
-    frontier = StreamingFrontier(capacity=16, initial_lanes=2,
-                                 tick_strategy="compiled")
-    # A two-search frame first, so the cores run once at two lanes ...
+    frontier = StreamingFrontier(capacity=16, initial_lanes=2)
+    # A two-search frame first, so the core runs once at two lanes (two
+    # searches are within the drain threshold: one tick drains them) ...
     small = FrameJob(0, FrameRequest(channels[:1], received[:2, :1],
                                      decoder, *extra))
     frontier.submit(small)
     frontier.tick()
     pool = small.pool
-    assert (frontier.idle and pool.tick_mode == "compiled"
-            and pool.allocated == 2)
-    # ... then 24 searches into the same pool: a demand-driven _grow.
+    assert frontier.idle and pool.has_core and pool.allocated == 2
+    # ... then 24 searches into the same pool: a demand-driven _grow,
+    # lockstep steps in the core on the new arrays, then the drain.
     job = FrameJob(1, FrameRequest(channels, received, decoder, *extra))
     frontier.submit(job)
     while not frontier.idle:
         frontier.tick()
     assert job.pool is pool and pool.allocated == 16
-    _assert_identical(job.finalise(), reference, soft=soft)
-
-
-def test_uncompiled_enumerator_frame_request_degrades():
-    """A compiled request with ``hess`` silently takes the numpy tick —
-    same results, no warning (the degradation is by design)."""
-    constellation, channels, received = _frame_instance(16, 4, 4, 5, 3,
-                                                        seed=17)
-    kwargs = dict(enumerator="hess", geometric_pruning=False)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        compiled = SphereDecoder(constellation, tick_strategy="compiled",
-                                 **kwargs).decode_frame(channels, received)
-    reference = SphereDecoder(constellation, tick_strategy="numpy",
-                              **kwargs).decode_frame(channels, received)
-    _assert_identical(compiled, reference, soft=False)
-
-
-@needs_core
-def test_decoder_attribute_strategy_threads_through():
-    """``tick_strategy`` set at construction governs the pool the
-    decoder's frames run in, and a frontier-level knob wins over it."""
-    constellation, channels, received = _frame_instance(16, 4, 4, 5, 3,
-                                                        seed=19)
-    compiled = SphereDecoder(constellation, tick_strategy="compiled")
-    baseline = SphereDecoder(constellation)
-    reference = baseline.decode_frame(channels, received)
-    _assert_identical(compiled.decode_frame(channels, received),
-                      reference, soft=False)
-    for frontier_knob, expected in [(None, "compiled"), ("numpy", "numpy")]:
-        frontier = StreamingFrontier(tick_strategy=frontier_knob)
-        job = FrameJob(0, FrameRequest(channels, received, compiled))
-        frontier.submit(job)
-        assert job.pool.tick_mode == expected
-        while not frontier.idle:
-            frontier.tick()
-        _assert_identical(job.finalise(), reference, soft=False)
+    want, _ = scalar_oracle(decoder, channels, received, *extra)
+    assert_frames_identical(job.finalise(), want)
 
 
 # ----------------------------------------------------------------------
@@ -422,11 +344,11 @@ def test_decoder_attribute_strategy_threads_through():
 # ----------------------------------------------------------------------
 
 def test_runtime_compiled_matches_decode_frame():
-    """Mixed hard/soft stream through one compiled-mode runtime: every
-    frame equals standalone ``decode_frame``, counters included, and
-    the tick telemetry times the core as kernel work (a small share on
-    frames this small: admission and retirement are numpy, the searches
-    microseconds)."""
+    """Mixed hard/soft stream through one runtime: every frame equals
+    standalone ``decode_frame`` on the numpy step, counters included,
+    and the tick telemetry times the core as kernel work (a small share
+    on frames this small: admission and retirement are numpy, the
+    searches microseconds)."""
     rng = np.random.default_rng(23)
     decoders = [
         (SphereDecoder(qam(16)), False),
@@ -435,9 +357,9 @@ def test_runtime_compiled_matches_decode_frame():
     ]
     frames = [_make_frame(decoder, 6, 3, 18.0, rng, soft=soft)
               for decoder, soft in decoders for _ in range(2)]
-    references = [_reference(frame) for frame in frames]
+    references = _numpy_step(lambda: [_reference(frame) for frame in frames])
 
-    runtime = UplinkRuntime(tick_strategy="compiled")
+    runtime = UplinkRuntime()
     handles = [runtime.submit(frame) for frame in frames]
     runtime.drain()
     for handle, frame, reference in zip(handles, frames, references):
@@ -447,22 +369,17 @@ def test_runtime_compiled_matches_decode_frame():
 
 
 def test_runtime_compiled_honours_node_budget():
-    """Budgeted searches stop at the same node inside the kernel as at
+    """Budgeted searches stop at the same node inside the core as at
     the numpy tick boundary (the loop-top check is the same check)."""
     rng = np.random.default_rng(29)
     decoder = SphereDecoder(qam(16), node_budget=50)
     frames = [_make_frame(decoder, 6, 3, 16.0, rng) for _ in range(3)]
-    references = [_reference(frame) for frame in frames]
-    runtime = UplinkRuntime(tick_strategy="compiled")
+    references = _numpy_step(lambda: [_reference(frame) for frame in frames])
+    runtime = UplinkRuntime()
     handles = [runtime.submit(frame) for frame in frames]
     runtime.drain()
     for handle, reference in zip(handles, references):
         _assert_identical(handle.result(), reference, soft=False)
-
-
-def test_runtime_rejects_unknown_strategy():
-    with pytest.raises(ValueError, match="unknown tick strategy"):
-        UplinkRuntime(tick_strategy="jit")
 
 
 # ----------------------------------------------------------------------
@@ -472,10 +389,12 @@ def test_runtime_rejects_unknown_strategy():
 def test_detect_uplink_compiled_matches_numpy():
     constellation, channels, received = _frame_instance(16, 4, 4, 6, 3,
                                                         seed=31)
-    reference, compiled = (
-        detect_uplink(channels, received, SphereDetector(SphereDecoder(
-            constellation, tick_strategy=strategy)), 0.05)
-        for strategy in ("numpy", "compiled"))
+    detector = SphereDetector(SphereDecoder(constellation))
+
+    def detect():
+        return detect_uplink(channels, received, detector, 0.05)
+
+    reference, compiled = _numpy_step(detect), detect()
     assert np.array_equal(compiled.symbol_indices,
                           reference.symbol_indices)
     assert compiled.counters == reference.counters
@@ -489,19 +408,10 @@ def test_farm_compiled_matches_decode_frame():
     ]
     frames = [_make_frame(decoder, 6, 3, 18.0, rng, soft=soft)
               for decoder, soft in decoders for _ in range(2)]
-    references = [_reference(frame) for frame in frames]
-    with DetectorFarm(2, backend="inline",
-                      tick_strategy="compiled") as farm:
+    references = _numpy_step(lambda: [_reference(frame) for frame in frames])
+    with DetectorFarm(2, backend="inline") as farm:
         handles = [farm.submit(frame) for frame in frames]
         farm.drain()
     for handle, frame, reference in zip(handles, frames, references):
         _assert_identical(handle.result(), reference,
                           soft=frame.noise_variance is not None)
-
-
-def test_farm_rejects_conflicting_strategy():
-    with pytest.raises(ValueError, match="tick_strategy given twice"):
-        DetectorFarm(1, backend="inline", tick_strategy="compiled",
-                     runtime_kwargs={"tick_strategy": "numpy"})
-    with pytest.raises(ValueError, match="unknown tick strategy"):
-        DetectorFarm(1, backend="inline", tick_strategy="jit")
