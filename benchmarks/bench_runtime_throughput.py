@@ -20,6 +20,12 @@ from repro.runtime import FrameRequest, UplinkRuntime
 from repro.sphere import ListSphereDecoder, SphereDecoder
 from repro.sphere.tick_kernel import core
 
+#: The pipelining floors measure the engine in the compiled core;
+#: without a C compiler every search runs to completion in its admission
+#: tick, so there is no tail for pipelining to overlap.
+needs_core = pytest.mark.skipif(
+    core() is None, reason="no C compiler: the engine runs the scalar search")
+
 SUBCARRIERS = 64
 OFDM_SYMBOLS = 4
 NUM_FRAMES = 24
@@ -55,6 +61,7 @@ def _pipelined(frames, **runtime_kwargs):
     return runtime, handles
 
 
+@needs_core
 def test_runtime_pipelined_vs_frame_at_a_time(benchmark, best_of,
                                               speedup_floor):
     """The CI floor: sustained pipelined throughput must beat
@@ -121,20 +128,21 @@ def test_runtime_compiled_tick_speedup(benchmark, best_of, speedup_floor,
     """The ISSUE-9 acceptance numbers, runtime edition: the same frame
     stream through one resident engine stepping its lockstep ticks in
     the compiled core (with the core's drain for the last stragglers —
-    the default wherever it built) vs the same schedule stepped by the
-    numpy kernels to the end (the core hidden, as on a box without a C
-    compiler).  Results stay bit-identical frame by frame; frames/sec
-    and the kernel-vs-orchestration split land in extra_info.  Measured
-    ~5.7x (187 vs 32.7 ms).  The 2x floor is gated wherever the core
-    loaded (any box with a C compiler); without one both sides are the
-    numpy step, so only the numbers are recorded.
+    the default wherever it built) vs the scalar fallback (the core
+    hidden, as on a box without a C compiler: every search runs through
+    the scalar decoder in its admission tick).  Results stay
+    bit-identical frame by frame; frames/sec and the
+    kernel-vs-orchestration split land in extra_info.  The fallback side
+    takes seconds, so it is timed once.  The 2x floor is gated wherever
+    the core loaded (any box with a C compiler); without one both sides
+    are the fallback, so only the numbers are recorded.
     """
     decoder = SphereDecoder(qam(16))
     frames = _frame_stream(16, 4, 4, NUM_FRAMES, decoder, SNR_DB, seed=17)
 
     with core_hidden():
         reference_runtime, references = _pipelined(frames)
-        numpy_s = best_of(lambda: _pipelined(frames), repeats=3)
+        scalar_s = best_of(lambda: _pipelined(frames), repeats=1)
     runtime, handles = benchmark(_pipelined, frames)
     for handle, reference in zip(handles, references):
         result = handle.result()
@@ -146,21 +154,22 @@ def test_runtime_compiled_tick_speedup(benchmark, best_of, speedup_floor,
 
     compiled_s = best_of(lambda: _pipelined(frames), repeats=3)
     benchmark.extra_info["core_loaded"] = core() is not None
-    benchmark.extra_info["frames_per_second_numpy"] = (
+    benchmark.extra_info["frames_per_second_scalar"] = (
         reference_runtime.stats.frames_per_second())
     benchmark.extra_info["frames_per_second_compiled"] = (
         runtime.stats.frames_per_second())
     benchmark.extra_info["kernel_time_fraction"] = (
         runtime.stats.kernel_time_fraction())
     if core() is not None:
-        speedup_floor(numpy_s, compiled_s, 2.0,
-                      baseline="numpy", candidate="compiled")
+        speedup_floor(scalar_s, compiled_s, 2.0,
+                      baseline="scalar", candidate="compiled")
     else:
-        benchmark.extra_info["numpy_s"] = numpy_s
+        benchmark.extra_info["scalar_s"] = scalar_s
         benchmark.extra_info["compiled_s"] = compiled_s
-        benchmark.extra_info["speedup"] = numpy_s / compiled_s
+        benchmark.extra_info["speedup"] = scalar_s / compiled_s
 
 
+@needs_core
 def test_runtime_soft_stream(benchmark, best_of, speedup_floor):
     """The soft path pipelines too: list frames through the resident
     engine vs soft ``decode_frame`` per frame, bit-identical LLRs, with

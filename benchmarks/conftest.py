@@ -137,9 +137,9 @@ def speedup_floor(benchmark):
 def core_hidden(monkeypatch):
     """``with core_hidden():`` — inside it the compiled search core looks
     unbuildable (as on a box without ``cc``, minus the warning), so pools
-    built there step through the numpy kernels.  That is the "numpy"
-    side of the compiled-vs-numpy floors: everywhere else the lockstep
-    schedule runs in the core wherever it loaded."""
+    built there run every search through the scalar decoder.  That is
+    the "scalar" side of the core-vs-scalar-fallback floors: everywhere
+    else the lockstep schedule runs in the core wherever it loaded."""
 
     @contextmanager
     def hidden():

@@ -8,8 +8,8 @@ an install needs is declared here: ``src/repro`` has no ``__init__.py``
 (an implicit namespace package), hence ``find_namespace_packages`` —
 plain ``find_packages`` finds nothing under ``src``.  SciPy is imported by
 :mod:`repro.analysis` only; the compiled search core is shipped as C
-source and built at first use (:mod:`repro.sphere.tick_kernel` falls
-back to the numpy tick where there is no compiler).
+source and built at first use (where there is no compiler the engine
+runs every search through the scalar decoder instead).
 """
 
 from setuptools import find_namespace_packages, setup

@@ -1,16 +1,12 @@
-"""The lockstep engine: lane-indexed kernel pools behind one frontier.
+"""The lockstep engine: lane-indexed search pools behind one frontier.
 
 Every depth-first sphere search the library runs in bulk goes through
 this module.  A :class:`StreamingFrontier` owns **pools** of lanes — one
-pool per kernel signature — and advances every search in a pool one
-tree-node step per tick, with each per-step computation
-(Schnorr–Euchner child ordering, partial distances, geometric-pruning
-lookups, radius pruning, interference cancellation) expressed as numpy
-array ops over the active lanes — or, on the same arrays, run lane by
-lane by the compiled search core (below).  Hard (maximum-likelihood) and soft
-(list) searches differ only in the pool's leaf policy; ``zigzag`` /
-``shabany`` / ``hess`` / ``exhaustive`` differ only in the enumerator
-kernel (:mod:`repro.sphere.batch_search`).
+pool per search signature — and advances every search in a pool one
+candidate attempt per tick in the compiled search core (below).  Hard
+(maximum-likelihood) and soft (list) searches differ only in the pool's
+leaf policy; ``zigzag`` / ``shabany`` only in the frontier kernel
+(:mod:`repro.sphere.batch_search`).
 
 Three entry points feed it, and they differ only in who owns the
 frontier and how long it lives:
@@ -30,50 +26,45 @@ frontier and how long it lives:
 Who executes a tick, and the straggler drain
 -------------------------------------------
 The tick is the engine's *schedule* — admission, budget stops and the
-QoS hooks (``degrade`` / ``evict``) all act between ticks — and a pool
-whose kernel has a compiled core (``pool.has_core``: ``zigzag`` /
-``shabany``, wherever :mod:`repro.sphere.tick_kernel` could build it)
-executes its step **in the core**: one native call gives every active
-lane one candidate attempt, in place on the pool's own kernel and lane
-arrays, and flags the lanes that finished (tree exhausted or per-lane
-node budget reached); they retire through ``_finish_lockstep``.  What
-that leaves in every array is what the numpy ``_step`` would have left
-(``tests/test_tail.py`` compares them after every tick), so the schedule
-is unchanged and only the executor differs: a tick costs ~0.05 ms +
-~0.1 microseconds per lane instead of ~0.14 ms + ~0.3.  The numpy
-``_step`` and the numpy kernels remain what runs the ``hess`` /
-``exhaustive`` baselines and everything on a box without a C compiler
-(one warning, ``drain_threshold`` 0: lockstep to the end).
+QoS hooks (``degrade`` / ``evict``) all act between ticks.  A pool with
+a kernel (``pool.has_core``: ``zigzag`` / ``shabany``, wherever
+:mod:`repro.sphere.tick_kernel` could build the core) executes its step
+**in the core**: one native call gives every active lane one candidate
+attempt, in place on the pool's own kernel and lane arrays, and flags
+the lanes that finished (tree exhausted or per-lane node budget
+reached); they retire through ``_finish_lockstep``.  A tick costs
+~0.05 ms + ~0.1 microseconds per lane.
 
 Sphere-search cost is heavy-tailed, and that fixed ~0.05 ms is paid
 however few lanes are live.  When a pool's queue is dry and its active
 set is down to ``drain_threshold`` lanes, the same call is made with an
 unlimited allowance: one tick runs the survivors to completion, each
 under its own lane budget (so a deadline-degraded frame stops at its
-shrunk cap there too).  That drain is the only place the engine runs
+shrunk cap there too).  That drain is the only place a core pool runs
 searches to completion; everywhere else the tick, and with it every QoS
-point, stays one candidate attempt long.  Time in the core counts as
-kernel time in the tick telemetry (``last_tick_kernel_s``), like the
-numpy step.
+point, stays one candidate attempt long.
 
-Bit-exactness argument: kernel state is fully re-initialised at
-admission and every per-tick quantity that depends on the channel is
-gathered from per-lane copies of the element's own ``R`` row,
-observation and diagonal scalings.  The floating-point program is kept
-operation-for-operation equal to the scalar search: residuals come from
-``batched_axis_orders``, candidate and path distances are plain
-elementwise real arithmetic, and interference accumulates
-column-by-column through the complex-multiply ufunc
-(:func:`accumulate_interference`).  Each search therefore executes
-exactly the scalar state machine regardless of which searches — of
-which frames — share a tick with it, so results and counters are
+Every other pool — ``hess`` / ``exhaustive``, or any pool on a box
+without a C compiler (one warning) — has no kernel and ``drain_threshold``
+0: the tick that admits a search runs it to completion through the
+decoder's own scalar search, under its lane budget, and retires it the
+same way, so such a pool never has a search in flight between ticks.
+Time in the core or the scalar search counts as kernel time in the tick
+telemetry (``last_tick_kernel_s``).
+
+Bit-exactness argument: every search reads only per-lane copies of its
+element's own ``R``, observation and diagonal scalings, and executes the
+scalar loop's iterations in order — the core operation for operation
+(its header lists the float programs it keeps), a pool without a core
+by running the loop itself — regardless of which searches, of which
+frames, share a tick with it.  So results and counters are
 bit-identical to per-slot ``decode_triangular`` /
 ``decode_soft_triangular`` for *every* capacity, drain threshold,
 admission order and in-flight interleaving (``tests/test_engine.py``
 pins all three entry points to the scalar oracle; ``tests/test_runtime.py``
 adds a hypothesis sweep over submission permutations and budgets).
 
-Searches are grouped into **pools** by kernel signature
+Searches are grouped into **pools** by search signature
 (:func:`~repro.runtime.queue.search_signature`, which the detector farm
 routes by too: hard/soft, constellation, stream count, enumerator,
 pruning, node budget, list size): searches in one pool share kernel
@@ -102,15 +93,14 @@ import time
 import numpy as np
 
 from ..sphere.batch_search import _grown, make_kernel
-from ..sphere.tick_kernel import core, run_hard, run_soft
+from ..sphere.tick_kernel import run_hard, run_soft
 from ..obs.trace import FrameTracer
 from ..utils.validation import require
 from .queue import AdmissionQueue, FrameJob, search_signature
 
 __all__ = ["DEFAULT_INITIAL_LANES", "DEFAULT_LANE_CAPACITY",
            "DRAIN_THRESHOLD_CAP", "LANE_POLICIES", "LanePool",
-           "StreamingFrontier", "accumulate_interference",
-           "insert_soft_leaves", "run_frame"]
+           "StreamingFrontier", "run_frame"]
 
 #: Default global lane budget.  Large enough that typical frames (64
 #: subcarriers x tens of OFDM symbols) keep the whole frame in lockstep,
@@ -123,32 +113,19 @@ DEFAULT_LANE_CAPACITY = 2048
 #: below it): the frontier stays efficient down to a small *absolute*
 #: active count.  Measured on the ladder's hard 16-QAM 4x4 x
 #: 64-subcarrier corpus (coded hard+soft cell mix in brackets), closed
-#: loop, ticks without admission.  With the step in the compiled core a
-#: tick is ~0.05 ms + ~0.1 us x lanes (~0.10 ms + ~0.13), of which the
-#: core call is ~0.02 ms + ~0.08 us x lanes — 40 us at 33-64 lanes, 59
-#: at 129-256, 146 above 512 — and a drain of <= 32 survivors ~0.27 ms
-#: at 0.1 us/node.  The numpy step — the *fallback's* figures now —
-#: costs ~0.14 ms + ~0.3 us x lanes, per lane per tick by live lanes:
-#:
-#:     33-64 lanes    3.4 us   (4.1)
-#:     65-128         1.9      (2.3)
-#:     129-256        1.3      (1.2)
-#:     257-512        0.8      (0.9)
-#:     > 512          0.40     (0.61)
-#:
-#: The sweep over {16, 24, 32, 48} on the ladder that set the cap
-#: (numpy step, ``hard_stream`` frames/s | ``coded_soft_cell`` latency
-#: p50 ms): 16: 120-125 | 132-139, 24: 188 | 108-123, 32: 189-201 |
-#: 102-104, 48: 193-204 | 141-171.  Below 32 the last few dozen searches
-#: pay the per-tick floor for too many ticks; above it hard throughput
-#: is flat and the one tick that drains a *list* (soft) pool gets long
-#: enough to move the median latency of the light frames sharing the
-#: runtime.  With the core stepping, 32 stays for the first reason
-#: alone: the last searches of a workload outlive the rest by tens of
-#: ticks, a tick's fixed ~0.05 ms buys <= 3 us of search at <= 32 lanes,
-#: and one drain tick saves all of them; raising the cap, or the
+#: loop, ticks without admission: a tick is ~0.05 ms + ~0.1 us x lanes
+#: (~0.10 ms + ~0.13), of which the core call is ~0.02 ms + ~0.08 us x
+#: lanes — 40 us at 33-64 lanes, 59 at 129-256, 146 above 512 — and a
+#: drain of <= 32 survivors ~0.27 ms at 0.1 us/node.  The last searches
+#: of a workload outlive the rest by tens of ticks, a tick's fixed
+#: ~0.05 ms buys <= 3 us of search at <= 32 lanes, and one drain tick
+#: saves all of them.  Above 32 the one tick that drains a *list* (soft)
+#: pool gets long enough to move the median latency of the light frames
+#: sharing the runtime (the sweep over {16, 24, 32, 48} that set the
+#: cap, when the step ran as numpy array ops, read ``coded_soft_cell``
+#: p50 102-104 ms at 32 against 141-171 at 48).  Raising the cap, or the
 #: lockstep allowance above one attempt, moves QoS points and waits for
-#: ROADMAP item 2's re-sweep.
+#: a re-sweep.
 DRAIN_THRESHOLD_CAP = 32
 
 #: Lanes a kernel pool allocates up front; pools grow geometrically on
@@ -172,96 +149,6 @@ _NO_BUDGET = np.iinfo(np.int64).max
 #: the shared lane budget; ``"fifo"`` ignores priorities entirely — the
 #: pre-QoS behaviour, kept as the SLO benchmark's baseline.
 LANE_POLICIES = ("deadline", "fifo")
-
-
-def accumulate_interference(rows, chosen, next_level,
-                            num_streams: int) -> np.ndarray:
-    """Interference of the decided upper levels for a batch of descents.
-
-    ``rows`` carries each descending lane's own ``R`` row at its next
-    level, ``chosen`` the lane's decided symbols, ``next_level`` the
-    level being entered.  The accumulation runs column-by-column
-    (ascending) through the multiply ufunc — the scalar search's exact
-    float program — so lockstep partial distances are bit-identical to
-    the scalar ones.  The homogeneous-level fast path skips the
-    ``np.where`` masking when every lane descends to the same level;
-    both branches apply the identical per-lane operation sequence.
-    """
-    products = rows * chosen
-    interference = np.zeros(rows.shape[0], dtype=np.complex128)
-    first = int(next_level[0])
-    if (next_level == first).all():
-        for column in range(first + 1, num_streams):
-            interference = interference + products[:, column]
-    else:
-        for column in range(1, num_streams):
-            interference = np.where(
-                next_level < column,
-                interference + products[:, column], interference)
-    return interference
-
-
-def _row_max(rows: np.ndarray) -> np.ndarray:
-    """``rows.max(axis=1)`` as an argmax and a gather: on rows this
-    short numpy's pairwise reduction costs ~4x the argmax."""
-    return rows[np.arange(rows.shape[0]), rows.argmax(axis=1)]
-
-
-def insert_soft_leaves(at_leaf, leaf_distance, seq, path_cols, path_rows,
-                       list_d, list_seq, list_cols, list_rows, list_n,
-                       radius, list_size: int) -> None:
-    """Insert a tick's batch of leaves into their lanes' bounded lists.
-
-    The vectorised twin of the scalar list decoder's ``heapq``
-    bookkeeping — append while a list has room, then ``heappushpop``
-    semantics (the new leaf replaces the worst member, ties broken
-    towards the earliest-found) — with each lane's sphere radius
-    tightened to its worst member once the list is full.  All arrays
-    are indexed by the lane ids in ``at_leaf``.
-    """
-    count = list_n[at_leaf]
-    full = count == list_size
-    if full.all():
-        replacing, new_distance, new_seq = at_leaf, leaf_distance, seq
-    else:
-        # Room left: append to the lane's next free entry.
-        room = ~full
-        inserting = at_leaf[room]
-        slot = count[room]
-        list_d[inserting, slot] = leaf_distance[room]
-        list_seq[inserting, slot] = seq[room]
-        list_cols[inserting, slot] = path_cols[inserting]
-        list_rows[inserting, slot] = path_rows[inserting]
-        list_n[inserting] = slot + 1
-        newly_full = slot == list_size - 1
-        if newly_full.any():
-            filled = inserting[newly_full]
-            radius[filled] = _row_max(list_d[filled])
-        if not full.any():
-            return
-        replacing = at_leaf[full]
-        new_distance = leaf_distance[full]
-        new_seq = seq[full]
-    # Full list: ``heappushpop`` semantics — the new leaf replaces the
-    # worst member (largest distance, ties towards the earliest-found)
-    # unless it is strictly worse than all of them.  A full list's
-    # radius *is* its worst member's distance.
-    worst = radius[replacing]
-    evict = new_distance <= worst
-    if not evict.all():
-        replacing = replacing[evict]
-        new_distance = new_distance[evict]
-        new_seq = new_seq[evict]
-        worst = worst[evict]
-    row_d = list_d[replacing]
-    slot = np.where(row_d == worst[:, None], list_seq[replacing],
-                    _NO_BUDGET).argmin(axis=1)
-    list_d[replacing, slot] = new_distance
-    list_seq[replacing, slot] = new_seq
-    list_cols[replacing, slot] = path_cols[replacing]
-    list_rows[replacing, slot] = path_rows[replacing]
-    row_d[np.arange(replacing.size), slot] = new_distance
-    radius[replacing] = _row_max(row_d)
 
 
 class _ResultArena:
@@ -418,23 +305,21 @@ class _PoolBase:
         # the decoder is unbudgeted.
         self.lane_budget = np.full(capacity, _NO_BUDGET, dtype=np.int64)
 
-        levels = self.constellation.levels
-        self.symbol_grid = levels[:, None] + 1j * levels[None, :]
         # Per-lane complexity tallies, packed one row per lane so a
         # reset or a retirement moves all five at once; the named
         # columns are views.
         self.tally = np.zeros((capacity, 5), dtype=np.int64)
         self._bind_tallies()
-        self.kernel = make_kernel(decoder, capacity * num_streams, levels,
-                                  self.ped, self.prunes)
-        #: Whether the compiled core executes this pool's searches —
-        #: the lockstep step and the drain alike.  Where it cannot (a
-        #: ``hess`` / ``exhaustive`` kernel, no compiler) the numpy step
-        #: does, and with nothing to hand stragglers to: lockstep to the
-        #: end.
-        self.has_core = self.kernel.has_tail and core() is not None
-        if not self.has_core:
+        #: The frontier arrays the compiled core steps this pool's
+        #: searches on, or ``None``: a ``hess`` / ``exhaustive`` pool or
+        #: a box without the core runs each search to completion through
+        #: the decoder's scalar search instead, with nothing to drain.
+        self.kernel = make_kernel(decoder, capacity * num_streams,
+                                  self.constellation.levels, self.ped,
+                                  self.prunes)
+        if self.kernel is None:
             self.drain_threshold = 0
+            self._enumerate = decoder._enumerator_factory()
         # Which (frame, element) each lane is running.  Frames are
         # interned to dense integer ids so the per-tick grouping and the
         # QoS lane scans are array compares instead of per-lane Python
@@ -461,15 +346,16 @@ class _PoolBase:
         self.path_cols = np.zeros((capacity, num_streams), dtype=np.int64)
         self.path_rows = np.zeros((capacity, num_streams), dtype=np.int64)
         self.chosen = np.zeros((capacity, num_streams), dtype=np.complex128)
-        self.parent_flat = self.parent.reshape(-1)
-        self.path_cols_flat = self.path_cols.reshape(-1)
-        self.path_rows_flat = self.path_rows.reshape(-1)
-        self.chosen_flat = self.chosen.reshape(-1)
 
     def _bind_tallies(self) -> None:
         self.tallies = tuple(self.tally.T)
         (self.ped, self.visited, self.expanded, self.leaves,
          self.prunes) = self.tallies
+
+    @property
+    def has_core(self) -> bool:
+        """Whether the compiled core executes this pool's searches."""
+        return self.kernel is not None
 
     @property
     def has_work(self) -> bool:
@@ -489,7 +375,9 @@ class _PoolBase:
         self.lane_budget = _grown(self.lane_budget, capacity, _NO_BUDGET)
         self.tally = _grown(self.tally, capacity)
         self._bind_tallies()
-        self.kernel.grow(capacity * self.num_streams, self.ped, self.prunes)
+        if self.kernel is not None:
+            self.kernel.grow(capacity * self.num_streams, self.ped,
+                             self.prunes)
         self.jobidx_of = _grown(self.jobidx_of, capacity)
         self.elem_of = _grown(self.elem_of, capacity)
         self.dest_of = _grown(self.dest_of, capacity)
@@ -503,10 +391,6 @@ class _PoolBase:
         self.path_cols = _grown(self.path_cols, capacity)
         self.path_rows = _grown(self.path_rows, capacity)
         self.chosen = _grown(self.chosen, capacity)
-        self.parent_flat = self.parent.reshape(-1)
-        self.path_cols_flat = self.path_cols.reshape(-1)
-        self.path_rows_flat = self.path_rows.reshape(-1)
-        self.chosen_flat = self.chosen.reshape(-1)
         self.allocated = capacity
 
     # -- admission ------------------------------------------------------
@@ -554,8 +438,10 @@ class _PoolBase:
                 # budget (never looser than the decoder's own).
                 self.lane_budget[lanes] = np.minimum(
                     self.lane_budget[lanes], job.degraded_budget)
-            points = self.lane_y[lanes, top] / self.lane_diag[lanes, top]
-            self.kernel.init(lanes * self.num_streams + top, lanes, points)
+            if self.kernel is not None:
+                points = self.lane_y[lanes, top] / self.lane_diag[lanes, top]
+                self.kernel.init(lanes * self.num_streams + top, lanes,
+                                 points)
             if job.first_lane_at is None:
                 # Stage-boundary stamp: the frame's first search took a
                 # lane — queue wait ends here.  Stamped with tracing off
@@ -617,6 +503,8 @@ class _PoolBase:
         nodes finishes at the next tick's budget stop with its
         best-so-far — exactly the scalar early-break semantics, so the
         degraded result is real work delivered early, never fabricated.
+        A pool without a core has no search in a lane between ticks, so
+        there only the queued searches are degraded.
         """
         jobidx = self._jobidx.get(id(job))
         if jobidx is None or not self.active.size:
@@ -628,8 +516,9 @@ class _PoolBase:
 
     def evict(self, job: FrameJob) -> int:
         """Abandon the job's in-lane searches (expiry / cancellation):
-        remove them from the active set and free their lanes.  Returns
-        how many searches were evicted."""
+        remove them from the active set and free their lanes (a pool
+        without a core has none between ticks).  Returns how many
+        searches were evicted."""
         jobidx = self._jobidx.get(id(job))
         if jobidx is None:
             return 0
@@ -661,10 +550,10 @@ class _PoolBase:
                 self._retire(oldest + offset, int(counts[offset]), completed)
         self._release(lanes)
 
-    def _run_in_core(self, completed: list, attempts: int | None) -> None:
-        """Give every active search ``attempts`` candidate attempts in
-        the compiled core (1: a lockstep step; ``None``: to completion),
-        each under its own lane budget, and retire the finished ones."""
+    def _advance(self, completed: list, attempts: int | None) -> None:
+        """Give every active search ``attempts`` candidate attempts (1: a
+        lockstep step; ``None``: to completion), each under its own lane
+        budget, and retire the finished ones."""
         active = self.active
         self.engine.last_tick_lanes += active.size
         started = time.perf_counter()
@@ -674,14 +563,32 @@ class _PoolBase:
             self.active = active[~done]
             self._finish_lockstep(active[done], completed)
 
+    def _run_scalar(self, active: np.ndarray, search) -> np.ndarray:
+        """A pool without a core: run each listed search to completion
+        through the decoder's own scalar ``search``, under its lane
+        budget, and write the lane rows the core would have — the five
+        tallies, then the leaf policy's (``_bank``).  Everything
+        finishes."""
+        for lane in active.tolist():
+            outcome = search(self.lane_r[lane], self.lane_y[lane],
+                             self.lane_diag[lane], self.lane_diag_sq[lane],
+                             self._enumerate, int(self.lane_budget[lane]))
+            counters = outcome.counters
+            self.tally[lane] = (counters.ped_calcs, counters.visited_nodes,
+                                counters.expanded_nodes, counters.leaves,
+                                counters.geometric_prunes)
+            self._bank(lane, outcome)
+        return np.ones(active.size, dtype=bool)
+
     # -- one breadth-synchronised step ----------------------------------
     def tick(self, completed: list) -> None:
-        """Advance every active search one level, frame boundaries
-        ignored: budget stops, refill, drain check, then the step — one
-        candidate attempt per lane, in the compiled core where the pool
-        has one, else through the numpy kernels.  Once the queue is dry
-        and at most ``drain_threshold`` searches remain, the core runs
-        them to completion instead, each under its own lane budget."""
+        """Advance every active search one candidate attempt, frame
+        boundaries ignored: budget stops, refill, drain check, then the
+        step in the compiled core.  Once the queue is dry and at most
+        ``drain_threshold`` searches remain, the core runs them to
+        completion instead, each under its own lane budget.  A pool
+        without a core finishes every search in the tick that admits
+        it."""
         if self.active.size:
             # Per-lane budgets: the decoder's own node budget for every
             # undegraded search (bit-exact with the scalar early break),
@@ -696,93 +603,9 @@ class _PoolBase:
             self._admit()
         if self.active.size == 0:
             return
-        if self.has_core:
-            drain = (not self.queue.pending
-                     and self.active.size <= self.drain_threshold)
-            self._run_in_core(completed, None if drain else 1)
-            return
-        self.engine.last_tick_lanes += self.active.size
-        started = time.perf_counter()
-        self._step(completed)
-        self.engine.last_tick_kernel_s += time.perf_counter() - started
-
-    def _step(self, completed: list) -> None:
-        num_streams = self.num_streams
-        active = self.active
-        lv = self.level[active]
-        slots = active * num_streams + lv
-        parent_distance = self.parent_flat[slots]
-        scale = self.lane_diag_sq[active, lv]
-        sphere = self.radius[active]
-        budget = (sphere - parent_distance) / scale
-        got, dist_sq, col, row = self.kernel.step(slots, active, budget)
-
-        if got.all():
-            accepted, lv_a, slots_a = active, lv, slots
-            parent_a, scale_a, sphere_a = parent_distance, scale, sphere
-        else:
-            accepted = active[got]
-            lv_a = lv[got]
-            slots_a = slots[got]
-            parent_a = parent_distance[got]
-            scale_a = scale[got]
-            sphere_a = sphere[got]
-            # Enumerator ran dry: pop the stack (climb one level); root
-            # pops finish the search and free its lane for the refill.
-            exhausted = active[~got]
-            new_level = self.level[exhausted] + 1
-            self.level[exhausted] = new_level
-            alive = new_level <= num_streams - 1
-            if alive.all():
-                survivors = exhausted
-            else:
-                survivors = exhausted[alive]
-                self._finish_lockstep(exhausted[~alive], completed)
-            active = np.concatenate([accepted, survivors])
-        self.active = active
-
-        if accepted.size:
-            distance = parent_a + scale_a * dist_sq
-            keep = self._accept_filter(distance, sphere_a)
-            if keep is not None and not keep.all():
-                accepted = accepted[keep]
-                lv_a = lv_a[keep]
-                slots_a = slots_a[keep]
-                distance = distance[keep]
-                col = col[keep]
-                row = row[keep]
-            self.visited[accepted] += 1
-            self.path_cols_flat[slots_a] = col
-            self.path_rows_flat[slots_a] = row
-            self.chosen_flat[slots_a] = self.symbol_grid[col, row]
-            leaf = lv_a == 0
-            if leaf.any():
-                self._bank_leaves(accepted[leaf], distance[leaf])
-                push = ~leaf
-            else:
-                push = None
-            if push is None or push.any():
-                if push is None:
-                    descending = accepted
-                    next_level = lv_a - 1
-                    parent_push = distance
-                else:
-                    descending = accepted[push]
-                    next_level = lv_a[push] - 1
-                    parent_push = distance[push]
-                # Each lane's own copy of its subcarrier row of R feeds
-                # the shared bit-exact accumulation.
-                interference = accumulate_interference(
-                    self.lane_r[descending, next_level],
-                    self.chosen[descending], next_level, num_streams)
-                points = ((self.lane_y[descending, next_level]
-                           - interference)
-                          / self.lane_diag[descending, next_level])
-                self.expanded[descending] += 1
-                child = descending * num_streams + next_level
-                self.kernel.init(child, descending, points)
-                self.parent_flat[child] = parent_push
-                self.level[descending] = next_level
+        drain = (not self.queue.pending
+                 and self.active.size <= self.drain_threshold)
+        self._advance(completed, None if drain else 1)
 
 
 class _HardPool(_PoolBase):
@@ -814,27 +637,22 @@ class _HardPool(_PoolBase):
         self.best_rows[lanes] = -1
         self.best_dist[lanes] = np.inf
 
-    def _accept_filter(self, distance, sphere):
-        # Defensive guard mirroring the scalar loop; enumerators respect
-        # the budget, so this should never trigger.
-        return distance < sphere
-
-    def _bank_leaves(self, at_leaf, leaf_distance) -> None:
-        self.leaves[at_leaf] += 1
-        # Schnorr–Euchner radius update, per element.
-        self.radius[at_leaf] = leaf_distance
-        self.best_dist[at_leaf] = leaf_distance
-        self.best_cols[at_leaf] = self.path_cols[at_leaf]
-        self.best_rows[at_leaf] = self.path_rows[at_leaf]
+    def _bank(self, lane: int, result) -> None:
+        if result.found:
+            self.best_dist[lane] = result.distance_sq
+            self.best_cols[lane], self.best_rows[lane] = (
+                self.constellation.col_row(result.symbol_indices))
 
     def _run(self, active: np.ndarray, attempts: int | None) -> np.ndarray:
+        if self.kernel is None:
+            return self._run_scalar(active, self.decoder._search)
         # Lane-indexed everywhere: state row, kernel lane and channel
         # copy all live at the lane index, and each lane's absolute
         # budget sits in lane_budget (visited starts at zero).
         return run_hard(
             self.kernel, active, active, active, self.lane_budget[active],
             self.lane_r, self.lane_y, self.lane_diag, self.lane_diag_sq,
-            self.level, self.radius, self.parent_flat, self.path_cols,
+            self.level, self.radius, self.parent, self.path_cols,
             self.path_rows, self.chosen, self.best_cols, self.best_rows,
             self.best_dist, self.tallies, attempts)
 
@@ -880,24 +698,19 @@ class _SoftPool(_PoolBase):
         self.list_n[lanes] = 0
         self.leaf_seq[lanes] = 0
 
-    def _accept_filter(self, distance, sphere):
-        # No defensive radius re-check: the scalar list search visits
-        # every candidate its enumerator yields within budget.
-        return None
-
-    def _bank_leaves(self, at_leaf, leaf_distance) -> None:
-        self.leaves[at_leaf] += 1
-        self.leaf_seq[at_leaf] += 1
-        insert_soft_leaves(at_leaf, leaf_distance, self.leaf_seq[at_leaf],
-                           self.path_cols, self.path_rows, self.list_d,
-                           self.list_seq, self.list_cols, self.list_rows,
-                           self.list_n, self.radius, self.list_size)
+    def _bank(self, lane: int, state) -> None:
+        self.leaf_seq[lane] = state.leaf_counter
+        self.list_n[lane] = state.into(self.list_d[lane], self.list_seq[lane],
+                                       self.list_cols[lane],
+                                       self.list_rows[lane])
 
     def _run(self, active: np.ndarray, attempts: int | None) -> np.ndarray:
+        if self.kernel is None:
+            return self._run_scalar(active, self.decoder._search_soft)
         return run_soft(
             self.kernel, active, active, active, self.lane_budget[active],
             self.lane_r, self.lane_y, self.lane_diag, self.lane_diag_sq,
-            self.level, self.radius, self.parent_flat, self.path_cols,
+            self.level, self.radius, self.parent, self.path_cols,
             self.path_rows, self.chosen, self.list_d, self.list_seq,
             self.list_cols, self.list_rows, self.list_n, self.leaf_seq,
             self.list_size, self.tallies, attempts)
@@ -918,8 +731,8 @@ class StreamingFrontier:
         Hand survivors to the compiled search core once a pool's queue
         is empty *and* its active set is this small.  Default:
         ``capacity // 6`` capped at :data:`DRAIN_THRESHOLD_CAP` (32)
-        survivors; ``0`` keeps every search in lockstep to the end (as
-        does a box where the core cannot be built).
+        survivors; ``0`` keeps every search in lockstep to the end.
+        Pools without a core have nothing to drain and read ``0``.
     lane_policy:
         Lane-refill policy, one of :data:`LANE_POLICIES`.
         ``"deadline"`` (default) serves admission queues class-aware and
@@ -966,7 +779,7 @@ class StreamingFrontier:
         #: also stamps ``first_lane_at`` for the stage decomposition.
         self.tracer = tracer if tracer is not None else FrameTracer()
         #: Seconds the last tick() spent inside kernel work (the compiled
-        #: core or the numpy step), for the runtime's
+        #: core or the scalar search), for the runtime's
         #: kernel-vs-orchestration split, and the lanes it ran there.
         self.last_tick_kernel_s = 0.0
         self.last_tick_lanes = 0

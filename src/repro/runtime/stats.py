@@ -140,8 +140,9 @@ class RuntimeStats:
                     kernel_s: float | None = None) -> None:
         """One engine tick: lane occupancy, plus (when the session
         measured them) the tick's wall duration and the share of it
-        spent inside kernel work — the numpy step or the compiled
-        cores — as opposed to Python orchestration."""
+        spent inside kernel work — the compiled core, or the scalar
+        search where there is none — as opposed to Python
+        orchestration."""
         self.ticks += 1
         self.lane_occupancy_sum += occupancy
         if duration_s is not None:

@@ -11,17 +11,17 @@ Public surface:
 * :class:`ComplexityCounters` — the PED-calculation / visited-node
   accounting behind Figs. 14-15;
 * :class:`GeometricPruner` — the table-driven branch lower bound;
-* :mod:`repro.sphere.batch_search` — the vectorised enumerator kernels
-  the lockstep engine (:mod:`repro.runtime.engine`) steps; the engine is
-  what ``decode_batch`` / ``decode_block`` / ``decode_frame`` run on,
-  and the scalar :meth:`SphereDecoder.decode_triangular` /
-  :meth:`ListSphereDecoder.decode_soft_triangular` are the oracle it is
-  pinned to;
 * :mod:`repro.sphere.tick_kernel` — the compiled search core
   (``search_core.c``, built with the system ``cc`` at first use): the
-  same state machine in C, one loop with two uses in the engine — one
-  candidate attempt per search is the lockstep step, an unlimited
-  allowance drains a pool's last few (straggler) searches.
+  same state machine in C, one loop with two uses in the lockstep engine
+  (:mod:`repro.runtime.engine`, what ``decode_batch`` / ``decode_block``
+  / ``decode_frame`` run on) — one candidate attempt per search is the
+  lockstep step, an unlimited allowance drains a pool's last few
+  (straggler) searches — on the frontier arrays
+  :mod:`repro.sphere.batch_search` lays out.  The scalar
+  :meth:`SphereDecoder.decode_triangular` /
+  :meth:`ListSphereDecoder.decode_soft_triangular` are the oracle it is
+  pinned to, and what the engine runs where there is no core.
 """
 
 from .batch import BatchDecodeResult, batched_axis_orders, zigzag_order_table

@@ -1,44 +1,31 @@
-"""Vectorised enumerator kernels for the lockstep engine.
+"""Frontier arrays for the compiled search core.
 
-The scalar search in :mod:`repro.sphere.decoder` instantiates one child
-enumerator per expanded tree node.  The lockstep engine
-(:mod:`repro.runtime.engine`) advances many searches one tree-node step
-per tick, so each scalar enumerator has a vectorised *kernel* here
-holding its state for every (lane, tree level) slot as flat arrays:
+The lockstep engine (:mod:`repro.runtime.engine`) keeps every search of
+a kernel pool in lane-indexed arrays, and the compiled search core
+(:mod:`repro.sphere.tick_kernel`, ``search_core.c``) advances them **in
+place**.  The *kernels* here own the enumerator half of that state, one
+row per (lane, tree level) slot, and fill it when a search is admitted:
 
 * ``zigzag`` — Geosphere's lazy 2-D zigzag in **column form**.  The
   paper's invariant (section 3.1.1: at most one queued candidate per
   entered PAM column, hence its sqrt(|O|) queue bound) is used as the
   *layout*, not just as a capacity: a slot's priority queue is a row of
-  ``side`` distances, a pop is ``argmin`` over the row (ties to the
+  ``side`` distances, and a pop is ``argmin`` over the row (ties to the
   lowest column, which is ``heapq``'s ``(distance, i, j)`` order
-  because queued columns are distinct), and the two deferred successor
-  proposals share one bounds → pruning-table → tally → write pass;
+  because queued columns are distinct);
 * ``shabany`` — both successors every time behind a seen-set, so a
   column can hold several candidates: a bounded unordered heap per slot
-  whose pop takes the lexicographic ``(distance, i, j)`` minimum;
-* ``hess`` — ETH-SD's row-parallel 1-D zigzag: per-row position and
-  distance arrays, refill-on-demand;
-* ``exhaustive`` — compute-all-then-stable-argsort, cursor per slot.
+  whose pop takes the lexicographic ``(distance, i, j)`` minimum.
 
-Every kernel reproduces its scalar enumerator candidate for candidate:
-axis orders and residuals come from
-:func:`repro.sphere.batch.batched_axis_orders` (bit-exact with the
-scalar :class:`~repro.sphere.enumerator.AxisOrder`), candidate distances
-are plain elementwise real arithmetic, and the PED / geometric-prune
-tallies are incremented at exactly the points the scalar enumerators
-increment theirs.  The frontier kernels (``zigzag``, ``shabany``) have
-a second executor (``kernel.has_tail``): the compiled search core
-(:mod:`repro.sphere.tick_kernel`) takes a search — half run, or fresh
-from admission — **in place on these very arrays**, one candidate
-attempt per tick or to completion: ``search_core.c`` reads and writes
-``axis_int`` / ``axis_res`` and each kernel's queue (``col_d`` /
-``col_j`` / ``last_i``; ``heap_*`` / ``has_last`` / ``seen``) in the
-layout declared here, so a layout change is a change to both files.
-Where the core built, the engine steps these two kernels through it and
-their ``step`` methods are the compiler-less fallback (still what
-``init`` / ``grow`` and admission run on); ``hess`` and ``exhaustive``
-are comparison baselines and always step here.
+``search_core.c`` reads and writes ``axis_int`` / ``axis_res`` and each
+kernel's queue (``col_d`` / ``col_j`` / ``last_i``; ``heap_*`` /
+``has_last`` / ``seen``) in the layout declared here, so a layout change
+is a change to both files.  Axis orders and residuals come from
+:func:`repro.sphere.batch.batched_axis_orders` (bit-exact with the scalar
+:class:`~repro.sphere.enumerator.AxisOrder`), and ``init`` tallies the
+root candidate exactly where the scalar enumerators do.  The ``hess`` and
+``exhaustive`` baselines have no kernel: the engine runs them through
+the scalar decoder.
 """
 
 from __future__ import annotations
@@ -46,13 +33,9 @@ from __future__ import annotations
 import numpy as np
 
 from .batch import batched_axis_orders
+from .tick_kernel import core
 
 __all__ = ["make_kernel"]
-
-#: What a frontier kernel's ``step`` returns when no stepped slot
-#: yielded a candidate.
-_NO_DISTANCES = np.zeros(0)
-_NO_INDICES = np.zeros(0, dtype=np.int64)
 
 
 def _grown(array: np.ndarray, rows: int, fill=0) -> np.ndarray:
@@ -66,7 +49,7 @@ def _grown(array: np.ndarray, rows: int, fill=0) -> np.ndarray:
 
 
 class _KernelBase:
-    """Axis-order state shared by every enumerator kernel.
+    """Axis-order state shared by both kernels.
 
     State lives in flat ``(num_slots, ...)`` arrays indexed by
     ``slot = lane * num_streams + level`` — one slot per (lane, tree
@@ -77,15 +60,8 @@ class _KernelBase:
     ``[ord_i, ord_q]`` (``[ord_i, off_i, ord_q, off_q]`` with a pruning
     table), ``axis_res[slot]`` is ``[res_i, res_q]`` — so a node's tables
     are one contiguous row and :meth:`init_axes` writes each stack with a
-    single scatter; ``ord_i`` ... ``res_q`` are ``(num_slots, side)``
-    views into them.
+    single scatter.
     """
-
-    #: Whether the compiled core (:mod:`repro.sphere.tick_kernel`) can
-    #: run this kernel's searches — step them or finish them; kernels
-    #: without one step here, in lockstep to the end whatever the drain
-    #: threshold says.
-    has_tail = False
 
     def __init__(self, num_slots: int, side: int, levels: np.ndarray,
                  ped: np.ndarray, prunes: np.ndarray,
@@ -98,18 +74,6 @@ class _KernelBase:
         self.axis_int = np.zeros(
             (num_slots, 2 if table is None else 4, side), dtype=np.int64)
         self.axis_res = np.zeros((num_slots, 2, side), dtype=np.float64)
-        self._bind_axes()
-        self._iota = np.arange(num_slots, dtype=np.int64)
-
-    def _bind_axes(self) -> None:
-        per_axis = self.axis_int.shape[1] // 2
-        self.ord_i = self.axis_int[:, 0]
-        self.ord_q = self.axis_int[:, per_axis]
-        if per_axis == 2:
-            self.off_i = self.axis_int[:, 1]
-            self.off_q = self.axis_int[:, 3]
-        self.res_i = self.axis_res[:, 0]
-        self.res_q = self.axis_res[:, 1]
 
     def grow(self, num_slots: int, ped: np.ndarray,
              prunes: np.ndarray) -> None:
@@ -121,8 +85,6 @@ class _KernelBase:
         self.prunes = prunes
         self.axis_int = _grown(self.axis_int, num_slots)
         self.axis_res = _grown(self.axis_res, num_slots)
-        self._bind_axes()
-        self._iota = np.arange(num_slots, dtype=np.int64)
 
     def init_axes(self, slots: np.ndarray, points: np.ndarray) -> np.ndarray:
         """Zigzag-order both PAM axes for freshly expanded nodes; returns
@@ -146,8 +108,8 @@ class _KernelBase:
 
 
 class _ZigzagKernel(_KernelBase):
-    """Vectorised :class:`GeosphereEnumerator` (lazy 2-D zigzag), in the
-    paper's own queue layout.
+    """The :class:`GeosphereEnumerator` (lazy 2-D zigzag) frontier, in
+    the paper's own queue layout.
 
     Geosphere's 2-D zigzag enters each PAM column at its sliced row and
     keeps at most one queued candidate per entered column (paper section
@@ -164,8 +126,6 @@ class _ZigzagKernel(_KernelBase):
     are proposed when the *next* candidate is requested, exactly like
     the scalar enumerator.
     """
-
-    has_tail = True
 
     def __init__(self, num_slots: int, side: int, levels: np.ndarray,
                  ped: np.ndarray, prunes: np.ndarray,
@@ -192,67 +152,6 @@ class _ZigzagKernel(_KernelBase):
         self.last_i[slots] = -1
         self.ped[elements] += 1
 
-    def _successors(self, slots, elements, i, budget) -> None:
-        """Deferred step 3 of the paper's algorithm for each slot's
-        previously dequeued ``(i, j)``: the vertical successor
-        ``(i, j + 1)`` always, the horizontal ``(i + 1, 0)`` only from
-        the column's entry point ``j == 0`` — both through one bounds →
-        pruning table → tally → write pass.  A slot can contribute two
-        proposals, hence the unbuffered ``np.add.at`` tallies; the
-        written ``(slot, column)`` cells are distinct (columns ``i`` and
-        ``i + 1``)."""
-        inner = self.side - 1
-        j = self.col_j[slots, i]
-        vertical = np.flatnonzero(j < inner)
-        horizontal = np.flatnonzero((j == 0) & (i < inner))
-        pick = np.concatenate([vertical, horizontal])
-        slots = slots[pick]
-        elements = elements[pick]
-        i = i[pick]
-        j = j[pick] + 1
-        i[vertical.size:] += 1
-        j[vertical.size:] = 0
-        if self.table is not None:
-            pruned = (self.table[self.off_i[slots, i], self.off_q[slots, j]]
-                      >= budget[pick])
-            if pruned.any():
-                np.add.at(self.prunes, elements[pruned], 1)
-                keep = ~pruned
-                slots = slots[keep]
-                elements = elements[keep]
-                i = i[keep]
-                j = j[keep]
-        np.add.at(self.ped, elements, 1)
-        self.col_d[slots, i] = self.res_i[slots, i] + self.res_q[slots, j]
-        self.col_j[slots, i] = j
-
-    # -- one next_candidate() per active slot ---------------------------
-    def step(self, slots, elements, budget):
-        pending = self.last_i[slots]
-        deferred = pending >= 0
-        if deferred.all():
-            self._successors(slots, elements, pending, budget)
-        elif deferred.any():
-            self._successors(slots[deferred], elements[deferred],
-                             pending[deferred], budget[deferred])
-        queued = self.col_d[slots]
-        column = queued.argmin(axis=1)
-        # (A gather: a second row reduction costs ~8 % of the whole tick.)
-        distance = queued[self._iota[:slots.size], column]
-        got = distance < budget
-        if got.all():
-            self.last_i[slots] = column
-        else:
-            self.last_i[slots] = np.where(got, column, -1)
-            slots = slots[got]
-            if slots.size == 0:
-                return got, _NO_DISTANCES, _NO_INDICES, _NO_INDICES
-            column = column[got]
-            distance = distance[got]
-        row = self.col_j[slots, column]
-        self.col_d[slots, column] = np.inf
-        return got, distance, self.ord_i[slots, column], self.ord_q[slots, row]
-
     def frontier_arrays(self) -> dict:
         """The queue as ``search_core.c`` names it: no ``seen`` grid
         selects its column-form frontier."""
@@ -261,7 +160,7 @@ class _ZigzagKernel(_KernelBase):
 
 
 class _ShabanyKernel(_KernelBase):
-    """Vectorised :class:`ShabanyEnumerator`: both successors proposed
+    """The :class:`ShabanyEnumerator` frontier: both successors proposed
     every time, deduplicated with a per-slot seen grid.
 
     Without Geosphere's entry-point rule a column can hold several
@@ -270,11 +169,9 @@ class _ShabanyKernel(_KernelBase):
     ``heap_j``, ``heap_n`` occupied) whose pop takes the lexicographic
     ``(distance, i, j)`` minimum — ``heapq`` tuple order.  The queued
     cells form (near-)antichains of the position grid, so the frontier
-    stays O(side); the capacity plus the overflow guard in ``_propose``
-    keeps the bound honest.
+    stays O(side); the capacity plus the core's overflow check keeps the
+    bound honest.
     """
-
-    has_tail = True
 
     def __init__(self, num_slots: int, side: int, levels: np.ndarray,
                  ped: np.ndarray, prunes: np.ndarray,
@@ -285,7 +182,6 @@ class _ShabanyKernel(_KernelBase):
         self.heap_i = np.zeros((num_slots, capacity), dtype=np.int64)
         self.heap_j = np.zeros((num_slots, capacity), dtype=np.int64)
         self.heap_n = np.zeros(num_slots, dtype=np.int64)
-        self._positions = np.arange(capacity, dtype=np.int64)
         self.last_i = np.zeros(num_slots, dtype=np.int64)
         self.last_j = np.zeros(num_slots, dtype=np.int64)
         self.has_last = np.zeros(num_slots, dtype=bool)
@@ -316,96 +212,6 @@ class _ShabanyKernel(_KernelBase):
         self.seen[slots, 0] = True  # position (0, 0)
         self.ped[elements] += 1
 
-    def _propose(self, slots, elements, i, j, budget) -> None:
-        """Bounds-check, dedupe, prune-check, then enqueue one successor
-        per listed slot (``slots`` are unique within a call, so plain
-        fancy writes suffice)."""
-        in_bounds = (i < self.side) & (j < self.side)
-        if not in_bounds.all():
-            slots = slots[in_bounds]
-            elements = elements[in_bounds]
-            i = i[in_bounds]
-            j = j[in_bounds]
-            budget = budget[in_bounds]
-            if slots.size == 0:
-                return
-        code = i * self.side + j
-        fresh = ~self.seen[slots, code]
-        if not fresh.all():
-            slots = slots[fresh]
-            elements = elements[fresh]
-            i = i[fresh]
-            j = j[fresh]
-            code = code[fresh]
-            budget = budget[fresh]
-            if slots.size == 0:
-                return
-        # Mark before the pruning check, exactly like the scalar seen-set.
-        self.seen[slots, code] = True
-        if self.table is not None:
-            bound = self.table[self.off_i[slots, i], self.off_q[slots, j]]
-            pruned = bound >= budget
-            if pruned.any():
-                self.prunes[elements[pruned]] += 1
-                keep = ~pruned
-                slots = slots[keep]
-                elements = elements[keep]
-                i = i[keep]
-                j = j[keep]
-                if slots.size == 0:
-                    return
-        self.ped[elements] += 1
-        position = self.heap_n[slots]
-        if (position >= self.heap_d.shape[1]).any():
-            raise RuntimeError("frontier queue capacity exceeded; "
-                               "the enumeration invariant was violated")
-        self.heap_d[slots, position] = (self.res_i[slots, i]
-                                        + self.res_q[slots, j])
-        self.heap_i[slots, position] = i
-        self.heap_j[slots, position] = j
-        self.heap_n[slots] = position + 1
-
-    # -- one next_candidate() per active slot ---------------------------
-    def step(self, slots, elements, budget):
-        deferred = self.has_last[slots]
-        if deferred.any():
-            # No PAM-sub-constellation rule: both successors of the
-            # previously dequeued point, every time.
-            slots_d = slots[deferred]
-            elements_d = elements[deferred]
-            budget_d = budget[deferred]
-            i = self.last_i[slots_d]
-            j = self.last_j[slots_d]
-            self.has_last[slots_d] = False
-            self._propose(slots_d, elements_d, i, j + 1, budget_d)
-            self._propose(slots_d, elements_d, i + 1, j, budget_d)
-        occupancy = self.heap_n[slots]
-        valid = self._positions < occupancy[:, None]
-        distance = np.where(valid, self.heap_d[slots], np.inf)
-        min_distance = distance.min(axis=1)
-        got = min_distance < budget
-        slots_g = slots[got]
-        if slots_g.size == 0:
-            return got, _NO_DISTANCES, _NO_INDICES, _NO_INDICES
-        # Lexicographic (distance, i, j) minimum == heapq tuple order.
-        tie_code = self.heap_i[slots_g] * self.side + self.heap_j[slots_g]
-        tie_code = np.where(distance[got] == min_distance[got][:, None],
-                            tie_code, self.side * self.side)
-        position = tie_code.argmin(axis=1)
-        i_g = self.heap_i[slots_g, position]
-        j_g = self.heap_j[slots_g, position]
-        # Remove the popped entry: swap in the last occupied slot.
-        tail = occupancy[got] - 1
-        self.heap_d[slots_g, position] = self.heap_d[slots_g, tail]
-        self.heap_i[slots_g, position] = self.heap_i[slots_g, tail]
-        self.heap_j[slots_g, position] = self.heap_j[slots_g, tail]
-        self.heap_n[slots_g] = tail
-        self.last_i[slots_g] = i_g
-        self.last_j[slots_g] = j_g
-        self.has_last[slots_g] = True
-        return (got, min_distance[got], self.ord_i[slots_g, i_g],
-                self.ord_q[slots_g, j_g])
-
     def frontier_arrays(self) -> dict:
         """The queue as ``search_core.c`` names it: the ``seen`` grid
         selects its bounded-heap frontier."""
@@ -415,123 +221,20 @@ class _ShabanyKernel(_KernelBase):
                     has_last=self.has_last, seen=self.seen)
 
 
-class _HessKernel(_KernelBase):
-    """Vectorised :class:`HessEnumerator` (ETH-SD row-parallel zigzag)."""
-
-    def __init__(self, num_slots, side, levels, ped, prunes) -> None:
-        super().__init__(num_slots, side, levels, ped, prunes)
-        self.row_position = np.zeros((num_slots, side), dtype=np.int64)
-        self.row_distance = np.zeros((num_slots, side), dtype=np.float64)
-        self.pending = np.full(num_slots, -1, dtype=np.int64)
-
-    def grow(self, num_slots: int, ped, prunes) -> None:
-        super().grow(num_slots, ped, prunes)
-        self.row_position = _grown(self.row_position, num_slots)
-        self.row_distance = _grown(self.row_distance, num_slots)
-        self.pending = _grown(self.pending, num_slots, -1)
-
-    def init(self, slots, elements, points) -> None:
-        residual = self.init_axes(slots, points)
-        self.row_position[slots] = 0
-        # Every row's best point up front: sqrt(|O|) PED calcs per node.
-        self.row_distance[slots] = residual[:, 0, :1] + residual[:, 1]
-        self.pending[slots] = -1
-        self.ped[elements] += self.side
-
-    def step(self, slots, elements, budget):
-        pending = self.pending[slots]
-        refill = pending >= 0
-        if refill.any():
-            slots_r = slots[refill]
-            row = pending[refill]
-            self.pending[slots_r] = -1
-            position = self.row_position[slots_r, row] + 1
-            alive = position < self.side
-            slots_a = slots_r[alive]
-            row_a = row[alive]
-            position_a = position[alive]
-            self.row_position[slots_a, row_a] = position_a
-            self.row_distance[slots_a, row_a] = (
-                self.res_i[slots_a, position_a] + self.res_q[slots_a, row_a])
-            self.ped[elements[refill][alive]] += 1
-            slots_x = slots_r[~alive]
-            self.row_position[slots_x, row[~alive]] = -1
-            self.row_distance[slots_x, row[~alive]] = np.inf
-        row_distance = self.row_distance[slots]
-        best_row = row_distance.argmin(axis=1)
-        distance = row_distance[self._iota[:slots.size], best_row]
-        got = np.isfinite(distance) & (distance < budget)
-        slots_g = slots[got]
-        row_g = best_row[got]
-        self.pending[slots_g] = row_g
-        position_g = self.row_position[slots_g, row_g]
-        return (got, distance[got], self.ord_i[slots_g, position_g],
-                self.ord_q[slots_g, row_g])
-
-
-class _ExhaustiveKernel(_KernelBase):
-    """Vectorised :class:`ExhaustiveEnumerator` (sort on node entry)."""
-
-    def __init__(self, num_slots, side, levels, ped, prunes) -> None:
-        super().__init__(num_slots, side, levels, ped, prunes)
-        grid = side * side
-        self.cand_d = np.zeros((num_slots, grid), dtype=np.float64)
-        self.cand_col = np.zeros((num_slots, grid), dtype=np.int64)
-        self.cand_row = np.zeros((num_slots, grid), dtype=np.int64)
-        self.cursor = np.zeros(num_slots, dtype=np.int64)
-
-    def grow(self, num_slots: int, ped, prunes) -> None:
-        super().grow(num_slots, ped, prunes)
-        self.cand_d = _grown(self.cand_d, num_slots)
-        self.cand_col = _grown(self.cand_col, num_slots)
-        self.cand_row = _grown(self.cand_row, num_slots)
-        self.cursor = _grown(self.cursor, num_slots)
-
-    def init(self, slots, elements, points) -> None:
-        residual = self.init_axes(slots, points)
-        side = self.side
-        grid = (residual[:, 0, :, None]
-                + residual[:, 1, None, :]).reshape(slots.size, -1)
-        self.ped[elements] += side * side
-        # Stable argsort in (i * side + j) flat order — the scalar
-        # enumerator's tie-breaking, row for row.
-        positions = np.argsort(grid, axis=1, kind="stable")
-        self.cand_d[slots] = np.take_along_axis(grid, positions, axis=1)
-        self.cand_col[slots] = np.take_along_axis(
-            self.ord_i[slots], positions // side, axis=1)
-        self.cand_row[slots] = np.take_along_axis(
-            self.ord_q[slots], positions % side, axis=1)
-        self.cursor[slots] = 0
-
-    def step(self, slots, elements, budget):
-        grid = self.side * self.side
-        cursor = self.cursor[slots]
-        position = np.minimum(cursor, grid - 1)
-        distance = self.cand_d[slots, position]
-        got = (cursor < grid) & (distance < budget)
-        slots_g = slots[got]
-        position_g = position[got]
-        self.cursor[slots_g] = cursor[got] + 1
-        return (got, distance[got], self.cand_col[slots_g, position_g],
-                self.cand_row[slots_g, position_g])
-
-
 def make_kernel(decoder, num_slots: int, levels: np.ndarray,
                 ped: np.ndarray, prunes: np.ndarray):
-    """Instantiate the vectorised enumerator kernel for ``decoder``.
+    """The kernel the compiled core runs ``decoder``'s searches on, or
+    ``None`` where there is none: a ``hess`` / ``exhaustive`` decoder,
+    or a box where the core could not be built.
 
     ``num_slots`` rows of per-(lane, tree level) state; ``ped`` and
-    ``prunes`` are the per-lane tally arrays the kernel increments
-    (indexed by the ``elements`` ids passed to ``init``/``step``).
+    ``prunes`` are the per-lane tally arrays ``init`` increments
+    (indexed by the ``elements`` ids passed to it).
     """
-    side = int(levels.shape[0])
+    kernel = {"zigzag": _ZigzagKernel,
+              "shabany": _ShabanyKernel}.get(decoder.enumerator)
+    if kernel is None or core() is None:
+        return None
     pruner = decoder._pruner
-    table = pruner.table if pruner is not None else None
-    name = decoder.enumerator
-    if name == "zigzag":
-        return _ZigzagKernel(num_slots, side, levels, ped, prunes, table)
-    if name == "shabany":
-        return _ShabanyKernel(num_slots, side, levels, ped, prunes, table)
-    if name == "hess":
-        return _HessKernel(num_slots, side, levels, ped, prunes)
-    return _ExhaustiveKernel(num_slots, side, levels, ped, prunes)
+    return kernel(num_slots, int(levels.shape[0]), levels, ped, prunes,
+                  pruner.table if pruner is not None else None)

@@ -206,7 +206,7 @@ class SphereDecoder:
         """
         diag = np.real(np.diag(r)).copy()
         return self._search(r, y_hat, diag, diag * diag,
-                            self._enumerator_factory())
+                            self._enumerator_factory(), self.node_budget)
 
     def decode_batch(self, r: np.ndarray,
                      y_hat_batch: np.ndarray) -> BatchDecodeResult:
@@ -214,9 +214,11 @@ class SphereDecoder:
 
         The batch is a one-subcarrier frame for the lockstep engine
         (:func:`repro.runtime.engine.run_frame`): every observation's
-        depth-first search advances in lockstep through numpy array ops
-        over the active tree nodes, and batches too small to be worth a
-        tick go straight to the compiled search core.  Results are
+        depth-first search advances one candidate attempt per tick in
+        the compiled search core (a batch no larger than the drain
+        threshold is run to completion in the first tick), or, where
+        there is no core, runs through this decoder's scalar search in
+        the tick that admits it.  Results are
         bit-identical to per-vector :meth:`decode_triangular` calls —
         symbol decisions, distances, ``found`` flags — and the
         aggregated counters equal the sum of the per-vector counters
@@ -255,7 +257,8 @@ class SphereDecoder:
         distances = np.empty(num_vectors, dtype=np.float64)
         totals = ComplexityCounters()
         for t in range(num_vectors):
-            result = self._search(r, batch[t], diag, diag_sq, factory)
+            result = self._search(r, batch[t], diag, diag_sq, factory,
+                                  self.node_budget)
             found[t] = result.found
             indices[t] = result.symbol_indices
             symbols[t] = result.symbols
@@ -298,9 +301,18 @@ class SphereDecoder:
         return run_frame(FrameJob(0, FrameRequest(channels, received, self)))
 
     def _search(self, r: np.ndarray, y_hat: np.ndarray, diag: np.ndarray,
-                diag_sq: np.ndarray, make_enumerator) -> SphereDecoderResult:
-        """One depth-first search with all shared state hoisted."""
+                diag_sq: np.ndarray, make_enumerator,
+                node_budget: int | None) -> SphereDecoderResult:
+        """One depth-first search with all shared state hoisted, stopped
+        once it has visited ``node_budget`` nodes (``None``: never).
+
+        This is the reference program: the compiled search core
+        (:mod:`repro.sphere.tick_kernel`) replays it operation for
+        operation and is pinned to it bit-for-bit by the differential
+        sweeps, and the engine's pools without a core run it as it is.
+        """
         num_streams = r.shape[1]
+        levels = self.constellation.levels
         counters = ComplexityCounters()
         top = num_streams - 1
         root_point = complex(y_hat[top] / diag[top])
@@ -309,35 +321,13 @@ class SphereDecoder:
         stack: list[tuple[int, float, NodeEnumerator]] = [
             (top, 0.0, make_enumerator(root_point, counters))
         ]
-        return self._continue_search(
-            r, y_hat, diag, diag_sq, make_enumerator,
-            stack=stack,
-            radius_sq=self.initial_radius_sq,
-            counters=counters,
-            chosen_symbols=np.zeros(num_streams, dtype=np.complex128),
-            path_cols=np.zeros(num_streams, dtype=np.int64),
-            path_rows=np.zeros(num_streams, dtype=np.int64),
-            best_cols=np.full(num_streams, -1, dtype=np.int64),
-            best_rows=np.full(num_streams, -1, dtype=np.int64),
-            best_distance=np.inf)
-
-    def _continue_search(self, r: np.ndarray, y_hat: np.ndarray,
-                         diag: np.ndarray, diag_sq: np.ndarray,
-                         make_enumerator, *, stack, radius_sq, counters,
-                         chosen_symbols, path_cols, path_rows, best_cols,
-                         best_rows, best_distance) -> SphereDecoderResult:
-        """The depth-first loop, from the explicit search state
-        :meth:`_search` seeds with a fresh root.
-
-        This is the reference program: the lockstep engine and the
-        compiled search core (:mod:`repro.sphere.tick_kernel`, which
-        also finishes the engine's stragglers) each replay it operation
-        for operation and are pinned to it bit-for-bit by the
-        differential sweeps.
-        """
-        num_streams = r.shape[1]
-        levels = self.constellation.levels
-        node_budget = self.node_budget
+        radius_sq = self.initial_radius_sq
+        chosen_symbols = np.zeros(num_streams, dtype=np.complex128)
+        path_cols = np.zeros(num_streams, dtype=np.int64)
+        path_rows = np.zeros(num_streams, dtype=np.int64)
+        best_cols = np.full(num_streams, -1, dtype=np.int64)
+        best_rows = np.full(num_streams, -1, dtype=np.int64)
+        best_distance = np.inf
         while stack:
             if node_budget is not None and counters.visited_nodes >= node_budget:
                 break
@@ -365,8 +355,8 @@ class SphereDecoder:
             # Accumulate column-by-column (ascending), multiplying via the
             # ufunc: BLAS dot products and numpy's scalar-fast-path complex
             # multiply both differ from the array loop in the last ulp, and
-            # the lockstep engine's vectorised accumulation must match this
-            # exactly (the same convention the K-best batch path uses).
+            # the compiled core, which spells out the array loop's program,
+            # must match this exactly (the K-best batch path's convention).
             interference = 0.0 + 0.0j
             for column in range(next_level + 1, num_streams):
                 interference = interference + np.multiply(

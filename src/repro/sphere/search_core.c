@@ -4,13 +4,14 @@
  * Built at first use by repro/sphere/tick_kernel.py (the system cc, -O2
  * -shared -fPIC -ffp-contract=off -- never -ffast-math or -march=native)
  * and loaded through ctypes.  One entry point, repro_search_run, takes
- * searches in *any* lockstep state -- fresh from admission or half run --
- * and gives each an allowance of candidate attempts, in place on the
- * numpy kernel's own frontier arrays (repro/sphere/batch_search.py) and
- * the pool's lane arrays (repro/runtime/engine.py): what it leaves behind
- * is what the numpy tick would have left after the same iterations.  One
- * loop, three uses: an allowance of 1 is the lockstep step itself, an
- * unlimited one the straggler drain and the run-to-completion mode.
+ * searches in *any* state -- fresh from admission or half run -- and
+ * gives each an allowance of candidate attempts, in place on the kernel
+ * frontier arrays (repro/sphere/batch_search.py) and the pool's lane
+ * arrays (repro/runtime/engine.py).  An attempt is one iteration of the
+ * scalar search loop (SphereDecoder._search), so whatever the allowance,
+ * a search executes the scalar loop's iterations in order.  One loop, two
+ * uses: an allowance of 1 is the lockstep step, an unlimited one the
+ * straggler drain.
  *
  * Policies are fields of search_t, not copies of the loop:
  *   - frontier: `zigzag` (Geosphere; column form, at most one queued
@@ -23,10 +24,10 @@
  *     bounded worst-out list (heappushpop semantics, ties towards the
  *     earliest-found leaf);
  *   - node budget: caps[e], re-checked before every candidate attempt,
- *     which is the numpy engine's tick-boundary check.
+ *     which is the scalar loop's check.
  *
- * Bit-identity with the scalar decoders and the numpy tick rests on
- * keeping every float operation the one numpy performs:
+ * Bit-identity with the scalar decoders rests on keeping every float
+ * operation the one they perform through numpy:
  *   - complex / real is numpy's reciprocal multiply: scl = 1/d, then
  *     (re * scl, im * scl) -- a plain re/d differs in the last ulp;
  *   - real divisions (the budget, the slicing coordinate) stay plain /;
@@ -38,8 +39,7 @@
  *     (-ffp-contract=off forbids fusing them, as numpy does not);
  *   - rint() (round-half-even) slices a coordinate, the clamp is by
  *     compare, residuals are squared as x * x;
- *   - a chosen symbol is (levels[col], levels[row]), the engine's
- *     symbol_grid entry.
+ *   - a chosen symbol is (levels[col], levels[row]).
  */
 
 #include <math.h>
@@ -325,7 +325,7 @@ static void bank_list_leaf(const search_t *s, int64_t si, double distance)
 
 /* Run search `si` (kernel lane `ki`, channel row `ci`) on from whatever
  * state it is in, for at most `attempts` iterations.  Each iteration is
- * one numpy tick's worth of work for the search: one candidate attempt.
+ * one iteration of the scalar loop: one candidate attempt.
  * 1 once the search is finished -- its tree exhausted (a root pop) or
  * `cap` nodes visited -- 0 if the allowance ran out first, -1 if the
  * Shabany queue bound was violated. */

@@ -20,7 +20,7 @@ Bit-exactness contract
 ----------------------
 The scalar search here is the reference program for the engine:
 interference accumulates column-by-column through the complex-multiply
-ufunc (the convention the vectorised engine matches bit-for-bit), leaf
+ufunc (the convention the compiled core matches bit-for-bit), leaf
 lists follow ``heapq`` tuple order exactly — worst member = largest
 distance, ties broken towards the earliest-found leaf — and LLR
 extraction goes through the same vectorised
@@ -90,6 +90,18 @@ class _ListSearchState:
     heap: list
     leaf_counter: int
     counters: ComplexityCounters
+
+    def into(self, distances, sequence, cols, rows) -> int:
+        """Write the leaves, in heap order, into one row each of the
+        stacked list arrays :func:`soft_outputs_from_lists` reads
+        (entries past the list keep their fills); returns the count."""
+        for slot, (neg_distance, seq, leaf_cols, leaf_rows) in \
+                enumerate(self.heap):
+            distances[slot] = -neg_distance
+            sequence[slot] = seq
+            cols[slot] = leaf_cols
+            rows[slot] = leaf_rows
+        return len(self.heap)
 
 
 def stacked_list_bits(constellation: QamConstellation, cols,
@@ -236,7 +248,8 @@ class ListSphereDecoder:
         require(noise_variance > 0.0, "noise variance must be positive")
         diag = np.real(np.diag(r)).copy()
         state = self._search_soft(r, y_hat, diag, diag * diag,
-                                  self._enumerator_factory())
+                                  self._enumerator_factory(),
+                                  self.node_budget)
         return self._finalise_soft(state, noise_variance)
 
     def decode_batch(self, r: np.ndarray, y_hat_batch,
@@ -286,47 +299,33 @@ class ListSphereDecoder:
 
     # ------------------------------------------------------------------
     def _search_soft(self, r: np.ndarray, y_hat, diag: np.ndarray,
-                     diag_sq: np.ndarray, make_enumerator) -> _ListSearchState:
-        """One list search with all shared state hoisted."""
+                     diag_sq: np.ndarray, make_enumerator,
+                     node_budget: int | None) -> _ListSearchState:
+        """One list search with all shared state hoisted, stopped once
+        it has visited ``node_budget`` nodes (``None``: never).
+
+        The loop is :meth:`~repro.sphere.decoder.SphereDecoder._search`
+        under a different radius policy: leaves land in a bounded
+        max-heap, and once the heap is full the sphere shrinks to its
+        worst member instead of the single best leaf.  It is the
+        reference program the compiled core's list policy
+        (:func:`repro.sphere.tick_kernel.run_soft`) is pinned to
+        bit-for-bit, and what the engine's pools without a core run.
+        """
         num_streams = r.shape[1]
+        levels = self.constellation.levels
+        list_size = self.list_size
         counters = ComplexityCounters()
         top = num_streams - 1
         counters.expanded_nodes += 1
         stack = [(top, 0.0,
                   make_enumerator(complex(y_hat[top] / diag[top]), counters))]
-        return self._continue_search_soft(
-            r, y_hat, diag, diag_sq, make_enumerator,
-            stack=stack,
-            radius_sq=float("inf"),
-            counters=counters,
-            chosen_symbols=np.zeros(num_streams, dtype=np.complex128),
-            path_cols=np.zeros(num_streams, dtype=np.int64),
-            path_rows=np.zeros(num_streams, dtype=np.int64),
-            leaf_heap=[],
-            leaf_counter=0)
-
-    def _continue_search_soft(self, r: np.ndarray, y_hat, diag: np.ndarray,
-                              diag_sq: np.ndarray, make_enumerator, *, stack,
-                              radius_sq, counters, chosen_symbols, path_cols,
-                              path_rows, leaf_heap, leaf_counter
-                              ) -> _ListSearchState:
-        """The list-search loop, from the explicit search state
-        :meth:`_search_soft` seeds with a fresh root.
-
-        The loop is
-        :meth:`~repro.sphere.decoder.SphereDecoder._continue_search`
-        under a different radius policy: leaves land in a bounded
-        max-heap, and once the heap is full the sphere shrinks to its
-        worst member instead of the single best leaf.  It is the
-        reference program the engine's list policy and the compiled
-        core's (:func:`repro.sphere.tick_kernel.run_soft`,
-        which also finishes the engine's stragglers) are pinned to
-        bit-for-bit.
-        """
-        num_streams = r.shape[1]
-        levels = self.constellation.levels
-        list_size = self.list_size
-        node_budget = self.node_budget
+        radius_sq = float("inf")
+        chosen_symbols = np.zeros(num_streams, dtype=np.complex128)
+        path_cols = np.zeros(num_streams, dtype=np.int64)
+        path_rows = np.zeros(num_streams, dtype=np.int64)
+        leaf_heap: list = []
+        leaf_counter = 0
         while stack:
             if node_budget is not None and counters.visited_nodes >= node_budget:
                 break
@@ -359,7 +358,7 @@ class ListSphereDecoder:
             next_level = level - 1
             # Accumulate column-by-column (ascending), multiplying via the
             # ufunc — the hard scalar search's convention, which the
-            # vectorised engine matches bit-for-bit.
+            # compiled core matches bit-for-bit.
             interference = 0.0 + 0.0j
             for column in range(next_level + 1, num_streams):
                 interference = interference + np.multiply(
@@ -378,18 +377,12 @@ class ListSphereDecoder:
                        noise_variance: float) -> SoftDecodeResult:
         """Turn a finished search state into LLRs and hard decisions."""
         require(bool(state.heap), "list sphere decoder found no leaves")
-        count = len(state.heap)
         num_streams = len(state.heap[0][2])
         distances = np.full((1, self.list_size), np.inf)
         sequence = np.zeros((1, self.list_size), dtype=np.int64)
         cols = np.zeros((1, self.list_size, num_streams), dtype=np.int64)
         rows = np.zeros((1, self.list_size, num_streams), dtype=np.int64)
-        for slot, (neg_distance, seq, leaf_cols, leaf_rows) in \
-                enumerate(state.heap):
-            distances[0, slot] = -neg_distance
-            sequence[0, slot] = seq
-            cols[0, slot] = leaf_cols
-            rows[0, slot] = leaf_rows
+        count = state.into(distances[0], sequence[0], cols[0], rows[0])
         llrs, best_indices, best_symbols = soft_outputs_from_lists(
             self.constellation, distances, sequence, cols, rows,
             np.array([count]), noise_variance, self.clamp)

@@ -1,41 +1,33 @@
 """The compiled search core: build, load, run.
 
-The lockstep engine (:mod:`repro.runtime.engine`, on the kernels of
-:mod:`repro.sphere.batch_search`) advances every active search one
-tree-node step per *tick*.  Written as numpy array ops that keeps the
-float program bit-identical to the scalar search, but pays Python-level
-orchestration — tens of numpy calls — per tick, however few searches
-are still active.  ``search_core.c`` next to this module is the same
+``search_core.c`` next to this module is the depth-first search's
 per-search state machine in C, and :func:`run_hard` / :func:`run_soft`
 run it: each listed search gets an allowance of candidate attempts in
-one native call, *in place* on the numpy kernel's own frontier arrays
-and the pool's lane arrays, from whatever lockstep state it is in, and
-comes back flagged if it finished.  Two uses of that one loop, both in
-:mod:`repro.runtime.engine`: an allowance of one is a pool's **lockstep
-step** (wherever the core built — same ticks, same admission and QoS
-points as the numpy step, a different executor); an unlimited one
-finishes a pool's last few stragglers (the drain).
+one native call, *in place* on its kernel's frontier arrays
+(:mod:`repro.sphere.batch_search`) and the pool's lane arrays, from
+whatever state the last call (or admission) left it in, and comes back
+flagged if it finished.  The lockstep engine (:mod:`repro.runtime.engine`)
+makes two uses of that one loop: an allowance of one is a pool's
+**lockstep step**, an unlimited one finishes a pool's last few
+stragglers (the drain).
 
 Why any allowance is the same program
 -------------------------------------
 Each search is an independent state machine; the lockstep tick is only
-an interleaving.  One numpy tick gives every active search exactly one
-candidate attempt (a ``next_candidate`` step — got or stack pop), so per
-search the numpy engine executes the scalar loop's iterations in order,
-just interleaved with other searches'.  The core executes the *same*
-iterations, one per call or back to back: the node budget is re-checked
-before every attempt (the scalar loop's check, which the numpy engine
-hoists to the tick boundary — same boundary, since one tick is one
-iteration), radius and enumerator state are private to the search, and
-every float op is the one numpy performs (the list heads
-``search_core.c``: reciprocal multiply for complex-by-real division, the
-FMA-contracted or plain complex product as the :data:`NUMPY_FMA` probe
-selects, uncontracted ``parent + scale * dist_sq``, ``rint`` slicing).
-Results, LLRs and ``ComplexityCounters`` are therefore bit-identical
-from any hand-off point, and so is every array in between —
-``tests/test_tail.py`` switches executors at every depth of a search and
-compares their arrays after every tick, ``tests/test_tick_kernel.py``
-runs from the root.
+an interleaving.  One attempt is one iteration of the scalar loop
+(:meth:`~repro.sphere.decoder.SphereDecoder._search`: a
+``next_candidate`` step — got or stack pop), so whatever the allowance,
+the core executes the scalar loop's iterations in order, just
+interleaved with other searches': the node budget is re-checked before
+every attempt (the scalar loop's check), radius and enumerator state are
+private to the search, and every float op is the one the scalar search
+performs through numpy (the list heads ``search_core.c``: reciprocal
+multiply for complex-by-real division, the FMA-contracted or plain
+complex product as the :data:`NUMPY_FMA` probe selects, uncontracted
+``parent + scale * dist_sq``, ``rint`` slicing).  Results, LLRs and
+``ComplexityCounters`` are therefore bit-identical from any hand-off
+point — ``tests/test_tail.py`` drains a search after every number of
+lockstep ticks, ``tests/test_tick_kernel.py`` runs from the root.
 
 Build, cache and fallback
 -------------------------
@@ -46,12 +38,11 @@ Nothing is compiled at import.  The first pool that wants the core
 refused unless owned by the caller and closed to group and world — under
 a name keyed by the sha256 of source, ``cc --version`` and flags, written
 to a temporary name and ``os.replace``d, so later processes just load
-it.  Only the ``zigzag`` and ``shabany`` kernels have a core
-(``kernel.has_tail``: they are Geosphere's and the hot ones);
-``hess`` / ``exhaustive`` pools always take the numpy step.  Without a
-compiler (or after a failed build) there is one ``RuntimeWarning`` and
-every pool steps through the numpy kernels, in lockstep to the end —
-only speed changes, never results.
+it.  Only ``zigzag`` and ``shabany`` searches run in the core (they are
+Geosphere's and the hot ones).  Every other pool — ``hess`` /
+``exhaustive``, or any pool on a box without a compiler (one
+``RuntimeWarning``) or after a failed build — runs each search through
+the scalar decoder itself: only speed changes, never results.
 """
 
 from __future__ import annotations
@@ -97,7 +88,8 @@ def _numpy_multiply_uses_fma() -> bool:
     numpy's SIMD loop contracts each component's first product into an
     FMA on hardware that has one; builds or machines without it emit
     the plain mul-sub program.  The core must mirror whichever the
-    numpy engine actually runs, so probe once at import.
+    scalar search's ``np.multiply`` actually runs, so probe once at
+    import.
     """
     rng = np.random.default_rng(0)
     a = rng.standard_normal(64) + 1j * rng.standard_normal(64)
@@ -232,7 +224,7 @@ def core():
             _core = False
             warnings.warn(
                 f"the compiled search core is unavailable ({error}); "
-                "every pool runs the numpy step, in lockstep to the end, "
+                "every pool runs its searches through the scalar decoder, "
                 "with the same results",
                 RuntimeWarning, stacklevel=2)
     return _core or None
@@ -336,30 +328,30 @@ def _run(kernel, idx, kidx, chan, caps, attempts, tallies, list_size,
 
 
 def run_hard(kernel, idx, kidx, chan, caps, r, y, diag, diag_sq, level,
-             radius, parent_flat, path_cols, path_rows, chosen, best_cols,
+             radius, parent, path_cols, path_rows, chosen, best_cols,
              best_rows, best_dist, tallies, attempts=None) -> np.ndarray:
     """Advance the listed hard searches in one native call.
 
     ``kernel`` is a zigzag/Shabany kernel holding the listed searches'
-    frontier in whatever lockstep state the last tick (or admission)
-    left it; ``idx`` / ``kidx`` / ``chan`` map each search to its state
-    row, kernel lane and channel-stack row (the pools pass their lane
-    ids for all three), ``caps`` are absolute node budgets.  Each search
-    gets ``attempts`` candidate attempts — 1 is its share of a lockstep
+    frontier in whatever state the last call (or admission) left it;
+    ``idx`` / ``kidx`` / ``chan`` map each search to its state row,
+    kernel lane and channel-stack row (the pools pass their lane ids for
+    all three), ``caps`` are absolute node budgets.  Each search gets
+    ``attempts`` candidate attempts — 1 is its share of a lockstep
     tick, ``None`` runs it to completion.  On return its best leaf,
-    tallies, path state and kernel rows are what that many numpy ticks
-    would have left, and the returned mask flags the searches that
-    finished: tree exhausted or cap reached.
+    tallies, path state and kernel rows are what that many iterations
+    of the scalar loop would have left, and the returned mask flags the
+    searches that finished: tree exhausted or cap reached.
     """
     return _run(kernel, idx, kidx, chan, caps, attempts, tallies, 0, r=r,
                 y=y, diag=diag, diag_sq=diag_sq, level=level, radius=radius,
-                parent=parent_flat, path_cols=path_cols,
+                parent=parent, path_cols=path_cols,
                 path_rows=path_rows, chosen=chosen, best_cols=best_cols,
                 best_rows=best_rows, best_dist=best_dist)
 
 
 def run_soft(kernel, idx, kidx, chan, caps, r, y, diag, diag_sq, level,
-             radius, parent_flat, path_cols, path_rows, chosen, list_d,
+             radius, parent, path_cols, path_rows, chosen, list_d,
              list_seq, list_cols, list_rows, list_n, leaf_seq, list_size,
              tallies, attempts=None) -> np.ndarray:
     """Advance the listed list (soft) searches in one native call: the
@@ -367,7 +359,7 @@ def run_soft(kernel, idx, kidx, chan, caps, r, y, diag, diag_sq, level,
     place of the single best leaf."""
     return _run(kernel, idx, kidx, chan, caps, attempts, tallies, list_size,
                 r=r, y=y, diag=diag, diag_sq=diag_sq, level=level,
-                radius=radius, parent=parent_flat, path_cols=path_cols,
+                radius=radius, parent=parent, path_cols=path_cols,
                 path_rows=path_rows, chosen=chosen, list_d=list_d,
                 list_seq=list_seq, list_cols=list_cols, list_rows=list_rows,
                 list_n=list_n, leaf_seq=leaf_seq)

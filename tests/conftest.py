@@ -23,8 +23,9 @@ def pytest_configure(config) -> None:
 @pytest.fixture
 def no_compiler(monkeypatch):
     """A box without ``cc``: the core cannot be built, so every pool
-    built under this fixture runs the numpy step — the fallback executor
-    (after the loader's one ``RuntimeWarning``)."""
+    built under this fixture runs each search through the decoder's
+    scalar search — the fallback (after the loader's one
+    ``RuntimeWarning``)."""
     import repro.sphere.tick_kernel as tick_kernel
 
     def missing():

@@ -43,7 +43,7 @@ from repro.sphere.counters import ComplexityCounters
 NOISE_VARIANCE = 0.045
 
 #: For tests that assert a search really went through the compiled
-#: core; on a box without a C compiler pools fall back to numpy lockstep.
+#: core; on a box without a C compiler every pool runs the scalar search.
 needs_core = pytest.mark.skipif(tick_kernel.core() is None,
                                 reason="no C compiler on this box")
 
@@ -279,10 +279,12 @@ def test_engine_matches_scalar_oracle(monkeypatch, case, capacity,
 @pytest.mark.parametrize("case", CASES, ids=_case_id)
 def test_numpy_step_matches_scalar_oracle(no_compiler, monkeypatch, case,
                                           capacity, drain_threshold, entry):
-    """The same sweep with the core hidden.  Where a compiler exists the
-    sweep above executes every ``zigzag`` / ``shabany`` step in the core,
-    so this is what keeps the numpy ``_step`` and the numpy kernels — the
-    compiler-less fallback — pinned to the oracle."""
+    """The same sweep with the core hidden, as on a box without a
+    compiler: every pool — ``zigzag`` / ``shabany`` too — then runs each
+    search through the decoder's scalar search in its admission tick,
+    and this pins what that fallback writes into the lane rows, the
+    result arena and the frame result to the oracle.  (The id is older
+    than the fallback: it once pinned a numpy lockstep step.)"""
     test_engine_matches_scalar_oracle(monkeypatch, case, capacity,
                                       drain_threshold, entry)
     assert tick_kernel.core() is None
@@ -295,8 +297,9 @@ def test_numpy_step_matches_scalar_oracle(no_compiler, monkeypatch, case,
 @pytest.mark.parametrize("kind", ["hard", "soft"])
 def test_tiny_and_empty_frames_match_scalar_oracle(kind, enumerator, shape):
     """T and S*T in {0, 1, 2, 4}: the sizes a batch-size cut-over used
-    to route around the engine now run on it (straight into the tail
-    for ``zigzag``; in lockstep for the tail-less ``hess``)."""
+    to route around the engine now run on it (drained by the core in
+    the first tick for ``zigzag``; through the scalar search for
+    ``hess``, which has no core)."""
     num_subcarriers, num_symbols = shape
     constellation, channels, received = _frame_instance(
         16, 4, 4, num_subcarriers, num_symbols, noise_scale=0.2, seed=5)
@@ -362,14 +365,14 @@ def _drain_sizes(pool):
     """Record how many searches each hand-off of ``pool`` to the
     compiled core takes."""
     sizes = []
-    run = pool._run_in_core
+    run = pool._advance
 
     def recording(completed, attempts):
         if attempts is None:                 # a run-out, not a step
             sizes.append(pool.active.size)
         run(completed, attempts)
 
-    pool._run_in_core = recording
+    pool._advance = recording
     return sizes
 
 
@@ -411,7 +414,8 @@ def test_tail_takes_at_most_the_drain_threshold(drain_threshold):
 @needs_core
 def test_default_drain_threshold_is_capped():
     """The hand-off point is ``capacity // 6`` up to the absolute cap,
-    whatever the frame size; tail-less kernels never hand off."""
+    whatever the frame size; pools without a core have nothing to
+    hand off."""
     constellation, channels, received = _frame_instance(16, 4, 4, 2, 2)
     request = FrameRequest(channels, received, SphereDecoder(constellation))
     for knobs, expected in [({}, DRAIN_THRESHOLD_CAP),
@@ -444,13 +448,15 @@ def test_private_frontier_is_sized_to_the_frame(monkeypatch):
     assert allocated == [6]
 
 
+@needs_core
 @pytest.mark.parametrize("kind", ["hard", "soft", "hard-shabany"])
 def test_qos_hooks_cost_only_the_frame_they_touch(kind):
     """Two frames share a small, demand-grown frontier (kernel state —
     of either frontier kernel — must survive the regrowth mid-search);
     one is degraded mid-flight and then removed.  Its lanes come back,
     and the other frame — reprioritised on the way — still equals the
-    scalar oracle."""
+    scalar oracle.  (Without the core nothing is mid-flight: see
+    ``tests/test_runtime_qos.py``.)"""
     constellation, channels, received = _frame_instance(
         16, 4, 4, num_subcarriers=5, num_symbols=4, noise_scale=0.25, seed=19)
     if kind == "soft":

@@ -233,81 +233,3 @@ def test_far_outside_point_enumerates_from_corner(received):
     assert len(candidates) == 16
     distances = [c.dist_sq for c in candidates]
     assert all(a <= b + 1e-9 for a, b in zip(distances, distances[1:]))
-
-
-# ----------------------------------------------------------------------
-# The lockstep engine's column-form kernel is the scalar enumerator
-# ----------------------------------------------------------------------
-
-@settings(max_examples=120, deadline=None)
-@given(data=st.data())
-def test_column_kernel_tracks_the_scalar_geosphere_enumerator(data):
-    """Property: ``batch_search``'s column-form ``zigzag`` kernel and a
-    scalar :class:`GeosphereEnumerator` driven side by side — several
-    slots at once, each with its own received point and its own
-    shrinking budget, a random subset stepped per call — hand out the
-    same candidate every time and hold the same state after every
-    ``next_candidate``: the column queue is the scalar ``_heap``,
-    the pending pointer is ``_last``, the tallies are the counters, and
-    the queue never exceeds the paper's sqrt(|O|) bound."""
-    from repro.sphere import SphereDecoder
-    from repro.sphere.batch_search import make_kernel
-
-    order = data.draw(st.sampled_from([4, 16, 64]), label="order")
-    pruning = data.draw(st.booleans(), label="pruning")
-    num_slots = data.draw(st.integers(1, 4), label="slots")
-    constellation = qam(order)
-    side = constellation.side
-    decoder = SphereDecoder(constellation, enumerator="zigzag",
-                            geometric_pruning=pruning)
-    ped = np.zeros(num_slots, dtype=np.int64)
-    prunes = np.zeros(num_slots, dtype=np.int64)
-    kernel = make_kernel(decoder, num_slots, constellation.levels, ped,
-                         prunes)
-    assert not any(hasattr(kernel, name)
-                   for name in ("heap_d", "heap_n", "has_last"))
-
-    points = np.array([data.draw(received_points) for _ in range(num_slots)])
-    every = np.arange(num_slots, dtype=np.int64)
-    kernel.init(every, every, points)
-    counters = [ComplexityCounters() for _ in range(num_slots)]
-    scalars = [GeosphereEnumerator(constellation, complex(point), tally,
-                                   decoder._pruner)
-               for point, tally in zip(points, counters)]
-    budgets = np.array([data.draw(st.sampled_from([float("inf"), 3.0, 0.6]))
-                        for _ in range(num_slots)])
-
-    def assert_same_state():
-        # The kernel's column form read back as the scalar enumerator's
-        # state: queued (distance, i, j) tuples and the pending (i, j).
-        for slot, scalar in enumerate(scalars):
-            queued = kernel.col_d[slot].tolist()
-            pointer = kernel.col_j[slot].tolist()
-            pending = int(kernel.last_i[slot])
-            heap = [(d, i, j) for i, (d, j) in enumerate(zip(queued, pointer))
-                    if d != np.inf]
-            assert sorted(heap) == sorted(scalar._heap)
-            assert scalar._last == ((pending, pointer[pending])
-                                    if pending >= 0 else None)
-            assert scalar.queue_length <= side
-            assert ped[slot] == counters[slot].ped_calcs
-            assert prunes[slot] == counters[slot].geometric_prunes
-
-    assert_same_state()
-    for _ in range(data.draw(st.integers(1, order + 3), label="steps")):
-        stepped = np.array(sorted(data.draw(
-            st.sets(st.integers(0, num_slots - 1), min_size=1))),
-            dtype=np.int64)
-        for slot in stepped:
-            budgets[slot] *= data.draw(st.sampled_from([1.0, 0.9, 0.5]))
-        got, distance, col, row = kernel.step(stepped, stepped,
-                                              budgets[stepped])
-        handed = iter(zip(distance.tolist(), col.tolist(), row.tolist()))
-        for slot, hit in zip(stepped.tolist(), got.tolist()):
-            want = scalars[slot].next_candidate(float(budgets[slot]))
-            if want is None:
-                assert not hit
-            else:
-                assert hit
-                assert next(handed) == (want.dist_sq, want.col, want.row)
-        assert_same_state()

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.constellation import qam
+from repro.frame import rotate_frame, triangularize_frame
 from repro.runtime import (
     AdmissionQueue,
     CellWorkload,
@@ -29,6 +30,7 @@ from repro.runtime import (
     UplinkRuntime,
     synthetic_cell_trace,
 )
+from repro.runtime.engine import StreamingFrontier
 from repro.sphere import ComplexityCounters, ListSphereDecoder, SphereDecoder
 
 from test_engine import needs_core
@@ -258,61 +260,110 @@ def test_fifo_policy_measures_deadlines_but_never_intervenes():
     assert runtime.stats.frames_expired == 0
 
 
+def _assert_element_is(job, result, element, decoder, frame):
+    """Element ``element`` of a finished job (its tallies) and of its
+    finalised ``result`` equals ``decoder``'s scalar search of it."""
+    q_stack, r_stack = triangularize_frame(frame.channels)
+    y_hat = rotate_frame(q_stack, frame.received)
+    s, t = divmod(int(element), job.num_symbols)
+    if frame.noise_variance is None:
+        one = decoder.decode_triangular(r_stack[s], y_hat[s, t])
+        assert result.distances_sq[t, s] == one.distance_sq
+    else:
+        one = decoder.decode_soft_triangular(r_stack[s], y_hat[s, t],
+                                             frame.noise_variance)
+        assert np.array_equal(result.llrs[t, s], one.llrs)
+    assert np.array_equal(result.symbol_indices[t, s], one.symbol_indices)
+    counters = one.counters
+    assert ((job.ped[element], job.visited[element], job.expanded[element],
+             job.leaves[element], job.prunes[element])
+            == (counters.ped_calcs, counters.visited_nodes,
+                counters.expanded_nodes, counters.leaves,
+                counters.geometric_prunes))
+
+
 @needs_core
 @pytest.mark.parametrize("soft", [False, True])
 def test_mid_flight_degrade_and_evict_under_the_core_step(soft):
-    """The lockstep tick is the QoS quantum whichever executor steps it.
-    A frame degraded fifteen ticks into its searches stops at the shrunk
-    cap — a search already past it keeps what it has banked, one short
-    of it runs on to it — with the result and the tallies the numpy
-    step gives, and a frame evicted mid-search frees its lanes at once."""
-    from repro.runtime.engine import StreamingFrontier
-
+    """The lockstep tick is the QoS quantum.  A frame degraded fifteen
+    ticks into its searches stops at the shrunk cap B: a search already
+    past it keeps what it has banked, one short of it runs on to it and
+    then equals the scalar decoder built with ``node_budget=B``, and one
+    that had already finished equals the unbudgeted scalar search.  A
+    frame evicted mid-search frees its lanes at once."""
     rng = np.random.default_rng(41)
-    decoder = (ListSphereDecoder(qam(16), list_size=4) if soft
-               else SphereDecoder(qam(16)))
+    make = ((lambda **budget: ListSphereDecoder(qam(16), list_size=4,
+                                                **budget)) if soft
+            else (lambda **budget: SphereDecoder(qam(16), **budget)))
+    decoder = make()
     frames = [_make_frame(decoder, 4, 3, 8.0, rng, soft=soft)
               for _ in range(2)]
-    ticks = 15
-
-    def run(executor):
-        engine = StreamingFrontier(capacity=24, drain_threshold=0)
-        degraded, evicted = (FrameJob(frame_id, frame)
-                             for frame_id, frame in enumerate(frames))
-        engine.submit(degraded)
-        engine.submit(evicted)
-        pool = degraded.pool
-        pool.has_core = executor == "core"
-        for _ in range(ticks):
-            assert engine.tick() == []               # both mid-search
-        in_use = engine.in_use
-        dropped = engine.remove(evicted)
-        assert dropped > 0 and engine.in_use == in_use - dropped
-        # Visited nodes per search of the surviving frame, right now (a
-        # search that already finished has at most one per tick).
-        seen = np.full(degraded.num_problems, ticks)
-        seen[pool.elem_of[pool.active]] = pool.visited[pool.active]
-        budget = int(np.median(seen))
-        degraded.degraded_budget = budget
-        engine.degrade(degraded, budget)
-        completed = []
-        while not engine.idle:
-            completed += engine.tick()
-        assert completed == [degraded] and engine.in_use == 0
-        return degraded, seen, budget
-
-    (by_core, seen, budget), (by_numpy, seen_numpy, _) = (run("core"),
-                                                          run("numpy"))
-    assert np.array_equal(seen, seen_numpy)
-    assert (seen < budget).any() and (seen > budget).any()
-    assert (by_core.visited <= np.maximum(seen, budget)).all()
-    assert (by_core.visited == budget).any()
-    for tally in ("ped", "visited", "expanded", "leaves", "prunes"):
-        assert np.array_equal(getattr(by_core, tally),
-                              getattr(by_numpy, tally))
-    _assert_identical(by_core.finalise(), by_numpy.finalise(), soft)
-    assert (by_core.finalise().counters.visited_nodes
+    engine = StreamingFrontier(capacity=24, drain_threshold=0)
+    degraded, evicted = (FrameJob(frame_id, frame)
+                         for frame_id, frame in enumerate(frames))
+    engine.submit(degraded)
+    engine.submit(evicted)
+    pool = degraded.pool
+    for _ in range(15):
+        assert engine.tick() == []               # both mid-search
+    in_use = engine.in_use
+    dropped = engine.remove(evicted)
+    assert dropped > 0 and engine.in_use == in_use - dropped
+    # Which searches of the surviving frame are running, and the nodes
+    # each has visited, right now.
+    running = np.zeros(degraded.num_problems, dtype=bool)
+    seen = np.zeros(degraded.num_problems, dtype=np.int64)
+    running[pool.elem_of[pool.active]] = True
+    seen[pool.elem_of[pool.active]] = pool.visited[pool.active]
+    budget = int(np.median(seen[running]))
+    degraded.degraded_budget = budget
+    engine.degrade(degraded, budget)
+    completed = []
+    while not engine.idle:
+        completed += engine.tick()
+    assert completed == [degraded] and engine.in_use == 0
+    past = running & (seen >= budget)
+    assert past.any() and (running & (seen < budget)).any()
+    assert np.array_equal(degraded.visited[past], seen[past])
+    result = degraded.finalise()
+    capped = make(node_budget=budget)
+    for element in np.flatnonzero(~past):
+        _assert_element_is(degraded, result, element,
+                           capped if running[element] else decoder,
+                           frames[0])
+    assert (result.counters.visited_nodes
             < _reference(frames[0]).counters.visited_nodes)
+
+
+def test_pools_without_a_core_have_nothing_in_flight():
+    """A ``hess`` pool — like every pool on a box without a C compiler —
+    runs each search to completion in the tick that admits it, so
+    between ticks no search is in a lane: ``degrade`` reaches only the
+    queued searches, which start under the shrunk budget, and ``remove``
+    drops only queued ones."""
+    rng = np.random.default_rng(43)
+    decoder = SphereDecoder(qam(16), enumerator="hess",
+                            geometric_pruning=False)
+    frame = _make_frame(decoder, 4, 3, 8.0, rng)
+    engine = StreamingFrontier(capacity=4)
+    degraded, evicted = FrameJob(0, frame), FrameJob(1, frame)
+    engine.submit(degraded)
+    engine.submit(evicted)
+    assert engine.tick() == [] and engine.in_use == 0
+    assert degraded.remaining == degraded.num_problems - 4
+    budget = 3
+    degraded.degraded_budget = budget
+    engine.degrade(degraded, budget)
+    assert engine.remove(evicted) == evicted.num_problems
+    while not engine.idle:
+        assert engine.tick() in ([], [degraded]) and engine.in_use == 0
+    result = degraded.finalise()
+    capped = SphereDecoder(qam(16), enumerator="hess",
+                           geometric_pruning=False, node_budget=budget)
+    for element in range(degraded.num_problems):
+        _assert_element_is(degraded, result, element,
+                           decoder if element < 4 else capped, frame)
+    assert (degraded.visited[:4] > budget).any()
 
 
 def test_cancel_and_reprioritise_lifecycle():
@@ -596,8 +647,6 @@ def test_degraded_budget_enforced_through_scalar_drain():
     bit-identical to that budgeted ``decode_frame``.  Before the fix the
     drain ran at the decoder's own (unlimited) budget and searched past
     the cap."""
-    from repro.runtime.engine import StreamingFrontier
-
     rng = np.random.default_rng(17)
     budget = 6
     for soft in (False, True):

@@ -181,12 +181,18 @@ def test_killed_worker_overdue_frames_expire_explicitly():
     as explicit expiries through ``FrameExpired`` — never silently and
     never with a made-up result.  ``max_restarts=0`` makes the first
     kill exhaust the restart budget, so every in-flight frame expires
-    deterministically."""
+    deterministically.  The worker is frozen (SIGSTOP) before the frames
+    reach it, so none can finish before the kill (the frames, ~9 KB
+    pickled, fit in the pipe buffer of the stopped worker)."""
+    import os
+    import signal
+
     rng = np.random.default_rng(4)
     frames = _mixed_frames(rng, repeats=1)
     for frame in frames:
         frame.deadline_s = 3600.0           # generous: expiry must come
     with DetectorFarm(1, backend="process", max_restarts=0) as farm:
+        os.kill(farm._supervisor._workers[0].process.pid, signal.SIGSTOP)
         handles = [farm.submit(frame) for frame in frames]
         farm.kill_shard(0)                  # from exhaustion, not time
         farm.drain()

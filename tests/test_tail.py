@@ -1,32 +1,31 @@
 """The compiled search core resuming half-run searches — as the
-straggler tail and as the lockstep step — against the scalar oracle.
+straggler drain and as the lockstep step — against the scalar oracle.
 
 The compiled core (``repro/sphere/search_core.c`` behind
-:mod:`repro.sphere.tick_kernel`) works in place on the numpy kernel's own
-arrays, from whatever lockstep state a search is in: one candidate
-attempt per lane per tick is the lockstep step, an unlimited allowance
-the drain of the frontier's last few searches.  The scalar decoders
-(:meth:`SphereDecoder.decode_triangular`,
+:mod:`repro.sphere.tick_kernel`) works in place on the kernel's frontier
+arrays, from whatever state the last tick left a search in: one
+candidate attempt per lane per tick is the lockstep step, an unlimited
+allowance the drain of the frontier's last few searches.  The scalar
+decoders (:meth:`SphereDecoder.decode_triangular`,
 :meth:`ListSphereDecoder.decode_soft_triangular`) are the oracle; the
 contract is bit-identity — decisions, distances, LLRs and all five
 ``ComplexityCounters`` — and these tests pin it two ways:
 
 * **from the root** — a hand-off right after the root expansion, so the
-  core runs the whole search (a hypothesis property over enumerator
+  drain runs the whole search (a hypothesis property over enumerator
   rule, pruning, initial radius, node budget, list size, constellation
   and geometry; list size 1 is the hard best-leaf policy);
-* **from every depth** — ``k`` lockstep ticks, then the rest, for every
-  ``k`` from 0 to the search's length, prefix and remainder each run by
-  the core or by the numpy ``_step`` (four cells), and the two executors
-  compared array for array after every tick — so a wrong reading of the
-  pending successors, the column queue or the Shabany seen grid cannot
-  hide behind a lucky threshold or cancel out by completion.
+* **from every depth** — ``k`` lockstep ticks in the core, then the
+  drain, for every ``k`` from 0 to the search's length — so a wrong
+  reading of the pending successors, the column queue or the Shabany
+  seen grid that a step leaves behind cannot hide behind a lucky
+  threshold.
 
 Float programs: the core spells the installed numpy's complex-multiply
 program out (FMA-contracted or not — ``tick_kernel.NUMPY_FMA`` picks);
 nothing here branches on that flag: the suite must pass whichever it
-reports.  Without a C compiler there is no core (pools run the numpy
-step to the end), so the whole module skips.
+reports.  Without a C compiler there is no core (every pool runs the
+scalar search), so the whole module skips.
 """
 
 from dataclasses import replace
@@ -80,7 +79,7 @@ def _assert_hard_equal(frame, scalar):
 
 def _decode_one(decoder, r, y_hat, noise_variance=None, *, drain_threshold):
     """One triangular search on a frontier with the given hand-off
-    point.  Returns the frame result and the tail hand-off sizes."""
+    point.  Returns the frame result and the drain sizes."""
     job = FrameJob.from_triangular(decoder, r, y_hat[None], noise_variance)
     engine = StreamingFrontier(drain_threshold=drain_threshold)
     engine.submit(job)
@@ -91,7 +90,7 @@ def _decode_one(decoder, r, y_hat, noise_variance=None, *, drain_threshold):
 
 
 # ----------------------------------------------------------------------
-# (i) The whole search in the tail: hand-off right after the root
+# (i) The whole search in the drain: hand-off right after the root
 # ----------------------------------------------------------------------
 
 @settings(max_examples=80, deadline=None)
@@ -139,15 +138,32 @@ def test_tail_from_root_equals_the_scalar_oracle(data):
 
 @pytest.mark.parametrize("enumerator", ["hess", "exhaustive"])
 def test_baseline_enumerators_have_no_tail(enumerator):
-    """``hess``/``exhaustive`` kernels finish in lockstep whatever the
-    drain threshold says — same results, nothing drained."""
+    """``hess``/``exhaustive`` pools have no core: whatever the drain
+    threshold says, every search runs through the scalar decoder in the
+    tick that admits it — the oracle's results, nothing drained, nothing
+    left in a lane between ticks."""
     rng = np.random.default_rng(5)
     decoder = SphereDecoder(qam(16), enumerator=enumerator,
                             geometric_pruning=False)
     r, y_hat, _ = _observation(16, 4, 4, rng)
-    got, drained = _decode_one(decoder, r, y_hat, drain_threshold=1000)
-    _assert_hard_equal(got, decoder.decode_triangular(r, y_hat))
-    assert drained == []
+    batch = np.stack([y_hat + 0.05 * k for k in range(6)])
+    job = FrameJob.from_triangular(decoder, r, batch)
+    engine = StreamingFrontier(capacity=4, drain_threshold=1000)
+    engine.submit(job)
+    pool = job.pool
+    assert not pool.has_core and pool.drain_threshold == 0
+    drained = _drain_sizes(pool)
+    ticks = 0
+    while not engine.idle:
+        engine.tick()
+        ticks += 1
+        assert pool.active.size == 0 and engine.in_use == 0
+        assert job.remaining == max(0, job.num_problems - 4 * ticks)
+    assert ticks == 2 and drained == []
+    got, want = job.finalise(), decoder._decode_batch_loop(r, batch)
+    assert np.array_equal(got.symbol_indices[:, 0], want.symbol_indices)
+    assert np.array_equal(got.distances_sq[:, 0], want.distances_sq)
+    assert got.counters == want.counters
 
 
 # ----------------------------------------------------------------------
@@ -176,73 +192,34 @@ def _frame(decoder, order, num_subcarriers, num_symbols, rng):
                         decoder=decoder, noise_variance=noise_variance)
 
 
-def _submitted(request, executor):
+def _submitted(request):
     """The request's job on a frontier as wide as the frame, its pool
-    stepping in lockstep to the end through ``executor``: ``"core"`` (one
-    candidate attempt per lane per tick in the compiled core) or
-    ``"numpy"`` (the array ``_step``, the compiler-less fallback)."""
+    stepping in the core, one candidate attempt per lane per tick, in
+    lockstep to the end (drain threshold 0)."""
     job = FrameJob(0, request)
     engine = StreamingFrontier(capacity=job.num_problems, drain_threshold=0)
     engine.submit(job)
-    job.pool.has_core = executor == "core"
     return job, engine
 
 
-def _decode_with_handoff(request, lockstep_ticks, degrade_to=None, *,
-                         prefix="numpy", remainder="core"):
-    """Run ``lockstep_ticks`` ticks through the ``prefix`` executor, then
-    the ``remainder``: ``"core"`` hands every survivor to the core's
-    run-out (one tick), ``"numpy"`` keeps stepping the arrays to the end;
-    ``lockstep_ticks=None`` never switches.  Returns the frame result
-    and the number of ticks the run took."""
-    job, engine = _submitted(request, prefix)
+def _decode_with_handoff(request, lockstep_ticks, degrade_to=None):
+    """Run ``lockstep_ticks`` lockstep ticks, then hand every survivor to
+    the drain (one tick); ``lockstep_ticks=None`` never hands off.
+    Returns the frame result and the number of ticks the run took."""
+    job, engine = _submitted(request)
     ticks = 0
     while not engine.idle:
         if ticks == lockstep_ticks:
             if degrade_to is not None:
                 job.degraded_budget = degrade_to
                 job.pool.degrade(job, degrade_to)
-            job.pool.has_core = remainder == "core"
-            if remainder == "core":
-                job.pool.drain_threshold = job.num_problems
-                engine.tick()
-                assert engine.idle           # one tick drains them all
-                return job.finalise(), ticks + 1
+            job.pool.drain_threshold = job.num_problems
+            engine.tick()
+            assert engine.idle               # one tick drains them all
+            return job.finalise(), ticks + 1
         engine.tick()
         ticks += 1
     return job.finalise(), ticks
-
-
-def _lockstep_state(pool):
-    """Every array a tick leaves behind: the search path, the tallies,
-    the leaf bank and the kernel's axis tables and frontier."""
-    kernel = pool.kernel
-    return dict(level=pool.level, radius=pool.radius, parent=pool.parent,
-                path_cols=pool.path_cols, path_rows=pool.path_rows,
-                chosen=pool.chosen, tally=pool.tally,
-                bank=np.concatenate([leaf.reshape(leaf.shape[0], -1)
-                                     for leaf in pool._results()[1:]], axis=1),
-                axis_int=kernel.axis_int, axis_res=kernel.axis_res,
-                **kernel.frontier_arrays())
-
-
-def _assert_executors_leave_the_same_arrays(request):
-    """Tick the frame side by side through both executors: after every
-    tick the core must have left exactly what the numpy tick left.  (A
-    search that reaches its node cap retires at the end of that tick in
-    the core and at the top of the next under numpy, so the numpy side
-    may take one tick more — over state that no longer changes.)"""
-    (_, by_numpy), (_, by_core) = (_submitted(request, executor)
-                                   for executor in ("numpy", "core"))
-    while not by_numpy.idle:
-        by_numpy.tick()
-        by_core.tick()
-        left, = by_numpy._pools.values()
-        got, = by_core._pools.values()
-        want = _lockstep_state(left)
-        for name, array in _lockstep_state(got).items():
-            assert np.array_equal(array, want[name]), name
-    assert by_core.idle
 
 
 def _oracle(decoder, request):
@@ -260,9 +237,8 @@ def test_handoff_at_every_depth_equals_the_scalar_oracle(enumerator,
                                                          pruning, kind):
     """A lone search cut after k ticks, for every k of its life — with
     and without a node budget — then a small frame whose searches sit at
-    different depths.  Either executor may run the prefix and either the
-    remainder: all four equal the oracle, and at every cut the two
-    executors have left the same arrays."""
+    different depths: k core steps then the drain equal the oracle for
+    every k, as does stepping to the end."""
     decoder = _decoder(kind, 16, enumerator, pruning)
     capped = _decoder(kind, 16, enumerator, pruning, node_budget=11)
     rng = np.random.default_rng([len(enumerator), pruning, kind == "soft"])
@@ -279,13 +255,9 @@ def test_handoff_at_every_depth_equals_the_scalar_oracle(enumerator,
             lockstep, length = _decode_with_handoff(request, None)
         want = _oracle(request.decoder, request)
         assert_frames_identical(lockstep, want)
-        _assert_executors_leave_the_same_arrays(request)
         for k in range(length):
-            for prefix in ("numpy", "core"):
-                for remainder in ("core", "numpy"):
-                    got, _ = _decode_with_handoff(request, k, prefix=prefix,
-                                                  remainder=remainder)
-                    assert_frames_identical(got, want)
+            got, _ = _decode_with_handoff(request, k)
+            assert_frames_identical(got, want)
 
 
 def test_handoff_sweep_on_a_dense_constellation():
@@ -294,16 +266,15 @@ def test_handoff_sweep_on_a_dense_constellation():
     rng = np.random.default_rng(64)
     request = _frame(decoder, 64, 1, 2, rng)
     want = _oracle(decoder, request)
-    _assert_executors_leave_the_same_arrays(request)
-    _, length = _decode_with_handoff(request, None)
+    lockstep, length = _decode_with_handoff(request, None)
+    assert_frames_identical(lockstep, want)
     for k in range(0, length, 3):
-        for prefix in ("numpy", "core"):
-            got, _ = _decode_with_handoff(request, k, prefix=prefix)
-            assert_frames_identical(got, want)
+        got, _ = _decode_with_handoff(request, k)
+        assert_frames_identical(got, want)
 
 
 # ----------------------------------------------------------------------
-# (iii) Degraded budgets bind in the tail
+# (iii) Degraded budgets bind in the drain
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("kind", ["hard", "soft"])
@@ -312,7 +283,7 @@ def test_degraded_lane_stops_at_the_shrunk_cap_in_the_tail(kind,
                                                            lockstep_ticks):
     """A budget is a cap on visited nodes, so degrading an unbudgeted
     frame to B before any search has visited B nodes must equal a
-    decoder built with ``node_budget=B`` — through the tail."""
+    decoder built with ``node_budget=B`` — through the drain."""
     budget = 6
     decoder = _decoder(kind, 16, "zigzag", True)
     capped = _decoder(kind, 16, "zigzag", True, node_budget=budget)
@@ -329,10 +300,10 @@ def test_degraded_lane_stops_at_the_shrunk_cap_in_the_tail(kind,
 # ----------------------------------------------------------------------
 
 def test_row_multiply_is_the_scalar_multiply_program():
-    """The lockstep tick multiplies ``R`` rows by the decided symbols as
-    arrays; the oracle multiplies entry by entry.  Both must be the one
-    float program the ``NUMPY_FMA`` probe classifies — the one the core
-    spells out — on this numpy build, FMA-contracted or not."""
+    """The core spells out the array complex multiply the ``NUMPY_FMA``
+    probe classifies; the oracle multiplies ``R`` entries by the decided
+    symbols one at a time.  Both must be the one float program on this
+    numpy build, FMA-contracted or not."""
     rng = np.random.default_rng(9)
     points = qam(64).points
     for width in (1, 2, 3, 7):

@@ -3,19 +3,20 @@
 Wherever the core built, every ``zigzag`` / ``shabany`` pool steps
 through it — one candidate attempt per lane per tick, an unlimited
 allowance for the straggler drain — and its contract is *bit-identity*
-with the numpy step it replaces: it replays numpy's exact float program
-per search (reciprocal-multiply complex division, FMA-matched
-interference accumulation, ``rint`` slicing, uncontracted distance
-update), so symbol decisions, distances, LLRs and complexity counters
-must equal a run with the core hidden (:func:`_numpy_step`) at every
-entry point: ``decode_batch`` / ``decode_frame``, hard and soft,
-``detect_uplink`` / ``SphereDetector`` above them, the streaming runtime
-and the detector farm.
+with the scalar search it replays: the scalar loop's float program per
+search (reciprocal-multiply complex division, FMA-matched interference
+accumulation, ``rint`` slicing, uncontracted distance update), so symbol
+decisions, distances, LLRs and complexity counters must equal a run with
+the core hidden (:func:`_scalar_fallback`: every pool then runs the
+scalar search itself) at every entry point: ``decode_batch`` /
+``decode_frame``, hard and soft, ``detect_uplink`` / ``SphereDetector``
+above them, the streaming runtime and the detector farm.
 
 The sweeps run against the real binary — ``search_core.c`` built by the
 system ``cc`` at first use — and the loader tests pin how it gets
 there (one compile per source hash, a private cache directory) and what
-happens when it cannot: one warning, numpy results, never silence.
+happens when it cannot: one warning, the scalar search's results, never
+silence.
 """
 
 import os
@@ -45,13 +46,14 @@ from test_runtime import _assert_identical, _make_frame, _reference
 
 # Tests that assert a search really went through the compiled core are
 # marked needs_core; the differential sweeps run either way (without the
-# binary they compare the numpy step with itself, which must also hold).
+# binary they compare the scalar fallback with itself, which must also
+# hold).
 
 
-def _numpy_step(run):
+def _scalar_fallback(run):
     """``run()`` with the core hidden (as on a box without ``cc``, minus
-    the warning): every pool it builds steps through the numpy kernels,
-    in lockstep to the end."""
+    the warning): every pool it builds runs each search through the
+    decoder's scalar search."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tick_kernel, "_core", False)
         return run()
@@ -158,7 +160,7 @@ def test_core_refuses_what_it_cannot_address():
     def run(ids, **swap):
         state = dict(r=pool.lane_r, y=pool.lane_y, diag=pool.lane_diag,
                      diag_sq=pool.lane_diag_sq, level=pool.level,
-                     radius=pool.radius, parent_flat=pool.parent_flat,
+                     radius=pool.radius, parent=pool.parent,
                      path_cols=pool.path_cols, path_rows=pool.path_rows,
                      chosen=pool.chosen, best_cols=pool.best_cols,
                      best_rows=pool.best_rows, best_dist=pool.best_dist,
@@ -179,13 +181,13 @@ def test_core_refuses_what_it_cannot_address():
 
 def test_missing_compiler_warns_once_and_falls_back(no_compiler):
     """Without a compiler the first pool gets exactly one RuntimeWarning
-    per process, saying what happens instead — and numpy pools have
-    nothing to hand stragglers to: lockstep to the end."""
+    per process, saying what happens instead — and a pool without a
+    core has nothing to drain."""
     constellation, channels, received = _frame_instance(16, 4, 4, 6, 3)
     request = FrameRequest(channels, received, SphereDecoder(constellation))
     with pytest.warns(RuntimeWarning,
-                      match="no C compiler.*every pool runs the numpy step, "
-                            "in lockstep to the end, with the same "
+                      match="no C compiler.*every pool runs its searches "
+                            "through the scalar decoder, with the same "
                             "results") as caught:
         StreamingFrontier().submit(FrameJob(0, request))
     assert len(caught) == 1
@@ -200,7 +202,8 @@ def test_missing_compiler_warns_once_and_falls_back(no_compiler):
 @pytest.mark.filterwarnings("ignore:the compiled search core")
 def test_missing_compiler_keeps_results_identical(no_compiler):
     """The fallback is only a speed change: a decode without the core
-    equals the scalar oracle bit for bit."""
+    equals the scalar oracle bit for bit, and runs every search in the
+    tick that admits it."""
     constellation, channels, received = _frame_instance(16, 4, 4, 6, 3)
     for decoder, extra in [
             (SphereDecoder(constellation), ()),
@@ -208,6 +211,11 @@ def test_missing_compiler_keeps_results_identical(no_compiler):
         want, _ = scalar_oracle(decoder, channels, received, *extra)
         assert_frames_identical(
             decoder.decode_frame(channels, received, *extra), want)
+        job = FrameJob(0, FrameRequest(channels, received, decoder, *extra))
+        frontier = StreamingFrontier()
+        frontier.submit(job)
+        assert frontier.tick() == [job] and frontier.idle
+        assert_frames_identical(job.finalise(), want)
 
 
 def test_numpy_fma_probe_matches_fresh_samples():
@@ -243,7 +251,7 @@ def test_batch_compiled_matches_numpy(enumerator, pruning,
                             geometric_pruning=pruning,
                             node_budget=node_budget)
     _assert_batches_equal(decoder.decode_batch(r, y_hat),
-                          _numpy_step(lambda: decoder.decode_batch(r, y_hat)))
+                          _scalar_fallback(lambda: decoder.decode_batch(r, y_hat)))
 
 
 def test_batch_compiled_matches_scalar_loop():
@@ -268,7 +276,7 @@ def test_hard_frame_compiled_matches_numpy(enumerator, pruning,
     decoder = SphereDecoder(constellation, enumerator=enumerator,
                             geometric_pruning=pruning,
                             node_budget=node_budget)
-    reference = _numpy_step(lambda: decoder.decode_frame(channels, received))
+    reference = _scalar_fallback(lambda: decoder.decode_frame(channels, received))
     _assert_identical(decoder.decode_frame(channels, received), reference,
                       soft=False)
 
@@ -276,8 +284,8 @@ def test_hard_frame_compiled_matches_numpy(enumerator, pruning,
 @pytest.mark.parametrize("drain_threshold", [0, None])
 def test_hard_frame_compiled_across_drain_settings(drain_threshold):
     """The core steps every tick and, unless the threshold is 0, drains
-    the stragglers too: either way each search runs the numpy step's
-    program, so the results equal the numpy step's."""
+    the stragglers too: either way each search runs the scalar loop's
+    program, so the results equal the scalar fallback's."""
     constellation, channels, received = _frame_instance(16, 4, 4, 8, 3,
                                                         seed=11)
     decoder = SphereDecoder(constellation)
@@ -286,7 +294,7 @@ def test_hard_frame_compiled_across_drain_settings(drain_threshold):
         return decode_on_frontier(decoder, channels, received,
                                   drain_threshold=drain_threshold)
 
-    _assert_identical(decode(), _numpy_step(decode), soft=False)
+    _assert_identical(decode(), _scalar_fallback(decode), soft=False)
 
 
 @pytest.mark.parametrize("enumerator", ["zigzag", "shabany"])
@@ -303,7 +311,7 @@ def test_soft_frame_compiled_matches_numpy(enumerator,
     def decode():
         return decoder.decode_frame(channels, received, 0.05)
 
-    _assert_identical(decode(), _numpy_step(decode), soft=True)
+    _assert_identical(decode(), _scalar_fallback(decode), soft=True)
 
 
 @needs_core
@@ -345,10 +353,10 @@ def test_compiled_core_follows_a_grown_pool(soft):
 
 def test_runtime_compiled_matches_decode_frame():
     """Mixed hard/soft stream through one runtime: every frame equals
-    standalone ``decode_frame`` on the numpy step, counters included,
-    and the tick telemetry times the core as kernel work (a small share
-    on frames this small: admission and retirement are numpy, the
-    searches microseconds)."""
+    standalone ``decode_frame`` on the scalar fallback, counters
+    included, and the tick telemetry times the core as kernel work (a
+    small share on frames this small: admission and retirement are
+    numpy, the searches microseconds)."""
     rng = np.random.default_rng(23)
     decoders = [
         (SphereDecoder(qam(16)), False),
@@ -357,7 +365,7 @@ def test_runtime_compiled_matches_decode_frame():
     ]
     frames = [_make_frame(decoder, 6, 3, 18.0, rng, soft=soft)
               for decoder, soft in decoders for _ in range(2)]
-    references = _numpy_step(lambda: [_reference(frame) for frame in frames])
+    references = _scalar_fallback(lambda: [_reference(frame) for frame in frames])
 
     runtime = UplinkRuntime()
     handles = [runtime.submit(frame) for frame in frames]
@@ -369,12 +377,12 @@ def test_runtime_compiled_matches_decode_frame():
 
 
 def test_runtime_compiled_honours_node_budget():
-    """Budgeted searches stop at the same node inside the core as at
-    the numpy tick boundary (the loop-top check is the same check)."""
+    """Budgeted searches stop at the same node inside the core as in
+    the scalar search (the loop-top check is the same check)."""
     rng = np.random.default_rng(29)
     decoder = SphereDecoder(qam(16), node_budget=50)
     frames = [_make_frame(decoder, 6, 3, 16.0, rng) for _ in range(3)]
-    references = _numpy_step(lambda: [_reference(frame) for frame in frames])
+    references = _scalar_fallback(lambda: [_reference(frame) for frame in frames])
     runtime = UplinkRuntime()
     handles = [runtime.submit(frame) for frame in frames]
     runtime.drain()
@@ -394,7 +402,7 @@ def test_detect_uplink_compiled_matches_numpy():
     def detect():
         return detect_uplink(channels, received, detector, 0.05)
 
-    reference, compiled = _numpy_step(detect), detect()
+    reference, compiled = _scalar_fallback(detect), detect()
     assert np.array_equal(compiled.symbol_indices,
                           reference.symbol_indices)
     assert compiled.counters == reference.counters
@@ -408,7 +416,7 @@ def test_farm_compiled_matches_decode_frame():
     ]
     frames = [_make_frame(decoder, 6, 3, 18.0, rng, soft=soft)
               for decoder, soft in decoders for _ in range(2)]
-    references = _numpy_step(lambda: [_reference(frame) for frame in frames])
+    references = _scalar_fallback(lambda: [_reference(frame) for frame in frames])
     with DetectorFarm(2, backend="inline") as farm:
         handles = [farm.submit(frame) for frame in frames]
         farm.drain()
