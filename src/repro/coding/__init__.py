@@ -5,7 +5,6 @@ from .crc import CRC_BITS, append_crc, check_crc, crc32_bits
 from .interleaver import deinterleave, interleave, interleaver_permutation
 from .scrambler import descramble, scramble, scrambler_sequence
 from .viterbi import (
-    VITERBI_STRATEGIES,
     viterbi_decode,
     viterbi_decode_batch,
     viterbi_decode_soft,
@@ -14,7 +13,6 @@ from .viterbi import (
 
 __all__ = [
     "CRC_BITS",
-    "VITERBI_STRATEGIES",
     "ConvolutionalCode",
     "WIFI_CODE",
     "append_crc",

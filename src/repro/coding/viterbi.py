@@ -19,9 +19,8 @@ blocks at once (one per stream per in-flight frame), so the Python-level
 per-step cost amortises over the whole batch.  Decisions are
 **bit-identical** to the scalar sweep row by row — the elementwise
 compare/select and the tiny ``(steps, outputs) @ (outputs, patterns)``
-pattern-cost product are the same operations in the same order — and the
-scalar path stays available behind ``strategy="scalar"`` as the
-differential baseline (``tests/test_coding.py`` enforces the agreement).
+pattern-cost product are the same operations in the same order, and
+``tests/test_coding.py`` pins the batched decoders to the scalar one.
 """
 
 from __future__ import annotations
@@ -31,13 +30,8 @@ import numpy as np
 from ..utils.validation import as_bit_array, require
 from .convolutional import ConvolutionalCode
 
-__all__ = ["VITERBI_STRATEGIES", "viterbi_decode", "viterbi_decode_batch",
-           "viterbi_decode_soft", "viterbi_decode_soft_batch"]
-
-#: Dispatch of the batched decoders: ``"batch"`` runs one trellis loop
-#: over the whole block stack; ``"scalar"`` loops the scalar decoder over
-#: rows — the differential baseline (bit-identical decisions).
-VITERBI_STRATEGIES = ("batch", "scalar")
+__all__ = ["viterbi_decode", "viterbi_decode_batch", "viterbi_decode_soft",
+           "viterbi_decode_soft_batch"]
 
 
 def _traceback(backpointers: np.ndarray, final_state: int) -> np.ndarray:
@@ -208,19 +202,14 @@ def viterbi_decode_soft(reliabilities, code: ConvolutionalCode) -> np.ndarray:
     return _decode_reliabilities(array, code)
 
 
-def viterbi_decode_soft_batch(reliabilities, code: ConvolutionalCode,
-                              strategy: str = "batch") -> np.ndarray:
+def viterbi_decode_soft_batch(reliabilities,
+                              code: ConvolutionalCode) -> np.ndarray:
     """Soft-decision decoding of a stacked ``(num_blocks, coded_len)``
     reliability matrix in one trellis sweep.
 
-    Returns the ``(num_blocks, num_info_bits)`` information bits.
-    ``strategy="batch"`` (default) runs the single batched trellis loop;
-    ``strategy="scalar"`` loops :func:`viterbi_decode_soft` over rows —
-    the differential baseline.  Decisions are bit-identical either way.
+    Returns the ``(num_blocks, num_info_bits)`` information bits,
+    bit-identical to :func:`viterbi_decode_soft` row by row.
     """
-    require(strategy in VITERBI_STRATEGIES,
-            f"unknown Viterbi strategy {strategy!r}; choose from "
-            f"{VITERBI_STRATEGIES}")
     array = np.asarray(reliabilities, dtype=np.float64)
     require(array.ndim == 2,
             "batched reliabilities must be (num_blocks, coded_len)")
@@ -229,13 +218,10 @@ def viterbi_decode_soft_batch(reliabilities, code: ConvolutionalCode,
         num_steps = array.shape[1] // code.num_outputs
         return np.empty((0, max(num_steps - code.num_tail_bits, 0)),
                         dtype=np.uint8)
-    if strategy == "scalar":
-        return np.stack([_decode_reliabilities(row, code) for row in array])
     return _decode_reliabilities_batch(array, code)
 
 
-def viterbi_decode_batch(coded_bits, code: ConvolutionalCode,
-                         strategy: str = "batch") -> np.ndarray:
+def viterbi_decode_batch(coded_bits, code: ConvolutionalCode) -> np.ndarray:
     """Hard-decision decoding of stacked ``(num_blocks, coded_len)``
     coded blocks in one trellis sweep (the batched twin of
     :func:`viterbi_decode`)."""
@@ -244,5 +230,4 @@ def viterbi_decode_batch(coded_bits, code: ConvolutionalCode,
             "batched coded bits must be (num_blocks, coded_len)")
     flat = as_bit_array(array.reshape(-1), "coded bits")
     reliabilities = 1.0 - 2.0 * flat.astype(np.float64)
-    return viterbi_decode_soft_batch(
-        reliabilities.reshape(array.shape), code, strategy)
+    return viterbi_decode_soft_batch(reliabilities.reshape(array.shape), code)

@@ -32,14 +32,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..coding.viterbi import VITERBI_STRATEGIES, viterbi_decode_soft_batch
+from ..coding.viterbi import viterbi_decode_soft_batch
 from ..phy.receiver import (
     StreamDecision,
     finish_stream,
     stream_coded_bits,
     stream_coded_reliabilities,
 )
-from ..utils.validation import require
 
 __all__ = ["DecodeStage"]
 
@@ -49,23 +48,13 @@ class DecodeStage:
 
     Parameters
     ----------
-    strategy:
-        Trellis dispatch, as in
-        :func:`~repro.coding.viterbi.viterbi_decode_soft_batch`:
-        ``"batch"`` (default) sweeps one trellis loop over every grouped
-        block; ``"scalar"`` decodes block by block — the differential
-        baseline.  Decisions are bit-identical either way.
     tracer:
         :class:`~repro.obs.trace.FrameTracer` shared with the owning
         session, for the ``viterbi`` / ``crc`` lifecycle events on
         traced frames.  ``None`` (default) emits nothing.
     """
 
-    def __init__(self, strategy: str = "batch", tracer=None) -> None:
-        require(strategy in VITERBI_STRATEGIES,
-                f"unknown Viterbi strategy {strategy!r}; choose from "
-                f"{VITERBI_STRATEGIES}")
-        self.strategy = strategy
+    def __init__(self, tracer=None) -> None:
         self._tracer = tracer
 
     def attach_decisions(self, completed: list) -> None:
@@ -120,15 +109,13 @@ class DecodeStage:
         # One trellis sweep per (code, coded length) signature, spanning
         # every frame that completed this tick.
         for code, rows, slots in groups.values():
-            framed = viterbi_decode_soft_batch(np.stack(rows), code,
-                                               self.strategy)
+            framed = viterbi_decode_soft_batch(np.stack(rows), code)
             for block, (decisions, client) in zip(framed, slots):
                 decisions[client] = finish_stream(block)
 
         for job, decisions in traced:
             if job.config.code is not None:
                 self._tracer.emit(job.trace, "viterbi",
-                                  strategy=self.strategy,
                                   streams=len(decisions))
             self._tracer.emit(
                 job.trace, "crc", streams=len(decisions),

@@ -5,8 +5,9 @@ this module.  A :class:`StreamingFrontier` owns **pools** of lanes — one
 pool per search signature — and advances every search in a pool one
 candidate attempt per tick in the compiled search core (below).  Hard
 (maximum-likelihood) and soft (list) searches differ only in the pool's
-leaf policy; ``zigzag`` / ``shabany`` only in the frontier kernel
-(:mod:`repro.sphere.batch_search`).
+leaf policy; ``zigzag`` / ``shabany`` only in the frontier arrays the
+pool holds for the core (laid out by
+:func:`repro.sphere.tick_kernel.frontier`).
 
 Three entry points feed it, and they differ only in who owns the
 frontier and how long it lives:
@@ -16,7 +17,7 @@ frontier and how long it lives:
 * ``decode_frame(channels, received)`` — one frame's S×T searches on a
   private frontier, ticked until idle (:func:`run_frame`);
 * :class:`~repro.runtime.session.UplinkRuntime` — a **resident**
-  frontier: kernel arrays and lanes are allocated once and survive
+  frontier: frontier arrays and lanes are allocated once and survive
   across frames, freed lanes are refilled from the frame-tagged
   admission queue (:mod:`repro.runtime.queue`) regardless of which frame
   the next search belongs to, so consecutive frames pipeline and the
@@ -27,12 +28,15 @@ Who executes a tick, and the straggler drain
 -------------------------------------------
 The tick is the engine's *schedule* — admission, budget stops and the
 QoS hooks (``degrade`` / ``evict``) all act between ticks.  A pool with
-a kernel (``pool.has_core``: ``zigzag`` / ``shabany``, wherever
+frontier arrays (``pool.has_core``: ``zigzag`` / ``shabany``, wherever
 :mod:`repro.sphere.tick_kernel` could build the core) executes its step
 **in the core**: one native call gives every active lane one candidate
-attempt, in place on the pool's own kernel and lane arrays, and flags
+attempt, in place on the pool's own frontier and lane arrays, and flags
 the lanes that finished (tree exhausted or per-lane node budget
-reached); they retire through ``_finish_lockstep``.  A tick costs
+reached); they retire through ``_finish_lockstep``.  Admission only
+writes a search's lane rows and leaves it above its root: the core
+expands the root, with the same program as every other node, in the
+call that gives the search its first attempt.  A tick costs
 ~0.05 ms + ~0.1 microseconds per lane.
 
 Sphere-search cost is heavy-tailed, and that fixed ~0.05 ms is paid
@@ -45,10 +49,11 @@ searches to completion; everywhere else the tick, and with it every QoS
 point, stays one candidate attempt long.
 
 Every other pool — ``hess`` / ``exhaustive``, or any pool on a box
-without a C compiler (one warning) — has no kernel and ``drain_threshold``
-0: the tick that admits a search runs it to completion through the
-decoder's own scalar search, under its lane budget, and retires it the
-same way, so such a pool never has a search in flight between ticks.
+without a C compiler (one warning) — has no frontier and
+``drain_threshold`` 0: the tick that admits a search runs it to
+completion through the decoder's own scalar search, under its lane
+budget, and retires it the same way, so such a pool never has a search
+in flight between ticks.
 Time in the core or the scalar search counts as kernel time in the tick
 telemetry (``last_tick_kernel_s``).
 
@@ -67,23 +72,24 @@ adds a hypothesis sweep over submission permutations and budgets).
 Searches are grouped into **pools** by search signature
 (:func:`~repro.runtime.queue.search_signature`, which the detector farm
 routes by too: hard/soft, constellation, stream count, enumerator,
-pruning, node budget, list size): searches in one pool share kernel
+pruning, node budget, list size): searches in one pool share frontier
 arrays and tick together, and the pools share the frontier's global
 lane budget, so a mixed-constellation cell workload still keeps every
 lane busy.  A homogeneous workload — the benchmark's 16-QAM 4x4 stream
 — is exactly one pool.
 
-Each pool allocates its kernel and lane arrays **on demand**: a pool
+Each pool allocates its frontier and lane arrays **on demand**: a pool
 starts at :data:`DEFAULT_INITIAL_LANES` lanes (or the global capacity if
 smaller) and grows geometrically whenever admission wants more lanes
 than it has allocated, up to the shared global budget — so shards ×
 signatures stays bounded by what the workload actually uses instead of
-``capacity`` lanes of kernel state per signature.  Growth is invisible
-to results: every array keeps its existing rows bit-for-bit (live
-searches carry over), new rows hold the construction fills that
-admission fully rewrites before use, and the new lanes join the bottom
-of the free stack so lane hand-out order — which never affects a
-search's float program anyway — matches a pool built at full size.
+``capacity`` lanes of frontier state per signature.  Growth is
+invisible to results: every array keeps its existing rows bit-for-bit
+(live searches carry over), new rows hold construction fills that
+admission or the core's node expansion rewrites before use, and the new
+lanes join the bottom of the free stack so lane hand-out order — which
+never affects a search's float program anyway — matches a pool built at
+full size.
 """
 
 from __future__ import annotations
@@ -92,8 +98,7 @@ import time
 
 import numpy as np
 
-from ..sphere.batch_search import _grown, make_kernel
-from ..sphere.tick_kernel import run_hard, run_soft
+from ..sphere import tick_kernel
 from ..obs.trace import FrameTracer
 from ..utils.validation import require
 from .queue import AdmissionQueue, FrameJob, search_signature
@@ -104,7 +109,7 @@ __all__ = ["DEFAULT_INITIAL_LANES", "DEFAULT_LANE_CAPACITY",
 
 #: Default global lane budget.  Large enough that typical frames (64
 #: subcarriers x tens of OFDM symbols) keep the whole frame in lockstep,
-#: small enough that the per-slot kernel arrays stay cache- and
+#: small enough that the per-slot frontier arrays stay cache- and
 #: memory-friendly for dense constellations; workloads with more
 #: searches stream through the admission queue's refill.
 DEFAULT_LANE_CAPACITY = 2048
@@ -128,15 +133,11 @@ DEFAULT_LANE_CAPACITY = 2048
 #: a re-sweep.
 DRAIN_THRESHOLD_CAP = 32
 
-#: Lanes a kernel pool allocates up front; pools grow geometrically on
+#: Lanes a pool allocates up front; pools grow geometrically on
 #: demand from here, capped by the engine's global lane budget.
 DEFAULT_INITIAL_LANES = 64
 
 _EMPTY = np.empty(0, dtype=np.int64)
-
-#: A freshly admitted lane's (ped, visited, expanded, leaves, prunes):
-#: nothing yet but the root expansion.
-_ROOT_TALLY = np.array([0, 0, 1, 0, 0], dtype=np.int64)
 
 #: Per-lane node-budget value meaning "no cap": larger than any count a
 #: search can accumulate, so the always-on budget check is a no-op for
@@ -149,6 +150,15 @@ _NO_BUDGET = np.iinfo(np.int64).max
 #: the shared lane budget; ``"fifo"`` ignores priorities entirely — the
 #: pre-QoS behaviour, kept as the SLO benchmark's baseline.
 LANE_POLICIES = ("deadline", "fifo")
+
+
+def _grown(array: np.ndarray, rows: int, fill=0) -> np.ndarray:
+    """Reallocate ``array`` to ``rows`` leading rows: existing rows are
+    copied (live per-lane state carries over bit-for-bit), new rows get
+    ``fill`` — the same value construction used."""
+    out = np.full((rows,) + array.shape[1:], fill, dtype=array.dtype)
+    out[:array.shape[0]] = array
+    return out
 
 
 class _ResultArena:
@@ -216,12 +226,12 @@ class _ResultArena:
 
 
 class LanePool:
-    """Pool of kernel lanes: take on admission, release on finish.
+    """Pool of lanes: take on admission, release on finish.
 
-    Each lane is ``num_streams`` contiguous kernel slots.  Lane identity
-    never affects a search's float program — kernel slots are fully
-    re-initialised at admission — so which lane a search lands in only
-    changes how densely the kernel arrays are used.
+    Each lane is ``num_streams`` contiguous frontier slots.  Lane
+    identity never affects a search's float program — the core rewrites
+    a slot whole when it expands a node into it — so which lane a search
+    lands in only changes how densely the arrays are used.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -269,7 +279,7 @@ class LanePool:
 
 
 class _PoolBase:
-    """Kernel arrays + lane state for one search signature.
+    """Frontier arrays + lane state for one search signature.
 
     All per-search state is *lane*-indexed: a search owns its lane from
     admission to finish, its outcome moves to its frame's rows of the
@@ -311,13 +321,14 @@ class _PoolBase:
         self.tally = np.zeros((capacity, 5), dtype=np.int64)
         self._bind_tallies()
         #: The frontier arrays the compiled core steps this pool's
-        #: searches on, or ``None``: a ``hess`` / ``exhaustive`` pool or
-        #: a box without the core runs each search to completion through
-        #: the decoder's scalar search instead, with nothing to drain.
-        self.kernel = make_kernel(decoder, capacity * num_streams,
-                                  self.constellation.levels, self.ped,
-                                  self.prunes)
-        if self.kernel is None:
+        #: searches on, keyed by ``search_t`` field, or ``None``: a
+        #: ``hess`` / ``exhaustive`` pool or a box without the core runs
+        #: each search to completion through the decoder's scalar search
+        #: instead, with nothing to drain.
+        self.frontier = tick_kernel.frontier(decoder, capacity * num_streams)
+        # The core's marshalled view of this pool's arrays (tick_kernel.run).
+        self._marshalled: dict = {}
+        if self.frontier is None:
             self.drain_threshold = 0
             self._enumerate = decoder._enumerator_factory()
         # Which (frame, element) each lane is running.  Frames are
@@ -348,14 +359,13 @@ class _PoolBase:
         self.chosen = np.zeros((capacity, num_streams), dtype=np.complex128)
 
     def _bind_tallies(self) -> None:
-        self.tallies = tuple(self.tally.T)
         (self.ped, self.visited, self.expanded, self.leaves,
-         self.prunes) = self.tallies
+         self.prunes) = self.tally.T
 
     @property
     def has_core(self) -> bool:
         """Whether the compiled core executes this pool's searches."""
-        return self.kernel is not None
+        return self.frontier is not None
 
     @property
     def has_work(self) -> bool:
@@ -366,18 +376,18 @@ class _PoolBase:
         """Reallocate every lane-indexed array to ``capacity`` rows.
 
         Existing rows are copied bit-for-bit (live searches keep their
-        state mid-search), new rows hold the construction fills — which
-        admission fully rewrites before any tick reads them — and the
-        kernel re-points its tally references at the reallocated
-        ``ped``/``prunes``, so growth cannot change any result.
+        state mid-search) and new rows hold the construction fills —
+        which admission, or the core when it expands a node, rewrites
+        before anything reads them — so growth cannot change any result.
         """
         self.lanes.grow(capacity)
         self.lane_budget = _grown(self.lane_budget, capacity, _NO_BUDGET)
         self.tally = _grown(self.tally, capacity)
         self._bind_tallies()
-        if self.kernel is not None:
-            self.kernel.grow(capacity * self.num_streams, self.ped,
-                             self.prunes)
+        if self.frontier is not None:
+            self.frontier = {
+                name: _grown(array, capacity * self.num_streams)
+                for name, array in self.frontier.items()}
         self.jobidx_of = _grown(self.jobidx_of, capacity)
         self.elem_of = _grown(self.elem_of, capacity)
         self.dest_of = _grown(self.dest_of, capacity)
@@ -395,16 +405,14 @@ class _PoolBase:
 
     # -- admission ------------------------------------------------------
     def _reset_lanes(self, lanes: np.ndarray) -> None:
-        top = self.num_streams - 1
-        self.level[lanes] = top
+        # Above the root: the core expands it (and writes the root's
+        # parent distance) before the first attempt, and a search writes
+        # each level's path and decided symbol before reading them.
+        self.level[lanes] = self.num_streams
         self.lane_budget[lanes] = (_NO_BUDGET if self.node_budget is None
                                    else self.node_budget)
         self.radius[lanes] = self.initial_radius_sq
-        self.parent[lanes] = 0.0
-        self.path_cols[lanes] = 0
-        self.path_rows[lanes] = 0
-        self.chosen[lanes] = 0.0
-        self.tally[lanes] = _ROOT_TALLY
+        self.tally[lanes] = 0
 
     def _admit(self) -> None:
         """Refill free lanes from the frame-tagged queue."""
@@ -419,7 +427,6 @@ class _PoolBase:
         room = min(self.lanes.free_lanes, want)
         if room <= 0:
             return
-        top = self.num_streams - 1
         admitted = []
         for job, elements in self.queue.take(room):
             lanes = self.lanes.take(elements.size)
@@ -438,10 +445,6 @@ class _PoolBase:
                 # budget (never looser than the decoder's own).
                 self.lane_budget[lanes] = np.minimum(
                     self.lane_budget[lanes], job.degraded_budget)
-            if self.kernel is not None:
-                points = self.lane_y[lanes, top] / self.lane_diag[lanes, top]
-                self.kernel.init(lanes * self.num_streams + top, lanes,
-                                 points)
             if job.first_lane_at is None:
                 # Stage-boundary stamp: the frame's first search took a
                 # lane — queue wait ends here.  Stamped with tracing off
@@ -563,12 +566,35 @@ class _PoolBase:
             self.active = active[~done]
             self._finish_lockstep(active[done], completed)
 
-    def _run_scalar(self, active: np.ndarray, search) -> np.ndarray:
+    def _run(self, active: np.ndarray, attempts: int | None) -> np.ndarray:
+        if self.frontier is None:
+            return self._run_scalar(active)
+        # Lane-indexed everywhere: a search's state rows, frontier slots
+        # and channel copy all live at its lane, and its absolute budget
+        # sits in lane_budget (visited starts at zero).
+        return tick_kernel.run(self.decoder, self._core_arrays(), active,
+                               self.lane_budget[active], attempts,
+                               self._marshalled)
+
+    def _core_arrays(self) -> dict:
+        """Every array of this pool the core reads or writes, keyed by
+        ``search_t`` field (the pool's own names, bar the channel
+        copies)."""
+        return dict(self.frontier, r=self.lane_r, y=self.lane_y,
+                    diag=self.lane_diag, diag_sq=self.lane_diag_sq,
+                    level=self.level, radius=self.radius, parent=self.parent,
+                    path_cols=self.path_cols, path_rows=self.path_rows,
+                    chosen=self.chosen, ped=self.ped, visited=self.visited,
+                    expanded=self.expanded, leaves=self.leaves,
+                    prunes=self.prunes,
+                    **{name: getattr(self, name) for name in self._LEAF})
+
+    def _run_scalar(self, active: np.ndarray) -> np.ndarray:
         """A pool without a core: run each listed search to completion
-        through the decoder's own scalar ``search``, under its lane
-        budget, and write the lane rows the core would have — the five
-        tallies, then the leaf policy's (``_bank``).  Everything
-        finishes."""
+        through the decoder's own scalar search, under its lane budget,
+        and write the lane rows the core would have — the five tallies,
+        then the leaf policy's (``_bank``).  Everything finishes."""
+        search = self._scalar_search()
         for lane in active.tolist():
             outcome = search(self.lane_r[lane], self.lane_y[lane],
                              self.lane_diag[lane], self.lane_diag_sq[lane],
@@ -611,6 +637,10 @@ class _PoolBase:
 class _HardPool(_PoolBase):
     """Maximum-likelihood searches under the Schnorr–Euchner radius."""
 
+    #: The best-leaf rows the core writes, named as ``search_t`` and
+    #: this pool name them.
+    _LEAF = ("best_cols", "best_rows", "best_dist")
+
     def __init__(self, engine, template) -> None:
         super().__init__(engine, template)
         capacity = self.allocated
@@ -637,34 +667,28 @@ class _HardPool(_PoolBase):
         self.best_rows[lanes] = -1
         self.best_dist[lanes] = np.inf
 
+    def _scalar_search(self):
+        return self.decoder._search
+
     def _bank(self, lane: int, result) -> None:
         if result.found:
             self.best_dist[lane] = result.distance_sq
             self.best_cols[lane], self.best_rows[lane] = (
                 self.constellation.col_row(result.symbol_indices))
 
-    def _run(self, active: np.ndarray, attempts: int | None) -> np.ndarray:
-        if self.kernel is None:
-            return self._run_scalar(active, self.decoder._search)
-        # Lane-indexed everywhere: state row, kernel lane and channel
-        # copy all live at the lane index, and each lane's absolute
-        # budget sits in lane_budget (visited starts at zero).
-        return run_hard(
-            self.kernel, active, active, active, self.lane_budget[active],
-            self.lane_r, self.lane_y, self.lane_diag, self.lane_diag_sq,
-            self.level, self.radius, self.parent, self.path_cols,
-            self.path_rows, self.chosen, self.best_cols, self.best_rows,
-            self.best_dist, self.tallies, attempts)
-
 
 class _SoftPool(_PoolBase):
     """List searches under the bounded-best-leaf radius policy."""
+
+    #: The leaf-list rows the core writes (``list_d``'s width is the
+    #: list size), named as ``search_t`` and this pool name them.
+    _LEAF = ("list_d", "list_seq", "list_cols", "list_rows", "list_n",
+             "leaf_seq")
 
     def __init__(self, engine, template) -> None:
         super().__init__(engine, template)
         capacity = self.allocated
         list_size = template.decoder.list_size
-        self.list_size = list_size
         self.list_d = np.full((capacity, list_size), np.inf)
         self.list_seq = np.zeros((capacity, list_size), dtype=np.int64)
         self.list_cols = np.zeros((capacity, list_size, self.num_streams),
@@ -698,22 +722,14 @@ class _SoftPool(_PoolBase):
         self.list_n[lanes] = 0
         self.leaf_seq[lanes] = 0
 
+    def _scalar_search(self):
+        return self.decoder._search_soft
+
     def _bank(self, lane: int, state) -> None:
         self.leaf_seq[lane] = state.leaf_counter
         self.list_n[lane] = state.into(self.list_d[lane], self.list_seq[lane],
                                        self.list_cols[lane],
                                        self.list_rows[lane])
-
-    def _run(self, active: np.ndarray, attempts: int | None) -> np.ndarray:
-        if self.kernel is None:
-            return self._run_scalar(active, self.decoder._search_soft)
-        return run_soft(
-            self.kernel, active, active, active, self.lane_budget[active],
-            self.lane_r, self.lane_y, self.lane_diag, self.lane_diag_sq,
-            self.level, self.radius, self.parent, self.path_cols,
-            self.path_rows, self.chosen, self.list_d, self.list_seq,
-            self.list_cols, self.list_rows, self.list_n, self.leaf_seq,
-            self.list_size, self.tallies, attempts)
 
 
 class StreamingFrontier:
@@ -724,7 +740,7 @@ class StreamingFrontier:
     Parameters
     ----------
     capacity:
-        Global lane budget shared by every kernel pool (default
+        Global lane budget shared by every pool (default
         :data:`DEFAULT_LANE_CAPACITY`) — how many searches, across all
         in-flight frames, advance in lockstep at once.
     drain_threshold:
@@ -741,7 +757,7 @@ class StreamingFrontier:
         baseline.  Either way each search runs the same float program,
         so per-frame results are policy-independent.
     initial_lanes:
-        Lanes each kernel pool allocates up front (default
+        Lanes each pool allocates up front (default
         :data:`DEFAULT_INITIAL_LANES`, clamped to ``capacity``); pools
         grow geometrically on demand up to the global budget.  Purely an
         allocation knob — growth is invisible to results.
@@ -894,7 +910,7 @@ def run_frame(job: FrameJob):
     while not frontier.idle:
         frontier.tick()
     # A pool and its frontier reference each other; dropping the pools
-    # frees the kernel arrays on return instead of leaving every call's
+    # frees the pool arrays on return instead of leaving every call's
     # worth to the cycle collector.
     frontier._pools.clear()
     return job.finalise()

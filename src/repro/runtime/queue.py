@@ -232,11 +232,18 @@ class FrameJob:
         """``decode_batch``'s constructor: a one-subcarrier job from an
         already-triangular system — ``r`` is ``(nc, nc)``,
         ``y_hat_batch`` the rotated ``(T, nc)`` observations —
-        validated like any submitted frame, QR sweep skipped."""
+        validated like any submitted frame, QR sweep skipped.  Skipping
+        it skips its rank check too, so a zero on ``r``'s real diagonal
+        is refused here: every search divides by it."""
         request = FrameRequest(np.asarray(r)[None],
                                np.asarray(y_hat_batch)[:, None, :], decoder,
                                noise_variance)
         kind, r_stack, rotated = validate_request(request)
+        zeros = np.flatnonzero(np.real(np.diagonal(r_stack[0])) == 0.0)
+        if zeros.size:
+            raise ValueError(
+                f"r has a zero real diagonal entry at level {zeros[0]}; "
+                "the depth-first sphere decoder requires full column rank")
         job = cls.__new__(cls)
         job._init_state(0, request, kind, r_stack,
                         rotated.transpose(1, 0, 2))

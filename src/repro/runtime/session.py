@@ -172,12 +172,6 @@ class UplinkRuntime:
     max_in_flight:
         In-flight frame budget (backpressure): ``submit`` blocks — by
         running the tick loop — while this many frames are unfinished.
-    viterbi_strategy:
-        Trellis dispatch of the coded decode stage (frames submitted
-        with a ``config``): ``"batch"`` (default) sweeps one trellis
-        loop over every stream of every frame completing a tick;
-        ``"scalar"`` is the block-by-block differential baseline.
-        Decisions are bit-identical either way.
     lane_policy:
         ``"deadline"`` (default): class-aware lane refills plus the
         deadline machinery (degradation and expiry) for deadline-tagged
@@ -208,7 +202,6 @@ class UplinkRuntime:
     def __init__(self, *, capacity: int | None = None,
                  drain_threshold: int | None = None,
                  max_in_flight: int = DEFAULT_MAX_IN_FLIGHT,
-                 viterbi_strategy: str = "batch",
                  lane_policy: str = "deadline",
                  degrade_margin_s: float | None = None,
                  degraded_node_budget: int | None = None,
@@ -229,7 +222,7 @@ class UplinkRuntime:
                                          lane_policy=lane_policy,
                                          initial_lanes=initial_lanes,
                                          tracer=tracer)
-        self._decode = DecodeStage(viterbi_strategy, tracer=tracer)
+        self._decode = DecodeStage(tracer=tracer)
         self.max_in_flight = max_in_flight
         self.lane_policy = lane_policy
         self.degrade_margin_s = degrade_margin_s

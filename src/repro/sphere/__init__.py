@@ -17,8 +17,9 @@ Public surface:
   (:mod:`repro.runtime.engine`, what ``decode_batch`` / ``decode_block``
   / ``decode_frame`` run on) — one candidate attempt per search is the
   lockstep step, an unlimited allowance drains a pool's last few
-  (straggler) searches — on the frontier arrays
-  :mod:`repro.sphere.batch_search` lays out.  The scalar
+  (straggler) searches.  It runs on frontier arrays whose layout
+  :func:`repro.sphere.tick_kernel.frontier` declares, and expands every
+  node of a search, its root included.  The scalar
   :meth:`SphereDecoder.decode_triangular` /
   :meth:`ListSphereDecoder.decode_soft_triangular` are the oracle it is
   pinned to, and what the engine runs where there is no core.

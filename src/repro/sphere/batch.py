@@ -41,7 +41,7 @@ from .counters import ComplexityCounters
 from .qr import triangularize
 
 __all__ = ["BatchDecodeResult", "batched_axis_orders", "as_batch_matrix",
-           "qr_decode_block", "zigzag_axis_table", "zigzag_order_table"]
+           "qr_decode_block", "zigzag_order_table"]
 
 
 @dataclass
@@ -130,31 +130,7 @@ def zigzag_order_table(side: int) -> np.ndarray:
     return table
 
 
-#: Cached order-plus-offset tables, one per PAM side (see
-#: :func:`zigzag_axis_table`).
-_ZIGZAG_AXES: dict[int, np.ndarray] = {}
-
-
-def zigzag_axis_table(side: int) -> np.ndarray:
-    """``(side, 2, 2, side)`` table: :func:`zigzag_order_table` stacked
-    with the geometric-pruning offsets of the same walk.
-
-    ``table[start, prefer, 0]`` is the zigzag level order and
-    ``table[start, prefer, 1]`` its ``|index - start|`` — the scalar
-    :attr:`~repro.sphere.enumerator.AxisOrder.offsets` — so one gather
-    yields both integer tables of an axis.
-    """
-    table = _ZIGZAG_AXES.get(side)
-    if table is None:
-        orders = zigzag_order_table(side)
-        table = np.stack([orders, np.abs(orders - orders[:, :, :1])], axis=2)
-        table.setflags(write=False)
-        _ZIGZAG_AXES[side] = table
-    return table
-
-
-def batched_axis_orders(coordinates: np.ndarray, levels: np.ndarray,
-                        offsets: bool = False
+def batched_axis_orders(coordinates: np.ndarray, levels: np.ndarray
                         ) -> tuple[np.ndarray, np.ndarray]:
     """Zigzag-order one PAM axis for many nodes at once.
 
@@ -166,17 +142,15 @@ def batched_axis_orders(coordinates: np.ndarray, levels: np.ndarray,
       level, in exactly the order :func:`zigzag_indices` yields it;
     * ``residual_sq[n, p]`` — ``(levels[order[n, p]] - coordinates[n])**2``.
 
-    With ``offsets=True`` the first result is the ``(N, 2, side)`` stack
-    of ``order`` and the pruning offsets ``|order - sliced start|`` (one
-    gather from :func:`zigzag_axis_table`).
-
     Matches the scalar :class:`~repro.sphere.enumerator.AxisOrder`
     bit-for-bit (same slice, same preferred direction, same arithmetic).
-    This sits on the lockstep engine's per-tick hot path, so the slicing
-    arithmetic of :func:`~repro.constellation.pam.slice_to_index` is
-    inlined in its cheapest operation-equivalent form (``rint`` is
+    K-best runs it once per tree level over its whole frontier, so the
+    slicing arithmetic of :func:`~repro.constellation.pam.slice_to_index`
+    is inlined in its cheapest operation-equivalent form (``rint`` is
     ``round`` at zero decimals, ``minimum``/``maximum`` are ``clip``) and
-    the walk itself is one gather from :func:`zigzag_order_table`.
+    the walk itself is one gather from :func:`zigzag_order_table`.  The
+    compiled search core spells the same program out per node
+    (``order_axis`` in ``search_core.c``).
     """
     coordinates = np.asarray(coordinates, dtype=np.float64)
     side = levels.shape[0]
@@ -184,10 +158,6 @@ def batched_axis_orders(coordinates: np.ndarray, levels: np.ndarray,
     sliced = np.rint((coordinates / scale + (side - 1)) / 2.0)
     starts = np.maximum(np.minimum(sliced, side - 1), 0).astype(np.int64)
     prefer_positive = (coordinates >= levels[starts]).view(np.int8)
-    if offsets:
-        tables = zigzag_axis_table(side)[starts, prefer_positive]
-        order = tables[:, 0]
-    else:
-        tables = order = zigzag_order_table(side)[starts, prefer_positive]
+    order = zigzag_order_table(side)[starts, prefer_positive]
     residuals = levels[order] - coordinates[:, None]
-    return tables, residuals * residuals
+    return order, residuals * residuals

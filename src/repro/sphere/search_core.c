@@ -5,13 +5,17 @@
  * -shared -fPIC -ffp-contract=off -- never -ffast-math or -march=native)
  * and loaded through ctypes.  One entry point, repro_search_run, takes
  * searches in *any* state -- fresh from admission or half run -- and
- * gives each an allowance of candidate attempts, in place on the kernel
- * frontier arrays (repro/sphere/batch_search.py) and the pool's lane
- * arrays (repro/runtime/engine.py).  An attempt is one iteration of the
- * scalar search loop (SphereDecoder._search), so whatever the allowance,
- * a search executes the scalar loop's iterations in order.  One loop, two
- * uses: an allowance of 1 is the lockstep step, an unlimited one the
- * straggler drain.
+ * gives each an allowance of candidate attempts, in place on the pool's
+ * frontier and lane arrays (repro/runtime/engine.py; their layout is
+ * declared in tick_kernel.py, next to the ctypes mirror of search_t).
+ * Admission only writes a search's lane rows and leaves it above its
+ * root (level == num_streams); the core expands the root, with the same
+ * expand() as every other node, before the search's first attempt.  An
+ * attempt is one iteration of the scalar search loop
+ * (SphereDecoder._search), so whatever the allowance, a search executes
+ * the scalar loop's iterations in order.  One loop, two uses: an
+ * allowance of 1 is the lockstep step, an unlimited one the straggler
+ * drain.
  *
  * Policies are fields of search_t, not copies of the loop:
  *   - frontier: `zigzag` (Geosphere; column form, at most one queued
@@ -54,18 +58,18 @@ typedef struct {
     const double *levels;      /* (side) PAM amplitudes */
     const int64_t *zigzag;     /* (side, 2, side) 1-D zigzag level orders */
     const double *prune;       /* (side, side) squared lower bounds | NULL */
-    /* kernel axis tables, slot-major; slot = lane * num_streams + level */
+    /* frontier axis tables, slot-major; slot = id * num_streams + level */
     int64_t *axis_int;         /* (slots, 2 | 4, side): ord_i [off_i] ord_q [off_q] */
     double *axis_res;          /* (slots, 2, side): res_i res_q */
-    /* kernel frontier: zigzag uses queue_d / queue_j as col_d / col_j
+    /* frontier queue: zigzag uses queue_d / queue_j as col_d / col_j
      * plus last_i; shabany uses all of it */
     double *queue_d;
     int64_t *queue_i, *queue_j, *queue_n, *last_i, *last_j;
     uint8_t *has_last, *seen;
-    /* channel stacks */
-    const cplx *r, *y;         /* (rows, n, n), (states, n) */
+    /* per-search channel copies */
+    const cplx *r, *y;         /* (ids, n, n), (ids, n) */
     const double *diag, *diag_sq;
-    /* search path, state-indexed */
+    /* search path */
     int64_t *level;
     double *radius, *parent;
     int64_t *path_cols, *path_rows;
@@ -323,33 +327,45 @@ static void bank_list_leaf(const search_t *s, int64_t si, double distance)
         s->radius[si] = worst_of(list_d, size);
 }
 
-/* Run search `si` (kernel lane `ki`, channel row `ci`) on from whatever
- * state it is in, for at most `attempts` iterations.  Each iteration is
- * one iteration of the scalar loop: one candidate attempt.
+/* Run search `si` on from whatever state it is in, for at most
+ * `attempts` iterations; `si` indexes its state rows, its frontier slots
+ * and its channel copy alike.  A search still above its root (fresh from
+ * admission) first expands the root, as the scalar search does before
+ * its loop -- ahead of the budget check, and not as an attempt.  Each
+ * iteration is one iteration of the scalar loop: one candidate attempt.
  * 1 once the search is finished -- its tree exhausted (a root pop) or
  * `cap` nodes visited -- 0 if the allowance ran out first, -1 if the
  * Shabany queue bound was violated. */
-static int run_one(const search_t *s, int64_t si, int64_t ki, int64_t ci,
-                   int64_t cap, int64_t attempts)
+static int run_one(const search_t *s, int64_t si, int64_t cap,
+                   int64_t attempts)
 {
     const int64_t n = s->num_streams;
     int64_t *ped = s->ped + si * s->tally_stride;
     int64_t *visited = s->visited + si * s->tally_stride;
     int64_t *prunes = s->prunes + si * s->tally_stride;
+    if (s->level[si] == n) {
+        const int64_t top = n - 1;
+        const double scl = 1.0 / s->diag[si * n + top];
+        const cplx point = s->y[si * n + top];
+        ++s->expanded[si * s->tally_stride];
+        expand(s, si * n + top, point.re * scl, point.im * scl, ped);
+        s->parent[si * n + top] = 0.0;
+        s->level[si] = top;
+    }
     while (*visited < cap) {
         if (attempts-- == 0)
             return 0;
         const int64_t lv = s->level[si];
         const double parent_d = s->parent[si * n + lv];
-        const double scale = s->diag_sq[ci * n + lv];
+        const double scale = s->diag_sq[si * n + lv];
         const double sphere = s->radius[si];
         const double budget = (sphere - parent_d) / scale;
         double dist_sq;
         int64_t col, row;
         const int got = s->seen
-            ? shabany_next(s, ki * n + lv, budget, ped, prunes, &dist_sq,
+            ? shabany_next(s, si * n + lv, budget, ped, prunes, &dist_sq,
                            &col, &row)
-            : zigzag_next(s, ki * n + lv, budget, ped, prunes, &dist_sq,
+            : zigzag_next(s, si * n + lv, budget, ped, prunes, &dist_sq,
                           &col, &row);
         if (got < 0)
             return -1;
@@ -386,7 +402,7 @@ static int run_one(const search_t *s, int64_t si, int64_t ki, int64_t ci,
         }
         /* Descend: cancel the interference of the decided upper levels. */
         const int64_t next = lv - 1;
-        const cplx *r_row = s->r + (ci * n + next) * n;
+        const cplx *r_row = s->r + (si * n + next) * n;
         const cplx *chosen = s->chosen + si * n;
         double acc_re = 0.0, acc_im = 0.0;
         for (int64_t c = next + 1; c < n; c++) {
@@ -399,10 +415,10 @@ static int run_one(const search_t *s, int64_t si, int64_t ki, int64_t ci,
                 acc_im += a.re * b.im + a.im * b.re;
             }
         }
-        const double scl = 1.0 / s->diag[ci * n + next];
+        const double scl = 1.0 / s->diag[si * n + next];
         const cplx point = s->y[si * n + next];
         ++s->expanded[si * s->tally_stride];
-        expand(s, ki * n + next, (point.re - acc_re) * scl,
+        expand(s, si * n + next, (point.re - acc_re) * scl,
                (point.im - acc_im) * scl, ped);
         s->parent[si * n + next] = distance;
         s->level[si] = next;
@@ -416,18 +432,15 @@ int64_t repro_search_size(void)
     return (int64_t)sizeof(search_t);
 }
 
-/* Give each of the `count` listed searches (state rows idx, kernel
- * lanes kidx, channel rows chan, absolute node budgets caps) up to
- * `attempts` candidate attempts -- 1 is one lockstep tick, INT64_MAX
- * runs them to completion -- and flag the finished ones in `done`.
- * Returns 0, or -1 if a frontier queue overflowed. */
-int repro_search_run(const search_t *s, int64_t count, const int64_t *idx,
-                     const int64_t *kidx, const int64_t *chan,
+/* Give each of the `count` listed searches (ids, absolute node budgets
+ * caps) up to `attempts` candidate attempts -- 1 is one lockstep tick,
+ * INT64_MAX runs them to completion -- and flag the finished ones in
+ * `done`.  Returns 0, or -1 if a frontier queue overflowed. */
+int repro_search_run(const search_t *s, int64_t count, const int64_t *ids,
                      const int64_t *caps, int64_t attempts, uint8_t *done)
 {
     for (int64_t e = 0; e < count; e++) {
-        const int finished = run_one(s, idx[e], kidx[e], chan[e], caps[e],
-                                     attempts);
+        const int finished = run_one(s, ids[e], caps[e], attempts);
         if (finished < 0)
             return -1;
         done[e] = (uint8_t)finished;

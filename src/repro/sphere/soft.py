@@ -309,7 +309,7 @@ class ListSphereDecoder:
         max-heap, and once the heap is full the sphere shrinks to its
         worst member instead of the single best leaf.  It is the
         reference program the compiled core's list policy
-        (:func:`repro.sphere.tick_kernel.run_soft`) is pinned to
+        (:func:`repro.sphere.tick_kernel.run`) is pinned to
         bit-for-bit, and what the engine's pools without a core run.
         """
         num_streams = r.shape[1]

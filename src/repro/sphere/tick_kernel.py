@@ -1,15 +1,16 @@
 """The compiled search core: build, load, run.
 
 ``search_core.c`` next to this module is the depth-first search's
-per-search state machine in C, and :func:`run_hard` / :func:`run_soft`
-run it: each listed search gets an allowance of candidate attempts in
-one native call, *in place* on its kernel's frontier arrays
-(:mod:`repro.sphere.batch_search`) and the pool's lane arrays, from
-whatever state the last call (or admission) left it in, and comes back
-flagged if it finished.  The lockstep engine (:mod:`repro.runtime.engine`)
-makes two uses of that one loop: an allowance of one is a pool's
-**lockstep step**, an unlimited one finishes a pool's last few
-stragglers (the drain).
+per-search state machine in C, and :func:`run` runs it: each listed
+search gets an allowance of candidate attempts in one native call, *in
+place* on the pool's frontier arrays (:func:`frontier`; their layout is
+declared here and nowhere else in Python) and lane arrays, from whatever
+state the last call left it in, and comes back flagged if it finished.
+Admission only writes a search's lane rows: the core expands its root,
+with the same program as every other node, before its first attempt.
+The lockstep engine (:mod:`repro.runtime.engine`) makes two uses of that
+one loop: an allowance of one is a pool's **lockstep step**, an
+unlimited one finishes a pool's last few stragglers (the drain).
 
 Why any allowance is the same program
 -------------------------------------
@@ -27,7 +28,7 @@ complex product as the :data:`NUMPY_FMA` probe selects, uncontracted
 ``parent + scale * dist_sq``, ``rint`` slicing).  Results, LLRs and
 ``ComplexityCounters`` are therefore bit-identical from any hand-off
 point — ``tests/test_tail.py`` drains a search after every number of
-lockstep ticks, ``tests/test_tick_kernel.py`` runs from the root.
+lockstep ticks, from zero (a fresh root) on.
 
 Build, cache and fallback
 -------------------------
@@ -67,8 +68,8 @@ __all__ = [
     "NUMBA_AVAILABLE",
     "NUMPY_FMA",
     "core",
-    "run_hard",
-    "run_soft",
+    "frontier",
+    "run",
 ]
 
 #: The compiled executor is the C core, never Numba; the name stays
@@ -118,9 +119,9 @@ _CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
 #: ``search_t`` of ``search_core.c``, field for field: every array the
 #: core touches, the dtype it must have and what its leading dimension
-#: counts — search states, kernel slots, channel-stack rows, or nothing
-#: (the constellation tables).  All C-contiguous, except the tallies,
-#: which share ``tally_stride`` ...
+#: counts — searches, frontier slots (one per search and tree level), or
+#: nothing (the constellation tables).  All C-contiguous, except the
+#: tallies, which share ``tally_stride`` ...
 _F, _I, _B, _C = np.float64, np.int64, np.bool_, np.complex128
 _ARRAYS = {
     "levels": (_F, None), "zigzag": (_I, None), "prune": (_F, None),
@@ -129,8 +130,8 @@ _ARRAYS = {
     "queue_j": (_I, "slot"), "queue_n": (_I, "slot"),
     "last_i": (_I, "slot"), "last_j": (_I, "slot"),
     "has_last": (_B, "slot"), "seen": (_B, "slot"),
-    "r": (_C, "channel"), "y": (_C, "state"), "diag": (_F, "channel"),
-    "diag_sq": (_F, "channel"),
+    "r": (_C, "state"), "y": (_C, "state"), "diag": (_F, "state"),
+    "diag_sq": (_F, "state"),
     "level": (_I, "state"), "radius": (_F, "state"), "parent": (_F, "state"),
     "path_cols": (_I, "state"), "path_rows": (_I, "state"),
     "chosen": (_C, "state"),
@@ -147,6 +148,39 @@ _TALLIES = ("ped", "visited", "expanded", "leaves", "prunes")
 #: ... then its dimensions and policy switches.
 _INTEGERS = ("tally_stride", "num_streams", "side", "queue_capacity",
              "list_size", "use_fma")
+
+
+def _frontier_shapes(decoder) -> dict:
+    """The frontier's layout: each slot field's shape past the slot
+    axis, for ``decoder``'s enumerator, PAM side and pruning.
+
+    Both axes' zigzag tables of a node sit in one row — ``axis_int`` is
+    ``[ord_i, ord_q]`` (``[ord_i, off_i, ord_q, off_q]`` with a pruning
+    table), ``axis_res`` ``[res_i, res_q]`` — then the queue:
+
+    * ``zigzag`` — Geosphere's column form.  Its 2-D zigzag keeps at
+      most one queued candidate per entered PAM column (paper section
+      3.1.1, the sqrt(|O|) queue bound), so a slot's queue is a row of
+      ``side`` distances (``queue_d``, ``inf`` = none queued) and row
+      pointers (``queue_j``), plus the column handed out last
+      (``last_i``, ``-1`` = none) whose successors are still deferred;
+    * ``shabany`` — both successors every time behind a ``seen`` grid,
+      so a column can hold several candidates: a bounded unordered heap
+      (``queue_d`` / ``queue_i`` / ``queue_j``, ``queue_n`` occupied)
+      and the last pop (``last_i`` / ``last_j`` / ``has_last``).  The
+      queued cells form (near-)antichains of the position grid, so the
+      heap stays O(side); the core's overflow check keeps the bound
+      honest.
+    """
+    side = decoder.constellation.levels.shape[0]
+    axes = {"axis_int": (2 if decoder._pruner is None else 4, side),
+            "axis_res": (2, side)}
+    if decoder.enumerator == "zigzag":
+        return dict(axes, queue_d=(side,), queue_j=(side,), last_i=())
+    capacity = 2 * side + 4
+    return dict(axes, queue_d=(capacity,), queue_i=(capacity,),
+                queue_j=(capacity,), queue_n=(), last_i=(), last_j=(),
+                has_last=(), seen=(side * side,))
 
 
 class _Search(ctypes.Structure):
@@ -203,7 +237,8 @@ def _build():
         raise OSError("search_t and its ctypes mirror differ in size")
     run = loaded.repro_search_run
     run.argtypes = [ctypes.POINTER(_Search), ctypes.c_int64,
-                    *[ctypes.c_void_p] * 4, ctypes.c_int64, ctypes.c_void_p]
+                    ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
+                    ctypes.c_void_p]
     run.restype = ctypes.c_int
     return run
 
@@ -234,16 +269,35 @@ def core():
 # Run
 # ---------------------------------------------------------------------------
 
-def _marshal(kernel, arrays: dict, list_size: int):
-    """``arrays`` as a ``search_t``, plus the exclusive bounds of the
-    state / kernel-lane / channel-row ids it may be run with.  Checked
-    here, once per set of arrays: past this point a wrong dtype, a
-    strided view or a short array is memory corruption, not an
-    exception."""
+def frontier(decoder, num_slots: int) -> dict | None:
+    """The frontier arrays the core runs ``decoder``'s searches on,
+    ``num_slots`` rows each and keyed by ``search_t`` field — or
+    ``None`` where there are none: a ``hess`` / ``exhaustive`` decoder,
+    or a box where the core could not be built.
+
+    Rows start zeroed: the core rewrites a slot whole when it expands a
+    node into it, before anything reads it, so the fill is never seen.
+    """
+    if decoder.enumerator not in ("zigzag", "shabany") or core() is None:
+        return None
+    return {name: np.zeros((num_slots,) + shape, dtype=_ARRAYS[name][0])
+            for name, shape in _frontier_shapes(decoder).items()}
+
+
+def _marshal(decoder, arrays: dict):
+    """``arrays`` and ``decoder``'s constellation tables as a
+    ``search_t``, plus the exclusive bound of the ids it may be run
+    with.  Checked here, once per set of arrays: past this point a
+    wrong dtype, a strided view, a short array or a frontier laid out
+    for another decoder is memory corruption, not an exception."""
+    levels = decoder.constellation.levels
+    side = levels.shape[0]
+    arrays = dict(arrays, levels=levels, zigzag=zigzag_order_table(side))
+    if decoder._pruner is not None:
+        arrays["prune"] = decoder._pruner.table
     num_streams = arrays["path_cols"].shape[1]
-    extent = {"state": arrays["level"].shape[0],
-              "slot": arrays["axis_int"].shape[0],
-              "channel": arrays["r"].shape[0]}
+    count = arrays["level"].shape[0]
+    extent = {"state": count, "slot": count * num_streams}
     fields = {}
     for name, array in arrays.items():
         dtype, kind = _ARRAYS[name]
@@ -254,18 +308,19 @@ def _marshal(kernel, arrays: dict, list_size: int):
                 f"search core needs {name} as C-contiguous "
                 f"{dtype.__name__}, one row per {kind}")
         fields[name] = array.ctypes.data
+    for name, shape in _frontier_shapes(decoder).items():
+        require(arrays[name].shape == (extent["slot"],) + shape,
+                f"search core needs {name} laid out as {shape} per slot")
     strides = {arrays[name].strides[0] for name in _TALLIES}
     require(len(strides) == 1, "search core needs equally strided tallies")
-    side = kernel.side
-    levels = kernel.levels
     search = _Search(
         tally_stride=strides.pop() // 8, num_streams=num_streams, side=side,
-        queue_capacity=arrays["queue_d"].shape[1], list_size=list_size,
+        queue_capacity=arrays["queue_d"].shape[1],
+        list_size=arrays["list_d"].shape[1] if "list_d" in arrays else 0,
         use_fma=NUMPY_FMA,
         axis_scale=float(levels[1] - levels[0]) / 2.0 if side > 1 else 1.0,
         **fields)
-    return search, (extent["state"], extent["slot"] // num_streams,
-                    extent["channel"])
+    return search, count
 
 
 #: An attempt allowance no search outlasts: run to completion.
@@ -285,81 +340,49 @@ def _address(vector, count: int, limit: int | None = None) -> int:
     return vector.ctypes.data
 
 
-def _run(kernel, idx, kidx, chan, caps, attempts, tallies, list_size,
-         **arrays) -> np.ndarray:
-    """Run the listed searches on ``kernel``'s tables and frontier plus
-    the caller's state ``arrays``; returns the finished-search mask.
+def run(decoder, arrays: dict, ids, caps, attempts, cache: dict
+        ) -> np.ndarray:
+    """Advance the listed searches of ``decoder`` in one native call;
+    returns the finished-search mask.
+
+    ``arrays`` holds the searches' state keyed by ``search_t`` field:
+    their :func:`frontier`, their channel copies (``r``, ``y``, ``diag``,
+    ``diag_sq``), search path (``level``, ``radius``, ``parent``,
+    ``path_cols``, ``path_rows``, ``chosen``), the five tallies and the
+    leaf policy's rows — ``best_cols`` / ``best_rows`` / ``best_dist``
+    for a hard search, or ``list_d`` / ``list_seq`` / ``list_cols`` /
+    ``list_rows`` / ``list_n`` / ``leaf_seq`` for a list search, whose
+    ``list_d`` width is the list size.  Each id in ``ids`` indexes one
+    search's rows of all of them (its frontier slots are ``id *
+    num_streams + level``); ``caps`` are absolute node budgets.  A
+    search whose ``level`` is ``num_streams`` — fresh from admission —
+    has its root expanded first; then it gets ``attempts`` candidate
+    attempts: 1 is its share of a lockstep tick, ``None`` runs it to
+    completion.  On return its leaf, tallies, path state and frontier
+    rows are what that many iterations of the scalar loop would have
+    left, and the mask flags the searches that finished: tree exhausted
+    or cap reached.
 
     One call per pool per tick, so whatever can be checked once is:
     taking ~40 array addresses costs more than a tick's searches and a
     pool passes the same arrays tick after tick (until it grows), so the
-    marshalled ``search_t`` is kept on the kernel together with the
-    arrays it points into and reused while every operand is still the
-    same object; and an id vector passed in all three roles (the pools
-    pass their lane ids) is bounds-checked once, against the tightest.
+    marshalled ``search_t`` is kept in the caller's ``cache`` together
+    with the arrays it points into, and reused while every operand is
+    still the same object.
     """
-    run = core()
-    require(run is not None, "the compiled search core is unavailable")
-    frontier = kernel.frontier_arrays()
-    operands = (kernel.axis_int, kernel.axis_res, kernel.table,
-                *frontier.values(), *tallies, *arrays.values())
-    held, search, limits = getattr(kernel, "_marshalled", ((), None, None))
+    core_run = core()
+    require(core_run is not None, "the compiled search core is unavailable")
+    operands = (decoder, *arrays.values())
+    held, search, limit = cache.get("search_t", ((), None, 0))
     if len(held) != len(operands) or not all(map(is_, held, operands)):
-        arrays.update(frontier, levels=kernel.levels,
-                      zigzag=zigzag_order_table(kernel.side),
-                      axis_int=kernel.axis_int, axis_res=kernel.axis_res)
-        arrays.update(zip(_TALLIES, tallies))
-        if kernel.table is not None:
-            arrays["prune"] = kernel.table
-        search, limits = _marshal(kernel, arrays, list_size)
-        kernel._marshalled = operands, search, limits
-    count = idx.size
-    if kidx is idx and chan is idx:
-        ids = (_address(idx, count, min(limits)),) * 3
-    else:
-        ids = map(_address, (idx, kidx, chan), (count,) * 3, limits)
+        search, limit = _marshal(decoder, arrays)
+        cache["search_t"] = operands, search, limit
+    count = ids.size
     done = np.empty(count, dtype=np.bool_)
-    if run(search, count, *ids, _address(caps, count),
-           _TO_COMPLETION if attempts is None else attempts,
-           done.ctypes.data):
+    if core_run(search, count, _address(ids, count, limit),
+                _address(caps, count),
+                _TO_COMPLETION if attempts is None else attempts,
+                done.ctypes.data):
         raise RuntimeError("frontier queue capacity exceeded; "
                            "the enumeration invariant was violated")
     return done
-
-
-def run_hard(kernel, idx, kidx, chan, caps, r, y, diag, diag_sq, level,
-             radius, parent, path_cols, path_rows, chosen, best_cols,
-             best_rows, best_dist, tallies, attempts=None) -> np.ndarray:
-    """Advance the listed hard searches in one native call.
-
-    ``kernel`` is a zigzag/Shabany kernel holding the listed searches'
-    frontier in whatever state the last call (or admission) left it;
-    ``idx`` / ``kidx`` / ``chan`` map each search to its state row,
-    kernel lane and channel-stack row (the pools pass their lane ids for
-    all three), ``caps`` are absolute node budgets.  Each search gets
-    ``attempts`` candidate attempts — 1 is its share of a lockstep
-    tick, ``None`` runs it to completion.  On return its best leaf,
-    tallies, path state and kernel rows are what that many iterations
-    of the scalar loop would have left, and the returned mask flags the
-    searches that finished: tree exhausted or cap reached.
-    """
-    return _run(kernel, idx, kidx, chan, caps, attempts, tallies, 0, r=r,
-                y=y, diag=diag, diag_sq=diag_sq, level=level, radius=radius,
-                parent=parent, path_cols=path_cols,
-                path_rows=path_rows, chosen=chosen, best_cols=best_cols,
-                best_rows=best_rows, best_dist=best_dist)
-
-
-def run_soft(kernel, idx, kidx, chan, caps, r, y, diag, diag_sq, level,
-             radius, parent, path_cols, path_rows, chosen, list_d,
-             list_seq, list_cols, list_rows, list_n, leaf_seq, list_size,
-             tallies, attempts=None) -> np.ndarray:
-    """Advance the listed list (soft) searches in one native call: the
-    twin of :func:`run_hard` with the bounded best-leaf list arrays in
-    place of the single best leaf."""
-    return _run(kernel, idx, kidx, chan, caps, attempts, tallies, list_size,
-                r=r, y=y, diag=diag, diag_sq=diag_sq, level=level,
-                radius=radius, parent=parent, path_cols=path_cols,
-                path_rows=path_rows, chosen=chosen, list_d=list_d,
-                list_seq=list_seq, list_cols=list_cols, list_rows=list_rows,
-                list_n=list_n, leaf_seq=leaf_seq)

@@ -1,8 +1,8 @@
 """``decode_batch`` against the scalar search, batch by batch.
 
 ``SphereDecoder.decode_batch`` runs the lockstep engine
-(:mod:`repro.runtime.engine`, stepping the enumerator kernels of
-:mod:`repro.sphere.batch_search`) on a one-subcarrier job.  It must be
+(:mod:`repro.runtime.engine`, the compiled search core where it built)
+on a one-subcarrier job.  It must be
 *bit-identical* to the scalar search — here the row-by-row
 ``_decode_batch_loop`` and per-vector ``decode_triangular``: same symbol
 decisions, same distances, same ``found`` flags, same aggregated
@@ -12,6 +12,8 @@ channels over every enumerator variant, constellation order, antenna
 geometry and radius/budget configuration.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from repro.channel import awgn, noise_variance_for_snr, rayleigh_channel
 from repro.constellation import qam
 from repro.runtime import FrameJob
 from repro.runtime.engine import StreamingFrontier
-from repro.sphere import SphereDecoder, triangularize
+from repro.sphere import ListSphereDecoder, SphereDecoder, triangularize
 from repro.sphere.counters import ComplexityCounters
 from repro.sphere.decoder import ENUMERATORS
 
@@ -186,6 +188,35 @@ def test_empty_batch_is_a_no_op():
     assert result.symbol_indices.shape == (0, 4)
     assert result.counters.ped_calcs == 0
     assert result.counters.visited_nodes == 0
+
+
+@pytest.mark.parametrize("level", [1, 3], ids=["inner", "root"])
+@pytest.mark.parametrize("kind", ["hard", "soft"])
+def test_singular_r_is_refused_with_its_level(kind, level):
+    """A zero on ``R``'s real diagonal at ``level`` (with the rest of its
+    row and the observations' coordinate zero) makes every search divide
+    0 by 0 there: the scalar oracle raises ``IndexError`` slicing the
+    NaN, and the compiled core would cast it to an integer, which C
+    leaves undefined.  ``decode_batch`` skips the QR sweep and its rank
+    check, so it must refuse such an ``R`` up front, naming the level —
+    an inner node (1) or the root (3)."""
+    _, r, y_hat = _triangular_batch(16, 4, 4, 20.0,
+                                    np.random.default_rng(8))
+    r[level, level:] = 0.0
+    y_hat[:, level] = 0.0
+    if kind == "hard":
+        decoder = SphereDecoder(qam(16))
+        decode = partial(decoder.decode_batch, r, y_hat)
+        oracle = partial(decoder._decode_batch_loop, r, y_hat)
+    else:
+        decoder = ListSphereDecoder(qam(16), list_size=4)
+        decode = partial(decoder.decode_batch, r, y_hat, 0.05)
+        oracle = partial(decoder.decode_soft_triangular, r, y_hat[0], 0.05)
+    with pytest.raises(ValueError,
+                       match=f"zero real diagonal entry at level {level}"):
+        decode()
+    with np.errstate(invalid="ignore"), pytest.raises(IndexError):
+        oracle()
 
 
 def test_single_stream_channel():

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.coding import (
-    VITERBI_STRATEGIES,
     WIFI_CODE,
     ConvolutionalCode,
     append_crc,
@@ -208,11 +207,9 @@ class TestViterbiBatch:
         reliabilities = (1.0 - 2.0 * corrupted.astype(np.float64)
                          + rng.normal(0.0, 0.7, corrupted.shape))
         batched = viterbi_decode_soft_batch(reliabilities, code)
-        scalar = viterbi_decode_soft_batch(reliabilities, code,
-                                           strategy="scalar")
-        assert (batched == scalar).all()
-        for row, decoded in zip(reliabilities, batched):
-            assert (decoded == viterbi_decode_soft(row, code)).all()
+        scalar = np.stack([viterbi_decode_soft(row, code)
+                           for row in reliabilities])
+        assert np.array_equal(batched, scalar)
 
     def test_clean_batch_roundtrips(self):
         rng = np.random.default_rng(7)
@@ -233,14 +230,6 @@ class TestViterbiBatch:
         decoded = viterbi_decode_soft_batch(empty, WIFI_CODE)
         assert decoded.shape == (0, 32)
         assert decoded.dtype == np.uint8
-
-    def test_strategies_are_the_published_tuple(self):
-        assert VITERBI_STRATEGIES == ("batch", "scalar")
-
-    def test_rejects_unknown_strategy(self):
-        block = np.zeros((2, WIFI_CODE.coded_length(16)))
-        with pytest.raises(ValueError, match="unknown Viterbi strategy"):
-            viterbi_decode_soft_batch(block, WIFI_CODE, strategy="vector")
 
     def test_rejects_wrong_rank(self):
         flat = np.zeros(WIFI_CODE.coded_length(16))
@@ -286,9 +275,9 @@ class TestCodedChainProperty:
         assert (decision.payload_bits == payload).all()
         if not coded:
             return
-        # Corrupt the recovered coded block and decode it three ways —
-        # one batch sweep, the scalar strategy, and the scalar decoder —
-        # all three must agree bit-for-bit.
+        # Corrupt the recovered coded block and decode it two ways — one
+        # batch sweep and the scalar decoder row by row — which must
+        # agree bit-for-bit.
         block = stream_coded_bits(indices, frame.num_pad_bits, config)
         reliabilities = (1.0 - 2.0 * block.astype(np.float64)
                          + rng.normal(0.0, 0.6, block.size))
@@ -296,11 +285,9 @@ class TestCodedChainProperty:
                             reliabilities[::-1].copy(),
                             -reliabilities])
         batched = viterbi_decode_soft_batch(stacked, config.code)
-        scalar = viterbi_decode_soft_batch(stacked, config.code,
-                                           strategy="scalar")
-        assert (batched == scalar).all()
-        for row, decoded in zip(stacked, batched):
-            assert (decoded == viterbi_decode_soft(row, config.code)).all()
+        scalar = np.stack([viterbi_decode_soft(row, config.code)
+                           for row in stacked])
+        assert np.array_equal(batched, scalar)
 
 
 class TestInterleaver:

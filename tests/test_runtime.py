@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.channel import awgn, noise_variance_for_snr, rayleigh_channels
-from repro.coding import VITERBI_STRATEGIES, WIFI_CODE
+from repro.coding import WIFI_CODE
 from repro.constellation import qam
 from repro.phy import (
     PhyConfig,
@@ -465,12 +465,11 @@ def test_cell_workload_validation():
 # The coded chain through the runtime (ISSUE-6 tentpole)
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("strategy", VITERBI_STRATEGIES)
-def test_coded_decisions_match_standalone_recover(strategy):
+def test_coded_decisions_match_standalone_recover():
     """Frames submitted with a PhyConfig resolve with per-stream payload
     bits and CRC verdicts bit-identical to ``recover_uplink`` /
-    ``recover_uplink_soft`` on the same detections — under both trellis
-    strategies, with an unconfigured frame mixed in."""
+    ``recover_uplink_soft`` on the same detections, with an unconfigured
+    frame mixed in."""
     rng = np.random.default_rng(12)
     config4 = _coded_config(4, payload_bits=72)
     config16 = _coded_config(16, payload_bits=88)
@@ -483,8 +482,7 @@ def test_coded_decisions_match_standalone_recover(strategy):
         _make_coded_frame(config16, hard16, 30.0, rng, num_clients=3),
         _make_frame(hard4, 4, 2, 15.0, rng),       # detection-only frame
     ]
-    runtime = UplinkRuntime(capacity=24, max_in_flight=4,
-                            viterbi_strategy=strategy)
+    runtime = UplinkRuntime(capacity=24, max_in_flight=4)
     handles = [runtime.submit(frame) for frame in frames]
     runtime.drain()
     for frame, handle in zip(frames[:3], handles[:3]):
@@ -523,9 +521,9 @@ def test_uncoded_config_frames_decode_without_trellis():
 @settings(max_examples=8, deadline=None)
 @given(data=st.data())
 def test_coded_admission_order_invariance(data):
-    """The ISSUE-6 acceptance sweep: any admission order, in-flight
-    budget and trellis strategy yields decisions bit-identical to the
-    standalone recover chain, coded hard/soft frames interleaved."""
+    """The coded chain's acceptance sweep: any admission order and
+    in-flight budget yields decisions bit-identical to the standalone
+    recover chain, coded hard/soft frames interleaved."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1),
                                           label="seed"))
     config = _coded_config(4, payload_bits=64)
@@ -541,12 +539,9 @@ def test_coded_admission_order_invariance(data):
             num_rx=3, num_clients=2))
     order = data.draw(st.permutations(range(num_frames)), label="order")
     budget = data.draw(st.integers(1, num_frames), label="max_in_flight")
-    strategy = data.draw(st.sampled_from(VITERBI_STRATEGIES),
-                         label="strategy")
     runtime = UplinkRuntime(capacity=data.draw(st.integers(2, 24),
                                                label="capacity"),
-                            max_in_flight=budget,
-                            viterbi_strategy=strategy)
+                            max_in_flight=budget)
     handles = {}
     for index in order:
         handles[index] = runtime.submit(frames[index])
@@ -592,8 +587,6 @@ def test_coded_frame_request_validation():
             channels=frame.channels, received=frame.received,
             decoder=SphereDecoder(qam(4)), config=config,
             num_pad_bits=10**6))
-    with pytest.raises(ValueError):
-        UplinkRuntime(viterbi_strategy="vector")
 
 
 def test_cell_workload_coded_traffic_decodes():

@@ -2,7 +2,7 @@
 straggler drain and as the lockstep step — against the scalar oracle.
 
 The compiled core (``repro/sphere/search_core.c`` behind
-:mod:`repro.sphere.tick_kernel`) works in place on the kernel's frontier
+:mod:`repro.sphere.tick_kernel`) works in place on the pool's frontier
 arrays, from whatever state the last tick left a search in: one
 candidate attempt per lane per tick is the lockstep step, an unlimited
 allowance the drain of the frontier's last few searches.  The scalar

@@ -158,16 +158,10 @@ def test_core_refuses_what_it_cannot_address():
     pool = job.pool
 
     def run(ids, **swap):
-        state = dict(r=pool.lane_r, y=pool.lane_y, diag=pool.lane_diag,
-                     diag_sq=pool.lane_diag_sq, level=pool.level,
-                     radius=pool.radius, parent=pool.parent,
-                     path_cols=pool.path_cols, path_rows=pool.path_rows,
-                     chosen=pool.chosen, best_cols=pool.best_cols,
-                     best_rows=pool.best_rows, best_dist=pool.best_dist,
-                     tallies=pool.tallies)
+        state = pool._core_arrays()
         state.update(swap)
-        tick_kernel.run_hard(
-            pool.kernel, ids, ids, ids, np.zeros_like(ids), **state)
+        tick_kernel.run(pool.decoder, state, ids, np.zeros_like(ids), None,
+                        {})
 
     run(pool.active)                       # zero budgets: a no-op
     for ids in ([pool.allocated], [-1]):
@@ -177,6 +171,9 @@ def test_core_refuses_what_it_cannot_address():
         run(pool.active, radius=pool.radius.astype(np.float32))
     with pytest.raises(ValueError, match="chosen .* one row per state"):
         run(pool.active, chosen=pool.chosen[:-1].copy())
+    # A frontier laid out for another decoder: no pruning offsets.
+    with pytest.raises(ValueError, match="axis_int laid out as"):
+        run(pool.active, axis_int=pool.frontier["axis_int"][:, :2].copy())
 
 
 def test_missing_compiler_warns_once_and_falls_back(no_compiler):
@@ -317,7 +314,7 @@ def test_soft_frame_compiled_matches_numpy(enumerator,
 @needs_core
 @pytest.mark.parametrize("soft", [False, True])
 def test_compiled_core_follows_a_grown_pool(soft):
-    """The core works in place on the pool's kernel and lane arrays, and
+    """The core works in place on the pool's frontier and lane arrays, and
     a pool that grows on demand between two core calls reallocates every
     one of them: the later calls must run on the new arrays and still
     equal the scalar oracle bit for bit."""
