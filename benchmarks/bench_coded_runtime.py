@@ -1,10 +1,10 @@
 """Coded-chain benchmark: the frame-batched Viterbi sweep and goodput.
 
-The ISSUE-6 acceptance numbers.  First the trellis itself: decoding a
-frame's worth of equal-length coded blocks through ONE batched trellis
-loop (:func:`repro.coding.viterbi.viterbi_decode_soft_batch`) against
-the scalar block-by-block baseline, bit-identical decisions enforced on
-the spot.  Then the chain end to end: a stream of coded frames through
+First the trellis itself: decoding a frame's worth of equal-length
+coded blocks in ONE call of the compiled trellis
+(:func:`repro.coding.viterbi.viterbi_decode_soft_batch`) against the
+scalar block-by-block baseline, bit-identical decisions enforced on the
+spot.  Then the chain end to end: a stream of coded frames through
 the resident :class:`~repro.runtime.session.UplinkRuntime` — detection,
 deinterleave, frame-batched Viterbi, CRC — reporting the delivered
 quantity a deployed-network evaluation reports: CRC-passing goodput.
@@ -19,6 +19,7 @@ from repro.coding import (
 )
 from repro.phy import recover_uplink, recover_uplink_soft
 from repro.runtime import CellWorkload, UplinkRuntime, synthetic_cell_trace
+from repro.sphere.tick_kernel import core
 
 #: Frame-sized trellis batch: one coded block per stream per in-flight
 #: frame — 8 frames x 4 streams at the example cell's block length.
@@ -36,14 +37,16 @@ def _reliability_batch(seed=5):
 
 
 def test_batched_viterbi_vs_scalar(benchmark, best_of, speedup_floor):
-    """The CI floor: one batched trellis sweep over a frame-sized stack
-    of coded blocks must beat the scalar block-by-block loop by >= 1.5x.
+    """The CI floor: the batched decoder — one pattern-cost product, then
+    the compiled trellis (add-compare-select and traceback in C) — over a
+    frame-sized stack of coded blocks must beat the scalar block-by-block
+    numpy loop by >= 18x.
 
-    Measured on the reference machine: ~4x at 32 blocks (the Python-level
-    step loop amortises over the whole batch; per-block work is tiny
-    numpy ops the batch axis widens for free).  The floor is a
-    conservative 1.5x so noisy CI runners cannot flake the suite;
-    ``speedup`` in extra_info carries the real number.
+    Measured on a 2-vCPU x86-64 box (gcc 12, numpy 2.4): ~36x at 32
+    blocks of K = 7.  The floor is half of that, so noisy CI runners
+    cannot flake it; ``speedup`` in extra_info carries the real number.
+    It asserts only where the core loaded: without a compiler both sides
+    run the scalar trellis and the numbers are recorded, not judged.
     """
     reliabilities = _reliability_batch()
 
@@ -57,12 +60,18 @@ def test_batched_viterbi_vs_scalar(benchmark, best_of, speedup_floor):
     assert np.array_equal(batched(), scalar()), "must be bit-identical"
     benchmark(batched)
     scalar_s = best_of(scalar, repeats=3)
-    batched_s = best_of(batched, repeats=3)
+    batched_s = best_of(batched)
     benchmark.extra_info["blocks"] = BATCH_BLOCKS
     benchmark.extra_info["coded_bits_per_block"] = (
         WIFI_CODE.coded_length(INFO_BITS))
-    speedup_floor(scalar_s, batched_s, 1.5,
-                  baseline="scalar", candidate="batched")
+    benchmark.extra_info["core_loaded"] = core() is not None
+    if core() is not None:
+        speedup_floor(scalar_s, batched_s, 18.0,
+                      baseline="scalar", candidate="batched")
+    else:
+        benchmark.extra_info["scalar_s"] = scalar_s
+        benchmark.extra_info["batched_s"] = batched_s
+        benchmark.extra_info["speedup"] = scalar_s / batched_s
 
 
 def test_coded_runtime_goodput(benchmark, run_once):

@@ -9,6 +9,8 @@ interleaver of 802.11a/g/n, applied per OFDM symbol per spatial stream.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from ..utils.validation import as_bit_array, require
@@ -16,12 +18,14 @@ from ..utils.validation import as_bit_array, require
 __all__ = ["interleaver_permutation", "interleave", "deinterleave"]
 
 
+@lru_cache(maxsize=64)
 def interleaver_permutation(n_cbps: int, n_bpsc: int) -> np.ndarray:
     """The 802.11 write-index permutation for one OFDM symbol.
 
     ``n_cbps`` — coded bits per OFDM symbol (per stream); ``n_bpsc`` —
     coded bits per subcarrier (``log2`` of the constellation order).
-    Returns ``perm`` with ``interleaved[perm[k]] = coded[k]``.
+    Returns ``perm`` with ``interleaved[perm[k]] = coded[k]``, memoised
+    per ``(n_cbps, n_bpsc)`` and therefore read-only.
     """
     require(n_cbps % 16 == 0, f"n_cbps must be a multiple of 16, got {n_cbps}")
     require(n_bpsc >= 1, f"n_bpsc must be >= 1, got {n_bpsc}")
@@ -34,6 +38,7 @@ def interleaver_permutation(n_cbps: int, n_bpsc: int) -> np.ndarray:
     # no long run maps onto low-reliability (high-order) bits.
     s = max(n_bpsc // 2, 1)
     j = s * (i // s) + (i + n_cbps - (16 * i // n_cbps)) % s
+    j.setflags(write=False)
     return j
 
 

@@ -8,6 +8,8 @@ is an involution for a fixed seed: applying it twice restores the input.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from ..utils.validation import as_bit_array, require
@@ -17,8 +19,13 @@ __all__ = ["scramble", "descramble", "scrambler_sequence"]
 _REGISTER_BITS = 7
 
 
+@lru_cache(maxsize=64)
 def scrambler_sequence(length: int, seed: int = 0b1011101) -> np.ndarray:
-    """The pseudo-random bit sequence of the 802.11 scrambler LFSR."""
+    """The pseudo-random bit sequence of the 802.11 scrambler LFSR.
+
+    Memoised per ``(length, seed)`` (a frame chain asks for the same few
+    lengths over and over), so the array is read-only.
+    """
     require(length >= 0, "length must be non-negative")
     require(0 < seed < (1 << _REGISTER_BITS),
             f"seed must be a non-zero {_REGISTER_BITS}-bit value, got {seed}")
@@ -29,6 +36,7 @@ def scrambler_sequence(length: int, seed: int = 0b1011101) -> np.ndarray:
         feedback = ((state >> 6) ^ (state >> 3)) & 1
         out[index] = feedback
         state = ((state << 1) | feedback) & ((1 << _REGISTER_BITS) - 1)
+    out.setflags(write=False)
     return out
 
 

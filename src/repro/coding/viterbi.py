@@ -1,4 +1,4 @@
-"""Viterbi decoding (hard and soft decision), vectorised over states.
+"""Viterbi decoding (hard and soft decision).
 
 The decoder works on *reliabilities*: one float per coded bit, positive
 when bit 0 is more likely.  Hard-decision decoding maps bit ``b`` to
@@ -8,25 +8,28 @@ transition cost of expecting coded bit ``c`` against reliability ``r`` is
 ``max(0, r)`` when ``c = 1`` and ``max(0, -r)`` when ``c = 0`` — zero when
 the observation agrees, ``|r|`` when it does not.
 
-The scalar trellis sweep is a Python loop over time steps with numpy
-inner operations over all ``2**(K-1)`` states.  The *batched* decoders
-(:func:`viterbi_decode_batch` / :func:`viterbi_decode_soft_batch`) apply
-the same batching move the detection engines use: one trellis loop
-sweeps a stacked ``(num_blocks, coded_len)`` reliability matrix, metrics
-and backpointers gain a leading block axis, and the traceback vectorises
-across blocks.  A streaming receiver holds many equal-length coded
-blocks at once (one per stream per in-flight frame), so the Python-level
-per-step cost amortises over the whole batch.  Decisions are
-**bit-identical** to the scalar sweep row by row — the elementwise
-compare/select and the tiny ``(steps, outputs) @ (outputs, patterns)``
-pattern-cost product are the same operations in the same order, and
-``tests/test_coding.py`` pins the batched decoders to the scalar one.
+The scalar decoders (:func:`viterbi_decode` / :func:`viterbi_decode_soft`)
+are the oracle: a Python loop over time steps with numpy operations over
+all ``2**(K-1)`` states.  The *batched* decoders
+(:func:`viterbi_decode_batch` / :func:`viterbi_decode_soft_batch`) take a
+stacked ``(num_blocks, coded_len)`` matrix — a streaming receiver holds
+many equal-length coded blocks at once, one per stream per in-flight
+frame — compute every block's pattern costs in one numpy product, and
+hand the add-compare-select and the traceback to the compiled core
+(:func:`repro.sphere.tick_kernel.trellis`, in the search core's C file),
+which runs the scalar sweep's very IEEE operations per state.  Where the
+core is unavailable they decode row by row through the scalar trellis.
+Either way decisions are **bit-identical** to the scalar decoder row by
+row; ``tests/test_coding.py`` pins both paths to it.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
+from ..sphere import tick_kernel
 from ..utils.validation import as_bit_array, require
 from .convolutional import ConvolutionalCode
 
@@ -54,18 +57,47 @@ def _trellis_tables(code: ConvolutionalCode):
     1``, reached with input bit ``t // half`` (the packed-register
     convention).  The expected outputs of each transition pack into a
     pattern index so the per-step branch costs become a single gather.
+    Built once per code and returned read-only.
     """
+    return _tables(code.constraint_length, code.polynomials)
+
+
+@lru_cache(maxsize=16)
+def _tables(constraint_length: int, polynomials: tuple):
+    # Keyed on the code's parameters: its ``taps`` array makes the
+    # dataclass itself unhashable.
+    code = ConvolutionalCode(constraint_length, polynomials)
     num_states = code.num_states
     expected = code.trellis_outputs()           # (states, 2, outputs)
     half = num_states // 2
-    targets = np.arange(num_states)
+    targets = np.arange(num_states, dtype=np.int64)
     pred0 = (targets % half) * 2
     pred1 = pred0 + 1
-    input_bits = (targets // half).astype(np.int64)
-    weights = 1 << np.arange(code.num_outputs)
+    input_bits = targets // half
+    weights = 1 << np.arange(code.num_outputs, dtype=np.int64)
     pattern_from0 = (expected[pred0, input_bits, :] * weights).sum(axis=1)
     pattern_from1 = (expected[pred1, input_bits, :] * weights).sum(axis=1)
-    return pred0, pred1, pattern_from0, pattern_from1
+    tables = pred0, pred1, pattern_from0, pattern_from1
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _trellis_steps(reliabilities: np.ndarray,
+                   code: ConvolutionalCode) -> np.ndarray:
+    """``reliabilities`` (last axis: one coded block) as ``(...,
+    steps, outputs)``, after checking it holds a whole number of trellis
+    steps and more than the termination tail."""
+    outputs_per_step = code.num_outputs
+    coded_len = reliabilities.shape[-1]
+    require(coded_len % outputs_per_step == 0,
+            f"coded length {coded_len} is not a multiple of "
+            f"{outputs_per_step}")
+    num_steps = coded_len // outputs_per_step
+    require(num_steps > code.num_tail_bits,
+            "coded block too short to contain any information bits")
+    return reliabilities.reshape(reliabilities.shape[:-1]
+                                 + (num_steps, outputs_per_step))
 
 
 def _pattern_costs(steps: np.ndarray, outputs_per_step: int) -> np.ndarray:
@@ -85,19 +117,12 @@ def _pattern_costs(steps: np.ndarray, outputs_per_step: int) -> np.ndarray:
 
 def _decode_reliabilities(reliabilities: np.ndarray,
                           code: ConvolutionalCode) -> np.ndarray:
-    outputs_per_step = code.num_outputs
     require(reliabilities.ndim == 1, "reliabilities must be 1-D")
-    require(reliabilities.size % outputs_per_step == 0,
-            f"coded length {reliabilities.size} is not a multiple of "
-            f"{outputs_per_step}")
-    num_steps = reliabilities.size // outputs_per_step
-    require(num_steps > code.num_tail_bits,
-            "coded block too short to contain any information bits")
-
+    steps = _trellis_steps(reliabilities, code)
+    num_steps = steps.shape[0]
     num_states = code.num_states
     pred0, pred1, pattern_from0, pattern_from1 = _trellis_tables(code)
-    steps = reliabilities.reshape(num_steps, outputs_per_step)
-    pattern_costs = _pattern_costs(steps, outputs_per_step)
+    pattern_costs = _pattern_costs(steps, code.num_outputs)
 
     metrics = np.full(num_states, np.inf)
     metrics[0] = 0.0                            # encoder starts in state 0
@@ -114,56 +139,6 @@ def _decode_reliabilities(reliabilities: np.ndarray,
     # Termination drives the encoder back to state 0.
     decisions = _traceback(backpointers, final_state=0)
     return decisions[: num_steps - code.num_tail_bits]
-
-
-def _decode_reliabilities_batch(reliabilities: np.ndarray,
-                                code: ConvolutionalCode) -> np.ndarray:
-    """One trellis loop over a ``(num_blocks, coded_len)`` stack.
-
-    Row for row the same adds, compares and selects as
-    :func:`_decode_reliabilities` — the block axis only widens the
-    elementwise operations — so decisions are bit-identical to the scalar
-    sweep.
-    """
-    outputs_per_step = code.num_outputs
-    require(reliabilities.ndim == 2,
-            "batched reliabilities must be (num_blocks, coded_len)")
-    num_blocks, coded_len = reliabilities.shape
-    require(coded_len % outputs_per_step == 0,
-            f"coded length {coded_len} is not a multiple of "
-            f"{outputs_per_step}")
-    num_steps = coded_len // outputs_per_step
-    require(num_steps > code.num_tail_bits,
-            "coded block too short to contain any information bits")
-
-    num_states = code.num_states
-    half = num_states // 2
-    pred0, pred1, pattern_from0, pattern_from1 = _trellis_tables(code)
-    steps = reliabilities.reshape(num_blocks, num_steps, outputs_per_step)
-    pattern_costs = _pattern_costs(steps, outputs_per_step)
-
-    metrics = np.full((num_blocks, num_states), np.inf)
-    metrics[:, 0] = 0.0                         # every encoder starts at 0
-    backpointers = np.empty((num_steps, num_blocks, num_states),
-                            dtype=np.uint8)
-
-    for step in range(num_steps):
-        costs = pattern_costs[:, step, :]            # (B, patterns)
-        candidate0 = metrics[:, pred0] + costs[:, pattern_from0]
-        candidate1 = metrics[:, pred1] + costs[:, pattern_from1]
-        take1 = candidate1 < candidate0
-        metrics = np.where(take1, candidate1, candidate0)
-        backpointers[step] = take1
-
-    # Vectorised traceback: every block walks its own survivor chain
-    # backwards from the terminated state 0 in lockstep.
-    rows = np.arange(num_blocks)
-    state = np.zeros(num_blocks, dtype=np.int64)
-    decisions = np.empty((num_blocks, num_steps), dtype=np.uint8)
-    for step in range(num_steps - 1, -1, -1):
-        decisions[:, step] = state // half
-        state = (state % half) * 2 + backpointers[step, rows, state]
-    return decisions[:, : num_steps - code.num_tail_bits]
 
 
 def _require_finite(array: np.ndarray) -> None:
@@ -205,10 +180,11 @@ def viterbi_decode_soft(reliabilities, code: ConvolutionalCode) -> np.ndarray:
 def viterbi_decode_soft_batch(reliabilities,
                               code: ConvolutionalCode) -> np.ndarray:
     """Soft-decision decoding of a stacked ``(num_blocks, coded_len)``
-    reliability matrix in one trellis sweep.
+    reliability matrix in one native trellis call.
 
     Returns the ``(num_blocks, num_info_bits)`` information bits,
-    bit-identical to :func:`viterbi_decode_soft` row by row.
+    bit-identical to :func:`viterbi_decode_soft` row by row — which is
+    what decodes each row where the compiled core is unavailable.
     """
     array = np.asarray(reliabilities, dtype=np.float64)
     require(array.ndim == 2,
@@ -218,12 +194,22 @@ def viterbi_decode_soft_batch(reliabilities,
         num_steps = array.shape[1] // code.num_outputs
         return np.empty((0, max(num_steps - code.num_tail_bits, 0)),
                         dtype=np.uint8)
-    return _decode_reliabilities_batch(array, code)
+    if tick_kernel.core() is None:
+        return np.stack([_decode_reliabilities(row, code) for row in array])
+    steps = _trellis_steps(array, code)
+    num_blocks, num_steps = steps.shape[:2]
+    _, _, pattern_from0, pattern_from1 = _trellis_tables(code)
+    decisions = np.empty((num_blocks, num_steps), dtype=np.uint8)
+    tick_kernel.trellis(_pattern_costs(steps, code.num_outputs),
+                        pattern_from0, pattern_from1,
+                        np.empty((num_steps, code.num_states), np.uint8),
+                        np.empty((2, code.num_states)), decisions)
+    return decisions[:, : num_steps - code.num_tail_bits]
 
 
 def viterbi_decode_batch(coded_bits, code: ConvolutionalCode) -> np.ndarray:
     """Hard-decision decoding of stacked ``(num_blocks, coded_len)``
-    coded blocks in one trellis sweep (the batched twin of
+    coded blocks in one trellis call (the batched twin of
     :func:`viterbi_decode`)."""
     array = np.asarray(coded_bits)
     require(array.ndim == 2,

@@ -13,11 +13,13 @@ frame that finishes detection in the same engine tick contributes one
 coded block per stream, the blocks are grouped by their trellis
 signature — (convolutional-code parameters, coded length) — and each
 group runs through :func:`repro.coding.viterbi.viterbi_decode_soft_batch`
-in ONE trellis sweep.  Hard frames join soft frames in the same sweep
-(hard decisions become ±1 reliabilities, exactly as
+in ONE call: one numpy product for every block's pattern costs, then one
+native call of the compiled trellis for the add-compare-select and the
+traceback.  Hard frames join soft frames in the same call (hard
+decisions become ±1 reliabilities, exactly as
 :func:`~repro.coding.viterbi.viterbi_decode` maps them), so a tick that
-completes many frames pays the trellis' Python-level step loop once, not
-once per stream.
+completes many frames pays the per-call overhead once, not once per
+stream.
 
 Decisions are **bit-identical** to the standalone per-stream chain
 (:func:`repro.phy.receiver.recover_uplink` /
@@ -106,7 +108,7 @@ class DecodeStage:
                 group[1].append(row)
                 group[2].append((decisions, client))
 
-        # One trellis sweep per (code, coded length) signature, spanning
+        # One trellis call per (code, coded length) signature, spanning
         # every frame that completed this tick.
         for code, rows, slots in groups.values():
             framed = viterbi_decode_soft_batch(np.stack(rows), code)

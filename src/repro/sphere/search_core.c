@@ -3,9 +3,9 @@
  *
  * Built at first use by repro/sphere/tick_kernel.py (the system cc, -O2
  * -shared -fPIC -ffp-contract=off -- never -ffast-math or -march=native)
- * and loaded through ctypes.  One entry point, repro_search_run, takes
- * searches in *any* state -- fresh from admission or half run -- and
- * gives each an allowance of candidate attempts, in place on the pool's
+ * and loaded through ctypes.  One search entry point, repro_search_run,
+ * takes searches in *any* state -- fresh from admission or half run --
+ * and gives each an allowance of candidate attempts, in place on the pool's
  * frontier and lane arrays (repro/runtime/engine.py; their layout is
  * declared in tick_kernel.py, next to the ctypes mirror of search_t).
  * Admission only writes a search's lane rows and leaves it above its
@@ -44,6 +44,16 @@
  *   - rint() (round-half-even) slices a coordinate, the clamp is by
  *     compare, residuals are squared as x * x;
  *   - a chosen symbol is (levels[col], levels[row]).
+ *
+ * The same file holds the batched Viterbi trellis (repro_trellis_run),
+ * so one build and one loader serve both.  Its float program is the
+ * numpy trellis sweep's, and only that: the pattern costs arrive
+ * computed (numpy's matmul, whose summation order C cannot reproduce
+ * for every code rate); per state and step the core adds
+ * m[p0] + cost[from0] and m[p0 + 1] + cost[from1] as two separate IEEE
+ * adds, takes the second only if strictly smaller (c1 < c0, so ties and
+ * inf + inf go to the first, as np.where(c1 < c0, c1, c0) does), and
+ * records that choice as the backpointer.  No multiply, no contraction.
  */
 
 #include <math.h>
@@ -446,4 +456,52 @@ int repro_search_run(const search_t *s, int64_t count, const int64_t *ids,
         done[e] = (uint8_t)finished;
     }
     return 0;
+}
+
+/* The batched Viterbi trellis of repro/coding/viterbi.py, for `blocks`
+ * terminated blocks of `steps` trellis steps each: the add-compare-select
+ * over every state and step, then the traceback from state 0.  costs
+ * (blocks, steps, patterns) are the pattern costs numpy computed; state
+ * t is reached with input bit t / half from predecessors 2 * (t % half)
+ * and 2 * (t % half) + 1, through the expected-output patterns from0[t]
+ * / from1[t].  back is one
+ * (steps, states) scratch reused block after block, metrics 2 * states,
+ * decisions (blocks, steps).  Nothing is allocated here. */
+void repro_trellis_run(const double *costs, int64_t blocks, int64_t steps,
+                       int64_t patterns, int64_t states,
+                       const int64_t *from0, const int64_t *from1,
+                       uint8_t *back, double *metrics, uint8_t *decisions)
+{
+    const int64_t half = states / 2;
+    for (int64_t b = 0; b < blocks; b++) {
+        double *m = metrics, *next = metrics + states;
+        for (int64_t t = 0; t < states; t++)
+            m[t] = INFINITY;
+        m[0] = 0.0;                     /* every encoder starts in state 0 */
+        for (int64_t step = 0; step < steps; step++) {
+            const double *cost = costs + (b * steps + step) * patterns;
+            uint8_t *take = back + step * states;
+            /* State t = bit * half + p, whose predecessors are 2p and
+             * 2p + 1 (no division in the loop). */
+            for (int64_t t = 0; t < states; t++) {
+                const double *pred = m + 2 * (t < half ? t : t - half);
+                const double c0 = pred[0] + cost[from0[t]];
+                const double c1 = pred[1] + cost[from1[t]];
+                const uint8_t take1 = c1 < c0;
+                take[t] = take1;
+                next[t] = take1 ? c1 : c0;
+            }
+            double *swap = m;
+            m = next;
+            next = swap;
+        }
+        /* Termination drives the encoder back to state 0; the input bit
+         * that produced a state is its high bit. */
+        uint8_t *out = decisions + b * steps;
+        int64_t state = 0;
+        for (int64_t step = steps - 1; step >= 0; step--) {
+            out[step] = (uint8_t)(state / half);
+            state = (state % half) * 2 + back[step * states + state];
+        }
+    }
 }

@@ -12,6 +12,14 @@ The lockstep engine (:mod:`repro.runtime.engine`) makes two uses of that
 one loop: an allowance of one is a pool's **lockstep step**, an
 unlimited one finishes a pool's last few stragglers (the drain).
 
+The same file holds the batched Viterbi trellis, and :func:`trellis`
+runs it: the add-compare-select over every state, step and block, then
+the traceback, on pattern costs numpy computed and into buffers the
+caller allocated (:func:`repro.coding.viterbi.viterbi_decode_soft_batch`
+is the one caller).  Its float program — two separate adds per state,
+the second candidate taken only when strictly smaller — is the scalar
+trellis sweep's ``np.where`` program, so decisions are bit-identical.
+
 Why any allowance is the same program
 -------------------------------------
 Each search is an independent state machine; the lockstep tick is only
@@ -42,8 +50,10 @@ to a temporary name and ``os.replace``d, so later processes just load
 it.  Only ``zigzag`` and ``shabany`` searches run in the core (they are
 Geosphere's and the hot ones).  Every other pool — ``hess`` /
 ``exhaustive``, or any pool on a box without a compiler (one
-``RuntimeWarning``) or after a failed build — runs each search through
-the scalar decoder itself: only speed changes, never results.
+``RuntimeWarning``, for the search and the trellis together) or after a
+failed build — runs each search through the scalar decoder itself, and
+without the core the batched Viterbi decodes its rows through the
+scalar trellis: only speed changes, never results.
 """
 
 from __future__ import annotations
@@ -70,6 +80,7 @@ __all__ = [
     "core",
     "frontier",
     "run",
+    "trellis",
 ]
 
 #: The compiled executor is the C core, never Numba; the name stays
@@ -213,7 +224,7 @@ def _cache_dir() -> Path:
 def _build():
     """Compile ``search_core.c`` into the cache unless this exact
     source / compiler / flags combination is already there, and load
-    its entry point."""
+    it, its two entry points typed."""
     cc = _compiler()
     version = subprocess.run([cc, "--version"], capture_output=True,
                              check=True).stdout
@@ -235,22 +246,27 @@ def _build():
     loaded.repro_search_size.restype = ctypes.c_int64
     if loaded.repro_search_size() != ctypes.sizeof(_Search):
         raise OSError("search_t and its ctypes mirror differ in size")
-    run = loaded.repro_search_run
-    run.argtypes = [ctypes.POINTER(_Search), ctypes.c_int64,
-                    ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
-                    ctypes.c_void_p]
-    run.restype = ctypes.c_int
-    return run
+    search = loaded.repro_search_run
+    search.argtypes = [ctypes.POINTER(_Search), ctypes.c_int64,
+                       ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
+                       ctypes.c_void_p]
+    search.restype = ctypes.c_int
+    viterbi = loaded.repro_trellis_run
+    viterbi.argtypes = ([ctypes.c_void_p] + [ctypes.c_int64] * 4
+                        + [ctypes.c_void_p] * 5)
+    viterbi.restype = None
+    return loaded
 
 
-#: The loaded entry point; ``False`` once a build or load has failed.
+#: The loaded library; ``False`` once a build or load has failed.
 _core = None
 
 
 def core():
-    """The core's entry point, built and loaded at first use — or
-    ``None`` (after one ``RuntimeWarning``) where that is impossible:
-    no compiler, a failed build, an untrustworthy cache directory."""
+    """The core library — its entry points ``repro_search_run`` and
+    ``repro_trellis_run`` — built and loaded at first use, or ``None``
+    (after one ``RuntimeWarning``) where that is impossible: no
+    compiler, a failed build, an untrustworthy cache directory."""
     global _core
     if _core is None:
         try:
@@ -259,6 +275,7 @@ def core():
             _core = False
             warnings.warn(
                 f"the compiled search core is unavailable ({error}); "
+                "the batched Viterbi decodes row by row and "
                 "every pool runs its searches through the scalar decoder, "
                 "with the same results",
                 RuntimeWarning, stacklevel=2)
@@ -327,17 +344,21 @@ def _marshal(decoder, arrays: dict):
 _TO_COMPLETION = np.iinfo(np.int64).max
 
 
-def _address(vector, count: int, limit: int | None = None) -> int:
-    """Address of a per-search vector, checked for all the core assumes
-    of it: ``count`` contiguous int64 entries — ids in ``[0, limit)``."""
-    require(vector.dtype == np.int64 and vector.flags.c_contiguous
-            and vector.shape == (count,),
-            "search core needs ids and budgets as C-contiguous int64 "
-            "vectors of one length")
-    require(limit is None or count == 0
-            or (vector.min() >= 0 and vector.max() < limit),
-            "search ids outside the arrays handed to the search core")
-    return vector.ctypes.data
+def _address(array, dtype, shape: tuple, what: str,
+             limit: int | None = None) -> int:
+    """Address of an operand, checked for all the core assumes of it:
+    C-contiguous ``dtype`` of exactly ``shape`` — and, with a ``limit``,
+    every entry an index in ``[0, limit)``.  (The messages are built
+    only on failure: this runs twice per pool per tick.)"""
+    if not (array.dtype == dtype and array.flags.c_contiguous
+            and array.shape == shape):
+        raise ValueError(f"search core needs {what} as C-contiguous "
+                         f"{np.dtype(dtype).name} of shape {shape}")
+    if not (limit is None or array.size == 0
+            or (array.min() >= 0 and array.max() < limit)):
+        raise ValueError(f"{what} outside [0, {limit}), the range the "
+                         "search core indexes")
+    return array.ctypes.data
 
 
 def run(decoder, arrays: dict, ids, caps, attempts, cache: dict
@@ -370,8 +391,8 @@ def run(decoder, arrays: dict, ids, caps, attempts, cache: dict
     with the arrays it points into, and reused while every operand is
     still the same object.
     """
-    core_run = core()
-    require(core_run is not None, "the compiled search core is unavailable")
+    library = core()
+    require(library is not None, "the compiled search core is unavailable")
     operands = (decoder, *arrays.values())
     held, search, limit = cache.get("search_t", ((), None, 0))
     if len(held) != len(operands) or not all(map(is_, held, operands)):
@@ -379,10 +400,45 @@ def run(decoder, arrays: dict, ids, caps, attempts, cache: dict
         cache["search_t"] = operands, search, limit
     count = ids.size
     done = np.empty(count, dtype=np.bool_)
-    if core_run(search, count, _address(ids, count, limit),
-                _address(caps, count),
-                _TO_COMPLETION if attempts is None else attempts,
-                done.ctypes.data):
+    if library.repro_search_run(
+            search, count, _address(ids, _I, (count,), "search ids", limit),
+            _address(caps, _I, (count,), "node budgets"),
+            _TO_COMPLETION if attempts is None else attempts,
+            done.ctypes.data):
         raise RuntimeError("frontier queue capacity exceeded; "
                            "the enumeration invariant was violated")
     return done
+
+
+def trellis(costs, pattern_from0, pattern_from1, backpointers, metrics,
+            decisions) -> None:
+    """Run the batched Viterbi trellis in one native call, writing the
+    decisions of every trellis step of every block into ``decisions``.
+
+    ``costs`` is the ``(blocks, steps, patterns)`` float64 stack of
+    pattern costs (:func:`repro.coding.viterbi._pattern_costs`);
+    ``pattern_from0`` / ``pattern_from1`` are the ``(states,)`` int64
+    expected-output patterns of each state's two incoming transitions
+    (from predecessor ``2 * (t % half)`` and the one after it); the
+    caller allocates the ``(steps, states)`` uint8 backpointer scratch,
+    the ``(2, states)`` float64 path metrics and the ``(blocks, steps)``
+    uint8 decisions.
+    Every operand is checked first: past the ctypes boundary a wrong
+    dtype, a strided view, a short buffer or an out-of-range pattern
+    index is memory corruption, not an exception.
+    """
+    library = core()
+    require(library is not None, "the compiled search core is unavailable")
+    require(costs.ndim == 3, "trellis costs must be (blocks, steps, patterns)")
+    blocks, steps, patterns = costs.shape
+    states = pattern_from0.shape[0] if pattern_from0.ndim == 1 else 0
+    require(states >= 2 and states % 2 == 0,
+            "trellis pattern tables need an even number of states")
+    library.repro_trellis_run(
+        _address(costs, _F, (blocks, steps, patterns), "trellis costs"),
+        blocks, steps, patterns, states,
+        _address(pattern_from0, _I, (states,), "pattern_from0", patterns),
+        _address(pattern_from1, _I, (states,), "pattern_from1", patterns),
+        _address(backpointers, np.uint8, (steps, states), "backpointers"),
+        _address(metrics, _F, (2, states), "path metrics"),
+        _address(decisions, np.uint8, (blocks, steps), "decisions"))

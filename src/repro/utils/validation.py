@@ -43,12 +43,16 @@ def as_complex_vector(value, name: str = "vector") -> np.ndarray:
 
 
 def as_bit_array(value, name: str = "bits") -> np.ndarray:
-    """Return ``value`` as a 1-D uint8 ndarray of 0/1 values."""
+    """Return ``value`` as a 1-D uint8 ndarray of 0/1 values.
+
+    The values are checked before the cast: casting first would wrap
+    256 to 0 and truncate 0.5 to 0, accepting what is not a bit.
+    """
     array = np.asarray(value)
     require(array.ndim == 1, f"{name} must be 1-D, got shape {array.shape}")
-    array = array.astype(np.uint8, copy=False)
-    require(bool(np.isin(array, (0, 1)).all()), f"{name} must contain only 0s and 1s")
-    return array
+    require(bool(((array == 0) | (array == 1)).all()),
+            f"{name} must contain only 0s and 1s")
+    return array.astype(np.uint8, copy=False)
 
 
 def check_power_of_two(value: int, name: str = "value") -> int:

@@ -1,11 +1,15 @@
 """Tests for the convolutional code, Viterbi decoder, interleaver,
 scrambler and CRC."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.sphere.tick_kernel as tick_kernel
+from repro.coding import viterbi
 from repro.coding import (
     WIFI_CODE,
     ConvolutionalCode,
@@ -36,6 +40,28 @@ SWEEP_CODES = [
     ConvolutionalCode(constraint_length=3, polynomials=(0o7, 0o5)),
     ConvolutionalCode(constraint_length=5, polynomials=(0o27, 0o31, 0o25)),
 ]
+CODE_IDS = ["wifi", "k3", "k5-rate13"]
+
+needs_core = pytest.mark.skipif(tick_kernel.core() is None,
+                                reason="no C compiler: no compiled trellis")
+
+
+@pytest.fixture
+def compiler_hidden(no_compiler):
+    """No compiler: the batched decoders decode row by row through the
+    scalar trellis.  The loader's one warning is taken here."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert tick_kernel.core() is None
+
+
+def _assert_batch_matches_scalar_rows(reliabilities, code):
+    batched = viterbi_decode_soft_batch(reliabilities, code)
+    num_info = reliabilities.shape[1] // code.num_outputs - code.num_tail_bits
+    assert batched.shape == (reliabilities.shape[0], num_info)
+    assert batched.dtype == np.uint8
+    for row, decoded in zip(reliabilities, batched):
+        assert np.array_equal(decoded, viterbi_decode_soft(row, code))
 
 
 class TestEncoder:
@@ -115,6 +141,11 @@ class TestViterbiHard:
         with pytest.raises(ValueError):
             viterbi_decode(np.zeros(8, dtype=np.uint8), WIFI_CODE)
 
+    def test_rejects_floats_that_are_not_bits(self):
+        """0.4 is not a bit, even though a uint8 cast makes it one."""
+        with pytest.raises(ValueError, match="only 0s and 1s"):
+            viterbi_decode(np.full(48, 0.4), WIFI_CODE)
+
     @settings(max_examples=20, deadline=None)
     @given(bit_lists)
     def test_roundtrip_property(self, bits):
@@ -177,8 +208,10 @@ class TestViterbiSoft:
 
 
 class TestViterbiBatch:
-    """The batched trellis sweep: bit-identical to the scalar decoder
-    across codes, block lengths and corruption, hard and soft alike."""
+    """The batched decoders: bit-identical to the scalar decoder across
+    codes, block lengths, block counts, ties and corruption, hard and
+    soft alike — through the compiled trellis wherever the core builds
+    (and again without it, below)."""
 
     def _corrupted_batch(self, code, info_bits, num_blocks, rng):
         messages = rng.integers(0, 2, (num_blocks, info_bits)).astype(np.uint8)
@@ -188,8 +221,7 @@ class TestViterbiBatch:
         corrupted[flips] ^= 1
         return messages, corrupted
 
-    @pytest.mark.parametrize("code", SWEEP_CODES,
-                             ids=["wifi", "k3", "k5-rate13"])
+    @pytest.mark.parametrize("code", SWEEP_CODES, ids=CODE_IDS)
     @pytest.mark.parametrize("info_bits", [16, 57, 120])
     def test_hard_batch_matches_scalar_rows(self, code, info_bits):
         rng = np.random.default_rng(info_bits)
@@ -199,8 +231,7 @@ class TestViterbiBatch:
         for row, decoded in zip(corrupted, batched):
             assert (decoded == viterbi_decode(row, code)).all()
 
-    @pytest.mark.parametrize("code", SWEEP_CODES,
-                             ids=["wifi", "k3", "k5-rate13"])
+    @pytest.mark.parametrize("code", SWEEP_CODES, ids=CODE_IDS)
     def test_soft_batch_matches_scalar_rows(self, code):
         rng = np.random.default_rng(99)
         _, corrupted = self._corrupted_batch(code, 80, 6, rng)
@@ -210,6 +241,36 @@ class TestViterbiBatch:
         scalar = np.stack([viterbi_decode_soft(row, code)
                            for row in reliabilities])
         assert np.array_equal(batched, scalar)
+
+    @pytest.mark.parametrize("code", SWEEP_CODES, ids=CODE_IDS)
+    @pytest.mark.parametrize("inputs", ["integers", "zeros", "negative-zero",
+                                        "hard"])
+    def test_tie_heavy_batches_match_scalar_rows(self, code, inputs):
+        """Where candidates tie the select must keep the first one, as
+        the scalar ``np.where(c1 < c0, ...)`` does: integer-valued
+        reliabilities tie often, all-zero rows tie at every compare,
+        ``-0.0`` must compare equal to ``0.0``, and hard ±1 rows are
+        what every hard frame feeds the trellis."""
+        rng = np.random.default_rng(len(inputs))
+        shape = (9, code.coded_length(40))
+        reliabilities = {
+            "integers": lambda: rng.integers(-3, 4, shape).astype(np.float64),
+            "zeros": lambda: np.zeros(shape),
+            "negative-zero": lambda: np.where(rng.random(shape) < 0.5,
+                                              -0.0, 0.0),
+            "hard": lambda: rng.choice([-1.0, 1.0], shape),
+        }[inputs]()
+        _assert_batch_matches_scalar_rows(reliabilities, code)
+
+    @pytest.mark.parametrize("code", SWEEP_CODES, ids=CODE_IDS)
+    @pytest.mark.parametrize("num_blocks", [0, 1, 33])
+    def test_block_counts(self, code, num_blocks):
+        """An empty stack, one block, and more blocks than a frame has
+        streams: the backpointer scratch is reused block after block."""
+        rng = np.random.default_rng(num_blocks)
+        reliabilities = rng.normal(0.0, 1.0,
+                                   (num_blocks, code.coded_length(31)))
+        _assert_batch_matches_scalar_rows(reliabilities, code)
 
     def test_clean_batch_roundtrips(self):
         rng = np.random.default_rng(7)
@@ -249,6 +310,82 @@ class TestViterbiBatch:
         block[2, 7] = -np.inf
         with pytest.raises(ValueError, match=r"index \(2, 7\) is -inf"):
             viterbi_decode_soft_batch(block, WIFI_CODE)
+
+
+@pytest.mark.usefixtures("compiler_hidden")
+class TestViterbiBatchWithoutCompiler(TestViterbiBatch):
+    """Every batched sweep above with the compiler hidden: the fallback
+    is the scalar decoder row by row, errors and empty batch included."""
+
+
+class TestCompiledTrellis:
+    """The native entry point behind the batched decoders."""
+
+    @pytest.mark.parametrize("hidden", [False, True],
+                             ids=["core", "no_compiler"])
+    def test_batch_runs_natively_only_where_the_core_loaded(
+            self, hidden, request, monkeypatch):
+        if hidden:
+            request.getfixturevalue("compiler_hidden")
+        calls = []
+        native = tick_kernel.trellis
+        monkeypatch.setattr(tick_kernel, "trellis",
+                            lambda *args: calls.append(args) or native(*args))
+        reliabilities = np.ones((4, WIFI_CODE.coded_length(20)))
+        viterbi_decode_soft_batch(reliabilities, WIFI_CODE)
+        assert len(calls) == int(tick_kernel.core() is not None)
+
+    @needs_core
+    def test_trellis_refuses_what_it_cannot_address(self):
+        """Past the ctypes boundary a wrong dtype, a strided view, a
+        short buffer or an out-of-range pattern index is memory
+        corruption, so the wrapper raises first — before anything is
+        written."""
+        code = WIFI_CODE
+        states, steps, blocks = code.num_states, 30, 3
+        _, _, from0, from1 = viterbi._trellis_tables(code)
+        rng = np.random.default_rng(0)
+        costs = viterbi._pattern_costs(
+            rng.normal(size=(blocks, steps, code.num_outputs)),
+            code.num_outputs)
+
+        def run(**swap):
+            operands = dict(
+                costs=costs, pattern_from0=from0, pattern_from1=from1,
+                backpointers=np.empty((steps, states), np.uint8),
+                metrics=np.empty((2, states)),
+                decisions=np.full((blocks, steps), 7, np.uint8))
+            operands.update(swap)
+            tick_kernel.trellis(**operands)
+
+        decisions = np.full((blocks, steps), 7, np.uint8)
+        run(decisions=decisions)                         # the good call
+        assert set(np.unique(decisions)) <= {0, 1}
+        refusals = {
+            "trellis costs as C-contiguous float64": dict(
+                costs=costs.astype(np.float32)),
+            "trellis costs as C-contiguous": dict(costs=costs[:, :, ::2]),
+            "pattern_from0 as C-contiguous int64": dict(
+                pattern_from0=from0.astype(np.int32)),
+            r"pattern_from1 outside \[0, 4\)": dict(
+                pattern_from1=np.where(from1 == 3, 4, from1)),
+            r"pattern_from0 outside \[0, 4\)": dict(
+                pattern_from0=np.where(from0 == 0, -1, from0)),
+            "backpointers as C-contiguous uint8": dict(
+                backpointers=np.empty((steps - 1, states), np.uint8)),
+            "path metrics as C-contiguous float64": dict(
+                metrics=np.empty(states)),
+            "decisions as C-contiguous uint8": dict(
+                decisions=np.full((blocks, steps - 1), 7, np.uint8)),
+            "even number of states": dict(pattern_from0=from0[:-1].copy(),
+                                          pattern_from1=from1[:-1].copy()),
+        }
+        for message, swap in refusals.items():
+            decisions = swap.setdefault(
+                "decisions", np.full((blocks, steps), 7, np.uint8))
+            with pytest.raises(ValueError, match=message):
+                run(**swap)
+            assert (decisions == 7).all()
 
 
 class TestCodedChainProperty:
@@ -338,6 +475,32 @@ class TestScrambler:
     def test_rejects_zero_seed(self):
         with pytest.raises(ValueError):
             scramble(np.zeros(8, dtype=np.uint8), seed=0)
+
+
+@pytest.mark.parametrize("function, args", [
+    (scrambler_sequence, (300, 0b1011101)),
+    (interleaver_permutation, (192, 4)),
+    (viterbi._tables, (7, (0o133, 0o171))),
+], ids=["scrambler", "interleaver", "trellis"])
+def test_memoised_tables_are_shared_read_only_and_fresh(function, args):
+    """The coded chain's per-config tables are built once: a repeat call
+    returns the same arrays, which refuse writes (a caller scribbling on
+    one would corrupt every later frame) and equal a fresh build."""
+    cached = function(*args)
+    assert function(*args) is cached
+    fresh = function.__wrapped__(*args)
+    if not isinstance(cached, tuple):
+        cached, fresh = (cached,), (fresh,)
+    for got, want in zip(cached, fresh, strict=True):
+        assert np.array_equal(got, want) and got.dtype == want.dtype
+        with pytest.raises(ValueError, match="read-only"):
+            got[0] = got[0]
+
+
+def test_trellis_tables_are_keyed_on_the_code_parameters():
+    code = ConvolutionalCode(constraint_length=7, polynomials=(0o133, 0o171))
+    assert code is not WIFI_CODE
+    assert viterbi._trellis_tables(code) is viterbi._trellis_tables(WIFI_CODE)
 
 
 class TestCrc:

@@ -86,6 +86,20 @@ class TestArrayValidation:
         with pytest.raises(ValueError):
             as_bit_array(np.zeros((2, 2), dtype=np.uint8))
 
+    @pytest.mark.parametrize("value", [[256, 1, 0], [0.5, 1.7], [-1, 0]])
+    def test_bit_array_checks_before_casting(self, value):
+        """A uint8 cast wraps 256 to 0 and truncates 0.5 to 0; the check
+        runs on the values as given, so neither passes as a bit."""
+        with pytest.raises(ValueError, match="only 0s and 1s"):
+            as_bit_array(value)
+
+    @pytest.mark.parametrize("value", [np.array([True, False, True]),
+                                       np.array([1, 0, 1], dtype=np.uint8),
+                                       np.array([1.0, 0.0, 1.0])])
+    def test_bit_array_accepts_bools_uint8_and_integral_floats(self, value):
+        bits = as_bit_array(value)
+        assert bits.dtype == np.uint8 and bits.tolist() == [1, 0, 1]
+
 
 class TestPowerChecks:
     def test_powers_of_two_accepted(self):
