@@ -11,9 +11,12 @@ the most, i.e. the bursty short-frame traffic an access point actually
 serves.
 """
 
+import time
+
 import numpy as np
 import pytest
 
+import repro.runtime.engine as engine
 from repro.channel import awgn, noise_variance_for_snr, rayleigh_channels
 from repro.constellation import qam
 from repro.runtime import FrameRequest, UplinkRuntime
@@ -61,9 +64,21 @@ def _pipelined(frames, **runtime_kwargs):
     return runtime, handles
 
 
+def _interleaved_best_of(first, second, repeats=5):
+    """Best-of-``repeats`` wall clock of two callables, timed in
+    alternation (first, second, first, ...), so a slow spell of the box
+    lands on both sides instead of on whichever ran during it."""
+    best = [float("inf"), float("inf")]
+    for _ in range(repeats):
+        for side, function in enumerate((first, second)):
+            start = time.perf_counter()
+            function()
+            best[side] = min(best[side], time.perf_counter() - start)
+    return best
+
+
 @needs_core
-def test_runtime_pipelined_vs_frame_at_a_time(benchmark, best_of,
-                                              speedup_floor):
+def test_runtime_pipelined_vs_frame_at_a_time(benchmark, speedup_floor):
     """The CI floor: sustained pipelined throughput must beat
     frame-at-a-time by >= 1.3x on 16-QAM 4x4 x 64 subcarriers while
     every frame stays bit-identical to standalone ``decode_frame``.
@@ -75,10 +90,17 @@ def test_runtime_pipelined_vs_frame_at_a_time(benchmark, best_of,
     then the compiled one (PR 21, ~0.1 us/node) sped both sides up and
     the frame-at-a-time baseline more (0.50 -> 0.25 -> 0.13 s against
     0.23 -> 0.17 -> 0.08 s for the 24 frames; ~1.6x now), so the margin
-    over the 1.3x floor is thinner than it was — hence best-of-5 timing
-    on both sides.  ``speedup`` in extra_info carries the real number, and the
-    runtime's own telemetry (frames/sec, latency percentiles, occupancy)
-    lands there too.
+    over the 1.3x floor is thinner than it was.  The two sides are
+    timed in alternation, best of 5 each (:func:`_interleaved_best_of`),
+    so a slow spell of the box lands on both.  Ten runs each on a shared
+    2-vCPU box, one attempt per tick and the sides timed one after the
+    other: 1.01-1.54x, median 1.33x, five under the floor; two attempts
+    per tick, interleaved: 1.12-1.53x, median 1.33x, three under it.
+    Two attempts a tick shorten the frame-at-a-time tail this floor
+    measures pipelining against, so the margin did not grow.
+    ``speedup`` in extra_info carries the real number, and the runtime's
+    own telemetry (frames/sec, latency percentiles, occupancy) lands
+    there too.
     """
     decoder = SphereDecoder(qam(16))
     frames = _frame_stream(16, 4, 4, NUM_FRAMES, decoder, SNR_DB)
@@ -96,8 +118,8 @@ def test_runtime_pipelined_vs_frame_at_a_time(benchmark, best_of,
         assert np.array_equal(result.distances_sq, reference.distances_sq)
         assert result.counters == reference.counters
 
-    sequential_s = best_of(frame_at_a_time)
-    pipelined_s = best_of(lambda: _pipelined(frames))
+    sequential_s, pipelined_s = _interleaved_best_of(
+        frame_at_a_time, lambda: _pipelined(frames))
     benchmark.extra_info["frames"] = NUM_FRAMES
     benchmark.extra_info["frames_per_second"] = (
         runtime.stats.frames_per_second())
@@ -107,6 +129,26 @@ def test_runtime_pipelined_vs_frame_at_a_time(benchmark, best_of,
         runtime.stats.latency_percentiles())
     speedup_floor(sequential_s, pipelined_s, 1.3,
                   baseline="frame_at_a_time", candidate="pipelined")
+
+
+@needs_core
+def test_two_attempts_a_tick_halve_the_ticks(monkeypatch):
+    """Untimed: the floor's 24-frame stream takes at most 0.6x the ticks
+    at the engine's shipped allowance that it takes at one attempt per
+    lane per tick (measured 0.51x), with results bit-identical — a tick's
+    fixed cost is paid half as often."""
+    decoder = SphereDecoder(qam(16))
+    frames = _frame_stream(16, 4, 4, NUM_FRAMES, decoder, SNR_DB)
+    shipped, handles = _pipelined(frames)
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "_LOCKSTEP_ATTEMPTS", 1)
+        one, references = _pipelined(frames)
+    for handle, reference in zip(handles, references):
+        result, expected = handle.result(), reference.result()
+        assert np.array_equal(result.symbol_indices, expected.symbol_indices)
+        assert np.array_equal(result.distances_sq, expected.distances_sq)
+        assert result.counters == expected.counters
+    assert shipped.stats.ticks <= 0.6 * one.stats.ticks
 
 
 @pytest.mark.parametrize("max_in_flight", [2, 8])

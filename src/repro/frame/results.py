@@ -66,15 +66,13 @@ class FrameDecodeResult:
     :class:`~repro.sphere.batch.BatchDecodeResult`.  Resolved frames are
     what a streaming caller accumulates, so the decisions are held once:
     ``symbols`` is looked up from ``symbol_indices`` on access instead of
-    being stored beside them, and the indices are held in the narrowest
-    integer dtype (:func:`narrowest_int`): 1 KB of the ~3.5 KB of a
-    16-QAM 4x4 x 64-subcarrier x 4-symbol frame.
+    being stored beside them, ``found`` is derived from
+    ``distances_sq`` the same way, and the indices are held in the
+    narrowest integer dtype (:func:`narrowest_int`): 1 KB of the ~3.5 KB
+    of a 16-QAM 4x4 x 64-subcarrier x 4-symbol frame.
 
     Attributes
     ----------
-    found:
-        ``(T, S)`` booleans; ``False`` only where a finite
-        ``initial_radius_sq`` excluded every leaf of that slot's tree.
     symbol_indices:
         ``(T, S, nc)`` flattened constellation indices (``-1`` where
         ``found`` is ``False``), as ``narrowest_int(order - 1)``.
@@ -94,12 +92,18 @@ class FrameDecodeResult:
         detection-only results.
     """
 
-    found: np.ndarray
     symbol_indices: np.ndarray
     distances_sq: np.ndarray
     counters: ComplexityCounters
     points: np.ndarray
     decisions: list | None = None
+
+    @property
+    def found(self) -> np.ndarray:
+        """``(T, S)`` booleans; ``False`` only where a finite
+        ``initial_radius_sq`` excluded every leaf of that slot's tree
+        (its distance is then ``inf``)."""
+        return np.isfinite(self.distances_sq)
 
     @property
     def symbols(self) -> np.ndarray:
@@ -111,11 +115,11 @@ class FrameDecodeResult:
 
     @property
     def num_symbols(self) -> int:
-        return int(self.found.shape[0])
+        return int(self.distances_sq.shape[0])
 
     @property
     def num_subcarriers(self) -> int:
-        return int(self.found.shape[1])
+        return int(self.distances_sq.shape[1])
 
 
 @dataclass
@@ -229,7 +233,6 @@ def empty_frame_result(num_symbols: int, num_subcarriers: int,
     """A correctly-shaped result for a frame with zero search problems
     (no subcarriers or no symbols) — shared by every ``decode_frame``."""
     return FrameDecodeResult(
-        found=np.zeros((num_symbols, num_subcarriers), dtype=bool),
         symbol_indices=np.zeros((num_symbols, num_subcarriers, num_streams),
                                 dtype=narrowest_int(constellation.order - 1)),
         distances_sq=np.zeros((num_symbols, num_subcarriers)),

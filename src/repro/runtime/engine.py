@@ -2,8 +2,8 @@
 
 Every depth-first sphere search the library runs in bulk goes through
 this module.  A :class:`StreamingFrontier` owns **pools** of lanes — one
-pool per search signature — and advances every search in a pool one
-candidate attempt per tick in the compiled search core (below).  Hard
+pool per search signature — and advances every search in a pool two
+candidate attempts per tick in the compiled search core (below).  Hard
 (maximum-likelihood) and soft (list) searches differ only in the pool's
 leaf policy; ``zigzag`` / ``shabany`` only in the frontier arrays the
 pool holds for the core (laid out by
@@ -30,14 +30,17 @@ The tick is the engine's *schedule* — admission, budget stops and the
 QoS hooks (``degrade`` / ``evict``) all act between ticks.  A pool with
 frontier arrays (``pool.has_core``: ``zigzag`` / ``shabany``, wherever
 :mod:`repro.sphere.tick_kernel` could build the core) executes its step
-**in the core**: one native call gives every active lane one candidate
-attempt, in place on the pool's own frontier and lane arrays, and flags
-the lanes that finished (tree exhausted or per-lane node budget
-reached); they retire through ``_finish_lockstep``.  Admission only
-writes a search's lane rows and leaves it above its root: the core
-expands the root, with the same program as every other node, in the
-call that gives the search its first attempt.  A tick costs
-~0.05 ms + ~0.1 microseconds per lane.
+**in the core**: one native call gives every active lane two candidate
+attempts (``_LOCKSTEP_ATTEMPTS``), in place on the pool's own frontier
+and lane arrays, and flags the lanes that finished (tree exhausted or
+per-lane node budget reached); they retire through
+``_finish_lockstep``.  Admission only writes a search's lane rows and
+leaves it above its root: the core expands the root, with the same
+program as every other node, in the call that gives the search its
+first attempts.  A tick costs ~0.05 ms + ~0.1 microseconds per lane,
+however many attempts it runs: two per tick halve the ticks a frame
+takes against one, and keep every QoS point at most two scalar-loop
+iterations away.
 
 Sphere-search cost is heavy-tailed, and that fixed ~0.05 ms is paid
 however few lanes are live.  When a pool's queue is dry and its active
@@ -46,7 +49,7 @@ unlimited allowance: one tick runs the survivors to completion, each
 under its own lane budget (so a deadline-degraded frame stops at its
 shrunk cap there too).  That drain is the only place a core pool runs
 searches to completion; everywhere else the tick, and with it every QoS
-point, stays one candidate attempt long.
+point, stays two candidate attempts long.
 
 Every other pool — ``hess`` / ``exhaustive``, or any pool on a box
 without a C compiler (one warning) — has no frontier and
@@ -65,9 +68,10 @@ by running the loop itself — regardless of which searches, of which
 frames, share a tick with it.  So results and counters are
 bit-identical to per-slot ``decode_triangular`` /
 ``decode_soft_triangular`` for *every* capacity, drain threshold,
-admission order and in-flight interleaving (``tests/test_engine.py``
-pins all three entry points to the scalar oracle; ``tests/test_runtime.py``
-adds a hypothesis sweep over submission permutations and budgets).
+attempt allowance, admission order and in-flight interleaving
+(``tests/test_engine.py`` pins all three entry points to the scalar
+oracle; ``tests/test_runtime.py`` adds a hypothesis sweep over
+submission permutations and budgets).
 
 Searches are grouped into **pools** by search signature
 (:func:`~repro.runtime.queue.search_signature`, which the detector farm
@@ -128,10 +132,24 @@ DEFAULT_LANE_CAPACITY = 2048
 #: pool gets long enough to move the median latency of the light frames
 #: sharing the runtime (the sweep over {16, 24, 32, 48} that set the
 #: cap, when the step ran as numpy array ops, read ``coded_soft_cell``
-#: p50 102-104 ms at 32 against 141-171 at 48).  Raising the cap, or the
-#: lockstep allowance above one attempt, moves QoS points and waits for
-#: a re-sweep.
+#: p50 102-104 ms at 32 against 141-171 at 48).  With the core stepping
+#: two attempts a tick (:data:`_LOCKSTEP_ATTEMPTS`) the cap still holds
+#: the drain tick under the light frames' latency; raising it moves QoS
+#: points the same way a larger allowance does.
 DRAIN_THRESHOLD_CAP = 32
+
+# Candidate attempts each active search gets per lockstep tick.  A
+# tick's fixed ~0.05 ms is paid once per call however many attempts the
+# core runs, so two attempts halve the ticks per frame (hard 16-QAM 4x4
+# ladder frames: 12.3 -> 6.25) and every QoS point between ticks stays
+# at most two scalar-loop iterations away.  Larger allowances were
+# measured (8: ~1.8x the frames/s of one attempt) but grow the results
+# the benchmark's closed loop holds per pass past its memory bound and
+# narrow the pipelining margin; they wait for both to be measured
+# differently.
+# Any allowance is the same program per search, so results, LLRs and
+# counters do not depend on it.
+_LOCKSTEP_ATTEMPTS = 2
 
 #: Lanes a pool allocates up front; pools grow geometrically on
 #: demand from here, capped by the engine's global lane budget.
@@ -298,14 +316,14 @@ class _PoolBase:
         self.num_streams = num_streams
         self.node_budget = decoder.node_budget
         self.initial_radius_sq = decoder.initial_radius_sq
-        if engine.drain_threshold is None:
+        if engine._drain_threshold is None:
             # From the *global* capacity — the drain hand-off point is a
             # latency trade-off, not an allocation detail, so it must not
             # move when the pool grows.
             self.drain_threshold = max(1, min(DRAIN_THRESHOLD_CAP,
                                               engine.capacity // 6))
         else:
-            self.drain_threshold = engine.drain_threshold
+            self.drain_threshold = engine._drain_threshold
         self.queue = AdmissionQueue(fifo=engine.lane_policy == "fifo")
         self.allocated = capacity
         self.lanes = LanePool(capacity)
@@ -554,9 +572,10 @@ class _PoolBase:
         self._release(lanes)
 
     def _advance(self, completed: list, attempts: int | None) -> None:
-        """Give every active search ``attempts`` candidate attempts (1: a
-        lockstep step; ``None``: to completion), each under its own lane
-        budget, and retire the finished ones."""
+        """Give every active search ``attempts`` candidate attempts
+        (``_LOCKSTEP_ATTEMPTS``: a lockstep step; ``None``: to
+        completion), each under its own lane budget, and retire the
+        finished ones."""
         active = self.active
         self.engine.last_tick_lanes += active.size
         started = time.perf_counter()
@@ -608,13 +627,14 @@ class _PoolBase:
 
     # -- one breadth-synchronised step ----------------------------------
     def tick(self, completed: list) -> None:
-        """Advance every active search one candidate attempt, frame
-        boundaries ignored: budget stops, refill, drain check, then the
-        step in the compiled core.  Once the queue is dry and at most
-        ``drain_threshold`` searches remain, the core runs them to
-        completion instead, each under its own lane budget.  A pool
-        without a core finishes every search in the tick that admits
-        it."""
+        """Advance every active search ``_LOCKSTEP_ATTEMPTS`` (two)
+        candidate attempts, frame boundaries ignored: budget stops,
+        refill, drain check, then the step in the compiled core, which
+        re-checks each lane's budget before every attempt.  Once the
+        queue is dry and at most ``drain_threshold`` searches remain,
+        the core runs them to completion instead, each under its own
+        lane budget.  A pool without a core finishes every search in the
+        tick that admits it."""
         if self.active.size:
             # Per-lane budgets: the decoder's own node budget for every
             # undegraded search (bit-exact with the scalar early break),
@@ -631,7 +651,7 @@ class _PoolBase:
             return
         drain = (not self.queue.pending
                  and self.active.size <= self.drain_threshold)
-        self._advance(completed, None if drain else 1)
+        self._advance(completed, None if drain else _LOCKSTEP_ATTEMPTS)
 
 
 class _HardPool(_PoolBase):
@@ -743,12 +763,6 @@ class StreamingFrontier:
         Global lane budget shared by every pool (default
         :data:`DEFAULT_LANE_CAPACITY`) — how many searches, across all
         in-flight frames, advance in lockstep at once.
-    drain_threshold:
-        Hand survivors to the compiled search core once a pool's queue
-        is empty *and* its active set is this small.  Default:
-        ``capacity // 6`` capped at :data:`DRAIN_THRESHOLD_CAP` (32)
-        survivors; ``0`` keeps every search in lockstep to the end.
-        Pools without a core have nothing to drain and read ``0``.
     lane_policy:
         Lane-refill policy, one of :data:`LANE_POLICIES`.
         ``"deadline"`` (default) serves admission queues class-aware and
@@ -768,7 +782,6 @@ class StreamingFrontier:
     """
 
     def __init__(self, *, capacity: int | None = None,
-                 drain_threshold: int | None = None,
                  lane_policy: str = "deadline",
                  initial_lanes: int | None = None,
                  tracer: FrameTracer | None = None) -> None:
@@ -777,15 +790,18 @@ class StreamingFrontier:
         if initial_lanes is None:
             initial_lanes = DEFAULT_INITIAL_LANES
         require(capacity >= 1, "streaming frontier needs at least one lane")
-        require(drain_threshold is None or drain_threshold >= 0,
-                "drain threshold must be non-negative when given")
         require(initial_lanes >= 1,
                 "pools need at least one initial lane")
         require(lane_policy in LANE_POLICIES,
                 f"unknown lane policy {lane_policy!r}; choose from "
                 f"{LANE_POLICIES}")
         self.capacity = capacity
-        self.drain_threshold = drain_threshold
+        # The straggler hand-off point pools read when they are built:
+        # ``None`` is ``capacity // 6`` capped at DRAIN_THRESHOLD_CAP.
+        # The engine picks it, not the caller; tests pin another value
+        # by setting this before the first submit (0 keeps every search
+        # in lockstep to the end).
+        self._drain_threshold: int | None = None
         self.lane_policy = lane_policy
         self.initial_lanes = initial_lanes
         #: Lifecycle tracer shared with the owning session.  A frame's

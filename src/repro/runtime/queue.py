@@ -314,8 +314,10 @@ class FrameJob:
 
     def finalise(self) -> FrameDecodeResult | SoftFrameResult:
         """Assemble the frame result once every element has finished:
-        ``(S, T)`` element order transposed to ``(T, S)``-leading
-        tensors, counters summed once over the per-element tallies, and
+        ``(S, T)`` element order transposed into C-contiguous ``(T,
+        S)``-leading tensors (own buffers, not views over the
+        element-ordered ones, so a kept result holds nothing else),
+        counters summed once over the per-element tallies, and
         — for soft frames — one frame-wide vectorised LLR extraction
         over the stacked lists.  The integer tensors leave as
         :func:`~repro.frame.results.narrowest_int` copies: a caller that
@@ -334,17 +336,20 @@ class FrameJob:
                 return empty_frame_result(*empty)
             return empty_soft_frame_result(*empty, self.decoder.list_size)
         compact = narrowest_int(constellation.order - 1)
+
+        def leading_t(array):
+            # Element rows (e = subcarrier * T + symbol) to an owned,
+            # C-contiguous (T, S, ...) tensor.
+            return np.ascontiguousarray(
+                array.reshape(frame_shape + array.shape[1:]).swapaxes(0, 1))
+
         if self.kind == "hard":
             distances, cols, rows = self.outcome
-            found = np.isfinite(distances)
-            indices = np.where(found[:, None],
-                               constellation.index_of(cols, rows),
-                               -1).astype(compact)
+            indices = np.where(np.isfinite(distances)[:, None],
+                               constellation.index_of(cols, rows), -1)
             return FrameDecodeResult(
-                found=found.reshape(frame_shape).T,
-                symbol_indices=indices.reshape(
-                    frame_shape + (num_streams,)).transpose(1, 0, 2),
-                distances_sq=distances.reshape(frame_shape).T,
+                symbol_indices=leading_t(indices.astype(compact)),
+                distances_sq=leading_t(distances),
                 counters=self._totals(), points=constellation.points)
         list_n = self.outcome[-1].astype(
             narrowest_int(self.decoder.list_size))
@@ -352,10 +357,9 @@ class FrameJob:
             constellation, *self.outcome, self.noise_variance,
             self.decoder.clamp)
         return SoftFrameResult(
-            llrs=llrs.reshape(frame_shape + (-1,)).transpose(1, 0, 2),
-            symbol_indices=best_indices.astype(compact).reshape(
-                frame_shape + (num_streams,)).transpose(1, 0, 2),
-            list_sizes=list_n.reshape(frame_shape).T,
+            llrs=leading_t(llrs),
+            symbol_indices=leading_t(best_indices.astype(compact)),
+            list_sizes=leading_t(list_n),
             counters=self._totals(), points=constellation.points)
 
 

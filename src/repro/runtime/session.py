@@ -159,11 +159,9 @@ class UplinkRuntime:
 
     Parameters
     ----------
-    capacity, drain_threshold:
-        The :class:`~repro.runtime.engine.StreamingFrontier` knobs: the
-        shared lane budget, and the straggler handoff point (default
-        ``capacity // 6`` capped at ``DRAIN_THRESHOLD_CAP = 32``
-        survivors).
+    capacity:
+        The :class:`~repro.runtime.engine.StreamingFrontier`'s shared
+        lane budget.
     initial_lanes:
         Lanes each kernel pool allocates up front (default
         :data:`~repro.runtime.engine.DEFAULT_INITIAL_LANES`); pools grow
@@ -200,7 +198,6 @@ class UplinkRuntime:
     """
 
     def __init__(self, *, capacity: int | None = None,
-                 drain_threshold: int | None = None,
                  max_in_flight: int = DEFAULT_MAX_IN_FLIGHT,
                  lane_policy: str = "deadline",
                  degrade_margin_s: float | None = None,
@@ -218,7 +215,6 @@ class UplinkRuntime:
             tracer = FrameTracer(enabled=trace, clock=clock)
         self.tracer = tracer
         self._engine = StreamingFrontier(capacity=capacity,
-                                         drain_threshold=drain_threshold,
                                          lane_policy=lane_policy,
                                          initial_lanes=initial_lanes,
                                          tracer=tracer)

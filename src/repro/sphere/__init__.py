@@ -15,8 +15,8 @@ Public surface:
   (``search_core.c``, built with the system ``cc`` at first use): the
   same state machine in C, one loop with two uses in the lockstep engine
   (:mod:`repro.runtime.engine`, what ``decode_batch`` / ``decode_block``
-  / ``decode_frame`` run on) — one candidate attempt per search is the
-  lockstep step, an unlimited allowance drains a pool's last few
+  / ``decode_frame`` run on) — two candidate attempts per search are
+  the lockstep step, an unlimited allowance drains a pool's last few
   (straggler) searches.  It runs on frontier arrays whose layout
   :func:`repro.sphere.tick_kernel.frontier` declares, and expands every
   node of a search, its root included.  The scalar

@@ -214,7 +214,7 @@ class SphereDecoder:
 
         The batch is a one-subcarrier frame for the lockstep engine
         (:func:`repro.runtime.engine.run_frame`): every observation's
-        depth-first search advances one candidate attempt per tick in
+        depth-first search advances two candidate attempts per tick in
         the compiled search core (a batch no larger than the drain
         threshold is run to completion in the first tick), or, where
         there is no core, runs through this decoder's scalar search in

@@ -320,7 +320,7 @@ class KBestDecoder:
             narrowest_int(self.constellation.order - 1)).reshape(
                 frame_shape + (num_streams,))
         return FrameDecodeResult(
-            found=np.ones((num_symbols, num_subcarriers), dtype=bool),
-            symbol_indices=indices.transpose(1, 0, 2),
-            distances_sq=distances.reshape(frame_shape).T,
+            symbol_indices=np.ascontiguousarray(indices.transpose(1, 0, 2)),
+            distances_sq=np.ascontiguousarray(
+                distances.reshape(frame_shape).T),
             counters=counters, points=self.constellation.points)

@@ -9,7 +9,7 @@ state the last call left it in, and comes back flagged if it finished.
 Admission only writes a search's lane rows: the core expands its root,
 with the same program as every other node, before its first attempt.
 The lockstep engine (:mod:`repro.runtime.engine`) makes two uses of that
-one loop: an allowance of one is a pool's **lockstep step**, an
+one loop: an allowance of two is a pool's **lockstep step**, an
 unlimited one finishes a pool's last few stragglers (the drain).
 
 The same file holds the batched Viterbi trellis, and :func:`trellis`
@@ -378,7 +378,7 @@ def run(decoder, arrays: dict, ids, caps, attempts, cache: dict
     num_streams + level``); ``caps`` are absolute node budgets.  A
     search whose ``level`` is ``num_streams`` — fresh from admission —
     has its root expanded first; then it gets ``attempts`` candidate
-    attempts: 1 is its share of a lockstep tick, ``None`` runs it to
+    attempts: 2 is its share of a lockstep tick, ``None`` runs it to
     completion.  On return its leaf, tallies, path state and frontier
     rows are what that many iterations of the scalar loop would have
     left, and the mask flags the searches that finished: tree exhausted

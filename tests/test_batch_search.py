@@ -20,10 +20,11 @@ import pytest
 from repro.channel import awgn, noise_variance_for_snr, rayleigh_channel
 from repro.constellation import qam
 from repro.runtime import FrameJob
-from repro.runtime.engine import StreamingFrontier
 from repro.sphere import ListSphereDecoder, SphereDecoder, triangularize
 from repro.sphere.counters import ComplexityCounters
 from repro.sphere.decoder import ENUMERATORS
+
+from test_engine import pinned_frontier
 
 COUNTER_FIELDS = ("ped_calcs", "visited_nodes", "expanded_nodes", "leaves",
                   "geometric_prunes", "complex_mults")
@@ -123,7 +124,7 @@ def test_frontier_drain_settings_are_bit_identical(enumerator,
                                             rng)
             reference = loop.decode_batch(r, y_hat)
             job = FrameJob.from_triangular(frontier, r, y_hat)
-            engine = StreamingFrontier(drain_threshold=drain_threshold)
+            engine = pinned_frontier(drain_threshold=drain_threshold)
             engine.submit(job)
             while not engine.idle:
                 engine.tick()

@@ -10,16 +10,19 @@ and every :class:`ComplexityCounters` field, equality not ``allclose``.
 
 The sweep below computes the scalar reference once per (instance,
 decoder) and compares every entry point to it directly, across hard /
-soft, every enumerator, pruning, node budgets and the frontier's
-capacity / drain knobs — no transitive chain of intermediate paths.  The
-scheduling properties the engine promises (monotone radius, list-radius
-policy, FIFO refill, "drained <= threshold") are observed by ticking a
-:class:`StreamingFrontier` and reading pool state — here and, with the
-helpers this module shares (:func:`_frame_instance`,
-:func:`scalar_oracle`, :func:`assert_frames_identical`,
-:func:`ticking`, ...), in ``tests/test_frame_engine.py``.
+soft, every enumerator, pruning, node budgets, the frontier's capacity
+and its (pinned) drain hand-off point — no transitive chain of
+intermediate paths.  The scheduling properties the engine promises
+(monotone radius, list-radius policy, FIFO refill, "drained <=
+threshold") are observed by ticking a :class:`StreamingFrontier` and
+reading pool state — here and, with the helpers this module shares
+(:func:`_frame_instance`, :func:`scalar_oracle`,
+:func:`assert_frames_identical`, :func:`ticking`, ...), in
+``tests/test_frame_engine.py``.
 """
 
+import copy
+import pickle
 from functools import lru_cache, partial
 
 import numpy as np
@@ -37,7 +40,7 @@ from repro.frame import (
 from repro.runtime import FrameJob, FrameRequest, UplinkRuntime
 from repro.runtime.engine import DRAIN_THRESHOLD_CAP, StreamingFrontier
 from repro.service import DetectorFarm
-from repro.sphere import ListSphereDecoder, SphereDecoder
+from repro.sphere import KBestDecoder, ListSphereDecoder, SphereDecoder
 from repro.sphere.counters import ComplexityCounters
 
 NOISE_VARIANCE = 0.045
@@ -89,7 +92,6 @@ def scalar_oracle(decoder, channels, received, noise_variance=None):
     constellation = decoder.constellation
     indices = np.empty((num_symbols, num_subcarriers, num_streams),
                        dtype=np.int64)
-    found = np.empty((num_symbols, num_subcarriers), dtype=bool)
     distances = np.empty((num_symbols, num_subcarriers))
     llrs = np.empty((num_symbols, num_subcarriers,
                      num_streams * constellation.bits_per_symbol))
@@ -105,7 +107,8 @@ def scalar_oracle(decoder, channels, received, noise_variance=None):
                 sizes[t, s] = one.list_size_used
             else:
                 one = decoder.decode_triangular(r_stack[s], y_hat[s, t])
-                found[t, s] = one.found
+                # A frame result derives ``found`` from the distance.
+                assert one.found == np.isfinite(one.distance_sq)
                 distances[t, s] = one.distance_sq
             indices[t, s] = one.symbol_indices
             per_subcarrier[s].merge(one.counters)
@@ -116,7 +119,7 @@ def scalar_oracle(decoder, channels, received, noise_variance=None):
                                 list_sizes=sizes, counters=totals,
                                 points=constellation.points)
     else:
-        frame = FrameDecodeResult(found=found, symbol_indices=indices,
+        frame = FrameDecodeResult(symbol_indices=indices,
                                   distances_sq=distances, counters=totals,
                                   points=constellation.points)
     return frame, per_subcarrier
@@ -157,12 +160,31 @@ def assert_batch_identical(batch, want, subcarrier, counters):
 # Driving the engine
 # ----------------------------------------------------------------------
 
+def pinned_frontier(drain_threshold=None, **knobs):
+    """A frontier built with ``knobs`` whose straggler hand-off point is
+    pinned to ``drain_threshold`` (``None``: the engine's own choice).
+    The hand-off point is not a constructor option; pools read the
+    frontier's private value when they are built, so it is set before
+    the first submit."""
+    frontier = StreamingFrontier(**knobs)
+    frontier._drain_threshold = drain_threshold
+    return frontier
+
+
+def pinned_runtime(drain_threshold=None, **knobs):
+    """An :class:`UplinkRuntime` built with ``knobs`` whose engine's
+    hand-off point is pinned as in :func:`pinned_frontier`."""
+    runtime = UplinkRuntime(**knobs)
+    runtime._engine._drain_threshold = drain_threshold
+    return runtime
+
+
 def _submitted(decoder, channels, received, noise_variance, knobs):
     """``(job, frontier)``: the frame submitted to a frontier built with
-    ``knobs``."""
+    ``knobs`` (``drain_threshold`` included, see :func:`pinned_frontier`)."""
     job = FrameJob(0, FrameRequest(channels, received, decoder,
                                    noise_variance))
-    frontier = StreamingFrontier(**knobs)
+    frontier = pinned_frontier(**knobs)
     frontier.submit(job)
     return job, frontier
 
@@ -202,7 +224,7 @@ def _decode(entry, decoder, channels, received, noise_variance, want,
                 decoder.decode_batch(r_stack[s], y_hat[s], *extra), want, s,
                 per_subcarrier[s])
     else:
-        runtime = UplinkRuntime(**knobs)
+        runtime = pinned_runtime(**knobs)
         handle = runtime.submit(FrameRequest(channels, received, decoder,
                                              noise_variance))
         runtime.drain()
@@ -261,12 +283,12 @@ def test_engine_matches_scalar_oracle(monkeypatch, case, capacity,
     scalar search slot for slot: results, distances / LLRs, list sizes
     and all counters.  ``decode_batch`` / ``decode_frame`` build their
     private frontier without arguments, so the knobs reach it by
-    pre-binding them on the class ``run_frame`` instantiates."""
+    pre-binding them on the factory ``run_frame`` calls."""
     decoder, channels, received, noise_variance, want, per_subcarrier = \
         _case(case)
     knobs = dict(capacity=capacity, drain_threshold=drain_threshold)
     monkeypatch.setattr(engine, "StreamingFrontier",
-                        partial(StreamingFrontier, **knobs))
+                        partial(pinned_frontier, **knobs))
     _decode(entry, decoder, channels, received, noise_variance, want,
             per_subcarrier, **knobs)
 
@@ -421,7 +443,7 @@ def test_default_drain_threshold_is_capped():
     for knobs, expected in [({}, DRAIN_THRESHOLD_CAP),
                             ({"capacity": 60}, 10), ({"capacity": 3}, 1),
                             ({"drain_threshold": 7}, 7)]:
-        frontier = StreamingFrontier(**knobs)
+        frontier = pinned_frontier(**knobs)
         job = FrameJob(0, request)
         frontier.submit(job)
         assert job.pool.drain_threshold == expected
@@ -468,8 +490,8 @@ def test_qos_hooks_cost_only_the_frame_they_touch(kind):
             enumerator="shabany" if kind == "hard-shabany" else "zigzag")
         noise_variance = None
     request = FrameRequest(channels, received, decoder, noise_variance)
-    frontier = StreamingFrontier(capacity=12, initial_lanes=2,
-                                 drain_threshold=0)
+    frontier = pinned_frontier(capacity=12, initial_lanes=2,
+                               drain_threshold=0)
     victim, survivor = FrameJob(0, request), FrameJob(1, request)
     frontier.submit(victim)
     frontier.submit(survivor)
@@ -477,8 +499,12 @@ def test_qos_hooks_cost_only_the_frame_they_touch(kind):
         frontier.tick()
     assert frontier.in_use == 12 and victim.pool.allocated == 12
     frontier.reprioritise(survivor, 3)
-    victim.degraded_budget = 2
-    frontier.degrade(victim, 2)
+    # A budget the victim's lanes are past, but one its searches
+    # admitted in the next tick cannot reach within that tick's attempt
+    # allowance: they are still in lanes when it is removed.
+    budget = engine._LOCKSTEP_ATTEMPTS + 1
+    victim.degraded_budget = budget
+    frontier.degrade(victim, budget)
     frontier.tick()                      # over-budget lanes stop here
     assert victim.remaining < victim.num_problems
     dropped = frontier.remove(victim)
@@ -490,6 +516,69 @@ def test_qos_hooks_cost_only_the_frame_they_touch(kind):
     assert completed == [survivor] and frontier.in_use == 0
     want, _ = scalar_oracle(decoder, channels, received, noise_variance)
     assert_frames_identical(survivor.finalise(), want)
+
+
+@pytest.mark.parametrize("attempts", [1, 2, 3, 7])
+def test_any_lockstep_allowance_is_the_scalar_program(monkeypatch,
+                                                      attempts):
+    """The attempt allowance of a lockstep tick only decides how many
+    ticks a search takes.  A hard, a soft and a ``shabany`` frame share
+    a small resident runtime kept in lockstep to the end (no drain), so
+    every search is cut at each allowance's tick boundaries and lanes
+    refill across frames; each frame still equals the scalar oracle bit
+    for bit, LLRs and counters included."""
+    monkeypatch.setattr(engine, "_LOCKSTEP_ATTEMPTS", attempts)
+    constellation, channels, received = _frame_instance(
+        16, 4, 4, num_subcarriers=5, num_symbols=4, noise_scale=0.25, seed=23)
+    cases = [(SphereDecoder(constellation), None),
+             (ListSphereDecoder(constellation, list_size=4), NOISE_VARIANCE),
+             (SphereDecoder(constellation, enumerator="shabany"), None)]
+    runtime = pinned_runtime(capacity=8, drain_threshold=0, max_in_flight=3)
+    handles = [runtime.submit(FrameRequest(channels, received, decoder,
+                                           noise_variance))
+               for decoder, noise_variance in cases]
+    runtime.drain()
+    for handle, (decoder, noise_variance) in zip(handles, cases):
+        want, _ = scalar_oracle(decoder, channels, received, noise_variance)
+        assert_frames_identical(handle.result(), want)
+
+
+def test_resolved_hard_frame_holds_only_what_it_cannot_derive():
+    """A resolved hard frame is what a streaming caller keeps, so it
+    stores decisions and distances only: ``found`` is derived from the
+    distances (on engine, K-best and empty frames alike), every tensor
+    owns a C-contiguous ``(T, S)`` buffer rather than viewing an
+    element-ordered one, and its pickle is smaller than the same result
+    carrying a stored ``found`` mask."""
+    constellation, channels, received = _frame_instance(16, 4, 4, 8, 4,
+                                                        seed=31)
+    shut = SphereDecoder(constellation, initial_radius_sq=1e-12)
+    frames = {
+        "hard": SphereDecoder(constellation).decode_frame(channels,
+                                                          received),
+        "not found": shut.decode_frame(channels, received),
+        "k-best": KBestDecoder(constellation, k=4).decode_frame(channels,
+                                                                received),
+        "empty": SphereDecoder(constellation).decode_frame(
+            channels[:0], received[:, :0]),
+    }
+    for label, frame in frames.items():
+        assert "found" not in vars(frame), label
+        assert np.array_equal(frame.found, np.isfinite(frame.distances_sq))
+        assert frame.found.shape == frame.symbol_indices.shape[:2], label
+        for tensor in (frame.symbol_indices, frame.distances_sq):
+            assert tensor.flags.c_contiguous and tensor.base is None, label
+    assert frames["hard"].found.all() and frames["k-best"].found.all()
+    assert not frames["not found"].found.any()
+    soft = ListSphereDecoder(constellation, list_size=4).decode_frame(
+        channels, received, NOISE_VARIANCE)
+    for tensor in (soft.llrs, soft.symbol_indices, soft.list_sizes):
+        assert tensor.flags.c_contiguous and tensor.base is None
+    hard = frames["hard"]
+    stored = copy.copy(hard)
+    vars(stored)["found"] = hard.found          # the layout it replaced
+    assert len(pickle.dumps(hard)) < len(pickle.dumps(stored))
+    assert np.array_equal(pickle.loads(pickle.dumps(hard)).found, hard.found)
 
 
 # ----------------------------------------------------------------------

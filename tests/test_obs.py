@@ -43,6 +43,7 @@ from repro.runtime.stats import aggregate_summaries
 from repro.service import CellSiteClient, CellSiteServer, DetectorFarm
 from repro.sphere import ComplexityCounters, ListSphereDecoder, SphereDecoder
 
+from test_engine import pinned_runtime
 from test_runtime import (
     _assert_identical,
     _coded_config,
@@ -197,8 +198,8 @@ def test_qos_events_are_traced_expire_degrade_expedite():
     # Degradation: degrade is stamped before the queue expedite.
     rng = np.random.default_rng(3)
     clock = _Clock()
-    runtime = UplinkRuntime(capacity=8, drain_threshold=0, clock=clock,
-                            trace=True)
+    runtime = pinned_runtime(capacity=8, drain_threshold=0, clock=clock,
+                             trace=True)
     handle = runtime.submit(_tagged_frame(decoder, rng, deadline_s=10.0,
                                           num_subcarriers=4, num_symbols=3,
                                           snr_db=8.0))

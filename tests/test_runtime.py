@@ -37,6 +37,8 @@ from repro.runtime.cell import ofdm_for_subcarriers
 from repro.sphere import KBestDecoder, ListSphereDecoder, SphereDecoder
 from repro.sphere.tick_kernel import core
 
+from test_engine import pinned_runtime
+
 
 def _make_frame(decoder, num_subcarriers, num_symbols, snr_db, rng,
                 soft=False, num_rx=4):
@@ -168,9 +170,9 @@ def test_knob_sweep_bit_identical(capacity, drain_threshold):
     frames = [_make_frame(decoder, 4, 2, 20.0, rng),
               _make_frame(soft_decoder, 3, 3, 17.0, rng, soft=True),
               _make_frame(decoder, 6, 2, 23.0, rng)]
-    runtime = UplinkRuntime(capacity=capacity,
-                            drain_threshold=drain_threshold,
-                            max_in_flight=len(frames))
+    runtime = pinned_runtime(capacity=capacity,
+                             drain_threshold=drain_threshold,
+                             max_in_flight=len(frames))
     handles = [runtime.submit(frame) for frame in frames]
     runtime.drain()
     for frame, handle in zip(frames, handles):

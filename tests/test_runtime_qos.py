@@ -30,10 +30,10 @@ from repro.runtime import (
     UplinkRuntime,
     synthetic_cell_trace,
 )
-from repro.runtime.engine import StreamingFrontier
+from repro.runtime.engine import _LOCKSTEP_ATTEMPTS, StreamingFrontier
 from repro.sphere import ComplexityCounters, ListSphereDecoder, SphereDecoder
 
-from test_engine import needs_core
+from test_engine import needs_core, pinned_frontier, pinned_runtime
 from test_runtime import (
     _assert_identical,
     _coded_config,
@@ -163,7 +163,7 @@ def test_degraded_frame_is_marked_counted_and_budget_capped():
     clock = _Clock()
     # drain_threshold=0 keeps every search in lockstep, where the
     # per-lane shrunk budgets are enforced.
-    runtime = UplinkRuntime(capacity=8, drain_threshold=0, clock=clock)
+    runtime = pinned_runtime(capacity=8, drain_threshold=0, clock=clock)
     decoder = SphereDecoder(qam(16))
     frame = _tagged_frame(decoder, rng, deadline_s=10.0, priority=0,
                           num_subcarriers=4, num_symbols=3, snr_db=8.0)
@@ -190,8 +190,8 @@ def test_degraded_frame_is_marked_counted_and_budget_capped():
 def test_degraded_coded_frame_feeds_degraded_crc_ledger():
     rng = np.random.default_rng(4)
     clock = _Clock()
-    runtime = UplinkRuntime(capacity=8, drain_threshold=0, clock=clock,
-                            degraded_node_budget=2)
+    runtime = pinned_runtime(capacity=8, drain_threshold=0, clock=clock,
+                             degraded_node_budget=2)
     config = _coded_config(4, payload_bits=40)
     frame = _make_coded_frame(config, SphereDecoder(qam(4)), 25.0, rng)
     frame.deadline_s = 10.0
@@ -216,7 +216,7 @@ def test_completion_racing_expiry_resolves_with_real_result():
     # Twin run: learn exactly how many ticks this frame needs.
     rng = np.random.default_rng(5)
     frame = _make_frame(decoder, 4, 3, 18.0, rng)
-    pilot = UplinkRuntime(capacity=8, drain_threshold=0, clock=_Clock())
+    pilot = pinned_runtime(capacity=8, drain_threshold=0, clock=_Clock())
     pilot.submit(frame)
     pilot.drain()
     ticks_needed = pilot.stats.ticks
@@ -226,8 +226,8 @@ def test_completion_racing_expiry_resolves_with_real_result():
     frame = _make_frame(decoder, 4, 3, 18.0, rng)
     frame.deadline_s = 5.0
     clock = _Clock()
-    runtime = UplinkRuntime(capacity=8, drain_threshold=0, clock=clock,
-                            degrade_margin_s=0.0)
+    runtime = pinned_runtime(capacity=8, drain_threshold=0, clock=clock,
+                             degrade_margin_s=0.0)
     handle = runtime.submit(frame)
     for _ in range(ticks_needed - 1):
         assert runtime.poll(max_ticks=1) == []
@@ -286,11 +286,12 @@ def _assert_element_is(job, result, element, decoder, frame):
 @pytest.mark.parametrize("soft", [False, True])
 def test_mid_flight_degrade_and_evict_under_the_core_step(soft):
     """The lockstep tick is the QoS quantum.  A frame degraded fifteen
-    ticks into its searches stops at the shrunk cap B: a search already
-    past it keeps what it has banked, one short of it runs on to it and
-    then equals the scalar decoder built with ``node_budget=B``, and one
-    that had already finished equals the unbudgeted scalar search.  A
-    frame evicted mid-search frees its lanes at once."""
+    candidate attempts (whole ticks of the engine's allowance) into its
+    searches stops at the shrunk cap B: a search already past it keeps
+    what it has banked, one short of it runs on to it and then equals
+    the scalar decoder built with ``node_budget=B``, and one that had
+    already finished equals the unbudgeted scalar search.  A frame
+    evicted mid-search frees its lanes at once."""
     rng = np.random.default_rng(41)
     make = ((lambda **budget: ListSphereDecoder(qam(16), list_size=4,
                                                 **budget)) if soft
@@ -298,13 +299,13 @@ def test_mid_flight_degrade_and_evict_under_the_core_step(soft):
     decoder = make()
     frames = [_make_frame(decoder, 4, 3, 8.0, rng, soft=soft)
               for _ in range(2)]
-    engine = StreamingFrontier(capacity=24, drain_threshold=0)
+    engine = pinned_frontier(capacity=24, drain_threshold=0)
     degraded, evicted = (FrameJob(frame_id, frame)
                          for frame_id, frame in enumerate(frames))
     engine.submit(degraded)
     engine.submit(evicted)
     pool = degraded.pool
-    for _ in range(15):
+    for _ in range(15 // _LOCKSTEP_ATTEMPTS):
         assert engine.tick() == []               # both mid-search
     in_use = engine.in_use
     dropped = engine.remove(evicted)
@@ -654,7 +655,7 @@ def test_degraded_budget_enforced_through_scalar_drain():
                    else SphereDecoder(qam(16)))
         frame = _make_frame(decoder, 4, 2, 8.0, rng, soft=soft)
         job = FrameJob(0, frame)
-        engine = StreamingFrontier(capacity=4, drain_threshold=4)
+        engine = pinned_frontier(capacity=4, drain_threshold=4)
         engine.submit(job)
         job.degraded_budget = budget
         job.pool.degrade(job, budget)
@@ -681,8 +682,8 @@ def test_degraded_drain_frame_feeds_degraded_crc_ledger():
     rng = np.random.default_rng(18)
     clock = _Clock()
     # drain_threshold=capacity sends every search through the drain.
-    runtime = UplinkRuntime(capacity=8, drain_threshold=8, clock=clock,
-                            degraded_node_budget=2)
+    runtime = pinned_runtime(capacity=8, drain_threshold=8, clock=clock,
+                             degraded_node_budget=2)
     config = _coded_config(4, payload_bits=40)
     frame = _make_coded_frame(config, SphereDecoder(qam(4)), 25.0, rng)
     frame.deadline_s = 10.0

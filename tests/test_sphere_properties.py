@@ -23,8 +23,9 @@ import pytest
 from repro.channel import awgn, noise_variance_for_snr, rayleigh_channel
 from repro.constellation import qam
 from repro.runtime import FrameJob
-from repro.runtime.engine import StreamingFrontier
 from repro.sphere import ListSphereDecoder, SphereDecoder, triangularize
+
+from test_engine import pinned_frontier
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -97,7 +98,7 @@ def check_radius_monotone(order, num_tx, seed):
     constellation, r, y_hat = _instance(order, num_tx, seed)
     decoder = SphereDecoder(constellation)
     job = FrameJob.from_triangular(decoder, r, y_hat)
-    frontier = StreamingFrontier(drain_threshold=0)
+    frontier = pinned_frontier(drain_threshold=0)
     frontier.submit(job)
     pool = job.pool
     sequences = {t: [] for t in range(y_hat.shape[0])}

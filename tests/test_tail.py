@@ -3,10 +3,10 @@ straggler drain and as the lockstep step — against the scalar oracle.
 
 The compiled core (``repro/sphere/search_core.c`` behind
 :mod:`repro.sphere.tick_kernel`) works in place on the pool's frontier
-arrays, from whatever state the last tick left a search in: one
-candidate attempt per lane per tick is the lockstep step, an unlimited
-allowance the drain of the frontier's last few searches.  The scalar
-decoders (:meth:`SphereDecoder.decode_triangular`,
+arrays, from whatever state the last tick left a search in: a small
+allowance of candidate attempts per lane per tick is the lockstep step,
+an unlimited one the drain of the frontier's last few searches.  The
+scalar decoders (:meth:`SphereDecoder.decode_triangular`,
 :meth:`ListSphereDecoder.decode_soft_triangular`) are the oracle; the
 contract is bit-identity — decisions, distances, LLRs and all five
 ``ComplexityCounters`` — and these tests pin it two ways:
@@ -16,7 +16,9 @@ contract is bit-identity — decisions, distances, LLRs and all five
   rule, pruning, initial radius, node budget, list size, constellation
   and geometry; list size 1 is the hard best-leaf policy);
 * **from every depth** — ``k`` lockstep ticks in the core, then the
-  drain, for every ``k`` from 0 to the search's length — so a wrong
+  drain, for every ``k`` from 0 to the search's length, with the
+  allowance pinned to one attempt per tick so that ``k`` counts
+  attempts and no hand-off point is skipped — so a wrong
   reading of the pending successors, the column queue or the Shabany
   seen grid that a step leaves behind cannot hide behind a lucky
   threshold.
@@ -38,7 +40,6 @@ from hypothesis import strategies as st
 from repro.channel import awgn, noise_variance_for_snr, rayleigh_channel
 from repro.constellation import qam
 from repro.runtime import FrameJob, FrameRequest
-from repro.runtime.engine import StreamingFrontier
 from repro.sphere import ListSphereDecoder, SphereDecoder, triangularize
 from repro.sphere.tick_kernel import NUMPY_FMA
 
@@ -46,10 +47,19 @@ from test_engine import (
     _drain_sizes,
     assert_frames_identical,
     needs_core,
+    pinned_frontier,
     scalar_oracle,
 )
 
 pytestmark = needs_core                  # no compiler: nothing to hand off to
+
+
+@pytest.fixture(autouse=True)
+def one_attempt_a_tick(monkeypatch):
+    """Every hand-off point is one candidate attempt after the last,
+    whatever allowance the engine ships with (any allowance runs the
+    same program per search)."""
+    monkeypatch.setattr("repro.runtime.engine._LOCKSTEP_ATTEMPTS", 1)
 
 #: Operating points low enough that searches backtrack (deep stacks,
 #: deferred proposals pending, several leaves) instead of diving once.
@@ -81,7 +91,7 @@ def _decode_one(decoder, r, y_hat, noise_variance=None, *, drain_threshold):
     """One triangular search on a frontier with the given hand-off
     point.  Returns the frame result and the drain sizes."""
     job = FrameJob.from_triangular(decoder, r, y_hat[None], noise_variance)
-    engine = StreamingFrontier(drain_threshold=drain_threshold)
+    engine = pinned_frontier(drain_threshold=drain_threshold)
     engine.submit(job)
     drained = _drain_sizes(job.pool)
     while not engine.idle:
@@ -148,7 +158,7 @@ def test_baseline_enumerators_have_no_tail(enumerator):
     r, y_hat, _ = _observation(16, 4, 4, rng)
     batch = np.stack([y_hat + 0.05 * k for k in range(6)])
     job = FrameJob.from_triangular(decoder, r, batch)
-    engine = StreamingFrontier(capacity=4, drain_threshold=1000)
+    engine = pinned_frontier(capacity=4, drain_threshold=1000)
     engine.submit(job)
     pool = job.pool
     assert not pool.has_core and pool.drain_threshold == 0
@@ -197,7 +207,7 @@ def _submitted(request):
     stepping in the core, one candidate attempt per lane per tick, in
     lockstep to the end (drain threshold 0)."""
     job = FrameJob(0, request)
-    engine = StreamingFrontier(capacity=job.num_problems, drain_threshold=0)
+    engine = pinned_frontier(capacity=job.num_problems, drain_threshold=0)
     engine.submit(job)
     return job, engine
 

@@ -1,7 +1,7 @@
 """Differential sweeps for the compiled search core, and its loader.
 
 Wherever the core built, every ``zigzag`` / ``shabany`` pool steps
-through it — one candidate attempt per lane per tick, an unlimited
+through it — two candidate attempts per lane per tick, an unlimited
 allowance for the straggler drain — and its contract is *bit-identity*
 with the scalar search it replays: the scalar loop's float program per
 search (reciprocal-multiply complex division, FMA-matched interference
@@ -40,6 +40,7 @@ from test_engine import (
     assert_frames_identical,
     decode_on_frontier,
     needs_core,
+    pinned_frontier,
     scalar_oracle,
 )
 from test_runtime import _assert_identical, _make_frame, _reference
@@ -152,7 +153,7 @@ def test_core_refuses_what_it_cannot_address():
     constellation, channels, received = _frame_instance(16, 4, 4, 2, 2)
     job = FrameJob(0, FrameRequest(channels, received,
                                    SphereDecoder(constellation)))
-    frontier = StreamingFrontier(drain_threshold=0)
+    frontier = pinned_frontier(drain_threshold=0)
     frontier.submit(job)
     frontier.tick()
     pool = job.pool
