@@ -3,11 +3,12 @@
 Every depth-first sphere search the library runs in bulk goes through
 this module.  A :class:`StreamingFrontier` owns **pools** of lanes — one
 pool per search signature — and advances every search in a pool two
-candidate attempts per tick in the compiled search core (below).  Hard
-(maximum-likelihood) and soft (list) searches differ only in the pool's
-leaf policy; ``zigzag`` / ``shabany`` only in the frontier arrays the
-pool holds for the core (laid out by
-:func:`repro.sphere.tick_kernel.frontier`).
+candidate attempts per tick in the compiled search core (below).  A
+pool holds every array its searches own in one dict (``pool.state``,
+keyed by ``search_t`` field and laid out by
+:func:`repro.sphere.tick_kernel.lanes`): hard (maximum-likelihood) and
+soft (list) searches differ only in its leaf rows, ``zigzag`` /
+``shabany`` only in its frontier slots.
 
 Three entry points feed it, and they differ only in who owns the
 frontier and how long it lives:
@@ -28,19 +29,19 @@ Who executes a tick, and the straggler drain
 -------------------------------------------
 The tick is the engine's *schedule* — admission, budget stops and the
 QoS hooks (``degrade`` / ``evict``) all act between ticks.  A pool with
-frontier arrays (``pool.has_core``: ``zigzag`` / ``shabany``, wherever
+frontier slots (``pool.has_core``: ``zigzag`` / ``shabany``, wherever
 :mod:`repro.sphere.tick_kernel` could build the core) executes its step
 **in the core**: one native call gives every active lane two candidate
-attempts (``_LOCKSTEP_ATTEMPTS``), in place on the pool's own frontier
-and lane arrays, and flags the lanes that finished (tree exhausted or
-per-lane node budget reached); they retire through
-``_finish_lockstep``.  Admission only writes a search's lane rows and
-leaves it above its root: the core expands the root, with the same
-program as every other node, in the call that gives the search its
-first attempts.  A tick costs ~0.05 ms + ~0.1 microseconds per lane,
-however many attempts it runs: two per tick halve the ticks a frame
-takes against one, and keep every QoS point at most two scalar-loop
-iterations away.
+attempts (``_LOCKSTEP_ATTEMPTS``), in place on ``pool.state``, and
+flags the lanes that finished (tree exhausted or per-lane node budget
+reached); they retire through ``_finish_lockstep``.  Admission only
+writes a search's channel copy and fresh values
+(:func:`~repro.sphere.tick_kernel.fresh`) and leaves it above its
+root: the core expands the root, with the same program as every other
+node, in the call that gives the search its first attempts.  A tick
+costs ~0.05 ms + ~0.1 microseconds per lane, however many attempts it
+runs: two per tick halve the ticks a frame takes against one, and keep
+every QoS point at most two scalar-loop iterations away.
 
 Sphere-search cost is heavy-tailed, and that fixed ~0.05 ms is paid
 however few lanes are live.  When a pool's queue is dry and its active
@@ -52,7 +53,7 @@ searches to completion; everywhere else the tick, and with it every QoS
 point, stays two candidate attempts long.
 
 Every other pool — ``hess`` / ``exhaustive``, or any pool on a box
-without a C compiler (one warning) — has no frontier and
+without a C compiler (one warning) — has no frontier slots and
 ``drain_threshold`` 0: the tick that admits a search runs it to
 completion through the decoder's own scalar search, under its lane
 budget, and retires it the same way, so such a pool never has a search
@@ -76,24 +77,24 @@ submission permutations and budgets).
 Searches are grouped into **pools** by search signature
 (:func:`~repro.runtime.queue.search_signature`, which the detector farm
 routes by too: hard/soft, constellation, stream count, enumerator,
-pruning, node budget, list size): searches in one pool share frontier
+pruning, node budget, list size): searches in one pool share its
 arrays and tick together, and the pools share the frontier's global
 lane budget, so a mixed-constellation cell workload still keeps every
 lane busy.  A homogeneous workload — the benchmark's 16-QAM 4x4 stream
 — is exactly one pool.
 
-Each pool allocates its frontier and lane arrays **on demand**: a pool
+Each pool allocates its lane arrays **on demand**: a pool
 starts at :data:`DEFAULT_INITIAL_LANES` lanes (or the global capacity if
 smaller) and grows geometrically whenever admission wants more lanes
 than it has allocated, up to the shared global budget — so shards ×
 signatures stays bounded by what the workload actually uses instead of
 ``capacity`` lanes of frontier state per signature.  Growth is
 invisible to results: every array keeps its existing rows bit-for-bit
-(live searches carry over), new rows hold construction fills that
-admission or the core's node expansion rewrites before use, and the new
-lanes join the bottom of the free stack so lane hand-out order — which
-never affects a search's float program anyway — matches a pool built at
-full size.
+(live searches carry over), new rows are zeroed as at construction
+(admission or the core's node expansion rewrites them before use), and
+the new lanes join the bottom of the free stack so lane hand-out order
+— which never affects a search's float program anyway — matches a pool
+built at full size.
 """
 
 from __future__ import annotations
@@ -108,8 +109,8 @@ from ..utils.validation import require
 from .queue import AdmissionQueue, FrameJob, search_signature
 
 __all__ = ["DEFAULT_INITIAL_LANES", "DEFAULT_LANE_CAPACITY",
-           "DRAIN_THRESHOLD_CAP", "LANE_POLICIES", "LanePool",
-           "StreamingFrontier", "run_frame"]
+           "DRAIN_THRESHOLD_CAP", "LANE_POLICIES", "StreamingFrontier",
+           "run_frame"]
 
 #: Default global lane budget.  Large enough that typical frames (64
 #: subcarriers x tens of OFDM symbols) keep the whole frame in lockstep,
@@ -170,11 +171,11 @@ _NO_BUDGET = np.iinfo(np.int64).max
 LANE_POLICIES = ("deadline", "fifo")
 
 
-def _grown(array: np.ndarray, rows: int, fill=0) -> np.ndarray:
+def _grown(array: np.ndarray, rows: int) -> np.ndarray:
     """Reallocate ``array`` to ``rows`` leading rows: existing rows are
-    copied (live per-lane state carries over bit-for-bit), new rows get
-    ``fill`` — the same value construction used."""
-    out = np.full((rows,) + array.shape[1:], fill, dtype=array.dtype)
+    copied (live per-lane state carries over bit-for-bit), new rows are
+    zeroed."""
+    out = np.zeros((rows,) + array.shape[1:], dtype=array.dtype)
     out[:array.shape[0]] = array
     return out
 
@@ -243,79 +244,29 @@ class _ResultArena:
                      for array in self._arrays)
 
 
-class LanePool:
-    """Pool of lanes: take on admission, release on finish.
+class _Pool:
+    """The lanes of one search signature, and the searches in them.
 
-    Each lane is ``num_streams`` contiguous frontier slots.  Lane
-    identity never affects a search's float program — the core rewrites
-    a slot whole when it expands a node into it — so which lane a search
-    lands in only changes how densely the arrays are used.
-    """
-
-    def __init__(self, capacity: int) -> None:
-        require(capacity >= 1, "lane pool needs at least one lane")
-        self.capacity = capacity
-        # Stack of free lanes; popping from the end hands out lane 0 first.
-        self._free = list(range(capacity - 1, -1, -1))
-
-    @property
-    def free_lanes(self) -> int:
-        return len(self._free)
-
-    @property
-    def in_use(self) -> int:
-        return self.capacity - len(self._free)
-
-    def grow(self, capacity: int) -> None:
-        """Add lanes ``[old capacity, capacity)`` to the pool (demand-grown
-        pools).  The new lanes join the *bottom* of the free stack, so
-        previously existing free lanes still hand out first — a pool
-        that never needed to grow hands out the same lane sequence as
-        one built at full size, and lane identity never affects a
-        search's float program either way."""
-        require(capacity >= self.capacity,
-                f"cannot shrink lane pool from {self.capacity} to {capacity}")
-        if capacity == self.capacity:
-            return
-        self._free[:0] = list(range(capacity - 1, self.capacity - 1, -1))
-        self.capacity = capacity
-
-    def take(self, count: int) -> np.ndarray:
-        """Pop ``count`` free lanes (callers bound ``count`` by
-        :attr:`free_lanes`)."""
-        require(count <= len(self._free),
-                f"cannot take {count} lanes with {len(self._free)} free")
-        keep = len(self._free) - count
-        taken = self._free[keep:]
-        del self._free[keep:]
-        taken.reverse()                  # the order successive pops give
-        return np.array(taken, dtype=np.int64)
-
-    def release(self, lanes) -> None:
-        """Return finished searches' lanes to the free pool."""
-        self._free.extend(np.asarray(lanes).reshape(-1).tolist())
-
-
-class _PoolBase:
-    """Frontier arrays + lane state for one search signature.
-
-    All per-search state is *lane*-indexed: a search owns its lane from
-    admission to finish, its outcome moves to its frame's rows of the
-    pool's result arena the moment it finishes, and the lane is recycled
-    for the next queued search of any frame.
+    A search owns its lane from admission to finish: the lane indexes
+    its rows of every array in :attr:`state` (its frontier slots are
+    ``lane * num_streams + level``) and of the pool's bookkeeping, its
+    outcome moves to its frame's rows of the pool's result arena the
+    moment it finishes, and the lane is recycled for the next queued
+    search of any frame.  Lane identity never affects a search's float
+    program — the core rewrites a slot whole when it expands a node into
+    it — so which lane a search lands in only changes how densely the
+    arrays are used.  Hard and soft pools differ only in the leaf rows
+    the arena collects and the scalar search a pool without a core runs.
     """
 
     def __init__(self, engine: "StreamingFrontier",
                  template: FrameJob) -> None:
         decoder = template.decoder
-        capacity = min(engine.capacity, engine.initial_lanes)
+        allocated = min(engine.capacity, engine.initial_lanes)
         num_streams = template.num_streams
         self.engine = engine
         self.decoder = decoder
-        self.constellation = decoder.constellation
-        self.num_streams = num_streams
-        self.node_budget = decoder.node_budget
-        self.initial_radius_sq = decoder.initial_radius_sq
+        self.soft = template.kind == "soft"
         if engine._drain_threshold is None:
             # From the *global* capacity — the drain hand-off point is a
             # latency trade-off, not an allocation detail, so it must not
@@ -325,144 +276,121 @@ class _PoolBase:
         else:
             self.drain_threshold = engine._drain_threshold
         self.queue = AdmissionQueue(fifo=engine.lane_policy == "fifo")
-        self.allocated = capacity
-        self.lanes = LanePool(capacity)
+        self.allocated = allocated
+        # Stack of free lanes; popping from the end hands out lane 0 first.
+        self._free = list(range(allocated - 1, -1, -1))
         self.active = _EMPTY
-        # Per-lane node budget: the decoder's own budget normally, a
-        # shrunk value for lanes of a degraded frame, _NO_BUDGET when
-        # the decoder is unbudgeted.
-        self.lane_budget = np.full(capacity, _NO_BUDGET, dtype=np.int64)
-
-        # Per-lane complexity tallies, packed one row per lane so a
-        # reset or a retirement moves all five at once; the named
-        # columns are views.
-        self.tally = np.zeros((capacity, 5), dtype=np.int64)
-        self._bind_tallies()
-        #: The frontier arrays the compiled core steps this pool's
-        #: searches on, keyed by ``search_t`` field, or ``None``: a
+        #: Every array the searches own, keyed by ``search_t`` field as
+        #: :func:`repro.sphere.tick_kernel.lanes` lays them out: frontier
+        #: slots only where the compiled core steps the searches.  A
         #: ``hess`` / ``exhaustive`` pool or a box without the core runs
         #: each search to completion through the decoder's scalar search
         #: instead, with nothing to drain.
-        self.frontier = tick_kernel.frontier(decoder, capacity * num_streams)
+        self.state = tick_kernel.lanes(decoder, num_streams, allocated)
+        self.has_core = "axis_int" in self.state
+        # What admission writes into a fresh search's rows.
+        self._fresh = tick_kernel.fresh(decoder, num_streams)
+        # The budget stop's column of the packed tallies (ped, visited,
+        # expanded, leaves, prunes), a view kept across ticks.
+        self._visited = self.state["tally"][:, 1]
         # The core's marshalled view of this pool's arrays (tick_kernel.run).
         self._marshalled: dict = {}
-        if self.frontier is None:
+        if not self.has_core:
             self.drain_threshold = 0
             self._enumerate = decoder._enumerator_factory()
+        # The lane rows a finished search's outcome retires from: what
+        # FrameJob.collect takes.
+        self._outcome = ("tally",) + (
+            ("list_d", "list_seq", "list_cols", "list_rows", "list_n")
+            if self.soft else ("best_dist", "best_cols", "best_rows"))
+        self.arena = _ResultArena(self._results())
+        # Per-lane node budget: the decoder's own budget normally, a
+        # shrunk value for lanes of a degraded frame, _NO_BUDGET when
+        # the decoder is unbudgeted.
+        self._budget = (_NO_BUDGET if decoder.node_budget is None
+                        else decoder.node_budget)
+        self.lane_budget = np.zeros(allocated, dtype=np.int64)
         # Which (frame, element) each lane is running.  Frames are
         # interned to dense integer ids so the per-tick grouping and the
         # QoS lane scans are array compares instead of per-lane Python
         # identity walks rebuilt every tick.
-        self.jobidx_of = np.zeros(capacity, dtype=np.int64)
+        self.jobidx_of = np.zeros(allocated, dtype=np.int64)
         self._jobidx: dict[int, int] = {}
         #: frame id -> (frame, first arena row of its results).
         self._jobs_by_idx: dict[int, tuple[FrameJob, int]] = {}
         self._next_jobidx = 0
-        self.elem_of = np.zeros(capacity, dtype=np.int64)
+        self.elem_of = np.zeros(allocated, dtype=np.int64)
         # The arena row each lane's outcome retires to (see _ResultArena).
-        self.dest_of = np.zeros(capacity, dtype=np.int64)
-        # Per-lane copies of the element's channel: its subcarrier's R,
-        # rotated observation and diagonal scalings.
-        self.lane_r = np.zeros((capacity, num_streams, num_streams),
-                               dtype=np.complex128)
-        self.lane_y = np.zeros((capacity, num_streams), dtype=np.complex128)
-        self.lane_diag = np.ones((capacity, num_streams))
-        self.lane_diag_sq = np.ones((capacity, num_streams))
-        # Search-path state, lane-indexed.
-        self.level = np.zeros(capacity, dtype=np.int64)
-        self.radius = np.zeros(capacity)
-        self.parent = np.zeros((capacity, num_streams))
-        self.path_cols = np.zeros((capacity, num_streams), dtype=np.int64)
-        self.path_rows = np.zeros((capacity, num_streams), dtype=np.int64)
-        self.chosen = np.zeros((capacity, num_streams), dtype=np.complex128)
-
-    def _bind_tallies(self) -> None:
-        (self.ped, self.visited, self.expanded, self.leaves,
-         self.prunes) = self.tally.T
-
-    @property
-    def has_core(self) -> bool:
-        """Whether the compiled core executes this pool's searches."""
-        return self.frontier is not None
+        self.dest_of = np.zeros(allocated, dtype=np.int64)
 
     @property
     def has_work(self) -> bool:
         return bool(self.active.size or self.queue.pending)
 
+    def _results(self) -> list:
+        return [self.state[name] for name in self._outcome]
+
     # -- demand growth --------------------------------------------------
-    def _grow(self, capacity: int) -> None:
-        """Reallocate every lane-indexed array to ``capacity`` rows.
+    def _grow(self, allocated: int) -> None:
+        """Reallocate every lane-indexed array to ``allocated`` lanes.
 
         Existing rows are copied bit-for-bit (live searches keep their
-        state mid-search) and new rows hold the construction fills —
-        which admission, or the core when it expands a node, rewrites
+        state mid-search) and new rows are zeroed, as
+        :func:`~repro.sphere.tick_kernel.lanes` allocates them —
+        admission, or the core when it expands a node, rewrites them
         before anything reads them — so growth cannot change any result.
+        The new lanes join the *bottom* of the free stack, so a pool
+        that grows hands out the same lane sequence as one built at
+        full size.
         """
-        self.lanes.grow(capacity)
-        self.lane_budget = _grown(self.lane_budget, capacity, _NO_BUDGET)
-        self.tally = _grown(self.tally, capacity)
-        self._bind_tallies()
-        if self.frontier is not None:
-            self.frontier = {
-                name: _grown(array, capacity * self.num_streams)
-                for name, array in self.frontier.items()}
-        self.jobidx_of = _grown(self.jobidx_of, capacity)
-        self.elem_of = _grown(self.elem_of, capacity)
-        self.dest_of = _grown(self.dest_of, capacity)
-        self.lane_r = _grown(self.lane_r, capacity)
-        self.lane_y = _grown(self.lane_y, capacity)
-        self.lane_diag = _grown(self.lane_diag, capacity, 1.0)
-        self.lane_diag_sq = _grown(self.lane_diag_sq, capacity, 1.0)
-        self.level = _grown(self.level, capacity)
-        self.radius = _grown(self.radius, capacity)
-        self.parent = _grown(self.parent, capacity)
-        self.path_cols = _grown(self.path_cols, capacity)
-        self.path_rows = _grown(self.path_rows, capacity)
-        self.chosen = _grown(self.chosen, capacity)
-        self.allocated = capacity
+        self._free[:0] = range(allocated - 1, self.allocated - 1, -1)
+        for name, array in self.state.items():
+            self.state[name] = _grown(
+                array, array.shape[0] // self.allocated * allocated)
+        self._visited = self.state["tally"][:, 1]
+        self.lane_budget, self.jobidx_of, self.elem_of, self.dest_of = (
+            _grown(array, allocated) for array in (
+                self.lane_budget, self.jobidx_of, self.elem_of,
+                self.dest_of))
+        self.allocated = allocated
 
     # -- admission ------------------------------------------------------
-    def _reset_lanes(self, lanes: np.ndarray) -> None:
-        # Above the root: the core expands it (and writes the root's
-        # parent distance) before the first attempt, and a search writes
-        # each level's path and decided symbol before reading them.
-        self.level[lanes] = self.num_streams
-        self.lane_budget[lanes] = (_NO_BUDGET if self.node_budget is None
-                                   else self.node_budget)
-        self.radius[lanes] = self.initial_radius_sq
-        self.tally[lanes] = 0
-
     def _admit(self) -> None:
         """Refill free lanes from the frame-tagged queue."""
         want = min(self.engine.free_budget, self.queue.pending)
-        if want > self.lanes.free_lanes and self.allocated < self.engine.capacity:
+        if want > len(self._free) and self.allocated < self.engine.capacity:
             # Demand growth: at least double (amortised-constant
             # reallocation), at most the global budget, at least enough
             # for everything admission wants right now.
-            in_lane = self.allocated - self.lanes.free_lanes
+            in_lane = self.allocated - len(self._free)
             self._grow(min(self.engine.capacity,
                            max(2 * self.allocated, in_lane + want)))
-        room = min(self.lanes.free_lanes, want)
+        room = min(len(self._free), want)
         if room <= 0:
             return
+        state = self.state
         admitted = []
         for job, elements in self.queue.take(room):
-            lanes = self.lanes.take(elements.size)
+            # The lanes successive pops would give.
+            keep = len(self._free) - elements.size
+            lanes = np.array(self._free[keep:][::-1], dtype=np.int64)
+            del self._free[keep:]
             index, base = self._intern(job)
             self.jobidx_of[lanes] = index
             self.elem_of[lanes] = elements
             self.dest_of[lanes] = base + elements
             subcarriers = elements // job.num_symbols
-            self.lane_r[lanes] = job.r_stack[subcarriers]
-            self.lane_y[lanes] = job.y_flat[elements]
-            self.lane_diag[lanes] = job.diag_stack[subcarriers]
-            self.lane_diag_sq[lanes] = job.diag_sq_stack[subcarriers]
-            self._reset_lanes(lanes)
-            if job.degraded_budget is not None:
-                # Searches of a degraded frame start under the shrunk
-                # budget (never looser than the decoder's own).
-                self.lane_budget[lanes] = np.minimum(
-                    self.lane_budget[lanes], job.degraded_budget)
+            state["r"][lanes] = job.r_stack[subcarriers]
+            state["y"][lanes] = job.y_flat[elements]
+            state["diag"][lanes] = job.diag_stack[subcarriers]
+            state["diag_sq"][lanes] = job.diag_sq_stack[subcarriers]
+            for name, value in self._fresh.items():
+                state[name][lanes] = value
+            # Searches of a degraded frame start under the shrunk budget
+            # (never looser than the decoder's own).
+            self.lane_budget[lanes] = (
+                self._budget if job.degraded_budget is None
+                else min(self._budget, job.degraded_budget))
             if job.first_lane_at is None:
                 # Stage-boundary stamp: the frame's first search took a
                 # lane — queue wait ends here.  Stamped with tracing off
@@ -503,7 +431,7 @@ class _PoolBase:
             self.arena.release(base, job.num_problems)
 
     def _release(self, lanes: np.ndarray) -> None:
-        self.lanes.release(lanes)
+        self._free.extend(lanes.tolist())
         self.engine.in_use -= lanes.size
 
     def _retire(self, index: int, count: int, completed: list) -> None:
@@ -586,43 +514,40 @@ class _PoolBase:
             self._finish_lockstep(active[done], completed)
 
     def _run(self, active: np.ndarray, attempts: int | None) -> np.ndarray:
-        if self.frontier is None:
+        if not self.has_core:
             return self._run_scalar(active)
         # Lane-indexed everywhere: a search's state rows, frontier slots
         # and channel copy all live at its lane, and its absolute budget
         # sits in lane_budget (visited starts at zero).
-        return tick_kernel.run(self.decoder, self._core_arrays(), active,
+        return tick_kernel.run(self.decoder, self.state, active,
                                self.lane_budget[active], attempts,
                                self._marshalled)
-
-    def _core_arrays(self) -> dict:
-        """Every array of this pool the core reads or writes, keyed by
-        ``search_t`` field (the pool's own names, bar the channel
-        copies)."""
-        return dict(self.frontier, r=self.lane_r, y=self.lane_y,
-                    diag=self.lane_diag, diag_sq=self.lane_diag_sq,
-                    level=self.level, radius=self.radius, parent=self.parent,
-                    path_cols=self.path_cols, path_rows=self.path_rows,
-                    chosen=self.chosen, ped=self.ped, visited=self.visited,
-                    expanded=self.expanded, leaves=self.leaves,
-                    prunes=self.prunes,
-                    **{name: getattr(self, name) for name in self._LEAF})
 
     def _run_scalar(self, active: np.ndarray) -> np.ndarray:
         """A pool without a core: run each listed search to completion
         through the decoder's own scalar search, under its lane budget,
         and write the lane rows the core would have — the five tallies,
-        then the leaf policy's (``_bank``).  Everything finishes."""
-        search = self._scalar_search()
+        then the leaf.  Everything finishes."""
+        state, decoder = self.state, self.decoder
+        search = decoder._search_soft if self.soft else decoder._search
         for lane in active.tolist():
-            outcome = search(self.lane_r[lane], self.lane_y[lane],
-                             self.lane_diag[lane], self.lane_diag_sq[lane],
+            outcome = search(state["r"][lane], state["y"][lane],
+                             state["diag"][lane], state["diag_sq"][lane],
                              self._enumerate, int(self.lane_budget[lane]))
             counters = outcome.counters
-            self.tally[lane] = (counters.ped_calcs, counters.visited_nodes,
-                                counters.expanded_nodes, counters.leaves,
-                                counters.geometric_prunes)
-            self._bank(lane, outcome)
+            state["tally"][lane] = (
+                counters.ped_calcs, counters.visited_nodes,
+                counters.expanded_nodes, counters.leaves,
+                counters.geometric_prunes)
+            if self.soft:
+                state["leaf_seq"][lane] = outcome.leaf_counter
+                state["list_n"][lane] = outcome.into(
+                    state["list_d"][lane], state["list_seq"][lane],
+                    state["list_cols"][lane], state["list_rows"][lane])
+            elif outcome.found:
+                state["best_dist"][lane] = outcome.distance_sq
+                state["best_cols"][lane], state["best_rows"][lane] = (
+                    decoder.constellation.col_row(outcome.symbol_indices))
         return np.ones(active.size, dtype=bool)
 
     # -- one breadth-synchronised step ----------------------------------
@@ -639,117 +564,19 @@ class _PoolBase:
             # Per-lane budgets: the decoder's own node budget for every
             # undegraded search (bit-exact with the scalar early break),
             # a shrunk value for degraded frames, _NO_BUDGET otherwise.
-            over = self.visited[self.active] >= self.lane_budget[self.active]
+            over = self._visited[self.active] >= self.lane_budget[self.active]
             if over.any():
                 # Engineering guard, per element: stop and keep what the
                 # search banked so far — exactly the scalar early break.
                 self._finish_lockstep(self.active[over], completed)
                 self.active = self.active[~over]
-        if self.queue.pending and self.lanes.free_lanes:
+        if self.queue.pending and self._free:
             self._admit()
         if self.active.size == 0:
             return
         drain = (not self.queue.pending
                  and self.active.size <= self.drain_threshold)
         self._advance(completed, None if drain else _LOCKSTEP_ATTEMPTS)
-
-
-class _HardPool(_PoolBase):
-    """Maximum-likelihood searches under the Schnorr–Euchner radius."""
-
-    #: The best-leaf rows the core writes, named as ``search_t`` and
-    #: this pool name them.
-    _LEAF = ("best_cols", "best_rows", "best_dist")
-
-    def __init__(self, engine, template) -> None:
-        super().__init__(engine, template)
-        capacity = self.allocated
-        self.best_cols = np.full((capacity, self.num_streams), -1,
-                                 dtype=np.int64)
-        self.best_rows = np.full((capacity, self.num_streams), -1,
-                                 dtype=np.int64)
-        self.best_dist = np.full(capacity, np.inf)
-        self.arena = _ResultArena(self._results())
-
-    def _results(self):
-        # What FrameJob.collect takes for a hard frame.
-        return self.tally, self.best_dist, self.best_cols, self.best_rows
-
-    def _grow(self, capacity: int) -> None:
-        super()._grow(capacity)
-        self.best_cols = _grown(self.best_cols, capacity, -1)
-        self.best_rows = _grown(self.best_rows, capacity, -1)
-        self.best_dist = _grown(self.best_dist, capacity, np.inf)
-
-    def _reset_lanes(self, lanes) -> None:
-        super()._reset_lanes(lanes)
-        self.best_cols[lanes] = -1
-        self.best_rows[lanes] = -1
-        self.best_dist[lanes] = np.inf
-
-    def _scalar_search(self):
-        return self.decoder._search
-
-    def _bank(self, lane: int, result) -> None:
-        if result.found:
-            self.best_dist[lane] = result.distance_sq
-            self.best_cols[lane], self.best_rows[lane] = (
-                self.constellation.col_row(result.symbol_indices))
-
-
-class _SoftPool(_PoolBase):
-    """List searches under the bounded-best-leaf radius policy."""
-
-    #: The leaf-list rows the core writes (``list_d``'s width is the
-    #: list size), named as ``search_t`` and this pool name them.
-    _LEAF = ("list_d", "list_seq", "list_cols", "list_rows", "list_n",
-             "leaf_seq")
-
-    def __init__(self, engine, template) -> None:
-        super().__init__(engine, template)
-        capacity = self.allocated
-        list_size = template.decoder.list_size
-        self.list_d = np.full((capacity, list_size), np.inf)
-        self.list_seq = np.zeros((capacity, list_size), dtype=np.int64)
-        self.list_cols = np.zeros((capacity, list_size, self.num_streams),
-                                  dtype=np.int64)
-        self.list_rows = np.zeros((capacity, list_size, self.num_streams),
-                                  dtype=np.int64)
-        self.list_n = np.zeros(capacity, dtype=np.int64)
-        self.leaf_seq = np.zeros(capacity, dtype=np.int64)
-        self.arena = _ResultArena(self._results())
-
-    def _results(self):
-        # What FrameJob.collect takes for a soft frame.
-        return (self.tally, self.list_d, self.list_seq, self.list_cols,
-                self.list_rows, self.list_n)
-
-    def _grow(self, capacity: int) -> None:
-        super()._grow(capacity)
-        self.list_d = _grown(self.list_d, capacity, np.inf)
-        self.list_seq = _grown(self.list_seq, capacity)
-        self.list_cols = _grown(self.list_cols, capacity)
-        self.list_rows = _grown(self.list_rows, capacity)
-        self.list_n = _grown(self.list_n, capacity)
-        self.leaf_seq = _grown(self.leaf_seq, capacity)
-
-    def _reset_lanes(self, lanes) -> None:
-        super()._reset_lanes(lanes)
-        self.list_d[lanes] = np.inf
-        self.list_seq[lanes] = 0
-        self.list_cols[lanes] = 0
-        self.list_rows[lanes] = 0
-        self.list_n[lanes] = 0
-        self.leaf_seq[lanes] = 0
-
-    def _scalar_search(self):
-        return self.decoder._search_soft
-
-    def _bank(self, lane: int, state) -> None:
-        self.leaf_seq[lane] = state.leaf_counter
-        self.list_n[lane] = state.into(self.list_d[lane], self.list_seq[lane],
-                                       self.list_cols[lane],
-                                       self.list_rows[lane])
 
 
 class StreamingFrontier:
@@ -816,7 +643,7 @@ class StreamingFrontier:
         self.last_tick_kernel_s = 0.0
         self.last_tick_lanes = 0
         self.in_use = 0
-        self._pools: dict[tuple, _PoolBase] = {}
+        self._pools: dict[tuple, _Pool] = {}
 
     @property
     def free_budget(self) -> int:
@@ -849,7 +676,7 @@ class StreamingFrontier:
         key = search_signature(job.decoder, job.num_streams)
         pool = self._pools.get(key)
         if pool is None:
-            pool = (_SoftPool if job.kind == "soft" else _HardPool)(self, job)
+            pool = _Pool(self, job)
             self._pools[key] = pool
         job.pool = pool
         pool.queue.push(job)
@@ -886,13 +713,13 @@ class StreamingFrontier:
         if job.pool is not None:
             job.pool.queue.reprioritise(job, priority)
 
-    def _tick_order(self) -> list[_PoolBase]:
+    def _tick_order(self) -> list[_Pool]:
         pools = [pool for pool in self._pools.values() if pool.has_work]
         if self.lane_policy == "deadline" and len(pools) > 1:
             # The pool holding the most urgent queued work admits first,
             # so it wins the shared lane budget.  Sort stability keeps
             # the submission order between equally urgent pools.
-            def urgency(pool: _PoolBase) -> float:
+            def urgency(pool: _Pool) -> float:
                 head = pool.queue.head_priority
                 return float("inf") if head is None else float(head)
 

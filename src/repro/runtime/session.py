@@ -161,12 +161,9 @@ class UplinkRuntime:
     ----------
     capacity:
         The :class:`~repro.runtime.engine.StreamingFrontier`'s shared
-        lane budget.
-    initial_lanes:
-        Lanes each kernel pool allocates up front (default
-        :data:`~repro.runtime.engine.DEFAULT_INITIAL_LANES`); pools grow
-        geometrically on demand up to ``capacity``.  Purely an
-        allocation knob — growth is invisible to results.
+        lane budget.  Its pools start at
+        :data:`~repro.runtime.engine.DEFAULT_INITIAL_LANES` lanes and
+        grow on demand up to it, invisibly to results.
     max_in_flight:
         In-flight frame budget (backpressure): ``submit`` blocks — by
         running the tick loop — while this many frames are unfinished.
@@ -185,15 +182,14 @@ class UplinkRuntime:
         Per-search node budget applied when a frame degrades.  ``None``
         (default) uses the frame's stream count — one greedy descent,
         which always banks the Babai leaf a K=1 K-best pass would keep.
-    trace, tracer:
+    trace:
         Frame-lifecycle tracing (:mod:`repro.obs.trace`).  Off by
         default: every stamping site then costs one ``is None`` test.
         ``trace=True`` builds a :class:`~repro.obs.trace.FrameTracer`
-        on the runtime's clock; resolved handles carry their trace
-        (``handle.trace``) and the tracer retains a bounded ring of
-        finished traces for export.  Pass ``tracer`` to share or
-        configure one explicitly (it wins over ``trace``).  Tracing
-        reads clocks and appends event tuples only — results, LLRs and
+        on the runtime's clock (``runtime.tracer``); resolved handles
+        carry their trace (``handle.trace``) and the tracer retains a
+        bounded ring of finished traces for export.  Tracing reads
+        clocks and appends event tuples only — results, LLRs and
         counters stay bit-identical with it on or off.
     """
 
@@ -202,23 +198,18 @@ class UplinkRuntime:
                  lane_policy: str = "deadline",
                  degrade_margin_s: float | None = None,
                  degraded_node_budget: int | None = None,
-                 initial_lanes: int | None = None,
                  clock=time.perf_counter,
-                 trace: bool = False,
-                 tracer: FrameTracer | None = None) -> None:
+                 trace: bool = False) -> None:
         require(max_in_flight >= 1, "need an in-flight budget of at least 1")
         require(degrade_margin_s is None or degrade_margin_s >= 0.0,
                 "degrade margin must be non-negative when given")
         require(degraded_node_budget is None or degraded_node_budget >= 1,
                 "degraded node budget must be positive when given")
-        if tracer is None:
-            tracer = FrameTracer(enabled=trace, clock=clock)
-        self.tracer = tracer
+        self.tracer = FrameTracer(enabled=trace, clock=clock)
         self._engine = StreamingFrontier(capacity=capacity,
                                          lane_policy=lane_policy,
-                                         initial_lanes=initial_lanes,
-                                         tracer=tracer)
-        self._decode = DecodeStage(tracer=tracer)
+                                         tracer=self.tracer)
+        self._decode = DecodeStage(tracer=self.tracer)
         self.max_in_flight = max_in_flight
         self.lane_policy = lane_policy
         self.degrade_margin_s = degrade_margin_s

@@ -117,7 +117,7 @@ class DetectorFarm:
         ``"inline"`` — in-process shards, same logic, deterministic.
     runtime_kwargs:
         Passed to every shard's :class:`UplinkRuntime` (capacity,
-        lane_policy, initial_lanes, ...).
+        lane_policy, max_in_flight, ...).
     max_outstanding:
         Farm-wide backpressure bound: ``submit`` services the farm until
         outstanding frames drop below this (default

@@ -6,15 +6,15 @@
  * and loaded through ctypes.  One search entry point, repro_search_run,
  * takes searches in *any* state -- fresh from admission or half run --
  * and gives each an allowance of candidate attempts, in place on the pool's
- * frontier and lane arrays (repro/runtime/engine.py; their layout is
- * declared in tick_kernel.py, next to the ctypes mirror of search_t).
+ * frontier and lane arrays (repro/runtime/engine.py), laid out once by
+ * tick_kernel.lanes next to the ctypes mirror of search_t.
  * Admission only writes a search's lane rows and leaves it above its
  * root (level == num_streams); the core expands the root, with the same
  * expand() as every other node, before the search's first attempt.  An
  * attempt is one iteration of the scalar search loop
  * (SphereDecoder._search), so whatever the allowance, a search executes
  * the scalar loop's iterations in order.  One loop, two uses: an
- * allowance of 1 is the lockstep step, an unlimited one the straggler
+ * allowance of 2 is the lockstep step, an unlimited one the straggler
  * drain.
  *
  * Policies are fields of search_t, not copies of the loop:

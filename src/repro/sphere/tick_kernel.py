@@ -3,11 +3,12 @@
 ``search_core.c`` next to this module is the depth-first search's
 per-search state machine in C, and :func:`run` runs it: each listed
 search gets an allowance of candidate attempts in one native call, *in
-place* on the pool's frontier arrays (:func:`frontier`; their layout is
-declared here and nowhere else in Python) and lane arrays, from whatever
+place* on the arrays its pool holds for it (:func:`lanes`: every array a
+search owns is laid out here and nowhere else in Python), from whatever
 state the last call left it in, and comes back flagged if it finished.
-Admission only writes a search's lane rows: the core expands its root,
-with the same program as every other node, before its first attempt.
+Admission only writes a search's channel copy and :func:`fresh` values:
+the core expands its root, with the same program as every other node,
+before its first attempt.
 The lockstep engine (:mod:`repro.runtime.engine`) makes two uses of that
 one loop: an allowance of two is a pool's **lockstep step**, an
 unlimited one finishes a pool's last few stragglers (the drain).
@@ -73,12 +74,14 @@ import numpy as np
 
 from ..utils.validation import require
 from .batch import zigzag_order_table
+from .soft import ListSphereDecoder
 
 __all__ = [
     "NUMBA_AVAILABLE",
     "NUMPY_FMA",
     "core",
-    "frontier",
+    "fresh",
+    "lanes",
     "run",
     "trellis",
 ]
@@ -129,31 +132,23 @@ _SOURCE = Path(__file__).with_name("search_core.c")
 _CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
 #: ``search_t`` of ``search_core.c``, field for field: every array the
-#: core touches, the dtype it must have and what its leading dimension
-#: counts — searches, frontier slots (one per search and tree level), or
-#: nothing (the constellation tables).  All C-contiguous, except the
-#: tallies, which share ``tally_stride`` ...
+#: core touches and the dtype it must have.  The constellation tables
+#: come from the decoder; the rest a pool holds, laid out by
+#: :func:`_layout`.  All C-contiguous, except the five tallies, which are
+#: the columns of one ``(searches, 5)`` array (``tally``) ...
 _F, _I, _B, _C = np.float64, np.int64, np.bool_, np.complex128
 _ARRAYS = {
-    "levels": (_F, None), "zigzag": (_I, None), "prune": (_F, None),
-    "axis_int": (_I, "slot"), "axis_res": (_F, "slot"),
-    "queue_d": (_F, "slot"), "queue_i": (_I, "slot"),
-    "queue_j": (_I, "slot"), "queue_n": (_I, "slot"),
-    "last_i": (_I, "slot"), "last_j": (_I, "slot"),
-    "has_last": (_B, "slot"), "seen": (_B, "slot"),
-    "r": (_C, "state"), "y": (_C, "state"), "diag": (_F, "state"),
-    "diag_sq": (_F, "state"),
-    "level": (_I, "state"), "radius": (_F, "state"), "parent": (_F, "state"),
-    "path_cols": (_I, "state"), "path_rows": (_I, "state"),
-    "chosen": (_C, "state"),
-    "best_cols": (_I, "state"), "best_rows": (_I, "state"),
-    "best_dist": (_F, "state"),
-    "list_d": (_F, "state"), "list_seq": (_I, "state"),
-    "list_cols": (_I, "state"), "list_rows": (_I, "state"),
-    "list_n": (_I, "state"), "leaf_seq": (_I, "state"),
-    "ped": (_I, "state"), "visited": (_I, "state"),
-    "expanded": (_I, "state"), "leaves": (_I, "state"),
-    "prunes": (_I, "state"),
+    "levels": _F, "zigzag": _I, "prune": _F,
+    "axis_int": _I, "axis_res": _F, "queue_d": _F, "queue_i": _I,
+    "queue_j": _I, "queue_n": _I, "last_i": _I, "last_j": _I,
+    "has_last": _B, "seen": _B,
+    "r": _C, "y": _C, "diag": _F, "diag_sq": _F,
+    "level": _I, "radius": _F, "parent": _F,
+    "path_cols": _I, "path_rows": _I, "chosen": _C,
+    "best_cols": _I, "best_rows": _I, "best_dist": _F,
+    "list_d": _F, "list_seq": _I, "list_cols": _I, "list_rows": _I,
+    "list_n": _I, "leaf_seq": _I,
+    "ped": _I, "visited": _I, "expanded": _I, "leaves": _I, "prunes": _I,
 }
 _TALLIES = ("ped", "visited", "expanded", "leaves", "prunes")
 #: ... then its dimensions and policy switches.
@@ -161,9 +156,41 @@ _INTEGERS = ("tally_stride", "num_streams", "side", "queue_capacity",
              "list_size", "use_fma")
 
 
-def _frontier_shapes(decoder) -> dict:
+def _searches(decoder, num_streams: int) -> dict:
+    """The arrays a search owns one row of: each ``search_t`` field's
+    shape past the search axis, and the value admission writes into a
+    fresh search's row (``None``: none — the channel copies come from
+    the frame, and a search writes each level's path and decided symbol
+    before reading them).
+
+    A fresh search sits above its root (``level == num_streams``; the
+    core expands the root first) under the decoder's initial radius,
+    with zeroed tallies and an empty leaf: no best leaf (``-1`` symbols
+    at ``inf``) for a hard decoder, an empty list of ``list_size``
+    leaves for a list decoder.
+    """
+    n = num_streams
+    fields = {
+        "r": ((n, n), None), "y": ((n,), None),
+        "diag": ((n,), None), "diag_sq": ((n,), None),
+        "level": ((), n), "radius": ((), decoder.initial_radius_sq),
+        "parent": ((n,), None), "path_cols": ((n,), None),
+        "path_rows": ((n,), None), "chosen": ((n,), None),
+        "tally": ((len(_TALLIES),), 0),
+    }
+    if not isinstance(decoder, ListSphereDecoder):
+        return dict(fields, best_cols=((n,), -1), best_rows=((n,), -1),
+                    best_dist=((), np.inf))
+    size = decoder.list_size
+    return dict(fields, list_d=((size,), np.inf), list_seq=((size,), 0),
+                list_cols=((size, n), 0), list_rows=((size, n), 0),
+                list_n=((), 0), leaf_seq=((), 0))
+
+
+def _slots(decoder) -> dict:
     """The frontier's layout: each slot field's shape past the slot
-    axis, for ``decoder``'s enumerator, PAM side and pruning.
+    axis (a search owns ``num_streams`` slots, one per tree level), for
+    ``decoder``'s enumerator, PAM side and pruning.
 
     Both axes' zigzag tables of a node sit in one row — ``axis_int`` is
     ``[ord_i, ord_q]`` (``[ord_i, off_i, ord_q, off_q]`` with a pruning
@@ -182,6 +209,9 @@ def _frontier_shapes(decoder) -> dict:
       queued cells form (near-)antichains of the position grid, so the
       heap stays O(side); the core's overflow check keeps the bound
       honest.
+
+    A slot needs no fresh value: the core rewrites it whole when it
+    expands a node into it, before anything reads it.
     """
     side = decoder.constellation.levels.shape[0]
     axes = {"axis_int": (2 if decoder._pruner is None else 4, side),
@@ -192,6 +222,20 @@ def _frontier_shapes(decoder) -> dict:
     return dict(axes, queue_d=(capacity,), queue_i=(capacity,),
                 queue_j=(capacity,), queue_n=(), last_i=(), last_j=(),
                 has_last=(), seen=(side * side,))
+
+
+def _layout(decoder, num_streams: int, count: int,
+            frontier: bool = True) -> dict:
+    """Every array ``count`` searches of ``decoder`` own, as ``name:
+    (dtype, shape)`` — their rows, then (with ``frontier``) their
+    frontier slots."""
+    # ``tally`` is no search_t field; its five int64 columns are.
+    layout = {name: (_ARRAYS.get(name, _I), (count,) + shape)
+              for name, (shape, _) in _searches(decoder, num_streams).items()}
+    if frontier:
+        layout.update((name, (_ARRAYS[name], (count * num_streams,) + shape))
+                      for name, shape in _slots(decoder).items())
+    return layout
 
 
 class _Search(ctypes.Structure):
@@ -286,52 +330,59 @@ def core():
 # Run
 # ---------------------------------------------------------------------------
 
-def frontier(decoder, num_slots: int) -> dict | None:
-    """The frontier arrays the core runs ``decoder``'s searches on,
-    ``num_slots`` rows each and keyed by ``search_t`` field — or
-    ``None`` where there are none: a ``hess`` / ``exhaustive`` decoder,
-    or a box where the core could not be built.
+def lanes(decoder, num_streams: int, count: int) -> dict:
+    """Every array ``count`` searches of ``decoder`` own, keyed by
+    ``search_t`` field (the five tallies packed as ``tally``), one row
+    per search — plus, where the core runs ``decoder``'s searches
+    (``zigzag`` / ``shabany`` on a box where it could be built), their
+    frontier slots, ``num_streams`` rows per search.  Without slots a
+    pool runs each search through the scalar decoder instead.
 
-    Rows start zeroed: the core rewrites a slot whole when it expands a
-    node into it, before anything reads it, so the fill is never seen.
+    Rows start zeroed: admission writes a search's channel copy and its
+    :func:`fresh` values before the search first runs.
     """
-    if decoder.enumerator not in ("zigzag", "shabany") or core() is None:
-        return None
-    return {name: np.zeros((num_slots,) + shape, dtype=_ARRAYS[name][0])
-            for name, shape in _frontier_shapes(decoder).items()}
+    frontier = (decoder.enumerator in ("zigzag", "shabany")
+                and core() is not None)
+    return {name: np.zeros(shape, dtype)
+            for name, (dtype, shape)
+            in _layout(decoder, num_streams, count, frontier).items()}
+
+
+def fresh(decoder, num_streams: int) -> dict:
+    """The value admission writes into each of a fresh search's rows of
+    :func:`lanes` that has one (see :func:`_searches`)."""
+    return {name: value
+            for name, (_, value) in _searches(decoder, num_streams).items()
+            if value is not None}
 
 
 def _marshal(decoder, arrays: dict):
     """``arrays`` and ``decoder``'s constellation tables as a
     ``search_t``, plus the exclusive bound of the ids it may be run
     with.  Checked here, once per set of arrays: past this point a
-    wrong dtype, a strided view, a short array or a frontier laid out
-    for another decoder is memory corruption, not an exception."""
+    wrong dtype, a strided view, a short axis or a frontier laid out
+    for another decoder is memory corruption, not an exception.  ``r``
+    fixes the stream count and ``level`` the search count; every
+    operand must then have exactly its :func:`lanes` shape."""
     levels = decoder.constellation.levels
     side = levels.shape[0]
-    arrays = dict(arrays, levels=levels, zigzag=zigzag_order_table(side))
+    count, num_streams = arrays["level"].shape[0], arrays["r"].shape[-1]
+    layout = _layout(decoder, num_streams, count)
+    require(arrays.keys() == layout.keys(),
+            f"search core needs exactly the arrays {sorted(layout)}")
+    tables = {"levels": (levels, (side,)),
+              "zigzag": (zigzag_order_table(side), (side, 2, side))}
     if decoder._pruner is not None:
-        arrays["prune"] = decoder._pruner.table
-    num_streams = arrays["path_cols"].shape[1]
-    count = arrays["level"].shape[0]
-    extent = {"state": count, "slot": count * num_streams}
-    fields = {}
-    for name, array in arrays.items():
-        dtype, kind = _ARRAYS[name]
-        require(array.dtype == dtype
-                and (array.flags.c_contiguous or name in _TALLIES)
-                and (kind is None or array.shape[0] == extent[kind]
-                     or array.size == extent[kind] * num_streams),
-                f"search core needs {name} as C-contiguous "
-                f"{dtype.__name__}, one row per {kind}")
-        fields[name] = array.ctypes.data
-    for name, shape in _frontier_shapes(decoder).items():
-        require(arrays[name].shape == (extent["slot"],) + shape,
-                f"search core needs {name} laid out as {shape} per slot")
-    strides = {arrays[name].strides[0] for name in _TALLIES}
-    require(len(strides) == 1, "search core needs equally strided tallies")
+        tables["prune"] = (decoder._pruner.table, (side, side))
+    fields = {name: _address(array, _ARRAYS[name], shape, name)
+              for name, (array, shape) in tables.items()}
+    fields.update((name, _address(arrays[name], dtype, shape, name))
+                  for name, (dtype, shape) in layout.items())
+    tally = fields.pop("tally")
+    fields.update((name, tally + column * arrays["tally"].itemsize)
+                  for column, name in enumerate(_TALLIES))
     search = _Search(
-        tally_stride=strides.pop() // 8, num_streams=num_streams, side=side,
+        tally_stride=len(_TALLIES), num_streams=num_streams, side=side,
         queue_capacity=arrays["queue_d"].shape[1],
         list_size=arrays["list_d"].shape[1] if "list_d" in arrays else 0,
         use_fma=NUMPY_FMA,
@@ -366,16 +417,14 @@ def run(decoder, arrays: dict, ids, caps, attempts, cache: dict
     """Advance the listed searches of ``decoder`` in one native call;
     returns the finished-search mask.
 
-    ``arrays`` holds the searches' state keyed by ``search_t`` field:
-    their :func:`frontier`, their channel copies (``r``, ``y``, ``diag``,
-    ``diag_sq``), search path (``level``, ``radius``, ``parent``,
-    ``path_cols``, ``path_rows``, ``chosen``), the five tallies and the
-    leaf policy's rows — ``best_cols`` / ``best_rows`` / ``best_dist``
-    for a hard search, or ``list_d`` / ``list_seq`` / ``list_cols`` /
-    ``list_rows`` / ``list_n`` / ``leaf_seq`` for a list search, whose
-    ``list_d`` width is the list size.  Each id in ``ids`` indexes one
-    search's rows of all of them (its frontier slots are ``id *
-    num_streams + level``); ``caps`` are absolute node budgets.  A
+    ``arrays`` holds the searches' state as :func:`lanes` lays it out:
+    their channel copies (``r``, ``y``, ``diag``, ``diag_sq``), search
+    path (``level``, ``radius``, ``parent``, ``path_cols``,
+    ``path_rows``, ``chosen``), the packed tallies, the leaf policy's
+    rows — ``best_*`` for a hard search, ``list_*`` and ``leaf_seq``
+    for a list search — and their frontier slots.  Each id in ``ids``
+    indexes one search's rows of all of them (its frontier slots are
+    ``id * num_streams + level``); ``caps`` are absolute node budgets.  A
     search whose ``level`` is ``num_streams`` — fresh from admission —
     has its root expanded first; then it gets ``attempts`` candidate
     attempts: 2 is its share of a lockstep tick, ``None`` runs it to

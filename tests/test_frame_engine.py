@@ -34,11 +34,8 @@ from repro.frame import (
 )
 from repro.ofdm import estimate_and_triangularize, training_grid
 from repro.phy.receiver import detect_uplink
-from repro.runtime.engine import (
-    DRAIN_THRESHOLD_CAP,
-    LanePool,
-    StreamingFrontier,
-)
+from repro.runtime import FrameJob, FrameRequest
+from repro.runtime.engine import DRAIN_THRESHOLD_CAP, StreamingFrontier
 from repro.sphere import (
     KBestDecoder,
     ListSphereDecoder,
@@ -54,6 +51,7 @@ from test_engine import (
     assert_batch_identical,
     assert_frames_identical,
     decode_on_frontier,
+    pinned_frontier,
     scalar_oracle,
     ticking,
 )
@@ -129,18 +127,31 @@ class TestFramePreprocess:
 # ----------------------------------------------------------------------
 
 class TestSlotScheduler:
-    """Which kernel lanes a frame's searches get: the engine's
-    :class:`LanePool` plus the frame-ordered admission queue."""
+    """Which kernel lanes a frame's searches get: the pool's free-lane
+    stack plus the frame-ordered admission queue."""
 
     def test_admit_release_refill(self):
-        lanes = LanePool(3)
-        assert lanes.take(3).tolist() == [0, 1, 2]
-        assert lanes.free_lanes == 0
-        # A freed lane is the next one handed out.
-        lanes.release(np.array([1]))
-        assert lanes.take(1).tolist() == [1]
-        lanes.release(np.array([0, 2, 1]))
-        assert sorted(lanes.take(3).tolist()) == [0, 1, 2]
+        constellation, channels, received = _frame_instance(16, 4, 4, 3, 1)
+        decoder = SphereDecoder(constellation)
+        frontier = pinned_frontier(capacity=3, drain_threshold=0)
+        first, second = (FrameJob(index, FrameRequest(
+            channels[:size], received[:, :size], decoder))
+            for index, size in enumerate([3, 1]))
+        frontier.submit(first)
+        frontier.tick()
+        pool = first.pool
+        # Lanes go out 0, 1, 2, in element order.
+        assert pool.elem_of.tolist() == [0, 1, 2]
+        assert pool.jobidx_of.tolist() == [0, 0, 0]
+        # Free every lane (in flight with the core, finished without),
+        # then admit one search: a freed lane is the next one handed
+        # out — the last one freed.
+        frontier.remove(first)
+        assert frontier.in_use == 0
+        frontier.submit(second)
+        frontier.tick()
+        assert second.pool is pool and pool.allocated == 3
+        assert pool.jobidx_of[2] == 1 and pool.elem_of[2] == 0
         # Through the engine: 7 searches over 3 lanes run in frame order.
         constellation, channels, received = _frame_instance(16, 4, 4, 7, 1)
         job, refills = _fifo_refills(ticking(
@@ -158,11 +169,9 @@ class TestSlotScheduler:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            LanePool(0)
+            StreamingFrontier(initial_lanes=0)
         with pytest.raises(ValueError):
             StreamingFrontier(capacity=0)
-        with pytest.raises(ValueError):
-            LanePool(4).take(5)
 
 
 # ----------------------------------------------------------------------
@@ -282,7 +291,7 @@ class TestFrameEngineEquivalence:
                                drain_threshold=0):
             lanes = pool.active
             for element, radius in zip(pool.elem_of[lanes].tolist(),
-                                       pool.radius[lanes].tolist()):
+                                       pool.state["radius"][lanes].tolist()):
                 previous = last.get(element, float("inf"))
                 assert radius <= previous
                 tightenings += radius < previous
@@ -428,10 +437,11 @@ class TestSoftFrameEquivalence:
         for _, pool in ticking(decoder, channels, received,
                                SOFT_NOISE_VARIANCE, drain_threshold=0):
             lanes = pool.active
-            full = pool.list_n[lanes] == list_size
-            assert np.isinf(pool.radius[lanes[~full]]).all()
-            assert np.array_equal(pool.radius[lanes[full]],
-                                  pool.list_d[lanes[full]].max(axis=1))
+            state = pool.state
+            full = state["list_n"][lanes] == list_size
+            assert np.isinf(state["radius"][lanes[~full]]).all()
+            assert np.array_equal(state["radius"][lanes[full]],
+                                  state["list_d"][lanes[full]].max(axis=1))
             saw_full |= bool(full.any())
         assert saw_full, "lists should fill during the frame"
 

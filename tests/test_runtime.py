@@ -667,7 +667,8 @@ def test_demand_grown_pools_are_invisible_to_results():
     frames = [_make_frame(decoder, 8, 3, 14.0, rng),
               _make_frame(soft_decoder, 6, 3, 14.0, rng, soft=True),
               _make_frame(decoder, 8, 2, 20.0, rng)]
-    runtime = UplinkRuntime(capacity=64, max_in_flight=3, initial_lanes=2)
+    runtime = UplinkRuntime(capacity=64, max_in_flight=3)
+    runtime._engine.initial_lanes = 2      # read when a pool is built
     handles = [runtime.submit(frame) for frame in frames]
     runtime.drain()
     pools = list(runtime._engine._pools.values())
@@ -678,9 +679,6 @@ def test_demand_grown_pools_are_invisible_to_results():
     for frame, handle in zip(frames, handles):
         _assert_identical(handle.result(), _reference(frame),
                           frame.noise_variance is not None)
-
-    with pytest.raises(ValueError):
-        UplinkRuntime(initial_lanes=0)
 
 
 # ----------------------------------------------------------------------

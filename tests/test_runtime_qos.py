@@ -315,7 +315,7 @@ def test_mid_flight_degrade_and_evict_under_the_core_step(soft):
     running = np.zeros(degraded.num_problems, dtype=bool)
     seen = np.zeros(degraded.num_problems, dtype=np.int64)
     running[pool.elem_of[pool.active]] = True
-    seen[pool.elem_of[pool.active]] = pool.visited[pool.active]
+    seen[pool.elem_of[pool.active]] = pool.state["tally"][pool.active, 1]
     budget = int(np.median(seen[running]))
     degraded.degraded_budget = budget
     engine.degrade(degraded, budget)

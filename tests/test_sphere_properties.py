@@ -107,7 +107,7 @@ def check_radius_monotone(order, num_tx, seed):
         # Lanes are not reused here (capacity exceeds the batch), so a
         # finished lane still shows its final radius.
         for lane in range(y_hat.shape[0]):
-            radius = float(pool.radius[lane])
+            radius = float(pool.state["radius"][lane])
             sequence = sequences[int(pool.elem_of[lane])]
             if np.isfinite(radius) and (not sequence
                                         or radius != sequence[-1]):

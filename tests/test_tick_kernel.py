@@ -148,33 +148,52 @@ def test_untrusted_cache_directory_is_refused(fresh_loader, monkeypatch,
 
 @needs_core
 def test_core_refuses_what_it_cannot_address():
-    """Past the ctypes boundary a bad id or dtype is memory corruption,
-    so the wrapper raises first."""
+    """Past the ctypes boundary a bad id, dtype or shape is memory
+    corruption, so the wrapper raises first — naming the operand at
+    fault, short trailing axes included."""
     constellation, channels, received = _frame_instance(16, 4, 4, 2, 2)
-    job = FrameJob(0, FrameRequest(channels, received,
-                                   SphereDecoder(constellation)))
     frontier = pinned_frontier(drain_threshold=0)
-    frontier.submit(job)
+    hard, soft = (FrameJob(index, FrameRequest(channels, received, decoder,
+                                               *extra))
+                  for index, (decoder, extra) in enumerate([
+                      (SphereDecoder(constellation), ()),
+                      (ListSphereDecoder(constellation, list_size=4),
+                       (0.05,))]))
+    frontier.submit(hard)
+    frontier.submit(soft)
     frontier.tick()
-    pool = job.pool
 
-    def run(ids, **swap):
-        state = pool._core_arrays()
-        state.update(swap)
+    def run(ids, pool=hard.pool, **swap):
+        state = dict(pool.state, **swap)
         tick_kernel.run(pool.decoder, state, ids, np.zeros_like(ids), None,
                         {})
 
-    run(pool.active)                       # zero budgets: a no-op
-    for ids in ([pool.allocated], [-1]):
+    def refused(operand, **swap):
+        pool = soft.pool if operand.startswith("list") else hard.pool
+        with pytest.raises(ValueError,
+                           match=f"needs {operand} as C-contiguous"):
+            run(pool.active, pool, **swap)
+
+    state = hard.pool.state
+    run(hard.pool.active)                  # zero budgets: a no-op
+    run(soft.pool.active, soft.pool)
+    for ids in ([hard.pool.allocated], [-1]):
         with pytest.raises(ValueError, match="ids outside"):
             run(np.array(ids))
     with pytest.raises(ValueError, match="radius as C-contiguous float64"):
-        run(pool.active, radius=pool.radius.astype(np.float32))
-    with pytest.raises(ValueError, match="chosen .* one row per state"):
-        run(pool.active, chosen=pool.chosen[:-1].copy())
+        run(hard.pool.active, radius=state["radius"].astype(np.float32))
+    with pytest.raises(ValueError, match="exactly the arrays"):
+        run(hard.pool.active, list_d=soft.pool.state["list_d"])
+    refused("chosen", chosen=state["chosen"][:-1].copy())
+    # Short trailing axes: the channel copies, the path, a leaf row.
+    refused("r", r=state["r"][:, :, :3].copy())
+    refused("y", y=state["y"][:, :2].copy())
+    refused("path_cols", path_cols=state["path_cols"][:, :3].copy())
+    refused("best_cols", best_cols=state["best_cols"][:, :2].copy())
+    refused("list_cols",
+            list_cols=soft.pool.state["list_cols"][:, :2].copy())
     # A frontier laid out for another decoder: no pruning offsets.
-    with pytest.raises(ValueError, match="axis_int laid out as"):
-        run(pool.active, axis_int=pool.frontier["axis_int"][:, :2].copy())
+    refused("axis_int", axis_int=state["axis_int"][:, :2].copy())
 
 
 def test_missing_compiler_warns_once_and_falls_back(no_compiler):
@@ -343,6 +362,89 @@ def test_compiled_core_follows_a_grown_pool(soft):
     assert job.pool is pool and pool.allocated == 16
     want, _ = scalar_oracle(decoder, channels, received, *extra)
     assert_frames_identical(job.finalise(), want)
+
+
+_SEARCH_ROWS = {"r", "y", "diag", "diag_sq", "level", "radius", "parent",
+                "path_cols", "path_rows", "chosen", "tally"}
+_LEAF_ROWS = {False: {"best_cols", "best_rows", "best_dist"},
+              True: {"list_d", "list_seq", "list_cols", "list_rows",
+                     "list_n", "leaf_seq"}}
+_ZIGZAG_SLOTS = {"axis_int", "axis_res", "queue_d", "queue_j", "last_i"}
+
+
+@pytest.mark.filterwarnings("ignore:the compiled search core")
+@pytest.mark.parametrize("compiled", [True, False],
+                         ids=["core", "no-compiler"])
+@pytest.mark.parametrize("soft", [False, True], ids=["hard", "soft"])
+def test_pool_state_is_the_declared_layout_through_growth(request, soft,
+                                                          compiled):
+    """A pool's ``state`` holds exactly the arrays the layout declares —
+    the search rows, the decoder's leaf rows and, where the core runs,
+    the frontier slots — each of its declared dtype and shape; and a
+    growth while searches are in flight reallocates every one of them,
+    and the pool's bookkeeping, to the new lane count with every
+    existing row unchanged."""
+    if not compiled:
+        request.getfixturevalue("no_compiler")
+    elif tick_kernel.core() is None:
+        pytest.skip("needs the compiled search core")
+    constellation, channels, received = _frame_instance(16, 4, 4, 6, 4,
+                                                        seed=41)
+    if soft:
+        decoder, extra = ListSphereDecoder(constellation, list_size=4), (0.05,)
+    else:
+        decoder, extra = SphereDecoder(constellation), ()
+    # Three searches in four lanes: admission can grow the pool (it
+    # needs a free lane to admit into) while they are in flight.
+    frontier = pinned_frontier(capacity=16, initial_lanes=4,
+                               drain_threshold=0)
+    first = FrameJob(0, FrameRequest(channels[:1], received[:3, :1],
+                                     decoder, *extra))
+    frontier.submit(first)
+    frontier.tick()
+    pool = first.pool
+    assert pool.has_core == compiled and pool.allocated == 4
+    # In flight between ticks only where the core runs.
+    assert pool.active.size == (3 if compiled else 0)
+    assert set(pool.state) == (_SEARCH_ROWS | _LEAF_ROWS[soft]
+                               | (_ZIGZAG_SLOTS if compiled else set()))
+
+    def lane_arrays():
+        return dict(pool.state, lane_budget=pool.lane_budget,
+                    jobidx_of=pool.jobidx_of, elem_of=pool.elem_of,
+                    dest_of=pool.dest_of)
+
+    def declared(lanes):
+        layout = tick_kernel._layout(decoder, 4, lanes, compiled)
+        assert {name: (array.dtype, array.shape)
+                for name, array in pool.state.items()} == {
+            name: (np.dtype(dtype), shape)
+            for name, (dtype, shape) in layout.items()}
+
+    declared(4)
+    before = {name: array.copy() for name, array in lane_arrays().items()}
+    grow, after = pool._grow, {}
+
+    def recording(allocated):
+        grow(allocated)
+        after.update((name, array.copy())
+                     for name, array in lane_arrays().items())
+
+    pool._grow = recording
+    job = FrameJob(1, FrameRequest(channels, received, decoder, *extra))
+    frontier.submit(job)
+    frontier.tick()                        # grows before its step
+    assert pool.allocated == 16 and after.keys() == before.keys()
+    declared(16)
+    for name, old in before.items():
+        assert after[name].shape[0] == old.shape[0] * 4, name
+        assert np.array_equal(after[name][:old.shape[0]], old), name
+    while not frontier.idle:
+        frontier.tick()
+    for done, frame in ((first, (channels[:1], received[:3, :1])),
+                        (job, (channels, received))):
+        want, _ = scalar_oracle(decoder, *frame, *extra)
+        assert_frames_identical(done.finalise(), want)
 
 
 # ----------------------------------------------------------------------
