@@ -100,9 +100,10 @@ class FrameDecodeResult:
 
     @property
     def found(self) -> np.ndarray:
-        """``(T, S)`` booleans; ``False`` only where a finite
-        ``initial_radius_sq`` excluded every leaf of that slot's tree
-        (its distance is then ``inf``)."""
+        """``(T, S)`` booleans; ``False`` only where that slot's search
+        reached no leaf — a finite ``initial_radius_sq`` excluded every
+        leaf, or a ``node_budget`` below the stream count stopped it
+        first (its distance is then ``inf``)."""
         return np.isfinite(self.distances_sq)
 
     @property

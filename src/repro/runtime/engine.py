@@ -256,7 +256,7 @@ class _Pool:
     program — the core rewrites a slot whole when it expands a node into
     it — so which lane a search lands in only changes how densely the
     arrays are used.  Hard and soft pools differ only in the leaf rows
-    the arena collects and the scalar search a pool without a core runs.
+    the arena collects.
     """
 
     def __init__(self, engine: "StreamingFrontier",
@@ -528,26 +528,27 @@ class _Pool:
         through the decoder's own scalar search, under its lane budget,
         and write the lane rows the core would have — the five tallies,
         then the leaf.  Everything finishes."""
-        state, decoder = self.state, self.decoder
-        search = decoder._search_soft if self.soft else decoder._search
+        state = self.state
         for lane in active.tolist():
-            outcome = search(state["r"][lane], state["y"][lane],
-                             state["diag"][lane], state["diag_sq"][lane],
-                             self._enumerate, int(self.lane_budget[lane]))
+            outcome = self.decoder._search(
+                state["r"][lane], state["y"][lane], state["diag"][lane],
+                state["diag_sq"][lane], self._enumerate,
+                int(self.lane_budget[lane]))
             counters = outcome.counters
             state["tally"][lane] = (
                 counters.ped_calcs, counters.visited_nodes,
                 counters.expanded_nodes, counters.leaves,
                 counters.geometric_prunes)
             if self.soft:
-                state["leaf_seq"][lane] = outcome.leaf_counter
+                state["leaf_seq"][lane] = counters.leaves
                 state["list_n"][lane] = outcome.into(
                     state["list_d"][lane], state["list_seq"][lane],
                     state["list_cols"][lane], state["list_rows"][lane])
-            elif outcome.found:
-                state["best_dist"][lane] = outcome.distance_sq
-                state["best_cols"][lane], state["best_rows"][lane] = (
-                    decoder.constellation.col_row(outcome.symbol_indices))
+            elif outcome.leaves:
+                neg_distance, _, cols, rows = outcome.leaves[0]
+                state["best_dist"][lane] = -neg_distance
+                state["best_cols"][lane] = cols
+                state["best_rows"][lane] = rows
         return np.ones(active.size, dtype=bool)
 
     # -- one breadth-synchronised step ----------------------------------

@@ -51,8 +51,8 @@ from ..frame.results import (
 )
 from ..phy.config import PhyConfig
 from ..sphere.counters import ComplexityCounters
-from ..sphere.decoder import SphereDecoder
-from ..sphere.soft import ListSphereDecoder, soft_outputs_from_lists
+from ..sphere.decoder import SphereDecoder, refuse_zero_diagonal
+from ..sphere.soft import soft_outputs_from_lists
 from ..utils.validation import require
 
 __all__ = ["AdmissionQueue", "FrameJob", "FrameRequest", "decoder_kind",
@@ -61,14 +61,13 @@ __all__ = ["AdmissionQueue", "FrameJob", "FrameRequest", "decoder_kind",
 
 def decoder_kind(decoder) -> str:
     """``"hard"`` for a :class:`SphereDecoder`, ``"soft"`` for a
-    :class:`ListSphereDecoder` — the two searches the streaming engine's
-    kernel pools run; anything else is rejected."""
-    if isinstance(decoder, ListSphereDecoder):
-        return "soft"
+    :class:`ListSphereDecoder` (a list leaf policy, ``list_size``) — the
+    two searches the streaming engine's kernel pools run; anything else
+    is rejected."""
     require(isinstance(decoder, SphereDecoder),
             f"runtime cannot stream {type(decoder).__name__}: use "
             "SphereDecoder (hard) or ListSphereDecoder (soft)")
-    return "hard"
+    return "soft" if decoder.list_size else "hard"
 
 
 def search_signature(decoder, num_streams: int) -> tuple:
@@ -181,6 +180,13 @@ def validate_request(request: "FrameRequest"):
     require(received.shape[2] == channels.shape[1],
             f"received has {received.shape[2]} antennas, channels have "
             f"{channels.shape[1]}")
+    # A list search stopped before its first leaf has no LLRs to give:
+    # the frame could never finalise.
+    require(kind == "hard" or decoder.node_budget is None
+            or decoder.node_budget >= channels.shape[2],
+            f"a list decoder's node_budget ({decoder.node_budget}) must be "
+            f"at least the stream count ({channels.shape[2]}): a search "
+            "stopped sooner reaches no leaf")
     require(bool(np.isfinite(channels).all()),
             "channels must be finite (found NaN or inf)")
     require(bool(np.isfinite(received).all()),
@@ -239,11 +245,7 @@ class FrameJob:
                                np.asarray(y_hat_batch)[:, None, :], decoder,
                                noise_variance)
         kind, r_stack, rotated = validate_request(request)
-        zeros = np.flatnonzero(np.real(np.diagonal(r_stack[0])) == 0.0)
-        if zeros.size:
-            raise ValueError(
-                f"r has a zero real diagonal entry at level {zeros[0]}; "
-                "the depth-first sphere decoder requires full column rank")
+        refuse_zero_diagonal(np.real(np.diagonal(r_stack[0])))
         job = cls.__new__(cls)
         job._init_state(0, request, kind, r_stack,
                         rotated.transpose(1, 0, 2))

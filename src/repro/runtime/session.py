@@ -30,8 +30,8 @@ counted steps:
    ``decode_frame``; QoS only reorders lane refills, which cannot
    change any per-frame result.
 2. *Degraded* — once a frame enters its deadline margin, its remaining
-   searches' node budgets are shrunk (default: ``num_streams`` nodes,
-   the greedy first descent — the same point a K=1 K-best pass keeps)
+   searches' node budgets are shrunk to ``num_streams`` nodes (the
+   greedy first descent — the same point a K=1 K-best pass keeps)
    and its queued searches are expedited.  The result is real banked
    work delivered early (the scalar early-break semantics), the handle
    is marked ``degraded`` and the stats count it, including the CRC
@@ -72,8 +72,8 @@ __all__ = ["FrameExpired", "PendingFrame", "UplinkRuntime"]
 #: frame-at-a-time latency under overload.
 DEFAULT_MAX_IN_FLIGHT = 8
 
-#: When no explicit ``degrade_margin_s`` is configured, a frame enters
-#: degradation once this fraction of its deadline budget remains.
+#: A frame enters degradation once this fraction of its deadline budget
+#: remains.
 DEGRADE_MARGIN_FRACTION = 0.25
 
 
@@ -174,14 +174,6 @@ class UplinkRuntime:
         degradation or expiry — deadlines are still *measured* (misses
         land in :meth:`RuntimeStats.deadline_miss_rate`), making it the
         like-for-like baseline the SLO benchmark compares against.
-    degrade_margin_s:
-        How long before its deadline a frame enters degradation.
-        ``None`` (default) uses ``DEGRADE_MARGIN_FRACTION`` (25%) of
-        each frame's own deadline budget.
-    degraded_node_budget:
-        Per-search node budget applied when a frame degrades.  ``None``
-        (default) uses the frame's stream count — one greedy descent,
-        which always banks the Babai leaf a K=1 K-best pass would keep.
     trace:
         Frame-lifecycle tracing (:mod:`repro.obs.trace`).  Off by
         default: every stamping site then costs one ``is None`` test.
@@ -196,15 +188,9 @@ class UplinkRuntime:
     def __init__(self, *, capacity: int | None = None,
                  max_in_flight: int = DEFAULT_MAX_IN_FLIGHT,
                  lane_policy: str = "deadline",
-                 degrade_margin_s: float | None = None,
-                 degraded_node_budget: int | None = None,
                  clock=time.perf_counter,
                  trace: bool = False) -> None:
         require(max_in_flight >= 1, "need an in-flight budget of at least 1")
-        require(degrade_margin_s is None or degrade_margin_s >= 0.0,
-                "degrade margin must be non-negative when given")
-        require(degraded_node_budget is None or degraded_node_budget >= 1,
-                "degraded node budget must be positive when given")
         self.tracer = FrameTracer(enabled=trace, clock=clock)
         self._engine = StreamingFrontier(capacity=capacity,
                                          lane_policy=lane_policy,
@@ -212,8 +198,6 @@ class UplinkRuntime:
         self._decode = DecodeStage(tracer=self.tracer)
         self.max_in_flight = max_in_flight
         self.lane_policy = lane_policy
-        self.degrade_margin_s = degrade_margin_s
-        self.degraded_node_budget = degraded_node_budget
         self.stats = RuntimeStats()
         self._clock = clock
         self._next_frame_id = 0
@@ -321,11 +305,6 @@ class UplinkRuntime:
         return handle
 
     # -- deadline machinery ---------------------------------------------
-    def _degrade_margin(self, handle: PendingFrame) -> float:
-        if self.degrade_margin_s is not None:
-            return self.degrade_margin_s
-        return DEGRADE_MARGIN_FRACTION * handle.deadline_s
-
     def _enforce_deadlines(self, now: float) -> list[PendingFrame]:
         """Expire past-deadline frames; degrade frames inside their
         margin.  Runs after the tick's completions, so it only ever
@@ -349,10 +328,9 @@ class UplinkRuntime:
                     self.tracer.finish(job.trace)
                 expired.append(handle)
             elif (not job.degraded
-                  and now > handle.deadline_at - self._degrade_margin(handle)):
-                budget = (self.degraded_node_budget
-                          if self.degraded_node_budget is not None
-                          else job.num_streams)
+                  and now > handle.deadline_at
+                  - DEGRADE_MARGIN_FRACTION * handle.deadline_s):
+                budget = job.num_streams    # one greedy descent
                 job.degraded = True
                 job.degraded_budget = budget
                 # Before the engine call: degrade precedes the expedite

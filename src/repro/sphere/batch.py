@@ -51,8 +51,10 @@ class BatchDecodeResult:
     Attributes
     ----------
     found:
-        Boolean per batch element; ``False`` only when a finite
-        ``initial_radius_sq`` excluded every leaf of that element's tree.
+        Boolean per batch element; ``False`` only when that element's
+        search reached no leaf: a finite ``initial_radius_sq`` excluded
+        every leaf, or a ``node_budget`` below the stream count stopped
+        it first.
     symbol_indices:
         ``(T, nc)`` flattened constellation indices (``-1`` where
         ``found`` is ``False``).

@@ -18,10 +18,15 @@ Search outline (one complex level per transmit stream):
    ``d = d(parent) + |r_ll|^2 |y~_l - s|^2`` beats the current radius.
 4. Reaching a leaf tightens the radius (Schnorr–Euchner radius update);
    the search backtracks and terminates when the root enumerator runs dry.
+
+The list decoder (:class:`~repro.sphere.soft.ListSphereDecoder`) runs
+this same loop; only the leaf policy, :attr:`SphereDecoder.list_size`,
+differs.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,28 +56,14 @@ __all__ = [
 ENUMERATORS = ("zigzag", "shabany", "hess", "exhaustive")
 
 
-def resolve_enumerator_factory(constellation: QamConstellation,
-                               enumerator: str,
-                               pruner: GeometricPruner | None):
-    """Bind the enumerator dispatch once per decode (or batch).
-
-    The search instantiates one enumerator per expanded node; hoisting
-    the string comparison (and the pruner lookup) out of that hot path
-    is part of the batch API's shared-preprocessing contract.  Shared by
-    the hard decoder and the list (soft) decoder, which run the same
-    tree machinery under different radius policies.
-    """
-    if enumerator == "zigzag":
-        return lambda received, counters: GeosphereEnumerator(
-            constellation, received, counters, pruner)
-    if enumerator == "shabany":
-        return lambda received, counters: ShabanyEnumerator(
-            constellation, received, counters, pruner)
-    if enumerator == "hess":
-        return lambda received, counters: HessEnumerator(
-            constellation, received, counters)
-    return lambda received, counters: ExhaustiveEnumerator(
-        constellation, received, counters)
+def refuse_zero_diagonal(diag: np.ndarray) -> None:
+    """Raise ``ValueError`` naming the first level where ``r``'s real
+    diagonal ``diag`` is zero: every search divides by it."""
+    zeros = np.flatnonzero(diag == 0.0)
+    if zeros.size:
+        raise ValueError(
+            f"r has a zero real diagonal entry at level {zeros[0]}; "
+            "the depth-first sphere decoder requires full column rank")
 
 
 @dataclass
@@ -82,7 +73,9 @@ class SphereDecoderResult:
     Attributes
     ----------
     found:
-        False only when a finite ``initial_radius_sq`` excluded every leaf.
+        False only when the search reached no leaf: a finite
+        ``initial_radius_sq`` excluded every leaf, or a ``node_budget``
+        below the stream count stopped it first.
     symbol_indices:
         Flattened constellation index per transmit stream.
     symbols:
@@ -98,6 +91,29 @@ class SphereDecoderResult:
     symbols: np.ndarray
     distance_sq: float
     counters: ComplexityCounters
+
+
+@dataclass
+class _SearchOutcome:
+    """One search's leaves in ``heapq`` order, entries ``(-distance,
+    discovery_index, cols, rows)`` (at most one, the best, for a hard
+    decoder), and its tallies (``counters.leaves``: leaves reached)."""
+
+    leaves: list
+    counters: ComplexityCounters
+
+    def into(self, distances, sequence, cols, rows) -> int:
+        """Write the leaves, in heap order, into one row each of the
+        stacked list arrays
+        :func:`~repro.sphere.soft.soft_outputs_from_lists` reads
+        (entries past the list keep their fills); returns the count."""
+        for slot, (neg_distance, seq, leaf_cols, leaf_rows) in \
+                enumerate(self.leaves):
+            distances[slot] = -neg_distance
+            sequence[slot] = seq
+            cols[slot] = leaf_cols
+            rows[slot] = leaf_rows
+        return len(self.leaves)
 
 
 class SphereDecoder:
@@ -137,6 +153,11 @@ class SphereDecoder:
         rather than silently ignoring the ordering.
     """
 
+    #: The search's leaf policy, as in the compiled core: ``0`` keeps
+    #: the best leaf (Schnorr–Euchner); a list decoder keeps its
+    #: ``list_size`` best.
+    list_size = 0
+
     def __init__(self, constellation: QamConstellation,
                  enumerator: str = "zigzag",
                  geometric_pruning: bool = True,
@@ -165,9 +186,59 @@ class SphereDecoder:
 
     # ------------------------------------------------------------------
     def _enumerator_factory(self):
-        """See :func:`resolve_enumerator_factory`."""
-        return resolve_enumerator_factory(self.constellation,
-                                          self.enumerator, self._pruner)
+        """Bind the enumerator dispatch once per decode (or batch).
+
+        The search instantiates one enumerator per expanded node;
+        hoisting the string comparison (and the pruner lookup) out of
+        that hot path is part of the batch API's shared-preprocessing
+        contract.
+        """
+        constellation, pruner = self.constellation, self._pruner
+        if self.enumerator == "zigzag":
+            return lambda received, counters: GeosphereEnumerator(
+                constellation, received, counters, pruner)
+        if self.enumerator == "shabany":
+            return lambda received, counters: ShabanyEnumerator(
+                constellation, received, counters, pruner)
+        if self.enumerator == "hess":
+            return lambda received, counters: HessEnumerator(
+                constellation, received, counters)
+        return lambda received, counters: ExhaustiveEnumerator(
+            constellation, received, counters)
+
+    def _search_triangular(self, r, y_hat) -> _SearchOutcome:
+        """The scalar entry points' shared prologue: refuse with
+        ``ValueError`` what the engine's front door refuses (a ``y_hat``
+        not one entry per stream, a non-finite entry, a zero on ``r``'s
+        real diagonal), then run one search."""
+        y_hat = np.asarray(y_hat)
+        diag = np.real(np.diag(r)).copy()
+        require(y_hat.shape == diag.shape == (r.shape[1],),
+                f"y_hat has shape {y_hat.shape}; a {r.shape} r needs "
+                f"({r.shape[1]},)")
+        require(bool(np.isfinite(r).all() and np.isfinite(y_hat).all()),
+                "r and y_hat must be finite (found NaN or inf)")
+        refuse_zero_diagonal(diag)
+        return self._search(r, y_hat, diag, diag * diag,
+                            self._enumerator_factory(), self.node_budget)
+
+    def _hard_result(self, outcome: _SearchOutcome,
+                     num_streams: int) -> SphereDecoderResult:
+        """A search's best leaf as a hard decision: smallest distance,
+        earliest found among ties (the LLR extraction's rule)."""
+        if not outcome.leaves:
+            return SphereDecoderResult(
+                found=False,
+                symbol_indices=np.full(num_streams, -1, dtype=np.int64),
+                symbols=np.full(num_streams, np.nan + 0j),
+                distance_sq=float("inf"), counters=outcome.counters)
+        neg_distance, _, cols, rows = max(
+            outcome.leaves, key=lambda leaf: (leaf[0], -leaf[1]))
+        indices = self.constellation.index_of(cols, rows)
+        return SphereDecoderResult(found=True, symbol_indices=indices,
+                                   symbols=self.constellation.points[indices],
+                                   distance_sq=float(-neg_distance),
+                                   counters=outcome.counters)
 
     # ------------------------------------------------------------------
     def decode(self, channel, received) -> SphereDecoderResult:
@@ -204,9 +275,8 @@ class SphereDecoder:
         subcarrier's channel once per frame and then decode many symbol
         vectors against the same ``R``.
         """
-        diag = np.real(np.diag(r)).copy()
-        return self._search(r, y_hat, diag, diag * diag,
-                            self._enumerator_factory(), self.node_budget)
+        return self._hard_result(self._search_triangular(r, y_hat),
+                                 r.shape[1])
 
     def decode_batch(self, r: np.ndarray,
                      y_hat_batch: np.ndarray) -> BatchDecodeResult:
@@ -257,8 +327,9 @@ class SphereDecoder:
         distances = np.empty(num_vectors, dtype=np.float64)
         totals = ComplexityCounters()
         for t in range(num_vectors):
-            result = self._search(r, batch[t], diag, diag_sq, factory,
-                                  self.node_budget)
+            result = self._hard_result(
+                self._search(r, batch[t], diag, diag_sq, factory,
+                             self.node_budget), num_streams)
             found[t] = result.found
             indices[t] = result.symbol_indices
             symbols[t] = result.symbols
@@ -302,9 +373,15 @@ class SphereDecoder:
 
     def _search(self, r: np.ndarray, y_hat: np.ndarray, diag: np.ndarray,
                 diag_sq: np.ndarray, make_enumerator,
-                node_budget: int | None) -> SphereDecoderResult:
+                node_budget: int | None) -> _SearchOutcome:
         """One depth-first search with all shared state hoisted, stopped
         once it has visited ``node_budget`` nodes (``None``: never).
+
+        The leaf policy is :attr:`list_size`, as in the core's
+        ``run_one``: ``0`` keeps the best leaf (Schnorr–Euchner) and
+        skips a candidate outside the sphere; a list decoder keeps its
+        ``list_size`` best in a bounded ``heapq`` (ties towards the
+        earliest leaf), whose worst member is the radius once full.
 
         This is the reference program: the compiled search core
         (:mod:`repro.sphere.tick_kernel`) replays it operation for
@@ -313,6 +390,7 @@ class SphereDecoder:
         """
         num_streams = r.shape[1]
         levels = self.constellation.levels
+        list_size = self.list_size
         counters = ComplexityCounters()
         top = num_streams - 1
         root_point = complex(y_hat[top] / diag[top])
@@ -325,9 +403,7 @@ class SphereDecoder:
         chosen_symbols = np.zeros(num_streams, dtype=np.complex128)
         path_cols = np.zeros(num_streams, dtype=np.int64)
         path_rows = np.zeros(num_streams, dtype=np.int64)
-        best_cols = np.full(num_streams, -1, dtype=np.int64)
-        best_rows = np.full(num_streams, -1, dtype=np.int64)
-        best_distance = np.inf
+        leaves: list = []
         while stack:
             if node_budget is not None and counters.visited_nodes >= node_budget:
                 break
@@ -338,18 +414,29 @@ class SphereDecoder:
                 stack.pop()
                 continue
             distance = parent_distance + diag_sq[level] * candidate.dist_sq
-            if distance >= radius_sq:  # defensive; enumerators respect budget
-                continue
+            if distance >= radius_sq and not list_size:
+                continue  # defensive; enumerators respect budget
             counters.visited_nodes += 1
             path_cols[level] = candidate.col
             path_rows[level] = candidate.row
             chosen_symbols[level] = levels[candidate.col] + 1j * levels[candidate.row]
             if level == 0:
                 counters.leaves += 1
-                radius_sq = distance
-                best_distance = distance
-                best_cols[:] = path_cols
-                best_rows[:] = path_rows
+                leaf = (-distance, counters.leaves, tuple(path_cols),
+                        tuple(path_rows))
+                if not list_size:
+                    # Schnorr–Euchner radius update: the new best leaf.
+                    leaves = [leaf]
+                    radius_sq = distance
+                    continue
+                if len(leaves) < list_size:
+                    heapq.heappush(leaves, leaf)
+                else:
+                    heapq.heappushpop(leaves, leaf)
+                if len(leaves) == list_size:
+                    # Prune against the worst list member: the search only
+                    # needs leaves better than the current list tail.
+                    radius_sq = -leaves[0][0]
                 continue
             next_level = level - 1
             # Accumulate column-by-column (ascending), multiplying via the
@@ -368,17 +455,7 @@ class SphereDecoder:
                           make_enumerator(received_point, counters)))
 
         counters.complex_mults = counters.ped_calcs * (num_streams + 1)
-        found = bool(np.isfinite(best_distance))
-        if found:
-            indices = self.constellation.index_of(best_cols, best_rows)
-            symbols = self.constellation.points[indices]
-        else:
-            indices = np.full(num_streams, -1, dtype=np.int64)
-            symbols = np.full(num_streams, np.nan + 0j)
-        return SphereDecoderResult(found=found, symbol_indices=indices,
-                                   symbols=symbols,
-                                   distance_sq=float(best_distance),
-                                   counters=counters)
+        return _SearchOutcome(leaves, counters)
 
 
 # ----------------------------------------------------------------------

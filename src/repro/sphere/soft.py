@@ -10,15 +10,19 @@ LLRs then come from comparing the best list member with each bit value.
 Geosphere's enumeration and pruning apply unchanged — the only difference
 from :class:`~repro.sphere.decoder.SphereDecoder` is the radius policy —
 so the complexity benefits carry over to the soft setting, which is
-exactly the extension the paper proposes.  That includes the *frame*
+exactly the extension the paper proposes.  :class:`ListSphereDecoder` is
+a :class:`~repro.sphere.decoder.SphereDecoder` whose leaf policy,
+``list_size``, is a list: it runs the hard decoder's one depth-first
+loop, :meth:`~repro.sphere.decoder.SphereDecoder._search`, as the
+compiled core runs one loop for both.  That includes the *frame*
 benefits: :meth:`ListSphereDecoder.decode_batch` and
 :meth:`~ListSphereDecoder.decode_frame` run the list search through the
 lockstep engine (:mod:`repro.runtime.engine`) under its list leaf
-policy, with the scalar search below as the bit-exact oracle.
+policy, with the scalar search as the bit-exact oracle.
 
 Bit-exactness contract
 ----------------------
-The scalar search here is the reference program for the engine:
+The scalar search is the reference program for the engine:
 interference accumulates column-by-column through the complex-multiply
 ufunc (the convention the compiled core matches bit-for-bit), leaf
 lists follow ``heapq`` tuple order exactly — worst member = largest
@@ -30,7 +34,6 @@ membership and counters are identical whichever driver ran the search.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +43,7 @@ from ..constellation.qam import QamConstellation
 from ..utils.validation import as_complex_vector, require
 from .batch import as_batch_matrix
 from .counters import ComplexityCounters
-from .decoder import ENUMERATORS, resolve_enumerator_factory
-from .pruning import GeometricPruner
+from .decoder import SphereDecoder
 from .qr import triangularize
 
 __all__ = ["ListSphereDecoder", "SoftDecodeResult", "SoftBatchResult",
@@ -79,29 +81,6 @@ class SoftBatchResult:
     llrs: np.ndarray
     list_sizes: np.ndarray
     counters: ComplexityCounters
-
-
-@dataclass
-class _ListSearchState:
-    """Raw outcome of one list search: the leaf heap (``heapq`` order,
-    entries ``(-distance, discovery_index, cols, rows)``), the running
-    leaf counter and the complexity tallies."""
-
-    heap: list
-    leaf_counter: int
-    counters: ComplexityCounters
-
-    def into(self, distances, sequence, cols, rows) -> int:
-        """Write the leaves, in heap order, into one row each of the
-        stacked list arrays :func:`soft_outputs_from_lists` reads
-        (entries past the list keep their fills); returns the count."""
-        for slot, (neg_distance, seq, leaf_cols, leaf_rows) in \
-                enumerate(self.heap):
-            distances[slot] = -neg_distance
-            sequence[slot] = seq
-            cols[slot] = leaf_cols
-            rows[slot] = leaf_rows
-        return len(self.heap)
 
 
 def stacked_list_bits(constellation: QamConstellation, cols,
@@ -166,8 +145,10 @@ def soft_outputs_from_lists(constellation: QamConstellation, distances,
     return llrs, best_indices, constellation.points[best_indices]
 
 
-class ListSphereDecoder:
-    """Depth-first list sphere decoder with pluggable enumeration.
+class ListSphereDecoder(SphereDecoder):
+    """Depth-first list sphere decoder with pluggable enumeration: a
+    :class:`~repro.sphere.decoder.SphereDecoder` that keeps the
+    ``list_size`` best leaves instead of the best one.
 
     Parameters
     ----------
@@ -190,7 +171,12 @@ class ListSphereDecoder:
         Engineering guard: stop a search after this many visited nodes
         and extract LLRs from the list collected so far (no longer the
         exact best-``list_size`` set).  ``None`` keeps the exact
-        behaviour.
+        behaviour.  A budget below the stream count stops every search
+        before its first leaf; the engine's front door refuses it.
+
+    The search opens with an infinite sphere (``initial_radius_sq``),
+    finite once the list fills; the inherited hard entry points
+    (``decode``, ``decode_triangular``) return the list's best member.
     """
 
     def __init__(self, constellation: QamConstellation, list_size: int = 16,
@@ -199,31 +185,10 @@ class ListSphereDecoder:
                  node_budget: int | None = None) -> None:
         require(list_size >= 2, f"list size must be >= 2, got {list_size}")
         require(clamp > 0.0, "clamp must be positive")
-        require(enumerator in ENUMERATORS,
-                f"unknown enumerator {enumerator!r}; choose from {ENUMERATORS}")
-        if enumerator in ("hess", "exhaustive"):
-            require(not geometric_pruning,
-                    f"geometric pruning is not defined for the {enumerator!r} "
-                    "enumerator (it has no deferred proposals to prune)")
-        require(node_budget is None or node_budget >= 1,
-                "node budget must be positive when given")
-        self.constellation = constellation
+        super().__init__(constellation, enumerator, geometric_pruning,
+                         node_budget=node_budget)
         self.list_size = list_size
         self.clamp = clamp
-        self.enumerator = enumerator
-        self.geometric_pruning = geometric_pruning
-        self.node_budget = node_budget
-        #: The list search always opens with an infinite sphere — the
-        #: radius only becomes finite once the list fills.  The engine
-        #: reads this exactly like the hard decoder's attribute.
-        self.initial_radius_sq = float("inf")
-        self._pruner = (GeometricPruner(constellation)
-                        if geometric_pruning else None)
-
-    # ------------------------------------------------------------------
-    def _enumerator_factory(self):
-        return resolve_enumerator_factory(self.constellation,
-                                          self.enumerator, self._pruner)
 
     # ------------------------------------------------------------------
     def decode_soft(self, channel, received,
@@ -246,11 +211,8 @@ class ListSphereDecoder:
         differential sweeps pin the engine to.
         """
         require(noise_variance > 0.0, "noise variance must be positive")
-        diag = np.real(np.diag(r)).copy()
-        state = self._search_soft(r, y_hat, diag, diag * diag,
-                                  self._enumerator_factory(),
-                                  self.node_budget)
-        return self._finalise_soft(state, noise_variance)
+        return self._finalise_soft(self._search_triangular(r, y_hat),
+                                   noise_variance)
 
     def decode_batch(self, r: np.ndarray, y_hat_batch,
                      noise_variance: float) -> SoftBatchResult:
@@ -297,92 +259,17 @@ class ListSphereDecoder:
         return run_frame(FrameJob(0, FrameRequest(
             channels, received, self, noise_variance)))
 
-    # ------------------------------------------------------------------
-    def _search_soft(self, r: np.ndarray, y_hat, diag: np.ndarray,
-                     diag_sq: np.ndarray, make_enumerator,
-                     node_budget: int | None) -> _ListSearchState:
-        """One list search with all shared state hoisted, stopped once
-        it has visited ``node_budget`` nodes (``None``: never).
-
-        The loop is :meth:`~repro.sphere.decoder.SphereDecoder._search`
-        under a different radius policy: leaves land in a bounded
-        max-heap, and once the heap is full the sphere shrinks to its
-        worst member instead of the single best leaf.  It is the
-        reference program the compiled core's list policy
-        (:func:`repro.sphere.tick_kernel.run`) is pinned to
-        bit-for-bit, and what the engine's pools without a core run.
-        """
-        num_streams = r.shape[1]
-        levels = self.constellation.levels
-        list_size = self.list_size
-        counters = ComplexityCounters()
-        top = num_streams - 1
-        counters.expanded_nodes += 1
-        stack = [(top, 0.0,
-                  make_enumerator(complex(y_hat[top] / diag[top]), counters))]
-        radius_sq = float("inf")
-        chosen_symbols = np.zeros(num_streams, dtype=np.complex128)
-        path_cols = np.zeros(num_streams, dtype=np.int64)
-        path_rows = np.zeros(num_streams, dtype=np.int64)
-        leaf_heap: list = []
-        leaf_counter = 0
-        while stack:
-            if node_budget is not None and counters.visited_nodes >= node_budget:
-                break
-            level, parent_distance, enumerator = stack[-1]
-            budget = (radius_sq - parent_distance) / diag_sq[level]
-            candidate = enumerator.next_candidate(budget)
-            if candidate is None:
-                stack.pop()
-                continue
-            distance = parent_distance + diag_sq[level] * candidate.dist_sq
-            counters.visited_nodes += 1
-            path_cols[level] = candidate.col
-            path_rows[level] = candidate.row
-            chosen_symbols[level] = (levels[candidate.col]
-                                     + 1j * levels[candidate.row])
-            if level == 0:
-                counters.leaves += 1
-                leaf_counter += 1
-                entry = (-distance, leaf_counter, tuple(path_cols),
-                         tuple(path_rows))
-                if len(leaf_heap) < list_size:
-                    heapq.heappush(leaf_heap, entry)
-                else:
-                    heapq.heappushpop(leaf_heap, entry)
-                if len(leaf_heap) == list_size:
-                    # Prune against the worst list member: the search only
-                    # needs leaves better than the current list tail.
-                    radius_sq = -leaf_heap[0][0]
-                continue
-            next_level = level - 1
-            # Accumulate column-by-column (ascending), multiplying via the
-            # ufunc — the hard scalar search's convention, which the
-            # compiled core matches bit-for-bit.
-            interference = 0.0 + 0.0j
-            for column in range(next_level + 1, num_streams):
-                interference = interference + np.multiply(
-                    r[next_level, column], chosen_symbols[column])
-            received_point = complex((y_hat[next_level] - interference)
-                                     / diag[next_level])
-            counters.expanded_nodes += 1
-            stack.append((next_level, distance,
-                          make_enumerator(received_point, counters)))
-
-        counters.complex_mults = counters.ped_calcs * (num_streams + 1)
-        return _ListSearchState(heap=leaf_heap, leaf_counter=leaf_counter,
-                                counters=counters)
-
-    def _finalise_soft(self, state: _ListSearchState,
-                       noise_variance: float) -> SoftDecodeResult:
-        """Turn a finished search state into LLRs and hard decisions."""
-        require(bool(state.heap), "list sphere decoder found no leaves")
-        num_streams = len(state.heap[0][2])
+    def _finalise_soft(self, outcome, noise_variance: float
+                       ) -> SoftDecodeResult:
+        """Turn a finished search's leaf list into LLRs and hard
+        decisions."""
+        require(bool(outcome.leaves), "list sphere decoder found no leaves")
+        num_streams = len(outcome.leaves[0][2])
         distances = np.full((1, self.list_size), np.inf)
         sequence = np.zeros((1, self.list_size), dtype=np.int64)
         cols = np.zeros((1, self.list_size, num_streams), dtype=np.int64)
         rows = np.zeros((1, self.list_size, num_streams), dtype=np.int64)
-        count = state.into(distances[0], sequence[0], cols[0], rows[0])
+        count = outcome.into(distances[0], sequence[0], cols[0], rows[0])
         llrs, best_indices, best_symbols = soft_outputs_from_lists(
             self.constellation, distances, sequence, cols, rows,
             np.array([count]), noise_variance, self.clamp)
@@ -390,4 +277,4 @@ class ListSphereDecoder:
                                 symbols=best_symbols[0],
                                 llrs=llrs[0],
                                 list_size_used=count,
-                                counters=state.counters)
+                                counters=outcome.counters)

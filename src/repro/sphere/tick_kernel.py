@@ -25,8 +25,10 @@ Why any allowance is the same program
 -------------------------------------
 Each search is an independent state machine; the lockstep tick is only
 an interleaving.  One attempt is one iteration of the scalar loop
-(:meth:`~repro.sphere.decoder.SphereDecoder._search`: a
-``next_candidate`` step — got or stack pop), so whatever the allowance,
+(:meth:`~repro.sphere.decoder.SphereDecoder._search`, the one loop of
+the hard and the list decoder, whose leaf policy is the decoder's
+``list_size`` as it is the core's: a ``next_candidate`` step — got or
+stack pop), so whatever the allowance,
 the core executes the scalar loop's iterations in order, just
 interleaved with other searches': the node budget is re-checked before
 every attempt (the scalar loop's check), radius and enumerator state are
@@ -74,7 +76,6 @@ import numpy as np
 
 from ..utils.validation import require
 from .batch import zigzag_order_table
-from .soft import ListSphereDecoder
 
 __all__ = [
     "NUMBA_AVAILABLE",
@@ -178,7 +179,7 @@ def _searches(decoder, num_streams: int) -> dict:
         "path_rows": ((n,), None), "chosen": ((n,), None),
         "tally": ((len(_TALLIES),), 0),
     }
-    if not isinstance(decoder, ListSphereDecoder):
+    if not decoder.list_size:
         return dict(fields, best_cols=((n,), -1), best_rows=((n,), -1),
                     best_dist=((), np.inf))
     size = decoder.list_size
@@ -384,7 +385,7 @@ def _marshal(decoder, arrays: dict):
     search = _Search(
         tally_stride=len(_TALLIES), num_streams=num_streams, side=side,
         queue_capacity=arrays["queue_d"].shape[1],
-        list_size=arrays["list_d"].shape[1] if "list_d" in arrays else 0,
+        list_size=decoder.list_size,
         use_fma=NUMPY_FMA,
         axis_scale=float(levels[1] - levels[0]) / 2.0 if side > 1 else 1.0,
         **fields)

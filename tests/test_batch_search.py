@@ -196,11 +196,12 @@ def test_empty_batch_is_a_no_op():
 def test_singular_r_is_refused_with_its_level(kind, level):
     """A zero on ``R``'s real diagonal at ``level`` (with the rest of its
     row and the observations' coordinate zero) makes every search divide
-    0 by 0 there: the scalar oracle raises ``IndexError`` slicing the
-    NaN, and the compiled core would cast it to an integer, which C
-    leaves undefined.  ``decode_batch`` skips the QR sweep and its rank
-    check, so it must refuse such an ``R`` up front, naming the level —
-    an inner node (1) or the root (3)."""
+    0 by 0 there: a search would slice the NaN (an ``IndexError`` in
+    the scalar loop; the compiled core would cast it to an integer,
+    which C leaves undefined).  ``decode_batch`` skips the QR sweep and
+    its rank check, and so do the scalar entry points, so both refuse
+    such an ``R`` up front, naming the level — an inner node (1) or the
+    root (3)."""
     _, r, y_hat = _triangular_batch(16, 4, 4, 20.0,
                                     np.random.default_rng(8))
     r[level, level:] = 0.0
@@ -208,16 +209,15 @@ def test_singular_r_is_refused_with_its_level(kind, level):
     if kind == "hard":
         decoder = SphereDecoder(qam(16))
         decode = partial(decoder.decode_batch, r, y_hat)
-        oracle = partial(decoder._decode_batch_loop, r, y_hat)
+        oracle = partial(decoder.decode_triangular, r, y_hat[0])
     else:
         decoder = ListSphereDecoder(qam(16), list_size=4)
         decode = partial(decoder.decode_batch, r, y_hat, 0.05)
         oracle = partial(decoder.decode_soft_triangular, r, y_hat[0], 0.05)
-    with pytest.raises(ValueError,
-                       match=f"zero real diagonal entry at level {level}"):
-        decode()
-    with np.errstate(invalid="ignore"), pytest.raises(IndexError):
-        oracle()
+    for entry in (decode, oracle):
+        with pytest.raises(ValueError,
+                           match=f"zero real diagonal entry at level {level}"):
+            entry()
 
 
 def test_single_stream_channel():

@@ -34,6 +34,7 @@ from repro.runtime import (
     synthetic_cell_trace,
 )
 from repro.runtime.cell import ofdm_for_subcarriers
+from repro.service import DetectorFarm
 from repro.sphere import KBestDecoder, ListSphereDecoder, SphereDecoder
 from repro.sphere.tick_kernel import core
 
@@ -360,6 +361,55 @@ def test_non_finite_frame_is_rejected_at_submit_and_costs_only_itself(
         assert handle.resolution == "completed"
         _assert_identical(handle.result(), _reference(frame),
                           frame.noise_variance is not None)
+
+
+def test_list_decoder_budget_below_stream_count_is_refused_at_the_front_door(
+        monkeypatch):
+    """A list search stopped before ``num_streams`` visited nodes never
+    reaches a leaf, so its frame can never finalise: such a frame used
+    to pass admission, raise out of ``drain()`` and leave every
+    co-resident handle unresolved for good.  The front door refuses it
+    — at ``submit`` (the runtime untouched), at the farm's ``submit``
+    (in the caller) and in ``decode_frame`` (before any search) — and a
+    budget of exactly the stream count still decodes."""
+    rng = np.random.default_rng(78)
+    good = _make_frame(ListSphereDecoder(qam(16), list_size=4), 4, 2,
+                       14.0, rng, soft=True)
+    starved = ListSphereDecoder(qam(16), list_size=4, node_budget=3)
+    bad = FrameRequest(channels=good.channels, received=good.received,
+                       decoder=starved, noise_variance=good.noise_variance)
+
+    runtime = UplinkRuntime(capacity=16)
+    with pytest.raises(ValueError, match="node_budget"):
+        runtime.submit(bad)
+    assert runtime.in_flight == 0
+    assert runtime.stats.frames_submitted == 0
+    handle = runtime.submit(good)
+    runtime.drain()
+    assert handle.resolution == "completed"
+    _assert_identical(handle.result(), _reference(good), True)
+
+    with DetectorFarm(1, backend="inline") as farm:
+        with pytest.raises(ValueError, match="node_budget"):
+            farm.submit(bad)
+        assert farm.outstanding == 0
+
+    def searched(job):
+        raise AssertionError("decode_frame searched a refused frame")
+
+    with monkeypatch.context() as patch:
+        patch.setattr("repro.runtime.engine.run_frame", searched)
+        with pytest.raises(ValueError, match="node_budget"):
+            starved.decode_frame(good.channels, good.received,
+                                 good.noise_variance)
+
+    greedy = FrameRequest(channels=good.channels, received=good.received,
+                          decoder=ListSphereDecoder(qam(16), list_size=4,
+                                                    node_budget=4),
+                          noise_variance=good.noise_variance)
+    handle = runtime.submit(greedy)
+    runtime.drain()
+    _assert_identical(handle.result(), _reference(greedy), True)
 
 
 def test_admission_queue_tags_and_fifo():

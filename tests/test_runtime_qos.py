@@ -190,8 +190,7 @@ def test_degraded_frame_is_marked_counted_and_budget_capped():
 def test_degraded_coded_frame_feeds_degraded_crc_ledger():
     rng = np.random.default_rng(4)
     clock = _Clock()
-    runtime = pinned_runtime(capacity=8, drain_threshold=0, clock=clock,
-                             degraded_node_budget=2)
+    runtime = pinned_runtime(capacity=8, drain_threshold=0, clock=clock)
     config = _coded_config(4, payload_bits=40)
     frame = _make_coded_frame(config, SphereDecoder(qam(4)), 25.0, rng)
     frame.deadline_s = 10.0
@@ -226,8 +225,7 @@ def test_completion_racing_expiry_resolves_with_real_result():
     frame = _make_frame(decoder, 4, 3, 18.0, rng)
     frame.deadline_s = 5.0
     clock = _Clock()
-    runtime = pinned_runtime(capacity=8, drain_threshold=0, clock=clock,
-                             degrade_margin_s=0.0)
+    runtime = pinned_runtime(capacity=8, drain_threshold=0, clock=clock)
     handle = runtime.submit(frame)
     for _ in range(ticks_needed - 1):
         assert runtime.poll(max_ticks=1) == []
@@ -399,10 +397,6 @@ def test_qos_validation():
         FrameJob(0, _tagged_frame(decoder, rng, priority=-1))
     with pytest.raises(ValueError):
         UplinkRuntime(lane_policy="urgent-first")
-    with pytest.raises(ValueError):
-        UplinkRuntime(degrade_margin_s=-0.1)
-    with pytest.raises(ValueError):
-        UplinkRuntime(degraded_node_budget=0)
     with pytest.raises(ValueError):
         QosClass("x", priority=-1, deadline_s=None, weight=1.0)
     with pytest.raises(ValueError):
@@ -682,8 +676,7 @@ def test_degraded_drain_frame_feeds_degraded_crc_ledger():
     rng = np.random.default_rng(18)
     clock = _Clock()
     # drain_threshold=capacity sends every search through the drain.
-    runtime = pinned_runtime(capacity=8, drain_threshold=8, clock=clock,
-                             degraded_node_budget=2)
+    runtime = pinned_runtime(capacity=8, drain_threshold=8, clock=clock)
     config = _coded_config(4, payload_bits=40)
     frame = _make_coded_frame(config, SphereDecoder(qam(4)), 25.0, rng)
     frame.deadline_s = 10.0

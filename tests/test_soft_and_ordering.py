@@ -76,6 +76,13 @@ class TestListSphereDecoder:
             hard_result = hard.decode(channel, y)
             assert (soft_result.symbol_indices
                     == hard_result.symbol_indices).all()
+            # The inherited hard entry point runs the list search and
+            # returns its best member: the same ML decision and distance.
+            inherited = soft.decode(channel, y)
+            assert (inherited.symbol_indices
+                    == hard_result.symbol_indices).all()
+            assert inherited.distance_sq == hard_result.distance_sq
+            assert inherited.counters == soft_result.counters
 
     def test_llr_signs_match_ml_bits(self):
         constellation = qam(16)

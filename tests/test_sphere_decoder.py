@@ -15,6 +15,7 @@ from repro.channel import awgn, noise_variance_for_snr, rayleigh_channel
 from repro.constellation import qam
 from repro.detect import ExhaustiveMLDetector
 from repro.sphere import (
+    ListSphereDecoder,
     SphereDecoder,
     eth_sd_decoder,
     exhaustive_se_decoder,
@@ -227,6 +228,46 @@ class TestEdgeCases:
     def test_pruning_rejected_for_hess(self):
         with pytest.raises(ValueError):
             SphereDecoder(qam(4), enumerator="hess", geometric_pruning=True)
+
+    def test_budget_below_stream_count_finds_nothing(self):
+        """A hard search stopped before its first leaf reports
+        ``found=False`` too, not only a finite initial radius."""
+        channel, y, _, _ = random_instance(16, 4, 4, 20.0, seed=4)
+        result = SphereDecoder(qam(16), node_budget=3).decode(channel, y)
+        assert not result.found and result.counters.leaves == 0
+        assert (result.symbol_indices == -1).all()
+
+    @pytest.mark.parametrize("soft", [False, True], ids=["hard", "list"])
+    @pytest.mark.parametrize("bad", ["zero_diagonal", "short_y_hat",
+                                     "long_y_hat", "nan_y_hat", "nan_r"])
+    def test_scalar_entry_points_refuse_what_decode_batch_refuses(
+            self, soft, bad):
+        """``decode_triangular`` / ``decode_soft_triangular`` raise
+        ``ValueError`` on every input the engine's front door refuses,
+        instead of an ``IndexError``, a made-up result or silently
+        dropped entries."""
+        decoder = (ListSphereDecoder(qam(16), list_size=4) if soft
+                   else SphereDecoder(qam(16)))
+        channel, y, _, _ = random_instance(16, 4, 4, 20.0, seed=5)
+        q, r = triangularize(channel)
+        y_hat = q.conj().T @ y
+        if bad == "zero_diagonal":
+            r[2, 2] = 0.0
+        elif bad == "short_y_hat":
+            y_hat = y_hat[:3]
+        elif bad == "long_y_hat":
+            y_hat = np.append(y_hat, 0.5)
+        elif bad == "nan_y_hat":
+            y_hat[1] = np.nan
+        else:
+            r[0, 3] = np.nan
+        noise = (0.1,) if soft else ()
+        scalar = (decoder.decode_soft_triangular if soft
+                  else decoder.decode_triangular)
+        with pytest.raises(ValueError):
+            scalar(r, y_hat, *noise)
+        with pytest.raises(ValueError):
+            decoder.decode_batch(r, y_hat[None], *noise)
 
 
 class TestQrTriangularisation:
