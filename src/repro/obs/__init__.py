@@ -14,18 +14,18 @@ Two complementary answers to "where did the time go":
 
 from .metrics import (COUNTER_KEYS, GAUGE_KEYS, MetricsRegistry,
                       prometheus_text, registry_from_summary)
-from .trace import (DEFAULT_MAX_EVENTS_PER_FRAME, DEFAULT_RETAIN_FRAMES,
-                    FrameTrace, FrameTracer, chrome_trace,
-                    chrome_trace_events, export_jsonl, merge_traces)
+from .trace import (MAX_EVENTS_PER_FRAME, RETAIN_FRAMES, FrameTrace,
+                    FrameTracer, chrome_trace, chrome_trace_events,
+                    export_jsonl, merge_traces)
 
 __all__ = [
     "COUNTER_KEYS",
-    "DEFAULT_MAX_EVENTS_PER_FRAME",
-    "DEFAULT_RETAIN_FRAMES",
     "FrameTrace",
     "FrameTracer",
     "GAUGE_KEYS",
+    "MAX_EVENTS_PER_FRAME",
     "MetricsRegistry",
+    "RETAIN_FRAMES",
     "chrome_trace",
     "chrome_trace_events",
     "export_jsonl",

@@ -20,9 +20,9 @@ Design constraints, in order:
   reads the *enabled* overhead at ~1% of runtime throughput, inside its
   own run-to-run spread, so disabled overhead is noise.
 * **Bounded.**  A resident runtime must stay O(1) in memory: finished
-  traces live in a ring of ``retain_frames`` entries, each trace caps
-  its event list at ``max_events_per_frame`` (overflow is *counted*,
-  never silent), so the tracer's footprint is a product of two
+  traces live in a ring of :data:`RETAIN_FRAMES` entries, each trace
+  caps its event list at :data:`MAX_EVENTS_PER_FRAME` (overflow is
+  *counted*, never silent), so the tracer's footprint is a product of two
   constants no matter how long the runtime serves.
 * **Results-invariant.**  Tracing only reads clocks and appends tuples
   — it performs no float math on any decode quantity, so every decode
@@ -46,11 +46,9 @@ import json
 import time
 from collections import deque
 
-from ..utils.validation import require
-
 __all__ = [
-    "DEFAULT_MAX_EVENTS_PER_FRAME",
-    "DEFAULT_RETAIN_FRAMES",
+    "MAX_EVENTS_PER_FRAME",
+    "RETAIN_FRAMES",
     "FrameTrace",
     "FrameTracer",
     "chrome_trace",
@@ -60,11 +58,11 @@ __all__ = [
 ]
 
 #: Finished traces retained by a tracer (ring buffer).
-DEFAULT_RETAIN_FRAMES = 1024
+RETAIN_FRAMES = 1024
 
 #: Events one frame's trace may hold; overflow increments
 #: :attr:`FrameTrace.dropped` instead of growing the list.
-DEFAULT_MAX_EVENTS_PER_FRAME = 64
+MAX_EVENTS_PER_FRAME = 64
 
 #: Chrome-export stage spans, derived from lifecycle marker pairs: each
 #: entry is ``(end_marker, span_name)``; a span runs from the previous
@@ -99,10 +97,9 @@ class FrameTrace:
         self.events: list[tuple] = []
         self.dropped = 0
 
-    def add(self, t: float, name: str, attrs: dict | None,
-            max_events: int = DEFAULT_MAX_EVENTS_PER_FRAME) -> None:
+    def add(self, t: float, name: str, attrs: dict | None) -> None:
         """Append one event, or count it dropped past the cap."""
-        if len(self.events) >= max_events:
+        if len(self.events) >= MAX_EVENTS_PER_FRAME:
             self.dropped += 1
             return
         self.events.append((t, name, attrs))
@@ -152,9 +149,6 @@ class FrameTracer:
         Off by default.  Disabled, :meth:`start` returns ``None`` and
         every stamping call degenerates to an ``is None`` test, so call
         sites stay unconditionally in place.
-    retain_frames, max_events_per_frame:
-        The two memory bounds (ring of finished traces; per-trace event
-        cap with counted overflow).
     clock:
         Timestamp source, default :func:`time.perf_counter`.  The
         runtime passes its own (possibly fake, for deterministic
@@ -163,18 +157,12 @@ class FrameTracer:
     """
 
     def __init__(self, *, enabled: bool = False,
-                 retain_frames: int = DEFAULT_RETAIN_FRAMES,
-                 max_events_per_frame: int = DEFAULT_MAX_EVENTS_PER_FRAME,
                  clock=time.perf_counter) -> None:
-        require(retain_frames >= 1, "tracer must retain at least one frame")
-        require(max_events_per_frame >= 1,
-                "traces must hold at least one event")
         self.enabled = enabled
         self.clock = clock
-        self.max_events_per_frame = max_events_per_frame
         self.frames_traced = 0
         self.events_dropped = 0
-        self._finished: deque[FrameTrace] = deque(maxlen=retain_frames)
+        self._finished: deque[FrameTrace] = deque(maxlen=RETAIN_FRAMES)
 
     # -- recording -------------------------------------------------------
     def start(self, frame_id: int, **labels) -> FrameTrace | None:
@@ -189,8 +177,7 @@ class FrameTracer:
         """Stamp one event onto a live trace; no-op for ``None``."""
         if trace is None:
             return
-        trace.add(self.clock() if t is None else t, name, attrs or None,
-                  self.max_events_per_frame)
+        trace.add(self.clock() if t is None else t, name, attrs or None)
 
     def finish(self, trace: FrameTrace | None) -> None:
         """Move a resolved frame's trace into the bounded ring."""

@@ -260,9 +260,6 @@ class FrameJob:
         self.kind = kind
         self.decoder = decoder
         self.noise_variance = request.noise_variance
-        # Copy: the caller may keep mutating its dict after submit();
-        # the handle's tags must reflect admission time.
-        self.metadata = dict(request.metadata)
         self.config = request.config
         self.num_pad_bits = request.num_pad_bits
         self.deadline_s = request.deadline_s

@@ -61,10 +61,10 @@ from ..obs.trace import FrameTracer
 from ..utils.validation import require
 from .decode import DecodeStage
 from .engine import LANE_POLICIES, StreamingFrontier
-from .queue import FrameJob, FrameRequest
+from .queue import FrameJob, FrameRequest, decoder_kind
 from .stats import RuntimeStats
 
-__all__ = ["FrameExpired", "PendingFrame", "UplinkRuntime"]
+__all__ = ["FrameExpired", "PendingFrame", "RESOLUTIONS", "UplinkRuntime"]
 
 #: Default bound on frames decoded concurrently.  Deep enough to bridge
 #: every frame's straggler tail with the next frames' fresh searches,
@@ -76,6 +76,11 @@ DEFAULT_MAX_IN_FLIGHT = 8
 #: remains.
 DEGRADE_MARGIN_FRACTION = 0.25
 
+#: How a frame can resolve, each with the trace event that ends its
+#: lifecycle.  :meth:`PendingFrame.resolve` refuses anything else.
+RESOLUTIONS = {"completed": "resolve", "expired": "expire",
+               "cancelled": "cancel"}
+
 
 class FrameExpired(RuntimeError):
     """Raised by :meth:`PendingFrame.result` when the frame was expired
@@ -84,12 +89,13 @@ class FrameExpired(RuntimeError):
 
 
 class PendingFrame:
-    """Handle for one submitted frame.
+    """Handle for one submitted frame — to an :class:`UplinkRuntime` or
+    to a :class:`~repro.service.router.DetectorFarm`.
 
     Resolves when the runtime finishes the frame's last search — or,
     for deadline-tagged frames, when the deadline policy expires it.
-    :attr:`resolution` records which (``"completed"``, ``"expired"`` or
-    ``"cancelled"``); :meth:`result` returns exactly what standalone
+    :attr:`resolution` records which (one of :data:`RESOLUTIONS`);
+    :meth:`result` returns exactly what standalone
     ``decode_frame`` would have for completed frames (a
     :class:`~repro.frame.results.FrameDecodeResult` or
     :class:`~repro.frame.results.SoftFrameResult`) and raises
@@ -104,27 +110,30 @@ class PendingFrame:
     on the runtime clock), ``degraded`` (budgets were shrunk — the
     result is marked, never silently approximate) and
     ``missed_deadline`` (completed, but past the deadline — a near
-    miss).
+    miss).  These, ``completed_at`` and ``latency_s`` are written by
+    :meth:`resolve` alone.
     """
 
-    def __init__(self, frame_id: int, kind: str, metadata: dict,
-                 submitted_at: float, deadline_s: float | None = None,
-                 priority: int = 0) -> None:
+    def __init__(self, frame_id: int, request: FrameRequest,
+                 submitted_at: float) -> None:
         self.frame_id = frame_id
-        self.kind = kind
-        self.metadata = metadata
+        self.kind = decoder_kind(request.decoder)
+        # Copy: the caller may keep mutating its dict after submit();
+        # the handle's tags must reflect admission time.
+        self.metadata = dict(request.metadata)
         self.submitted_at = submitted_at
-        self.deadline_s = deadline_s
-        self.priority = priority
-        self.deadline_at = (None if deadline_s is None
-                            else submitted_at + deadline_s)
+        self.deadline_s = request.deadline_s
+        self.priority = int(request.priority)
+        self.deadline_at = (None if self.deadline_s is None
+                            else submitted_at + self.deadline_s)
         self.completed_at: float | None = None
+        self.latency_s: float | None = None     # submit to resolution
         self.resolution: str | None = None
         self.degraded = False
         self.missed_deadline = False
         #: The frame's lifecycle trace (:class:`~repro.obs.trace.
-        #: FrameTrace`), attached at resolution when the runtime traces;
-        #: ``None`` otherwise.
+        #: FrameTrace`) when its owner traces — from a farm, the farm's
+        #: events merged with the worker's; ``None`` otherwise.
         self.trace = None
         self._result = None
 
@@ -137,11 +146,29 @@ class PendingFrame:
     def expired(self) -> bool:
         return self.resolution == "expired"
 
-    @property
-    def latency_s(self) -> float:
-        """Submit-to-resolution wall time."""
-        require(self.done, f"frame {self.frame_id} has not resolved")
-        return self.completed_at - self.submitted_at
+    def resolve(self, resolution: str, at: float, *, result=None,
+                degraded: bool = False, missed_deadline: bool | None = None,
+                latency_s: float | None = None) -> None:
+        """Resolve the handle, once, at ``at`` on its owner's clock.
+
+        By default a completion past ``deadline_at`` is a near miss and
+        the latency is ``at - submitted_at``; the farm passes what a
+        worker's payload says instead, and marks its own expiries
+        missed."""
+        require(resolution in RESOLUTIONS,
+                f"unknown resolution {resolution!r}")
+        require(not self.done, f"frame {self.frame_id} has already resolved")
+        if missed_deadline is None:
+            missed_deadline = (resolution == "completed"
+                               and self.deadline_at is not None
+                               and at > self.deadline_at)
+        self.resolution = resolution
+        self.completed_at = at
+        self.latency_s = (at - self.submitted_at if latency_s is None
+                          else latency_s)
+        self.degraded = degraded
+        self.missed_deadline = missed_deadline
+        self._result = result
 
     def result(self):
         require(self.done, f"frame {self.frame_id} has not resolved; "
@@ -277,16 +304,29 @@ class UplinkRuntime:
             "resolve": max(0.0, done - decode_done),
         }
 
-    def _complete(self, job: FrameJob, result) -> PendingFrame:
+    def _resolve(self, job: FrameJob, resolution: str,
+                 result=None) -> PendingFrame:
+        """The one way a frame leaves the runtime: pop its handle and
+        job, abandon the searches of a frame that did not complete,
+        resolve the handle on the runtime clock, and end the frame's
+        trace with its resolution's event."""
         handle = self._handles.pop(job.frame_id)
-        self._jobs.pop(job.frame_id, None)
-        handle._result = result
-        handle.completed_at = self._clock()
-        handle.resolution = "completed"
-        handle.degraded = job.degraded
-        if (handle.deadline_at is not None
-                and handle.completed_at > handle.deadline_at):
-            handle.missed_deadline = True
+        del self._jobs[job.frame_id]
+        completed = resolution == "completed"
+        abandoned = None if completed else self._engine.remove(job)
+        handle.resolve(resolution, self._clock(), result=result,
+                       degraded=job.degraded)
+        if job.trace is not None:
+            attrs = ({"resolution": resolution, "degraded": handle.degraded,
+                      "missed_deadline": handle.missed_deadline}
+                     if completed else {"searches_abandoned": abandoned})
+            self.tracer.emit(job.trace, RESOLUTIONS[resolution],
+                             t=handle.completed_at, **attrs)
+            self.tracer.finish(job.trace)
+        return handle
+
+    def _complete(self, job: FrameJob, result) -> PendingFrame:
+        handle = self._resolve(job, "completed", result)
         self.stats.record_complete(
             handle.completed_at, handle.latency_s, job.num_problems,
             result.counters, priority=handle.priority,
@@ -296,12 +336,6 @@ class UplinkRuntime:
         if result.decisions is not None:
             self.stats.record_decisions(result.decisions,
                                         degraded=handle.degraded)
-        if job.trace is not None:
-            self.tracer.emit(job.trace, "resolve", t=handle.completed_at,
-                             resolution="completed",
-                             degraded=handle.degraded,
-                             missed_deadline=handle.missed_deadline)
-            self.tracer.finish(job.trace)
         return handle
 
     # -- deadline machinery ---------------------------------------------
@@ -316,16 +350,8 @@ class UplinkRuntime:
                 continue
             job = self._jobs[frame_id]
             if now > handle.deadline_at:
-                evicted = self._engine.remove(job)
-                del self._handles[frame_id]
-                del self._jobs[frame_id]
-                handle.completed_at = now
-                handle.resolution = "expired"
-                self.stats.record_expired(now)
-                if job.trace is not None:
-                    self.tracer.emit(job.trace, "expire",
-                                     searches_abandoned=evicted)
-                    self.tracer.finish(job.trace)
+                handle = self._resolve(job, "expired")
+                self.stats.record_expired(handle.completed_at)
                 expired.append(handle)
             elif (not job.degraded
                   and now > handle.deadline_at
@@ -337,7 +363,6 @@ class UplinkRuntime:
                 # event the engine may emit for the same decision.
                 self.tracer.emit(job.trace, "degrade", budget=budget)
                 self._engine.degrade(job, budget)
-                handle.degraded = True
                 self.stats.record_degraded(now)
         return expired
 
@@ -364,9 +389,7 @@ class UplinkRuntime:
         job = FrameJob(frame_id, frame)      # validates; may raise
         self._next_frame_id += 1
         self.stats.record_submit(submitted_at)
-        handle = PendingFrame(frame_id, job.kind, job.metadata,
-                              submitted_at, deadline_s=job.deadline_s,
-                              priority=job.priority)
+        handle = PendingFrame(frame_id, frame, submitted_at)
         self._handles[frame_id] = handle
         self._jobs[frame_id] = job
         trace = self.tracer.start(frame_id, kind=job.kind,
@@ -394,16 +417,8 @@ class UplinkRuntime:
         the handle is *not* also returned by ``poll``/``drain``."""
         if handle.done:
             return False
-        job = self._jobs.pop(handle.frame_id)
-        del self._handles[handle.frame_id]
-        evicted = self._engine.remove(job)
-        handle.completed_at = self._clock()
-        handle.resolution = "cancelled"
+        self._resolve(self._jobs[handle.frame_id], "cancelled")
         self.stats.record_cancelled(handle.completed_at)
-        if job.trace is not None:
-            self.tracer.emit(job.trace, "cancel", t=handle.completed_at,
-                             searches_abandoned=evicted)
-            self.tracer.finish(job.trace)
         return True
 
     def reprioritise(self, handle: PendingFrame, priority: int) -> None:

@@ -31,14 +31,13 @@ everything here is cheap enough to leave on permanently.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 
 import numpy as np
 
 from ..obs import ledger
 from ..obs.ledger import COUNTER_KEYS, DERIVED, GAUGE, MAX, METRICS, SUM
 from ..sphere.counters import ComplexityCounters
-from ..utils.validation import require
 
 __all__ = ["RuntimeStats", "STAGES", "aggregate_summaries", "fold_counters"]
 
@@ -46,7 +45,7 @@ __all__ = ["RuntimeStats", "STAGES", "aggregate_summaries", "fold_counters"]
 #: bounded sliding window keeps a permanently-resident runtime's
 #: telemetry O(1) in memory; recent frames are also what a tail-latency
 #: report should describe.
-DEFAULT_LATENCY_WINDOW = 4096
+LATENCY_WINDOW = 4096
 
 #: Smoothing factor of the exponential moving average over tick
 #: durations (reported as ``tick_duration_ema_s``).
@@ -58,6 +57,14 @@ _TICK_EMA_ALPHA = 0.1
 #: residue (finalisation bookkeeping).  The components partition each
 #: frame's submit-to-completion latency.
 STAGES = ("queue_wait", "detect", "decode", "resolve")
+
+
+def _window() -> deque:
+    return deque(maxlen=LATENCY_WINDOW)
+
+
+def _windows_by_stage() -> dict[str, deque]:
+    return {stage: _window() for stage in STAGES}
 
 
 def _percentile_report(window, percentiles) -> dict[int, float]:
@@ -76,26 +83,24 @@ class RuntimeStats:
     Counts, rates and occupancy are running aggregates — each counter of
     the ledger (:data:`~repro.obs.ledger.COUNTER_KEYS`) is an attribute
     named by its ``summary()`` key; latency percentiles are computed
-    over a sliding window of the most recent ``latency_window``
+    over a sliding window of the most recent :data:`LATENCY_WINDOW`
     completions (overall and per priority class), so a resident
     runtime's footprint stays bounded no matter how long it serves.
     """
 
-    def __init__(self, latency_window: int = DEFAULT_LATENCY_WINDOW) -> None:
-        require(latency_window >= 1, "latency window must be positive")
-        self._latency_window = latency_window
+    def __init__(self) -> None:
         for key in COUNTER_KEYS:      # frames_submitted, ticks, stage_detect_s...
             setattr(self, key, 0.0 if key.endswith("_s") else 0)
         #: Per-tick lane occupancies added up (``mean_lane_occupancy``).
         self.lane_occupancy_sum = 0.0
         self.counters = ComplexityCounters()
-        self._latencies: deque[float] = deque(maxlen=latency_window)
-        self._class_latencies: dict[int, deque[float]] = {}
+        self._latencies = _window()
+        self._class_latencies: dict[int, deque] = defaultdict(_window)
         # Stage-latency percentile windows, overall and per priority
         # class (the running totals are the stage_<name>_s counters).
-        self._stage_windows: dict[str, deque[float]] = {
-            stage: deque(maxlen=latency_window) for stage in STAGES}
-        self._class_stage_windows: dict[int, dict[str, deque[float]]] = {}
+        self._stage_windows = _windows_by_stage()
+        self._class_stage_windows: dict[int, dict[str, deque]] = (
+            defaultdict(_windows_by_stage))
         # Busy time: closed in-flight intervals summed into _busy_s,
         # plus the open one [_busy_since, _last_event] while any frame
         # is in flight.
@@ -106,7 +111,7 @@ class RuntimeStats:
         #: The longest timed tick: the one that drains a pool's
         #: stragglers, or a large admission into a full frontier.
         self.tick_duration_max_s = 0.0
-        self._tick_durations: deque[float] = deque(maxlen=latency_window)
+        self._tick_durations = _window()
 
     # -- busy-time bookkeeping ------------------------------------------
     @property
@@ -167,17 +172,9 @@ class RuntimeStats:
         self.frames_completed += 1
         self.searches_completed += detections
         self._latencies.append(latency_s)
-        window = self._class_latencies.get(priority)
-        if window is None:
-            window = deque(maxlen=self._latency_window)
-            self._class_latencies[priority] = window
-        window.append(latency_s)
+        self._class_latencies[priority].append(latency_s)
         if stages is not None:
-            class_windows = self._class_stage_windows.get(priority)
-            if class_windows is None:
-                class_windows = {stage: deque(maxlen=self._latency_window)
-                                 for stage in STAGES}
-                self._class_stage_windows[priority] = class_windows
+            class_windows = self._class_stage_windows[priority]
             fields = vars(self)
             for stage in STAGES:
                 seconds = stages.get(stage, 0.0)

@@ -5,10 +5,13 @@ This package scales the streaming runtime past one process: a
 supervised worker processes (deterministic signature routing, so each
 shard's admission order is reproducible), and a :class:`CellSiteServer`
 puts the farm behind a local socket so many cells stream frames into one
-farm with backpressure and QoS preserved end to end.  The standing
-bit-exactness contract extends across the farm: for any shard count and
-either lane policy, every frame's results, LLRs and complexity counters
-are bit-identical to a single-process
+farm with backpressure and QoS preserved end to end.  A frame submitted
+to the farm resolves into the same
+:class:`~repro.runtime.session.PendingFrame` a single runtime hands out,
+through the same :meth:`~repro.runtime.session.PendingFrame.resolve`.
+The standing bit-exactness contract extends across the farm: for any
+shard count and either lane policy, every frame's results, LLRs and
+complexity counters are bit-identical to a single-process
 :class:`~repro.runtime.session.UplinkRuntime` and to standalone
 ``decode_frame``.
 
@@ -33,7 +36,7 @@ stats as Prometheus text exposition (:mod:`repro.obs`).
 
 from .client import CellSiteClient
 from .protocol import VERBS, request_signature, shard_for
-from .router import DetectorFarm, FarmHandle
+from .router import DetectorFarm
 from .server import CellSiteServer
 from .supervisor import ShardSupervisor
 from .worker import ShardRuntime, worker_main
@@ -42,7 +45,6 @@ __all__ = [
     "CellSiteClient",
     "CellSiteServer",
     "DetectorFarm",
-    "FarmHandle",
     "ShardRuntime",
     "ShardSupervisor",
     "VERBS",

@@ -60,10 +60,10 @@ def request_signature(request) -> tuple:
 
 
 def resolution_payload(frame_id: int, handle) -> dict:
-    """The one shape a resolved frame travels in — worker to router
-    (:meth:`FarmHandle.resolve` applies it) and server to client —
-    read off any resolved ``PendingFrame`` / ``FarmHandle``-shaped
-    ``handle``; every hop speaks the *farm's* frame id, hence apart."""
+    """The one shape a resolved
+    :class:`~repro.runtime.session.PendingFrame` travels in — worker
+    pipe to farm, socket to client — whoever resolved it; every hop
+    speaks the *farm's* frame id, hence apart."""
     return {
         "frame_id": frame_id,
         "resolution": handle.resolution,

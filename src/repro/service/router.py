@@ -11,6 +11,10 @@ exactly one worker and the admission order a shard sees is the farm
 admission order restricted to its signatures — deterministic, which is
 what lets the bit-exactness contract extend to every shard count.
 
+``submit`` returns the runtime's own
+:class:`~repro.runtime.session.PendingFrame` (the farm keeps its shard
+beside it); worker payloads, ``cancel`` and ``close()`` all resolve it.
+
 **Why signature routing keeps results bit-identical.**  A single
 ``UplinkRuntime`` is already admission-order-invariant per frame (the
 ``tests/test_runtime.py`` hypothesis sweep): each search runs the exact
@@ -30,10 +34,12 @@ gates drive.
 
 from __future__ import annotations
 
+import time
+
 from ..obs.metrics import prometheus_text
 from ..obs.trace import FrameTracer, merge_traces
 from ..runtime.queue import validate_request
-from ..runtime.session import FrameExpired
+from ..runtime.session import RESOLUTIONS, PendingFrame
 from ..runtime.stats import aggregate_summaries
 from ..utils.validation import require
 from .protocol import request_signature, shard_for
@@ -44,63 +50,15 @@ from .supervisor import (
 )
 from .worker import DEFAULT_HEARTBEAT_S, ShardRuntime
 
-__all__ = ["DetectorFarm", "FarmHandle"]
+__all__ = ["DetectorFarm"]
 
 BACKENDS = ("process", "inline")
 
-#: Default farm-wide outstanding-frame budget per shard (backpressure).
-DEFAULT_OUTSTANDING_PER_SHARD = 16
+#: Farm-wide outstanding-frame budget per shard (backpressure).
+OUTSTANDING_PER_SHARD = 16
 
-
-class FarmHandle:
-    """Pending handle for a frame submitted to the farm — the farm twin
-    of :class:`~repro.runtime.session.PendingFrame`, resolved from
-    worker payloads instead of engine callbacks."""
-
-    def __init__(self, frame_id: int, shard: int, metadata: dict,
-                 deadline_s: float | None, priority: int) -> None:
-        self.frame_id = frame_id
-        self.shard = shard
-        self.metadata = metadata
-        self.deadline_s = deadline_s
-        self.priority = priority
-        self.resolution: str | None = None
-        self.degraded = False
-        self.missed_deadline = False
-        self.latency_s: float | None = None
-        #: The frame's merged lifecycle trace (farm routing/supervision
-        #: events folded with the worker's runtime events) when the farm
-        #: traces; ``None`` otherwise.
-        self.trace = None
-        self._result = None
-
-    @property
-    def done(self) -> bool:
-        return self.resolution is not None
-
-    @property
-    def expired(self) -> bool:
-        return self.resolution == "expired"
-
-    def resolve(self, payload: dict) -> None:
-        """Apply one :func:`~repro.service.protocol.resolution_payload`;
-        the worker's runtime trace it carried folds into the farm-side
-        routing/supervision trace."""
-        self.resolution = payload["resolution"]
-        self.degraded = payload["degraded"]
-        self.missed_deadline = payload["missed_deadline"]
-        self.latency_s = payload["latency_s"]
-        self.trace = merge_traces(self.trace, payload["trace"])
-        self._result = payload["result"]
-
-    def result(self):
-        """The frame's decode result.  Raises :class:`FrameExpired` for
-        an expired or cancelled frame — never a fabricated result."""
-        require(self.done, f"frame {self.frame_id} has not resolved yet")
-        if self.resolution != "completed":
-            raise FrameExpired(
-                f"frame {self.frame_id} resolved as {self.resolution!r}")
-        return self._result
+#: What a worker's resolution payload hands to ``PendingFrame.resolve``.
+_FIELDS = ("result", "degraded", "missed_deadline", "latency_s")
 
 
 class DetectorFarm:
@@ -118,10 +76,6 @@ class DetectorFarm:
     runtime_kwargs:
         Passed to every shard's :class:`UplinkRuntime` (capacity,
         lane_policy, max_in_flight, ...).
-    max_outstanding:
-        Farm-wide backpressure bound: ``submit`` services the farm until
-        outstanding frames drop below this (default
-        ``DEFAULT_OUTSTANDING_PER_SHARD × num_shards``).
     heartbeat_s, hang_timeout_s, max_restarts:
         Supervision knobs (process backend only), see
         :class:`~repro.service.supervisor.ShardSupervisor`.
@@ -140,7 +94,6 @@ class DetectorFarm:
 
     def __init__(self, num_shards: int = 2, *, backend: str = "process",
                  runtime_kwargs: dict | None = None,
-                 max_outstanding: int | None = None,
                  heartbeat_s: float = DEFAULT_HEARTBEAT_S,
                  hang_timeout_s: float = DEFAULT_HANG_TIMEOUT_S,
                  max_restarts: int = DEFAULT_MAX_RESTARTS,
@@ -152,17 +105,14 @@ class DetectorFarm:
         if trace:
             runtime_kwargs = dict(runtime_kwargs or {})
             runtime_kwargs.setdefault("trace", True)
-        if max_outstanding is None:
-            max_outstanding = DEFAULT_OUTSTANDING_PER_SHARD * num_shards
-        require(max_outstanding >= 1,
-                "outstanding budget must be at least 1")
         self.num_shards = num_shards
         self.backend = backend
-        self.max_outstanding = max_outstanding
+        #: ``submit`` services the farm while this many are outstanding.
+        self.max_outstanding = OUTSTANDING_PER_SHARD * num_shards
         self.frames_routed = [0] * num_shards
         self._next_frame_id = 0
-        self._handles: dict[int, FarmHandle] = {}
-        self._resolved: list[FarmHandle] = []
+        # Unresolved frames: farm frame_id -> (handle, shard).
+        self._frames: dict[int, tuple[PendingFrame, int]] = {}
         self._closed = False
         if backend == "inline":
             self._shards = [ShardRuntime(runtime_kwargs)
@@ -186,37 +136,38 @@ class DetectorFarm:
     @property
     def outstanding(self) -> int:
         """Frames submitted but not yet resolved."""
-        return len(self._handles)
+        return len(self._frames)
 
     @property
     def idle(self) -> bool:
-        return not self._handles
+        return not self._frames
 
     def route(self, request) -> int:
         """The shard a request's signature maps to (no submission)."""
         return shard_for(request_signature(request), self.num_shards)
 
-    def submit(self, request) -> FarmHandle:
+    def submit(self, request) -> PendingFrame:
         """Route one frame to its shard; returns the pending handle.
 
         Applies farm-wide backpressure: while ``max_outstanding`` frames
         are unresolved, services the farm until one resolves — the same
-        submit-blocks contract as ``UplinkRuntime``.  A frame that fails
-        validation raises ``ValueError`` and leaves the farm untouched.
+        submit-blocks contract (and arrival stamp) as ``UplinkRuntime``.
+        A frame that fails validation raises ``ValueError`` and leaves
+        the farm untouched.
         """
         require(not self._closed, "farm is closed")
         # The farm's front door: a malformed frame is rejected here, in
         # the caller's process, before it can reach (and poison) a shard.
         validate_request(request)
-        while len(self._handles) >= self.max_outstanding:
+        submitted_at = time.perf_counter()
+        while len(self._frames) >= self.max_outstanding:
             if not self.pump():
                 self.wait()
         shard = self.route(request)
         frame_id = self._next_frame_id
         self._next_frame_id += 1
-        handle = FarmHandle(frame_id, shard, dict(request.metadata),
-                            request.deadline_s, request.priority)
-        self._handles[frame_id] = handle
+        handle = PendingFrame(frame_id, request, submitted_at)
+        self._frames[frame_id] = (handle, shard)
         self.frames_routed[shard] += 1
         trace = self.tracer.start(frame_id, shard=shard,
                                   priority=request.priority)
@@ -229,23 +180,41 @@ class DetectorFarm:
             self._shards[shard].submit(frame_id, request)
         return handle
 
-    def cancel(self, handle: FarmHandle) -> bool:
+    def cancel(self, handle: PendingFrame) -> bool:
         """Drop an unresolved frame; resolves the handle as
         ``"cancelled"`` synchronously (``result()`` raises
-        :class:`FrameExpired`).  Returns ``False`` if it had already
+        ``FrameExpired``).  Returns ``False`` if it had already
         resolved."""
-        if handle.done or handle.frame_id not in self._handles:
+        if handle.frame_id not in self._frames:
             return False
-        del self._handles[handle.frame_id]
-        handle.resolution = "cancelled"
+        shard = self._frames[handle.frame_id][1]
         if self._supervisor is not None:
-            self._supervisor.cancel(handle.shard, handle.frame_id)
+            self._supervisor.cancel(shard, handle.frame_id)
         else:
-            self._shards[handle.shard].cancel(handle.frame_id)
+            self._shards[shard].cancel(handle.frame_id)
+        self._resolve(handle.frame_id, "cancelled")
         return True
 
+    def _resolve(self, frame_id: int, resolution: str, *,
+                 payload: dict | None = None, **attrs) -> PendingFrame:
+        """The one way a frame leaves the farm: pop it, resolve its
+        handle on the farm clock and retire its trace.  A worker's
+        ``payload`` brings the flags, latency and runtime trace; a
+        farm-side resolution stamps its own event (with ``attrs``), and
+        a farm-side expiry is a missed deadline."""
+        handle, _ = self._frames.pop(frame_id)
+        if payload is None:
+            self.tracer.emit(handle.trace, RESOLUTIONS[resolution], **attrs)
+            fields = {"missed_deadline": resolution == "expired"}
+        else:
+            fields = {key: payload[key] for key in _FIELDS}
+            handle.trace = merge_traces(handle.trace, payload["trace"])
+        handle.resolve(resolution, time.perf_counter(), **fields)
+        self.tracer.finish(handle.trace)
+        return handle
+
     # -- servicing -------------------------------------------------------
-    def pump(self) -> list[FarmHandle]:
+    def pump(self) -> list[PendingFrame]:
         """One non-blocking service round: advance inline shards one
         tick / drain worker pipes, apply resolved payloads, and return
         the handles that resolved.  The building block ``poll``/``drain``
@@ -258,34 +227,29 @@ class DetectorFarm:
             payloads = []
             for shard in self._shards:
                 payloads.extend(shard.service())
-        resolved = []
-        for payload in payloads:
-            handle = self._handles.pop(payload["frame_id"], None)
-            if handle is None:
-                continue       # cancelled on the farm side; result lost the race
-            handle.resolve(payload)
-            # The merged trace also lands in the farm tracer's ring.
-            self.tracer.finish(handle.trace)
-            resolved.append(handle)
-        return resolved
+        # A payload for a frame no longer here was cancelled on the farm
+        # side: its result lost the race.
+        return [self._resolve(payload["frame_id"], payload["resolution"],
+                              payload=payload)
+                for payload in payloads if payload["frame_id"] in self._frames]
 
-    def poll(self) -> list[FarmHandle]:
+    def poll(self) -> list[PendingFrame]:
         """Service the farm until at least one frame resolves (or the
         farm goes idle); returns the resolved handles.  Between rounds
         it blocks in :meth:`wait` — woken by the worker's next message,
         not by a timer."""
         resolved = self.pump()
-        while not resolved and self._handles:
+        while not resolved and self._frames:
             self.wait()
             resolved = self.pump()
         return resolved
 
-    def drain(self) -> list[FarmHandle]:
+    def drain(self) -> list[PendingFrame]:
         """Run every submitted frame to resolution — completions,
         expiries and supervisor recoveries alike; a drain never hangs on
         a dead worker."""
         resolved = []
-        while self._handles:
+        while self._frames:
             resolved.extend(self.poll())
         return resolved
 
@@ -339,13 +303,12 @@ class DetectorFarm:
         self._supervisor.kill_shard(shard)
 
     def close(self) -> None:
-        """Stop the workers.  Unresolved frames resolve as expired."""
+        """Stop the workers.  Unresolved frames resolve as expired
+        (trace event ``expire``, ``reason="close"``)."""
         if self._closed:
             return
         self._closed = True
-        for handle in self._handles.values():
-            handle.resolution = "expired"
-            handle.missed_deadline = True
-        self._handles.clear()
+        for frame_id in list(self._frames):
+            self._resolve(frame_id, "expired", reason="close")
         if self._supervisor is not None:
             self._supervisor.close()

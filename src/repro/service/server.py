@@ -106,8 +106,7 @@ class CellSiteServer:
         finally:
             with self._lock:
                 for handle in owned.values():
-                    if not handle.done:
-                        self.farm.cancel(handle)
+                    self.farm.cancel(handle)      # no-op once resolved
             conn.close()
 
     def _collect(self, owned: dict, ready: list) -> None:
@@ -156,9 +155,13 @@ class CellSiteServer:
                 owned[handle.frame_id] = handle
                 return ("ok", handle.frame_id)
             if op == "cancel":
-                handle = owned.pop(message[1], None)
-                return ("ok", handle is not None
-                        and self.farm.cancel(handle))
+                # A frame whose result won the race stays owned: the
+                # next poll delivers it.
+                handle = owned.get(message[1])
+                cancelled = handle is not None and self.farm.cancel(handle)
+                if cancelled:
+                    del owned[message[1]]
+                return ("ok", cancelled)
             if op == "stats":
                 return ("ok", self.farm.stats())
             if op == "metrics":

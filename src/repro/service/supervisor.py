@@ -31,11 +31,14 @@ rather than a restart loop.
 
 **Counters outlive workers.**  A replacement worker starts a fresh
 ``RuntimeStats``, so :attr:`ShardSupervisor.retired` keeps, per shard,
-the last summary each replaced worker reported (folded) plus a tally of
-the frames the supervisor expired itself, for the farm's ``stats()`` to
-add: no ``*_total`` runs backwards across a restart and a
-supervisor-side expiry is a counted deadline miss.  Work a worker did
-between its last stats reply and its death is lost with the process.
+the last summary each replaced worker reported (folded) plus the frames
+the supervisor expired itself — each resolved as a real
+:class:`~repro.runtime.session.PendingFrame` and counted by
+``RuntimeStats.record_expired``, as a worker counts its own expiries —
+for the farm's ``stats()`` to add: no ``*_total`` runs backwards across
+a restart and a supervisor-side expiry is a counted deadline miss.
+Work a worker did between its last stats reply and its death is lost
+with the process.
 
 Nothing here sleeps.  Whoever needs a worker's next word blocks in
 :meth:`ShardSupervisor.wait` — ``multiprocessing.connection.wait`` over
@@ -50,10 +53,10 @@ import dataclasses
 import multiprocessing
 import time
 from multiprocessing.connection import wait as wait_for_pipes
-from types import SimpleNamespace
 
 from ..obs.trace import FrameTracer
-from ..runtime.stats import fold_counters
+from ..runtime.session import PendingFrame
+from ..runtime.stats import RuntimeStats, fold_counters
 from ..utils.validation import require
 from .protocol import resolution_payload
 from .worker import DEFAULT_HEARTBEAT_S, worker_main
@@ -67,11 +70,6 @@ DEFAULT_MAX_RESTARTS = 5
 #: declared hung.  Generous relative to the heartbeat period: a healthy
 #: worker beats every DEFAULT_HEARTBEAT_S even mid-burst.
 DEFAULT_HANG_TIMEOUT_S = 5.0
-
-#: How a frame the supervisor expires itself resolved: handle-shaped,
-#: for :func:`~repro.service.protocol.resolution_payload`.
-_EXPIRED = SimpleNamespace(resolution="expired", degraded=False,
-                           missed_deadline=True, latency_s=None, trace=None)
 
 
 class _Worker:
@@ -108,10 +106,9 @@ class ShardSupervisor:
     ``cancel`` write the command pipes (and maintain the ledgers),
     ``pump`` drains results and runs failure detection, ``wait`` blocks
     until ``pump`` has something to do, ``stats`` gathers per-shard
-    summaries.  Expired-by-the-supervisor frames come
-    back from ``pump`` as ordinary payload dicts with
-    ``resolution="expired"``, indistinguishable to the router from a
-    worker-side deadline expiry.
+    summaries.  Frames the supervisor expires itself come back from
+    ``pump`` as ordinary payloads read off a real ``PendingFrame``,
+    indistinguishable to the router from a worker-side expiry.
     """
 
     def __init__(self, num_shards: int, *, runtime_kwargs: dict | None = None,
@@ -148,9 +145,6 @@ class ShardSupervisor:
         self._last_summary: list[dict] = [{} for _ in range(num_shards)]
 
     # -- dispatch -------------------------------------------------------
-    def outstanding(self, shard: int) -> int:
-        return len(self._ledger[shard])
-
     def submit(self, shard: int, frame_id: int, request,
                trace=None) -> None:
         self._ledger[shard][frame_id] = (request, time.monotonic(), trace)
@@ -238,15 +232,13 @@ class ShardSupervisor:
             worker.process.join(timeout=1.0)
         worker.conn.close()
         self.restarts[shard] += 1
-        self.retired[shard] = fold_counters(
-            [self.retired[shard], self._last_summary[shard]])
-        self._last_summary[shard] = {}
         ledger = self._ledger[shard]
         self._ledger[shard] = {}
         self._workers[shard] = _Worker(shard, self.runtime_kwargs,
                                        self.heartbeat_s)
         now = time.monotonic()
         exhausted = self.restarts[shard] > self.max_restarts
+        expiries = RuntimeStats()
         payloads = []
         for frame_id, (request, enqueued, trace) in ledger.items():
             elapsed = now - enqueued
@@ -256,10 +248,10 @@ class ShardSupervisor:
                        and elapsed >= request.deadline_s)
             if exhausted or overdue:
                 self._tracer.emit(trace, "expire", reason="supervisor")
-                payloads.append(resolution_payload(frame_id, _EXPIRED))
-                # What a worker-side expiry counts (record_expired).
-                self.retired[shard]["frames_expired"] += 1
-                self.retired[shard]["deadline_frames_resolved"] += 1
+                handle = PendingFrame(frame_id, request, enqueued)
+                handle.resolve("expired", now, missed_deadline=True)
+                expiries.record_expired(now)
+                payloads.append(resolution_payload(frame_id, handle))
                 continue
             if request.deadline_s is not None:
                 # The replayed frame keeps its original wall-clock
@@ -270,6 +262,10 @@ class ShardSupervisor:
                               deadline_s=request.deadline_s)
             self._ledger[shard][frame_id] = (request, enqueued, trace)
             self._send(shard, ("submit", frame_id, request))
+        self.retired[shard] = fold_counters(
+            [self.retired[shard], self._last_summary[shard],
+             expiries.summary()])
+        self._last_summary[shard] = {}
         return payloads
 
     # -- stats ----------------------------------------------------------

@@ -104,11 +104,10 @@ class ShardRuntime:
         resolved = self.runtime.poll(max_ticks=1 if self.runtime.in_flight
                                      else 0)
         payloads = []
-        for handle in resolved:
-            farm_id = self._id_of.pop(handle.frame_id, None)
-            if farm_id is not None:
-                del self._handle_of[farm_id]
-                payloads.append(resolution_payload(farm_id, handle))
+        for handle in resolved:      # a cancelled frame never comes back
+            farm_id = self._id_of.pop(handle.frame_id)
+            del self._handle_of[farm_id]
+            payloads.append(resolution_payload(farm_id, handle))
         self._pump()
         return payloads
 

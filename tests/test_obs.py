@@ -37,8 +37,10 @@ from repro.obs import (
     merge_traces,
     prometheus_text,
 )
+from repro.obs import trace as trace_module
 from repro.obs.ledger import COUNTER, DERIVED, METRICS, SUM
 from repro.runtime import STAGES, RuntimeStats, UplinkRuntime
+from repro.runtime import stats as stats_module
 from repro.runtime.stats import aggregate_summaries
 from repro.service import CellSiteClient, CellSiteServer, DetectorFarm
 from repro.sphere import ComplexityCounters, ListSphereDecoder, SphereDecoder
@@ -71,9 +73,10 @@ def test_tracer_disabled_is_a_noop():
     assert tracer.chrome_trace()["traceEvents"] == []
 
 
-def test_tracer_buffers_are_bounded_and_overflow_is_counted():
-    tracer = FrameTracer(enabled=True, retain_frames=2,
-                         max_events_per_frame=3, clock=lambda: 0.0)
+def test_tracer_buffers_are_bounded_and_overflow_is_counted(monkeypatch):
+    monkeypatch.setattr(trace_module, "RETAIN_FRAMES", 2)
+    monkeypatch.setattr(trace_module, "MAX_EVENTS_PER_FRAME", 3)
+    tracer = FrameTracer(enabled=True, clock=lambda: 0.0)
     for frame_id in range(3):
         trace = tracer.start(frame_id)
         for event in range(5):                  # two past the cap
@@ -88,11 +91,6 @@ def test_tracer_buffers_are_bounded_and_overflow_is_counted():
     assert json.loads(export_jsonl(retained).splitlines()[0])["dropped"] == 2
     tracer.clear()
     assert tracer.traces() == []
-
-    with pytest.raises(ValueError):
-        FrameTracer(retain_frames=0)
-    with pytest.raises(ValueError):
-        FrameTracer(max_events_per_frame=0)
 
 
 def test_merge_traces_interleaves_by_time_and_fills_labels():
@@ -319,6 +317,22 @@ def test_traced_inline_farm_bit_identical(num_shards):
         assert 0 <= trace.labels["shard"] < num_shards
 
 
+def test_farm_close_ends_the_traces_of_the_frames_it_expires():
+    """A frame ``close()`` expires ends its trace like any other: an
+    ``expire`` event (``reason="close"``), and the trace lands in the
+    farm tracer's ring."""
+    rng = np.random.default_rng(10)
+    farm = DetectorFarm(1, backend="inline", trace=True)
+    handle = farm.submit(_make_frame(SphereDecoder(qam(4)), 3, 2, 15.0,
+                                     rng))
+    farm.close()
+    (trace,) = farm.tracer.traces()
+    assert trace is handle.trace
+    assert trace.names() == ["route", "expire"]
+    assert trace.events[-1][2] == {"reason": "close"}
+    assert handle.expired and handle.latency_s >= 0.0
+
+
 def test_killed_worker_replay_annotates_the_same_trace():
     """SIGKILL one shard mid-load with tracing on: the replayed frames'
     traces carry the supervision story (route → restart → replay) fused
@@ -500,8 +514,9 @@ def test_aggregate_tolerates_unreporting_shards():
             (("shard", '"1"'),)) not in samples
 
 
-def test_latency_windows_evict_oldest_samples():
-    stats = RuntimeStats(latency_window=4)
+def test_latency_windows_evict_oldest_samples(monkeypatch):
+    monkeypatch.setattr(stats_module, "LATENCY_WINDOW", 4)
+    stats = RuntimeStats()
     for index in range(10):
         stats.record_complete(
             float(index), latency_s=float(index + 1), detections=1,

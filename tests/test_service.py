@@ -213,7 +213,8 @@ def test_farm_backpressure_bounds_outstanding():
     rng = np.random.default_rng(5)
     decoder = SphereDecoder(qam(4))
     frames = [_make_frame(decoder, 3, 2, 15.0, rng) for _ in range(6)]
-    with DetectorFarm(2, backend="inline", max_outstanding=2) as farm:
+    with DetectorFarm(2, backend="inline") as farm:
+        farm.max_outstanding = 2
         handles = [farm.submit(frame) for frame in frames]
         assert farm.outstanding <= 2
         farm.drain()
@@ -255,8 +256,6 @@ def test_farm_validation():
         DetectorFarm(0)
     with pytest.raises(ValueError):
         DetectorFarm(2, backend="thread")
-    with pytest.raises(ValueError):
-        DetectorFarm(2, max_outstanding=0)
     with DetectorFarm(1, backend="inline") as farm:
         with pytest.raises(ValueError):
             farm.kill_shard(0)              # needs real processes
@@ -326,6 +325,30 @@ def test_client_cancel_over_the_wire():
             payloads = cell.drain()
             assert [p["frame_id"] for p in payloads] == [keeper]
             assert payloads[0]["resolution"] == "completed"
+
+
+def test_cancel_that_loses_the_race_still_delivers_the_result():
+    """With room for one outstanding frame, the second submit services
+    the farm until the first resolves — on the server, before the
+    client asks to cancel it.  The cancel reports the race lost, and
+    the frame stays the connection's to deliver: the drain returns both
+    results instead of polling forever for the first."""
+    rng = np.random.default_rng(11)
+    decoder = SphereDecoder(qam(4))
+    frames = [_make_frame(decoder, 3, 2, 15.0, rng) for _ in range(2)]
+    farm = DetectorFarm(1, backend="inline")
+    farm.max_outstanding = 1
+    with CellSiteServer(farm) as server:
+        with CellSiteClient(server.address) as cell:
+            ids = [cell.submit(frame) for frame in frames]
+            assert not cell.cancel(ids[0])       # already resolved
+            by_id = {p["frame_id"]: p
+                     for p in _in_thread(cell.drain, timeout_s=10.0)}
+    assert set(by_id) == set(ids)
+    for frame_id, frame in zip(ids, frames):
+        assert by_id[frame_id]["resolution"] == "completed"
+        _assert_identical(by_id[frame_id]["result"], _reference(frame),
+                          False)
 
 
 def _poisoned(frame, field):
