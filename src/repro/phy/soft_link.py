@@ -11,7 +11,7 @@ Like the hard receive chain, the soft front half is frame-first: the
 whole frame goes to
 :meth:`~repro.sphere.soft.ListSphereDecoder.decode_frame` — one stacked
 QR sweep, one breadth-synchronised list frontier over all S×T searches,
-one frame-wide LLR extraction — bit-identical (LLRs, list membership,
+each leaving it with its LLRs — bit-identical (LLRs, list membership,
 counters) to the scalar list search per slot, which the engine sweep and
 the soft link goldens enforce.
 """

@@ -27,15 +27,19 @@ frontier and how long it lives:
 
 Who executes a tick, and the straggler drain
 -------------------------------------------
-The tick is the engine's *schedule* — admission, budget stops and the
-QoS hooks (``degrade`` / ``evict``) all act between ticks.  A pool with
+The tick is the engine's *schedule* — admission and the QoS hooks
+(``degrade`` / ``evict``) act between ticks.  A pool with
 frontier slots (``pool.has_core``: ``zigzag`` / ``shabany``, wherever
 :mod:`repro.sphere.tick_kernel` could build the core) executes its step
 **in the core**: one native call gives every active lane two candidate
 attempts (``_LOCKSTEP_ATTEMPTS``), in place on ``pool.state``, and
 flags the lanes that finished (tree exhausted or per-lane node budget
-reached); they retire through ``_finish_lockstep``.  Admission only
-writes a search's channel copy and fresh values
+reached — the core checks each lane's budget before every attempt, so
+a lane already at its budget finishes in the call with no attempt);
+they retire through ``_finish_lockstep``.  A list search leaves the
+core with its max-log LLRs and best member already in its lane rows,
+so a soft search retires a few rows, as a hard one does.  Admission
+only writes a search's channel copy and fresh values
 (:func:`~repro.sphere.tick_kernel.fresh`) and leaves it above its
 root: the core expands the root, with the same program as every other
 node, in the call that gives the search its first attempts.  A tick
@@ -56,7 +60,9 @@ Every other pool — ``hess`` / ``exhaustive``, or any pool on a box
 without a C compiler (one warning) — has no frontier slots and
 ``drain_threshold`` 0: the tick that admits a search runs it to
 completion through the decoder's own scalar search, under its lane
-budget, and retires it the same way, so such a pool never has a search
+budget, fills the rows the core would have (a list pool's LLRs in one
+vectorised :func:`~repro.sphere.soft.soft_outputs_from_lists` call per
+tick) and retires it the same way, so such a pool never has a search
 in flight between ticks.
 Time in the core or the scalar search counts as kernel time in the tick
 telemetry (``last_tick_kernel_s``).
@@ -77,11 +83,11 @@ submission permutations and budgets).
 Searches are grouped into **pools** by search signature
 (:func:`~repro.runtime.queue.search_signature`, which the detector farm
 routes by too: hard/soft, constellation, stream count, enumerator,
-pruning, node budget, list size): searches in one pool share its
-arrays and tick together, and the pools share the frontier's global
-lane budget, so a mixed-constellation cell workload still keeps every
-lane busy.  A homogeneous workload — the benchmark's 16-QAM 4x4 stream
-— is exactly one pool.
+pruning, node budget, list size and LLR clamp): searches in one pool
+share its arrays and tick together, and the pools share the frontier's
+global lane budget, so a mixed-constellation cell workload still keeps
+every lane busy.  A homogeneous workload — the benchmark's 16-QAM 4x4
+stream — is exactly one pool.
 
 Each pool allocates its lane arrays **on demand**: a pool
 starts at :data:`DEFAULT_INITIAL_LANES` lanes (or the global capacity if
@@ -104,6 +110,7 @@ import time
 import numpy as np
 
 from ..sphere import tick_kernel
+from ..sphere.soft import soft_outputs_from_lists
 from ..obs.trace import FrameTracer
 from ..utils.validation import require
 from .queue import AdmissionQueue, FrameJob, search_signature
@@ -255,8 +262,9 @@ class _Pool:
     search of any frame.  Lane identity never affects a search's float
     program — the core rewrites a slot whole when it expands a node into
     it — so which lane a search lands in only changes how densely the
-    arrays are used.  Hard and soft pools differ only in the leaf rows
-    the arena collects.
+    arrays are used.  Hard and soft pools differ only in the rows the
+    arena collects: a hard search's best leaf, a list search's LLRs,
+    best member and list length (its leaf list never leaves the lane).
     """
 
     def __init__(self, engine: "StreamingFrontier",
@@ -290,9 +298,6 @@ class _Pool:
         self.has_core = "axis_int" in self.state
         # What admission writes into a fresh search's rows.
         self._fresh = tick_kernel.fresh(decoder, num_streams)
-        # The budget stop's column of the packed tallies (ped, visited,
-        # expanded, leaves, prunes), a view kept across ticks.
-        self._visited = self.state["tally"][:, 1]
         # The core's marshalled view of this pool's arrays (tick_kernel.run).
         self._marshalled: dict = {}
         if not self.has_core:
@@ -301,7 +306,7 @@ class _Pool:
         # The lane rows a finished search's outcome retires from: what
         # FrameJob.collect takes.
         self._outcome = ("tally",) + (
-            ("list_d", "list_seq", "list_cols", "list_rows", "list_n")
+            ("llrs", "best_cols", "best_rows", "list_n")
             if self.soft else ("best_dist", "best_cols", "best_rows"))
         self.arena = _ResultArena(self._results())
         # Per-lane node budget: the decoder's own budget normally, a
@@ -347,7 +352,6 @@ class _Pool:
         for name, array in self.state.items():
             self.state[name] = _grown(
                 array, array.shape[0] // self.allocated * allocated)
-        self._visited = self.state["tally"][:, 1]
         self.lane_budget, self.jobidx_of, self.elem_of, self.dest_of = (
             _grown(array, allocated) for array in (
                 self.lane_budget, self.jobidx_of, self.elem_of,
@@ -384,6 +388,8 @@ class _Pool:
             state["y"][lanes] = job.y_flat[elements]
             state["diag"][lanes] = job.diag_stack[subcarriers]
             state["diag_sq"][lanes] = job.diag_sq_stack[subcarriers]
+            if self.soft:
+                state["noise_var"][lanes] = job.noise_variance
             for name, value in self._fresh.items():
                 state[name][lanes] = value
             # Searches of a degraded frame start under the shrunk budget
@@ -449,8 +455,8 @@ class _Pool:
         Queued searches pick the shrunk budget up at admission (the job
         carries ``degraded_budget``); this caps the ones already
         running.  A lane whose search has already visited that many
-        nodes finishes at the next tick's budget stop with its
-        best-so-far — exactly the scalar early-break semantics, so the
+        nodes finishes in the next core call with its best-so-far, no
+        attempt made — exactly the scalar early-break semantics, so the
         degraded result is real work delivered early, never fabricated.
         A pool without a core has no search in a lane between ticks, so
         there only the queued searches are degraded.
@@ -527,7 +533,10 @@ class _Pool:
         """A pool without a core: run each listed search to completion
         through the decoder's own scalar search, under its lane budget,
         and write the lane rows the core would have — the five tallies,
-        then the leaf.  Everything finishes."""
+        then the leaf; for a list pool, then the LLRs and best member of
+        every search that kept a leaf, in one
+        :func:`~repro.sphere.soft.soft_outputs_from_lists` call.
+        Everything finishes."""
         state = self.state
         for lane in active.tolist():
             outcome = self.decoder._search(
@@ -549,28 +558,33 @@ class _Pool:
                 state["best_dist"][lane] = -neg_distance
                 state["best_cols"][lane] = cols
                 state["best_rows"][lane] = rows
+        if self.soft:
+            # A search that kept no leaf has no LLRs: finalise refuses it.
+            lanes = active[state["list_n"][active] > 0]
+            if lanes.size:
+                constellation = self.decoder.constellation
+                llrs, best, _ = soft_outputs_from_lists(
+                    constellation, state["list_d"][lanes],
+                    state["list_seq"][lanes], state["list_cols"][lanes],
+                    state["list_rows"][lanes], state["list_n"][lanes],
+                    state["noise_var"][lanes], self.decoder.clamp)
+                state["llrs"][lanes] = llrs
+                state["best_cols"][lanes], state["best_rows"][lanes] = (
+                    constellation.col_row(best))
         return np.ones(active.size, dtype=bool)
 
     # -- one breadth-synchronised step ----------------------------------
     def tick(self, completed: list) -> None:
         """Advance every active search ``_LOCKSTEP_ATTEMPTS`` (two)
-        candidate attempts, frame boundaries ignored: budget stops,
-        refill, drain check, then the step in the compiled core, which
-        re-checks each lane's budget before every attempt.  Once the
+        candidate attempts, frame boundaries ignored: refill, drain
+        check, then the step in the compiled core, which checks each
+        lane's budget before every attempt — a lane already at its
+        budget (a degraded frame's) finishes there with no attempt, its
+        best-so-far kept, exactly the scalar early break.  Once the
         queue is dry and at most ``drain_threshold`` searches remain,
         the core runs them to completion instead, each under its own
         lane budget.  A pool without a core finishes every search in the
         tick that admits it."""
-        if self.active.size:
-            # Per-lane budgets: the decoder's own node budget for every
-            # undegraded search (bit-exact with the scalar early break),
-            # a shrunk value for degraded frames, _NO_BUDGET otherwise.
-            over = self._visited[self.active] >= self.lane_budget[self.active]
-            if over.any():
-                # Engineering guard, per element: stop and keep what the
-                # search banked so far — exactly the scalar early break.
-                self._finish_lockstep(self.active[over], completed)
-                self.active = self.active[~over]
         if self.queue.pending and self._free:
             self._admit()
         if self.active.size == 0:

@@ -52,7 +52,6 @@ from ..frame.results import (
 from ..phy.config import PhyConfig
 from ..sphere.counters import ComplexityCounters
 from ..sphere.decoder import SphereDecoder, refuse_zero_diagonal
-from ..sphere.soft import soft_outputs_from_lists
 from ..utils.validation import require
 
 __all__ = ["AdmissionQueue", "FrameJob", "FrameRequest", "decoder_kind",
@@ -73,14 +72,15 @@ def decoder_kind(decoder) -> str:
 def search_signature(decoder, num_streams: int) -> tuple:
     """What makes two searches the same kernel program: hard or soft,
     stream count, constellation, enumerator, pruning, budgets and (soft)
-    list size.  The engine partitions kernel pools by it and the farm
-    routes frames by it — one function, so the two cannot drift."""
+    list size and LLR clamp, which the core applies per pool.  The
+    engine partitions kernel pools by it and the farm routes frames by
+    it — one function, so the two cannot drift."""
     kind = decoder_kind(decoder)
     key = (kind, num_streams, decoder.constellation.levels.tobytes(),
            decoder.enumerator, decoder.geometric_pruning,
            decoder.node_budget, decoder.initial_radius_sq)
     if kind == "soft":
-        key += (decoder.list_size,)
+        key += (decoder.list_size, decoder.clamp)
     return key
 
 
@@ -300,8 +300,9 @@ class FrameJob:
         T + symbol``) from the engine once its last search has retired:
         the packed ``(count, 5)`` complexity tallies, then ``(distances,
         cols, rows)`` of the best leaves for a hard frame — ``inf``
-        where none was found — or the ``(list_d, list_seq, list_cols,
-        list_rows, list_n)`` leaf lists for a soft one."""
+        where none was found — or ``(llrs, best_cols, best_rows,
+        list_n)`` for a soft one: the max-log LLRs and best list member
+        each search finished with, and how many leaves it kept."""
         (self.ped, self.visited, self.expanded, self.leaves,
          self.prunes) = tally.T
         self.outcome = outcome
@@ -316,9 +317,10 @@ class FrameJob:
         ``(S, T)`` element order transposed into C-contiguous ``(T,
         S)``-leading tensors (own buffers, not views over the
         element-ordered ones, so a kept result holds nothing else),
-        counters summed once over the per-element tallies, and
-        — for soft frames — one frame-wide vectorised LLR extraction
-        over the stacked lists.  The integer tensors leave as
+        counters summed once over the per-element tallies; a soft
+        frame's LLRs and best members arrive computed, and a search that
+        kept no leaf fails the frame with ``ValueError`` (it has no LLRs
+        to give).  The integer tensors leave as
         :func:`~repro.frame.results.narrowest_int` copies: a caller that
         keeps results keeps 1 byte per 16-QAM decision, not 8.
         """
@@ -350,15 +352,15 @@ class FrameJob:
                 symbol_indices=leading_t(indices.astype(compact)),
                 distances_sq=leading_t(distances),
                 counters=self._totals(), points=constellation.points)
-        list_n = self.outcome[-1].astype(
-            narrowest_int(self.decoder.list_size))
-        llrs, best_indices, _ = soft_outputs_from_lists(
-            constellation, *self.outcome, self.noise_variance,
-            self.decoder.clamp)
+        llrs, best_cols, best_rows, list_n = self.outcome
+        require(bool((list_n >= 1).all()),
+                "list sphere decoder found no leaves")
+        best_indices = constellation.index_of(best_cols, best_rows)
         return SoftFrameResult(
             llrs=leading_t(llrs),
             symbol_indices=leading_t(best_indices.astype(compact)),
-            list_sizes=leading_t(list_n),
+            list_sizes=leading_t(list_n.astype(
+                narrowest_int(self.decoder.list_size))),
             counters=self._totals(), points=constellation.points)
 
 

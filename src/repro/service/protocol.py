@@ -5,13 +5,14 @@ Two small, load-bearing pieces live here:
 **Routing.**  The farm partitions work by *search signature*
 (:func:`repro.runtime.queue.search_signature`, the key the engine groups
 kernel pools by: hard/soft, stream count, constellation, enumerator,
-pruning, budgets, list size) — so every frame of one signature always
-lands on the same shard and its per-signature kernel pool lives in
-exactly one worker process.  The shard index comes from a *keyed* stable
-hash (:func:`shard_for`, BLAKE2b), **not** Python's builtin ``hash``,
-which is salted per process and would route differently on every run;
-determinism is what makes admission order within a shard reproducible
-and the farm's bit-exactness contract testable.
+pruning, budgets, list size, LLR clamp) — so every frame of one
+signature always lands on the same shard and its per-signature kernel
+pool lives in exactly one worker process.  The shard index comes from a
+*keyed* stable hash (:func:`shard_for`, BLAKE2b), **not** Python's
+builtin ``hash``, which is salted per process and would route
+differently on every run; determinism is what makes admission order
+within a shard reproducible and the farm's bit-exactness contract
+testable.
 
 **Framing.**  The cell-site service front speaks length-prefixed pickle
 over a local stream socket (:func:`send_obj` / :func:`recv_obj`).  This

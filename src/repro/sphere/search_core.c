@@ -30,6 +30,11 @@
  *   - node budget: caps[e], re-checked before every candidate attempt,
  *     which is the scalar loop's check.
  *
+ * A list search leaves the core finished: at run_one's one finish exit
+ * (tree exhausted or cap reached, in a step or in the drain) it writes
+ * its best member into best_cols / best_rows and its max-log LLRs into
+ * its llrs row (finish_list), so no leaf list leaves the lane.
+ *
  * Bit-identity with the scalar decoders rests on keeping every float
  * operation the one they perform through numpy:
  *   - complex / real is numpy's reciprocal multiply: scl = 1/d, then
@@ -44,6 +49,19 @@
  *   - rint() (round-half-even) slices a coordinate, the clamp is by
  *     compare, residuals are squared as x * x;
  *   - a chosen symbol is (levels[col], levels[row]).
+ *
+ * The LLRs keep the float program of soft_outputs_from_lists
+ * (repro/sphere/soft.py), the scalar decoder's and the fallback's: per
+ * bit, the least distance among the list's members labelling it 1 and
+ * among those labelling it 0 (a min by compare, so order-free), then
+ * one subtract and one plain / by the search's noise variance, both
+ * finite; otherwise +clamp if only 0s were seen, -clamp if only 1s;
+ * then the clip to [-clamp, clamp] by compares.  The best member is the
+ * least (distance, discovery order).  Bits come from a (side,
+ * bits_per_axis) table, row p the MSB-first bits of gray_encode(p),
+ * built in Python by int_to_bits(gray_encode(...)); a stream's labels
+ * are its column's bits, then its row's.  Distances are finite: the
+ * front door refuses non-finite input.
  *
  * The same file holds the batched Viterbi trellis (repro_trellis_run),
  * so one build and one loader serve both.  Its float program is the
@@ -62,12 +80,13 @@
 typedef struct { double re, im; } cplx;
 
 /* Field order is the ctypes mirror's (tick_kernel._Search): pointers,
- * then integers, then the one double. */
+ * then integers, then the doubles. */
 typedef struct {
     /* constellation */
     const double *levels;      /* (side) PAM amplitudes */
     const int64_t *zigzag;     /* (side, 2, side) 1-D zigzag level orders */
     const double *prune;       /* (side, side) squared lower bounds | NULL */
+    const uint8_t *bits;       /* (side, bits_per_axis) Gray labels (soft) */
     /* frontier axis tables, slot-major; slot = id * num_streams + level */
     int64_t *axis_int;         /* (slots, 2 | 4, side): ord_i [off_i] ord_q [off_q] */
     double *axis_res;          /* (slots, 2, side): res_i res_q */
@@ -79,6 +98,7 @@ typedef struct {
     /* per-search channel copies */
     const cplx *r, *y;         /* (ids, n, n), (ids, n) */
     const double *diag, *diag_sq;
+    const double *noise_var;   /* (ids) the frame's LLR scale (soft) */
     /* search path */
     int64_t *level;
     double *radius, *parent;
@@ -90,11 +110,12 @@ typedef struct {
     /* leaf list (soft) */
     double *list_d;
     int64_t *list_seq, *list_cols, *list_rows, *list_n, *leaf_seq;
+    double *llrs;              /* (ids, num_streams * 2 * bits_per_axis) */
     /* complexity tallies, tally_stride elements apart per state */
     int64_t *ped, *visited, *expanded, *leaves, *prunes;
     int64_t tally_stride, num_streams, side, queue_capacity, list_size;
     int64_t use_fma;
-    double axis_scale;
+    double axis_scale, clamp;
 } search_t;
 
 /* One node's axis tables. */
@@ -337,6 +358,58 @@ static void bank_list_leaf(const search_t *s, int64_t si, double distance)
         s->radius[si] = worst_of(list_d, size);
 }
 
+/* A finished list search's soft output (see the header): its best
+ * member into best_cols / best_rows, its max-log LLRs into its llrs row.
+ * A search that banked no leaf gets -1 positions and no LLRs; the frame
+ * refuses it when it finalises. */
+static void finish_list(const search_t *s, int64_t si)
+{
+    const int64_t n = s->num_streams, size = s->list_size;
+    const int64_t count = s->list_n[si];
+    const double *list_d = s->list_d + si * size;
+    const int64_t *list_seq = s->list_seq + si * size;
+    const int64_t *cols = s->list_cols + si * size * n;
+    const int64_t *rows = s->list_rows + si * size * n;
+    int64_t best = -1;
+    for (int64_t k = 0; k < count; k++)
+        if (best < 0 || list_d[k] < list_d[best]
+                || (list_d[k] == list_d[best] && list_seq[k] < list_seq[best]))
+            best = k;
+    for (int64_t p = 0; p < n; p++) {
+        s->best_cols[si * n + p] = best < 0 ? -1 : cols[best * n + p];
+        s->best_rows[si * n + p] = best < 0 ? -1 : rows[best * n + p];
+    }
+    if (best < 0)
+        return;
+    int64_t width = 0;                 /* bits_per_axis: side = 2^width */
+    while (((int64_t)1 << width) < s->side)
+        width++;
+    const double clamp = s->clamp, noise_var = s->noise_var[si];
+    double *llr = s->llrs + si * n * 2 * width;
+    for (int64_t p = 0; p < n; p++)
+        for (int64_t axis = 0; axis < 2; axis++) {
+            const int64_t *position = axis ? rows : cols;
+            for (int64_t b = 0; b < width; b++) {
+                double zero_min = INFINITY, one_min = INFINITY;
+                for (int64_t k = 0; k < count; k++) {
+                    const double d = list_d[k];
+                    if (s->bits[position[k * n + p] * width + b]) {
+                        if (d < one_min)
+                            one_min = d;
+                    } else if (d < zero_min) {
+                        zero_min = d;
+                    }
+                }
+                double value = isfinite(zero_min) && isfinite(one_min)
+                    ? (one_min - zero_min) / noise_var
+                    : isfinite(zero_min) ? clamp : -clamp;
+                value = value < -clamp ? -clamp : value > clamp ? clamp
+                                                                : value;
+                *llr++ = value;
+            }
+        }
+}
+
 /* Run search `si` on from whatever state it is in, for at most
  * `attempts` iterations; `si` indexes its state rows, its frontier slots
  * and its channel copy alike.  A search still above its root (fresh from
@@ -344,8 +417,9 @@ static void bank_list_leaf(const search_t *s, int64_t si, double distance)
  * its loop -- ahead of the budget check, and not as an attempt.  Each
  * iteration is one iteration of the scalar loop: one candidate attempt.
  * 1 once the search is finished -- its tree exhausted (a root pop) or
- * `cap` nodes visited -- 0 if the allowance ran out first, -1 if the
- * Shabany queue bound was violated. */
+ * `cap` nodes visited, a list search's soft output then written -- 0 if
+ * the allowance ran out first, -1 if the Shabany queue bound was
+ * violated. */
 static int run_one(const search_t *s, int64_t si, int64_t cap,
                    int64_t attempts)
 {
@@ -433,6 +507,8 @@ static int run_one(const search_t *s, int64_t si, int64_t cap,
         s->parent[si * n + next] = distance;
         s->level[si] = next;
     }
+    if (s->list_size)
+        finish_list(s, si);
     return 1;
 }
 

@@ -26,10 +26,14 @@ The scalar search is the reference program for the engine:
 interference accumulates column-by-column through the complex-multiply
 ufunc (the convention the compiled core matches bit-for-bit), leaf
 lists follow ``heapq`` tuple order exactly — worst member = largest
-distance, ties broken towards the earliest-found leaf — and LLR
-extraction goes through the same vectorised
-:func:`soft_outputs_from_lists` helper for every path, so LLRs, list
-membership and counters are identical whichever driver ran the search.
+distance, ties broken towards the earliest-found leaf.  LLR extraction
+has one program too: :func:`soft_outputs_from_lists` is the oracle (the
+scalar decoder's) and the fallback (a pool without the compiled core
+runs it once per tick over every search it finished), and the core
+mirrors it when a list search finishes — masked min, one subtract, one
+plain division by the noise variance, the clip by compares, the best
+member by (distance, discovery order) — so LLRs, list membership and
+counters are identical whichever driver ran the search.
 """
 
 from __future__ import annotations
@@ -100,15 +104,17 @@ def stacked_list_bits(constellation: QamConstellation, cols,
 
 def soft_outputs_from_lists(constellation: QamConstellation, distances,
                             sequence, cols, rows, counts,
-                            noise_variance: float, clamp: float):
+                            noise_variance, clamp: float):
     """Vectorised max-log LLR extraction from stacked leaf lists.
 
-    One call covers any number of searches at once — the engine passes
-    every (subcarrier, OFDM symbol) slot of a frame, the scalar decoder
-    a single row — so all paths share the identical float program.
+    One call covers any number of searches at once — a pool without
+    the compiled core passes every search it finished in a tick, of any
+    mix of frames, the scalar decoder a single row — so all paths share
+    the identical float program (the core's LLRs mirror it).
     ``distances`` and ``sequence`` are ``(E, L)`` (leaf distance and
     discovery order), ``cols``/``rows`` ``(E, L, nc)`` lattice
-    positions, ``counts`` the number of valid entries per list.
+    positions, ``counts`` the number of valid entries per list, and
+    ``noise_variance`` a scalar or one variance per list, ``(E,)``.
 
     Returns ``(llrs, best_indices, best_symbols)``: per-bit max-log LLRs
     ``(E, nc * bits_per_symbol)`` clipped to ``[-clamp, clamp]`` (bits
@@ -116,11 +122,17 @@ def soft_outputs_from_lists(constellation: QamConstellation, distances,
     one-sidedly), and the best list member — minimal ``(distance,
     discovery order)``, the scalar sort key — as hard decisions.
     """
-    require(noise_variance > 0.0, "noise variance must be positive")
+    noise_variance = np.asarray(noise_variance, dtype=np.float64)
+    require(bool((noise_variance > 0.0).all()),
+            "noise variance must be positive")
     counts = np.asarray(counts)
     require(bool((counts >= 1).all()),
             "list sphere decoder found no leaves")
     num_lists, list_size = distances.shape
+    require(noise_variance.shape in ((), (num_lists,)),
+            "noise variance must be a scalar or one per list")
+    if noise_variance.ndim:
+        noise_variance = noise_variance[:, None]
     valid = np.arange(list_size)[None, :] < counts[:, None]
     masked = np.where(valid, distances, np.inf)
 
@@ -245,8 +257,8 @@ class ListSphereDecoder(SphereDecoder):
         (:mod:`repro.frame.preprocess`) and the S×T list searches run on
         a private instance of the lockstep engine
         (:func:`repro.runtime.engine.run_frame`), with one straggler
-        hand-off and one frame-wide LLR extraction.  LLRs, list
-        membership, hard decisions and aggregated counters are
+        hand-off; each search's LLRs are computed where it finishes.
+        LLRs, list membership, hard decisions and aggregated counters are
         bit-identical to scalar :meth:`decode_soft_triangular` calls per
         slot.
 

@@ -62,6 +62,7 @@ scalar trellis: only speed changes, never results.
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import os
 import shutil
@@ -74,6 +75,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..constellation.gray import gray_encode, int_to_bits
 from ..utils.validation import require
 from .batch import zigzag_order_table
 
@@ -139,16 +141,16 @@ _CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 #: the columns of one ``(searches, 5)`` array (``tally``) ...
 _F, _I, _B, _C = np.float64, np.int64, np.bool_, np.complex128
 _ARRAYS = {
-    "levels": _F, "zigzag": _I, "prune": _F,
+    "levels": _F, "zigzag": _I, "prune": _F, "bits": np.uint8,
     "axis_int": _I, "axis_res": _F, "queue_d": _F, "queue_i": _I,
     "queue_j": _I, "queue_n": _I, "last_i": _I, "last_j": _I,
     "has_last": _B, "seen": _B,
-    "r": _C, "y": _C, "diag": _F, "diag_sq": _F,
+    "r": _C, "y": _C, "diag": _F, "diag_sq": _F, "noise_var": _F,
     "level": _I, "radius": _F, "parent": _F,
     "path_cols": _I, "path_rows": _I, "chosen": _C,
     "best_cols": _I, "best_rows": _I, "best_dist": _F,
     "list_d": _F, "list_seq": _I, "list_cols": _I, "list_rows": _I,
-    "list_n": _I, "leaf_seq": _I,
+    "list_n": _I, "leaf_seq": _I, "llrs": _F,
     "ped": _I, "visited": _I, "expanded": _I, "leaves": _I, "prunes": _I,
 }
 _TALLIES = ("ped", "visited", "expanded", "leaves", "prunes")
@@ -160,15 +162,20 @@ _INTEGERS = ("tally_stride", "num_streams", "side", "queue_capacity",
 def _searches(decoder, num_streams: int) -> dict:
     """The arrays a search owns one row of: each ``search_t`` field's
     shape past the search axis, and the value admission writes into a
-    fresh search's row (``None``: none — the channel copies come from
-    the frame, and a search writes each level's path and decided symbol
-    before reading them).
+    fresh search's row (``None``: none — the channel copies and a list
+    search's ``noise_var`` come from the frame, a search writes each
+    level's path and decided symbol before reading them, and a list
+    search writes its best member and ``llrs`` when it finishes).
 
     A fresh search sits above its root (``level == num_streams``; the
     core expands the root first) under the decoder's initial radius,
     with zeroed tallies and an empty leaf: no best leaf (``-1`` symbols
     at ``inf``) for a hard decoder, an empty list of ``list_size``
-    leaves for a list decoder.
+    leaves for a list decoder.  A finished list search leaves its lane
+    with its best member (``best_cols`` / ``best_rows``) and its
+    max-log LLRs (``llrs``, ``num_streams * bits_per_symbol`` wide),
+    computed from its list by the core or, in a pool without it, by
+    :func:`~repro.sphere.soft.soft_outputs_from_lists`.
     """
     n = num_streams
     fields = {
@@ -183,9 +190,12 @@ def _searches(decoder, num_streams: int) -> dict:
         return dict(fields, best_cols=((n,), -1), best_rows=((n,), -1),
                     best_dist=((), np.inf))
     size = decoder.list_size
-    return dict(fields, list_d=((size,), np.inf), list_seq=((size,), 0),
-                list_cols=((size, n), 0), list_rows=((size, n), 0),
-                list_n=((), 0), leaf_seq=((), 0))
+    width = n * decoder.constellation.bits_per_symbol
+    return dict(fields, noise_var=((), None), best_cols=((n,), None),
+                best_rows=((n,), None), list_d=((size,), np.inf),
+                list_seq=((size,), 0), list_cols=((size, n), 0),
+                list_rows=((size, n), 0), list_n=((), 0), leaf_seq=((), 0),
+                llrs=((width,), None))
 
 
 def _slots(decoder) -> dict:
@@ -242,7 +252,19 @@ def _layout(decoder, num_streams: int, count: int,
 class _Search(ctypes.Structure):
     _fields_ = ([(name, ctypes.c_void_p) for name in _ARRAYS]
                 + [(name, ctypes.c_int64) for name in _INTEGERS]
-                + [("axis_scale", ctypes.c_double)])
+                + [("axis_scale", ctypes.c_double),
+                   ("clamp", ctypes.c_double)])
+
+
+@functools.cache
+def _gray_bits(side: int, bits_per_axis: int) -> np.ndarray:
+    """``(side, bits_per_axis)`` Gray labels of the PAM positions, MSB
+    first — row ``p`` is the bits a list leaf's column or row ``p``
+    carries in :func:`~repro.sphere.soft.stacked_list_bits`.  Cached and
+    read-only: a marshalled ``search_t`` points into it."""
+    table = int_to_bits(gray_encode(np.arange(side)), bits_per_axis)
+    table.setflags(write=False)
+    return table
 
 
 def _compiler() -> str:
@@ -375,6 +397,9 @@ def _marshal(decoder, arrays: dict):
               "zigzag": (zigzag_order_table(side), (side, 2, side))}
     if decoder._pruner is not None:
         tables["prune"] = (decoder._pruner.table, (side, side))
+    if decoder.list_size:
+        width = decoder.constellation.bits_per_axis
+        tables["bits"] = (_gray_bits(side, width), (side, width))
     fields = {name: _address(array, _ARRAYS[name], shape, name)
               for name, (array, shape) in tables.items()}
     fields.update((name, _address(arrays[name], dtype, shape, name))
@@ -388,6 +413,7 @@ def _marshal(decoder, arrays: dict):
         list_size=decoder.list_size,
         use_fma=NUMPY_FMA,
         axis_scale=float(levels[1] - levels[0]) / 2.0 if side > 1 else 1.0,
+        clamp=decoder.clamp if decoder.list_size else 0.0,
         **fields)
     return search, count
 
@@ -422,8 +448,9 @@ def run(decoder, arrays: dict, ids, caps, attempts, cache: dict
     their channel copies (``r``, ``y``, ``diag``, ``diag_sq``), search
     path (``level``, ``radius``, ``parent``, ``path_cols``,
     ``path_rows``, ``chosen``), the packed tallies, the leaf policy's
-    rows — ``best_*`` for a hard search, ``list_*`` and ``leaf_seq``
-    for a list search — and their frontier slots.  Each id in ``ids``
+    rows — ``best_*`` for a hard search; ``list_*``, ``leaf_seq``,
+    ``noise_var``, ``best_cols`` / ``best_rows`` and ``llrs`` for a list
+    search — and their frontier slots.  Each id in ``ids``
     indexes one search's rows of all of them (its frontier slots are
     ``id * num_streams + level``); ``caps`` are absolute node budgets.  A
     search whose ``level`` is ``num_streams`` — fresh from admission —
@@ -432,7 +459,13 @@ def run(decoder, arrays: dict, ids, caps, attempts, cache: dict
     completion.  On return its leaf, tallies, path state and frontier
     rows are what that many iterations of the scalar loop would have
     left, and the mask flags the searches that finished: tree exhausted
-    or cap reached.
+    or cap reached.  A list search that finished has its best member
+    in ``best_cols`` / ``best_rows`` and its max-log LLRs in ``llrs``
+    (the float program of
+    :func:`~repro.sphere.soft.soft_outputs_from_lists`, under the
+    decoder's ``clamp`` and the row's ``noise_var``).  A search already
+    at its cap finishes in the call with no attempt, so a shrunk budget
+    takes effect in the next call.
 
     One call per pool per tick, so whatever can be checked once is:
     taking ~40 array addresses costs more than a tick's searches and a

@@ -613,3 +613,56 @@ def test_column_ordering_norm_is_rejected_off_the_scalar_path():
     with DetectorFarm(1, backend="inline") as farm:
         with pytest.raises(ValueError, match="column_ordering"):
             farm.submit(request)
+
+
+@pytest.mark.filterwarnings("ignore:the compiled search core")
+@pytest.mark.parametrize("compiled", [True, False],
+                         ids=["core", "no-compiler"])
+def test_clamp_is_part_of_the_soft_pool_key(request, compiled):
+    """The core clamps a list pool's LLRs by its decoder's ``clamp``, so
+    two list decoders that differ only there must not share a pool (or
+    a farm route): one runtime and one inline farm each take their
+    frames interleaved, and every frame equals its own decoder's
+    ``decode_frame`` bit for bit — clipped LLRs included."""
+    if not compiled:
+        request.getfixturevalue("no_compiler")
+    constellation, channels, received = _frame_instance(16, 4, 4, 4, 3,
+                                                        seed=37)
+    wide, tight = (ListSphereDecoder(constellation, list_size=4, clamp=clamp)
+                   for clamp in (24.0, 2.0))
+    requests = [FrameRequest(channels, received, decoder, NOISE_VARIANCE)
+                for decoder in (wide, tight, wide, tight)]
+    want = [request.decoder.decode_frame(channels, received, NOISE_VARIANCE)
+            for request in requests]
+    # Both clamps bite: the LLRs differ, so a shared pool would show.
+    assert np.abs(want[0].llrs).max() > 2.0
+    assert not np.array_equal(want[0].llrs, want[1].llrs)
+    runtime = UplinkRuntime()
+    handles = [runtime.submit(request) for request in requests]
+    runtime.drain()
+    with DetectorFarm(1, backend="inline") as farm:
+        farm_handles = [farm.submit(request) for request in requests]
+        farm.drain()
+        for handle in handles + farm_handles:
+            assert handle.resolution == "completed"
+        for got, expected in zip(handles + farm_handles, want + want):
+            assert_frames_identical(got.result(), expected)
+
+
+@pytest.mark.filterwarnings("ignore:the compiled search core")
+@pytest.mark.parametrize("compiled", [True, False],
+                         ids=["core", "no-compiler"])
+def test_list_search_without_leaves_fails_the_frame(request, compiled):
+    """A list search that banked no leaf (here: a radius that excludes
+    every leaf) has no LLRs, so the frame refuses to finalise with the
+    scalar decoder's error instead of reporting a row of ±clamp."""
+    if not compiled:
+        request.getfixturevalue("no_compiler")
+    constellation, channels, received = _frame_instance(16, 4, 4, 3, 2,
+                                                        seed=43)
+    shut = ListSphereDecoder(constellation, list_size=4)
+    shut.initial_radius_sq = 1e-12
+    with pytest.raises(ValueError, match="found no leaves"):
+        shut.decode_soft(channels[0], received[0, 0], NOISE_VARIANCE)
+    with pytest.raises(ValueError, match="found no leaves"):
+        shut.decode_frame(channels, received, NOISE_VARIANCE)

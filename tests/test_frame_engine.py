@@ -51,6 +51,7 @@ from test_engine import (
     assert_batch_identical,
     assert_frames_identical,
     decode_on_frontier,
+    needs_core,
     pinned_frontier,
     scalar_oracle,
     ticking,
@@ -130,6 +131,7 @@ class TestSlotScheduler:
     """Which kernel lanes a frame's searches get: the pool's free-lane
     stack plus the frame-ordered admission queue."""
 
+    @needs_core
     def test_admit_release_refill(self):
         constellation, channels, received = _frame_instance(16, 4, 4, 3, 1)
         decoder = SphereDecoder(constellation)
@@ -225,6 +227,7 @@ class TestFrameEngineEquivalence:
                                  drain_threshold=drain_threshold)
         assert_frames_identical(got, want)
 
+    @needs_core
     def test_node_budget_with_lane_refill(self):
         """Budget-stopped searches release their lanes mid-frame; the
         queue hands those lanes to waiting searches.  The reused kernel
@@ -265,6 +268,7 @@ class TestFrameEngineEquivalence:
         assert_frames_identical(got, scalar_oracle(decoder, channels,
                                                    received)[0])
 
+    @needs_core
     def test_heterogeneous_snr_straggler_refill(self):
         """A few noisy subcarriers produce heavy-tailed searches; with a
         small lane budget freed lanes keep refilling (many admit
@@ -279,6 +283,7 @@ class TestFrameEngineEquivalence:
         decoder = SphereDecoder(constellation)
         _check_refill_and_single_drain(decoder, channels, received, None)
 
+    @needs_core
     def test_leaf_events_tighten_radius_monotonically(self):
         """Schnorr–Euchner invariant, across packed subcarriers and lane
         reuse: every search's radius only ever shrinks."""
@@ -411,6 +416,7 @@ class TestSoftFrameEquivalence:
                                  drain_threshold=drain_threshold)
         assert_frames_identical(got, want)
 
+    @needs_core
     def test_heterogeneous_snr_straggler_refill(self):
         """Noisy subcarriers make heavy-tailed list searches; the lane
         refill and the once-per-frame drain must leave every LLR bit
@@ -425,6 +431,7 @@ class TestSoftFrameEquivalence:
         _check_refill_and_single_drain(decoder, channels, received,
                                        SOFT_NOISE_VARIANCE)
 
+    @needs_core
     def test_radius_tightens_to_worst_list_member(self):
         """The list radius policy, read off the ticking pool: a lane's
         sphere stays infinite until its list fills, then equals the
@@ -593,6 +600,7 @@ class TestDetectUplinkStrategies:
         assert detection.counters is detector.last_block_counters
         assert detector.last_block_detections == 30
 
+    @needs_core
     def test_default_drain_threshold_is_capped(self):
         """Large frames drain at the absolute cap, not at N // 6."""
         constellation, channels, received = _frame_instance(

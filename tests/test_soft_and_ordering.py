@@ -9,6 +9,7 @@ from repro.sphere import (
     ListSphereDecoder,
     SphereDecoder,
     geosphere_decoder,
+    soft_outputs_from_lists,
 )
 from repro.sphere.qr import sorted_triangularize
 
@@ -124,6 +125,40 @@ class TestListSphereDecoder:
         _, channel, y, _, noise_variance = instance(64, 2, 4, 30.0, seed=4)
         result = soft.decode_soft(channel, y, noise_variance)
         assert (np.abs(result.llrs) <= 5.0 + 1e-12).all()
+
+    def test_llr_extraction_takes_one_noise_variance_per_list(self):
+        """One call over lists of several frames, each with its own
+        noise variance, is bit for bit the row-by-row scalar calls; an
+        empty list is still refused."""
+        rng = np.random.default_rng(11)
+        constellation = qam(16)
+        num_lists, list_size, num_streams = 12, 5, 3
+        distances = rng.uniform(0.0, 3.0, (num_lists, list_size))
+        distances[3, :2] = distances[3, 2]          # a tie on distance
+        sequence = np.stack([rng.permutation(list_size) + 1
+                             for _ in range(num_lists)])
+        cols, rows = (rng.integers(0, constellation.side,
+                                   (num_lists, list_size, num_streams))
+                      for _ in range(2))
+        counts = rng.integers(1, list_size + 1, num_lists)
+        variances = rng.uniform(0.01, 0.5, num_lists)
+        llrs, indices, symbols = soft_outputs_from_lists(
+            constellation, distances, sequence, cols, rows, counts,
+            variances, 6.0)
+        for row in range(num_lists):
+            one = slice(row, row + 1)
+            want = soft_outputs_from_lists(
+                constellation, distances[one], sequence[one], cols[one],
+                rows[one], counts[one], float(variances[row]), 6.0)
+            for got, expected in zip((llrs, indices, symbols), want):
+                assert np.array_equal(got[row], expected[0])
+        with pytest.raises(ValueError, match="one per list"):
+            soft_outputs_from_lists(constellation, distances, sequence, cols,
+                                    rows, counts, variances[:-1], 6.0)
+        counts[5] = 0
+        with pytest.raises(ValueError, match="found no leaves"):
+            soft_outputs_from_lists(constellation, distances, sequence, cols,
+                                    rows, counts, variances, 6.0)
 
     def test_counters_track_search_cost(self):
         constellation = qam(16)

@@ -169,7 +169,8 @@ def test_core_refuses_what_it_cannot_address():
                         {})
 
     def refused(operand, **swap):
-        pool = soft.pool if operand.startswith("list") else hard.pool
+        pool = (soft.pool if operand.startswith(("list", "llrs", "noise"))
+                else hard.pool)
         with pytest.raises(ValueError,
                            match=f"needs {operand} as C-contiguous"):
             run(pool.active, pool, **swap)
@@ -192,6 +193,16 @@ def test_core_refuses_what_it_cannot_address():
     refused("best_cols", best_cols=state["best_cols"][:, :2].copy())
     refused("list_cols",
             list_cols=soft.pool.state["list_cols"][:, :2].copy())
+    # A list search's soft-output rows: the LLR row, the LLR scale, and
+    # its best member, which it shares with a hard search.
+    refused("llrs", llrs=soft.pool.state["llrs"][:, :-1].copy())
+    refused("noise_var",
+            noise_var=soft.pool.state["noise_var"].astype(np.float32))
+    without_best = dict(soft.pool.state)
+    del without_best["best_cols"]
+    with pytest.raises(ValueError, match="exactly the arrays"):
+        tick_kernel.run(soft.pool.decoder, without_best, soft.pool.active,
+                        np.zeros_like(soft.pool.active), None, {})
     # A frontier laid out for another decoder: no pruning offsets.
     refused("axis_int", axis_int=state["axis_int"][:, :2].copy())
 
@@ -368,7 +379,8 @@ _SEARCH_ROWS = {"r", "y", "diag", "diag_sq", "level", "radius", "parent",
                 "path_cols", "path_rows", "chosen", "tally"}
 _LEAF_ROWS = {False: {"best_cols", "best_rows", "best_dist"},
               True: {"list_d", "list_seq", "list_cols", "list_rows",
-                     "list_n", "leaf_seq"}}
+                     "list_n", "leaf_seq", "noise_var", "best_cols",
+                     "best_rows", "llrs"}}
 _ZIGZAG_SLOTS = {"axis_int", "axis_res", "queue_d", "queue_j", "last_i"}
 
 
