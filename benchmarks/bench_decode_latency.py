@@ -301,8 +301,8 @@ def test_frame_vs_per_subcarrier_speedup(benchmark, best_of,
 # ----------------------------------------------------------------------
 
 
-def test_compiled_tick_vs_numpy_speedup(benchmark, best_of, speedup_floor,
-                                        core_hidden):
+def test_core_vs_scalar_fallback_frame_speedup(benchmark, best_of,
+                                               speedup_floor, core_hidden):
     """The lockstep schedule stepped in the compiled core (with the
     core's drain for the last stragglers — the default wherever it
     built) vs the scalar fallback, on a whole 16-QAM 4x4 x

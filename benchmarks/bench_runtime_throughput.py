@@ -165,8 +165,8 @@ def test_runtime_backpressure_sweep(benchmark, max_in_flight):
         runtime.stats.latency_percentiles())
 
 
-def test_runtime_compiled_tick_speedup(benchmark, best_of, speedup_floor,
-                                       core_hidden):
+def test_core_vs_scalar_fallback_runtime_speedup(benchmark, best_of,
+                                                 speedup_floor, core_hidden):
     """The ISSUE-9 acceptance numbers, runtime edition: the same frame
     stream through one resident engine stepping its lockstep ticks in
     the compiled core (with the core's drain for the last stragglers —
