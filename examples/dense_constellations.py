@@ -15,9 +15,9 @@ Run:  python examples/dense_constellations.py
 
 from repro.experiments.complexity import (
     CALIBRATED_SNRS_DB,
-    rayleigh_vector_source,
     run_symbol_complexity,
 )
+from repro.phy import rayleigh_source
 
 DECODERS = ("eth-sd", "geosphere-zigzag", "geosphere")
 NUM_VECTORS = 150
@@ -31,7 +31,7 @@ def main() -> None:
         snr_db = CALIBRATED_SNRS_DB[("rayleigh", 4, 4, order, 0.10)]
         row = []
         for decoder in DECODERS:
-            source = rayleigh_vector_source(4, 4, rng=11)
+            source = rayleigh_source(4, 4, rng=11)
             result = run_symbol_complexity(decoder, order, source, snr_db,
                                            NUM_VECTORS, rng=13)
             row.append(result.avg_ped_calcs)

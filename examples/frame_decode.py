@@ -4,8 +4,8 @@ Builds a 16-QAM, 4x4 uplink frame over 64 OFDM data subcarriers and
 detects it twice with the same Geosphere decoder — the same lockstep
 engine both times, fed differently:
 
-1. ``detect_batch`` per subcarrier — one QR and one private frontier per
-   subcarrier (64 engine runs, 64 straggler tails);
+1. ``decoder.decode_block`` per subcarrier — one QR and one private
+   frontier per subcarrier (64 engine runs, 64 straggler tails);
 2. ``detect_uplink`` (``detect_frame``) — one stacked QR sweep and a
    *single* frontier that packs searches from every subcarrier into the
    same lanes.
@@ -41,14 +41,13 @@ def best_of(function, repeats=3):
     return best
 
 
-def detect_per_subcarrier(channels, received, detector, noise_variance):
-    """One ``detect_batch`` (one frontier) per subcarrier."""
+def detect_per_subcarrier(channels, received, decoder):
+    """One ``decode_block`` (one frontier) per subcarrier."""
     indices = np.empty(received.shape[:2] + (channels.shape[2],),
                        dtype=np.int64)
     counters = ComplexityCounters()
     for s in range(channels.shape[0]):
-        block = detector.detect_batch(channels[s], received[:, s, :],
-                                      noise_variance)
+        block = decoder.decode_block(channels[s], received[:, s, :])
         indices[:, s, :] = block.symbol_indices
         counters.merge(block.counters)
     return indices, counters
@@ -71,13 +70,14 @@ def main() -> None:
         rng.standard_normal(clean.shape)
         + 1j * rng.standard_normal(clean.shape))
 
-    detector = SphereDetector(geosphere_decoder(constellation))
+    decoder = geosphere_decoder(constellation)
+    detector = SphereDetector(decoder)
     print(f"frame: {NUM_SYMBOLS} OFDM symbols x {NUM_SUBCARRIERS} "
           f"subcarriers x {NUM_CLIENTS} streams of 16-QAM "
           f"({NUM_SYMBOLS * NUM_SUBCARRIERS} MIMO detections)")
 
     per_sub_indices, per_sub_counters = detect_per_subcarrier(
-        channels, received, detector, noise_variance)
+        channels, received, decoder)
     frame = detect_uplink(channels, received, detector, noise_variance)
 
     identical = (np.array_equal(frame.symbol_indices, per_sub_indices)
@@ -89,7 +89,7 @@ def main() -> None:
           f"{frame.counters.ped_calcs / frame.detections:.1f}")
 
     per_sub_s = best_of(lambda: detect_per_subcarrier(
-        channels, received, detector, noise_variance))
+        channels, received, decoder))
     frame_s = best_of(lambda: detect_uplink(
         channels, received, detector, noise_variance))
     print(f"frontier per subcarrier: {per_sub_s * 1e3:7.1f} ms/frame")

@@ -1,16 +1,16 @@
 """Common detector interface.
 
-Every MIMO detector — linear, SIC or sphere — maps one received vector
-``y = Hx + w`` to hard symbol decisions through the same entry point, so
-link-level simulations (:mod:`repro.phy.link`) can swap detectors the way
-the paper's evaluation swaps zero-forcing for Geosphere.
+Every MIMO detector — linear, SIC, exhaustive ML, sphere or hybrid —
+answers the same two questions, so link-level simulations
+(:mod:`repro.phy.link`) can swap detectors the way the paper's
+evaluation swaps zero-forcing for Geosphere.
 
-The interface is *batch-first*: real OFDM receivers never detect one
+The interface is *frame-first*: real OFDM receivers never detect one
 vector at a time — each subcarrier's channel is preprocessed once per
 frame and every symbol vector of the frame is detected against it.
-:meth:`Detector.detect_batch` is therefore the primary entry point, and
-the per-vector :meth:`Detector.detect` is the convenience wrapper, not
-the other way around.
+:meth:`Detector.detect_frame` is therefore the primary entry point, and
+the per-vector :meth:`Detector.detect` is the convenience path for tests
+and worked examples.
 """
 
 from __future__ import annotations
@@ -20,10 +20,11 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
+from ..frame.results import FrameDetectionResult
 from ..sphere.counters import ComplexityCounters
+from ..utils.validation import as_complex_matrix, as_complex_vector
 
-__all__ = ["BatchDetectionResult", "DetectionResult", "Detector",
-           "hard_decision_batch"]
+__all__ = ["DetectionResult", "Detector", "detect_one_slot"]
 
 
 @dataclass
@@ -46,43 +47,6 @@ class DetectionResult:
     counters: ComplexityCounters | None = None
 
 
-@dataclass
-class BatchDetectionResult:
-    """Hard decisions for a block of channel uses over one channel.
-
-    Attributes
-    ----------
-    symbols:
-        ``(T, nc)`` detected complex constellation points.
-    symbol_indices:
-        ``(T, nc)`` flattened constellation indices.
-    counters:
-        Complexity tallies aggregated over the whole block when the
-        detector tracks them (sphere and K-best decoders), else ``None``.
-        For tracking detectors the aggregate equals the *sum* of the
-        per-vector counters — the invariant the paper's complexity
-        figures rely on.
-    """
-
-    symbols: np.ndarray
-    symbol_indices: np.ndarray
-    counters: ComplexityCounters | None = None
-
-    def __len__(self) -> int:
-        return int(self.symbol_indices.shape[0])
-
-
-def hard_decision_batch(constellation, symbol_indices) -> BatchDetectionResult:
-    """Wrap a ``(T, nc)`` index array as a counter-less batch result.
-
-    Shared by every slicing detector (ZF, MMSE, SIC, exhaustive ML) whose
-    ``detect_batch`` is its vectorised ``detect_block`` plus symbol
-    lookup.
-    """
-    return BatchDetectionResult(symbols=constellation.points[symbol_indices],
-                                symbol_indices=symbol_indices)
-
-
 @runtime_checkable
 class Detector(Protocol):
     """Protocol implemented by all detectors in :mod:`repro.detect`."""
@@ -97,13 +61,29 @@ class Detector(Protocol):
         antenna; detectors that do not need it (ZF, ML) ignore it.
         """
 
-    def detect_batch(self, channel: np.ndarray, received_block: np.ndarray,
-                     noise_variance: float) -> BatchDetectionResult:
-        """Detect a ``(T, na)`` block of received vectors over one channel.
+    def detect_frame(self, channels: np.ndarray, received: np.ndarray,
+                     noise_variance: float) -> FrameDetectionResult:
+        """Detect a whole frame: ``(S, na, nc)`` channels, ``(T, S, na)``
+        observations.
 
         Channel-only preprocessing (pseudo-inverse, MMSE filters, QR) is
-        performed once for the whole block; per-vector work is vectorised
-        where the algorithm allows it.  This is the entry point the OFDM
-        receive chain uses, handing each subcarrier's full symbol block
-        to the detector in one call.
+        performed once per subcarrier for every symbol of the frame, as
+        one stacked sweep; the per-slot work runs across subcarriers.
+        This is the entry point the OFDM receive chain uses.
         """
+
+
+def detect_one_slot(detector, channel, received,
+                    noise_variance: float) -> DetectionResult:
+    """``detector.detect`` as a one-slot ``detector.detect_frame``.
+
+    For the detectors whose frame path is their only implementation
+    (MMSE-SIC, exhaustive ML): one channel use is a frame of one symbol
+    on one subcarrier, so the vector and frame answers cannot drift.
+    """
+    matrix = as_complex_matrix(channel, "channel")
+    y = as_complex_vector(received, "received")
+    frame = detector.detect_frame(matrix[None], y[None, None], noise_variance)
+    return DetectionResult(symbols=frame.symbols[0, 0],
+                           symbol_indices=frame.symbol_indices[0, 0],
+                           counters=frame.counters)

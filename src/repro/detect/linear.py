@@ -20,7 +20,7 @@ from ..frame.preprocess import (
 )
 from ..frame.results import FrameDetectionResult, hard_decision_frame
 from ..utils.validation import as_complex_matrix, as_complex_vector, require
-from .base import BatchDetectionResult, DetectionResult, hard_decision_batch
+from .base import DetectionResult
 
 __all__ = ["ZeroForcingDetector", "MmseDetector", "zf_equalize", "mmse_equalize"]
 
@@ -67,29 +67,6 @@ class ZeroForcingDetector:
         return DetectionResult(symbols=self.constellation.points[indices],
                                symbol_indices=np.asarray(indices))
 
-    def detect_block(self, channel, received_block,
-                     noise_variance: float = 0.0) -> np.ndarray:
-        """Detect many vectors over one channel; returns ``(T, nc)`` indices.
-
-        The pseudo-inverse is computed once per channel — how a per-frame
-        OFDM receiver amortises equalisation (and the paper's ``nt x nr``
-        complex-multiplication cost model for ZF).
-        """
-        matrix = as_complex_matrix(channel, "channel")
-        block = np.asarray(received_block, dtype=np.complex128)
-        require(block.ndim == 2 and block.shape[1] == matrix.shape[0],
-                f"received block must be (T, {matrix.shape[0]})")
-        pinv = np.linalg.pinv(matrix)
-        estimates = block @ pinv.T
-        return self.constellation.slice_indices(estimates)
-
-    def detect_batch(self, channel, received_block,
-                     noise_variance: float = 0.0) -> BatchDetectionResult:
-        """Batch entry point: one pseudo-inverse, ``T`` sliced decisions."""
-        return hard_decision_batch(
-            self.constellation,
-            self.detect_block(channel, received_block, noise_variance))
-
     def detect_frame(self, channels, received,
                      noise_variance: float = 0.0) -> FrameDetectionResult:
         """Frame entry point: ``(S, na, nc)`` channels, ``(T, S, na)``
@@ -114,27 +91,6 @@ class MmseDetector:
         indices = self.constellation.slice_indices(estimates)
         return DetectionResult(symbols=self.constellation.points[indices],
                                symbol_indices=np.asarray(indices))
-
-    def detect_block(self, channel, received_block,
-                     noise_variance: float) -> np.ndarray:
-        """Detect many vectors over one channel; returns ``(T, nc)`` indices."""
-        matrix = as_complex_matrix(channel, "channel")
-        block = np.asarray(received_block, dtype=np.complex128)
-        require(block.ndim == 2 and block.shape[1] == matrix.shape[0],
-                f"received block must be (T, {matrix.shape[0]})")
-        require(noise_variance >= 0.0, "noise variance must be non-negative")
-        num_tx = matrix.shape[1]
-        gram = matrix.conj().T @ matrix + noise_variance * np.eye(num_tx)
-        weights = np.linalg.solve(gram, matrix.conj().T)
-        estimates = block @ weights.T
-        return self.constellation.slice_indices(estimates)
-
-    def detect_batch(self, channel, received_block,
-                     noise_variance: float) -> BatchDetectionResult:
-        """Batch entry point: one MMSE filter, ``T`` sliced decisions."""
-        return hard_decision_batch(
-            self.constellation,
-            self.detect_block(channel, received_block, noise_variance))
 
     def detect_frame(self, channels, received,
                      noise_variance: float) -> FrameDetectionResult:

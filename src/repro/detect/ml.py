@@ -11,8 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..constellation.qam import QamConstellation
+from ..frame.results import FrameDetectionResult, hard_decision_frame
 from ..utils.validation import as_complex_matrix, as_complex_vector, require
-from .base import BatchDetectionResult, DetectionResult, hard_decision_batch
+from .base import DetectionResult, detect_one_slot
 
 __all__ = ["ExhaustiveMLDetector"]
 
@@ -28,11 +29,25 @@ class ExhaustiveMLDetector:
         self.max_hypotheses = max_hypotheses
 
     def detect(self, channel, received, noise_variance: float = 0.0) -> DetectionResult:
-        matrix = as_complex_matrix(channel, "channel")
-        y = as_complex_vector(received, "received")
-        require(y.shape[0] == matrix.shape[0],
-                "received length does not match channel rows")
-        num_tx = matrix.shape[1]
+        return detect_one_slot(self, channel, received, noise_variance)
+
+    def detect_frame(self, channels, received,
+                     noise_variance: float = 0.0) -> FrameDetectionResult:
+        """Frame entry point: ``(S, na, nc)`` channels, ``(T, S, na)``
+        observations.
+
+        The ``H_s s`` hypothesis table is built once per subcarrier and
+        scanned once per symbol.  The scan stays a loop on purpose — the
+        ``(T, na, M^nc)`` residual tensor would not fit in memory for the
+        dense constellations this detector guards against.
+        """
+        matrices = np.asarray(channels, dtype=np.complex128)
+        observations = np.asarray(received, dtype=np.complex128)
+        require(matrices.ndim == 3, "channels must be (S, na, nc)")
+        require(observations.ndim == 3
+                and observations.shape[1:] == matrices.shape[:2],
+                "received must be (T, S, na) matching the channel stack")
+        num_subcarriers, _, num_tx = matrices.shape
         order = self.constellation.order
         hypotheses = order ** num_tx
         require(hypotheses <= self.max_hypotheses,
@@ -41,47 +56,16 @@ class ExhaustiveMLDetector:
 
         # Enumerate O^nc as a mixed-radix counter, vectorised.
         grids = np.indices((order,) * num_tx).reshape(num_tx, -1)
-        candidates = self.constellation.points[grids]          # (nc, M^nc)
-        residuals = y[:, None] - matrix @ candidates           # (na, M^nc)
-        distances = np.sum(np.abs(residuals) ** 2, axis=0)
-        best = int(np.argmin(distances))
-        indices = grids[:, best].copy()
-        return DetectionResult(symbols=self.constellation.points[indices],
-                               symbol_indices=indices)
-
-    def detect_block(self, channel, received_block,
-                     noise_variance: float = 0.0) -> np.ndarray:
-        """Detect many vectors over one channel; returns ``(T, nc)`` indices.
-
-        The candidate matrix ``H @ s`` is built once for the whole block.
-        """
-        matrix = as_complex_matrix(channel, "channel")
-        block = np.asarray(received_block, dtype=np.complex128)
-        require(block.ndim == 2 and block.shape[1] == matrix.shape[0],
-                f"received block must be (T, {matrix.shape[0]})")
-        num_tx = matrix.shape[1]
-        order = self.constellation.order
-        require(order ** num_tx <= self.max_hypotheses,
-                f"{order}-QAM over {num_tx} streams exceeds the hypothesis limit")
-        grids = np.indices((order,) * num_tx).reshape(num_tx, -1)
-        candidates = matrix @ self.constellation.points[grids]   # (na, M^nc)
-        indices = np.empty((block.shape[0], num_tx), dtype=np.int64)
-        for t in range(block.shape[0]):
-            distances = np.sum(np.abs(block[t][:, None] - candidates) ** 2, axis=0)
-            indices[t] = grids[:, int(np.argmin(distances))]
-        return indices
-
-    def detect_batch(self, channel, received_block,
-                     noise_variance: float = 0.0) -> BatchDetectionResult:
-        """Batch entry point: ``H s`` hypotheses built once for the block.
-
-        The per-vector distance scan stays a loop on purpose — the
-        ``(T, na, M^nc)`` residual tensor would not fit in memory for the
-        dense constellations this detector guards against.
-        """
-        return hard_decision_batch(
-            self.constellation,
-            self.detect_block(channel, received_block, noise_variance))
+        points = self.constellation.points[grids]              # (nc, M^nc)
+        indices = np.empty((observations.shape[0], num_subcarriers, num_tx),
+                           dtype=np.int64)
+        for s in range(num_subcarriers):
+            candidates = matrices[s] @ points                  # (na, M^nc)
+            for t in range(observations.shape[0]):
+                residuals = observations[t, s][:, None] - candidates
+                distances = np.sum(np.abs(residuals) ** 2, axis=0)
+                indices[t, s] = grids[:, int(np.argmin(distances))]
+        return hard_decision_frame(self.constellation, indices)
 
     def distance_of(self, channel, received, symbol_indices) -> float:
         """``||y - Hs||^2`` for a given hypothesis (test helper)."""

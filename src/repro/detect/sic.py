@@ -14,8 +14,8 @@ import numpy as np
 
 from ..constellation.qam import QamConstellation
 from ..frame.results import FrameDetectionResult, hard_decision_frame
-from ..utils.validation import as_complex_matrix, as_complex_vector, require
-from .base import BatchDetectionResult, DetectionResult, hard_decision_batch
+from ..utils.validation import require
+from .base import DetectionResult, detect_one_slot
 
 __all__ = ["MmseSicDetector"]
 
@@ -29,73 +29,7 @@ class MmseSicDetector:
         self.constellation = constellation
 
     def detect(self, channel, received, noise_variance: float) -> DetectionResult:
-        matrix = as_complex_matrix(channel, "channel")
-        y = as_complex_vector(received, "received").copy()
-        require(matrix.shape[0] >= matrix.shape[1],
-                f"need num_rx >= num_tx, got {matrix.shape[0]}x{matrix.shape[1]}")
-        require(y.shape[0] == matrix.shape[0],
-                "received length does not match channel rows")
-        require(noise_variance >= 0.0, "noise variance must be non-negative")
-
-        indices = self.detect_block(matrix, y[None, :], noise_variance)[0]
-        return DetectionResult(symbols=self.constellation.points[indices],
-                               symbol_indices=indices)
-
-    def detect_block(self, channel, received_block,
-                     noise_variance: float) -> np.ndarray:
-        """Detect many vectors over one channel; returns ``(T, nc)`` indices.
-
-        The per-stage MMSE filters depend only on the channel, so they are
-        computed once and replayed over every vector in the block.
-        """
-        matrix = as_complex_matrix(channel, "channel")
-        block = np.asarray(received_block, dtype=np.complex128)
-        require(block.ndim == 2 and block.shape[1] == matrix.shape[0],
-                f"received block must be (T, {matrix.shape[0]})")
-        require(noise_variance >= 0.0, "noise variance must be non-negative")
-        num_tx = matrix.shape[1]
-        # Paper ordering: descending per-stream receive SNR, i.e. column energy.
-        order = np.argsort(-np.sum(np.abs(matrix) ** 2, axis=0), kind="stable")
-
-        # Precompute the MMSE filter row of the to-be-detected stream at
-        # every cancellation stage.
-        stage_filters = []
-        remaining = list(order)
-        while remaining:
-            active = matrix[:, remaining]
-            gram = (active.conj().T @ active
-                    + noise_variance * np.eye(len(remaining)))
-            weights = np.linalg.solve(gram, active.conj().T)
-            stage_filters.append((remaining[0], weights[0]))
-            remaining = remaining[1:]
-
-        num_vectors = block.shape[0]
-        indices = np.zeros((num_vectors, num_tx), dtype=np.int64)
-        residual = block.copy()
-        for stream, filter_row in stage_filters:
-            # filter_row is the complete equaliser row: estimate = w . y.
-            # Shaped (na, 1) so this is the same matmul kernel the frame
-            # path (detect_frame) runs per subcarrier slice — a plain
-            # matrix-vector product could use a different BLAS routine
-            # with a different accumulation order, and the two strategies
-            # must stay bit-identical on every build.
-            estimates = (residual @ filter_row[:, None])[:, 0]
-            detected = self.constellation.slice_indices(estimates)
-            indices[:, stream] = detected
-            # Cancel the hard decisions from every vector at once.  Wrong
-            # decisions propagate — the error-propagation effect the paper
-            # measures against Geosphere.
-            residual = residual - np.outer(self.constellation.points[detected],
-                                           matrix[:, stream])
-        return indices
-
-    def detect_batch(self, channel, received_block,
-                     noise_variance: float) -> BatchDetectionResult:
-        """Batch entry point: per-stage filters computed once, then every
-        vector detected and cancelled in lockstep array ops."""
-        return hard_decision_batch(
-            self.constellation,
-            self.detect_block(channel, received_block, noise_variance))
+        return detect_one_slot(self, channel, received, noise_variance)
 
     def detect_frame(self, channels, received,
                      noise_variance: float) -> FrameDetectionResult:

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..phy.link import rayleigh_source
 from ..utils.rng import as_generator
 from .common import Scale, format_table, get_scale
 from .complexity import (
-    rayleigh_vector_source,
     run_symbol_complexity,
     snr_for_target_ver,
 )
@@ -61,8 +61,8 @@ def run(scale: str | Scale = "quick", seed: int = 777,
                 workload_seed = int(rng.integers(1 << 31))
                 results = {}
                 for decoder in ("geosphere-zigzag", "geosphere"):
-                    source = rayleigh_vector_source(num_antennas, num_clients,
-                                                    rng=source_seed)
+                    source = rayleigh_source(num_antennas, num_clients,
+                                             rng=source_seed)
                     results[decoder] = run_symbol_complexity(
                         decoder, order, source, snr_db, scale.num_vectors,
                         rng=workload_seed)

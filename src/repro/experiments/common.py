@@ -153,18 +153,11 @@ def filter_trace_links(trace: ChannelTrace,
     """
     from ..channel.metrics import worst_stream_degradation_db
 
-    keep = []
-    for link_index in range(trace.num_links):
-        lambdas = [worst_stream_degradation_db(matrix)
-                   for matrix in trace.matrices[link_index]]
-        if np.median(lambdas) <= max_median_lambda_db:
-            keep.append(link_index)
-    if not keep:  # degenerate fallback: keep the least-degraded link
-        medians = []
-        for link_index in range(trace.num_links):
-            lambdas = [worst_stream_degradation_db(matrix)
-                       for matrix in trace.matrices[link_index]]
-            medians.append(np.median(lambdas))
+    medians = np.array([
+        np.median([worst_stream_degradation_db(matrix) for matrix in link])
+        for link in trace.matrices])
+    keep = np.flatnonzero(medians <= max_median_lambda_db)
+    if not keep.size:  # degenerate fallback: keep the least-degraded link
         keep = [int(np.argmin(medians))]
     return ChannelTrace(matrices=trace.matrices[keep],
                         label=f"{trace.label}[filtered]",

@@ -23,13 +23,13 @@ import numpy as np
 from ..channel.noise import awgn, noise_variance_for_snr
 from ..channel.trace import ChannelTrace
 from ..constellation.qam import qam
+from ..phy.link import rayleigh_source
 from ..utils.rng import as_generator
 from ..utils.validation import require
 from .common import make_detector
 
 __all__ = [
     "ComplexityResult",
-    "rayleigh_vector_source",
     "trace_vector_source",
     "run_symbol_complexity",
     "snr_for_target_ver",
@@ -40,19 +40,6 @@ __all__ = [
 # ----------------------------------------------------------------------
 # Per-vector channel sources
 # ----------------------------------------------------------------------
-
-def rayleigh_vector_source(num_rx: int, num_tx: int, rng=None):
-    """A fresh i.i.d. Rayleigh matrix per decoded vector (paper: 'i.i.d.
-    channel realizations sampled on a per-frame basis')."""
-    generator = as_generator(rng)
-
-    def source() -> np.ndarray:
-        shape = (num_rx, num_tx)
-        return (generator.standard_normal(shape)
-                + 1j * generator.standard_normal(shape)) / np.sqrt(2.0)
-
-    return source
-
 
 def trace_vector_source(trace: ChannelTrace, rng=None):
     """Random (link, subcarrier) channel from a measured trace per vector."""
@@ -173,8 +160,8 @@ def snr_for_target_ver(order: int, num_clients: int, num_ap_antennas: int,
     if channel_source is None:
         require(source_kind == "rayleigh",
                 "testbed calibration needs an explicit channel_source")
-        channel_source = rayleigh_vector_source(num_ap_antennas, num_clients,
-                                                rng=seed)
+        channel_source = rayleigh_source(num_ap_antennas, num_clients,
+                                         rng=seed)
 
     low, high = 0.0, 48.0
     for _ in range(8):

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..phy.link import rayleigh_source
 from ..utils.rng import as_generator
 from .common import Scale, format_table, get_scale, testbed_trace
 from .complexity import (
-    rayleigh_vector_source,
     run_symbol_complexity,
     snr_for_target_ver,
     trace_vector_source,
@@ -83,7 +83,7 @@ def run(scale: str | Scale = "quick", seed: int = 1515,
                     if source_kind == "testbed":
                         source = trace_vector_source(trace, rng=source_seed)
                     else:
-                        source = rayleigh_vector_source(
+                        source = rayleigh_source(
                             num_antennas, num_clients, rng=source_seed)
                     result = run_symbol_complexity(
                         decoder, order, source, snr_db, scale.num_vectors,

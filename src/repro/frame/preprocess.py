@@ -117,7 +117,7 @@ def apply_frame_filters(filters, received) -> np.ndarray:
     ``filters`` is ``(S, nc, na)``; ``received`` is ``(T, S, na)``.
     Returns ``(T, S, nc)`` soft estimates via one stacked matmul — each
     subcarrier's slice bit-identical to the per-subcarrier
-    ``block @ filters[s].T`` of the batch detectors.
+    ``block @ filters[s].T``.
     """
     filters = np.asarray(filters, dtype=np.complex128)
     observations = _as_observation_stack(received, filters.shape[2])

@@ -127,8 +127,9 @@ class FrameDecodeResult:
 class FrameDetectionResult:
     """Hard decisions for every (symbol, subcarrier) slot of one frame.
 
-    The frame-level analogue of
-    :class:`~repro.detect.base.BatchDetectionResult`.
+    What every detector's ``detect_frame`` returns, and so what
+    :func:`repro.phy.receiver.detect_uplink` hands the receive chain; the
+    frame-level analogue of :class:`~repro.detect.base.DetectionResult`.
 
     Attributes
     ----------
@@ -138,7 +139,7 @@ class FrameDetectionResult:
         ``(T, S, nc)`` flattened constellation indices.
     counters:
         Frame-aggregated complexity tallies when the detector tracks them
-        (sphere and K-best decoders), else ``None``.
+        (sphere, K-best and hybrid detectors), else ``None``.
     """
 
     symbols: np.ndarray
@@ -243,8 +244,8 @@ def empty_frame_result(num_symbols: int, num_subcarriers: int,
 def hard_decision_frame(constellation, symbol_indices) -> FrameDetectionResult:
     """Wrap a ``(T, S, nc)`` index tensor as a counter-less frame result.
 
-    Shared by every slicing detector (ZF, MMSE, SIC) whose
-    ``detect_frame`` is a stacked-filter application plus symbol lookup.
+    Shared by every counter-less detector (ZF, MMSE, SIC, exhaustive
+    ML) whose ``detect_frame`` ends in an index tensor.
     """
     indices = np.asarray(symbol_indices)
     return FrameDetectionResult(symbols=constellation.points[indices],

@@ -122,9 +122,10 @@ def simulate_frame(channels, detector, config: PhyConfig, snr_db: float,
 
     The receive side is frame-first end to end: the whole frame's channel
     application and noise are vectorised, and the full channel/observation
-    tensors are handed to the detector's ``detect_frame`` in one call —
-    the sphere decoders' lockstep engine, the linear detectors' stacked
-    filter banks (see :func:`repro.phy.receiver.detect_uplink`).
+    tensors are handed to the detector's ``detect_frame`` in one call
+    (:func:`repro.phy.receiver.detect_uplink`) — the sphere decoders'
+    lockstep engine, the linear and MMSE-SIC detectors' stacked filter
+    banks, the hybrid's per-subcarrier split between the two.
     """
     generator = as_generator(rng)
     num_subcarriers = config.ofdm.num_data_subcarriers

@@ -1,20 +1,17 @@
 """Uplink receive chain: frame-level MIMO detection, then undo the
 transmit chain.
 
-The front half (:func:`detect_uplink`) is frame-first: when the detector
-exposes a ``detect_frame`` entry point, the *whole* ``(S, na, nc)``
-channel tensor and ``(T, S, na)`` observation tensor go to the detector
-in one call — for sphere decoders that is the lockstep engine
-(:mod:`repro.runtime.engine`), which preprocesses every subcarrier in
-one stacked QR sweep and advances all S×T searches through a single
-breadth-synchronised frontier, returning frame-level counter totals (no
-per-subcarrier Python merge).  Detectors without a frame entry point
-take one ``detect_batch`` call per subcarrier instead — bit-identical
-results and aggregated counters either way.  The back half turns the
-resulting hard symbol indices per (OFDM symbol, subcarrier, stream) into
-per-stream payloads and CRC verdicts.  Frame success is judged exactly
-the way real link layers judge it — by the frame check sequence — never
-by comparing against the transmitted bits.
+The front half (:func:`detect_uplink`) is frame-first: the *whole*
+``(S, na, nc)`` channel tensor and ``(T, S, na)`` observation tensor go
+to the detector's ``detect_frame`` in one call — for sphere decoders
+that is the lockstep engine (:mod:`repro.runtime.engine`), which
+preprocesses every subcarrier in one stacked QR sweep and advances all
+S×T searches through a single breadth-synchronised frontier, returning
+frame-level counter totals.  The back half turns the resulting hard
+symbol indices per (OFDM symbol, subcarrier, stream) into per-stream
+payloads and CRC verdicts.  Frame success is judged exactly the way
+real link layers judge it — by the frame check sequence — never by
+comparing against the transmitted bits.
 """
 
 from __future__ import annotations
@@ -27,57 +24,25 @@ from ..coding.crc import CRC_BITS, check_crc
 from ..coding.interleaver import deinterleave
 from ..coding.scrambler import descramble
 from ..coding.viterbi import viterbi_decode, viterbi_decode_soft
-from ..sphere.counters import ComplexityCounters
+from ..frame.results import FrameDetectionResult
 from ..utils.validation import require
 from .config import PhyConfig
 
-__all__ = ["StreamDecision", "UplinkDetection",
-           "detect_uplink", "recover_stream", "recover_stream_soft",
-           "recover_uplink", "recover_uplink_soft", "finish_stream",
-           "stream_coded_bits", "stream_coded_reliabilities"]
-
-
-@dataclass
-class UplinkDetection:
-    """Hard decisions and complexity tallies for one uplink frame.
-
-    Attributes
-    ----------
-    symbol_indices:
-        ``(T, S, nc)`` detected constellation indices — the tensor
-        :func:`recover_uplink` consumes.
-    counters:
-        Complexity counters summed over every (subcarrier, OFDM symbol)
-        detection when the detector tracks them, else ``None``.
-    detections:
-        Number of MIMO detections performed (``T * S``), the denominator
-        of the paper's per-detection complexity metrics.
-    """
-
-    symbol_indices: np.ndarray
-    counters: ComplexityCounters | None
-    detections: int
+__all__ = ["StreamDecision", "detect_uplink", "recover_stream",
+           "recover_stream_soft", "recover_uplink", "recover_uplink_soft",
+           "finish_stream", "stream_coded_bits", "stream_coded_reliabilities"]
 
 
 def detect_uplink(channels, received, detector,
-                  noise_variance: float) -> UplinkDetection:
-    """Detect a whole uplink frame.
+                  noise_variance: float) -> FrameDetectionResult:
+    """Detect a whole uplink frame through ``detector.detect_frame``.
 
     ``channels`` is ``(S, na, nc)`` — one matrix per data subcarrier;
     ``received`` is ``(T, S, na)`` — the frequency-domain observations for
-    ``T`` OFDM symbols.
-
-    A detector with a ``detect_frame`` entry point gets the whole frame
-    in one call: the sphere/K-best path then runs one stacked QR sweep
-    and one frontier over all S×T searches with frame-level counter
-    totals (never paying S Python-level ``ComplexityCounters.merge``
-    calls), and the linear/SIC paths apply stacked per-subcarrier
-    filter banks.  Any other detector takes the loop below: each
-    subcarrier's block of ``T`` vectors goes to ``detector.detect_batch``
-    separately, counters merged across subcarriers.  Both dispatches
-    return bit-identical symbol decisions and aggregated counters
-    (``tests/test_frame_engine.py`` and the ``tests/test_link_golden.py``
-    goldens enforce this).
+    ``T`` OFDM symbols.  The result's ``symbol_indices`` is the
+    ``(T, S, nc)`` tensor :func:`recover_uplink` consumes; its counters
+    are summed over every (symbol, subcarrier) detection when the
+    detector tracks them, else ``None``.
     """
     matrices = np.asarray(channels, dtype=np.complex128)
     observations = np.asarray(received, dtype=np.complex128)
@@ -89,30 +54,7 @@ def detect_uplink(channels, received, detector,
     require(observations.shape[2] == matrices.shape[1],
             f"received has {observations.shape[2]} antennas, channels have "
             f"{matrices.shape[1]}")
-    num_symbols, num_subcarriers = observations.shape[:2]
-    num_streams = matrices.shape[2]
-
-    detect_frame = getattr(detector, "detect_frame", None)
-    if detect_frame is not None:
-        result = detect_frame(matrices, observations, noise_variance)
-        return UplinkDetection(symbol_indices=result.symbol_indices,
-                               counters=result.counters,
-                               detections=num_symbols * num_subcarriers)
-
-    indices = np.empty((num_symbols, num_subcarriers, num_streams),
-                       dtype=np.int64)
-    totals = ComplexityCounters()
-    saw_counters = False
-    for s in range(num_subcarriers):
-        result = detector.detect_batch(matrices[s], observations[:, s, :],
-                                       noise_variance)
-        indices[:, s, :] = result.symbol_indices
-        if result.counters is not None:
-            totals.merge(result.counters)
-            saw_counters = True
-    return UplinkDetection(symbol_indices=indices,
-                           counters=totals if saw_counters else None,
-                           detections=num_symbols * num_subcarriers)
+    return detector.detect_frame(matrices, observations, noise_variance)
 
 
 @dataclass

@@ -321,7 +321,7 @@ class TestConditionedChannelEquivalence:
 
 
 class TestAdapterCounterAccounting:
-    """`detect_batch` counters must equal the sum of per-vector scalar
+    """`detect_frame` counters must equal the sum of per-vector scalar
     counters — the tallies behind the paper's Figs. 14-15."""
 
     @pytest.mark.parametrize("make", [
@@ -336,15 +336,14 @@ class TestAdapterCounterAccounting:
                  + 1j * rng.standard_normal((12, 4)))
         decoder = make(constellation)
         adapter = SphereDetector(decoder)
-        result = adapter.detect_batch(channel, block, 0.1)
+        result = adapter.detect_frame(channel[None], block[:, None, :], 0.1)
 
         q, r = triangularize(channel)
         y_hat = block @ np.conj(q)
         _, totals = _sum_scalar(decoder, r, y_hat)
         for field in COUNTER_FIELDS:
             assert getattr(result.counters, field) == getattr(totals, field)
-        assert adapter.last_block_counters is result.counters
-        assert adapter.last_block_detections == 12
+        assert result.detections == 12
         # Footnote-5 cost model: each PED calc costs nc + 1 complex mults.
         assert (result.counters.complex_mults
                 == result.counters.ped_calcs * (channel.shape[1] + 1))
@@ -370,8 +369,8 @@ class TestAdapterCounterAccounting:
         channel = rayleigh_channel(4, 2, rng)
         block = (rng.standard_normal((4, 4))
                  + 1j * rng.standard_normal((4, 4)))
-        batch = adapter.detect_batch(channel, block, 0.1)
+        frame = adapter.detect_frame(channel[None], block[:, None, :], 0.1)
         for t in range(4):
             single = adapter.detect(channel, block[t], 0.1)
-            assert np.array_equal(batch.symbol_indices[t],
+            assert np.array_equal(frame.symbol_indices[t, 0],
                                   single.symbol_indices)

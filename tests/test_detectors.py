@@ -14,7 +14,7 @@ from repro.detect import (
     mmse_equalize,
     zf_equalize,
 )
-from repro.sphere import geosphere_decoder
+from repro.sphere import FixedComplexityDecoder, geosphere_decoder
 
 
 def transmission(order, num_tx, num_rx, snr_db, seed):
@@ -167,3 +167,11 @@ class TestMmseSicDetails:
         with pytest.raises(ValueError):
             MmseSicDetector(qam(4)).detect(
                 rayleigh_channel(4, 2, rng=0), np.zeros(3, dtype=complex), 0.1)
+
+
+class TestSphereDetector:
+    def test_rejects_a_decoder_without_a_frame_entry_point(self):
+        """Refused at construction, naming the decoder, not at the
+        first frame."""
+        with pytest.raises(ValueError, match="FixedComplexityDecoder"):
+            SphereDetector(FixedComplexityDecoder(qam(16), full_levels=1))

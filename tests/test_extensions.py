@@ -20,6 +20,7 @@ from repro.detect.llr import axis_bit_partitions
 from repro.phy import default_config, encode_stream, random_payloads
 from repro.phy.receiver import recover_stream_soft
 from repro.sphere import (
+    ComplexityCounters,
     FixedComplexityDecoder,
     KBestDecoder,
     geosphere_decoder,
@@ -157,10 +158,41 @@ class TestHybridDetector:
         well = np.eye(4, dtype=complex)
         badly = correlated_rayleigh_channel(4, 4, 0.9, 0.9, rng=5)
         block = (rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4)))
-        hybrid.detect_block(well, block, 0.01)
+        hybrid.detect_frame(well[None], block[:, None, :], 0.01)
         assert hybrid.sphere_fraction == 0.0
-        hybrid.detect_block(badly, block, 0.01)
+        hybrid.detect_frame(badly[None], block[:, None, :], 0.01)
         assert hybrid.sphere_fraction == pytest.approx(0.5)
+
+    def test_mixed_frame_matches_per_subcarrier(self):
+        """One frame whose subcarriers straddle the threshold: every slot
+        equals its one-subcarrier call, the counters are the sphere
+        subcarriers' alone, and the fraction counts subcarriers."""
+        constellation = qam(16)
+        rng = np.random.default_rng(9)
+        channels = np.stack([
+            correlated_rayleigh_channel(4, 4, 0.9, 0.9, rng=seed)
+            if seed % 2 else np.eye(4) + 0.1 * rayleigh_channel(4, 4, rng=seed)
+            for seed in range(8)])
+        received = (rng.standard_normal((5, 8, 4))
+                    + 1j * rng.standard_normal((5, 8, 4)))
+        hybrid = HybridDetector(constellation, threshold_db=10.0)
+        sphere = np.array([hybrid._use_sphere(matrix) for matrix in channels])
+        assert 0 < sphere.sum() < sphere.size
+        frame = hybrid.detect_frame(channels, received, 0.05)
+        assert hybrid.sphere_fraction == sphere.mean()
+
+        decoder = geosphere_decoder(constellation)
+        totals = ComplexityCounters()
+        for s in range(channels.shape[0]):
+            alone = HybridDetector(constellation, threshold_db=10.0)
+            one = alone.detect_frame(channels[s:s + 1], received[:, s:s + 1],
+                                     0.05)
+            assert np.array_equal(frame.symbol_indices[:, s],
+                                  one.symbol_indices[:, 0])
+            if sphere[s]:
+                totals.merge(decoder.decode_block(channels[s],
+                                                  received[:, s]).counters)
+        assert frame.counters == totals
 
     def test_matches_sphere_on_bad_channels(self):
         constellation = qam(16)
@@ -175,8 +207,8 @@ class TestHybridDetector:
         constellation = qam(4)
         hybrid = HybridDetector(constellation, threshold_db=1000.0)  # always ZF
         _, channel, y, _ = instance(4, 2, 2, 20.0, seed=7)
-        hybrid.detect_block(channel, y[None, :], 0.1)
-        assert hybrid.last_block_counters.ped_calcs == 0
+        frame = hybrid.detect_frame(channel[None], y[None, None, :], 0.1)
+        assert frame.counters == ComplexityCounters()
 
     def test_rejects_negative_threshold(self):
         with pytest.raises(ValueError):

@@ -10,8 +10,8 @@ enforce that contract from the preprocessing up: stacked LAPACK sweeps
 against per-matrix calls, ``decode_frame`` (hard and soft) against the
 scalar oracle across enumerators / radii / node budgets / list sizes,
 correlated-channel and heterogeneous-SNR frames that exercise the lane
-refill, and ``detect_uplink``'s frame-vs-per-subcarrier dispatch across
-the detector zoo.  The engine's knob matrix itself is swept in
+refill, and every detector's whole-frame ``detect_frame`` against the
+same call one subcarrier at a time, across the detector zoo.  The engine's knob matrix itself is swept in
 ``tests/test_engine.py``, whose oracle, comparators and frontier drivers
 are reused here.
 """
@@ -27,6 +27,7 @@ from repro.detect import (
     ZeroForcingDetector,
 )
 from repro.frame import (
+    FrameDetectionResult,
     mmse_frame_filters,
     rotate_frame,
     triangularize_frame,
@@ -562,13 +563,30 @@ def _zoo(constellation):
     ]
 
 
-class _BatchOnly:
-    """A detector stripped to its ``detect_batch`` surface, so
-    ``detect_uplink`` takes the per-subcarrier loop."""
+class _PerSubcarrier:
+    """A detector run one subcarrier at a time through its own
+    ``detect_frame``, counters summed — the per-subcarrier strategy a
+    whole-frame call must reproduce bit for bit."""
 
     def __init__(self, detector):
         self.name = detector.name
-        self.detect_batch = detector.detect_batch
+        self._detector = detector
+
+    def detect_frame(self, channels, received, noise_variance):
+        parts = [self._detector.detect_frame(channels[s:s + 1],
+                                             received[:, s:s + 1],
+                                             noise_variance)
+                 for s in range(channels.shape[0])]
+        counters = None
+        if parts and parts[0].counters is not None:
+            counters = ComplexityCounters()
+            for part in parts:
+                counters.merge(part.counters)
+        return FrameDetectionResult(
+            symbols=np.concatenate([part.symbols for part in parts], axis=1),
+            symbol_indices=np.concatenate(
+                [part.symbol_indices for part in parts], axis=1),
+            counters=counters)
 
 
 class TestDetectUplinkStrategies:
@@ -580,7 +598,7 @@ class TestDetectUplinkStrategies:
             frame = detect_uplink(channels, received, detector,
                                   noise_variance)
             per_subcarrier = detect_uplink(channels, received,
-                                           _BatchOnly(detector),
+                                           _PerSubcarrier(detector),
                                            noise_variance)
             assert np.array_equal(frame.symbol_indices,
                                   per_subcarrier.symbol_indices), \
@@ -594,11 +612,15 @@ class TestDetectUplinkStrategies:
     def test_sphere_counters_are_frame_level_totals(self):
         constellation, channels, received = _frame_instance(
             16, 4, 4, num_subcarriers=6, num_symbols=5, seed=53)
-        detector = SphereDetector(SphereDecoder(constellation))
-        detection = detect_uplink(channels, received, detector, 0.05)
-        # The adapter mirrors the frame totals it handed back.
-        assert detection.counters is detector.last_block_counters
-        assert detector.last_block_detections == 30
+        decoder = SphereDecoder(constellation)
+        detection = detect_uplink(channels, received,
+                                  SphereDetector(decoder), 0.05)
+        assert detection.detections == 30
+        totals = ComplexityCounters()
+        for s in range(channels.shape[0]):
+            totals.merge(decoder.decode_block(channels[s],
+                                              received[:, s, :]).counters)
+        assert detection.counters == totals
 
     @needs_core
     def test_default_drain_threshold_is_capped(self):

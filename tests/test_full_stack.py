@@ -2,7 +2,7 @@
 
 Coded payloads -> OFDM sample streams -> tapped-delay multipath + AWGN ->
 CP removal / FFT -> per-subcarrier LS channel estimation from orthogonal
-training -> per-subcarrier sphere decoding -> deinterleave / Viterbi /
+training -> whole-frame sphere decoding -> deinterleave / Viterbi /
 CRC.  This is the WARPLab receive pipeline of the paper's section 4, with
 no frequency-domain shortcuts anywhere.
 """
@@ -23,7 +23,7 @@ from repro.ofdm import (
     training_grid,
 )
 from repro.phy import build_uplink_frame, default_config, random_payloads
-from repro.phy.receiver import recover_uplink
+from repro.phy.receiver import detect_uplink, recover_uplink
 from repro.sphere import geosphere_decoder
 
 
@@ -68,15 +68,11 @@ def run_full_stack(num_clients, num_antennas, order, noise_variance, seed,
         for antenna in range(num_antennas)
     ], axis=2)  # (symbols, subcarriers, antennas)
 
-    # --- per-subcarrier MIMO detection ----------------------------------
-    num_symbols = frame.num_ofdm_symbols
-    detected = np.empty((num_symbols, 48, num_clients), dtype=np.int64)
-    for subcarrier in range(48):
-        block = rx_grids[:, subcarrier, :]
-        detected[:, subcarrier, :] = detector.detect_block(
-            channels[subcarrier], block, noise_variance)
+    # --- frame MIMO detection -------------------------------------------
+    detected = detect_uplink(channels, rx_grids, detector, noise_variance)
 
-    decisions = recover_uplink(detected, frame.streams[0].num_pad_bits, config)
+    decisions = recover_uplink(detected.symbol_indices,
+                               frame.streams[0].num_pad_bits, config)
     return payloads, decisions
 
 

@@ -1,7 +1,7 @@
 """Seeded golden regression for the link simulator.
 
-The batched receive rework (``simulate_frame`` → ``detect_uplink`` →
-``detect_batch``) must not silently change link-level results.  These
+The frame-first receive chain (``simulate_frame`` → ``detect_uplink`` →
+``detect_frame``) must not silently change link-level results.  These
 goldens pin a fixed-seed short run — frame error rate, net throughput and
 the full complexity-counter totals — so any change to the receive chain's
 arithmetic, detection order or counter accounting shows up as a hard
@@ -22,7 +22,7 @@ from repro.phy.soft_link import simulate_frame_soft
 from repro.sphere import ListSphereDecoder, geosphere_decoder
 from repro.sphere.counters import ComplexityCounters
 
-from test_frame_engine import _BatchOnly, _ScalarListDecoder
+from test_frame_engine import _PerSubcarrier, _ScalarListDecoder
 
 
 def _run(detector_factory, snr_db):
@@ -68,14 +68,13 @@ class TestGeosphereGolden:
     def test_goldens_invariant_under_frame_strategy(self, frame_strategy):
         """The engine's bit-exactness contract, pinned at link level:
         whether :func:`repro.phy.receiver.detect_uplink` hands the
-        detector the whole frame or (for a detector stripped to
-        ``detect_batch``) loops per subcarrier, every golden — error
-        rate, throughput and the exact counter integers — is
-        untouched."""
+        detector the whole frame or one subcarrier at a time, every
+        golden — error rate, throughput and the exact counter integers —
+        is untouched."""
         def factory(constellation):
             detector = SphereDetector(geosphere_decoder(constellation))
             return (detector if frame_strategy == "frame"
-                    else _BatchOnly(detector))
+                    else _PerSubcarrier(detector))
 
         stats = _run(factory, 11.0)
         assert stats.stream_successes == 3

@@ -5,7 +5,14 @@ import pytest
 
 from repro.channel import correlated_rayleigh_channel
 from repro.constellation import qam
-from repro.detect import MmseSicDetector, SphereDetector, ZeroForcingDetector
+from repro.detect import (
+    ExhaustiveMLDetector,
+    HybridDetector,
+    MmseDetector,
+    MmseSicDetector,
+    SphereDetector,
+    ZeroForcingDetector,
+)
 from repro.phy import (
     LinkSimulator,
     default_config,
@@ -129,20 +136,26 @@ class TestLinkSimulator:
 
 
 class TestDetectorConsistency:
-    def test_detect_block_matches_detect(self):
-        """Block detection must agree with one-shot detection for every
-        detector (same channel, same observations)."""
+    def test_one_subcarrier_frame_matches_detect(self):
+        """A one-subcarrier ``detect_frame`` must agree with per-vector
+        ``detect`` for every detector (same channel, same observations)."""
         constellation = qam(16)
         rng = np.random.default_rng(16)
         channel = rayleigh_channels(1, 4, 3, rng)[0]
         block = (rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4)))
         detectors = [
             ZeroForcingDetector(constellation),
+            MmseDetector(constellation),
             MmseSicDetector(constellation),
             geosphere(constellation),
+            ExhaustiveMLDetector(constellation),
+            HybridDetector(constellation, threshold_db=0.0),     # sphere
+            HybridDetector(constellation, threshold_db=1000.0),  # ZF
         ]
         for detector in detectors:
-            batch = detector.detect_block(channel, block, 0.1)
+            frame = detector.detect_frame(channel[None], block[:, None, :],
+                                          0.1)
             for t in range(block.shape[0]):
                 single = detector.detect(channel, block[t], 0.1)
-                assert (batch[t] == single.symbol_indices).all(), detector.name
+                assert (frame.symbol_indices[t, 0]
+                        == single.symbol_indices).all(), detector.name
