@@ -151,6 +151,28 @@ def test_two_attempts_a_tick_halve_the_ticks(monkeypatch):
     assert shipped.stats.ticks <= 0.6 * one.stats.ticks
 
 
+@needs_core
+def test_pipelining_takes_at_most_half_the_ticks():
+    """Untimed guard of what the pipelined floor above protects: the
+    floor's 24-frame stream through one resident runtime takes at most
+    half the ticks it takes frame at a time (``max_in_flight=1``: each
+    frame alone in the engine, as ``decode_frame`` runs it; measured 139
+    against 379), with results bit-identical.  A tick count does not
+    depend on the box's speed: this fails exactly when frames stop
+    overlapping in the lanes (``max_in_flight=1`` on both sides reads
+    1.0x)."""
+    decoder = SphereDecoder(qam(16))
+    frames = _frame_stream(16, 4, 4, NUM_FRAMES, decoder, SNR_DB)
+    pipelined, handles = _pipelined(frames)
+    alone, references = _pipelined(frames, max_in_flight=1)
+    for handle, reference in zip(handles, references):
+        result, expected = handle.result(), reference.result()
+        assert np.array_equal(result.symbol_indices, expected.symbol_indices)
+        assert np.array_equal(result.distances_sq, expected.distances_sq)
+        assert result.counters == expected.counters
+    assert pipelined.stats.ticks <= 0.5 * alone.stats.ticks
+
+
 @pytest.mark.parametrize("max_in_flight", [2, 8])
 def test_runtime_backpressure_sweep(benchmark, max_in_flight):
     """Report how the in-flight budget trades throughput for latency —

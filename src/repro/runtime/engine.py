@@ -28,26 +28,23 @@ frontier and how long it lives:
 Who executes a tick, and the straggler drain
 -------------------------------------------
 The tick is the engine's *schedule* — admission and the QoS hooks
-(``degrade`` / ``evict``) act between ticks.  A pool with
-frontier slots (``pool.has_core``: ``zigzag`` / ``shabany``, wherever
-:mod:`repro.sphere.tick_kernel` could build the core) executes its step
-**in the core**: one native call gives every active lane two candidate
-attempts (``_LOCKSTEP_ATTEMPTS``), in place on ``pool.state``, and
-flags the lanes that finished (tree exhausted or per-lane node budget
-reached — the core checks each lane's budget before every attempt, so
-a lane already at its budget finishes in the call with no attempt);
-they retire through ``_finish_lockstep``.  A list search leaves the
-core with its max-log LLRs and best member already in its lane rows,
-so a soft search retires a few rows, as a hard one does.  Admission
-only writes a search's channel copy and fresh values
-(:func:`~repro.sphere.tick_kernel.fresh`) and leaves it above its
-root: the core expands the root, with the same program as every other
-node, in the call that gives the search its first attempts.  A tick
-costs ~0.05 ms + ~0.1 microseconds per lane, however many attempts it
-runs: two per tick halve the ticks a frame takes against one, and keep
-every QoS point at most two scalar-loop iterations away.
+(``degrade`` / ``evict``) act between ticks.  A pool with lanes
+(``pool.has_core``: ``zigzag`` / ``shabany``, wherever the core built)
+runs its whole tick in **one native call**
+(:func:`~repro.sphere.tick_kernel.run`), in place on ``pool.state``:
+it admits the searches Python took off the queue, copying their rows
+from their frames' stacks, gives every active lane two candidate
+attempts (``_LOCKSTEP_ATTEMPTS``; a lane already at its node budget
+finishes with no attempt), and retires every finished search — a list
+search with its LLRs and best member — straight into its frame's arena
+rows, its lane back on the free stack.  Python keeps the queue, frame
+interning and arena claims, and counts finished searches against their
+frames.  A tick costs ~0.02 ms + ~0.2 microseconds per lane, the lanes'
+part almost all search: two attempts per tick halve the ticks a frame
+takes against one, and keep every QoS point at most two scalar-loop
+iterations away.
 
-Sphere-search cost is heavy-tailed, and that fixed ~0.05 ms is paid
+Sphere-search cost is heavy-tailed, and that fixed ~0.02 ms is paid
 however few lanes are live.  When a pool's queue is dry and its active
 set is down to ``drain_threshold`` lanes, the same call is made with an
 unlimited allowance: one tick runs the survivors to completion, each
@@ -57,18 +54,19 @@ searches to completion; everywhere else the tick, and with it every QoS
 point, stays two candidate attempts long.
 
 Every other pool — ``hess`` / ``exhaustive``, or any pool on a box
-without a C compiler (one warning) — has no frontier slots and
+without a C compiler (one warning) — keeps no lanes and has
 ``drain_threshold`` 0: the tick that admits a search runs it to
-completion through the decoder's own scalar search, under its lane
-budget, fills the rows the core would have (a list pool's LLRs in one
-vectorised :func:`~repro.sphere.soft.soft_outputs_from_lists` call per
-tick) and retires it the same way, so such a pool never has a search
-in flight between ticks.
+completion through the decoder's own scalar search, straight from its
+frame's stacks and under its node cap, and writes the arena rows the
+core would have (a list pool's LLRs in one vectorised
+:func:`~repro.sphere.soft.soft_outputs_from_lists` call per tick), so
+such a pool never has a search in flight between ticks.
 Time in the core or the scalar search counts as kernel time in the tick
 telemetry (``last_tick_kernel_s``).
 
-Bit-exactness argument: every search reads only per-lane copies of its
-element's own ``R``, observation and diagonal scalings, and executes the
+Bit-exactness argument: every search reads only its element's own
+``R``, observation and diagonal scalings (the core a per-lane copy of
+them, the scalar search the frame's rows), and executes the
 scalar loop's iterations in order — the core operation for operation
 (its header lists the float programs it keeps), a pool without a core
 by running the loop itself — regardless of which searches, of which
@@ -97,7 +95,7 @@ signatures stays bounded by what the workload actually uses instead of
 ``capacity`` lanes of frontier state per signature.  Growth is
 invisible to results: every array keeps its existing rows bit-for-bit
 (live searches carry over), new rows are zeroed as at construction
-(admission or the core's node expansion rewrites them before use), and
+(the core's admission or node expansion rewrites them before use), and
 the new lanes join the bottom of the free stack so lane hand-out order
 — which never affects a search's float program anyway — matches a pool
 built at full size.
@@ -129,14 +127,15 @@ DEFAULT_LANE_CAPACITY = 2048
 #: Ceiling for the default straggler-drain threshold (``capacity // 6``
 #: below it): the frontier stays efficient down to a small *absolute*
 #: active count.  Measured on the ladder's hard 16-QAM 4x4 x
-#: 64-subcarrier corpus (coded hard+soft cell mix in brackets), closed
-#: loop, ticks without admission: a tick is ~0.05 ms + ~0.1 us x lanes
-#: (~0.10 ms + ~0.13), of which the core call is ~0.02 ms + ~0.08 us x
-#: lanes — 40 us at 33-64 lanes, 59 at 129-256, 146 above 512 — and a
-#: drain of <= 32 survivors ~0.27 ms at 0.1 us/node.  The last searches
-#: of a workload outlive the rest by tens of ticks, a tick's fixed
-#: ~0.05 ms buys <= 3 us of search at <= 32 lanes, and one drain tick
-#: saves all of them.  Above 32 the one tick that drains a *list* (soft)
+#: 64-subcarrier corpus, closed loop of 8 frames, ticks without
+#: admission, two attempts a lane (2 vCPU, gcc 12.2): a tick is ~0.02 ms
+#: + ~0.2 us x lanes, of which the core call is ~0.006 ms + ~0.2 us x
+#: lanes — 22 us (core 14) at 33-64 lanes, 48 (37) at 129-256, 259 (226)
+#: above 512 — and the core's drain of <= 32 survivors ~0.13 ms (the
+#: coded hard+soft cell mix: 19 us at 33-64 lanes, 49 at 129-256).  The
+#: last searches of a workload outlive the rest by tens of ticks, a
+#: tick's fixed ~0.02 ms buys <= 6 us of search at <= 32 lanes, and one
+#: drain tick saves all of them.  Above 32 the one tick that drains a *list* (soft)
 #: pool gets long enough to move the median latency of the light frames
 #: sharing the runtime (the sweep over {16, 24, 32, 48} that set the
 #: cap, when the step ran as numpy array ops, read ``coded_soft_cell``
@@ -147,7 +146,7 @@ DEFAULT_LANE_CAPACITY = 2048
 DRAIN_THRESHOLD_CAP = 32
 
 # Candidate attempts each active search gets per lockstep tick.  A
-# tick's fixed ~0.05 ms is paid once per call however many attempts the
+# tick's fixed ~0.02 ms is paid once per call however many attempts the
 # core runs, so two attempts halve the ticks per frame (hard 16-QAM 4x4
 # ladder frames: 12.3 -> 6.25) and every QoS point between ticks stays
 # at most two scalar-loop iterations away.  Larger allowances were
@@ -164,6 +163,10 @@ _LOCKSTEP_ATTEMPTS = 2
 DEFAULT_INITIAL_LANES = 64
 
 _EMPTY = np.empty(0, dtype=np.int64)
+# A core call that admits nothing: no (slot, first, count, cap) rows.
+_NO_RUNS = np.empty((0, 4), dtype=np.int64)
+# A scalar search that found no leaf: -1 symbols at inf.
+_NO_LEAF = (-np.inf, 0, -1, -1)
 
 #: Per-lane node-budget value meaning "no cap": larger than any count a
 #: search can accumulate, so the always-on budget check is a no-op for
@@ -190,22 +193,20 @@ def _grown(array: np.ndarray, rows: int) -> np.ndarray:
 class _ResultArena:
     """Result rows of a pool's in-flight frames.
 
-    A frame's searches finish a few per tick, interleaved with other
-    frames'.  Each frame owns a contiguous run of rows here from its
-    first lane to its completion and every lane knows its destination
-    row, so one tick's retirements cost one gather and one scatter per
-    result array however many frames they belong to; the frame takes a
-    copy of its rows when its last search retires.  The rows stand in
-    for per-frame result arrays a frame would otherwise hold while in
-    flight (and are recycled between equal-sized frames), so the arena
-    costs no resident memory.
+    Each frame owns a contiguous run of rows from its first admission to
+    its completion; a finished search's outcome goes straight to its row
+    (``dest_of`` of its lane), whatever mix of frames finishes in a
+    tick, and the frame takes a copy of its rows when its last search
+    retires.  The rows stand in for the per-frame result arrays a frame
+    would otherwise hold (and are recycled between equal-sized frames),
+    so the arena costs no resident memory.
     """
 
-    def __init__(self, lane_arrays) -> None:
-        # One array per lane-indexed result array, same dtype and
-        # trailing shape.
-        self._arrays = tuple(np.empty((0,) + array.shape[1:], array.dtype)
-                             for array in lane_arrays)
+    def __init__(self, layout: dict) -> None:
+        #: One array per outcome row (:func:`repro.sphere.tick_kernel.
+        #: outcome`), keyed by name.
+        self.arrays = {name: np.empty((0,) + shape, dtype)
+                       for name, (dtype, shape) in layout.items()}
         self._top = 0
         self._claims = 0
         self._spare: dict[int, list[int]] = {}
@@ -218,17 +219,15 @@ class _ResultArena:
             return spare.pop()
         base = self._top
         self._top = base + rows
-        size = self._arrays[0].shape[0]
+        size = self.arrays["tally"].shape[0]
         if self._top > size:
             # Untouched rows of an ``empty`` array are not resident, so
             # doubling is free until frames actually use the rows.
-            grown = []
-            for array in self._arrays:
+            for name, array in self.arrays.items():
                 bigger = np.empty((max(2 * size, self._top),)
                                   + array.shape[1:], array.dtype)
                 bigger[:base] = array[:base]
-                grown.append(bigger)
-            self._arrays = tuple(grown)
+                self.arrays[name] = bigger
         return base
 
     def release(self, base: int, rows: int) -> None:
@@ -241,14 +240,9 @@ class _ResultArena:
             self._top = 0
             self._spare.clear()
 
-    def retire(self, dest: np.ndarray, lanes: np.ndarray,
-               lane_arrays) -> None:
-        for array, lane_array in zip(self._arrays, lane_arrays):
-            array[dest] = lane_array[lanes]
-
     def take(self, base: int, rows: int) -> tuple:
         return tuple(array[base:base + rows].copy()
-                     for array in self._arrays)
+                     for array in self.arrays.values())
 
 
 class _Pool:
@@ -256,15 +250,15 @@ class _Pool:
 
     A search owns its lane from admission to finish: the lane indexes
     its rows of every array in :attr:`state` (its frontier slots are
-    ``lane * num_streams + level``) and of the pool's bookkeeping, its
-    outcome moves to its frame's rows of the pool's result arena the
-    moment it finishes, and the lane is recycled for the next queued
-    search of any frame.  Lane identity never affects a search's float
-    program — the core rewrites a slot whole when it expands a node into
-    it — so which lane a search lands in only changes how densely the
-    arrays are used.  Hard and soft pools differ only in the rows the
-    arena collects: a hard search's best leaf, a list search's LLRs,
-    best member and list length (its leaf list never leaves the lane).
+    ``lane * num_streams + level``), and is recycled for the next queued
+    search of any frame once the search's outcome is in its frame's
+    arena rows.  Lane identity never affects a search's float program —
+    the core rewrites a slot whole when it expands a node into it.  The
+    lanes' bookkeeping is in :attr:`state` too, where the core reads and
+    writes it: each lane's node cap, frame-table row and arena row, the
+    active list (its first :attr:`running` entries, in admission order)
+    and the free-lane stack (its first ``_idle``, top handed out first).
+    A pool without the core keeps no lanes: :attr:`state` is empty.
     """
 
     def __init__(self, engine: "StreamingFrontier",
@@ -274,6 +268,7 @@ class _Pool:
         num_streams = template.num_streams
         self.engine = engine
         self.decoder = decoder
+        self.num_streams = num_streams
         self.soft = template.kind == "soft"
         if engine._drain_threshold is None:
             # From the *global* capacity — the drain hand-off point is a
@@ -285,118 +280,80 @@ class _Pool:
             self.drain_threshold = engine._drain_threshold
         self.queue = AdmissionQueue(fifo=engine.lane_policy == "fifo")
         self.allocated = allocated
-        # Stack of free lanes; popping from the end hands out lane 0 first.
-        self._free = list(range(allocated - 1, -1, -1))
-        self.active = _EMPTY
-        #: Every array the searches own, keyed by ``search_t`` field as
-        #: :func:`repro.sphere.tick_kernel.lanes` lays them out: frontier
-        #: slots only where the compiled core steps the searches.  A
-        #: ``hess`` / ``exhaustive`` pool or a box without the core runs
-        #: each search to completion through the decoder's scalar search
-        #: instead, with nothing to drain.
+        #: Every array the lanes own, as
+        #: :func:`repro.sphere.tick_kernel.lanes` lays them out — none
+        #: for a ``hess`` / ``exhaustive`` pool or without the core: it
+        #: runs each search through the scalar decoder in the tick that
+        #: admits it, with nothing to drain.
         self.state = tick_kernel.lanes(decoder, num_streams, allocated)
-        self.has_core = "axis_int" in self.state
-        # What admission writes into a fresh search's rows.
-        self._fresh = tick_kernel.fresh(decoder, num_streams)
-        # The core's marshalled view of this pool's arrays (tick_kernel.run).
-        self._marshalled: dict = {}
-        if not self.has_core:
+        self.has_core = bool(self.state)
+        self.running = 0                    # lanes with a search in flight
+        self._idle = allocated              # free lanes
+        #: One row per interned frame (one with searches admitted), its
+        #: *slot*: where the core runs, where the frame's stacks are.
+        self.frame_table = np.zeros(8, tick_kernel.FRAME)
+        self._slots = list(range(7, -1, -1))        # free rows
+        # slot -> (first-lane order, frame, first arena row).
+        self._interned: dict[int, tuple[int, FrameJob, int]] = {}
+        self._slot_of: dict[int, int] = {}          # id(frame) -> slot
+        self._order = 0
+        if self.has_core:
+            self.state["free"][:] = np.arange(allocated - 1, -1, -1)
+            self._marshalled: dict = {}     # tick_kernel.run's cache
+        else:
             self.drain_threshold = 0
             self._enumerate = decoder._enumerator_factory()
-        # The lane rows a finished search's outcome retires from: what
-        # FrameJob.collect takes.
-        self._outcome = ("tally",) + (
-            ("llrs", "best_cols", "best_rows", "list_n")
-            if self.soft else ("best_dist", "best_cols", "best_rows"))
-        self.arena = _ResultArena(self._results())
-        # Per-lane node budget: the decoder's own budget normally, a
-        # shrunk value for lanes of a degraded frame, _NO_BUDGET when
-        # the decoder is unbudgeted.
+        self.arena = _ResultArena(tick_kernel.outcome(decoder, num_streams))
+        # A search's node cap: the decoder's budget (_NO_BUDGET if none),
+        # shrunk for a degraded frame's.
         self._budget = (_NO_BUDGET if decoder.node_budget is None
                         else decoder.node_budget)
-        self.lane_budget = np.zeros(allocated, dtype=np.int64)
-        # Which (frame, element) each lane is running.  Frames are
-        # interned to dense integer ids so the per-tick grouping and the
-        # QoS lane scans are array compares instead of per-lane Python
-        # identity walks rebuilt every tick.
-        self.jobidx_of = np.zeros(allocated, dtype=np.int64)
-        self._jobidx: dict[int, int] = {}
-        #: frame id -> (frame, first arena row of its results).
-        self._jobs_by_idx: dict[int, tuple[FrameJob, int]] = {}
-        self._next_jobidx = 0
-        self.elem_of = np.zeros(allocated, dtype=np.int64)
-        # The arena row each lane's outcome retires to (see _ResultArena).
-        self.dest_of = np.zeros(allocated, dtype=np.int64)
+
+    @property
+    def active(self) -> np.ndarray:
+        """The lanes with a search in flight, in admission order."""
+        return self.state.get("active", _EMPTY)[:self.running]
 
     @property
     def has_work(self) -> bool:
-        return bool(self.active.size or self.queue.pending)
-
-    def _results(self) -> list:
-        return [self.state[name] for name in self._outcome]
+        return bool(self.running or self.queue.pending)
 
     # -- demand growth --------------------------------------------------
     def _grow(self, allocated: int) -> None:
-        """Reallocate every lane-indexed array to ``allocated`` lanes.
-
-        Existing rows are copied bit-for-bit (live searches keep their
-        state mid-search) and new rows are zeroed, as
-        :func:`~repro.sphere.tick_kernel.lanes` allocates them —
-        admission, or the core when it expands a node, rewrites them
-        before anything reads them — so growth cannot change any result.
-        The new lanes join the *bottom* of the free stack, so a pool
-        that grows hands out the same lane sequence as one built at
-        full size.
-        """
-        self._free[:0] = range(allocated - 1, self.allocated - 1, -1)
+        """Reallocate every lane array to ``allocated`` lanes: existing
+        rows copied bit-for-bit (live searches keep their state), new
+        rows zeroed as :func:`~repro.sphere.tick_kernel.lanes` allocates
+        them (the core rewrites them before reading), so growth cannot
+        change any result.  The new lanes join the *bottom* of the free
+        stack: the lane hand-out order of a pool built at full size."""
+        added = allocated - self.allocated
         for name, array in self.state.items():
             self.state[name] = _grown(
                 array, array.shape[0] // self.allocated * allocated)
-        self.lane_budget, self.jobidx_of, self.elem_of, self.dest_of = (
-            _grown(array, allocated) for array in (
-                self.lane_budget, self.jobidx_of, self.elem_of,
-                self.dest_of))
+        if self.has_core:
+            free = self.state["free"]
+            free[added:added + self._idle] = free[:self._idle].copy()
+            free[:added] = np.arange(allocated - 1, self.allocated - 1, -1)
+        self._idle += added
         self.allocated = allocated
 
     # -- admission ------------------------------------------------------
-    def _admit(self) -> None:
-        """Refill free lanes from the frame-tagged queue."""
+    def _admit(self) -> list:
+        """Take as many queued searches as there are free lanes under
+        the global budget (growing the pool first if admission wants
+        more): the queue's ``(frame, elements)`` runs."""
         want = min(self.engine.free_budget, self.queue.pending)
-        if want > len(self._free) and self.allocated < self.engine.capacity:
+        if want > self._idle and self.allocated < self.engine.capacity:
             # Demand growth: at least double (amortised-constant
             # reallocation), at most the global budget, at least enough
             # for everything admission wants right now.
-            in_lane = self.allocated - len(self._free)
             self._grow(min(self.engine.capacity,
-                           max(2 * self.allocated, in_lane + want)))
-        room = min(len(self._free), want)
+                           max(2 * self.allocated, self.running + want)))
+        room = min(self._idle, want)
         if room <= 0:
-            return
-        state = self.state
-        admitted = []
-        for job, elements in self.queue.take(room):
-            # The lanes successive pops would give.
-            keep = len(self._free) - elements.size
-            lanes = np.array(self._free[keep:][::-1], dtype=np.int64)
-            del self._free[keep:]
-            index, base = self._intern(job)
-            self.jobidx_of[lanes] = index
-            self.elem_of[lanes] = elements
-            self.dest_of[lanes] = base + elements
-            subcarriers = elements // job.num_symbols
-            state["r"][lanes] = job.r_stack[subcarriers]
-            state["y"][lanes] = job.y_flat[elements]
-            state["diag"][lanes] = job.diag_stack[subcarriers]
-            state["diag_sq"][lanes] = job.diag_sq_stack[subcarriers]
-            if self.soft:
-                state["noise_var"][lanes] = job.noise_variance
-            for name, value in self._fresh.items():
-                state[name][lanes] = value
-            # Searches of a degraded frame start under the shrunk budget
-            # (never looser than the decoder's own).
-            self.lane_budget[lanes] = (
-                self._budget if job.degraded_budget is None
-                else min(self._budget, job.degraded_budget))
+            return []
+        batches = self.queue.take(room)
+        for job, elements in batches:
             if job.first_lane_at is None:
                 # Stage-boundary stamp: the frame's first search took a
                 # lane — queue wait ends here.  Stamped with tracing off
@@ -406,47 +363,67 @@ class _Pool:
                 self.engine.tracer.emit(job.trace, "first-lane",
                                         t=job.first_lane_at,
                                         lanes=int(elements.size))
-            admitted.append(lanes)
-        lanes = np.concatenate(admitted)
-        self.engine.in_use += lanes.size
-        if self.active.size == 0:
-            self.active = lanes
-        else:
-            self.active = np.concatenate([self.active, lanes])
+        return batches
+
+    def _intern(self, job: FrameJob) -> int:
+        """The frame-table slot of a frame with searches in lanes, and
+        its arena rows, claimed when its first search is admitted.
+        Where the core runs, the frame's stacks are checked and entered
+        in its row here, once."""
+        slot = self._slot_of.get(id(job))
+        if slot is not None:
+            return slot
+        record = None
+        if self.has_core:
+            record = tick_kernel.frame(
+                self.num_streams, job.r_stack, job.y_flat, job.diag_stack,
+                job.diag_sq_stack, job.num_symbols,
+                job.noise_variance if self.soft else 0.0)
+        if not self._slots:
+            size = len(self.frame_table)
+            self.frame_table = np.concatenate(
+                [self.frame_table, np.zeros(size, tick_kernel.FRAME)])
+            self._slots.extend(range(2 * size - 1, size - 1, -1))
+        slot = self._slots.pop()
+        base = self.arena.claim(job.num_problems)
+        if record is not None:
+            self.frame_table[slot] = record + (base,)
+        self._slot_of[id(job)] = slot
+        self._interned[slot] = (self._order, job, base)
+        self._order += 1
+        return slot
+
+    def _cap(self, job: FrameJob) -> int:
+        """Node cap of the frame's searches admitted now: the decoder's
+        budget, or a degraded frame's shrunk one (never looser)."""
+        return (self._budget if job.degraded_budget is None
+                else min(self._budget, job.degraded_budget))
 
     # -- retirement -----------------------------------------------------
-    def _intern(self, job: FrameJob) -> tuple[int, int]:
-        """``(dense id, arena base)`` of a frame with searches in lanes,
-        claimed when its first search is admitted."""
-        index = self._jobidx.get(id(job))
-        if index is None:
-            index = self._next_jobidx
-            self._next_jobidx = index + 1
-            self._jobidx[id(job)] = index
-            self._jobs_by_idx[index] = (job, self.arena.claim(
-                job.num_problems))
-        return index, self._jobs_by_idx[index][1]
-
     def _forget(self, job: FrameJob) -> None:
-        """Drop a finished/abandoned frame's id mapping and arena rows
-        (stale ``jobidx_of`` rows belong to free lanes, which admission
-        rewrites before any tick reads them)."""
-        index = self._jobidx.pop(id(job), None)
-        if index is not None:
-            _, base = self._jobs_by_idx.pop(index)
+        """Drop a finished/abandoned frame's slot and arena rows (stale
+        lane rows belong to free lanes, which admission rewrites before
+        any tick reads them)."""
+        slot = self._slot_of.pop(id(job), None)
+        if slot is not None:
+            _, _, base = self._interned.pop(slot)
             self.arena.release(base, job.num_problems)
+            # A vacant row admits nothing (the core refuses it).
+            self.frame_table[slot] = 0
+            self._slots.append(slot)
 
-    def _release(self, lanes: np.ndarray) -> None:
-        self._free.extend(lanes.tolist())
-        self.engine.in_use -= lanes.size
-
-    def _retire(self, index: int, count: int, completed: list) -> None:
-        job, base = self._jobs_by_idx[index]
-        job.remaining -= count
-        if job.remaining == 0:
-            job.collect(*self.arena.take(base, job.num_problems))
-            completed.append(job)
-            self._forget(job)
+    def _retire(self, counts, completed: list) -> None:
+        """Count a tick's finished searches against their frames —
+        ``counts`` is ``(slot, searches)`` pairs — and complete the
+        frames whose last search this was, in first-lane order."""
+        for (_, job, base), count in sorted(
+                (self._interned[slot], count) for slot, count in counts
+                if count):
+            job.remaining -= count
+            if job.remaining == 0:
+                job.collect(*self.arena.take(base, job.num_problems))
+                completed.append(job)
+                self._forget(job)
 
     # -- QoS hooks (driven by the session's deadline machinery) ---------
     def degrade(self, job: FrameJob, budget: int) -> None:
@@ -461,137 +438,138 @@ class _Pool:
         A pool without a core has no search in a lane between ticks, so
         there only the queued searches are degraded.
         """
-        jobidx = self._jobidx.get(id(job))
-        if jobidx is None or not self.active.size:
+        slot = self._slot_of.get(id(job))
+        if slot is None or not self.running:
             return
-        lanes = self.active[self.jobidx_of[self.active] == jobidx]
-        if lanes.size:
-            self.lane_budget[lanes] = np.minimum(self.lane_budget[lanes],
-                                                 budget)
+        active = self.active
+        lanes = active[self.state["frame_of"][active] == slot]
+        budgets = self.state["lane_budget"]
+        budgets[lanes] = np.minimum(budgets[lanes], budget)
 
     def evict(self, job: FrameJob) -> int:
         """Abandon the job's in-lane searches (expiry / cancellation):
-        remove them from the active set and free their lanes (a pool
+        remove them from the active list and free their lanes (a pool
         without a core has none between ticks).  Returns how many
         searches were evicted."""
-        jobidx = self._jobidx.get(id(job))
-        if jobidx is None:
+        slot = self._slot_of.get(id(job))
+        if slot is None:
             return 0
         self._forget(job)
-        if not self.active.size:
+        if not self.running:
             return 0
-        mask = self.jobidx_of[self.active] == jobidx
-        if not mask.any():
-            return 0
-        victims = self.active[mask]
-        self.active = self.active[~mask]
-        self._release(victims)
-        return int(victims.size)
-
-    def _finish_lockstep(self, lanes: np.ndarray, completed: list) -> None:
-        """Retire finished searches (``lanes`` is non-empty): one gather
-        and scatter per result array moves every outcome to its frame's
-        arena rows, whatever mix of frames finishes this tick; frames
-        whose last search this was complete in first-lane order."""
-        self.arena.retire(self.dest_of[lanes], lanes, self._results())
-        keys = self.jobidx_of[lanes]
-        oldest = int(keys.min())
-        if oldest == int(keys.max()):
-            # The common streaming case: one frame's lanes.
-            self._retire(oldest, lanes.size, completed)
-        else:
-            counts = np.bincount(keys - oldest)
-            for offset in np.flatnonzero(counts).tolist():
-                self._retire(oldest + offset, int(counts[offset]), completed)
-        self._release(lanes)
-
-    def _advance(self, completed: list, attempts: int | None) -> None:
-        """Give every active search ``attempts`` candidate attempts
-        (``_LOCKSTEP_ATTEMPTS``: a lockstep step; ``None``: to
-        completion), each under its own lane budget, and retire the
-        finished ones."""
         active = self.active
-        self.engine.last_tick_lanes += active.size
-        started = time.perf_counter()
-        done = self._run(active, attempts)
-        self.engine.last_tick_kernel_s += time.perf_counter() - started
-        if done.any():
-            self.active = active[~done]
-            self._finish_lockstep(active[done], completed)
-
-    def _run(self, active: np.ndarray, attempts: int | None) -> np.ndarray:
-        if not self.has_core:
-            return self._run_scalar(active)
-        # Lane-indexed everywhere: a search's state rows, frontier slots
-        # and channel copy all live at its lane, and its absolute budget
-        # sits in lane_budget (visited starts at zero).
-        return tick_kernel.run(self.decoder, self.state, active,
-                               self.lane_budget[active], attempts,
-                               self._marshalled)
-
-    def _run_scalar(self, active: np.ndarray) -> np.ndarray:
-        """A pool without a core: run each listed search to completion
-        through the decoder's own scalar search, under its lane budget,
-        and write the lane rows the core would have — the five tallies,
-        then the leaf; for a list pool, then the LLRs and best member of
-        every search that kept a leaf, in one
-        :func:`~repro.sphere.soft.soft_outputs_from_lists` call.
-        Everything finishes."""
-        state = self.state
-        for lane in active.tolist():
-            outcome = self.decoder._search(
-                state["r"][lane], state["y"][lane], state["diag"][lane],
-                state["diag_sq"][lane], self._enumerate,
-                int(self.lane_budget[lane]))
-            counters = outcome.counters
-            state["tally"][lane] = (
-                counters.ped_calcs, counters.visited_nodes,
-                counters.expanded_nodes, counters.leaves,
-                counters.geometric_prunes)
-            if self.soft:
-                state["leaf_seq"][lane] = counters.leaves
-                state["list_n"][lane] = outcome.into(
-                    state["list_d"][lane], state["list_seq"][lane],
-                    state["list_cols"][lane], state["list_rows"][lane])
-            elif outcome.leaves:
-                neg_distance, _, cols, rows = outcome.leaves[0]
-                state["best_dist"][lane] = -neg_distance
-                state["best_cols"][lane] = cols
-                state["best_rows"][lane] = rows
-        if self.soft:
-            # A search that kept no leaf has no LLRs: finalise refuses it.
-            lanes = active[state["list_n"][active] > 0]
-            if lanes.size:
-                constellation = self.decoder.constellation
-                llrs, best, _ = soft_outputs_from_lists(
-                    constellation, state["list_d"][lanes],
-                    state["list_seq"][lanes], state["list_cols"][lanes],
-                    state["list_rows"][lanes], state["list_n"][lanes],
-                    state["noise_var"][lanes], self.decoder.clamp)
-                state["llrs"][lanes] = llrs
-                state["best_cols"][lanes], state["best_rows"][lanes] = (
-                    constellation.col_row(best))
-        return np.ones(active.size, dtype=bool)
+        mask = self.state["frame_of"][active] == slot
+        victims = active[mask]
+        if not victims.size:
+            return 0
+        kept = active[~mask]
+        active[:kept.size] = kept
+        self.running = kept.size
+        free = self.state["free"]
+        free[self._idle:self._idle + victims.size] = victims
+        self._idle += victims.size
+        self.engine.in_use -= victims.size
+        return int(victims.size)
 
     # -- one breadth-synchronised step ----------------------------------
     def tick(self, completed: list) -> None:
-        """Advance every active search ``_LOCKSTEP_ATTEMPTS`` (two)
-        candidate attempts, frame boundaries ignored: refill, drain
-        check, then the step in the compiled core, which checks each
-        lane's budget before every attempt — a lane already at its
-        budget (a degraded frame's) finishes there with no attempt, its
-        best-so-far kept, exactly the scalar early break.  Once the
-        queue is dry and at most ``drain_threshold`` searches remain,
-        the core runs them to completion instead, each under its own
-        lane budget.  A pool without a core finishes every search in the
-        tick that admits it."""
-        if self.queue.pending and self._free:
-            self._admit()
-        if self.active.size == 0:
+        """Admit queued searches into free lanes and advance every
+        active search ``_LOCKSTEP_ATTEMPTS`` (two) candidate attempts,
+        frame boundaries ignored — or, once the queue is dry and at most
+        ``drain_threshold`` searches remain, to completion (the drain) —
+        each under its lane's node budget, retiring the finished ones:
+        one call into the compiled core.  A lane already at its budget
+        (a degraded frame's) finishes there with no attempt, its
+        best-so-far kept, exactly the scalar early break.  A pool
+        without a core finishes every search in the tick that admits
+        it."""
+        batches = self._admit() if self.queue.pending and self._idle else []
+        if self.has_core:
+            self._step(batches, completed)
+        elif batches:
+            self._run_scalar(batches, completed)
+
+    def _step(self, batches: list, completed: list) -> None:
+        runs = _NO_RUNS
+        if batches:
+            runs = np.array([(self._intern(job), elements[0],
+                              elements.size, self._cap(job))
+                             for job, elements in batches], dtype=np.int64)
+        admitted = sum(elements.size for _, elements in batches)
+        running = self.running + admitted
+        if not running:
             return
-        drain = (not self.queue.pending
-                 and self.active.size <= self.drain_threshold)
-        self._advance(completed, None if drain else _LOCKSTEP_ATTEMPTS)
+        drain = not self.queue.pending and running <= self.drain_threshold
+        self.engine.last_tick_lanes += running
+        started = time.perf_counter()
+        finished = tick_kernel.run(
+            self.decoder, self.state, self.frame_table, self.arena.arrays,
+            runs, self.running, self._idle,
+            None if drain else _LOCKSTEP_ATTEMPTS, self._marshalled)
+        self.engine.last_tick_kernel_s += time.perf_counter() - started
+        self.running = running - finished
+        self._idle += finished - admitted
+        self.engine.in_use += admitted - finished
+        if finished:
+            lanes = self.state["free"][self._idle - finished:self._idle]
+            self._retire(enumerate(np.bincount(
+                self.state["frame_of"][lanes]).tolist()), completed)
+
+    def _run_scalar(self, batches: list, completed: list) -> None:
+        """A pool without a core: run every admitted search to
+        completion through the decoder's scalar search, straight from
+        its frame's stacks, under its node cap, into the arena rows the
+        core would write — a list pool's LLRs and best members in one
+        :func:`~repro.sphere.soft.soft_outputs_from_lists` call."""
+        decoder, arena = self.decoder, self.arena.arrays
+        started = time.perf_counter()
+        done, rows, noise = {}, [], []
+        if self.soft:
+            shape = (sum(elements.size for _, elements in batches),
+                     decoder.list_size)
+            lists = (np.zeros(shape), np.zeros(shape, np.int64),
+                     np.zeros(shape + (self.num_streams,), np.int64),
+                     np.zeros(shape + (self.num_streams,), np.int64))
+        for job, elements in batches:
+            slot = self._intern(job)
+            base, cap = self._interned[slot][2], self._cap(job)
+            for element in elements.tolist():
+                subcarrier = element // job.num_symbols
+                outcome = decoder._search(
+                    job.r_stack[subcarrier], job.y_flat[element],
+                    job.diag_stack[subcarrier],
+                    job.diag_sq_stack[subcarrier], self._enumerate, cap)
+                row = base + element
+                counters = outcome.counters
+                arena["tally"][row] = (
+                    counters.ped_calcs, counters.visited_nodes,
+                    counters.expanded_nodes, counters.leaves,
+                    counters.geometric_prunes)
+                if self.soft:
+                    arena["list_n"][row] = outcome.into(
+                        *(array[len(rows)] for array in lists))
+                    rows.append(row)
+                    noise.append(job.noise_variance)
+                else:
+                    (neg_distance, _, arena["best_cols"][row],
+                     arena["best_rows"][row]) = (outcome.leaves[0]
+                                                 if outcome.leaves
+                                                 else _NO_LEAF)
+                    arena["best_dist"][row] = -neg_distance
+            done[slot] = elements.size
+        # A search that kept no leaf has no LLRs: finalise refuses it.
+        kept = arena["list_n"][rows] > 0 if rows else _EMPTY
+        if kept.any():
+            rows = np.array(rows)[kept]
+            llrs, best, _ = soft_outputs_from_lists(
+                decoder.constellation, *(array[kept] for array in lists),
+                arena["list_n"][rows], np.array(noise)[kept], decoder.clamp)
+            arena["llrs"][rows] = llrs
+            arena["best_cols"][rows], arena["best_rows"][rows] = (
+                decoder.constellation.col_row(best))
+        self.engine.last_tick_lanes += sum(done.values())
+        self.engine.last_tick_kernel_s += time.perf_counter() - started
+        self._retire(done.items(), completed)
 
 
 class StreamingFrontier:

@@ -282,9 +282,10 @@ class FrameJob:
         self.decode_done_at: float | None = None
 
         num_subcarriers, num_symbols, num_streams = y_hat.shape
-        self.r_stack = r_stack
-        self.y_flat = y_hat.reshape(num_subcarriers * num_symbols,
-                                    num_streams)
+        # C-contiguous: the compiled core reads the stacks in place.
+        self.r_stack = np.ascontiguousarray(r_stack)
+        self.y_flat = np.ascontiguousarray(y_hat.reshape(
+            num_subcarriers * num_symbols, num_streams))
         # Shared per-subcarrier scalings: the scalar decoder's
         # ``np.real(np.diag(r))`` / ``diag * diag``, stacked.
         self.diag_stack = np.real(np.einsum("sii->si", r_stack)).copy()

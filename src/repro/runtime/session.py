@@ -230,6 +230,9 @@ class UplinkRuntime:
         self._next_frame_id = 0
         self._handles: dict[int, PendingFrame] = {}
         self._jobs: dict[int, FrameJob] = {}
+        # The unresolved deadline-tagged frames, under the deadline
+        # policy: the only ones the deadline machinery walks.
+        self._deadlines: dict[int, PendingFrame] = {}
         self._completed_backlog: list[PendingFrame] = []
 
     # -- introspection --------------------------------------------------
@@ -248,6 +251,12 @@ class UplinkRuntime:
 
     # -- the tick loop --------------------------------------------------
     def _tick(self) -> list[PendingFrame]:
+        if self._deadlines:
+            # Degrade before the engine admits: a pool without the core
+            # runs every search it admits to completion in that tick.
+            now = self._clock()
+            for handle in list(self._deadlines.values()):
+                self._degrade_if_due(handle, now)
         started = time.perf_counter()
         finished = self._engine.tick()
         duration_s = time.perf_counter() - started
@@ -256,7 +265,7 @@ class UplinkRuntime:
                                duration_s=duration_s,
                                kernel_s=self._engine.last_tick_kernel_s)
         resolved = self._complete_all(finished)
-        if self.lane_policy == "deadline":
+        if self._deadlines:
             # Completions first: a frame finishing in the same tick its
             # deadline trips resolves with its real result (a counted
             # near miss), and only then do still-unfinished frames
@@ -312,6 +321,7 @@ class UplinkRuntime:
         trace with its resolution's event."""
         handle = self._handles.pop(job.frame_id)
         del self._jobs[job.frame_id]
+        self._deadlines.pop(job.frame_id, None)
         completed = resolution == "completed"
         abandoned = None if completed else self._engine.remove(job)
         handle.resolve(resolution, self._clock(), result=result,
@@ -344,27 +354,32 @@ class UplinkRuntime:
         margin.  Runs after the tick's completions, so it only ever
         sees genuinely unfinished frames."""
         expired: list[PendingFrame] = []
-        for frame_id in list(self._jobs):
-            handle = self._handles[frame_id]
-            if handle.deadline_at is None:
-                continue
-            job = self._jobs[frame_id]
+        for handle in list(self._deadlines.values()):
             if now > handle.deadline_at:
-                handle = self._resolve(job, "expired")
+                handle = self._resolve(self._jobs[handle.frame_id],
+                                       "expired")
                 self.stats.record_expired(handle.completed_at)
                 expired.append(handle)
-            elif (not job.degraded
-                  and now > handle.deadline_at
-                  - DEGRADE_MARGIN_FRACTION * handle.deadline_s):
-                budget = job.num_streams    # one greedy descent
-                job.degraded = True
-                job.degraded_budget = budget
-                # Before the engine call: degrade precedes the expedite
-                # event the engine may emit for the same decision.
-                self.tracer.emit(job.trace, "degrade", budget=budget)
-                self._engine.degrade(job, budget)
-                self.stats.record_degraded(now)
+            else:
+                self._degrade_if_due(handle, now)
         return expired
+
+    def _degrade_if_due(self, handle: PendingFrame, now: float) -> None:
+        """Degrade a frame once it is inside its deadline margin — not
+        past the deadline: such a frame either completes in the next
+        tick with its real result (a near miss) or expires after it."""
+        job = self._jobs[handle.frame_id]
+        if (not job.degraded
+                and handle.deadline_at - DEGRADE_MARGIN_FRACTION
+                * handle.deadline_s < now <= handle.deadline_at):
+            budget = job.num_streams    # one greedy descent
+            job.degraded = True
+            job.degraded_budget = budget
+            # Before the engine call: degrade precedes the expedite
+            # event the engine may emit for the same decision.
+            self.tracer.emit(job.trace, "degrade", budget=budget)
+            self._engine.degrade(job, budget)
+            self.stats.record_degraded(now)
 
     # -- public API -----------------------------------------------------
     def submit(self, frame: FrameRequest) -> PendingFrame:
@@ -392,6 +407,8 @@ class UplinkRuntime:
         handle = PendingFrame(frame_id, frame, submitted_at)
         self._handles[frame_id] = handle
         self._jobs[frame_id] = job
+        if handle.deadline_at is not None and self.lane_policy == "deadline":
+            self._deadlines[frame_id] = handle
         trace = self.tracer.start(frame_id, kind=job.kind,
                                   priority=job.priority)
         if trace is not None:

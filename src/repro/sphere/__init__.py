@@ -17,10 +17,11 @@ Public surface:
   (:mod:`repro.runtime.engine`, what ``decode_batch`` / ``decode_block``
   / ``decode_frame`` run on) — two candidate attempts per search are
   the lockstep step, an unlimited allowance drains a pool's last few
-  (straggler) searches.  It runs on the arrays a pool holds for its
-  searches, frontier slots included, whose layout
-  :func:`repro.sphere.tick_kernel.lanes` declares, and expands every
-  node of a search, its root included.  The scalar
+  (straggler) searches.  One call is one pool tick: it admits queued
+  searches, steps them and retires the finished ones into their frames'
+  result rows, on the arrays a pool holds for its lanes, frontier slots
+  included, whose layout :func:`repro.sphere.tick_kernel.lanes`
+  declares, and expands every node of a search, its root included.  The scalar
   :meth:`SphereDecoder.decode_triangular` /
   :meth:`ListSphereDecoder.decode_soft_triangular` are the oracle it is
   pinned to, and what the engine runs where there is no core.

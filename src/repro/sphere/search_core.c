@@ -4,18 +4,27 @@
  * Built at first use by repro/sphere/tick_kernel.py (the system cc, -O2
  * -shared -fPIC -ffp-contract=off -- never -ffast-math or -march=native)
  * and loaded through ctypes.  One search entry point, repro_search_run,
- * takes searches in *any* state -- fresh from admission or half run --
- * and gives each an allowance of candidate attempts, in place on the pool's
- * frontier and lane arrays (repro/runtime/engine.py), laid out once by
- * tick_kernel.lanes next to the ctypes mirror of search_t.
- * Admission only writes a search's lane rows and leaves it above its
- * root (level == num_streams); the core expands the root, with the same
- * expand() as every other node, before the search's first attempt.  An
- * attempt is one iteration of the scalar search loop
- * (SphereDecoder._search), so whatever the allowance, a search executes
- * the scalar loop's iterations in order.  One loop, two uses: an
- * allowance of 2 is the lockstep step, an unlimited one the straggler
- * drain.
+ * is one pool tick (repro/runtime/engine.py), in place on the pool's
+ * frontier and lane arrays, laid out once by tick_kernel.lanes next to
+ * the ctypes mirror of search_t:
+ *   1. admit -- the searches Python took off the queue get lanes off the
+ *      free stack; each one's channel rows are copied from its frame's
+ *      preprocessed stacks (the pool's frame table, checked once per
+ *      frame in Python) and its fresh values written, leaving it above
+ *      its root (level == num_streams);
+ *   2. step -- every active search, in *any* state, gets an allowance of
+ *      candidate attempts; a fresh one first expands its root, with the
+ *      same expand() as every other node.  An attempt is one iteration
+ *      of the scalar search loop (SphereDecoder._search), so whatever
+ *      the allowance, a search executes the scalar loop's iterations in
+ *      order.  One loop, two uses: an allowance of 2 is the lockstep
+ *      step, an unlimited one the straggler drain;
+ *   3. retire -- each finished search writes its outcome into its
+ *      frame's arena row, its lane goes back on the free stack, and the
+ *      active list is compacted in place.
+ * Every index the call reaches through -- a run's frame-table row and
+ * elements, a lane, an arena row -- is checked before anything is
+ * written, so a bad one comes back as an error code, not a stray write.
  *
  * Policies are fields of search_t, not copies of the loop:
  *   - frontier: `zigzag` (Geosphere; column form, at most one queued
@@ -27,13 +36,13 @@
  *   - leaf policy: Schnorr-Euchner best leaf when list_size == 0, else a
  *     bounded worst-out list (heappushpop semantics, ties towards the
  *     earliest-found leaf);
- *   - node budget: caps[e], re-checked before every candidate attempt,
- *     which is the scalar loop's check.
+ *   - node budget: lane_budget[lane], re-checked before every candidate
+ *     attempt, which is the scalar loop's check.
  *
- * A list search leaves the core finished: at run_one's one finish exit
- * (tree exhausted or cap reached, in a step or in the drain) it writes
- * its best member into best_cols / best_rows and its max-log LLRs into
- * its llrs row (finish_list), so no leaf list leaves the lane.
+ * A list search leaves the core finished: when it retires (tree
+ * exhausted or cap reached, in a step or in the drain) it writes its
+ * best member and its max-log LLRs into its arena row (finish_list), so
+ * no leaf list leaves the lane.
  *
  * Bit-identity with the scalar decoders rests on keeping every float
  * operation the one they perform through numpy:
@@ -79,6 +88,18 @@
 
 typedef struct { double re, im; } cplx;
 
+/* One interned frame, a row of the pool's frame table (tick_kernel.FRAME):
+ * where its preprocessed stacks live, checked by tick_kernel.frame when
+ * the pool interned it, and where its outcome rows start in the arena.
+ * A vacant row is zeroed. */
+typedef struct {
+    const cplx *r, *y;         /* r_stack (S, n, n), y_flat (S * T, n) */
+    const double *diag, *diag_sq;  /* (S, n) */
+    double noise_var;          /* the frame's LLR scale (soft) */
+    int64_t symbols, problems; /* T, and S * T searches */
+    int64_t base;              /* its first arena row */
+} frame_t;
+
 /* Field order is the ctypes mirror's (tick_kernel._Search): pointers,
  * then integers, then the doubles. */
 typedef struct {
@@ -87,7 +108,7 @@ typedef struct {
     const int64_t *zigzag;     /* (side, 2, side) 1-D zigzag level orders */
     const double *prune;       /* (side, side) squared lower bounds | NULL */
     const uint8_t *bits;       /* (side, bits_per_axis) Gray labels (soft) */
-    /* frontier axis tables, slot-major; slot = id * num_streams + level */
+    /* frontier axis tables, slot-major; slot = lane * num_streams + level */
     int64_t *axis_int;         /* (slots, 2 | 4, side): ord_i [off_i] ord_q [off_q] */
     double *axis_res;          /* (slots, 2, side): res_i res_q */
     /* frontier queue: zigzag uses queue_d / queue_j as col_d / col_j
@@ -95,10 +116,10 @@ typedef struct {
     double *queue_d;
     int64_t *queue_i, *queue_j, *queue_n, *last_i, *last_j;
     uint8_t *has_last, *seen;
-    /* per-search channel copies */
-    const cplx *r, *y;         /* (ids, n, n), (ids, n) */
-    const double *diag, *diag_sq;
-    const double *noise_var;   /* (ids) the frame's LLR scale (soft) */
+    /* per-lane channel copies, written at admission */
+    cplx *r, *y;               /* (lanes, n, n), (lanes, n) */
+    double *diag, *diag_sq;
+    double *noise_var;         /* (lanes) the frame's LLR scale (soft) */
     /* search path */
     int64_t *level;
     double *radius, *parent;
@@ -109,13 +130,25 @@ typedef struct {
     double *best_dist;
     /* leaf list (soft) */
     double *list_d;
-    int64_t *list_seq, *list_cols, *list_rows, *list_n, *leaf_seq;
-    double *llrs;              /* (ids, num_streams * 2 * bits_per_axis) */
-    /* complexity tallies, tally_stride elements apart per state */
+    int64_t *list_seq;
+    uint8_t *list_cols, *list_rows;    /* PAM positions, < side <= 256 */
+    int64_t *list_n, *leaf_seq;
+    /* complexity tallies, tally_stride elements apart per lane */
     int64_t *ped, *visited, *expanded, *leaves, *prunes;
+    /* lane bookkeeping: each lane's node cap, frame-table row and arena
+     * row; the active lanes in admission order; the free-lane stack */
+    int64_t *lane_budget, *frame_of, *dest_of, *active, *free;
+    /* the interned frames (frame_slots rows) */
+    const frame_t *frames;
+    /* the arena: one outcome row per search of an in-flight frame */
+    int64_t *out_tally;        /* (rows, 5) */
+    double *out_best_dist;     /* (rows) hard */
+    double *out_llrs;          /* (rows, num_streams * 2 * bits_per_axis) soft */
+    int64_t *out_best_cols, *out_best_rows;    /* (rows, n) */
+    int64_t *out_list_n;       /* (rows) soft */
     int64_t tally_stride, num_streams, side, queue_capacity, list_size;
-    int64_t use_fma;
-    double axis_scale, clamp;
+    int64_t use_fma, lanes, frame_slots, arena_rows;
+    double axis_scale, clamp, initial_radius;
 } search_t;
 
 /* One node's axis tables. */
@@ -351,33 +384,35 @@ static void bank_list_leaf(const search_t *s, int64_t si, double distance)
     list_d[entry] = distance;
     list_seq[entry] = seq;
     for (int64_t p = 0; p < n; p++) {
-        s->list_cols[(si * size + entry) * n + p] = s->path_cols[si * n + p];
-        s->list_rows[(si * size + entry) * n + p] = s->path_rows[si * n + p];
+        s->list_cols[(si * size + entry) * n + p] =
+            (uint8_t)s->path_cols[si * n + p];
+        s->list_rows[(si * size + entry) * n + p] =
+            (uint8_t)s->path_rows[si * n + p];
     }
     if (s->list_n[si] == size)
         s->radius[si] = worst_of(list_d, size);
 }
 
-/* A finished list search's soft output (see the header): its best
- * member into best_cols / best_rows, its max-log LLRs into its llrs row.
- * A search that banked no leaf gets -1 positions and no LLRs; the frame
- * refuses it when it finalises. */
-static void finish_list(const search_t *s, int64_t si)
+/* A finished list search's soft output (see the header), written into
+ * its arena row: its best member into out_best_cols / out_best_rows, its
+ * max-log LLRs into out_llrs.  A search that banked no leaf gets -1
+ * positions and no LLRs; the frame refuses it when it finalises. */
+static void finish_list(const search_t *s, int64_t si, int64_t row)
 {
     const int64_t n = s->num_streams, size = s->list_size;
     const int64_t count = s->list_n[si];
     const double *list_d = s->list_d + si * size;
     const int64_t *list_seq = s->list_seq + si * size;
-    const int64_t *cols = s->list_cols + si * size * n;
-    const int64_t *rows = s->list_rows + si * size * n;
+    const uint8_t *cols = s->list_cols + si * size * n;
+    const uint8_t *rows = s->list_rows + si * size * n;
     int64_t best = -1;
     for (int64_t k = 0; k < count; k++)
         if (best < 0 || list_d[k] < list_d[best]
                 || (list_d[k] == list_d[best] && list_seq[k] < list_seq[best]))
             best = k;
     for (int64_t p = 0; p < n; p++) {
-        s->best_cols[si * n + p] = best < 0 ? -1 : cols[best * n + p];
-        s->best_rows[si * n + p] = best < 0 ? -1 : rows[best * n + p];
+        s->out_best_cols[row * n + p] = best < 0 ? -1 : cols[best * n + p];
+        s->out_best_rows[row * n + p] = best < 0 ? -1 : rows[best * n + p];
     }
     if (best < 0)
         return;
@@ -385,10 +420,10 @@ static void finish_list(const search_t *s, int64_t si)
     while (((int64_t)1 << width) < s->side)
         width++;
     const double clamp = s->clamp, noise_var = s->noise_var[si];
-    double *llr = s->llrs + si * n * 2 * width;
+    double *llr = s->out_llrs + row * n * 2 * width;
     for (int64_t p = 0; p < n; p++)
         for (int64_t axis = 0; axis < 2; axis++) {
-            const int64_t *position = axis ? rows : cols;
+            const uint8_t *position = axis ? rows : cols;
             for (int64_t b = 0; b < width; b++) {
                 double zero_min = INFINITY, one_min = INFINITY;
                 for (int64_t k = 0; k < count; k++) {
@@ -410,16 +445,15 @@ static void finish_list(const search_t *s, int64_t si)
         }
 }
 
-/* Run search `si` on from whatever state it is in, for at most
- * `attempts` iterations; `si` indexes its state rows, its frontier slots
- * and its channel copy alike.  A search still above its root (fresh from
- * admission) first expands the root, as the scalar search does before
- * its loop -- ahead of the budget check, and not as an attempt.  Each
- * iteration is one iteration of the scalar loop: one candidate attempt.
- * 1 once the search is finished -- its tree exhausted (a root pop) or
- * `cap` nodes visited, a list search's soft output then written -- 0 if
- * the allowance ran out first, -1 if the Shabany queue bound was
- * violated. */
+/* Run the search in lane `si` on from whatever state it is in, for at
+ * most `attempts` iterations; `si` indexes its state rows, its frontier
+ * slots and its channel copy alike.  A search still above its root (fresh
+ * from admission) first expands the root, as the scalar search does
+ * before its loop -- ahead of the budget check, and not as an attempt.
+ * Each iteration is one iteration of the scalar loop: one candidate
+ * attempt.  1 once the search is finished -- its tree exhausted (a root
+ * pop) or `cap` nodes visited -- 0 if the allowance ran out first, -1 if
+ * the Shabany queue bound was violated. */
 static int run_one(const search_t *s, int64_t si, int64_t cap,
                    int64_t attempts)
 {
@@ -507,31 +541,149 @@ static int run_one(const search_t *s, int64_t si, int64_t cap,
         s->parent[si * n + next] = distance;
         s->level[si] = next;
     }
-    if (s->list_size)
-        finish_list(s, si);
     return 1;
 }
 
-/* What the ctypes mirror's size is checked against at load. */
+/* Admit search `e` of the frame in table row `slot` into lane `si`:
+ * copy its channel rows from the frame's stacks, write its fresh values
+ * -- above its root (level == num_streams) under the initial radius,
+ * zeroed tallies, no best leaf (-1 symbols at inf) or an empty list --
+ * and its lane's cap, frame-table row and arena row. */
+static void admit(const search_t *s, int64_t slot, int64_t e, int64_t si,
+                  int64_t cap)
+{
+    const frame_t *f = s->frames + slot;
+    const int64_t n = s->num_streams, sub = e / f->symbols;
+    for (int64_t k = 0; k < n * n; k++)
+        s->r[si * n * n + k] = f->r[sub * n * n + k];
+    for (int64_t k = 0; k < n; k++) {
+        s->y[si * n + k] = f->y[e * n + k];
+        s->diag[si * n + k] = f->diag[sub * n + k];
+        s->diag_sq[si * n + k] = f->diag_sq[sub * n + k];
+    }
+    s->level[si] = n;
+    s->radius[si] = s->initial_radius;
+    s->ped[si * s->tally_stride] = s->visited[si * s->tally_stride] = 0;
+    s->expanded[si * s->tally_stride] = s->leaves[si * s->tally_stride] = 0;
+    s->prunes[si * s->tally_stride] = 0;
+    if (s->list_size) {
+        s->noise_var[si] = f->noise_var;
+        s->list_n[si] = s->leaf_seq[si] = 0;
+    } else {
+        s->best_dist[si] = INFINITY;
+        for (int64_t p = 0; p < n; p++)
+            s->best_cols[si * n + p] = s->best_rows[si * n + p] = -1;
+    }
+    s->lane_budget[si] = cap;
+    s->frame_of[si] = slot;
+    s->dest_of[si] = f->base + e;
+}
+
+/* Retire the finished search in lane `si` into its arena row: its
+ * tallies, then its best leaf (hard) or its list length, best member and
+ * LLRs (soft). */
+static void retire(const search_t *s, int64_t si)
+{
+    const int64_t n = s->num_streams, row = s->dest_of[si];
+    int64_t *tally = s->out_tally + row * 5;
+    tally[0] = s->ped[si * s->tally_stride];
+    tally[1] = s->visited[si * s->tally_stride];
+    tally[2] = s->expanded[si * s->tally_stride];
+    tally[3] = s->leaves[si * s->tally_stride];
+    tally[4] = s->prunes[si * s->tally_stride];
+    if (s->list_size) {
+        s->out_list_n[row] = s->list_n[si];
+        finish_list(s, si, row);
+    } else {
+        s->out_best_dist[row] = s->best_dist[si];
+        for (int64_t p = 0; p < n; p++) {
+            s->out_best_cols[row * n + p] = s->best_cols[si * n + p];
+            s->out_best_rows[row * n + p] = s->best_rows[si * n + p];
+        }
+    }
+}
+
+/* What the ctypes mirrors' sizes are checked against at load. */
 int64_t repro_search_size(void)
 {
     return (int64_t)sizeof(search_t);
 }
 
-/* Give each of the `count` listed searches (ids, absolute node budgets
- * caps) up to `attempts` candidate attempts -- 1 is one lockstep tick,
- * INT64_MAX runs them to completion -- and flag the finished ones in
- * `done`.  Returns 0, or -1 if a frontier queue overflowed. */
-int repro_search_run(const search_t *s, int64_t count, const int64_t *ids,
-                     const int64_t *caps, int64_t attempts, uint8_t *done)
+int64_t repro_frame_size(void)
 {
-    for (int64_t e = 0; e < count; e++) {
-        const int finished = run_one(s, ids[e], caps[e], attempts);
-        if (finished < 0)
-            return -1;
-        done[e] = (uint8_t)finished;
+    return (int64_t)sizeof(frame_t);
+}
+
+/* One pool tick.  `running` lanes are active (s->active, in admission
+ * order) and `idle` lanes free (s->free, a stack popped from the top).
+ *   1. Admit: each of the `num_runs` rows of `runs` -- (frame-table slot,
+ *      first element, count, node cap) -- takes `count` lanes off the
+ *      free stack for that frame's searches first..first + count - 1,
+ *      appended to the active list.
+ *   2. Step: every active search gets up to `attempts` candidate attempts
+ *      under its lane's cap -- 2 is one lockstep tick, INT64_MAX runs it
+ *      to completion.
+ *   3. Retire: a finished search writes its outcome into its arena row
+ *      and its lane is pushed onto the free stack; the active list is
+ *      compacted in place, order kept.
+ * Returns how many searches finished -- they are the top of the free
+ * stack -- or -1 if a frontier queue overflowed.  Every index is checked
+ * before anything is written: -2 if a run is outside its frame or its
+ * frame's rows outside the arena, -3 if the counts or a lane are outside
+ * the pool's lanes, -4 if an active lane's arena row is outside the
+ * arena. */
+int64_t repro_search_run(const search_t *s, const int64_t *runs,
+                         int64_t num_runs, int64_t running, int64_t idle,
+                         int64_t attempts)
+{
+    int64_t admitted = 0;
+    for (int64_t k = 0; k < num_runs; k++) {
+        const int64_t slot = runs[4 * k], first = runs[4 * k + 1];
+        const int64_t count = runs[4 * k + 2];
+        if (slot < 0 || slot >= s->frame_slots)
+            return -2;
+        const frame_t *f = s->frames + slot;
+        if (first < 0 || count < 0 || f->symbols < 1
+                || count > f->problems - first || f->base < 0
+                || f->base > s->arena_rows - f->problems)
+            return -2;
+        admitted += count;
     }
-    return 0;
+    if (running < 0 || idle < admitted || running > s->lanes - idle)
+        return -3;
+    for (int64_t k = 0; k < running; k++)
+        if (s->active[k] < 0 || s->active[k] >= s->lanes)
+            return -3;
+    for (int64_t k = 0; k < running; k++)
+        if (s->dest_of[s->active[k]] < 0
+                || s->dest_of[s->active[k]] >= s->arena_rows)
+            return -4;
+    for (int64_t k = idle - admitted; k < idle; k++)
+        if (s->free[k] < 0 || s->free[k] >= s->lanes)
+            return -3;
+    for (int64_t k = 0; k < num_runs; k++) {
+        const int64_t first = runs[4 * k + 1], count = runs[4 * k + 2];
+        for (int64_t e = first; e < first + count; e++) {
+            const int64_t lane = s->free[--idle];
+            admit(s, runs[4 * k], e, lane, runs[4 * k + 3]);
+            s->active[running++] = lane;
+        }
+    }
+    int64_t kept = 0, finished = 0;
+    for (int64_t k = 0; k < running; k++) {
+        const int64_t lane = s->active[k];
+        const int done = run_one(s, lane, s->lane_budget[lane], attempts);
+        if (done < 0)
+            return -1;
+        if (!done) {
+            s->active[kept++] = lane;
+        } else {
+            retire(s, lane);
+            s->free[idle++] = lane;
+            finished++;
+        }
+    }
+    return finished;
 }
 
 /* The batched Viterbi trellis of repro/coding/viterbi.py, for `blocks`

@@ -1,14 +1,15 @@
 """The compiled search core: build, load, run.
 
 ``search_core.c`` next to this module is the depth-first search's
-per-search state machine in C, and :func:`run` runs it: each listed
-search gets an allowance of candidate attempts in one native call, *in
-place* on the arrays its pool holds for it (:func:`lanes`: every array a
-search owns is laid out here and nowhere else in Python), from whatever
-state the last call left it in, and comes back flagged if it finished.
-Admission only writes a search's channel copy and :func:`fresh` values:
-the core expands its root, with the same program as every other node,
-before its first attempt.
+per-search state machine in C, and :func:`run` runs a pool's whole tick
+on it in one native call, *in place* on the arrays the pool holds
+(:func:`lanes`: every array a lane owns is laid out here and nowhere
+else in Python): it **admits** queued searches into free lanes, copying
+their rows from their frames' stacks (:func:`frame`), **steps** every
+active search an allowance of candidate attempts from whatever state
+the last call left it in (a fresh one expands its root first, with the
+same program as every other node), and **retires** the finished ones
+straight into their frames' arena rows (:func:`outcome`).
 The lockstep engine (:mod:`repro.runtime.engine`) makes two uses of that
 one loop: an allowance of two is a pool's **lockstep step**, an
 unlimited one finishes a pool's last few stragglers (the drain).
@@ -82,9 +83,11 @@ from .batch import zigzag_order_table
 __all__ = [
     "NUMBA_AVAILABLE",
     "NUMPY_FMA",
+    "FRAME",
     "core",
-    "fresh",
+    "frame",
     "lanes",
+    "outcome",
     "run",
     "trellis",
 ]
@@ -135,11 +138,16 @@ _SOURCE = Path(__file__).with_name("search_core.c")
 _CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
 #: ``search_t`` of ``search_core.c``, field for field: every array the
-#: core touches and the dtype it must have.  The constellation tables
-#: come from the decoder; the rest a pool holds, laid out by
-#: :func:`_layout`.  All C-contiguous, except the five tallies, which are
-#: the columns of one ``(searches, 5)`` array (``tally``) ...
+#: core touches and the dtype it must have — the decoder's constellation
+#: tables, the pool's frame table and ``out_*`` arena rows, and its lanes
+#: (:func:`_layout`).  All C-contiguous, except the five tallies, which
+#: are the columns of one ``(lanes, 5)`` array (``tally``) ...
 _F, _I, _B, _C = np.float64, np.int64, np.bool_, np.complex128
+#: ``frame_t``: a pool's frame-table row — where an interned frame's
+#: stacks live (:func:`frame`), then its first arena row.
+FRAME = np.dtype([(name, np.intp) for name in ("r", "y", "diag", "diag_sq")]
+                 + [("noise_var", _F)]
+                 + [(name, _I) for name in ("symbols", "problems", "base")])
 _ARRAYS = {
     "levels": _F, "zigzag": _I, "prune": _F, "bits": np.uint8,
     "axis_int": _I, "axis_res": _F, "queue_d": _F, "queue_i": _I,
@@ -149,53 +157,57 @@ _ARRAYS = {
     "level": _I, "radius": _F, "parent": _F,
     "path_cols": _I, "path_rows": _I, "chosen": _C,
     "best_cols": _I, "best_rows": _I, "best_dist": _F,
-    "list_d": _F, "list_seq": _I, "list_cols": _I, "list_rows": _I,
-    "list_n": _I, "leaf_seq": _I, "llrs": _F,
+    "list_d": _F, "list_seq": _I, "list_cols": np.uint8,
+    "list_rows": np.uint8,
+    "list_n": _I, "leaf_seq": _I,
     "ped": _I, "visited": _I, "expanded": _I, "leaves": _I, "prunes": _I,
+    "lane_budget": _I, "frame_of": _I, "dest_of": _I, "active": _I,
+    "free": _I, "frames": FRAME,
+    "out_tally": _I, "out_best_dist": _F, "out_llrs": _F,
+    "out_best_cols": _I, "out_best_rows": _I, "out_list_n": _I,
 }
 _TALLIES = ("ped", "visited", "expanded", "leaves", "prunes")
 #: ... then its dimensions and policy switches.
 _INTEGERS = ("tally_stride", "num_streams", "side", "queue_capacity",
-             "list_size", "use_fma")
+             "list_size", "use_fma", "lanes", "frame_slots", "arena_rows")
 
 
 def _searches(decoder, num_streams: int) -> dict:
-    """The arrays a search owns one row of: each ``search_t`` field's
-    shape past the search axis, and the value admission writes into a
-    fresh search's row (``None``: none — the channel copies and a list
-    search's ``noise_var`` come from the frame, a search writes each
-    level's path and decided symbol before reading them, and a list
-    search writes its best member and ``llrs`` when it finishes).
-
-    A fresh search sits above its root (``level == num_streams``; the
-    core expands the root first) under the decoder's initial radius,
-    with zeroed tallies and an empty leaf: no best leaf (``-1`` symbols
-    at ``inf``) for a hard decoder, an empty list of ``list_size``
-    leaves for a list decoder.  A finished list search leaves its lane
-    with its best member (``best_cols`` / ``best_rows``) and its
-    max-log LLRs (``llrs``, ``num_streams * bits_per_symbol`` wide),
-    computed from its list by the core or, in a pool without it, by
-    :func:`~repro.sphere.soft.soft_outputs_from_lists`.
-    """
+    """The arrays a lane owns one row of: each ``search_t`` field's
+    shape past the lane axis — a search's channel copy, path, tallies
+    and leaf (the best leaf, or a list and its LLR scale ``noise_var``),
+    its node cap, frame-table row (``frame_of``) and arena row
+    (``dest_of``), plus the pool's ``active`` list and ``free`` stack.
+    The core writes them when it admits a search."""
     n = num_streams
     fields = {
-        "r": ((n, n), None), "y": ((n,), None),
-        "diag": ((n,), None), "diag_sq": ((n,), None),
-        "level": ((), n), "radius": ((), decoder.initial_radius_sq),
-        "parent": ((n,), None), "path_cols": ((n,), None),
-        "path_rows": ((n,), None), "chosen": ((n,), None),
-        "tally": ((len(_TALLIES),), 0),
+        "r": (n, n), "y": (n,), "diag": (n,), "diag_sq": (n,),
+        "level": (), "radius": (), "parent": (n,), "path_cols": (n,),
+        "path_rows": (n,), "chosen": (n,), "tally": (len(_TALLIES),),
+        "lane_budget": (), "frame_of": (), "dest_of": (), "active": (),
+        "free": (),
     }
     if not decoder.list_size:
-        return dict(fields, best_cols=((n,), -1), best_rows=((n,), -1),
-                    best_dist=((), np.inf))
+        return dict(fields, best_cols=(n,), best_rows=(n,), best_dist=())
     size = decoder.list_size
+    return dict(fields, noise_var=(), list_d=(size,), list_seq=(size,),
+                list_cols=(size, n), list_rows=(size, n), list_n=(),
+                leaf_seq=())
+
+
+def outcome(decoder, num_streams: int) -> dict:
+    """A finished search's arena row, ``name: (dtype, shape)``, in the
+    order :meth:`~repro.runtime.queue.FrameJob.collect` takes it: the
+    tallies, then the best leaf (hard) or the max-log LLRs, best list
+    member and list length (soft)."""
+    n = num_streams
+    rows = {"tally": (_I, (len(_TALLIES),))}
+    if not decoder.list_size:
+        return dict(rows, best_dist=(_F, ()), best_cols=(_I, (n,)),
+                    best_rows=(_I, (n,)))
     width = n * decoder.constellation.bits_per_symbol
-    return dict(fields, noise_var=((), None), best_cols=((n,), None),
-                best_rows=((n,), None), list_d=((size,), np.inf),
-                list_seq=((size,), 0), list_cols=((size, n), 0),
-                list_rows=((size, n), 0), list_n=((), 0), leaf_seq=((), 0),
-                llrs=((width,), None))
+    return dict(rows, llrs=(_F, (width,)), best_cols=(_I, (n,)),
+                best_rows=(_I, (n,)), list_n=(_I, ()))
 
 
 def _slots(decoder) -> dict:
@@ -235,25 +247,22 @@ def _slots(decoder) -> dict:
                 has_last=(), seen=(side * side,))
 
 
-def _layout(decoder, num_streams: int, count: int,
-            frontier: bool = True) -> dict:
-    """Every array ``count`` searches of ``decoder`` own, as ``name:
-    (dtype, shape)`` — their rows, then (with ``frontier``) their
-    frontier slots."""
+def _layout(decoder, num_streams: int, count: int) -> dict:
+    """Every array ``count`` lanes of ``decoder`` own, as ``name:
+    (dtype, shape)`` — their rows, then their frontier slots."""
     # ``tally`` is no search_t field; its five int64 columns are.
     layout = {name: (_ARRAYS.get(name, _I), (count,) + shape)
-              for name, (shape, _) in _searches(decoder, num_streams).items()}
-    if frontier:
-        layout.update((name, (_ARRAYS[name], (count * num_streams,) + shape))
-                      for name, shape in _slots(decoder).items())
+              for name, shape in _searches(decoder, num_streams).items()}
+    layout.update((name, (_ARRAYS[name], (count * num_streams,) + shape))
+                  for name, shape in _slots(decoder).items())
     return layout
 
 
 class _Search(ctypes.Structure):
     _fields_ = ([(name, ctypes.c_void_p) for name in _ARRAYS]
                 + [(name, ctypes.c_int64) for name in _INTEGERS]
-                + [("axis_scale", ctypes.c_double),
-                   ("clamp", ctypes.c_double)])
+                + [(name, ctypes.c_double)
+                   for name in ("axis_scale", "clamp", "initial_radius")])
 
 
 @functools.cache
@@ -309,15 +318,15 @@ def _build():
             if os.path.exists(scratch):
                 os.unlink(scratch)
     loaded = ctypes.CDLL(str(library))
-    loaded.repro_search_size.argtypes = []
-    loaded.repro_search_size.restype = ctypes.c_int64
-    if loaded.repro_search_size() != ctypes.sizeof(_Search):
-        raise OSError("search_t and its ctypes mirror differ in size")
+    for probe, size in ((loaded.repro_search_size, ctypes.sizeof(_Search)),
+                        (loaded.repro_frame_size, FRAME.itemsize)):
+        probe.restype = ctypes.c_int64
+        if probe() != size:
+            raise OSError("search_t or frame_t and its mirror differ in size")
     search = loaded.repro_search_run
-    search.argtypes = [ctypes.POINTER(_Search), ctypes.c_int64,
-                       ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
-                       ctypes.c_void_p]
-    search.restype = ctypes.c_int
+    search.argtypes = ([ctypes.POINTER(_Search), ctypes.c_void_p]
+                       + [ctypes.c_int64] * 4)
+    search.restype = ctypes.c_int64
     viterbi = loaded.repro_trellis_run
     viterbi.argtypes = ([ctypes.c_void_p] + [ctypes.c_int64] * 4
                         + [ctypes.c_void_p] * 5)
@@ -354,45 +363,54 @@ def core():
 # ---------------------------------------------------------------------------
 
 def lanes(decoder, num_streams: int, count: int) -> dict:
-    """Every array ``count`` searches of ``decoder`` own, keyed by
-    ``search_t`` field (the five tallies packed as ``tally``), one row
-    per search — plus, where the core runs ``decoder``'s searches
-    (``zigzag`` / ``shabany`` on a box where it could be built), their
-    frontier slots, ``num_streams`` rows per search.  Without slots a
-    pool runs each search through the scalar decoder instead.
-
-    Rows start zeroed: admission writes a search's channel copy and its
-    :func:`fresh` values before the search first runs.
-    """
-    frontier = (decoder.enumerator in ("zigzag", "shabany")
-                and core() is not None)
+    """Every array ``count`` lanes of ``decoder`` own, zeroed, keyed by
+    ``search_t`` field (the tallies packed as ``tally``): a row per lane
+    and ``num_streams`` frontier slots per lane — or ``{}`` where the
+    core does not run ``decoder``'s searches (``hess`` / ``exhaustive``,
+    or no core): such a pool runs the scalar decoder instead."""
+    if decoder.enumerator not in ("zigzag", "shabany") or core() is None:
+        return {}
     return {name: np.zeros(shape, dtype)
             for name, (dtype, shape)
-            in _layout(decoder, num_streams, count, frontier).items()}
+            in _layout(decoder, num_streams, count).items()}
 
 
-def fresh(decoder, num_streams: int) -> dict:
-    """The value admission writes into each of a fresh search's rows of
-    :func:`lanes` that has one (see :func:`_searches`)."""
-    return {name: value
-            for name, (_, value) in _searches(decoder, num_streams).items()
-            if value is not None}
+def frame(num_streams: int, r_stack, y_flat, diag_stack, diag_sq_stack,
+          num_symbols: int, noise_var: float) -> tuple:
+    """A frame's :data:`FRAME` row, less its arena base: the addresses
+    of its stacks (``r_stack`` ``(S, n, n)``, ``y_flat`` ``(S * T, n)``,
+    ``diag_stack`` / ``diag_sq_stack`` ``(S, n)``), its LLR scale, ``T``
+    and ``S * T``.  The core reads the stacks in place at every
+    admission, so they are checked here, once per frame; the caller
+    keeps them alive while the row is in its table."""
+    n, subcarriers = num_streams, len(r_stack)
+    problems = subcarriers * num_symbols
+    return (_address(r_stack, _C, (subcarriers, n, n), "r_stack"),
+            _address(y_flat, _C, (problems, n), "y_flat"),
+            _address(diag_stack, _F, (subcarriers, n), "diag_stack"),
+            _address(diag_sq_stack, _F, (subcarriers, n), "diag_sq_stack"),
+            noise_var, num_symbols, problems)
 
 
-def _marshal(decoder, arrays: dict):
-    """``arrays`` and ``decoder``'s constellation tables as a
-    ``search_t``, plus the exclusive bound of the ids it may be run
-    with.  Checked here, once per set of arrays: past this point a
-    wrong dtype, a strided view, a short axis or a frontier laid out
-    for another decoder is memory corruption, not an exception.  ``r``
-    fixes the stream count and ``level`` the search count; every
-    operand must then have exactly its :func:`lanes` shape."""
+def _marshal(decoder, arrays: dict, frames, arena: dict):
+    """A pool's lanes, frame table and arena, and ``decoder``'s tables,
+    as a ``search_t``.  Checked here, once per set of arrays: past this
+    point a wrong dtype, a strided view, a short axis or a frontier laid
+    out for another decoder is memory corruption, not an exception.
+    ``r`` fixes the stream count, ``level`` the lanes and the arena's
+    ``tally`` its rows; every operand must then have exactly its
+    :func:`lanes` / :func:`outcome` shape."""
     levels = decoder.constellation.levels
     side = levels.shape[0]
     count, num_streams = arrays["level"].shape[0], arrays["r"].shape[-1]
     layout = _layout(decoder, num_streams, count)
     require(arrays.keys() == layout.keys(),
             f"search core needs exactly the arrays {sorted(layout)}")
+    require(not decoder.list_size or side <= 256,
+            "the search core keeps list leaf positions in one byte")
+    rows = outcome(decoder, num_streams)
+    require(arena.keys() == rows.keys(),
+            f"search core needs exactly the arena rows {sorted(rows)}")
     tables = {"levels": (levels, (side,)),
               "zigzag": (zigzag_order_table(side), (side, 2, side))}
     if decoder._pruner is not None:
@@ -407,19 +425,29 @@ def _marshal(decoder, arrays: dict):
     tally = fields.pop("tally")
     fields.update((name, tally + column * arrays["tally"].itemsize)
                   for column, name in enumerate(_TALLIES))
-    search = _Search(
+    arena_rows = arena["tally"].shape[0]
+    fields.update(("out_" + name, _address(arena[name], dtype,
+                                           (arena_rows,) + shape,
+                                           "arena " + name))
+                  for name, (dtype, shape) in rows.items())
+    fields["frames"] = _address(frames, FRAME, (len(frames),), "frames")
+    return _Search(
         tally_stride=len(_TALLIES), num_streams=num_streams, side=side,
         queue_capacity=arrays["queue_d"].shape[1],
-        list_size=decoder.list_size,
-        use_fma=NUMPY_FMA,
+        list_size=decoder.list_size, use_fma=NUMPY_FMA, lanes=count,
+        frame_slots=len(frames), arena_rows=arena_rows,
         axis_scale=float(levels[1] - levels[0]) / 2.0 if side > 1 else 1.0,
         clamp=decoder.clamp if decoder.list_size else 0.0,
-        **fields)
-    return search, count
+        initial_radius=decoder.initial_radius_sq, **fields)
 
 
 #: An attempt allowance no search outlasts: run to completion.
 _TO_COMPLETION = np.iinfo(np.int64).max
+
+#: What ``repro_search_run`` refused, by return code, before writing.
+_REFUSALS = {-2: "an admission run outside its frame or the arena",
+             -3: "a lane outside the pool's lanes",
+             -4: "an active lane's arena row outside the arena"}
 
 
 def _address(array, dtype, shape: tuple, what: str,
@@ -427,7 +455,7 @@ def _address(array, dtype, shape: tuple, what: str,
     """Address of an operand, checked for all the core assumes of it:
     C-contiguous ``dtype`` of exactly ``shape`` — and, with a ``limit``,
     every entry an index in ``[0, limit)``.  (The messages are built
-    only on failure: this runs twice per pool per tick.)"""
+    only on failure: this runs on every pool tick.)"""
     if not (array.dtype == dtype and array.flags.c_contiguous
             and array.shape == shape):
         raise ValueError(f"search core needs {what} as C-contiguous "
@@ -439,58 +467,49 @@ def _address(array, dtype, shape: tuple, what: str,
     return array.ctypes.data
 
 
-def run(decoder, arrays: dict, ids, caps, attempts, cache: dict
-        ) -> np.ndarray:
-    """Advance the listed searches of ``decoder`` in one native call;
-    returns the finished-search mask.
+def run(decoder, arrays: dict, frames, arena: dict, runs, running: int,
+        idle: int, attempts, cache: dict) -> int:
+    """One pool tick in one native call; returns how many searches
+    finished.
 
-    ``arrays`` holds the searches' state as :func:`lanes` lays it out:
-    their channel copies (``r``, ``y``, ``diag``, ``diag_sq``), search
-    path (``level``, ``radius``, ``parent``, ``path_cols``,
-    ``path_rows``, ``chosen``), the packed tallies, the leaf policy's
-    rows — ``best_*`` for a hard search; ``list_*``, ``leaf_seq``,
-    ``noise_var``, ``best_cols`` / ``best_rows`` and ``llrs`` for a list
-    search — and their frontier slots.  Each id in ``ids``
-    indexes one search's rows of all of them (its frontier slots are
-    ``id * num_streams + level``); ``caps`` are absolute node budgets.  A
-    search whose ``level`` is ``num_streams`` — fresh from admission —
-    has its root expanded first; then it gets ``attempts`` candidate
-    attempts: 2 is its share of a lockstep tick, ``None`` runs it to
-    completion.  On return its leaf, tallies, path state and frontier
-    rows are what that many iterations of the scalar loop would have
-    left, and the mask flags the searches that finished: tree exhausted
-    or cap reached.  A list search that finished has its best member
-    in ``best_cols`` / ``best_rows`` and its max-log LLRs in ``llrs``
-    (the float program of
-    :func:`~repro.sphere.soft.soft_outputs_from_lists`, under the
-    decoder's ``clamp`` and the row's ``noise_var``).  A search already
-    at its cap finishes in the call with no attempt, so a shrunk budget
-    takes effect in the next call.
-
-    One call per pool per tick, so whatever can be checked once is:
-    taking ~40 array addresses costs more than a tick's searches and a
-    pool passes the same arrays tick after tick (until it grows), so the
-    marshalled ``search_t`` is kept in the caller's ``cache`` together
-    with the arrays it points into, and reused while every operand is
-    still the same object.
+    ``arrays`` are the pool's lanes (:func:`lanes`: the first
+    ``running`` entries of ``active`` are in flight, the first ``idle``
+    of ``free`` the free-lane stack), ``frames`` its frame table and
+    ``arena`` its outcome rows (:func:`outcome`).  The core **admits**
+    each ``runs`` row ``(slot, first, count, node cap)``: ``count``
+    lanes off the stack for that frame's searches ``first, ...``, their
+    rows copied from its stacks, their fresh values, cap, slot and arena
+    row written; **steps** every active search ``attempts`` candidate
+    attempts under its cap (2: a lockstep tick; ``None``: to
+    completion), each one iteration of the scalar loop; and **retires**
+    each finished search into its arena row — tallies, then its best
+    leaf, or its list length, best member and max-log LLRs (the float
+    program of :func:`~repro.sphere.soft.soft_outputs_from_lists`) —
+    its lane pushed back on the stack (the finished lanes are the
+    stack's top ``finished`` entries), ``active`` compacted in place.
+    Every index is checked in the core before anything is written (a
+    bad one raises ``ValueError``).  The marshalled ``search_t`` is kept
+    in ``cache`` with the arrays it points into and reused while every
+    operand is the same object: ~50 addresses cost more than a tick.
     """
     library = core()
     require(library is not None, "the compiled search core is unavailable")
-    operands = (decoder, *arrays.values())
-    held, search, limit = cache.get("search_t", ((), None, 0))
+    operands = (decoder, frames, *arrays.values(), *arena.values())
+    held, search = cache.get("search_t", ((), None))
     if len(held) != len(operands) or not all(map(is_, held, operands)):
-        search, limit = _marshal(decoder, arrays)
-        cache["search_t"] = operands, search, limit
-    count = ids.size
-    done = np.empty(count, dtype=np.bool_)
-    if library.repro_search_run(
-            search, count, _address(ids, _I, (count,), "search ids", limit),
-            _address(caps, _I, (count,), "node budgets"),
-            _TO_COMPLETION if attempts is None else attempts,
-            done.ctypes.data):
+        search = _marshal(decoder, arrays, frames, arena)
+        cache["search_t"] = operands, search
+    finished = library.repro_search_run(
+        search, len(runs) and _address(runs, _I, (len(runs), 4),
+                                       "admission runs"),
+        len(runs), running, idle,
+        _TO_COMPLETION if attempts is None else attempts)
+    if finished == -1:
         raise RuntimeError("frontier queue capacity exceeded; "
                            "the enumeration invariant was violated")
-    return done
+    if finished < 0:
+        raise ValueError(f"search core refused {_REFUSALS[finished]}")
+    return finished
 
 
 def trellis(costs, pattern_from0, pattern_from1, backpointers, metrics,

@@ -23,6 +23,7 @@ reading pool state — here and, with the helpers this module shares
 
 import copy
 import pickle
+from contextlib import contextmanager
 from functools import lru_cache, partial
 
 import numpy as np
@@ -304,8 +305,8 @@ def test_numpy_step_matches_scalar_oracle(no_compiler, monkeypatch, case,
     """The same sweep with the core hidden, as on a box without a
     compiler: every pool — ``zigzag`` / ``shabany`` too — then runs each
     search through the decoder's scalar search in its admission tick,
-    and this pins what that fallback writes into the lane rows, the
-    result arena and the frame result to the oracle.  (The id is older
+    and this pins what that fallback writes into the result arena and
+    the frame result to the oracle.  (The id is older
     than the fallback: it once pinned a numpy lockstep step.)"""
     test_engine_matches_scalar_oracle(monkeypatch, case, capacity,
                                       drain_threshold, entry)
@@ -383,19 +384,31 @@ def test_frame_results_hold_integers_in_the_narrowest_dtype(order, dtype):
 # (The radius policies and the refill order are observed the same way in
 # tests/test_frame_engine.py and tests/test_sphere_properties.py.)
 
-def _drain_sizes(pool):
-    """Record how many searches each hand-off of ``pool`` to the
-    compiled core takes."""
+@contextmanager
+def drain_sizes():
+    """While the block runs, record how many searches each drain — a
+    call into the compiled core with an unlimited allowance — runs to
+    completion: the lanes in flight plus those it admits."""
     sizes = []
-    run = pool._advance
+    run = tick_kernel.run
 
-    def recording(completed, attempts):
+    def recording(decoder, arrays, frames, arena, runs, running, idle,
+                  attempts, cache):
         if attempts is None:                 # a run-out, not a step
-            sizes.append(pool.active.size)
-        run(completed, attempts)
+            sizes.append(running + int(runs[:, 2].sum()))
+        return run(decoder, arrays, frames, arena, runs, running, idle,
+                   attempts, cache)
 
-    pool._advance = recording
-    return sizes
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tick_kernel, "run", recording)
+        yield sizes
+
+
+def in_lane_elements(pool):
+    """The elements of the searches in ``pool``'s lanes, for a pool that
+    has held one frame: its arena rows start at 0, so a lane's arena row
+    is its search's element."""
+    return pool.state["dest_of"][pool.active]
 
 
 def _fifo_refills(frames):
@@ -404,7 +417,7 @@ def _fifo_refills(frames):
     admitted = refills = 0
     job = None
     for job, pool in frames:
-        in_lane = pool.elem_of[pool.active]
+        in_lane = in_lane_elements(pool)
         fresh = np.sort(in_lane[in_lane >= admitted])
         if fresh.size:
             assert fresh.tolist() == list(range(admitted,
@@ -421,12 +434,10 @@ def test_tail_takes_at_most_the_drain_threshold(drain_threshold):
     search finishes in lockstep and the tail never runs."""
     constellation, channels, received = _frame_instance(16, 4, 4, 1, 12,
                                                         seed=29)
-    frames = ticking(SphereDecoder(constellation), channels, received,
-                     drain_threshold=drain_threshold)
-    _, pool = next(frames)
-    drains = _drain_sizes(pool)
-    for _ in frames:
-        pass
+    with drain_sizes() as drains:
+        for _ in ticking(SphereDecoder(constellation), channels, received,
+                         drain_threshold=drain_threshold):
+            pass
     if drain_threshold:
         assert len(drains) == 1 and 1 <= drains[0] <= drain_threshold
     else:

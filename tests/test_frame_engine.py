@@ -46,12 +46,13 @@ from repro.sphere import (
 from repro.sphere.counters import ComplexityCounters
 
 from test_engine import (
-    _drain_sizes,
     _fifo_refills,
     _frame_instance,
     assert_batch_identical,
     assert_frames_identical,
     decode_on_frontier,
+    drain_sizes,
+    in_lane_elements,
     needs_core,
     pinned_frontier,
     scalar_oracle,
@@ -143,9 +144,10 @@ class TestSlotScheduler:
         frontier.submit(first)
         frontier.tick()
         pool = first.pool
-        # Lanes go out 0, 1, 2, in element order.
-        assert pool.elem_of.tolist() == [0, 1, 2]
-        assert pool.jobidx_of.tolist() == [0, 0, 0]
+        # Lanes go out 0, 1, 2, in element order (one frame on a fresh
+        # pool: a lane's arena row is its search's element).
+        assert pool.state["dest_of"].tolist() == [0, 1, 2]
+        assert pool.state["frame_of"].tolist() == [0, 0, 0]
         # Free every lane (in flight with the core, finished without),
         # then admit one search: a freed lane is the next one handed
         # out — the last one freed.
@@ -154,7 +156,7 @@ class TestSlotScheduler:
         frontier.submit(second)
         frontier.tick()
         assert second.pool is pool and pool.allocated == 3
-        assert pool.jobidx_of[2] == 1 and pool.elem_of[2] == 0
+        assert pool.active.tolist() == [2] and pool.state["dest_of"][2] == 0
         # Through the engine: 7 searches over 3 lanes run in frame order.
         constellation, channels, received = _frame_instance(16, 4, 4, 7, 1)
         job, refills = _fifo_refills(ticking(
@@ -296,7 +298,7 @@ class TestFrameEngineEquivalence:
         for _, pool in ticking(decoder, channels, received, capacity=16,
                                drain_threshold=0):
             lanes = pool.active
-            for element, radius in zip(pool.elem_of[lanes].tolist(),
+            for element, radius in zip(in_lane_elements(pool).tolist(),
                                        pool.state["radius"][lanes].tolist()):
                 previous = last.get(element, float("inf"))
                 assert radius <= previous
@@ -346,11 +348,10 @@ def _check_refill_and_single_drain(decoder, channels, received,
                                    noise_variance):
     """capacity 8 / drain 3 over a heavy-tailed frame: FIFO refills, one
     tail hand-off of at most three survivors, scalar-exact results."""
-    frames = ticking(decoder, channels, received, noise_variance,
-                     capacity=8, drain_threshold=3)
-    job, pool = next(frames)
-    drains = _drain_sizes(pool)
-    _, refills = _fifo_refills(frames)
+    with drain_sizes() as drains:
+        job, refills = _fifo_refills(ticking(
+            decoder, channels, received, noise_variance, capacity=8,
+            drain_threshold=3))
     assert refills >= 1, "small lane budget must trigger refills"
     assert len(drains) == 1 and 0 < drains[0] <= 3
     assert_frames_identical(
@@ -628,12 +629,9 @@ class TestDetectUplinkStrategies:
         constellation, channels, received = _frame_instance(
             16, 4, 4, num_subcarriers=36, num_symbols=8, seed=57)
         decoder = SphereDecoder(constellation)
-        frames = ticking(decoder, channels, received)
-        job, pool = next(frames)
-        assert pool.drain_threshold == DRAIN_THRESHOLD_CAP
-        drains = _drain_sizes(pool)
-        for _ in frames:
-            pass
+        with drain_sizes() as drains:
+            for job, pool in ticking(decoder, channels, received):
+                assert pool.drain_threshold == DRAIN_THRESHOLD_CAP
         assert len(drains) == 1 and drains[0] <= DRAIN_THRESHOLD_CAP
         assert_frames_identical(job.finalise(), scalar_oracle(
             decoder, channels, received)[0])

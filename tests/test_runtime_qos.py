@@ -312,8 +312,13 @@ def test_mid_flight_degrade_and_evict_under_the_core_step(soft):
     # each has visited, right now.
     running = np.zeros(degraded.num_problems, dtype=bool)
     seen = np.zeros(degraded.num_problems, dtype=np.int64)
-    running[pool.elem_of[pool.active]] = True
-    seen[pool.elem_of[pool.active]] = pool.state["tally"][pool.active, 1]
+    # Only the degraded frame is in lanes now (the pool's first frame,
+    # in its first frame-table row), and it claimed the pool's first
+    # arena rows: a lane's arena row is its search's element.
+    in_lane = pool.state["dest_of"][pool.active]
+    assert (pool.state["frame_of"][pool.active] == 0).all()
+    running[in_lane] = True
+    seen[in_lane] = pool.state["tally"][pool.active, 1]
     budget = int(np.median(seen[running]))
     degraded.degraded_budget = budget
     engine.degrade(degraded, budget)

@@ -44,8 +44,8 @@ from repro.sphere import ListSphereDecoder, SphereDecoder, triangularize
 from repro.sphere.tick_kernel import NUMPY_FMA
 
 from test_engine import (
-    _drain_sizes,
     assert_frames_identical,
+    drain_sizes,
     needs_core,
     pinned_frontier,
     scalar_oracle,
@@ -93,9 +93,9 @@ def _decode_one(decoder, r, y_hat, noise_variance=None, *, drain_threshold):
     job = FrameJob.from_triangular(decoder, r, y_hat[None], noise_variance)
     engine = pinned_frontier(drain_threshold=drain_threshold)
     engine.submit(job)
-    drained = _drain_sizes(job.pool)
-    while not engine.idle:
-        engine.tick()
+    with drain_sizes() as drained:
+        while not engine.idle:
+            engine.tick()
     return job.finalise(), drained
 
 
@@ -162,13 +162,13 @@ def test_baseline_enumerators_have_no_tail(enumerator):
     engine.submit(job)
     pool = job.pool
     assert not pool.has_core and pool.drain_threshold == 0
-    drained = _drain_sizes(pool)
     ticks = 0
-    while not engine.idle:
-        engine.tick()
-        ticks += 1
-        assert pool.active.size == 0 and engine.in_use == 0
-        assert job.remaining == max(0, job.num_problems - 4 * ticks)
+    with drain_sizes() as drained:
+        while not engine.idle:
+            engine.tick()
+            ticks += 1
+            assert pool.active.size == 0 and engine.in_use == 0
+            assert job.remaining == max(0, job.num_problems - 4 * ticks)
     assert ticks == 2 and drained == []
     got, want = job.finalise(), decoder._decode_batch_loop(r, batch)
     assert np.array_equal(got.symbol_indices[:, 0], want.symbol_indices)

@@ -148,9 +148,11 @@ def test_untrusted_cache_directory_is_refused(fresh_loader, monkeypatch,
 
 @needs_core
 def test_core_refuses_what_it_cannot_address():
-    """Past the ctypes boundary a bad id, dtype or shape is memory
-    corruption, so the wrapper raises first — naming the operand at
-    fault, short trailing axes included."""
+    """Past the ctypes boundary a bad index, dtype or shape is memory
+    corruption, so it is refused with ``ValueError`` first: operands by
+    the wrapper, naming the one at fault, short trailing axes included;
+    indices — an active or admitted lane, an arena row, an admission run
+    — by the core, before it writes anything."""
     constellation, channels, received = _frame_instance(16, 4, 4, 2, 2)
     frontier = pinned_frontier(drain_threshold=0)
     hard, soft = (FrameJob(index, FrameRequest(channels, received, decoder,
@@ -162,49 +164,112 @@ def test_core_refuses_what_it_cannot_address():
     frontier.submit(hard)
     frontier.submit(soft)
     frontier.tick()
+    pool = hard.pool
+    assert pool.running == 4                 # every search mid-flight
+    nothing = np.empty((0, 4), dtype=np.int64)
 
-    def run(ids, pool=hard.pool, **swap):
-        state = dict(pool.state, **swap)
-        tick_kernel.run(pool.decoder, state, ids, np.zeros_like(ids), None,
-                        {})
+    def run(pool=pool, runs=nothing, idle=0, arena=None, frames=None,
+            **swap):
+        # Zero attempts: a well-formed call steps and retires nothing.
+        return tick_kernel.run(
+            pool.decoder, dict(pool.state, **swap),
+            pool.frame_table if frames is None else frames,
+            pool.arena.arrays if arena is None else arena, runs,
+            pool.running, idle, 0, {})
 
-    def refused(operand, **swap):
-        pool = (soft.pool if operand.startswith(("list", "llrs", "noise"))
-                else hard.pool)
+    def refused(operand, pool=pool, **swap):
         with pytest.raises(ValueError,
                            match=f"needs {operand} as C-contiguous"):
-            run(pool.active, pool, **swap)
+            run(pool, **swap)
 
-    state = hard.pool.state
-    run(hard.pool.active)                  # zero budgets: a no-op
-    run(soft.pool.active, soft.pool)
-    for ids in ([hard.pool.allocated], [-1]):
-        with pytest.raises(ValueError, match="ids outside"):
-            run(np.array(ids))
+    assert run() == 0 and run(soft.pool) == 0
+    state = pool.state
+    # Indices, refused in the core with every array left as it was.
+    before = {name: array.copy() for name, array in state.items()}
+    slot = int(np.flatnonzero(pool.frame_table["problems"])[0])
+    free = pool.allocated - pool.running     # the free stack's height
+    for bad in (pool.allocated, -1):
+        active = state["active"].copy()
+        active[1] = bad
+        with pytest.raises(ValueError, match="lane outside"):
+            run(active=active)
+        popped = state["free"].copy()
+        popped[free - 1] = bad
+        with pytest.raises(ValueError, match="lane outside"):
+            run(runs=np.array([[slot, 0, 1, 9]]), idle=free, free=popped)
+        dest = state["dest_of"].copy()
+        dest[state["active"][2]] = len(pool.arena.arrays["tally"]) if bad > 0 \
+            else bad
+        with pytest.raises(ValueError, match="arena row outside"):
+            run(dest_of=dest)
+    with pytest.raises(ValueError, match="lane outside"):
+        run(runs=np.array([[slot, 0, 1, 9]]), idle=0)     # no free lane
+    for runs in ([len(pool.frame_table), 0, 1, 9], [slot, 3, 2, 9],
+                 [slot, -1, 1, 9], [(slot + 1) % len(pool.frame_table), 0,
+                                    1, 9]):               # ... a vacant row
+        with pytest.raises(ValueError, match="admission run outside"):
+            run(runs=np.array([runs]), idle=free)
+    for name, array in state.items():
+        assert np.array_equal(array, before[name]), name
+    # Operands, refused by the wrapper.
+    with pytest.raises(ValueError, match="needs admission runs"):
+        run(runs=np.zeros((1, 3), dtype=np.int64))
     with pytest.raises(ValueError, match="radius as C-contiguous float64"):
-        run(hard.pool.active, radius=state["radius"].astype(np.float32))
+        run(radius=state["radius"].astype(np.float32))
     with pytest.raises(ValueError, match="exactly the arrays"):
-        run(hard.pool.active, list_d=soft.pool.state["list_d"])
+        run(list_d=soft.pool.state["list_d"])
+    without_best = dict(state)
+    del without_best["best_cols"]
+    with pytest.raises(ValueError, match="exactly the arrays"):
+        tick_kernel.run(pool.decoder, without_best, pool.frame_table,
+                        pool.arena.arrays, nothing, pool.running, 0, 0, {})
     refused("chosen", chosen=state["chosen"][:-1].copy())
     # Short trailing axes: the channel copies, the path, a leaf row.
     refused("r", r=state["r"][:, :, :3].copy())
     refused("y", y=state["y"][:, :2].copy())
     refused("path_cols", path_cols=state["path_cols"][:, :3].copy())
     refused("best_cols", best_cols=state["best_cols"][:, :2].copy())
-    refused("list_cols",
+    refused("list_cols", soft.pool,
             list_cols=soft.pool.state["list_cols"][:, :2].copy())
-    # A list search's soft-output rows: the LLR row, the LLR scale, and
-    # its best member, which it shares with a hard search.
-    refused("llrs", llrs=soft.pool.state["llrs"][:, :-1].copy())
-    refused("noise_var",
+    # A list search's LLR scale, and the arena rows its LLRs and best
+    # member go to.
+    refused("noise_var", soft.pool,
             noise_var=soft.pool.state["noise_var"].astype(np.float32))
-    without_best = dict(soft.pool.state)
-    del without_best["best_cols"]
-    with pytest.raises(ValueError, match="exactly the arrays"):
-        tick_kernel.run(soft.pool.decoder, without_best, soft.pool.active,
-                        np.zeros_like(soft.pool.active), None, {})
+    rows = soft.pool.arena.arrays
+    for name in ("llrs", "best_cols"):
+        with pytest.raises(ValueError,
+                           match=f"needs arena {name} as C-contiguous"):
+            run(soft.pool, arena=dict(rows, **{name: rows[name][:, :-1]}))
+    with pytest.raises(ValueError, match="exactly the arena rows"):
+        run(soft.pool, arena={name: rows[name] for name in rows
+                              if name != "list_n"})
+    with pytest.raises(ValueError, match="needs frames as C-contiguous"):
+        run(frames=pool.frame_table[::2])
     # A frontier laid out for another decoder: no pruning offsets.
     refused("axis_int", axis_int=state["axis_int"][:, :2].copy())
+
+
+@needs_core
+@pytest.mark.parametrize("stack,flaw", [
+    ("r_stack", lambda array: array.astype(np.complex64)),
+    ("y_flat", np.asfortranarray),
+    ("diag_stack", lambda array: array[:, :3].copy()),
+    ("diag_sq_stack", lambda array: array[:, ::2]),
+])
+def test_frame_stacks_are_checked_when_the_pool_interns_them(stack, flaw):
+    """The core reads a frame's preprocessed stacks in place whenever it
+    admits one of its searches, so the pool checks their dtype,
+    contiguity and shape when it interns the frame: a malformed stack is
+    refused before the core runs."""
+    constellation, channels, received = _frame_instance(16, 4, 4, 2, 2)
+    job = FrameJob(0, FrameRequest(channels, received,
+                                   SphereDecoder(constellation)))
+    setattr(job, stack, flaw(getattr(job, stack)))
+    frontier = StreamingFrontier()
+    frontier.submit(job)
+    with pytest.raises(ValueError, match=f"needs {stack} as C-contiguous"):
+        frontier.tick()
+    assert job.pool.running == 0 and not len(job.pool.arena.arrays["tally"])
 
 
 def test_missing_compiler_warns_once_and_falls_back(no_compiler):
@@ -376,12 +441,14 @@ def test_compiled_core_follows_a_grown_pool(soft):
 
 
 _SEARCH_ROWS = {"r", "y", "diag", "diag_sq", "level", "radius", "parent",
-                "path_cols", "path_rows", "chosen", "tally"}
+                "path_cols", "path_rows", "chosen", "tally", "lane_budget",
+                "frame_of", "dest_of", "active", "free"}
 _LEAF_ROWS = {False: {"best_cols", "best_rows", "best_dist"},
               True: {"list_d", "list_seq", "list_cols", "list_rows",
-                     "list_n", "leaf_seq", "noise_var", "best_cols",
-                     "best_rows", "llrs"}}
+                     "list_n", "leaf_seq", "noise_var"}}
 _ZIGZAG_SLOTS = {"axis_int", "axis_res", "queue_d", "queue_j", "last_i"}
+_OUTCOME_ROWS = {False: ["tally", "best_dist", "best_cols", "best_rows"],
+                 True: ["tally", "llrs", "best_cols", "best_rows", "list_n"]}
 
 
 @pytest.mark.filterwarnings("ignore:the compiled search core")
@@ -390,12 +457,15 @@ _ZIGZAG_SLOTS = {"axis_int", "axis_res", "queue_d", "queue_j", "last_i"}
 @pytest.mark.parametrize("soft", [False, True], ids=["hard", "soft"])
 def test_pool_state_is_the_declared_layout_through_growth(request, soft,
                                                           compiled):
-    """A pool's ``state`` holds exactly the arrays the layout declares —
-    the search rows, the decoder's leaf rows and, where the core runs,
-    the frontier slots — each of its declared dtype and shape; and a
-    growth while searches are in flight reallocates every one of them,
-    and the pool's bookkeeping, to the new lane count with every
-    existing row unchanged."""
+    """Where the core runs, a pool's ``state`` holds exactly the arrays
+    the layout declares — the search rows with the lanes' bookkeeping,
+    the decoder's leaf rows and the frontier slots — each of its
+    declared dtype and shape; a pool without the core keeps no lanes at
+    all.  Either way the arena holds the declared outcome rows.  A
+    growth while searches are in flight reallocates every lane array to
+    the new lane count with every existing row unchanged — what the
+    core is handed in the growth tick — and the new lanes join the
+    bottom of the free-lane stack."""
     if not compiled:
         request.getfixturevalue("no_compiler")
     elif tick_kernel.core() is None:
@@ -416,41 +486,47 @@ def test_pool_state_is_the_declared_layout_through_growth(request, soft,
     frontier.tick()
     pool = first.pool
     assert pool.has_core == compiled and pool.allocated == 4
+    assert list(pool.arena.arrays) == _OUTCOME_ROWS[soft]
     # In flight between ticks only where the core runs.
     assert pool.active.size == (3 if compiled else 0)
-    assert set(pool.state) == (_SEARCH_ROWS | _LEAF_ROWS[soft]
-                               | (_ZIGZAG_SLOTS if compiled else set()))
-
-    def lane_arrays():
-        return dict(pool.state, lane_budget=pool.lane_budget,
-                    jobidx_of=pool.jobidx_of, elem_of=pool.elem_of,
-                    dest_of=pool.dest_of)
+    assert set(pool.state) == ((_SEARCH_ROWS | _LEAF_ROWS[soft]
+                                | _ZIGZAG_SLOTS) if compiled else set())
 
     def declared(lanes):
-        layout = tick_kernel._layout(decoder, 4, lanes, compiled)
+        layout = tick_kernel._layout(decoder, 4, lanes)
         assert {name: (array.dtype, array.shape)
                 for name, array in pool.state.items()} == {
             name: (np.dtype(dtype), shape)
             for name, (dtype, shape) in layout.items()}
 
-    declared(4)
-    before = {name: array.copy() for name, array in lane_arrays().items()}
-    grow, after = pool._grow, {}
+    if compiled:
+        declared(4)
+    before = {name: array.copy() for name, array in pool.state.items()}
+    handed = {}
+    run = tick_kernel.run
 
-    def recording(allocated):
-        grow(allocated)
-        after.update((name, array.copy())
-                     for name, array in lane_arrays().items())
+    def recording(decoder, arrays, *rest):
+        if not handed:
+            handed.update((name, array.copy())
+                          for name, array in arrays.items())
+        return run(decoder, arrays, *rest)
 
-    pool._grow = recording
     job = FrameJob(1, FrameRequest(channels, received, decoder, *extra))
-    frontier.submit(job)
-    frontier.tick()                        # grows before its step
-    assert pool.allocated == 16 and after.keys() == before.keys()
-    declared(16)
-    for name, old in before.items():
-        assert after[name].shape[0] == old.shape[0] * 4, name
-        assert np.array_equal(after[name][:old.shape[0]], old), name
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tick_kernel, "run", recording)
+        frontier.submit(job)
+        frontier.tick()                    # grows before its core call
+    assert pool.allocated == 16 and handed.keys() == before.keys()
+    if compiled:
+        declared(16)
+        for name, old in before.items():
+            assert handed[name].shape[0] == old.shape[0] * 4, name
+            if name != "free":
+                assert np.array_equal(handed[name][:old.shape[0]], old), name
+        # Lanes 0-2 are in flight and lane 3 was the free stack's top:
+        # it still is, with the new lanes under it — the hand-out order
+        # of a pool built with 16 lanes.
+        assert handed["free"][:13].tolist() == list(range(15, 2, -1))
     while not frontier.idle:
         frontier.tick()
     for done, frame in ((first, (channels[:1], received[:3, :1])),
