@@ -4,8 +4,9 @@ Builds a 16-QAM, 4x4 uplink frame over 64 OFDM data subcarriers and
 detects it twice with the same Geosphere decoder — the same lockstep
 engine both times, fed differently:
 
-1. ``decoder.decode_block`` per subcarrier — one QR and one private
-   frontier per subcarrier (64 engine runs, 64 straggler tails);
+1. per subcarrier — one QR (``triangularize``) and one
+   ``decoder.decode_batch``, a private frontier, per subcarrier (64
+   engine runs, 64 straggler tails);
 2. ``detect_uplink`` (``detect_frame``) — one stacked QR sweep and a
    *single* frontier that packs searches from every subcarrier into the
    same lanes.
@@ -23,7 +24,7 @@ import numpy as np
 from repro.constellation import qam
 from repro.detect import SphereDetector
 from repro.phy.receiver import detect_uplink
-from repro.sphere import ComplexityCounters, geosphere_decoder
+from repro.sphere import ComplexityCounters, geosphere_decoder, triangularize
 
 NUM_SUBCARRIERS = 64
 NUM_SYMBOLS = 16
@@ -42,13 +43,14 @@ def best_of(function, repeats=3):
 
 
 def detect_per_subcarrier(channels, received, decoder):
-    """One ``decode_block`` (one frontier) per subcarrier."""
+    """One QR and one ``decode_batch`` (one frontier) per subcarrier."""
     indices = np.empty(received.shape[:2] + (channels.shape[2],),
                        dtype=np.int64)
     counters = ComplexityCounters()
     for s in range(channels.shape[0]):
-        block = decoder.decode_block(channels[s], received[:, s, :])
-        indices[:, s, :] = block.symbol_indices
+        q, r = triangularize(channels[s])
+        block = decoder.decode_batch(r, received[:, s, :] @ np.conj(q))
+        indices[:, s, :] = block.symbol_indices[:, 0]
         counters.merge(block.counters)
     return indices, counters
 

@@ -10,12 +10,14 @@ place and are reused by every enumerator.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from functools import cache
 
 import numpy as np
 
 from ..utils.validation import check_power_of_two, require
 
-__all__ = ["pam_levels", "slice_to_index", "zigzag_indices", "zigzag_order"]
+__all__ = ["pam_levels", "slice_to_index", "zigzag_indices", "zigzag_order",
+           "zigzag_order_table"]
 
 
 def pam_levels(size: int, scale: float = 1.0) -> np.ndarray:
@@ -69,6 +71,26 @@ def zigzag_indices(start: int, size: int, prefer_positive: bool) -> Iterator[int
         if direction != (1 if prefer_positive else -1):
             step += 1
         direction = -direction
+
+
+@cache
+def zigzag_order_table(side: int) -> np.ndarray:
+    """``(side, 2, side)`` read-only table of every 1-D zigzag ordering.
+
+    The walk depends only on the sliced start index and the preferred
+    direction, so ``table[start, int(prefer_positive)]`` is exactly the
+    sequence :func:`zigzag_indices` yields — materialised *from that
+    generator*, so the correspondence is by construction.  The batched
+    K-best expansion and the compiled search core read it.
+    """
+    table = np.empty((side, 2, side), dtype=np.int64)
+    for start in range(side):
+        for prefer_positive in (False, True):
+            table[start, int(prefer_positive)] = np.fromiter(
+                zigzag_indices(start, side, prefer_positive),
+                dtype=np.int64, count=side)
+    table.setflags(write=False)
+    return table
 
 
 def zigzag_order(value: float, size: int, scale: float = 1.0) -> list[int]:

@@ -8,7 +8,8 @@ this module performs it for *all* subcarriers in one stacked call, which
 is both the lockstep engine's front end (every
 :class:`~repro.runtime.queue.FrameJob` starts here) and the shared
 preprocessing for the cross-subcarrier K-best and linear
-``detect_frame`` paths.
+``detect_frame`` paths.  :func:`check_frame_arrays` is the one check of a
+frame's arrays those paths share.
 
 Bit-exactness contract
 ----------------------
@@ -30,8 +31,9 @@ import numpy as np
 from ..sphere.qr import RANK_TOLERANCE
 from ..utils.validation import require
 
-__all__ = ["triangularize_frame", "rotate_frame", "zf_frame_filters",
-           "mmse_frame_filters", "apply_frame_filters"]
+__all__ = ["check_frame_arrays", "one_subcarrier_frame", "triangularize_frame",
+           "rotate_frame", "zf_frame_filters", "mmse_frame_filters",
+           "apply_frame_filters"]
 
 
 def _as_channel_stack(channels) -> np.ndarray:
@@ -50,6 +52,38 @@ def _as_observation_stack(received, num_antennas: int) -> np.ndarray:
             f"received has {observations.shape[2]} antennas, channels have "
             f"{num_antennas}")
     return observations
+
+
+def check_frame_arrays(channels, received) -> tuple[np.ndarray, np.ndarray]:
+    """The checks every frame passes before anything reads it: ``(S, na,
+    nc)`` channels, ``(T, S, na)`` observations of the same subcarrier
+    and antenna counts, no NaN or inf in either.  Raises ``ValueError``
+    on the first problem; returns both as ``complex128`` tensors.  The
+    runtime's front door, ``detect_uplink`` and the K-best frame paths
+    all call it, so a bad frame is refused with one set of messages."""
+    channels = np.asarray(channels, dtype=np.complex128)
+    require(channels.ndim == 3, "channels must be (S, na, nc)")
+    received = _as_observation_stack(received, channels.shape[1])
+    require(received.shape[1] == channels.shape[0],
+            f"received has {received.shape[1]} subcarriers, channels "
+            f"have {channels.shape[0]}")
+    require(bool(np.isfinite(channels).all()),
+            "channels must be finite (found NaN or inf)")
+    require(bool(np.isfinite(received).all()),
+            "received must be finite (found NaN or inf)")
+    return channels, received
+
+
+def one_subcarrier_frame(r, y_hat_batch) -> tuple[np.ndarray, np.ndarray]:
+    """``decode_batch``'s question as a frame: the triangular ``(nc, nc)``
+    ``r`` as a ``(1, nc, nc)`` channel stack and the rotated ``(T, nc)``
+    batch as ``(T, 1, nc)`` observations.  Refuses a batch that is not
+    2-D with ``ValueError``; the caller checks the frame itself."""
+    batch = np.asarray(y_hat_batch, dtype=np.complex128)
+    require(batch.ndim == 2,
+            f"y_hat_batch must be a 2-D (batch, streams) array, got shape "
+            f"{batch.shape}")
+    return np.asarray(r)[None], batch[:, None, :]
 
 
 def triangularize_frame(channels) -> tuple[np.ndarray, np.ndarray]:
@@ -85,7 +119,7 @@ def rotate_frame(q_stack, received) -> np.ndarray:
     ``received`` is ``(T, S, na)``.  Returns the subcarrier-major
     ``(S, T, nc)`` tensor of rotated observations — one stacked matmul,
     each slice bit-identical to the per-subcarrier ``block @ conj(Q_s)``
-    of :func:`repro.sphere.batch.qr_decode_block`.
+    with ``Q_s`` from :func:`repro.sphere.qr.triangularize`.
     """
     q_stack = np.asarray(q_stack, dtype=np.complex128)
     observations = _as_observation_stack(received, q_stack.shape[1])

@@ -62,9 +62,12 @@ def sum_tally_counters(ped, visited, expanded, leaves, prunes,
 class FrameDecodeResult:
     """Outcome of decoding every (symbol, subcarrier) slot of one frame.
 
-    The frame-level analogue of
-    :class:`~repro.sphere.batch.BatchDecodeResult`.  Resolved frames are
-    what a streaming caller accumulates, so the decisions are held once:
+    What every hard tree-search decoder's ``decode_frame`` returns, and
+    its ``decode_batch`` too (a one-subcarrier frame, ``(T, 1)``
+    leading): the frame-level analogue of
+    :class:`~repro.sphere.decoder.SphereDecoderResult`.  Resolved frames
+    are what a streaming caller accumulates, so the decisions are held
+    once:
     ``symbols`` is looked up from ``symbol_indices`` on access instead of
     being stored beside them, ``found`` is derived from
     ``distances_sq`` the same way, and the indices are held in the
@@ -157,8 +160,10 @@ class FrameDetectionResult:
 class SoftFrameResult:
     """Soft decisions for every (symbol, subcarrier) slot of one frame.
 
-    The frame-level analogue of
-    :class:`~repro.sphere.soft.SoftDecodeResult`: the LLR tensor is what
+    What :meth:`~repro.sphere.soft.ListSphereDecoder.decode_frame`
+    returns, and its ``decode_batch`` too (a one-subcarrier frame,
+    ``(T, 1)`` leading): the frame-level analogue of
+    :class:`~repro.sphere.soft.SoftDecodeResult`.  The LLR tensor is what
     :func:`repro.phy.soft_link.simulate_frame_soft` slices per stream
     into the soft Viterbi decoder.
 

@@ -24,6 +24,7 @@ from ..coding.crc import CRC_BITS, check_crc
 from ..coding.interleaver import deinterleave
 from ..coding.scrambler import descramble
 from ..coding.viterbi import viterbi_decode, viterbi_decode_soft
+from ..frame.preprocess import check_frame_arrays
 from ..frame.results import FrameDetectionResult
 from ..utils.validation import require
 from .config import PhyConfig
@@ -44,16 +45,7 @@ def detect_uplink(channels, received, detector,
     are summed over every (symbol, subcarrier) detection when the
     detector tracks them, else ``None``.
     """
-    matrices = np.asarray(channels, dtype=np.complex128)
-    observations = np.asarray(received, dtype=np.complex128)
-    require(matrices.ndim == 3, "channels must be (S, na, nc)")
-    require(observations.ndim == 3, "received must be (T, S, na)")
-    require(observations.shape[1] == matrices.shape[0],
-            f"received has {observations.shape[1]} subcarriers, channels "
-            f"have {matrices.shape[0]}")
-    require(observations.shape[2] == matrices.shape[1],
-            f"received has {observations.shape[2]} antennas, channels have "
-            f"{matrices.shape[1]}")
+    matrices, observations = check_frame_arrays(channels, received)
     return detector.detect_frame(matrices, observations, noise_variance)
 
 

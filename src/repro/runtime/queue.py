@@ -40,7 +40,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..frame.preprocess import rotate_frame, triangularize_frame
+from ..frame.preprocess import (
+    check_frame_arrays,
+    one_subcarrier_frame,
+    rotate_frame,
+    triangularize_frame,
+)
 from ..frame.results import (
     FrameDecodeResult,
     SoftFrameResult,
@@ -170,16 +175,8 @@ def validate_request(request: "FrameRequest"):
     if kind == "soft":
         require(noise_variance is not None and noise_variance > 0.0,
                 "soft frames need a positive noise_variance")
-    channels = np.asarray(request.channels, dtype=np.complex128)
-    received = np.asarray(request.received, dtype=np.complex128)
-    require(channels.ndim == 3, "channels must be (S, na, nc)")
-    require(received.ndim == 3, "received must be (T, S, na)")
-    require(received.shape[1] == channels.shape[0],
-            f"received has {received.shape[1]} subcarriers, channels "
-            f"have {channels.shape[0]}")
-    require(received.shape[2] == channels.shape[1],
-            f"received has {received.shape[2]} antennas, channels have "
-            f"{channels.shape[1]}")
+    channels, received = check_frame_arrays(request.channels,
+                                            request.received)
     # A list search stopped before its first leaf has no LLRs to give:
     # the frame could never finalise.
     require(kind == "hard" or decoder.node_budget is None
@@ -187,10 +184,6 @@ def validate_request(request: "FrameRequest"):
             f"a list decoder's node_budget ({decoder.node_budget}) must be "
             f"at least the stream count ({channels.shape[2]}): a search "
             "stopped sooner reaches no leaf")
-    require(bool(np.isfinite(channels).all()),
-            "channels must be finite (found NaN or inf)")
-    require(bool(np.isfinite(received).all()),
-            "received must be finite (found NaN or inf)")
     require(request.deadline_s is None or request.deadline_s > 0.0,
             "deadline_s must be positive when given")
     require(int(request.priority) >= 0,
@@ -237,13 +230,13 @@ class FrameJob:
                         noise_variance=None) -> "FrameJob":
         """``decode_batch``'s constructor: a one-subcarrier job from an
         already-triangular system — ``r`` is ``(nc, nc)``,
-        ``y_hat_batch`` the rotated ``(T, nc)`` observations —
+        ``y_hat_batch`` the rotated ``(T, nc)`` observations
+        (:func:`~repro.frame.preprocess.one_subcarrier_frame`) —
         validated like any submitted frame, QR sweep skipped.  Skipping
         it skips its rank check too, so a zero on ``r``'s real diagonal
         is refused here: every search divides by it."""
-        request = FrameRequest(np.asarray(r)[None],
-                               np.asarray(y_hat_batch)[:, None, :], decoder,
-                               noise_variance)
+        request = FrameRequest(*one_subcarrier_frame(r, y_hat_batch),
+                               decoder, noise_variance)
         kind, r_stack, rotated = validate_request(request)
         refuse_zero_diagonal(np.real(np.diagonal(r_stack[0])))
         job = cls.__new__(cls)

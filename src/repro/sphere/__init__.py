@@ -14,20 +14,28 @@ Public surface:
 * :mod:`repro.sphere.tick_kernel` — the compiled search core
   (``search_core.c``, built with the system ``cc`` at first use): the
   same state machine in C, one loop with two uses in the lockstep engine
-  (:mod:`repro.runtime.engine`, what ``decode_batch`` / ``decode_block``
-  / ``decode_frame`` run on) — two candidate attempts per search are
-  the lockstep step, an unlimited allowance drains a pool's last few
-  (straggler) searches.  One call is one pool tick: it admits queued
-  searches, steps them and retires the finished ones into their frames'
-  result rows, on the arrays a pool holds for its lanes, frontier slots
-  included, whose layout :func:`repro.sphere.tick_kernel.lanes`
-  declares, and expands every node of a search, its root included.  The scalar
-  :meth:`SphereDecoder.decode_triangular` /
-  :meth:`ListSphereDecoder.decode_soft_triangular` are the oracle it is
-  pinned to, and what the engine runs where there is no core.
+  (:mod:`repro.runtime.engine`, what ``decode_frame`` runs on) — two
+  candidate attempts per search are the lockstep step, an unlimited
+  allowance drains a pool's last few (straggler) searches.  One call is
+  one pool tick: it admits queued searches, steps them and retires the
+  finished ones into their frames' result rows, on the arrays a pool
+  holds for its lanes, frontier slots included, whose layout
+  :func:`repro.sphere.tick_kernel.lanes` declares, and expands every
+  node of a search, its root included.
+
+Every tree-search decoder answers two questions.  For a vector it has
+``decode`` / ``decode_triangular`` (``decode_soft*`` for the list
+decoder); for a frame, ``decode_frame``, which returns a
+:class:`~repro.frame.results.FrameDecodeResult` /
+:class:`~repro.frame.results.SoftFrameResult`.  ``decode_batch(r,
+y_hat[, noise_variance])`` is the frame question asked of one
+subcarrier that is already triangular, and returns that frame's result,
+``(T, 1)`` leading.  The scalar :meth:`SphereDecoder.decode_triangular`
+/ :meth:`ListSphereDecoder.decode_soft_triangular` are the oracle the
+engine is pinned to, and what it runs where there is no core.
 """
 
-from .batch import BatchDecodeResult, batched_axis_orders, zigzag_order_table
+from ..constellation.pam import zigzag_order_table
 from .counters import ComplexityCounters
 from .decoder import (
     SphereDecoder,
@@ -42,13 +50,12 @@ from .enumerator import AxisOrder, Candidate, build_axes
 from .exhaustive import ExhaustiveEnumerator
 from .fcsd import FixedComplexityDecoder
 from .hess import HessEnumerator
-from .kbest import KBestDecoder
+from .kbest import KBestDecoder, batched_axis_orders
 from .pruning import GeometricPruner, lower_bound_sq_table
 from .qr import triangularize
 from .shabany import ShabanyEnumerator
 from .soft import (
     ListSphereDecoder,
-    SoftBatchResult,
     SoftDecodeResult,
     soft_outputs_from_lists,
     stacked_list_bits,
@@ -62,7 +69,6 @@ from .zigzag import GeosphereEnumerator
 
 __all__ = [
     "AxisOrder",
-    "BatchDecodeResult",
     "Candidate",
     "ComplexityCounters",
     "ExhaustiveEnumerator",
@@ -73,7 +79,6 @@ __all__ = [
     "KBestDecoder",
     "ListSphereDecoder",
     "ShabanyEnumerator",
-    "SoftBatchResult",
     "SoftDecodeResult",
     "SphereDecoder",
     "SphereDecoderResult",

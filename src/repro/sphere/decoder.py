@@ -33,7 +33,6 @@ import numpy as np
 
 from ..constellation.qam import QamConstellation
 from ..utils.validation import as_complex_vector, require
-from .batch import BatchDecodeResult, as_batch_matrix, qr_decode_block
 from .counters import ComplexityCounters
 from .enumerator import NodeEnumerator
 from .exhaustive import ExhaustiveEnumerator
@@ -64,6 +63,23 @@ def refuse_zero_diagonal(diag: np.ndarray) -> None:
         raise ValueError(
             f"r has a zero real diagonal entry at level {zeros[0]}; "
             "the depth-first sphere decoder requires full column rank")
+
+
+def check_triangular(r: np.ndarray, y_hat) -> tuple[np.ndarray, np.ndarray]:
+    """The scalar entry points' shared prologue, for every tree-search
+    decoder: refuse with ``ValueError`` what the engine's front door
+    refuses (a ``y_hat`` not one entry per stream, a non-finite entry, a
+    zero on ``r``'s real diagonal).  Returns ``y_hat`` as an array and
+    ``r``'s real diagonal."""
+    y_hat = np.asarray(y_hat)
+    diag = np.real(np.diag(r)).copy()
+    require(y_hat.shape == diag.shape == (r.shape[1],),
+            f"y_hat has shape {y_hat.shape}; a {r.shape} r needs "
+            f"({r.shape[1]},)")
+    require(bool(np.isfinite(r).all() and np.isfinite(y_hat).all()),
+            "r and y_hat must be finite (found NaN or inf)")
+    refuse_zero_diagonal(diag)
+    return y_hat, diag
 
 
 @dataclass
@@ -147,8 +163,8 @@ class SphereDecoder:
         column detected first), a standard detection-order heuristic that
         reduces average complexity without affecting the ML result.  It
         is a scalar-:meth:`decode` setting: the lockstep engine behind
-        :meth:`decode_batch` / :meth:`decode_block` /
-        :meth:`decode_frame` and the streaming runtime detects in
+        :meth:`decode_frame` (and :meth:`decode_batch`, its
+        one-subcarrier form) and the streaming runtime detects in
         natural order and rejects such a decoder with ``ValueError``
         rather than silently ignoring the ordering.
     """
@@ -207,18 +223,8 @@ class SphereDecoder:
             constellation, received, counters)
 
     def _search_triangular(self, r, y_hat) -> _SearchOutcome:
-        """The scalar entry points' shared prologue: refuse with
-        ``ValueError`` what the engine's front door refuses (a ``y_hat``
-        not one entry per stream, a non-finite entry, a zero on ``r``'s
-        real diagonal), then run one search."""
-        y_hat = np.asarray(y_hat)
-        diag = np.real(np.diag(r)).copy()
-        require(y_hat.shape == diag.shape == (r.shape[1],),
-                f"y_hat has shape {y_hat.shape}; a {r.shape} r needs "
-                f"({r.shape[1]},)")
-        require(bool(np.isfinite(r).all() and np.isfinite(y_hat).all()),
-                "r and y_hat must be finite (found NaN or inf)")
-        refuse_zero_diagonal(diag)
+        """One search of a checked (:func:`check_triangular`) system."""
+        y_hat, diag = check_triangular(r, y_hat)
         return self._search(r, y_hat, diag, diag * diag,
                             self._enumerator_factory(), self.node_budget)
 
@@ -278,77 +284,61 @@ class SphereDecoder:
         return self._hard_result(self._search_triangular(r, y_hat),
                                  r.shape[1])
 
-    def decode_batch(self, r: np.ndarray,
-                     y_hat_batch: np.ndarray) -> BatchDecodeResult:
-        """Decode a ``(T, nc)`` batch of observations against one ``R``.
+    def decode_batch(self, r: np.ndarray, y_hat_batch: np.ndarray):
+        """:meth:`decode_frame` asked of one subcarrier that is already
+        triangular: ``r`` is ``(nc, nc)``, ``y_hat_batch`` the rotated
+        ``(T, nc)`` observations.
 
         The batch is a one-subcarrier frame for the lockstep engine
-        (:func:`repro.runtime.engine.run_frame`): every observation's
-        depth-first search advances two candidate attempts per tick in
-        the compiled search core (a batch no larger than the drain
-        threshold is run to completion in the first tick), or, where
-        there is no core, runs through this decoder's scalar search in
-        the tick that admits it.  Results are
-        bit-identical to per-vector :meth:`decode_triangular` calls —
-        symbol decisions, distances, ``found`` flags — and the
-        aggregated counters equal the sum of the per-vector counters
-        exactly.
+        (:func:`repro.runtime.engine.run_frame`), QR sweep skipped:
+        every observation's depth-first search advances two candidate
+        attempts per tick in the compiled search core (a batch no larger
+        than the drain threshold is run to completion in the first
+        tick), or, where there is no core, runs through this decoder's
+        scalar search in the tick that admits it.  Returns that frame's
+        :class:`~repro.frame.results.FrameDecodeResult`, ``(T, 1)``
+        leading; results are bit-identical to per-vector
+        :meth:`decode_triangular` calls — symbol decisions, distances,
+        ``found`` flags — and the aggregated counters equal the sum of
+        the per-vector counters exactly.
         """
         # Imported lazily: repro.runtime builds on repro.sphere, so the
         # module-level dependency must point that way only.
         from ..runtime.engine import run_frame
         from ..runtime.queue import FrameJob
 
-        batch = as_batch_matrix(y_hat_batch, r.shape[1], "y_hat_batch")
-        frame = run_frame(FrameJob.from_triangular(self, r, batch))
-        return BatchDecodeResult(found=frame.found[:, 0],
-                                 symbol_indices=frame.symbol_indices[:, 0],
-                                 symbols=frame.symbols[:, 0],
-                                 distances_sq=frame.distances_sq[:, 0],
-                                 counters=frame.counters)
+        return run_frame(FrameJob.from_triangular(self, r, y_hat_batch))
 
-    def _decode_batch_loop(self, r: np.ndarray,
-                           y_hat_batch: np.ndarray) -> BatchDecodeResult:
+    def _decode_batch_loop(self, r: np.ndarray, y_hat_batch: np.ndarray):
         """Reference batch driver: one scalar search per row, with
         everything observation-independent (diagonal scalings,
         enumerator dispatch, the pruning table) shared across the batch
         — the baseline the latency benchmarks time the engine against.
+        Returns what :meth:`decode_batch` returns.
         """
-        num_streams = r.shape[1]
-        batch = as_batch_matrix(y_hat_batch, num_streams, "y_hat_batch")
+        from ..frame.preprocess import check_frame_arrays, one_subcarrier_frame
+        from ..frame.results import FrameDecodeResult, narrowest_int
+
+        _, received = check_frame_arrays(*one_subcarrier_frame(r, y_hat_batch))
+        num_vectors, _, num_streams = received.shape
         diag = np.real(np.diag(r)).copy()
         diag_sq = diag * diag
         factory = self._enumerator_factory()
 
-        num_vectors = batch.shape[0]
-        found = np.empty(num_vectors, dtype=bool)
-        indices = np.empty((num_vectors, num_streams), dtype=np.int64)
-        symbols = np.empty((num_vectors, num_streams), dtype=np.complex128)
-        distances = np.empty(num_vectors, dtype=np.float64)
+        indices = np.empty((num_vectors, 1, num_streams),
+                           dtype=narrowest_int(self.constellation.order - 1))
+        distances = np.empty((num_vectors, 1), dtype=np.float64)
         totals = ComplexityCounters()
         for t in range(num_vectors):
             result = self._hard_result(
-                self._search(r, batch[t], diag, diag_sq, factory,
+                self._search(r, received[t, 0], diag, diag_sq, factory,
                              self.node_budget), num_streams)
-            found[t] = result.found
-            indices[t] = result.symbol_indices
-            symbols[t] = result.symbols
-            distances[t] = result.distance_sq
+            indices[t, 0] = result.symbol_indices
+            distances[t, 0] = result.distance_sq
             totals.merge(result.counters)
-        return BatchDecodeResult(found=found, symbol_indices=indices,
-                                 symbols=symbols, distances_sq=distances,
-                                 counters=totals)
-
-    def decode_block(self, channel, received_block) -> BatchDecodeResult:
-        """Factorise ``channel`` once and :meth:`decode_batch` a block.
-
-        ``received_block`` is ``(T, na)`` — one received vector per row.
-        This is the per-subcarrier OFDM entry point: one QR per subcarrier
-        per frame, every symbol vector of the frame decoded against it.
-        Whole-frame workloads should prefer :meth:`decode_frame`, which
-        amortises the engine across all subcarriers at once.
-        """
-        return qr_decode_block(self, channel, received_block)
+        return FrameDecodeResult(symbol_indices=indices,
+                                 distances_sq=distances, counters=totals,
+                                 points=self.constellation.points)
 
     def decode_frame(self, channels, received):
         """Decode a whole OFDM frame — every (symbol, subcarrier) slot —

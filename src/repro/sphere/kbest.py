@@ -17,9 +17,10 @@ so each survivor enumerates children lazily instead of expanding all
 
 Because every survivor expands in lockstep (no sphere constraint, no
 data-dependent backtracking), K-best vectorises cleanly:
-:meth:`KBestDecoder.decode_batch` runs a whole ``(T, nc)`` block of
-observations through numpy array ops — the hot path of the batched OFDM
-receiver — and is bit-identical to the scalar path, counters included.
+:meth:`KBestDecoder.decode_frame` (and ``decode_batch``, its
+one-subcarrier form) runs every observation of a frame through numpy
+array ops — :func:`batched_axis_orders` orders a whole tree level at
+once — and is bit-identical to the scalar path, counters included.
 The scalar path therefore accumulates interference column-by-column (not
 via ``@``): BLAS dot products and sequential accumulation differ in the
 last ulp, and the equivalence contract is exact equality.
@@ -31,20 +32,50 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..constellation.pam import zigzag_order_table
 from ..constellation.qam import QamConstellation
 from ..utils.validation import as_complex_vector, require
-from .batch import (
-    BatchDecodeResult,
-    as_batch_matrix,
-    batched_axis_orders,
-    qr_decode_block,
-)
 from .counters import ComplexityCounters
-from .decoder import SphereDecoderResult
+from .decoder import SphereDecoderResult, check_triangular, refuse_zero_diagonal
 from .qr import triangularize
 from .zigzag import GeosphereEnumerator
 
-__all__ = ["KBestDecoder"]
+__all__ = ["KBestDecoder", "batched_axis_orders"]
+
+
+def batched_axis_orders(coordinates: np.ndarray, levels: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Zigzag-order one PAM axis for many nodes at once.
+
+    ``coordinates`` is a 1-D real array of received coordinates (one per
+    node); ``levels`` the shared PAM amplitude levels.  Returns
+    ``(order, residual_sq)``, both of shape ``(N, side)``:
+
+    * ``order[n, p]`` — the level index of node ``n``'s p-th closest
+      level, in exactly the order
+      :func:`~repro.constellation.pam.zigzag_indices` yields it;
+    * ``residual_sq[n, p]`` — ``(levels[order[n, p]] - coordinates[n])**2``.
+
+    Matches the scalar :class:`~repro.sphere.enumerator.AxisOrder`
+    bit-for-bit (same slice, same preferred direction, same arithmetic).
+    K-best runs it once per tree level over its whole frontier, so the
+    slicing arithmetic of :func:`~repro.constellation.pam.slice_to_index`
+    is inlined in its cheapest operation-equivalent form (``rint`` is
+    ``round`` at zero decimals, ``minimum``/``maximum`` are ``clip``) and
+    the walk itself is one gather from
+    :func:`~repro.constellation.pam.zigzag_order_table`.  The compiled
+    search core spells the same program out per node (``order_axis`` in
+    ``search_core.c``).
+    """
+    coordinates = np.asarray(coordinates, dtype=np.float64)
+    side = levels.shape[0]
+    scale = float(levels[1] - levels[0]) / 2.0 if side > 1 else 1.0
+    sliced = np.rint((coordinates / scale + (side - 1)) / 2.0)
+    starts = np.maximum(np.minimum(sliced, side - 1), 0).astype(np.int64)
+    prefer_positive = (coordinates >= levels[starts]).view(np.int8)
+    order = zigzag_order_table(side)[starts, prefer_positive]
+    residuals = levels[order] - coordinates[:, None]
+    return order, residuals * residuals
 
 
 @dataclass
@@ -72,10 +103,10 @@ class KBestDecoder:
 
     def decode_triangular(self, r: np.ndarray,
                           y_hat: np.ndarray) -> SphereDecoderResult:
+        y_hat, diag = check_triangular(r, y_hat)
         num_streams = r.shape[1]
         levels = self.constellation.levels
         counters = ComplexityCounters()
-        diag = np.real(np.diag(r))
         diag_sq = diag * diag
 
         survivors = [_Survivor(0.0, [], [], [])]
@@ -129,42 +160,20 @@ class KBestDecoder:
     # ------------------------------------------------------------------
     # Batched path
     # ------------------------------------------------------------------
-    def decode_batch(self, r: np.ndarray,
-                     y_hat_batch: np.ndarray) -> BatchDecodeResult:
-        """Decode a ``(T, nc)`` batch of observations against one ``R``.
-
-        Fully vectorised across the batch *and* survivor axes: every
-        batch element keeps the same survivor count at each level, so the
-        expansion is a dense ``(T, W, m)`` tensor operation.  The child
-        ordering reproduces the scalar zigzag enumerator exactly — stable
-        sort by distance with position-space tie-breaking — and the
-        complexity counters replay the lazy enumerator's accounting in
-        closed form, so the aggregate equals the sum of per-vector scalar
-        counters bit-for-bit.
-
-        The tensor core is shared with :meth:`decode_frame` (this is the
-        one-subcarrier special case of the cross-subcarrier expansion).
+    def decode_batch(self, r: np.ndarray, y_hat_batch: np.ndarray):
+        """:meth:`decode_frame` asked of one subcarrier that is already
+        triangular: ``r`` is ``(nc, nc)``, ``y_hat_batch`` the rotated
+        ``(T, nc)`` observations, checked like any frame.  Returns that
+        frame's :class:`~repro.frame.results.FrameDecodeResult`,
+        ``(T, 1)`` leading, bit-identical, counters included, to
+        per-vector :meth:`decode_triangular` calls.
         """
-        num_streams = r.shape[1]
-        batch = as_batch_matrix(y_hat_batch, num_streams, "y_hat_batch")
-        num_vectors = batch.shape[0]
-        if num_vectors == 0:
-            return BatchDecodeResult(
-                found=np.zeros(0, dtype=bool),
-                symbol_indices=np.zeros((0, num_streams), dtype=np.int64),
-                symbols=np.zeros((0, num_streams), dtype=np.complex128),
-                distances_sq=np.zeros(0, dtype=np.float64),
-                counters=ComplexityCounters())
-        r_stack = np.asarray(r, dtype=np.complex128)[None, :, :]
-        sub = np.zeros(num_vectors, dtype=np.int64)
-        indices, distances, counters = self._expand_survivors(
-            r_stack, batch, sub)
-        return BatchDecodeResult(
-            found=np.ones(num_vectors, dtype=bool),
-            symbol_indices=indices,
-            symbols=self.constellation.points[indices],
-            distances_sq=distances,
-            counters=counters)
+        from ..frame.preprocess import check_frame_arrays, one_subcarrier_frame
+
+        r_stack, received = check_frame_arrays(
+            *one_subcarrier_frame(r, y_hat_batch))
+        refuse_zero_diagonal(np.real(np.diagonal(r_stack[0])))
+        return self._decode_rotated(r_stack, received.transpose(1, 0, 2))
 
     def _expand_survivors(self, r_stack: np.ndarray, batch: np.ndarray,
                           sub: np.ndarray):
@@ -281,10 +290,6 @@ class KBestDecoder:
         indices = constellation.index_of(best_cols, best_rows)
         return indices, distances[:, 0].copy(), counters
 
-    def decode_block(self, channel, received_block) -> BatchDecodeResult:
-        """Factorise ``channel`` once and :meth:`decode_batch` a block."""
-        return qr_decode_block(self, channel, received_block)
-
     def decode_frame(self, channels, received):
         """Decode a whole OFDM frame across all subcarriers at once.
 
@@ -296,16 +301,24 @@ class KBestDecoder:
         engine no lane scheduling is needed: the survivor tensors simply
         carry ``S*T`` rows, each gathering its own subcarrier's ``R``
         entries.  Bit-identical, counters included, to per-subcarrier
-        :meth:`decode_block` calls.  Returns a
+        :meth:`decode_batch` calls.  Returns a
         :class:`~repro.frame.results.FrameDecodeResult`.
         """
         # Lazy import: repro.frame builds on repro.sphere.
-        from ..frame.preprocess import rotate_frame, triangularize_frame
+        from ..frame.preprocess import (check_frame_arrays, rotate_frame,
+                                        triangularize_frame)
+
+        channels, received = check_frame_arrays(channels, received)
+        q_stack, r_stack = triangularize_frame(channels)
+        return self._decode_rotated(r_stack, rotate_frame(q_stack, received))
+
+    def _decode_rotated(self, r_stack: np.ndarray, y_hat: np.ndarray):
+        """The frame result of ``(S, T, nc)`` rotated observations against
+        the ``(S, nc, nc)`` triangular stack: one
+        :meth:`_expand_survivors` pass, ``(T, S)`` leading."""
         from ..frame.results import (FrameDecodeResult, empty_frame_result,
                                      narrowest_int)
 
-        q_stack, r_stack = triangularize_frame(channels)
-        y_hat = rotate_frame(q_stack, received)       # (S, T, nc)
         num_subcarriers, num_symbols, num_streams = y_hat.shape
         num_problems = num_subcarriers * num_symbols
         if num_problems == 0:

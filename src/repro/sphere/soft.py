@@ -15,8 +15,8 @@ a :class:`~repro.sphere.decoder.SphereDecoder` whose leaf policy,
 ``list_size``, is a list: it runs the hard decoder's one depth-first
 loop, :meth:`~repro.sphere.decoder.SphereDecoder._search`, as the
 compiled core runs one loop for both.  That includes the *frame*
-benefits: :meth:`ListSphereDecoder.decode_batch` and
-:meth:`~ListSphereDecoder.decode_frame` run the list search through the
+benefits: :meth:`ListSphereDecoder.decode_frame` (and ``decode_batch``,
+its one-subcarrier form) runs the list search through the
 lockstep engine (:mod:`repro.runtime.engine`) under its list leaf
 policy, with the scalar search as the bit-exact oracle.
 
@@ -45,13 +45,12 @@ import numpy as np
 from ..constellation.gray import gray_encode, int_to_bits
 from ..constellation.qam import QamConstellation
 from ..utils.validation import as_complex_vector, require
-from .batch import as_batch_matrix
 from .counters import ComplexityCounters
 from .decoder import SphereDecoder
 from .qr import triangularize
 
-__all__ = ["ListSphereDecoder", "SoftDecodeResult", "SoftBatchResult",
-           "soft_outputs_from_lists", "stacked_list_bits"]
+__all__ = ["ListSphereDecoder", "SoftDecodeResult", "soft_outputs_from_lists",
+           "stacked_list_bits"]
 
 
 @dataclass
@@ -67,23 +66,6 @@ class SoftDecodeResult:
     symbols: np.ndarray
     llrs: np.ndarray
     list_size_used: int
-    counters: ComplexityCounters
-
-
-@dataclass
-class SoftBatchResult:
-    """Soft decisions for a ``(T, nc)`` batch against one channel.
-
-    The soft analogue of :class:`~repro.sphere.batch.BatchDecodeResult`:
-    ``llrs`` is ``(T, nc * bits_per_symbol)``, ``list_sizes`` the number
-    of leaves each search retained, ``counters`` the exact sum of the
-    per-vector scalar counters.
-    """
-
-    symbol_indices: np.ndarray
-    symbols: np.ndarray
-    llrs: np.ndarray
-    list_sizes: np.ndarray
     counters: ComplexityCounters
 
 
@@ -227,26 +209,22 @@ class ListSphereDecoder(SphereDecoder):
                                    noise_variance)
 
     def decode_batch(self, r: np.ndarray, y_hat_batch,
-                     noise_variance: float) -> SoftBatchResult:
-        """Soft-decode a ``(T, nc)`` batch of observations against one
-        ``R``: a one-subcarrier frame for the lockstep engine
-        (:func:`repro.runtime.engine.run_frame`).  Bit-identical —
-        LLRs, list membership, counters — to per-vector
-        :meth:`decode_soft_triangular` calls.
+                     noise_variance: float):
+        """:meth:`decode_frame` asked of one subcarrier that is already
+        triangular: soft-decode a ``(T, nc)`` batch of rotated
+        observations against one ``R`` as a one-subcarrier frame for the
+        lockstep engine (:func:`repro.runtime.engine.run_frame`).
+        Returns that frame's :class:`~repro.frame.results.SoftFrameResult`,
+        ``(T, 1)`` leading; bit-identical — LLRs, list membership,
+        counters — to per-vector :meth:`decode_soft_triangular` calls.
         """
         # Imported lazily: repro.runtime builds on repro.sphere, so the
         # module-level dependency must point that way only.
         from ..runtime.engine import run_frame
         from ..runtime.queue import FrameJob
 
-        batch = as_batch_matrix(y_hat_batch, r.shape[1], "y_hat_batch")
-        frame = run_frame(FrameJob.from_triangular(self, r, batch,
-                                                   noise_variance))
-        return SoftBatchResult(symbol_indices=frame.symbol_indices[:, 0],
-                               symbols=frame.symbols[:, 0],
-                               llrs=frame.llrs[:, 0],
-                               list_sizes=frame.list_sizes[:, 0],
-                               counters=frame.counters)
+        return run_frame(FrameJob.from_triangular(self, r, y_hat_batch,
+                                                  noise_variance))
 
     def decode_frame(self, channels, received, noise_variance: float):
         """Soft-decode a whole OFDM frame through one breadth-synchronised

@@ -77,8 +77,8 @@ from pathlib import Path
 import numpy as np
 
 from ..constellation.gray import gray_encode, int_to_bits
+from ..constellation.pam import zigzag_order_table
 from ..utils.validation import require
-from .batch import zigzag_order_table
 
 __all__ = [
     "NUMBA_AVAILABLE",

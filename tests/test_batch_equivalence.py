@@ -66,13 +66,17 @@ def _sum_scalar(decoder, r, y_hat_batch):
 
 
 def _assert_batch_matches(batch, scalars, totals):
+    """A batch result — a one-subcarrier frame — against its rows'
+    scalar decodes."""
+    assert batch.distances_sq.shape == (len(scalars), 1)
     for t, scalar in enumerate(scalars):
-        assert bool(batch.found[t]) == scalar.found
-        assert np.array_equal(batch.symbol_indices[t], scalar.symbol_indices)
+        assert bool(batch.found[t, 0]) == scalar.found
+        assert np.array_equal(batch.symbol_indices[t, 0],
+                              scalar.symbol_indices)
         # Bit-identical, not allclose: the batch path must run the same
         # floating-point program as the scalar path.
-        assert (batch.distances_sq[t] == scalar.distance_sq
-                or (np.isinf(batch.distances_sq[t])
+        assert (batch.distances_sq[t, 0] == scalar.distance_sq
+                or (np.isinf(batch.distances_sq[t, 0])
                     and np.isinf(scalar.distance_sq)))
     for field in COUNTER_FIELDS:
         assert getattr(batch.counters, field) == getattr(totals, field), field
@@ -357,8 +361,8 @@ class TestAdapterCounterAccounting:
         empty = np.zeros((0, 4), dtype=np.complex128)
         for decoder in (SphereDecoder(qam(16)), KBestDecoder(qam(16), k=4)):
             batch = decoder.decode_batch(r, empty)
-            assert batch.symbol_indices.shape == (0, 4)
-            assert batch.found.shape == (0,)
+            assert batch.symbol_indices.shape == (0, 1, 4)
+            assert batch.found.shape == (0, 1)
             assert batch.counters.ped_calcs == 0
             assert batch.counters.visited_nodes == 0
 

@@ -20,7 +20,12 @@ import pytest
 from repro.channel import awgn, noise_variance_for_snr, rayleigh_channel
 from repro.constellation import qam
 from repro.runtime import FrameJob
-from repro.sphere import ListSphereDecoder, SphereDecoder, triangularize
+from repro.sphere import (
+    KBestDecoder,
+    ListSphereDecoder,
+    SphereDecoder,
+    triangularize,
+)
 from repro.sphere.counters import ComplexityCounters
 from repro.sphere.decoder import ENUMERATORS
 
@@ -53,7 +58,8 @@ def _triangular_batch(order, num_tx, num_rx, snr_db, rng, size=8):
 
 
 class _ScalarLoop:
-    """``decode_batch`` as the scalar row loop, for the reference side."""
+    """``decode_batch`` as the scalar row loop, for the reference side:
+    both return the same one-subcarrier frame result."""
 
     def __init__(self, decoder):
         self.decode_batch = decoder._decode_batch_loop
@@ -103,9 +109,9 @@ def test_frontier_matches_loop_and_scalar(enumerator):
             for t, row in enumerate(y_hat):
                 scalar = loop.decode_triangular(r, row)
                 totals.merge(scalar.counters)
-                assert np.array_equal(engine.symbol_indices[t],
+                assert np.array_equal(engine.symbol_indices[t, 0],
                                       scalar.symbol_indices)
-                assert engine.distances_sq[t] == scalar.distance_sq
+                assert engine.distances_sq[t, 0] == scalar.distance_sq
             assert engine.counters.ped_calcs == totals.ped_calcs
 
 
@@ -130,11 +136,11 @@ def test_frontier_drain_settings_are_bit_identical(enumerator,
                 engine.tick()
             got = job.finalise()
             label = (enumerator, drain_threshold)
-            assert np.array_equal(reference.found, got.found[:, 0]), label
+            assert np.array_equal(reference.found, got.found), label
             assert np.array_equal(reference.symbol_indices,
-                                  got.symbol_indices[:, 0]), label
+                                  got.symbol_indices), label
             assert np.array_equal(reference.distances_sq,
-                                  got.distances_sq[:, 0]), label
+                                  got.distances_sq), label
             assert reference.counters == got.counters, label
 
 
@@ -185,8 +191,8 @@ def test_empty_batch_is_a_no_op():
     rng = np.random.default_rng(40)
     _, r, _ = _triangular_batch(16, 4, 4, 20.0, rng)
     result = frontier.decode_batch(r, np.zeros((0, 4), dtype=np.complex128))
-    assert result.found.shape == (0,)
-    assert result.symbol_indices.shape == (0, 4)
+    assert result.found.shape == (0, 1)
+    assert result.symbol_indices.shape == (0, 1, 4)
     assert result.counters.ped_calcs == 0
     assert result.counters.visited_nodes == 0
 
@@ -264,3 +270,23 @@ def test_frontier_beats_loop_on_fixed_workload():
         f"frontier speedup {speedup:.2f}x fell below the 2x regression "
         f"floor (loop {loop_s * 1e3:.2f} ms, frontier "
         f"{frontier_s * 1e3:.2f} ms)")
+
+
+@pytest.mark.parametrize("kind", ["hard", "soft", "kbest"])
+@pytest.mark.parametrize("ndim", [1, 3])
+def test_batch_that_is_not_two_dimensional_is_refused(kind, ndim):
+    """``decode_batch`` and the engine's one-subcarrier job take a
+    ``(T, nc)`` batch: a single vector or a stacked frame is refused
+    with ``ValueError``, not read as the wrong shape of frame."""
+    _, r, y_hat = _triangular_batch(16, 4, 4, 20.0,
+                                    np.random.default_rng(9))
+    bad = y_hat[0] if ndim == 1 else y_hat[:, None, :]
+    decoder = {"hard": SphereDecoder(qam(16)),
+               "soft": ListSphereDecoder(qam(16), list_size=4),
+               "kbest": KBestDecoder(qam(16), k=4)}[kind]
+    noise = (0.05,) if kind == "soft" else ()
+    with pytest.raises(ValueError, match="2-D"):
+        decoder.decode_batch(r, bad, *noise)
+    if kind != "kbest":
+        with pytest.raises(ValueError, match="2-D"):
+            FrameJob.from_triangular(decoder, r, bad, *noise)

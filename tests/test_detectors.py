@@ -14,7 +14,8 @@ from repro.detect import (
     mmse_equalize,
     zf_equalize,
 )
-from repro.sphere import FixedComplexityDecoder, geosphere_decoder
+from repro.phy.receiver import detect_uplink
+from repro.sphere import FixedComplexityDecoder, KBestDecoder, geosphere_decoder
 
 
 def transmission(order, num_tx, num_rx, snr_db, seed):
@@ -175,3 +176,18 @@ class TestSphereDetector:
         first frame."""
         with pytest.raises(ValueError, match="FixedComplexityDecoder"):
             SphereDetector(FixedComplexityDecoder(qam(16), full_levels=1))
+
+
+@pytest.mark.parametrize("kind", ["zf", "mmse", "sic", "kbest"])
+def test_detect_uplink_refuses_a_non_finite_frame(kind):
+    """A NaN in ``received`` is refused with ``ValueError`` before any
+    detector reads the frame, as the runtime's front door refuses it."""
+    constellation = qam(16)
+    detector = (SphereDetector(KBestDecoder(constellation, k=4))
+                if kind == "kbest" else build(kind, constellation))
+    channels = np.stack([rayleigh_channel(4, 4, rng=seed)
+                         for seed in range(2)])
+    received = np.ones((3, 2, 4), dtype=complex)
+    received[1, 0, 2] = np.nan
+    with pytest.raises(ValueError, match="received must be finite"):
+        detect_uplink(channels, received, detector, 0.1)

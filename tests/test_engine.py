@@ -141,18 +141,20 @@ def assert_frames_identical(got, want):
 
 
 def assert_batch_identical(batch, want, subcarrier, counters):
-    """A ``decode_batch`` result against one subcarrier of the oracle."""
+    """A ``decode_batch`` result — a one-subcarrier frame, ``(T, 1)``
+    leading — against that subcarrier of the oracle."""
+    column = slice(subcarrier, subcarrier + 1)
+    assert type(batch) is type(want)
     if isinstance(want, SoftFrameResult):
-        assert np.array_equal(batch.llrs, want.llrs[:, subcarrier])
-        assert np.array_equal(batch.list_sizes,
-                              want.list_sizes[:, subcarrier])
+        assert np.array_equal(batch.llrs, want.llrs[:, column])
+        assert np.array_equal(batch.list_sizes, want.list_sizes[:, column])
     else:
-        assert np.array_equal(batch.found, want.found[:, subcarrier])
+        assert np.array_equal(batch.found, want.found[:, column])
         assert np.array_equal(batch.distances_sq,
-                              want.distances_sq[:, subcarrier])
+                              want.distances_sq[:, column])
     assert np.array_equal(batch.symbol_indices,
-                          want.symbol_indices[:, subcarrier])
-    assert np.array_equal(batch.symbols, want.symbols[:, subcarrier],
+                          want.symbol_indices[:, column])
+    assert np.array_equal(batch.symbols, want.symbols[:, column],
                           equal_nan=True)
     assert batch.counters == counters
 
@@ -616,7 +618,6 @@ def test_column_ordering_norm_is_rejected_off_the_scalar_path():
     request = FrameRequest(channels, received, ordered)
     for call in (
             lambda: ordered.decode_batch(r_stack[0], y_hat[0]),
-            lambda: ordered.decode_block(channels[0], received[:, 0]),
             lambda: ordered.decode_frame(channels, received),
             lambda: UplinkRuntime().submit(request)):
         with pytest.raises(ValueError, match="column_ordering"):

@@ -195,6 +195,13 @@ ENGINE_CONFIGS = [
 ]
 
 
+def _subcarrier_batch(decoder, channel, block, *extra):
+    """One subcarrier decoded alone: ``triangularize`` its channel, then
+    one ``decode_batch`` of its rotated ``(T, na)`` block."""
+    q, r = triangularize(channel)
+    return decoder.decode_batch(r, block @ np.conj(q), *extra)
+
+
 class TestFrameEngineEquivalence:
     @pytest.mark.parametrize("enumerator,pruning,radius,budget",
                              ENGINE_CONFIGS)
@@ -210,8 +217,8 @@ class TestFrameEngineEquivalence:
                                 want)
         for s in range(channels.shape[0]):
             assert_batch_identical(
-                decoder.decode_block(channels[s], received[:, s, :]), want,
-                s, per_subcarrier[s])
+                _subcarrier_batch(decoder, channels[s], received[:, s, :]),
+                want, s, per_subcarrier[s])
 
     @pytest.mark.parametrize("capacity,drain_threshold", [
         (1, None),     # fully serialised lanes — maximal refill traffic
@@ -325,8 +332,8 @@ class TestFrameEngineEquivalence:
         assert_frames_identical(result, scalar_oracle(decoder, channels,
                                                       received)[0])
         for s in range(2):
-            block = decoder.decode_block(channels[s], received[:, s, :])
-            assert np.array_equal(result.symbol_indices[:, s, :],
+            block = _subcarrier_batch(decoder, channels[s], received[:, s, :])
+            assert np.array_equal(result.symbol_indices[:, s:s + 1],
                                   block.symbol_indices)
 
     @pytest.mark.slow
@@ -535,10 +542,10 @@ class TestKBestFrame:
         frame = decoder.decode_frame(channels, received)
         totals = ComplexityCounters()
         for s in range(channels.shape[0]):
-            block = decoder.decode_block(channels[s], received[:, s, :])
-            assert np.array_equal(frame.symbol_indices[:, s, :],
+            block = _subcarrier_batch(decoder, channels[s], received[:, s, :])
+            assert np.array_equal(frame.symbol_indices[:, s:s + 1],
                                   block.symbol_indices)
-            assert np.array_equal(frame.distances_sq[:, s],
+            assert np.array_equal(frame.distances_sq[:, s:s + 1],
                                   block.distances_sq)
             totals.merge(block.counters)
         assert frame.counters == totals
@@ -619,8 +626,8 @@ class TestDetectUplinkStrategies:
         assert detection.detections == 30
         totals = ComplexityCounters()
         for s in range(channels.shape[0]):
-            totals.merge(decoder.decode_block(channels[s],
-                                              received[:, s, :]).counters)
+            totals.merge(_subcarrier_batch(decoder, channels[s],
+                                           received[:, s, :]).counters)
         assert detection.counters == totals
 
     @needs_core

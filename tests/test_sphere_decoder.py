@@ -15,6 +15,7 @@ from repro.channel import awgn, noise_variance_for_snr, rayleigh_channel
 from repro.constellation import qam
 from repro.detect import ExhaustiveMLDetector
 from repro.sphere import (
+    KBestDecoder,
     ListSphereDecoder,
     SphereDecoder,
     eth_sd_decoder,
@@ -237,17 +238,19 @@ class TestEdgeCases:
         assert not result.found and result.counters.leaves == 0
         assert (result.symbol_indices == -1).all()
 
-    @pytest.mark.parametrize("soft", [False, True], ids=["hard", "list"])
+    @pytest.mark.parametrize("kind", ["hard", "list", "kbest"])
     @pytest.mark.parametrize("bad", ["zero_diagonal", "short_y_hat",
                                      "long_y_hat", "nan_y_hat", "nan_r"])
     def test_scalar_entry_points_refuse_what_decode_batch_refuses(
-            self, soft, bad):
+            self, kind, bad):
         """``decode_triangular`` / ``decode_soft_triangular`` raise
         ``ValueError`` on every input the engine's front door refuses,
         instead of an ``IndexError``, a made-up result or silently
-        dropped entries."""
-        decoder = (ListSphereDecoder(qam(16), list_size=4) if soft
-                   else SphereDecoder(qam(16)))
+        dropped entries — the K-best decoder's included."""
+        soft = kind == "list"
+        decoder = {"hard": lambda: SphereDecoder(qam(16)),
+                   "list": lambda: ListSphereDecoder(qam(16), list_size=4),
+                   "kbest": lambda: KBestDecoder(qam(16), k=4)}[kind]()
         channel, y, _, _ = random_instance(16, 4, 4, 20.0, seed=5)
         q, r = triangularize(channel)
         y_hat = q.conj().T @ y

@@ -59,11 +59,11 @@ def check_distance_consistency(order, num_tx, seed):
     decoder = SphereDecoder(constellation)
     result = decoder.decode_batch(r, y_hat)
     assert result.found.all()
-    residual = y_hat - result.symbols @ r.T
+    residual = y_hat - result.symbols[:, 0] @ r.T
     recomputed = np.sum(np.abs(residual) ** 2, axis=1)
     # The search accumulates the same quantity level by level in a
     # different association order, so equality holds to rounding only.
-    np.testing.assert_allclose(result.distances_sq, recomputed,
+    np.testing.assert_allclose(result.distances_sq[:, 0], recomputed,
                                rtol=1e-10, atol=1e-12)
 
 
@@ -81,13 +81,13 @@ def check_ml_optimality(order, num_tx, seed):
         best = distances.min()
         # ML within rounding: the decoder's path accumulation and this
         # matrix evaluation round differently in the last ulp.
-        assert result.distances_sq[t] <= best * (1.0 + 1e-9) + 1e-12
+        assert result.distances_sq[t, 0] <= best * (1.0 + 1e-9) + 1e-12
         brute = grid[int(np.argmin(distances))]
         brute_distance = distances[
             np.flatnonzero(np.isclose(distances, best, rtol=1e-12))]
         # Unless the minimum is degenerate, the symbol decision matches.
         if brute_distance.size == 1:
-            assert np.array_equal(result.symbol_indices[t], brute)
+            assert np.array_equal(result.symbol_indices[t, 0], brute)
 
 
 def check_radius_monotone(order, num_tx, seed):
