@@ -39,6 +39,10 @@ class QamConstellation:
         The ``side`` PAM amplitude levels shared by both axes.
     points:
         Complex point values, indexed by ``col * side + row``.
+    gray_bits:
+        ``(side, bits_per_axis)`` uint8 Gray labels of the PAM positions,
+        MSB first: row ``p`` is the bits a column or row ``p`` carries on
+        either axis.  The one label table every bit mapping indexes.
     """
 
     order: int
@@ -48,6 +52,7 @@ class QamConstellation:
     scale: float = field(init=False)
     levels: np.ndarray = field(init=False, repr=False)
     points: np.ndarray = field(init=False, repr=False)
+    gray_bits: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         check_square_qam_order(self.order)
@@ -64,8 +69,11 @@ class QamConstellation:
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "points", points.reshape(-1))
+        object.__setattr__(self, "gray_bits", int_to_bits(
+            gray_encode(np.arange(side)), bits_per_symbol // 2))
         self.levels.setflags(write=False)
         self.points.setflags(write=False)
+        self.gray_bits.setflags(write=False)
 
     # ------------------------------------------------------------------
     # Index bookkeeping
@@ -109,11 +117,16 @@ class QamConstellation:
         return self.index_of(cols, rows)
 
     def indices_to_bits(self, indices) -> np.ndarray:
-        """Inverse of :meth:`bits_to_indices`: flattened-index array to bits."""
-        cols, rows = self.col_row(np.asarray(indices))
-        col_bits = int_to_bits(gray_encode(cols), self.bits_per_axis)
-        row_bits = int_to_bits(gray_encode(rows), self.bits_per_axis)
-        return np.concatenate([col_bits, row_bits], axis=-1).reshape(-1)
+        """Inverse of :meth:`bits_to_indices`: flattened-index array to
+        bits.  An index outside ``[0, order)`` — e.g. a search's ``-1``
+        "no leaf" marker — names no symbol and is refused."""
+        indices = np.asarray(indices)
+        require(indices.size == 0 or (0 <= indices.min()
+                                      and indices.max() < self.order),
+                f"symbol indices must be in [0, {self.order})")
+        cols, rows = self.col_row(indices)
+        return np.concatenate([self.gray_bits[cols], self.gray_bits[rows]],
+                              axis=-1).reshape(-1)
 
     def modulate(self, bits) -> np.ndarray:
         """Map bits to complex symbols."""

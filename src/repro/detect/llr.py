@@ -11,9 +11,9 @@ means bit 0 is more likely.  Square-QAM Gray labelling makes the LLRs
 separable per I/Q axis, so the computation is two 1-D problems instead of
 one |O|-point search.
 
-Everything constellation-only is computed once and cached per
-constellation order: the per-axis Gray bit table and the per-bit
-zero/one level masks the vectorised minimum runs over.  The per-bit
+The per-axis Gray bit table is the constellation's own
+(``QamConstellation.gray_bits``), and the per-bit zero/one level masks
+the vectorised minimum runs over are read straight off it.  The per-bit
 Python loop this module used to carry is gone — one masked ``min`` per
 axis covers every bit position at once, bit-identical to the loop it
 replaced.
@@ -23,53 +23,27 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..constellation.gray import gray_encode, int_to_bits
 from ..constellation.qam import QamConstellation
 from ..utils.validation import require
 
 __all__ = ["max_log_llrs", "axis_bit_partitions"]
 
-#: order -> (side, bits_per_axis) Gray bit table, read-only.
-_PARTITION_CACHE: dict[int, np.ndarray] = {}
-
-#: order -> (bits_per_axis, side) boolean mask of the levels whose Gray
-#: label carries a 1 at each bit position, read-only.
-_ONE_MASK_CACHE: dict[int, np.ndarray] = {}
-
 
 def axis_bit_partitions(constellation: QamConstellation) -> np.ndarray:
     """Per-axis bit values: ``bits[level_index, bit_position]``.
 
-    Both axes share the same Gray labelling, so one table serves I and Q;
-    the table is built once per constellation order and cached so
-    repeated soft frames never recompute it.  The returned array is the
-    shared cache entry and is read-only — ``copy()`` it before mutating.
+    Both axes share the same Gray labelling, so one table serves I and Q:
+    the constellation's :attr:`~QamConstellation.gray_bits`, built once
+    with it and read-only — ``copy()`` it before mutating.
     """
-    table = _PARTITION_CACHE.get(constellation.order)
-    if table is None:
-        codes = gray_encode(np.arange(constellation.side))
-        table = int_to_bits(codes, constellation.bits_per_axis)
-        table.setflags(write=False)
-        _PARTITION_CACHE[constellation.order] = table
-    return table
-
-
-def _axis_one_masks(constellation: QamConstellation) -> np.ndarray:
-    """Cached ``(bits_per_axis, side)`` mask: which levels label bit 1."""
-    masks = _ONE_MASK_CACHE.get(constellation.order)
-    if masks is None:
-        masks = np.ascontiguousarray(
-            axis_bit_partitions(constellation).T.astype(bool))
-        masks.setflags(write=False)
-        _ONE_MASK_CACHE[constellation.order] = masks
-    return masks
+    return constellation.gray_bits
 
 
 def _axis_llrs(coordinates: np.ndarray, levels: np.ndarray,
                one_masks: np.ndarray, noise_scale: float) -> np.ndarray:
     """Max-log LLRs for one axis: shape ``(N, bits_per_axis)``.
 
-    ``one_masks`` is the cached per-bit level partition; the per-bit
+    ``one_masks`` is the per-bit level partition; the per-bit
     minima come from one masked reduction over the shared ``(N, side)``
     distance table instead of a Python loop over bit positions.
     """
@@ -93,7 +67,8 @@ def max_log_llrs(estimates, constellation: QamConstellation,
     values = np.asarray(estimates, dtype=np.complex128).reshape(-1)
     require(values.size > 0, "need at least one estimate")
     require(noise_scale > 0.0, "noise scale must be positive")
-    one_masks = _axis_one_masks(constellation)
+    # (bits_per_axis, side): which levels label each bit 1.
+    one_masks = constellation.gray_bits.T.astype(bool)
     i_llrs = _axis_llrs(values.real, constellation.levels, one_masks,
                         noise_scale)
     q_llrs = _axis_llrs(values.imag, constellation.levels, one_masks,

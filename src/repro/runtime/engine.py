@@ -36,13 +36,13 @@ it admits the searches Python took off the queue, copying their rows
 from their frames' stacks, gives every active lane two candidate
 attempts (``_LOCKSTEP_ATTEMPTS``; a lane already at its node budget
 finishes with no attempt), and retires every finished search — a list
-search with its LLRs and best member — straight into its frame's arena
-rows, its lane back on the free stack.  Python keeps the queue, frame
-interning and arena claims, and counts finished searches against their
-frames.  A tick costs ~0.02 ms + ~0.2 microseconds per lane, the lanes'
-part almost all search: two attempts per tick halve the ticks a frame
-takes against one, and keep every QoS point at most two scalar-loop
-iterations away.
+search with its LLRs and best member — straight into its row of its
+frame's own outcome arrays, its lane back on the free stack.  Python
+keeps the queue and frame interning, and counts finished searches
+against their frames.  A tick costs ~0.02 ms + ~0.2 microseconds per
+lane, the lanes' part almost all search: two attempts per tick halve
+the ticks a frame takes against one, and keep every QoS point at most
+two scalar-loop iterations away.
 
 Sphere-search cost is heavy-tailed, and that fixed ~0.02 ms is paid
 however few lanes are live.  When a pool's queue is dry and its active
@@ -57,7 +57,7 @@ Every other pool — ``hess`` / ``exhaustive``, or any pool on a box
 without a C compiler (one warning) — keeps no lanes and has
 ``drain_threshold`` 0: the tick that admits a search runs it to
 completion through the decoder's own scalar search, straight from its
-frame's stacks and under its node cap, and writes the arena rows the
+frame's stacks and under its node cap, and writes the outcome rows the
 core would have (a list pool's LLRs in one vectorised
 :func:`~repro.sphere.soft.soft_outputs_from_lists` call per tick), so
 such a pool never has a search in flight between ticks.
@@ -104,6 +104,7 @@ built at full size.
 from __future__ import annotations
 
 import time
+from itertools import compress
 
 import numpy as np
 
@@ -190,61 +191,6 @@ def _grown(array: np.ndarray, rows: int) -> np.ndarray:
     return out
 
 
-class _ResultArena:
-    """Result rows of a pool's in-flight frames.
-
-    Each frame owns a contiguous run of rows from its first admission to
-    its completion; a finished search's outcome goes straight to its row
-    (``dest_of`` of its lane), whatever mix of frames finishes in a
-    tick, and the frame takes a copy of its rows when its last search
-    retires.  The rows stand in for the per-frame result arrays a frame
-    would otherwise hold (and are recycled between equal-sized frames),
-    so the arena costs no resident memory.
-    """
-
-    def __init__(self, layout: dict) -> None:
-        #: One array per outcome row (:func:`repro.sphere.tick_kernel.
-        #: outcome`), keyed by name.
-        self.arrays = {name: np.empty((0,) + shape, dtype)
-                       for name, (dtype, shape) in layout.items()}
-        self._top = 0
-        self._claims = 0
-        self._spare: dict[int, list[int]] = {}
-
-    def claim(self, rows: int) -> int:
-        """First row of a fresh ``rows``-row run."""
-        self._claims += 1
-        spare = self._spare.get(rows)
-        if spare:
-            return spare.pop()
-        base = self._top
-        self._top = base + rows
-        size = self.arrays["tally"].shape[0]
-        if self._top > size:
-            # Untouched rows of an ``empty`` array are not resident, so
-            # doubling is free until frames actually use the rows.
-            for name, array in self.arrays.items():
-                bigger = np.empty((max(2 * size, self._top),)
-                                  + array.shape[1:], array.dtype)
-                bigger[:base] = array[:base]
-                self.arrays[name] = bigger
-        return base
-
-    def release(self, base: int, rows: int) -> None:
-        self._claims -= 1
-        if self._claims:
-            self._spare.setdefault(rows, []).append(base)
-        else:
-            # Nothing in flight: start over, so a drifting frame size
-            # cannot strand rows for the life of the pool.
-            self._top = 0
-            self._spare.clear()
-
-    def take(self, base: int, rows: int) -> tuple:
-        return tuple(array[base:base + rows].copy()
-                     for array in self.arrays.values())
-
-
 class _Pool:
     """The lanes of one search signature, and the searches in them.
 
@@ -252,10 +198,11 @@ class _Pool:
     its rows of every array in :attr:`state` (its frontier slots are
     ``lane * num_streams + level``), and is recycled for the next queued
     search of any frame once the search's outcome is in its frame's
-    arena rows.  Lane identity never affects a search's float program —
-    the core rewrites a slot whole when it expands a node into it.  The
-    lanes' bookkeeping is in :attr:`state` too, where the core reads and
-    writes it: each lane's node cap, frame-table row and arena row, the
+    outcome arrays.  Lane identity never affects a search's float
+    program — the core rewrites a slot whole when it expands a node into
+    it.  The lanes' bookkeeping is in :attr:`state` too, where the core
+    reads and writes it: each lane's node cap, frame-table row and
+    element in that frame (``dest_of``), the
     active list (its first :attr:`running` entries, in admission order)
     and the free-lane stack (its first ``_idle``, top handed out first).
     A pool without the core keeps no lanes: :attr:`state` is empty.
@@ -290,11 +237,12 @@ class _Pool:
         self.running = 0                    # lanes with a search in flight
         self._idle = allocated              # free lanes
         #: One row per interned frame (one with searches admitted), its
-        #: *slot*: where the core runs, where the frame's stacks are.
+        #: *slot*: where the core runs, where the frame's stacks and
+        #: outcome arrays are.
         self.frame_table = np.zeros(8, tick_kernel.FRAME)
         self._slots = list(range(7, -1, -1))        # free rows
-        # slot -> (first-lane order, frame, first arena row).
-        self._interned: dict[int, tuple[int, FrameJob, int]] = {}
+        # slot -> (first-lane order, frame).
+        self._interned: dict[int, tuple[int, FrameJob]] = {}
         self._slot_of: dict[int, int] = {}          # id(frame) -> slot
         self._order = 0
         if self.has_core:
@@ -303,7 +251,6 @@ class _Pool:
         else:
             self.drain_threshold = 0
             self._enumerate = decoder._enumerator_factory()
-        self.arena = _ResultArena(tick_kernel.outcome(decoder, num_streams))
         # A search's node cap: the decoder's budget (_NO_BUDGET if none),
         # shrunk for a degraded frame's.
         self._budget = (_NO_BUDGET if decoder.node_budget is None
@@ -366,30 +313,29 @@ class _Pool:
         return batches
 
     def _intern(self, job: FrameJob) -> int:
-        """The frame-table slot of a frame with searches in lanes, and
-        its arena rows, claimed when its first search is admitted.
-        Where the core runs, the frame's stacks are checked and entered
-        in its row here, once."""
+        """The frame-table slot of a frame with searches in lanes,
+        claimed when its first search is admitted.  Where the core runs,
+        the frame's stacks and outcome arrays are checked and entered in
+        its row here, once."""
         slot = self._slot_of.get(id(job))
         if slot is not None:
             return slot
         record = None
         if self.has_core:
             record = tick_kernel.frame(
-                self.num_streams, job.r_stack, job.y_flat, job.diag_stack,
-                job.diag_sq_stack, job.num_symbols,
-                job.noise_variance if self.soft else 0.0)
+                self.decoder, self.num_streams, job.r_stack, job.y_flat,
+                job.diag_stack, job.diag_sq_stack, job.num_symbols,
+                job.noise_variance if self.soft else 0.0, job.outcome)
         if not self._slots:
             size = len(self.frame_table)
             self.frame_table = np.concatenate(
                 [self.frame_table, np.zeros(size, tick_kernel.FRAME)])
             self._slots.extend(range(2 * size - 1, size - 1, -1))
         slot = self._slots.pop()
-        base = self.arena.claim(job.num_problems)
         if record is not None:
-            self.frame_table[slot] = record + (base,)
+            self.frame_table[slot] = record
         self._slot_of[id(job)] = slot
-        self._interned[slot] = (self._order, job, base)
+        self._interned[slot] = (self._order, job)
         self._order += 1
         return slot
 
@@ -401,14 +347,13 @@ class _Pool:
 
     # -- retirement -----------------------------------------------------
     def _forget(self, job: FrameJob) -> None:
-        """Drop a finished/abandoned frame's slot and arena rows (stale
-        lane rows belong to free lanes, which admission rewrites before
-        any tick reads them)."""
+        """Drop a finished/abandoned frame's slot (stale lane rows
+        belong to free lanes, which admission rewrites before any tick
+        reads them)."""
         slot = self._slot_of.pop(id(job), None)
         if slot is not None:
-            _, _, base = self._interned.pop(slot)
-            self.arena.release(base, job.num_problems)
-            # A vacant row admits nothing (the core refuses it).
+            del self._interned[slot]
+            # A vacant row admits and retires nothing (the core refuses it).
             self.frame_table[slot] = 0
             self._slots.append(slot)
 
@@ -416,12 +361,11 @@ class _Pool:
         """Count a tick's finished searches against their frames —
         ``counts`` is ``(slot, searches)`` pairs — and complete the
         frames whose last search this was, in first-lane order."""
-        for (_, job, base), count in sorted(
+        for (_, job), count in sorted(
                 (self._interned[slot], count) for slot, count in counts
                 if count):
             job.remaining -= count
             if job.remaining == 0:
-                job.collect(*self.arena.take(base, job.num_problems))
                 completed.append(job)
                 self._forget(job)
 
@@ -503,9 +447,9 @@ class _Pool:
         self.engine.last_tick_lanes += running
         started = time.perf_counter()
         finished = tick_kernel.run(
-            self.decoder, self.state, self.frame_table, self.arena.arrays,
-            runs, self.running, self._idle,
-            None if drain else _LOCKSTEP_ATTEMPTS, self._marshalled)
+            self.decoder, self.state, self.frame_table, runs, self.running,
+            self._idle, None if drain else _LOCKSTEP_ATTEMPTS,
+            self._marshalled)
         self.engine.last_tick_kernel_s += time.perf_counter() - started
         self.running = running - finished
         self._idle += finished - admitted
@@ -518,12 +462,12 @@ class _Pool:
     def _run_scalar(self, batches: list, completed: list) -> None:
         """A pool without a core: run every admitted search to
         completion through the decoder's scalar search, straight from
-        its frame's stacks, under its node cap, into the arena rows the
-        core would write — a list pool's LLRs and best members in one
-        :func:`~repro.sphere.soft.soft_outputs_from_lists` call."""
-        decoder, arena = self.decoder, self.arena.arrays
+        its frame's stacks, under its node cap, into the outcome rows
+        the core would write — a list pool's LLRs and best members in
+        one :func:`~repro.sphere.soft.soft_outputs_from_lists` call."""
+        decoder = self.decoder
         started = time.perf_counter()
-        done, rows, noise = {}, [], []
+        done, owners, noise = {}, [], []
         if self.soft:
             shape = (sum(elements.size for _, elements in batches),
                      decoder.list_size)
@@ -531,42 +475,43 @@ class _Pool:
                      np.zeros(shape + (self.num_streams,), np.int64),
                      np.zeros(shape + (self.num_streams,), np.int64))
         for job, elements in batches:
-            slot = self._intern(job)
-            base, cap = self._interned[slot][2], self._cap(job)
+            slot, cap, out = self._intern(job), self._cap(job), job.outcome
             for element in elements.tolist():
                 subcarrier = element // job.num_symbols
                 outcome = decoder._search(
                     job.r_stack[subcarrier], job.y_flat[element],
                     job.diag_stack[subcarrier],
                     job.diag_sq_stack[subcarrier], self._enumerate, cap)
-                row = base + element
                 counters = outcome.counters
-                arena["tally"][row] = (
+                out["tally"][element] = (
                     counters.ped_calcs, counters.visited_nodes,
                     counters.expanded_nodes, counters.leaves,
                     counters.geometric_prunes)
                 if self.soft:
-                    arena["list_n"][row] = outcome.into(
-                        *(array[len(rows)] for array in lists))
-                    rows.append(row)
+                    out["list_n"][element] = outcome.into(
+                        *(array[len(owners)] for array in lists))
+                    owners.append((out, element))
                     noise.append(job.noise_variance)
                 else:
-                    (neg_distance, _, arena["best_cols"][row],
-                     arena["best_rows"][row]) = (outcome.leaves[0]
-                                                 if outcome.leaves
-                                                 else _NO_LEAF)
-                    arena["best_dist"][row] = -neg_distance
+                    (neg_distance, _, out["best_cols"][element],
+                     out["best_rows"][element]) = (outcome.leaves[0]
+                                                   if outcome.leaves
+                                                   else _NO_LEAF)
+                    out["best_dist"][element] = -neg_distance
             done[slot] = elements.size
         # A search that kept no leaf has no LLRs: finalise refuses it.
-        kept = arena["list_n"][rows] > 0 if rows else _EMPTY
+        counts = np.array([out["list_n"][element]
+                           for out, element in owners], dtype=np.int64)
+        kept = counts > 0
         if kept.any():
-            rows = np.array(rows)[kept]
             llrs, best, _ = soft_outputs_from_lists(
                 decoder.constellation, *(array[kept] for array in lists),
-                arena["list_n"][rows], np.array(noise)[kept], decoder.clamp)
-            arena["llrs"][rows] = llrs
-            arena["best_cols"][rows], arena["best_rows"][rows] = (
-                decoder.constellation.col_row(best))
+                counts[kept], np.array(noise)[kept], decoder.clamp)
+            for (out, element), *row in zip(
+                    compress(owners, kept), llrs,
+                    *decoder.constellation.col_row(best)):
+                (out["llrs"][element], out["best_cols"][element],
+                 out["best_rows"][element]) = row
         self.engine.last_tick_lanes += sum(done.values())
         self.engine.last_tick_kernel_s += time.perf_counter() - started
         self._retire(done.items(), completed)

@@ -7,7 +7,7 @@ every queued search carries a frame id and a frame-local element
 index.  This module owns that tagging: a :class:`FrameRequest` describes
 one frame as submitted by the caller, a :class:`FrameJob` is the
 runtime's per-frame state (preprocessed factors, completion accounting,
-the per-element results once collected), and the
+the per-element outcome arrays its searches retire into), and the
 :class:`AdmissionQueue` is a class-aware queue of (frame, element) tags
 that refills freed lanes from
 *any* admitted frame — frame N+1's searches enter lanes while frame N's
@@ -55,6 +55,7 @@ from ..frame.results import (
     sum_tally_counters,
 )
 from ..phy.config import PhyConfig
+from ..sphere import tick_kernel
 from ..sphere.counters import ComplexityCounters
 from ..sphere.decoder import SphereDecoder, refuse_zero_diagonal
 from ..utils.validation import require
@@ -177,18 +178,23 @@ def validate_request(request: "FrameRequest"):
                 "soft frames need a positive noise_variance")
     channels, received = check_frame_arrays(request.channels,
                                             request.received)
-    # A list search stopped before its first leaf has no LLRs to give:
-    # the frame could never finalise.
-    require(kind == "hard" or decoder.node_budget is None
+    config = request.config
+    # A search stopped before its first leaf has no LLRs to give (the
+    # frame could never finalise) and only the -1 "no leaf" marker for
+    # a symbol, which names no bits to decode.
+    require((kind == "hard" and config is None)
+            or decoder.node_budget is None
             or decoder.node_budget >= channels.shape[2],
-            f"a list decoder's node_budget ({decoder.node_budget}) must be "
-            f"at least the stream count ({channels.shape[2]}): a search "
-            "stopped sooner reaches no leaf")
+            f"node_budget ({decoder.node_budget}) must be at least the "
+            f"stream count ({channels.shape[2]}) for a list decoder or a "
+            "coded frame: a search stopped sooner reaches no leaf")
+    require(config is None or not np.isfinite(decoder.initial_radius_sq),
+            "a coded frame needs an infinite initial_radius_sq: a search "
+            "whose sphere holds no point reaches no leaf")
     require(request.deadline_s is None or request.deadline_s > 0.0,
             "deadline_s must be positive when given")
     require(int(request.priority) >= 0,
             "priority class must be non-negative")
-    config = request.config
     if config is not None:
         require(config.constellation is decoder.constellation,
                 "coded decoding needs the decoder and the PhyConfig to "
@@ -212,11 +218,10 @@ def validate_request(request: "FrameRequest"):
 class FrameJob:
     """Engine-side state of one admitted frame.
 
-    Preprocessing happens once at construction — one stacked QR sweep
-    and rotation.  The engine gathers the per-element outcomes and
-    tallies as searches finish (in whatever order lanes free up) and
-    hands them over when the last one has (:meth:`collect`);
-    ``finalise`` assembles the frame result.
+    Preprocessing and the frame's outcome arrays (:attr:`outcome`)
+    happen once at construction; the engine writes each search's row as
+    it finishes, in whatever order lanes free up, and ``finalise``
+    assembles the frame result once the last one has.
     """
 
     def __init__(self, frame_id: int, request: FrameRequest) -> None:
@@ -288,18 +293,15 @@ class FrameJob:
         self.num_streams = num_streams
         self.num_problems = num_subcarriers * num_symbols
         self.remaining = self.num_problems
-
-    def collect(self, tally: np.ndarray, *outcome: np.ndarray) -> None:
-        """Take the frame's per-element rows (element ``e = subcarrier *
-        T + symbol``) from the engine once its last search has retired:
-        the packed ``(count, 5)`` complexity tallies, then ``(distances,
-        cols, rows)`` of the best leaves for a hard frame — ``inf``
-        where none was found — or ``(llrs, best_cols, best_rows,
-        list_n)`` for a soft one: the max-log LLRs and best list member
-        each search finished with, and how many leaves it kept."""
+        #: Name -> one row per search at its element ``e = subcarrier *
+        #: T + symbol``, as :func:`repro.sphere.tick_kernel.outcome`
+        #: lays them out (the ``(S * T, 5)`` tallies first); written as
+        #: searches retire, read once the frame has completed.
+        self.outcome = {name: np.empty((self.num_problems,) + shape, dtype)
+                        for name, (dtype, shape)
+                        in tick_kernel.outcome(decoder, num_streams).items()}
         (self.ped, self.visited, self.expanded, self.leaves,
-         self.prunes) = tally.T
-        self.outcome = outcome
+         self.prunes) = self.outcome["tally"].T
 
     def _totals(self) -> ComplexityCounters:
         return sum_tally_counters(self.ped, self.visited, self.expanded,
@@ -339,14 +341,14 @@ class FrameJob:
                 array.reshape(frame_shape + array.shape[1:]).swapaxes(0, 1))
 
         if self.kind == "hard":
-            distances, cols, rows = self.outcome
+            _, distances, cols, rows = self.outcome.values()
             indices = np.where(np.isfinite(distances)[:, None],
                                constellation.index_of(cols, rows), -1)
             return FrameDecodeResult(
                 symbol_indices=leading_t(indices.astype(compact)),
                 distances_sq=leading_t(distances),
                 counters=self._totals(), points=constellation.points)
-        llrs, best_cols, best_rows, list_n = self.outcome
+        _, llrs, best_cols, best_rows, list_n = self.outcome.values()
         require(bool((list_n >= 1).all()),
                 "list sphere decoder found no leaves")
         best_indices = constellation.index_of(best_cols, best_rows)

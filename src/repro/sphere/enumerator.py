@@ -23,7 +23,6 @@ import numpy as np
 
 from ..constellation.pam import slice_to_index, zigzag_indices
 from ..constellation.qam import QamConstellation
-from .counters import ComplexityCounters
 
 __all__ = ["Candidate", "NodeEnumerator", "AxisOrder", "build_axes"]
 
@@ -91,8 +90,3 @@ def build_axes(constellation: QamConstellation,
     """Zigzag-ordered I and Q axes for a node's received point."""
     levels = constellation.levels
     return (AxisOrder(received.real, levels), AxisOrder(received.imag, levels))
-
-
-def make_counters(counters: ComplexityCounters | None) -> ComplexityCounters:
-    """Return ``counters`` or a fresh private tally."""
-    return counters if counters is not None else ComplexityCounters()

@@ -19,12 +19,14 @@
  *      the allowance, a search executes the scalar loop's iterations in
  *      order.  One loop, two uses: an allowance of 2 is the lockstep
  *      step, an unlimited one the straggler drain;
- *   3. retire -- each finished search writes its outcome into its
- *      frame's arena row, its lane goes back on the free stack, and the
- *      active list is compacted in place.
+ *   3. retire -- each finished search writes its outcome into its row
+ *      (its element) of its frame's own outcome arrays, whose addresses
+ *      the frame's table row holds; its lane goes back on the free
+ *      stack, and the active list is compacted in place.
  * Every index the call reaches through -- a run's frame-table row and
- * elements, a lane, an arena row -- is checked before anything is
- * written, so a bad one comes back as an error code, not a stray write.
+ * elements, a lane, an active lane's frame row and element -- is checked
+ * before anything is written, so a bad one comes back as an error code,
+ * not a stray write.
  *
  * Policies are fields of search_t, not copies of the loop:
  *   - frontier: `zigzag` (Geosphere; column form, at most one queued
@@ -41,8 +43,8 @@
  *
  * A list search leaves the core finished: when it retires (tree
  * exhausted or cap reached, in a step or in the drain) it writes its
- * best member and its max-log LLRs into its arena row (finish_list), so
- * no leaf list leaves the lane.
+ * best member and its max-log LLRs into its frame's outcome row
+ * (finish_list), so no leaf list leaves the lane.
  *
  * Bit-identity with the scalar decoders rests on keeping every float
  * operation the one they perform through numpy:
@@ -89,15 +91,21 @@
 typedef struct { double re, im; } cplx;
 
 /* One interned frame, a row of the pool's frame table (tick_kernel.FRAME):
- * where its preprocessed stacks live, checked by tick_kernel.frame when
- * the pool interned it, and where its outcome rows start in the arena.
- * A vacant row is zeroed. */
+ * where its preprocessed stacks and its outcome arrays live, all checked
+ * by tick_kernel.frame when the pool interned it.  The outcome arrays
+ * have one row per search, at its element e = subcarrier * T + symbol;
+ * a hard frame has no llrs or list_n, a soft one no best_dist (NULL).
+ * A vacant row is zeroed: no problems, NULL outcome arrays. */
 typedef struct {
     const cplx *r, *y;         /* r_stack (S, n, n), y_flat (S * T, n) */
     const double *diag, *diag_sq;  /* (S, n) */
+    int64_t *tally;            /* (S * T, 5) */
+    double *best_dist;         /* (S * T) hard */
+    double *llrs;              /* (S * T, n * 2 * bits_per_axis) soft */
+    int64_t *best_cols, *best_rows;    /* (S * T, n) */
+    int64_t *list_n;           /* (S * T) soft */
     double noise_var;          /* the frame's LLR scale (soft) */
     int64_t symbols, problems; /* T, and S * T searches */
-    int64_t base;              /* its first arena row */
 } frame_t;
 
 /* Field order is the ctypes mirror's (tick_kernel._Search): pointers,
@@ -135,19 +143,14 @@ typedef struct {
     int64_t *list_n, *leaf_seq;
     /* complexity tallies, tally_stride elements apart per lane */
     int64_t *ped, *visited, *expanded, *leaves, *prunes;
-    /* lane bookkeeping: each lane's node cap, frame-table row and arena
-     * row; the active lanes in admission order; the free-lane stack */
+    /* lane bookkeeping: each lane's node cap, frame-table row and
+     * element in that frame; the active lanes in admission order; the
+     * free-lane stack */
     int64_t *lane_budget, *frame_of, *dest_of, *active, *free;
-    /* the interned frames (frame_slots rows) */
+    /* the interned frames (frame_slots rows), outcome arrays included */
     const frame_t *frames;
-    /* the arena: one outcome row per search of an in-flight frame */
-    int64_t *out_tally;        /* (rows, 5) */
-    double *out_best_dist;     /* (rows) hard */
-    double *out_llrs;          /* (rows, num_streams * 2 * bits_per_axis) soft */
-    int64_t *out_best_cols, *out_best_rows;    /* (rows, n) */
-    int64_t *out_list_n;       /* (rows) soft */
     int64_t tally_stride, num_streams, side, queue_capacity, list_size;
-    int64_t use_fma, lanes, frame_slots, arena_rows;
+    int64_t use_fma, lanes, frame_slots;
     double axis_scale, clamp, initial_radius;
 } search_t;
 
@@ -394,10 +397,12 @@ static void bank_list_leaf(const search_t *s, int64_t si, double distance)
 }
 
 /* A finished list search's soft output (see the header), written into
- * its arena row: its best member into out_best_cols / out_best_rows, its
- * max-log LLRs into out_llrs.  A search that banked no leaf gets -1
- * positions and no LLRs; the frame refuses it when it finalises. */
-static void finish_list(const search_t *s, int64_t si, int64_t row)
+ * row `row` of frame `f`'s outcome arrays: its best member into
+ * best_cols / best_rows, its max-log LLRs into llrs.  A search that
+ * banked no leaf gets -1 positions and no LLRs; the frame refuses it
+ * when it finalises. */
+static void finish_list(const search_t *s, int64_t si, const frame_t *f,
+                        int64_t row)
 {
     const int64_t n = s->num_streams, size = s->list_size;
     const int64_t count = s->list_n[si];
@@ -411,8 +416,8 @@ static void finish_list(const search_t *s, int64_t si, int64_t row)
                 || (list_d[k] == list_d[best] && list_seq[k] < list_seq[best]))
             best = k;
     for (int64_t p = 0; p < n; p++) {
-        s->out_best_cols[row * n + p] = best < 0 ? -1 : cols[best * n + p];
-        s->out_best_rows[row * n + p] = best < 0 ? -1 : rows[best * n + p];
+        f->best_cols[row * n + p] = best < 0 ? -1 : cols[best * n + p];
+        f->best_rows[row * n + p] = best < 0 ? -1 : rows[best * n + p];
     }
     if (best < 0)
         return;
@@ -420,7 +425,7 @@ static void finish_list(const search_t *s, int64_t si, int64_t row)
     while (((int64_t)1 << width) < s->side)
         width++;
     const double clamp = s->clamp, noise_var = s->noise_var[si];
-    double *llr = s->out_llrs + row * n * 2 * width;
+    double *llr = f->llrs + row * n * 2 * width;
     for (int64_t p = 0; p < n; p++)
         for (int64_t axis = 0; axis < 2; axis++) {
             const uint8_t *position = axis ? rows : cols;
@@ -548,7 +553,7 @@ static int run_one(const search_t *s, int64_t si, int64_t cap,
  * copy its channel rows from the frame's stacks, write its fresh values
  * -- above its root (level == num_streams) under the initial radius,
  * zeroed tallies, no best leaf (-1 symbols at inf) or an empty list --
- * and its lane's cap, frame-table row and arena row. */
+ * and its lane's cap, frame-table row and element. */
 static void admit(const search_t *s, int64_t slot, int64_t e, int64_t si,
                   int64_t cap)
 {
@@ -576,29 +581,30 @@ static void admit(const search_t *s, int64_t slot, int64_t e, int64_t si,
     }
     s->lane_budget[si] = cap;
     s->frame_of[si] = slot;
-    s->dest_of[si] = f->base + e;
+    s->dest_of[si] = e;
 }
 
-/* Retire the finished search in lane `si` into its arena row: its
- * tallies, then its best leaf (hard) or its list length, best member and
- * LLRs (soft). */
+/* Retire the finished search in lane `si` into its row (its element) of
+ * its frame's outcome arrays: its tallies, then its best leaf (hard) or
+ * its list length, best member and LLRs (soft). */
 static void retire(const search_t *s, int64_t si)
 {
+    const frame_t *f = s->frames + s->frame_of[si];
     const int64_t n = s->num_streams, row = s->dest_of[si];
-    int64_t *tally = s->out_tally + row * 5;
+    int64_t *tally = f->tally + row * 5;
     tally[0] = s->ped[si * s->tally_stride];
     tally[1] = s->visited[si * s->tally_stride];
     tally[2] = s->expanded[si * s->tally_stride];
     tally[3] = s->leaves[si * s->tally_stride];
     tally[4] = s->prunes[si * s->tally_stride];
     if (s->list_size) {
-        s->out_list_n[row] = s->list_n[si];
-        finish_list(s, si, row);
+        f->list_n[row] = s->list_n[si];
+        finish_list(s, si, f, row);
     } else {
-        s->out_best_dist[row] = s->best_dist[si];
+        f->best_dist[row] = s->best_dist[si];
         for (int64_t p = 0; p < n; p++) {
-            s->out_best_cols[row * n + p] = s->best_cols[si * n + p];
-            s->out_best_rows[row * n + p] = s->best_rows[si * n + p];
+            f->best_cols[row * n + p] = s->best_cols[si * n + p];
+            f->best_rows[row * n + p] = s->best_rows[si * n + p];
         }
     }
 }
@@ -623,15 +629,16 @@ int64_t repro_frame_size(void)
  *   2. Step: every active search gets up to `attempts` candidate attempts
  *      under its lane's cap -- 2 is one lockstep tick, INT64_MAX runs it
  *      to completion.
- *   3. Retire: a finished search writes its outcome into its arena row
- *      and its lane is pushed onto the free stack; the active list is
- *      compacted in place, order kept.
+ *   3. Retire: a finished search writes its outcome into its frame's
+ *      outcome row and its lane is pushed onto the free stack; the
+ *      active list is compacted in place, order kept.
  * Returns how many searches finished -- they are the top of the free
  * stack -- or -1 if a frontier queue overflowed.  Every index is checked
- * before anything is written: -2 if a run is outside its frame or its
- * frame's rows outside the arena, -3 if the counts or a lane are outside
- * the pool's lanes, -4 if an active lane's arena row is outside the
- * arena. */
+ * before anything is written: -2 if a run is outside its frame (a vacant
+ * row has no problems), -3 if the counts or a lane are outside the
+ * pool's lanes, -4 if an active lane's frame row is vacant (or outside
+ * the table) or its element outside that frame -- the check that keeps
+ * retire() off a vacant row's NULL outcome arrays. */
 int64_t repro_search_run(const search_t *s, const int64_t *runs,
                          int64_t num_runs, int64_t running, int64_t idle,
                          int64_t attempts)
@@ -644,8 +651,7 @@ int64_t repro_search_run(const search_t *s, const int64_t *runs,
             return -2;
         const frame_t *f = s->frames + slot;
         if (first < 0 || count < 0 || f->symbols < 1
-                || count > f->problems - first || f->base < 0
-                || f->base > s->arena_rows - f->problems)
+                || count > f->problems - first)
             return -2;
         admitted += count;
     }
@@ -654,10 +660,13 @@ int64_t repro_search_run(const search_t *s, const int64_t *runs,
     for (int64_t k = 0; k < running; k++)
         if (s->active[k] < 0 || s->active[k] >= s->lanes)
             return -3;
-    for (int64_t k = 0; k < running; k++)
-        if (s->dest_of[s->active[k]] < 0
-                || s->dest_of[s->active[k]] >= s->arena_rows)
+    for (int64_t k = 0; k < running; k++) {
+        const int64_t slot = s->frame_of[s->active[k]];
+        const int64_t e = s->dest_of[s->active[k]];
+        if (slot < 0 || slot >= s->frame_slots || e < 0
+                || e >= s->frames[slot].problems)
             return -4;
+    }
     for (int64_t k = idle - admitted; k < idle; k++)
         if (s->free[k] < 0 || s->free[k] >= s->lanes)
             return -3;

@@ -42,7 +42,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..constellation.gray import gray_encode, int_to_bits
 from ..constellation.qam import QamConstellation
 from ..utils.validation import as_complex_vector, require
 from .counters import ComplexityCounters
@@ -77,10 +76,9 @@ def stacked_list_bits(constellation: QamConstellation, cols,
     result is ``(..., nc * bits_per_symbol)`` uint8 — per leaf exactly
     :meth:`QamConstellation.indices_to_bits` of its symbol indices.
     """
-    half = constellation.bits_per_axis
-    col_bits = int_to_bits(gray_encode(np.asarray(cols)), half)
-    row_bits = int_to_bits(gray_encode(np.asarray(rows)), half)
-    stacked = np.concatenate([col_bits, row_bits], axis=-1)
+    table = constellation.gray_bits
+    stacked = np.concatenate([table[np.asarray(cols)],
+                              table[np.asarray(rows)]], axis=-1)
     return stacked.reshape(stacked.shape[:-2] + (-1,))
 
 

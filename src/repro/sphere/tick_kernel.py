@@ -9,7 +9,7 @@ their rows from their frames' stacks (:func:`frame`), **steps** every
 active search an allowance of candidate attempts from whatever state
 the last call left it in (a fresh one expands its root first, with the
 same program as every other node), and **retires** the finished ones
-straight into their frames' arena rows (:func:`outcome`).
+straight into their frames' own outcome arrays (:func:`outcome`).
 The lockstep engine (:mod:`repro.runtime.engine`) makes two uses of that
 one loop: an allowance of two is a pool's **lockstep step**, an
 unlimited one finishes a pool's last few stragglers (the drain).
@@ -63,7 +63,6 @@ scalar trellis: only speed changes, never results.
 from __future__ import annotations
 
 import ctypes
-import functools
 import hashlib
 import os
 import shutil
@@ -76,7 +75,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ..constellation.gray import gray_encode, int_to_bits
 from ..constellation.pam import zigzag_order_table
 from ..utils.validation import require
 
@@ -139,15 +137,17 @@ _CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
 #: ``search_t`` of ``search_core.c``, field for field: every array the
 #: core touches and the dtype it must have — the decoder's constellation
-#: tables, the pool's frame table and ``out_*`` arena rows, and its lanes
-#: (:func:`_layout`).  All C-contiguous, except the five tallies, which
-#: are the columns of one ``(lanes, 5)`` array (``tally``) ...
+#: tables, the pool's frame table and its lanes (:func:`_layout`).  All
+#: C-contiguous, except the five tallies, which are the columns of one
+#: ``(lanes, 5)`` array (``tally``) ...
 _F, _I, _B, _C = np.float64, np.int64, np.bool_, np.complex128
+_OUTCOMES = ("tally", "best_dist", "llrs", "best_cols", "best_rows", "list_n")
 #: ``frame_t``: a pool's frame-table row — where an interned frame's
-#: stacks live (:func:`frame`), then its first arena row.
-FRAME = np.dtype([(name, np.intp) for name in ("r", "y", "diag", "diag_sq")]
-                 + [("noise_var", _F)]
-                 + [(name, _I) for name in ("symbols", "problems", "base")])
+#: stacks and outcome arrays live (:func:`frame`; 0 for an outcome array
+#: the frame has not), its LLR scale, ``T`` and ``S * T``.
+FRAME = np.dtype([(name, np.intp)
+                  for name in ("r", "y", "diag", "diag_sq") + _OUTCOMES]
+                 + [("noise_var", _F), ("symbols", _I), ("problems", _I)])
 _ARRAYS = {
     "levels": _F, "zigzag": _I, "prune": _F, "bits": np.uint8,
     "axis_int": _I, "axis_res": _F, "queue_d": _F, "queue_i": _I,
@@ -163,20 +163,18 @@ _ARRAYS = {
     "ped": _I, "visited": _I, "expanded": _I, "leaves": _I, "prunes": _I,
     "lane_budget": _I, "frame_of": _I, "dest_of": _I, "active": _I,
     "free": _I, "frames": FRAME,
-    "out_tally": _I, "out_best_dist": _F, "out_llrs": _F,
-    "out_best_cols": _I, "out_best_rows": _I, "out_list_n": _I,
 }
 _TALLIES = ("ped", "visited", "expanded", "leaves", "prunes")
 #: ... then its dimensions and policy switches.
 _INTEGERS = ("tally_stride", "num_streams", "side", "queue_capacity",
-             "list_size", "use_fma", "lanes", "frame_slots", "arena_rows")
+             "list_size", "use_fma", "lanes", "frame_slots")
 
 
 def _searches(decoder, num_streams: int) -> dict:
     """The arrays a lane owns one row of: each ``search_t`` field's
     shape past the lane axis — a search's channel copy, path, tallies
     and leaf (the best leaf, or a list and its LLR scale ``noise_var``),
-    its node cap, frame-table row (``frame_of``) and arena row
+    its node cap, frame-table row (``frame_of``) and element there
     (``dest_of``), plus the pool's ``active`` list and ``free`` stack.
     The core writes them when it admits a search."""
     n = num_streams
@@ -196,10 +194,10 @@ def _searches(decoder, num_streams: int) -> dict:
 
 
 def outcome(decoder, num_streams: int) -> dict:
-    """A finished search's arena row, ``name: (dtype, shape)``, in the
-    order :meth:`~repro.runtime.queue.FrameJob.collect` takes it: the
-    tallies, then the best leaf (hard) or the max-log LLRs, best list
-    member and list length (soft)."""
+    """A finished search's outcome row, ``name: (dtype, shape)``, of
+    which its :class:`~repro.runtime.queue.FrameJob` holds one per
+    search: the tallies, then the best leaf (hard) or the max-log LLRs,
+    best list member and list length (soft)."""
     n = num_streams
     rows = {"tally": (_I, (len(_TALLIES),))}
     if not decoder.list_size:
@@ -263,17 +261,6 @@ class _Search(ctypes.Structure):
                 + [(name, ctypes.c_int64) for name in _INTEGERS]
                 + [(name, ctypes.c_double)
                    for name in ("axis_scale", "clamp", "initial_radius")])
-
-
-@functools.cache
-def _gray_bits(side: int, bits_per_axis: int) -> np.ndarray:
-    """``(side, bits_per_axis)`` Gray labels of the PAM positions, MSB
-    first — row ``p`` is the bits a list leaf's column or row ``p``
-    carries in :func:`~repro.sphere.soft.stacked_list_bits`.  Cached and
-    read-only: a marshalled ``search_t`` points into it."""
-    table = int_to_bits(gray_encode(np.arange(side)), bits_per_axis)
-    table.setflags(write=False)
-    return table
 
 
 def _compiler() -> str:
@@ -375,31 +362,39 @@ def lanes(decoder, num_streams: int, count: int) -> dict:
             in _layout(decoder, num_streams, count).items()}
 
 
-def frame(num_streams: int, r_stack, y_flat, diag_stack, diag_sq_stack,
-          num_symbols: int, noise_var: float) -> tuple:
-    """A frame's :data:`FRAME` row, less its arena base: the addresses
-    of its stacks (``r_stack`` ``(S, n, n)``, ``y_flat`` ``(S * T, n)``,
-    ``diag_stack`` / ``diag_sq_stack`` ``(S, n)``), its LLR scale, ``T``
-    and ``S * T``.  The core reads the stacks in place at every
-    admission, so they are checked here, once per frame; the caller
-    keeps them alive while the row is in its table."""
+def frame(decoder, num_streams: int, r_stack, y_flat, diag_stack,
+          diag_sq_stack, num_symbols: int, noise_var: float,
+          outcomes: dict) -> tuple:
+    """A frame's :data:`FRAME` row: the addresses of its stacks
+    (``r_stack`` ``(S, n, n)``, ``y_flat`` ``(S * T, n)``,
+    ``diag_stack`` / ``diag_sq_stack`` ``(S, n)``) and of its
+    ``outcomes`` (:func:`outcome`'s rows, ``S * T`` each), its LLR
+    scale, ``T`` and ``S * T``.  The core uses them in place, so they
+    are checked here, once per frame; the caller keeps them alive while
+    the row is in its table."""
     n, subcarriers = num_streams, len(r_stack)
     problems = subcarriers * num_symbols
+    rows = outcome(decoder, num_streams)
+    require(outcomes.keys() == rows.keys(),
+            f"search core needs exactly the outcome arrays {sorted(rows)}")
+    addresses = {name: _address(outcomes[name], dtype, (problems,) + shape,
+                                "outcome " + name)
+                 for name, (dtype, shape) in rows.items()}
     return (_address(r_stack, _C, (subcarriers, n, n), "r_stack"),
             _address(y_flat, _C, (problems, n), "y_flat"),
             _address(diag_stack, _F, (subcarriers, n), "diag_stack"),
             _address(diag_sq_stack, _F, (subcarriers, n), "diag_sq_stack"),
+            *(addresses.get(name, 0) for name in _OUTCOMES),
             noise_var, num_symbols, problems)
 
 
-def _marshal(decoder, arrays: dict, frames, arena: dict):
-    """A pool's lanes, frame table and arena, and ``decoder``'s tables,
-    as a ``search_t``.  Checked here, once per set of arrays: past this
+def _marshal(decoder, arrays: dict, frames):
+    """A pool's lanes and frame table, and ``decoder``'s tables, as a
+    ``search_t``.  Checked here, once per set of arrays: past this
     point a wrong dtype, a strided view, a short axis or a frontier laid
     out for another decoder is memory corruption, not an exception.
-    ``r`` fixes the stream count, ``level`` the lanes and the arena's
-    ``tally`` its rows; every operand must then have exactly its
-    :func:`lanes` / :func:`outcome` shape."""
+    ``r`` fixes the stream count and ``level`` the lanes; every operand
+    must then have exactly its :func:`lanes` shape."""
     levels = decoder.constellation.levels
     side = levels.shape[0]
     count, num_streams = arrays["level"].shape[0], arrays["r"].shape[-1]
@@ -408,16 +403,13 @@ def _marshal(decoder, arrays: dict, frames, arena: dict):
             f"search core needs exactly the arrays {sorted(layout)}")
     require(not decoder.list_size or side <= 256,
             "the search core keeps list leaf positions in one byte")
-    rows = outcome(decoder, num_streams)
-    require(arena.keys() == rows.keys(),
-            f"search core needs exactly the arena rows {sorted(rows)}")
     tables = {"levels": (levels, (side,)),
               "zigzag": (zigzag_order_table(side), (side, 2, side))}
     if decoder._pruner is not None:
         tables["prune"] = (decoder._pruner.table, (side, side))
     if decoder.list_size:
         width = decoder.constellation.bits_per_axis
-        tables["bits"] = (_gray_bits(side, width), (side, width))
+        tables["bits"] = (decoder.constellation.gray_bits, (side, width))
     fields = {name: _address(array, _ARRAYS[name], shape, name)
               for name, (array, shape) in tables.items()}
     fields.update((name, _address(arrays[name], dtype, shape, name))
@@ -425,17 +417,12 @@ def _marshal(decoder, arrays: dict, frames, arena: dict):
     tally = fields.pop("tally")
     fields.update((name, tally + column * arrays["tally"].itemsize)
                   for column, name in enumerate(_TALLIES))
-    arena_rows = arena["tally"].shape[0]
-    fields.update(("out_" + name, _address(arena[name], dtype,
-                                           (arena_rows,) + shape,
-                                           "arena " + name))
-                  for name, (dtype, shape) in rows.items())
     fields["frames"] = _address(frames, FRAME, (len(frames),), "frames")
     return _Search(
         tally_stride=len(_TALLIES), num_streams=num_streams, side=side,
         queue_capacity=arrays["queue_d"].shape[1],
         list_size=decoder.list_size, use_fma=NUMPY_FMA, lanes=count,
-        frame_slots=len(frames), arena_rows=arena_rows,
+        frame_slots=len(frames),
         axis_scale=float(levels[1] - levels[0]) / 2.0 if side > 1 else 1.0,
         clamp=decoder.clamp if decoder.list_size else 0.0,
         initial_radius=decoder.initial_radius_sq, **fields)
@@ -445,9 +432,10 @@ def _marshal(decoder, arrays: dict, frames, arena: dict):
 _TO_COMPLETION = np.iinfo(np.int64).max
 
 #: What ``repro_search_run`` refused, by return code, before writing.
-_REFUSALS = {-2: "an admission run outside its frame or the arena",
+_REFUSALS = {-2: "an admission run outside its frame",
              -3: "a lane outside the pool's lanes",
-             -4: "an active lane's arena row outside the arena"}
+             -4: "an active lane whose frame row is vacant, or whose "
+                 "element is outside its frame"}
 
 
 def _address(array, dtype, shape: tuple, what: str,
@@ -467,22 +455,22 @@ def _address(array, dtype, shape: tuple, what: str,
     return array.ctypes.data
 
 
-def run(decoder, arrays: dict, frames, arena: dict, runs, running: int,
-        idle: int, attempts, cache: dict) -> int:
+def run(decoder, arrays: dict, frames, runs, running: int, idle: int,
+        attempts, cache: dict) -> int:
     """One pool tick in one native call; returns how many searches
     finished.
 
     ``arrays`` are the pool's lanes (:func:`lanes`: the first
     ``running`` entries of ``active`` are in flight, the first ``idle``
-    of ``free`` the free-lane stack), ``frames`` its frame table and
-    ``arena`` its outcome rows (:func:`outcome`).  The core **admits**
-    each ``runs`` row ``(slot, first, count, node cap)``: ``count``
-    lanes off the stack for that frame's searches ``first, ...``, their
-    rows copied from its stacks, their fresh values, cap, slot and arena
-    row written; **steps** every active search ``attempts`` candidate
-    attempts under its cap (2: a lockstep tick; ``None``: to
-    completion), each one iteration of the scalar loop; and **retires**
-    each finished search into its arena row — tallies, then its best
+    of ``free`` the free-lane stack) and ``frames`` its frame table
+    (:func:`frame`).  The core **admits** each ``runs`` row ``(slot,
+    first, count, node cap)``: ``count`` lanes off the stack for that
+    frame's searches ``first, ...``, their rows copied from its stacks,
+    their fresh values, cap, slot and element written; **steps** every
+    active search ``attempts`` candidate attempts under its cap (2: a
+    lockstep tick; ``None``: to completion), each one iteration of the
+    scalar loop; and **retires** each finished search into its row of
+    its frame's outcome arrays — tallies, then its best
     leaf, or its list length, best member and max-log LLRs (the float
     program of :func:`~repro.sphere.soft.soft_outputs_from_lists`) —
     its lane pushed back on the stack (the finished lanes are the
@@ -490,14 +478,14 @@ def run(decoder, arrays: dict, frames, arena: dict, runs, running: int,
     Every index is checked in the core before anything is written (a
     bad one raises ``ValueError``).  The marshalled ``search_t`` is kept
     in ``cache`` with the arrays it points into and reused while every
-    operand is the same object: ~50 addresses cost more than a tick.
+    operand is the same object: ~45 addresses cost more than a tick.
     """
     library = core()
     require(library is not None, "the compiled search core is unavailable")
-    operands = (decoder, frames, *arrays.values(), *arena.values())
+    operands = (decoder, frames, *arrays.values())
     held, search = cache.get("search_t", ((), None))
     if len(held) != len(operands) or not all(map(is_, held, operands)):
-        search = _marshal(decoder, arrays, frames, arena)
+        search = _marshal(decoder, arrays, frames)
         cache["search_t"] = operands, search
     finished = library.repro_search_run(
         search, len(runs) and _address(runs, _I, (len(runs), 4),

@@ -5,8 +5,9 @@
 its one data file, ``floors`` runs one step per benchmark file, and
 ``fallback`` runs the compiler-less path.  These tests pin what an edit
 could lose without any job turning red: a job, a path or test that no
-longer exists, a floor file run twice or not at all, and a coverage gate
-whose threshold or test scope drifted.
+longer exists, a floor file run twice or not at all, a coverage gate
+whose threshold or test scope drifted, and a one-writer grep that no
+longer guards its module.
 """
 
 from __future__ import annotations
@@ -145,3 +146,22 @@ def test_coverage_gates_keep_their_thresholds_and_scopes(text):
         assert include not in gates, include
         gates[include] = (int(threshold), tuple(contexts.split(",")))
     assert gates == GATES
+
+
+def test_outcome_rows_have_one_allocator(text):
+    """``tier1`` greps ``src/repro`` for any module but
+    ``runtime/queue.py`` reaching for ``tick_kernel.outcome``: a frame's
+    outcome arrays are allocated where the frame is built, and nowhere
+    else.  The step's pattern must match that one allocation (so it is
+    not vacuous) and nothing outside ``queue.py``."""
+    step = next(step for step in _steps(_jobs(text)["tier1"])
+                if step.startswith("name: Only FrameJob allocates outcome"))
+    assert "matrix.python-version == '3.12'" in step
+    pattern = re.search(r"! grep -rnE --include='\*\.py'\s+'([^']*)' "
+                        r"src/repro\s", step).group(1)
+    assert re.findall(r"\| grep -v '([^']*)'", step) == [
+        r"^src/repro/runtime/queue\.py:"]
+    hits = {path.relative_to(ROOT).as_posix()
+            for path in (ROOT / "src" / "repro").rglob("*.py")
+            if re.search(pattern, path.read_text())}
+    assert hits == {"src/repro/runtime/queue.py"}

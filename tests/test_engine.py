@@ -307,8 +307,8 @@ def test_numpy_step_matches_scalar_oracle(no_compiler, monkeypatch, case,
     """The same sweep with the core hidden, as on a box without a
     compiler: every pool — ``zigzag`` / ``shabany`` too — then runs each
     search through the decoder's scalar search in its admission tick,
-    and this pins what that fallback writes into the result arena and
-    the frame result to the oracle.  (The id is older
+    and this pins what that fallback writes into the frame's outcome rows
+    and the frame result to the oracle.  (The id is older
     than the fallback: it once pinned a numpy lockstep step.)"""
     test_engine_matches_scalar_oracle(monkeypatch, case, capacity,
                                       drain_threshold, entry)
@@ -394,12 +394,12 @@ def drain_sizes():
     sizes = []
     run = tick_kernel.run
 
-    def recording(decoder, arrays, frames, arena, runs, running, idle,
-                  attempts, cache):
+    def recording(decoder, arrays, frames, runs, running, idle, attempts,
+                  cache):
         if attempts is None:                 # a run-out, not a step
             sizes.append(running + int(runs[:, 2].sum()))
-        return run(decoder, arrays, frames, arena, runs, running, idle,
-                   attempts, cache)
+        return run(decoder, arrays, frames, runs, running, idle, attempts,
+                   cache)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tick_kernel, "run", recording)
@@ -407,9 +407,8 @@ def drain_sizes():
 
 
 def in_lane_elements(pool):
-    """The elements of the searches in ``pool``'s lanes, for a pool that
-    has held one frame: its arena rows start at 0, so a lane's arena row
-    is its search's element."""
+    """The elements of the searches in ``pool``'s lanes (a lane's
+    ``dest_of`` is its search's element in its frame)."""
     return pool.state["dest_of"][pool.active]
 
 

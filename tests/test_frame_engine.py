@@ -144,8 +144,8 @@ class TestSlotScheduler:
         frontier.submit(first)
         frontier.tick()
         pool = first.pool
-        # Lanes go out 0, 1, 2, in element order (one frame on a fresh
-        # pool: a lane's arena row is its search's element).
+        # Lanes go out 0, 1, 2, in element order (a lane's dest_of is
+        # its search's element).
         assert pool.state["dest_of"].tolist() == [0, 1, 2]
         assert pool.state["frame_of"].tolist() == [0, 0, 0]
         # Free every lane (in flight with the core, finished without),

@@ -641,6 +641,55 @@ def test_coded_frame_request_validation():
             num_pad_bits=10**6))
 
 
+def test_coded_frame_that_can_reach_no_leaf_is_refused_at_both_doors():
+    """A search stopped before its first leaf — a node budget under the
+    stream count, or a finite initial radius holding no point — leaves
+    the ``-1`` "no leaf" marker, which names no symbol: a coded frame
+    used to decode it as Gray bits and count CRC-failing payloads.  The
+    front door refuses a coded frame whose searches could do that (hard
+    or soft; the runtime untouched), and the bit mapping refuses the
+    marker itself, so ``recover_uplink`` cannot decode one either."""
+    rng = np.random.default_rng(15)
+    config = _coded_config(16, payload_bits=88)
+    frame = _make_coded_frame(config, SphereDecoder(qam(16)), 30.0, rng)
+    runtime = UplinkRuntime(capacity=16)
+    for decoder, what in (
+            (SphereDecoder(qam(16), node_budget=1), "node_budget"),
+            (ListSphereDecoder(qam(16), list_size=4, node_budget=1),
+             "node_budget"),
+            (SphereDecoder(qam(16), initial_radius_sq=1e-9),
+             "initial_radius_sq")):
+        with pytest.raises(ValueError, match=what):
+            runtime.submit(FrameRequest(
+                channels=frame.channels, received=frame.received,
+                decoder=decoder, noise_variance=0.1, config=config,
+                num_pad_bits=frame.num_pad_bits))
+    assert runtime.in_flight == 0 and runtime.stats.frames_submitted == 0
+    # The same starved decoder on an uncoded frame is a legal (if
+    # useless) detection: the marker reaches the caller as -1.
+    starved = SphereDecoder(qam(16), node_budget=1)
+    handle = runtime.submit(FrameRequest(channels=frame.channels,
+                                         received=frame.received,
+                                         decoder=starved))
+    runtime.drain()
+    indices = handle.result().symbol_indices
+    assert (indices == -1).all()
+    # A budget of exactly the stream count reaches a leaf every time.
+    greedy = FrameRequest(
+        channels=frame.channels, received=frame.received,
+        decoder=SphereDecoder(qam(16), node_budget=2), config=config,
+        num_pad_bits=frame.num_pad_bits)
+    handle = runtime.submit(greedy)
+    runtime.drain()
+    assert (handle.result().symbol_indices >= 0).all()
+    _assert_decisions_match_standalone(handle.result(), greedy)
+
+    for bad in ([-1], [16], [3, -1, 5]):
+        with pytest.raises(ValueError, match=r"in \[0, 16\)"):
+            qam(16).indices_to_bits(bad)
+    with pytest.raises(ValueError, match=r"in \[0, 16\)"):
+        recover_uplink(indices, frame.num_pad_bits, config)
+
 def test_cell_workload_coded_traffic_decodes():
     trace = synthetic_cell_trace(3, 8, 4, 4, rng=15)
     workload = CellWorkload(trace, num_users=6, group_size=4,

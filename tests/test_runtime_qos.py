@@ -313,8 +313,8 @@ def test_mid_flight_degrade_and_evict_under_the_core_step(soft):
     running = np.zeros(degraded.num_problems, dtype=bool)
     seen = np.zeros(degraded.num_problems, dtype=np.int64)
     # Only the degraded frame is in lanes now (the pool's first frame,
-    # in its first frame-table row), and it claimed the pool's first
-    # arena rows: a lane's arena row is its search's element.
+    # in its first frame-table row); a lane's dest_of is its search's
+    # element.
     in_lane = pool.state["dest_of"][pool.active]
     assert (pool.state["frame_of"][pool.active] == 0).all()
     running[in_lane] = True

@@ -108,7 +108,7 @@ def check_radius_monotone(order, num_tx, seed):
         # finished lane still shows its final radius.
         for lane in range(y_hat.shape[0]):
             radius = float(pool.state["radius"][lane])
-            # One frame on a fresh pool: its arena rows start at 0.
+            # A lane's dest_of is its search's element.
             sequence = sequences[int(pool.state["dest_of"][lane])]
             if np.isfinite(radius) and (not sequence
                                         or radius != sequence[-1]):

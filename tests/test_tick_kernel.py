@@ -150,9 +150,11 @@ def test_untrusted_cache_directory_is_refused(fresh_loader, monkeypatch,
 def test_core_refuses_what_it_cannot_address():
     """Past the ctypes boundary a bad index, dtype or shape is memory
     corruption, so it is refused with ``ValueError`` first: operands by
-    the wrapper, naming the one at fault, short trailing axes included;
-    indices — an active or admitted lane, an arena row, an admission run
-    — by the core, before it writes anything."""
+    the wrapper (a frame's stacks and outcome arrays when its row is
+    made), naming the one at fault, short trailing axes included;
+    indices — an active or admitted lane, an active lane's frame row and
+    element, an admission run — by the core, before it writes
+    anything."""
     constellation, channels, received = _frame_instance(16, 4, 4, 2, 2)
     frontier = pinned_frontier(drain_threshold=0)
     hard, soft = (FrameJob(index, FrameRequest(channels, received, decoder,
@@ -168,13 +170,11 @@ def test_core_refuses_what_it_cannot_address():
     assert pool.running == 4                 # every search mid-flight
     nothing = np.empty((0, 4), dtype=np.int64)
 
-    def run(pool=pool, runs=nothing, idle=0, arena=None, frames=None,
-            **swap):
+    def run(pool=pool, runs=nothing, idle=0, frames=None, **swap):
         # Zero attempts: a well-formed call steps and retires nothing.
         return tick_kernel.run(
             pool.decoder, dict(pool.state, **swap),
-            pool.frame_table if frames is None else frames,
-            pool.arena.arrays if arena is None else arena, runs,
+            pool.frame_table if frames is None else frames, runs,
             pool.running, idle, 0, {})
 
     def refused(operand, pool=pool, **swap):
@@ -186,8 +186,11 @@ def test_core_refuses_what_it_cannot_address():
     state = pool.state
     # Indices, refused in the core with every array left as it was.
     before = {name: array.copy() for name, array in state.items()}
+    outcomes = {name: array.copy() for name, array in hard.outcome.items()}
     slot = int(np.flatnonzero(pool.frame_table["problems"])[0])
+    vacant = (slot + 1) % len(pool.frame_table)
     free = pool.allocated - pool.running     # the free stack's height
+    lane = state["active"][2]
     for bad in (pool.allocated, -1):
         active = state["active"].copy()
         active[1] = bad
@@ -197,11 +200,19 @@ def test_core_refuses_what_it_cannot_address():
         popped[free - 1] = bad
         with pytest.raises(ValueError, match="lane outside"):
             run(runs=np.array([[slot, 0, 1, 9]]), idle=free, free=popped)
-        dest = state["dest_of"].copy()
-        dest[state["active"][2]] = len(pool.arena.arrays["tally"]) if bad > 0 \
-            else bad
-        with pytest.raises(ValueError, match="arena row outside"):
-            run(dest_of=dest)
+        # An active lane's element outside its frame (one past its
+        # problems, or negative), or its frame row vacant or outside the
+        # table: retiring it would write through no frame's arrays.
+        for field, value in (("dest_of", hard.num_problems if bad > 0
+                              else bad),
+                             ("frame_of", vacant if bad > 0 else bad),
+                             ("frame_of", len(pool.frame_table))):
+            swapped = state[field].copy()
+            swapped[lane] = value
+            with pytest.raises(ValueError,
+                               match="frame row is vacant, or whose "
+                                     "element is outside its frame"):
+                run(**{field: swapped})
     with pytest.raises(ValueError, match="lane outside"):
         run(runs=np.array([[slot, 0, 1, 9]]), idle=0)     # no free lane
     for runs in ([len(pool.frame_table), 0, 1, 9], [slot, 3, 2, 9],
@@ -211,6 +222,8 @@ def test_core_refuses_what_it_cannot_address():
             run(runs=np.array([runs]), idle=free)
     for name, array in state.items():
         assert np.array_equal(array, before[name]), name
+    for name, array in hard.outcome.items():
+        assert np.array_equal(array, outcomes[name], equal_nan=True), name
     # Operands, refused by the wrapper.
     with pytest.raises(ValueError, match="needs admission runs"):
         run(runs=np.zeros((1, 3), dtype=np.int64))
@@ -222,7 +235,7 @@ def test_core_refuses_what_it_cannot_address():
     del without_best["best_cols"]
     with pytest.raises(ValueError, match="exactly the arrays"):
         tick_kernel.run(pool.decoder, without_best, pool.frame_table,
-                        pool.arena.arrays, nothing, pool.running, 0, 0, {})
+                        nothing, pool.running, 0, 0, {})
     refused("chosen", chosen=state["chosen"][:-1].copy())
     # Short trailing axes: the channel copies, the path, a leaf row.
     refused("r", r=state["r"][:, :, :3].copy())
@@ -231,18 +244,27 @@ def test_core_refuses_what_it_cannot_address():
     refused("best_cols", best_cols=state["best_cols"][:, :2].copy())
     refused("list_cols", soft.pool,
             list_cols=soft.pool.state["list_cols"][:, :2].copy())
-    # A list search's LLR scale, and the arena rows its LLRs and best
-    # member go to.
+    # A list search's LLR scale, and the frame row's outcome arrays its
+    # LLRs and best member go to.
     refused("noise_var", soft.pool,
             noise_var=soft.pool.state["noise_var"].astype(np.float32))
-    rows = soft.pool.arena.arrays
+
+    def soft_row(outcomes):
+        return tick_kernel.frame(
+            soft.decoder, soft.num_streams, soft.r_stack, soft.y_flat,
+            soft.diag_stack, soft.diag_sq_stack, soft.num_symbols,
+            soft.noise_variance, outcomes)
+
+    rows = soft.outcome
+    assert soft_row(rows) == soft.pool.frame_table[0].item()
     for name in ("llrs", "best_cols"):
         with pytest.raises(ValueError,
-                           match=f"needs arena {name} as C-contiguous"):
-            run(soft.pool, arena=dict(rows, **{name: rows[name][:, :-1]}))
-    with pytest.raises(ValueError, match="exactly the arena rows"):
-        run(soft.pool, arena={name: rows[name] for name in rows
-                              if name != "list_n"})
+                           match=f"needs outcome {name} as C-contiguous"):
+            soft_row(dict(rows, **{name: rows[name][:, :-1]}))
+    with pytest.raises(ValueError, match="exactly the outcome arrays"):
+        soft_row({name: rows[name] for name in rows if name != "list_n"})
+    with pytest.raises(ValueError, match="exactly the outcome arrays"):
+        soft_row(hard.outcome)
     with pytest.raises(ValueError, match="needs frames as C-contiguous"):
         run(frames=pool.frame_table[::2])
     # A frontier laid out for another decoder: no pruning offsets.
@@ -255,21 +277,31 @@ def test_core_refuses_what_it_cannot_address():
     ("y_flat", np.asfortranarray),
     ("diag_stack", lambda array: array[:, :3].copy()),
     ("diag_sq_stack", lambda array: array[:, ::2]),
+    ("outcome tally", lambda array: array[:, :4].copy()),
+    ("outcome best_dist", lambda array: array[:-1].copy()),
+    ("outcome best_cols", np.asfortranarray),
+    ("outcome best_rows", lambda array: array.astype(np.int32)),
 ])
 def test_frame_stacks_are_checked_when_the_pool_interns_them(stack, flaw):
-    """The core reads a frame's preprocessed stacks in place whenever it
-    admits one of its searches, so the pool checks their dtype,
-    contiguity and shape when it interns the frame: a malformed stack is
-    refused before the core runs."""
+    """The core reads a frame's preprocessed stacks and writes its
+    outcome arrays in place whenever it admits or retires one of its
+    searches, so the pool checks their dtype, contiguity and shape when
+    it interns the frame: a malformed one is refused before the core
+    runs."""
     constellation, channels, received = _frame_instance(16, 4, 4, 2, 2)
     job = FrameJob(0, FrameRequest(channels, received,
                                    SphereDecoder(constellation)))
-    setattr(job, stack, flaw(getattr(job, stack)))
+    if stack.startswith("outcome "):
+        name = stack.split()[1]
+        job.outcome[name] = flaw(job.outcome[name])
+    else:
+        setattr(job, stack, flaw(getattr(job, stack)))
     frontier = StreamingFrontier()
     frontier.submit(job)
     with pytest.raises(ValueError, match=f"needs {stack} as C-contiguous"):
         frontier.tick()
-    assert job.pool.running == 0 and not len(job.pool.arena.arrays["tally"])
+    pool = job.pool
+    assert pool.running == 0 and not pool.frame_table["problems"].any()
 
 
 def test_missing_compiler_warns_once_and_falls_back(no_compiler):
@@ -461,7 +493,8 @@ def test_pool_state_is_the_declared_layout_through_growth(request, soft,
     the layout declares — the search rows with the lanes' bookkeeping,
     the decoder's leaf rows and the frontier slots — each of its
     declared dtype and shape; a pool without the core keeps no lanes at
-    all.  Either way the arena holds the declared outcome rows.  A
+    all.  Either way each frame owns the declared outcome rows, one per
+    search.  A
     growth while searches are in flight reallocates every lane array to
     the new lane count with every existing row unchanged — what the
     core is handed in the growth tick — and the new lanes join the
@@ -486,7 +519,11 @@ def test_pool_state_is_the_declared_layout_through_growth(request, soft,
     frontier.tick()
     pool = first.pool
     assert pool.has_core == compiled and pool.allocated == 4
-    assert list(pool.arena.arrays) == _OUTCOME_ROWS[soft]
+    assert list(first.outcome) == _OUTCOME_ROWS[soft]
+    assert {name: (array.dtype, array.shape)
+            for name, array in first.outcome.items()} == {
+        name: (np.dtype(dtype), (3,) + shape)
+        for name, (dtype, shape) in tick_kernel.outcome(decoder, 4).items()}
     # In flight between ticks only where the core runs.
     assert pool.active.size == (3 if compiled else 0)
     assert set(pool.state) == ((_SEARCH_ROWS | _LEAF_ROWS[soft]
