@@ -12,7 +12,7 @@ import pytest
 
 from repro.channel import awgn, noise_variance_for_snr, rayleigh_channel
 from repro.constellation import qam
-from repro.frame import rotate_frame, triangularize_frame
+from repro.frame import rotate_frame, triangular_frame, triangularize_frame
 from repro.runtime import FrameJob
 from repro.runtime.engine import StreamingFrontier
 from repro.sphere import (
@@ -254,12 +254,13 @@ def test_frame_vs_per_subcarrier_speedup(benchmark, best_of,
                                          speedup_floor):
     """The ISSUE-3 acceptance numbers: one frontier over all 64
     subcarriers (``decode_frame``) vs one private frontier per
-    subcarrier (its own ``triangularize`` and ``decode_batch`` each) on
+    subcarrier (its own QR and rotation, ``triangular_frame`` of that
+    subcarrier, and ``decode_batch`` each) on
     16-QAM 4x4 x 64 subcarriers x 16 OFDM symbols — the same engine, fed
     a frame or fed in 64 pieces.
 
     Both are bit-identical (asserted below, counters included); the
-    frame's win is pure scheduling — one stacked QR sweep, one lane
+    frame's win is pure scheduling — one QR call, one lane
     pool, one hand-off per frame instead of 64.  Both sides run the one
     schedule on the same executor: the lockstep step in the compiled
     core, and the core's drain once at most 32 searches remain — which
@@ -278,9 +279,9 @@ def test_frame_vs_per_subcarrier_speedup(benchmark, best_of,
     def per_subcarrier():
         blocks = []
         for s in range(SUBCARRIERS):
-            q, r = triangularize(channels[s])
-            blocks.append(decoder.decode_batch(
-                r, received[:, s, :] @ np.conj(q)))
+            r, y_hat, _, _ = triangular_frame(channels[s:s + 1],
+                                              received[:, s:s + 1])
+            blocks.append(decoder.decode_batch(r[0], y_hat[0]))
         return blocks
 
     blocks = per_subcarrier()
@@ -344,6 +345,44 @@ def test_core_vs_scalar_fallback_frame_speedup(benchmark, best_of,
         benchmark.extra_info["scalar_s"] = scalar_s
         benchmark.extra_info["compiled_s"] = compiled_s
         benchmark.extra_info["speedup"] = scalar_s / compiled_s
+
+
+# ----------------------------------------------------------------------
+# A frame's preprocessing: the core's Householder program vs the oracle
+# ----------------------------------------------------------------------
+
+
+def test_core_vs_fallback_preprocess_speedup(benchmark, best_of,
+                                             speedup_floor, core_hidden):
+    """A frame's QR and rotation — ``triangular_frame``, what every
+    ``FrameJob`` runs at submit — in one core call vs the compiler-less
+    loop of the Python oracle over subcarriers, on the fixed 16-QAM 4x4
+    x 64-subcarrier x 4-symbol frame.
+
+    Both are the same Householder program, so their outputs are
+    bit-identical (asserted below).  The 3x floor is gated wherever the
+    core loaded; ``speedup`` in extra_info carries the real ratio
+    (hundreds of x: the oracle runs in Python floats).
+    """
+    channels, received = _fixed_frame(16, 4, 4, SUBCARRIERS, 4, snr_db=21.0)
+    with core_hidden():
+        reference = triangular_frame(channels, received)
+        oracle_s = best_of(lambda: triangular_frame(channels, received),
+                           repeats=3)
+    result = benchmark(triangular_frame, channels, received)
+    for ours, theirs in zip(result, reference):
+        assert np.array_equal(ours, theirs)
+
+    core_s = best_of(lambda: triangular_frame(channels, received),
+                     repeats=50)
+    benchmark.extra_info["core_loaded"] = core() is not None
+    if core() is not None:
+        speedup_floor(oracle_s, core_s, 3.0,
+                      baseline="oracle", candidate="core")
+    else:
+        benchmark.extra_info["oracle_s"] = oracle_s
+        benchmark.extra_info["core_s"] = core_s
+        benchmark.extra_info["speedup"] = oracle_s / core_s
 
 
 # ----------------------------------------------------------------------

@@ -4,10 +4,11 @@ Builds a 16-QAM, 4x4 uplink frame over 64 OFDM data subcarriers and
 detects it twice with the same Geosphere decoder — the same lockstep
 engine both times, fed differently:
 
-1. per subcarrier — one QR (``triangularize``) and one
+1. per subcarrier — one QR and rotation of its observations
+   (``triangular_frame`` of that subcarrier) and one
    ``decoder.decode_batch``, a private frontier, per subcarrier (64
    engine runs, 64 straggler tails);
-2. ``detect_uplink`` (``detect_frame``) — one stacked QR sweep and a
+2. ``detect_uplink`` (``detect_frame``) — one QR call for the frame and a
    *single* frontier that packs searches from every subcarrier into the
    same lanes.
 
@@ -24,7 +25,8 @@ import numpy as np
 from repro.constellation import qam
 from repro.detect import SphereDetector
 from repro.phy.receiver import detect_uplink
-from repro.sphere import ComplexityCounters, geosphere_decoder, triangularize
+from repro.frame import triangular_frame
+from repro.sphere import ComplexityCounters, geosphere_decoder
 
 NUM_SUBCARRIERS = 64
 NUM_SYMBOLS = 16
@@ -48,8 +50,9 @@ def detect_per_subcarrier(channels, received, decoder):
                        dtype=np.int64)
     counters = ComplexityCounters()
     for s in range(channels.shape[0]):
-        q, r = triangularize(channels[s])
-        block = decoder.decode_batch(r, received[:, s, :] @ np.conj(q))
+        r, y_hat, _, _ = triangular_frame(channels[s:s + 1],
+                                          received[:, s:s + 1])
+        block = decoder.decode_batch(r[0], y_hat[0])
         indices[:, s, :] = block.symbol_indices[:, 0]
         counters.merge(block.counters)
     return indices, counters

@@ -3,8 +3,10 @@
 Geosphere's throughput argument needs sphere detection on *every*
 subcarrier of *every* OFDM symbol, so the receive chain treats the whole
 frame as one detection problem.  :mod:`~repro.frame.preprocess`
-triangularises all subcarrier channels in one stacked LAPACK sweep (and
-builds the linear detectors' stacked filter banks), and
+triangularises all subcarrier channels and rotates the frame into their
+bases in one call — the Householder program of :mod:`repro.sphere.qr`,
+written once in Python (the oracle) and once in the compiled core (the
+executor) — and builds the linear detectors' stacked filter banks, and
 :mod:`~repro.frame.results` carries the ``(T, S)``-shaped results and the
 frame-aggregated complexity counters back to the receive chain.  The
 S×T searches themselves run on the lockstep engine
@@ -16,6 +18,7 @@ from .preprocess import (
     apply_frame_filters,
     mmse_frame_filters,
     rotate_frame,
+    triangular_frame,
     triangularize_frame,
     zf_frame_filters,
 )
@@ -38,6 +41,7 @@ __all__ = [
     "hard_decision_frame",
     "mmse_frame_filters",
     "rotate_frame",
+    "triangular_frame",
     "triangularize_frame",
     "zf_frame_filters",
 ]

@@ -2,45 +2,51 @@
 
 An OFDM receiver pays channel-only preprocessing — QR factorisation for
 the tree-search decoders, pseudo-inverse / MMSE filter banks for the
-linear ones — once per (subcarrier, frame).  The per-subcarrier receive
-path repeats that work S times through S separate ``numpy.linalg`` calls;
-this module performs it for *all* subcarriers in one stacked call, which
-is both the lockstep engine's front end (every
-:class:`~repro.runtime.queue.FrameJob` starts here) and the shared
-preprocessing for the cross-subcarrier K-best and linear
-``detect_frame`` paths.  :func:`check_frame_arrays` is the one check of a
-frame's arrays those paths share.
+linear ones — once per (subcarrier, frame).  This module performs it for
+*all* subcarriers of a frame in one call, which is both the lockstep
+engine's front end (every :class:`~repro.runtime.queue.FrameJob` starts
+at :func:`triangular_frame`) and the shared preprocessing for the
+cross-subcarrier K-best and linear ``detect_frame`` paths.
+:func:`check_frame_arrays` is the one check of a frame's arrays those
+paths share.
 
 Bit-exactness contract
 ----------------------
-``numpy.linalg``'s stacked (gufunc) drivers run the same LAPACK routine
-per matrix as the 2-D calls do, and the phase fix-up / rotation here uses
-the same elementwise ufunc operations as the per-subcarrier
-:func:`repro.sphere.qr.triangularize` / ``block @ conj(Q)`` path, so
-every output of this module is **bit-identical** to running the
-per-subcarrier preprocessing in a Python loop (asserted by
-``tests/test_frame_engine.py``).  Any change here must preserve that
-operation-for-operation correspondence — the engine's equivalence
-contract starts at preprocessing.
+The QR and the rotation are **one Householder program, written twice**
+(:mod:`repro.sphere.qr`): the per-matrix oracle
+:func:`repro.sphere.qr.triangularize` / :func:`~repro.sphere.qr.rotate`
+in Python floats, and ``search_core.c``'s ``repro_qr_run`` /
+``repro_rotate_run``, which run it over a whole stack in one native call
+wherever the core built (:func:`repro.sphere.tick_kernel.householder`).
+Without a compiler this module loops the oracle per subcarrier.  Either
+way every ``Q_s``, ``R_s`` and rotated observation is **bit-identical**
+to the per-subcarrier oracle (asserted by ``tests/test_frame_engine.py``
+and a hypothesis property in ``tests/test_qr.py``), and
+both paths refuse a non-finite or rank-deficient subcarrier with the
+same ``ValueError``, naming it.  Any change to the program changes both
+copies — the engine's equivalence contract starts at preprocessing.
+The linear filter banks are stacked ``numpy.linalg`` calls, whose
+gufunc drivers run the same LAPACK routine per matrix as the 2-D calls.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..sphere.qr import RANK_TOLERANCE
+from ..sphere import tick_kernel
+from ..sphere.qr import RANK_TOLERANCE, householder, rotate
 from ..utils.validation import require
 
 __all__ = ["check_frame_arrays", "one_subcarrier_frame", "triangularize_frame",
-           "rotate_frame", "zf_frame_filters", "mmse_frame_filters",
-           "apply_frame_filters"]
+           "rotate_frame", "triangular_frame", "zf_frame_filters",
+           "mmse_frame_filters", "apply_frame_filters"]
 
 
 def _as_channel_stack(channels) -> np.ndarray:
     matrices = np.asarray(channels, dtype=np.complex128)
     require(matrices.ndim == 3, "channels must be (S, na, nc)")
-    require(matrices.shape[1] >= matrices.shape[2],
-            f"need num_rx >= num_tx, got "
+    require(matrices.shape[1] >= matrices.shape[2] >= 1,
+            f"need num_rx >= num_tx >= 1, got "
             f"{matrices.shape[1]}x{matrices.shape[2]} per subcarrier")
     return matrices
 
@@ -86,30 +92,56 @@ def one_subcarrier_frame(r, y_hat_batch) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(r)[None], batch[:, None, :]
 
 
+def _householder_oracle(matrices, r_stack, q_stack, observations=None,
+                        y_stack=None) -> int:
+    """:func:`repro.sphere.tick_kernel.householder` without the core: the
+    oracle per subcarrier, with the same outputs and return code."""
+    for s, matrix in enumerate(matrices):
+        if not np.isfinite(matrix).all():
+            return s + 1
+        factors = householder(matrix)
+        if factors is None:
+            return -(s + 1)
+        q_stack[s], r_stack[s] = factors
+        if y_stack is not None:
+            y_stack[s] = rotate(q_stack[s], observations[:, s])
+    return 0
+
+
+def _refuse(code: int) -> None:
+    """Raise the ``ValueError`` a Householder run's nonzero return code
+    names: ``s + 1`` for a non-finite subcarrier ``s``, ``-(s + 1)`` for
+    a rank-deficient one — the same on the core and on the oracle."""
+    if code > 0:
+        raise ValueError(f"channel matrix of subcarrier {code - 1} is not "
+                         "finite (found NaN or inf)")
+    if code < 0:
+        raise ValueError(
+            f"channel matrix of subcarrier {-code - 1} is numerically rank "
+            "deficient; the depth-first sphere decoder requires full column "
+            "rank")
+
+
 def triangularize_frame(channels) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked ``H_s = Q_s R_s`` for every subcarrier in one LAPACK sweep.
+    """``H_s = Q_s R_s`` for every subcarrier in one call.
 
     ``channels`` is ``(S, na, nc)``; returns ``(q, r)`` of shapes
     ``(S, na, nc)`` and ``(S, nc, nc)`` with every ``R_s`` upper
-    triangular with real, strictly positive diagonal — the convention of
-    :func:`repro.sphere.qr.triangularize`, to which each slice is
-    bit-identical.
+    triangular with real, strictly positive diagonal — each slice
+    bit-identical to :func:`repro.sphere.qr.triangularize` of that
+    subcarrier.  Refuses a non-finite or rank-deficient subcarrier with
+    ``ValueError`` naming it.
     """
-    matrices = _as_channel_stack(channels)
-    q, r = np.linalg.qr(matrices, mode="reduced")
-    diagonal = np.einsum("sii->si", r)
-    magnitudes = np.abs(diagonal)
-    floors = RANK_TOLERANCE * np.maximum(magnitudes.max(axis=1), 1.0)
-    deficient = magnitudes.min(axis=1) <= floors
-    if deficient.any():      # checked first: an empty stack has no argmax
-        raise ValueError(
-            f"channel matrix of subcarrier {int(np.argmax(deficient))} is "
-            "numerically rank deficient; the depth-first sphere decoder "
-            "requires full column rank")
-    phases = diagonal / magnitudes
-    q = q * phases[:, None, :]
-    r = np.triu(r * np.conj(phases)[:, :, None])
-    return q, r
+    matrices = np.ascontiguousarray(_as_channel_stack(channels))
+    subcarriers, _, nc = matrices.shape
+    q_stack = np.empty(matrices.shape, dtype=np.complex128)
+    r_stack = np.empty((subcarriers, nc, nc), dtype=np.complex128)
+    if tick_kernel.core() is not None:
+        _refuse(tick_kernel.householder(matrices, RANK_TOLERANCE, r_stack,
+                                        q_stack))
+    else:
+        _refuse(_householder_oracle(matrices, r_stack, q_stack))
+    return q_stack, r_stack
 
 
 def rotate_frame(q_stack, received) -> np.ndarray:
@@ -117,16 +149,55 @@ def rotate_frame(q_stack, received) -> np.ndarray:
 
     ``q_stack`` is ``(S, na, nc)`` from :func:`triangularize_frame`;
     ``received`` is ``(T, S, na)``.  Returns the subcarrier-major
-    ``(S, T, nc)`` tensor of rotated observations — one stacked matmul,
-    each slice bit-identical to the per-subcarrier ``block @ conj(Q_s)``
-    with ``Q_s`` from :func:`repro.sphere.qr.triangularize`.
+    ``(S, T, nc)`` tensor of rotated observations, each bit-identical to
+    :func:`repro.sphere.qr.rotate` of that observation by ``Q_s``.
     """
-    q_stack = np.asarray(q_stack, dtype=np.complex128)
-    observations = _as_observation_stack(received, q_stack.shape[1])
+    q_stack = np.ascontiguousarray(q_stack, dtype=np.complex128)
+    require(q_stack.ndim == 3, "Q stack must be (S, na, nc)")
+    observations = np.ascontiguousarray(
+        _as_observation_stack(received, q_stack.shape[1]))
     require(observations.shape[1] == q_stack.shape[0],
             f"received has {observations.shape[1]} subcarriers, Q stack has "
             f"{q_stack.shape[0]}")
-    return np.matmul(np.moveaxis(observations, 1, 0), np.conj(q_stack))
+    y_stack = np.empty((q_stack.shape[0], len(observations),
+                        q_stack.shape[2]), dtype=np.complex128)
+    if tick_kernel.core() is not None:
+        tick_kernel.rotate(q_stack, observations, y_stack)
+    else:
+        for s, q in enumerate(q_stack):
+            y_stack[s] = rotate(q, observations[:, s])
+    return y_stack
+
+
+def triangular_frame(channels, received) -> tuple:
+    """A frame in the triangular domain in one call, without a ``Q``
+    stack: ``(r_stack, y_hat, diag, diag_sq)`` — the ``(S, nc, nc)``
+    factors of :func:`triangularize_frame`, the ``(S, T, nc)``
+    observations :func:`rotate_frame` would give, and the ``(S, nc)``
+    real diagonal of ``r_stack`` and its square (the scalar decoder's
+    ``np.real(np.diag(r))`` and ``diag * diag``)."""
+    matrices = np.ascontiguousarray(_as_channel_stack(channels))
+    observations = np.ascontiguousarray(
+        _as_observation_stack(received, matrices.shape[1]))
+    subcarriers, _, nc = matrices.shape
+    require(observations.shape[1] == subcarriers,
+            f"received has {observations.shape[1]} subcarriers, channels "
+            f"have {subcarriers}")
+    r_stack = np.empty((subcarriers, nc, nc), dtype=np.complex128)
+    y_stack = np.empty((subcarriers, len(observations), nc),
+                       dtype=np.complex128)
+    if tick_kernel.core() is None:
+        _refuse(_householder_oracle(
+            matrices, r_stack, np.empty(matrices.shape, dtype=np.complex128),
+            observations, y_stack))
+        diag = np.real(np.diagonal(r_stack, axis1=1, axis2=2)).copy()
+        return r_stack, y_stack, diag, diag * diag
+    diag = np.empty((subcarriers, nc))
+    diag_sq = np.empty((subcarriers, nc))
+    _refuse(tick_kernel.householder(matrices, RANK_TOLERANCE, r_stack,
+                                    received=observations, y_stack=y_stack,
+                                    diag=diag, diag_sq=diag_sq))
+    return r_stack, y_stack, diag, diag_sq
 
 
 def zf_frame_filters(channels) -> np.ndarray:

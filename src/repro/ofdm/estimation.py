@@ -50,17 +50,19 @@ def estimate_channel(received_grids, training) -> np.ndarray:
 
 
 def estimate_and_triangularize(received_grids, training):
-    """Estimate every subcarrier's channel and triangularise in one sweep.
+    """Estimate every subcarrier's channel and triangularise in one call.
 
     The front end of the frame-level receive path: the LS estimate above
     (already one vectorised division across all subcarriers) followed by
-    the stacked QR of :func:`repro.frame.preprocess.triangularize_frame`
-    — one LAPACK sweep instead of S separate factorisations.  Returns
-    ``(channels, q_stack, r_stack)`` with shapes ``(S, na, nc)``,
-    ``(S, na, nc)`` and ``(S, nc, nc)``; each ``(Q_s, R_s)`` slice is
-    bit-identical to :func:`repro.sphere.qr.triangularize` of the
-    corresponding estimate, so tree-search detection on estimated
-    channels is exactly the per-subcarrier receiver's program.
+    :func:`repro.frame.preprocess.triangularize_frame` — the Householder
+    program of :mod:`repro.sphere.qr` over the whole stack, in one
+    native call where the compiled core built.  Returns ``(channels,
+    q_stack, r_stack)`` with shapes ``(S, na, nc)``, ``(S, na, nc)`` and
+    ``(S, nc, nc)``; each ``(Q_s, R_s)`` slice is bit-identical to
+    :func:`repro.sphere.qr.triangularize` of the corresponding estimate,
+    so tree-search detection on estimated channels is exactly the
+    per-subcarrier receiver's program.  A non-finite or rank-deficient
+    estimate is refused with ``ValueError`` naming its subcarrier.
     """
     channels = estimate_channel(received_grids, training)
     q_stack, r_stack = triangularize_frame(channels)

@@ -43,8 +43,7 @@ import numpy as np
 from ..frame.preprocess import (
     check_frame_arrays,
     one_subcarrier_frame,
-    rotate_frame,
-    triangularize_frame,
+    triangular_frame,
 )
 from ..frame.results import (
     FrameDecodeResult,
@@ -226,9 +225,8 @@ class FrameJob:
 
     def __init__(self, frame_id: int, request: FrameRequest) -> None:
         kind, channels, received = validate_request(request)
-        q_stack, r_stack = triangularize_frame(channels)
-        self._init_state(frame_id, request, kind, r_stack,
-                         rotate_frame(q_stack, received))
+        self._init_state(frame_id, request, kind,
+                         *triangular_frame(channels, received))
 
     @classmethod
     def from_triangular(cls, decoder, r, y_hat_batch,
@@ -243,16 +241,21 @@ class FrameJob:
         request = FrameRequest(*one_subcarrier_frame(r, y_hat_batch),
                                decoder, noise_variance)
         kind, r_stack, rotated = validate_request(request)
-        refuse_zero_diagonal(np.real(np.diagonal(r_stack[0])))
+        diag = np.real(np.diagonal(r_stack, axis1=1, axis2=2)).copy()
+        refuse_zero_diagonal(diag[0])
         job = cls.__new__(cls)
-        job._init_state(0, request, kind, r_stack,
-                        rotated.transpose(1, 0, 2))
+        job._init_state(0, request, kind, np.ascontiguousarray(r_stack),
+                        rotated.transpose(1, 0, 2), diag, diag * diag)
         return job
 
     def _init_state(self, frame_id: int, request: FrameRequest, kind: str,
-                    r_stack: np.ndarray, y_hat: np.ndarray) -> None:
-        """Per-frame state from the triangular factors and the
-        ``(S, T, nc)`` rotated observations."""
+                    r_stack: np.ndarray, y_hat: np.ndarray,
+                    diag_stack: np.ndarray,
+                    diag_sq_stack: np.ndarray) -> None:
+        """Per-frame state from the C-contiguous triangular factors, the
+        ``(S, T, nc)`` rotated observations and the factors' ``(S, nc)``
+        real diagonals and their squares (the scalar decoder's
+        ``np.real(np.diag(r))`` / ``diag * diag``, stacked)."""
         decoder = request.decoder
         self.frame_id = frame_id
         self.kind = kind
@@ -281,13 +284,11 @@ class FrameJob:
 
         num_subcarriers, num_symbols, num_streams = y_hat.shape
         # C-contiguous: the compiled core reads the stacks in place.
-        self.r_stack = np.ascontiguousarray(r_stack)
+        self.r_stack = r_stack
         self.y_flat = np.ascontiguousarray(y_hat.reshape(
             num_subcarriers * num_symbols, num_streams))
-        # Shared per-subcarrier scalings: the scalar decoder's
-        # ``np.real(np.diag(r))`` / ``diag * diag``, stacked.
-        self.diag_stack = np.real(np.einsum("sii->si", r_stack)).copy()
-        self.diag_sq_stack = self.diag_stack * self.diag_stack
+        self.diag_stack = diag_stack
+        self.diag_sq_stack = diag_sq_stack
         self.num_subcarriers = num_subcarriers
         self.num_symbols = num_symbols
         self.num_streams = num_streams

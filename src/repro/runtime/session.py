@@ -114,6 +114,13 @@ class PendingFrame:
     :meth:`resolve` alone.
     """
 
+    # A caller that keeps its resolved handles keeps these alone: no
+    # per-handle ``__dict__``.
+    __slots__ = ("frame_id", "kind", "metadata", "submitted_at",
+                 "deadline_s", "priority", "deadline_at", "completed_at",
+                 "latency_s", "resolution", "degraded", "missed_deadline",
+                 "trace", "_result")
+
     def __init__(self, frame_id: int, request: FrameRequest,
                  submitted_at: float) -> None:
         self.frame_id = frame_id

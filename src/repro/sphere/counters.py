@@ -38,7 +38,7 @@ from dataclasses import dataclass
 __all__ = ["ComplexityCounters"]
 
 
-@dataclass
+@dataclass(slots=True)
 class ComplexityCounters:
     """Mutable tally shared between the search engine and its enumerators."""
 

@@ -32,13 +32,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..constellation.qam import QamConstellation
-from ..utils.validation import as_complex_vector, require
+from ..utils.validation import as_complex_matrix, require
 from .counters import ComplexityCounters
 from .enumerator import NodeEnumerator
 from .exhaustive import ExhaustiveEnumerator
 from .hess import HessEnumerator
 from .pruning import GeometricPruner
-from .qr import sorted_triangularize, triangularize
+from .qr import norm_column_order, triangular_system
 from .shabany import ShabanyEnumerator
 from .zigzag import GeosphereEnumerator
 
@@ -253,13 +253,11 @@ class SphereDecoder:
         ``channel`` is ``(na, nc)``; ``received`` is the length-``na``
         observation ``y = H x + w``.
         """
-        y = as_complex_vector(received, "received")
-        require(y.shape[0] == channel.shape[0],
-                f"received vector length {y.shape[0]} does not match "
-                f"channel rows {channel.shape[0]}")
         if self.column_ordering == "norm":
-            q, r, perm = sorted_triangularize(channel)
-            result = self.decode_triangular(r, q.conj().T @ y)
+            matrix = as_complex_matrix(channel, "channel")
+            perm = norm_column_order(matrix)
+            result = self.decode_triangular(
+                *triangular_system(matrix[:, perm], received))
             if not result.found:
                 return result
             # Map the permuted solution back to the natural stream order.
@@ -269,9 +267,7 @@ class SphereDecoder:
                 found=True, symbol_indices=indices,
                 symbols=self.constellation.points[indices],
                 distance_sq=result.distance_sq, counters=result.counters)
-        q, r = triangularize(channel)
-        y_hat = q.conj().T @ y
-        return self.decode_triangular(r, y_hat)
+        return self.decode_triangular(*triangular_system(channel, received))
 
     def decode_triangular(self, r: np.ndarray,
                           y_hat: np.ndarray) -> SphereDecoderResult:

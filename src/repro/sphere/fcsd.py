@@ -17,10 +17,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..constellation.qam import QamConstellation
-from ..utils.validation import as_complex_vector, require
+from ..utils.validation import require
 from .counters import ComplexityCounters
 from .decoder import SphereDecoderResult
-from .qr import triangularize
+from .qr import triangular_system
 
 __all__ = ["FixedComplexityDecoder"]
 
@@ -35,11 +35,7 @@ class FixedComplexityDecoder:
         self.full_levels = full_levels
 
     def decode(self, channel, received) -> SphereDecoderResult:
-        q, r = triangularize(channel)
-        y = as_complex_vector(received, "received")
-        require(y.shape[0] == channel.shape[0],
-                "received length does not match channel rows")
-        return self.decode_triangular(r, q.conj().T @ y)
+        return self.decode_triangular(*triangular_system(channel, received))
 
     def decode_triangular(self, r: np.ndarray,
                           y_hat: np.ndarray) -> SphereDecoderResult:

@@ -34,10 +34,10 @@ import numpy as np
 
 from ..constellation.pam import zigzag_order_table
 from ..constellation.qam import QamConstellation
-from ..utils.validation import as_complex_vector, require
+from ..utils.validation import require
 from .counters import ComplexityCounters
 from .decoder import SphereDecoderResult, check_triangular, refuse_zero_diagonal
-from .qr import triangularize
+from .qr import triangular_system
 from .zigzag import GeosphereEnumerator
 
 __all__ = ["KBestDecoder", "batched_axis_orders"]
@@ -95,11 +95,7 @@ class KBestDecoder:
         self.k = k
 
     def decode(self, channel, received) -> SphereDecoderResult:
-        q, r = triangularize(channel)
-        y = as_complex_vector(received, "received")
-        require(y.shape[0] == channel.shape[0],
-                "received length does not match channel rows")
-        return self.decode_triangular(r, q.conj().T @ y)
+        return self.decode_triangular(*triangular_system(channel, received))
 
     def decode_triangular(self, r: np.ndarray,
                           y_hat: np.ndarray) -> SphereDecoderResult:
@@ -294,7 +290,7 @@ class KBestDecoder:
         """Decode a whole OFDM frame across all subcarriers at once.
 
         ``channels`` is ``(S, na, nc)``; ``received`` is ``(T, S, na)``.
-        One stacked QR sweep triangularises every subcarrier
+        One Householder call triangularises every subcarrier
         (:mod:`repro.frame.preprocess`), then all S×T observations expand
         through a *single* breadth-first tensor pass — K-best keeps every
         search in lockstep by construction, so unlike the depth-first
@@ -305,12 +301,11 @@ class KBestDecoder:
         :class:`~repro.frame.results.FrameDecodeResult`.
         """
         # Lazy import: repro.frame builds on repro.sphere.
-        from ..frame.preprocess import (check_frame_arrays, rotate_frame,
-                                        triangularize_frame)
+        from ..frame.preprocess import check_frame_arrays, triangular_frame
 
-        channels, received = check_frame_arrays(channels, received)
-        q_stack, r_stack = triangularize_frame(channels)
-        return self._decode_rotated(r_stack, rotate_frame(q_stack, received))
+        r_stack, y_hat, _, _ = triangular_frame(
+            *check_frame_arrays(channels, received))
+        return self._decode_rotated(r_stack, y_hat)
 
     def _decode_rotated(self, r_stack: np.ndarray, y_hat: np.ndarray):
         """The frame result of ``(S, T, nc)`` rotated observations against

@@ -83,6 +83,22 @@
  * adds, takes the second only if strictly smaller (c1 < c0, so ties and
  * inf + inf go to the first, as np.where(c1 < c0, c1, c0) does), and
  * records that choice as the backpointer.  No multiply, no contraction.
+ *
+ * And it holds the frame's preprocessing (repro_qr_run, repro_rotate_run):
+ * the Householder QR of every subcarrier's channel and the rotation of
+ * the frame's observations into that basis, the program of
+ * repro/sphere/qr.py (householder, rotate) -- its oracle, which spells
+ * out every float operation in Python floats, so nothing here depends
+ * on NUMPY_FMA:
+ *   - a complex product is written as real multiplies and adds, in the
+ *     oracle's order and grouping; a complex over a real is a plain /
+ *     of each component (no reciprocal: the oracle divides);
+ *   - every sum runs in ascending index order from 0.0, each term
+ *     formed whole before it is added (-ffp-contract=off keeps the
+ *     products unfused);
+ *   - a magnitude is sqrt(re * re + im * im), never hypot;
+ *   - the rank check compares each diagonal entry with tolerance *
+ *     max(1, largest diagonal entry), by compares, NaN refused.
  */
 
 #include <math.h>
@@ -741,4 +757,171 @@ void repro_trellis_run(const double *costs, int64_t blocks, int64_t steps,
             state = (state % half) * 2 + back[step * states + state];
         }
     }
+}
+
+/* ------------------------------------------------------------------ */
+/* Frame preprocessing: one Householder program for a channel stack.  */
+/* ------------------------------------------------------------------ */
+
+/* col[i] -= v[i] * (v* col / beta) over `len` rows `stride` apart: the
+ * reflector I - v v* / beta applied to one column (qr.py _reflect). */
+static void reflect(const cplx *v, cplx *col, int64_t len, int64_t stride,
+                    double beta)
+{
+    double ar = 0.0, ai = 0.0;
+    for (int64_t i = 0; i < len; i++) {
+        const cplx a = v[i * stride], b = col[i * stride];
+        ar += a.re * b.re + a.im * b.im;
+        ai += a.re * b.im - a.im * b.re;
+    }
+    const double fr = ar / beta, fi = ai / beta;
+    for (int64_t i = 0; i < len; i++) {
+        const cplx a = v[i * stride];
+        cplx *b = col + i * stride;
+        b->re = b->re - (a.re * fr - a.im * fi);
+        b->im = b->im - (a.re * fi + a.im * fr);
+    }
+}
+
+/* qr.py householder on one row-major (na, nc) matrix h: R into r
+ * (nc, nc), Q into q (na, nc).  w (na, nc) holds
+ * the reflected matrix -- reflector k in column k from row k --, phase
+ * and beta (nc) each reflector's s and beta.  Returns 1 if h is
+ * numerically rank deficient, else 0. */
+static int factor(const cplx *h, int64_t na, int64_t nc, double tolerance,
+                  cplx *w, cplx *phase, double *beta, cplx *r, cplx *q)
+{
+    for (int64_t i = 0; i < na * nc; i++)
+        w[i] = h[i];
+    for (int64_t k = 0; k < nc; k++) {
+        cplx *x = w + k * nc + k;
+        double total = 0.0;
+        for (int64_t i = 0; i < na - k; i++)
+            total += x[i * nc].re * x[i * nc].re + x[i * nc].im * x[i * nc].im;
+        const double alpha = sqrt(total);
+        /* The rank floor is at least tolerance: refusing here keeps
+         * beta away from 0 (and NaN out of the program). */
+        if (!(alpha > tolerance))
+            return 1;
+        const double x0r = x[0].re, x0i = x[0].im;
+        const double head = sqrt(x0r * x0r + x0i * x0i);
+        double sr = 1.0, si = 0.0;
+        if (head > 0.0) {
+            sr = x0r / head;
+            si = x0i / head;
+        }
+        x[0].re = x0r + sr * alpha;
+        x[0].im = x0i + si * alpha;
+        beta[k] = alpha * (alpha + head);
+        phase[k].re = sr;
+        phase[k].im = si;
+        for (int64_t j = k + 1; j < nc; j++)
+            reflect(x, w + k * nc + j, na - k, nc, beta[k]);
+        cplx *row = r + k * nc;
+        for (int64_t j = 0; j < k; j++)
+            row[j].re = row[j].im = 0.0;
+        row[k].re = alpha;
+        row[k].im = 0.0;
+        for (int64_t j = k + 1; j < nc; j++) {
+            const cplx b = w[k * nc + j];
+            row[j].re = -(sr * b.re + si * b.im);
+            row[j].im = -(sr * b.im - si * b.re);
+        }
+    }
+    double ceiling = 1.0;
+    for (int64_t k = 0; k < nc; k++)
+        if (r[k * nc + k].re > ceiling)
+            ceiling = r[k * nc + k].re;
+    for (int64_t k = 0; k < nc; k++)
+        if (!(r[k * nc + k].re > tolerance * ceiling))
+            return 1;
+    for (int64_t i = 0; i < na; i++)
+        for (int64_t j = 0; j < nc; j++) {
+            q[i * nc + j].re = i == j ? 1.0 : 0.0;
+            q[i * nc + j].im = 0.0;
+        }
+    for (int64_t k = nc - 1; k >= 0; k--)
+        for (int64_t j = k; j < nc; j++)
+            reflect(w + k * nc + k, q + k * nc + j, na - k, nc, beta[k]);
+    for (int64_t k = 0; k < nc; k++) {
+        const double sr = phase[k].re, si = phase[k].im;
+        for (int64_t i = 0; i < na; i++) {
+            cplx *b = q + i * nc + k;
+            const double qr = b->re, qi = b->im;
+            b->re = -(sr * qr - si * qi);
+            b->im = -(sr * qi + si * qr);
+        }
+    }
+    return 0;
+}
+
+/* qr.py rotate: out[k] = sum_i conj(q[i, k]) x[i], ascending i, for a
+ * row-major (na, nc) q. */
+static void rotate(const cplx *q, int64_t na, int64_t nc, const cplx *x,
+                   cplx *out)
+{
+    for (int64_t k = 0; k < nc; k++) {
+        double ar = 0.0, ai = 0.0;
+        for (int64_t i = 0; i < na; i++) {
+            const cplx a = q[i * nc + k], b = x[i];
+            ar += a.re * b.re + a.im * b.im;
+            ai += a.re * b.im - a.im * b.re;
+        }
+        out[k].re = ar;
+        out[k].im = ai;
+    }
+}
+
+/* Rotate `symbols` observations x (symbols, subcarriers, na) of every
+ * subcarrier into its basis q (subcarriers, na, nc): y (subcarriers,
+ * symbols, nc), subcarrier-major. */
+void repro_rotate_run(const cplx *q, const cplx *x, int64_t subcarriers,
+                      int64_t na, int64_t nc, int64_t symbols, cplx *y)
+{
+    for (int64_t s = 0; s < subcarriers; s++)
+        for (int64_t t = 0; t < symbols; t++)
+            rotate(q + s * na * nc, na, nc, x + (t * subcarriers + s) * na,
+                   y + (s * symbols + t) * nc);
+}
+
+/* The whole front end of a frame in one call, subcarrier by subcarrier:
+ * refuse a channel h[s] (subcarriers, na, nc) with a non-finite entry,
+ * factor it (R into r (subcarriers, nc, nc)), refuse it if rank
+ * deficient, then -- each output only where its pointer is not NULL --
+ * write Q into q (subcarriers, na, nc), R's real diagonal and its
+ * square into diag / diag_sq (subcarriers, nc), and the subcarrier's
+ * `symbols` observations of x (symbols, subcarriers, na), rotated, into
+ * y (subcarriers, symbols, nc).  work holds 4 * na * nc + 3 * nc
+ * doubles of scratch: without q, Q lives there.
+ * Returns 0, or s + 1 if subcarrier s is not finite, -(s + 1) if it is
+ * rank deficient; the subcarriers before it are written. */
+int64_t repro_qr_run(const cplx *h, const cplx *x, int64_t subcarriers,
+                     int64_t na, int64_t nc, int64_t symbols,
+                     double tolerance, cplx *q, cplx *r, cplx *y,
+                     double *diag, double *diag_sq, double *work)
+{
+    cplx *w = (cplx *)work, *scratch_q = w + na * nc;
+    cplx *phase = scratch_q + na * nc;
+    double *beta = (double *)(phase + nc);
+    for (int64_t s = 0; s < subcarriers; s++) {
+        const cplx *hs = h + s * na * nc;
+        for (int64_t i = 0; i < na * nc; i++)
+            if (!isfinite(hs[i].re) || !isfinite(hs[i].im))
+                return s + 1;
+        cplx *rs = r + s * nc * nc;
+        cplx *qs = q ? q + s * na * nc : scratch_q;
+        if (factor(hs, na, nc, tolerance, w, phase, beta, rs, qs))
+            return -(s + 1);
+        if (diag)
+            for (int64_t k = 0; k < nc; k++) {
+                const double d = rs[k * nc + k].re;
+                diag[s * nc + k] = d;
+                diag_sq[s * nc + k] = d * d;
+            }
+        if (y)
+            for (int64_t t = 0; t < symbols; t++)
+                rotate(qs, na, nc, x + (t * subcarriers + s) * na,
+                       y + (s * symbols + t) * nc);
+    }
+    return 0;
 }

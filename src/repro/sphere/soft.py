@@ -43,10 +43,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..constellation.qam import QamConstellation
-from ..utils.validation import as_complex_vector, require
+from ..utils.validation import require
 from .counters import ComplexityCounters
 from .decoder import SphereDecoder
-from .qr import triangularize
+from .qr import triangular_system
 
 __all__ = ["ListSphereDecoder", "SoftDecodeResult", "soft_outputs_from_lists",
            "stacked_list_bits"]
@@ -187,11 +187,8 @@ class ListSphereDecoder(SphereDecoder):
                     noise_variance: float) -> SoftDecodeResult:
         """Collect the best leaves and derive max-log LLRs."""
         require(noise_variance > 0.0, "noise variance must be positive")
-        q, r = triangularize(channel)
-        y = as_complex_vector(received, "received")
-        require(y.shape[0] == channel.shape[0],
-                "received length does not match channel rows")
-        return self.decode_soft_triangular(r, q.conj().T @ y, noise_variance)
+        r, y_hat = triangular_system(channel, received)
+        return self.decode_soft_triangular(r, y_hat, noise_variance)
 
     def decode_soft_triangular(self, r: np.ndarray, y_hat,
                                noise_variance: float) -> SoftDecodeResult:

@@ -22,6 +22,16 @@ is the one caller).  Its float program — two separate adds per state,
 the second candidate taken only when strictly smaller — is the scalar
 trellis sweep's ``np.where`` program, so decisions are bit-identical.
 
+And it holds a frame's preprocessing: :func:`householder` triangularises
+a whole ``(S, na, nc)`` channel stack and rotates the frame's
+observations into each basis in one call, :func:`rotate` rotates
+observations into given bases.  Their program is the oracle's,
+:func:`repro.sphere.qr.householder` / :func:`repro.sphere.qr.rotate`,
+operation for operation (plain IEEE adds, multiplies, divisions and
+square roots in an order both spell out, no numpy complex product), so
+``Q``, ``R`` and every rotated observation are bit-identical to it
+(:mod:`repro.frame.preprocess` is the caller).
+
 Why any allowance is the same program
 -------------------------------------
 Each search is an independent state machine; the lockstep tick is only
@@ -54,10 +64,11 @@ to a temporary name and ``os.replace``d, so later processes just load
 it.  Only ``zigzag`` and ``shabany`` searches run in the core (they are
 Geosphere's and the hot ones).  Every other pool — ``hess`` /
 ``exhaustive``, or any pool on a box without a compiler (one
-``RuntimeWarning``, for the search and the trellis together) or after a
-failed build — runs each search through the scalar decoder itself, and
-without the core the batched Viterbi decodes its rows through the
-scalar trellis: only speed changes, never results.
+``RuntimeWarning``, for all of the core together) or after a failed
+build — runs each search through the scalar decoder itself; without the
+core the batched Viterbi decodes its rows through the scalar trellis
+and a frame's QR loops the Python oracle over its subcarriers: only
+speed changes, never results.
 """
 
 from __future__ import annotations
@@ -84,8 +95,10 @@ __all__ = [
     "FRAME",
     "core",
     "frame",
+    "householder",
     "lanes",
     "outcome",
+    "rotate",
     "run",
     "trellis",
 ]
@@ -287,7 +300,7 @@ def _cache_dir() -> Path:
 def _build():
     """Compile ``search_core.c`` into the cache unless this exact
     source / compiler / flags combination is already there, and load
-    it, its two entry points typed."""
+    it, its entry points typed."""
     cc = _compiler()
     version = subprocess.run([cc, "--version"], capture_output=True,
                              check=True).stdout
@@ -318,6 +331,14 @@ def _build():
     viterbi.argtypes = ([ctypes.c_void_p] + [ctypes.c_int64] * 4
                         + [ctypes.c_void_p] * 5)
     viterbi.restype = None
+    qr = loaded.repro_qr_run
+    qr.argtypes = ([ctypes.c_void_p] * 2 + [ctypes.c_int64] * 4
+                   + [ctypes.c_double] + [ctypes.c_void_p] * 6)
+    qr.restype = ctypes.c_int64
+    rotation = loaded.repro_rotate_run
+    rotation.argtypes = [ctypes.c_void_p] * 2 + [ctypes.c_int64] * 4 + [
+        ctypes.c_void_p]
+    rotation.restype = None
     return loaded
 
 
@@ -326,8 +347,9 @@ _core = None
 
 
 def core():
-    """The core library — its entry points ``repro_search_run`` and
-    ``repro_trellis_run`` — built and loaded at first use, or ``None``
+    """The core library — its entry points ``repro_search_run``,
+    ``repro_trellis_run``, ``repro_qr_run`` and ``repro_rotate_run`` —
+    built and loaded at first use, or ``None``
     (after one ``RuntimeWarning``) where that is impossible: no
     compiler, a failed build, an untrustworthy cache directory."""
     global _core
@@ -338,9 +360,9 @@ def core():
             _core = False
             warnings.warn(
                 f"the compiled search core is unavailable ({error}); "
-                "the batched Viterbi decodes row by row and "
-                "every pool runs its searches through the scalar decoder, "
-                "with the same results",
+                "the batched Viterbi decodes row by row, a frame's QR "
+                "runs the Python oracle and every pool runs its searches "
+                "through the scalar decoder, with the same results",
                 RuntimeWarning, stacklevel=2)
     return _core or None
 
@@ -532,3 +554,61 @@ def trellis(costs, pattern_from0, pattern_from1, backpointers, metrics,
         _address(backpointers, np.uint8, (steps, states), "backpointers"),
         _address(metrics, _F, (2, states), "path metrics"),
         _address(decisions, np.uint8, (blocks, steps), "decisions"))
+
+
+def householder(channels, tolerance: float, r_stack, q_stack=None,
+                received=None, y_stack=None, diag=None, diag_sq=None) -> int:
+    """Triangularise a frame in one native call: the Householder program
+    of :func:`repro.sphere.qr.householder` on every ``(na, nc)`` matrix
+    of ``channels`` ``(S, na, nc)``, subcarrier by subcarrier, into
+    ``r_stack`` ``(S, nc, nc)`` and, where given, ``q_stack`` ``(S, na,
+    nc)``, the ``(T, S, na)`` ``received`` rotated into each basis
+    (:func:`repro.sphere.qr.rotate`) into ``y_stack`` ``(S, T, nc)``,
+    and R's real diagonal and its square into ``diag`` / ``diag_sq``
+    ``(S, nc)``.  Returns 0, or ``s + 1`` if subcarrier ``s`` has a
+    non-finite entry, ``-(s + 1)`` if it is numerically rank deficient
+    (``tolerance``: the oracle's check).  Every operand is checked
+    first, as C-contiguous of its exact shape: past the ctypes boundary
+    a wrong one is memory corruption, not an exception.
+    """
+    library = core()
+    require(library is not None, "the compiled search core is unavailable")
+    require(channels.ndim == 3, "channels must be (S, na, nc)")
+    subcarriers, na, nc = channels.shape
+    require((received is None) == (y_stack is None)
+            and (diag is None) == (diag_sq is None),
+            "received comes with y_stack, diag with diag_sq")
+
+    def optional(array, dtype, shape, what):
+        return None if array is None else _address(array, dtype, shape, what)
+
+    symbols = 0 if received is None else len(received)
+    work = np.empty(4 * na * nc + 3 * nc)
+    return library.repro_qr_run(
+        _address(channels, _C, (subcarriers, na, nc), "channels"),
+        optional(received, _C, (symbols, subcarriers, na), "received"),
+        subcarriers, na, nc, symbols, tolerance,
+        optional(q_stack, _C, (subcarriers, na, nc), "q_stack"),
+        _address(r_stack, _C, (subcarriers, nc, nc), "r_stack"),
+        optional(y_stack, _C, (subcarriers, symbols, nc), "y_stack"),
+        optional(diag, _F, (subcarriers, nc), "diag"),
+        optional(diag_sq, _F, (subcarriers, nc), "diag_sq"),
+        work.ctypes.data)
+
+
+def rotate(q_stack, received, y_stack) -> None:
+    """Rotate a frame's ``(T, S, na)`` observations into each
+    subcarrier's basis ``q_stack`` ``(S, na, nc)`` in one native call,
+    into ``y_stack`` ``(S, T, nc)``: :func:`repro.sphere.qr.rotate`'s
+    program.  Every operand is checked first."""
+    library = core()
+    require(library is not None, "the compiled search core is unavailable")
+    require(q_stack.ndim == 3 and received.ndim == 3,
+            "rotation needs a (S, na, nc) basis and (T, S, na) observations")
+    subcarriers, na, nc = q_stack.shape
+    symbols = received.shape[0]
+    library.repro_rotate_run(
+        _address(q_stack, _C, (subcarriers, na, nc), "q_stack"),
+        _address(received, _C, (symbols, subcarriers, na), "received"),
+        subcarriers, na, nc, symbols,
+        _address(y_stack, _C, (subcarriers, symbols, nc), "y_stack"))

@@ -165,3 +165,21 @@ def test_outcome_rows_have_one_allocator(text):
             for path in (ROOT / "src" / "repro").rglob("*.py")
             if re.search(pattern, path.read_text())}
     assert hits == {"src/repro/runtime/queue.py"}
+
+
+def test_no_lapack_qr_under_src(text):
+    """``tier1`` greps ``src/repro`` for a LAPACK QR: a frame's QR is one
+    Householder program, written twice (``repro.sphere.qr`` and
+    ``search_core.c``).  The step's pattern must match such a call (so
+    it is not vacuous) and nothing under ``src/repro``."""
+    step = next(step for step in _steps(_jobs(text)["tier1"])
+                if step.startswith("name: No LAPACK QR under src/repro"))
+    assert "matrix.python-version == '3.12'" in step
+    pattern = re.search(r"""run: "! grep -rn '([^']*)' src/repro"$""",
+                        step, re.M).group(1).replace("\\\\", "\\")
+    assert re.search(pattern, "q, r = np.linalg.qr(matrix)")
+    hits = [path.relative_to(ROOT).as_posix()
+            for path in (ROOT / "src" / "repro").rglob("*")
+            if path.is_file() and path.suffix in (".py", ".c")
+            and re.search(pattern, path.read_text())]
+    assert hits == []

@@ -30,6 +30,7 @@ from repro.frame import (
     FrameDetectionResult,
     mmse_frame_filters,
     rotate_frame,
+    triangular_frame,
     triangularize_frame,
     zf_frame_filters,
 )
@@ -43,6 +44,7 @@ from repro.sphere import (
     SphereDecoder,
     triangularize,
 )
+from repro.sphere.qr import rotate, triangular_system
 from repro.sphere.counters import ComplexityCounters
 
 from test_engine import (
@@ -76,11 +78,18 @@ class TestFramePreprocess:
             assert np.array_equal(r_stack[s], r)
 
     def test_stacked_rotation_bit_identical(self):
+        """Each rotated observation is the oracle's: one subcarrier's
+        ``triangular_system`` (its QR, then ``sum_i conj(q[i, k]) y[i]``
+        in ascending ``i``)."""
         q_stack, _ = triangularize_frame(self.channels)
         y_hat = rotate_frame(q_stack, self.received)
+        _, fused, _, _ = triangular_frame(self.channels, self.received)
+        assert np.array_equal(fused, y_hat)
         for s in range(self.channels.shape[0]):
-            expected = self.received[:, s, :] @ np.conj(q_stack[s])
-            assert np.array_equal(y_hat[s], expected)
+            for t in range(self.received.shape[0]):
+                _, expected = triangular_system(self.channels[s],
+                                                self.received[t, s])
+                assert np.array_equal(y_hat[s, t], expected)
 
     def test_rank_deficient_subcarrier_rejected(self):
         channels = self.channels.copy()
@@ -197,9 +206,9 @@ ENGINE_CONFIGS = [
 
 def _subcarrier_batch(decoder, channel, block, *extra):
     """One subcarrier decoded alone: ``triangularize`` its channel, then
-    one ``decode_batch`` of its rotated ``(T, na)`` block."""
+    one ``decode_batch`` of its ``(T, na)`` block rotated by the oracle."""
     q, r = triangularize(channel)
-    return decoder.decode_batch(r, block @ np.conj(q), *extra)
+    return decoder.decode_batch(r, rotate(q, block), *extra)
 
 
 class TestFrameEngineEquivalence:
@@ -469,7 +478,7 @@ class TestSoftFrameEquivalence:
         want, per_subcarrier = scalar_oracle(decoder, channels, received,
                                              SOFT_NOISE_VARIANCE)
         q, r = triangularize(channels[0])
-        y_hat = received[:, 0, :] @ np.conj(q)
+        y_hat = rotate(q, received[:, 0, :])
         assert_batch_identical(
             decoder.decode_batch(r, y_hat, SOFT_NOISE_VARIANCE), want, 0,
             per_subcarrier[0])

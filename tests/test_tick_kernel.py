@@ -271,6 +271,64 @@ def test_core_refuses_what_it_cannot_address():
     refused("axis_int", axis_int=state["axis_int"][:, :2].copy())
 
 
+def _preprocessing_operands():
+    """Every operand of one fused ``repro_qr_run`` call, well formed."""
+    _, channels, received = _frame_instance(16, 4, 4, 3, 2)
+    return {"channels": channels, "received": received,
+            "r_stack": np.empty((3, 4, 4), dtype=np.complex128),
+            "q_stack": np.empty((3, 4, 4), dtype=np.complex128),
+            "y_stack": np.empty((3, 2, 4), dtype=np.complex128),
+            "diag": np.empty((3, 4)), "diag_sq": np.empty((3, 4))}
+
+
+@needs_core
+@pytest.mark.parametrize("operand,flaw", [
+    ("channels", lambda array: array.astype(np.complex64)),
+    ("channels", lambda array: np.asfortranarray(array)),
+    ("received", lambda array: array[:, :2].copy()),
+    ("received", lambda array: array.real.copy()),
+    ("r_stack", np.asfortranarray),
+    ("r_stack", lambda array: array[:, :3].copy()),
+    ("q_stack", lambda array: array[:2].copy()),
+    ("y_stack", lambda array: array[:, :1].copy()),
+    ("y_stack", lambda array: array.astype(np.complex64)),
+    ("diag", lambda array: array[:, :3].copy()),
+    ("diag_sq", lambda array: array[:, ::2]),
+])
+def test_core_refuses_a_preprocessing_operand_it_cannot_address(operand,
+                                                                 flaw):
+    """The QR entry writes its stacks in place, so the wrapper checks
+    every operand's dtype, C order and exact shape first (``channels``
+    fixes ``S``, ``na``, ``nc``; ``received`` the symbol count): a wrong
+    one is refused by name, and nothing is written."""
+    operands = _preprocessing_operands()
+    operands[operand] = flaw(operands[operand])
+    before = {name: array.copy() for name, array in operands.items()}
+    outputs = dict(operands)
+    with pytest.raises(ValueError, match=f"needs {operand} as C-contiguous"):
+        tick_kernel.householder(outputs.pop("channels"), 1e-9,
+                                outputs.pop("r_stack"), **outputs)
+    for name, array in operands.items():
+        assert np.array_equal(array, before[name], equal_nan=True), name
+
+
+@needs_core
+@pytest.mark.parametrize("operand,flaw", [
+    ("q_stack", np.asfortranarray),
+    ("received", lambda array: array.astype(np.complex64)),
+    ("y_stack", lambda array: array[:, :, :3].copy()),
+])
+def test_core_refuses_a_rotation_operand_it_cannot_address(operand, flaw):
+    operands = _preprocessing_operands()
+    tick_kernel.householder(operands["channels"], 1e-9, operands["r_stack"],
+                            operands["q_stack"])
+    rotation = {name: operands[name]
+                for name in ("q_stack", "received", "y_stack")}
+    rotation[operand] = flaw(rotation[operand])
+    with pytest.raises(ValueError, match=f"needs {operand} as C-contiguous"):
+        tick_kernel.rotate(**rotation)
+
+
 @needs_core
 @pytest.mark.parametrize("stack,flaw", [
     ("r_stack", lambda array: array.astype(np.complex64)),
