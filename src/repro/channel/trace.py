@@ -88,20 +88,26 @@ class ChannelTrace:
     # Persistence
     # ------------------------------------------------------------------
     def save(self, path: str | Path) -> None:
-        """Serialise to ``.npz`` (matrices + label; metadata keys as strings)."""
+        """Serialise to ``.npz``: the matrices, the label, and the
+        metadata keys and values as strings — every array plain data
+        (fixed-width unicode for the strings), so :meth:`load` reads it
+        with numpy's object loading off."""
+        keys = sorted(self.metadata)
         np.savez_compressed(
             Path(path),
             matrices=self.matrices,
-            label=np.asarray(self.label),
-            metadata_keys=np.asarray(sorted(self.metadata), dtype=object),
+            label=np.asarray(self.label, dtype=str),
+            metadata_keys=np.asarray(keys, dtype=str),
             metadata_values=np.asarray(
-                [str(self.metadata[key]) for key in sorted(self.metadata)], dtype=object),
+                [str(self.metadata[key]) for key in keys], dtype=str),
         )
 
     @classmethod
     def load(cls, path: str | Path) -> "ChannelTrace":
-        """Load a trace written by :meth:`save`."""
-        with np.load(Path(path), allow_pickle=True) as data:
+        """Load a trace written by :meth:`save`.  Object arrays are
+        refused (``np.load``'s default), so a file cannot make the
+        loader build anything but arrays."""
+        with np.load(Path(path)) as data:
             metadata = dict(zip(data["metadata_keys"].tolist(),
                                 data["metadata_values"].tolist()))
             return cls(matrices=data["matrices"], label=str(data["label"]),

@@ -58,7 +58,7 @@ def sum_tally_counters(ped, visited, expanded, leaves, prunes,
     return totals
 
 
-@dataclass
+@dataclass(slots=True)
 class FrameDecodeResult:
     """Outcome of decoding every (symbol, subcarrier) slot of one frame.
 
@@ -126,7 +126,7 @@ class FrameDecodeResult:
         return int(self.distances_sq.shape[1])
 
 
-@dataclass
+@dataclass(slots=True)
 class FrameDetectionResult:
     """Hard decisions for every (symbol, subcarrier) slot of one frame.
 
@@ -156,7 +156,7 @@ class FrameDetectionResult:
                    * self.symbol_indices.shape[1])
 
 
-@dataclass
+@dataclass(slots=True)
 class SoftFrameResult:
     """Soft decisions for every (symbol, subcarrier) slot of one frame.
 

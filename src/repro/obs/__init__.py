@@ -3,7 +3,8 @@
 Two complementary answers to "where did the time go":
 
 * :mod:`repro.obs.trace` — per-frame lifecycle traces (bounded,
-  off-by-default, picklable across the farm's worker pipes) exportable
+  off-by-default, carried across the farm's worker pipes as wire
+  records) exportable
   as JSONL and Chrome trace-event JSON.
 * :mod:`repro.obs.metrics` — a counter/gauge/summary registry that
   renders :class:`~repro.runtime.stats.RuntimeStats` summaries as

@@ -85,8 +85,8 @@ class FrameTrace:
     Events are plain ``(t, name, attrs)`` tuples (``attrs`` is ``None``
     or a small dict), appended in program order by a single-threaded
     runtime, so the list is time-ordered by construction.  The record
-    is picklable — it crosses the farm's worker pipes inside result
-    payloads.
+    crosses the farm's worker pipes inside result payloads, as one
+    record of the service's wire schema (:mod:`repro.service.wire`).
     """
 
     __slots__ = ("frame_id", "labels", "events", "dropped")

@@ -177,6 +177,11 @@ def validate_request(request: "FrameRequest"):
                 "soft frames need a positive noise_variance")
     channels, received = check_frame_arrays(request.channels,
                                             request.received)
+    # Every subcarrier is triangularised at admission: a stack that
+    # cannot be would fail there — in a farm, inside a shard.
+    require(channels.shape[1] >= channels.shape[2] >= 1,
+            f"need num_rx >= num_tx >= 1, got {channels.shape[1]}x"
+            f"{channels.shape[2]} per subcarrier")
     config = request.config
     # A search stopped before its first leaf has no LLRs to give (the
     # frame could never finalise) and only the -1 "no leaf" marker for

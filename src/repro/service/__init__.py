@@ -17,7 +17,9 @@ complexity counters are bit-identical to a single-process
 
 Layering (each module only reaches down):
 
-``protocol``   signatures, routing hash, wire framing
+``wire``       the declared message schema: encode / decode, sealed
+               records
+``protocol``   signatures, routing hash, socket and pipe framing
 ``worker``     :class:`ShardRuntime` (the shared shard brain) +
                ``worker_main`` child loop
 ``supervisor`` process spawning, heartbeat/hang/crash detection,

@@ -12,8 +12,10 @@ sleeps, and a result reaches it as soon as the worker reports it.
 Results arrive as the same objects a local
 :class:`~repro.runtime.session.UplinkRuntime` resolves
 (:class:`FrameDecodeResult` / :class:`SoftFrameResult`, CRC decisions
-attached), pickled across the local socket, so code written against the
-runtime's results runs unchanged against the service.
+attached), carried across the local socket in the declared wire schema
+(:mod:`repro.service.wire`: each result encoded once, by its worker, and
+decoded once, here), so code written against the runtime's results runs
+unchanged against the service.
 """
 
 from __future__ import annotations

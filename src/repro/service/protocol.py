@@ -14,27 +14,34 @@ differently on every run; determinism is what makes admission order
 within a shard reproducible and the farm's bit-exactness contract
 testable.
 
-**Framing.**  The cell-site service front speaks length-prefixed pickle
-over a local stream socket (:func:`send_obj` / :func:`recv_obj`).  This
-is a trusted single-host IPC link between the AP front and its own
-compute farm — the same trust boundary as ``multiprocessing``'s own
-pickle-based pipes — not an internet-facing protocol.  Trusted does not
-mean unbounded: a declared length above :data:`MAX_MESSAGE_BYTES` is
-refused before a byte of it is allocated, so a corrupt or hostile
-header costs its own connection and nothing else.
+**Framing.**  The cell-site service front speaks length-prefixed
+messages over a local stream socket (:func:`send_obj` /
+:func:`recv_obj`) in a declared binary schema
+(:mod:`repro.service.wire`): a verb and typed fields, arrays as raw
+buffers, a decoder as its config.  A receiver builds nothing but the
+schema's records from what it reads, so a peer on the port can send a
+bad frame and be answered with an error, but cannot make the server
+run code.  Nothing is unbounded either: a declared length above
+:data:`MAX_MESSAGE_BYTES` is refused before a byte of it is allocated,
+and each field's own caps are checked before it is built, so a corrupt
+or hostile message costs its own connection — a well-framed one only
+its own reply — and nothing else.  The worker pipe speaks the same
+bytes (:func:`pipe_send` / :func:`pipe_recv`).
 """
 
 from __future__ import annotations
 
 import hashlib
-import pickle
 import struct
 
 from ..runtime.queue import search_signature
+from ..runtime.session import PendingFrame
 from ..utils.validation import require
+from .wire import MAX_MESSAGE_BYTES, Resolution, decode, encode
 
-__all__ = ["VERBS", "recv_obj", "request_signature", "resolution_payload",
-           "send_obj", "shard_for"]
+__all__ = ["MAX_MESSAGE_BYTES", "VERBS", "pipe_recv", "pipe_send",
+           "recv_frame", "recv_obj", "request_signature",
+           "resolution_payload", "send_obj", "shard_for"]
 
 #: The service verbs the cell-site wire protocol speaks — the farm's
 #: surface plus ``metrics`` (Prometheus text exposition of the farm's
@@ -43,12 +50,6 @@ VERBS = ("submit", "poll", "cancel", "stats", "metrics")
 
 #: Length-prefix layout: one unsigned 32-bit big-endian byte count.
 _HEADER = struct.Struct("!I")
-
-#: Largest message either side accepts, in bytes.  A 4x4 x 64-subcarrier
-#: request pickles to ~34 KB and a frame result to ~11 KB, so 64 MiB is
-#: three orders of magnitude of headroom — and sixty-four times less
-#: than what the 32-bit prefix could otherwise make a receiver allocate.
-MAX_MESSAGE_BYTES = 64 << 20
 
 
 def request_signature(request) -> tuple:
@@ -65,7 +66,7 @@ def resolution_payload(frame_id: int, handle) -> dict:
     :class:`~repro.runtime.session.PendingFrame` travels in — worker
     pipe to farm, socket to client — whoever resolved it; every hop
     speaks the *farm's* frame id, hence apart."""
-    return {
+    return Resolution({
         "frame_id": frame_id,
         "resolution": handle.resolution,
         "degraded": handle.degraded,
@@ -74,9 +75,12 @@ def resolution_payload(frame_id: int, handle) -> dict:
         # The runtime's lifecycle trace (None unless it traces): it
         # rides along so the farm can merge it with its routing trace.
         "trace": handle.trace,
-        "result": (handle.result() if handle.resolution == "completed"
-                   else None),
-    }
+        # PendingFrame.result, not the handle's own: a farm's handle
+        # holds its worker's result sealed, and a hop that forwards it
+        # passes the worker's bytes on without decoding them.
+        "result": (PendingFrame.result(handle)
+                   if handle.resolution == "completed" else None),
+    })
 
 
 def shard_for(signature: tuple, num_shards: int) -> int:
@@ -94,24 +98,24 @@ def shard_for(signature: tuple, num_shards: int) -> int:
 
 
 def send_obj(sock, obj) -> None:
-    """Pickle ``obj`` and send it length-prefixed on a stream socket."""
-    payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    sock.sendall(_HEADER.pack(len(payload)) + payload)
+    """Encode ``obj`` (a ``(verb, *fields)`` message) and send it
+    length-prefixed on a stream socket."""
+    sock.sendall(encode(obj))
 
 
-def _recv_exact(sock, count: int) -> bytes:
-    chunks = []
-    while count:
-        chunk = sock.recv(count)
-        if not chunk:
+def _recv_exact(sock, count: int) -> bytearray:
+    buffer = bytearray(count)
+    view = memoryview(buffer)
+    while view:
+        received = sock.recv_into(view)
+        if not received:
             raise ConnectionError("peer closed mid-message")
-        chunks.append(chunk)
-        count -= len(chunk)
-    return b"".join(chunks)
+        view = view[received:]
+    return buffer
 
 
-def recv_obj(sock):
-    """Receive one length-prefixed pickled object; raises
+def recv_frame(sock) -> bytearray:
+    """Receive one length-prefixed message body, undecoded; raises
     :class:`ConnectionError` on a half-read (peer died mid-message) or
     a declared length above :data:`MAX_MESSAGE_BYTES` (nothing is
     allocated for it; the stream is unusable from there, so the caller
@@ -126,4 +130,23 @@ def recv_obj(sock):
         raise ConnectionError(
             f"peer declared a {length}-byte message; the protocol cap is "
             f"{MAX_MESSAGE_BYTES}")
-    return pickle.loads(_recv_exact(sock, length))
+    return _recv_exact(sock, length)
+
+
+def recv_obj(sock):
+    """Receive and decode one message (:func:`recv_frame`'s errors, and
+    ``ValueError`` for a body the schema does not declare)."""
+    return decode(recv_frame(sock))
+
+
+def pipe_send(conn, message: tuple) -> None:
+    """Send one message on a worker pipe: the wire bytes, past the
+    socket's length prefix (the pipe frames its own)."""
+    conn.send_bytes(encode(message), _HEADER.size)
+
+
+def pipe_recv(conn, *, sealed: bool = False) -> tuple:
+    """Receive and decode one worker-pipe message; ``sealed`` as in
+    :func:`repro.service.wire.decode`.  The bytes are copied once into a
+    writable buffer, so decoded arrays are writable views of it."""
+    return decode(bytearray(conn.recv_bytes()), sealed=sealed)

@@ -11,9 +11,13 @@ exactly one worker and the admission order a shard sees is the farm
 admission order restricted to its signatures — deterministic, which is
 what lets the bit-exactness contract extend to every shard count.
 
-``submit`` returns the runtime's own
+``submit`` returns a :class:`FarmFrame`, the runtime's own
 :class:`~repro.runtime.session.PendingFrame` (the farm keeps its shard
 beside it); worker payloads, ``cancel`` and ``close()`` all resolve it.
+A worker's result reaches the farm still in the bytes the worker
+encoded (:class:`~repro.service.wire.Sealed`): the handle decodes it on
+the first ``result()`` call, and a socket server forwarding it to its
+client never does.
 
 **Why signature routing keeps results bit-identical.**  A single
 ``UplinkRuntime`` is already admission-order-invariant per frame (the
@@ -48,9 +52,10 @@ from .supervisor import (
     DEFAULT_MAX_RESTARTS,
     ShardSupervisor,
 )
+from .wire import Sealed, opened
 from .worker import DEFAULT_HEARTBEAT_S, ShardRuntime
 
-__all__ = ["DetectorFarm"]
+__all__ = ["DetectorFarm", "FarmFrame"]
 
 BACKENDS = ("process", "inline")
 
@@ -59,6 +64,20 @@ OUTSTANDING_PER_SHARD = 16
 
 #: What a worker's resolution payload hands to ``PendingFrame.resolve``.
 _FIELDS = ("result", "degraded", "missed_deadline", "latency_s")
+
+
+class FarmFrame(PendingFrame):
+    """A farm's frame handle: a :class:`PendingFrame` whose result may
+    arrive sealed, as its worker encoded it, and is decoded by the
+    first :meth:`result` call — once, by whoever reads it."""
+
+    __slots__ = ()
+
+    def result(self):
+        result = super().result()
+        if type(result) is Sealed:
+            result = self._result = result.open()
+        return result
 
 
 class DetectorFarm:
@@ -149,13 +168,17 @@ class DetectorFarm:
     def submit(self, request) -> PendingFrame:
         """Route one frame to its shard; returns the pending handle.
 
-        Applies farm-wide backpressure: while ``max_outstanding`` frames
-        are unresolved, services the farm until one resolves — the same
-        submit-blocks contract (and arrival stamp) as ``UplinkRuntime``.
-        A frame that fails validation raises ``ValueError`` and leaves
-        the farm untouched.
+        ``request`` is a :class:`FrameRequest`, or one still sealed in
+        the bytes a client sent (the socket server's case): the farm
+        decodes it to validate and route it, and a process shard gets
+        those bytes unchanged.  Applies farm-wide backpressure: while
+        ``max_outstanding`` frames are unresolved, services the farm
+        until one resolves — the same submit-blocks contract (and
+        arrival stamp) as ``UplinkRuntime``.  A frame that fails
+        validation raises ``ValueError`` and leaves the farm untouched.
         """
         require(not self._closed, "farm is closed")
+        wire_form, request = request, opened(request)
         # The farm's front door: a malformed frame is rejected here, in
         # the caller's process, before it can reach (and poison) a shard.
         validate_request(request)
@@ -165,19 +188,23 @@ class DetectorFarm:
                 self.wait()
         shard = self.route(request)
         frame_id = self._next_frame_id
-        self._next_frame_id += 1
-        handle = PendingFrame(frame_id, request, submitted_at)
-        self._frames[frame_id] = (handle, shard)
-        self.frames_routed[shard] += 1
+        handle = FarmFrame(frame_id, request, submitted_at)
         trace = self.tracer.start(frame_id, shard=shard,
                                   priority=request.priority)
         if trace is not None:
             handle.trace = trace
             self.tracer.emit(trace, "route", shard=shard)
+        # Dispatched before the farm holds it: a process shard's request
+        # is encoded here, and one the wire schema cannot carry (an
+        # object in its metadata, say) raises ValueError with nothing
+        # left pending.
         if self._supervisor is not None:
-            self._supervisor.submit(shard, frame_id, request, trace=trace)
+            self._supervisor.submit(shard, frame_id, wire_form, trace=trace)
         else:
             self._shards[shard].submit(frame_id, request)
+        self._next_frame_id += 1
+        self._frames[frame_id] = (handle, shard)
+        self.frames_routed[shard] += 1
         return handle
 
     def cancel(self, handle: PendingFrame) -> bool:

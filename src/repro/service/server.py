@@ -5,10 +5,17 @@ Many cells, one farm: each cell-site generator connects a
 the server multiplexes every connection onto one shared
 :class:`~repro.service.router.DetectorFarm`.  The wire verbs mirror the
 farm's — ``submit``/``poll``/``cancel``/``stats``/``metrics`` — as synchronous
-request/response pairs (length-prefixed pickle,
-:mod:`repro.service.protocol`), so a client is a thin blocking facade
-and all concurrency lives server-side: one accept loop, one thread per
-connection, the farm itself guarded by a lock.
+request/response pairs (length-prefixed messages in the declared wire
+schema, :mod:`repro.service.protocol`), so a client is a thin blocking
+facade and all concurrency lives server-side: one accept loop, one
+thread per connection, the farm itself guarded by a lock.
+
+The server decodes a message with its requests and results left
+sealed (:class:`~repro.service.wire.Sealed`): a submitted frame is
+decoded once here to validate and route it and reaches its worker as
+the bytes its client sent, and a worker's result reaches the client as
+the bytes the worker sent.  A message that frames correctly but does
+not decode is answered ``("error", reason)`` and costs nothing else.
 
 Frame **ownership is per connection**: ``poll`` returns only frames the
 polling client submitted, and a connection that drops takes its
@@ -36,8 +43,9 @@ import socket
 import threading
 import time
 
-from .protocol import recv_obj, resolution_payload, send_obj
+from .protocol import VERBS, recv_frame, resolution_payload, send_obj
 from .router import DetectorFarm
+from .wire import MESSAGES, decode
 
 __all__ = ["CellSiteServer"]
 
@@ -98,8 +106,13 @@ class CellSiteServer:
         ready: list[object] = []
         try:
             while True:
-                message = recv_obj(conn)
-                reply = self._dispatch(message, owned, ready)
+                data = recv_frame(conn)
+                try:
+                    message = decode(data, sealed=True)
+                except ValueError as error:
+                    reply = ("error", f"undecodable message: {error}")
+                else:
+                    reply = self._dispatch(message, owned, ready)
                 send_obj(conn, reply)
         except (EOFError, ConnectionError, OSError):
             pass
@@ -141,6 +154,11 @@ class CellSiteServer:
 
     def _dispatch(self, message: tuple, owned: dict, ready: list) -> tuple:
         op = message[0]
+        # The schema declares more (the replies, the worker pipe's
+        # verbs); a client sends a service verb in its first signature.
+        if op not in VERBS or len(message) != 1 + len(MESSAGES[op][0]):
+            return ("error", f"unknown op {op!r} with {len(message) - 1} "
+                    "fields")
         if op == "poll":
             return ("ok", self._poll(owned, ready))
         with self._lock:
@@ -164,9 +182,7 @@ class CellSiteServer:
                 return ("ok", cancelled)
             if op == "stats":
                 return ("ok", self.farm.stats())
-            if op == "metrics":
-                return ("ok", self.farm.metrics())
-            return ("error", f"unknown op {op!r}")
+            return ("ok", self.farm.metrics())
 
     # -- lifecycle -------------------------------------------------------
     def close(self) -> None:

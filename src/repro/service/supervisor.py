@@ -58,7 +58,8 @@ from ..obs.trace import FrameTracer
 from ..runtime.session import PendingFrame
 from ..runtime.stats import RuntimeStats, fold_counters
 from ..utils.validation import require
-from .protocol import resolution_payload
+from .protocol import pipe_recv, pipe_send, resolution_payload
+from .wire import opened
 from .worker import DEFAULT_HEARTBEAT_S, worker_main
 
 __all__ = ["ShardSupervisor"]
@@ -89,7 +90,7 @@ class _Worker:
 
     def stop(self) -> None:
         try:
-            self.conn.send(("stop",))
+            pipe_send(self.conn, ("stop",))
         except (BrokenPipeError, OSError):
             pass
         self.process.join(timeout=1.0)
@@ -132,7 +133,9 @@ class ShardSupervisor:
         self._tracer = tracer if tracer is not None else FrameTracer()
         # Per-shard in-flight ledger: farm frame_id -> (request, enqueued
         # monotonic time, farm-side trace or None), in admission order
-        # (dicts preserve insertion).
+        # (dicts preserve insertion).  A request that arrived on the
+        # socket stays sealed (repro.service.wire.Sealed): its bytes go
+        # to the worker as the client encoded them.
         self._ledger: list[dict[int, tuple]] = [
             {} for _ in range(num_shards)]
         self._workers = [_Worker(shard, runtime_kwargs, heartbeat_s)
@@ -147,8 +150,15 @@ class ShardSupervisor:
     # -- dispatch -------------------------------------------------------
     def submit(self, shard: int, frame_id: int, request,
                trace=None) -> None:
+        """Dispatch one frame: a :class:`FrameRequest` or a sealed one.
+        A request the wire cannot carry raises ``ValueError`` before a
+        byte is sent, and the ledger keeps nothing of it."""
         self._ledger[shard][frame_id] = (request, time.monotonic(), trace)
-        self._send(shard, ("submit", frame_id, request))
+        try:
+            self._send(shard, ("submit", frame_id, request))
+        except ValueError:
+            del self._ledger[shard][frame_id]
+            raise
 
     def cancel(self, shard: int, frame_id: int) -> None:
         if self._ledger[shard].pop(frame_id, None) is not None:
@@ -156,7 +166,7 @@ class ShardSupervisor:
 
     def _send(self, shard: int, message: tuple) -> None:
         try:
-            self._workers[shard].conn.send(message)
+            pipe_send(self._workers[shard].conn, message)
         except (BrokenPipeError, OSError):
             pass          # pump()'s failure detection recovers the shard
 
@@ -165,12 +175,14 @@ class ShardSupervisor:
         """Drain every shard's pipe; detect and recover failures.
 
         Returns resolved payload dicts (worker results, worker-side
-        expiries and supervisor-side expiries alike).  Never blocks.
+        expiries and supervisor-side expiries alike), each result still
+        sealed as its worker encoded it.  Never blocks.
         """
         for shard, worker in enumerate(self._workers):
             try:
                 while worker.conn.poll(0):
-                    self._receive(shard, worker.conn.recv())
+                    self._receive(shard, pipe_recv(worker.conn,
+                                                   sealed=True))
             except (EOFError, OSError):
                 pass      # crash detection below restarts the shard
         # Results for frames the ledger no longer owns (cancelled, or
@@ -240,7 +252,8 @@ class ShardSupervisor:
         exhausted = self.restarts[shard] > self.max_restarts
         expiries = RuntimeStats()
         payloads = []
-        for frame_id, (request, enqueued, trace) in ledger.items():
+        for frame_id, (entry, enqueued, trace) in ledger.items():
+            request = opened(entry)
             elapsed = now - enqueued
             self._tracer.emit(trace, "restart", shard=shard, reason=reason,
                               restarts=self.restarts[shard])
@@ -255,13 +268,14 @@ class ShardSupervisor:
                 continue
             if request.deadline_s is not None:
                 # The replayed frame keeps its original wall-clock
-                # budget: shrink the deadline by the time already spent.
-                request = dataclasses.replace(
+                # budget: shrink the deadline by the time already spent
+                # (and re-encode it; an undated one replays as it came).
+                entry = request = dataclasses.replace(
                     request, deadline_s=request.deadline_s - elapsed)
             self._tracer.emit(trace, "replay",
                               deadline_s=request.deadline_s)
-            self._ledger[shard][frame_id] = (request, enqueued, trace)
-            self._send(shard, ("submit", frame_id, request))
+            self._ledger[shard][frame_id] = (entry, enqueued, trace)
+            self._send(shard, ("submit", frame_id, entry))
         self.retired[shard] = fold_counters(
             [self.retired[shard], self._last_summary[shard],
              expiries.summary()])
@@ -293,7 +307,8 @@ class ShardSupervisor:
             for conn in readable:
                 shard = owed[conn]
                 try:
-                    kind = self._receive(shard, conn.recv())
+                    kind = self._receive(shard,
+                                         pipe_recv(conn, sealed=True))
                 except (EOFError, OSError):
                     del owed[conn]
                     continue

@@ -27,7 +27,7 @@ import time
 from collections import deque
 
 from ..runtime.session import UplinkRuntime
-from .protocol import resolution_payload
+from .protocol import pipe_recv, pipe_send, resolution_payload
 
 __all__ = ["ShardRuntime", "worker_main"]
 
@@ -126,8 +126,10 @@ def worker_main(shard_id: int, conn, runtime_kwargs: dict | None,
                 heartbeat_s: float = DEFAULT_HEARTBEAT_S) -> None:
     """Child-process loop: multiplex the command pipe against shard work.
 
-    Messages in: ``("submit", frame_id, request)``, ``("cancel",
-    frame_id)``, ``("stats",)``, ``("stop",)``.  Messages out:
+    Messages, in the wire schema (:mod:`repro.service.wire`) through
+    ``send_bytes`` / ``recv_bytes``.  In: ``("submit", frame_id,
+    request)`` — the request as its client encoded it, decoded here
+    once — ``("cancel", frame_id)``, ``("stats",)``, ``("stop",)``.  Out:
     ``("done", shard_id, payload)`` per resolved frame, ``("stats",
     shard_id, summary)`` replies, and ``("beat", shard_id)`` heartbeats
     — sent at least every ``heartbeat_s`` even while grinding through a
@@ -143,22 +145,22 @@ def worker_main(shard_id: int, conn, runtime_kwargs: dict | None,
             # shards just drain whatever commands are waiting.
             timeout = heartbeat_s if core.idle else 0.0
             while conn.poll(timeout):
-                message = conn.recv()
+                message = pipe_recv(conn)
                 op = message[0]
                 if op == "submit":
                     core.submit(message[1], message[2])
                 elif op == "cancel":
                     core.cancel(message[1])
                 elif op == "stats":
-                    conn.send(("stats", shard_id, core.summary()))
+                    pipe_send(conn, ("stats", shard_id, core.summary()))
                 elif op == "stop":
                     return
                 timeout = 0.0
             for payload in core.service():
-                conn.send(("done", shard_id, payload))
+                pipe_send(conn, ("done", shard_id, payload))
             now = time.monotonic()
             if now - last_beat >= heartbeat_s:
-                conn.send(("beat", shard_id))
+                pipe_send(conn, ("beat", shard_id))
                 last_beat = now
     except (EOFError, BrokenPipeError, OSError):
         return                                   # parent went away

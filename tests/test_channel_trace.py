@@ -64,3 +64,20 @@ class TestSubsetAndPersistence:
         assert np.allclose(loaded.matrices, trace.matrices)
         assert loaded.label == "test"
         assert loaded.metadata == {"seed": "0"}
+
+    @pytest.mark.parametrize("metadata", [{}, {"seed": 3, "site": "office",
+                                               "snr_db": 21.5}])
+    def test_saved_trace_loads_with_pickling_off(self, tmp_path, metadata):
+        """Every array a saved trace holds is plain data: numpy reads the
+        file with object loading refused, and the trace round-trips."""
+        trace = ChannelTrace(matrices=make_trace().matrices, label="site A",
+                             metadata=metadata)
+        path = tmp_path / "trace.npz"
+        trace.save(path)
+        with np.load(path, allow_pickle=False) as data:
+            assert all(data[name].dtype != object for name in data.files)
+        loaded = ChannelTrace.load(path)
+        assert np.array_equal(loaded.matrices, trace.matrices)
+        assert loaded.label == "site A"
+        assert loaded.metadata == {key: str(value)
+                                   for key, value in metadata.items()}

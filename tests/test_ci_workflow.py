@@ -183,3 +183,32 @@ def test_no_lapack_qr_under_src(text):
             if path.is_file() and path.suffix in (".py", ".c")
             and re.search(pattern, path.read_text())]
     assert hits == []
+
+
+def test_no_pickle_under_src(text):
+    """``tier1`` greps ``src/repro`` for pickle and ``src/repro/service``
+    for a pickling pipe call: messages cross the socket and the worker
+    pipes in the declared wire schema.  Both greps must match a positive
+    sample (so neither is vacuous) and nothing under their trees, and a
+    hit in the first must fail the step as surely as one in the second."""
+    step = next(step for step in _steps(_jobs(text)["tier1"])
+                if step.startswith("name: No pickle under src/repro"))
+    assert "matrix.python-version == '3.12'" in step
+    run = " ".join(step.split("run: >", 1)[1].split())
+    greps = re.findall(r"! grep -rnE --include='\*\.py' '([^']*)' (\S+)",
+                       run)
+    assert [tree for _, tree in greps] == ["src/repro", "src/repro/service"]
+    assert run.count(" && ! grep ") == 1
+    samples = {
+        "src/repro": ("import pickle", "blob = pickle.dumps(obj)",
+                      "np.load(path, allow_pickle=True)"),
+        "src/repro/service": ("conn.send(message)",
+                              "message = worker.conn.recv()"),
+    }
+    for pattern, tree in greps:
+        for sample in samples[tree]:
+            assert re.search(pattern, sample), (pattern, sample)
+        hits = [path.relative_to(ROOT).as_posix()
+                for path in (ROOT / tree).rglob("*.py")
+                if re.search(pattern, path.read_text())]
+        assert hits == [], tree

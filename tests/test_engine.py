@@ -21,7 +21,7 @@ reading pool state — here and, with the helpers this module shares
 ``tests/test_frame_engine.py``.
 """
 
-import copy
+import dataclasses
 import pickle
 from contextlib import contextmanager
 from functools import lru_cache, partial
@@ -555,13 +555,21 @@ def test_any_lockstep_allowance_is_the_scalar_program(monkeypatch,
         assert_frames_identical(handle.result(), want)
 
 
+@dataclasses.dataclass(slots=True)
+class _StoredFound(FrameDecodeResult):
+    """The layout a resolved hard frame replaced: ``found`` stored
+    beside the distances it is derived from."""
+
+    found: np.ndarray | None = None
+
+
 def test_resolved_hard_frame_holds_only_what_it_cannot_derive():
     """A resolved hard frame is what a streaming caller keeps, so it
     stores decisions and distances only: ``found`` is derived from the
-    distances (on engine, K-best and empty frames alike), every tensor
-    owns a C-contiguous ``(T, S)`` buffer rather than viewing an
-    element-ordered one, and its pickle is smaller than the same result
-    carrying a stored ``found`` mask."""
+    distances (on engine, K-best and empty frames alike), no instance
+    carries a ``__dict__``, every tensor owns a C-contiguous ``(T, S)``
+    buffer rather than viewing an element-ordered one, and its pickle is
+    smaller than the same result carrying a stored ``found`` mask."""
     constellation, channels, received = _frame_instance(16, 4, 4, 8, 4,
                                                         seed=31)
     shut = SphereDecoder(constellation, initial_radius_sq=1e-12)
@@ -575,7 +583,9 @@ def test_resolved_hard_frame_holds_only_what_it_cannot_derive():
             channels[:0], received[:, :0]),
     }
     for label, frame in frames.items():
-        assert "found" not in vars(frame), label
+        assert "found" not in {field.name
+                               for field in dataclasses.fields(frame)}, label
+        assert not hasattr(frame, "__dict__"), label
         assert np.array_equal(frame.found, np.isfinite(frame.distances_sq))
         assert frame.found.shape == frame.symbol_indices.shape[:2], label
         for tensor in (frame.symbol_indices, frame.distances_sq):
@@ -587,8 +597,9 @@ def test_resolved_hard_frame_holds_only_what_it_cannot_derive():
     for tensor in (soft.llrs, soft.symbol_indices, soft.list_sizes):
         assert tensor.flags.c_contiguous and tensor.base is None
     hard = frames["hard"]
-    stored = copy.copy(hard)
-    vars(stored)["found"] = hard.found          # the layout it replaced
+    stored = _StoredFound(**{field.name: getattr(hard, field.name)
+                             for field in dataclasses.fields(hard)},
+                          found=hard.found)       # the layout it replaced
     assert len(pickle.dumps(hard)) < len(pickle.dumps(stored))
     assert np.array_equal(pickle.loads(pickle.dumps(hard)).found, hard.found)
 

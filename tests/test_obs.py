@@ -43,6 +43,7 @@ from repro.runtime import STAGES, RuntimeStats, UplinkRuntime
 from repro.runtime import stats as stats_module
 from repro.runtime.stats import aggregate_summaries
 from repro.service import CellSiteClient, CellSiteServer, DetectorFarm
+from repro.service.wire import decode, encode
 from repro.sphere import ComplexityCounters, ListSphereDecoder, SphereDecoder
 
 from test_engine import pinned_runtime
@@ -126,6 +127,22 @@ def test_frame_trace_round_trips_through_pickle():
     assert clone.labels == {"shard": 2}
     assert clone.events == trace.events
     assert clone.dropped == 0
+    assert "resolve" in repr(clone)
+
+
+def test_frame_trace_round_trips_on_the_wire():
+    """...and cross them in the service's wire schema, int label keys,
+    event attributes, drop tally and all."""
+    trace = FrameTrace(3, {"shard": 2, 7: "seven"})
+    trace.add(0.5, "submit", {"deadline_s": 1.0, "priority": 1})
+    trace.add(0.7, "resolve", None)
+    trace.dropped = 4
+    verb, clone = decode(bytearray(encode(("ok", trace)))[4:])
+    assert verb == "ok" and type(clone) is FrameTrace
+    assert clone.frame_id == 3
+    assert clone.labels == {"shard": 2, 7: "seven"}
+    assert clone.events == trace.events
+    assert clone.dropped == 4
     assert "resolve" in repr(clone)
 
 

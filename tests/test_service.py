@@ -15,6 +15,8 @@ targeted.
 """
 
 import copy
+import dataclasses
+import re
 import socket
 import struct
 import threading
@@ -22,9 +24,23 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.coding.convolutional import WIFI_CODE
 from repro.constellation import qam
-from repro.runtime import FrameExpired, UplinkRuntime
+from repro.frame.results import (
+    FrameDecodeResult,
+    SoftFrameResult,
+    narrowest_int,
+)
+from repro.obs.trace import FrameTrace
+from repro.ofdm.params import WIFI_20MHZ
+from repro.phy.config import PhyConfig
+from repro.phy.receiver import StreamDecision
+from repro.runtime import FrameExpired, FrameRequest, UplinkRuntime
+from repro.runtime.cell import ofdm_for_subcarriers
+from repro.runtime.queue import validate_request
 from repro.obs import COUNTER_KEYS
 from repro.runtime.stats import aggregate_summaries
 from repro.service import (
@@ -35,12 +51,35 @@ from repro.service import (
     request_signature,
     shard_for,
 )
-from repro.service.protocol import MAX_MESSAGE_BYTES, recv_obj, send_obj
+from repro.service import wire
+from repro.service.protocol import (
+    MAX_MESSAGE_BYTES,
+    recv_obj,
+    resolution_payload,
+    send_obj,
+)
+from repro.service.wire import (
+    DTYPES,
+    MAX_ITEMS,
+    MAX_STR_BYTES,
+    Resolution,
+    Sealed,
+    decode,
+    encode,
+    opened,
+)
 from repro.service.server import POLL_HOLD_S
 from repro.service.supervisor import ShardSupervisor
-from repro.sphere import ListSphereDecoder, SphereDecoder
+from repro.sphere import KBestDecoder, ListSphereDecoder, SphereDecoder
+from repro.sphere.counters import ComplexityCounters
 
-from test_runtime import _assert_identical, _make_frame, _reference
+from test_runtime import (
+    _assert_identical,
+    _coded_config,
+    _make_coded_frame,
+    _make_frame,
+    _reference,
+)
 
 
 def _mixed_frames(rng, repeats=2):
@@ -387,6 +426,52 @@ def test_bad_frame_is_rejected_at_the_farm_front_door(backend):
         assert sum(stats.get("restarts", [0])) == 0
 
 
+@pytest.mark.parametrize("backend", ["inline", "process"])
+def test_a_frame_the_engine_cannot_triangularise_costs_only_itself(backend):
+    """A stack with no streams, or more streams than antennas, is
+    well-formed on the wire and finite, but no subcarrier of it can be
+    triangularised: the farm refuses it at ``submit``, so it never
+    reaches a shard — no restart, and the frames around it complete."""
+    rng = np.random.default_rng(37)
+    frames = _mixed_frames(rng, repeats=1)
+    with DetectorFarm(1, backend=backend) as farm:
+        handles = [farm.submit(frame) for frame in frames]
+        for streams, antennas in ((0, 4), (4, 2)):
+            bad = copy.copy(frames[0])
+            bad.channels = np.ones((5, antennas, streams), complex)
+            bad.received = np.ones((2, 5, antennas), complex)
+            with pytest.raises(ValueError, match="num_rx >= num_tx >= 1"):
+                farm.submit(bad)
+        farm.drain()
+        _check_all(handles, frames)
+        stats = farm.stats()
+        assert stats["frames_expired"] == 0
+        assert sum(stats["restarts"]) == 0
+
+
+def test_a_frame_the_wire_cannot_carry_is_refused_with_nothing_pending():
+    """A process farm encodes each request for its worker pipe before it
+    holds the frame: metadata outside the wire schema raises
+    ``ValueError`` at ``submit``, no frame id is spent, no ledger entry
+    or outstanding frame is left behind, and a drain does not wait on
+    it."""
+    rng = np.random.default_rng(38)
+    frames = _mixed_frames(rng, repeats=1)
+    with DetectorFarm(1, backend="process") as farm:
+        first = farm.submit(frames[0])
+        odd = copy.copy(frames[1])
+        odd.metadata = {"sender": object()}
+        with pytest.raises(ValueError, match="not in the wire schema"):
+            farm.submit(odd)
+        assert farm.outstanding == 1
+        assert list(farm._supervisor._ledger[0]) == [first.frame_id]
+        second = farm.submit(frames[2])
+        assert second.frame_id == first.frame_id + 1
+        farm.drain()
+        _check_all([first, second], [frames[0], frames[2]])
+        assert farm.stats()["frames_submitted"] == 2
+
+
 def test_server_answers_a_bad_submit_with_an_error_not_a_dead_socket():
     """Validation failures come back as ``("error", message)``: the
     client raises ``service error: …`` and the *same connection* keeps
@@ -417,30 +502,31 @@ def test_server_answers_a_bad_submit_with_an_error_not_a_dead_socket():
 # renders a result, sleeps, or waits longer than the protocol bound
 # ----------------------------------------------------------------------
 
-class _Unprintable:
-    """Stands in for a batch of decode results: picklable, but any
-    attempt to render it into text is a test failure."""
-
-    def __repr__(self):
-        raise AssertionError("an ok reply was rendered into text")
-
-    __str__ = __repr__
-
-    def __format__(self, spec):
-        raise AssertionError("an ok reply was formatted into text")
+def _unprintable(self, *args):
+    raise AssertionError("an ok reply was rendered into text")
 
 
-def test_client_renders_a_reply_only_on_the_error_path():
+def test_client_renders_a_reply_only_on_the_error_path(monkeypatch):
     """``_call`` hands an ``"ok"`` value through untouched — building
     the error message eagerly meant ``repr``-ing every batch of results
     (numpy arrays and all) once per poll, on the frame's critical path —
-    and still raises ``ValueError`` with the server's text otherwise."""
+    and still raises ``ValueError`` with the server's text otherwise.
+    The reply is a batch of real decode results whose class fails the
+    test if anything renders or formats one into text."""
+    frame = _make_frame(SphereDecoder(qam(4)), 2, 1, 15.0,
+                        np.random.default_rng(23))
+    batch = [{"frame_id": 0, "result": _reference(frame)}]
+    for name in ("__repr__", "__str__", "__format__"):
+        monkeypatch.setattr(FrameDecodeResult, name, _unprintable)
     with socket.create_server(("127.0.0.1", 0)) as listener:
         with CellSiteClient(listener.getsockname()) as cell:
             peer, _ = listener.accept()
             with peer:
-                send_obj(peer, ("ok", _Unprintable()))
-                assert isinstance(cell.stats(), _Unprintable)
+                send_obj(peer, ("ok", batch))
+                reply = cell.stats()
+                assert type(reply[0]["result"]) is FrameDecodeResult
+                _assert_identical(reply[0]["result"], batch[0]["result"],
+                                  False)
                 assert recv_obj(peer) == ("stats",)
                 send_obj(peer, ("error", "shard 3 is on fire"))
                 with pytest.raises(
@@ -566,7 +652,11 @@ def test_supervisor_wait_wakes_on_stash_and_on_a_dead_worker():
         assert time.perf_counter() - started < 5.0, "stash must end a wait"
         payloads = supervisor.pump()
         assert [p["frame_id"] for p in payloads] == [7]
-        _assert_identical(payloads[0]["result"], _reference(frame), False)
+        # The supervisor hands a result on as its worker encoded it;
+        # whoever reads it opens it.
+        sealed = payloads[0]["result"]
+        assert type(sealed) is Sealed
+        _assert_identical(sealed.open(), _reference(frame), False)
 
         supervisor.kill_shard(0)
         started = time.perf_counter()
@@ -674,12 +764,16 @@ def test_aggregate_summaries_sums_and_recombines():
 # ----------------------------------------------------------------------
 
 class _ScriptedPipe:
-    """Drives ``worker_main`` in-process: feeds scripted commands, then
-    models the parent closing the pipe once a result has been sent."""
+    """Drives ``worker_main`` in-process: feeds scripted commands as the
+    wire bytes the parent would send, decodes what the worker sends
+    back, then models the parent closing the pipe once a result has
+    been sent."""
 
     def __init__(self, messages):
         from collections import deque
-        self.incoming = deque(messages)
+        # A pipe carries the frame past the socket's length prefix.
+        self.incoming = deque(bytes(encode(message))[4:]
+                              for message in messages)
         self.sent = []
 
     def poll(self, timeout=0):
@@ -688,13 +782,13 @@ class _ScriptedPipe:
         # Parent "hangs up" once the shard has delivered a result.
         return any(message[0] == "done" for message in self.sent)
 
-    def recv(self):
+    def recv_bytes(self):
         if not self.incoming:
             raise EOFError
         return self.incoming.popleft()
 
-    def send(self, message):
-        self.sent.append(message)
+    def send_bytes(self, data, offset=0):
+        self.sent.append(decode(bytearray(memoryview(data)[offset:])))
 
 
 def test_worker_main_loop_in_process():
@@ -743,3 +837,539 @@ def test_hung_worker_detected_and_frames_replayed():
         farm.drain()
         _check_all(handles, frames)
         assert farm.stats()["restarts"] == [1]
+
+
+# ----------------------------------------------------------------------
+# The wire schema: every message round-trips bit-exactly, and the
+# decoder refuses everything else with ValueError
+# ----------------------------------------------------------------------
+
+_ORDERS = wire.ORDERS
+
+
+def _same(sent, got):
+    """Bit-exact equality of a sent value and its decoded twin."""
+    if any(sent is qam(order).points for order in _ORDERS):
+        assert got is sent                # the receiver's own table
+    elif isinstance(sent, np.ndarray):
+        assert type(got) is np.ndarray
+        assert got.dtype == sent.dtype and got.shape == sent.shape
+        assert got.tobytes() == np.ascontiguousarray(sent).tobytes()
+        # A view of the received buffer, usable as the sender's was.
+        assert got.flags.aligned and got.flags.writeable
+    elif isinstance(sent, float):
+        assert type(got) is float
+        assert struct.pack("<d", got) == struct.pack("<d", sent)
+    elif isinstance(sent, (list, tuple)):
+        assert type(got) is type(sent) and len(got) == len(sent)
+        for item, twin in zip(sent, got):
+            _same(item, twin)
+    elif isinstance(sent, dict):
+        assert type(got) is type(sent)
+        assert list(got) == list(sent)          # int keys stay ints
+        for key in sent:
+            _same(sent[key], got[key])
+    elif isinstance(sent, (SphereDecoder, KBestDecoder)):
+        assert type(got) is type(sent)
+        assert got.constellation is qam(sent.constellation.order)
+        for name in ("enumerator", "geometric_pruning", "node_budget",
+                     "initial_radius_sq", "column_ordering", "list_size",
+                     "clamp", "k"):
+            _same(getattr(sent, name, None), getattr(got, name, None))
+    elif isinstance(sent, PhyConfig):
+        assert type(got) is PhyConfig
+        assert got.constellation is qam(sent.constellation.order)
+        assert got.ofdm == sent.ofdm and got.payload_bits == sent.payload_bits
+        assert (got.code is None) == (sent.code is None)
+        if sent.code is not None:
+            assert got.code.constraint_length == sent.code.constraint_length
+            assert got.code.polynomials == sent.code.polynomials
+    elif isinstance(sent, FrameTrace):
+        assert type(got) is FrameTrace
+        for name in FrameTrace.__slots__:
+            _same(getattr(sent, name), getattr(got, name))
+    elif dataclasses.is_dataclass(sent):
+        assert type(got) is type(sent)
+        for field in dataclasses.fields(sent):
+            _same(getattr(sent, field.name), getattr(got, field.name))
+    else:
+        assert type(got) is type(sent) and got == sent
+
+
+def _round_trip(message):
+    """``message`` through the wire eagerly, and through a forwarding
+    hop that keeps its records sealed and splices them into the next
+    message; both must come back bit-exact."""
+    body = bytearray(encode(message))[4:]
+    _same(message, decode(body))
+    forwarded = decode(body, sealed=True)
+    _same(message, decode(bytearray(encode(forwarded))[4:]))
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+_scalars = (st.none() | st.booleans() | st.integers(-2**63, 2**63 - 1)
+            | st.floats(width=64) | st.text(max_size=8))
+_keys = (st.none() | st.booleans() | st.integers(-2**63, 2**63 - 1)
+         | st.text(max_size=8))
+
+
+@st.composite
+def _arrays(draw, dtypes=tuple(DTYPES), max_dims=3):
+    dtype = draw(st.sampled_from(dtypes))
+    shape = draw(st.lists(st.integers(0, 3), max_size=max_dims))
+    raw = draw(st.binary(min_size=int(np.prod(shape)) * dtype.itemsize,
+                         max_size=int(np.prod(shape)) * dtype.itemsize))
+    array = np.frombuffer(raw, dtype).reshape(shape)
+    if draw(st.booleans()) and array.ndim >= 2:
+        array = array.T                       # not C-contiguous
+    return array
+
+
+_values = st.recursive(
+    _scalars | _arrays(),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(_keys, inner, max_size=3)),
+    max_leaves=8)
+
+
+@st.composite
+def _decoders(draw):
+    constellation = qam(draw(st.sampled_from(_ORDERS)))
+    enumerator = draw(st.sampled_from(("zigzag", "shabany")))
+    pruning = draw(st.booleans())
+    budget = draw(st.none() | st.integers(1, 10**6))
+    kind = draw(st.sampled_from(("hard", "list", "k-best")))
+    if kind == "list":
+        return ListSphereDecoder(
+            constellation, draw(st.integers(2, 64)), pruning,
+            draw(st.floats(0.5, 64.0)), enumerator, budget)
+    if kind == "k-best":
+        return KBestDecoder(constellation, draw(st.integers(1, 64)))
+    radius = draw(st.just(float("inf")) | st.floats(1e-6, 1e6))
+    return SphereDecoder(constellation, enumerator, pruning, radius, budget,
+                         draw(st.sampled_from(("none", "norm"))))
+
+
+@st.composite
+def _configs(draw):
+    return PhyConfig(
+        constellation=qam(draw(st.sampled_from(_ORDERS))),
+        code=draw(st.sampled_from((None, WIFI_CODE))),
+        ofdm=draw(st.sampled_from((WIFI_20MHZ, ofdm_for_subcarriers(8)))),
+        payload_bits=draw(st.integers(8, 4096)))
+
+
+@st.composite
+def _requests(draw):
+    return FrameRequest(
+        channels=draw(_arrays((np.dtype(np.complex128),))),
+        received=draw(_arrays((np.dtype(np.complex128),))),
+        decoder=draw(_decoders()),
+        noise_variance=draw(st.none() | _finite),
+        config=draw(st.none() | _configs()),
+        num_pad_bits=draw(st.integers(0, 10**4)),
+        deadline_s=draw(st.none() | _finite),
+        priority=draw(st.integers(0, 7)),
+        metadata=draw(st.dictionaries(st.text(max_size=6), _values,
+                                      max_size=3)))
+
+
+def _indices(draw, order):
+    return draw(_arrays((narrowest_int(order - 1),)))
+
+
+@st.composite
+def _results(draw):
+    order = draw(st.sampled_from(_ORDERS))
+    counters = ComplexityCounters(*draw(st.lists(
+        st.integers(0, 2**40), min_size=6, max_size=6)))
+    decisions = draw(st.none() | st.lists(st.builds(
+        StreamDecision, _arrays((np.dtype(np.uint8),), max_dims=1),
+        st.booleans()), max_size=3))
+    points = qam(order).points if draw(st.booleans()) \
+        else draw(_arrays((np.dtype(np.complex128),), max_dims=1))
+    if draw(st.booleans()):
+        return FrameDecodeResult(
+            _indices(draw, order), draw(_arrays((np.dtype(np.float64),))),
+            counters, points, decisions)
+    return SoftFrameResult(
+        draw(_arrays((np.dtype(np.float64),))), _indices(draw, order),
+        _indices(draw, 64), counters, points, decisions)
+
+
+@st.composite
+def _traces(draw):
+    trace = FrameTrace(draw(st.integers(0, 2**40)),
+                       draw(st.dictionaries(st.text(max_size=6), _scalars,
+                                            max_size=3)))
+    for t, name, attrs in draw(st.lists(st.tuples(
+            _finite, st.text(max_size=8),
+            st.none() | st.dictionaries(st.text(max_size=6), _scalars,
+                                        max_size=2)), max_size=4)):
+        trace.add(t, name, attrs)
+    trace.dropped = draw(st.integers(0, 100))
+    return trace
+
+
+@st.composite
+def _payloads(draw):
+    return Resolution({
+        "frame_id": draw(st.integers(0, 2**40)),
+        "resolution": draw(st.sampled_from(("completed", "expired",
+                                            "cancelled"))),
+        "degraded": draw(st.booleans()),
+        "missed_deadline": draw(st.booleans()),
+        "latency_s": draw(st.none() | _finite),
+        "trace": draw(st.none() | _traces()),
+        "result": draw(st.none() | _results()),
+    })
+
+
+_stats = st.dictionaries(
+    st.text(max_size=10),
+    _scalars | st.dictionaries(st.integers(0, 100), _finite, max_size=4)
+    | st.lists(st.none() | st.dictionaries(st.text(max_size=6), _scalars,
+                                           max_size=3), max_size=3),
+    max_size=6)
+
+#: Every message the farm speaks: the socket's verbs and replies, the
+#: worker pipe's commands and reports.
+_messages = st.one_of(
+    st.tuples(st.just("submit"), _requests()),
+    st.tuples(st.just("submit"), st.integers(0, 2**40), _requests()),
+    st.just(("poll",)), st.just(("stats",)), st.just(("metrics",)),
+    st.just(("stop",)),
+    st.tuples(st.just("cancel"), st.integers(0, 2**40)),
+    st.tuples(st.just("ok"), st.lists(_payloads(), max_size=3)),
+    st.tuples(st.just("ok"), st.integers(0, 2**40) | st.booleans()
+              | st.text(max_size=40) | _stats),
+    st.tuples(st.just("error"), st.text(max_size=40)),
+    st.tuples(st.just("done"), st.integers(0, 63), _payloads()),
+    st.tuples(st.just("stats"), st.integers(0, 63), _stats),
+    st.tuples(st.just("beat"), st.integers(0, 63)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_messages)
+def test_every_farm_message_round_trips_bit_exactly(message):
+    """Decoders of every class over 4- to 256-QAM (zigzag and shabany,
+    budgets, radii), coded configs, deadlines, priorities, metadata,
+    both result kinds with their decisions, traces and stats with int
+    keys: each comes back as it was sent — through a forwarding hop
+    too — and every decoder or config is built on the cached
+    constellation, so the runtime's identity check still holds."""
+    _round_trip(message)
+
+
+def test_real_frames_round_trip_and_share_the_cached_constellation():
+    """A coded frame as the cell generator makes it, and the farm's own
+    results and stats, cross the wire intact; the decoded request still
+    passes the front door, whose ``config.constellation is
+    decoder.constellation`` check needs the receiver's cache."""
+    rng = np.random.default_rng(24)
+    config = _coded_config(16)
+    frame = _make_coded_frame(config, ListSphereDecoder(qam(16),
+                                                        list_size=4),
+                              14.0, rng, soft=True)
+    frame.deadline_s, frame.priority = 0.25, 1
+    frame.metadata = {"payloads": [np.arange(3, dtype=np.uint8)], 7: "x"}
+    _round_trip(("submit", frame))
+    decoded = decode(bytearray(encode(("submit", 3, frame)))[4:])[2]
+    validate_request(decoded)
+    assert decoded.config.constellation is decoded.decoder.constellation
+    with DetectorFarm(1, backend="inline", trace=True) as farm:
+        handle = farm.submit(frame)
+        farm.drain()
+        assert handle.result().decisions
+        _round_trip(("ok", [resolution_payload(0, handle)]))
+        _round_trip(("ok", farm.stats()))
+        _round_trip(("ok", farm.metrics()))
+
+
+def test_nothing_outside_the_schema_is_sent():
+    """The sender refuses what the schema cannot express — so it never
+    reaches a peer — with ``ValueError``."""
+    frame = _make_frame(SphereDecoder(qam(4)), 2, 1, 15.0,
+                        np.random.default_rng(25))
+    refused = [
+        ("ok", object()), ("ok", {(1, 2): 3}), ("ok", 2**63),
+        ("ok", np.zeros(2, dtype=object)), ("ok", np.zeros((1,) * 7)),
+        ("ok", "x" * (MAX_STR_BYTES + 1)), ("ok", [[]] * (MAX_ITEMS + 1)),
+        ("ok", SphereDecoder), ("ok", b"bytes"),
+        ("ok", SphereDecoder(qam(4 ** 7))), ("bogus",), ("poll", 1),
+        ("submit", frame.channels), ("error", 3),
+        ("done", 0, {"frame_id": 0}),
+        ("ok", Resolution(frame_id=0)),
+        ("ok", Resolution(frame_id=0, resolution="completed",
+                          degraded=False, missed_deadline=False,
+                          latency_s="soon", trace=None, result=None)),
+        ("submit", dataclasses.replace(frame, channels=[1.0])),
+        # over the cap, without allocating it
+        ("ok", np.broadcast_to(np.zeros(1, np.uint8),
+                               (MAX_MESSAGE_BYTES + 1,))),
+        (["ok", None]), (),
+    ]
+    nested = []
+    for _ in range(40):
+        nested = [nested]
+    refused.append(("ok", nested))
+    list_decoder = ListSphereDecoder(qam(4), list_size=4)
+    list_decoder.column_ordering = "norm"
+    refused.append(("ok", list_decoder))
+    for message in refused:
+        with pytest.raises(ValueError):
+            encode(message)
+
+
+def test_numpy_scalars_and_container_subclasses_travel_as_values():
+    """What stats and metadata hold besides plain values — numpy
+    scalars, a named tuple, an ordered dict — crosses as the plain
+    value it equals."""
+    from collections import OrderedDict, namedtuple
+    pair = namedtuple("pair", "a b")
+    sent = {"f": np.float64(0.25), "g": np.float32(1.5), "i": np.int32(-7),
+            "b": np.bool_(True), "s": np.str_("x"), "t": pair(1, 2),
+            "o": OrderedDict(k=[np.int8(3)])}
+    (_, got) = decode(_wire_bytes(("ok", sent)))
+    assert got == {"f": 0.25, "g": 1.5, "i": -7, "b": True, "s": "x",
+                   "t": (1, 2), "o": {"k": [3]}}
+    assert [type(got[key]) for key in "fgibsto"] == [
+        float, float, int, bool, str, tuple, dict]
+    masked = np.ma.masked_array(np.arange(3.0))     # an ndarray subclass
+    (_, got) = decode(_wire_bytes(("ok", masked)))
+    assert type(got) is np.ndarray and np.array_equal(got, np.arange(3.0))
+
+
+def _wire_bytes(message) -> bytearray:
+    return bytearray(encode(message))[4:]
+
+
+_VERB_OK = list(wire.MESSAGES).index("ok")
+
+
+@pytest.mark.parametrize("mutate, match", [
+    # an unknown verb, field count or tag
+    (lambda b: b.__setitem__(0, 200), "no verb"),
+    (lambda b: b.__setitem__(1, 5), "no verb"),
+    (lambda b: b.__setitem__(2, 250), "cannot carry tag|unknown tag"),
+    # a dtype outside the whitelist
+    (lambda b: b.__setitem__(3, 99), "unknown dtype"),
+    # a shape that disagrees with the byte count
+    (lambda b: struct.pack_into("<I", b, 9, 3), "disagrees"),
+    # an array declaring more bytes than its cap (and the message)
+    (lambda b: (struct.pack_into("<BBI", b, 3, 5, 1, 100_000_000),
+                struct.pack_into("<I", b, 9, 100_000_000)), "cap"),
+    # a rank over the cap
+    (lambda b: b.__setitem__(4, 7), "rank"),
+    # trailing bytes and truncation
+    (lambda b: b.extend(b"\0"), "trailing"),
+    (lambda b: b.__delitem__(slice(-1, None)), "past the end|malformed"),
+])
+def test_decoder_refuses_a_mutated_array_message(mutate, match):
+    body = _wire_bytes(("ok", np.arange(4, dtype=np.float64)))
+    assert body[2] == wire.ARRAY          # dtype, rank, bytes, then dims
+    mutate(body)
+    with pytest.raises(ValueError, match=match):
+        decode(body)
+
+
+@pytest.mark.parametrize("message, offset, value, match", [
+    # one string over its cap: the length field of an "error" reply
+    (("error", "x"), 3, MAX_STR_BYTES + 1, "cap"),
+    # a list or dict declaring more items than the cap or the message
+    (("ok", [1]), 3, MAX_ITEMS + 1, "cap"),
+    (("ok", {1: 2}), 3, 1000, "cannot fit"),
+])
+def test_decoder_refuses_over_cap_counts(message, offset, value, match):
+    body = _wire_bytes(message)
+    struct.pack_into("<I", body, offset, value)
+    with pytest.raises(ValueError, match=match):
+        decode(body)
+
+
+@pytest.mark.parametrize("decoder, offset, value, match", [
+    (SphereDecoder(qam(16)), 5, 9, "unknown enumerator"),
+    (SphereDecoder(qam(16)), 3, 32, "QAM is not in the wire schema"),
+    (SphereDecoder(qam(16)), 6, 2, "flag"),
+    (SphereDecoder(qam(16)), 23, 7, "column ordering"),
+    (ListSphereDecoder(qam(4), list_size=4), 5, 4, "unknown enumerator"),
+    (ListSphereDecoder(qam(4), list_size=4), 15, 4096, "list size"),
+    (KBestDecoder(qam(4), k=4), 5, 4096, "cap"),
+])
+def test_decoder_refuses_an_unknown_enumerator_or_config(decoder, offset,
+                                                         value, match):
+    body = _wire_bytes(("ok", decoder))
+    if value > 255:
+        struct.pack_into("<I", body, offset, value)
+    elif offset == 3:
+        struct.pack_into("<H", body, offset, value)
+    else:
+        body[offset] = value
+    with pytest.raises(ValueError, match=match):
+        decode(body)
+
+
+def test_decoder_refuses_deep_nesting_bad_keys_and_padded_records():
+    head = bytes([_VERB_OK, 1])
+    deep = head + (bytes([wire.LIST]) + struct.pack("<I", 1)) * 40 \
+        + bytes([wire.NONE])
+    with pytest.raises(ValueError, match="nesting deeper"):
+        decode(deep)
+    list_key = head + bytes([wire.DICT]) + struct.pack("<I", 1) \
+        + bytes([wire.LIST]) + struct.pack("<I", 0) + bytes([wire.NONE])
+    with pytest.raises(ValueError, match="dict key cannot be tag"):
+        decode(list_key)
+    # A request whose declared body runs 8 bytes past its last field.
+    frame = _make_frame(SphereDecoder(qam(4)), 2, 1, 15.0,
+                        np.random.default_rng(26))
+    padded = _wire_bytes(("submit", frame))
+    struct.pack_into("<I", padded, 3, struct.unpack_from("<I", padded, 3)[0]
+                     + 8)
+    padded.extend(bytes(8))
+    with pytest.raises(ValueError, match="trailing bytes"):
+        decode(padded)
+    (_, sealed) = decode(padded, sealed=True)
+    with pytest.raises(ValueError, match="trailing bytes"):
+        sealed.open()
+
+
+def test_decoder_refuses_a_bad_config_or_record():
+    """A config naming an order, payload, numerology or code outside its
+    caps, a point table of an unknown order, an unknown resolution, and
+    a record field of the wrong type are each refused."""
+    body = _wire_bytes(("ok", _coded_config(16)))
+    for offset, fmt, value, match in (
+            (3, "<H", 8, "QAM"),
+            (5, "<q", 0, "payload_bits"),
+            (13, "<I", 8192, "OFDM"),
+            (37, "<B", 12, "K=12"),
+            (38, "<B", 0, "generators")):
+        mutated = bytearray(body)
+        struct.pack_into(fmt, mutated, offset, value)
+        with pytest.raises(ValueError, match=match):
+            decode(mutated)
+    uncoded = _wire_bytes(("ok", _coded_config(16, coded=False)))
+    uncoded[38] = 2
+    with pytest.raises(ValueError, match="uncoded"):
+        decode(uncoded)
+    with pytest.raises(ValueError, match="5-QAM"):
+        decode(bytes([_VERB_OK, 1, wire.POINTS]) + struct.pack("<H", 5))
+    payload = _wire_bytes(("ok", Resolution(
+        frame_id=0, resolution="expired", degraded=False,
+        missed_deadline=True, latency_s=None, trace=None, result=None)))
+    payload[11] = 9
+    with pytest.raises(ValueError, match="unknown resolution"):
+        decode(payload)
+    trace = _wire_bytes(("ok", FrameTrace(1)))
+    trace[3] = wire.FLOAT
+    with pytest.raises(ValueError, match="FrameTrace.frame_id"):
+        decode(trace)
+
+
+@settings(max_examples=200, deadline=None)
+@given(message=_messages, data=st.data())
+def test_decoder_raises_only_value_error_on_damaged_bytes(message, data):
+    """Random, truncated and field-mutated byte strings: the decoder
+    returns a message or raises ``ValueError`` — never anything else,
+    never a hang, never an allocation past the bytes it was given."""
+    body = _wire_bytes(message)
+    cut = data.draw(st.integers(0, len(body) - 1))
+    with pytest.raises(ValueError):
+        decode(body[:cut])                     # every strict prefix
+    mutated = bytearray(body)
+    for _ in range(data.draw(st.integers(1, 4))):
+        mutated[data.draw(st.integers(0, len(body) - 1))] = data.draw(
+            st.integers(0, 255))
+    for candidate in (mutated, data.draw(st.binary(max_size=64))):
+        for sealed in (False, True):
+            try:
+                decoded = decode(candidate, sealed=sealed)
+            except ValueError:
+                continue
+            for field in decoded[1:]:
+                try:
+                    opened(field)
+                except ValueError:
+                    pass
+
+
+def test_recv_obj_raises_connection_errors_on_a_broken_stream():
+    """A stream cut mid-message is a ``ConnectionError``, a stream
+    closed between messages an ``EOFError``, and a well-framed body the
+    schema does not declare a ``ValueError`` — the stream stays
+    aligned on the next message."""
+    body = _wire_bytes(("poll",))
+    left, right = socket.socketpair()
+    with left, right:
+        left.sendall(struct.pack("!I", 2) + b"\xff\x00")
+        left.sendall(struct.pack("!I", len(body)) + body)
+        left.sendall(struct.pack("!I", 10) + b"\x01")
+        left.shutdown(socket.SHUT_WR)
+        with pytest.raises(ValueError, match="no verb"):
+            recv_obj(right)
+        assert recv_obj(right) == ("poll",)
+        with pytest.raises(ConnectionError, match="mid-message"):
+            recv_obj(right)
+    left, right = socket.socketpair()
+    with left, right:
+        left.close()
+        with pytest.raises(EOFError):
+            recv_obj(right)
+
+
+def _past_array(body, at) -> int:
+    """Offset just past the array whose tag is at ``at``."""
+    _, rank, size = struct.unpack_from("<BBI", body, at + 1)
+    return ((at + 7 + 4 * rank + 7) & ~7) + size
+
+
+def test_server_answers_an_undecodable_submit_and_keeps_serving():
+    """A well-framed ``submit`` whose bytes do not decode — a corrupt
+    verb header, or a request body naming an enumerator that does not
+    exist — is answered ``("error", reason)`` on the same connection,
+    which then submits and receives a good frame; another connection's
+    frames complete bit-exactly meanwhile, with no expiry anywhere."""
+    rng = np.random.default_rng(36)
+    frames = _mixed_frames(rng, repeats=1)
+    good = _wire_bytes(("submit", frames[0]))
+    # The request body starts 8-aligned after its tag and length; the
+    # decoder follows the channels and the observations.
+    decoder_at = _past_array(good, _past_array(good, 8))
+    assert good[decoder_at] == wire.HARD_DECODER
+    enumerator = decoder_at + 3               # after the tag and order
+    bad_body = bytearray(good)
+    bad_body[enumerator] = 9                  # no such enumerator
+    bad_header = bytearray(good)
+    bad_header[1] = 3                         # no 3-field submit
+    with CellSiteServer(DetectorFarm(1, backend="process")) as server:
+        with socket.create_connection(server.address) as rogue, \
+                CellSiteClient(server.address) as cell:
+            rogue.settimeout(30.0)
+            ids = [cell.submit(frame) for frame in frames]
+            for body, match in ((bad_body, "enumerator"),
+                                (bad_header, "undecodable")):
+                rogue.sendall(struct.pack("!I", len(body)) + body)
+                status, reason = recv_obj(rogue)
+                assert status == "error" and re.search(match, reason)
+            send_obj(rogue, ("submit", frames[1]))
+            status, rogue_id = recv_obj(rogue)
+            assert status == "ok"
+            by_id = {p["frame_id"]: p for p in cell.drain()}
+            assert set(by_id) == set(ids)
+            for frame_id, frame in zip(ids, frames):
+                assert by_id[frame_id]["resolution"] == "completed"
+                _assert_identical(by_id[frame_id]["result"],
+                                  _reference(frame),
+                                  frame.noise_variance is not None)
+            rogue_results = []
+            while not rogue_results:
+                send_obj(rogue, ("poll",))
+                status, rogue_results = recv_obj(rogue)
+            assert [p["frame_id"] for p in rogue_results] == [rogue_id]
+            _assert_identical(rogue_results[0]["result"],
+                              _reference(frames[1]), False)
+            stats = cell.stats()
+            assert stats["frames_submitted"] == len(frames) + 1
+            assert stats["frames_expired"] == 0
+            assert stats["restarts"] == [0]
