@@ -173,6 +173,27 @@ def test_pipelining_takes_at_most_half_the_ticks():
     assert pipelined.stats.ticks <= 0.5 * alone.stats.ticks
 
 
+@needs_core
+def test_soft_pipelining_takes_at_most_half_the_ticks():
+    """Untimed guard of what the soft-stream floor below protects, the
+    soft twin of the guard above: :func:`test_runtime_soft_stream`'s
+    list-8 16-QAM stream through one resident runtime takes at most half
+    the ticks it takes frame at a time (``max_in_flight=1``; measured
+    181 against 842), with LLRs, list sizes and counters bit-identical.
+    It fails exactly when frames stop overlapping in the lanes."""
+    decoder = ListSphereDecoder(qam(16), list_size=8)
+    frames = _frame_stream(16, 4, 4, 8, decoder, SNR_DB, seed=13, soft=True)
+    pipelined, handles = _pipelined(frames)
+    alone, references = _pipelined(frames, max_in_flight=1)
+    for handle, reference in zip(handles, references):
+        result, expected = handle.result(), reference.result()
+        assert np.array_equal(result.llrs, expected.llrs)
+        assert np.array_equal(result.symbol_indices, expected.symbol_indices)
+        assert np.array_equal(result.list_sizes, expected.list_sizes)
+        assert result.counters == expected.counters
+    assert pipelined.stats.ticks <= 0.5 * alone.stats.ticks
+
+
 @pytest.mark.parametrize("max_in_flight", [2, 8])
 def test_runtime_backpressure_sweep(benchmark, max_in_flight):
     """Report how the in-flight budget trades throughput for latency —

@@ -7,8 +7,7 @@ candidate attempts per tick in the compiled search core (below).  A
 pool holds every array its searches own in one dict (``pool.state``,
 keyed by ``search_t`` field and laid out by
 :func:`repro.sphere.tick_kernel.lanes`): hard (maximum-likelihood) and
-soft (list) searches differ only in its leaf rows, ``zigzag`` /
-``shabany`` only in its frontier slots.
+soft (list) searches differ only in its leaf rows.
 
 Three entry points feed it, and they differ only in who owns the
 frontier and how long it lives:
@@ -29,7 +28,7 @@ Who executes a tick, and the straggler drain
 -------------------------------------------
 The tick is the engine's *schedule* — admission and the QoS hooks
 (``degrade`` / ``evict``) act between ticks.  A pool with lanes
-(``pool.has_core``: ``zigzag`` / ``shabany``, wherever the core built)
+(``pool.has_core``: ``zigzag``, wherever the core built)
 runs its whole tick in **one native call**
 (:func:`~repro.sphere.tick_kernel.run`), in place on ``pool.state``:
 it admits the searches Python took off the queue, copying their rows
@@ -53,12 +52,12 @@ shrunk cap there too).  That drain is the only place a core pool runs
 searches to completion; everywhere else the tick, and with it every QoS
 point, stays two candidate attempts long.
 
-Every other pool — ``hess`` / ``exhaustive``, or any pool on a box
-without a C compiler (one warning) — keeps no lanes and has
-``drain_threshold`` 0: the tick that admits a search runs it to
-completion through the decoder's own scalar search, straight from its
-frame's stacks and under its node cap, and writes the outcome rows the
-core would have (a list pool's LLRs in one vectorised
+Every other pool — the baselines ``shabany`` / ``hess`` /
+``exhaustive``, or any pool on a box without a C compiler (one warning)
+— keeps no lanes and has ``drain_threshold`` 0: the tick that admits a
+search runs it to completion through the decoder's own scalar search,
+straight from its frame's stacks and under its node cap, and writes the
+outcome rows the core would have (a list pool's LLRs in one vectorised
 :func:`~repro.sphere.soft.soft_outputs_from_lists` call per tick), so
 such a pool never has a search in flight between ticks.
 Time in the core or the scalar search counts as kernel time in the tick
@@ -229,9 +228,9 @@ class _Pool:
         self.allocated = allocated
         #: Every array the lanes own, as
         #: :func:`repro.sphere.tick_kernel.lanes` lays them out — none
-        #: for a ``hess`` / ``exhaustive`` pool or without the core: it
-        #: runs each search through the scalar decoder in the tick that
-        #: admits it, with nothing to drain.
+        #: for a pool of any enumerator but ``zigzag``, or without the
+        #: core: it runs each search through the scalar decoder in the
+        #: tick that admits it, with nothing to drain.
         self.state = tick_kernel.lanes(decoder, num_streams, allocated)
         self.has_core = bool(self.state)
         self.running = 0                    # lanes with a search in flight

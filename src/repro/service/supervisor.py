@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import dataclasses
 import multiprocessing
+import select
 import time
 from multiprocessing.connection import wait as wait_for_pipes
 
@@ -74,7 +75,9 @@ DEFAULT_HANG_TIMEOUT_S = 5.0
 
 
 class _Worker:
-    """One shard's process and pipe endpoint."""
+    """One shard's process and pipe endpoint, the pipe registered once
+    with its own ``select.poll`` (``Connection.poll`` builds a selector
+    per call).  A restart builds a new worker, and so a new poller."""
 
     def __init__(self, shard_id: int, runtime_kwargs: dict | None,
                  heartbeat_s: float) -> None:
@@ -86,6 +89,8 @@ class _Worker:
             daemon=True)
         self.process.start()
         child_conn.close()
+        self.readable = select.poll()
+        self.readable.register(self.conn.fileno(), select.POLLIN)
         self.last_seen = time.monotonic()
 
     def stop(self) -> None:
@@ -180,7 +185,7 @@ class ShardSupervisor:
         """
         for shard, worker in enumerate(self._workers):
             try:
-                while worker.conn.poll(0):
+                while worker.readable.poll(0):
                     self._receive(shard, pipe_recv(worker.conn,
                                                    sealed=True))
             except (EOFError, OSError):

@@ -23,6 +23,7 @@ responsive.
 
 from __future__ import annotations
 
+import select
 import time
 from collections import deque
 
@@ -135,16 +136,21 @@ def worker_main(shard_id: int, conn, runtime_kwargs: dict | None,
     — sent at least every ``heartbeat_s`` even while grinding through a
     burst, which is exactly the signal the supervisor's hang detector
     watches.  Exits cleanly when the pipe closes (parent died) or a
-    ``stop`` arrives.
+    ``stop`` arrives.  The pipe is registered with one ``select.poll``
+    for the worker's life: ``Connection.poll`` would build and tear down
+    a selector on every call, about once a tick.
     """
     core = ShardRuntime(runtime_kwargs)
+    readable = select.poll()
+    readable.register(conn.fileno(), select.POLLIN)
     last_beat = time.monotonic()
     try:
         while True:
             # Idle shards block on the pipe (up to one heartbeat); busy
-            # shards just drain whatever commands are waiting.
-            timeout = heartbeat_s if core.idle else 0.0
-            while conn.poll(timeout):
+            # shards just drain whatever commands are waiting.  A closed
+            # pipe reads as ready, and its recv raises EOFError.
+            timeout_ms = heartbeat_s * 1000.0 if core.idle else 0
+            while readable.poll(timeout_ms):
                 message = pipe_recv(conn)
                 op = message[0]
                 if op == "submit":
@@ -155,7 +161,7 @@ def worker_main(shard_id: int, conn, runtime_kwargs: dict | None,
                     pipe_send(conn, ("stats", shard_id, core.summary()))
                 elif op == "stop":
                     return
-                timeout = 0.0
+                timeout_ms = 0
             for payload in core.service():
                 pipe_send(conn, ("done", shard_id, payload))
             now = time.monotonic()

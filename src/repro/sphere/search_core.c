@@ -28,12 +28,11 @@
  * before anything is written, so a bad one comes back as an error code,
  * not a stray write.
  *
+ * One frontier: Geosphere's `zigzag`, in column form -- at most one
+ * queued candidate per entered PAM column, pop = argmin over the row,
+ * ties to the lowest column.  The baseline enumerators (shabany, hess,
+ * exhaustive) run the scalar search (repro/sphere/decoder.py) instead.
  * Policies are fields of search_t, not copies of the loop:
- *   - frontier: `zigzag` (Geosphere; column form, at most one queued
- *     candidate per entered PAM column, pop = argmin over the row, ties
- *     to the lowest column) when `seen` is NULL, else `shabany` (both
- *     successors behind a seen grid; a bounded unordered heap whose pop
- *     is the lexicographic (distance, i, j) minimum);
  *   - geometric pruning: `prune` table or NULL;
  *   - leaf policy: Schnorr-Euchner best leaf when list_size == 0, else a
  *     bounded worst-out list (heappushpop semantics, ties towards the
@@ -66,7 +65,7 @@
  * bit, the least distance among the list's members labelling it 1 and
  * among those labelling it 0 (a min by compare, so order-free), then
  * one subtract and one plain / by the search's noise variance, both
- * finite; otherwise +clamp if only 0s were seen, -clamp if only 1s;
+ * finite; otherwise +clamp if only 0s occur, -clamp if only 1s;
  * then the clip to [-clamp, clamp] by compares.  The best member is the
  * least (distance, discovery order).  Bits come from a (side,
  * bits_per_axis) table, row p the MSB-first bits of gray_encode(p),
@@ -135,11 +134,11 @@ typedef struct {
     /* frontier axis tables, slot-major; slot = lane * num_streams + level */
     int64_t *axis_int;         /* (slots, 2 | 4, side): ord_i [off_i] ord_q [off_q] */
     double *axis_res;          /* (slots, 2, side): res_i res_q */
-    /* frontier queue: zigzag uses queue_d / queue_j as col_d / col_j
-     * plus last_i; shabany uses all of it */
-    double *queue_d;
-    int64_t *queue_i, *queue_j, *queue_n, *last_i, *last_j;
-    uint8_t *has_last, *seen;
+    /* zigzag frontier, (slots, side) each: per entered column its
+     * queued distance (inf = none) and row pointer, plus the column
+     * handed out last (-1 = none) */
+    double *col_d;
+    int64_t *col_j, *last_i;
     /* per-lane channel copies, written at admission */
     cplx *r, *y;               /* (lanes, n, n), (lanes, n) */
     double *diag, *diag_sq;
@@ -165,7 +164,7 @@ typedef struct {
     int64_t *lane_budget, *frame_of, *dest_of, *active, *free;
     /* the interned frames (frame_slots rows), outcome arrays included */
     const frame_t *frames;
-    int64_t tally_stride, num_streams, side, queue_capacity, list_size;
+    int64_t tally_stride, num_streams, side, list_size;
     int64_t use_fma, lanes, frame_slots;
     double axis_scale, clamp, initial_radius;
 } search_t;
@@ -218,22 +217,12 @@ static void expand(const search_t *s, int64_t slot, double re, double im,
     const node_t node = node_at(s, slot);
     order_axis(s, re, node.ord_i, node.off_i, node.res_i);
     order_axis(s, im, node.ord_q, node.off_q, node.res_q);
-    double *queue_d = s->queue_d + slot * s->queue_capacity;
-    if (s->seen) {
-        uint8_t *seen = s->seen + slot * side * side;
-        for (int64_t code = 0; code < side * side; code++)
-            seen[code] = 0;
-        seen[0] = 1;
-        s->queue_i[slot * s->queue_capacity] = 0;
-        s->queue_n[slot] = 1;
-        s->has_last[slot] = 0;
-    } else {
-        for (int64_t i = 1; i < side; i++)
-            queue_d[i] = INFINITY;
-        s->last_i[slot] = -1;
-    }
-    queue_d[0] = node.res_i[0] + node.res_q[0];
-    s->queue_j[slot * s->queue_capacity] = 0;
+    double *col_d = s->col_d + slot * side;
+    for (int64_t i = 1; i < side; i++)
+        col_d[i] = INFINITY;
+    col_d[0] = node.res_i[0] + node.res_q[0];
+    s->col_j[slot * side] = 0;
+    s->last_i[slot] = -1;
     ++*ped;
 }
 
@@ -260,8 +249,8 @@ static int zigzag_next(const search_t *s, int64_t slot, double budget,
 {
     const int64_t side = s->side;
     const node_t node = node_at(s, slot);
-    double *col_d = s->queue_d + slot * side;
-    int64_t *col_j = s->queue_j + slot * side;
+    double *col_d = s->col_d + slot * side;
+    int64_t *col_j = s->col_j + slot * side;
     const int64_t i = s->last_i[slot];
     if (i >= 0) {
         const int64_t j = col_j[i];
@@ -290,80 +279,6 @@ static int zigzag_next(const search_t *s, int64_t slot, double budget,
     *row = node.ord_q[col_j[best]];
     col_d[best] = INFINITY;
     s->last_i[slot] = best;
-    return 1;
-}
-
-/* Shabany: bounds-check, dedupe (marking before the pruning check, like
- * the scalar seen-set), prune-check, enqueue.  -1 on queue overflow. */
-static int shabany_propose(const search_t *s, int64_t slot,
-                           const node_t *node, int64_t i, int64_t j,
-                           double budget, int64_t *ped, int64_t *prunes)
-{
-    const int64_t side = s->side;
-    if (i >= side || j >= side)
-        return 0;
-    uint8_t *seen = s->seen + slot * side * side + i * side + j;
-    if (*seen)
-        return 0;
-    *seen = 1;
-    if (pruned(s, node, i, j, budget, prunes))
-        return 0;
-    ++*ped;
-    const int64_t position = s->queue_n[slot];
-    if (position >= s->queue_capacity)
-        return -1;
-    const int64_t at = slot * s->queue_capacity + position;
-    s->queue_d[at] = node->res_i[i] + node->res_q[j];
-    s->queue_i[at] = i;
-    s->queue_j[at] = j;
-    s->queue_n[slot] = position + 1;
-    return 0;
-}
-
-/* One next_candidate() of the Shabany frontier: both successors of the
- * previously dequeued point, then pop the (distance, i, j) minimum. */
-static int shabany_next(const search_t *s, int64_t slot, double budget,
-                        int64_t *ped, int64_t *prunes, double *dist_sq,
-                        int64_t *col, int64_t *row)
-{
-    const int64_t side = s->side;
-    const node_t node = node_at(s, slot);
-    if (s->has_last[slot]) {
-        const int64_t i = s->last_i[slot], j = s->last_j[slot];
-        s->has_last[slot] = 0;
-        if (shabany_propose(s, slot, &node, i, j + 1, budget, ped, prunes)
-                || shabany_propose(s, slot, &node, i + 1, j, budget, ped,
-                                   prunes))
-            return -1;
-    }
-    double *heap_d = s->queue_d + slot * s->queue_capacity;
-    int64_t *heap_i = s->queue_i + slot * s->queue_capacity;
-    int64_t *heap_j = s->queue_j + slot * s->queue_capacity;
-    const int64_t occupied = s->queue_n[slot];
-    double best_d = INFINITY;
-    int64_t best_code = side * side, best = -1;
-    for (int64_t k = 0; k < occupied; k++) {
-        const int64_t code = heap_i[k] * side + heap_j[k];
-        if (heap_d[k] < best_d || (heap_d[k] == best_d && code < best_code)) {
-            best_d = heap_d[k];
-            best_code = code;
-            best = k;
-        }
-    }
-    if (!(best_d < budget))
-        return 0;
-    const int64_t i = heap_i[best], j = heap_j[best];
-    /* Remove the popped entry: swap in the last occupied one. */
-    heap_d[best] = heap_d[occupied - 1];
-    heap_i[best] = heap_i[occupied - 1];
-    heap_j[best] = heap_j[occupied - 1];
-    s->queue_n[slot] = occupied - 1;
-    s->last_i[slot] = i;
-    s->last_j[slot] = j;
-    s->has_last[slot] = 1;
-    *dist_sq = best_d;
-    *col = node.ord_i[i];
-    *row = node.ord_q[j];
     return 1;
 }
 
@@ -473,8 +388,7 @@ static void finish_list(const search_t *s, int64_t si, const frame_t *f,
  * before its loop -- ahead of the budget check, and not as an attempt.
  * Each iteration is one iteration of the scalar loop: one candidate
  * attempt.  1 once the search is finished -- its tree exhausted (a root
- * pop) or `cap` nodes visited -- 0 if the allowance ran out first, -1 if
- * the Shabany queue bound was violated. */
+ * pop) or `cap` nodes visited -- 0 if the allowance ran out first. */
 static int run_one(const search_t *s, int64_t si, int64_t cap,
                    int64_t attempts)
 {
@@ -501,14 +415,8 @@ static int run_one(const search_t *s, int64_t si, int64_t cap,
         const double budget = (sphere - parent_d) / scale;
         double dist_sq;
         int64_t col, row;
-        const int got = s->seen
-            ? shabany_next(s, si * n + lv, budget, ped, prunes, &dist_sq,
-                           &col, &row)
-            : zigzag_next(s, si * n + lv, budget, ped, prunes, &dist_sq,
-                          &col, &row);
-        if (got < 0)
-            return -1;
-        if (!got) {
+        if (!zigzag_next(s, si * n + lv, budget, ped, prunes, &dist_sq,
+                         &col, &row)) {
             /* Enumerator ran dry: pop the stack (climb one level); a
              * root pop finishes the search. */
             if ((s->level[si] = lv + 1) > n - 1)
@@ -649,8 +557,7 @@ int64_t repro_frame_size(void)
  *      outcome row and its lane is pushed onto the free stack; the
  *      active list is compacted in place, order kept.
  * Returns how many searches finished -- they are the top of the free
- * stack -- or -1 if a frontier queue overflowed.  Every index is checked
- * before anything is written: -2 if a run is outside its frame (a vacant
+ * stack.  Every index is checked before anything is written: -2 if a run is outside its frame (a vacant
  * row has no problems), -3 if the counts or a lane are outside the
  * pool's lanes, -4 if an active lane's frame row is vacant (or outside
  * the table) or its element outside that frame -- the check that keeps
@@ -697,10 +604,7 @@ int64_t repro_search_run(const search_t *s, const int64_t *runs,
     int64_t kept = 0, finished = 0;
     for (int64_t k = 0; k < running; k++) {
         const int64_t lane = s->active[k];
-        const int done = run_one(s, lane, s->lane_budget[lane], attempts);
-        if (done < 0)
-            return -1;
-        if (!done) {
+        if (!run_one(s, lane, s->lane_budget[lane], attempts)) {
             s->active[kept++] = lane;
         } else {
             retire(s, lane);

@@ -61,8 +61,8 @@ Nothing is compiled at import.  The first pool that wants the core
 refused unless owned by the caller and closed to group and world — under
 a name keyed by the sha256 of source, ``cc --version`` and flags, written
 to a temporary name and ``os.replace``d, so later processes just load
-it.  Only ``zigzag`` and ``shabany`` searches run in the core (they are
-Geosphere's and the hot ones).  Every other pool — ``hess`` /
+it.  Only ``zigzag`` searches run in the core (Geosphere's, and the hot
+ones).  Every other pool — the baselines ``shabany`` / ``hess`` /
 ``exhaustive``, or any pool on a box without a compiler (one
 ``RuntimeWarning``, for all of the core together) or after a failed
 build — runs each search through the scalar decoder itself; without the
@@ -153,7 +153,7 @@ _CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 #: tables, the pool's frame table and its lanes (:func:`_layout`).  All
 #: C-contiguous, except the five tallies, which are the columns of one
 #: ``(lanes, 5)`` array (``tally``) ...
-_F, _I, _B, _C = np.float64, np.int64, np.bool_, np.complex128
+_F, _I, _C = np.float64, np.int64, np.complex128
 _OUTCOMES = ("tally", "best_dist", "llrs", "best_cols", "best_rows", "list_n")
 #: ``frame_t``: a pool's frame-table row — where an interned frame's
 #: stacks and outcome arrays live (:func:`frame`; 0 for an outcome array
@@ -163,9 +163,7 @@ FRAME = np.dtype([(name, np.intp)
                  + [("noise_var", _F), ("symbols", _I), ("problems", _I)])
 _ARRAYS = {
     "levels": _F, "zigzag": _I, "prune": _F, "bits": np.uint8,
-    "axis_int": _I, "axis_res": _F, "queue_d": _F, "queue_i": _I,
-    "queue_j": _I, "queue_n": _I, "last_i": _I, "last_j": _I,
-    "has_last": _B, "seen": _B,
+    "axis_int": _I, "axis_res": _F, "col_d": _F, "col_j": _I, "last_i": _I,
     "r": _C, "y": _C, "diag": _F, "diag_sq": _F, "noise_var": _F,
     "level": _I, "radius": _F, "parent": _F,
     "path_cols": _I, "path_rows": _I, "chosen": _C,
@@ -179,8 +177,8 @@ _ARRAYS = {
 }
 _TALLIES = ("ped", "visited", "expanded", "leaves", "prunes")
 #: ... then its dimensions and policy switches.
-_INTEGERS = ("tally_stride", "num_streams", "side", "queue_capacity",
-             "list_size", "use_fma", "lanes", "frame_slots")
+_INTEGERS = ("tally_stride", "num_streams", "side", "list_size", "use_fma",
+             "lanes", "frame_slots")
 
 
 def _searches(decoder, num_streams: int) -> dict:
@@ -224,38 +222,25 @@ def outcome(decoder, num_streams: int) -> dict:
 def _slots(decoder) -> dict:
     """The frontier's layout: each slot field's shape past the slot
     axis (a search owns ``num_streams`` slots, one per tree level), for
-    ``decoder``'s enumerator, PAM side and pruning.
+    ``decoder``'s PAM side and pruning.
 
     Both axes' zigzag tables of a node sit in one row — ``axis_int`` is
     ``[ord_i, ord_q]`` (``[ord_i, off_i, ord_q, off_q]`` with a pruning
-    table), ``axis_res`` ``[res_i, res_q]`` — then the queue:
-
-    * ``zigzag`` — Geosphere's column form.  Its 2-D zigzag keeps at
-      most one queued candidate per entered PAM column (paper section
-      3.1.1, the sqrt(|O|) queue bound), so a slot's queue is a row of
-      ``side`` distances (``queue_d``, ``inf`` = none queued) and row
-      pointers (``queue_j``), plus the column handed out last
-      (``last_i``, ``-1`` = none) whose successors are still deferred;
-    * ``shabany`` — both successors every time behind a ``seen`` grid,
-      so a column can hold several candidates: a bounded unordered heap
-      (``queue_d`` / ``queue_i`` / ``queue_j``, ``queue_n`` occupied)
-      and the last pop (``last_i`` / ``last_j`` / ``has_last``).  The
-      queued cells form (near-)antichains of the position grid, so the
-      heap stays O(side); the core's overflow check keeps the bound
-      honest.
+    table), ``axis_res`` ``[res_i, res_q]`` — then Geosphere's column
+    queue.  Its 2-D zigzag keeps at most one queued candidate per
+    entered PAM column (paper section 3.1.1, the sqrt(|O|) queue bound),
+    so a slot's queue is a row of ``side`` distances (``col_d``, ``inf``
+    = none queued) and row pointers (``col_j``), plus the column handed
+    out last (``last_i``, ``-1`` = none) whose successors are still
+    deferred; it cannot overflow.
 
     A slot needs no fresh value: the core rewrites it whole when it
     expands a node into it, before anything reads it.
     """
     side = decoder.constellation.levels.shape[0]
-    axes = {"axis_int": (2 if decoder._pruner is None else 4, side),
-            "axis_res": (2, side)}
-    if decoder.enumerator == "zigzag":
-        return dict(axes, queue_d=(side,), queue_j=(side,), last_i=())
-    capacity = 2 * side + 4
-    return dict(axes, queue_d=(capacity,), queue_i=(capacity,),
-                queue_j=(capacity,), queue_n=(), last_i=(), last_j=(),
-                has_last=(), seen=(side * side,))
+    return {"axis_int": (2 if decoder._pruner is None else 4, side),
+            "axis_res": (2, side), "col_d": (side,), "col_j": (side,),
+            "last_i": ()}
 
 
 def _layout(decoder, num_streams: int, count: int) -> dict:
@@ -375,9 +360,10 @@ def lanes(decoder, num_streams: int, count: int) -> dict:
     """Every array ``count`` lanes of ``decoder`` own, zeroed, keyed by
     ``search_t`` field (the tallies packed as ``tally``): a row per lane
     and ``num_streams`` frontier slots per lane — or ``{}`` where the
-    core does not run ``decoder``'s searches (``hess`` / ``exhaustive``,
-    or no core): such a pool runs the scalar decoder instead."""
-    if decoder.enumerator not in ("zigzag", "shabany") or core() is None:
+    core does not run ``decoder``'s searches (any enumerator but
+    ``zigzag``, or no core): such a pool runs the scalar decoder
+    instead."""
+    if decoder.enumerator != "zigzag" or core() is None:
         return {}
     return {name: np.zeros(shape, dtype)
             for name, (dtype, shape)
@@ -421,6 +407,8 @@ def _marshal(decoder, arrays: dict, frames):
     side = levels.shape[0]
     count, num_streams = arrays["level"].shape[0], arrays["r"].shape[-1]
     layout = _layout(decoder, num_streams, count)
+    require(decoder.enumerator == "zigzag",
+            "the search core runs only the zigzag frontier")
     require(arrays.keys() == layout.keys(),
             f"search core needs exactly the arrays {sorted(layout)}")
     require(not decoder.list_size or side <= 256,
@@ -442,7 +430,6 @@ def _marshal(decoder, arrays: dict, frames):
     fields["frames"] = _address(frames, FRAME, (len(frames),), "frames")
     return _Search(
         tally_stride=len(_TALLIES), num_streams=num_streams, side=side,
-        queue_capacity=arrays["queue_d"].shape[1],
         list_size=decoder.list_size, use_fma=NUMPY_FMA, lanes=count,
         frame_slots=len(frames),
         axis_scale=float(levels[1] - levels[0]) / 2.0 if side > 1 else 1.0,
@@ -514,9 +501,6 @@ def run(decoder, arrays: dict, frames, runs, running: int, idle: int,
                                        "admission runs"),
         len(runs), running, idle,
         _TO_COMPLETION if attempts is None else attempts)
-    if finished == -1:
-        raise RuntimeError("frontier queue capacity exceeded; "
-                           "the enumeration invariant was violated")
     if finished < 0:
         raise ValueError(f"search core refused {_REFUSALS[finished]}")
     return finished

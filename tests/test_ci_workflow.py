@@ -13,6 +13,7 @@ longer guards its module.
 from __future__ import annotations
 
 import ast
+import importlib.util
 import re
 from pathlib import Path
 
@@ -212,3 +213,35 @@ def test_no_pickle_under_src(text):
                 for path in (ROOT / tree).rglob("*.py")
                 if re.search(pattern, path.read_text())]
         assert hits == [], tree
+
+
+def test_core_runs_under_sanitizers(text):
+    """``tier1`` (3.12) runs every suite that reaches the compiled core
+    against a build under ASan and UBSan: the harness option
+    ``--sanitize-core`` (``tests/conftest.py``) with both runtimes
+    preloaded and leak checking off.  The sanitized flags keep the
+    core a shared object and its float program's ``-ffp-contract=off``,
+    and a UB report is fatal."""
+    # By path: benchmarks/ has a conftest module of its own.
+    spec = importlib.util.spec_from_file_location(
+        "tests_conftest", ROOT / "tests" / "conftest.py")
+    harness = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(harness)
+    step = next(step for step in _steps(_jobs(text)["tier1"])
+                if step.startswith("name: The core under ASan and UBSan"))
+    assert "matrix.python-version == '3.12'" in step
+    run = " ".join(step.split("run: >", 1)[1].split())
+    assert run.startswith(
+        'LD_PRELOAD="$(gcc -print-file-name=libasan.so) '
+        '$(gcc -print-file-name=libubsan.so)" ASAN_OPTIONS=detect_leaks=0 ')
+    assert re.findall(r"tests/(\w+)\.py", run) == [
+        "test_tick_kernel", "test_engine", "test_tail", "test_qr",
+        "test_coding"]
+    # A report aborts the process: sys-level capture lets it reach the log.
+    assert run.split()[-2:] == ["--capture=sys", "--sanitize-core"]
+    arguments = run.split(" python -m pytest ", 1)[1]
+    assert not re.search(r"(^|\s)-(k|m)\s|--deselect", arguments)
+    assert harness.SANITIZED_CFLAGS == (
+        "-O1", "-g", "-fsanitize=address,undefined",
+        "-fno-sanitize-recover=undefined", "-shared", "-fPIC",
+        "-ffp-contract=off")

@@ -305,10 +305,10 @@ def test_engine_matches_scalar_oracle(monkeypatch, case, capacity,
 def test_numpy_step_matches_scalar_oracle(no_compiler, monkeypatch, case,
                                           capacity, drain_threshold, entry):
     """The same sweep with the core hidden, as on a box without a
-    compiler: every pool — ``zigzag`` / ``shabany`` too — then runs each
-    search through the decoder's scalar search in its admission tick,
-    and this pins what that fallback writes into the frame's outcome rows
-    and the frame result to the oracle.  (The id is older
+    compiler: every pool — ``zigzag`` too — then runs each search
+    through the decoder's scalar search in its admission tick, and this
+    pins what that fallback writes into the frame's outcome rows and the
+    frame result to the oracle.  (The id is older
     than the fallback: it once pinned a numpy lockstep step.)"""
     test_engine_matches_scalar_oracle(monkeypatch, case, capacity,
                                       drain_threshold, entry)
@@ -485,21 +485,25 @@ def test_private_frontier_is_sized_to_the_frame(monkeypatch):
 @needs_core
 @pytest.mark.parametrize("kind", ["hard", "soft", "hard-shabany"])
 def test_qos_hooks_cost_only_the_frame_they_touch(kind):
-    """Two frames share a small, demand-grown frontier (kernel state —
-    of either frontier kernel — must survive the regrowth mid-search);
-    one is degraded mid-flight and then removed.  Its lanes come back,
-    and the other frame — reprioritised on the way — still equals the
-    scalar oracle.  (Without the core nothing is mid-flight: see
-    ``tests/test_runtime_qos.py``.)"""
+    """Two frames share a small, demand-grown frontier (lane state must
+    survive the regrowth mid-search); one is degraded mid-flight and
+    then removed.  Its lanes come back, and the other frame —
+    reprioritised on the way — still equals the scalar oracle.  A
+    ``shabany`` pool has no lanes even where the core built: see
+    :func:`_qos_hooks_on_a_pool_without_lanes`.  (Without the core
+    nothing is mid-flight: see ``tests/test_runtime_qos.py``.)"""
     constellation, channels, received = _frame_instance(
         16, 4, 4, num_subcarriers=5, num_symbols=4, noise_scale=0.25, seed=19)
+    if kind == "hard-shabany":
+        _qos_hooks_on_a_pool_without_lanes(
+            SphereDecoder(constellation, enumerator="shabany"), channels,
+            received)
+        return
     if kind == "soft":
         decoder = ListSphereDecoder(constellation, list_size=4)
         noise_variance = NOISE_VARIANCE
     else:
-        decoder = SphereDecoder(
-            constellation,
-            enumerator="shabany" if kind == "hard-shabany" else "zigzag")
+        decoder = SphereDecoder(constellation)
         noise_variance = None
     request = FrameRequest(channels, received, decoder, noise_variance)
     frontier = pinned_frontier(capacity=12, initial_lanes=2,
@@ -530,15 +534,57 @@ def test_qos_hooks_cost_only_the_frame_they_touch(kind):
     assert_frames_identical(survivor.finalise(), want)
 
 
+def _qos_hooks_on_a_pool_without_lanes(decoder, channels, received):
+    """The QoS hooks on a lane-less pool (a baseline enumerator's, core
+    or not), on the same small, demand-grown frontier: every tick
+    finishes what it admits, so no search holds a lane between ticks;
+    ``degrade`` caps only the victim's queued searches (they start under
+    the shrunk budget) and ``remove`` drops only those; the survivor,
+    served first once the victim is demoted, equals the scalar
+    oracle."""
+    request = FrameRequest(channels, received, decoder)
+    frontier = pinned_frontier(capacity=12, initial_lanes=2,
+                               drain_threshold=0)
+    victim, survivor = FrameJob(0, request), FrameJob(1, request)
+    frontier.submit(victim)
+    frontier.submit(survivor)
+    pool = victim.pool
+
+    def tick():
+        assert frontier.tick() == []
+        assert frontier.in_use == 0 and pool.active.size == 0
+
+    tick()                                  # 12 of the victim's 20
+    assert not pool.has_core and pool.allocated == 12
+    victim.priority = 3                     # as the session demotes it
+    frontier.reprioritise(victim, 3)
+    tick()                                  # 12 of the survivor's 20
+    assert (victim.remaining, survivor.remaining) == (8, 8)
+    budget = engine._LOCKSTEP_ATTEMPTS + 1
+    victim.degraded_budget = budget
+    frontier.degrade(victim, budget)
+    # The survivor's last 8, then 4 of the victim under the cap.
+    assert frontier.tick() == [survivor] and frontier.in_use == 0
+    assert pool.active.size == 0 and victim.remaining == 4
+    assert frontier.remove(victim) == 4 and frontier.remove(victim) == 0
+    assert frontier.idle
+    # Elements 0-11 ran before the degrade, 12-15 under it.
+    assert (victim.visited[12:16] <= budget).all()
+    assert (victim.visited[:12] > budget).any()
+    want, _ = scalar_oracle(decoder, channels, received)
+    assert_frames_identical(survivor.finalise(), want)
+
+
 @pytest.mark.parametrize("attempts", [1, 2, 3, 7])
 def test_any_lockstep_allowance_is_the_scalar_program(monkeypatch,
                                                       attempts):
     """The attempt allowance of a lockstep tick only decides how many
-    ticks a search takes.  A hard, a soft and a ``shabany`` frame share
-    a small resident runtime kept in lockstep to the end (no drain), so
-    every search is cut at each allowance's tick boundaries and lanes
-    refill across frames; each frame still equals the scalar oracle bit
-    for bit, LLRs and counters included."""
+    ticks a search takes.  A hard, a soft and a ``shabany`` frame (two
+    core pools and a scalar one) share a small resident runtime kept in
+    lockstep to the end (no drain), so every search is cut at each
+    allowance's tick boundaries and lanes refill across frames; each
+    frame still equals the scalar oracle bit for bit, LLRs and counters
+    included."""
     monkeypatch.setattr(engine, "_LOCKSTEP_ATTEMPTS", attempts)
     constellation, channels, received = _frame_instance(
         16, 4, 4, num_subcarriers=5, num_symbols=4, noise_scale=0.25, seed=23)

@@ -764,31 +764,34 @@ def test_aggregate_summaries_sums_and_recombines():
 # ----------------------------------------------------------------------
 
 class _ScriptedPipe:
-    """Drives ``worker_main`` in-process: feeds scripted commands as the
-    wire bytes the parent would send, decodes what the worker sends
-    back, then models the parent closing the pipe once a result has
-    been sent."""
+    """Drives ``worker_main`` in-process: the scripted commands wait in a
+    real pipe as the wire bytes the parent would send (the worker polls
+    its descriptor), what the worker sends back is decoded, and the
+    parent's end closes once a result has been sent."""
 
     def __init__(self, messages):
-        from collections import deque
-        # A pipe carries the frame past the socket's length prefix.
-        self.incoming = deque(bytes(encode(message))[4:]
-                              for message in messages)
+        import multiprocessing
+        self._reader, self._writer = multiprocessing.Pipe(duplex=False)
+        for message in messages:
+            # A pipe carries the frame past the socket's length prefix.
+            self._writer.send_bytes(encode(message), 4)
         self.sent = []
 
-    def poll(self, timeout=0):
-        if self.incoming:
-            return True
-        # Parent "hangs up" once the shard has delivered a result.
-        return any(message[0] == "done" for message in self.sent)
+    def fileno(self):
+        return self._reader.fileno()
 
     def recv_bytes(self):
-        if not self.incoming:
-            raise EOFError
-        return self.incoming.popleft()
+        return self._reader.recv_bytes()
 
     def send_bytes(self, data, offset=0):
         self.sent.append(decode(bytearray(memoryview(data)[offset:])))
+        if self.sent[-1][0] == "done":
+            self._writer.close()        # the parent hangs up: EOF next
+
+    def close(self):
+        self._reader.close()
+        if not self._writer.closed:
+            self._writer.close()
 
 
 def test_worker_main_loop_in_process():
@@ -802,7 +805,10 @@ def test_worker_main_loop_in_process():
     pipe = _ScriptedPipe([("submit", 7, frame),
                           ("cancel", 99),          # unknown id: a no-op
                           ("stats",)])
-    worker_main(0, pipe, None, heartbeat_s=1e-4)   # returns on EOF
+    try:
+        worker_main(0, pipe, None, heartbeat_s=1e-4)   # returns on EOF
+    finally:
+        pipe.close()
     kinds = [message[0] for message in pipe.sent]
     assert kinds.count("done") == 1
     assert "stats" in kinds and "beat" in kinds

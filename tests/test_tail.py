@@ -12,16 +12,18 @@ contract is bit-identity — decisions, distances, LLRs and all five
 ``ComplexityCounters`` — and these tests pin it two ways:
 
 * **from the root** — a hand-off right after the root expansion, so the
-  drain runs the whole search (a hypothesis property over enumerator
-  rule, pruning, initial radius, node budget, list size, constellation
-  and geometry; list size 1 is the hard best-leaf policy);
+  drain runs the whole search (a hypothesis property over pruning,
+  initial radius, node budget, list size, constellation and geometry;
+  list size 1 is the hard best-leaf policy);
 * **from every depth** — ``k`` lockstep ticks in the core, then the
   drain, for every ``k`` from 0 to the search's length, with the
   allowance pinned to one attempt per tick so that ``k`` counts
   attempts and no hand-off point is skipped — so a wrong
-  reading of the pending successors, the column queue or the Shabany
-  seen grid that a step leaves behind cannot hide behind a lucky
-  threshold.
+  reading of the pending successors or the column queue that a step
+  leaves behind cannot hide behind a lucky threshold.
+
+Only ``zigzag`` searches run in the core; the baseline enumerators'
+pools have no lanes, so they have no tail to hand off (checked below).
 
 Float programs: the core spells the installed numpy's complex-multiply
 program out (FMA-contracted or not — ``tick_kernel.NUMPY_FMA`` picks);
@@ -109,7 +111,6 @@ def test_tail_from_root_equals_the_scalar_oracle(data):
     order = data.draw(st.sampled_from([4, 16, 64]), label="order")
     num_tx = data.draw(st.integers(2, 4), label="num_tx")
     num_rx = data.draw(st.integers(num_tx, 4), label="num_rx")
-    enumerator = data.draw(st.sampled_from(["zigzag", "shabany"]))
     pruning = data.draw(st.booleans(), label="pruning")
     list_size = data.draw(st.sampled_from([1, 4, 16]), label="list_size")
     node_budget = data.draw(st.sampled_from([None, 4, 11, 40]))
@@ -118,21 +119,18 @@ def test_tail_from_root_equals_the_scalar_oracle(data):
     constellation = qam(order)
 
     if list_size == 1:                       # the hard, best-leaf policy
-        plain = SphereDecoder(constellation, enumerator=enumerator,
-                              geometric_pruning=pruning)
+        plain = SphereDecoder(constellation, geometric_pruning=pruning)
         ml_distance = plain.decode_triangular(r, y_hat).distance_sq
         # inf, a radius that keeps the ML leaf, one that excludes it.
         radius = data.draw(st.sampled_from(
             [float("inf"), 4.0 * ml_distance, 0.5 * ml_distance]))
-        decoder = SphereDecoder(constellation, enumerator=enumerator,
-                                geometric_pruning=pruning,
+        decoder = SphereDecoder(constellation, geometric_pruning=pruning,
                                 initial_radius_sq=radius,
                                 node_budget=node_budget)
         got, drained = _decode_one(decoder, r, y_hat, drain_threshold=1)
         _assert_hard_equal(got, decoder.decode_triangular(r, y_hat))
     else:
         decoder = ListSphereDecoder(constellation, list_size=list_size,
-                                    enumerator=enumerator,
                                     geometric_pruning=pruning,
                                     node_budget=node_budget)
         got, drained = _decode_one(decoder, r, y_hat, noise_variance,
@@ -146,12 +144,12 @@ def test_tail_from_root_equals_the_scalar_oracle(data):
     assert drained == [1]                    # the core did run it
 
 
-@pytest.mark.parametrize("enumerator", ["hess", "exhaustive"])
+@pytest.mark.parametrize("enumerator", ["shabany", "hess", "exhaustive"])
 def test_baseline_enumerators_have_no_tail(enumerator):
-    """``hess``/``exhaustive`` pools have no core: whatever the drain
-    threshold says, every search runs through the scalar decoder in the
-    tick that admits it — the oracle's results, nothing drained, nothing
-    left in a lane between ticks."""
+    """The baselines' pools (``shabany``, ``hess``, ``exhaustive``)
+    have no core: whatever the drain threshold says, every search runs
+    through the scalar decoder in the tick that admits it — the oracle's
+    results, nothing drained, nothing left in a lane between ticks."""
     rng = np.random.default_rng(5)
     decoder = SphereDecoder(qam(16), enumerator=enumerator,
                             geometric_pruning=False)
@@ -242,6 +240,9 @@ def _oracle(decoder, request):
 
 @pytest.mark.parametrize("kind", ["hard", "soft"])
 @pytest.mark.parametrize("pruning", [True, False])
+# ``shabany`` pools have no lanes: a search finishes in the tick that
+# admits it, so its only hand-off point is k = 0 and a drain threshold
+# raised mid-run must change nothing.
 @pytest.mark.parametrize("enumerator", ["zigzag", "shabany"])
 def test_handoff_at_every_depth_equals_the_scalar_oracle(enumerator,
                                                          pruning, kind):

@@ -1,8 +1,8 @@
 """Differential sweeps for the compiled search core, and its loader.
 
-Wherever the core built, every ``zigzag`` / ``shabany`` pool steps
-through it — two candidate attempts per lane per tick, an unlimited
-allowance for the straggler drain — and its contract is *bit-identity*
+Wherever the core built, every ``zigzag`` pool steps through it — two
+candidate attempts per lane per tick, an unlimited allowance for the
+straggler drain — and its contract is *bit-identity*
 with the scalar search it replays: the scalar loop's float program per
 search (reciprocal-multiply complex division, FMA-matched interference
 accumulation, ``rint`` slicing, uncontracted distance update), so symbol
@@ -10,7 +10,10 @@ decisions, distances, LLRs and complexity counters must equal a run with
 the core hidden (:func:`_scalar_fallback`: every pool then runs the
 scalar search itself) at every entry point: ``decode_batch`` /
 ``decode_frame``, hard and soft, ``detect_uplink`` / ``SphereDetector``
-above them, the streaming runtime and the detector farm.
+above them, the streaming runtime and the detector farm.  A baseline
+enumerator's pool (``shabany``) has no lanes, so its cells of these
+sweeps pin that scalar pool to the scalar decoder one vector at a time
+instead (:func:`_expected`).
 
 The sweeps run against the real binary — ``search_core.c`` built by the
 system ``cc`` at first use — and the loader tests pin how it gets
@@ -34,6 +37,7 @@ from repro.runtime import FrameJob, FrameRequest, UplinkRuntime
 from repro.runtime.engine import StreamingFrontier
 from repro.service import DetectorFarm
 from repro.sphere import ListSphereDecoder, SphereDecoder, triangularize
+from repro.sphere.decoder import ENUMERATORS
 
 from test_engine import (
     _frame_instance,
@@ -58,6 +62,18 @@ def _scalar_fallback(run):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tick_kernel, "_core", False)
         return run()
+
+
+def _expected(decoder, decode, oracle):
+    """What ``decode()`` must equal.  The core runs a ``zigzag``
+    decoder's searches, so its decode must equal the same decode with
+    the core hidden.  A baseline enumerator's pool has no lanes, core or
+    not (hiding the core would compare that scalar pool with itself), so
+    its decode must equal ``oracle()``: the scalar decoder one vector at
+    a time."""
+    if decoder.enumerator == "zigzag":
+        return _scalar_fallback(decode)
+    return oracle()
 
 
 def _block_instance(order, num_tx, num_vectors, seed=0):
@@ -269,6 +285,11 @@ def test_core_refuses_what_it_cannot_address():
         run(frames=pool.frame_table[::2])
     # A frontier laid out for another decoder: no pruning offsets.
     refused("axis_int", axis_int=state["axis_int"][:, :2].copy())
+    # A decoder whose frontier the core does not run, on these lanes.
+    shabany = SphereDecoder(constellation, enumerator="shabany")
+    with pytest.raises(ValueError, match="only the zigzag frontier"):
+        tick_kernel.run(shabany, state, pool.frame_table, nothing,
+                        pool.running, 0, 0, {})
 
 
 def _preprocessing_operands():
@@ -433,8 +454,12 @@ def test_batch_compiled_matches_numpy(enumerator, pruning,
     decoder = SphereDecoder(qam(16), enumerator=enumerator,
                             geometric_pruning=pruning,
                             node_budget=node_budget)
-    _assert_batches_equal(decoder.decode_batch(r, y_hat),
-                          _scalar_fallback(lambda: decoder.decode_batch(r, y_hat)))
+
+    def decode():
+        return decoder.decode_batch(r, y_hat)
+
+    _assert_batches_equal(decode(), _expected(
+        decoder, decode, lambda: decoder._decode_batch_loop(r, y_hat)))
 
 
 def test_batch_compiled_matches_scalar_loop():
@@ -459,9 +484,14 @@ def test_hard_frame_compiled_matches_numpy(enumerator, pruning,
     decoder = SphereDecoder(constellation, enumerator=enumerator,
                             geometric_pruning=pruning,
                             node_budget=node_budget)
-    reference = _scalar_fallback(lambda: decoder.decode_frame(channels, received))
-    _assert_identical(decoder.decode_frame(channels, received), reference,
-                      soft=False)
+
+    def decode():
+        return decoder.decode_frame(channels, received)
+
+    reference = _expected(
+        decoder, decode, lambda: scalar_oracle(decoder, channels,
+                                               received)[0])
+    _assert_identical(decode(), reference, soft=False)
 
 
 @pytest.mark.parametrize("drain_threshold", [0, None])
@@ -494,7 +524,10 @@ def test_soft_frame_compiled_matches_numpy(enumerator,
     def decode():
         return decoder.decode_frame(channels, received, 0.05)
 
-    _assert_identical(decode(), _scalar_fallback(decode), soft=True)
+    reference = _expected(
+        decoder, decode, lambda: scalar_oracle(decoder, channels, received,
+                                               0.05)[0])
+    _assert_identical(decode(), reference, soft=True)
 
 
 @needs_core
@@ -536,7 +569,7 @@ _SEARCH_ROWS = {"r", "y", "diag", "diag_sq", "level", "radius", "parent",
 _LEAF_ROWS = {False: {"best_cols", "best_rows", "best_dist"},
               True: {"list_d", "list_seq", "list_cols", "list_rows",
                      "list_n", "leaf_seq", "noise_var"}}
-_ZIGZAG_SLOTS = {"axis_int", "axis_res", "queue_d", "queue_j", "last_i"}
+_ZIGZAG_SLOTS = {"axis_int", "axis_res", "col_d", "col_j", "last_i"}
 _OUTCOME_ROWS = {False: ["tally", "best_dist", "best_cols", "best_rows"],
                  True: ["tally", "llrs", "best_cols", "best_rows", "list_n"]}
 
@@ -630,6 +663,28 @@ def test_pool_state_is_the_declared_layout_through_growth(request, soft,
         assert_frames_identical(done.finalise(), want)
 
 
+@needs_core
+def test_only_zigzag_pools_step_in_the_core():
+    """Wherever the core built, a ``zigzag`` pool, hard or list, has
+    lanes; every baseline enumerator's pool — ``shabany`` included —
+    has none and runs the scalar search."""
+    constellation, channels, received = _frame_instance(16, 4, 4, 2, 2)
+    frontier = StreamingFrontier()
+    for enumerator in ENUMERATORS:
+        for decoder, extra in [
+                (SphereDecoder(constellation, enumerator=enumerator,
+                               geometric_pruning=False), ()),
+                (ListSphereDecoder(constellation, list_size=4,
+                                   enumerator=enumerator,
+                                   geometric_pruning=False), (0.05,))]:
+            job = FrameJob(0, FrameRequest(channels, received, decoder,
+                                           *extra))
+            frontier.submit(job)
+            lanes = tick_kernel.lanes(decoder, 4, 2)
+            assert job.pool.has_core == bool(lanes) == (
+                enumerator == "zigzag"), (enumerator, decoder.list_size)
+
+
 # ----------------------------------------------------------------------
 # Streaming runtime differentials
 # ----------------------------------------------------------------------
@@ -643,7 +698,7 @@ def test_runtime_compiled_matches_decode_frame():
     rng = np.random.default_rng(23)
     decoders = [
         (SphereDecoder(qam(16)), False),
-        (SphereDecoder(qam(4), enumerator="shabany"), False),
+        (SphereDecoder(qam(4)), False),
         (ListSphereDecoder(qam(16), list_size=4), True),
     ]
     frames = [_make_frame(decoder, 6, 3, 18.0, rng, soft=soft)
