@@ -45,7 +45,7 @@ from .cell import (
     synthetic_cell_trace,
 )
 from .decode import DecodeStage
-from .engine import DEFAULT_INITIAL_LANES, LANE_POLICIES, StreamingFrontier
+from .engine import LANE_POLICIES, StreamingFrontier
 from .queue import AdmissionQueue, FrameJob, FrameRequest
 from .session import (
     DEFAULT_MAX_IN_FLIGHT,
@@ -58,7 +58,6 @@ from .stats import RuntimeStats, STAGES, aggregate_summaries
 __all__ = [
     "AdmissionQueue",
     "CellWorkload",
-    "DEFAULT_INITIAL_LANES",
     "DEFAULT_MAX_IN_FLIGHT",
     "DEFAULT_QOS_MIX",
     "DecodeStage",

@@ -86,12 +86,12 @@ global lane budget, so a mixed-constellation cell workload still keeps
 every lane busy.  A homogeneous workload — the benchmark's 16-QAM 4x4
 stream — is exactly one pool.
 
-Each pool allocates its lane arrays **on demand**: a pool
-starts at :data:`DEFAULT_INITIAL_LANES` lanes (or the global capacity if
-smaller) and grows geometrically whenever admission wants more lanes
-than it has allocated, up to the shared global budget — so shards ×
-signatures stays bounded by what the workload actually uses instead of
-``capacity`` lanes of frontier state per signature.  Growth is
+Each pool allocates its lane arrays **on demand**: a pool is born
+with one lane per search of the frame that creates it (at most the
+global capacity) and grows geometrically whenever admission wants more
+lanes than it has allocated, up to the shared global budget — so shards
+× signatures stays bounded by what the workload actually uses instead
+of ``capacity`` lanes of frontier state per signature.  Growth is
 invisible to results: every array keeps its existing rows bit-for-bit
 (live searches carry over), new rows are zeroed as at construction
 (the core's admission or node expansion rewrites them before use), and
@@ -113,9 +113,8 @@ from ..obs.trace import FrameTracer
 from ..utils.validation import require
 from .queue import AdmissionQueue, FrameJob, search_signature
 
-__all__ = ["DEFAULT_INITIAL_LANES", "DEFAULT_LANE_CAPACITY",
-           "DRAIN_THRESHOLD_CAP", "LANE_POLICIES", "StreamingFrontier",
-           "run_frame"]
+__all__ = ["DEFAULT_LANE_CAPACITY", "DRAIN_THRESHOLD_CAP", "LANE_POLICIES",
+           "StreamingFrontier", "run_frame"]
 
 #: Default global lane budget.  Large enough that typical frames (64
 #: subcarriers x tens of OFDM symbols) keep the whole frame in lockstep,
@@ -157,10 +156,6 @@ DRAIN_THRESHOLD_CAP = 32
 # Any allowance is the same program per search, so results, LLRs and
 # counters do not depend on it.
 _LOCKSTEP_ATTEMPTS = 2
-
-#: Lanes a pool allocates up front; pools grow geometrically on
-#: demand from here, capped by the engine's global lane budget.
-DEFAULT_INITIAL_LANES = 64
 
 _EMPTY = np.empty(0, dtype=np.int64)
 # A core call that admits nothing: no (slot, first, count, cap) rows.
@@ -210,7 +205,10 @@ class _Pool:
     def __init__(self, engine: "StreamingFrontier",
                  template: FrameJob) -> None:
         decoder = template.decoder
-        allocated = min(engine.capacity, engine.initial_lanes)
+        # Born with its first frame's searches.  A frame with none (it
+        # never ticks) still gets one lane: _grow reads each array's
+        # rows per lane off the lanes allocated.
+        allocated = max(1, min(engine.capacity, template.num_problems))
         num_streams = template.num_streams
         self.engine = engine
         self.decoder = decoder
@@ -534,11 +532,6 @@ class StreamingFrontier:
         queued work first; ``"fifo"`` ignores priorities — the pre-QoS
         baseline.  Either way each search runs the same float program,
         so per-frame results are policy-independent.
-    initial_lanes:
-        Lanes each pool allocates up front (default
-        :data:`DEFAULT_INITIAL_LANES`, clamped to ``capacity``); pools
-        grow geometrically on demand up to the global budget.  Purely an
-        allocation knob — growth is invisible to results.
     tracer:
         :class:`~repro.obs.trace.FrameTracer` shared with the owning
         session, for engine-side lifecycle events (first-lane, evict,
@@ -547,15 +540,10 @@ class StreamingFrontier:
 
     def __init__(self, *, capacity: int | None = None,
                  lane_policy: str = "deadline",
-                 initial_lanes: int | None = None,
                  tracer: FrameTracer | None = None) -> None:
         if capacity is None:
             capacity = DEFAULT_LANE_CAPACITY
-        if initial_lanes is None:
-            initial_lanes = DEFAULT_INITIAL_LANES
         require(capacity >= 1, "streaming frontier needs at least one lane")
-        require(initial_lanes >= 1,
-                "pools need at least one initial lane")
         require(lane_policy in LANE_POLICIES,
                 f"unknown lane policy {lane_policy!r}; choose from "
                 f"{LANE_POLICIES}")
@@ -567,7 +555,6 @@ class StreamingFrontier:
         # in lockstep to the end).
         self._drain_threshold: int | None = None
         self.lane_policy = lane_policy
-        self.initial_lanes = initial_lanes
         #: Lifecycle tracer shared with the owning session.  A frame's
         #: engine-side events (first-lane, evict, expedite) stamp onto
         #: ``job.trace`` through it; the default is a disabled tracer so
@@ -643,13 +630,6 @@ class StreamingFrontier:
         if pool.queue.expedite(job) and job.trace is not None:
             self.tracer.emit(job.trace, "expedite")
 
-    def reprioritise(self, job: FrameJob, priority: int) -> None:
-        """Move a frame's still-queued searches to another priority
-        class (in-lane searches keep their lanes — reprioritising never
-        undoes work already started)."""
-        if job.pool is not None:
-            job.pool.queue.reprioritise(job, priority)
-
     def _tick_order(self) -> list[_Pool]:
         pools = [pool for pool in self._pools.values() if pool.has_work]
         if self.lane_policy == "deadline" and len(pools) > 1:
@@ -682,10 +662,10 @@ def run_frame(job: FrameJob):
 
     The job is built exactly as ``UplinkRuntime.submit`` builds it (or,
     for ``decode_batch``, by :meth:`FrameJob.from_triangular`); it is
-    submitted to a fresh :class:`StreamingFrontier` sized to the frame,
-    ticked until idle and finalised.
+    submitted to a fresh :class:`StreamingFrontier` — whose pool is
+    born sized to the frame — ticked until idle and finalised.
     """
-    frontier = StreamingFrontier(initial_lanes=max(1, job.num_problems))
+    frontier = StreamingFrontier()
     frontier.submit(job)
     while not frontier.idle:
         frontier.tick()

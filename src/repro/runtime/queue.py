@@ -16,10 +16,10 @@ stragglers drain, which is where the pipelining throughput comes from.
 The queue is the runtime's QoS hinge: frames carry a **priority class**
 (0 is the most urgent) and refills serve classes in strict priority
 order, FIFO within a class, so urgent frames take freed lanes first.
-Frames can also be *removed* (dropped at expiry or cancelled),
-*reprioritised* (downgraded or promoted mid-flight) and *expedited*
-(jumped to the front of their class when their deadline closes in) --
-the primitives the session's deadline machinery is built from.  A
+A frame's class is fixed when it is admitted.  Frames can also be
+*removed* (dropped at expiry or cancelled) and *expedited* (jumped to
+the front of their class when their deadline closes in) -- the
+primitives the session's deadline machinery is built from.  A
 ``fifo=True`` queue ignores classes entirely; it is the measurement
 baseline the SLO benchmark compares against.
 
@@ -374,9 +374,8 @@ class AdmissionQueue:
     FIFO within a class, and pops searches across segment boundaries,
     so a refill batch can mix the tail of one frame with the head of
     the next — the runtime's lanes never idle while any admitted frame
-    still has work.  Frames can be removed (:meth:`remove`), moved to
-    another class (:meth:`reprioritise`) or jumped to the front of
-    their class (:meth:`expedite`) while queued.
+    still has work.  Frames can be removed (:meth:`remove`) or jumped
+    to the front of their class (:meth:`expedite`) while queued.
 
     ``fifo=True`` collapses every class into one arrival-ordered FIFO —
     the pre-QoS behaviour, kept as the measurement baseline for the
@@ -403,24 +402,19 @@ class AdmissionQueue:
     def _class_of(self, job: FrameJob) -> int:
         return 0 if self._fifo else job.priority
 
-    def _segments_of(self, priority: int) -> deque[list]:
-        segments = self._classes.get(priority)
-        if segments is None:
-            segments = deque()
-            self._classes[priority] = segments
-        return segments
-
     def _find(self, job: FrameJob) -> tuple[deque[list], list] | None:
-        for segments in self._classes.values():
-            for segment in segments:
-                if segment[0] is job:
-                    return segments, segment
+        # A frame's class is fixed at admission: its segment is there.
+        segments = self._classes.get(self._class_of(job), ())
+        for segment in segments:
+            if segment[0] is job:
+                return segments, segment
         return None
 
     def push(self, job: FrameJob) -> None:
         """Admit a frame: tag and enqueue all of its searches."""
         if job.num_problems:
-            self._segments_of(self._class_of(job)).append([job, 0])
+            self._classes.setdefault(self._class_of(job),
+                                     deque()).append([job, 0])
             self._pending += job.num_problems
 
     def take(self, count: int) -> list[tuple[FrameJob, np.ndarray]]:
@@ -465,23 +459,6 @@ class AdmissionQueue:
         self._pending -= remaining
         return remaining
 
-    def reprioritise(self, job: FrameJob, priority: int) -> bool:
-        """Move a queued frame's remaining searches to another class.
-
-        The segment re-enters at the *back* of the new class (a
-        downgrade does not cut in line).  Returns ``False`` if the
-        frame had nothing queued.  No-op ordering under ``fifo=True``.
-        """
-        if self._fifo:
-            return self._find(job) is not None
-        found = self._find(job)
-        if found is None:
-            return False
-        segments, segment = found
-        segments.remove(segment)
-        self._segments_of(priority).append(segment)
-        return True
-
     def expedite(self, job: FrameJob) -> bool:
         """Jump a queued frame to the *front* of its class — the lane
         policy's urgency hook: a frame about to miss its deadline takes
@@ -494,5 +471,5 @@ class AdmissionQueue:
             return False
         segments, segment = found
         segments.remove(segment)
-        self._segments_of(self._class_of(job)).appendleft(segment)
+        segments.appendleft(segment)
         return True

@@ -195,9 +195,9 @@ class UplinkRuntime:
     ----------
     capacity:
         The :class:`~repro.runtime.engine.StreamingFrontier`'s shared
-        lane budget.  Its pools start at
-        :data:`~repro.runtime.engine.DEFAULT_INITIAL_LANES` lanes and
-        grow on demand up to it, invisibly to results.
+        lane budget.  Each of its pools is born with the searches of
+        the first frame it gets and grows on demand up to it, invisibly
+        to results.
     max_in_flight:
         In-flight frame budget (backpressure): ``submit`` blocks — by
         running the tick loop — while this many frames are unfinished.
@@ -444,19 +444,6 @@ class UplinkRuntime:
         self._resolve(self._jobs[handle.frame_id], "cancelled")
         self.stats.record_cancelled(handle.completed_at)
         return True
-
-    def reprioritise(self, handle: PendingFrame, priority: int) -> None:
-        """Move an unresolved frame to another priority class —
-        downgrade or promote mid-flight.  Only its still-queued searches
-        reorder (work already in lanes is never undone); the change is
-        a scheduling hint, so results stay bit-identical."""
-        require(priority >= 0, "priority class must be non-negative")
-        require(not handle.done,
-                f"frame {handle.frame_id} has already resolved")
-        job = self._jobs[handle.frame_id]
-        job.priority = priority
-        handle.priority = priority
-        self._engine.reprioritise(job, priority)
 
     def poll(self, max_ticks: int | None = None) -> list[PendingFrame]:
         """Advance the engine and return frames resolved so far

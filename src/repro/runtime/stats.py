@@ -200,9 +200,14 @@ class RuntimeStats:
         self._stamp(now)
 
     def record_expired(self, now: float) -> None:
-        """One frame dropped unfinished at its deadline — a full miss."""
-        self.frames_expired += 1
+        """One deadline-tagged frame dropped unfinished — a full miss."""
         self.deadline_frames_resolved += 1
+        self.record_dropped(now)
+
+    def record_dropped(self, now: float) -> None:
+        """One undated frame dropped unfinished (its shard's restarts
+        ran out): an expiry, with no deadline to miss."""
+        self.frames_expired += 1
         self._stamp(now)
 
     def record_cancelled(self, now: float) -> None:

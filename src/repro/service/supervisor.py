@@ -34,9 +34,11 @@ rather than a restart loop.
 the last summary each replaced worker reported (folded) plus the frames
 the supervisor expired itself — each resolved as a real
 :class:`~repro.runtime.session.PendingFrame` and counted by
-``RuntimeStats.record_expired``, as a worker counts its own expiries —
-for the farm's ``stats()`` to add: no ``*_total`` runs backwards across
-a restart and a supervisor-side expiry is a counted deadline miss.
+``RuntimeStats.record_expired``, as a worker counts its own expiries
+(``record_dropped`` for a frame without a deadline) — for the farm's
+``stats()`` to add: no ``*_total`` runs backwards across a restart, a
+supervisor-side expiry of a deadline-tagged frame is a counted deadline
+miss and an undated one is an expiry only.
 Work a worker did between its last stats reply and its death is lost
 with the process.
 
@@ -262,16 +264,17 @@ class ShardSupervisor:
             elapsed = now - enqueued
             self._tracer.emit(trace, "restart", shard=shard, reason=reason,
                               restarts=self.restarts[shard])
-            overdue = (request.deadline_s is not None
-                       and elapsed >= request.deadline_s)
+            dated = request.deadline_s is not None
+            overdue = dated and elapsed >= request.deadline_s
             if exhausted or overdue:
                 self._tracer.emit(trace, "expire", reason="supervisor")
                 handle = PendingFrame(frame_id, request, enqueued)
-                handle.resolve("expired", now, missed_deadline=True)
-                expiries.record_expired(now)
+                handle.resolve("expired", now, missed_deadline=dated)
+                (expiries.record_expired if dated
+                 else expiries.record_dropped)(now)
                 payloads.append(resolution_payload(frame_id, handle))
                 continue
-            if request.deadline_s is not None:
+            if dated:
                 # The replayed frame keeps its original wall-clock
                 # budget: shrink the deadline by the time already spent
                 # (and re-encode it; an undated one replays as it came).

@@ -14,7 +14,8 @@ the same bytes from past the prefix through ``send_bytes`` /
   aligned, so a decoded array is a view of the received bytes rather
   than a copy;
 * **records** — a :class:`FrameRequest`, its decoder as its config (a
-  class tag plus the constructor's fields: whatever
+  :class:`SphereDecoder` or :class:`ListSphereDecoder`: a class tag plus
+  the constructor's fields: whatever
   :func:`~repro.runtime.queue.search_signature` enumerates and
   ``column_ordering``), its :class:`PhyConfig`, both frame results with
   their :class:`StreamDecision` lists, :class:`ComplexityCounters`,
@@ -61,7 +62,6 @@ from ..runtime.queue import FrameRequest
 from ..runtime.session import RESOLUTIONS
 from ..sphere.counters import ComplexityCounters
 from ..sphere.decoder import ENUMERATORS, SphereDecoder
-from ..sphere.kbest import KBestDecoder
 from ..sphere.soft import ListSphereDecoder
 
 __all__ = ["DTYPES", "MAX_MESSAGE_BYTES", "MESSAGES", "ORDERS", "Resolution",
@@ -80,7 +80,6 @@ MAX_DEPTH = 32               # nesting of containers and records
 MAX_STR_BYTES = 1 << 20      # one string, UTF-8 (a metrics scrape fits)
 MAX_NDIM = 6                 # rank of one array
 MAX_LIST_SIZE = 1024         # a list decoder's list (lane state grows with it)
-MAX_K = 1024                 # a K-best decoder's survivors
 MAX_CONSTRAINT_LENGTH = 10   # a code's register: 2**9 trellis states
 MAX_GENERATORS = 8           # a code's generator polynomials
 MAX_FFT_SIZE = 4096          # an OFDM numerology's FFT
@@ -99,12 +98,12 @@ _COLUMN_ORDERINGS = ("none", "norm")
 
 # -- tags ----------------------------------------------------------------
 (NONE, FALSE, TRUE, INT, FLOAT, STR, LIST, TUPLE, DICT, ARRAY,
- HARD_DECODER, LIST_DECODER, KBEST_DECODER, PHY_CONFIG, POINTS, COUNTERS,
- DECISION, TRACE, RESOLUTION, REQUEST, HARD_RESULT, SOFT_RESULT) = range(22)
+ HARD_DECODER, LIST_DECODER, PHY_CONFIG, POINTS, COUNTERS, DECISION, TRACE,
+ RESOLUTION, REQUEST, HARD_RESULT, SOFT_RESULT) = range(21)
 
 _KEYS = (NONE, FALSE, TRUE, INT, FLOAT, STR)
 _NUMBERS = (NONE, INT, FLOAT)
-_DECODERS = (HARD_DECODER, LIST_DECODER, KBEST_DECODER)
+_DECODERS = (HARD_DECODER, LIST_DECODER)
 
 _I, _S, _D, _R = (INT,), (STR,), (DICT,), (REQUEST,)
 
@@ -144,10 +143,9 @@ _ARRAY = struct.Struct("<BBI")              # dtype code, rank, byte count
 _DIMS = tuple(struct.Struct(f"<{rank}I") for rank in range(MAX_NDIM + 1))
 # A hard decoder: order, enumerator, pruning, budget (-1: none), initial
 # radius, column ordering.  A list decoder: order, enumerator, pruning,
-# budget, list size, clamp.  K-best: order, K.
+# budget, list size, clamp.
 _HARD = struct.Struct("<HBBqdB")
 _LIST = struct.Struct("<HBBqId")
-_KBEST = struct.Struct("<HI")
 # A PhyConfig: order, payload bits, FFT size, cyclic prefix, sample
 # rate, data and pilot bin counts, constraint length (0: uncoded) and
 # generator count; then the generators and the bins.
@@ -405,13 +403,6 @@ def _encode_decoder(out, value, depth):
                           _COLUMN_ORDERINGS.index(value.column_ordering))
 
 
-def _encode_kbest(out, value, depth):
-    # The engine cannot stream a K-best decoder, but a frame naming one
-    # is a frame the server refuses with the runtime's own reason.
-    out.append(KBEST_DECODER)
-    out += _KBEST.pack(_order(value.constellation.order), value.k)
-
-
 def _encode_config(out, value, depth):
     code, ofdm = value.code, value.ofdm
     polynomials = () if code is None else code.polynomials
@@ -508,7 +499,6 @@ _ENCODERS = {
     np.ndarray: _encode_array,
     SphereDecoder: _encode_decoder,
     ListSphereDecoder: _encode_decoder,
-    KBestDecoder: _encode_kbest,
     PhyConfig: _encode_config,
     ComplexityCounters: _encode_counters,
     StreamDecision: _record(DECISION, _DECISION_FIELDS),
@@ -703,11 +693,6 @@ def _list_decoder(order, enumerator, pruning, budget, list_size, clamp):
                              enumerator, budget)
 
 
-@lru_cache(maxsize=_BUILT)
-def _kbest_decoder(order, k):
-    return KBestDecoder(qam(order), k)
-
-
 def _decode_hard(view, pos, depth, sealed):
     order, enumerator, pruning, budget, radius, ordering = \
         _HARD.unpack_from(view, pos)
@@ -726,13 +711,6 @@ def _decode_list_decoder(view, pos, depth, sealed):
     return _list_decoder(_order(order), _enumerator(enumerator),
                          _flag(pruning), _node_budget(budget), list_size,
                          clamp), pos + _LIST.size
-
-
-def _decode_kbest(view, pos, depth, sealed):
-    order, k = _KBEST.unpack_from(view, pos)
-    if k > MAX_K:
-        _refuse(f"K = {k} exceeds the cap {MAX_K}")
-    return _kbest_decoder(_order(order), k), pos + _KBEST.size
 
 
 @lru_cache(maxsize=_BUILT)
@@ -857,8 +835,8 @@ def _sealable_decoder(tag):
 _VALUE_DECODERS = (
     _decode_none, _decode_false, _decode_true, _decode_int, _decode_float,
     _decode_str, _decode_list, _decode_tuple, _decode_dict, _decode_array,
-    _decode_hard, _decode_list_decoder, _decode_kbest, _decode_config,
-    _decode_points, _decode_counters,
+    _decode_hard, _decode_list_decoder, _decode_config, _decode_points,
+    _decode_counters,
     _record_decoder(StreamDecision, _DECISION_FIELDS), _decode_trace,
     _decode_resolution, *(_sealable_decoder(tag) for tag in (
         REQUEST, HARD_RESULT, SOFT_RESULT)))

@@ -168,6 +168,49 @@ def test_outcome_rows_have_one_allocator(text):
     assert hits == {"src/repro/runtime/queue.py"}
 
 
+def test_priority_class_has_one_writer(text):
+    """``tier1`` greps ``src/repro`` for any assignment to ``.priority``
+    but the two constructors' copy from the request: a frame's priority
+    class is fixed at admission.  The step's pattern must match every
+    form of assignment (so it is not vacuous) and no comparison, and
+    under ``src/repro`` it must match exactly the two lines its filter
+    lets through — ``FrameJob._init_state``'s and
+    ``PendingFrame.__init__``'s."""
+    step = next(step for step in _steps(_jobs(text)["tier1"])
+                if step.startswith("name: A frame's priority class has one"))
+    assert "matrix.python-version == '3.12'" in step
+    pattern = re.search(r"! grep -rnE --include='\*\.py'\s+'([^']*)' "
+                        r"src/repro\s", step).group(1)
+    (allowed,) = re.findall(r"\| grep -vE '([^']*)'", step)
+    for sample in ("job.priority = 3", "self.priority: int = 0",
+                   "handle.priority += 1", "job.priority //= 2"):
+        assert re.search(pattern, sample), sample
+    for sample in ("if job.priority == 0:", "job.priority <= 2",
+                   "job.priority != 1", "priority=job.priority)"):
+        assert not re.search(pattern, sample), sample
+    hits = [f"{path.relative_to(ROOT).as_posix()}:{number}:{line}"
+            for path in sorted((ROOT / "src" / "repro").rglob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if re.search(pattern, line)]
+    assert [hit for hit in hits if not re.search(allowed, hit)] == []
+    writers = set()
+    for path in ("queue", "session"):
+        tree = ast.parse((ROOT / "src" / "repro" / "runtime"
+                          / f"{path}.py").read_text())
+        for cls in ast.walk(tree):
+            for method in (cls.body if isinstance(cls, ast.ClassDef)
+                           else ()):
+                writers.update(
+                    (cls.name, getattr(method, "name", None))
+                    for node in ast.walk(method)
+                    if isinstance(node, ast.Attribute)
+                    and node.attr == "priority"
+                    and isinstance(node.ctx, ast.Store))
+    assert len(hits) == 2
+    assert writers == {("FrameJob", "_init_state"),
+                       ("PendingFrame", "__init__")}
+
+
 def test_no_lapack_qr_under_src(text):
     """``tier1`` greps ``src/repro`` for a LAPACK QR: a frame's QR is one
     Householder program, written twice (``repro.sphere.qr`` and

@@ -485,12 +485,12 @@ def test_private_frontier_is_sized_to_the_frame(monkeypatch):
 @needs_core
 @pytest.mark.parametrize("kind", ["hard", "soft", "hard-shabany"])
 def test_qos_hooks_cost_only_the_frame_they_touch(kind):
-    """Two frames share a small, demand-grown frontier (lane state must
-    survive the regrowth mid-search); one is degraded mid-flight and
-    then removed.  Its lanes come back, and the other frame —
-    reprioritised on the way — still equals the scalar oracle.  A
-    ``shabany`` pool has no lanes even where the core built: see
-    :func:`_qos_hooks_on_a_pool_without_lanes`.  (Without the core
+    """Two frames share a small, demand-grown frontier (a one-search
+    frame first gives the pool one lane: lane state must survive the
+    regrowth mid-search); one is degraded mid-flight and then removed.
+    Its lanes come back, and the other frame still equals the scalar
+    oracle.  A ``shabany`` pool has no lanes even where the core built:
+    see :func:`_qos_hooks_on_a_pool_without_lanes`.  (Without the core
     nothing is mid-flight: see ``tests/test_runtime_qos.py``.)"""
     constellation, channels, received = _frame_instance(
         16, 4, 4, num_subcarriers=5, num_symbols=4, noise_scale=0.25, seed=19)
@@ -506,30 +506,31 @@ def test_qos_hooks_cost_only_the_frame_they_touch(kind):
         decoder = SphereDecoder(constellation)
         noise_variance = None
     request = FrameRequest(channels, received, decoder, noise_variance)
-    frontier = pinned_frontier(capacity=12, initial_lanes=2,
-                               drain_threshold=0)
-    victim, survivor = FrameJob(0, request), FrameJob(1, request)
-    frontier.submit(victim)
-    frontier.submit(survivor)
+    frontier = pinned_frontier(capacity=12, drain_threshold=0)
+    seed = FrameJob(0, FrameRequest(channels[:1], received[:1, :1], decoder,
+                                    noise_variance))
+    victim, survivor = FrameJob(1, request), FrameJob(2, request)
+    for job in (seed, victim, survivor):
+        frontier.submit(job)
+    assert victim.pool is seed.pool and seed.pool.allocated == 1
+    completed = []
     for _ in range(3):
-        frontier.tick()
+        completed += frontier.tick()
     assert frontier.in_use == 12 and victim.pool.allocated == 12
-    frontier.reprioritise(survivor, 3)
     # A budget the victim's lanes are past, but one its searches
     # admitted in the next tick cannot reach within that tick's attempt
     # allowance: they are still in lanes when it is removed.
     budget = engine._LOCKSTEP_ATTEMPTS + 1
     victim.degraded_budget = budget
     frontier.degrade(victim, budget)
-    frontier.tick()                      # over-budget lanes stop here
+    completed += frontier.tick()         # over-budget lanes stop here
     assert victim.remaining < victim.num_problems
     dropped = frontier.remove(victim)
     assert 0 < dropped <= victim.remaining
     assert frontier.remove(victim) == 0
-    completed = []
     while not frontier.idle:
         completed += frontier.tick()
-    assert completed == [survivor] and frontier.in_use == 0
+    assert completed == [seed, survivor] and frontier.in_use == 0
     want, _ = scalar_oracle(decoder, channels, received, noise_variance)
     assert_frames_identical(survivor.finalise(), want)
 
@@ -540,37 +541,39 @@ def _qos_hooks_on_a_pool_without_lanes(decoder, channels, received):
     finishes what it admits, so no search holds a lane between ticks;
     ``degrade`` caps only the victim's queued searches (they start under
     the shrunk budget) and ``remove`` drops only those; the survivor,
-    served first once the victim is demoted, equals the scalar
-    oracle."""
-    request = FrameRequest(channels, received, decoder)
-    frontier = pinned_frontier(capacity=12, initial_lanes=2,
-                               drain_threshold=0)
-    victim, survivor = FrameJob(0, request), FrameJob(1, request)
+    of a more urgent class than the victim, is served first once it
+    arrives and equals the scalar oracle."""
+    frontier = pinned_frontier(capacity=12, drain_threshold=0)
+    seed = FrameJob(0, FrameRequest(channels[:1], received[:1, :1],
+                                    decoder))
+    victim = FrameJob(1, FrameRequest(channels, received, decoder,
+                                      priority=1))
+    survivor = FrameJob(2, FrameRequest(channels, received, decoder))
+    frontier.submit(seed)
     frontier.submit(victim)
-    frontier.submit(survivor)
     pool = victim.pool
+    assert pool is seed.pool and pool.allocated == 1
 
-    def tick():
-        assert frontier.tick() == []
+    def tick(done):
+        assert frontier.tick() == done
         assert frontier.in_use == 0 and pool.active.size == 0
 
-    tick()                                  # 12 of the victim's 20
+    tick([seed])                            # the seed, 11 of the victim's 20
     assert not pool.has_core and pool.allocated == 12
-    victim.priority = 3                     # as the session demotes it
-    frontier.reprioritise(victim, 3)
-    tick()                                  # 12 of the survivor's 20
-    assert (victim.remaining, survivor.remaining) == (8, 8)
+    frontier.submit(survivor)
+    tick([])                                # 12 of the survivor's 20
+    assert (victim.remaining, survivor.remaining) == (9, 8)
     budget = engine._LOCKSTEP_ATTEMPTS + 1
     victim.degraded_budget = budget
     frontier.degrade(victim, budget)
     # The survivor's last 8, then 4 of the victim under the cap.
-    assert frontier.tick() == [survivor] and frontier.in_use == 0
-    assert pool.active.size == 0 and victim.remaining == 4
-    assert frontier.remove(victim) == 4 and frontier.remove(victim) == 0
+    tick([survivor])
+    assert victim.remaining == 5
+    assert frontier.remove(victim) == 5 and frontier.remove(victim) == 0
     assert frontier.idle
-    # Elements 0-11 ran before the degrade, 12-15 under it.
-    assert (victim.visited[12:16] <= budget).all()
-    assert (victim.visited[:12] > budget).any()
+    # Elements 0-10 ran before the degrade, 11-14 under it.
+    assert (victim.visited[11:15] <= budget).all()
+    assert (victim.visited[:11] > budget).any()
     want, _ = scalar_oracle(decoder, channels, received)
     assert_frames_identical(survivor.finalise(), want)
 

@@ -174,16 +174,26 @@ class TestSlotScheduler:
         assert refills > 1 and job.remaining == 0
 
     def test_capacity_clamped_to_problem_count(self):
-        """A pool allocates what admission asks for, never the whole
-        lane budget up front."""
-        constellation, channels, received = _frame_instance(16, 4, 4, 2, 1)
-        for _, pool in ticking(SphereDecoder(constellation), channels,
-                               received, capacity=100, initial_lanes=1):
-            assert pool.allocated == 2
+        """A pool is born with its first frame's searches (at most the
+        lane budget) and grows to what admission asks for, never to the
+        whole lane budget up front."""
+        constellation, channels, received = _frame_instance(16, 4, 4, 2, 2)
+        decoder = SphereDecoder(constellation)
+        small = FrameJob(0, FrameRequest(channels[:1], received[:1, :1],
+                                         decoder))
+        frame = FrameJob(1, FrameRequest(channels, received, decoder))
+        frontier = StreamingFrontier(capacity=100)
+        frontier.submit(small)
+        frontier.submit(frame)
+        pool = small.pool
+        assert frame.pool is pool and pool.allocated == 1
+        frontier.tick()
+        assert pool.allocated == 5           # the five searches queued
+        clamped = FrameJob(0, FrameRequest(channels, received, decoder))
+        StreamingFrontier(capacity=3).submit(clamped)
+        assert clamped.pool.allocated == 3
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            StreamingFrontier(initial_lanes=0)
         with pytest.raises(ValueError):
             StreamingFrontier(capacity=0)
 

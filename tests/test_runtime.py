@@ -756,22 +756,26 @@ def test_stats_zero_width_interval_reports_inf_not_zero():
 # ----------------------------------------------------------------------
 
 def test_demand_grown_pools_are_invisible_to_results():
-    """A runtime that starts with a tiny lane allocation grows its pools
-    geometrically under load — and the growth must be pure capacity:
-    results and counters bit-identical to an eagerly-allocated runtime,
-    for hard and soft pools alike."""
+    """A runtime whose first frames are tiny starts with a tiny lane
+    allocation (a pool is born with its first frame's searches) and
+    grows its pools geometrically under load — and the growth must be
+    pure capacity: results and counters bit-identical to an
+    eagerly-allocated runtime, for hard and soft pools alike."""
     rng = np.random.default_rng(21)
     decoder = SphereDecoder(qam(16))
     soft_decoder = ListSphereDecoder(qam(16), list_size=4)
-    frames = [_make_frame(decoder, 8, 3, 14.0, rng),
+    frames = [_make_frame(decoder, 1, 2, 14.0, rng),
+              _make_frame(soft_decoder, 1, 2, 14.0, rng, soft=True),
+              _make_frame(decoder, 8, 3, 14.0, rng),
               _make_frame(soft_decoder, 6, 3, 14.0, rng, soft=True),
               _make_frame(decoder, 8, 2, 20.0, rng)]
-    runtime = UplinkRuntime(capacity=64, max_in_flight=3)
-    runtime._engine.initial_lanes = 2      # read when a pool is built
-    handles = [runtime.submit(frame) for frame in frames]
-    runtime.drain()
+    runtime = UplinkRuntime(capacity=64, max_in_flight=5)
+    handles = [runtime.submit(frame) for frame in frames[:2]]
     pools = list(runtime._engine._pools.values())
-    assert pools, "the sweep must have instantiated kernel pools"
+    assert len(pools) == 2, "the sweep must instantiate two kernel pools"
+    assert [pool.allocated for pool in pools] == [2, 2]
+    handles += [runtime.submit(frame) for frame in frames[2:]]
+    runtime.drain()
     assert all(pool.allocated > 2 for pool in pools), (
         "the workload must actually force growth")
     assert all(pool.allocated <= 64 for pool in pools)

@@ -98,7 +98,7 @@ def test_queue_strict_priority_between_classes_fifo_within():
     assert [job.frame_id for job, _ in fifo.take(99)] == [0, 1, 2]
 
 
-def test_queue_remove_reprioritise_expedite():
+def test_queue_remove_expedite():
     rng = np.random.default_rng(1)
     decoder = SphereDecoder(qam(4))
     first = _job(rng, decoder, 0, priority=1)
@@ -119,14 +119,13 @@ def test_queue_remove_reprioritise_expedite():
     # Expedite jumps to the front of the class...
     assert queue.expedite(third)
     assert [job.frame_id for job, _ in queue.take(1)] == [2]
-    # ...and reprioritise moves to the *back* of the target class.
-    assert queue.reprioritise(third, 0)
-    assert queue.reprioritise(second, 0)
+    # ...and never out of it: a frame's class is fixed at admission.
+    queue.push(_job(rng, decoder, 3, priority=0))
+    assert queue.expedite(second)
     order = [job.frame_id for job, _ in queue.take(99)]
-    assert order == [2, 1]
+    assert order == [3, 1, 2]
 
-    assert not queue.reprioritise(first, 0)         # nothing queued
-    assert not queue.expedite(first)
+    assert not queue.expedite(first)                # nothing queued
 
 
 # ----------------------------------------------------------------------
@@ -370,7 +369,7 @@ def test_pools_without_a_core_have_nothing_in_flight():
     assert (degraded.visited[:4] > budget).any()
 
 
-def test_cancel_and_reprioritise_lifecycle():
+def test_cancel_lifecycle():
     rng = np.random.default_rng(7)
     decoder = ListSphereDecoder(qam(4), list_size=4)
     runtime = UplinkRuntime(capacity=4, max_in_flight=3)
@@ -382,15 +381,11 @@ def test_cancel_and_reprioritise_lifecycle():
     assert drop.resolution == "cancelled" and drop.done
     with pytest.raises(FrameExpired):
         drop.result()
-    runtime.reprioritise(keep, 0)
-    assert keep.priority == 0
     done = runtime.drain()
     assert done == [keep]                        # cancel resolves sync
     _assert_identical(keep.result(), _reference(keep_frame), True)
     assert runtime.stats.frames_cancelled == 1
     assert runtime.stats.deadline_miss_rate() == 0.0   # not a miss
-    with pytest.raises(ValueError):
-        runtime.reprioritise(keep, 1)            # already resolved
 
 
 def test_qos_validation():

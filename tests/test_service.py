@@ -70,7 +70,7 @@ from repro.service.wire import (
 )
 from repro.service.server import POLL_HOLD_S
 from repro.service.supervisor import ShardSupervisor
-from repro.sphere import KBestDecoder, ListSphereDecoder, SphereDecoder
+from repro.sphere import ListSphereDecoder, SphereDecoder
 from repro.sphere.counters import ComplexityCounters
 
 from test_runtime import (
@@ -213,6 +213,25 @@ def test_farm_counters_survive_a_restart_and_count_supervisor_expiries():
     assert after["deadline_miss_rate"] == 1.0
     # The running worker's own report stays verbatim under per_shard.
     assert after["per_shard"][0]["frames_completed"] == 0
+
+
+def test_supervisor_expiry_of_an_undated_frame_is_no_deadline_miss():
+    """A frame without a deadline that the supervisor expires (its
+    shard's restart budget is spent) is an expiry and nothing more: its
+    handle reads no missed deadline, and it never enters the miss-rate
+    denominator."""
+    rng = np.random.default_rng(35)
+    frame = _make_frame(SphereDecoder(qam(4)), 3, 2, 15.0, rng)
+    assert frame.deadline_s is None
+    with DetectorFarm(1, backend="process", max_restarts=0) as farm:
+        farm.kill_shard(0)
+        handle = farm.submit(frame)
+        farm.drain()
+        assert handle.expired and not handle.missed_deadline
+        stats = farm.stats()
+    assert stats["frames_expired"] == 1
+    assert stats["deadline_frames_resolved"] == 0
+    assert stats["deadline_miss_rate"] == 0.0
 
 
 def test_killed_worker_overdue_frames_expire_explicitly():
@@ -476,15 +495,22 @@ def test_server_answers_a_bad_submit_with_an_error_not_a_dead_socket():
     """Validation failures come back as ``("error", message)``: the
     client raises ``service error: …`` and the *same connection* keeps
     serving — frames already in flight on it complete bit-exactly and
-    later submits are accepted."""
+    later submits are accepted.  A frame the wire cannot carry (a
+    K-best decoder's) is refused by the sending side before a byte
+    leaves."""
     rng = np.random.default_rng(22)
     frames = _mixed_frames(rng, repeats=1)
+    sorted_qr = _make_frame(SphereDecoder(qam(4), column_ordering="norm"),
+                            2, 1, 15.0, rng)
     with CellSiteServer(DetectorFarm(1, backend="inline")) as server:
         with CellSiteClient(server.address) as cell:
             first = cell.submit(frames[0])
             with pytest.raises(ValueError, match="service error.*finite"):
                 cell.submit(_poisoned(frames[0], "received"))
-            with pytest.raises(ValueError, match="service error"):
+            with pytest.raises(ValueError,
+                               match="service error.*column_ordering"):
+                cell.submit(sorted_qr)
+            with pytest.raises(ValueError, match="not in the wire schema"):
                 cell.submit(_bad_decoder_frame(rng))
             assert cell.outstanding == 1          # the bad ones never landed
             second = cell.submit(frames[1])
@@ -875,12 +901,12 @@ def _same(sent, got):
         assert list(got) == list(sent)          # int keys stay ints
         for key in sent:
             _same(sent[key], got[key])
-    elif isinstance(sent, (SphereDecoder, KBestDecoder)):
+    elif isinstance(sent, SphereDecoder):
         assert type(got) is type(sent)
         assert got.constellation is qam(sent.constellation.order)
         for name in ("enumerator", "geometric_pruning", "node_budget",
                      "initial_radius_sq", "column_ordering", "list_size",
-                     "clamp", "k"):
+                     "clamp"):
             _same(getattr(sent, name, None), getattr(got, name, None))
     elif isinstance(sent, PhyConfig):
         assert type(got) is PhyConfig
@@ -945,13 +971,10 @@ def _decoders(draw):
     enumerator = draw(st.sampled_from(("zigzag", "shabany")))
     pruning = draw(st.booleans())
     budget = draw(st.none() | st.integers(1, 10**6))
-    kind = draw(st.sampled_from(("hard", "list", "k-best")))
-    if kind == "list":
+    if draw(st.booleans()):
         return ListSphereDecoder(
             constellation, draw(st.integers(2, 64)), pruning,
             draw(st.floats(0.5, 64.0)), enumerator, budget)
-    if kind == "k-best":
-        return KBestDecoder(constellation, draw(st.integers(1, 64)))
     radius = draw(st.just(float("inf")) | st.floats(1e-6, 1e6))
     return SphereDecoder(constellation, enumerator, pruning, radius, budget,
                          draw(st.sampled_from(("none", "norm"))))
@@ -1201,7 +1224,6 @@ def test_decoder_refuses_over_cap_counts(message, offset, value, match):
     (SphereDecoder(qam(16)), 23, 7, "column ordering"),
     (ListSphereDecoder(qam(4), list_size=4), 5, 4, "unknown enumerator"),
     (ListSphereDecoder(qam(4), list_size=4), 15, 4096, "list size"),
-    (KBestDecoder(qam(4), k=4), 5, 4096, "cap"),
 ])
 def test_decoder_refuses_an_unknown_enumerator_or_config(decoder, offset,
                                                          value, match):

@@ -23,11 +23,15 @@ silence.
 """
 
 import os
+import re
 import subprocess
 import warnings
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.sphere.tick_kernel as tick_kernel
 from repro.constellation import qam
@@ -173,6 +177,13 @@ def test_core_refuses_what_it_cannot_address():
     anything."""
     constellation, channels, received = _frame_instance(16, 4, 4, 2, 2)
     frontier = pinned_frontier(drain_threshold=0)
+    # A six-search frame first, finished: the hard pool keeps its six
+    # lanes, so two are free while the next frame's four are in flight.
+    _, *warm = _frame_instance(16, 4, 4, 3, 2, seed=1)
+    frontier.submit(FrameJob(2, FrameRequest(*warm,
+                                             SphereDecoder(constellation))))
+    while not frontier.idle:
+        frontier.tick()
     hard, soft = (FrameJob(index, FrameRequest(channels, received, decoder,
                                                *extra))
                   for index, (decoder, extra) in enumerate([
@@ -184,6 +195,7 @@ def test_core_refuses_what_it_cannot_address():
     frontier.tick()
     pool = hard.pool
     assert pool.running == 4                 # every search mid-flight
+    assert pool.allocated == 6
     nothing = np.empty((0, 4), dtype=np.int64)
 
     def run(pool=pool, runs=nothing, idle=0, frames=None, **swap):
@@ -290,6 +302,122 @@ def test_core_refuses_what_it_cannot_address():
     with pytest.raises(ValueError, match="only the zigzag frontier"):
         tick_kernel.run(shabany, state, pool.frame_table, nothing,
                         pool.running, 0, 0, {})
+
+
+# One hostile change to what ``repro_search_run`` is handed, by kind.
+_HOSTILE = ("run slot outside", "run slot vacant", "run first negative",
+            "run count negative", "run past the frame", "active lane",
+            "popped free lane", "frame_of vacant", "frame_of outside",
+            "dest_of", "running", "idle")
+_REFUSED = "search core refused ({})".format(
+    "|".join(map(re.escape, tick_kernel._REFUSALS.values())))
+
+
+def _outside(low, high):
+    """An int64 index outside ``[low, high)``."""
+    return (st.integers(-2**62, low - 1) | st.integers(high, 2**62))
+
+
+@lru_cache(maxsize=None)
+def _hostile_instance(soft):
+    """A hard or list decoder, a six-search warm-up frame, a four-search
+    frame and that frame's scalar-oracle result."""
+    constellation, channels, received = _frame_instance(16, 4, 4, 3, 2,
+                                                        seed=57)
+    if soft:
+        decoder, extra = ListSphereDecoder(constellation, list_size=4), (0.05,)
+    else:
+        decoder, extra = SphereDecoder(constellation), ()
+    want, _ = scalar_oracle(decoder, channels[:2], received[:, :2], *extra)
+    return ((channels, received, decoder, *extra),
+            (channels[:2], received[:, :2], decoder, *extra), want)
+
+
+@needs_core
+@settings(max_examples=200, deadline=None)
+@given(soft=st.booleans(), ticks=st.integers(1, 3),
+       mutation=st.sampled_from(_HOSTILE),
+       attempts=st.sampled_from([0, 2, None]), data=st.data())
+def test_core_refuses_a_hostile_index_before_writing(soft, ticks, mutation,
+                                                    attempts, data):
+    """A zigzag pool, hard or list, with a frame's searches mid-flight
+    and two lanes free, is handed to ``repro_search_run`` with one
+    hostile index — an admission run outside the table, on a vacant row
+    or past its frame; an active or popped free lane outside the pool;
+    an active lane's frame row vacant or outside the table, or its
+    element outside its frame; or running / idle counts the lanes
+    cannot hold.  The core refuses it with a ``ValueError`` before
+    writing anything: every lane array, the frame table and the frame's
+    outcome rows are byte-identical to before, and the pool, handed
+    what it really holds, then ticks to idle and finalises bit-exact
+    against the scalar oracle."""
+    warm, frame, want = _hostile_instance(soft)
+    frontier = pinned_frontier(drain_threshold=0)
+    frontier.submit(FrameJob(0, FrameRequest(*warm)))
+    while not frontier.idle:
+        frontier.tick()
+    job = FrameJob(1, FrameRequest(*frame))
+    frontier.submit(job)
+    for _ in range(ticks):
+        frontier.tick()
+    pool, table = job.pool, job.pool.frame_table
+    running, idle, lanes = pool.running, pool._idle, pool.allocated
+    assert (running, idle, lanes) == (4, 2, 6)
+    slot, problems = pool._slot_of[id(job)], job.num_problems
+    vacant = st.sampled_from(np.flatnonzero(table["problems"] == 0).tolist())
+    state = {name: array.copy() for name, array in pool.state.items()}
+    lane = int(state["active"][data.draw(st.integers(0, running - 1))])
+    count = data.draw(st.integers(1, idle))
+    first = data.draw(st.integers(0, problems - count))
+    run = [slot, first, count, data.draw(st.integers(0, 99))]
+    if mutation == "run slot outside":
+        run[0] = data.draw(_outside(0, len(table)))
+    elif mutation == "run slot vacant":
+        run[0] = data.draw(vacant)
+    elif mutation == "run first negative":
+        run[1] = data.draw(st.integers(-2**62, -1))
+    elif mutation == "run count negative":
+        run[2] = data.draw(st.integers(-2**62, -1))
+    elif mutation == "run past the frame":
+        run[2] = data.draw(st.integers(problems - first + 1, 2**62))
+    elif mutation == "active lane":
+        state["active"][data.draw(st.integers(0, running - 1))] = \
+            data.draw(_outside(0, lanes))
+    elif mutation == "popped free lane":
+        state["free"][data.draw(st.integers(idle - count, idle - 1))] = \
+            data.draw(_outside(0, lanes))
+    elif mutation == "frame_of vacant":
+        state["frame_of"][lane] = data.draw(vacant)
+    elif mutation == "frame_of outside":
+        state["frame_of"][lane] = data.draw(_outside(0, len(table)))
+    elif mutation == "dest_of":
+        state["dest_of"][lane] = data.draw(_outside(0, problems))
+    # The run is what a mutated run or popped lane needs; elsewhere a
+    # well-formed one, or none.
+    admit = (mutation.startswith("run") or mutation == "popped free lane"
+             or data.draw(st.booleans()))
+    if mutation == "running":
+        running = data.draw(_outside(0, lanes - idle + 1))
+    elif mutation == "idle":
+        # Fewer free lanes than the runs admit, or more than are free.
+        idle = data.draw(_outside(count if admit else 0, lanes - running + 1))
+    runs = np.array([run] if admit else [], dtype=np.int64).reshape(-1, 4)
+    held = {name: array.tobytes() for name, array in pool.state.items()}
+    handed = {name: array.tobytes() for name, array in state.items()}
+    frames = table.tobytes()
+    outcome = {name: array.tobytes() for name, array in job.outcome.items()}
+    with pytest.raises(ValueError, match=_REFUSED):
+        tick_kernel.run(pool.decoder, state, table, runs, running, idle,
+                        attempts, {})
+    assert {name: array.tobytes()
+            for name, array in pool.state.items()} == held
+    assert {name: array.tobytes() for name, array in state.items()} == handed
+    assert table.tobytes() == frames
+    assert {name: array.tobytes()
+            for name, array in job.outcome.items()} == outcome
+    while not frontier.idle:
+        frontier.tick()
+    assert_frames_identical(job.finalise(), want)
 
 
 def _preprocessing_operands():
@@ -543,9 +671,10 @@ def test_compiled_core_follows_a_grown_pool(soft):
         decoder, extra = ListSphereDecoder(constellation, list_size=4), (0.05,)
     else:
         decoder, extra = SphereDecoder(constellation), ()
-    frontier = StreamingFrontier(capacity=16, initial_lanes=2)
-    # A two-search frame first, so the core runs once at two lanes (two
-    # searches are within the drain threshold: one tick drains them) ...
+    frontier = StreamingFrontier(capacity=16)
+    # A two-search frame first, so the pool is born with two lanes and
+    # the core runs once at two (two searches are within the drain
+    # threshold: one tick drains them) ...
     small = FrameJob(0, FrameRequest(channels[:1], received[:2, :1],
                                      decoder, *extra))
     frontier.submit(small)
@@ -600,23 +729,26 @@ def test_pool_state_is_the_declared_layout_through_growth(request, soft,
         decoder, extra = ListSphereDecoder(constellation, list_size=4), (0.05,)
     else:
         decoder, extra = SphereDecoder(constellation), ()
-    # Three searches in four lanes: admission can grow the pool (it
-    # needs a free lane to admit into) while they are in flight.
-    frontier = pinned_frontier(capacity=16, initial_lanes=4,
-                               drain_threshold=0)
-    first = FrameJob(0, FrameRequest(channels[:1], received[:3, :1],
+    # Four searches: the pool is born with four lanes, and ticks until
+    # one of them is free again, so admission grows the pool while the
+    # others are in flight and a lane is on the free stack.
+    frontier = pinned_frontier(capacity=16, drain_threshold=0)
+    first = FrameJob(0, FrameRequest(channels[2:3], received[:4, 2:3],
                                      decoder, *extra))
     frontier.submit(first)
-    frontier.tick()
     pool = first.pool
+    frontier.tick()
     assert pool.has_core == compiled and pool.allocated == 4
     assert list(first.outcome) == _OUTCOME_ROWS[soft]
     assert {name: (array.dtype, array.shape)
             for name, array in first.outcome.items()} == {
-        name: (np.dtype(dtype), (3,) + shape)
+        name: (np.dtype(dtype), (4,) + shape)
         for name, (dtype, shape) in tick_kernel.outcome(decoder, 4).items()}
     # In flight between ticks only where the core runs.
-    assert pool.active.size == (3 if compiled else 0)
+    assert pool.active.size == (4 if compiled else 0)
+    while pool.running == 4:
+        frontier.tick()
+    assert 0 < pool.running < 4 if compiled else frontier.idle
     assert set(pool.state) == ((_SEARCH_ROWS | _LEAF_ROWS[soft]
                                 | _ZIGZAG_SLOTS) if compiled else set())
 
@@ -630,6 +762,7 @@ def test_pool_state_is_the_declared_layout_through_growth(request, soft,
     if compiled:
         declared(4)
     before = {name: array.copy() for name, array in pool.state.items()}
+    idle = pool._idle
     handed = {}
     run = tick_kernel.run
 
@@ -651,13 +784,14 @@ def test_pool_state_is_the_declared_layout_through_growth(request, soft,
             assert handed[name].shape[0] == old.shape[0] * 4, name
             if name != "free":
                 assert np.array_equal(handed[name][:old.shape[0]], old), name
-        # Lanes 0-2 are in flight and lane 3 was the free stack's top:
-        # it still is, with the new lanes under it — the hand-out order
-        # of a pool built with 16 lanes.
-        assert handed["free"][:13].tolist() == list(range(15, 2, -1))
+        # The lanes free before the growth stay on the top of the free
+        # stack in their order, with the new lanes under them in the
+        # hand-out order of a pool built with 16 lanes.
+        assert handed["free"][:12 + idle].tolist() == (
+            list(range(15, 3, -1)) + before["free"][:idle].tolist())
     while not frontier.idle:
         frontier.tick()
-    for done, frame in ((first, (channels[:1], received[:3, :1])),
+    for done, frame in ((first, (channels[2:3], received[:4, 2:3])),
                         (job, (channels, received))):
         want, _ = scalar_oracle(decoder, *frame, *extra)
         assert_frames_identical(done.finalise(), want)
