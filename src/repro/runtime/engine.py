@@ -31,17 +31,19 @@ The tick is the engine's *schedule* — admission and the QoS hooks
 (``pool.has_core``: ``zigzag``, wherever the core built)
 runs its whole tick in **one native call**
 (:func:`~repro.sphere.tick_kernel.run`), in place on ``pool.state``:
-it admits the searches Python took off the queue, copying their rows
-from their frames' stacks, gives every active lane two candidate
-attempts (``_LOCKSTEP_ATTEMPTS``; a lane already at its node budget
-finishes with no attempt), and retires every finished search — a list
-search with its LLRs and best member — straight into its row of its
-frame's own outcome arrays, its lane back on the free stack.  Python
-keeps the queue and frame interning, and counts finished searches
-against their frames.  A tick costs ~0.02 ms + ~0.2 microseconds per
-lane, the lanes' part almost all search: two attempts per tick halve
-the ticks a frame takes against one, and keep every QoS point at most
-two scalar-loop iterations away.
+it admits the searches Python took off the queue, gives every active
+lane two candidate attempts (``_LOCKSTEP_ATTEMPTS``; a lane already at
+its node budget finishes with no attempt), and retires every finished
+search — a list search with its LLRs and best member — straight into
+its row of its frame's own outcome arrays, its lane back on the free
+stack.  A lane is its search's own state only: the search reads its
+channel in place in its frame's stacks, and every PAM position it
+keeps is one byte, so a hard 16-QAM 4x4 lane is 684 B and the default
+2048 lanes fit one core's L2.  Python keeps the queue and frame
+interning, and counts finished searches against their frames.  A tick costs ~0.01 ms + ~0.1 microseconds per
+lane up to ~1 000 lanes (~0.2 ms at 2 048), the lanes' part almost all
+search: two attempts per tick halve the ticks a frame takes against
+one, and keep every QoS point at most two scalar-loop iterations away.
 
 Sphere-search cost is heavy-tailed, and that fixed ~0.02 ms is paid
 however few lanes are live.  When a pool's queue is dry and its active
@@ -64,8 +66,8 @@ Time in the core or the scalar search counts as kernel time in the tick
 telemetry (``last_tick_kernel_s``).
 
 Bit-exactness argument: every search reads only its element's own
-``R``, observation and diagonal scalings (the core a per-lane copy of
-them, the scalar search the frame's rows), and executes the
+``R``, observation and diagonal scalings (the core and the scalar search
+alike straight from its frame's stacks), and executes the
 scalar loop's iterations in order — the core operation for operation
 (its header lists the float programs it keeps), a pool without a core
 by running the loop itself — regardless of which searches, of which
@@ -118,22 +120,25 @@ __all__ = ["DEFAULT_LANE_CAPACITY", "DRAIN_THRESHOLD_CAP", "LANE_POLICIES",
 
 #: Default global lane budget.  Large enough that typical frames (64
 #: subcarriers x tens of OFDM symbols) keep the whole frame in lockstep,
-#: small enough that the per-slot frontier arrays stay cache- and
-#: memory-friendly for dense constellations; workloads with more
-#: searches stream through the admission queue's refill.
+#: small enough that the lanes a tick sweeps stay in one core's L2: a
+#: hard 16-QAM 4x4 lane is 684 B (list-16: 1 068 B), so 2048 of them take
+#: 1.4 MB; workloads with more searches stream through the admission
+#: queue's refill.
 DEFAULT_LANE_CAPACITY = 2048
 
 #: Ceiling for the default straggler-drain threshold (``capacity // 6``
 #: below it): the frontier stays efficient down to a small *absolute*
 #: active count.  Measured on the ladder's hard 16-QAM 4x4 x
 #: 64-subcarrier corpus, closed loop of 8 frames, ticks without
-#: admission, two attempts a lane (2 vCPU, gcc 12.2): a tick is ~0.02 ms
-#: + ~0.2 us x lanes, of which the core call is ~0.006 ms + ~0.2 us x
-#: lanes — 22 us (core 14) at 33-64 lanes, 48 (37) at 129-256, 259 (226)
-#: above 512 — and the core's drain of <= 32 survivors ~0.13 ms (the
-#: coded hard+soft cell mix: 19 us at 33-64 lanes, 49 at 129-256).  The
+#: admission, two attempts a lane (2 vCPU, gcc 12.2): a tick is ~0.01 ms
+#: + ~0.1 us x lanes up to ~1 000 lanes, of which the core call is
+#: ~0.005 ms + ~0.1 us x lanes — 14 us (core 9) at 33-64 lanes, 29-30
+#: (22-24) at 129-256, 84-86 (75-77) at 513-1024, 204-214 (194-199)
+#: above 1024 — and, measured while lanes still copied their frame's
+#: channel, the core's drain of <= 32 survivors ~0.13 ms (the coded
+#: hard+soft cell mix: 19 us a tick at 33-64 lanes, 49 at 129-256).  The
 #: last searches of a workload outlive the rest by tens of ticks, a
-#: tick's fixed ~0.02 ms buys <= 6 us of search at <= 32 lanes, and one
+#: tick's fixed ~0.01 ms buys <= 3 us of search at <= 32 lanes, and one
 #: drain tick saves all of them.  Above 32 the one tick that drains a *list* (soft)
 #: pool gets long enough to move the median latency of the light frames
 #: sharing the runtime (the sweep over {16, 24, 32, 48} that set the

@@ -228,11 +228,13 @@ class DetectorFarm:
         handle on the farm clock and retire its trace.  A worker's
         ``payload`` brings the flags, latency and runtime trace; a
         farm-side resolution stamps its own event (with ``attrs``), and
-        a farm-side expiry is a missed deadline."""
+        a farm-side expiry of a dated frame is a missed deadline (an
+        undated one, expired by ``close``, had none to miss)."""
         handle, _ = self._frames.pop(frame_id)
         if payload is None:
             self.tracer.emit(handle.trace, RESOLUTIONS[resolution], **attrs)
-            fields = {"missed_deadline": resolution == "expired"}
+            fields = {"missed_deadline": resolution == "expired"
+                      and handle.deadline_s is not None}
         else:
             fields = {key: payload[key] for key in _FIELDS}
             handle.trace = merge_traces(handle.trace, payload["trace"])

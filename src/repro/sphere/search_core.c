@@ -8,10 +8,12 @@
  * frontier and lane arrays, laid out once by tick_kernel.lanes next to
  * the ctypes mirror of search_t:
  *   1. admit -- the searches Python took off the queue get lanes off the
- *      free stack; each one's channel rows are copied from its frame's
- *      preprocessed stacks (the pool's frame table, checked once per
- *      frame in Python) and its fresh values written, leaving it above
- *      its root (level == num_streams);
+ *      free stack, each with its fresh values, its frame-table row and
+ *      its element there, leaving it above its root (level ==
+ *      num_streams).  Nothing is copied: a search reads its R rows,
+ *      observation and diagonals in place, in its frame's preprocessed
+ *      stacks (the pool's frame table, checked once per frame in
+ *      Python), for as long as it runs;
  *   2. step -- every active search, in *any* state, gets an allowance of
  *      candidate attempts; a fresh one first expands its root, with the
  *      same expand() as every other node.  An attempt is one iteration
@@ -25,8 +27,16 @@
  *      stack, and the active list is compacted in place.
  * Every index the call reaches through -- a run's frame-table row and
  * elements, a lane, an active lane's frame row and element -- is checked
- * before anything is written, so a bad one comes back as an error code,
- * not a stray write.
+ * before anything is read through it or written, so a bad one comes back
+ * as an error code, not a stray read or write.
+ *
+ * A lane keeps only the search's own state (a hard 16-QAM 4x4 lane is
+ * 684 bytes, so a pool of 2048 fits in L2), and every PAM position it
+ * holds -- zigzag orders and pruning offsets, queue row pointers, the
+ * column handed out last, the path, the best leaf, the list's members --
+ * is an int8_t.  So the core runs constellations of side <= 128 only;
+ * tick_kernel.lanes keeps every other pool without lanes, on the scalar
+ * search.
  *
  * One frontier: Geosphere's `zigzag`, in column form -- at most one
  * queued candidate per entered PAM column, pop = argmin over the row,
@@ -124,7 +134,9 @@ typedef struct {
 } frame_t;
 
 /* Field order is the ctypes mirror's (tick_kernel._Search): pointers,
- * then integers, then the doubles. */
+ * then integers, then the doubles.  A lane holds its search's own state
+ * only; its channel (R rows, observation, diagonals) and its LLR scale
+ * stay in its frame's stacks, reached through frame_of / dest_of. */
 typedef struct {
     /* constellation */
     const double *levels;      /* (side) PAM amplitudes */
@@ -132,29 +144,25 @@ typedef struct {
     const double *prune;       /* (side, side) squared lower bounds | NULL */
     const uint8_t *bits;       /* (side, bits_per_axis) Gray labels (soft) */
     /* frontier axis tables, slot-major; slot = lane * num_streams + level */
-    int64_t *axis_int;         /* (slots, 2 | 4, side): ord_i [off_i] ord_q [off_q] */
+    int8_t *axis_int;          /* (slots, 2 | 4, side): ord_i [off_i] ord_q [off_q] */
     double *axis_res;          /* (slots, 2, side): res_i res_q */
     /* zigzag frontier, (slots, side) each: per entered column its
      * queued distance (inf = none) and row pointer, plus the column
      * handed out last (-1 = none) */
     double *col_d;
-    int64_t *col_j, *last_i;
-    /* per-lane channel copies, written at admission */
-    cplx *r, *y;               /* (lanes, n, n), (lanes, n) */
-    double *diag, *diag_sq;
-    double *noise_var;         /* (lanes) the frame's LLR scale (soft) */
-    /* search path */
+    int8_t *col_j, *last_i;
+    /* search path: PAM positions and their symbols */
     int64_t *level;
     double *radius, *parent;
-    int64_t *path_cols, *path_rows;
+    int8_t *path_cols, *path_rows;
     cplx *chosen;
     /* best leaf (hard) */
-    int64_t *best_cols, *best_rows;
+    int8_t *best_cols, *best_rows;
     double *best_dist;
     /* leaf list (soft) */
     double *list_d;
     int64_t *list_seq;
-    uint8_t *list_cols, *list_rows;    /* PAM positions, < side <= 256 */
+    int8_t *list_cols, *list_rows;
     int64_t *list_n, *leaf_seq;
     /* complexity tallies, tally_stride elements apart per lane */
     int64_t *ped, *visited, *expanded, *leaves, *prunes;
@@ -171,14 +179,14 @@ typedef struct {
 
 /* One node's axis tables. */
 typedef struct {
-    int64_t *ord_i, *ord_q, *off_i, *off_q;
+    int8_t *ord_i, *ord_q, *off_i, *off_q;
     double *res_i, *res_q;
 } node_t;
 
 static node_t node_at(const search_t *s, int64_t slot)
 {
     const int64_t side = s->side, per_axis = s->prune ? 2 : 1;
-    int64_t *ints = s->axis_int + slot * 2 * per_axis * side;
+    int8_t *ints = s->axis_int + slot * 2 * per_axis * side;
     double *res = s->axis_res + slot * 2 * side;
     node_t node = {ints, ints + per_axis * side,
                    ints + (per_axis - 1) * side,   /* unread unless pruning */
@@ -188,8 +196,8 @@ static node_t node_at(const search_t *s, int64_t slot)
 
 /* batched_axis_orders for one coordinate: slice, pick the preferred
  * direction, copy the zigzag walk, square the residuals. */
-static void order_axis(const search_t *s, double coord, int64_t *order,
-                       int64_t *offset, double *residual)
+static void order_axis(const search_t *s, double coord, int8_t *order,
+                       int8_t *offset, double *residual)
 {
     const int64_t side = s->side;
     const double sliced =
@@ -201,10 +209,11 @@ static void order_axis(const search_t *s, double coord, int64_t *order,
     for (int64_t p = 0; p < side; p++) {
         const int64_t index = walk[p];
         const double gap = s->levels[index] - coord;
-        order[p] = index;
+        order[p] = (int8_t)index;
         residual[p] = gap * gap;
         if (s->prune)
-            offset[p] = index > start ? index - start : start - index;
+            offset[p] = (int8_t)(index > start ? index - start
+                                               : start - index);
     }
 }
 
@@ -250,14 +259,14 @@ static int zigzag_next(const search_t *s, int64_t slot, double budget,
     const int64_t side = s->side;
     const node_t node = node_at(s, slot);
     double *col_d = s->col_d + slot * side;
-    int64_t *col_j = s->col_j + slot * side;
+    int8_t *col_j = s->col_j + slot * side;
     const int64_t i = s->last_i[slot];
     if (i >= 0) {
         const int64_t j = col_j[i];
         if (j < side - 1 && !pruned(s, &node, i, j + 1, budget, prunes)) {
             ++*ped;
             col_d[i] = node.res_i[i] + node.res_q[j + 1];
-            col_j[i] = j + 1;
+            col_j[i] = (int8_t)(j + 1);
         }
         if (j == 0 && i < side - 1
                 && !pruned(s, &node, i + 1, 0, budget, prunes)) {
@@ -278,7 +287,7 @@ static int zigzag_next(const search_t *s, int64_t slot, double budget,
     *col = node.ord_i[best];
     *row = node.ord_q[col_j[best]];
     col_d[best] = INFINITY;
-    s->last_i[slot] = best;
+    s->last_i[slot] = (int8_t)best;
     return 1;
 }
 
@@ -318,10 +327,8 @@ static void bank_list_leaf(const search_t *s, int64_t si, double distance)
     list_d[entry] = distance;
     list_seq[entry] = seq;
     for (int64_t p = 0; p < n; p++) {
-        s->list_cols[(si * size + entry) * n + p] =
-            (uint8_t)s->path_cols[si * n + p];
-        s->list_rows[(si * size + entry) * n + p] =
-            (uint8_t)s->path_rows[si * n + p];
+        s->list_cols[(si * size + entry) * n + p] = s->path_cols[si * n + p];
+        s->list_rows[(si * size + entry) * n + p] = s->path_rows[si * n + p];
     }
     if (s->list_n[si] == size)
         s->radius[si] = worst_of(list_d, size);
@@ -339,8 +346,8 @@ static void finish_list(const search_t *s, int64_t si, const frame_t *f,
     const int64_t count = s->list_n[si];
     const double *list_d = s->list_d + si * size;
     const int64_t *list_seq = s->list_seq + si * size;
-    const uint8_t *cols = s->list_cols + si * size * n;
-    const uint8_t *rows = s->list_rows + si * size * n;
+    const int8_t *cols = s->list_cols + si * size * n;
+    const int8_t *rows = s->list_rows + si * size * n;
     int64_t best = -1;
     for (int64_t k = 0; k < count; k++)
         if (best < 0 || list_d[k] < list_d[best]
@@ -355,11 +362,11 @@ static void finish_list(const search_t *s, int64_t si, const frame_t *f,
     int64_t width = 0;                 /* bits_per_axis: side = 2^width */
     while (((int64_t)1 << width) < s->side)
         width++;
-    const double clamp = s->clamp, noise_var = s->noise_var[si];
+    const double clamp = s->clamp, noise_var = f->noise_var;
     double *llr = f->llrs + row * n * 2 * width;
     for (int64_t p = 0; p < n; p++)
         for (int64_t axis = 0; axis < 2; axis++) {
-            const uint8_t *position = axis ? rows : cols;
+            const int8_t *position = axis ? rows : cols;
             for (int64_t b = 0; b < width; b++) {
                 double zero_min = INFINITY, one_min = INFINITY;
                 for (int64_t k = 0; k < count; k++) {
@@ -382,24 +389,30 @@ static void finish_list(const search_t *s, int64_t si, const frame_t *f,
 }
 
 /* Run the search in lane `si` on from whatever state it is in, for at
- * most `attempts` iterations; `si` indexes its state rows, its frontier
- * slots and its channel copy alike.  A search still above its root (fresh
- * from admission) first expands the root, as the scalar search does
- * before its loop -- ahead of the budget check, and not as an attempt.
- * Each iteration is one iteration of the scalar loop: one candidate
- * attempt.  1 once the search is finished -- its tree exhausted (a root
- * pop) or `cap` nodes visited -- 0 if the allowance ran out first. */
+ * most `attempts` iterations; `si` indexes its state rows and its
+ * frontier slots alike, and its channel is its element's in its frame's
+ * stacks: R and the diagonals of its subcarrier, its own observation.
+ * A search still above its root (fresh from admission) first expands the
+ * root, as the scalar search does before its loop -- ahead of the budget
+ * check, and not as an attempt.  Each iteration is one iteration of the
+ * scalar loop: one candidate attempt.  1 once the search is finished --
+ * its tree exhausted (a root pop) or `cap` nodes visited -- 0 if the
+ * allowance ran out first. */
 static int run_one(const search_t *s, int64_t si, int64_t cap,
                    int64_t attempts)
 {
     const int64_t n = s->num_streams;
+    const frame_t *f = s->frames + s->frame_of[si];
+    const int64_t e = s->dest_of[si], sub = e / f->symbols;
+    const cplx *r = f->r + sub * n * n, *y = f->y + e * n;
+    const double *diag = f->diag + sub * n, *diag_sq = f->diag_sq + sub * n;
     int64_t *ped = s->ped + si * s->tally_stride;
     int64_t *visited = s->visited + si * s->tally_stride;
     int64_t *prunes = s->prunes + si * s->tally_stride;
     if (s->level[si] == n) {
         const int64_t top = n - 1;
-        const double scl = 1.0 / s->diag[si * n + top];
-        const cplx point = s->y[si * n + top];
+        const double scl = 1.0 / diag[top];
+        const cplx point = y[top];
         ++s->expanded[si * s->tally_stride];
         expand(s, si * n + top, point.re * scl, point.im * scl, ped);
         s->parent[si * n + top] = 0.0;
@@ -410,7 +423,7 @@ static int run_one(const search_t *s, int64_t si, int64_t cap,
             return 0;
         const int64_t lv = s->level[si];
         const double parent_d = s->parent[si * n + lv];
-        const double scale = s->diag_sq[si * n + lv];
+        const double scale = diag_sq[lv];
         const double sphere = s->radius[si];
         const double budget = (sphere - parent_d) / scale;
         double dist_sq;
@@ -429,8 +442,8 @@ static int run_one(const search_t *s, int64_t si, int64_t cap,
         if (!s->list_size && !(distance < sphere))
             continue;
         ++*visited;
-        s->path_cols[si * n + lv] = col;
-        s->path_rows[si * n + lv] = row;
+        s->path_cols[si * n + lv] = (int8_t)col;
+        s->path_rows[si * n + lv] = (int8_t)row;
         s->chosen[si * n + lv].re = s->levels[col];
         s->chosen[si * n + lv].im = s->levels[row];
         if (lv == 0) {
@@ -449,7 +462,7 @@ static int run_one(const search_t *s, int64_t si, int64_t cap,
         }
         /* Descend: cancel the interference of the decided upper levels. */
         const int64_t next = lv - 1;
-        const cplx *r_row = s->r + (si * n + next) * n;
+        const cplx *r_row = r + next * n;
         const cplx *chosen = s->chosen + si * n;
         double acc_re = 0.0, acc_im = 0.0;
         for (int64_t c = next + 1; c < n; c++) {
@@ -462,8 +475,8 @@ static int run_one(const search_t *s, int64_t si, int64_t cap,
                 acc_im += a.re * b.im + a.im * b.re;
             }
         }
-        const double scl = 1.0 / s->diag[si * n + next];
-        const cplx point = s->y[si * n + next];
+        const double scl = 1.0 / diag[next];
+        const cplx point = y[next];
         ++s->expanded[si * s->tally_stride];
         expand(s, si * n + next, (point.re - acc_re) * scl,
                (point.im - acc_im) * scl, ped);
@@ -473,30 +486,21 @@ static int run_one(const search_t *s, int64_t si, int64_t cap,
     return 1;
 }
 
-/* Admit search `e` of the frame in table row `slot` into lane `si`:
- * copy its channel rows from the frame's stacks, write its fresh values
- * -- above its root (level == num_streams) under the initial radius,
- * zeroed tallies, no best leaf (-1 symbols at inf) or an empty list --
- * and its lane's cap, frame-table row and element. */
+/* Admit search `e` of the frame in table row `slot` into lane `si`: its
+ * fresh values -- above its root (level == num_streams) under the
+ * initial radius, zeroed tallies, no best leaf (-1 symbols at inf) or an
+ * empty list -- and its lane's cap, frame-table row and element, through
+ * which it reads its channel from then on. */
 static void admit(const search_t *s, int64_t slot, int64_t e, int64_t si,
                   int64_t cap)
 {
-    const frame_t *f = s->frames + slot;
-    const int64_t n = s->num_streams, sub = e / f->symbols;
-    for (int64_t k = 0; k < n * n; k++)
-        s->r[si * n * n + k] = f->r[sub * n * n + k];
-    for (int64_t k = 0; k < n; k++) {
-        s->y[si * n + k] = f->y[e * n + k];
-        s->diag[si * n + k] = f->diag[sub * n + k];
-        s->diag_sq[si * n + k] = f->diag_sq[sub * n + k];
-    }
+    const int64_t n = s->num_streams;
     s->level[si] = n;
     s->radius[si] = s->initial_radius;
     s->ped[si * s->tally_stride] = s->visited[si * s->tally_stride] = 0;
     s->expanded[si * s->tally_stride] = s->leaves[si * s->tally_stride] = 0;
     s->prunes[si * s->tally_stride] = 0;
     if (s->list_size) {
-        s->noise_var[si] = f->noise_var;
         s->list_n[si] = s->leaf_seq[si] = 0;
     } else {
         s->best_dist[si] = INFINITY;
@@ -557,11 +561,13 @@ int64_t repro_frame_size(void)
  *      outcome row and its lane is pushed onto the free stack; the
  *      active list is compacted in place, order kept.
  * Returns how many searches finished -- they are the top of the free
- * stack.  Every index is checked before anything is written: -2 if a run is outside its frame (a vacant
- * row has no problems), -3 if the counts or a lane are outside the
- * pool's lanes, -4 if an active lane's frame row is vacant (or outside
- * the table) or its element outside that frame -- the check that keeps
- * retire() off a vacant row's NULL outcome arrays. */
+ * stack.  Every index is checked before anything is read through it or
+ * written: -2 if a run is outside its frame (a vacant row has no
+ * problems), -3 if the counts or a lane are outside the pool's lanes, -4
+ * if an active lane's frame row is vacant (or outside the table) or its
+ * element outside that frame -- the check that keeps run_one() inside
+ * that frame's stacks and retire() off a vacant row's NULL outcome
+ * arrays.  An admitted search's row and element are its run's. */
 int64_t repro_search_run(const search_t *s, const int64_t *runs,
                          int64_t num_runs, int64_t running, int64_t idle,
                          int64_t attempts)
@@ -587,6 +593,7 @@ int64_t repro_search_run(const search_t *s, const int64_t *runs,
         const int64_t slot = s->frame_of[s->active[k]];
         const int64_t e = s->dest_of[s->active[k]];
         if (slot < 0 || slot >= s->frame_slots || e < 0
+                || s->frames[slot].symbols < 1
                 || e >= s->frames[slot].problems)
             return -4;
     }

@@ -4,12 +4,15 @@
 per-search state machine in C, and :func:`run` runs a pool's whole tick
 on it in one native call, *in place* on the arrays the pool holds
 (:func:`lanes`: every array a lane owns is laid out here and nowhere
-else in Python): it **admits** queued searches into free lanes, copying
-their rows from their frames' stacks (:func:`frame`), **steps** every
-active search an allowance of candidate attempts from whatever state
-the last call left it in (a fresh one expands its root first, with the
-same program as every other node), and **retires** the finished ones
-straight into their frames' own outcome arrays (:func:`outcome`).
+else in Python): it **admits** queued searches into free lanes, **steps**
+every active search an allowance of candidate attempts from whatever
+state the last call left it in (a fresh one expands its root first, with
+the same program as every other node), and **retires** the finished ones
+straight into their frames' own outcome arrays (:func:`outcome`).  A
+lane holds its search's own state and nothing of its frame: the search
+reads its ``R`` rows, observation, diagonals and LLR scale in place, in
+its frame's stacks (:func:`frame`), and every PAM position it keeps is
+one signed byte — a hard 16-QAM 4x4 lane is 684 bytes.
 The lockstep engine (:mod:`repro.runtime.engine`) makes two uses of that
 one loop: an allowance of two is a pool's **lockstep step**, an
 unlimited one finishes a pool's last few stragglers (the drain).
@@ -153,7 +156,7 @@ _CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 #: tables, the pool's frame table and its lanes (:func:`_layout`).  All
 #: C-contiguous, except the five tallies, which are the columns of one
 #: ``(lanes, 5)`` array (``tally``) ...
-_F, _I, _C = np.float64, np.int64, np.complex128
+_F, _I, _C, _P = np.float64, np.int64, np.complex128, np.int8
 _OUTCOMES = ("tally", "best_dist", "llrs", "best_cols", "best_rows", "list_n")
 #: ``frame_t``: a pool's frame-table row — where an interned frame's
 #: stacks and outcome arrays live (:func:`frame`; 0 for an outcome array
@@ -163,13 +166,11 @@ FRAME = np.dtype([(name, np.intp)
                  + [("noise_var", _F), ("symbols", _I), ("problems", _I)])
 _ARRAYS = {
     "levels": _F, "zigzag": _I, "prune": _F, "bits": np.uint8,
-    "axis_int": _I, "axis_res": _F, "col_d": _F, "col_j": _I, "last_i": _I,
-    "r": _C, "y": _C, "diag": _F, "diag_sq": _F, "noise_var": _F,
+    "axis_int": _P, "axis_res": _F, "col_d": _F, "col_j": _P, "last_i": _P,
     "level": _I, "radius": _F, "parent": _F,
-    "path_cols": _I, "path_rows": _I, "chosen": _C,
-    "best_cols": _I, "best_rows": _I, "best_dist": _F,
-    "list_d": _F, "list_seq": _I, "list_cols": np.uint8,
-    "list_rows": np.uint8,
+    "path_cols": _P, "path_rows": _P, "chosen": _C,
+    "best_cols": _P, "best_rows": _P, "best_dist": _F,
+    "list_d": _F, "list_seq": _I, "list_cols": _P, "list_rows": _P,
     "list_n": _I, "leaf_seq": _I,
     "ped": _I, "visited": _I, "expanded": _I, "leaves": _I, "prunes": _I,
     "lane_budget": _I, "frame_of": _I, "dest_of": _I, "active": _I,
@@ -183,14 +184,13 @@ _INTEGERS = ("tally_stride", "num_streams", "side", "list_size", "use_fma",
 
 def _searches(decoder, num_streams: int) -> dict:
     """The arrays a lane owns one row of: each ``search_t`` field's
-    shape past the lane axis — a search's channel copy, path, tallies
-    and leaf (the best leaf, or a list and its LLR scale ``noise_var``),
-    its node cap, frame-table row (``frame_of``) and element there
-    (``dest_of``), plus the pool's ``active`` list and ``free`` stack.
-    The core writes them when it admits a search."""
+    shape past the lane axis — a search's path, tallies and leaf (the
+    best leaf, or a list), its node cap, frame-table row (``frame_of``)
+    and element there (``dest_of``), through which it reads its channel
+    and LLR scale in its frame's stacks, plus the pool's ``active`` list
+    and ``free`` stack.  The core writes them when it admits a search."""
     n = num_streams
     fields = {
-        "r": (n, n), "y": (n,), "diag": (n,), "diag_sq": (n,),
         "level": (), "radius": (), "parent": (n,), "path_cols": (n,),
         "path_rows": (n,), "chosen": (n,), "tally": (len(_TALLIES),),
         "lane_budget": (), "frame_of": (), "dest_of": (), "active": (),
@@ -199,7 +199,7 @@ def _searches(decoder, num_streams: int) -> dict:
     if not decoder.list_size:
         return dict(fields, best_cols=(n,), best_rows=(n,), best_dist=())
     size = decoder.list_size
-    return dict(fields, noise_var=(), list_d=(size,), list_seq=(size,),
+    return dict(fields, list_d=(size,), list_seq=(size,),
                 list_cols=(size, n), list_rows=(size, n), list_n=(),
                 leaf_seq=())
 
@@ -232,7 +232,8 @@ def _slots(decoder) -> dict:
     so a slot's queue is a row of ``side`` distances (``col_d``, ``inf``
     = none queued) and row pointers (``col_j``), plus the column handed
     out last (``last_i``, ``-1`` = none) whose successors are still
-    deferred; it cannot overflow.
+    deferred; it cannot overflow.  Orders, offsets, row pointers and
+    ``last_i`` are PAM positions: one signed byte each.
 
     A slot needs no fresh value: the core rewrites it whole when it
     expands a node into it, before anything reads it.
@@ -356,14 +357,22 @@ def core():
 # Run
 # ---------------------------------------------------------------------------
 
+def _positions_fit(decoder) -> bool:
+    """Whether every PAM position of ``decoder``'s constellation (and the
+    ``-1`` for none) fits the signed byte a lane keeps it in: side <= 128,
+    up to 16384-QAM."""
+    return decoder.constellation.levels.shape[0] <= np.iinfo(_P).max + 1
+
+
 def lanes(decoder, num_streams: int, count: int) -> dict:
     """Every array ``count`` lanes of ``decoder`` own, zeroed, keyed by
     ``search_t`` field (the tallies packed as ``tally``): a row per lane
     and ``num_streams`` frontier slots per lane — or ``{}`` where the
     core does not run ``decoder``'s searches (any enumerator but
-    ``zigzag``, or no core): such a pool runs the scalar decoder
-    instead."""
-    if decoder.enumerator != "zigzag" or core() is None:
+    ``zigzag``, a constellation whose positions do not fit a byte, or
+    no core): such a pool runs the scalar decoder instead."""
+    if (decoder.enumerator != "zigzag" or not _positions_fit(decoder)
+            or core() is None):
         return {}
     return {name: np.zeros(shape, dtype)
             for name, (dtype, shape)
@@ -377,9 +386,10 @@ def frame(decoder, num_streams: int, r_stack, y_flat, diag_stack,
     (``r_stack`` ``(S, n, n)``, ``y_flat`` ``(S * T, n)``,
     ``diag_stack`` / ``diag_sq_stack`` ``(S, n)``) and of its
     ``outcomes`` (:func:`outcome`'s rows, ``S * T`` each), its LLR
-    scale, ``T`` and ``S * T``.  The core uses them in place, so they
-    are checked here, once per frame; the caller keeps them alive while
-    the row is in its table."""
+    scale, ``T`` and ``S * T``.  The core reads the stacks in place for
+    as long as one of the frame's searches runs, and writes the outcome
+    arrays in place, so they are checked here, once per frame; the
+    caller keeps them alive, unchanged, while the row is in its table."""
     n, subcarriers = num_streams, len(r_stack)
     problems = subcarriers * num_symbols
     rows = outcome(decoder, num_streams)
@@ -401,18 +411,18 @@ def _marshal(decoder, arrays: dict, frames):
     ``search_t``.  Checked here, once per set of arrays: past this
     point a wrong dtype, a strided view, a short axis or a frontier laid
     out for another decoder is memory corruption, not an exception.
-    ``r`` fixes the stream count and ``level`` the lanes; every operand
-    must then have exactly its :func:`lanes` shape."""
+    ``parent`` fixes the stream count and ``level`` the lanes; every
+    operand must then have exactly its :func:`lanes` shape."""
     levels = decoder.constellation.levels
     side = levels.shape[0]
-    count, num_streams = arrays["level"].shape[0], arrays["r"].shape[-1]
+    count, num_streams = arrays["level"].shape[0], arrays["parent"].shape[-1]
     layout = _layout(decoder, num_streams, count)
     require(decoder.enumerator == "zigzag",
             "the search core runs only the zigzag frontier")
+    require(_positions_fit(decoder),
+            "the search core keeps PAM positions in one signed byte")
     require(arrays.keys() == layout.keys(),
             f"search core needs exactly the arrays {sorted(layout)}")
-    require(not decoder.list_size or side <= 256,
-            "the search core keeps list leaf positions in one byte")
     tables = {"levels": (levels, (side,)),
               "zigzag": (zigzag_order_table(side), (side, 2, side))}
     if decoder._pruner is not None:
@@ -474,20 +484,21 @@ def run(decoder, arrays: dict, frames, runs, running: int, idle: int,
     of ``free`` the free-lane stack) and ``frames`` its frame table
     (:func:`frame`).  The core **admits** each ``runs`` row ``(slot,
     first, count, node cap)``: ``count`` lanes off the stack for that
-    frame's searches ``first, ...``, their rows copied from its stacks,
-    their fresh values, cap, slot and element written; **steps** every
-    active search ``attempts`` candidate attempts under its cap (2: a
-    lockstep tick; ``None``: to completion), each one iteration of the
-    scalar loop; and **retires** each finished search into its row of
-    its frame's outcome arrays — tallies, then its best
+    frame's searches ``first, ...``, their fresh values, cap, slot and
+    element written; **steps** every active search ``attempts``
+    candidate attempts under its cap (2: a lockstep tick; ``None``: to
+    completion), each one iteration of the scalar loop, reading its
+    channel in its frame's stacks; and **retires** each finished search
+    into its row of its frame's outcome arrays — tallies, then its best
     leaf, or its list length, best member and max-log LLRs (the float
     program of :func:`~repro.sphere.soft.soft_outputs_from_lists`) —
     its lane pushed back on the stack (the finished lanes are the
     stack's top ``finished`` entries), ``active`` compacted in place.
-    Every index is checked in the core before anything is written (a
-    bad one raises ``ValueError``).  The marshalled ``search_t`` is kept
-    in ``cache`` with the arrays it points into and reused while every
-    operand is the same object: ~45 addresses cost more than a tick.
+    Every index is checked in the core before anything is read through
+    it or written (a bad one raises ``ValueError``).  The marshalled
+    ``search_t`` is kept in ``cache`` with the arrays it points into and
+    reused while every operand is the same object: ~35 addresses cost
+    more than a tick.
     """
     library = core()
     require(library is not None, "the compiled search core is unavailable")

@@ -298,15 +298,28 @@ def test_farm_cancel_resolves_synchronously():
 
 
 def test_farm_close_expires_unresolved_frames():
+    """Closing the farm expires what it still holds; an undated frame
+    had no deadline to miss."""
     rng = np.random.default_rng(7)
     farm = DetectorFarm(1, backend="inline")
     handle = farm.submit(_make_frame(SphereDecoder(qam(4)), 3, 2, 15.0,
                                      rng))
     farm.close()
-    assert handle.resolution == "expired" and handle.missed_deadline
+    assert handle.resolution == "expired" and not handle.missed_deadline
     with pytest.raises(ValueError):
         farm.submit(_make_frame(SphereDecoder(qam(4)), 2, 1, 15.0, rng))
     farm.close()                            # idempotent
+
+
+def test_farm_close_expiring_a_dated_frame_misses_its_deadline():
+    """The dated twin: a frame with a deadline that the farm's close
+    expires is a missed deadline."""
+    rng = np.random.default_rng(7)
+    farm = DetectorFarm(1, backend="inline")
+    handle = farm.submit(dataclasses.replace(
+        _make_frame(SphereDecoder(qam(4)), 3, 2, 15.0, rng), deadline_s=60.0))
+    farm.close()
+    assert handle.resolution == "expired" and handle.missed_deadline
 
 
 def test_farm_validation():

@@ -265,17 +265,19 @@ def test_core_refuses_what_it_cannot_address():
         tick_kernel.run(pool.decoder, without_best, pool.frame_table,
                         nothing, pool.running, 0, 0, {})
     refused("chosen", chosen=state["chosen"][:-1].copy())
-    # Short trailing axes: the channel copies, the path, a leaf row.
-    refused("r", r=state["r"][:, :, :3].copy())
-    refused("y", y=state["y"][:, :2].copy())
+    # Short trailing axes: the path, a frontier row, a leaf row.
     refused("path_cols", path_cols=state["path_cols"][:, :3].copy())
+    refused("col_j", col_j=state["col_j"][:, :3].copy())
     refused("best_cols", best_cols=state["best_cols"][:, :2].copy())
     refused("list_cols", soft.pool,
             list_cols=soft.pool.state["list_cols"][:, :2].copy())
-    # A list search's LLR scale, and the frame row's outcome arrays its
-    # LLRs and best member go to.
-    refused("noise_var", soft.pool,
-            noise_var=soft.pool.state["noise_var"].astype(np.float32))
+    # PAM positions wider than the signed byte the core reads.
+    refused("axis_int", axis_int=state["axis_int"].astype(np.int64))
+    refused("path_rows", path_rows=state["path_rows"].astype(np.int64))
+    refused("list_rows", soft.pool,
+            list_rows=soft.pool.state["list_rows"].astype(np.uint8))
+    # The frame row's outcome arrays a list search's LLRs and best
+    # member go to.
 
     def soft_row(outcomes):
         return tick_kernel.frame(
@@ -297,11 +299,15 @@ def test_core_refuses_what_it_cannot_address():
         run(frames=pool.frame_table[::2])
     # A frontier laid out for another decoder: no pruning offsets.
     refused("axis_int", axis_int=state["axis_int"][:, :2].copy())
-    # A decoder whose frontier the core does not run, on these lanes.
+    # A decoder whose frontier the core does not run, on these lanes,
+    # and one whose PAM positions do not fit a byte.
     shabany = SphereDecoder(constellation, enumerator="shabany")
     with pytest.raises(ValueError, match="only the zigzag frontier"):
         tick_kernel.run(shabany, state, pool.frame_table, nothing,
                         pool.running, 0, 0, {})
+    with pytest.raises(ValueError, match="PAM positions in one signed byte"):
+        tick_kernel.run(SphereDecoder(qam(65536)), state, pool.frame_table,
+                        nothing, pool.running, 0, 0, {})
 
 
 # One hostile change to what ``repro_search_run`` is handed, by kind.
@@ -345,12 +351,14 @@ def test_core_refuses_a_hostile_index_before_writing(soft, ticks, mutation,
     hostile index — an admission run outside the table, on a vacant row
     or past its frame; an active or popped free lane outside the pool;
     an active lane's frame row vacant or outside the table, or its
-    element outside its frame; or running / idle counts the lanes
-    cannot hold.  The core refuses it with a ``ValueError`` before
-    writing anything: every lane array, the frame table and the frame's
-    outcome rows are byte-identical to before, and the pool, handed
-    what it really holds, then ticks to idle and finalises bit-exact
-    against the scalar oracle."""
+    element outside its frame (both steer the search's reads of its
+    frame's stacks as well as its retirement); or running / idle counts
+    the lanes cannot hold.  The core refuses it with a ``ValueError``
+    before reading through it or writing anything (the sanitized run
+    sees a stray read): every lane array, the frame table and the
+    frame's outcome rows are byte-identical to before, and the pool,
+    handed what it really holds, then ticks to idle and finalises
+    bit-exact against the scalar oracle."""
     warm, frame, want = _hostile_instance(soft)
     frontier = pinned_frontier(drain_threshold=0)
     frontier.submit(FrameJob(0, FrameRequest(*warm)))
@@ -692,12 +700,12 @@ def test_compiled_core_follows_a_grown_pool(soft):
     assert_frames_identical(job.finalise(), want)
 
 
-_SEARCH_ROWS = {"r", "y", "diag", "diag_sq", "level", "radius", "parent",
-                "path_cols", "path_rows", "chosen", "tally", "lane_budget",
-                "frame_of", "dest_of", "active", "free"}
+_SEARCH_ROWS = {"level", "radius", "parent", "path_cols", "path_rows",
+                "chosen", "tally", "lane_budget", "frame_of", "dest_of",
+                "active", "free"}
 _LEAF_ROWS = {False: {"best_cols", "best_rows", "best_dist"},
               True: {"list_d", "list_seq", "list_cols", "list_rows",
-                     "list_n", "leaf_seq", "noise_var"}}
+                     "list_n", "leaf_seq"}}
 _ZIGZAG_SLOTS = {"axis_int", "axis_res", "col_d", "col_j", "last_i"}
 _OUTCOME_ROWS = {False: ["tally", "best_dist", "best_cols", "best_rows"],
                  True: ["tally", "llrs", "best_cols", "best_rows", "list_n"]}
@@ -795,6 +803,40 @@ def test_pool_state_is_the_declared_layout_through_growth(request, soft,
                         (job, (channels, received))):
         want, _ = scalar_oracle(decoder, *frame, *extra)
         assert_frames_identical(done.finalise(), want)
+
+
+@needs_core
+@pytest.mark.parametrize("list_size,most", [(0, 800), (16, 1150)])
+def test_a_lane_holds_only_its_search(list_size, most):
+    """A lane keeps its search's own state: no copy of its frame's
+    channel (it reads the frame's stacks in place) and every PAM
+    position in one byte.  So a 16-QAM 4x4 lane is at most ``most``
+    bytes, hard or list-16, and the 2048 hard lanes of a full default
+    frontier take at most 1.6 MB."""
+    decoder = (ListSphereDecoder(qam(16), list_size=list_size)
+               if list_size else SphereDecoder(qam(16)))
+    state = tick_kernel.lanes(decoder, 4, 8)
+    assert not {"r", "y", "diag", "diag_sq", "noise_var"} & set(state)
+    assert sum(array.nbytes for array in state.values()) <= 8 * most
+
+
+def test_a_side_past_a_byte_runs_the_scalar_search():
+    """A constellation whose PAM positions do not fit a signed byte
+    (65536-QAM: side 256) gets a pool without lanes, as a baseline
+    enumerator's does, and its searches run the scalar decoder in the
+    tick that admits them, equal to the scalar oracle."""
+    constellation, channels, received = _frame_instance(65536, 2, 2, 2, 2,
+                                                        noise_scale=1e-4,
+                                                        seed=61)
+    decoder = SphereDecoder(constellation)
+    assert tick_kernel.lanes(decoder, 2, 4) == {}
+    job = FrameJob(0, FrameRequest(channels, received, decoder))
+    frontier = StreamingFrontier()
+    frontier.submit(job)
+    assert not job.pool.has_core and job.pool.drain_threshold == 0
+    assert frontier.tick() == [job] and frontier.idle
+    want, _ = scalar_oracle(decoder, channels, received)
+    assert_frames_identical(job.finalise(), want)
 
 
 @needs_core
