@@ -80,13 +80,15 @@ oracle; ``tests/test_runtime.py`` adds a hypothesis sweep over
 submission permutations and budgets).
 
 Searches are grouped into **pools** by search signature
-(:func:`~repro.runtime.queue.search_signature`, which the detector farm
-routes by too: hard/soft, constellation, stream count, enumerator,
-pruning, node budget, list size and LLR clamp): searches in one pool
-share its arrays and tick together, and the pools share the frontier's
-global lane budget, so a mixed-constellation cell workload still keeps
-every lane busy.  A homogeneous workload — the benchmark's 16-QAM 4x4
-stream — is exactly one pool.
+(:func:`~repro.runtime.queue.search_signature`: hard/soft, constellation,
+stream count, enumerator, pruning and list size — what lays out a
+pool's lanes): searches in one pool share its arrays and tick together,
+and the pools share the frontier's global lane budget, so a
+mixed-constellation cell workload still keeps every lane busy.  What a
+decoder sets per frame — node budget, initial radius, LLR clamp — rides
+with the frame (its table row, its lanes' caps, its own decoder in a
+pool without a core), so it never makes a pool.  A homogeneous workload
+— the benchmark's 16-QAM 4x4 stream — is exactly one pool.
 
 Each pool allocates its lane arrays **on demand**: a pool is born
 with one lane per search of the frame that creates it (at most the
@@ -253,10 +255,6 @@ class _Pool:
         else:
             self.drain_threshold = 0
             self._enumerate = decoder._enumerator_factory()
-        # A search's node cap: the decoder's budget (_NO_BUDGET if none),
-        # shrunk for a degraded frame's.
-        self._budget = (_NO_BUDGET if decoder.node_budget is None
-                        else decoder.node_budget)
 
     @property
     def active(self) -> np.ndarray:
@@ -318,14 +316,14 @@ class _Pool:
         """The frame-table slot of a frame with searches in lanes,
         claimed when its first search is admitted.  Where the core runs,
         the frame's stacks and outcome arrays are checked and entered in
-        its row here, once."""
+        its row here, once, with its own decoder's values."""
         slot = self._slot_of.get(id(job))
         if slot is not None:
             return slot
         record = None
         if self.has_core:
             record = tick_kernel.frame(
-                self.decoder, self.num_streams, job.r_stack, job.y_flat,
+                job.decoder, self.num_streams, job.r_stack, job.y_flat,
                 job.diag_stack, job.diag_sq_stack, job.num_symbols,
                 job.noise_variance if self.soft else 0.0, job.outcome)
         if not self._slots:
@@ -342,10 +340,11 @@ class _Pool:
         return slot
 
     def _cap(self, job: FrameJob) -> int:
-        """Node cap of the frame's searches admitted now: the decoder's
+        """Node cap of the frame's searches admitted now: its decoder's
         budget, or a degraded frame's shrunk one (never looser)."""
-        return (self._budget if job.degraded_budget is None
-                else min(self._budget, job.degraded_budget))
+        caps = (job.decoder.node_budget, job.degraded_budget)
+        return min((cap for cap in caps if cap is not None),
+                   default=_NO_BUDGET)
 
     # -- retirement -----------------------------------------------------
     def _forget(self, job: FrameJob) -> None:
@@ -463,13 +462,14 @@ class _Pool:
 
     def _run_scalar(self, batches: list, completed: list) -> None:
         """A pool without a core: run every admitted search to
-        completion through the decoder's scalar search, straight from
-        its frame's stacks, under its node cap, into the outcome rows
-        the core would write — a list pool's LLRs and best members in
-        one :func:`~repro.sphere.soft.soft_outputs_from_lists` call."""
+        completion through its frame's decoder's scalar search, straight
+        from its frame's stacks, under its node cap, into the outcome
+        rows the core would write — a list pool's LLRs and best members
+        in one :func:`~repro.sphere.soft.soft_outputs_from_lists` call,
+        each list under its frame's noise variance and clamp."""
         decoder = self.decoder
         started = time.perf_counter()
-        done, owners, noise = {}, [], []
+        done, owners, noise, clamps = {}, [], [], []
         if self.soft:
             shape = (sum(elements.size for _, elements in batches),
                      decoder.list_size)
@@ -480,7 +480,7 @@ class _Pool:
             slot, cap, out = self._intern(job), self._cap(job), job.outcome
             for element in elements.tolist():
                 subcarrier = element // job.num_symbols
-                outcome = decoder._search(
+                outcome = job.decoder._search(
                     job.r_stack[subcarrier], job.y_flat[element],
                     job.diag_stack[subcarrier],
                     job.diag_sq_stack[subcarrier], self._enumerate, cap)
@@ -494,6 +494,7 @@ class _Pool:
                         *(array[len(owners)] for array in lists))
                     owners.append((out, element))
                     noise.append(job.noise_variance)
+                    clamps.append(job.decoder.clamp)
                 else:
                     (neg_distance, _, out["best_cols"][element],
                      out["best_rows"][element]) = (outcome.leaves[0]
@@ -508,7 +509,7 @@ class _Pool:
         if kept.any():
             llrs, best, _ = soft_outputs_from_lists(
                 decoder.constellation, *(array[kept] for array in lists),
-                counts[kept], np.array(noise)[kept], decoder.clamp)
+                counts[kept], np.array(noise)[kept], np.array(clamps)[kept])
             for (out, element), *row in zip(
                     compress(owners, kept), llrs,
                     *decoder.constellation.col_row(best)):

@@ -75,17 +75,16 @@ def decoder_kind(decoder) -> str:
 
 
 def search_signature(decoder, num_streams: int) -> tuple:
-    """What makes two searches the same kernel program: hard or soft,
-    stream count, constellation, enumerator, pruning, budgets and (soft)
-    list size and LLR clamp, which the core applies per pool.  The
-    engine partitions kernel pools by it and the farm routes frames by
-    it — one function, so the two cannot drift."""
+    """What lays out a pool's lanes, which the engine partitions kernel
+    pools by: hard or soft, stream count, constellation, enumerator,
+    pruning and (soft) list size.  Node budget, initial radius and clamp
+    ride in each frame, so frames that differ only there share a pool
+    (:func:`repro.service.protocol.request_signature` routes by them)."""
     kind = decoder_kind(decoder)
     key = (kind, num_streams, decoder.constellation.levels.tobytes(),
-           decoder.enumerator, decoder.geometric_pruning,
-           decoder.node_budget, decoder.initial_radius_sq)
+           decoder.enumerator, decoder.geometric_pruning)
     if kind == "soft":
-        key += (decoder.list_size, decoder.clamp)
+        key += (decoder.list_size,)
     return key
 
 
@@ -346,21 +345,25 @@ class FrameJob:
             return np.ascontiguousarray(
                 array.reshape(frame_shape + array.shape[1:]).swapaxes(0, 1))
 
+        # Positions arrive in a byte, a 256-QAM index needs more.
         if self.kind == "hard":
             _, distances, cols, rows = self.outcome.values()
             indices = np.where(np.isfinite(distances)[:, None],
-                               constellation.index_of(cols, rows), -1)
+                               constellation.index_of(cols.astype(compact),
+                                                      rows.astype(compact)),
+                               -1)
             return FrameDecodeResult(
-                symbol_indices=leading_t(indices.astype(compact)),
+                symbol_indices=leading_t(indices),
                 distances_sq=leading_t(distances),
                 counters=self._totals(), points=constellation.points)
         _, llrs, best_cols, best_rows, list_n = self.outcome.values()
         require(bool((list_n >= 1).all()),
                 "list sphere decoder found no leaves")
-        best_indices = constellation.index_of(best_cols, best_rows)
+        best_indices = constellation.index_of(best_cols.astype(compact),
+                                              best_rows.astype(compact))
         return SoftFrameResult(
             llrs=leading_t(llrs),
-            symbol_indices=leading_t(best_indices.astype(compact)),
+            symbol_indices=leading_t(best_indices),
             list_sizes=leading_t(list_n.astype(
                 narrowest_int(self.decoder.list_size))),
             counters=self._totals(), points=constellation.points)

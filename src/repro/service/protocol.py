@@ -2,12 +2,12 @@
 
 Two small, load-bearing pieces live here:
 
-**Routing.**  The farm partitions work by *search signature*
-(:func:`repro.runtime.queue.search_signature`, the key the engine groups
-kernel pools by: hard/soft, stream count, constellation, enumerator,
-pruning, budgets, list size, LLR clamp) — so every frame of one
-signature always lands on the same shard and its per-signature kernel
-pool lives in exactly one worker process.  The shard index comes from a
+**Routing.**  The farm partitions work by :func:`request_signature`:
+the key the engine groups kernel pools by
+(:func:`repro.runtime.queue.search_signature`) plus the node budget,
+initial radius and LLR clamp a decoder sets per frame — finer than
+pooling, which is harmless — so every frame of one signature always
+lands on the same shard.  The shard index comes from a
 *keyed* stable hash (:func:`shard_for`, BLAKE2b), **not** Python's
 builtin ``hash``, which is salted per process and would route
 differently on every run; determinism is what makes admission order
@@ -55,10 +55,13 @@ _HEADER = struct.Struct("!I")
 def request_signature(request) -> tuple:
     """The :func:`~repro.runtime.queue.search_signature` a
     :class:`FrameRequest`'s admitted :class:`FrameJob` will pool under,
+    then its decoder's node budget, initial radius and (soft) clamp;
     taken without paying the job's QR preprocessing — routing happens
     *before* the frame reaches any runtime."""
-    return search_signature(request.decoder,
-                            int(request.channels.shape[2]))
+    decoder = request.decoder
+    return search_signature(decoder, int(request.channels.shape[2])) + (
+        decoder.node_budget, decoder.initial_radius_sq,
+        decoder.clamp if decoder.list_size else None)
 
 
 def resolution_payload(frame_id: int, handle) -> dict:

@@ -4,10 +4,10 @@
 — deliberately the same verbs as
 :class:`~repro.runtime.session.UplinkRuntime`, because a farm is meant
 to slot in where a single runtime did.  ``submit`` routes each
-:class:`FrameRequest` by its kernel-pool signature
-(:func:`~repro.service.protocol.shard_for`): all frames of one
-signature share one shard, so each signature's kernel pool lives in
-exactly one worker and the admission order a shard sees is the farm
+:class:`FrameRequest` by its signature
+(:func:`~repro.service.protocol.request_signature`, hashed by
+:func:`~repro.service.protocol.shard_for`): all frames of one signature
+share one shard, and the admission order a shard sees is the farm
 admission order restricted to its signatures — deterministic, which is
 what lets the bit-exactness contract extend to every shard count.
 

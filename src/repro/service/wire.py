@@ -16,7 +16,7 @@ the same bytes from past the prefix through ``send_bytes`` /
 * **records** — a :class:`FrameRequest`, its decoder as its config (a
   :class:`SphereDecoder` or :class:`ListSphereDecoder`: a class tag plus
   the constructor's fields: whatever
-  :func:`~repro.runtime.queue.search_signature` enumerates and
+  :func:`~repro.service.protocol.request_signature` enumerates and
   ``column_ordering``), its :class:`PhyConfig`, both frame results with
   their :class:`StreamDecision` lists, :class:`ComplexityCounters`,
   :class:`FrameTrace` and a resolved frame's payload

@@ -74,10 +74,10 @@
  * (repro/sphere/soft.py), the scalar decoder's and the fallback's: per
  * bit, the least distance among the list's members labelling it 1 and
  * among those labelling it 0 (a min by compare, so order-free), then
- * one subtract and one plain / by the search's noise variance, both
- * finite; otherwise +clamp if only 0s occur, -clamp if only 1s;
- * then the clip to [-clamp, clamp] by compares.  The best member is the
- * least (distance, discovery order).  Bits come from a (side,
+ * one subtract and one plain / by its frame's noise variance, both
+ * finite; otherwise +clamp (its frame's) if only 0s occur, -clamp if
+ * only 1s; then the clip to [-clamp, clamp] by compares.  The best
+ * member is the least (distance, discovery order).  Bits come from a (side,
  * bits_per_axis) table, row p the MSB-first bits of gray_encode(p),
  * built in Python by int_to_bits(gray_encode(...)); a stream's labels
  * are its column's bits, then its row's.  Distances are finite: the
@@ -117,9 +117,10 @@ typedef struct { double re, im; } cplx;
 
 /* One interned frame, a row of the pool's frame table (tick_kernel.FRAME):
  * where its preprocessed stacks and its outcome arrays live, all checked
- * by tick_kernel.frame when the pool interned it.  The outcome arrays
- * have one row per search, at its element e = subcarrier * T + symbol;
- * a hard frame has no llrs or list_n, a soft one no best_dist (NULL).
+ * by tick_kernel.frame when the pool interned it, and its own values.
+ * The outcome arrays have one row per search, at its element
+ * e = subcarrier * T + symbol; a hard frame has no llrs or list_n, a
+ * soft one no best_dist (NULL).
  * A vacant row is zeroed: no problems, NULL outcome arrays. */
 typedef struct {
     const cplx *r, *y;         /* r_stack (S, n, n), y_flat (S * T, n) */
@@ -127,16 +128,17 @@ typedef struct {
     int64_t *tally;            /* (S * T, 5) */
     double *best_dist;         /* (S * T) hard */
     double *llrs;              /* (S * T, n * 2 * bits_per_axis) soft */
-    int64_t *best_cols, *best_rows;    /* (S * T, n) */
+    int8_t *best_cols, *best_rows;     /* (S * T, n) */
     int64_t *list_n;           /* (S * T) soft */
-    double noise_var;          /* the frame's LLR scale (soft) */
+    double noise_var, clamp;   /* the frame's LLR scale and bound (soft) */
+    double initial_radius;     /* every search's opening sphere */
     int64_t symbols, problems; /* T, and S * T searches */
 } frame_t;
 
 /* Field order is the ctypes mirror's (tick_kernel._Search): pointers,
- * then integers, then the doubles.  A lane holds its search's own state
- * only; its channel (R rows, observation, diagonals) and its LLR scale
- * stay in its frame's stacks, reached through frame_of / dest_of. */
+ * then integers, then the double.  A lane holds its search's own state
+ * only; its channel and per-frame values stay in its frame's stacks and
+ * row, reached through frame_of / dest_of. */
 typedef struct {
     /* constellation */
     const double *levels;      /* (side) PAM amplitudes */
@@ -174,7 +176,7 @@ typedef struct {
     const frame_t *frames;
     int64_t tally_stride, num_streams, side, list_size;
     int64_t use_fma, lanes, frame_slots;
-    double axis_scale, clamp, initial_radius;
+    double axis_scale;
 } search_t;
 
 /* One node's axis tables. */
@@ -362,7 +364,7 @@ static void finish_list(const search_t *s, int64_t si, const frame_t *f,
     int64_t width = 0;                 /* bits_per_axis: side = 2^width */
     while (((int64_t)1 << width) < s->side)
         width++;
-    const double clamp = s->clamp, noise_var = f->noise_var;
+    const double clamp = f->clamp, noise_var = f->noise_var;
     double *llr = f->llrs + row * n * 2 * width;
     for (int64_t p = 0; p < n; p++)
         for (int64_t axis = 0; axis < 2; axis++) {
@@ -487,16 +489,16 @@ static int run_one(const search_t *s, int64_t si, int64_t cap,
 }
 
 /* Admit search `e` of the frame in table row `slot` into lane `si`: its
- * fresh values -- above its root (level == num_streams) under the
- * initial radius, zeroed tallies, no best leaf (-1 symbols at inf) or an
- * empty list -- and its lane's cap, frame-table row and element, through
- * which it reads its channel from then on. */
+ * fresh values -- above its root (level == num_streams) under its
+ * frame's initial radius, zeroed tallies, no best leaf (-1 symbols at
+ * inf) or an empty list -- and its lane's cap, frame-table row and
+ * element, through which it reads its channel from then on. */
 static void admit(const search_t *s, int64_t slot, int64_t e, int64_t si,
                   int64_t cap)
 {
     const int64_t n = s->num_streams;
     s->level[si] = n;
-    s->radius[si] = s->initial_radius;
+    s->radius[si] = s->frames[slot].initial_radius;
     s->ped[si * s->tally_stride] = s->visited[si * s->tally_stride] = 0;
     s->expanded[si * s->tally_stride] = s->leaves[si * s->tally_stride] = 0;
     s->prunes[si * s->tally_stride] = 0;

@@ -84,7 +84,7 @@ def stacked_list_bits(constellation: QamConstellation, cols,
 
 def soft_outputs_from_lists(constellation: QamConstellation, distances,
                             sequence, cols, rows, counts,
-                            noise_variance, clamp: float):
+                            noise_variance, clamp):
     """Vectorised max-log LLR extraction from stacked leaf lists.
 
     One call covers any number of searches at once — a pool without
@@ -94,7 +94,8 @@ def soft_outputs_from_lists(constellation: QamConstellation, distances,
     ``distances`` and ``sequence`` are ``(E, L)`` (leaf distance and
     discovery order), ``cols``/``rows`` ``(E, L, nc)`` lattice
     positions, ``counts`` the number of valid entries per list, and
-    ``noise_variance`` a scalar or one variance per list, ``(E,)``.
+    ``noise_variance`` and ``clamp`` each a scalar or one per list,
+    ``(E,)``.
 
     Returns ``(llrs, best_indices, best_symbols)``: per-bit max-log LLRs
     ``(E, nc * bits_per_symbol)`` clipped to ``[-clamp, clamp]`` (bits
@@ -102,17 +103,18 @@ def soft_outputs_from_lists(constellation: QamConstellation, distances,
     one-sidedly), and the best list member — minimal ``(distance,
     discovery order)``, the scalar sort key — as hard decisions.
     """
-    noise_variance = np.asarray(noise_variance, dtype=np.float64)
+    num_lists, list_size = distances.shape
+    noise_variance, clamp = (np.asarray(value, dtype=np.float64)
+                             for value in (noise_variance, clamp))
+    require({noise_variance.shape, clamp.shape} <= {(), (num_lists,)},
+            "noise variance and clamp must each be a scalar or one per list")
     require(bool((noise_variance > 0.0).all()),
             "noise variance must be positive")
+    noise_variance, clamp = (value[:, None] if value.ndim else value
+                             for value in (noise_variance, clamp))
     counts = np.asarray(counts)
     require(bool((counts >= 1).all()),
             "list sphere decoder found no leaves")
-    num_lists, list_size = distances.shape
-    require(noise_variance.shape in ((), (num_lists,)),
-            "noise variance must be a scalar or one per list")
-    if noise_variance.ndim:
-        noise_variance = noise_variance[:, None]
     valid = np.arange(list_size)[None, :] < counts[:, None]
     masked = np.where(valid, distances, np.inf)
 
@@ -154,7 +156,7 @@ class ListSphereDecoder(SphereDecoder):
         :class:`~repro.sphere.decoder.SphereDecoder`.
     clamp:
         Magnitude bound for the returned LLRs (one-sided bits saturate
-        here).
+        here), positive and finite.
     enumerator:
         One of ``"zigzag"`` (Geosphere), ``"shabany"``, ``"hess"``
         (ETH-SD) or ``"exhaustive"`` — the list search reuses the hard
@@ -176,7 +178,8 @@ class ListSphereDecoder(SphereDecoder):
                  enumerator: str = "zigzag",
                  node_budget: int | None = None) -> None:
         require(list_size >= 2, f"list size must be >= 2, got {list_size}")
-        require(clamp > 0.0, "clamp must be positive")
+        # An infinite bound hands a one-sided bit an infinite LLR.
+        require(0.0 < clamp < np.inf, "clamp must be positive and finite")
         super().__init__(constellation, enumerator, geometric_pruning,
                          node_budget=node_budget)
         self.list_size = list_size

@@ -10,9 +10,10 @@ state the last call left it in (a fresh one expands its root first, with
 the same program as every other node), and **retires** the finished ones
 straight into their frames' own outcome arrays (:func:`outcome`).  A
 lane holds its search's own state and nothing of its frame: the search
-reads its ``R`` rows, observation, diagonals and LLR scale in place, in
-its frame's stacks (:func:`frame`), and every PAM position it keeps is
-one signed byte — a hard 16-QAM 4x4 lane is 684 bytes.
+reads its ``R`` rows, observation and diagonals in place, in its frame's
+stacks, and its LLR scale, clamp and initial radius in its frame's row
+(:func:`frame`); every PAM position it keeps is one signed byte — a
+hard 16-QAM 4x4 lane is 684 bytes.
 The lockstep engine (:mod:`repro.runtime.engine`) makes two uses of that
 one loop: an allowance of two is a pool's **lockstep step**, an
 unlimited one finishes a pool's last few stragglers (the drain).
@@ -160,10 +161,13 @@ _F, _I, _C, _P = np.float64, np.int64, np.complex128, np.int8
 _OUTCOMES = ("tally", "best_dist", "llrs", "best_cols", "best_rows", "list_n")
 #: ``frame_t``: a pool's frame-table row — where an interned frame's
 #: stacks and outcome arrays live (:func:`frame`; 0 for an outcome array
-#: the frame has not), its LLR scale, ``T`` and ``S * T``.
+#: the frame has not), the values its decoder sets per frame (LLR scale
+#: and clamp, initial radius), ``T`` and ``S * T``.
 FRAME = np.dtype([(name, np.intp)
                   for name in ("r", "y", "diag", "diag_sq") + _OUTCOMES]
-                 + [("noise_var", _F), ("symbols", _I), ("problems", _I)])
+                 + [(name, _F)
+                    for name in ("noise_var", "clamp", "initial_radius")]
+                 + [("symbols", _I), ("problems", _I)])
 _ARRAYS = {
     "levels": _F, "zigzag": _I, "prune": _F, "bits": np.uint8,
     "axis_int": _P, "axis_res": _F, "col_d": _F, "col_j": _P, "last_i": _P,
@@ -177,7 +181,7 @@ _ARRAYS = {
     "free": _I, "frames": FRAME,
 }
 _TALLIES = ("ped", "visited", "expanded", "leaves", "prunes")
-#: ... then its dimensions and policy switches.
+#: ... then its dimensions and policy switches, then ``axis_scale``.
 _INTEGERS = ("tally_stride", "num_streams", "side", "list_size", "use_fma",
              "lanes", "frame_slots")
 
@@ -187,8 +191,9 @@ def _searches(decoder, num_streams: int) -> dict:
     shape past the lane axis — a search's path, tallies and leaf (the
     best leaf, or a list), its node cap, frame-table row (``frame_of``)
     and element there (``dest_of``), through which it reads its channel
-    and LLR scale in its frame's stacks, plus the pool's ``active`` list
-    and ``free`` stack.  The core writes them when it admits a search."""
+    in its frame's stacks and its frame's values in its row, plus the
+    pool's ``active`` list and ``free`` stack.  The core writes them
+    when it admits a search."""
     n = num_streams
     fields = {
         "level": (), "radius": (), "parent": (n,), "path_cols": (n,),
@@ -208,15 +213,17 @@ def outcome(decoder, num_streams: int) -> dict:
     """A finished search's outcome row, ``name: (dtype, shape)``, of
     which its :class:`~repro.runtime.queue.FrameJob` holds one per
     search: the tallies, then the best leaf (hard) or the max-log LLRs,
-    best list member and list length (soft)."""
+    best list member and list length (soft) — PAM positions in a signed
+    byte as in the lanes, or wider for a side past one (no lanes)."""
     n = num_streams
+    position = np.min_scalar_type(-decoder.constellation.levels.shape[0])
     rows = {"tally": (_I, (len(_TALLIES),))}
     if not decoder.list_size:
-        return dict(rows, best_dist=(_F, ()), best_cols=(_I, (n,)),
-                    best_rows=(_I, (n,)))
+        return dict(rows, best_dist=(_F, ()), best_cols=(position, (n,)),
+                    best_rows=(position, (n,)))
     width = n * decoder.constellation.bits_per_symbol
-    return dict(rows, llrs=(_F, (width,)), best_cols=(_I, (n,)),
-                best_rows=(_I, (n,)), list_n=(_I, ()))
+    return dict(rows, llrs=(_F, (width,)), best_cols=(position, (n,)),
+                best_rows=(position, (n,)), list_n=(_I, ()))
 
 
 def _slots(decoder) -> dict:
@@ -258,8 +265,7 @@ def _layout(decoder, num_streams: int, count: int) -> dict:
 class _Search(ctypes.Structure):
     _fields_ = ([(name, ctypes.c_void_p) for name in _ARRAYS]
                 + [(name, ctypes.c_int64) for name in _INTEGERS]
-                + [(name, ctypes.c_double)
-                   for name in ("axis_scale", "clamp", "initial_radius")])
+                + [("axis_scale", ctypes.c_double)])
 
 
 def _compiler() -> str:
@@ -386,7 +392,8 @@ def frame(decoder, num_streams: int, r_stack, y_flat, diag_stack,
     (``r_stack`` ``(S, n, n)``, ``y_flat`` ``(S * T, n)``,
     ``diag_stack`` / ``diag_sq_stack`` ``(S, n)``) and of its
     ``outcomes`` (:func:`outcome`'s rows, ``S * T`` each), its LLR
-    scale, ``T`` and ``S * T``.  The core reads the stacks in place for
+    scale, ``decoder``'s LLR clamp (0 for a hard one) and initial
+    radius, ``T`` and ``S * T``.  The core reads the stacks in place for
     as long as one of the frame's searches runs, and writes the outcome
     arrays in place, so they are checked here, once per frame; the
     caller keeps them alive, unchanged, while the row is in its table."""
@@ -403,7 +410,8 @@ def frame(decoder, num_streams: int, r_stack, y_flat, diag_stack,
             _address(diag_stack, _F, (subcarriers, n), "diag_stack"),
             _address(diag_sq_stack, _F, (subcarriers, n), "diag_sq_stack"),
             *(addresses.get(name, 0) for name in _OUTCOMES),
-            noise_var, num_symbols, problems)
+            noise_var, decoder.clamp if decoder.list_size else 0.0,
+            decoder.initial_radius_sq, num_symbols, problems)
 
 
 def _marshal(decoder, arrays: dict, frames):
@@ -443,8 +451,7 @@ def _marshal(decoder, arrays: dict, frames):
         list_size=decoder.list_size, use_fma=NUMPY_FMA, lanes=count,
         frame_slots=len(frames),
         axis_scale=float(levels[1] - levels[0]) / 2.0 if side > 1 else 1.0,
-        clamp=decoder.clamp if decoder.list_size else 0.0,
-        initial_radius=decoder.initial_radius_sq, **fields)
+        **fields)
 
 
 #: An attempt allowance no search outlasts: run to completion.

@@ -238,28 +238,34 @@ def _decode(entry, decoder, channels, received, noise_variance, want,
 # The sweep
 # ----------------------------------------------------------------------
 
-#: (kind, enumerator, pruning, node budget)
-CASES = [(kind, enumerator, pruning, budget)
+#: (kind, enumerator, pruning, node budget, QAM order): 16-QAM 4x4
+#: throughout, plus 256-QAM 2x2, whose indices (``col * 16 + row``) do
+#: not fit the signed byte its PAM positions leave a search in.
+CASES = [(kind, enumerator, pruning, budget, 16)
          for kind in ("hard", "soft")
          for enumerator, pruning in [("zigzag", True), ("zigzag", False),
                                      ("shabany", True), ("shabany", False),
                                      ("hess", False), ("exhaustive", False)]
-         for budget in (None, 12)]
+         for budget in (None, 12)] + [("hard", "zigzag", True, None, 256),
+                                      ("soft", "zigzag", True, None, 256)]
 
 
 def _case_id(case):
-    kind, enumerator, pruning, budget = case
+    kind, enumerator, pruning, budget, order = case
     return (f"{kind}-{enumerator}{'+prune' if pruning else ''}"
-            f"-{'nobudget' if budget is None else f'budget{budget}'}")
+            f"-{'nobudget' if budget is None else f'budget{budget}'}"
+            f"{'' if order == 16 else f'-{order}qam'}")
 
 
 @lru_cache(maxsize=None)
 def _case(case):
     """``(decoder, channels, received, noise_variance, oracle...)`` of one
     sweep case — the scalar reference is computed once."""
-    kind, enumerator, pruning, budget = case
+    kind, enumerator, pruning, budget, order = case
+    streams = 4 if order == 16 else 2
     constellation, channels, received = _frame_instance(
-        16, 4, 4, num_subcarriers=3, num_symbols=3, noise_scale=0.2, seed=71)
+        order, streams, streams, num_subcarriers=3, num_symbols=3,
+        noise_scale=0.2 if order == 16 else 0.02, seed=71)
     if kind == "soft":
         decoder = ListSphereDecoder(constellation, list_size=4,
                                     enumerator=enumerator,
@@ -313,6 +319,57 @@ def test_numpy_step_matches_scalar_oracle(no_compiler, monkeypatch, case,
     test_engine_matches_scalar_oracle(monkeypatch, case, capacity,
                                       drain_threshold, entry)
     assert tick_kernel.core() is None
+
+
+@lru_cache(maxsize=None)
+def _per_frame_case():
+    """``(channels, received, [(decoder, noise_variance, oracle)])``:
+    hard and list decoders that differ only in what a decoder sets per
+    frame — node budget, initial radius, LLR clamp — each with its scalar
+    reference, computed once."""
+    constellation, channels, received = _frame_instance(
+        16, 4, 4, num_subcarriers=3, num_symbols=3, noise_scale=0.2, seed=73)
+    decoders = [(SphereDecoder(constellation, node_budget=budget,
+                               initial_radius_sq=radius), None)
+                for budget, radius in [(None, np.inf), (5, np.inf),
+                                       (None, 0.3), (4, 0.3)]]
+    for budget, radius, clamp in [(None, np.inf, 24.0), (12, np.inf, 2.0),
+                                  (None, 5.0, 0.5), (7, np.inf, 8.0)]:
+        soft = ListSphereDecoder(constellation, list_size=4, clamp=clamp,
+                                 node_budget=budget)
+        soft.initial_radius_sq = radius
+        decoders.append((soft, NOISE_VARIANCE))
+    return channels, received, [
+        (decoder, noise_variance,
+         scalar_oracle(decoder, channels, received, noise_variance)[0])
+        for decoder, noise_variance in decoders]
+
+
+@pytest.mark.filterwarnings("ignore:the compiled search core")
+@pytest.mark.parametrize("compiled", [True, False],
+                         ids=["core", "no-compiler"])
+@pytest.mark.parametrize("drain_threshold", [0, 3, None])
+@pytest.mark.parametrize("capacity", [1, 3, 8, None])
+def test_per_frame_values_share_a_pool(request, capacity, drain_threshold,
+                                       compiled):
+    """Frames whose decoders differ only in node budget, initial radius
+    and LLR clamp share one pool per lane layout — one hard, one list —
+    in one runtime, and each still equals its own decoder's scalar
+    oracle: the core reads those values in its frame's row and a lane's
+    cap, a pool without a core runs each frame's own decoder."""
+    if not compiled:
+        request.getfixturevalue("no_compiler")
+    channels, received, cases = _per_frame_case()
+    runtime = pinned_runtime(drain_threshold, capacity=capacity)
+    handles = [runtime.submit(FrameRequest(channels, received, decoder,
+                                           noise_variance))
+               for decoder, noise_variance, _ in cases]
+    runtime.drain()
+    assert len(runtime._engine._pools) == 2
+    assert all(pool.has_core == (tick_kernel.core() is not None)
+               for pool in runtime._engine._pools.values())
+    for handle, (_, _, want) in zip(handles, cases):
+        assert_frames_identical(handle.result(), want)
 
 
 @pytest.mark.parametrize("shape", [(1, 0), (0, 3), (1, 1), (1, 2), (2, 1),
@@ -689,12 +746,13 @@ def test_column_ordering_norm_is_rejected_off_the_scalar_path():
 @pytest.mark.filterwarnings("ignore:the compiled search core")
 @pytest.mark.parametrize("compiled", [True, False],
                          ids=["core", "no-compiler"])
-def test_clamp_is_part_of_the_soft_pool_key(request, compiled):
-    """The core clamps a list pool's LLRs by its decoder's ``clamp``, so
-    two list decoders that differ only there must not share a pool (or
-    a farm route): one runtime and one inline farm each take their
-    frames interleaved, and every frame equals its own decoder's
-    ``decode_frame`` bit for bit — clipped LLRs included."""
+def test_list_decoders_differing_in_clamp_share_a_pool(request, compiled):
+    """Each list search's LLRs are clamped by its own frame's decoder's
+    ``clamp`` (the core reads it in the frame's row), so two list
+    decoders that differ only there share one pool: one runtime and one
+    inline farm each take their frames interleaved, and every frame
+    equals its own decoder's ``decode_frame`` bit for bit — clipped LLRs
+    included."""
     if not compiled:
         request.getfixturevalue("no_compiler")
     constellation, channels, received = _frame_instance(16, 4, 4, 4, 3,
@@ -711,6 +769,7 @@ def test_clamp_is_part_of_the_soft_pool_key(request, compiled):
     runtime = UplinkRuntime()
     handles = [runtime.submit(request) for request in requests]
     runtime.drain()
+    assert len(runtime._engine._pools) == 1
     with DetectorFarm(1, backend="inline") as farm:
         farm_handles = [farm.submit(request) for request in requests]
         farm.drain()

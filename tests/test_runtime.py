@@ -38,7 +38,13 @@ from repro.service import DetectorFarm
 from repro.sphere import KBestDecoder, ListSphereDecoder, SphereDecoder
 from repro.sphere.tick_kernel import core
 
-from test_engine import pinned_runtime
+from test_engine import (
+    NOISE_VARIANCE,
+    _frame_instance,
+    assert_frames_identical,
+    pinned_runtime,
+    scalar_oracle,
+)
 
 
 def _make_frame(decoder, num_subcarriers, num_symbols, snr_db, rng,
@@ -782,6 +788,39 @@ def test_demand_grown_pools_are_invisible_to_results():
     for frame, handle in zip(frames, handles):
         _assert_identical(handle.result(), _reference(frame),
                           frame.noise_variance is not None)
+
+
+def test_per_frame_values_do_not_grow_the_pools():
+    """A thousand frames, hard and list-16, each decoder with its own
+    node budget, initial radius and (list) LLR clamp, through one
+    runtime: a pool is a lane layout, so the runtime ends with two pools
+    — one hard, one list-16 — however many values its frames carried,
+    and every frame equals its own decoder's scalar oracle."""
+    constellation, channels, received = _frame_instance(16, 2, 2, 1, 2,
+                                                        seed=29)
+    runtime = UplinkRuntime()
+    sent = []
+    for k in range(1000):
+        if k % 2:
+            decoder = ListSphereDecoder(constellation, list_size=16,
+                                        clamp=0.5 + k / 100,
+                                        node_budget=2 + k)
+            decoder.initial_radius_sq = 20.0 + k
+            noise_variance = NOISE_VARIANCE
+        else:
+            decoder = SphereDecoder(constellation, node_budget=2 + k,
+                                    initial_radius_sq=0.05 + k / 1000)
+            noise_variance = None
+        sent.append((runtime.submit(FrameRequest(
+            channels, received, decoder, noise_variance)), decoder,
+            noise_variance))
+        if k % 50 == 49:
+            runtime.drain()
+    runtime.drain()
+    assert len(runtime._engine._pools) == 2
+    for handle, decoder, noise_variance in sent:
+        assert_frames_identical(handle.result(), scalar_oracle(
+            decoder, channels, received, noise_variance)[0])
 
 
 # ----------------------------------------------------------------------

@@ -122,12 +122,27 @@ def test_routing_is_deterministic_and_signature_stable():
     with DetectorFarm(4, backend="inline") as farm:
         assert [farm.route(frame) for frame in frames] == [
             shard_for(sig, 4) for sig in signatures]
-    # The routing key is exactly the key the engine pools by, so all of
-    # one pool's searches land on one shard.
+    # Every pool key is a prefix of its frames' routing key, so all of
+    # one routing key's frames land in one pool of one shard ...
     runtime = UplinkRuntime()
     for frame in frames + again:
         runtime.submit(frame)
-    assert list(runtime._engine._pools) == signatures
+    pools = list(runtime._engine._pools)
+    assert pools == [signature[:len(pool)]
+                     for pool, signature in zip(pools, signatures,
+                                                strict=True)]
+    runtime.drain()
+    # ... and the values a decoder sets per frame still route apart,
+    # though each such frame joins the pool already there.
+    hard16, soft16 = frames[0], frames[2]
+    for frame, decoder in [
+            (hard16, SphereDecoder(qam(16), node_budget=40)),
+            (hard16, SphereDecoder(qam(16), initial_radius_sq=4.0)),
+            (soft16, ListSphereDecoder(qam(16), list_size=4, clamp=2.0))]:
+        variant = dataclasses.replace(frame, decoder=decoder)
+        assert request_signature(variant) != request_signature(frame)
+        runtime.submit(variant)
+    assert list(runtime._engine._pools) == pools
     runtime.drain()
 
     with pytest.raises(ValueError):
@@ -1249,6 +1264,20 @@ def test_decoder_refuses_an_unknown_enumerator_or_config(decoder, offset,
         body[offset] = value
     with pytest.raises(ValueError, match=match):
         decode(body)
+
+
+def test_decoder_refuses_a_list_decoder_with_a_non_finite_clamp():
+    """A list decoder's record carries its clamp as a double; an
+    infinite or NaN one is refused at decode, as the constructor refuses
+    it, before any runtime or worker sees the frame."""
+    body = _wire_bytes(("ok", ListSphereDecoder(qam(4), list_size=4,
+                                                clamp=3.0)))
+    assert struct.unpack_from("<d", body, 19) == (3.0,)
+    for clamp in (np.inf, np.nan):
+        struct.pack_into("<d", body, 19, clamp)
+        with pytest.raises(ValueError, match="clamp must be positive and "
+                                             "finite"):
+            decode(body)
 
 
 def test_decoder_refuses_deep_nesting_bad_keys_and_padded_records():

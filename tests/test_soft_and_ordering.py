@@ -128,8 +128,8 @@ class TestListSphereDecoder:
 
     def test_llr_extraction_takes_one_noise_variance_per_list(self):
         """One call over lists of several frames, each with its own
-        noise variance, is bit for bit the row-by-row scalar calls; an
-        empty list is still refused."""
+        noise variance and clamp, is bit for bit the row-by-row scalar
+        calls; an empty list is still refused."""
         rng = np.random.default_rng(11)
         constellation = qam(16)
         num_lists, list_size, num_streams = 12, 5, 3
@@ -142,19 +142,22 @@ class TestListSphereDecoder:
                       for _ in range(2))
         counts = rng.integers(1, list_size + 1, num_lists)
         variances = rng.uniform(0.01, 0.5, num_lists)
+        clamps = rng.uniform(0.5, 8.0, num_lists)
         llrs, indices, symbols = soft_outputs_from_lists(
             constellation, distances, sequence, cols, rows, counts,
-            variances, 6.0)
+            variances, clamps)
         for row in range(num_lists):
             one = slice(row, row + 1)
             want = soft_outputs_from_lists(
                 constellation, distances[one], sequence[one], cols[one],
-                rows[one], counts[one], float(variances[row]), 6.0)
+                rows[one], counts[one], float(variances[row]),
+                float(clamps[row]))
             for got, expected in zip((llrs, indices, symbols), want):
                 assert np.array_equal(got[row], expected[0])
-        with pytest.raises(ValueError, match="one per list"):
-            soft_outputs_from_lists(constellation, distances, sequence, cols,
-                                    rows, counts, variances[:-1], 6.0)
+        for short in ((variances[:-1], 6.0), (variances, clamps[:-1])):
+            with pytest.raises(ValueError, match="one per list"):
+                soft_outputs_from_lists(constellation, distances, sequence,
+                                        cols, rows, counts, *short)
         counts[5] = 0
         with pytest.raises(ValueError, match="found no leaves"):
             soft_outputs_from_lists(constellation, distances, sequence, cols,
@@ -192,6 +195,11 @@ class TestListSphereDecoder:
             ListSphereDecoder(qam(4), enumerator="hess")
         with pytest.raises(ValueError):
             ListSphereDecoder(qam(4), node_budget=0)
+        # An infinite clamp would hand a one-sided bit an infinite LLR,
+        # which the Viterbi decoder refuses mid-drain.
+        for clamp in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                ListSphereDecoder(qam(4), clamp=clamp)
         soft = ListSphereDecoder(qam(4))
         _, channel, y, _, _ = instance(4, 2, 2, 10.0, seed=6)
         with pytest.raises(ValueError):

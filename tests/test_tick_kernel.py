@@ -820,6 +820,48 @@ def test_a_lane_holds_only_its_search(list_size, most):
     assert sum(array.nbytes for array in state.values()) <= 8 * most
 
 
+def test_per_frame_values_ride_in_the_frame_row():
+    """A pool is a lane layout: ``search_t`` holds nothing a decoder sets
+    per frame.  The LLR scale, clamp and initial radius are fields of a
+    frame's table row, which :func:`tick_kernel.frame` fills from the
+    decoder it is handed — the frame's own (a hard one has no clamp)."""
+    per_frame = {"noise_var", "clamp", "initial_radius"}
+    assert not per_frame & {name for name, _ in tick_kernel._Search._fields_}
+    assert per_frame <= set(tick_kernel.FRAME.names)
+    constellation, channels, received = _frame_instance(16, 4, 4, 2, 2)
+    soft = ListSphereDecoder(constellation, list_size=4, clamp=3.5,
+                             node_budget=30)
+    soft.initial_radius_sq = 7.0
+    for decoder, values in ((soft, (0.05, 3.5, 7.0)),
+                            (SphereDecoder(constellation), (0.0, 0.0,
+                                                            np.inf))):
+        job = FrameJob(0, FrameRequest(channels, received, decoder,
+                                       values[0] or None))
+        row = np.array(tick_kernel.frame(
+            decoder, 4, job.r_stack, job.y_flat, job.diag_stack,
+            job.diag_sq_stack, job.num_symbols, values[0], job.outcome),
+            dtype=tick_kernel.FRAME)
+        assert (row["noise_var"], row["clamp"],
+                row["initial_radius"]) == values
+
+
+@pytest.mark.parametrize("order,dtype", [(16, np.int8), (256, np.int8),
+                                         (65536, np.int16)])
+def test_outcome_rows_keep_positions_as_the_lanes_do(order, dtype):
+    """A frame's best-member rows hold PAM positions in the signed byte
+    the lanes write them from — 2 KB for a 64 x 4 hard 4-stream frame,
+    not 16 — and a side past a byte, which only the scalar search runs,
+    in the narrowest integer that holds its positions."""
+    for decoder in (SphereDecoder(qam(order)),
+                    ListSphereDecoder(qam(order), list_size=4)):
+        rows = tick_kernel.outcome(decoder, 4)
+        assert rows["best_cols"] == rows["best_rows"] == (dtype, (4,))
+    job = FrameJob(0, FrameRequest(*_frame_instance(16, 4, 4, 64, 4)[1:],
+                                   SphereDecoder(qam(16))))
+    assert job.outcome["best_cols"].nbytes + \
+        job.outcome["best_rows"].nbytes == 2048
+
+
 def test_a_side_past_a_byte_runs_the_scalar_search():
     """A constellation whose PAM positions do not fit a signed byte
     (65536-QAM: side 256) gets a pool without lanes, as a baseline
